@@ -1,17 +1,20 @@
 """Rank-aware pushdown benchmark: windowed SQL ranked reads vs the Python union.
 
 Replays one GBCO workload — ingest, bootstrap alignment, fig6 keyword views
-— and then serves the same ranked reads three ways:
+— and then serves the same ranked reads on each execution target:
 
-* ``sqlite_windowed`` — the windowed ranked-union pushdown: every cold view
-  read is one ``ROW_NUMBER()``-windowed ``UNION ALL`` SELECT inside SQLite,
-  and every page read is one ``LIMIT``/``OFFSET`` window;
-* ``sqlite_python`` — the same SQLite catalog with ``REPRO_WINDOW_PUSHDOWN``
-  off: per-query execution plus the Python
-  :func:`~repro.engine.executor.ranked_union`;
-* ``memory`` — the seed path, everything in Python.
+* ``sqlite_windowed`` — the SQL target: every cold view read is one
+  ``ROW_NUMBER()``-windowed ``UNION ALL`` SELECT inside SQLite, and every
+  page read is one ``LIMIT``/``OFFSET`` window;
+* ``memory`` — the Python target: the planned join engine plus
+  :func:`~repro.engine.executor.ranked_union`.
 
-Parity is asserted, not sampled: all three modes must produce byte-identical
+(A third ``sqlite_python`` leg — the SQLite catalog forced onto the Python
+union by the since-removed ``REPRO_WINDOW_PUSHDOWN`` switch — produced the
+frozen windowed-vs-Python figures in ``BENCH_pushdown.json``: 1.17x cold
+reads, 1.32x cold page reads.)
+
+Parity is asserted, not sampled: both modes must produce byte-identical
 ranked answers (values, costs, provenance, order) and byte-identical pages.
 A warm-open replay is also measured: the session is saved into the catalog
 database and reopened, asserting the posting tables made the reopen skip the
@@ -21,8 +24,7 @@ in-memory posting rebuild (``posting_builds == 0`` and ``posting_syncs == 0``
 With ``--check BASELINE`` the run exits non-zero when any deterministic
 count drifts, when a parity or warm-open assertion fails, or when the
 **windowed** ranked-read wall time regresses more than 20% against the
-baseline (the mode this PR optimizes; the Python modes are reported as the
-comparison but not gated).
+baseline (the memory mode is reported as the comparison but not gated).
 
 Usage::
 
@@ -61,12 +63,9 @@ from repro.datasets import build_gbco  # noqa: E402
 from repro.datastore.csvio import source_from_dict, source_to_dict  # noqa: E402
 from repro.matching import ValueOverlapMatcher  # noqa: E402
 
-MODES = ("memory", "sqlite_python", "sqlite_windowed")
-
 #: The gated windowed mode runs last so the process-global caches (name
-#: trigrams, pair memos) are warm for all modes that are compared on time —
-#: the reported windowed-vs-python speedup is therefore conservative.
-RUN_ORDER = ("memory", "sqlite_python", "sqlite_windowed")
+#: trigrams, pair memos) are warm when it is timed.
+MODES = ("memory", "sqlite_windowed")
 
 CONFIGS = {
     "small": dict(rows_per_relation=12, trial_count=4, read_reps=3, page_size=5),
@@ -125,74 +124,66 @@ def _build_service(mode: str, rows: int, db_path: Optional[Path] = None) -> QSer
 
 def _run_mode(mode: str, spec: Dict[str, object], trials) -> Dict[str, object]:
     """Build the catalog once, then time the ranked read workloads."""
-    gate_env = os.environ.pop("REPRO_WINDOW_PUSHDOWN", None)
-    if mode == "sqlite_python":
-        os.environ["REPRO_WINDOW_PUSHDOWN"] = "off"
-    try:
-        service = _build_service(mode, spec["rows_per_relation"])
-        views = []
-        for entry in trials:
-            info = service.create_view(
-                QueryRequest(keywords=tuple(entry.keywords)), materialize=False
-            )
-            views.append(service.view(info.view_id))
+    service = _build_service(mode, spec["rows_per_relation"])
+    views = []
+    for entry in trials:
+        info = service.create_view(
+            QueryRequest(keywords=tuple(entry.keywords)), materialize=False
+        )
+        views.append(service.view(info.view_id))
 
-        # Cold ranked reads: every repetition drops the per-view answer
-        # cache, so each read re-executes — one windowed SELECT per view in
-        # the windowed mode, per-query execution + Python merge otherwise.
-        start = time.perf_counter()
-        answers = []
-        for rep in range(spec["read_reps"]):
-            fingerprints = []
-            for view in views:
-                view.invalidate_cache()
-                fingerprints.append(_answer_fingerprint(view.answers()))
-            answers = fingerprints
-        cold_read_seconds = time.perf_counter() - start
+    # Cold ranked reads: every repetition drops the per-view answer
+    # cache, so each read re-executes — one windowed SELECT per view in
+    # the windowed mode, per-query execution + Python merge on memory.
+    start = time.perf_counter()
+    answers = []
+    for rep in range(spec["read_reps"]):
+        fingerprints = []
+        for view in views:
+            view.invalidate_cache()
+            fingerprints.append(_answer_fingerprint(view.answers()))
+        answers = fingerprints
+    cold_read_seconds = time.perf_counter() - start
 
-        # Cold page reads: the serving scenario this PR targets — a random
-        # LIMIT/OFFSET page with no warm answer cache.  The windowed mode
-        # answers it with one small windowed SELECT; the Python modes must
-        # execute the whole union first, then slice.
-        page_size = spec["page_size"]
-        start = time.perf_counter()
-        pages = []
-        pages_read = 0
-        for rep in range(spec["read_reps"]):
-            for view, full in zip(views, answers):
-                view.invalidate_cache()
-                offset = (rep * page_size) % max(len(full), 1)
-                page = view.answers_page(limit=page_size, offset=offset)
-                pages.append(_answer_fingerprint(page))
-                pages_read += 1
-        paged_read_seconds = time.perf_counter() - start
+    # Cold page reads: the serving scenario this PR targets — a random
+    # LIMIT/OFFSET page with no warm answer cache.  The windowed mode
+    # answers it with one small windowed SELECT; the Python target must
+    # execute the whole union first, then slice.
+    page_size = spec["page_size"]
+    start = time.perf_counter()
+    pages = []
+    pages_read = 0
+    for rep in range(spec["read_reps"]):
+        for view, full in zip(views, answers):
+            view.invalidate_cache()
+            offset = (rep * page_size) % max(len(full), 1)
+            page = view.answers_page(limit=page_size, offset=offset)
+            pages.append(_answer_fingerprint(page))
+            pages_read += 1
+    paged_read_seconds = time.perf_counter() - start
 
-        stats = service.stats()
-        service.close()
-        return {
-            "timings": {
-                "cold_read_seconds": round(cold_read_seconds, 4),
-                "paged_read_seconds": round(paged_read_seconds, 4),
-            },
-            "counts": {
-                "views": len(views),
-                "answers_total": sum(len(a) for a in answers),
-                "pages_read": pages_read,
-                "pushdown_union_queries": stats.pushdown_union_queries,
-                "posting_syncs": stats.posting_syncs,
-            },
-            "backend_reported": stats.backend,
-            "_answers": answers,
-            "_pages": pages,
-        }
-    finally:
-        os.environ.pop("REPRO_WINDOW_PUSHDOWN", None)
-        if gate_env is not None:
-            os.environ["REPRO_WINDOW_PUSHDOWN"] = gate_env
+    stats = service.stats()
+    service.close()
+    return {
+        "timings": {
+            "cold_read_seconds": round(cold_read_seconds, 4),
+            "paged_read_seconds": round(paged_read_seconds, 4),
+        },
+        "counts": {
+            "views": len(views),
+            "answers_total": sum(len(a) for a in answers),
+            "pages_read": pages_read,
+            "pushdown_union_queries": stats.pushdown_union_queries,
+            "posting_syncs": stats.posting_syncs,
+        },
+        "backend_reported": stats.backend,
+        "_answers": answers,
+        "_pages": pages,
+    }
 
 
 def _assert_parity(runs: Dict[str, Dict[str, object]]) -> None:
-    """Byte-identical answers and pages across all three modes."""
+    """Byte-identical answers and pages across both modes."""
     reference = runs[MODES[0]]
     for mode in MODES[1:]:
         if runs[mode]["_answers"] != reference["_answers"]:
@@ -211,8 +202,6 @@ def _assert_parity(runs: Dict[str, Dict[str, object]]) -> None:
             "windowed mode served no union through the backend — the "
             "benchmark is not measuring the pushdown (old SQLite build?)"
         )
-    if runs["sqlite_python"]["counts"]["pushdown_union_queries"] != 0:
-        raise AssertionError("REPRO_WINDOW_PUSHDOWN=off leaked a windowed read")
 
 
 def _run_warm_open(spec: Dict[str, object], trials) -> Dict[str, object]:
@@ -269,17 +258,9 @@ def run_benchmark(
     if spec["trial_count"] is not None:
         trials = trials[: spec["trial_count"]]
 
-    runs = {mode: _run_mode(mode, spec, trials) for mode in RUN_ORDER}
-    runs = {mode: runs[mode] for mode in MODES}  # report in canonical order
+    runs = {mode: _run_mode(mode, spec, trials) for mode in MODES}
     _assert_parity(runs)
     warm_open = _run_warm_open(spec, trials)
-
-    def _ratio(a: float, b: float) -> Optional[float]:
-        # Ratios over sub-10ms denominators are noise, not signal.
-        return round(a / b, 2) if b >= 0.01 else None
-
-    python_t = runs["sqlite_python"]["timings"]
-    windowed_t = runs["sqlite_windowed"]["timings"]
     return {
         "benchmark": "rank_aware_pushdown",
         "workload": "gbco ingest + fig6 keyword views; cold ranked reads + cold page reads",
@@ -290,18 +271,10 @@ def run_benchmark(
             "read_reps": spec["read_reps"],
             "page_size": spec["page_size"],
         },
-        "parity": "identical ranked answers and pages across all three modes",
+        "parity": "identical ranked answers and pages across both modes",
         "modes": {
             mode: {key: value for key, value in run.items() if not key.startswith("_")}
             for mode, run in runs.items()
-        },
-        "speedup_windowed_vs_python_on_sqlite": {
-            "cold_read": _ratio(
-                python_t["cold_read_seconds"], windowed_t["cold_read_seconds"]
-            ),
-            "paged_read": _ratio(
-                python_t["paged_read_seconds"], windowed_t["paged_read_seconds"]
-            ),
         },
         "warm_open": warm_open,
     }
@@ -375,11 +348,8 @@ def main(argv: Optional[list] = None) -> int:
             f"  {mode:>15}: cold reads {timings['cold_read_seconds']}s, "
             f"paged reads {timings['paged_read_seconds']}s"
         )
-    speedup = report["speedup_windowed_vs_python_on_sqlite"]
     print(
-        f"  windowed speedup vs python-on-sqlite: cold {speedup['cold_read']}x, "
-        f"paged {speedup['paged_read']}x; warm open "
-        f"{report['warm_open']['warm_open_seconds']}s "
+        f"  warm open {report['warm_open']['warm_open_seconds']}s "
         f"(cold build {report['warm_open']['cold_build_seconds']}s)"
     )
     if args.check is not None:

@@ -16,7 +16,6 @@ then prints per-request traces, the decision log, and a metrics scrape.
 Run with::
 
     python examples/observability.py
-    REPRO_WINDOW_PUSHDOWN=off python examples/observability.py   # explain the fallback
 """
 
 from __future__ import annotations

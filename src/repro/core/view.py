@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..datastore.database import Catalog
 from ..datastore.provenance import AnswerTuple
-from ..engine.context import ExecutionContext
+from ..engine.context import SQL, ExecutionContext
 from ..engine.executor import PlanExecutor, project_answer, ranked_union, union_column_plan
 from ..exceptions import DeadlineExceededError, QueryError
 from ..faults.budget import Budget
@@ -260,19 +260,15 @@ class RankedView:
         Incrementality: the Steiner solve is skipped when edge weights and
         graph structure are unchanged; per-query answers are reused whenever
         a tree with the same signature was already executed against the same
-        table versions.  On a window-capable backend, every cache-missing
+        table versions.  When the read's target is SQL, every cache-missing
         query is executed by **one** windowed backend round trip
         (:meth:`_prime_answer_cache`) instead of per-query SELECTs.
         """
         trees, queries, stats = self._ensure_solved(rebuild_graph)
         primed = self._prime_answer_cache(queries, stats)
-        pairs = []
-        for generated in queries:
-            answers_for = primed.get(generated.signature) if primed else None
-            if answers_for is None:
-                answers_for = self._answers_for(generated, stats)
-            pairs.append((generated.query, answers_for))
-        answers = ranked_union(pairs, limit=self.answer_limit)
+        answers = ranked_union(
+            self._query_answers(queries, stats, primed), limit=self.answer_limit
+        )
 
         self.state = ViewState(trees=trees, queries=queries, answers=answers)
         self._answers_materialized = True
@@ -342,13 +338,7 @@ class RankedView:
             # Budgeted (deadline-bounded) reads stay on the per-query lazy
             # path by construction: the windowed batch is one indivisible
             # round trip with no query-boundary truncation points.
-            if budget is not None:
-                reason = self._union_fallback_reason(budget)
-                if reason is not None and ordered:
-                    active_trace().annotate_once("fallback_reason", reason)
-                primed = None
-            else:
-                primed = self._prime_answer_cache(ordered, stats)
+            primed = self._prime_answer_cache(ordered, stats, budget=budget)
             yielded = 0
             for generated, mapping in zip(ordered, mappings):
                 if limit is not None and yielded >= limit:
@@ -357,9 +347,7 @@ class RankedView:
                     budget.mark_truncated("stream")
                     return
                 try:
-                    answers = (
-                        primed.get(generated.signature) if primed else None
-                    )
+                    answers = primed.get(generated.signature)
                     if answers is None:
                         answers = self._answers_for(generated, stats, budget=budget)
                 except DeadlineExceededError:
@@ -409,31 +397,46 @@ class RankedView:
         stats.queries_executed += 1
         return answers
 
+    def _read_target(
+        self, queries: Sequence[GeneratedQuery], budget: Optional[Budget] = None
+    ) -> str:
+        """Where a read over this view's ``queries`` runs: SQL or Python.
+
+        Feeds what the view can observe (its tenant-overlay flag, the
+        read's deadline) to the context's one capability check, and logs
+        the reason on the read's trace when the check rules SQL out.
+        """
+        target, reason = self.engine_context.choose_target(
+            (generated.query for generated in queries),
+            overlay=not self.allow_window_pushdown,
+            budget=budget,
+        )
+        if reason is not None:
+            active_trace().annotate_once("fallback_reason", reason)
+        return target
+
     def _prime_answer_cache(
-        self, queries: Sequence[GeneratedQuery], stats: RefreshStats
-    ) -> Optional[Dict[str, List[AnswerTuple]]]:
+        self,
+        queries: Sequence[GeneratedQuery],
+        stats: RefreshStats,
+        budget: Optional[Budget] = None,
+    ) -> Dict[str, List[AnswerTuple]]:
         """Batch-execute every cache-missing query in one windowed SELECT.
 
-        The cold-read half of the windowed ranked-union pushdown: instead
-        of one backend round trip per cache miss, all missing queries run
-        as branches of a single windowed ``UNION ALL``
-        (:meth:`~repro.engine.context.ExecutionContext.try_pushdown_union_raw`)
+        The cold-read half of the SQL target: instead of one backend round
+        trip per cache miss, all missing queries run as branches of a
+        single windowed ``UNION ALL``
+        (:meth:`~repro.storage.windowed.WindowedUnionPushdown.fetch_raw`)
         and their raw answers — byte-identical to per-query execution —
         land in the per-signature cache.  Returns ``{signature: answers}``
         for the fetched queries (already counted in
         ``stats.queries_executed``; a primed query ran, inside one shared
-        SELECT, so it is *executed*, never *reused*), or ``None`` when the
-        pushdown is unavailable, the union is ineligible, or nothing is
-        missing — callers then proceed exactly as before the windowed path
-        existed.
+        SELECT, so it is *executed*, never *reused*); empty when there are
+        no queries, the read's target is Python, or nothing is missing —
+        callers then execute (or replay) per query.
         """
-        if not queries:
-            return None
-        trace = active_trace()
-        reason = self._union_fallback_reason()
-        if reason is not None:
-            trace.annotate_once("fallback_reason", reason)
-            return None
+        if not queries or self._read_target(queries, budget) != SQL:
+            return {}
         missing: List[Tuple[GeneratedQuery, Tuple[Tuple[str, object, int], ...]]] = []
         for generated in queries:
             versions = self._table_versions(generated.query)
@@ -443,20 +446,14 @@ class RankedView:
         if not missing:
             # Every query replays from the per-signature cache — no round
             # trip at all, windowed or otherwise.
-            return None
-        batch_reason = self.engine_context.union_fallback_reason(
-            [generated.query for generated, _ in missing]
-        )
-        if batch_reason is not None:
-            trace.annotate_once("fallback_reason", batch_reason)
-            return None
+            return {}
+        trace = active_trace()
+        context = self.engine_context
         with trace.span("windowed_pushdown"):
-            fetched = self.engine_context.try_pushdown_union_raw(
-                [generated.query for generated, _ in missing]
+            fetched = context.window_pushdown.fetch_raw(
+                self.catalog, [generated.query for generated, _ in missing]
             )
-        if fetched is None:  # pragma: no cover - eligibility raced a mutation
-            trace.annotate_once("fallback_reason", "windowed union became ineligible")
-            return None
+        context.statistics.pushdown_union_queries += 1
         trace.annotate_once("path", "windowed")
         trace.tally("windowed_queries", len(missing))
         primed: Dict[str, List[AnswerTuple]] = {}
@@ -469,39 +466,30 @@ class RankedView:
             self._answer_cache.popitem(last=False)
         return primed
 
-    def _union_fallback_reason(self, budget: Optional[Budget] = None) -> Optional[str]:
-        """Why this view's reads skip the windowed union, or ``None``.
-
-        View-level reasons (tenant overlay, deadline budget) come before
-        context-level availability: the most fundamental fact is the one
-        the explain log should carry.  Batch-level ineligibility (a branch
-        without outputs, an off-backend relation) is probed separately in
-        :meth:`_prime_answer_cache` / :meth:`answers_page`, where the
-        actual query batch exists.
-        """
-        if not self.allow_window_pushdown:
-            return "tenant overlay view: repriced per read on the Python engine"
-        if self.engine_context.window_pushdown is None:
-            return (
-                self.engine_context.window_unavailable_reason
-                or "window pushdown unavailable"
-            )
-        if budget is not None:
-            return (
-                "deadline-budgeted read: the windowed batch cannot be "
-                "truncated at query boundaries"
-            )
-        return None
+    def _query_answers(
+        self,
+        queries: Sequence[GeneratedQuery],
+        stats: RefreshStats,
+        primed: Dict[str, List[AnswerTuple]],
+    ) -> List[Tuple[object, List[AnswerTuple]]]:
+        """``(query, raw answers)`` per query: primed, cached or executed."""
+        pairs = []
+        for generated in queries:
+            answers_for = primed.get(generated.signature)
+            if answers_for is None:
+                answers_for = self._answers_for(generated, stats)
+            pairs.append((generated.query, answers_for))
+        return pairs
 
     def answers_page(
         self, limit: Optional[int] = None, offset: int = 0
     ) -> List[AnswerTuple]:
         """One k-best page of the ranked answers (``LIMIT``/``OFFSET``).
 
-        On a window-capable backend the page is computed by one windowed
+        When the read's target is SQL the page is computed by one windowed
         SELECT — cost ordering, tie-breaking and pagination all run inside
-        the database; otherwise (or for an ineligible union) the Python
-        ranked union materializes and slices.  Either way the page equals
+        the database; otherwise the Python ranked union materializes and
+        slices.  Either way the page equals
         ``answers()[offset : offset + limit]``: the window never reaches
         past the view's ``answer_limit`` cap, an ``offset`` past the last
         answer yields ``[]``, and ``limit=0`` is rejected — a page must be
@@ -522,27 +510,21 @@ class RankedView:
             effective = window if limit is None else min(limit, window)
         else:
             effective = limit
-        if self.allow_window_pushdown and queries:
+        if queries and self._read_target(queries) == SQL:
             ordered = sorted(queries, key=lambda g: g.query.cost)
             plain = [generated.query for generated in ordered]
             columns, mappings = union_column_plan(plain)
             trace = active_trace()
+            context = self.engine_context
             with trace.span("windowed_pushdown"):
-                pushed = self.engine_context.try_pushdown_union_ranked(
-                    plain, columns, mappings, limit=effective, offset=offset
+                pushed = context.window_pushdown.execute_ranked(
+                    self.catalog, plain, columns, mappings, limit=effective, offset=offset
                 )
-            if pushed is not None:
-                trace.annotate_once("path", "windowed")
-                trace.tally("windowed_queries", len(plain))
-                return pushed
-        primed = self._prime_answer_cache(queries, stats)
-        pairs = []
-        for generated in queries:
-            answers_for = primed.get(generated.signature) if primed else None
-            if answers_for is None:
-                answers_for = self._answers_for(generated, stats)
-            pairs.append((generated.query, answers_for))
-        all_answers = ranked_union(pairs, limit=cap)
+            context.statistics.pushdown_union_queries += 1
+            trace.annotate_once("path", "windowed")
+            trace.tally("windowed_queries", len(plain))
+            return pushed
+        all_answers = ranked_union(self._query_answers(queries, stats, {}), limit=cap)
         end = None if effective is None else offset + effective
         return all_answers[offset:end]
 

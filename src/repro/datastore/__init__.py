@@ -9,15 +9,14 @@ This subpackage provides everything the Q system needs from a database layer:
 * :class:`DataSource`, :class:`Catalog` — registered sources.
 * :class:`ValueIndex`, :class:`TokenIndex` — inverted indexes for keyword
   matching and the value-overlap filter.
-* :class:`ConjunctiveQuery` and friends, :class:`QueryExecutor`,
-  :class:`AnswerTuple`, :class:`TupleProvenance` — ranked query execution
-  with provenance (paper Section 2.2).
+* :class:`ConjunctiveQuery` and friends, :class:`AnswerTuple`,
+  :class:`TupleProvenance` — the query model and provenance-carrying answers
+  (paper Section 2.2); execution lives in :mod:`repro.engine`.
 * CSV / JSON loading via :mod:`repro.datastore.csvio` and SQL rendering via
   :mod:`repro.datastore.sqlgen`.
 """
 
 from .database import Catalog, DataSource
-from .executor import QueryExecutor
 from .indexes import TokenIndex, ValueIndex, ValueOccurrence
 from .provenance import AnswerTuple, TupleProvenance
 from .query import (
@@ -41,7 +40,6 @@ __all__ = [
     "JoinPredicate",
     "OutputColumn",
     "QueryAtom",
-    "QueryExecutor",
     "RelationSchema",
     "Row",
     "SelectionPredicate",

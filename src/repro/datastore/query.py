@@ -5,7 +5,7 @@ query (paper Section 2.2): relation nodes in (or attached to) the tree become
 query *atoms*, non-zero-cost edges between attributes become *join
 predicates*, and keyword-match edges become *selection predicates*.  The
 queries produced for one keyword query are then combined by a ranked
-*disjoint union* (see :mod:`repro.datastore.executor`).
+*disjoint union* (see :func:`repro.engine.executor.ranked_union`).
 """
 
 from __future__ import annotations

@@ -58,9 +58,8 @@ class PushdownDialect:
 
     The exact dialect guarantees answer parity by calling the library's own
     canonicalize / match functions *inside* the database; which names those
-    functions are registered under — and which SQL features the server
-    offers — is a property of the backend.  Bundling them here lets the
-    pushdown compilers (:mod:`repro.storage.pushdown`,
+    functions are registered under is a property of the backend.  Bundling
+    them here lets the SQL compilers (:mod:`repro.storage.pushdown`,
     :mod:`repro.storage.windowed`) render for any backend that registers
     the functions, instead of hard-coding the SQLite spelling.
     """
@@ -71,18 +70,14 @@ class PushdownDialect:
     canon_function: str = "repro_canon"
     #: Name of the registered matcher UDF (``mode, needle, value`` → 0/1).
     match_function: str = "repro_match"
-    #: Whether the server evaluates ``ROW_NUMBER()``/``RANK()`` windows —
-    #: the prerequisite of the windowed ranked-union pushdown.
-    supports_window_functions: bool = True
 
     def canon(self, column_sql: str) -> str:
         """The canonical form of a column expression, as SQL."""
         return f"{self.canon_function}({column_sql})"
 
 
-#: The dialect of :class:`~repro.storage.sqlite.SqliteBackend` (window
-#: functions ship with SQLite ≥ 3.25) and the default everywhere a dialect
-#: is not passed explicitly.
+#: The dialect of :class:`~repro.storage.sqlite.SqliteBackend` and the
+#: default everywhere a dialect is not passed explicitly.
 SQLITE_DIALECT = PushdownDialect()
 
 

@@ -1,7 +1,8 @@
 """Planned, indexed query execution engine.
 
-This package replaces the seed executor's ad-hoc left-to-right nested joins
-with an explicit compile/plan/execute pipeline:
+The one executor of conjunctive queries and ranked unions: an explicit
+compile/plan/execute pipeline with two lowering targets, Python operators
+(this package) or rendered SQL (:mod:`repro.storage.pushdown`):
 
 * :mod:`repro.engine.predicates` — selection predicates compiled once per
   query (canonical value, lowered needle, token set precomputed);
@@ -9,16 +10,17 @@ with an explicit compile/plan/execute pipeline:
   greedily by filtered cardinality, with selections pushed into the scans;
 * :mod:`repro.engine.context` — :class:`ExecutionContext` caches filtered
   scans and per-attribute hash join indexes across queries, keyed on table
-  data versions so mutations invalidate naturally;
+  data versions so mutations invalidate naturally, and holds the one
+  capability check (:meth:`ExecutionContext.choose_target`) that picks a
+  read's target;
 * :mod:`repro.engine.executor` — :class:`PlanExecutor` runs plans with
   composite-key hash joins and reproduces the seed executor's output
   exactly (values, costs, provenance and order); :func:`ranked_union`
   aligns pre-executed per-query answers, which is what lets the incremental
   view refresh reuse cached results.
 
-:class:`~repro.datastore.executor.QueryExecutor` remains the stable facade:
-it delegates here by default and keeps the seed implementation available as
-a reference for parity testing.
+The seed's left-to-right nested-loop executor survives as the reference
+oracle of the parity tests (``tests/reference_executor.py``).
 """
 
 from .context import ContextStatistics, ExecutionContext

@@ -21,34 +21,29 @@ the Q system calls).
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..datastore.database import Catalog
 from ..datastore.table import Row, Table
 from ..datastore.types import canonicalize
 from ..graph.search_graph import SearchGraph
 from ..steiner.network import SteinerNetwork
+from ..storage.pushdown import SqlPushdown, off_backend_relations
+from ..storage.windowed import WindowedUnionPushdown
 from .predicates import CompiledPredicate
 
 #: Identity of a filtered scan within one relation: sorted predicate keys.
 PredicatesKey = Tuple[object, ...]
 
 
-def window_pushdown_enabled() -> bool:
-    """Whether the ``REPRO_WINDOW_PUSHDOWN`` switch permits the windowed path.
-
-    ``off`` / ``0`` / ``false`` / ``no`` disable the windowed ranked-union
-    pushdown (reads fall back to the Python :func:`ranked_union` even on a
-    window-capable backend); anything else — including unset — enables it.
-    The CI backend matrix runs a disabled leg so the fallback path stays
-    exercised.
-    """
-    flag = os.environ.get("REPRO_WINDOW_PUSHDOWN", "").strip().lower()
-    return flag not in ("off", "0", "false", "no")
+#: The two targets a read can be lowered onto (see
+#: :meth:`ExecutionContext.choose_target`): the Python operators of
+#: :mod:`repro.engine.executor`, or SQL rendered by :mod:`repro.storage`.
+PYTHON = "python"
+SQL = "sql"
 
 
 @dataclass
@@ -228,109 +223,65 @@ class ExecutionContext:
         self.steiner_cache = (
             steiner_cache if steiner_cache is not None else SteinerNetworkCache()
         )
-        #: Whole-query SQL pushdown handle, present iff the catalog's
-        #: storage backend supports it (see :mod:`repro.storage.pushdown`).
+        #: Single-query SQL handle, present iff the catalog's storage
+        #: backend supports pushdown (see :mod:`repro.storage.pushdown`).
         self.pushdown = None
-        #: Windowed ranked-union pushdown handle, present iff the backend
-        #: additionally supports window functions and the
-        #: ``REPRO_WINDOW_PUSHDOWN`` switch is not off
-        #: (see :mod:`repro.storage.windowed`).
+        #: Ranked-union SQL handle, present iff the backend additionally
+        #: supports window functions (see :mod:`repro.storage.windowed`).
         self.window_pushdown = None
-        #: Why the windowed path is unavailable on this context (``None``
-        #: when :attr:`window_pushdown` is set).  Recorded once at
-        #: construction so the explain layer reports the *actual* decision,
-        #: not a reconstruction.
-        self.window_unavailable_reason: Optional[str] = None
         backend = getattr(catalog, "backend", None)
         if backend is not None and backend.supports_sql_pushdown:
-            from ..storage.pushdown import SqlPushdown
-
             self.pushdown = SqlPushdown(backend)
-            if not getattr(backend, "supports_window_pushdown", False):
-                self.window_unavailable_reason = (
-                    "backend does not support window functions"
-                )
-            elif not window_pushdown_enabled():
-                self.window_unavailable_reason = (
-                    "window pushdown disabled via REPRO_WINDOW_PUSHDOWN"
-                )
-            else:
-                from ..storage.windowed import WindowedUnionPushdown
-
+            if backend.supports_window_pushdown:
                 self.window_pushdown = WindowedUnionPushdown(backend)
-        else:
-            self.window_unavailable_reason = (
-                "backend has no SQL pushdown (Python join engine)"
+
+    # ------------------------------------------------------------------
+    # Target selection
+    # ------------------------------------------------------------------
+    def choose_target(
+        self,
+        queries: Iterable,
+        ranked: bool = True,
+        limit: Optional[int] = None,
+        overlay: bool = False,
+        budget=None,
+    ) -> Tuple[str, Optional[str]]:
+        """The one capability check: where a read over ``queries`` runs.
+
+        Returns ``(SQL, None)`` when the whole read can be rendered as one
+        statement on the catalog's backend, else ``(PYTHON, reason)`` with
+        the concrete condition that ruled SQL out — the string the explain
+        log records, so the reason a dashboard shows is the reason the
+        engine acted on.  Conditions are tested most fundamental first.
+
+        ``ranked`` reads are a view's union (they need window functions and
+        output columns to align); ``ranked=False`` is the executor's single
+        query.  ``limit``, ``overlay`` and ``budget`` are what the caller
+        can observe about the read: a per-query limit (the engine's
+        cross-product valve may truncate mid-join, which SQL does not
+        replicate), a tenant overlay repricing the view, a deadline.
+        """
+        if overlay:
+            return PYTHON, "tenant overlay view: repriced per read on the Python engine"
+        if self.pushdown is None:
+            return PYTHON, "backend has no SQL pushdown (Python join engine)"
+        if ranked and self.window_pushdown is None:
+            return PYTHON, "backend does not support window functions"
+        if budget is not None:
+            return PYTHON, (
+                "deadline-budgeted read: one SQL statement cannot be "
+                "truncated at query boundaries"
             )
-
-    # ------------------------------------------------------------------
-    # SQL pushdown
-    # ------------------------------------------------------------------
-    def try_pushdown_query(self, query, limit: Optional[int]):
-        """Answers of a whole conjunctive query from the backend, or ``None``.
-
-        Returns a fully built answer list when every relation of the query
-        lives on the catalog's pushdown-capable backend (and no ``limit``
-        is in play — see :meth:`SqlPushdown.can_execute`); the caller falls
-        back to the Python join engine otherwise.
-        """
-        if self.pushdown is None or not self.pushdown.can_execute(
-            self.catalog, query, limit
-        ):
-            return None
-        answers = self.pushdown.execute(self.catalog, query)
-        self.statistics.pushdown_queries += 1
-        return answers
-
-    def union_fallback_reason(self, queries) -> Optional[str]:
-        """Why a windowed union over ``queries`` would fall back, or ``None``.
-
-        The explain layer's decision probe: a context-level unavailability
-        (no backend pushdown, no window functions, the
-        ``REPRO_WINDOW_PUSHDOWN`` gate) or a batch-level ineligibility from
-        :meth:`~repro.storage.windowed.WindowedUnionPushdown.ineligibility`.
-        ``None`` means a windowed round trip would run.
-        """
-        if self.window_pushdown is None:
-            return self.window_unavailable_reason or "window pushdown unavailable"
-        return self.window_pushdown.ineligibility(self.catalog, queries)
-
-    def try_pushdown_union_raw(self, queries):
-        """Raw per-query answers of a whole union batch, or ``None``.
-
-        One windowed backend round trip covering every query; ``result[i]``
-        is byte-identical to executing ``queries[i]`` alone.  The ranked
-        view uses this to prime its per-signature answer cache on a cold
-        refresh.  Returns ``None`` (caller falls back to per-query
-        execution) when the windowed pushdown is unavailable or ineligible.
-        """
-        if self.window_pushdown is None or not self.window_pushdown.can_execute(
-            self.catalog, queries
-        ):
-            return None
-        results = self.window_pushdown.fetch_raw(self.catalog, queries)
-        self.statistics.pushdown_union_queries += 1
-        return results
-
-    def try_pushdown_union_ranked(
-        self, queries, unified_columns, mappings, limit=None, offset: int = 0
-    ):
-        """One ranked, paginated union page from the backend, or ``None``.
-
-        ``queries``/``mappings`` must be in ascending-cost union order (from
-        :func:`~repro.engine.executor.union_column_plan`).  The returned
-        page is byte-identical to the corresponding slice of the Python
-        :func:`~repro.engine.executor.ranked_union`.
-        """
-        if self.window_pushdown is None or not self.window_pushdown.can_execute(
-            self.catalog, queries
-        ):
-            return None
-        answers = self.window_pushdown.execute_ranked(
-            self.catalog, queries, unified_columns, mappings, limit=limit, offset=offset
-        )
-        self.statistics.pushdown_union_queries += 1
-        return answers
+        if limit is not None:
+            return PYTHON, "per-query limit: served by the engine's partial-result valve"
+        for query in queries:
+            if ranked and not query.outputs:
+                return PYTHON, "a branch query has no output columns"
+            missing = off_backend_relations(self.pushdown.backend, self.catalog, query)
+            if missing:
+                names = ", ".join(sorted(set(missing)))
+                return PYTHON, f"relation(s) not stored on the SQL backend: {names}"
+        return SQL, None
 
     # ------------------------------------------------------------------
     # Invalidation

@@ -5,7 +5,8 @@
 -key hash joins whose build sides come from the shared
 :class:`~repro.engine.context.ExecutionContext` (built once, replayed across
 the k queries of a view refresh), and combines per-query outputs with the
-same ranked disjoint-union semantics as the seed executor.
+same ranked disjoint-union semantics as the seed executor (the nested-loop
+reference the tests keep as ``tests/reference_executor.py``).
 
 Parity guarantee
 ----------------
@@ -37,7 +38,7 @@ from ..datastore.query import ConjunctiveQuery
 from ..datastore.table import Row
 from ..datastore.types import canonicalize
 from ..obs.tracing import active_trace
-from .context import ExecutionContext
+from .context import SQL, ExecutionContext
 from .plan import PlanStep, QueryPlan, QueryPlanner
 
 #: Same pathological-cross-product valve as the seed executor.
@@ -70,9 +71,9 @@ class PlanExecutor:
     ) -> List[AnswerTuple]:
         """Execute one conjunctive query; answers carry provenance.
 
-        When the catalog's storage backend supports SQL pushdown and every
-        relation of the query lives on it, the whole query runs inside the
-        backend (same answers, costs, provenance and order — see
+        When :meth:`~repro.engine.context.ExecutionContext.choose_target`
+        picks the SQL target, the whole query runs inside the backend (same
+        answers, costs, provenance and order — see
         :mod:`repro.storage.pushdown`); otherwise the planned Python join
         engine below executes it, with per-relation scan pushdown still
         applying where the backend offers it.
@@ -86,10 +87,13 @@ class PlanExecutor:
         if budget is not None:
             budget.check("executor")
         trace = active_trace()
-        pushed = self.context.try_pushdown_query(query, limit)
-        if pushed is not None:
+        context = self.context
+        target, _ = context.choose_target([query], ranked=False, limit=limit)
+        if target == SQL:
+            answers = context.pushdown.execute(self.catalog, query)
+            context.statistics.pushdown_queries += 1
             trace.tally("queries_pushdown")
-            return pushed
+            return answers
         trace.tally("queries_python")
         plan = self.planner.plan(query)
         partials = self._run_plan(plan, limit, budget=budget)

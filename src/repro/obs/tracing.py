@@ -219,9 +219,10 @@ class ReadTrace:
     a pinned materialization or the per-signature answer cache) or
     ``"shared"`` (a concurrent reader materialized it).  On any fallback
     from the windowed path, ``fallback_reason`` is the concrete
-    ineligibility ("backend has no SQL pushdown", "window pushdown
-    disabled via REPRO_WINDOW_PUSHDOWN", "tenant overlay view…", …) —
-    empty when the windowed path ran or was never applicable.
+    condition :meth:`~repro.engine.context.ExecutionContext.choose_target`
+    ruled SQL out on ("backend has no SQL pushdown", "tenant overlay
+    view…", "deadline-budgeted read…", …) — empty when the windowed path
+    ran or was never applicable.
     """
 
     root: Span

@@ -8,10 +8,12 @@ implementations ship with the library:
 
 * :class:`~repro.storage.memory.MemoryBackend` — Python-list row storage,
   the refactored form of the original in-memory ``Table`` internals;
-* :class:`~repro.storage.sqlite.SqliteBackend` — one SQLite database per
-  catalog (on disk or ``:memory:``), with ``executemany`` bulk ingest, real
-  indexes on join/selection columns, and SQL pushdown of scans, selections
-  and whole conjunctive queries.
+* :class:`~repro.storage.dbapi.DbApiBackend` — the SQL row model over any
+  DB-API 2.0 connection (``executemany`` bulk ingest, cached scans, catalog
+  persistence), with :class:`~repro.storage.sqlite.SqliteBackend` — one
+  SQLite database per catalog, on disk or ``:memory:`` — as the subclass
+  that adds real indexes on join/selection columns and SQL pushdown of
+  scans, selections, whole conjunctive queries and ranked unions.
 
 Protocol contract
 -----------------

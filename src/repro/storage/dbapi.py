@@ -1,12 +1,15 @@
-"""Generic DB-API 2.0 relation storage, and the psycopg2-gated Postgres flavor.
+"""Relation storage over a DB-API 2.0 connection: the one SQL backend.
 
-:class:`DbApiBackend` re-implements the SQLite backend's row model —
-``"_row_id"`` insertion positions, ``"_tags"``-encoded booleans, ``c_``
-prefixed data columns, a ``_repro_relations`` key registry and a
-``_repro_catalog`` source-schema store — on top of any DB-API 2.0
-connection, so a server-backed database becomes a *config choice* rather
-than a port.  The capability flags tell the rest of the stack exactly what
-falls back:
+:class:`DbApiBackend` owns the SQL row model — ``"_row_id"`` insertion
+positions, ``"_tags"``-encoded booleans, ``c_`` prefixed data columns, a
+``_repro_relations`` key registry and a ``_repro_catalog`` source-schema
+store — on top of any DB-API 2.0 connection, so a server-backed database is
+a *config choice* rather than a port.  Relation lifecycle, the value codec,
+ingest, scans (with their version-keyed LRU) and catalog-metadata
+persistence live here once; :class:`~repro.storage.sqlite.SqliteBackend`
+subclasses it and adds only what is SQLite's (the registered canon/match
+functions and the pushdown surface built on them).  The capability flags
+tell the rest of the stack exactly what falls back on the generic class:
 
 ==========================  =========  ======================================
 capability                  value      consequence
@@ -24,7 +27,18 @@ capability                  value      consequence
 
 Fallback by construction: nothing above the storage layer checks *which*
 backend is active — only these flags — so every read stays correct, just
-served by the Python engine instead of pushed-down SQL.
+served by the Python engine instead of rendered SQL.
+
+Value round-trip
+----------------
+``str``/``int``/``float``/``bytes``/``None`` cells are stored as they are.
+Booleans (which SQLite would collapse to integers) are stored as their
+canonical text ``"true"``/``"false"`` — so in-database canonicalization
+agrees with the memory backend — and their column positions are recorded in
+the hidden ``_tags`` column, from which reads reconstruct the original
+``bool`` objects.  Other Python types raise
+:class:`~repro.exceptions.StorageError` at ingest; use the memory backend
+for exotic values.
 
 The generic class is exercised in the test suite through the standard
 library's own ``sqlite3`` DB-API driver (qmark paramstyle);
@@ -35,22 +49,31 @@ paramstyle, ``TEXT`` cells) and fails at construction — with a clear
 
 from __future__ import annotations
 
+import json
 import threading
+from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
+from ..datastore.sqlgen import quote_identifier
 from ..datastore.types import canonicalize
 from ..exceptions import StorageError
 from .base import StorageBackend
-from .sqlite import SqliteBackend, quote_identifier
 
-#: Data columns carry this prefix (same scheme as the SQLite backend).
+#: Relations whose materialized scans are memoized (LRU).  Scans re-run on
+#: version change; the bound keeps a huge catalog from pinning every
+#: relation's rows in Python memory at once.
+_SCAN_CACHE_SIZE = 64
+
+#: Data columns are stored under this prefix so attribute names can never
+#: collide with the hidden ``_row_id`` / ``_tags`` bookkeeping columns.
 _COL_PREFIX = "c_"
 
 _META_TABLE = "_repro_catalog"
 _RELATIONS_TABLE = "_repro_relations"
 
 
-class _DbApiRelation:
+class _Relation:
     """In-session bookkeeping for one stored relation."""
 
     __slots__ = ("schema", "version", "next_row_id")
@@ -69,7 +92,7 @@ class DbApiBackend(StorageBackend):
     connection:
         An open DB-API 2.0 connection.  The backend owns it from here on
         (:meth:`close` closes it) and serializes all access behind one
-        lock, matching the SQLite backend's threading contract.
+        lock.
     paramstyle:
         ``"qmark"`` (``?`` placeholders — sqlite3 and most embedded
         drivers) or ``"format"`` (``%s`` — psycopg2, MySQLdb).  SQL built
@@ -97,9 +120,17 @@ class DbApiBackend(StorageBackend):
         self._conn = connection
         self._paramstyle = paramstyle
         self._lock = threading.RLock()
-        self._relations: Dict[str, _DbApiRelation] = {}
+        self._relations: Dict[str, _Relation] = {}
+        self._scan_cache: "OrderedDict[str, Tuple[int, List]]" = OrderedDict()
         self._closed = False
-        self._ensure_meta_tables()
+        with self._transaction():
+            self._execute(
+                f"CREATE TABLE IF NOT EXISTS {_META_TABLE} ("
+                "source_name TEXT PRIMARY KEY, position INTEGER, payload TEXT)"
+            )
+            self._execute(
+                f"CREATE TABLE IF NOT EXISTS {_RELATIONS_TABLE} (key TEXT PRIMARY KEY)"
+            )
         self._adopt_existing_relations()
 
     # ------------------------------------------------------------------
@@ -120,45 +151,40 @@ class DbApiBackend(StorageBackend):
         cursor.execute(self._sql(statement), list(params))
         return cursor
 
-    def _commit(self) -> None:
-        self._conn.commit()
-
-    def _rollback(self) -> None:
-        try:
-            self._conn.rollback()
-        except Exception:  # pragma: no cover - connection already dead
-            pass
-
-    def _ensure_meta_tables(self) -> None:
-        try:
-            self._execute(
-                f"CREATE TABLE IF NOT EXISTS {_META_TABLE} ("
-                "source_name TEXT PRIMARY KEY, position INTEGER, payload TEXT)"
-            )
-            self._execute(
-                f"CREATE TABLE IF NOT EXISTS {_RELATIONS_TABLE} ("
-                "key TEXT PRIMARY KEY)"
-            )
-            self._commit()
-        except Exception:
-            self._rollback()
-            raise
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """One all-or-nothing write under the lock: commit, or roll back."""
+        with self._lock:
+            try:
+                yield
+                self._conn.commit()
+            except BaseException:
+                try:
+                    self._conn.rollback()
+                except Exception:  # pragma: no cover - connection already dead
+                    pass
+                raise
 
     def _adopt_existing_relations(self) -> None:
+        """Record which relations a reopened database already stores.
+
+        Schemas are bound later (when a :class:`Table` adopts the relation);
+        until then the relation is visible to :meth:`has_relation` so a
+        conflicting :meth:`create_relation` fails loudly.
+        """
         rows = self._execute(f"SELECT key FROM {_RELATIONS_TABLE}").fetchall()
         for (key,) in rows:
-            if key not in self._relations:
-                next_id = self._execute(
-                    f'SELECT COALESCE(MAX("_row_id"), -1) + 1 '
-                    f"FROM {quote_identifier(key)}"
-                ).fetchone()[0]
-                self._relations[key] = _DbApiRelation(None, 0, int(next_id))
+            next_id = self._execute(
+                f'SELECT COALESCE(MAX("_row_id"), -1) + 1 FROM {quote_identifier(key)}'
+            ).fetchone()[0]
+            self._relations[key] = _Relation(None, 0, next_id)
 
     def close(self) -> None:
         with self._lock:
             if not self._closed:
                 self._conn.close()
                 self._closed = True
+                self._scan_cache.clear()
 
     @property
     def closed(self) -> bool:
@@ -174,27 +200,22 @@ class DbApiBackend(StorageBackend):
                 raise StorageError(f"relation {key!r} already exists on this backend")
             cell = f" {self._cell_type}" if self._cell_type else ""
             columns = ", ".join(
-                f"{quote_identifier(_COL_PREFIX + name)}{cell}"
-                for name in schema.attribute_names
+                f"{self.column_sql_name(name)}{cell}" for name in schema.attribute_names
             )
-            try:
+            with self._transaction():
                 self._execute(
                     f"CREATE TABLE {quote_identifier(key)} ("
-                    f'"_row_id" INTEGER PRIMARY KEY, "_tags" TEXT NOT NULL, '
-                    f"{columns})"
+                    f'"_row_id" INTEGER PRIMARY KEY, "_tags" TEXT NOT NULL, {columns})'
                 )
                 self._execute(
                     f"INSERT INTO {_RELATIONS_TABLE} (key) VALUES (?)", (key,)
                 )
-                self._commit()
-            except Exception:
-                self._rollback()
-                raise
-            self._relations[key] = _DbApiRelation(schema, initial_version, 0)
+            self._relations[key] = _Relation(schema, initial_version, 0)
 
     def bind_schema(self, key: str, schema) -> None:
         with self._lock:
             self._require(key).schema = schema
+            self._scan_cache.pop(key, None)
 
     def has_relation(self, key: str) -> bool:
         return key in self._relations
@@ -203,27 +224,22 @@ class DbApiBackend(StorageBackend):
         with self._lock:
             if key not in self._relations:
                 return
-            try:
+            with self._transaction():
                 self._execute(f"DROP TABLE IF EXISTS {quote_identifier(key)}")
                 self._execute(
                     f"DELETE FROM {_RELATIONS_TABLE} WHERE key = ?", (key,)
                 )
-                self._commit()
-            except Exception:
-                self._rollback()
-                raise
             del self._relations[key]
+            self._scan_cache.pop(key, None)
 
     def relation_keys(self) -> Tuple[str, ...]:
         return tuple(self._relations)
 
-    def _require(self, key: str) -> _DbApiRelation:
+    def _require(self, key: str) -> _Relation:
         try:
             return self._relations[key]
         except KeyError:
-            raise StorageError(
-                f"relation {key!r} does not exist on this backend"
-            ) from None
+            raise StorageError(f"relation {key!r} does not exist on this backend") from None
 
     def _schema(self, key: str):
         relation = self._require(key)
@@ -234,8 +250,60 @@ class DbApiBackend(StorageBackend):
             )
         return relation.schema
 
+    def table_sql_name(self, key: str) -> str:
+        """Quoted physical table name of ``key`` (for the SQL compilers)."""
+        self._require(key)
+        return quote_identifier(key)
+
+    def column_sql_name(self, attribute: str) -> str:
+        """Quoted physical column name of ``attribute``."""
+        return quote_identifier(_COL_PREFIX + attribute)
+
     # ------------------------------------------------------------------
-    # Ingest (same encode scheme as the SQLite backend)
+    # Value codec (the one place that knows the ``_tags`` format)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _encode_values(values: Tuple[object, ...]) -> Tuple[List[object], str]:
+        """Map one value tuple to storable cells plus its bool tags."""
+        encoded: List[object] = []
+        tags: List[str] = []
+        for index, value in enumerate(values):
+            if isinstance(value, bool):
+                encoded.append("true" if value else "false")
+                tags.append(str(index))
+            elif value is None or isinstance(value, (str, int, float, bytes)):
+                encoded.append(value)
+            else:
+                raise StorageError(
+                    f"a SQL backend cannot store a {type(value).__name__} value; "
+                    "supported cell types are str, int, float, bool, bytes and None"
+                )
+        return encoded, ",".join(tags)
+
+    @staticmethod
+    def _decode_values(cells: Sequence[object], tags: str) -> Tuple[object, ...]:
+        """Inverse of :meth:`_encode_values` over one stored row's cells."""
+        if not tags:
+            return tuple(cells)
+        values = list(cells)
+        for position in tags.split(","):
+            index = int(position)
+            values[index] = values[index] == "true"
+        return tuple(values)
+
+    @staticmethod
+    def _decode_cell(cell: object, tags: str, attribute_index: int) -> object:
+        """:meth:`_decode_values` for one projected cell of a stored row.
+
+        The SQL lowering selects single columns, not whole rows: a cell is
+        a bool iff its full-row attribute index appears in the row's tags.
+        """
+        if tags and str(attribute_index) in tags.split(","):
+            return cell == "true"
+        return cell
+
+    # ------------------------------------------------------------------
+    # Ingest
     # ------------------------------------------------------------------
     def append_row(self, key: str, values: Tuple[object, ...]):
         from ..datastore.table import Row
@@ -244,15 +312,12 @@ class DbApiBackend(StorageBackend):
             relation = self._require(key)
             schema = self._schema(key)
             row_id = relation.next_row_id
-            encoded, tags = SqliteBackend._encode_values(values)
-            try:
+            encoded, tags = self._encode_values(values)
+            with self._transaction():
                 self._execute(self._insert_sql(key, schema), [row_id, tags, *encoded])
-                self._commit()
-            except Exception:
-                self._rollback()
-                raise
             relation.next_row_id = row_id + 1
             relation.version += 1
+            self._scan_cache.pop(key, None)
             return Row(schema, values, row_id)
 
     def insert_rows(self, key: str, rows: Iterable[Tuple[object, ...]]) -> int:
@@ -260,44 +325,36 @@ class DbApiBackend(StorageBackend):
             relation = self._require(key)
             schema = self._schema(key)
             arity = len(schema.attribute_names)
-            counter = {"n": 0}
+            inserted = 0
 
             def encoded_stream() -> Iterator[List[object]]:
-                row_id = relation.next_row_id
+                nonlocal inserted
                 for values in rows:
                     if len(values) != arity:
                         raise StorageError(
                             f"row of arity {len(values)} does not match relation "
                             f"{key!r} of arity {arity}"
                         )
-                    encoded, tags = SqliteBackend._encode_values(values)
-                    yield [row_id, tags, *encoded]
-                    row_id += 1
-                    counter["n"] += 1
+                    encoded, tags = self._encode_values(values)
+                    yield [relation.next_row_id + inserted, tags, *encoded]
+                    inserted += 1
 
-            try:
-                cursor = self._conn.cursor()
-                cursor.executemany(
+            # A failed batch rolls back: nothing of it is visible and the
+            # version/row-id counters below are never moved.
+            with self._transaction():
+                self._conn.cursor().executemany(
                     self._sql(self._insert_sql(key, schema)), encoded_stream()
                 )
-                self._commit()
-            except Exception:
-                self._rollback()
-                raise
-            inserted = counter["n"]
             if inserted:
                 relation.next_row_id += inserted
                 relation.version += 1
+                self._scan_cache.pop(key, None)
             return inserted
 
-    @staticmethod
-    def _insert_sql(key: str, schema) -> str:
-        columns = ['"_row_id"', '"_tags"'] + [
-            quote_identifier(_COL_PREFIX + name) for name in schema.attribute_names
-        ]
-        placeholders = ", ".join("?" for _ in columns)
+    def _insert_sql(self, key: str, schema) -> str:
+        placeholders = ", ".join("?" for _ in range(2 + len(schema.attribute_names)))
         return (
-            f"INSERT INTO {quote_identifier(key)} ({', '.join(columns)}) "
+            f"INSERT INTO {quote_identifier(key)} ({self._select_columns(schema)}) "
             f"VALUES ({placeholders})"
         )
 
@@ -307,49 +364,52 @@ class DbApiBackend(StorageBackend):
     def _select_columns(self, schema) -> str:
         return ", ".join(
             ['"_row_id"', '"_tags"']
-            + [quote_identifier(_COL_PREFIX + name) for name in schema.attribute_names]
+            + [self.column_sql_name(name) for name in schema.attribute_names]
         )
 
-    def scan(self, key: str) -> Sequence:
+    def _fetch_rows(self, key: str, where: str = "", params: Sequence[object] = ()) -> List:
+        """Rows of ``key`` (optionally filtered) in row-id order."""
         from ..datastore.table import Row
 
+        schema = self._schema(key)
+        fetched = self._execute(
+            f"SELECT {self._select_columns(schema)} FROM {quote_identifier(key)}"
+            f'{where} ORDER BY "_row_id"',
+            params,
+        ).fetchall()
+        decode = self._decode_values
+        return [Row(schema, decode(record[2:], record[1]), record[0]) for record in fetched]
+
+    def scan(self, key: str) -> Sequence:
         with self._lock:
-            schema = self._schema(key)
-            fetched = self._execute(
-                f"SELECT {self._select_columns(schema)} "
-                f'FROM {quote_identifier(key)} ORDER BY "_row_id"'
-            ).fetchall()
-            rows: List = []
-            for record in fetched:
-                row_id, tags = record[0], record[1]
-                rows.append(
-                    Row(
-                        schema,
-                        SqliteBackend._decode_values(record[2:], tags),
-                        int(row_id),
-                    )
-                )
+            relation = self._require(key)
+            cached = self._scan_cache.get(key)
+            if cached is not None and cached[0] == relation.version:
+                self._scan_cache.move_to_end(key)
+                return cached[1]
+            rows = self._fetch_rows(key)
+            self._scan_cache[key] = (relation.version, rows)
+            self._scan_cache.move_to_end(key)
+            while len(self._scan_cache) > _SCAN_CACHE_SIZE:
+                self._scan_cache.popitem(last=False)
             return rows
 
     def row_count(self, key: str) -> int:
         with self._lock:
             self._require(key)
-            return int(
-                self._execute(
-                    f"SELECT COUNT(*) FROM {quote_identifier(key)}"
-                ).fetchone()[0]
-            )
+            return self._execute(
+                f"SELECT COUNT(*) FROM {quote_identifier(key)}"
+            ).fetchone()[0]
 
     def version(self, key: str) -> int:
         return self._require(key).version
 
     def distinct_values(self, key: str, attribute: str) -> frozenset:
         with self._lock:
-            schema = self._schema(key)
-            schema.attribute_index(attribute)  # validates existence
-            column = quote_identifier(_COL_PREFIX + attribute)
+            self._schema(key).attribute_index(attribute)  # validates existence
             fetched = self._execute(
-                f"SELECT DISTINCT {column} FROM {quote_identifier(key)}"
+                f"SELECT DISTINCT {self.column_sql_name(attribute)} "
+                f"FROM {quote_identifier(key)}"
             ).fetchall()
         values: Set[str] = set()
         for (value,) in fetched:
@@ -362,97 +422,83 @@ class DbApiBackend(StorageBackend):
     # Catalog metadata persistence
     # ------------------------------------------------------------------
     def save_source_schema(self, name: str, payload: dict) -> None:
-        import json
-
-        with self._lock:
-            try:
-                # Re-saving keeps the source's registration position (same
-                # rule as the SQLite backend, spelled portably).
-                existing = self._execute(
-                    f"SELECT position FROM {_META_TABLE} WHERE source_name = ?",
-                    (name,),
-                ).fetchone()
-                if existing is not None:
-                    position = existing[0]
-                    self._execute(
-                        f"DELETE FROM {_META_TABLE} WHERE source_name = ?",
-                        (name,),
-                    )
-                else:
-                    position = self._execute(
-                        f"SELECT COALESCE(MAX(position), -1) + 1 FROM {_META_TABLE}"
-                    ).fetchone()[0]
-                self._execute(
-                    f"INSERT INTO {_META_TABLE} (source_name, position, payload) "
-                    "VALUES (?, ?, ?)",
-                    (name, int(position), json.dumps(payload)),
-                )
-                self._commit()
-            except Exception:
-                self._rollback()
-                raise
-
-    def delete_source_schema(self, name: str) -> None:
-        with self._lock:
-            try:
+        with self._transaction():
+            # Re-saving keeps the source's registration position.
+            existing = self._execute(
+                f"SELECT position FROM {_META_TABLE} WHERE source_name = ?", (name,)
+            ).fetchone()
+            if existing is not None:
+                position = existing[0]
                 self._execute(
                     f"DELETE FROM {_META_TABLE} WHERE source_name = ?", (name,)
                 )
-                self._commit()
-            except Exception:
-                self._rollback()
-                raise
+            else:
+                position = self._execute(
+                    f"SELECT COALESCE(MAX(position), -1) + 1 FROM {_META_TABLE}"
+                ).fetchone()[0]
+            self._execute(
+                f"INSERT INTO {_META_TABLE} (source_name, position, payload) "
+                "VALUES (?, ?, ?)",
+                (name, position, json.dumps(payload)),
+            )
+
+    def delete_source_schema(self, name: str) -> None:
+        self.execute_write(f"DELETE FROM {_META_TABLE} WHERE source_name = ?", (name,))
 
     def persisted_source_schemas(self) -> List[dict]:
-        import json
-
-        with self._lock:
-            rows = self._execute(
-                f"SELECT payload FROM {_META_TABLE} ORDER BY position"
-            ).fetchall()
+        rows = self.execute_sql(f"SELECT payload FROM {_META_TABLE} ORDER BY position")
         return [json.loads(payload) for (payload,) in rows]
 
     # ------------------------------------------------------------------
-    # Posting-store hooks (qmark statements translated by :meth:`_sql`)
+    # Raw statement hooks (qmark statements translated by :meth:`_sql`)
     # ------------------------------------------------------------------
     def execute_sql(self, sql: str, params: Sequence[object] = ()) -> List[Tuple]:
-        """Run one parameterized read-only statement."""
+        """Run one parameterized read-only statement.
+
+        The hook the SQL lowering (:mod:`repro.storage.pushdown`), the
+        posting store and the in-database session store all read through.
+        """
         with self._lock:
             return self._execute(sql, params).fetchall()
 
     def execute_write(self, sql: str, params: Sequence[object] = ()) -> None:
-        """Run one parameterized write statement in its own transaction."""
+        """Run one parameterized write statement in its own transaction.
+
+        Used by the session store (:mod:`repro.persist.store`) to maintain
+        its ``_repro_session_*`` tables inside the catalog database; those
+        tables are invisible to the relation bookkeeping (they are never
+        recorded in ``_repro_relations``).
+        """
         self.execute_write_batch([(sql, params)])
 
     def execute_write_batch(
         self, statements: Sequence[Tuple[str, Sequence[object]]]
     ) -> None:
-        """Run several write statements in one transaction (all-or-nothing)."""
-        with self._lock:
-            try:
-                for sql, params in statements:
-                    self._execute(sql, params)
-                self._commit()
-            except Exception:
-                self._rollback()
-                raise
+        """Run several write statements in **one** transaction.
+
+        All-or-nothing: the session store pairs a snapshot replace with its
+        journal truncation here, so a crash between the two can never leave
+        a fresh snapshot with the previous checkpoint's journal.
+        """
+        with self._transaction():
+            for sql, params in statements:
+                self._execute(sql, params)
 
     def execute_write_many(self, sql: str, rows: Iterable[Sequence[object]]) -> None:
-        """Run one parameterized write against many parameter rows."""
-        with self._lock:
-            try:
-                cursor = self._conn.cursor()
-                cursor.executemany(self._sql(sql), [list(row) for row in rows])
-                self._commit()
-            except Exception:
-                self._rollback()
-                raise
+        """Run one parameterized write against many parameter rows.
+
+        ``executemany`` in one transaction — the bulk-ingest hook of the
+        posting store (:mod:`repro.storage.postings`), which rewrites whole
+        posting lists per attribute.
+        """
+        with self._transaction():
+            self._conn.cursor().executemany(self._sql(sql), rows)
 
     def storage_size_bytes(self) -> int:
         """Row-count × average-arity estimate (no portable page accounting)."""
         total = 0
-        for key in self._relations:
-            schema = self._relations[key].schema
+        for key, relation in self._relations.items():
+            schema = relation.schema
             arity = len(schema.attribute_names) if schema is not None else 1
             total += self.row_count(key) * arity * 8
         return total

@@ -1,10 +1,16 @@
-"""Whole-query SQL pushdown for SQLite-backed catalogs.
+"""The SQL target: conjunctive queries compiled to parameterized SELECTs.
 
 When every relation of a conjunctive query lives on the catalog's
-:class:`~repro.storage.sqlite.SqliteBackend`, the engine does not need to
-scan, hash and join in Python at all: the query *is* a conjunctive SQL
-statement (the paper's own formulation, Section 2.2), so it is compiled to
-one parameterized SELECT and executed inside SQLite.
+pushdown-capable backend (:class:`~repro.storage.sqlite.SqliteBackend`),
+the engine does not need to scan, hash and join in Python at all: the query
+*is* a conjunctive SQL statement (the paper's own formulation, Section
+2.2).  This module holds the one compiler of such a statement and the one
+decoder of its result rows, shared by both shapes a read can take:
+
+* :class:`SqlPushdown` — a single query: one branch, ordered by a plain
+  ``ORDER BY`` on row ids;
+* :class:`~repro.storage.windowed.WindowedUnionPushdown` — a whole ranked
+  view: every query one branch of a windowed ``UNION ALL``.
 
 Parity is guaranteed by construction rather than by approximation:
 
@@ -15,24 +21,28 @@ Parity is guaranteed by construction rather than by approximation:
 * selections go through :func:`repro.datastore.sqlgen.selection_condition`
   in its *exact* dialect (``repro_match(?, ?, column) = 1``), the same
   semantics as :meth:`~repro.engine.predicates.CompiledPredicate.matches`;
-* the result is ordered by the base tuples' row ids along the query's atom
+* rows are ordered by the base tuples' row ids along the query's atom
   list — precisely the deterministic emission order of
   :meth:`~repro.engine.executor.PlanExecutor.execute`;
 * self-joins binding one alias to itself are dropped, as the planner does.
 
-Anything the compiler cannot push — a relation stored on a different
-backend, a ``limit`` (whose 100k-partial safety valve is engine-specific) —
-falls back to the Python join engine per query fragment; the per-relation
-*scan* pushdown (:meth:`SqliteBackend.scan_where`) still applies there.
+Whether a read may take this target at all is decided in one place,
+:meth:`repro.engine.context.ExecutionContext.choose_target`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from ..datastore.provenance import AnswerTuple, TupleProvenance
-from ..datastore.sqlgen import SQLITE_DIALECT, PushdownDialect, selection_condition
-from .sqlite import SqliteBackend, quote_identifier
+from ..datastore.sqlgen import (
+    SQLITE_DIALECT,
+    PushdownDialect,
+    quote_identifier,
+    selection_condition,
+)
+from ..exceptions import UnknownRelationError
+from .dbapi import DbApiBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datastore.database import Catalog
@@ -52,24 +62,24 @@ def relation_of(query: "ConjunctiveQuery", alias: str) -> str:
     raise KeyError(alias)  # pragma: no cover - validate() guarantees binding
 
 
-def relations_on_backend(backend, catalog: "Catalog", query: "ConjunctiveQuery") -> bool:
-    """Whether every relation of ``query`` is stored on ``backend``.
+def off_backend_relations(
+    backend, catalog: "Catalog", query: "ConjunctiveQuery"
+) -> List[str]:
+    """Relations of ``query`` that are *not* stored on ``backend``.
 
-    The shared eligibility core of the whole-query and windowed-union
-    pushdowns: a query touching a foreign-backend relation (or a table
-    whose storage key diverged from its catalog name) must fall back to the
-    Python engine.
+    A query touching a foreign-backend relation (or a table whose storage
+    key diverged from its catalog name) cannot be rendered as SQL.
     """
-    if not query.atoms:
-        return False
+    missing = []
     for atom in query.atoms:
         try:
             table = catalog.relation(atom.relation)
-        except Exception:
-            return False
+        except UnknownRelationError:
+            missing.append(atom.relation)
+            continue
         if table.storage_backend is not backend or table.storage_key != atom.relation:
-            return False
-    return True
+            missing.append(atom.relation)
+    return missing
 
 
 def compile_query_body(
@@ -77,10 +87,6 @@ def compile_query_body(
 ) -> Tuple[List[str], List[str]]:
     """FROM items and WHERE conditions of one conjunctive query.
 
-    The single compiler of a query's relational body, shared by the
-    whole-query pushdown (:class:`SqlPushdown`) and every branch of the
-    windowed ranked union (:mod:`repro.storage.windowed`) — parity of the
-    two paths rests on them rendering identical join/selection semantics.
     Join conditions compare canonical forms via the backend dialect's canon
     function; selections render in the *exact* dialect; selection needles
     are appended to ``params``.  As a side effect the backend's canonical
@@ -128,106 +134,145 @@ def compile_query_body(
     return from_items, conditions
 
 
-class SqlPushdown:
-    """Compiles and runs whole conjunctive queries on a SQLite backend."""
+class BranchPlan:
+    """One conjunctive query as a SQL branch: what to project, how to decode.
 
-    def __init__(self, backend: SqliteBackend) -> None:
-        self.backend = backend
-        #: How many queries were answered fully inside SQLite (benchmarks
-        #: and tests read this).
-        self.queries_executed = 0
+    ``cells`` lists the query's projected cells in answer-key order as
+    ``(label, column SQL, atom position, attribute index)`` — one per
+    output column, or every attribute of every atom (labelled
+    ``alias.attribute``) for a query without outputs, the engine's
+    all-attributes projection.
 
-    # ------------------------------------------------------------------
-    # Eligibility
-    # ------------------------------------------------------------------
-    def can_execute(
-        self, catalog: "Catalog", query: "ConjunctiveQuery", limit: Optional[int]
-    ) -> bool:
-        """Whether the whole query can run inside the backend.
+    ``layout`` tells :meth:`answer` where each answer key sits in a result
+    row, as ``(key, cell slot, atom position, attribute index)``; it
+    defaults to the cells in order and is replaced by the ranked shape,
+    which projects unified columns and pads the rest (``pad``) with
+    ``None``.
+    """
 
-        ``limit`` forces a fallback: with a limit the engine's pathological
-        cross-product valve may truncate mid-join, a behavior the SQL path
-        intentionally does not replicate.
-        """
-        if limit is not None:
-            return False
-        return relations_on_backend(self.backend, catalog, query)
+    __slots__ = ("query", "relations", "cells", "layout", "pad")
 
-    # ------------------------------------------------------------------
-    # Compilation + execution
-    # ------------------------------------------------------------------
-    def execute(self, catalog: "Catalog", query: "ConjunctiveQuery") -> List[AnswerTuple]:
-        """Run ``query`` as one parameterized SELECT; answers carry provenance."""
+    def __init__(self, backend, catalog: "Catalog", query: "ConjunctiveQuery") -> None:
         query.validate()
+        self.query = query
+        self.relations = [atom.relation for atom in query.atoms]
+        position = {atom.alias: i for i, atom in enumerate(query.atoms)}
         schemas = {
             atom.alias: catalog.relation(atom.relation).schema for atom in query.atoms
         }
-
-        select_items: List[str] = []
-        slices: List[Tuple[str, int]] = []  # (alias, cell count) per atom
-        for atom in query.atoms:
-            alias_sql = quote_identifier(atom.alias)
-            names = schemas[atom.alias].attribute_names
-            select_items.append(f'{alias_sql}."_row_id"')
-            select_items.append(f'{alias_sql}."_tags"')
-            select_items.extend(
-                f"{alias_sql}.{self.backend.column_sql_name(name)}" for name in names
+        if query.outputs:
+            projected = [
+                (column.label, column.alias, column.attribute)
+                for column in query.outputs
+            ]
+        else:
+            projected = [
+                (f"{atom.alias}.{attribute}", atom.alias, attribute)
+                for atom in query.atoms
+                for attribute in schemas[atom.alias].attribute_names
+            ]
+        self.cells: List[Tuple[str, str, int, int]] = [
+            (
+                label,
+                f"{quote_identifier(alias)}.{backend.column_sql_name(attribute)}",
+                position[alias],
+                schemas[alias].attribute_index(attribute),
             )
-            slices.append((atom.alias, 2 + len(names)))
+            for label, alias, attribute in projected
+        ]
+        self.layout: List[Tuple[str, int, int, int]] = [
+            (label, slot, atom_pos, attr_index)
+            for slot, (label, _, atom_pos, attr_index) in enumerate(self.cells)
+        ]
+        self.pad: Sequence[str] = ()
 
-        params: List[object] = []
-        from_items, conditions = compile_query_body(self.backend, query, params)
-
-        order_by = ", ".join(
-            f'{quote_identifier(atom.alias)}."_row_id"' for atom in query.atoms
+    def row_id_order(self) -> str:
+        """``ORDER BY`` list reproducing the engine's emission order."""
+        return ", ".join(
+            f'{quote_identifier(atom.alias)}."_row_id"' for atom in self.query.atoms
         )
-        sql = f"SELECT {', '.join(select_items)}\nFROM {', '.join(from_items)}"
+
+    def render(
+        self,
+        backend,
+        params: List[object],
+        head: Sequence[str],
+        cell_exprs: Sequence[str],
+        atom_slots: int,
+    ) -> str:
+        """The branch SELECT (no ``ORDER BY``).
+
+        Projects ``head``, then a ``"_rid_i"``/``"_tag_i"`` pair per atom
+        slot (``NULL`` beyond this query's atoms, so every arm of a
+        ``UNION ALL`` has equal arity), then ``cell_exprs`` as
+        ``"_val_i"``.  Selection needles land in ``params`` in the order
+        they appear in the SQL text.
+        """
+        select_items = list(head)
+        atoms = self.query.atoms
+        for slot in range(atom_slots):
+            if slot < len(atoms):
+                alias_sql = quote_identifier(atoms[slot].alias)
+                select_items.append(f'{alias_sql}."_row_id" AS "_rid_{slot}"')
+                select_items.append(f'{alias_sql}."_tags" AS "_tag_{slot}"')
+            else:
+                select_items.append(f'NULL AS "_rid_{slot}"')
+                select_items.append(f'NULL AS "_tag_{slot}"')
+        select_items.extend(
+            f'{expr} AS "_val_{slot}"' for slot, expr in enumerate(cell_exprs)
+        )
+        from_items, conditions = compile_query_body(backend, self.query, params)
+        sql = "SELECT " + ", ".join(select_items) + "\nFROM " + ", ".join(from_items)
         if conditions:
             sql += "\nWHERE " + " AND ".join(conditions)
-        sql += f"\nORDER BY {order_by}"
+        return sql
 
-        fetched = self.backend.execute_sql(sql, params)
-        self.queries_executed += 1
-        return [self._to_answer(query, schemas, slices, record) for record in fetched]
+    def answer(self, record: Sequence[object], base: int, cell_base: int) -> AnswerTuple:
+        """Decode one result row: values, cost and base-tuple provenance.
 
-    # ------------------------------------------------------------------
-    # Answer construction (mirrors PlanExecutor._to_answer)
-    # ------------------------------------------------------------------
-    def _to_answer(
-        self,
-        query: "ConjunctiveQuery",
-        schemas: Dict[str, object],
-        slices: Sequence[Tuple[str, int]],
-        record: Sequence[object],
-    ) -> AnswerTuple:
-        decode = SqliteBackend._decode_values
-        bound: Dict[str, Tuple[int, Tuple[object, ...]]] = {}
-        offset = 0
-        for alias, width in slices:
-            row_id, tags = record[offset], record[offset + 1]
-            values = decode(record[offset + 2 : offset + width], tags)
-            bound[alias] = (row_id, values)
-            offset += width
-
-        if not query.outputs:
-            values_out: Dict[str, object] = {}
-            for atom in query.atoms:
-                _, cells = bound[atom.alias]
-                for attr, value in zip(schemas[atom.alias].attribute_names, cells):
-                    values_out[f"{atom.alias}.{attr}"] = value
-        else:
-            values_out = {}
-            for column in query.outputs:
-                _, cells = bound[column.alias]
-                index = schemas[column.alias].attribute_index(column.attribute)
-                values_out[column.label] = cells[index]
-
-        base_tuples = frozenset(
-            (atom.relation, bound[atom.alias][0]) for atom in query.atoms
-        )
+        ``base`` is the column of ``"_rid_0"`` and ``cell_base`` that of
+        ``"_val_0"``.  Mirrors ``PlanExecutor._to_answer``: a repeated key
+        keeps its first position and its last value.
+        """
+        decode = DbApiBackend._decode_cell
+        values = {}
+        for key, slot, atom_pos, attr_index in self.layout:
+            tags = record[base + 2 * atom_pos + 1]
+            values[key] = decode(record[cell_base + slot], tags, attr_index)
+        for column in self.pad:
+            values.setdefault(column, None)
+        query = self.query
         provenance = TupleProvenance(
             query_id=query.provenance or "query",
             query_cost=query.cost,
-            base_tuples=base_tuples,
+            base_tuples=frozenset(
+                (relation, record[base + 2 * pos])
+                for pos, relation in enumerate(self.relations)
+            ),
         )
-        return AnswerTuple(values=values_out, cost=query.cost, provenance=provenance)
+        return AnswerTuple(values=values, cost=query.cost, provenance=provenance)
+
+
+class SqlPushdown:
+    """Runs one whole conjunctive query as a single-branch SELECT."""
+
+    def __init__(self, backend) -> None:
+        self.backend = backend
+
+    def execute(self, catalog: "Catalog", query: "ConjunctiveQuery") -> List[AnswerTuple]:
+        """Run ``query`` as one parameterized SELECT; answers carry provenance."""
+        plan = BranchPlan(self.backend, catalog, query)
+        params: List[object] = []
+        sql = plan.render(
+            self.backend,
+            params,
+            head=(),
+            cell_exprs=[expr for _, expr, _, _ in plan.cells],
+            atom_slots=len(query.atoms),
+        )
+        sql += f"\nORDER BY {plan.row_id_order()}"
+        cell_base = 2 * len(query.atoms)
+        return [
+            plan.answer(record, 0, cell_base)
+            for record in self.backend.execute_sql(sql, params)
+        ]

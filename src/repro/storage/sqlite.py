@@ -1,14 +1,11 @@
-"""SQLite storage backend: persistent relations with SQL pushdown.
+"""SQLite storage backend: the DB-API row model plus SQL pushdown.
 
 One :class:`SqliteBackend` wraps one SQLite database — a file path for
-durable catalogs or ``":memory:"`` for ephemeral ones.  It implements the
-full :class:`~repro.storage.base.StorageBackend` contract plus the pushdown
-surface the engine uses:
+durable catalogs or ``":memory:"`` for ephemeral ones.  The row model,
+ingest, scans and catalog persistence are
+:class:`~repro.storage.dbapi.DbApiBackend`'s; this subclass adds only what
+is SQLite's — the surface the engine lowers reads onto:
 
-* **Bulk ingest** via a single ``executemany`` per
-  :meth:`~SqliteBackend.insert_rows` call, wrapped in one transaction
-  (all-or-nothing, one version bump), consuming generators lazily so CSV
-  loads stream straight into the database.
 * **Exact predicate semantics.**  The library's own
   :func:`~repro.datastore.types.canonicalize` and selection-matching logic
   are registered as deterministic SQL functions (``repro_canon``,
@@ -18,20 +15,9 @@ surface the engine uses:
 * **Real indexes** on join/selection columns: expression indexes over
   ``repro_canon(column)``, created on demand the first time a column is used
   as a join key or equality selection (``ensure_canon_index``).
-* **Catalog persistence.**  Source schemas are stored in a ``_repro_catalog``
-  meta table; :meth:`~repro.datastore.database.Catalog.load_persisted`
-  reconstructs a catalog from a reopened file without re-ingesting rows.
-
-Value round-trip
-----------------
-SQLite's dynamic typing preserves ``str``/``int``/``float``/``bytes``/``None``
-cell values exactly.  Booleans (which SQLite would collapse to integers) are
-stored as their canonical text ``"true"``/``"false"`` — so in-database
-canonicalization agrees with the memory backend — and their column positions
-are recorded in a hidden ``_tags`` column from which :meth:`scan`
-reconstructs the original ``bool`` objects.  Other Python types raise
-:class:`~repro.exceptions.StorageError` at ingest; use the memory backend
-for exotic values.
+* **In-database sessions.**  The session snapshot/journal tables live next
+  to the relation data (``supports_session_store``), and storage size is
+  read off the page count.
 
 Database files written by this backend contain expression indexes over the
 registered ``repro_canon`` function, so they should be reopened through
@@ -40,30 +26,15 @@ registered ``repro_canon`` function, so they should be reopened through
 
 from __future__ import annotations
 
-import json
 import os
-import re
 import sqlite3
-import threading
-from collections import OrderedDict
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from ..datastore.sqlgen import SQLITE_DIALECT, exact_condition, quote_identifier
 from ..datastore.types import canonicalize
-from ..exceptions import StorageError
-from .base import PredicateSpec, StorageBackend
-
-#: Relations whose materialized scans are memoized (LRU).  Scans re-run on
-#: version change; the bound keeps a huge catalog from pinning every
-#: relation's rows in Python memory at once.
-_SCAN_CACHE_SIZE = 64
-
-#: Data columns are stored under this prefix so attribute names can never
-#: collide with the hidden ``_row_id`` / ``_tags`` bookkeeping columns.
-_COL_PREFIX = "c_"
-
-_META_TABLE = "_repro_catalog"
+from .base import PredicateSpec
+from .dbapi import DbApiBackend
 
 
 @lru_cache(maxsize=4096)
@@ -107,19 +78,7 @@ def _sql_match(mode: str, needle: str, value: object) -> int:
     return 1 if prepared <= value_tokens else 0
 
 
-class _SqliteRelation:
-    """In-session bookkeeping for one stored relation."""
-
-    __slots__ = ("schema", "version", "next_row_id", "indexed_columns")
-
-    def __init__(self, schema, version: int, next_row_id: int) -> None:
-        self.schema = schema
-        self.version = version
-        self.next_row_id = next_row_id
-        self.indexed_columns: Set[str] = set()
-
-
-class SqliteBackend(StorageBackend):
+class SqliteBackend(DbApiBackend):
     """Per-catalog SQLite storage with parameterized-SQL pushdown.
 
     Parameters
@@ -132,427 +91,79 @@ class SqliteBackend(StorageBackend):
     kind = "sqlite"
     supports_sql_pushdown = True
     supports_session_store = True
-    #: Window functions shipped with SQLite 3.25; the windowed ranked-union
-    #: pushdown needs ``ROW_NUMBER() OVER (...)``.
+    #: Window functions shipped with SQLite 3.25; the ranked-union lowering
+    #: needs ``ROW_NUMBER() OVER (...)``.
     supports_window_pushdown = sqlite3.sqlite_version_info >= (3, 25, 0)
-    supports_posting_tables = True
     #: How this backend spells the exact-dialect SQL (canon/match function
-    #: names, window capability) — consumed by the pushdown compilers.
+    #: names) — consumed by the SQL compilers.
     sql_dialect = SQLITE_DIALECT
 
     def __init__(self, path: "str | os.PathLike[str]" = ":memory:") -> None:
         self.path = str(path)
-        self._lock = threading.RLock()
-        self._conn = sqlite3.connect(self.path, check_same_thread=False)
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._register_functions()
-        self._ensure_meta_table()
-        self._relations: Dict[str, _SqliteRelation] = {}
-        self._scan_cache: "OrderedDict[str, Tuple[int, List]]" = OrderedDict()
-        self._closed = False
-        self._adopt_existing_relations()
-
-    # ------------------------------------------------------------------
-    # Connection plumbing
-    # ------------------------------------------------------------------
-    def _register_functions(self) -> None:
+        connection = sqlite3.connect(self.path, check_same_thread=False)
+        connection.execute("PRAGMA synchronous=NORMAL")
         try:
-            self._conn.create_function(
+            connection.create_function(
                 "repro_canon", 1, canonicalize, deterministic=True
             )
-            self._conn.create_function("repro_match", 3, _sql_match, deterministic=True)
+            connection.create_function("repro_match", 3, _sql_match, deterministic=True)
         except TypeError:  # pragma: no cover - very old sqlite without the kwarg
-            self._conn.create_function("repro_canon", 1, canonicalize)
-            self._conn.create_function("repro_match", 3, _sql_match)
-
-    def _ensure_meta_table(self) -> None:
-        with self._conn:
-            self._conn.execute(
-                f"CREATE TABLE IF NOT EXISTS {_META_TABLE} ("
-                "source_name TEXT PRIMARY KEY, position INTEGER, payload TEXT)"
-            )
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS _repro_relations ("
-                "key TEXT PRIMARY KEY)"
-            )
-
-    def _adopt_existing_relations(self) -> None:
-        """Record which relations a reopened file already stores.
-
-        Schemas are bound later (when a :class:`Table` adopts the relation);
-        until then the relation is visible to :meth:`has_relation` so a
-        conflicting :meth:`create_relation` fails loudly.
-        """
-        rows = self._conn.execute("SELECT key FROM _repro_relations").fetchall()
-        for (key,) in rows:
-            if key not in self._relations:
-                next_id = self._conn.execute(
-                    f'SELECT COALESCE(MAX("_row_id"), -1) + 1 FROM {quote_identifier(key)}'
-                ).fetchone()[0]
-                self._relations[key] = _SqliteRelation(None, 0, next_id)
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._closed:
-                self._conn.close()
-                self._closed = True
-                self._scan_cache.clear()
-
-    # ------------------------------------------------------------------
-    # Relation lifecycle
-    # ------------------------------------------------------------------
-    def create_relation(self, key: str, schema, initial_version: int = 0) -> None:
-        with self._lock:
-            if key in self._relations:
-                raise StorageError(f"relation {key!r} already exists on this backend")
-            columns = ", ".join(
-                quote_identifier(_COL_PREFIX + name) for name in schema.attribute_names
-            )
-            with self._conn:
-                self._conn.execute(
-                    f"CREATE TABLE {quote_identifier(key)} ("
-                    '"_row_id" INTEGER PRIMARY KEY, "_tags" TEXT NOT NULL, '
-                    f"{columns})"
-                )
-                self._conn.execute(
-                    "INSERT INTO _repro_relations (key) VALUES (?)", (key,)
-                )
-            self._relations[key] = _SqliteRelation(schema, initial_version, 0)
-
-    def bind_schema(self, key: str, schema) -> None:
-        with self._lock:
-            relation = self._require(key)
-            relation.schema = schema
-            self._scan_cache.pop(key, None)
-
-    def has_relation(self, key: str) -> bool:
-        return key in self._relations
+            connection.create_function("repro_canon", 1, canonicalize)
+            connection.create_function("repro_match", 3, _sql_match)
+        #: Attributes per relation key that already have a canon index.
+        self._indexed_columns: Dict[str, Set[str]] = {}
+        super().__init__(connection, paramstyle="qmark")
 
     def drop_relation(self, key: str) -> None:
         with self._lock:
-            if key not in self._relations:
-                return
-            with self._conn:
-                self._conn.execute(f"DROP TABLE IF EXISTS {quote_identifier(key)}")
-                self._conn.execute("DELETE FROM _repro_relations WHERE key = ?", (key,))
-            del self._relations[key]
-            self._scan_cache.pop(key, None)
-
-    def relation_keys(self) -> Tuple[str, ...]:
-        return tuple(self._relations)
-
-    def _require(self, key: str) -> _SqliteRelation:
-        try:
-            return self._relations[key]
-        except KeyError:
-            raise StorageError(f"relation {key!r} does not exist on this backend") from None
-
-    def _schema(self, key: str):
-        relation = self._require(key)
-        if relation.schema is None:
-            raise StorageError(
-                f"relation {key!r} has no bound schema; reopen it through "
-                "Catalog.load_persisted() / a Table adoption before scanning"
-            )
-        return relation.schema
+            super().drop_relation(key)
+            self._indexed_columns.pop(key, None)  # DROP TABLE took its indexes
 
     # ------------------------------------------------------------------
-    # Value encoding
+    # Pushdown surface
     # ------------------------------------------------------------------
-    @staticmethod
-    def _encode_values(values: Tuple[object, ...]) -> Tuple[List[object], str]:
-        """Map one value tuple to SQLite-storable cells plus its bool tags."""
-        encoded: List[object] = []
-        tags: List[str] = []
-        for index, value in enumerate(values):
-            if isinstance(value, bool):
-                encoded.append("true" if value else "false")
-                tags.append(str(index))
-            elif value is None or isinstance(value, (str, int, float, bytes)):
-                encoded.append(value)
-            else:
-                raise StorageError(
-                    f"SqliteBackend cannot store a {type(value).__name__} value; "
-                    "supported cell types are str, int, float, bool, bytes and None"
-                )
-        return encoded, ",".join(tags)
-
-    @staticmethod
-    def _decode_values(cells: Sequence[object], tags: str) -> Tuple[object, ...]:
-        if not tags:
-            return tuple(cells)
-        values = list(cells)
-        for position in tags.split(","):
-            index = int(position)
-            values[index] = values[index] == "true"
-        return tuple(values)
-
-    # ------------------------------------------------------------------
-    # Ingest
-    # ------------------------------------------------------------------
-    def append_row(self, key: str, values: Tuple[object, ...]):
-        from ..datastore.table import Row
-
-        with self._lock:
-            relation = self._require(key)
-            schema = self._schema(key)
-            row_id = relation.next_row_id
-            encoded, tags = self._encode_values(values)
-            with self._conn:
-                self._conn.execute(
-                    self._insert_sql(key, schema), [row_id, tags, *encoded]
-                )
-            relation.next_row_id = row_id + 1
-            relation.version += 1
-            self._scan_cache.pop(key, None)
-            return Row(schema, values, row_id)
-
-    def insert_rows(self, key: str, rows: Iterable[Tuple[object, ...]]) -> int:
-        with self._lock:
-            relation = self._require(key)
-            schema = self._schema(key)
-            arity = len(schema.attribute_names)
-            counter = {"n": 0}
-
-            def encoded_stream() -> Iterator[List[object]]:
-                row_id = relation.next_row_id
-                for values in rows:
-                    if len(values) != arity:
-                        raise StorageError(
-                            f"row of arity {len(values)} does not match relation "
-                            f"{key!r} of arity {arity}"
-                        )
-                    encoded, tags = self._encode_values(values)
-                    yield [row_id, tags, *encoded]
-                    row_id += 1
-                    counter["n"] += 1
-
-            try:
-                with self._conn:
-                    self._conn.executemany(self._insert_sql(key, schema), encoded_stream())
-            except (sqlite3.Error, StorageError):
-                # The transaction rolled back: nothing of the batch is
-                # visible and the version/row-id counters were never moved.
-                raise
-            inserted = counter["n"]
-            if inserted:
-                relation.next_row_id += inserted
-                relation.version += 1
-                self._scan_cache.pop(key, None)
-            return inserted
-
-    @staticmethod
-    def _insert_sql(key: str, schema) -> str:
-        columns = ['"_row_id"', '"_tags"'] + [
-            quote_identifier(_COL_PREFIX + name) for name in schema.attribute_names
-        ]
-        placeholders = ", ".join("?" for _ in columns)
-        return (
-            f"INSERT INTO {quote_identifier(key)} ({', '.join(columns)}) "
-            f"VALUES ({placeholders})"
-        )
-
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-    def _select_columns(self, schema) -> str:
-        return ", ".join(
-            ['"_row_id"', '"_tags"']
-            + [quote_identifier(_COL_PREFIX + name) for name in schema.attribute_names]
-        )
-
-    def _build_rows(self, schema, fetched: Iterable[Sequence[object]]) -> List:
-        from ..datastore.table import Row
-
-        rows: List = []
-        for record in fetched:
-            row_id, tags = record[0], record[1]
-            rows.append(Row(schema, self._decode_values(record[2:], tags), row_id))
-        return rows
-
-    def scan(self, key: str) -> Sequence:
-        with self._lock:
-            relation = self._require(key)
-            cached = self._scan_cache.get(key)
-            if cached is not None and cached[0] == relation.version:
-                self._scan_cache.move_to_end(key)
-                return cached[1]
-            schema = self._schema(key)
-            fetched = self._conn.execute(
-                f"SELECT {self._select_columns(schema)} FROM {quote_identifier(key)} "
-                'ORDER BY "_row_id"'
-            ).fetchall()
-            rows = self._build_rows(schema, fetched)
-            self._scan_cache[key] = (relation.version, rows)
-            self._scan_cache.move_to_end(key)
-            while len(self._scan_cache) > _SCAN_CACHE_SIZE:
-                self._scan_cache.popitem(last=False)
-            return rows
-
     def scan_where(self, key: str, predicates: Sequence[PredicateSpec]) -> List:
         """Filtered scan pushed down as one parameterized SELECT."""
         with self._lock:
-            schema = self._schema(key)
             conditions: List[str] = []
             params: List[object] = []
             for attribute, mode, needle in predicates:
-                column = quote_identifier(_COL_PREFIX + attribute)
+                column = self.column_sql_name(attribute)
                 conditions.append(exact_condition(mode, needle, column, params))
                 if mode == "equals":
                     self.ensure_canon_index(key, attribute)
             where = f" WHERE {' AND '.join(conditions)}" if conditions else ""
-            fetched = self._conn.execute(
-                f"SELECT {self._select_columns(schema)} FROM {quote_identifier(key)}"
-                f'{where} ORDER BY "_row_id"',
-                params,
-            ).fetchall()
-            return self._build_rows(schema, fetched)
+            return self._fetch_rows(key, where, params)
 
-    def row_count(self, key: str) -> int:
-        with self._lock:
-            self._require(key)
-            return self._conn.execute(
-                f"SELECT COUNT(*) FROM {quote_identifier(key)}"
-            ).fetchone()[0]
-
-    def version(self, key: str) -> int:
-        return self._require(key).version
-
-    def distinct_values(self, key: str, attribute: str) -> frozenset:
-        with self._lock:
-            schema = self._schema(key)
-            schema.attribute_index(attribute)  # validates existence
-            column = quote_identifier(_COL_PREFIX + attribute)
-            fetched = self._conn.execute(
-                f"SELECT DISTINCT {column} FROM {quote_identifier(key)}"
-            ).fetchall()
-        values: Set[str] = set()
-        for (value,) in fetched:
-            canon = canonicalize(value)
-            if canon is not None:
-                values.add(canon)
-        return frozenset(values)
-
-    # ------------------------------------------------------------------
-    # Pushdown support
-    # ------------------------------------------------------------------
     def ensure_canon_index(self, key: str, attribute: str) -> None:
         """Create the ``repro_canon(column)`` expression index if missing.
 
-        Called lazily by the pushdown compiler for every join key and
+        Called lazily by the SQL compilers for every join key and
         equality-selection column, so indexes exist exactly where queries
         need them and bulk ingest never pays index maintenance up front.
         """
         with self._lock:
-            relation = self._require(key)
-            if attribute in relation.indexed_columns:
+            self._require(key)
+            indexed = self._indexed_columns.setdefault(key, set())
+            if attribute in indexed:
                 return
-            column = quote_identifier(_COL_PREFIX + attribute)
-            index_name = quote_identifier(
-                "ix_" + re.sub(r"\W+", "_", f"{key}_{attribute}")
-            )
+            # The key's length makes the name injective: "a.b" + "c_d" and
+            # "a.b_c" + "d" must not share one index (quoting keeps any
+            # character legal).
+            index_name = quote_identifier(f"ix_{len(key)}_{key}_{attribute}")
             try:
-                with self._conn:
-                    self._conn.execute(
+                with self._transaction():
+                    self._execute(
                         f"CREATE INDEX IF NOT EXISTS {index_name} ON "
-                        f"{quote_identifier(key)} (repro_canon({column}))"
+                        f"{quote_identifier(key)} "
+                        f"(repro_canon({self.column_sql_name(attribute)}))"
                     )
             except sqlite3.OperationalError:  # pragma: no cover - old sqlite
                 pass  # expression indexes unsupported: queries still run
-            relation.indexed_columns.add(attribute)
+            indexed.add(attribute)
 
-    def table_sql_name(self, key: str) -> str:
-        """Quoted physical table name of ``key`` (for the pushdown compiler)."""
-        self._require(key)
-        return quote_identifier(key)
-
-    def column_sql_name(self, attribute: str) -> str:
-        """Quoted physical column name of ``attribute``."""
-        return quote_identifier(_COL_PREFIX + attribute)
-
-    def execute_sql(self, sql: str, params: Sequence[object] = ()) -> List[Tuple]:
-        """Run one parameterized read-only statement (the pushdown hook)."""
-        with self._lock:
-            return self._conn.execute(sql, list(params)).fetchall()
-
-    def execute_write(self, sql: str, params: Sequence[object] = ()) -> None:
-        """Run one parameterized write statement in its own transaction.
-
-        Used by the session store (:mod:`repro.persist.store`) to maintain
-        its ``_repro_session_*`` tables inside the catalog database; those
-        tables are invisible to the relation bookkeeping (they are never
-        recorded in ``_repro_relations``).
-        """
-        self.execute_write_batch([(sql, params)])
-
-    def execute_write_batch(
-        self, statements: Sequence[Tuple[str, Sequence[object]]]
-    ) -> None:
-        """Run several write statements in **one** transaction.
-
-        All-or-nothing: the session store pairs a snapshot replace with its
-        journal truncation here, so a crash between the two can never leave
-        a fresh snapshot with the previous checkpoint's journal.
-        """
-        with self._lock:
-            with self._conn:
-                for sql, params in statements:
-                    self._conn.execute(sql, list(params))
-
-    def execute_write_many(
-        self, sql: str, rows: Iterable[Sequence[object]]
-    ) -> None:
-        """Run one parameterized write against many parameter rows.
-
-        ``executemany`` in one transaction — the bulk-ingest hook of the
-        posting store (:mod:`repro.storage.postings`), which rewrites whole
-        posting lists per attribute.
-        """
-        with self._lock:
-            with self._conn:
-                self._conn.executemany(sql, rows)
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has released the underlying connection."""
-        return self._closed
-
-    # ------------------------------------------------------------------
-    # Catalog metadata persistence
-    # ------------------------------------------------------------------
-    def save_source_schema(self, name: str, payload: dict) -> None:
-        with self._lock:
-            position = self._conn.execute(
-                f"SELECT COALESCE(MAX(position), -1) + 1 FROM {_META_TABLE}"
-            ).fetchone()[0]
-            with self._conn:
-                self._conn.execute(
-                    f"INSERT OR REPLACE INTO {_META_TABLE} "
-                    "(source_name, position, payload) VALUES "
-                    f"(?, COALESCE((SELECT position FROM {_META_TABLE} "
-                    "WHERE source_name = ?), ?), ?)",
-                    (name, name, position, json.dumps(payload)),
-                )
-
-    def delete_source_schema(self, name: str) -> None:
-        with self._lock:
-            with self._conn:
-                self._conn.execute(
-                    f"DELETE FROM {_META_TABLE} WHERE source_name = ?", (name,)
-                )
-
-    def persisted_source_schemas(self) -> List[dict]:
-        with self._lock:
-            rows = self._conn.execute(
-                f"SELECT payload FROM {_META_TABLE} ORDER BY position"
-            ).fetchall()
-        return [json.loads(payload) for (payload,) in rows]
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     def storage_size_bytes(self) -> int:
         with self._lock:
-            page_count = self._conn.execute("PRAGMA page_count").fetchone()[0]
-            page_size = self._conn.execute("PRAGMA page_size").fetchone()[0]
+            page_count = self._execute("PRAGMA page_count").fetchone()[0]
+            page_size = self._execute("PRAGMA page_size").fetchone()[0]
         return int(page_count) * int(page_size)

@@ -1,17 +1,16 @@
 """Windowed ranked-union pushdown: a whole top-k view read in one SELECT.
 
-PR 4's whole-query pushdown (:mod:`repro.storage.pushdown`) runs *one*
-conjunctive query inside the backend; the hot serving path of a ranked view
-still issued k of those round trips and performed ranking, schema alignment
-and pagination tuple-by-tuple in Python.  This module compiles the entire
-ranked union — per-query cost pricing, ascending-cost ordering, unified
-column projection and ``LIMIT``/``OFFSET`` k-best pagination — into **one**
-parameterized windowed ``SELECT``:
+The single-branch :class:`~repro.storage.pushdown.SqlPushdown` runs *one*
+conjunctive query inside the backend; served that way, a ranked view would
+issue k round trips and rank, align and paginate tuple-by-tuple in Python.
+This module compiles the entire ranked union — per-query cost pricing,
+ascending-cost ordering, unified column projection and ``LIMIT``/``OFFSET``
+k-best pagination — into **one** parameterized windowed ``SELECT``:
 
-* every generated query becomes one branch of a ``UNION ALL``, its body
-  (FROM/WHERE) rendered by the same
-  :func:`~repro.storage.pushdown.compile_query_body` the whole-query
-  pushdown uses, so join/selection semantics are shared, not re-derived;
+* every generated query becomes one branch of a ``UNION ALL``, rendered
+  and decoded by the same :class:`~repro.storage.pushdown.BranchPlan` the
+  single-query shape uses, so join/selection semantics and row decoding
+  are shared, not re-derived;
 * each branch prices its rows with a bound ``?  AS "_cost"`` parameter (the
   tree cost round-trips exactly as an IEEE double) and numbers them with
   ``ROW_NUMBER() OVER (ORDER BY <row ids along the atom list>) AS "_seq"``
@@ -44,60 +43,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..datastore.provenance import AnswerTuple, TupleProvenance
-from .pushdown import backend_dialect, compile_query_body, relations_on_backend
-from .sqlite import quote_identifier
+from ..datastore.provenance import AnswerTuple
+from .pushdown import BranchPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datastore.database import Catalog
     from ..datastore.query import ConjunctiveQuery
-
-
-def _decode_cell(cell: object, tags: object, attribute_index: int) -> object:
-    """Decode one stored cell (bool round-trip via the row's tag list).
-
-    Single-cell form of :meth:`SqliteBackend._decode_values`: a cell is a
-    bool iff its full-row attribute index appears in the row's ``_tags``.
-    """
-    if tags and str(attribute_index) in str(tags).split(","):
-        return cell == "true"
-    return cell
-
-
-class _BranchPlan:
-    """Per-query compilation/decoding metadata for one union branch."""
-
-    __slots__ = (
-        "query",
-        "atom_count",
-        "relations",
-        "output_cells",
-        "unified_cells",
-        "unified_mapping",
-    )
-
-    def __init__(self, catalog: "Catalog", query: "ConjunctiveQuery") -> None:
-        self.query = query
-        #: Ranked-shape extras, filled by ``compile_ranked``: the per-
-        #: unified-column cell descriptors and this query's label mapping.
-        self.unified_cells: Optional[List[Tuple[str, int, int]]] = None
-        self.unified_mapping: Optional[Dict[str, str]] = None
-        self.atom_count = len(query.atoms)
-        self.relations = [atom.relation for atom in query.atoms]
-        position = {atom.alias: i for i, atom in enumerate(query.atoms)}
-        schemas = {
-            atom.alias: catalog.relation(atom.relation).schema for atom in query.atoms
-        }
-        #: One entry per output column, in output order:
-        #: ``(label, atom position, attribute index)``.
-        self.output_cells: List[Tuple[str, int, int]] = [
-            (
-                column.label,
-                position[column.alias],
-                schemas[column.alias].attribute_index(column.attribute),
-            )
-            for column in query.outputs
-        ]
 
 
 class WindowedUnionPushdown:
@@ -105,149 +56,50 @@ class WindowedUnionPushdown:
 
     def __init__(self, backend) -> None:
         self.backend = backend
-        #: How many union round trips ran inside the backend (raw batch
-        #: fetches and ranked page reads both count — each is one SELECT).
-        self.unions_executed = 0
 
-    # ------------------------------------------------------------------
-    # Eligibility
-    # ------------------------------------------------------------------
-    def can_execute(self, catalog: "Catalog", queries: Sequence["ConjunctiveQuery"]) -> bool:
-        """Whether the whole union can run inside the backend.
-
-        Falls back (returns ``False``) when the dialect lacks window
-        functions, any query touches a foreign-backend relation, or a query
-        has no output columns (the engine's all-attributes projection for
-        outputless queries is not worth replicating in SQL).
-        """
-        return self.ineligibility(catalog, queries) is None
-
-    def ineligibility(
-        self, catalog: "Catalog", queries: Sequence["ConjunctiveQuery"]
-    ) -> Optional[str]:
-        """The concrete reason the union cannot run in-backend, or ``None``.
-
-        The single eligibility decision point: :meth:`can_execute` is a
-        thin predicate over it, and the observability layer's explain log
-        records exactly this string when a read falls back, so the reason a
-        dashboard shows is the reason the engine actually acted on.
-        """
-        if not queries:
-            return "empty query batch"
-        if not backend_dialect(self.backend).supports_window_functions:
-            return "backend dialect lacks window functions"
-        for query in queries:
-            if not query.outputs:
-                return "a branch query has no output columns"
-            if not relations_on_backend(self.backend, catalog, query):
-                missing = []
-                for atom in query.atoms:
-                    try:
-                        table = catalog.relation(atom.relation)
-                    except Exception:
-                        missing.append(atom.relation)
-                        continue
-                    if (
-                        table.storage_backend is not self.backend
-                        or table.storage_key != atom.relation
-                    ):
-                        missing.append(atom.relation)
-                names = ", ".join(sorted(set(missing)))
-                return (
-                    f"relation(s) not stored on the window-capable backend: "
-                    f"{names or 'empty atom list'}"
-                )
-        return None
-
-    # ------------------------------------------------------------------
-    # Branch compilation (shared by both fetch shapes)
-    # ------------------------------------------------------------------
     def _compile_branches(
         self,
-        plans: Sequence[_BranchPlan],
+        plans: Sequence[BranchPlan],
         params: List[object],
         with_cost: bool,
-        cell_exprs: List[List[Tuple[str, int, int]]],
-        cell_count: int,
+        cell_exprs: Sequence[Sequence[str]],
     ) -> Tuple[List[str], int]:
         """Render every branch SELECT; returns (branch SQL, max atom count).
 
-        ``cell_exprs[i]`` lists the ``i``-th branch's projected cells as
-        ``(alias_sql.column_sql, atom position, attribute index)`` — the raw
-        shape projects one cell per output column, the ranked shape one per
-        unified column.  Branches project ``NULL`` padding up to
-        ``cell_count`` so every arm of the ``UNION ALL`` has equal arity.
+        ``cell_exprs[i]`` lists the ``i``-th branch's projected cells — the
+        raw shape projects one per output column, the ranked shape one per
+        unified column — ``NULL``-padded here to the widest branch.
         """
-        max_atoms = max(plan.atom_count for plan in plans)
+        max_atoms = max(len(plan.relations) for plan in plans)
+        cell_count = max(len(exprs) for exprs in cell_exprs)
         branches: List[str] = []
-        for index, plan in enumerate(plans):
-            query = plan.query
-            query.validate()
-            select_items: List[str] = []
+        for index, (plan, exprs) in enumerate(zip(plans, cell_exprs)):
+            head: List[str] = []
             if with_cost:
-                params.append(query.cost)
-                select_items.append('? AS "_cost"')
-            select_items.append(f'{index} AS "_branch"')
-            rid_order = ", ".join(
-                f'{quote_identifier(atom.alias)}."_row_id"' for atom in query.atoms
-            )
-            select_items.append(f'ROW_NUMBER() OVER (ORDER BY {rid_order}) AS "_seq"')
-            for slot in range(max_atoms):
-                if slot < plan.atom_count:
-                    alias_sql = quote_identifier(query.atoms[slot].alias)
-                    select_items.append(f'{alias_sql}."_row_id" AS "_rid_{slot}"')
-                    select_items.append(f'{alias_sql}."_tags" AS "_tag_{slot}"')
-                else:
-                    select_items.append(f'NULL AS "_rid_{slot}"')
-                    select_items.append(f'NULL AS "_tag_{slot}"')
-            exprs = cell_exprs[index]
-            for slot in range(cell_count):
-                if slot < len(exprs):
-                    select_items.append(f'{exprs[slot][0]} AS "_val_{slot}"')
-                else:
-                    select_items.append(f'NULL AS "_val_{slot}"')
-            # Selection needles land in ``params`` after this branch's cost
-            # parameter — the same order they appear in the SQL text.
-            from_items, conditions = compile_query_body(self.backend, query, params)
-            branch_sql = "SELECT " + ", ".join(select_items)
-            branch_sql += "\nFROM " + ", ".join(from_items)
-            if conditions:
-                branch_sql += "\nWHERE " + " AND ".join(conditions)
-            branches.append(branch_sql)
+                # The cost parameter precedes this branch's selection
+                # needles — the order they appear in the SQL text.
+                params.append(plan.query.cost)
+                head.append('? AS "_cost"')
+            head.append(f'{index} AS "_branch"')
+            head.append(f'ROW_NUMBER() OVER (ORDER BY {plan.row_id_order()}) AS "_seq"')
+            padded = list(exprs) + ["NULL"] * (cell_count - len(exprs))
+            branches.append(plan.render(self.backend, params, head, padded, max_atoms))
         return branches, max_atoms
-
-    def _output_cell_exprs(
-        self, plans: Sequence[_BranchPlan]
-    ) -> List[List[Tuple[str, int, int]]]:
-        """Per-branch projected cells, one per output column (raw shape)."""
-        exprs: List[List[Tuple[str, int, int]]] = []
-        for plan in plans:
-            query = plan.query
-            branch_exprs = []
-            for column, (_, atom_pos, attr_index) in zip(
-                query.outputs, plan.output_cells
-            ):
-                column_sql = (
-                    f"{quote_identifier(column.alias)}."
-                    f"{self.backend.column_sql_name(column.attribute)}"
-                )
-                branch_exprs.append((column_sql, atom_pos, attr_index))
-            exprs.append(branch_exprs)
-        return exprs
 
     # ------------------------------------------------------------------
     # Raw batch fetch (cache priming)
     # ------------------------------------------------------------------
     def compile_raw(
         self, catalog: "Catalog", queries: Sequence["ConjunctiveQuery"]
-    ) -> Tuple[str, List[object], List[_BranchPlan], int]:
+    ) -> Tuple[str, List[object], List[BranchPlan], int]:
         """The single-round-trip batch SELECT for raw per-query answers."""
         params: List[object] = []
-        plans = [_BranchPlan(catalog, query) for query in queries]
-        cell_exprs = self._output_cell_exprs(plans)
-        cell_count = max(len(exprs) for exprs in cell_exprs)
+        plans = [BranchPlan(self.backend, catalog, query) for query in queries]
         branches, max_atoms = self._compile_branches(
-            plans, params, with_cost=False, cell_exprs=cell_exprs, cell_count=cell_count
+            plans,
+            params,
+            with_cost=False,
+            cell_exprs=[[expr for _, expr, _, _ in plan.cells] for plan in plans],
         )
         sql = "\nUNION ALL\n".join(branches)
         sql += '\nORDER BY "_branch", "_seq"'
@@ -260,40 +112,16 @@ class WindowedUnionPushdown:
 
         ``result[i]`` is byte-identical — values (and their order inside
         each answer), cost, provenance, list order — to executing
-        ``queries[i]`` alone through the whole-query pushdown.
+        ``queries[i]`` alone through
+        :class:`~repro.storage.pushdown.SqlPushdown`.
         """
         sql, params, plans, max_atoms = self.compile_raw(catalog, queries)
-        fetched = self.backend.execute_sql(sql, params)
-        self.unions_executed += 1
         results: List[List[AnswerTuple]] = [[] for _ in plans]
         base = 2  # layout: _branch, _seq, then rid/tag slots, then cells
         cell_base = base + 2 * max_atoms
-        for record in fetched:
-            plan = plans[record[0]]
-            results[record[0]].append(
-                self._raw_answer(plan, record, base, cell_base)
-            )
+        for record in self.backend.execute_sql(sql, params):
+            results[record[0]].append(plans[record[0]].answer(record, base, cell_base))
         return results
-
-    @staticmethod
-    def _raw_answer(
-        plan: _BranchPlan, record: Sequence[object], base: int, cell_base: int
-    ) -> AnswerTuple:
-        query = plan.query
-        values: Dict[str, object] = {}
-        for slot, (label, atom_pos, attr_index) in enumerate(plan.output_cells):
-            tags = record[base + 2 * atom_pos + 1]
-            values[label] = _decode_cell(record[cell_base + slot], tags, attr_index)
-        base_tuples = frozenset(
-            (relation, record[base + 2 * pos])
-            for pos, relation in enumerate(plan.relations)
-        )
-        provenance = TupleProvenance(
-            query_id=query.provenance or "query",
-            query_cost=query.cost,
-            base_tuples=base_tuples,
-        )
-        return AnswerTuple(values=values, cost=query.cost, provenance=provenance)
 
     # ------------------------------------------------------------------
     # Ranked, paginated fetch
@@ -306,7 +134,7 @@ class WindowedUnionPushdown:
         mappings: Sequence[Dict[str, str]],
         limit: Optional[int] = None,
         offset: int = 0,
-    ) -> Tuple[str, List[object], List[_BranchPlan], int]:
+    ) -> Tuple[str, List[object], List[BranchPlan], int]:
         """The windowed, paginated ranked-union SELECT.
 
         ``queries`` must already be in the union's ascending-cost order and
@@ -314,38 +142,38 @@ class WindowedUnionPushdown:
         as produced by :func:`~repro.engine.executor.union_column_plan`.
         """
         params: List[object] = []
-        plans = [_BranchPlan(catalog, query) for query in queries]
+        plans = [BranchPlan(self.backend, catalog, query) for query in queries]
         unified_slots = {column: i for i, column in enumerate(unified_columns)}
-        cell_exprs: List[List[Tuple[str, int, int]]] = []
+        cell_exprs: List[List[str]] = []
         for plan, mapping in zip(plans, mappings):
-            # One expr per unified column; a later output with the same
+            # One cell per unified column; a later output with the same
             # unified target overwrites an earlier one — the same last-wins
             # rule project_answer applies to duplicate labels.
             per_slot: Dict[int, Tuple[str, int, int]] = {}
-            for column, (label, atom_pos, attr_index) in zip(
-                plan.query.outputs, plan.output_cells
-            ):
-                slot = unified_slots[mapping.get(label, label)]
-                column_sql = (
-                    f"{quote_identifier(column.alias)}."
-                    f"{self.backend.column_sql_name(column.attribute)}"
+            for label, expr, atom_pos, attr_index in plan.cells:
+                per_slot[unified_slots[mapping.get(label, label)]] = (
+                    expr,
+                    atom_pos,
+                    attr_index,
                 )
-                per_slot[slot] = (column_sql, atom_pos, attr_index)
-            branch_exprs = [
-                per_slot.get(slot, ("NULL", -1, -1))
-                for slot in range(len(unified_columns))
-            ]
-            cell_exprs.append(branch_exprs)
+            cell_exprs.append(
+                [
+                    per_slot[slot][0] if slot in per_slot else "NULL"
+                    for slot in range(len(unified_columns))
+                ]
+            )
+            # Key order parity with project_answer: the query's own labels
+            # in first-occurrence output order (mapped onto their unified
+            # columns), then the remaining unified columns padded with None.
+            plan.layout = []
+            for label, *_ in plan.cells:
+                unified = mapping.get(label, label)
+                slot = unified_slots[unified]
+                plan.layout.append((unified, slot, *per_slot[slot][1:]))
+            plan.pad = unified_columns
         branches, max_atoms = self._compile_branches(
-            plans,
-            params,
-            with_cost=True,
-            cell_exprs=cell_exprs,
-            cell_count=len(unified_columns),
+            plans, params, with_cost=True, cell_exprs=cell_exprs
         )
-        for plan, exprs, mapping in zip(plans, cell_exprs, mappings):
-            plan.unified_cells = exprs
-            plan.unified_mapping = dict(mapping)
         union_sql = "\nUNION ALL\n".join(branches)
         sql = (
             "SELECT *, ROW_NUMBER() OVER "
@@ -376,54 +204,9 @@ class WindowedUnionPushdown:
         sql, params, plans, max_atoms = self.compile_ranked(
             catalog, queries, unified_columns, mappings, limit, offset
         )
-        fetched = self.backend.execute_sql(sql, params)
-        self.unions_executed += 1
-        answers: List[AnswerTuple] = []
         base = 3  # layout: _cost, _branch, _seq, rid/tag slots, cells, _rank
         cell_base = base + 2 * max_atoms
-        for record in fetched:
-            plan = plans[record[1]]
-            answers.append(
-                self._ranked_answer(
-                    plan, unified_columns, record, base, cell_base
-                )
-            )
-        return answers
-
-    @staticmethod
-    def _ranked_answer(
-        plan: _BranchPlan,
-        unified_columns: Sequence[str],
-        record: Sequence[object],
-        base: int,
-        cell_base: int,
-    ) -> AnswerTuple:
-        query = plan.query
-        mapping = plan.unified_mapping or {}
-        cells = plan.unified_cells or []
-        unified_slots = {column: i for i, column in enumerate(unified_columns)}
-        # Key order parity with project_answer: the query's own labels in
-        # first-occurrence output order (mapped onto their unified columns),
-        # then the remaining unified columns padded with None.  A duplicate
-        # label revisits the same unified slot — same value, same position.
-        values: Dict[str, object] = {}
-        for label, _, _ in plan.output_cells:
-            unified = mapping.get(label, label)
-            slot = unified_slots[unified]
-            _, atom_pos, attr_index = cells[slot]
-            tags = record[base + 2 * atom_pos + 1]
-            values[unified] = _decode_cell(
-                record[cell_base + slot], tags, attr_index
-            )
-        for column in unified_columns:
-            values.setdefault(column, None)
-        base_tuples = frozenset(
-            (relation, record[base + 2 * pos])
-            for pos, relation in enumerate(plan.relations)
-        )
-        provenance = TupleProvenance(
-            query_id=query.provenance or "query",
-            query_cost=query.cost,
-            base_tuples=base_tuples,
-        )
-        return AnswerTuple(values=values, cost=query.cost, provenance=provenance)
+        return [
+            plans[record[1]].answer(record, base, cell_base)
+            for record in self.backend.execute_sql(sql, params)
+        ]

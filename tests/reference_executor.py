@@ -1,34 +1,26 @@
-"""Execution of conjunctive queries and ranked disjoint unions.
+"""The reference oracle: the seed's nested-loop executor, kept for parity tests.
 
-The executor implements the "View Creation & Output" stage of the paper's
-architecture (Figure 1): each Steiner tree's conjunctive query is executed
-against the catalog, the per-query outputs are combined by a *disjoint
-("outer") union* whose columns are aligned across queries, and answers are
-returned in increasing order of cost with provenance annotations.
-
-:class:`QueryExecutor` is now a thin facade: by default it delegates to the
-planned, indexed engine (:mod:`repro.engine`), which chooses join orders by
-cardinality and caches scans/join indexes in a shared
-:class:`~repro.engine.context.ExecutionContext`.  The seed nested-join
-implementation is preserved behind ``use_engine=False`` as the reference
-semantics the engine is parity-tested against.
+Implements the "View Creation & Output" stage of the paper's architecture
+(Figure 1) the simplest way that is obviously right: each conjunctive query
+is evaluated left-to-right over its atom list, the per-query outputs are
+combined by a *disjoint ("outer") union* whose columns are aligned across
+queries, and answers are returned in increasing order of cost with
+provenance annotations.  The planned engine (:mod:`repro.engine`) and the SQL
+target (:mod:`repro.storage.pushdown`) are tested against it for identical
+values, costs, provenance and order; it lives in ``tests/`` because nothing
+in ``src/`` runs it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..exceptions import QueryError
-from ..similarity.tokenize import tokenize
-from .database import Catalog
-from .provenance import AnswerTuple, TupleProvenance
-from .query import ConjunctiveQuery, SelectionPredicate
-from .table import Row, Table
-from .types import canonicalize
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from ..engine.context import ExecutionContext
-    from ..engine.executor import PlanExecutor
+from repro.datastore.database import Catalog
+from repro.datastore.provenance import AnswerTuple, TupleProvenance
+from repro.datastore.query import ConjunctiveQuery, SelectionPredicate
+from repro.datastore.table import Row, Table
+from repro.datastore.types import canonicalize
+from repro.similarity.tokenize import tokenize
 
 
 class _PartialResult:
@@ -64,35 +56,11 @@ def _selection_matches(predicate: SelectionPredicate, value) -> bool:
     return all(token in value_tokens for token in needle_tokens)
 
 
-class QueryExecutor:
-    """Executes conjunctive queries against a :class:`~repro.datastore.database.Catalog`.
+class ReferenceExecutor:
+    """Executes conjunctive queries against a :class:`~repro.datastore.database.Catalog`."""
 
-    Parameters
-    ----------
-    catalog:
-        The catalog queries run against.
-    context:
-        Optional shared :class:`~repro.engine.context.ExecutionContext`; pass
-        one to share scan/join-index caches across executors (the Q system
-        shares a single context across all of its views).
-    use_engine:
-        When ``True`` (the default) execution is delegated to the planned,
-        indexed engine.  ``False`` selects the seed nested-join reference
-        implementation, kept for parity testing.
-    """
-
-    def __init__(
-        self,
-        catalog: Catalog,
-        context: Optional["ExecutionContext"] = None,
-        use_engine: bool = True,
-    ) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        self.engine: Optional["PlanExecutor"] = None
-        if use_engine:
-            from ..engine.executor import PlanExecutor
-
-            self.engine = PlanExecutor(catalog, context)
 
     # ------------------------------------------------------------------
     # Single-query execution
@@ -100,14 +68,10 @@ class QueryExecutor:
     def execute(self, query: ConjunctiveQuery, limit: Optional[int] = None) -> List[AnswerTuple]:
         """Execute one conjunctive query; returns answers with provenance.
 
-        With the engine enabled, the query is compiled to a plan (selection
-        pushdown, greedy join order, cached hash-join indexes).  The
-        reference path evaluates joins left-to-right over the atom list with
-        hash joins on canonicalized values, applying selection predicates as
-        soon as their alias is bound.  Both paths produce identical answers.
+        Joins are evaluated left-to-right over the atom list with hash joins
+        on canonicalized values, applying selection predicates as soon as
+        their alias is bound.
         """
-        if self.engine is not None:
-            return self.engine.execute(query, limit=limit)
         query.validate()
         alias_tables = self._resolve_tables(query)
         selections_by_alias: Dict[str, List[SelectionPredicate]] = {}
@@ -253,8 +217,6 @@ class QueryExecutor:
         limit:
             Optional cap on the number of answers returned.
         """
-        if self.engine is not None:
-            return self.engine.execute_union(queries, compatible=compatible, limit=limit)
         if compatible is None:
             compatible = _default_column_compatibility
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core import QSystem, QSystemConfig
-from repro.datastore.executor import QueryExecutor
 from repro.datastore.query import ConjunctiveQuery
 from repro.engine import ExecutionContext, PlanExecutor, QueryPlanner, compile_predicates
 from repro.exceptions import DisconnectedTerminalsError, SteinerError
+
+from reference_executor import ReferenceExecutor
 
 
 def _answer_record(answer):
@@ -220,14 +221,14 @@ class TestEngineParityHandcrafted:
         return queries
 
     def test_execute_parity_including_order(self, mini_catalog):
-        reference = QueryExecutor(mini_catalog, use_engine=False)
-        engine = QueryExecutor(mini_catalog)
+        reference = ReferenceExecutor(mini_catalog)
+        engine = PlanExecutor(mini_catalog)
         for query in self._queries(mini_catalog):
             _assert_same_answers(engine.execute(query), reference.execute(query))
 
     def test_execute_parity_with_limit(self, mini_catalog):
-        reference = QueryExecutor(mini_catalog, use_engine=False)
-        engine = QueryExecutor(mini_catalog)
+        reference = ReferenceExecutor(mini_catalog)
+        engine = PlanExecutor(mini_catalog)
         cross = ConjunctiveQuery(provenance="qx")
         cross.add_atom("go.term", "t")
         cross.add_atom("interpro.pub", "p")
@@ -236,8 +237,8 @@ class TestEngineParityHandcrafted:
         )
 
     def test_union_parity(self, mini_catalog):
-        reference = QueryExecutor(mini_catalog, use_engine=False)
-        engine = QueryExecutor(mini_catalog)
+        reference = ReferenceExecutor(mini_catalog)
+        engine = PlanExecutor(mini_catalog)
         queries = self._queries(mini_catalog)
         _assert_same_answers(
             engine.execute_union(queries), reference.execute_union(queries)
@@ -271,15 +272,15 @@ class TestEngineParitySynthetic:
 
     def test_execute_parity(self, system_and_queries):
         system, queries = system_and_queries
-        reference = QueryExecutor(system.catalog, use_engine=False)
-        engine = QueryExecutor(system.catalog)
+        reference = ReferenceExecutor(system.catalog)
+        engine = PlanExecutor(system.catalog)
         for query in queries:
             _assert_same_answers(engine.execute(query), reference.execute(query))
 
     def test_union_parity(self, system_and_queries):
         system, queries = system_and_queries
-        reference = QueryExecutor(system.catalog, use_engine=False)
-        engine = QueryExecutor(system.catalog)
+        reference = ReferenceExecutor(system.catalog)
+        engine = PlanExecutor(system.catalog)
         _assert_same_answers(
             engine.execute_union(queries, limit=200),
             reference.execute_union(queries, limit=200),

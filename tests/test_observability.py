@@ -4,8 +4,8 @@ Covers the contracts the module promises:
 
 * every ranked read is attributable: ``ReadResult.trace`` carries a
   well-nested span tree, a serving-path verdict and — on fallback — a
-  concrete ineligibility reason, on both storage backends and under
-  ``REPRO_WINDOW_PUSHDOWN=off``;
+  concrete ineligibility reason, on both storage backends and for every
+  observable condition that rules the SQL target out;
 * concurrent reads produce *disjoint* well-nested span trees, exact under
   a deterministic injected clock;
 * the off switch (``observability=False``) returns ``trace=None`` with
@@ -29,7 +29,6 @@ from repro.api import (
     ServiceConfig,
 )
 from repro.datastore.csvio import source_from_dict, source_to_dict
-from repro.engine.context import window_pushdown_enabled
 from repro.exceptions import InvalidRequestError
 from repro.learning import AnnotationKind
 from repro.obs import MetricsRegistry, Observability, Tracer
@@ -38,11 +37,9 @@ from repro.obs.tracing import NOOP_TRACE, active_trace, well_nested
 from repro.service import QServer
 
 #: Whether this process can exercise the windowed pushdown path (old
-#: SQLite builds lack window functions; the REPRO_WINDOW_PUSHDOWN=off CI
-#: leg disables it deliberately — the trace then explains the fallback).
-WINDOWED_AVAILABLE = (
-    sqlite3.sqlite_version_info >= (3, 25, 0) and window_pushdown_enabled()
-)
+#: SQLite builds lack window functions — the trace then explains the
+#: fallback).
+WINDOWED_AVAILABLE = sqlite3.sqlite_version_info >= (3, 25, 0)
 
 
 def _clone(source):
@@ -217,8 +214,8 @@ def test_sqlite_read_trace_names_its_serving_path(gbco_dataset, tmp_path):
                 assert trace.path == "windowed"
                 assert trace.fallback_reason == ""
             else:
-                # The off-switch CI leg (or an old SQLite) must still get a
-                # concrete reason, not a silent fallback.
+                # An old SQLite must still get a concrete reason, not a
+                # silent fallback.
                 assert trace.path in ("posting-join", "python-union", "mixed")
                 assert trace.fallback_reason
             # The repeat read serves from the snapshot answer cache and
@@ -233,17 +230,54 @@ def test_sqlite_read_trace_names_its_serving_path(gbco_dataset, tmp_path):
     sqlite3.sqlite_version_info < (3, 25, 0),
     reason="windowed pushdown needs SQLite >= 3.25",
 )
-def test_pushdown_off_switch_is_explained(gbco_dataset, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_WINDOW_PUSHDOWN", "off")
+def test_budgeted_read_fallback_is_explained(gbco_dataset, tmp_path):
     backend = f"sqlite:{tmp_path / 'obs_off.db'}"
     with _gbco_service(gbco_dataset, backend=backend) as service:
         with QServer(service) as server:
-            result = server.query(QueryRequest(keywords=_keywords(gbco_dataset)))
-            assert result.answers
+            result = server.query(
+                QueryRequest(keywords=_keywords(gbco_dataset)), deadline_ms=60_000
+            )
+            assert result.answers and not result.degraded
             trace = result.trace
             assert trace is not None
             assert trace.path != "windowed"
-            assert "REPRO_WINDOW_PUSHDOWN" in trace.fallback_reason
+            assert "deadline-budgeted read" in trace.fallback_reason
+
+
+@pytest.mark.skipif(
+    sqlite3.sqlite_version_info < (3, 25, 0),
+    reason="windowed pushdown needs SQLite >= 3.25",
+)
+def test_foreign_backend_relation_fallback_is_explained(gbco_dataset, tmp_path):
+    backend = f"sqlite:{tmp_path / 'obs_foreign.db'}"
+    with _gbco_service(gbco_dataset, backend=backend) as service:
+        info = service.create_view(QueryRequest(keywords=_keywords(gbco_dataset)))
+        request = QueryRequest(view=info.view_id)
+        windowed = service.answers_page(request)
+        assert service.obs.decisions.last().path == "windowed"
+        relation = service.view(info.view_id).state.queries[0].query.atoms[0].relation
+        service.catalog.relation(relation).detach()
+        assert _fingerprint(service.answers_page(request)) == _fingerprint(windowed)
+        decision = service.obs.decisions.last()
+        assert decision.path != "windowed"
+        assert decision.fallback_reason == (
+            f"relation(s) not stored on the SQL backend: {relation}"
+        )
+
+
+def test_windowed_stage_is_recorded_only_when_sql_ran(gbco_dataset, tmp_path):
+    # The windowed_pushdown span opens after the capability check chose the
+    # SQL target: a memory-backend page read must not report the stage.
+    stage = 'q_read_stage_seconds_count{stage="windowed_pushdown"}'
+    request = QueryRequest(keywords=_keywords(gbco_dataset))
+    with _gbco_service(gbco_dataset, backend="memory") as service:
+        assert service.answers_page(request)
+        assert stage not in service.metrics()
+    if WINDOWED_AVAILABLE:
+        backend = f"sqlite:{tmp_path / 'obs_stage.db'}"
+        with _gbco_service(gbco_dataset, backend=backend) as service:
+            assert service.answers_page(request)
+            assert f"{stage} 1" in service.metrics()
 
 
 def test_tenant_overlay_read_explains_fallback(gbco_dataset):

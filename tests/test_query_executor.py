@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datastore.executor import QueryExecutor
 from repro.datastore.query import ConjunctiveQuery, SelectionPredicate
 from repro.datastore.sqlgen import query_to_sql, union_to_sql
+from repro.engine.executor import PlanExecutor
 from repro.exceptions import QueryError
 
 
@@ -56,7 +56,7 @@ class TestConjunctiveQuery:
 
 class TestQueryExecutor:
     def test_simple_join(self, mini_catalog):
-        executor = QueryExecutor(mini_catalog)
+        executor = PlanExecutor(mini_catalog)
         answers = executor.execute(make_join_query())
         assert len(answers) == 2
         values = {(a["term_name"], a["entry_ac"]) for a in answers}
@@ -66,21 +66,21 @@ class TestQueryExecutor:
     def test_selection_keyword_mode(self, mini_catalog):
         query = make_join_query()
         query.add_selection("t", "name", "membrane")
-        answers = QueryExecutor(mini_catalog).execute(query)
+        answers = PlanExecutor(mini_catalog).execute(query)
         assert len(answers) == 1
         assert answers[0]["term_name"] == "plasma membrane"
 
     def test_selection_equals_mode(self, mini_catalog):
         query = make_join_query()
         query.add_selection("t", "acc", "GO:0002", mode="equals")
-        answers = QueryExecutor(mini_catalog).execute(query)
+        answers = PlanExecutor(mini_catalog).execute(query)
         assert len(answers) == 1
         assert answers[0]["entry_ac"] == "IPR002"
 
     def test_selection_contains_mode(self, mini_catalog):
         query = make_join_query()
         query.add_selection("t", "name", "MEMBRANE", mode="contains")
-        answers = QueryExecutor(mini_catalog).execute(query)
+        answers = PlanExecutor(mini_catalog).execute(query)
         assert len(answers) == 1
 
     def test_three_way_join(self, mini_catalog):
@@ -92,7 +92,7 @@ class TestQueryExecutor:
         query.add_join("e2p", "pub_id", "p", "pub_id")
         query.add_output("e", "name", "entry_name")
         query.add_output("p", "title", "title")
-        answers = QueryExecutor(mini_catalog).execute(query)
+        answers = PlanExecutor(mini_catalog).execute(query)
         assert {(a["entry_name"], a["title"]) for a in answers} == {
             ("Kinase domain", "Kinase domain structure"),
             ("Zinc finger", "Zinc finger review"),
@@ -103,23 +103,23 @@ class TestQueryExecutor:
         query.add_atom("go.term", "t")
         query.add_atom("interpro.pub", "p")
         query.add_join("t", "name", "p", "title")  # no shared values
-        assert QueryExecutor(mini_catalog).execute(query) == []
+        assert PlanExecutor(mini_catalog).execute(query) == []
 
     def test_no_outputs_returns_all_columns(self, mini_catalog):
         query = ConjunctiveQuery()
         query.add_atom("go.term", "t")
-        answers = QueryExecutor(mini_catalog).execute(query)
+        answers = PlanExecutor(mini_catalog).execute(query)
         assert len(answers) == 3
         assert "t.acc" in answers[0].values
 
     def test_limit(self, mini_catalog):
         query = ConjunctiveQuery()
         query.add_atom("go.term", "t")
-        answers = QueryExecutor(mini_catalog).execute(query, limit=1)
+        answers = PlanExecutor(mini_catalog).execute(query, limit=1)
         assert len(answers) == 1
 
     def test_provenance_attached(self, mini_catalog):
-        answers = QueryExecutor(mini_catalog).execute(make_join_query(cost=3.5))
+        answers = PlanExecutor(mini_catalog).execute(make_join_query(cost=3.5))
         provenance = answers[0].provenance
         assert provenance is not None
         assert provenance.query_id == "q1"
@@ -129,8 +129,8 @@ class TestQueryExecutor:
         assert answers[0].cost == 3.5
 
     def test_answer_key_stable(self, mini_catalog):
-        answers_a = QueryExecutor(mini_catalog).execute(make_join_query())
-        answers_b = QueryExecutor(mini_catalog).execute(make_join_query())
+        answers_a = PlanExecutor(mini_catalog).execute(make_join_query())
+        answers_b = PlanExecutor(mini_catalog).execute(make_join_query())
         assert {a.key() for a in answers_a} == {b.key() for b in answers_b}
 
 
@@ -141,7 +141,7 @@ class TestDisjointUnion:
         expensive.add_atom("interpro.entry", "e")
         expensive.add_output("e", "name", "entry_name")
         expensive.add_output("e", "entry_ac", "entry_ac")
-        answers = QueryExecutor(mini_catalog).execute_union([expensive, cheap])
+        answers = PlanExecutor(mini_catalog).execute_union([expensive, cheap])
         # All answers share one unified schema and are sorted by cost.
         assert [a.cost for a in answers] == sorted(a.cost for a in answers)
         columns = set(answers[0].values.keys())
@@ -151,7 +151,7 @@ class TestDisjointUnion:
         assert "entry_ac" in columns
 
     def test_union_limit(self, mini_catalog):
-        answers = QueryExecutor(mini_catalog).execute_union([make_join_query()], limit=1)
+        answers = PlanExecutor(mini_catalog).execute_union([make_join_query()], limit=1)
         assert len(answers) == 1
 
     def test_union_custom_compatibility(self, mini_catalog):
@@ -159,7 +159,7 @@ class TestDisjointUnion:
         q2 = ConjunctiveQuery(cost=2.0, provenance="q2")
         q2.add_atom("interpro.entry", "e")
         q2.add_output("e", "name", "entry_label")
-        answers = QueryExecutor(mini_catalog).execute_union(
+        answers = PlanExecutor(mini_catalog).execute_union(
             [q1, q2], compatible=lambda a, b: {a, b} == {"entry_label", "term_name"}
         )
         columns = set(answers[0].values.keys())

@@ -9,6 +9,8 @@ reopen round trip.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.api import QService, QueryRequest, RegisterSourceRequest, ServiceConfig
@@ -31,19 +33,27 @@ from repro.exceptions import QueryError, StorageError
 from repro.graph import SearchGraph
 from repro.matching import MetadataMatcher, ValueOverlapMatcher
 from repro.storage import (
+    DbApiBackend,
     MemoryBackend,
     SqliteBackend,
     backend_from_env,
     create_backend,
     resolve_backend,
 )
+from repro.storage.pushdown import SqlPushdown
+from repro.storage.windowed import WindowedUnionPushdown
 
-BACKENDS = ("memory", "sqlite")
+#: ``dbapi`` is the generic base class SqliteBackend inherits, driven through
+#: the standard library's sqlite3 driver: it must hold the whole protocol
+#: contract on its own, not just the slice its subclass happens to exercise.
+BACKENDS = ("memory", "sqlite", "dbapi")
 
 
 def make_backend(kind, tmp_path=None):
     if kind == "memory":
         return MemoryBackend()
+    if kind == "dbapi":
+        return DbApiBackend(sqlite3.connect(":memory:", check_same_thread=False))
     if tmp_path is not None:
         return SqliteBackend(tmp_path / "catalog.db")
     return SqliteBackend(":memory:")
@@ -51,7 +61,7 @@ def make_backend(kind, tmp_path=None):
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    """One fresh backend per test, parameterized over both implementations."""
+    """One fresh backend per test, parameterized over every implementation."""
     instance = make_backend(request.param)
     yield instance
     instance.close()
@@ -350,6 +360,25 @@ class TestPushdownParity:
         assert context.statistics.pushdown_queries == 0
         assert answer_fingerprint(sqlite_answers) == answer_fingerprint(memory_answers)
 
+    @pytest.mark.parametrize("with_outputs", [True, False])
+    def test_union_branch_equals_single_query_pushdown(self, with_outputs):
+        # One compiler, one decoder: a query fetched as a branch of the
+        # windowed union is byte-identical to the same query run alone —
+        # and the outputless all-attributes projection survives both shapes.
+        query = _make_query()
+        if not with_outputs:
+            query.outputs.clear()
+        backend = SqliteBackend(":memory:")
+        catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
+        alone = SqlPushdown(backend).execute(catalog, query)
+        branch = WindowedUnionPushdown(backend).fetch_raw(catalog, [query])[0]
+        assert answer_fingerprint(branch) == answer_fingerprint(alone)
+        memory_answers, _ = self._answers("memory", query)
+        assert answer_fingerprint(alone) == answer_fingerprint(memory_answers)
+        assert len(alone) == 3
+        assert len(alone[0].values) == (2 if with_outputs else 4)
+        backend.close()
+
     def test_scan_pushdown_matches_python_filter(self):
         sources = [clone_source(s) for s in _mini_sources()]
         catalog_mem = Catalog([clone_source(s) for s in sources])
@@ -364,6 +393,79 @@ class TestPushdownParity:
         assert [(r.row_id, tuple(r.values)) for r in sql_rows] == [
             (r.row_id, tuple(r.values)) for r in mem_rows
         ]
+
+
+# ----------------------------------------------------------------------
+# Golden SQL: the windowed batch statement, text and parameter order
+# ----------------------------------------------------------------------
+GOLDEN_MINI_SQL = """\
+SELECT 0 AS "_branch", ROW_NUMBER() OVER (ORDER BY "t"."_row_id", "i2g"."_row_id") AS "_seq", "t"."_row_id" AS "_rid_0", "t"."_tags" AS "_tag_0", "i2g"."_row_id" AS "_rid_1", "i2g"."_tags" AS "_tag_1", "t"."c_name" AS "_val_0", "i2g"."c_entry_ac" AS "_val_1"
+FROM "go.term" AS "t", "interpro.interpro2go" AS "i2g"
+WHERE repro_canon("t"."c_acc") = repro_canon("i2g"."c_go_id") AND repro_match(?, ?, "t"."c_name") = 1
+UNION ALL
+SELECT 1 AS "_branch", ROW_NUMBER() OVER (ORDER BY "t"."_row_id") AS "_seq", "t"."_row_id" AS "_rid_0", "t"."_tags" AS "_tag_0", NULL AS "_rid_1", NULL AS "_tag_1", "t"."c_name" AS "_val_0", NULL AS "_val_1"
+FROM "go.term" AS "t"
+WHERE repro_canon("t"."c_acc") = ?
+ORDER BY "_branch", "_seq\""""
+
+_GOLDEN_GBCO_BRANCH = """\
+SELECT {index} AS "_branch", ROW_NUMBER() OVER (ORDER BY "publication"."_row_id") AS "_seq", "publication"."_row_id" AS "_rid_0", "publication"."_tags" AS "_tag_0", "publication"."c_first_author" AS "_val_0"
+FROM "publication.publication" AS "publication\""""
+_GOLDEN_GBCO_WHERE = '\nWHERE repro_canon("publication"."c_first_author") = ?'
+GOLDEN_GBCO_SQL = (
+    "\nUNION ALL\n".join(
+        _GOLDEN_GBCO_BRANCH.format(index=index) + (_GOLDEN_GBCO_WHERE if index else "")
+        for index in range(5)
+    )
+    + '\nORDER BY "_branch", "_seq"'
+)
+
+
+class TestGoldenWindowedSql:
+    """``compile_raw`` renders exactly what it rendered before the SQL
+    compilers were merged (texts captured from the parent commit)."""
+
+    def test_hand_built_batch(self):
+        # A two-atom join beside a one-atom query: pins join and selection
+        # rendering, NULL padding of the narrower branch, and that needles
+        # enter the parameter list in statement order.
+        backend = SqliteBackend(":memory:")
+        catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
+        single = ConjunctiveQuery(provenance="tree-2", cost=0.5)
+        single.add_atom("go.term", "t")
+        single.add_selection("t", "acc", " GO:0003 ", mode="equals")
+        single.add_output("t", "name")
+        sql, params, _, _ = WindowedUnionPushdown(backend).compile_raw(
+            catalog, [_make_query(), single]
+        )
+        assert sql == GOLDEN_MINI_SQL
+        assert params == ["keyword", "plasma membrane", "GO:0003"]
+        backend.close()
+
+    def test_gbco_view(self, gbco_dataset):
+        # ("author", "publication") is one of the GBCO query-log views whose
+        # generated queries do not depend on the process's hash seed.
+        reset_edge_ids()
+        service = QService(
+            sources=[clone_source(source) for source in gbco_dataset.catalog],
+            config=ServiceConfig(top_k=5, top_y=1),
+            backend=SqliteBackend(":memory:"),
+        )
+        service.bootstrap_alignments()
+        info = service.create_view(QueryRequest(keywords=("author", "publication")))
+        queries = [g.query for g in service.view(info.view_id).state.queries]
+        backend = service.catalog.backend
+        sql, params, _, _ = WindowedUnionPushdown(backend).compile_raw(
+            service.catalog, queries
+        )
+        assert sql == GOLDEN_GBCO_SQL
+        assert params == [
+            "first_author_2",
+            "first_author_2",
+            "first_author_5",
+            "first_author_5",
+        ]
+        service.close()
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,11 @@ import pytest
 
 from repro.core import QSystem, QSystemConfig, RankedView
 from repro.datastore import Catalog, DataSource
-from repro.datastore.executor import QueryExecutor
 from repro.datastore.query import ConjunctiveQuery
+from repro.engine.executor import PlanExecutor
 from repro.graph import QueryGraphBuilder, SearchGraph
+
+from reference_executor import ReferenceExecutor
 
 
 def term_query(cost: float, provenance: str) -> ConjunctiveQuery:
@@ -27,7 +29,7 @@ class TestUnionColumnAlignment:
         query.add_atom("interpro.entry", "e")
         query.add_output("e", "name", "name")
         query.add_output("e", "entry_ac", "e.name")  # compatible with "name"
-        answers = QueryExecutor(mini_catalog).execute_union([query])
+        answers = PlanExecutor(mini_catalog).execute_union([query])
         columns = set(answers[0].values.keys())
         assert columns == {"name", "e.name"}
         for answer in answers:
@@ -40,7 +42,7 @@ class TestUnionColumnAlignment:
         expensive = ConjunctiveQuery(cost=2.0, provenance="b")
         expensive.add_atom("interpro.entry", "e")
         expensive.add_output("e", "name", "e.name")  # trailing name matches
-        answers = QueryExecutor(mini_catalog).execute_union([expensive, cheap])
+        answers = PlanExecutor(mini_catalog).execute_union([expensive, cheap])
         columns = set(answers[0].values.keys())
         assert columns == {"name"}
         assert all(a.values["name"] is not None for a in answers)
@@ -52,7 +54,7 @@ class TestUnionColumnAlignment:
         empty.add_selection("t", "acc", "GO:9999", mode="equals")
         empty.add_output("t", "acc", "missing_acc")
         full = term_query(1.0, "full")
-        answers = QueryExecutor(mini_catalog).execute_union([empty, full])
+        answers = PlanExecutor(mini_catalog).execute_union([empty, full])
         assert len(answers) == 3  # only the full query produced tuples
         # The empty query's column is part of the unified schema, padded.
         assert all("missing_acc" in a.values for a in answers)
@@ -62,28 +64,28 @@ class TestUnionColumnAlignment:
         empty = ConjunctiveQuery(cost=0.5, provenance="empty")
         empty.add_atom("go.term", "t")
         empty.add_selection("t", "acc", "GO:9999", mode="equals")
-        assert QueryExecutor(mini_catalog).execute_union([empty]) == []
+        assert PlanExecutor(mini_catalog).execute_union([empty]) == []
 
     def test_no_queries(self, mini_catalog):
-        assert QueryExecutor(mini_catalog).execute_union([]) == []
+        assert PlanExecutor(mini_catalog).execute_union([]) == []
 
     def test_limit_keeps_cheapest_answers(self, mini_catalog):
         cheap = term_query(1.0, "cheap")
         expensive = term_query(9.0, "expensive")
-        answers = QueryExecutor(mini_catalog).execute_union([expensive, cheap], limit=3)
+        answers = PlanExecutor(mini_catalog).execute_union([expensive, cheap], limit=3)
         assert len(answers) == 3
         assert all(a.cost == 1.0 for a in answers)
         assert all(a.provenance.query_id == "cheap" for a in answers)
 
     def test_limit_zero(self, mini_catalog):
-        assert QueryExecutor(mini_catalog).execute_union([term_query(1.0, "q")], limit=0) == []
+        assert PlanExecutor(mini_catalog).execute_union([term_query(1.0, "q")], limit=0) == []
 
     def test_disjoint_union_pads_with_none(self, mini_catalog):
         terms = term_query(1.0, "terms")
         pubs = ConjunctiveQuery(cost=2.0, provenance="pubs")
         pubs.add_atom("interpro.pub", "p")
         pubs.add_output("p", "title", "title")
-        answers = QueryExecutor(mini_catalog).execute_union([terms, pubs])
+        answers = PlanExecutor(mini_catalog).execute_union([terms, pubs])
         columns = {"acc", "name", "title"}
         for answer in answers:
             assert set(answer.values.keys()) == columns
@@ -231,7 +233,7 @@ class TestIncrementalRefresh:
         # scratch union of the same queries through the reference executor.
         view = self._view()
         view.refresh()
-        reference = QueryExecutor(view.catalog, use_engine=False)
+        reference = ReferenceExecutor(view.catalog)
         expected = reference.execute_union(
             [g.query for g in view.state.queries], limit=view.answer_limit
         )

@@ -31,11 +31,12 @@ from repro.api import (
 )
 from repro.core import RankedView
 from repro.datasets import build_interpro_go
-from repro.datastore import Catalog, ConjunctiveQuery
+from repro.datastore import Catalog, ConjunctiveQuery, DataSource
 from repro.datastore.schema import RelationSchema
-from repro.engine.context import ExecutionContext, window_pushdown_enabled
+from repro.engine.context import PYTHON, SQL, ExecutionContext
 from repro.engine.executor import ranked_union, union_column_plan
 from repro.exceptions import QueryError, StorageError
+from repro.faults.budget import Budget
 from repro.matching import ValueOverlapMatcher
 from repro.profiling.index import CatalogProfileIndex
 from repro.storage import DbApiBackend, SqliteBackend, create_backend
@@ -51,15 +52,12 @@ from test_storage_backends import (
 )
 
 #: Whether this process can exercise the windowed path at all (old SQLite
-#: builds lack window functions; the REPRO_WINDOW_PUSHDOWN=off CI leg
-#: disables it deliberately — these tests then assert the *fallback*).
-WINDOWED_AVAILABLE = (
-    sqlite3.sqlite_version_info >= (3, 25, 0) and window_pushdown_enabled()
-)
+#: builds lack window functions — these tests then assert the *fallback*).
+WINDOWED_AVAILABLE = sqlite3.sqlite_version_info >= (3, 25, 0)
 
 requires_windowed = pytest.mark.skipif(
     not WINDOWED_AVAILABLE,
-    reason="windowed pushdown unavailable (old SQLite or REPRO_WINDOW_PUSHDOWN=off)",
+    reason="windowed pushdown unavailable (SQLite older than 3.25)",
 )
 
 
@@ -126,21 +124,27 @@ class TestWindowedRankedParity:
         assert stats.pushdown_union_queries == before + 1
         service.close()
 
-    def test_gate_off_is_pure_fallback(self, monkeypatch):
-        # REPRO_WINDOW_PUSHDOWN=off must not change a single answer byte —
-        # it only moves the work back into the Python engine.
+    def test_budgeted_read_is_pure_fallback(self):
+        # A deadline budget must not change a single answer byte — it only
+        # moves the work back into the per-query path, where the read can
+        # be truncated at query boundaries.
         service_on, view_on, info_on = _sqlite_view()
         on = answer_fingerprint(list(service_on.stream_answers(
             QueryRequest(view=info_on.view_id)
         )))
         service_on.close()
-        monkeypatch.setenv("REPRO_WINDOW_PUSHDOWN", "off")
         service_off, view_off, info_off = _sqlite_view()
-        assert service_off.engine_context.window_pushdown is None
-        off = answer_fingerprint(list(service_off.stream_answers(
-            QueryRequest(view=info_off.view_id)
-        )))
-        assert service_off.engine_context.statistics.pushdown_union_queries == 0
+        view_off.invalidate_cache()
+        stats = service_off.engine_context.statistics
+        unions_before = stats.pushdown_union_queries
+        budget = Budget(deadline_s=60.0)
+        off = answer_fingerprint(list(view_off.stream_answers(budget=budget)))
+        assert stats.pushdown_union_queries == unions_before
+        assert not budget.truncated
+        target, reason = service_off.engine_context.choose_target(
+            [g.query for g in view_off.state.queries], budget=budget
+        )
+        assert target == PYTHON and reason.startswith("deadline-budgeted read")
         service_off.close()
         assert on == off and on
 
@@ -151,16 +155,53 @@ class TestWindowedRankedParity:
         service, view, _ = _sqlite_view()
         context = service.engine_context
         queries = [g.query for g in view.state.queries]
-        assert context.window_pushdown.can_execute(service.catalog, queries)
+        assert context.choose_target(queries) == (SQL, None)
+        expected = answer_fingerprint(view.answers())
         relation = queries[0].atoms[0].relation
         service.catalog.relation(relation).detach()
         try:
-            assert not context.window_pushdown.can_execute(
-                service.catalog, queries
-            )
-            assert context.try_pushdown_union_raw(queries) is None
+            target, reason = context.choose_target(queries)
+            assert target == PYTHON
+            assert reason == f"relation(s) not stored on the SQL backend: {relation}"
+            unions_before = context.statistics.pushdown_union_queries
+            view.invalidate_cache()
+            assert answer_fingerprint(view.answers()) == expected
+            assert context.statistics.pushdown_union_queries == unions_before
         finally:
             service.close()
+
+    def test_every_other_fallback_reason_is_reachable(self):
+        # The remaining conditions of the one capability check, each driven
+        # by something observable: an old SQLite (no window functions), a
+        # per-query limit, a branch without output columns.
+        backend = SqliteBackend(":memory:")
+        backend.supports_window_pushdown = False  # what SQLite < 3.25 reports
+        catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
+        context = ExecutionContext(catalog)
+        query = _make_query()
+        assert context.choose_target([query]) == (
+            PYTHON,
+            "backend does not support window functions",
+        )
+        assert context.choose_target([query], ranked=False) == (SQL, None)
+        target, reason = context.choose_target([query], ranked=False, limit=2)
+        assert target == PYTHON and reason.startswith("per-query limit")
+        backend.close()
+
+        outputless = ConjunctiveQuery(provenance="tree-2", cost=0.25)
+        outputless.add_atom("go.term", "t")
+        capable = Catalog(
+            [clone_source(s) for s in _mini_sources()],
+            backend=SqliteBackend(":memory:"),
+        )
+        capable_context = ExecutionContext(capable)
+        assert capable_context.choose_target([outputless], ranked=False) == (SQL, None)
+        if WINDOWED_AVAILABLE:
+            assert capable_context.choose_target([query, outputless]) == (
+                PYTHON,
+                "a branch query has no output columns",
+            )
+        capable.close()
 
 
 # ----------------------------------------------------------------------
@@ -211,8 +252,10 @@ class TestStableOrderParity:
         executor = PlanExecutor(catalog, context)
         queries = sorted(self._tied_queries(), key=lambda q: q.cost)
         columns, mappings = union_column_plan(queries)
-        windowed = context.try_pushdown_union_ranked(queries, columns, mappings)
-        assert windowed is not None
+        assert context.choose_target(queries) == (SQL, None)
+        windowed = context.window_pushdown.execute_ranked(
+            catalog, queries, columns, mappings
+        )
         python = ranked_union([(q, executor.execute(q)) for q in queries])
         assert answer_fingerprint(windowed) == answer_fingerprint(python)
         assert len({a.cost for a in python}) < len(python), "no ties — vacuous"
@@ -314,7 +357,40 @@ class TestExplainQueryPlan:
         plan = self._explain(backend, sql, params)
         # The join probe must run on the on-demand repro_canon expression
         # index (SQLite reports expression-index probes as "<expr>=?").
-        assert "USING INDEX ix_interpro_interpro2go_go_id (<expr>=?)" in plan, plan
+        assert "USING INDEX ix_20_interpro.interpro2go_go_id (<expr>=?)" in plan, plan
+        backend.close()
+
+    def test_colliding_index_names_get_one_index_each(self):
+        # ("src.term", "go_id") and ("src.term_go", "id") once shared the
+        # name ix_src_term_go_id: CREATE INDEX IF NOT EXISTS silently
+        # skipped the second, which then joined without an index.
+        backend = SqliteBackend(":memory:")
+        source = DataSource.build(
+            "src",
+            {"term": ["go_id", "name"], "term_go": ["id", "name"]},
+            data={
+                "term": [(f"GO:{i}", f"t{i}") for i in range(50)],
+                "term_go": [(f"GO:{i}", f"g{i}") for i in range(50)],
+            },
+        )
+        catalog = Catalog([source], backend=backend)
+        query = ConjunctiveQuery(provenance="tree-1", cost=1.0)
+        query.add_atom("src.term", "t")
+        query.add_atom("src.term_go", "g")
+        query.add_join("t", "go_id", "g", "id")
+        query.add_output("t", "name", "term")
+        query.add_output("g", "name", "go")
+        backend.ensure_canon_index("src.term", "go_id")
+        backend.ensure_canon_index("src.term_go", "id")
+        indexes = backend.execute_sql(
+            "SELECT tbl_name FROM sqlite_master WHERE type = 'index' "
+            "AND name LIKE 'ix_%' ORDER BY tbl_name"
+        )
+        assert indexes == [("src.term",), ("src.term_go",)]
+        # Whichever side SQLite probes, its canon index is there to serve it.
+        sql, params, _, _ = WindowedUnionPushdown(backend).compile_raw(catalog, [query])
+        plan = self._explain(backend, sql, params)
+        assert "USING INDEX ix_" in plan and "(<expr>=?)" in plan, plan
         backend.close()
 
     def test_posting_self_join_probes_the_value_index(self):
@@ -501,8 +577,10 @@ class TestDbApiBackend:
             [clone_source(s) for s in _mini_sources()], backend=self._backend()
         )
         dbapi_context = ExecutionContext(dbapi_catalog)
-        assert dbapi_context.pushdown is None
-        assert dbapi_context.window_pushdown is None
+        assert dbapi_context.choose_target([query], ranked=False) == (
+            PYTHON,
+            "backend has no SQL pushdown (Python join engine)",
+        )
         from repro.engine.executor import PlanExecutor
 
         memory_answers = PlanExecutor(memory_catalog, memory_context).execute(query)
