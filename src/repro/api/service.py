@@ -342,6 +342,12 @@ class QService:
             "Tenant networks derived from a cached base twin",
             fn=lambda: steiner.rescores,
         )
+        for counter in vars(steiner.solver):
+            gauge(
+                f"q_steiner_{counter}_total",
+                f"Top-k Steiner solver: {counter.replace('_', ' ')}",
+                fn=lambda counter=counter: getattr(steiner.solver, counter),
+            )
         gauge(
             "q_posting_builds_total",
             "Full in-memory posting rebuilds of the profile index",

@@ -30,7 +30,8 @@ from ..datastore.database import Catalog
 from ..datastore.table import Row, Table
 from ..datastore.types import canonicalize
 from ..graph.search_graph import SearchGraph
-from ..steiner.network import SteinerNetwork
+from ..obs.tracing import active_trace
+from ..steiner.network import SolverCounters, SteinerNetwork
 from ..storage.pushdown import SqlPushdown, off_backend_relations
 from ..storage.windowed import WindowedUnionPushdown
 from .predicates import CompiledPredicate
@@ -114,6 +115,16 @@ class SteinerNetworkCache:
         #: Networks derived from a cached donor's topology instead of built
         #: from scratch (the per-tenant overlay fast path).
         self.rescores = 0
+        #: What the top-k solves run through this cache did, in total.
+        self.solver = SolverCounters()
+
+    def record_solve(self, counters: SolverCounters) -> None:
+        """Total one finished solve's counters; annotate the active trace with them."""
+        trace = active_trace()
+        with self._lock:
+            for name, value in vars(counters).items():
+                setattr(self.solver, name, getattr(self.solver, name) + value)
+                trace.tally(f"steiner_{name}", value)
 
     def network(self, graph: SearchGraph) -> SteinerNetwork:
         """The cached snapshot of ``graph``, rebuilt iff its versions moved."""

@@ -159,9 +159,9 @@ class Observability:
             duration_s=duration,
             degraded=degraded,
             tallies={
-                key: int(trace.annotations[key])
-                for key in _TALLY_KEYS
-                if key in trace.annotations
+                key: int(value)
+                for key, value in trace.annotations.items()
+                if key in _TALLY_KEYS or key.startswith("steiner_")
             },
         )
         self.decisions.append(decision)

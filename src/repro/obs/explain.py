@@ -38,7 +38,8 @@ class DecisionRecord:
     duration_s: float = 0.0
     degraded: bool = False
     #: Per-query tallies copied off the trace (``queries_pushdown``,
-    #: ``queries_python``, ``queries_cached``, ``windowed_queries``).
+    #: ``queries_python``, ``queries_cached``, ``windowed_queries``, and the
+    #: ``steiner_*`` solver counters of a read that had to solve).
     tallies: Dict[str, int] = field(default_factory=dict)
 
     def render(self) -> str:

@@ -2,30 +2,40 @@
 
 The k-best enumerator (:mod:`repro.steiner.topk`) re-solves the Steiner
 problem dozens of times per call on graphs that differ only by a handful of
-*excluded* edges.  The seed implementation copied the whole
-:class:`~repro.graph.search_graph.SearchGraph` for every exclusion set and
-re-derived every edge cost (a weight-vector dot product per edge) from
-scratch inside each solve.
+*excluded* edges.  :class:`SteinerNetwork` lifts everything those solves
+share out of the loop: it snapshots the graph once — nodes and edges mapped
+to dense integer indexes, every edge cost evaluated once — and the solvers
+take the exclusion set as an argument instead of a mutated graph copy.
 
-:class:`SteinerNetwork` lifts that work out of the solver loop: it snapshots
-the graph once — nodes and edges mapped to dense integer indexes, every edge
-cost evaluated once — and both solvers then run over plain lists, taking the
-exclusion set as an argument instead of requiring a mutated graph copy.
+Every solver is built on **one** label-setting search
+(:meth:`SteinerNetwork._search`) over per-call flat lists indexed by node: a
+cost label and a back-pointer per ``(terminal subset, node)``.  A tree's edge
+set is read off the back-pointers once, at the end; nothing is materialised
+per node.  Two cuts keep the work near the terminals instead of growing with
+the catalog: the weight of the terminals' distance-network MST bounds the
+optimum from above, so a label is dropped when its cost plus the distance
+its tree still has to cover exceeds that bound; and the last grow pass stops
+when the root terminal settles.  Neither changes an answer — a dropped label
+cannot be part of an optimal tree, and the kept ones settle in the same order
+with the same back-pointers.
 
-Parity note: heap entries carry the node-id *string* as the tie-breaker so
-that Dijkstra pop order — and therefore every equal-cost tie-break — is
-bit-identical to the seed implementation.
+Parity note: nodes are indexed in sorted node-id order, so a heap entry
+``(dist, node index)`` pops in the seed implementation's ``(dist, node-id
+string)`` order and every equal-cost tie-break is bit-identical to it
+(``tests/reference_steiner.py`` keeps the seed solver as the oracle).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
+    Collection,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -41,6 +51,62 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.budget import Budget
 
 _EMPTY: FrozenSet[int] = frozenset()
+_INF = float("inf")
+#: ``via_edge`` codes below zero.  ``_ROOT`` ends a back-pointer chain; a value
+#: ``-1 - sub`` (<= -2) says the label merges the trees of the terminal
+#: subsets ``sub`` and ``mask ^ sub`` at that node.
+_ROOT = -1
+#: The upper bound and the DP total the same tree in different orders; the
+#: slack keeps rounding from pruning a label that ties with the bound.
+_BOUND_SLACK = 1.0 + 1e-9
+
+
+@dataclass
+class SolverCounters:
+    """What top-k enumerations did (one solve's worth, or a running total)."""
+
+    #: single-tree solves run (one per Lawler branch, plus the first)
+    base_solves: int = 0
+    #: candidate trees discarded because an earlier branch already found them
+    duplicate_candidates: int = 0
+    #: branches whose exclusion set disconnected the terminals
+    disconnected_branches: int = 0
+    #: DP labels dropped because they cannot be completed within the upper bound
+    pruned_labels: int = 0
+    #: enumerations that stopped branching at ``max_expansions``
+    expansion_cap_hits: int = 0
+
+
+class _Labels:
+    """One solve's DP tables: per terminal-subset mask, flat lists over nodes.
+
+    ``cost[mask][v]`` is the cheapest known tree spanning the terminals in
+    ``mask`` plus node ``v``; ``via_edge[mask][v]`` / ``via_node[mask][v]``
+    say how it got there (an edge from a neighbour's label, or a ``_ROOT`` /
+    merge code).  Built per call and dropped on return: the read pool shares
+    one :class:`SteinerNetwork` across threads.
+    """
+
+    __slots__ = ("size", "cost", "via_node", "via_edge", "settled", "no_limit", "counters")
+
+    def __init__(self, size: int, counters: Optional[SolverCounters] = None) -> None:
+        self.size = size
+        self.cost: Dict[int, List[float]] = {}
+        self.via_node: Dict[int, List[int]] = {}
+        self.via_edge: Dict[int, List[int]] = {}
+        #: per mask, the nodes whose label is final, in settling order
+        self.settled: Dict[int, List[int]] = {}
+        #: the per-node ``limit`` of a search that keeps every label
+        self.no_limit = [_INF] * size
+        #: where the search counts the labels it drops for exceeding their limit
+        self.counters = counters if counters is not None else SolverCounters()
+
+    def open(self, mask: int) -> Tuple[List[float], List[int]]:
+        cost = self.cost[mask] = [_INF] * self.size
+        self.via_node[mask] = [0] * self.size
+        via_edge = self.via_edge[mask] = [_ROOT] * self.size
+        self.settled[mask] = []
+        return cost, via_edge
 
 
 class SteinerNetwork:
@@ -55,7 +121,8 @@ class SteinerNetwork:
 
     def __init__(self, graph: SearchGraph) -> None:
         self.graph = graph
-        self.node_ids: List[str] = [node.node_id for node in graph.nodes()]
+        # Sorted, so that a node's index is also its tie-break rank.
+        self.node_ids: List[str] = sorted(node.node_id for node in graph.nodes())
         self.node_index: Dict[str, int] = {nid: i for i, nid in enumerate(self.node_ids)}
         edges = graph.edges()
         self.edge_ids: List[str] = [edge.edge_id for edge in edges]
@@ -120,130 +187,143 @@ class SteinerNetwork:
     # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------
-    def edge_indexes(self, edge_ids: Iterable[str]) -> FrozenSet[int]:
-        """Map edge-id strings to this snapshot's indexes (unknown ids skipped)."""
-        index = self.edge_index
-        return frozenset(index[eid] for eid in edge_ids if eid in index)
-
-    def _tree_from_indexes(self, edge_idxs: Iterable[int], terminals: Sequence[str]) -> SteinerTree:
-        # Recost through the graph (as the seed solvers did) so tree costs
-        # stay bit-identical with trees built elsewhere.
-        return SteinerTree.from_edges(
-            self.graph, (self.edge_ids[i] for i in edge_idxs), terminals
+    def _tree_from_indexes(self, edge_idxs: Collection[int], terminals: Sequence[str]) -> SteinerTree:
+        # Costed from the snapshot: ``edge_costs`` holds exactly what the
+        # graph evaluates per edge, and fsum makes the total independent of
+        # summation order, so it equals ``SteinerTree.from_edges`` bit for bit.
+        return SteinerTree(
+            frozenset(self.edge_ids[i] for i in edge_idxs),
+            frozenset(terminals),
+            math.fsum(self.edge_costs[i] for i in edge_idxs),
         )
 
     # ------------------------------------------------------------------
-    # Dijkstra over the snapshot
+    # The label-setting search every solver shares
     # ------------------------------------------------------------------
-    def _dijkstra(
+    def _search(
         self,
-        source: int,
+        labels: _Labels,
+        mask: int,
+        heap: List[Tuple[float, int]],
         excluded: AbstractSet[int],
-        budget: "Optional[Budget]" = None,
-    ) -> Tuple[Dict[int, float], Dict[int, Tuple[int, int]]]:
-        """Distances and predecessor ``(node, edge)`` pairs from ``source``."""
-        INF = float("inf")
-        node_ids = self.node_ids
+        limit: List[float],
+        targets: Collection[int],
+        budget: "Optional[Budget]",
+        where: str,
+    ) -> bool:
+        """Settle ``mask``'s labels in ``(cost, node)`` order from the seeded ``heap``.
+
+        Relaxes along non-``excluded`` edges, never keeps a label at node
+        ``v`` above ``limit[v]``, and returns ``True`` as soon as every node
+        of ``targets`` has settled — leaving ``heap`` and the tables
+        consistent, so a later call resumes the same search — or ``False``
+        once the heap runs dry.  The budget is ticked per pop.
+        """
+        cost = labels.cost[mask]
+        via_node = labels.via_node[mask]
+        via_edge = labels.via_edge[mask]
+        settled = labels.settled[mask]
         adjacency = self.adjacency
-        distances: Dict[int, float] = {source: 0.0}
-        predecessors: Dict[int, Tuple[int, int]] = {}
-        heap: List[Tuple[float, str, int]] = [(0.0, node_ids[source], source)]
+        pop, push = heapq.heappop, heapq.heappush
+        remaining = len(targets)
         while heap:
             if budget is not None:
-                budget.tick("dijkstra")
-            dist, _, node = heapq.heappop(heap)
-            if dist > distances.get(node, INF):
+                budget.tick(where)
+            dist, node = pop(heap)
+            if dist > cost[node] or dist > limit[node]:
                 continue
-            for neighbor, edge_idx, cost in adjacency[node]:
+            settled.append(node)
+            for neighbor, edge_idx, edge_cost in adjacency[node]:
                 if edge_idx in excluded:
                     continue
-                candidate = dist + cost
-                if candidate < distances.get(neighbor, INF):
-                    distances[neighbor] = candidate
-                    predecessors[neighbor] = (node, edge_idx)
-                    heapq.heappush(heap, (candidate, node_ids[neighbor], neighbor))
-        return distances, predecessors
+                candidate = dist + edge_cost
+                if candidate < cost[neighbor]:
+                    if candidate > limit[neighbor]:
+                        labels.counters.pruned_labels += 1
+                        continue
+                    cost[neighbor] = candidate
+                    via_node[neighbor] = node
+                    via_edge[neighbor] = edge_idx
+                    push(heap, (candidate, neighbor))
+            if node in targets:
+                remaining -= 1
+                if not remaining:
+                    return True
+        return not remaining
+
+    def _singleton_passes(
+        self,
+        labels: _Labels,
+        roots: Sequence[int],
+        excluded: AbstractSet[int],
+        budget: "Optional[Budget]",
+    ) -> List[List[Tuple[float, int]]]:
+        """Shortest paths from each terminal, paused once all the others settled.
+
+        Returns the paused heaps (one per terminal) so the caller can resume
+        the passes under a bound; raises if some terminal is unreachable.
+        """
+        heaps: List[List[Tuple[float, int]]] = []
+        for position, root in enumerate(roots):
+            mask = 1 << position
+            cost, _ = labels.open(mask)
+            cost[root] = 0.0
+            heap = [(0.0, root)]
+            others = {other for other in roots if other != root}
+            if not self._search(labels, mask, heap, excluded, labels.no_limit, others, budget, "dijkstra"):
+                raise DisconnectedTerminalsError()
+            heaps.append(heap)
+        return heaps
 
     @staticmethod
-    def _path_edges(predecessors: Dict[int, Tuple[int, int]], target: int) -> Set[int]:
+    def _distance_network_mst(
+        labels: _Labels, terminals: Sequence[str], roots: Sequence[int]
+    ) -> List[Tuple[float, int, int]]:
+        """Kruskal MST of the terminals' distance network: ``(distance, i, j)`` per edge.
+
+        ``i < j`` are terminal positions; ties sort on the terminal id
+        strings, as the seed approximation's did.
+        """
+        count = len(roots)
+        pairs = sorted(
+            (labels.cost[1 << i][roots[j]], terminals[i], terminals[j], i, j)
+            for i in range(count)
+            for j in range(i + 1, count)
+        )
+        parent = list(range(count))
+
+        def find(position: int) -> int:
+            while parent[position] != position:
+                parent[position] = parent[parent[position]]
+                position = parent[position]
+            return position
+
+        chosen: List[Tuple[float, int, int]] = []
+        for distance, _, _, i, j in pairs:
+            root_i, root_j = find(i), find(j)
+            if root_i != root_j:
+                parent[root_i] = root_j
+                chosen.append((distance, i, j))
+        return chosen
+
+    @staticmethod
+    def _edges_of(labels: _Labels, mask: int, node: int) -> Set[int]:
+        """The edge set the back-pointers at ``(mask, node)`` describe."""
         edges: Set[int] = set()
-        node = target
-        while node in predecessors:
-            previous, edge_idx = predecessors[node]
-            edges.add(edge_idx)
-            node = previous
+        pending = [(mask, node)]
+        while pending:
+            mask, node = pending.pop()
+            via_node, via_edge = labels.via_node[mask], labels.via_edge[mask]
+            while (edge := via_edge[node]) != _ROOT:
+                if edge >= 0:
+                    edges.add(edge)
+                    node = via_node[node]
+                else:  # a merge: one half now, the other half later
+                    sub = -1 - edge
+                    pending.append((mask ^ sub, node))
+                    mask = sub
+                    via_node, via_edge = labels.via_node[mask], labels.via_edge[mask]
         return edges
-
-    @staticmethod
-    def _all_path_edge_sets(
-        predecessors: Dict[int, Tuple[int, int]]
-    ) -> Dict[int, FrozenSet[int]]:
-        """Path edge set for *every* node of a shortest-path tree.
-
-        Equivalent to calling :meth:`_path_edges` per node, but each node's
-        set is derived from its predecessor's set with a single union, so
-        shared path prefixes are never re-walked.
-        """
-        memo: Dict[int, FrozenSet[int]] = {}
-        for target in predecessors:
-            if target in memo:
-                continue
-            stack = [target]
-            node = predecessors[target][0]
-            while node in predecessors and node not in memo:
-                stack.append(node)
-                node = predecessors[node][0]
-            base = memo.get(node, _EMPTY)
-            for pending in reversed(stack):
-                base = base | frozenset((predecessors[pending][1],))
-                memo[pending] = base
-        return memo
-
-    def _shortest_path_tree(
-        self,
-        terminals: Sequence[str],
-        excluded: AbstractSet[int],
-        budget: "Optional[Budget]" = None,
-    ) -> SteinerTree:
-        """Two-terminal special case: the tree is a minimum-cost path.
-
-        Runs one Dijkstra with early termination instead of the full
-        Dreyfus–Wagner DP (which would compute distances and path sets for
-        *every* node).  The search is rooted at the *second* terminal with
-        the first as target because that is the equal-cost witness the DP
-        produces (its two-terminal answer is read off the singleton-mask
-        entry of the second terminal's shortest-path tree at the first
-        terminal) — keeping tie-breaks bit-identical to the seed solver.
-        """
-        source = self.node_index[terminals[1]]
-        target = self.node_index[terminals[0]]
-        INF = float("inf")
-        node_ids = self.node_ids
-        adjacency = self.adjacency
-        distances: Dict[int, float] = {source: 0.0}
-        predecessors: Dict[int, Tuple[int, int]] = {}
-        heap: List[Tuple[float, str, int]] = [(0.0, node_ids[source], source)]
-        while heap:
-            if budget is not None:
-                budget.tick("shortest-path")
-            dist, _, node = heapq.heappop(heap)
-            if dist > distances.get(node, INF):
-                continue
-            if node == target:
-                return self._tree_from_indexes(
-                    self._path_edges(predecessors, target), terminals
-                )
-            for neighbor, edge_idx, cost in adjacency[node]:
-                if edge_idx in excluded:
-                    continue
-                candidate = dist + cost
-                if candidate < distances.get(neighbor, INF):
-                    distances[neighbor] = candidate
-                    predecessors[neighbor] = (node, edge_idx)
-                    heapq.heappush(heap, (candidate, node_ids[neighbor], neighbor))
-        raise DisconnectedTerminalsError(
-            f"terminals {terminals[0]!r} and {terminals[1]!r} are not connected"
-        )
 
     # ------------------------------------------------------------------
     # Exact solver (Dreyfus–Wagner DP)
@@ -254,17 +334,17 @@ class SteinerNetwork:
         excluded: AbstractSet[int] = _EMPTY,
         max_terminals: int = 8,
         budget: "Optional[Budget]" = None,
+        counters: Optional[SolverCounters] = None,
     ) -> SteinerTree:
         """Minimum-cost Steiner tree over ``terminals``, skipping ``excluded`` edges.
 
         Same algorithm (and the same tie-breaking) as the seed
-        ``exact_steiner_tree``, minus the per-call graph copies and cost
-        recomputation.  Two-terminal queries — the dominant case for keyword
-        pairs — short-circuit to a single early-exit shortest-path search.
-        With a ``budget``, the inner loops poll it and abort the solve with
-        :class:`~repro.exceptions.DeadlineExceededError` once it expires —
-        a partially run DP yields no usable tree, so there is no partial
-        return at this level.
+        ``exact_steiner_tree``.  With a ``budget``, the search polls it per
+        pop and the DP per terminal subset, and the solve aborts with
+        :class:`~repro.exceptions.DeadlineExceededError` once it expires — a
+        partially run DP yields no usable tree, so there is no partial
+        return at this level.  ``counters``, when given, receives the number
+        of labels the upper bound dropped.
         """
         terminals = validate_terminals(self.graph, terminals)
         if len(terminals) > max_terminals:
@@ -273,97 +353,74 @@ class SteinerNetwork:
             )
         if len(terminals) == 1:
             return SteinerTree(frozenset(), frozenset(terminals), 0.0)
-        if len(terminals) == 2:
-            return self._shortest_path_tree(terminals, excluded, budget=budget)
+        roots = [self.node_index[t] for t in terminals]
+        labels = _Labels(len(self.node_ids), counters)
+        if len(roots) == 2:
+            # A minimum-cost path, searched from the *second* terminal to the
+            # first: that is the equal-cost witness the DP reads off the
+            # second terminal's singleton table, so tie-breaks stay the seed's.
+            cost, _ = labels.open(2)
+            cost[roots[1]] = 0.0
+            if not self._search(
+                labels, 2, [(0.0, roots[1])], excluded, labels.no_limit, roots[:1], budget, "shortest-path"
+            ):
+                raise DisconnectedTerminalsError()
+            return self._tree_from_indexes(self._edges_of(labels, 2, roots[0]), terminals)
 
-        node_ids = self.node_ids
-        node_count = len(node_ids)
-        adjacency = self.adjacency
-        INF = float("inf")
+        # Singleton subsets: shortest paths from each terminal, first only as
+        # far as the other terminals, which prices the distance network ...
+        heaps = self._singleton_passes(labels, roots, excluded, budget)
+        # ... whose MST weight bounds the optimum from above.  A label that
+        # cannot be completed within the bound is not part of the answer, so
+        # it is not kept: the singleton passes resume only up to the bound.
+        bound = _BOUND_SLACK * math.fsum(
+            distance for distance, _, _ in self._distance_network_mst(labels, terminals, roots)
+        )
+        within_bound = [bound] * labels.size
+        for position, heap in enumerate(heaps):
+            self._search(labels, 1 << position, heap, excluded, within_bound, (), budget, "dijkstra")
+        distances = [labels.cost[1 << position] for position in range(len(roots))]
 
-        terminal_list = [self.node_index[t] for t in terminals]
-        full_mask = (1 << len(terminal_list)) - 1
-
-        # dp[mask] maps node -> (cost, edge index set) of the cheapest tree
-        # spanning the terminal subset ``mask`` plus that node.
-        dp_cost: List[Dict[int, float]] = [dict() for _ in range(full_mask + 1)]
-        dp_edges: List[Dict[int, FrozenSet[int]]] = [dict() for _ in range(full_mask + 1)]
-
-        # Base cases: singleton subsets = shortest path from the terminal.
-        for position, terminal in enumerate(terminal_list):
-            mask = 1 << position
-            distances, predecessors = self._dijkstra(terminal, excluded, budget=budget)
-            paths = self._all_path_edge_sets(predecessors)
-            costs = dp_cost[mask]
-            edges = dp_edges[mask]
-            for v, dist in distances.items():
-                costs[v] = dist
-                edges[v] = paths.get(v, _EMPTY)
-
-        subsets = sorted(range(1, full_mask + 1), key=lambda m: bin(m).count("1"))
-        for subset in subsets:
-            if bin(subset).count("1") < 2:
+        full_mask = (1 << len(roots)) - 1
+        for subset in sorted(range(1, full_mask + 1), key=lambda m: bin(m).count("1")):
+            if subset & (subset - 1) == 0:
                 continue
             if budget is not None:
                 budget.check("dreyfus-wagner")
-            costs = dp_cost[subset]
-            edges = dp_edges[subset]
+            cost, via_edge = labels.open(subset)
+            # Completing a tree at ``v`` costs at least the distance from ``v``
+            # to the farthest terminal still outside it (to the root, once
+            # all are inside), which tightens the bound per node.
+            outside = [d for p, d in enumerate(distances) if not subset >> p & 1] or distances[:1]
+            farthest = outside[0] if len(outside) == 1 else map(max, *outside)
+            limit = [bound - distance for distance in farthest]
             # Merge step: combine two disjoint terminal subsets at a node.
-            for v in range(node_count):
-                best_cost = costs.get(v, INF)
-                best_edges = edges.get(v)
-                sub = (subset - 1) & subset
-                while sub > 0:
-                    other = subset ^ sub
-                    if sub < other:  # consider each unordered split once
-                        cost_a = dp_cost[sub].get(v, INF)
-                        cost_b = dp_cost[other].get(v, INF)
-                        if cost_a + cost_b < best_cost:
-                            best_cost = cost_a + cost_b
-                            best_edges = dp_edges[sub][v] | dp_edges[other][v]
-                    sub = (sub - 1) & subset
-                if best_edges is not None and best_cost < INF:
-                    costs[v] = best_cost
-                    edges[v] = frozenset(best_edges)
-
-            # Grow step: extend the merged trees along shortest paths, as a
-            # Dijkstra seeded with the current dp values.
-            heap: List[Tuple[float, str, int]] = []
-            current: Dict[int, float] = {}
-            origin: Dict[int, int] = {}
-            for v in range(node_count):
-                cost = costs.get(v, INF)
-                if cost < INF:
-                    current[v] = cost
-                    origin[v] = v
-                    heapq.heappush(heap, (cost, node_ids[v], v))
-            predecessors: Dict[int, Tuple[int, int]] = {}
-            while heap:
-                if budget is not None:
-                    budget.tick("dreyfus-wagner-grow")
-                dist, _, node = heapq.heappop(heap)
-                if dist > current.get(node, INF):
-                    continue
-                for neighbor, edge_idx, cost in adjacency[node]:
-                    if edge_idx in excluded:
-                        continue
-                    candidate = dist + cost
-                    if candidate < current.get(neighbor, INF):
-                        current[neighbor] = candidate
-                        origin[neighbor] = origin[node]
-                        predecessors[neighbor] = (node, edge_idx)
-                        heapq.heappush(heap, (candidate, node_ids[neighbor], neighbor))
-            paths = self._all_path_edge_sets(predecessors)
-            for node, cost in current.items():
-                if cost < costs.get(node, INF):
-                    root = origin[node]
-                    costs[node] = cost
-                    edges[node] = edges[root] | paths.get(node, _EMPTY)
-
-        root = terminal_list[0]
-        if root not in dp_cost[full_mask]:
+            merged: List[int] = []
+            sub = (subset - 1) & subset
+            while sub > 0:
+                other = subset ^ sub
+                if sub < other:  # consider each unordered split once
+                    cost_a, cost_b = labels.cost[sub], labels.cost[other]
+                    for v in min(labels.settled[sub], labels.settled[other], key=len):
+                        total = cost_a[v] + cost_b[v]
+                        if total <= limit[v] and total < cost[v]:
+                            if cost[v] == _INF:
+                                merged.append(v)
+                            cost[v] = total
+                            via_edge[v] = -1 - sub
+                sub = (sub - 1) & subset
+            # Grow step: extend the merged trees along shortest paths.  Only
+            # the root's label of the full subset is ever read, so that pass
+            # stops when the root settles.
+            heap = [(cost[v], v) for v in merged]
+            heapq.heapify(heap)
+            targets = roots[:1] if subset == full_mask else ()
+            rooted = self._search(
+                labels, subset, heap, excluded, limit, targets, budget, "dreyfus-wagner-grow"
+            )
+        if not rooted:
             raise DisconnectedTerminalsError()
-        return self._tree_from_indexes(dp_edges[full_mask][root], terminals)
+        return self._tree_from_indexes(self._edges_of(labels, full_mask, roots[0]), terminals)
 
     # ------------------------------------------------------------------
     # Approximate solver (Kou–Markowsky–Berman distance network)
@@ -378,45 +435,14 @@ class SteinerNetwork:
         terminals = validate_terminals(self.graph, terminals)
         if len(terminals) == 1:
             return SteinerTree(frozenset(), frozenset(terminals), 0.0)
-
-        shortest: Dict[str, Tuple[Dict[int, float], Dict[int, Tuple[int, int]]]] = {}
-        for terminal in terminals:
-            shortest[terminal] = self._dijkstra(
-                self.node_index[terminal], excluded, budget=budget
-            )
-
-        # Terminal distance network (and the connectivity check).
-        pairs: List[Tuple[float, str, str]] = []
-        for i, a in enumerate(terminals):
-            distances_a = shortest[a][0]
-            for b in terminals[i + 1 :]:
-                b_idx = self.node_index[b]
-                if b_idx not in distances_a:
-                    raise DisconnectedTerminalsError(
-                        f"terminals {a!r} and {b!r} are not connected"
-                    )
-                pairs.append((distances_a[b_idx], a, b))
-
-        # Kruskal MST over the distance network.
-        pairs.sort()
-        parent: Dict[str, str] = {t: t for t in terminals}
-
-        def find(node: str) -> str:
-            while parent[node] != node:
-                parent[node] = parent[parent[node]]
-                node = parent[node]
-            return node
-
-        expanded_edges: Set[str] = set()
-        for _, a, b in pairs:
-            root_a, root_b = find(a), find(b)
-            if root_a == root_b:
-                continue
-            parent[root_a] = root_b
-            path = self._path_edges(shortest[a][1], self.node_index[b])
-            expanded_edges |= {self.edge_ids[i] for i in path}
-
-        pruned = prune_to_tree(self.graph, expanded_edges, terminals)
+        roots = [self.node_index[t] for t in terminals]
+        labels = _Labels(len(self.node_ids))
+        self._singleton_passes(labels, roots, excluded, budget)
+        # Expand each MST edge of the distance network into its shortest path.
+        expanded: Set[int] = set()
+        for _, i, j in self._distance_network_mst(labels, terminals, roots):
+            expanded |= self._edges_of(labels, 1 << i, roots[j])
+        pruned = prune_to_tree(self.graph, {self.edge_ids[e] for e in expanded}, terminals)
         return SteinerTree.from_edges(self.graph, pruned, terminals)
 
     # ------------------------------------------------------------------
@@ -428,20 +454,13 @@ class SteinerNetwork:
         excluded: AbstractSet[int] = _EMPTY,
         exact_terminal_limit: int = 5,
         budget: "Optional[Budget]" = None,
+        counters: Optional[SolverCounters] = None,
     ) -> SteinerTree:
         """Exact DP for few terminals, distance-network approximation otherwise."""
         if len(set(terminals)) <= exact_terminal_limit:
-            try:
-                return self.exact_tree(
-                    terminals,
-                    excluded,
-                    max_terminals=exact_terminal_limit,
-                    budget=budget,
-                )
-            except DisconnectedTerminalsError:
-                raise
-            except SteinerError:
-                pass  # solver-capability failure: fall back to the approximation
+            return self.exact_tree(
+                terminals, excluded, max_terminals=exact_terminal_limit, budget=budget, counters=counters
+            )
         return self.approximate_tree(terminals, excluded, budget=budget)
 
 

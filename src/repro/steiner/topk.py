@@ -30,9 +30,9 @@ from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from typing import TYPE_CHECKING
 
-from ..exceptions import DeadlineExceededError, SteinerError
+from ..exceptions import DeadlineExceededError, DisconnectedTerminalsError, SteinerError
 from ..graph.search_graph import SearchGraph
-from .network import SteinerNetwork
+from .network import SolverCounters, SteinerNetwork
 from .tree import SteinerTree, validate_terminals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -63,11 +63,12 @@ class KBestSteiner:
         dense graphs.
     network_cache:
         Optional snapshot cache (duck-typed: anything exposing
-        ``network(graph) -> SteinerNetwork``, e.g. the engine's
-        :class:`~repro.engine.context.SteinerNetworkCache`).  With a cache,
-        repeated solves over an unchanged graph reuse one snapshot instead
-        of rebuilding it per call; staleness rides on the graph's
-        ``(weights.version, structure_version)`` key inside the cache.
+        ``network(graph) -> SteinerNetwork`` and ``record_solve(counters)``,
+        e.g. the engine's :class:`~repro.engine.context.SteinerNetworkCache`).
+        With a cache, repeated solves over an unchanged graph reuse one
+        snapshot instead of rebuilding it per call; staleness rides on the
+        graph's ``(weights.version, structure_version)`` key inside the
+        cache, which also totals every solve's :class:`SolverCounters`.
     """
 
     solver: Optional[SolverFn] = None
@@ -94,22 +95,37 @@ class KBestSteiner:
         if k < 1:
             raise ValueError("k must be >= 1")
         terminals = validate_terminals(graph, terminals)
+        counters = SolverCounters()
+        try:
+            return self._enumerate(graph, terminals, k, budget, counters)
+        finally:
+            if self.network_cache is not None:
+                self.network_cache.record_solve(counters)  # type: ignore[attr-defined]
+
+    def _enumerate(
+        self, graph: SearchGraph, terminals: Sequence[str], k: int,
+        budget: "Optional[Budget]", counters: SolverCounters,
+    ) -> List[SteinerTree]:
         network: Optional[SteinerNetwork] = None
         if self.solver is None:
             if self.network_cache is not None:
                 network = self.network_cache.network(graph)  # type: ignore[attr-defined]
             else:
                 network = SteinerNetwork(graph)
+        # An exclusion set holds edge *indexes* of the shared snapshot on the
+        # network path, edge ids under the legacy graph-copy protocol.
+        exclusion_key = network.edge_index.__getitem__ if network is not None else str
 
-        def base_solve(excluded_edge_ids: FrozenSet[str]) -> SteinerTree:
+        def base_solve(excluded: FrozenSet) -> SteinerTree:
+            counters.base_solves += 1
             if network is not None:
                 return network.default_tree(
-                    terminals,
-                    excluded=network.edge_indexes(excluded_edge_ids),
-                    budget=budget,
+                    terminals, excluded=excluded, budget=budget, counters=counters
                 )
-            reduced = self._graph_without(graph, excluded_edge_ids)
-            return self.solver(reduced, terminals)  # type: ignore[misc]
+            tree = self.solver(self._graph_without(graph, excluded), terminals)  # type: ignore[misc]
+            # Re-cost against the original graph (costs are identical, but
+            # the tree object should reference original edge ids).
+            return SteinerTree.from_edges(graph, tree.edge_ids, terminals)
 
         if budget is not None:
             budget.check("k-best-steiner")
@@ -121,8 +137,8 @@ class KBestSteiner:
         results: List[SteinerTree] = []
         seen_trees: Set[FrozenSet[str]] = set()
         counter = itertools.count()
-        # Heap entries: (cost, tiebreak, tree, excluded_edge_ids)
-        heap: List[Tuple[float, int, SteinerTree, FrozenSet[str]]] = [
+        # Heap entries: (cost, tiebreak, tree, exclusion set)
+        heap: List[Tuple[float, int, SteinerTree, FrozenSet]] = [
             (best.cost, next(counter), best, frozenset())
         ]
         candidate_signatures: Set[FrozenSet[str]] = {best.edge_ids}
@@ -140,6 +156,7 @@ class KBestSteiner:
             # Branch: forbid each edge of the newly accepted tree in turn.
             for edge_id in sorted(tree.edge_ids):
                 if expansions >= self.max_expansions:
+                    counters.expansion_cap_hits = 1  # per solve, however many loops it cuts
                     break
                 if budget is not None and budget.expired():
                     # Stop branching; the outer loop keeps draining fully
@@ -147,7 +164,7 @@ class KBestSteiner:
                     budget.mark_truncated("k-best-steiner")
                     break
                 expansions += 1
-                new_excluded = excluded | {edge_id}
+                new_excluded = excluded | {exclusion_key(edge_id)}
                 try:
                     candidate = base_solve(new_excluded)
                 except DeadlineExceededError:
@@ -155,12 +172,13 @@ class KBestSteiner:
                     # enumeration degrades to a partial result.
                     budget.mark_truncated("k-best-steiner")  # type: ignore[union-attr]
                     break
+                except DisconnectedTerminalsError:
+                    counters.disconnected_branches += 1
+                    continue
                 except SteinerError:
                     continue
-                # Re-cost against the original graph (costs are identical,
-                # but the tree object should reference original edge ids).
-                candidate = SteinerTree.from_edges(graph, candidate.edge_ids, terminals)
                 if candidate.edge_ids in seen_trees or candidate.edge_ids in candidate_signatures:
+                    counters.duplicate_candidates += 1
                     continue
                 candidate_signatures.add(candidate.edge_ids)
                 heapq.heappush(

@@ -8,6 +8,7 @@ conjunctive query (paper Section 2.2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -33,7 +34,9 @@ class SteinerTree:
     ) -> "SteinerTree":
         """Build a tree from edge ids, computing its cost from ``graph``."""
         edge_ids = frozenset(edge_ids)
-        cost = sum(graph.edge_cost_by_id(edge_id) for edge_id in edge_ids)
+        # fsum is exactly rounded, hence independent of the set's iteration
+        # order: equal edge sets get equal costs however they were built.
+        cost = math.fsum(graph.edge_cost_by_id(edge_id) for edge_id in edge_ids)
         return cls(edge_ids=edge_ids, terminals=frozenset(terminals), cost=cost)
 
     # ------------------------------------------------------------------

@@ -566,6 +566,59 @@ def test_solver_returns_partial_tree_list_on_expiry(gbco_dataset):
         assert [t.cost for t in partial] == [t.cost for t in full[: len(partial)]]
 
 
+def test_deadline_inside_a_three_terminal_grow_pass(gbco_dataset, monkeypatch):
+    """The shared search still ticks per pop: a budget that expires inside a
+    bounded Dreyfus–Wagner grow pass aborts that base solve on the spot —
+    a typed error before the first tree, a truncated prefix after it."""
+    from repro.steiner.network import SteinerNetwork
+    from repro.steiner.topk import KBestSteiner
+
+    service = _gbco_service(gbco_dataset)
+    with service:
+        info = service.create_view(
+            QueryRequest(keywords=("insulin", "pathway", "expression")), materialize=False
+        )
+        view = service.views.resolve(info.view_id).view
+        view.prepare()
+        graph = view.query_graph.graph
+        terminals = list(view.query_graph.terminals)
+        assert len(terminals) == 3
+        full = KBestSteiner().solve(graph, terminals, k=5)
+        assert len(full) >= 2
+
+        # Read the clock on every tick, and move it past the deadline when the
+        # N-th grow pass starts: three terminals make four grow passes per
+        # base solve, so pass 2 is inside the first solve, pass 6 after it.
+        monkeypatch.setattr("repro.faults.budget.TICK_STRIDE", 1)
+        clock = _StepClock()
+        passes = {"seen": 0, "expire_at": 0}
+        search = SteinerNetwork._search
+
+        def expiring_search(self, labels, mask, heap, excluded, limit, targets, budget, where):
+            if where == "dreyfus-wagner-grow":
+                passes["seen"] += 1
+                if passes["seen"] == passes["expire_at"]:
+                    clock.now = 1000.0
+            return search(self, labels, mask, heap, excluded, limit, targets, budget, where)
+
+        monkeypatch.setattr(SteinerNetwork, "_search", expiring_search)
+
+        passes.update(seen=0, expire_at=2)
+        budget = Budget(deadline_s=100.0, clock=clock)
+        with pytest.raises(DeadlineExceededError):
+            KBestSteiner().solve(graph, terminals, k=5, budget=budget)
+        assert budget.where == "dreyfus-wagner-grow"
+        assert not budget.truncated
+
+        clock.now = 0.0
+        passes.update(seen=0, expire_at=6)
+        budget = Budget(deadline_s=100.0, clock=clock)
+        partial = KBestSteiner().solve(graph, terminals, k=5, budget=budget)
+        assert budget.truncated
+        assert 1 <= len(partial) < len(full)
+        assert partial == full[: len(partial)]
+
+
 # ----------------------------------------------------------------------
 # Backpressure fields + fast-fail on both backends (satellite)
 # ----------------------------------------------------------------------

@@ -399,6 +399,44 @@ def test_decision_log_records_every_ranked_read(gbco_dataset):
             assert result.view_name in rendered
 
 
+def test_solver_counters_reach_registry_trace_and_decision_log(gbco_dataset):
+    from repro.steiner import KBestSteiner
+
+    with _gbco_service(gbco_dataset) as service:
+        cache = service.engine_context.steiner_cache
+        value = service.obs.registry.value
+        with QServer(service) as server:
+            result = server.query(QueryRequest(keywords=_keywords(gbco_dataset)))
+            solved = dict(vars(cache.solver))
+            assert solved["base_solves"] > 1
+            for name, total in solved.items():
+                assert value(f"q_steiner_{name}_total") == total
+            # The solving read's decision record carries its own solve's share.
+            tallies = service.obs.decisions.last().tallies
+            assert 1 < tallies["steiner_base_solves"] <= solved["base_solves"]
+            # A cached re-read solves nothing and says nothing.
+            server.query(QueryRequest(view=result.view_id))
+            assert vars(cache.solver) == solved
+            assert "steiner_base_solves" not in service.obs.decisions.last().tallies
+
+        # One solve under a trace: the annotations are exactly what it added
+        # to the totals, and the enumeration's books balance (every base
+        # solve after the first put a tree on the heap, re-found one, or
+        # failed).  max_expansions=3 makes the cap hit visible, not silent.
+        view = service.views.resolve(result.view_id).view
+        graph, terminals = view.query_graph.graph, list(view.query_graph.terminals)
+        with Tracer().trace("solve") as trace:
+            trees = KBestSteiner(max_expansions=3, network_cache=cache).solve(graph, terminals, 5)
+        added = {
+            f"steiner_{name}": total - solved[name] for name, total in vars(cache.solver).items()
+        }
+        assert trace.annotations == added
+        assert added["steiner_base_solves"] == 4
+        assert added["steiner_expansion_cap_hits"] == 1
+        assert len(trees) <= 4 - added["steiner_duplicate_candidates"] - added["steiner_disconnected_branches"]
+        assert value("q_steiner_expansion_cap_hits_total") == solved["expansion_cap_hits"] + 1
+
+
 def test_slow_query_log_captures_above_threshold(gbco_dataset):
     # A zero threshold forces every read into the slow log.
     with _gbco_service(gbco_dataset, slow_query_ms=0.0) as service:

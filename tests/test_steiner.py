@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SteinerError
 from repro.graph import Edge, EdgeKind, FeatureVector, Node, NodeKind, SearchGraph, edge_feature
+from reference_steiner import reference_solver
 from repro.steiner import (
     KBestSteiner,
     SteinerTree,
@@ -33,6 +36,20 @@ def build_weighted_graph(edges):
         graph.weights.set(edge_feature(edge.edge_id), cost)
         graph.add_edge(edge)
     return graph
+
+
+def build_fixed_cost_graph(edges):
+    """A SearchGraph over (u, v, fixed cost) triples (nodes added in sorted
+    order) plus the created edge ids, aligned with ``edges``."""
+    graph = SearchGraph()
+    for name in sorted({u for u, _, _ in edges} | {v for _, v, _ in edges}):
+        graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
+    edge_ids = []
+    for u, v, cost in edges:
+        edge = Edge.create(u, v, EdgeKind.ASSOCIATION, fixed_cost=cost)
+        graph.add_edge(edge)
+        edge_ids.append(edge.edge_id)
+    return graph, edge_ids
 
 
 @pytest.fixture()
@@ -115,6 +132,27 @@ class TestTwoTerminalTieBreak:
         expected = {by_pair[("A", "y1")], by_pair[("y1", "y2")], by_pair[("y2", "B")]}
         assert tree.edge_ids == frozenset(expected)
 
+    def test_three_terminal_equal_cost_witness_matches_dp_choice(self):
+        """Four Steiner trees over {A, B, C} cost exactly 3.0 (the x-star,
+        the y-star, and the A-m-B path joined to C through x or through the
+        direct B-C edge); which one is returned is part of the answer, and it
+        depends on the terminal *order* exactly as it did in the seed DP."""
+        edges = [
+            ("A", "x", 1.0), ("B", "x", 1.0), ("C", "x", 1.0),
+            ("A", "y", 1.0), ("B", "y", 1.0), ("C", "y", 1.0),
+            ("A", "m", 0.5), ("m", "B", 0.5), ("B", "C", 2.0),
+        ]
+        graph, edge_ids = build_fixed_cost_graph(edges)
+        by_pair = {(u, v): edge_id for (u, v, _), edge_id in zip(edges, edge_ids)}
+        for terminals, pairs in (
+            (["A", "B", "C"], [("A", "m"), ("m", "B"), ("A", "x"), ("C", "x")]),
+            (["B", "A", "C"], [("A", "m"), ("m", "B"), ("B", "C")]),
+        ):
+            tree = exact_steiner_tree(graph, terminals)
+            assert tree.cost == 3.0
+            assert tree.edge_ids == frozenset(by_pair[pair] for pair in pairs)
+            assert tree == reference_solver(graph, terminals)
+
 
 class TestApproximateSteiner:
     def test_matches_exact_on_small_graph(self, diamond_graph):
@@ -192,6 +230,53 @@ class TestTopK:
         assert tree.is_connected_tree(diamond_graph)
 
 
+def test_concurrent_solves_share_one_network_and_one_set_of_totals():
+    """The read pool solves on one cached network from several threads: the
+    DP tables are per call (same trees as a serial solve) and the counter
+    totals are added under the cache's lock (no lost update)."""
+    import sys
+    import threading
+
+    from repro.engine.context import SteinerNetworkCache
+
+    rng = random.Random(5)
+    names = [f"n{i:02d}" for i in range(40)]
+    edges = [(names[rng.randrange(i)], names[i], rng.choice([0.5, 1.0, 1.0, 2.0])) for i in range(1, 40)]
+    edges += [(*rng.sample(names, 2), rng.choice([0.5, 1.0, 1.0, 2.0])) for _ in range(60)]
+    graph = build_weighted_graph(edges)
+    terminals = [names[3], names[17], names[31], names[38]]
+    cache = SteinerNetworkCache()
+    solver = KBestSteiner(network_cache=cache)
+    serial = solver.solve(graph, terminals, 8)
+    one_solve = dict(vars(cache.solver))
+    assert len(serial) == 8 and one_solve["base_solves"] > 8
+
+    workers, rounds = 6, 2
+    results = []
+
+    def work():
+        for _ in range(rounds):
+            results.append(solver.solve(graph, terminals, 8))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == workers * rounds
+    assert all(trees == serial for trees in results)
+    assert vars(cache.solver) == {
+        name: count * (1 + workers * rounds) for name, count in one_solve.items()
+    }
+    assert cache.builds == 1
+
+
 class TestSteinerTreeObject:
     def test_symmetric_difference(self, diamond_graph):
         trees = k_best_steiner_trees(diamond_graph, ["a", "d"], 2)
@@ -210,6 +295,109 @@ class TestSteinerTreeObject:
         assert tree.contains_relation(diamond_graph, "a")
         assert not tree.contains_relation(diamond_graph, "c")
 
+    def test_cost_does_not_depend_on_summation_order(self):
+        """Equal edge sets cost the same however they were built: a plain
+        ``sum`` loses every 1.0 added after a 1e16 and keeps every one added
+        before both, so its result follows the set's iteration order."""
+        costs = [1e16] + [1.0] * 20 + [1e16] + [1.0] * 20
+        names = [f"n{i:02d}" for i in range(len(costs) + 1)]
+        graph, edge_ids = build_fixed_cost_graph(list(zip(names, names[1:], costs)))
+        terminals = [names[0], names[-1]]
+        forward = SteinerTree.from_edges(graph, edge_ids, terminals)
+        backward = SteinerTree.from_edges(graph, reversed(edge_ids), terminals)
+        assert forward.cost == backward.cost == math.fsum(costs) == 2e16 + 40
+        # The kernel totals its trees the same way.
+        assert exact_steiner_tree(graph, terminals) == forward
+        assert exact_steiner_tree(graph, terminals[::-1]) == forward
+
     def test_ordering(self, diamond_graph):
         trees = k_best_steiner_trees(diamond_graph, ["a", "d"], 2)
         assert trees[0] < trees[1]
+
+
+# ----------------------------------------------------------------------
+# Golden grid: tie order and costs on a grown GBCO graph
+# ----------------------------------------------------------------------
+#: Ordered ``(cost.hex(), sha256("|".join(sorted(edge_ids)))[:12])`` per tree,
+#: as the reference oracle (tests/reference_steiner.py, fsum costs) produced
+#: them on GBCO (seed 11, 10 rows) grown to 60 sources with growth seed 3 and
+#: the edge-id counter restarted first.  Equal costs sit next to each other in
+#: every list, so a moved tie-break fails the comparison.
+GOLDEN_GRID = {
+ "t2_k20": [
+  ["0x1.925299967eed0p-2", "f2cf6fb8b7df"],
+  ["0x1.17439cb80b39cp-1", "177fe921b294"],
+  ["0x1.65edf9381a6b3p-1", "72f7218dd112"],
+  ["0x1.65edf9381a6b3p-1", "d3b35cdf98db"],
+  ["0x1.a85d6b470af62p-1", "0ec5b40a1174"],
+  ["0x1.a85d6b470af62p-1", "635f8f998001"],
+  ["0x1.b4084924e62e7p-1", "fab2a4e73164"],
+  ["0x1.b4084924e62e7p-1", "48f03869392e"],
+  ["0x1.cb18c06b6ea90p-1", "19f90f6e6df9"],
+  ["0x1.cff7dfa00e27fp-1", "68ab03bb54cd"],
+  ["0x1.cff7dfa00e27fp-1", "c319ca6aa277"],
+  ["0x1.e66992ebd99d6p-1", "b2082bf4a000"],
+  ["0x1.ead5266f99bfap-1", "debc60b70fa0"],
+  ["0x1.eb1379f4ba3a2p-1", "afb48ed9faee"],
+  ["0x1.f09f04bdae10fp-1", "f28cb5c709c9"],
+  ["0x1.f09f04bdae10fp-1", "c29b87337484"],
+  ["0x1.f677bb33d6b96p-1", "aeac71319330"],
+  ["0x1.f677bb33d6b96p-1", "ef0437dc02d6"],
+  ["0x1.0f0917c66cf59p+0", "55d766e5239f"],
+  ["0x1.0f0917c66cf59p+0", "c88cae933bd2"]
+ ],
+ "t3_k10": [
+  ["0x1.1f1c686660ab6p+0", "e5fe673fcf0b"],
+  ["0x1.253b67f59f368p+0", "f995c7e063c0"],
+  ["0x1.253b67f59f368p+0", "9af30262b58f"],
+  ["0x1.3d3c71ce2ad14p+0", "eec7176361f1"],
+  ["0x1.3fc3c968da026p+0", "f858eca8af9f"],
+  ["0x1.3fc3c968da026p+0", "1c4ae4968761"],
+  ["0x1.3fc3c968da026p+0", "48afaeb9c1c0"],
+  ["0x1.435b715d695c6p+0", "7fda9f02eba1"],
+  ["0x1.435b715d695c6p+0", "e2efb6de2c19"],
+  ["0x1.4629905cc68d0p+0", "60a28b181274"]
+ ],
+ "t4_k5": [
+  ["0x1.cc909635a6cf3p+0", "7aa77230ad62"],
+  ["0x1.cc909635a6cf3p+0", "5ca07eca1af4"],
+  ["0x1.cc909635a6cf3p+0", "0bd2a93e373c"],
+  ["0x1.e360acaaa4efap+0", "bcd626b02d5c"],
+  ["0x1.e97fac39e37acp+0", "e8208567f021"]
+ ]
+}
+
+GOLDEN_KEYWORDS = ("insulin", "pathway", "expression", "publication")
+
+
+@pytest.fixture(scope="module")
+def grown_gbco_service():
+    from repro.api import QService
+    from repro.datasets import build_gbco
+    from repro.datasets.synthetic import grow_catalog_and_graph
+    from repro.graph.edges import set_edge_id_counter
+
+    set_edge_id_counter(0)
+    service = QService(sources=list(build_gbco(seed=11, rows_per_relation=10).catalog))
+    service.bootstrap_alignments()
+    grow_catalog_and_graph(service.catalog, service.graph, target_source_count=60, seed=3)
+    yield service
+    service.close()
+
+
+@pytest.mark.parametrize("terminal_count,k", [(2, 20), (3, 10), (4, 5)])
+def test_golden_grid_trees_costs_and_tie_order(grown_gbco_service, terminal_count, k):
+    from repro.api import QueryRequest
+
+    service = grown_gbco_service
+    info = service.create_view(
+        QueryRequest(keywords=GOLDEN_KEYWORDS[:terminal_count], k=k), materialize=False
+    )
+    view = service.views.resolve(info.view_id).view
+    view.prepare()
+    trees = KBestSteiner().solve(view.query_graph.graph, list(view.query_graph.terminals), k)
+    produced = [
+        [tree.cost.hex(), hashlib.sha256("|".join(sorted(tree.edge_ids)).encode()).hexdigest()[:12]]
+        for tree in trees
+    ]
+    assert produced == GOLDEN_GRID[f"t{terminal_count}_k{k}"]
