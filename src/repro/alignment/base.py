@@ -13,14 +13,15 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional
 
 from ..datastore.database import Catalog, DataSource
 from ..datastore.table import Table
 from ..graph.edges import Edge
 from ..graph.search_graph import SearchGraph
-from ..matching.base import BaseMatcher, Correspondence, merge_correspondences, top_y_per_attribute
+from ..matching.base import BaseMatcher, Correspondence, group_correspondences, top_y_per_attribute
 from ..matching.value_overlap import ValueOverlapFilter
+from ..obs.tracing import active_trace
 from ..profiling.index import CatalogProfileIndex
 from .parallel import POOL_THREAD, PairTask, score_pairs
 
@@ -143,43 +144,51 @@ class BaseAligner(abc.ABC):
         calling the aligner); the catalog must already contain the source.
         """
         start = time.perf_counter()
+        trace = active_trace()
         result = AlignmentResult(strategy=self.strategy_name, new_source=new_source.name)
-        candidates = self.candidate_relations(graph, catalog, new_source)
-        result.candidate_relations = list(candidates)
-        new_tables = list(new_source.tables())
-
         # Comparison counting stays in this thread (race-free Figure 7/8
         # instrumentation); the surviving pairs become the pool's work list,
         # in exactly the order the serial loop would have scored them.
         pair_tasks: List[PairTask] = []
-        for qualified_relation in candidates:
-            try:
-                existing_table = catalog.relation(qualified_relation)
-            except Exception:
-                continue
-            for new_table in new_tables:
-                if new_table.schema.qualified_name == qualified_relation:
+        with trace.span("candidates"):
+            candidates = self.candidate_relations(graph, catalog, new_source)
+            result.candidate_relations = list(candidates)
+            new_tables = [(table.schema.qualified_name, table) for table in new_source]
+            for qualified_relation in candidates:
+                try:
+                    existing_table = catalog.relation(qualified_relation)
+                except Exception:
                     continue
-                comparisons = self._count_comparisons(new_table, existing_table)
-                if comparisons == 0:
-                    continue
-                result.relation_pairs_considered += 1
-                result.attribute_comparisons += comparisons
-                if not self.count_only:
-                    pair_tasks.append((new_table, existing_table))
+                for new_relation, new_table in new_tables:
+                    if new_relation == qualified_relation:
+                        continue
+                    comparisons = self._count_comparisons(new_table, existing_table)
+                    if comparisons == 0:
+                        continue
+                    result.relation_pairs_considered += 1
+                    result.attribute_comparisons += comparisons
+                    if not self.count_only:
+                        pair_tasks.append((new_table, existing_table))
+        trace.tally("candidates", len(candidates))
 
         if not self.count_only:
-            correspondences, workers_used = score_pairs(
-                self.matcher, pair_tasks, workers=self.workers, pool=self.pool
-            )
-            result.pairs_scored = len(pair_tasks)
-            result.pool_workers = workers_used
-            retained = top_y_per_attribute(correspondences, self.top_y)
-            result.correspondences = retained
+            with trace.span("score"):
+                correspondences, workers_used = score_pairs(
+                    self.matcher, pair_tasks, workers=self.workers, pool=self.pool
+                )
+                result.pairs_scored = len(pair_tasks)
+                result.pool_workers = workers_used
+                result.correspondences = top_y_per_attribute(correspondences, self.top_y)
+            trace.tally("pairs_scored", result.pairs_scored)
             # Edge installation (and with it edge id allocation) is strictly
             # serial, after the parallel join — a precondition of the
             # byte-identical-to-serial guarantee.
-            result.edges_added = install_associations(graph, retained)
+            edges_before = graph.edge_count
+            with trace.span("install"):
+                result.edges_added = install_associations(graph, result.correspondences)
+            created = graph.edge_count - edges_before
+            trace.tally("edges_created", created)
+            trace.tally("edges_merged", len(result.edges_added) - created)
         result.elapsed_seconds = time.perf_counter() - start
         return result
 
@@ -198,13 +207,8 @@ def install_associations(
     matchers are merged onto one edge, each contributing its own
     matcher-confidence feature (paper Section 3.2.3 / 3.4).
     """
-    merged = merge_correspondences(correspondences)
-    refs: Dict[Tuple[str, str], Correspondence] = {}
-    for correspondence in correspondences:
-        refs.setdefault(correspondence.key(), correspondence)
     edges: List[Edge] = []
-    for key, confidences in merged.items():
-        correspondence = refs[key]
+    for correspondence, confidences in group_correspondences(correspondences).values():
         edge = graph.add_association(
             correspondence.source.relation,
             correspondence.source.attribute,

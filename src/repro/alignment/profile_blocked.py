@@ -93,10 +93,4 @@ class ProfileBlockedAligner(BaseAligner):
                 relation, min_shared_values=self.min_shared_values, tier="auto"
             ):
                 hits.add(other[0])
-        candidates: List[str] = []
-        for source in catalog:
-            for table in source:
-                qualified = table.schema.qualified_name
-                if qualified in hits and qualified not in new_relations:
-                    candidates.append(qualified)
-        return candidates
+        return catalog.in_catalog_order(hits - new_relations)

@@ -23,6 +23,7 @@ storage — the seed behavior, unchanged.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import SchemaError, UnknownRelationError
@@ -241,6 +242,9 @@ class Catalog:
 
         self._backend = resolve_backend(backend) if backend is not None else backend_from_env()
         self._sources: Dict[str, DataSource] = {}
+        #: source name -> admission number; ascending in ``_sources`` order.
+        self._admitted: Dict[str, int] = {}
+        self._admissions = itertools.count()
         if self._backend is not None:
             self.load_persisted()
         for source in sources or ():
@@ -274,7 +278,7 @@ class Catalog:
                 continue
             source = DataSource.adopt(schema, self._backend)
             source._on_schema_change = self._persist_source_schema
-            self._sources[schema.name] = source
+            self._admit(source)
             loaded.append(schema.name)
         return tuple(loaded)
 
@@ -321,8 +325,12 @@ class Catalog:
                 raise
             source._backend = self._backend
             source._on_schema_change = self._persist_source_schema
-        self._sources[source.name] = source
+        self._admit(source)
         return source
+
+    def _admit(self, source: DataSource) -> None:
+        self._sources[source.name] = source
+        self._admitted[source.name] = next(self._admissions)
 
     def _persist_source_schema(self, source: DataSource) -> None:
         """Re-save a registered source's schema metadata (post-admission
@@ -343,6 +351,7 @@ class Catalog:
             source = self._sources.pop(name)
         except KeyError:
             raise SchemaError(f"source {name!r} is not registered") from None
+        del self._admitted[name]
         if self._backend is not None:
             for table in source:
                 if table.storage_backend is self._backend:
@@ -383,6 +392,18 @@ class Catalog:
         if source_name not in self._sources:
             raise UnknownRelationError(qualified)
         return self._sources[source_name].table(relation_name)
+
+    def in_catalog_order(self, relations: Iterable[str]) -> List[str]:
+        """The registered ones among ``relations`` (qualified names) in catalog
+        iteration order, without walking the catalog: only their own sources."""
+        wanted = set(relations)
+        owners = {name.split(".")[0] for name in wanted} & self._admitted.keys()
+        return [
+            name
+            for owner in sorted(owners, key=self._admitted.__getitem__)
+            for name in (table.schema.qualified_name for table in self._sources[owner])
+            if name in wanted
+        ]
 
     def all_tables(self) -> List[Table]:
         """Every table in every registered source."""

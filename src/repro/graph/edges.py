@@ -23,7 +23,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .features import DEFAULT_FEATURE, FeatureVector, WeightVector, edge_feature
+from .features import DEFAULT_FEATURE, FeatureVector, WeightVector, edge_feature, matcher_feature, relation_feature
 
 
 class EdgeKind(enum.Enum):
@@ -178,7 +178,7 @@ class Edge:
 
     def connects(self, a: str, b: str) -> bool:
         """Whether this edge connects nodes ``a`` and ``b`` (in either order)."""
-        return {self.u, self.v} == {a, b}
+        return (self.u, self.v) in ((a, b), (b, a))
 
     def identity_feature(self) -> str:
         """The per-edge feature name for this edge."""
@@ -204,8 +204,6 @@ def default_association_features(
     matcher_confidences:
         Mapping from matcher name to its confidence in ``[0, 1]``.
     """
-    from .features import matcher_feature, relation_feature
-
     values: Dict[str, float] = {DEFAULT_FEATURE: 1.0}
     for matcher_name, confidence in (matcher_confidences or {}).items():
         values[matcher_feature(matcher_name)] = float(confidence)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..datastore.database import Catalog, DataSource
 from ..datastore.schema import ForeignKey
@@ -66,6 +66,11 @@ class GraphConfig:
     minimum_edge_cost: float = 1e-6
 
 
+def _pair(a: str, b: str) -> Tuple[str, str]:
+    """Order-independent key of the node pair ``{a, b}``."""
+    return (a, b) if a <= b else (b, a)
+
+
 class SearchGraph:
     """Undirected multigraph of relations, attributes, values and keywords."""
 
@@ -77,6 +82,10 @@ class SearchGraph:
         self._nodes: Dict[str, Node] = {}
         self._edges: Dict[str, Edge] = {}
         self._adjacency: Dict[str, List[str]] = {}
+        #: Endpoint-pair index: ``(u, v)`` with ``u <= v`` -> the id of the edge
+        #: between them, or a tuple of ids in insertion order for parallel
+        #: edges.  Values are immutable, so :meth:`copy` can share them.
+        self._pairs: Dict[Tuple[str, str], Union[str, Tuple[str, ...]]] = {}
         #: Bumped on every node/edge addition or removal; used together with
         #: ``weights.version`` to detect that Steiner-tree computations over
         #: this graph are still valid.
@@ -108,10 +117,10 @@ class SearchGraph:
             node = self._nodes.pop(node_id)
         except KeyError:
             raise UnknownNodeError(node_id) from None
-        for edge_id in list(self._adjacency.get(node_id, ())):
-            if edge_id in self._edges:
-                self.remove_edge(edge_id)
-        self._adjacency.pop(node_id, None)
+        # The node's own list goes at once; each incident edge only has to
+        # leave the far endpoint's list.
+        for edge_id in self._adjacency.pop(node_id):
+            self._remove_edge(edge_id, gone=node_id)
         self.structure_version += 1
         return node
 
@@ -155,17 +164,37 @@ class SearchGraph:
         self._adjacency[edge.u].append(edge.edge_id)
         if edge.v != edge.u:
             self._adjacency[edge.v].append(edge.edge_id)
+        pair = _pair(edge.u, edge.v)
+        held = self._pairs.get(pair)
+        if held is None:
+            self._pairs[pair] = edge.edge_id
+        elif isinstance(held, str):
+            self._pairs[pair] = (held, edge.edge_id)
+        else:
+            self._pairs[pair] = held + (edge.edge_id,)
         self.structure_version += 1
         return edge
 
     def remove_edge(self, edge_id: str) -> Edge:
         """Remove and return the edge with id ``edge_id``."""
+        return self._remove_edge(edge_id)
+
+    def _remove_edge(self, edge_id: str, gone: Optional[str] = None) -> Edge:
+        """Remove one edge; ``gone`` names an endpoint whose list is already dropped."""
         try:
             edge = self._edges.pop(edge_id)
         except KeyError:
             raise GraphError(f"unknown edge id {edge_id!r}") from None
-        for endpoint in set(edge.endpoints()):
-            self._adjacency[endpoint] = [e for e in self._adjacency[endpoint] if e != edge_id]
+        for endpoint in {edge.u, edge.v}:
+            if endpoint != gone:
+                self._adjacency[endpoint].remove(edge_id)
+        pair = _pair(edge.u, edge.v)
+        held = self._pairs[pair]
+        if isinstance(held, str):
+            del self._pairs[pair]
+        else:
+            rest = tuple(e for e in held if e != edge_id)
+            self._pairs[pair] = rest[0] if len(rest) == 1 else rest
         self.structure_version += 1
         return edge
 
@@ -205,15 +234,12 @@ class SearchGraph:
         return tuple(edge.other(node_id) for edge in self.edges_of(node_id))
 
     def find_edges(self, a: str, b: str, kind: Optional[EdgeKind] = None) -> Tuple[Edge, ...]:
-        """All edges between nodes ``a`` and ``b`` (optionally of one kind)."""
-        if a not in self._adjacency:
+        """All edges between ``a`` and ``b`` (optionally of one kind), in the order added."""
+        held = self._pairs.get(_pair(a, b))
+        if held is None:
             return ()
-        result = []
-        for eid in self._adjacency[a]:
-            edge = self._edges[eid]
-            if edge.connects(a, b) and (kind is None or edge.kind is kind):
-                result.append(edge)
-        return tuple(result)
+        found = map(self._edges.__getitem__, (held,) if isinstance(held, str) else held)
+        return tuple(edge for edge in found if kind is None or edge.kind is kind)
 
     # ------------------------------------------------------------------
     # Cost
@@ -326,9 +352,10 @@ class SearchGraph:
         """
         u = attribute_node_id(relation_a, attribute_a)
         v = attribute_node_id(relation_b, attribute_b)
-        for node_id, relation, attribute in ((u, relation_a, attribute_a), (v, relation_b, attribute_b)):
-            if not self.has_node(node_id):
-                self.add_node(make_attribute_node(relation, attribute))
+        if u not in self._nodes:
+            self.add_node(make_attribute_node(relation_a, attribute_a))
+        if v not in self._nodes:
+            self.add_node(make_attribute_node(relation_b, attribute_b))
         confidences = dict(matcher_confidences or {})
 
         existing = self.find_edges(u, v, EdgeKind.ASSOCIATION)
@@ -366,8 +393,8 @@ class SearchGraph:
             self.structure_version += 1
             return merged
 
-        edge = Edge.create(u, v, EdgeKind.ASSOCIATION, metadata=dict(metadata or {}))
-        edge.metadata["matchers"] = dict(confidences)
+        edge = Edge.create(u, v, EdgeKind.ASSOCIATION, metadata=metadata)
+        edge.metadata["matchers"] = confidences
         edge.features = default_association_features(
             edge.edge_id,
             relations=(relation_a, relation_b),
@@ -456,6 +483,7 @@ class SearchGraph:
         clone._nodes = dict(self._nodes)
         clone._edges = dict(self._edges)
         clone._adjacency = {node: list(edges) for node, edges in self._adjacency.items()}
+        clone._pairs = dict(self._pairs)
         clone.structure_version = self.structure_version
         return clone
 

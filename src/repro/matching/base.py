@@ -13,6 +13,7 @@ from __future__ import annotations
 import abc
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..datastore.table import Table
@@ -174,6 +175,10 @@ def resolve_matcher(matcher: Union[str, "BaseMatcher"]) -> "BaseMatcher":
     return factory()
 
 
+#: Sort key of a ``((-confidence, pair key), correspondence)`` entry.
+_rank = itemgetter(0)
+
+
 def top_y_per_attribute(
     correspondences: Iterable[Correspondence],
     y: int,
@@ -188,22 +193,49 @@ def top_y_per_attribute(
     """
     if y < 1:
         raise ValueError("y must be >= 1")
-    by_attribute: Dict[str, List[Correspondence]] = defaultdict(list)
+    # The sort key is built once per correspondence, here, and rides along
+    # with it through every per-attribute sort and the final one.
+    by_attribute: Dict[str, List[tuple]] = defaultdict(list)
     for correspondence in correspondences:
         if correspondence.confidence < min_confidence:
             continue
-        by_attribute[correspondence.source.qualified].append(correspondence)
-        by_attribute[correspondence.target.qualified].append(correspondence)
+        key = correspondence.key()
+        ranked = ((-correspondence.confidence, key), correspondence)
+        for attribute in key:
+            by_attribute[attribute].append(ranked)
 
-    kept: Dict[Tuple[str, str], Correspondence] = {}
-    for attribute, candidates in by_attribute.items():
-        candidates.sort(key=lambda c: (-c.confidence, c.key()))
-        for correspondence in candidates[:y]:
-            key = (correspondence.key(), correspondence.matcher)
-            existing = kept.get(key)
-            if existing is None or correspondence.confidence > existing.confidence:
-                kept[key] = correspondence
-    return sorted(kept.values(), key=lambda c: (-c.confidence, c.key()))
+    kept: Dict[Tuple[Tuple[str, str], str], tuple] = {}
+    for candidates in by_attribute.values():
+        candidates.sort(key=_rank)
+        for ranked in candidates[:y]:
+            (_, pair), correspondence = ranked
+            existing = kept.get((pair, correspondence.matcher))
+            if existing is None or correspondence.confidence > existing[1].confidence:
+                kept[(pair, correspondence.matcher)] = ranked
+    return [correspondence for _, correspondence in sorted(kept.values(), key=_rank)]
+
+
+def group_correspondences(
+    correspondences: Iterable[Correspondence],
+) -> Dict[Tuple[str, str], Tuple[Correspondence, Dict[str, float]]]:
+    """Group correspondences by attribute pair in one pass over the input.
+
+    Returns ``(attr_a, attr_b) -> (first correspondence seen for the pair,
+    {matcher_name: best confidence})`` in first-seen order; the pair key is
+    order-independent.  The first correspondence says which side is the
+    source, which is what edge installation orients the edge by.
+    """
+    grouped: Dict[Tuple[str, str], Tuple[Correspondence, Dict[str, float]]] = {}
+    for correspondence in correspondences:
+        key = correspondence.key()
+        entry = grouped.get(key)
+        if entry is None:
+            entry = grouped[key] = (correspondence, {})
+        confidences = entry[1]
+        existing = confidences.get(correspondence.matcher)
+        if existing is None or correspondence.confidence > existing:
+            confidences[correspondence.matcher] = correspondence.confidence
+    return grouped
 
 
 def merge_correspondences(
@@ -215,10 +247,7 @@ def merge_correspondences(
     where the pair key is order-independent.  This is the form consumed by
     :meth:`repro.graph.search_graph.SearchGraph.add_association`.
     """
-    merged: Dict[Tuple[str, str], Dict[str, float]] = defaultdict(dict)
-    for correspondence in correspondences:
-        key = correspondence.key()
-        existing = merged[key].get(correspondence.matcher)
-        if existing is None or correspondence.confidence > existing:
-            merged[key][correspondence.matcher] = correspondence.confidence
-    return dict(merged)
+    return {
+        key: confidences
+        for key, (_, confidences) in group_correspondences(correspondences).items()
+    }

@@ -108,6 +108,9 @@ class CatalogProfileIndex:
         self._band_keys: Dict[AttrId, Tuple[BandKey, ...]] = {}
         #: per-attribute candidate maps memo: attr -> (epoch, candidates).
         self._candidate_cache: Dict[AttrId, Tuple[int, Dict[AttrId, int]]] = {}
+        #: grouped comparison counts of :meth:`comparable_pair_counts`, one epoch's.
+        self._pair_counts: Dict[Tuple[str, int], Dict[str, int]] = {}
+        self._pair_counts_epoch = 0
         #: per-attribute tiered candidate memo (sketch + exact verify).
         self._tiered_cache: Dict[AttrId, Tuple[int, Dict[AttrId, int]]] = {}
         #: per-attribute tf-idf content vectors memo, keyed on epoch.
@@ -538,29 +541,36 @@ class CatalogProfileIndex:
                 pairs.append((attr_id, other, shared))
         return pairs
 
+    def comparable_pair_counts(self, relation: str, min_shared_values: int = 1) -> Dict[str, int]:
+        """Per other relation, how many attribute pairs with ``relation`` share enough values.
+
+        One walk over ``relation``'s candidate maps prices every relation it
+        could be compared with, so an aligner asking about each candidate in
+        turn pays for the walk once.  Kept for the current epoch only.
+        """
+        if self._pair_counts_epoch != self.epoch:
+            self._pair_counts = {}
+            self._pair_counts_epoch = self.epoch
+        counts = self._pair_counts.get((relation, min_shared_values))
+        if counts is None:
+            counts = self._pair_counts[(relation, min_shared_values)] = {}
+            profile = self._relation_profiles.get(relation)
+            for name in profile.attribute_names if profile is not None else ():
+                for other, shared in self.value_candidates(relation, name).items():
+                    if shared >= min_shared_values:
+                        counts[other[0]] = counts.get(other[0], 0) + 1
+        return counts
+
     def comparable_pair_count(
         self, relation_a: str, relation_b: str, min_shared_values: int = 1
     ) -> int:
         """Number of attribute pairs of the two relations sharing enough values.
 
-        The Figure 7 "value overlap filter" count, computed from posting
-        lists (the per-attribute candidate maps are memoized) instead of the
+        The Figure 7 "value overlap filter" count, read off
+        :meth:`comparable_pair_counts` of ``relation_a`` instead of the
         seed's nested loop over every attribute pair.
         """
-        profile_a = self._relation_profiles.get(relation_a)
-        profile_b = self._relation_profiles.get(relation_b)
-        if profile_a is None or profile_b is None:
-            return 0
-        # Walk candidates from the lower-arity side; the count is symmetric.
-        if profile_b.arity < profile_a.arity:
-            profile_a, profile_b = profile_b, profile_a
-        other_relation = profile_b.relation
-        count = 0
-        for name in profile_a.attribute_names:
-            for other, shared in self.value_candidates(profile_a.relation, name).items():
-                if other[0] == other_relation and shared >= min_shared_values:
-                    count += 1
-        return count
+        return self.comparable_pair_counts(relation_a, min_shared_values).get(relation_b, 0)
 
     # ------------------------------------------------------------------
     # Token statistics and tf-idf vectors

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.alignment import (
@@ -193,6 +198,86 @@ class TestInstallAssociations:
         edges = install_associations(mini_graph, correspondences)
         assert len(edges) == 1
         assert edges[0].metadata["matchers"] == {"m1": 0.7, "m2": 0.4}
+
+    def test_install_associations_accepts_a_generator(self, mini_graph):
+        correspondences = [
+            Correspondence(AttributeRef("go.term", "acc"), AttributeRef("interpro.entry", "entry_ac"), 0.7, "m1"),
+            Correspondence(AttributeRef("go.term", "name"), AttributeRef("interpro.entry", "name"), 0.6, "m1"),
+        ]
+        edges = install_associations(mini_graph, (c for c in correspondences))
+        assert [edge.metadata["matchers"] for edge in edges] == [{"m1": 0.7}, {"m1": 0.6}]
+
+    def test_install_work_is_linear_in_edges_on_a_hub(self):
+        """Every spoke hangs off one hub attribute: function calls, not seconds."""
+
+        def calls_to_install(spokes):
+            graph = SearchGraph()
+            correspondences = [
+                Correspondence(AttributeRef("hub.r", "a"), AttributeRef(f"s{i}.r", "a"), 0.5, "m")
+                for i in range(spokes)
+            ]
+            calls = 0
+
+            def count(frame, event, arg):
+                nonlocal calls
+                if event in ("call", "c_call"):
+                    calls += 1
+
+            sys.setprofile(count)
+            try:
+                edges = install_associations(graph, correspondences)
+            finally:
+                sys.setprofile(None)
+            assert len(edges) == spokes
+            return calls
+
+        c50, c100, c200 = (calls_to_install(n) for n in (50, 100, 200))
+        assert c200 - c100 == 2 * (c100 - c50)
+
+
+#: The registration lane end to end, in a process of its own (fresh edge-id
+#: counter, its own hash seed): correspondences and edge ids of 24 blocked
+#: registrations with 6 removals in between, over 240 community relations.
+_GOLDEN_LANE = """
+import hashlib, random
+from repro.api import QService, RegisterSourceRequest, ServiceConfig
+from repro.datasets.synthetic import make_community_source
+
+def source(prefix, number):
+    return make_community_source(f"{prefix}_{number:04d}", community=number % 8, seed=7000 + number)
+
+service = QService(
+    [source("base", n) for n in range(240)],
+    config=ServiceConfig(profile_shards=4, sketch_num_perm=48),
+)
+victims = random.Random(5).sample(range(240), 6)
+log = []
+for number in range(24):
+    response = service.register_source(
+        RegisterSourceRequest(
+            source=source("new", 240 + number), strategy="profile_blocked", value_filter=True
+        )
+    )
+    for c in response.alignment.correspondences:
+        log.append((c.source.qualified, c.target.qualified, c.confidence, c.matcher))
+    log.extend(edge.edge_id for edge in response.alignment.edges_added)
+    if number % 4 == 3:
+        service.remove_source(f"base_{victims.pop():04d}")
+print(len(log), hashlib.sha256(repr(log).encode()).hexdigest()[:16])
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "random"])
+def test_registration_lane_golden_digest(hash_seed):
+    """Pinned at the commit before the endpoint-pair index (PR 13)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+    env.pop("REPRO_BACKEND", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_LANE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["5904", "647c797ac082fdb5"]
 
 
 class TestSourceRegistrar:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.exceptions import GraphError, UnknownNodeError
 from repro.graph import (
@@ -240,3 +241,120 @@ class TestCopy:
         clone = mini_graph.copy(share_weights=False)
         mini_graph.weights.set(DEFAULT_FEATURE, 9.0)
         assert clone.weights.get(DEFAULT_FEATURE) != 9.0
+
+
+# ----------------------------------------------------------------------
+# Model-based oracle: every lookup against a brute-force scan over edges()
+# ----------------------------------------------------------------------
+_POOL = [(f"s{s}.r", attribute) for s in range(3) for attribute in ("a", "b")]
+_POOL_IDS = [attribute_node_id(*ref) for ref in _POOL]
+_KINDS = (EdgeKind.ASSOCIATION, EdgeKind.FOREIGN_KEY, EdgeKind.MEMBERSHIP)
+_refs = st.sampled_from(_POOL)
+_picks = st.integers(min_value=0, max_value=10**6)
+
+
+def _state(graph):
+    """Everything a reader can see of ``graph``, edge contents included."""
+    return (
+        tuple(node.node_id for node in graph.nodes()),
+        tuple(
+            (edge.edge_id, edge.u, edge.v, edge.kind, edge.features.as_dict(), repr(edge.metadata))
+            for edge in graph.edges()
+        ),
+        tuple(
+            tuple(edge.edge_id for edge in graph.edges_of(node.node_id)) for node in graph.nodes()
+        ),
+        tuple(
+            tuple(edge.edge_id for edge in graph.find_edges(a, b))
+            for a in _POOL_IDS
+            for b in _POOL_IDS
+        ),
+    )
+
+
+class SearchGraphMachine(RuleBasedStateMachine):
+    """Random mutation of a :class:`SearchGraph`; after each step the indexed
+    lookups must equal a scan over ``edges()`` and earlier copies must not move."""
+
+    def __init__(self):
+        super().__init__()
+        self.graph = SearchGraph()
+        self.copies = []
+
+    @rule(ref=_refs)
+    def add_node(self, ref):
+        self.graph.add_node(make_attribute_node(*ref))
+
+    @rule(a=_refs, b=_refs, kind=st.sampled_from(_KINDS))
+    def add_edge(self, a, b, kind):
+        # a == b gives a self-loop; repeats give parallel edges of any kind.
+        for ref in (a, b):
+            self.graph.add_node(make_attribute_node(*ref))
+        self.graph.add_edge(Edge.create(attribute_node_id(*a), attribute_node_id(*b), kind))
+
+    @rule(a=_refs, b=_refs, matcher=st.sampled_from(["m1", "m2"]), confidence=st.floats(0, 1))
+    def add_association(self, a, b, matcher, confidence):
+        before = self.graph.association_between(*a, *b)
+        edge = self.graph.add_association(*a, *b, {matcher: confidence})
+        assert edge.metadata["matchers"][matcher] == confidence
+        if before is not None:  # copy-on-write merge: same id, new object
+            assert edge.edge_id == before.edge_id and edge is not before
+            assert matcher_feature(matcher) in edge.features
+
+    @precondition(lambda self: self.graph.edge_count)
+    @rule(pick=_picks)
+    def remove_edge(self, pick):
+        edges = self.graph.edges()
+        self.graph.remove_edge(edges[pick % len(edges)].edge_id)
+
+    @precondition(lambda self: self.graph.node_count)
+    @rule(pick=_picks)
+    def remove_node(self, pick):
+        nodes = self.graph.nodes()
+        self.graph.remove_node(nodes[pick % len(nodes)].node_id)
+
+    @rule(source=st.sampled_from(["s0", "s1", "s2"]))
+    def remove_source(self, source):
+        self.graph.remove_source(source)
+
+    @rule(swap=st.booleans())
+    def copy(self, swap):
+        clone = self.graph.copy()
+        assert _state(clone) == _state(self.graph)
+        if swap:  # keep mutating the clone; the original becomes the frozen one
+            clone, self.graph = self.graph, clone
+        self.copies.append((clone, _state(clone)))
+
+    @invariant()
+    def lookups_equal_a_scan(self):
+        graph = self.graph
+        scan = graph.edges()
+        for a in _POOL_IDS:
+            if graph.has_node(a):
+                incident = tuple(e for e in scan if a in (e.u, e.v))
+                assert graph.edges_of(a) == incident
+                assert graph.neighbors(a) == tuple(e.other(a) for e in incident)
+            for b in _POOL_IDS:
+                between = tuple(e for e in scan if {e.u, e.v} == {a, b})
+                assert graph.find_edges(a, b) == between
+                for kind in _KINDS:
+                    assert graph.find_edges(a, b, kind) == tuple(
+                        e for e in between if e.kind is kind
+                    )
+        for a in _POOL:
+            for b in _POOL:
+                expected = graph.find_edges(
+                    attribute_node_id(*a), attribute_node_id(*b), EdgeKind.ASSOCIATION
+                )
+                assert graph.association_between(*a, *b) is (expected[0] if expected else None)
+
+    @invariant()
+    def copies_do_not_move(self):
+        for clone, state in self.copies:
+            assert _state(clone) == state
+
+
+TestSearchGraphModel = SearchGraphMachine.TestCase
+TestSearchGraphModel.settings = settings(
+    max_examples=25, stateful_step_count=25, deadline=None, derandomize=True
+)

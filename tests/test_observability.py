@@ -22,10 +22,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.alignment import ExhaustiveAligner
 from repro.api import (
     FeedbackRequest,
     QService,
     QueryRequest,
+    RegisterSourceRequest,
     ServiceConfig,
 )
 from repro.datastore.csvio import source_from_dict, source_to_dict
@@ -449,6 +451,36 @@ def test_slow_query_log_captures_above_threshold(gbco_dataset):
         with QServer(service) as server:
             server.query(QueryRequest(view=None, keywords=_keywords(gbco_dataset)))
             assert service.obs.registry.value("q_slow_queries_total") == 0
+
+
+def test_registration_lane_spans_and_tallies(gbco_dataset):
+    sources = [_clone(source) for source in gbco_dataset.catalog]
+    held_out = sources.pop()
+    tracer = Tracer(clock=_CountingClock())
+    with QService(sources=sources, config=ServiceConfig(top_y=1)) as service:
+        service.bootstrap_alignments()
+        with tracer.trace("write") as trace:
+            response = service.register_source(
+                RegisterSourceRequest(source=held_out, strategy="exhaustive")
+            )
+        # Three spans per registration, whatever the number of edges.
+        assert [span.name for span in trace.root.walk()][1:4] == ["candidates", "score", "install"]
+        assert all(not span.children for span in trace.root.children[:3])
+        assert well_nested(trace.root)
+        alignment = response.alignment
+        assert response.edges_added > 0
+        assert trace.annotations == {
+            "candidates": len(alignment.candidate_relations),
+            "pairs_scored": alignment.pairs_scored,
+            "edges_created": response.edges_added,
+            "edges_merged": 0,
+        }
+        # Aligning the same source again proposes the same pairs: all merge.
+        aligner = ExhaustiveAligner(service.matchers[0], top_y=1, profile_index=service.profile_index)
+        with tracer.trace("write") as again:
+            aligner.align(service.graph, service.catalog, held_out)
+        assert again.annotations["edges_created"] == 0
+        assert again.annotations["edges_merged"] == response.edges_added
 
 
 def test_writer_lane_histograms_and_gauges(gbco_dataset):
