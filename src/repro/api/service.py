@@ -74,6 +74,7 @@ from ..persist.snapshot import (
     restore_query_graph,
 )
 from ..profiling.index import CatalogProfileIndex
+from ..steiner.topk import KBestSteiner
 from .strategies import AlignerSpec, AlignmentStrategy, build_aligner
 from .streaming import paginate
 from .types import (
@@ -235,7 +236,11 @@ class QService:
         #: The session's single persistent learner.  Feedback calls pass the
         #: originating view's query graph per event; the shared weight
         #: vector makes every update visible to all views.
-        self.learner = OnlineLearner(self.graph, k=self.config.top_k)
+        self.learner = OnlineLearner(
+            self.graph,
+            k=self.config.top_k,
+            solver=KBestSteiner(network_cache=self.engine_context.steiner_cache),
+        )
         #: Per-tenant weight overlays over the shared base vector (created
         #: on first use by a tenant-scoped query or feedback request).
         self.tenants = TenantRegistry(self.graph.weights)

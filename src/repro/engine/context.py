@@ -112,8 +112,9 @@ class SteinerNetworkCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.builds = 0
-        #: Networks derived from a cached donor's topology instead of built
-        #: from scratch (the per-tenant overlay fast path).
+        #: Networks derived from a cached snapshot's topology instead of built
+        #: from scratch: the graph's own stale one after a weight-only version
+        #: bump, or a donor twin's (the per-tenant overlay fast path).
         self.rescores = 0
         #: What the top-k solves run through this cache did, in total.
         self.solver = SolverCounters()
@@ -127,16 +128,23 @@ class SteinerNetworkCache:
                 trace.tally(f"steiner_{name}", value)
 
     def network(self, graph: SearchGraph) -> SteinerNetwork:
-        """The cached snapshot of ``graph``, rebuilt iff its versions moved."""
+        """The cached snapshot of ``graph``, re-priced or rebuilt iff its versions moved."""
         versions = (graph.weights.version, graph.structure_version)
         key = id(graph)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and entry[0] is graph and entry[1] == versions:
+            if entry is not None and entry[0] is not graph:
+                entry = None  # a recycled id(): some dead graph's snapshot
+            if entry is not None and entry[1] == versions:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return entry[2]
-            network = self._rescore_from_donor(graph)
+            if entry is not None and entry[1][1] == versions[1]:
+                # Only the weights moved: same nodes and edges in the same
+                # order, so the stale snapshot's indexing is re-priced, not redone.
+                network = entry[2].rescored(graph)
+            else:
+                network = self._rescore_from_donor(graph)
             if network is None:
                 network = SteinerNetwork(graph)
                 self.builds += 1

@@ -121,6 +121,14 @@ class DisconnectedTerminalsError(SteinerError):
         super().__init__(message)
 
 
+class BoundExceededError(SteinerError):
+    """Raised by a solve under an ``upper_bound`` when no tree costs within it.
+
+    Not a statement about connectivity: the search stopped at the bound, so
+    the terminals may or may not be connected beyond it.
+    """
+
+
 class MatcherError(QError):
     """Raised when a schema matcher is misconfigured or fails."""
 

@@ -12,12 +12,15 @@ Every solver is built on **one** label-setting search
 cost label and a back-pointer per ``(terminal subset, node)``.  A tree's edge
 set is read off the back-pointers once, at the end; nothing is materialised
 per node.  Two cuts keep the work near the terminals instead of growing with
-the catalog: the weight of the terminals' distance-network MST bounds the
-optimum from above, so a label is dropped when its cost plus the distance
-its tree still has to cover exceeds that bound; and the last grow pass stops
-when the root terminal settles.  Neither changes an answer — a dropped label
-cannot be part of an optimal tree, and the kept ones settle in the same order
-with the same back-pointers.
+the catalog.  The optimum is bounded from above — by the caller's
+``upper_bound`` (the k-best enumerator knows one for most branches), else by
+the weight of the terminals' distance-network MST — and a label is dropped
+when its cost plus a lower bound on the distance its tree still has to cover
+(the caller's exclusion-free tables, the distances settled under the
+exclusions) exceeds that; and the last grow pass stops when the root
+terminal settles.  Neither changes an answer — a dropped label cannot be
+part of a tree within the bound, and every label that can settles at the
+same cost, in the same order, with the same back-pointer.
 
 Parity note: nodes are indexed in sorted node-id order, so a heap entry
 ``(dist, node index)`` pops in the seed implementation's ``(dist, node-id
@@ -43,7 +46,7 @@ from typing import (
     Tuple,
 )
 
-from ..exceptions import DisconnectedTerminalsError, SteinerError
+from ..exceptions import BoundExceededError, DisconnectedTerminalsError, SteinerError
 from ..graph.search_graph import SearchGraph
 from .tree import SteinerTree, validate_terminals
 
@@ -69,10 +72,16 @@ class SolverCounters:
     base_solves: int = 0
     #: candidate trees discarded because an earlier branch already found them
     duplicate_candidates: int = 0
-    #: branches whose exclusion set disconnected the terminals
+    #: branches, searched without a known upper bound, that found no tree
     disconnected_branches: int = 0
+    #: base solves searched under an upper bound the enumeration already held
+    bounded_branches: int = 0
+    #: of those, the ones abandoned: no tree within the bound (or none at all)
+    bounded_out_branches: int = 0
     #: DP labels dropped because they cannot be completed within the upper bound
     pruned_labels: int = 0
+    #: labels settled, over every search of every base solve and distance table
+    settled_labels: int = 0
     #: enumerations that stopped branching at ``max_expansions``
     expansion_cap_hits: int = 0
 
@@ -107,6 +116,11 @@ class _Labels:
         via_edge = self.via_edge[mask] = [_ROOT] * self.size
         self.settled[mask] = []
         return cost, via_edge
+
+    def seed(self, mask: int, root: int) -> List[Tuple[float, int]]:
+        """Open ``mask`` with ``root`` at cost zero; the heap a search starts from."""
+        self.open(mask)[0][root] = 0.0
+        return [(0.0, root)]
 
 
 class SteinerNetwork:
@@ -223,6 +237,7 @@ class SteinerNetwork:
         via_node = labels.via_node[mask]
         via_edge = labels.via_edge[mask]
         settled = labels.settled[mask]
+        already = len(settled)
         adjacency = self.adjacency
         pop, push = heapq.heappop, heapq.heappush
         remaining = len(targets)
@@ -248,7 +263,8 @@ class SteinerNetwork:
             if node in targets:
                 remaining -= 1
                 if not remaining:
-                    return True
+                    break
+        labels.counters.settled_labels += len(settled) - already
         return not remaining
 
     def _singleton_passes(
@@ -266,9 +282,7 @@ class SteinerNetwork:
         heaps: List[List[Tuple[float, int]]] = []
         for position, root in enumerate(roots):
             mask = 1 << position
-            cost, _ = labels.open(mask)
-            cost[root] = 0.0
-            heap = [(0.0, root)]
+            heap = labels.seed(mask, root)
             others = {other for other in roots if other != root}
             if not self._search(labels, mask, heap, excluded, labels.no_limit, others, budget, "dijkstra"):
                 raise DisconnectedTerminalsError()
@@ -328,6 +342,27 @@ class SteinerNetwork:
     # ------------------------------------------------------------------
     # Exact solver (Dreyfus–Wagner DP)
     # ------------------------------------------------------------------
+    def terminal_distances(
+        self,
+        terminals: Sequence[str],
+        budget: "Optional[Budget]" = None,
+        counters: Optional[SolverCounters] = None,
+    ) -> List[List[float]]:
+        """Per terminal, its shortest-path distance to every node with no edge excluded.
+
+        Excluding edges only lengthens paths, so a table bounds its terminal's
+        distances from below under *every* exclusion set: the k-best
+        enumerator computes the tables once and hands them to each branch's
+        :meth:`exact_tree` as ``lower_bounds``.  Of two terminals only the
+        first gets one: a path search looks towards its root and nowhere else.
+        """
+        labels = _Labels(len(self.node_ids), counters)
+        wanted = terminals[:1] if len(terminals) == 2 else terminals
+        for position, terminal in enumerate(wanted):
+            heap = labels.seed(1 << position, self.node_index[terminal])
+            self._search(labels, 1 << position, heap, _EMPTY, labels.no_limit, (), budget, "dijkstra")
+        return [labels.cost[1 << position] for position in range(len(wanted))]
+
     def exact_tree(
         self,
         terminals: Sequence[str],
@@ -335,6 +370,8 @@ class SteinerNetwork:
         max_terminals: int = 8,
         budget: "Optional[Budget]" = None,
         counters: Optional[SolverCounters] = None,
+        lower_bounds: Optional[Sequence[List[float]]] = None,
+        upper_bound: float = _INF,
     ) -> SteinerTree:
         """Minimum-cost Steiner tree over ``terminals``, skipping ``excluded`` edges.
 
@@ -343,8 +380,15 @@ class SteinerNetwork:
         pop and the DP per terminal subset, and the solve aborts with
         :class:`~repro.exceptions.DeadlineExceededError` once it expires — a
         partially run DP yields no usable tree, so there is no partial
-        return at this level.  ``counters``, when given, receives the number
-        of labels the upper bound dropped.
+        return at this level.  ``counters``, when given, receives what the
+        solve did.
+
+        ``upper_bound`` is a cost above which the caller has no use for the
+        answer, ``lower_bounds`` what :meth:`terminal_distances` returns: per
+        terminal (in validated order) distances no exclusion set can undercut.
+        They only remove work: the tree returned is the unbounded solve's
+        whenever that costs no more than ``upper_bound``, and otherwise
+        :class:`~repro.exceptions.BoundExceededError` is raised.
         """
         terminals = validate_terminals(self.graph, terminals)
         if len(terminals) > max_terminals:
@@ -355,31 +399,58 @@ class SteinerNetwork:
             return SteinerTree(frozenset(), frozenset(terminals), 0.0)
         roots = [self.node_index[t] for t in terminals]
         labels = _Labels(len(self.node_ids), counters)
+        bounded = upper_bound < _INF
+        if bounded:
+            labels.counters.bounded_branches += 1
+        bound = upper_bound * _BOUND_SLACK
+        # Per terminal, a lower bound on its distance to each node: the table
+        # handed in (an absent one is the zero bound), overwritten with the
+        # distances under ``excluded`` as that terminal's own pass settles them.
+        distances = list(lower_bounds) if lower_bounds else [[0.0] * labels.size] * len(roots)
+
+        def limit_for(subset: int) -> List[float]:
+            # Completing a tree at ``v`` costs at least the distance from ``v``
+            # to the farthest terminal still outside it (to the root, once
+            # all are inside): the one pruning rule, singletons included.
+            outside = [d for p, d in enumerate(distances) if not subset >> p & 1] or distances[:1]
+            farthest = outside[0] if len(outside) == 1 else map(max, *outside)
+            return [bound - distance for distance in farthest]
+
+        def tree_at_root(mask: int, rooted: bool) -> SteinerTree:
+            if rooted:
+                return self._tree_from_indexes(self._edges_of(labels, mask, roots[0]), terminals)
+            if bounded:
+                labels.counters.bounded_out_branches += 1
+                raise BoundExceededError("no Steiner tree within the upper bound")
+            raise DisconnectedTerminalsError()
+
         if len(roots) == 2:
             # A minimum-cost path, searched from the *second* terminal to the
             # first: that is the equal-cost witness the DP reads off the
             # second terminal's singleton table, so tie-breaks stay the seed's.
-            cost, _ = labels.open(2)
-            cost[roots[1]] = 0.0
-            if not self._search(
-                labels, 2, [(0.0, roots[1])], excluded, labels.no_limit, roots[:1], budget, "shortest-path"
-            ):
-                raise DisconnectedTerminalsError()
-            return self._tree_from_indexes(self._edges_of(labels, 2, roots[0]), terminals)
+            limit = limit_for(2) if bounded else labels.no_limit
+            return tree_at_root(2, self._search(
+                labels, 2, labels.seed(2, roots[1]), excluded, limit, roots[:1], budget, "shortest-path"
+            ))
 
-        # Singleton subsets: shortest paths from each terminal, first only as
-        # far as the other terminals, which prices the distance network ...
-        heaps = self._singleton_passes(labels, roots, excluded, budget)
-        # ... whose MST weight bounds the optimum from above.  A label that
-        # cannot be completed within the bound is not part of the answer, so
-        # it is not kept: the singleton passes resume only up to the bound.
-        bound = _BOUND_SLACK * math.fsum(
-            distance for distance, _, _ in self._distance_network_mst(labels, terminals, roots)
-        )
-        within_bound = [bound] * labels.size
+        if bounded:
+            heaps = [labels.seed(1 << position, root) for position, root in enumerate(roots)]
+        else:
+            # No bound is known yet.  Shortest paths from each terminal, first
+            # only as far as the other terminals, price the distance network,
+            # whose MST weight bounds the optimum from above; the passes then
+            # resume under that bound.
+            heaps = self._singleton_passes(labels, roots, excluded, budget)
+            bound = _BOUND_SLACK * math.fsum(
+                distance for distance, _, _ in self._distance_network_mst(labels, terminals, roots)
+            )
         for position, heap in enumerate(heaps):
-            self._search(labels, 1 << position, heap, excluded, within_bound, (), budget, "dijkstra")
-        distances = [labels.cost[1 << position] for position in range(len(roots))]
+            mask = 1 << position
+            self._search(labels, mask, heap, excluded, limit_for(mask), (), budget, "dijkstra")
+            table, cost = list(distances[position]), labels.cost[mask]
+            for v in labels.settled[mask]:
+                table[v] = cost[v]
+            distances[position] = table
 
         full_mask = (1 << len(roots)) - 1
         for subset in sorted(range(1, full_mask + 1), key=lambda m: bin(m).count("1")):
@@ -388,12 +459,7 @@ class SteinerNetwork:
             if budget is not None:
                 budget.check("dreyfus-wagner")
             cost, via_edge = labels.open(subset)
-            # Completing a tree at ``v`` costs at least the distance from ``v``
-            # to the farthest terminal still outside it (to the root, once
-            # all are inside), which tightens the bound per node.
-            outside = [d for p, d in enumerate(distances) if not subset >> p & 1] or distances[:1]
-            farthest = outside[0] if len(outside) == 1 else map(max, *outside)
-            limit = [bound - distance for distance in farthest]
+            limit = limit_for(subset)
             # Merge step: combine two disjoint terminal subsets at a node.
             merged: List[int] = []
             sub = (subset - 1) & subset
@@ -418,9 +484,7 @@ class SteinerNetwork:
             rooted = self._search(
                 labels, subset, heap, excluded, limit, targets, budget, "dreyfus-wagner-grow"
             )
-        if not rooted:
-            raise DisconnectedTerminalsError()
-        return self._tree_from_indexes(self._edges_of(labels, full_mask, roots[0]), terminals)
+        return tree_at_root(full_mask, rooted)
 
     # ------------------------------------------------------------------
     # Approximate solver (Kou–Markowsky–Berman distance network)
@@ -455,11 +519,13 @@ class SteinerNetwork:
         exact_terminal_limit: int = 5,
         budget: "Optional[Budget]" = None,
         counters: Optional[SolverCounters] = None,
+        lower_bounds: Optional[Sequence[List[float]]] = None,
+        upper_bound: float = _INF,
     ) -> SteinerTree:
-        """Exact DP for few terminals, distance-network approximation otherwise."""
+        """Exact DP (the only taker of the bounds) for few terminals, else the approximation."""
         if len(set(terminals)) <= exact_terminal_limit:
             return self.exact_tree(
-                terminals, excluded, max_terminals=exact_terminal_limit, budget=budget, counters=counters
+                terminals, excluded, exact_terminal_limit, budget, counters, lower_bounds, upper_bound
             )
         return self.approximate_tree(terminals, excluded, budget=budget)
 

@@ -12,7 +12,13 @@ small terminal sets, the distance-network approximation otherwise — matching
 the paper's "exact algorithm at small scales, approximation at larger
 scales".  All re-solves run over one shared
 :class:`~repro.steiner.network.SteinerNetwork` snapshot of the graph, so the
-branching loop never copies the graph or re-derives edge costs.
+branching loop never copies the graph or re-derives edge costs.  Every
+branch is solved under what the enumeration already knows: nothing above the
+k-th best candidate cost found so far can be emitted (the paper's α), a known
+tree the branch's exclusions leave intact is still feasible there, and one
+exclusion-free distance table per terminal bounds every branch from below.
+The bounds only remove work — trees and tie order are the unbounded
+enumeration's (``tests/test_steiner_differential.py``).
 
 Note: with exclusion-only branching the enumeration is exact for ``k = 1``
 and a high-quality heuristic for ``k > 1`` (it can, in adversarial graphs,
@@ -23,8 +29,10 @@ re-ranking, not an exhaustively verified enumeration.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -57,7 +65,8 @@ class KBestSteiner:
     solver:
         Base single-tree solver; when omitted, the default exact/approximate
         dispatch runs directly on a shared graph snapshot (fast path).  A
-        custom solver is honoured through the legacy graph-copy protocol.
+        custom solver is honoured through the legacy graph-copy protocol,
+        unbounded: it is how the tests plug in the reference oracle.
     max_expansions:
         Upper bound on branching expansions, guarding against blow-up on
         dense graphs.
@@ -116,16 +125,40 @@ class KBestSteiner:
         # network path, edge ids under the legacy graph-copy protocol.
         exclusion_key = network.edge_index.__getitem__ if network is not None else str
 
+        tables: Optional[List[List[float]]] = None
+        # Every distinct tree found so far, cheapest first, as (cost, exclusion
+        # keys of its edges): what bounds the branches still to solve.
+        known: List[Tuple[float, FrozenSet]] = []
+        candidate_signatures: Set[FrozenSet[str]] = set()
+
+        def remember(tree: SteinerTree) -> None:
+            candidate_signatures.add(tree.edge_ids)
+            bisect.insort(known, (tree.cost, frozenset(map(exclusion_key, tree.edge_ids))))
+
         def base_solve(excluded: FrozenSet) -> SteinerTree:
+            nonlocal tables
             counters.base_solves += 1
-            if network is not None:
-                return network.default_tree(
-                    terminals, excluded=excluded, budget=budget, counters=counters
-                )
-            tree = self.solver(self._graph_without(graph, excluded), terminals)  # type: ignore[misc]
-            # Re-cost against the original graph (costs are identical, but
-            # the tree object should reference original edge ids).
-            return SteinerTree.from_edges(graph, tree.edge_ids, terminals)
+            if network is None:
+                tree = self.solver(self._graph_without(graph, excluded), terminals)  # type: ignore[misc]
+                # Re-cost against the original graph (costs are identical, but
+                # the tree object should reference original edge ids).
+                return SteinerTree.from_edges(graph, tree.edge_ids, terminals)
+            if excluded and tables is None:
+                tables = network.terminal_distances(terminals, budget, counters)
+            # A branch's optimum is of no use above the k-th best candidate
+            # cost (the paper's alpha: k cheaper trees pop first), and it
+            # cannot exceed the cost of a known tree the exclusions leave intact.
+            upper_bound = known[k - 1][0] if len(known) >= k else math.inf
+            for cost, edges in known:
+                if cost >= upper_bound:
+                    break
+                if edges.isdisjoint(excluded):
+                    upper_bound = cost
+                    break
+            return network.default_tree(
+                terminals, excluded=excluded, budget=budget, counters=counters,
+                lower_bounds=tables, upper_bound=upper_bound,
+            )
 
         if budget is not None:
             budget.check("k-best-steiner")
@@ -141,7 +174,7 @@ class KBestSteiner:
         heap: List[Tuple[float, int, SteinerTree, FrozenSet]] = [
             (best.cost, next(counter), best, frozenset())
         ]
-        candidate_signatures: Set[FrozenSet[str]] = {best.edge_ids}
+        remember(best)
         expansions = 0
 
         while heap and len(results) < k:
@@ -175,12 +208,12 @@ class KBestSteiner:
                 except DisconnectedTerminalsError:
                     counters.disconnected_branches += 1
                     continue
-                except SteinerError:
+                except SteinerError:  # BoundExceededError: the solver counted it
                     continue
                 if candidate.edge_ids in seen_trees or candidate.edge_ids in candidate_signatures:
                     counters.duplicate_candidates += 1
                     continue
-                candidate_signatures.add(candidate.edge_ids)
+                remember(candidate)
                 heapq.heappush(
                     heap, (candidate.cost, next(counter), candidate, new_excluded)
                 )

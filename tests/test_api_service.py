@@ -98,6 +98,21 @@ class TestLazyConsistency:
         stats = service.stats()
         assert stats.view_refreshes == 3  # two creations + one stale read
 
+    def test_feedback_solves_through_the_context_cache(self):
+        """The session learner shares the views' Steiner cache: its solves
+        find the view's snapshot (a hit, then a re-price once the first
+        replayed step moved the weights), never index the graph again, and
+        their solver counters reach the totals the metrics export."""
+        service = _mini_service()
+        cache = service.engine_context.steiner_cache
+        assert service.learner.solver.network_cache is cache
+        info = service.create_view(QueryRequest(keywords=("membrane", "IPR001")))
+        answer = service.view(info.view_id).state.answers[0]
+        before = (cache.hits + cache.rescores, cache.builds, cache.solver.base_solves)
+        service.feedback(FeedbackRequest(view=info.view_id, answer=answer, replay=2))
+        assert (cache.hits + cache.rescores, cache.builds) == (before[0] + 2, before[1])
+        assert cache.solver.base_solves > before[2]
+
     def test_fresh_read_skips_the_refresh(self):
         service = _mini_service()
         info = service.create_view(QueryRequest(keywords=("membrane", "IPR001")))

@@ -8,7 +8,7 @@ from repro.api import QService, QueryRequest, RegisterSourceRequest
 from repro.datastore.database import DataSource
 from repro.engine.context import SteinerNetworkCache
 from repro.exceptions import RegistrationError
-from repro.steiner import KBestSteiner
+from repro.steiner import KBestSteiner, SteinerNetwork
 
 
 def _source_a() -> DataSource:
@@ -112,18 +112,24 @@ class TestSteinerNetworkCache:
         second = cache.network(mini_graph)
         assert first is second
         assert (cache.builds, cache.hits) == (1, 1)
-        # A weight move invalidates...
+        # A weight move re-prices the stale snapshot: its indexing is shared,
+        # its costs are exactly a from-scratch build's ...
         mini_graph.weights.set("default", 2.0)
         third = cache.network(mini_graph)
         assert third is not first
-        assert cache.builds == 2
-        # ...and so does a structural move.
+        assert (cache.builds, cache.rescores) == (1, 1)
+        assert third.node_index is first.node_index and third.edge_ids is first.edge_ids
+        rebuilt = SteinerNetwork(mini_graph)
+        assert third.edge_costs == rebuilt.edge_costs != first.edge_costs
+        assert third.adjacency == rebuilt.adjacency
+        # ... and a structural move re-indexes.
         from repro.graph.nodes import make_relation_node
 
         mini_graph.add_node(make_relation_node("x.y"))
         fourth = cache.network(mini_graph)
         assert fourth is not third
-        assert cache.builds == 3
+        assert (cache.builds, cache.rescores) == (2, 1)
+        assert fourth.node_index is not third.node_index
 
     def test_kbest_with_cache_matches_without(self, mini_catalog, mini_graph):
         terminals = [

@@ -619,6 +619,46 @@ def test_deadline_inside_a_three_terminal_grow_pass(gbco_dataset, monkeypatch):
         assert partial == full[: len(partial)]
 
 
+def test_deadline_inside_a_bounded_branch_keeps_the_partial_list(gbco_dataset, monkeypatch):
+    """Two terminals: every branch is one search, most of them under a bound
+    the enumeration already holds.  Expiry inside such a search ends the
+    branching, not the call: the trees found so far come back, marked truncated."""
+    from repro.steiner.network import SteinerNetwork
+    from repro.steiner.topk import KBestSteiner
+
+    service = _gbco_service(gbco_dataset)
+    with service:
+        info = service.create_view(QueryRequest(keywords=("insulin", "pathway")), materialize=False)
+        view = service.views.resolve(info.view_id).view
+        view.prepare()
+        graph, terminals = view.query_graph.graph, list(view.query_graph.terminals)
+        full = KBestSteiner().solve(graph, terminals, k=8)
+        assert len(full) == 8
+
+        monkeypatch.setattr("repro.faults.budget.TICK_STRIDE", 1)
+        clock = _StepClock()
+        search = SteinerNetwork._search
+        expired_in = []
+
+        def expiring_search(self, labels, mask, heap, excluded, limit, targets, budget, where):
+            # The third branch searched under a finite limit: time runs out as it starts.
+            if limit is not labels.no_limit and labels.counters.bounded_branches == 3:
+                clock.now = 1000.0
+                expired_in.append(labels.counters.base_solves)
+            return search(self, labels, mask, heap, excluded, limit, targets, budget, where)
+
+        monkeypatch.setattr(SteinerNetwork, "_search", expiring_search)
+        budget = Budget(deadline_s=100.0, clock=clock)
+        partial = KBestSteiner().solve(graph, terminals, k=8, budget=budget)
+        assert len(expired_in) == 1 and budget.truncated
+        # What was emitted before expiry, then the solved candidates drained
+        # off the heap: complete trees in cost order, fewer than asked for.
+        assert 1 <= len(partial) < len(full) and partial[0] == full[0]
+        assert [tree.cost for tree in partial] == sorted(tree.cost for tree in partial)
+        assert len({tree.edge_ids for tree in partial}) == len(partial)
+        assert all(tree.is_connected_tree(graph) for tree in partial)
+
+
 # ----------------------------------------------------------------------
 # Backpressure fields + fast-fail on both backends (satellite)
 # ----------------------------------------------------------------------

@@ -435,7 +435,10 @@ def test_solver_counters_reach_registry_trace_and_decision_log(gbco_dataset):
         assert trace.annotations == added
         assert added["steiner_base_solves"] == 4
         assert added["steiner_expansion_cap_hits"] == 1
-        assert len(trees) <= 4 - added["steiner_duplicate_candidates"] - added["steiner_disconnected_branches"]
+        assert len(trees) <= 4 - sum(
+            added[f"steiner_{outcome}"]
+            for outcome in ("duplicate_candidates", "disconnected_branches", "bounded_out_branches")
+        )
         assert value("q_steiner_expansion_cap_hits_total") == solved["expansion_cap_hits"] + 1
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.context import SteinerNetworkCache
 from repro.exceptions import SteinerError
 from repro.graph import Edge, EdgeKind, FeatureVector, Node, NodeKind, SearchGraph, edge_feature
 from reference_steiner import reference_solver
@@ -237,8 +238,6 @@ def test_concurrent_solves_share_one_network_and_one_set_of_totals():
     import sys
     import threading
 
-    from repro.engine.context import SteinerNetworkCache
-
     rng = random.Random(5)
     names = [f"n{i:02d}" for i in range(40)]
     edges = [(names[rng.randrange(i)], names[i], rng.choice([0.5, 1.0, 1.0, 2.0])) for i in range(1, 40)]
@@ -250,6 +249,9 @@ def test_concurrent_solves_share_one_network_and_one_set_of_totals():
     serial = solver.solve(graph, terminals, 8)
     one_solve = dict(vars(cache.solver))
     assert len(serial) == 8 and one_solve["base_solves"] > 8
+    # Bounds are on: the known-tree list and the distance tables are state of
+    # one enumeration, nothing of theirs is written to the shared network.
+    assert one_solve["bounded_branches"] > 0 and one_solve["bounded_out_branches"] > 0
 
     workers, rounds = 6, 2
     results = []
@@ -385,19 +387,50 @@ def grown_gbco_service():
     service.close()
 
 
-@pytest.mark.parametrize("terminal_count,k", [(2, 20), (3, 10), (4, 5)])
-def test_golden_grid_trees_costs_and_tie_order(grown_gbco_service, terminal_count, k):
+#: ``settled_labels`` of one enumeration per golden cell, at about 60 % of what
+#: the commit before the branch bounds settled (33 819 and 107 738; with them
+#: 13 166 and 37 840).  Branches that run unbounded again fail here by count,
+#: on any host, where a timing gate would need a quiet one.
+SETTLED_LABEL_CEILING = {"t2_k20": 20_300, "t3_k10": 64_600}
+
+
+def golden_cell(service, terminal_count, k):
+    """The query graph and terminals of one golden-grid cell."""
     from repro.api import QueryRequest
 
-    service = grown_gbco_service
     info = service.create_view(
         QueryRequest(keywords=GOLDEN_KEYWORDS[:terminal_count], k=k), materialize=False
     )
     view = service.views.resolve(info.view_id).view
     view.prepare()
-    trees = KBestSteiner().solve(view.query_graph.graph, list(view.query_graph.terminals), k)
+    return view.query_graph.graph, list(view.query_graph.terminals)
+
+
+@pytest.mark.parametrize("terminal_count,k", [(2, 20), (3, 10), (4, 5)])
+def test_golden_grid_trees_costs_and_tie_order(grown_gbco_service, terminal_count, k):
+    cell = f"t{terminal_count}_k{k}"
+    graph, terminals = golden_cell(grown_gbco_service, terminal_count, k)
+    cache = SteinerNetworkCache()
+    trees = KBestSteiner(network_cache=cache).solve(graph, terminals, k)
     produced = [
         [tree.cost.hex(), hashlib.sha256("|".join(sorted(tree.edge_ids)).encode()).hexdigest()[:12]]
         for tree in trees
     ]
-    assert produced == GOLDEN_GRID[f"t{terminal_count}_k{k}"]
+    assert produced == GOLDEN_GRID[cell]
+    did = cache.solver
+    assert 0 < did.bounded_out_branches < did.bounded_branches < did.base_solves
+    assert did.settled_labels <= SETTLED_LABEL_CEILING.get(cell, did.settled_labels)
+
+
+def test_expansion_cap_counts_bounded_out_branches_too(grown_gbco_service):
+    """``max_expansions`` is a count of branches tried, whatever became of
+    them: under a cap the t3_k10 cell runs into, the enumeration solves
+    exactly cap + 1 times, abandons some of those under a bound, and returns
+    what the unbounded oracle returns under the same cap."""
+    graph, terminals = golden_cell(grown_gbco_service, 3, 10)
+    cache = SteinerNetworkCache()
+    capped = KBestSteiner(max_expansions=40, network_cache=cache).solve(graph, terminals, 10)
+    assert capped == KBestSteiner(solver=reference_solver, max_expansions=40).solve(graph, terminals, 10)
+    did = cache.solver
+    assert (did.base_solves, did.expansion_cap_hits) == (41, 1)
+    assert did.bounded_out_branches > 0

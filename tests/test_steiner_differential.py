@@ -6,6 +6,10 @@ deliberately contain zero-cost edges and equal-cost alternatives the two must
 agree *exactly* — same edge set, ``==`` on cost, same error — for single
 solves under random exclusion sets, and the top-k enumeration over the
 kernel must equal the enumeration over the oracle tree for tree, in order.
+The enumeration bounds its branches (k-th candidate cost, known feasible
+trees, per-terminal distance tables) and the oracle does not, so the same
+comparison on larger graphs, plus a single-solve property over random
+``upper_bound``s, is what says the bounds only remove work.
 Nothing here compares costs approximately: tie order is part of the answer.
 """
 
@@ -13,11 +17,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_steiner import ReferenceSteinerNetwork, reference_solver
 
-from repro.exceptions import DisconnectedTerminalsError
+from repro.engine.context import SteinerNetworkCache
+from repro.exceptions import BoundExceededError, DisconnectedTerminalsError
 from repro.graph import Edge, EdgeKind, Node, NodeKind, SearchGraph
 from repro.steiner import KBestSteiner, SteinerNetwork
 
@@ -26,12 +32,12 @@ from repro.steiner import KBestSteiner, SteinerNetwork
 COSTS = (0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.0, 1.5, 2.0)
 
 
-def random_case(seed: int):
+def random_case(seed: int, nodes=(4, 16), terminal_counts=(2, 5)):
     """A connected graph (random spanning tree + extra, possibly parallel,
     edges), 2–5 terminals and the generator that drew them."""
     rng = random.Random(seed)
     # Shuffled numeric prefixes: sorted-id order differs from insertion order.
-    names = [f"n{rng.randrange(1000):03d}_{i}" for i in range(rng.randint(4, 16))]
+    names = [f"n{rng.randrange(1000):03d}_{i}" for i in range(rng.randint(*nodes))]
     graph = SearchGraph()
     for name in names:
         graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
@@ -42,7 +48,8 @@ def random_case(seed: int):
     for u, v in pairs:
         cost = rng.choice(COSTS) if rng.random() < 0.85 else rng.uniform(0.0, 3.0)
         graph.add_edge(Edge.create(u, v, EdgeKind.ASSOCIATION, fixed_cost=cost))
-    terminals = rng.sample(names, rng.randint(2, min(5, len(names))))
+    low, high = terminal_counts
+    terminals = rng.sample(names, rng.randint(low, min(high, len(names))))
     return rng, graph, terminals
 
 
@@ -81,6 +88,70 @@ def test_top_k_matches_reference_tree_for_tree(seed):
     over_reference = KBestSteiner(solver=reference_solver).solve(graph, terminals, k)
     assert over_kernel == over_reference
     assert [tree.cost for tree in over_kernel] == sorted(tree.cost for tree in over_kernel)
+
+
+def test_bounded_top_k_matches_reference_on_larger_tie_heavy_graphs():
+    """15–60 nodes, t in {2, 3, 4}, k <= 12: enough alternatives that most
+    branches run under a bound and some are abandoned under it."""
+    cache = SteinerNetworkCache()
+    for seed in range(40):
+        rng, graph, terminals = random_case(seed, nodes=(15, 60), terminal_counts=(2, 4))
+        k = rng.randint(2, 12)
+        over_kernel = KBestSteiner(network_cache=cache).solve(graph, terminals, k)
+        assert over_kernel == KBestSteiner(solver=reference_solver).solve(graph, terminals, k)
+    did = cache.solver
+    assert did.bounded_out_branches > 0 and did.bounded_branches > did.base_solves // 2
+    assert did.bounded_out_branches + did.disconnected_branches + did.duplicate_candidates < did.base_solves
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=1_000_000))
+def test_bounded_single_solve_is_the_unbounded_tree_or_bounded_out(seed):
+    rng, graph, terminals = random_case(seed, nodes=(6, 30))
+    network = SteinerNetwork(graph)
+    tables = network.terminal_distances(terminals)
+    for excluded_ids in ([], rng.sample(network.edge_ids, rng.randint(1, 4))):
+        excluded = frozenset(network.edge_index[edge_id] for edge_id in excluded_ids)
+        unbounded = solve(network, terminals, excluded_ids)
+        if unbounded == "disconnected":
+            with pytest.raises(BoundExceededError):
+                network.exact_tree(terminals, excluded, lower_bounds=tables, upper_bound=rng.uniform(0, 9))
+            continue
+        for upper_bound in (unbounded.cost, unbounded.cost * rng.uniform(1.0, 3.0), unbounded.cost + 1e-3):
+            for lower_bounds in (tables, None):
+                bounded = network.exact_tree(
+                    terminals, excluded, lower_bounds=lower_bounds, upper_bound=upper_bound
+                )
+                assert bounded == unbounded
+        if unbounded.cost > 1e-3:
+            with pytest.raises(BoundExceededError):
+                network.exact_tree(
+                    terminals, excluded, lower_bounds=tables,
+                    upper_bound=unbounded.cost * rng.uniform(0.0, 0.999),
+                )
+
+
+def test_bound_equal_to_the_cost_survives_rounding():
+    """The bound is a tree cost (``fsum``: 0.6); the search totals the same
+    edges one by one (0.1 + 0.2 + 0.3 = 0.6000000000000001).  A tie with the
+    bound is within it, whichever direction the path is walked in, and the
+    equal-cost direct edge stays the loser of the tie-break it lost unbounded."""
+    graph = SearchGraph()
+    for name in "abcd":
+        graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
+    for u, v, cost in (("a", "b", 0.1), ("b", "c", 0.2), ("c", "d", 0.3), ("a", "d", 0.1 + 0.2 + 0.3)):
+        graph.add_edge(Edge.create(u, v, EdgeKind.ASSOCIATION, fixed_cost=cost))
+    network = SteinerNetwork(graph)
+    direct = frozenset({network.edge_index[network.edge_ids[-1]]})
+    for terminals in (["a", "d"], ["d", "a"], ["a", "c", "d"]):
+        tables = network.terminal_distances(terminals)
+        for excluded in (frozenset(), direct):
+            unbounded = network.exact_tree(terminals, excluded)
+            assert 0.6 <= unbounded.cost <= 0.6000000000000001
+            for upper_bound in (0.6, unbounded.cost):
+                assert unbounded == network.exact_tree(
+                    terminals, excluded, lower_bounds=tables, upper_bound=upper_bound
+                )
 
 
 def test_disconnected_by_exclusion_on_both_sides():
