@@ -3,9 +3,9 @@
 Every ranked read through :class:`repro.service.QServer` comes back with a
 :class:`repro.obs.ReadTrace`: a well-nested span tree over the read lane
 (snapshot acquire → materialize → solve → execute → paginate), the serving
-path the engine actually took (``windowed`` SQL pushdown, ``posting-join``,
-``python-union``, ``cached`` …) and — whenever the fast path was skipped —
-a concrete reason, not a silent fallback.  The same bundle keeps a bounded
+path the engine actually took (``posting-join`` SQL pushdown,
+``python-union``, ``cached`` …) and — whenever a query ran on the Python
+engine — a concrete reason, not a silent fallback.  The same bundle keeps a bounded
 explain/decision log, a slow-query log, and a metrics registry that
 exposes everything in the Prometheus text format.
 
@@ -83,7 +83,7 @@ def main() -> None:
                 )
                 print("tenant 'acme' feedback applied (queue wait + apply traced)")
 
-                print("\n=== 4. Per-tenant read: the overlay explains itself ===")
+                print("\n=== 4. Per-tenant read: same path, the tenant's prices ===")
                 service.answers_page(QueryRequest(view=cold.view_id, tenant="acme"))
                 decision = service.obs.decisions.last()
                 print(decision.render())
@@ -103,7 +103,7 @@ def main() -> None:
                 "q_write_apply_seconds_count",
                 "q_writes_applied_total",
                 "q_snapshot_id",
-                "q_pushdown_union_queries_total",
+                "q_pushdown_queries_total",
                 "q_steiner_cache_builds_total",
                 "q_slow_queries_total",
             )
@@ -114,8 +114,8 @@ def main() -> None:
             stats = service.stats()
             print(
                 f"\nSystemStats (same registry, typed): reads via "
-                f"{stats.backend}, {stats.pushdown_union_queries} pushdown "
-                f"union queries, {stats.steiner_cache_builds} Steiner builds"
+                f"{stats.backend}, {stats.pushdown_queries} pushdown "
+                f"queries, {stats.steiner_cache_builds} Steiner builds"
             )
 
 

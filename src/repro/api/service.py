@@ -326,11 +326,6 @@ class QService:
             "Whole conjunctive queries served inside the backend",
             fn=lambda: stats.pushdown_queries,
         )
-        gauge(
-            "q_pushdown_union_queries_total",
-            "Windowed ranked-union round trips served inside the backend",
-            fn=lambda: stats.pushdown_union_queries,
-        )
         steiner = self.engine_context.steiner_cache
         gauge(
             "q_steiner_cache_hits_total",
@@ -661,12 +656,11 @@ class QService:
 
         The ``LIMIT``/``OFFSET`` read: ``request.offset`` positions the
         window, ``request.page_size`` (default: the session's page size)
-        bounds it.  On a window-capable backend the page is computed by a
-        single windowed SELECT — ranking, tie-breaking and pagination run
-        inside the database; elsewhere the Python ranked union slices.
-        Either way the page equals the corresponding slice of a full
-        :meth:`stream_answers` read.  A ``tenant`` prices the page under
-        that tenant's overlay (always on the Python path).
+        bounds it.  The page is the corresponding slice of a full
+        :meth:`stream_answers` read, cut from the ranked union over the
+        view's per-signature answer cache — paging through a view that was
+        read once executes no query.  A ``tenant`` prices the page under
+        that tenant's overlay.
         """
         record = self._record_for_query(request)
         page_size = (
@@ -793,11 +787,6 @@ class QService:
             answer_limit=self.config.answer_limit,
             engine_context=self.engine_context,
             query_graph=tenant_qg,
-            # Tenant overlays re-price the shared expansion per read; keep
-            # their reads on the per-query Python path (fallback by
-            # construction) instead of batching overlay-priced costs into
-            # the shared windowed round trip.
-            allow_window_pushdown=False,
         )
         self._tenant_views[key] = (base_qg, view)
         return view
@@ -1352,7 +1341,6 @@ class QService:
             tenants=int(value("q_tenants")),
             pushdown_scans=int(value("q_pushdown_scans_total")),
             pushdown_queries=int(value("q_pushdown_queries_total")),
-            pushdown_union_queries=int(value("q_pushdown_union_queries_total")),
             posting_builds=int(value("q_posting_builds_total")),
             posting_syncs=int(value("q_posting_syncs_total")),
             steiner_cache_hits=int(value("q_steiner_cache_hits_total")),

@@ -324,11 +324,11 @@ class SystemStats:
     #: Tenants with a weight overlay in this session (0 = single-tenant).
     tenants: int = 0
     #: Storage-pushdown counters (0 on backends without the capability):
-    #: per-relation filtered scans, whole-query SELECTs, and windowed
-    #: ranked-union round trips (one per batch, however many view queries
-    #: it carried) served inside the backend instead of the Python engine.
+    #: per-relation filtered scans and whole-query SELECTs served inside
+    #: the backend instead of the Python engine.
     pushdown_scans: int = 0
     pushdown_queries: int = 0
+    #: Always 0: bench/workloads.py reads it by name; a later `benchmark` issue removes both together.
     pushdown_union_queries: int = 0
     #: Posting persistence: full in-memory posting rebuilds the profile
     #: index performed (0 across a warm open served by current posting

@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..datastore.database import Catalog
 from ..datastore.provenance import AnswerTuple
-from ..engine.context import SQL, ExecutionContext
+from ..engine.context import ExecutionContext
 from ..engine.executor import PlanExecutor, project_answer, ranked_union, union_column_plan
 from ..exceptions import DeadlineExceededError, QueryError
 from ..faults.budget import Budget
@@ -106,11 +106,6 @@ class RankedView:
         Q system passes one so all views share scan/join-index caches.
     max_cached_queries:
         Bound on the per-signature answer cache (LRU eviction).
-    allow_window_pushdown:
-        Whether reads may use the backend's windowed ranked-union pushdown
-        (one SELECT per cold union read).  The service layer disables it for
-        tenant-overlay views: their repricing runs on the Python engine by
-        construction.
     """
 
     def __init__(
@@ -124,14 +119,12 @@ class RankedView:
         engine_context: Optional[ExecutionContext] = None,
         max_cached_queries: int = 64,
         query_graph: Optional[QueryGraph] = None,
-        allow_window_pushdown: bool = True,
     ) -> None:
         self.keywords = list(keywords)
         self.catalog = catalog
         self.base_graph = graph
         self.k = k
         self.answer_limit = answer_limit
-        self.allow_window_pushdown = allow_window_pushdown
         self.builder = builder or QueryGraphBuilder(catalog)
         # A restored session injects the view's previously expanded query
         # graph (same keyword/value nodes, same edge ids) instead of
@@ -260,14 +253,11 @@ class RankedView:
         Incrementality: the Steiner solve is skipped when edge weights and
         graph structure are unchanged; per-query answers are reused whenever
         a tree with the same signature was already executed against the same
-        table versions.  When the read's target is SQL, every cache-missing
-        query is executed by **one** windowed backend round trip
-        (:meth:`_prime_answer_cache`) instead of per-query SELECTs.
+        table versions.
         """
         trees, queries, stats = self._ensure_solved(rebuild_graph)
-        primed = self._prime_answer_cache(queries, stats)
         answers = ranked_union(
-            self._query_answers(queries, stats, primed), limit=self.answer_limit
+            self._query_answers(queries, stats), limit=self.answer_limit
         )
 
         self.state = ViewState(trees=trees, queries=queries, answers=answers)
@@ -305,10 +295,6 @@ class RankedView:
         call time, but query *execution* is deferred: each generated query
         runs only when the iterator reaches its answers, so a consumer that
         stops after the first page never pays for the remaining queries.
-        (On a window-capable backend the first pull instead executes every
-        cache-missing query in one windowed SELECT — a single snapshot
-        round trip, so a publish landing mid-stream cannot split the
-        result across two data versions.)
         Yielded answers are identical — same values, costs, provenance and
         order — to :meth:`refresh`'s :func:`~repro.engine.executor.ranked_union`
         output: queries are streamed in ascending cost order (every answer
@@ -335,10 +321,6 @@ class RankedView:
         limit = self.answer_limit
 
         def _generate() -> Iterator[AnswerTuple]:
-            # Budgeted (deadline-bounded) reads stay on the per-query lazy
-            # path by construction: the windowed batch is one indivisible
-            # round trip with no query-boundary truncation points.
-            primed = self._prime_answer_cache(ordered, stats, budget=budget)
             yielded = 0
             for generated, mapping in zip(ordered, mappings):
                 if limit is not None and yielded >= limit:
@@ -347,9 +329,7 @@ class RankedView:
                     budget.mark_truncated("stream")
                     return
                 try:
-                    answers = primed.get(generated.signature)
-                    if answers is None:
-                        answers = self._answers_for(generated, stats, budget=budget)
+                    answers = self._answers_for(generated, stats, budget=budget)
                 except DeadlineExceededError:
                     if yielded == 0:
                         raise
@@ -397,135 +377,39 @@ class RankedView:
         stats.queries_executed += 1
         return answers
 
-    def _read_target(
-        self, queries: Sequence[GeneratedQuery], budget: Optional[Budget] = None
-    ) -> str:
-        """Where a read over this view's ``queries`` runs: SQL or Python.
-
-        Feeds what the view can observe (its tenant-overlay flag, the
-        read's deadline) to the context's one capability check, and logs
-        the reason on the read's trace when the check rules SQL out.
-        """
-        target, reason = self.engine_context.choose_target(
-            (generated.query for generated in queries),
-            overlay=not self.allow_window_pushdown,
-            budget=budget,
-        )
-        if reason is not None:
-            active_trace().annotate_once("fallback_reason", reason)
-        return target
-
-    def _prime_answer_cache(
-        self,
-        queries: Sequence[GeneratedQuery],
-        stats: RefreshStats,
-        budget: Optional[Budget] = None,
-    ) -> Dict[str, List[AnswerTuple]]:
-        """Batch-execute every cache-missing query in one windowed SELECT.
-
-        The cold-read half of the SQL target: instead of one backend round
-        trip per cache miss, all missing queries run as branches of a
-        single windowed ``UNION ALL``
-        (:meth:`~repro.storage.windowed.WindowedUnionPushdown.fetch_raw`)
-        and their raw answers — byte-identical to per-query execution —
-        land in the per-signature cache.  Returns ``{signature: answers}``
-        for the fetched queries (already counted in
-        ``stats.queries_executed``; a primed query ran, inside one shared
-        SELECT, so it is *executed*, never *reused*); empty when there are
-        no queries, the read's target is Python, or nothing is missing —
-        callers then execute (or replay) per query.
-        """
-        if not queries or self._read_target(queries, budget) != SQL:
-            return {}
-        missing: List[Tuple[GeneratedQuery, Tuple[Tuple[str, object, int], ...]]] = []
-        for generated in queries:
-            versions = self._table_versions(generated.query)
-            cached = self._answer_cache.get(generated.signature)
-            if cached is None or cached.table_versions != versions:
-                missing.append((generated, versions))
-        if not missing:
-            # Every query replays from the per-signature cache — no round
-            # trip at all, windowed or otherwise.
-            return {}
-        trace = active_trace()
-        context = self.engine_context
-        with trace.span("windowed_pushdown"):
-            fetched = context.window_pushdown.fetch_raw(
-                self.catalog, [generated.query for generated, _ in missing]
-            )
-        context.statistics.pushdown_union_queries += 1
-        trace.annotate_once("path", "windowed")
-        trace.tally("windowed_queries", len(missing))
-        primed: Dict[str, List[AnswerTuple]] = {}
-        for (generated, versions), answers in zip(missing, fetched):
-            self._answer_cache[generated.signature] = _CachedAnswers(versions, answers)
-            self._answer_cache.move_to_end(generated.signature)
-            stats.queries_executed += 1
-            primed[generated.signature] = answers
-        while len(self._answer_cache) > self.max_cached_queries:
-            self._answer_cache.popitem(last=False)
-        return primed
-
     def _query_answers(
         self,
         queries: Sequence[GeneratedQuery],
         stats: RefreshStats,
-        primed: Dict[str, List[AnswerTuple]],
     ) -> List[Tuple[object, List[AnswerTuple]]]:
-        """``(query, raw answers)`` per query: primed, cached or executed."""
-        pairs = []
-        for generated in queries:
-            answers_for = primed.get(generated.signature)
-            if answers_for is None:
-                answers_for = self._answers_for(generated, stats)
-            pairs.append((generated.query, answers_for))
-        return pairs
+        """``(query, raw answers)`` per query: cached or executed."""
+        return [
+            (generated.query, self._answers_for(generated, stats))
+            for generated in queries
+        ]
 
     def answers_page(
         self, limit: Optional[int] = None, offset: int = 0
     ) -> List[AnswerTuple]:
         """One k-best page of the ranked answers (``LIMIT``/``OFFSET``).
 
-        When the read's target is SQL the page is computed by one windowed
-        SELECT — cost ordering, tie-breaking and pagination all run inside
-        the database; otherwise the Python ranked union materializes and
-        slices.  Either way the page equals
-        ``answers()[offset : offset + limit]``: the window never reaches
-        past the view's ``answer_limit`` cap, an ``offset`` past the last
-        answer yields ``[]``, and ``limit=0`` is rejected — a page must be
-        able to hold an answer (use :meth:`answers` for a full read).
+        A slice of the ranked union over the per-signature answer cache, so
+        paging through a view that was read once executes nothing.  The page
+        equals ``answers()[offset : offset + limit]``: the window never
+        reaches past the view's ``answer_limit`` cap, an ``offset`` past the
+        last answer yields ``[]``, and ``limit=0`` is rejected — a page must
+        be able to hold an answer (use :meth:`answers` for a full read).
         """
         if limit is not None and limit < 1:
             raise QueryError("answers_page limit must be at least 1")
         if offset < 0:
             raise QueryError("answers_page offset must not be negative")
         self.prepare()
-        stats = self.last_refresh
-        queries = self.state.queries
-        cap = self.answer_limit
-        if cap is not None:
-            if offset >= cap:
-                return []
-            window = cap - offset
-            effective = window if limit is None else min(limit, window)
-        else:
-            effective = limit
-        if queries and self._read_target(queries) == SQL:
-            ordered = sorted(queries, key=lambda g: g.query.cost)
-            plain = [generated.query for generated in ordered]
-            columns, mappings = union_column_plan(plain)
-            trace = active_trace()
-            context = self.engine_context
-            with trace.span("windowed_pushdown"):
-                pushed = context.window_pushdown.execute_ranked(
-                    self.catalog, plain, columns, mappings, limit=effective, offset=offset
-                )
-            context.statistics.pushdown_union_queries += 1
-            trace.annotate_once("path", "windowed")
-            trace.tally("windowed_queries", len(plain))
-            return pushed
-        all_answers = ranked_union(self._query_answers(queries, stats, {}), limit=cap)
-        end = None if effective is None else offset + effective
+        all_answers = ranked_union(
+            self._query_answers(self.state.queries, self.last_refresh),
+            limit=self.answer_limit,
+        )
+        end = None if limit is None else offset + limit
         return all_answers[offset:end]
 
     def _table_versions(self, query) -> Tuple[Tuple[str, object, int], ...]:

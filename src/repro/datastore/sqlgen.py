@@ -59,9 +59,9 @@ class PushdownDialect:
     The exact dialect guarantees answer parity by calling the library's own
     canonicalize / match functions *inside* the database; which names those
     functions are registered under is a property of the backend.  Bundling
-    them here lets the SQL compilers (:mod:`repro.storage.pushdown`,
-    :mod:`repro.storage.windowed`) render for any backend that registers
-    the functions, instead of hard-coding the SQLite spelling.
+    them here lets the SQL compiler (:mod:`repro.storage.pushdown`) render
+    for any backend that registers the functions, instead of hard-coding
+    the SQLite spelling.
     """
 
     #: Dialect identifier (matches the backend's ``kind``).

@@ -1,8 +1,9 @@
 """Planned, indexed query execution engine.
 
 The one executor of conjunctive queries and ranked unions: an explicit
-compile/plan/execute pipeline with two lowering targets, Python operators
-(this package) or rendered SQL (:mod:`repro.storage.pushdown`):
+compile/plan/execute pipeline with two lowering targets per query, Python
+operators (this package) or rendered SQL (:mod:`repro.storage.pushdown`);
+the ranked union over the queries' answers is Python on every backend:
 
 * :mod:`repro.engine.predicates` — selection predicates compiled once per
   query (canonical value, lowered needle, token set precomputed);
@@ -11,8 +12,8 @@ compile/plan/execute pipeline with two lowering targets, Python operators
 * :mod:`repro.engine.context` — :class:`ExecutionContext` caches filtered
   scans and per-attribute hash join indexes across queries, keyed on table
   data versions so mutations invalidate naturally, and holds the one
-  capability check (:meth:`ExecutionContext.choose_target`) that picks a
-  read's target;
+  capability check (:meth:`ExecutionContext.choose_target`) that picks
+  each query's target;
 * :mod:`repro.engine.executor` — :class:`PlanExecutor` runs plans with
   composite-key hash joins and reproduces the seed executor's output
   exactly (values, costs, provenance and order); :func:`ranked_union`

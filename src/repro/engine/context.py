@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..datastore.database import Catalog
 from ..datastore.table import Row, Table
@@ -33,7 +33,6 @@ from ..graph.search_graph import SearchGraph
 from ..obs.tracing import active_trace
 from ..steiner.network import SolverCounters, SteinerNetwork
 from ..storage.pushdown import SqlPushdown, off_backend_relations
-from ..storage.windowed import WindowedUnionPushdown
 from .predicates import CompiledPredicate
 
 #: Identity of a filtered scan within one relation: sorted predicate keys.
@@ -61,9 +60,6 @@ class ContextStatistics:
     pushdown_scans: int = 0
     #: Whole conjunctive queries answered natively by the storage backend.
     pushdown_queries: int = 0
-    #: Whole ranked unions answered by one windowed backend SELECT (each is
-    #: a single round trip covering every branch query of a view read).
-    pushdown_union_queries: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -75,7 +71,6 @@ class ContextStatistics:
             "invalidations": self.invalidations,
             "pushdown_scans": self.pushdown_scans,
             "pushdown_queries": self.pushdown_queries,
-            "pushdown_union_queries": self.pushdown_union_queries,
         }
 
 
@@ -242,64 +237,49 @@ class ExecutionContext:
         self.steiner_cache = (
             steiner_cache if steiner_cache is not None else SteinerNetworkCache()
         )
-        #: Single-query SQL handle, present iff the catalog's storage
+        #: Whole-query SQL handle, present iff the catalog's storage
         #: backend supports pushdown (see :mod:`repro.storage.pushdown`).
         self.pushdown = None
-        #: Ranked-union SQL handle, present iff the backend additionally
-        #: supports window functions (see :mod:`repro.storage.windowed`).
-        self.window_pushdown = None
         backend = getattr(catalog, "backend", None)
         if backend is not None and backend.supports_sql_pushdown:
             self.pushdown = SqlPushdown(backend)
-            if backend.supports_window_pushdown:
-                self.window_pushdown = WindowedUnionPushdown(backend)
 
     # ------------------------------------------------------------------
     # Target selection
     # ------------------------------------------------------------------
     def choose_target(
         self,
-        queries: Iterable,
-        ranked: bool = True,
+        query,
         limit: Optional[int] = None,
-        overlay: bool = False,
         budget=None,
     ) -> Tuple[str, Optional[str]]:
-        """The one capability check: where a read over ``queries`` runs.
+        """The one capability check: where ``query`` runs.
 
-        Returns ``(SQL, None)`` when the whole read can be rendered as one
+        Returns ``(SQL, None)`` when the query can be rendered as one
         statement on the catalog's backend, else ``(PYTHON, reason)`` with
         the concrete condition that ruled SQL out — the string the explain
         log records, so the reason a dashboard shows is the reason the
         engine acted on.  Conditions are tested most fundamental first.
 
-        ``ranked`` reads are a view's union (they need window functions and
-        output columns to align); ``ranked=False`` is the executor's single
-        query.  ``limit``, ``overlay`` and ``budget`` are what the caller
-        can observe about the read: a per-query limit (the engine's
-        cross-product valve may truncate mid-join, which SQL does not
-        replicate), a tenant overlay repricing the view, a deadline.
+        ``limit`` and ``budget`` are what the caller can observe about the
+        read: a per-query limit (the engine's cross-product valve may
+        truncate mid-join, which SQL does not replicate) and a deadline
+        (the Python plan loop checks it per step; a SQL statement runs to
+        completion).
         """
-        if overlay:
-            return PYTHON, "tenant overlay view: repriced per read on the Python engine"
         if self.pushdown is None:
             return PYTHON, "backend has no SQL pushdown (Python join engine)"
-        if ranked and self.window_pushdown is None:
-            return PYTHON, "backend does not support window functions"
         if budget is not None:
             return PYTHON, (
                 "deadline-budgeted read: one SQL statement cannot be "
-                "truncated at query boundaries"
+                "interrupted at the deadline"
             )
         if limit is not None:
             return PYTHON, "per-query limit: served by the engine's partial-result valve"
-        for query in queries:
-            if ranked and not query.outputs:
-                return PYTHON, "a branch query has no output columns"
-            missing = off_backend_relations(self.pushdown.backend, self.catalog, query)
-            if missing:
-                names = ", ".join(sorted(set(missing)))
-                return PYTHON, f"relation(s) not stored on the SQL backend: {names}"
+        missing = off_backend_relations(self.pushdown.backend, self.catalog, query)
+        if missing:
+            names = ", ".join(sorted(set(missing)))
+            return PYTHON, f"relation(s) not stored on the SQL backend: {names}"
         return SQL, None
 
     # ------------------------------------------------------------------

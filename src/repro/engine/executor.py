@@ -88,12 +88,13 @@ class PlanExecutor:
             budget.check("executor")
         trace = active_trace()
         context = self.context
-        target, _ = context.choose_target([query], ranked=False, limit=limit)
+        target, reason = context.choose_target(query, limit=limit, budget=budget)
         if target == SQL:
             answers = context.pushdown.execute(self.catalog, query)
             context.statistics.pushdown_queries += 1
             trace.tally("queries_pushdown")
             return answers
+        trace.annotate_once("fallback_reason", reason)
         trace.tally("queries_python")
         plan = self.planner.plan(query)
         partials = self._run_plan(plan, limit, budget=budget)

@@ -262,6 +262,9 @@ class FaultyBackend(StorageBackend):
     def table_sql_name(self, key: str) -> str:
         return self.delegate.table_sql_name(key)  # type: ignore[attr-defined]
 
+    def column_sql_name(self, attribute: str) -> str:
+        return self.delegate.column_sql_name(attribute)  # type: ignore[attr-defined]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultyBackend({self.delegate!r}, fired={self.plan.faults_fired()})"
 

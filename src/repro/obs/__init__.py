@@ -11,13 +11,13 @@ README "Observability" section documents:
   here as callback gauges, and ``SystemStats`` is assembled as a view over
   the registry.
 * :class:`~repro.obs.tracing.Tracer` — the span API threaded through the
-  read lane (snapshot acquire → materialize → solve → execute / windowed
-  pushdown → paginate) and the writer lane (queue wait → apply →
+  read lane (snapshot acquire → materialize → solve → execute →
+  paginate) and the writer lane (queue wait → apply →
   prepare_views → publish → autosave).  Disabled tracing is a zero-alloc
   no-op (:data:`~repro.obs.tracing.NOOP_TRACE`).
 * :class:`~repro.obs.explain.DecisionLog` — every ranked read's serving
-  path and, on fallback from the windowed pushdown, the concrete
-  ineligibility reason.
+  path and, for queries the Python engine ran, the concrete reason SQL
+  was ruled out.
 * :class:`~repro.obs.explain.SlowQueryLog` — reads slower than
   ``ServiceConfig.slow_query_ms``, span tree included.
 
@@ -56,7 +56,6 @@ _TALLY_KEYS = (
     "queries_pushdown",
     "queries_python",
     "queries_cached",
-    "windowed_queries",
 )
 
 

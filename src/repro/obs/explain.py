@@ -2,13 +2,12 @@
 
 Every ranked read finishing under an enabled observability layer appends a
 :class:`DecisionRecord` to the bounded :class:`DecisionLog`: which path
-served it (windowed pushdown / posting-join pushdown / Python union /
-cache) and — on any fallback from the windowed path — the concrete
-ineligibility reason the engine recorded at the decision point, not a
-reconstruction.  Reads slower than ``ServiceConfig.slow_query_ms``
-additionally land in the :class:`SlowQueryLog` with their full span tree,
-so "where did my latency go" is answerable after the fact without re-running
-the query.
+served it (posting-join pushdown / Python union / cache) and — for queries
+the Python engine ran — the concrete reason the executor's capability check
+ruled SQL out, recorded at the decision point, not a reconstruction.  Reads
+slower than ``ServiceConfig.slow_query_ms`` additionally land in the
+:class:`SlowQueryLog` with their full span tree, so "where did my latency
+go" is answerable after the fact without re-running the query.
 """
 
 from __future__ import annotations
@@ -29,17 +28,17 @@ class DecisionRecord:
     view_name: str
     tenant: Optional[str]
     snapshot_id: Optional[int]
-    #: ``windowed`` / ``posting-join`` / ``python-union`` / ``mixed`` /
-    #: ``cached`` / ``shared`` — see :class:`~repro.obs.tracing.ReadTrace`.
+    #: ``posting-join`` / ``python-union`` / ``mixed`` / ``cached`` /
+    #: ``shared`` — see :class:`~repro.obs.tracing.ReadTrace`.
     path: str
-    #: Concrete ineligibility on fallback from the windowed pushdown;
-    #: empty when the windowed path served the read.
+    #: Why the first query the Python engine ran could not run as SQL;
+    #: empty when every executed query did.
     fallback_reason: str = ""
     duration_s: float = 0.0
     degraded: bool = False
     #: Per-query tallies copied off the trace (``queries_pushdown``,
-    #: ``queries_python``, ``queries_cached``, ``windowed_queries``, and the
-    #: ``steiner_*`` solver counters of a read that had to solve).
+    #: ``queries_python``, ``queries_cached``, and the ``steiner_*`` solver
+    #: counters of a read that had to solve).
     tallies: Dict[str, int] = field(default_factory=dict)
 
     def render(self) -> str:

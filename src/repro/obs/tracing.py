@@ -17,8 +17,7 @@ A :class:`Trace` owns one :class:`Span` tree plus a flat ``annotations``
 dict the explain layer reads: the serving path (``"path"``), the concrete
 pushdown fallback reason (``"fallback_reason"``) and per-query tallies
 (``"queries_pushdown"`` etc.).  ``annotate_once`` has first-writer-wins
-semantics so the *most fundamental* reason survives (a tenant-overlay
-view's reason is not overwritten by a later batch-level one).
+semantics, so a read explains the first query the Python engine ran.
 
 Clocks are injectable (``Tracer(clock=...)``) and default to
 :func:`time.perf_counter`; tests drive a deterministic counting clock and
@@ -211,18 +210,18 @@ class Tracer:
 class ReadTrace:
     """The timing breakdown a :class:`~repro.service.server.ReadResult` carries.
 
-    ``path`` names which machinery served the ranked read —
-    ``"windowed"`` (one windowed ranked-union SELECT), ``"posting-join"``
-    (per-query whole-query SQL pushdown over the backend-resident tables),
-    ``"python-union"`` (the Python join engine + ranked union), ``"mixed"``
+    ``path`` names which machinery executed the ranked read's queries —
+    ``"posting-join"`` (whole-query SQL pushdown over the backend-resident
+    tables), ``"python-union"`` (the Python join engine), ``"mixed"``
     (queries split across pushdown and Python), ``"cached"`` (served from
     a pinned materialization or the per-signature answer cache) or
-    ``"shared"`` (a concurrent reader materialized it).  On any fallback
-    from the windowed path, ``fallback_reason`` is the concrete
-    condition :meth:`~repro.engine.context.ExecutionContext.choose_target`
-    ruled SQL out on ("backend has no SQL pushdown", "tenant overlay
-    view…", "deadline-budgeted read…", …) — empty when the windowed path
-    ran or was never applicable.
+    ``"shared"`` (a concurrent reader materialized it); the ranked union
+    over their answers is Python on every path.  ``fallback_reason`` is
+    the concrete condition
+    :meth:`~repro.engine.context.ExecutionContext.choose_target` ruled SQL
+    out on for the first query the Python engine ran ("backend has no SQL
+    pushdown", "deadline-budgeted read…", "relation(s) not stored on the
+    SQL backend…", …) — empty when every executed query ran as SQL.
     """
 
     root: Span
@@ -269,10 +268,10 @@ def well_nested(span: Span) -> bool:
 def derive_path(annotations: Dict[str, object]) -> Tuple[str, str]:
     """(path, fallback reason) from a finished trace's annotations.
 
-    The windowed path and the snapshot layer's cached/shared shortcuts
-    annotate ``"path"`` explicitly; otherwise the executor's per-query
-    tallies decide between the whole-query pushdown ("posting-join"), the
-    Python engine ("python-union"), a mix, or an all-cache replay.
+    The snapshot layer's cached/shared shortcuts annotate ``"path"``
+    explicitly; otherwise the executor's per-query tallies decide between
+    the whole-query pushdown ("posting-join"), the Python engine
+    ("python-union"), a mix, or an all-cache replay.
     """
     reason = str(annotations.get("fallback_reason", ""))
     path = annotations.get("path")

@@ -111,9 +111,9 @@ class ReadResult:
     ``trace`` is the read's timing breakdown (see
     :class:`~repro.obs.tracing.ReadTrace`): the span tree from snapshot
     acquire through solve/execute to pagination, the serving path
-    (``windowed`` / ``posting-join`` / ``python-union`` / ...) and, on
-    fallback from the windowed pushdown, the concrete ineligibility
-    reason.  ``None`` when the session runs with ``observability=False``.
+    (``posting-join`` / ``python-union`` / ``cached`` / ...) and, for
+    queries the Python engine ran, the concrete reason SQL was ruled out.
+    ``None`` when the session runs with ``observability=False``.
     """
 
     view_id: str

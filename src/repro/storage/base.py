@@ -13,7 +13,7 @@ implementations ship with the library:
   persistence), with :class:`~repro.storage.sqlite.SqliteBackend` — one
   SQLite database per catalog, on disk or ``:memory:`` — as the subclass
   that adds real indexes on join/selection columns and SQL pushdown of
-  scans, selections, whole conjunctive queries and ranked unions.
+  scans, selections and whole conjunctive queries.
 
 Protocol contract
 -----------------
@@ -84,17 +84,6 @@ class StorageBackend(ABC):
     #: session store can manage its ``_repro_session_*`` tables; sessions on
     #: backends without this capability persist to a sidecar file instead.
     supports_session_store: bool = False
-
-    #: Whether the backend can execute a *windowed ranked union*: the whole
-    #: k-query union of a ranked view — per-query cost pricing, unified
-    #: column projection, ascending-cost ordering and ``LIMIT``/``OFFSET``
-    #: pagination — compiled into one windowed ``SELECT``
-    #: (:mod:`repro.storage.windowed`).  Requires window-function support
-    #: *and* ``supports_sql_pushdown`` (the union's branches are the
-    #: per-query pushdown bodies).  Absent the capability, the engine falls
-    #: back to the Python :func:`~repro.engine.executor.ranked_union` by
-    #: construction.
-    supports_window_pushdown: bool = False
 
     #: Whether the backend can host the persisted profile posting tables
     #: (``_repro_postings_*`` — see :mod:`repro.storage.postings`).  When

@@ -18,8 +18,6 @@ capability                  value      consequence
                                        Python engine (the backend cannot
                                        register the library's canon/match
                                        functions the exact dialect needs)
-``supports_window_pushdown``  ``False``  ranked unions use the Python
-                                       :func:`~repro.engine.executor.ranked_union`
 ``supports_posting_tables``  ``True``  profile posting lists persist; the
                                        candidate self-join runs server-side
 ``supports_session_store``  ``False``  sessions persist to a JSON sidecar
@@ -103,7 +101,6 @@ class DbApiBackend(StorageBackend):
     kind = "dbapi"
     supports_sql_pushdown = False
     supports_session_store = False
-    supports_window_pushdown = False
     supports_posting_tables = True
 
     #: Column type of the ``c_*`` data cells — ``""`` leaves typing to the

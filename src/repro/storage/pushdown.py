@@ -1,16 +1,14 @@
-"""The SQL target: conjunctive queries compiled to parameterized SELECTs.
+"""The SQL target: a conjunctive query compiled to one parameterized SELECT.
 
 When every relation of a conjunctive query lives on the catalog's
 pushdown-capable backend (:class:`~repro.storage.sqlite.SqliteBackend`),
 the engine does not need to scan, hash and join in Python at all: the query
 *is* a conjunctive SQL statement (the paper's own formulation, Section
 2.2).  This module holds the one compiler of such a statement and the one
-decoder of its result rows, shared by both shapes a read can take:
-
-* :class:`SqlPushdown` — a single query: one branch, ordered by a plain
-  ``ORDER BY`` on row ids;
-* :class:`~repro.storage.windowed.WindowedUnionPushdown` — a whole ranked
-  view: every query one branch of a windowed ``UNION ALL``.
+decoder of its result rows (:class:`CompiledQuery`); :class:`SqlPushdown`
+runs them.  A ranked view is not a SQL shape of its own: it executes its
+queries one by one and merges them with
+:func:`~repro.engine.executor.ranked_union`, on every backend.
 
 Parity is guaranteed by construction rather than by approximation:
 
@@ -26,7 +24,7 @@ Parity is guaranteed by construction rather than by approximation:
   :meth:`~repro.engine.executor.PlanExecutor.execute`;
 * self-joins binding one alias to itself are dropped, as the planner does.
 
-Whether a read may take this target at all is decided in one place,
+Whether a query may take this target at all is decided in one place,
 :meth:`repro.engine.context.ExecutionContext.choose_target`.
 """
 
@@ -134,32 +132,28 @@ def compile_query_body(
     return from_items, conditions
 
 
-class BranchPlan:
-    """One conjunctive query as a SQL branch: what to project, how to decode.
+class CompiledQuery:
+    """One conjunctive query as a parameterized SELECT, and its row decoder.
 
-    ``cells`` lists the query's projected cells in answer-key order as
-    ``(label, column SQL, atom position, attribute index)`` — one per
-    output column, or every attribute of every atom (labelled
+    A result row is a ``"_rid_i"``/``"_tag_i"`` pair per atom (the base
+    tuple's row id and its value-type tags) followed by one ``"_val_i"``
+    per projected cell.  ``cells`` lists the projected cells in answer-key
+    order as ``(label, atom position, attribute index)`` — one per output
+    column, or every attribute of every atom (labelled
     ``alias.attribute``) for a query without outputs, the engine's
-    all-attributes projection.
-
-    ``layout`` tells :meth:`answer` where each answer key sits in a result
-    row, as ``(key, cell slot, atom position, attribute index)``; it
-    defaults to the cells in order and is replaced by the ranked shape,
-    which projects unified columns and pads the rest (``pad``) with
-    ``None``.
+    all-attributes projection.  ``params`` holds the selection needles in
+    the order they appear in ``sql``.
     """
 
-    __slots__ = ("query", "relations", "cells", "layout", "pad")
+    __slots__ = ("query", "relations", "cells", "sql", "params")
 
     def __init__(self, backend, catalog: "Catalog", query: "ConjunctiveQuery") -> None:
         query.validate()
         self.query = query
-        self.relations = [atom.relation for atom in query.atoms]
-        position = {atom.alias: i for i, atom in enumerate(query.atoms)}
-        schemas = {
-            atom.alias: catalog.relation(atom.relation).schema for atom in query.atoms
-        }
+        atoms = query.atoms
+        self.relations = [atom.relation for atom in atoms]
+        position = {atom.alias: i for i, atom in enumerate(atoms)}
+        schemas = {atom.alias: catalog.relation(atom.relation).schema for atom in atoms}
         if query.outputs:
             projected = [
                 (column.label, column.alias, column.attribute)
@@ -168,111 +162,63 @@ class BranchPlan:
         else:
             projected = [
                 (f"{atom.alias}.{attribute}", atom.alias, attribute)
-                for atom in query.atoms
+                for atom in atoms
                 for attribute in schemas[atom.alias].attribute_names
             ]
-        self.cells: List[Tuple[str, str, int, int]] = [
-            (
-                label,
-                f"{quote_identifier(alias)}.{backend.column_sql_name(attribute)}",
-                position[alias],
-                schemas[alias].attribute_index(attribute),
-            )
+        self.cells: List[Tuple[str, int, int]] = [
+            (label, position[alias], schemas[alias].attribute_index(attribute))
             for label, alias, attribute in projected
         ]
-        self.layout: List[Tuple[str, int, int, int]] = [
-            (label, slot, atom_pos, attr_index)
-            for slot, (label, _, atom_pos, attr_index) in enumerate(self.cells)
-        ]
-        self.pad: Sequence[str] = ()
-
-    def row_id_order(self) -> str:
-        """``ORDER BY`` list reproducing the engine's emission order."""
-        return ", ".join(
-            f'{quote_identifier(atom.alias)}."_row_id"' for atom in self.query.atoms
-        )
-
-    def render(
-        self,
-        backend,
-        params: List[object],
-        head: Sequence[str],
-        cell_exprs: Sequence[str],
-        atom_slots: int,
-    ) -> str:
-        """The branch SELECT (no ``ORDER BY``).
-
-        Projects ``head``, then a ``"_rid_i"``/``"_tag_i"`` pair per atom
-        slot (``NULL`` beyond this query's atoms, so every arm of a
-        ``UNION ALL`` has equal arity), then ``cell_exprs`` as
-        ``"_val_i"``.  Selection needles land in ``params`` in the order
-        they appear in the SQL text.
-        """
-        select_items = list(head)
-        atoms = self.query.atoms
-        for slot in range(atom_slots):
-            if slot < len(atoms):
-                alias_sql = quote_identifier(atoms[slot].alias)
-                select_items.append(f'{alias_sql}."_row_id" AS "_rid_{slot}"')
-                select_items.append(f'{alias_sql}."_tags" AS "_tag_{slot}"')
-            else:
-                select_items.append(f'NULL AS "_rid_{slot}"')
-                select_items.append(f'NULL AS "_tag_{slot}"')
+        row_ids = [f'{quote_identifier(atom.alias)}."_row_id"' for atom in atoms]
+        select_items: List[str] = []
+        for slot, atom in enumerate(atoms):
+            select_items.append(f'{row_ids[slot]} AS "_rid_{slot}"')
+            select_items.append(f'{quote_identifier(atom.alias)}."_tags" AS "_tag_{slot}"')
         select_items.extend(
-            f'{expr} AS "_val_{slot}"' for slot, expr in enumerate(cell_exprs)
+            f'{quote_identifier(alias)}.{backend.column_sql_name(attribute)} AS "_val_{slot}"'
+            for slot, (_, alias, attribute) in enumerate(projected)
         )
-        from_items, conditions = compile_query_body(backend, self.query, params)
+        self.params: List[object] = []
+        from_items, conditions = compile_query_body(backend, query, self.params)
         sql = "SELECT " + ", ".join(select_items) + "\nFROM " + ", ".join(from_items)
         if conditions:
             sql += "\nWHERE " + " AND ".join(conditions)
-        return sql
+        # The engine's emission order: row ids along the atom list.
+        self.sql = sql + "\nORDER BY " + ", ".join(row_ids)
 
-    def answer(self, record: Sequence[object], base: int, cell_base: int) -> AnswerTuple:
+    def answer(self, record: Sequence[object]) -> AnswerTuple:
         """Decode one result row: values, cost and base-tuple provenance.
 
-        ``base`` is the column of ``"_rid_0"`` and ``cell_base`` that of
-        ``"_val_0"``.  Mirrors ``PlanExecutor._to_answer``: a repeated key
-        keeps its first position and its last value.
+        Mirrors ``PlanExecutor._to_answer``: a repeated key keeps its first
+        position and its last value.
         """
         decode = DbApiBackend._decode_cell
+        cell_base = 2 * len(self.relations)
         values = {}
-        for key, slot, atom_pos, attr_index in self.layout:
-            tags = record[base + 2 * atom_pos + 1]
+        for slot, (key, atom_pos, attr_index) in enumerate(self.cells):
+            tags = record[2 * atom_pos + 1]
             values[key] = decode(record[cell_base + slot], tags, attr_index)
-        for column in self.pad:
-            values.setdefault(column, None)
         query = self.query
         provenance = TupleProvenance(
             query_id=query.provenance or "query",
             query_cost=query.cost,
             base_tuples=frozenset(
-                (relation, record[base + 2 * pos])
-                for pos, relation in enumerate(self.relations)
+                (relation, record[2 * pos]) for pos, relation in enumerate(self.relations)
             ),
         )
         return AnswerTuple(values=values, cost=query.cost, provenance=provenance)
 
 
 class SqlPushdown:
-    """Runs one whole conjunctive query as a single-branch SELECT."""
+    """Runs one whole conjunctive query as a single SELECT."""
 
     def __init__(self, backend) -> None:
         self.backend = backend
 
     def execute(self, catalog: "Catalog", query: "ConjunctiveQuery") -> List[AnswerTuple]:
         """Run ``query`` as one parameterized SELECT; answers carry provenance."""
-        plan = BranchPlan(self.backend, catalog, query)
-        params: List[object] = []
-        sql = plan.render(
-            self.backend,
-            params,
-            head=(),
-            cell_exprs=[expr for _, expr, _, _ in plan.cells],
-            atom_slots=len(query.atoms),
-        )
-        sql += f"\nORDER BY {plan.row_id_order()}"
-        cell_base = 2 * len(query.atoms)
+        compiled = CompiledQuery(self.backend, catalog, query)
         return [
-            plan.answer(record, 0, cell_base)
-            for record in self.backend.execute_sql(sql, params)
+            compiled.answer(record)
+            for record in self.backend.execute_sql(compiled.sql, compiled.params)
         ]

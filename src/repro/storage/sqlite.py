@@ -91,9 +91,6 @@ class SqliteBackend(DbApiBackend):
     kind = "sqlite"
     supports_sql_pushdown = True
     supports_session_store = True
-    #: Window functions shipped with SQLite 3.25; the ranked-union lowering
-    #: needs ``ROW_NUMBER() OVER (...)``.
-    supports_window_pushdown = sqlite3.sqlite_version_info >= (3, 25, 0)
     #: How this backend spells the exact-dialect SQL (canon/match function
     #: names) — consumed by the SQL compilers.
     sql_dialect = SQLITE_DIALECT

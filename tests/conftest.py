@@ -26,7 +26,7 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "memory_engine_internals: asserts Python-join-engine internals "
-        "(scan/join-index counters, per-query lazy-execution accounting) "
+        "(scan/join-index counters) "
         "that SQL pushdown legitimately bypasses; skipped when "
         "REPRO_BACKEND selects a pushdown-capable backend",
     )

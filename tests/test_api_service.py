@@ -246,11 +246,7 @@ class TestStreaming:
         assert len(streamed) > 1
         assert streamed == expected
 
-    @pytest.mark.memory_engine_internals
     def test_first_page_defers_remaining_query_execution(self):
-        # Per-query deferral is a Python-engine property: on a
-        # window-capable backend the first pull executes every missing
-        # query in one windowed SELECT (a single snapshot round trip).
         service = _rich_service()
         info = service.create_view(QueryRequest(keywords=("kinase", "title"), k=5))
         view = service.view(info.view_id)
@@ -268,7 +264,6 @@ class TestStreaming:
             pass
         assert view.last_refresh.queries_executed == total_queries
 
-    @pytest.mark.memory_engine_internals
     def test_unmaterialized_creation_executes_nothing_until_streamed(self):
         service = _rich_service()
         info = service.create_view(
@@ -284,7 +279,6 @@ class TestStreaming:
         next(pages)
         assert 0 < view.last_refresh.queries_executed < len(view.state.queries)
 
-    @pytest.mark.memory_engine_internals
     def test_auto_created_view_streams_pay_per_page(self):
         service = _rich_service()
         # First-ever read by keywords: the view is created solve-only and

@@ -36,7 +36,9 @@ from repro.faults import (
 )
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.service import QServer
-from repro.storage import MemoryBackend
+from repro.storage import MemoryBackend, SqliteBackend
+
+from test_storage_backends import answer_fingerprint, interpro_view, make_backend
 
 pytestmark = pytest.mark.fault_injection
 
@@ -297,6 +299,66 @@ def test_writer_fails_op_but_stays_healthy_when_retries_exhaust(mini_catalog):
         assert stats.health == "healthy"  # transient exhaustion != fatal
         # The lane still works.
         assert server.submit_mutation(lambda: "ok", kind="noop").result(30) == "ok"
+
+
+# ----------------------------------------------------------------------
+# Faults on the SQL read path
+# ----------------------------------------------------------------------
+def test_fault_wrapped_sqlite_session_answers_like_a_plain_one():
+    plain_service, plain_view, _ = interpro_view(SqliteBackend(":memory:"))
+    wrapped_service, wrapped_view, _ = interpro_view(
+        FaultyBackend(SqliteBackend(":memory:"), FaultPlan(rules=[]))
+    )
+    with plain_service, wrapped_service:
+        plain = answer_fingerprint(plain_view.answers())
+        assert answer_fingerprint(wrapped_view.answers()) == plain and plain
+        # The wrapper is transparent to the target choice too: every query
+        # of the wrapped session ran as SQL, like the plain one's.
+        pushed = plain_service.stats().pushdown_queries
+        assert wrapped_service.stats().pushdown_queries == pushed > 0
+
+
+@pytest.mark.parametrize("kind, op", [("memory", "scan"), ("sqlite", "execute_sql")])
+def test_transient_fault_on_a_read_surfaces_typed_and_server_stays_healthy(kind, op):
+    # A SQL-target read that hits a storage fault behaves like a Python-
+    # target read that does: the typed error reaches the caller, nothing
+    # partial is cached, the server stays healthy, and the read is exact
+    # once the fault is gone and a write has published a fresh snapshot.
+    plan = FaultPlan(rules=[FaultRule(op=op, error="transient", times=1)], active=False)
+    service, view, info = interpro_view(FaultyBackend(make_backend(kind), plan))
+    expected = answer_fingerprint(view.answers())
+    view.invalidate_cache()
+    service.engine_context.invalidate()
+    request = QueryRequest(view=info.view_id)
+    with service, QServer(service, retry_policy=_fast_policy()) as server:
+        plan.enable()
+        with pytest.raises(TransientStorageError):
+            server.query(request)
+        assert plan.faults_fired() == 1
+        assert server.health() == "healthy"
+        server.submit_mutation(lambda: None, kind="noop").result(timeout=30)
+        assert answer_fingerprint(server.query(request).answers) == expected
+        assert expected
+
+
+def test_writer_lane_retries_a_transient_fault_on_a_sql_read():
+    plan = FaultPlan(
+        rules=[FaultRule(op="execute_sql", error="transient", times=1)], active=False
+    )
+    service, view, info = interpro_view(FaultyBackend(SqliteBackend(":memory:"), plan))
+    expected = answer_fingerprint(view.answers())
+
+    def reread():
+        view.invalidate_cache()
+        return answer_fingerprint(view.refresh().answers)
+
+    with service, QServer(service, retry_policy=_fast_policy()) as server:
+        plan.enable()
+        assert server.submit_mutation(reread, kind="reread").result(timeout=30) == expected
+        assert plan.faults_fired() == 1
+        stats = server.stats()
+        assert (stats.writes_retried, stats.writes_applied, stats.writes_failed) == (1, 1, 0)
+        assert stats.health == "healthy"
 
 
 # ----------------------------------------------------------------------

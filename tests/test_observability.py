@@ -16,7 +16,6 @@ Covers the contracts the module promises:
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -37,12 +36,6 @@ from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.obs.metrics import NullRegistry
 from repro.obs.tracing import NOOP_TRACE, active_trace, well_nested
 from repro.service import QServer
-
-#: Whether this process can exercise the windowed pushdown path (old
-#: SQLite builds lack window functions — the trace then explains the
-#: fallback).
-WINDOWED_AVAILABLE = sqlite3.sqlite_version_info >= (3, 25, 0)
-
 
 def _clone(source):
     return source_from_dict(source_to_dict(source))
@@ -118,14 +111,14 @@ def test_registry_counters_gauges_histograms_and_exposition():
 
 def test_registry_labeled_counters_are_distinct():
     registry = MetricsRegistry()
-    a = registry.counter("path_total", "by path", labels={"path": "windowed"})
+    a = registry.counter("path_total", "by path", labels={"path": "posting-join"})
     b = registry.counter("path_total", "by path", labels={"path": "cached"})
     a.inc()
     a.inc()
     b.inc()
-    assert registry.value("path_total", labels={"path": "windowed"}) == 2
+    assert registry.value("path_total", labels={"path": "posting-join"}) == 2
     assert registry.value("path_total", labels={"path": "cached"}) == 1
-    assert 'path_total{path="windowed"} 2' in registry.prometheus_text()
+    assert 'path_total{path="posting-join"} 2' in registry.prometheus_text()
 
 
 def test_null_registry_is_inert():
@@ -167,7 +160,7 @@ def test_disabled_tracer_returns_shared_noop():
     assert not trace.enabled
     with trace:
         with trace.span("anything"):
-            trace.annotate("path", "windowed")
+            trace.annotate("path", "cached")
             trace.tally("queries_python")
     assert trace.annotations == {}
     assert active_trace() is NOOP_TRACE  # nothing leaked into the slot
@@ -212,14 +205,10 @@ def test_sqlite_read_trace_names_its_serving_path(gbco_dataset, tmp_path):
             assert result.answers
             trace = result.trace
             assert trace is not None
-            if WINDOWED_AVAILABLE:
-                assert trace.path == "windowed"
-                assert trace.fallback_reason == ""
-            else:
-                # An old SQLite must still get a concrete reason, not a
-                # silent fallback.
-                assert trace.path in ("posting-join", "python-union", "mixed")
-                assert trace.fallback_reason
+            # Every query ran as one SQL statement: nothing to explain.
+            assert trace.path == "posting-join"
+            assert trace.fallback_reason == ""
+            assert "execute" in trace.stages()
             # The repeat read serves from the snapshot answer cache and
             # says so.
             again = server.query(QueryRequest(view=result.view_id))
@@ -228,10 +217,6 @@ def test_sqlite_read_trace_names_its_serving_path(gbco_dataset, tmp_path):
             assert _fingerprint(again.answers) == _fingerprint(result.answers)
 
 
-@pytest.mark.skipif(
-    sqlite3.sqlite_version_info < (3, 25, 0),
-    reason="windowed pushdown needs SQLite >= 3.25",
-)
 def test_budgeted_read_fallback_is_explained(gbco_dataset, tmp_path):
     backend = f"sqlite:{tmp_path / 'obs_off.db'}"
     with _gbco_service(gbco_dataset, backend=backend) as service:
@@ -242,49 +227,45 @@ def test_budgeted_read_fallback_is_explained(gbco_dataset, tmp_path):
             assert result.answers and not result.degraded
             trace = result.trace
             assert trace is not None
-            assert trace.path != "windowed"
-            assert "deadline-budgeted read" in trace.fallback_reason
+            # The executor's per-query decision: every query of the read
+            # ran on the Python plan loop, which checks the deadline.
+            assert trace.path == "python-union"
+            assert trace.fallback_reason.startswith("deadline-budgeted read")
+            assert service.stats().pushdown_queries == 0
 
 
-@pytest.mark.skipif(
-    sqlite3.sqlite_version_info < (3, 25, 0),
-    reason="windowed pushdown needs SQLite >= 3.25",
-)
 def test_foreign_backend_relation_fallback_is_explained(gbco_dataset, tmp_path):
     backend = f"sqlite:{tmp_path / 'obs_foreign.db'}"
     with _gbco_service(gbco_dataset, backend=backend) as service:
         info = service.create_view(QueryRequest(keywords=_keywords(gbco_dataset)))
         request = QueryRequest(view=info.view_id)
-        windowed = service.answers_page(request)
-        assert service.obs.decisions.last().path == "windowed"
-        relation = service.view(info.view_id).state.queries[0].query.atoms[0].relation
+        pushed = service.answers_page(request)
+        queries = [g.query for g in service.view(info.view_id).state.queries]
+        relation = queries[0].atoms[0].relation
+        touching = sum(relation in query.relations() for query in queries)
+        # Detaching bumps the table's version: exactly the queries touching
+        # it miss the answer cache, and the executor explains each one.
         service.catalog.relation(relation).detach()
-        assert _fingerprint(service.answers_page(request)) == _fingerprint(windowed)
+        assert _fingerprint(service.answers_page(request)) == _fingerprint(pushed)
         decision = service.obs.decisions.last()
-        assert decision.path != "windowed"
+        assert decision.path == "python-union"
         assert decision.fallback_reason == (
             f"relation(s) not stored on the SQL backend: {relation}"
         )
+        assert decision.tallies["queries_python"] == touching
+        assert decision.tallies.get("queries_pushdown", 0) == 0
 
 
-def test_windowed_stage_is_recorded_only_when_sql_ran(gbco_dataset, tmp_path):
-    # The windowed_pushdown span opens after the capability check chose the
-    # SQL target: a memory-backend page read must not report the stage.
-    stage = 'q_read_stage_seconds_count{stage="windowed_pushdown"}'
-    request = QueryRequest(keywords=_keywords(gbco_dataset))
-    with _gbco_service(gbco_dataset, backend="memory") as service:
-        assert service.answers_page(request)
-        assert stage not in service.metrics()
-    if WINDOWED_AVAILABLE:
-        backend = f"sqlite:{tmp_path / 'obs_stage.db'}"
-        with _gbco_service(gbco_dataset, backend=backend) as service:
-            assert service.answers_page(request)
-            assert f"{stage} 1" in service.metrics()
-
-
-def test_tenant_overlay_read_explains_fallback(gbco_dataset):
+def test_tenant_overlay_read_is_explained_like_a_base_read(gbco_dataset):
+    # A tenant view is priced under an overlay but executes its queries
+    # through the same per-query decision as the base view.
     with _gbco_service(gbco_dataset) as service:
-        info = service.create_view(QueryRequest(keywords=_keywords(gbco_dataset)))
+        info = service.create_view(
+            QueryRequest(keywords=_keywords(gbco_dataset)), materialize=False
+        )
+        service.answers_page(QueryRequest(view=info.view_id))
+        base_decision = service.obs.decisions.last()
+        assert base_decision.path in ("python-union", "posting-join")
         base = list(service.stream_answers(QueryRequest(view=info.view_id)))
         first = base[0]
         other = next(
@@ -302,7 +283,10 @@ def test_tenant_overlay_read_explains_fallback(gbco_dataset):
         service.answers_page(QueryRequest(view=info.view_id, tenant="alice"))
         decision = service.obs.decisions.last()
         assert decision.tenant == "alice"
-        assert decision.fallback_reason.startswith("tenant overlay view")
+        assert (decision.path, decision.fallback_reason) == (
+            base_decision.path,
+            base_decision.fallback_reason,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -526,9 +510,7 @@ def test_system_stats_reads_through_the_registry(gbco_dataset):
         assert stats.views == int(value("q_views")) == 1
         assert stats.steiner_cache_builds == int(value("q_steiner_cache_builds_total"))
         assert stats.steiner_cache_builds >= 1
-        assert stats.pushdown_union_queries == int(
-            value("q_pushdown_union_queries_total")
-        )
+        assert stats.pushdown_queries == int(value("q_pushdown_queries_total"))
         # The gauge reads live structures: creating another view moves both.
         service.create_view(QueryRequest(keywords=_keywords(gbco_dataset)[:1]))
         assert service.stats().views == int(value("q_views")) == 2

@@ -4,7 +4,12 @@ The cross-backend parity suite is the acceptance gate of the pluggable
 storage layer: the memory and SQLite backends must produce byte-identical
 ranked answers, provenance and registration correspondences on the
 fig6/fig8 fixture replays, and a SQLite catalog must survive a close /
-reopen round trip.
+reopen round trip.  Also here: the per-query SQL/Python target choice and
+its reasons, ``EXPLAIN QUERY PLAN`` assertions that pushed-down joins and
+the posting self-join are served by indexes, posting-table persistence
+(a warm :meth:`~repro.api.service.QService.open` skips the in-memory
+posting rebuild), and the generic DB-API backend's contract (the Postgres
+flavor degrades into a clear error without psycopg2).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import pytest
 
 from repro.api import QService, QueryRequest, RegisterSourceRequest, ServiceConfig
 from repro.core import RankedView
-from repro.datasets import build_gbco, grow_catalog_and_graph
+from repro.datasets import build_gbco, build_interpro_go, grow_catalog_and_graph
 from repro.datastore import Catalog, ConjunctiveQuery, DataSource
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.datastore.sqlgen import (
@@ -26,12 +31,15 @@ from repro.datastore.sqlgen import (
     union_to_sql,
 )
 from repro.datastore.query import SelectionPredicate
-from repro.engine.context import ExecutionContext
+from repro.datastore.schema import RelationSchema
+from repro.engine.context import PYTHON, SQL, ExecutionContext
 from repro.engine.executor import PlanExecutor
 from repro.engine.predicates import compile_predicates
 from repro.exceptions import QueryError, StorageError
+from repro.faults.budget import Budget
 from repro.graph import SearchGraph
 from repro.matching import MetadataMatcher, ValueOverlapMatcher
+from repro.profiling.index import CatalogProfileIndex
 from repro.storage import (
     DbApiBackend,
     MemoryBackend,
@@ -40,8 +48,8 @@ from repro.storage import (
     create_backend,
     resolve_backend,
 )
-from repro.storage.pushdown import SqlPushdown
-from repro.storage.windowed import WindowedUnionPushdown
+from repro.storage.postings import PostingStore
+from repro.storage.pushdown import CompiledQuery, SqlPushdown
 
 #: ``dbapi`` is the generic base class SqliteBackend inherits, driven through
 #: the standard library's sqlite3 driver: it must hold the whole protocol
@@ -107,6 +115,20 @@ def answer_fingerprint(answers):
             )
         )
     return result
+
+
+def interpro_view(backend, keywords=("kinase", "title"), k=5, answer_limit=200):
+    """A multi-query ranked view over the InterPro source, plus its service."""
+    reset_edge_ids()
+    dataset = build_interpro_go(include_foreign_keys=True)
+    service = QService(
+        sources=[dataset.interpro],
+        config=ServiceConfig(top_k=k, top_y=2, answer_limit=answer_limit),
+        backend=backend,
+    )
+    service.bootstrap_alignments(top_y=2)
+    info = service.create_view(QueryRequest(keywords=keywords, k=k))
+    return service, service.view(info.view_id), info
 
 
 def correspondence_fingerprint(correspondences):
@@ -361,18 +383,15 @@ class TestPushdownParity:
         assert answer_fingerprint(sqlite_answers) == answer_fingerprint(memory_answers)
 
     @pytest.mark.parametrize("with_outputs", [True, False])
-    def test_union_branch_equals_single_query_pushdown(self, with_outputs):
-        # One compiler, one decoder: a query fetched as a branch of the
-        # windowed union is byte-identical to the same query run alone —
-        # and the outputless all-attributes projection survives both shapes.
+    def test_join_pushdown_projection_matches_memory(self, with_outputs):
+        # The outputless all-attributes projection of a join decodes like
+        # the output-column one.
         query = _make_query()
         if not with_outputs:
             query.outputs.clear()
         backend = SqliteBackend(":memory:")
         catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
         alone = SqlPushdown(backend).execute(catalog, query)
-        branch = WindowedUnionPushdown(backend).fetch_raw(catalog, [query])[0]
-        assert answer_fingerprint(branch) == answer_fingerprint(alone)
         memory_answers, _ = self._answers("memory", query)
         assert answer_fingerprint(alone) == answer_fingerprint(memory_answers)
         assert len(alone) == 3
@@ -396,50 +415,128 @@ class TestPushdownParity:
 
 
 # ----------------------------------------------------------------------
-# Golden SQL: the windowed batch statement, text and parameter order
+# The per-query target choice and its reasons
 # ----------------------------------------------------------------------
-GOLDEN_MINI_SQL = """\
-SELECT 0 AS "_branch", ROW_NUMBER() OVER (ORDER BY "t"."_row_id", "i2g"."_row_id") AS "_seq", "t"."_row_id" AS "_rid_0", "t"."_tags" AS "_tag_0", "i2g"."_row_id" AS "_rid_1", "i2g"."_tags" AS "_tag_1", "t"."c_name" AS "_val_0", "i2g"."c_entry_ac" AS "_val_1"
+class TestTargetChoice:
+    def test_budgeted_read_runs_on_python_with_identical_answers(self):
+        # A deadline budget must not change a single answer byte — it only
+        # moves each query onto the Python plan loop, which checks the
+        # deadline per step.
+        service_on, _, info_on = interpro_view(SqliteBackend(":memory:"))
+        on = answer_fingerprint(
+            list(service_on.stream_answers(QueryRequest(view=info_on.view_id)))
+        )
+        service_on.close()
+        service_off, view_off, _ = interpro_view(SqliteBackend(":memory:"))
+        view_off.invalidate_cache()
+        stats = service_off.engine_context.statistics
+        pushed_before = stats.pushdown_queries
+        budget = Budget(deadline_s=60.0)
+        off = answer_fingerprint(list(view_off.stream_answers(budget=budget)))
+        assert stats.pushdown_queries == pushed_before
+        assert not budget.truncated
+        target, reason = service_off.engine_context.choose_target(
+            view_off.state.queries[0].query, budget=budget
+        )
+        assert target == PYTHON and reason.startswith("deadline-budgeted read")
+        service_off.close()
+        assert on == off and on
+
+    def test_foreign_backend_relation_falls_back(self):
+        # A query touching a relation that lives outside the SQLite backend
+        # cannot push down; the Python engine serves it, identically.
+        service, view, _ = interpro_view(SqliteBackend(":memory:"))
+        context = service.engine_context
+        queries = [g.query for g in view.state.queries]
+        assert all(context.choose_target(query) == (SQL, None) for query in queries)
+        expected = answer_fingerprint(view.answers())
+        relation = queries[0].atoms[0].relation
+        service.catalog.relation(relation).detach()
+        try:
+            assert context.choose_target(queries[0]) == (
+                PYTHON,
+                f"relation(s) not stored on the SQL backend: {relation}",
+            )
+            touching = sum(relation in query.relations() for query in queries)
+            pushed_before = context.statistics.pushdown_queries
+            view.invalidate_cache()
+            assert answer_fingerprint(view.answers()) == expected
+            assert context.statistics.pushdown_queries == pushed_before + len(
+                queries
+            ) - touching
+        finally:
+            service.close()
+
+    def test_every_other_reason_is_reachable(self):
+        # The remaining conditions of the one capability check, each driven
+        # by something observable: a backend without pushdown, a per-query
+        # limit.  A query without output columns is no obstacle.
+        query = _make_query()
+        plain = Catalog(
+            [clone_source(s) for s in _mini_sources()], backend=MemoryBackend()
+        )
+        assert ExecutionContext(plain).choose_target(query) == (
+            PYTHON,
+            "backend has no SQL pushdown (Python join engine)",
+        )
+        capable = Catalog(
+            [clone_source(s) for s in _mini_sources()],
+            backend=SqliteBackend(":memory:"),
+        )
+        context = ExecutionContext(capable)
+        assert context.choose_target(query) == (SQL, None)
+        target, reason = context.choose_target(query, limit=2)
+        assert target == PYTHON and reason.startswith("per-query limit")
+        outputless = ConjunctiveQuery(provenance="tree-2", cost=0.25)
+        outputless.add_atom("go.term", "t")
+        assert context.choose_target(outputless) == (SQL, None)
+        capable.close()
+
+
+# ----------------------------------------------------------------------
+# Golden SQL: the single-query statement, text and parameter order
+# ----------------------------------------------------------------------
+GOLDEN_JOIN_SQL = """\
+SELECT "t"."_row_id" AS "_rid_0", "t"."_tags" AS "_tag_0", "i2g"."_row_id" AS "_rid_1", "i2g"."_tags" AS "_tag_1", "t"."c_name" AS "_val_0", "i2g"."c_entry_ac" AS "_val_1"
 FROM "go.term" AS "t", "interpro.interpro2go" AS "i2g"
 WHERE repro_canon("t"."c_acc") = repro_canon("i2g"."c_go_id") AND repro_match(?, ?, "t"."c_name") = 1
-UNION ALL
-SELECT 1 AS "_branch", ROW_NUMBER() OVER (ORDER BY "t"."_row_id") AS "_seq", "t"."_row_id" AS "_rid_0", "t"."_tags" AS "_tag_0", NULL AS "_rid_1", NULL AS "_tag_1", "t"."c_name" AS "_val_0", NULL AS "_val_1"
+ORDER BY "t"."_row_id", "i2g"."_row_id\""""
+
+GOLDEN_SELECTION_SQL = """\
+SELECT "t"."_row_id" AS "_rid_0", "t"."_tags" AS "_tag_0", "t"."c_name" AS "_val_0"
 FROM "go.term" AS "t"
 WHERE repro_canon("t"."c_acc") = ?
-ORDER BY "_branch", "_seq\""""
+ORDER BY "t"."_row_id\""""
 
-_GOLDEN_GBCO_BRANCH = """\
-SELECT {index} AS "_branch", ROW_NUMBER() OVER (ORDER BY "publication"."_row_id") AS "_seq", "publication"."_row_id" AS "_rid_0", "publication"."_tags" AS "_tag_0", "publication"."c_first_author" AS "_val_0"
+_GOLDEN_GBCO_SELECT = """\
+SELECT "publication"."_row_id" AS "_rid_0", "publication"."_tags" AS "_tag_0", "publication"."c_first_author" AS "_val_0"
 FROM "publication.publication" AS "publication\""""
 _GOLDEN_GBCO_WHERE = '\nWHERE repro_canon("publication"."c_first_author") = ?'
-GOLDEN_GBCO_SQL = (
-    "\nUNION ALL\n".join(
-        _GOLDEN_GBCO_BRANCH.format(index=index) + (_GOLDEN_GBCO_WHERE if index else "")
-        for index in range(5)
-    )
-    + '\nORDER BY "_branch", "_seq"'
-)
+_GOLDEN_GBCO_ORDER = '\nORDER BY "publication"."_row_id"'
 
 
-class TestGoldenWindowedSql:
-    """``compile_raw`` renders exactly what it rendered before the SQL
-    compilers were merged (texts captured from the parent commit)."""
+class TestGoldenPushdownSql:
+    """:class:`CompiledQuery` renders each query as the windowed batch
+    rendered its branch (texts captured before that shape was deleted),
+    minus the ``"_branch"``/``"_seq"`` head and the ``NULL`` padding, plus
+    the row-id ``ORDER BY``."""
 
-    def test_hand_built_batch(self):
-        # A two-atom join beside a one-atom query: pins join and selection
-        # rendering, NULL padding of the narrower branch, and that needles
-        # enter the parameter list in statement order.
+    def test_hand_built_queries(self):
+        # A two-atom join and a one-atom equals selection: pins join and
+        # selection rendering, and that needles enter the parameter list in
+        # statement order (the equals needle pre-canonicalized).
         backend = SqliteBackend(":memory:")
         catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
         single = ConjunctiveQuery(provenance="tree-2", cost=0.5)
         single.add_atom("go.term", "t")
         single.add_selection("t", "acc", " GO:0003 ", mode="equals")
         single.add_output("t", "name")
-        sql, params, _, _ = WindowedUnionPushdown(backend).compile_raw(
-            catalog, [_make_query(), single]
-        )
-        assert sql == GOLDEN_MINI_SQL
-        assert params == ["keyword", "plasma membrane", "GO:0003"]
+        join = CompiledQuery(backend, catalog, _make_query())
+        assert join.sql == GOLDEN_JOIN_SQL
+        assert join.params == ["keyword", "plasma membrane"]
+        selection = CompiledQuery(backend, catalog, single)
+        assert selection.sql == GOLDEN_SELECTION_SQL
+        assert selection.params == ["GO:0003"]
         backend.close()
 
     def test_gbco_view(self, gbco_dataset):
@@ -453,17 +550,21 @@ class TestGoldenWindowedSql:
         )
         service.bootstrap_alignments()
         info = service.create_view(QueryRequest(keywords=("author", "publication")))
-        queries = [g.query for g in service.view(info.view_id).state.queries]
         backend = service.catalog.backend
-        sql, params, _, _ = WindowedUnionPushdown(backend).compile_raw(
-            service.catalog, queries
-        )
-        assert sql == GOLDEN_GBCO_SQL
-        assert params == [
-            "first_author_2",
-            "first_author_2",
-            "first_author_5",
-            "first_author_5",
+        compiled = [
+            CompiledQuery(backend, service.catalog, generated.query)
+            for generated in service.view(info.view_id).state.queries
+        ]
+        assert [c.sql for c in compiled] == [
+            _GOLDEN_GBCO_SELECT + (_GOLDEN_GBCO_WHERE if index else "") + _GOLDEN_GBCO_ORDER
+            for index in range(5)
+        ]
+        assert [c.params for c in compiled] == [
+            [],
+            ["first_author_2"],
+            ["first_author_2"],
+            ["first_author_5"],
+            ["first_author_5"],
         ]
         service.close()
 
@@ -780,3 +881,311 @@ class TestParameterizedSqlgen:
         predicate = SelectionPredicate("t", "name", "x")
         with pytest.raises(QueryError):
             selection_condition(predicate, "c", [], dialect="oracle")
+
+
+# ----------------------------------------------------------------------
+# Pushed-down joins and the posting self-join run on indexes
+# ----------------------------------------------------------------------
+class TestExplainQueryPlan:
+    def _explain(self, backend, sql, params):
+        return "\n".join(
+            str(row[-1]) for row in backend.execute_sql("EXPLAIN QUERY PLAN " + sql, params)
+        )
+
+    def test_pushed_down_join_uses_canon_expression_indexes(self):
+        backend = SqliteBackend(":memory:")
+        catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
+        # Compiling creates the on-demand repro_canon(...) indexes on the
+        # join columns.
+        compiled = CompiledQuery(backend, catalog, _make_query())
+        plan = self._explain(backend, compiled.sql, compiled.params)
+        # The join probe must run on the on-demand repro_canon expression
+        # index (SQLite reports expression-index probes as "<expr>=?").
+        assert "USING INDEX ix_20_interpro.interpro2go_go_id (<expr>=?)" in plan, plan
+        backend.close()
+
+    def test_colliding_index_names_get_one_index_each(self):
+        # ("src.term", "go_id") and ("src.term_go", "id") once shared the
+        # name ix_src_term_go_id: CREATE INDEX IF NOT EXISTS silently
+        # skipped the second, which then joined without an index.
+        backend = SqliteBackend(":memory:")
+        source = DataSource.build(
+            "src",
+            {"term": ["go_id", "name"], "term_go": ["id", "name"]},
+            data={
+                "term": [(f"GO:{i}", f"t{i}") for i in range(50)],
+                "term_go": [(f"GO:{i}", f"g{i}") for i in range(50)],
+            },
+        )
+        catalog = Catalog([source], backend=backend)
+        query = ConjunctiveQuery(provenance="tree-1", cost=1.0)
+        query.add_atom("src.term", "t")
+        query.add_atom("src.term_go", "g")
+        query.add_join("t", "go_id", "g", "id")
+        query.add_output("t", "name", "term")
+        query.add_output("g", "name", "go")
+        backend.ensure_canon_index("src.term", "go_id")
+        backend.ensure_canon_index("src.term_go", "id")
+        indexes = backend.execute_sql(
+            "SELECT tbl_name FROM sqlite_master WHERE type = 'index' "
+            "AND name LIKE 'ix_%' ORDER BY tbl_name"
+        )
+        assert indexes == [("src.term",), ("src.term_go",)]
+        # Whichever side SQLite probes, its canon index is there to serve it.
+        compiled = CompiledQuery(backend, catalog, query)
+        plan = self._explain(backend, compiled.sql, compiled.params)
+        assert "USING INDEX ix_" in plan and "(<expr>=?)" in plan, plan
+        backend.close()
+
+    def test_posting_self_join_probes_the_value_index(self):
+        backend = SqliteBackend(":memory:")
+        catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
+        index = CatalogProfileIndex.from_catalog(catalog)
+        store = PostingStore(backend)
+        assert store.sync(index)
+        sql = (
+            "SELECT other.relation, other.attribute, COUNT(*) "
+            "FROM _repro_postings_values AS mine "
+            "JOIN _repro_postings_values AS other ON other.value = mine.value "
+            "WHERE mine.relation = ? AND mine.attribute = ? "
+            "AND NOT (other.relation = mine.relation "
+            "AND other.attribute = mine.attribute) "
+            "GROUP BY other.relation, other.attribute"
+        )
+        plan = self._explain(backend, sql, ("go", "acc"))
+        assert "ix_repro_postings_values_value" in plan, plan
+        assert "ix_repro_postings_values_attr" in plan, plan
+        backend.close()
+
+
+# ----------------------------------------------------------------------
+# Posting persistence: parity and the warm-open rebuild skip
+# ----------------------------------------------------------------------
+class TestPostingStore:
+    def _indexed_catalog(self):
+        backend = SqliteBackend(":memory:")
+        catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
+        index = CatalogProfileIndex.from_catalog(catalog)
+        return backend, catalog, index
+
+    def test_store_candidates_equal_in_memory_walk(self):
+        backend, catalog, index = self._indexed_catalog()
+        store = PostingStore(backend)
+        assert store.sync(index)
+        assert not store.sync(index), "second sync must be a no-op"
+        for profile in index.iter_attribute_profiles():
+            relation, attribute = profile.relation, profile.attribute
+            assert store.value_candidates(relation, attribute) == dict(
+                index.value_candidates(relation, attribute)
+            ), (relation, attribute)
+        backend.close()
+
+    def test_store_tfidf_round_trips_byte_identical(self):
+        backend, catalog, index = self._indexed_catalog()
+        store = PostingStore(backend)
+        store.sync(index)
+        index.attach_posting_store(store)
+        for profile in index.iter_attribute_profiles():
+            computed = index.content_tfidf(profile.relation, profile.attribute)
+            stored = store.tfidf_vector(profile.relation, profile.attribute)
+            assert stored == computed, (profile.relation, profile.attribute)
+            assert list(stored) == list(computed), "iteration order differs"
+        backend.close()
+
+    def test_token_reads_match_through_the_store(self):
+        backend, catalog, index = self._indexed_catalog()
+        store = PostingStore(backend)
+        store.sync(index)
+        fresh = CatalogProfileIndex.from_catalog(catalog)
+        for token in ("plasma", "membrane", "ipr001"):
+            assert store.token_postings(token) == tuple(
+                sorted(fresh.token_postings(token))
+            )
+            assert store.token_document_frequency(
+                token
+            ) == fresh.token_document_frequency(token)
+        assert store.distinct_value_count() == fresh.distinct_value_count
+        backend.close()
+
+    def test_warm_open_skips_the_posting_rebuild(self, tmp_path):
+        db = tmp_path / "catalog.db"
+        service, view, info = interpro_view(SqliteBackend(db))
+        cold = answer_fingerprint(view.answers())
+        cold_stats = service.stats()
+        assert cold_stats.posting_syncs >= 1
+        assert cold_stats.posting_builds == 0
+        service.save()  # session store lives inside the catalog database
+        service.close()
+
+        reset_edge_ids()
+        reopened = QService.open(db)
+        stats = reopened.stats()
+        # The acceptance counter: a warm open performs NO full in-memory
+        # posting rebuild and NO posting-table rewrite.
+        assert stats.posting_builds == 0
+        assert stats.posting_syncs == 0
+        warm = answer_fingerprint(reopened.view(info.view_id).answers())
+        assert warm == cold and warm
+        assert reopened.stats().posting_builds == 0
+        reopened.close()
+
+    def test_registration_after_warm_open_stays_correct(self, tmp_path):
+        # A post-open registration moves the epoch: the store goes stale,
+        # candidate reads rebuild/fall back, and the tables re-sync.
+        db = tmp_path / "catalog.db"
+        service, view, info = interpro_view(SqliteBackend(db))
+        service.save()
+        service.close()
+
+        reset_edge_ids()
+        reopened = QService.open(db)
+        # A new source overlapping interpro's entry accessions, so the
+        # value-filtered alignment exercises the candidate lookup.
+        donor = reopened.catalog.relation("interpro.entry")
+        accs = [row.values[0] for row in donor.scan()][:8]
+        source = DataSource.build(
+            "extra",
+            {"entry_notes": ["entry_ac", "note"]},
+            data={"entry_notes": [(acc, f"note-{i}") for i, acc in enumerate(accs)]},
+        )
+        response = reopened.register_source(
+            RegisterSourceRequest(
+                source=source,
+                strategy="exhaustive",
+                matcher=ValueOverlapMatcher(min_confidence=0.5, min_shared_values=2),
+                value_filter=True,
+            )
+        )
+        assert response.attribute_comparisons > 0
+        stats = reopened.stats()
+        assert stats.posting_syncs >= 1, "mutation must re-sync the tables"
+        # The store is current again: its join equals the live walk.
+        store = reopened._posting_store
+        assert store.is_current(
+            reopened.profile_index.epoch, reopened.profile_index.attribute_count
+        )
+        for profile in list(reopened.profile_index.iter_attribute_profiles())[:4]:
+            assert store.value_candidates(
+                profile.relation, profile.attribute
+            ) == dict(
+                reopened.profile_index.value_candidates(
+                    profile.relation, profile.attribute
+                )
+            )
+        reopened.close()
+
+
+# ----------------------------------------------------------------------
+# The generic DB-API backend and the gated Postgres flavor
+# ----------------------------------------------------------------------
+class TestDbApiBackend:
+    def _backend(self):
+        return DbApiBackend(sqlite3.connect(":memory:"))
+
+    def test_contract_smoke(self):
+        backend = self._backend()
+        schema = RelationSchema("r", ["a", "b"], source="s")
+        backend.create_relation("s.r", schema)
+        with pytest.raises(StorageError):
+            backend.create_relation("s.r", schema)
+        row = backend.append_row("s.r", ("x", True))
+        assert (row.row_id, row.values) == (0, ("x", True))
+        assert backend.insert_rows("s.r", [("y", 1), ("z", 2.5), (None, False)]) == 3
+        assert backend.row_count("s.r") == 4
+        assert backend.version("s.r") == 2
+        scanned = [(r.row_id, r.values) for r in backend.scan("s.r")]
+        assert scanned == [
+            (0, ("x", True)),
+            (1, ("y", 1)),
+            (2, ("z", 2.5)),
+            (3, (None, False)),
+        ]
+        assert backend.distinct_values("s.r", "a") == frozenset({"x", "y", "z"})
+        with pytest.raises(StorageError):
+            backend.insert_rows("s.r", [("wrong-arity",)])
+        assert backend.row_count("s.r") == 4, "failed batch must roll back"
+        backend.drop_relation("s.r")
+        assert not backend.has_relation("s.r")
+        backend.close()
+        assert backend.closed
+
+    def test_catalog_on_dbapi_backend_falls_back_to_python_engine(self):
+        # Fallback by construction: no pushdown capability, every read goes
+        # through the Python engine — and matches the memory backend.
+        query = _make_query()
+        memory_catalog = Catalog([clone_source(s) for s in _mini_sources()])
+        memory_context = ExecutionContext(memory_catalog)
+        dbapi_catalog = Catalog(
+            [clone_source(s) for s in _mini_sources()], backend=self._backend()
+        )
+        dbapi_context = ExecutionContext(dbapi_catalog)
+        assert dbapi_context.choose_target(query) == (
+            PYTHON,
+            "backend has no SQL pushdown (Python join engine)",
+        )
+        memory_answers = PlanExecutor(memory_catalog, memory_context).execute(query)
+        dbapi_answers = PlanExecutor(dbapi_catalog, dbapi_context).execute(query)
+        assert answer_fingerprint(dbapi_answers) == answer_fingerprint(memory_answers)
+        assert memory_answers
+        assert dbapi_context.statistics.pushdown_queries == 0
+
+    def test_posting_store_works_on_dbapi_backend(self):
+        backend = self._backend()
+        catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
+        index = CatalogProfileIndex.from_catalog(catalog)
+        store = PostingStore(backend)
+        assert store.sync(index)
+        for profile in index.iter_attribute_profiles():
+            assert store.value_candidates(
+                profile.relation, profile.attribute
+            ) == dict(index.value_candidates(profile.relation, profile.attribute))
+        backend.close()
+
+    def test_source_schema_persistence(self):
+        backend = self._backend()
+        backend.save_source_schema("one", {"name": "one"})
+        backend.save_source_schema("two", {"name": "two"})
+        backend.save_source_schema("one", {"name": "one", "v": 2})
+        assert backend.persisted_source_schemas() == [
+            {"name": "one", "v": 2},
+            {"name": "two"},
+        ]
+        backend.delete_source_schema("one")
+        assert backend.persisted_source_schemas() == [{"name": "two"}]
+        backend.close()
+
+    def test_invalid_paramstyle_rejected(self):
+        with pytest.raises(StorageError, match="paramstyle"):
+            DbApiBackend(sqlite3.connect(":memory:"), paramstyle="pyformat")
+
+    def test_postgres_without_driver_is_a_clear_error(self):
+        pytest.importorskip  # (not used: the point is psycopg2's absence)
+        try:
+            import psycopg2  # noqa: F401
+
+            pytest.skip("psycopg2 installed — the gate cannot be observed")
+        except ImportError:
+            pass
+        with pytest.raises(StorageError, match="psycopg2"):
+            create_backend("postgres:dbname=repro")
+
+    def test_registry_spellings(self):
+        with pytest.raises(StorageError, match="DSN"):
+            create_backend("postgres")
+        with pytest.raises(StorageError, match="postgres"):
+            create_backend("bogus")
+
+
+# ----------------------------------------------------------------------
+# The pushdown counters surface in SystemStats
+# ----------------------------------------------------------------------
+class TestStatsCounters:
+    @pytest.mark.memory_engine_internals
+    def test_counters_stay_zero_on_memory(self):
+        service, _, info = interpro_view(None)
+        list(service.stream_answers(QueryRequest(view=info.view_id)))
+        stats = service.stats()
+        assert stats.pushdown_queries == 0
+        assert stats.pushdown_scans == 0
+        assert stats.posting_syncs == 0
+        service.close()

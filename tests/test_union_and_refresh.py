@@ -1,16 +1,30 @@
-"""Edge cases of the ranked disjoint union and the incremental view refresh."""
+"""Edge cases of the ranked disjoint union, its pagination and the incremental view refresh."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import FeedbackRequest, QueryRequest
 from repro.core import QSystem, QSystemConfig, RankedView
 from repro.datastore import Catalog, DataSource
 from repro.datastore.query import ConjunctiveQuery
-from repro.engine.executor import PlanExecutor
+from repro.engine.executor import PlanExecutor, ranked_union
+from repro.exceptions import QueryError
 from repro.graph import QueryGraphBuilder, SearchGraph
+from repro.learning import AnnotationKind
 
 from reference_executor import ReferenceExecutor
+from test_storage_backends import (
+    _mini_sources,
+    answer_fingerprint,
+    clone_source,
+    interpro_view,
+    make_backend,
+)
+
+#: The ranked union, its pages and its cache are the same code on every
+#: backend; only what executes a cache-missing query differs.
+VIEW_BACKENDS = ("memory", "sqlite")
 
 
 def term_query(cost: float, provenance: str) -> ConjunctiveQuery:
@@ -239,3 +253,170 @@ class TestIncrementalRefresh:
         )
         got = view.state.answers
         assert [(a.values, a.cost) for a in got] == [(a.values, a.cost) for a in expected]
+
+
+# ----------------------------------------------------------------------
+# Stable tie order of the merge
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", VIEW_BACKENDS)
+def test_python_merge_keeps_query_then_emission_order(kind):
+    # The k-way merge must reproduce the stable sort: ascending cost, equal
+    # costs in query order, then emission order.
+    first = ConjunctiveQuery(provenance="tree-a", cost=1.0)
+    first.add_atom("go.term", "t")
+    first.add_output("t", "name", "label")
+    second = ConjunctiveQuery(provenance="tree-b", cost=1.0)
+    second.add_atom("interpro.interpro2go", "i")
+    second.add_output("i", "entry_ac", "label")
+    third = ConjunctiveQuery(provenance="tree-c", cost=0.5)
+    third.add_atom("go.term", "u")
+    third.add_output("u", "acc", "label")
+    catalog = Catalog(
+        [clone_source(s) for s in _mini_sources()], backend=make_backend(kind)
+    )
+    executor = PlanExecutor(catalog)
+    merged = ranked_union([(q, executor.execute(q)) for q in (first, second, third)])
+    costs = [a.cost for a in merged]
+    assert costs == sorted(costs)
+    # All cost-1.0 answers: every tree-a answer precedes every tree-b
+    # answer (query order), each block in its own emission order.
+    tied = [a.provenance.query_id for a in merged if a.cost == 1.0]
+    assert tied == sorted(tied, key=lambda q: q != "tree-a")
+    assert "tree-a" in tied and "tree-b" in tied
+    catalog.close()
+
+
+# ----------------------------------------------------------------------
+# Pagination edge cases
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", VIEW_BACKENDS)
+class TestPaginationEdges:
+    def test_offset_past_last_answer_is_empty(self, kind):
+        service, view, _ = interpro_view(make_backend(kind))
+        total = len(view.answers())
+        assert view.answers_page(limit=5, offset=total) == []
+        assert view.answers_page(limit=5, offset=total + 100) == []
+        service.close()
+
+    def test_limit_zero_and_negative_offset_rejected(self, kind):
+        service, view, _ = interpro_view(make_backend(kind))
+        with pytest.raises(QueryError):
+            view.answers_page(limit=0)
+        with pytest.raises(QueryError):
+            view.answers_page(limit=-3)
+        with pytest.raises(QueryError):
+            view.answers_page(limit=1, offset=-1)
+        service.close()
+
+    def test_offset_never_reaches_past_answer_limit_cap(self, kind):
+        # The view's answer_limit caps the union; a window starting at the
+        # cap must be empty even if more joined tuples exist beneath it.
+        service, view, _ = interpro_view(make_backend(kind), answer_limit=3)
+        assert len(view.answers()) == 3
+        assert view.answers_page(limit=5, offset=3) == []
+        assert len(view.answers_page(limit=5, offset=2)) == 1
+        service.close()
+
+    def test_single_answer_pages_tile_the_tie_region(self, kind):
+        # Cost ties must paginate deterministically: limit=1 pages, read in
+        # any order, tile the full list exactly (row-id tie-break).
+        service, view, _ = interpro_view(make_backend(kind))
+        full = view.answers()
+        assert len({a.cost for a in full}) < len(full), "no ties — vacuous"
+        for offset in reversed(range(len(full))):
+            page = view.answers_page(limit=1, offset=offset)
+            assert answer_fingerprint(page) == answer_fingerprint(
+                [full[offset]]
+            ), f"tie region unstable at offset {offset}"
+        service.close()
+
+    def test_mid_stream_publish_is_picked_up_by_the_next_read(self, kind):
+        # A table mutation landing after the first pulled answer neither
+        # breaks the started stream nor goes stale: the version bump misses
+        # the per-signature cache, so the next read re-executes.
+        service, view, info = interpro_view(make_backend(kind))
+        expected = answer_fingerprint(view.answers())
+        view.invalidate_cache()
+        stream = service.stream_answers(QueryRequest(view=info.view_id))
+        got = [next(stream)]
+        relation = view.state.queries[0].query.atoms[0].relation
+        table = service.catalog.relation(relation)
+        arity = len(table.schema.attribute_names)
+        # Joins and matches nothing, so the answers themselves do not move.
+        table.append(tuple(f"published-{i}" for i in range(arity)))
+        got.extend(stream)
+        assert answer_fingerprint(got) == expected
+        # The query pulled before the mutation was cached at the old version.
+        assert answer_fingerprint(view.refresh().answers) == expected
+        assert view.last_refresh.queries_executed >= 1
+        service.close()
+
+
+# ----------------------------------------------------------------------
+# A view read once is paged and re-read without executing anything
+# ----------------------------------------------------------------------
+class TestCachedUnionServesPagesAndRereads:
+    def _counting(self, service, monkeypatch):
+        """Count every ``execute_sql`` read the session issues from now on."""
+        backend = service.catalog.backend
+        calls = []
+        original = backend.execute_sql
+
+        def counted(sql, parameters=()):
+            calls.append(sql)
+            return original(sql, parameters)
+
+        monkeypatch.setattr(backend, "execute_sql", counted)
+        return calls
+
+    def test_paging_and_rereading_issue_no_sql(self, monkeypatch):
+        service, view, info = interpro_view(make_backend("sqlite"))
+        request = QueryRequest(view=info.view_id)
+        full = list(service.stream_answers(request))
+        assert len(full) >= 4
+        pushed = service.stats().pushdown_queries
+        assert pushed == len(view.state.queries)
+        calls = self._counting(service, monkeypatch)
+        for offset in range(0, len(full) + 2, 2):
+            page = service.answers_page(
+                QueryRequest(view=info.view_id, page_size=2, offset=offset)
+            )
+            assert answer_fingerprint(page) == answer_fingerprint(
+                full[offset : offset + 2]
+            ), f"page at offset {offset} is not a slice of the union"
+        assert answer_fingerprint(service.stream_answers(request)) == answer_fingerprint(full)
+        assert answer_fingerprint(view.answers()) == answer_fingerprint(full)
+        assert calls == []
+        assert service.stats().pushdown_queries == pushed
+        assert view.last_refresh.queries_executed == 0
+        service.close()
+
+    def test_feedback_executes_only_new_signatures(self):
+        service, view, info = interpro_view(make_backend("sqlite"))
+        request = QueryRequest(view=info.view_id)
+        answers = list(service.stream_answers(request))
+        before = {g.signature for g in view.state.queries}
+        pushed = service.stats().pushdown_queries
+        # Demote the best query's tree below the k-th: the solve after the
+        # MIRA step swaps trees in and out of the top k.
+        best = answers[0]
+        worse = next(
+            a for a in reversed(answers)
+            if a.provenance.query_id != best.provenance.query_id
+        )
+        service.feedback(
+            FeedbackRequest(
+                view=info.view_id,
+                answer=worse,
+                kind=AnnotationKind.PREFERRED_OVER,
+                other=best,
+            )
+        )
+        list(service.stream_answers(request))
+        after = {g.signature for g in view.state.queries}
+        new = after - before
+        assert 0 < len(new) < len(after), "no tree swapped or none kept — vacuous"
+        assert service.stats().pushdown_queries == pushed + len(new)
+        assert view.last_refresh.queries_executed == len(new)
+        assert view.last_refresh.queries_reused == len(after) - len(new)
+        service.close()
