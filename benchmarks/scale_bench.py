@@ -1,13 +1,12 @@
 """Catalog-scale registration benchmark: sharded index + tiered MinHash blocking.
 
 Measures how source registration scales as the catalog grows to 10k+
-relations, exercising the three scaling layers of the profile index:
+relations, exercising the two scaling layers of the profile index:
 
 * **sharded posting lists** (``ServiceConfig.profile_shards``),
 * **tiered blocking** — MinHash/LSH sketch candidates re-verified by the
   exact posting-list tier (``ServiceConfig.sketch_num_perm``), driven
-  through the ``profile_blocked`` aligner strategy,
-* **parallel matcher scoring** (``ServiceConfig.registration_workers``).
+  through the ``profile_blocked`` aligner strategy.
 
 The synthetic workload extends the Figure 8 generator: community-pooled
 values (see :func:`repro.datasets.synthetic.make_community_source`) give
@@ -16,21 +15,17 @@ the sketch tier has something real to prune against — the exhaustive
 baseline would compare every new attribute against every catalog attribute.
 
 At the smallest size the bench asserts **parity**: accepted correspondences
-and edge ids are byte-identical across {serial, parallel} x {sharded,
-unsharded} x {sketch on, off} and across the exhaustive vs profile_blocked
-strategies.  For every size it reports registration seconds (serial and
-parallel), comparisons per tier (sketch proposals, exact survivors, pairs
-scored) against the exhaustive pair count, and the sketch tier's pruning
-fraction.
+and edge ids are byte-identical across {sharded, unsharded} x {sketch on,
+off} and across the exhaustive vs profile_blocked strategies.  For every
+size it reports registration seconds, comparisons per tier (sketch
+proposals, exact survivors, pairs scored) against the exhaustive pair
+count, and the sketch tier's pruning fraction.
 
 With ``--check BASELINE`` the run compares itself against a checked-in
 baseline and exits non-zero on any drift of the deterministic per-tier
 counts, on a sketch-pruning fraction below the 80% floor at the largest
 size, or on a >20% regression of the (machine-normalized) largest/smallest
-registration-time scaling ratio.  The parallel >=2x gate applies only when
-the host actually has >=2 CPUs (``pool="process"``; a single-core host —
-like the machine that generated the checked-in baseline — records the
-measured ratio instead).
+registration-time scaling ratio.
 
 Usage::
 
@@ -82,17 +77,10 @@ PRUNING_FLOOR = 0.80
 #: MinHash shape used by every sketch-enabled mode.
 SKETCH_NUM_PERM = 48
 
-#: Parallel pool size used by every parallel mode.
-PARALLEL_WORKERS = 4
 
-
-def _service_config(
-    shards: int = 1, workers: int = 1, sketch: bool = True, pool: str = "thread"
-) -> ServiceConfig:
+def _service_config(shards: int = 1, sketch: bool = True) -> ServiceConfig:
     return ServiceConfig(
         profile_shards=shards,
-        registration_workers=workers,
-        registration_pool=pool,
         sketch_num_perm=SKETCH_NUM_PERM if sketch else 0,
     )
 
@@ -153,7 +141,6 @@ def _run_registrations(
         "sketch_candidates": stats.sketch_candidates,
         "exact_candidates": stats.exact_candidates,
         "pairs_scored": stats.pairs_scored,
-        "pool_workers": stats.pool_workers,
         "profile_shards": stats.profile_shards,
         "exhaustive_pairs": exhaustive_pairs,
         "_correspondence_log": correspondence_log,
@@ -163,22 +150,11 @@ def _run_registrations(
 def _assert_parity(size: int, communities: int, new_count: int) -> Dict[str, object]:
     """Byte-identical registrations across every scaling-knob combination."""
     modes = {
-        "exhaustive_serial_flat": ("exhaustive", _service_config(1, 1, sketch=False)),
-        "exhaustive_sketch": ("exhaustive", _service_config(1, 1, sketch=True)),
-        "blocked_serial_flat": ("profile_blocked", _service_config(1, 1, sketch=False)),
-        "blocked_serial_sketch": ("profile_blocked", _service_config(1, 1, sketch=True)),
-        "blocked_sharded_sketch": (
-            "profile_blocked",
-            _service_config(4, 1, sketch=True),
-        ),
-        "blocked_parallel_sketch": (
-            "profile_blocked",
-            _service_config(4, PARALLEL_WORKERS, sketch=True),
-        ),
-        "blocked_parallel_flat": (
-            "profile_blocked",
-            _service_config(1, PARALLEL_WORKERS, sketch=False),
-        ),
+        "exhaustive_serial_flat": ("exhaustive", _service_config(1, sketch=False)),
+        "exhaustive_sketch": ("exhaustive", _service_config(1, sketch=True)),
+        "blocked_serial_flat": ("profile_blocked", _service_config(1, sketch=False)),
+        "blocked_serial_sketch": ("profile_blocked", _service_config(1, sketch=True)),
+        "blocked_sharded_sketch": ("profile_blocked", _service_config(4, sketch=True)),
     }
     reference = None
     for name, (strategy, config) in modes.items():
@@ -199,7 +175,7 @@ def _assert_parity(size: int, communities: int, new_count: int) -> Dict[str, obj
     }
 
 
-def run_benchmark(config: str, pool: str = "process") -> Dict[str, object]:
+def run_benchmark(config: str) -> Dict[str, object]:
     spec = CONFIGS[config]
     sizes: List[int] = spec["sizes"]
     communities: int = spec["communities"]
@@ -209,40 +185,20 @@ def run_benchmark(config: str, pool: str = "process") -> Dict[str, object]:
 
     curve = []
     for size in sizes:
-        serial = _run_registrations(
-            size, communities, new_count, _service_config(4, 1, sketch=True)
+        run = _run_registrations(
+            size, communities, new_count, _service_config(4, sketch=True)
         )
-        parallel = _run_registrations(
-            size,
-            communities,
-            new_count,
-            _service_config(4, PARALLEL_WORKERS, sketch=True, pool=pool),
-        )
-        if serial["_correspondence_log"] != parallel["_correspondence_log"]:
-            raise AssertionError(
-                f"serial vs parallel parity violated at {size} relations"
-            )
-        exhaustive = serial["exhaustive_pairs"]
-        pruning = (
-            1.0 - serial["sketch_candidates"] / exhaustive if exhaustive else 0.0
-        )
-        speedup = (
-            serial["registration_seconds"] / parallel["registration_seconds"]
-            if parallel["registration_seconds"] > 0
-            else float("inf")
-        )
+        exhaustive = run["exhaustive_pairs"]
+        pruning = 1.0 - run["sketch_candidates"] / exhaustive if exhaustive else 0.0
         curve.append(
             {
                 "relations": size,
-                "setup_seconds": serial["setup_seconds"],
-                "registration_seconds_serial": serial["registration_seconds"],
-                "registration_seconds_parallel": parallel["registration_seconds"],
-                "parallel_speedup": round(speedup, 2),
-                "pool_workers": parallel["pool_workers"],
+                "setup_seconds": run["setup_seconds"],
+                "registration_seconds_serial": run["registration_seconds"],
                 "exhaustive_pairs": exhaustive,
-                "sketch_candidates": serial["sketch_candidates"],
-                "exact_candidates": serial["exact_candidates"],
-                "pairs_scored": serial["pairs_scored"],
+                "sketch_candidates": run["sketch_candidates"],
+                "exact_candidates": run["exact_candidates"],
+                "pairs_scored": run["pairs_scored"],
                 "sketch_pruning_fraction": round(pruning, 4),
             }
         )
@@ -262,8 +218,6 @@ def run_benchmark(config: str, pool: str = "process") -> Dict[str, object]:
             "new_sources_per_size": new_count,
             "communities": communities,
             "sketch_num_perm": SKETCH_NUM_PERM,
-            "parallel_workers": PARALLEL_WORKERS,
-            "parallel_pool": pool,
         },
         "cpu_count": os.cpu_count(),
         "parity": parity,
@@ -328,28 +282,6 @@ def check_against_baseline(report: Dict[str, object], baseline_path: Path) -> in
             f"got {new_ratio}x"
         )
 
-    # Parallel speedup gate: only meaningful on a multi-core host running
-    # the acceptance (large) configuration with a process pool.
-    cpu_count = os.cpu_count() or 1
-    if (
-        cpu_count >= 2
-        and report["config"]["name"] == "large"
-        and report["config"]["parallel_pool"] == "process"
-    ):
-        if largest["parallel_speedup"] < 2.0:
-            failures.append(
-                f"parallel registration speedup {largest['parallel_speedup']}x "
-                f"< 2x at {largest['relations']} relations on a "
-                f"{cpu_count}-core host"
-            )
-    else:
-        print(
-            f"note: parallel >=2x gate skipped (cpus={cpu_count}, "
-            f"config={report['config']['name']}, "
-            f"pool={report['config']['parallel_pool']}); measured "
-            f"{largest['parallel_speedup']}x"
-        )
-
     if failures:
         print("BASELINE CHECK FAILED:", file=sys.stderr)
         for failure in failures:
@@ -367,12 +299,6 @@ def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", choices=sorted(CONFIGS), default="large")
     parser.add_argument(
-        "--pool",
-        choices=("thread", "process"),
-        default="process",
-        help="pool kind for the parallel legs",
-    )
-    parser.add_argument(
         "--out", type=Path, default=Path("benchmarks/BENCH_scale.json"), help="report path"
     )
     parser.add_argument(
@@ -380,14 +306,13 @@ def main(argv: Optional[list] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = run_benchmark(args.config, pool=args.pool)
+    report = run_benchmark(args.config)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     largest = report["curve"][-1]
     print(
         f"scale bench ({args.config}): {largest['relations']} relations, "
-        f"serial {largest['registration_seconds_serial']}s / parallel "
-        f"{largest['registration_seconds_parallel']}s "
-        f"({largest['parallel_speedup']}x), sketch tier pruned "
+        f"{largest['registration_seconds_serial']}s for "
+        f"{report['config']['new_sources_per_size']} registrations, sketch tier pruned "
         f"{largest['sketch_pruning_fraction']:.1%} of "
         f"{largest['exhaustive_pairs']} exhaustive pairs; report written to {args.out}"
     )

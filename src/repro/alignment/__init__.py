@@ -13,13 +13,11 @@ Public API
 * :class:`SourceRegistrar` — the registration service that wires a new
   source into the catalog, search graph and aligner.
 * :class:`AlignmentResult`, :func:`install_associations`,
-  :func:`prior_from_weights`, :func:`score_pairs` — shared plumbing
-  (including the deterministic parallel scoring pool).
+  :func:`prior_from_weights`, :func:`score_pairs` — shared plumbing.
 """
 
-from .base import AlignmentResult, BaseAligner, install_associations
+from .base import AlignmentResult, BaseAligner, install_associations, score_pairs
 from .exhaustive import ExhaustiveAligner
-from .parallel import chunk_evenly, clone_matcher, resolve_workers, score_pairs
 from .preferential import PreferentialAligner, prior_from_weights
 from .profile_blocked import ProfileBlockedAligner
 from .registration import RegistrationRecord, SourceRegistrar
@@ -34,10 +32,7 @@ __all__ = [
     "RegistrationRecord",
     "SourceRegistrar",
     "ViewBasedAligner",
-    "chunk_evenly",
-    "clone_matcher",
     "install_associations",
     "prior_from_weights",
-    "resolve_workers",
     "score_pairs",
 ]

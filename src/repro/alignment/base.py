@@ -5,7 +5,9 @@ source is matched against (paper Section 3.3).  All strategies share the
 same mechanics — run a base matcher over the chosen relation pairs, merge
 the correspondences, and install association edges in the search graph —
 and differ only in the candidate-selection policy, so the shared pieces live
-here.
+here.  The lane's three steps are each one callable a tracer can wrap:
+:meth:`BaseAligner.candidate_relations`, :func:`score_pairs` and
+:func:`install_associations`, all on the calling thread.
 """
 
 from __future__ import annotations
@@ -13,17 +15,17 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from ..datastore.database import Catalog, DataSource
 from ..datastore.table import Table
+from ..exceptions import UnknownRelationError
 from ..graph.edges import Edge
 from ..graph.search_graph import SearchGraph
 from ..matching.base import BaseMatcher, Correspondence, group_correspondences, top_y_per_attribute
 from ..matching.value_overlap import ValueOverlapFilter
 from ..obs.tracing import active_trace
 from ..profiling.index import CatalogProfileIndex
-from .parallel import POOL_THREAD, PairTask, score_pairs
 
 
 @dataclass
@@ -52,9 +54,7 @@ class AlignmentResult:
         Wall-clock time of the alignment (the metric of Figure 6).
     pairs_scored:
         Number of relation pairs the base matcher was actually invoked on
-        (pairs surviving the comparison count, i.e. the pool's work items).
-    pool_workers:
-        Number of pool workers that scored those pairs (1 = serial path).
+        (pairs surviving the comparison count).
     """
 
     strategy: str
@@ -66,7 +66,6 @@ class AlignmentResult:
     candidate_relations: List[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     pairs_scored: int = 0
-    pool_workers: int = 1
 
 
 class BaseAligner(abc.ABC):
@@ -93,10 +92,6 @@ class BaseAligner(abc.ABC):
         the matcher when the matcher supports one and has none attached, so
         every strategy pulls candidate pairs and table profiles from the
         same incrementally maintained index.
-
-    Parallelism is configured post-construction (``aligner.workers`` /
-    ``aligner.pool`` — see :mod:`repro.alignment.parallel`); the defaults
-    keep every strategy on the serial path.
     """
 
     #: Strategy name, overridden by subclasses.
@@ -115,10 +110,6 @@ class BaseAligner(abc.ABC):
         self.value_filter = value_filter
         self.count_only = count_only
         self.profile_index = profile_index
-        #: Matcher-scoring pool size (1 = serial) and pool kind; see
-        #: :func:`repro.alignment.parallel.score_pairs`.
-        self.workers = 1
-        self.pool = POOL_THREAD
         if profile_index is not None and getattr(matcher, "profile_index", "unsupported") is None:
             matcher.profile_index = profile_index
 
@@ -146,10 +137,8 @@ class BaseAligner(abc.ABC):
         start = time.perf_counter()
         trace = active_trace()
         result = AlignmentResult(strategy=self.strategy_name, new_source=new_source.name)
-        # Comparison counting stays in this thread (race-free Figure 7/8
-        # instrumentation); the surviving pairs become the pool's work list,
-        # in exactly the order the serial loop would have scored them.
-        pair_tasks: List[PairTask] = []
+        # Pairs that survive the comparison count, in the order they are scored.
+        pair_tasks: List[Tuple[Table, Table]] = []
         with trace.span("candidates"):
             candidates = self.candidate_relations(graph, catalog, new_source)
             result.candidate_relations = list(candidates)
@@ -157,7 +146,8 @@ class BaseAligner(abc.ABC):
             for qualified_relation in candidates:
                 try:
                     existing_table = catalog.relation(qualified_relation)
-                except Exception:
+                except UnknownRelationError:
+                    # A stale name from a view's α-neighbourhood.
                     continue
                 for new_relation, new_table in new_tables:
                     if new_relation == qualified_relation:
@@ -173,16 +163,10 @@ class BaseAligner(abc.ABC):
 
         if not self.count_only:
             with trace.span("score"):
-                correspondences, workers_used = score_pairs(
-                    self.matcher, pair_tasks, workers=self.workers, pool=self.pool
-                )
+                correspondences = score_pairs(self.matcher, pair_tasks)
                 result.pairs_scored = len(pair_tasks)
-                result.pool_workers = workers_used
                 result.correspondences = top_y_per_attribute(correspondences, self.top_y)
             trace.tally("pairs_scored", result.pairs_scored)
-            # Edge installation (and with it edge id allocation) is strictly
-            # serial, after the parallel join — a precondition of the
-            # byte-identical-to-serial guarantee.
             edges_before = graph.edge_count
             with trace.span("install"):
                 result.edges_added = install_associations(graph, result.correspondences)
@@ -196,6 +180,20 @@ class BaseAligner(abc.ABC):
         if self.value_filter is not None:
             return self.value_filter.comparable_pairs(table_a, table_b)
         return len(table_a.schema.attribute_names) * len(table_b.schema.attribute_names)
+
+
+def score_pairs(
+    matcher: BaseMatcher, pairs: Iterable[Tuple[Table, Table]]
+) -> List[Correspondence]:
+    """Score every (new table, existing table) pair with ``matcher``.
+
+    The result is each pair's ``match_relations`` output, concatenated in
+    pair order.
+    """
+    correspondences: List[Correspondence] = []
+    for new_table, existing_table in pairs:
+        correspondences.extend(matcher.match_relations(new_table, existing_table))
+    return correspondences
 
 
 def install_associations(

@@ -35,11 +35,14 @@ AlignerOrFactory = Union[BaseAligner, Callable[[], BaseAligner]]
 
 @dataclass
 class RegistrationRecord:
-    """Book-keeping for one registered source."""
+    """Book-keeping for one registered source.
+
+    Deliberately holds no :class:`AlignmentResult`: the history lives as
+    long as the registrar, the result belongs to the caller.
+    """
 
     source_name: str
     strategy: str
-    alignment: AlignmentResult
 
 
 class SourceRegistrar:
@@ -88,10 +91,6 @@ class SourceRegistrar:
         """Register a callback invoked after each successful registration."""
         self._listeners.append(listener)
 
-    def add_index(self, index: object) -> None:
-        """Attach another maintained index (``index_source``/``remove_source``)."""
-        self.indexes.append(index)
-
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
@@ -131,10 +130,9 @@ class SourceRegistrar:
             # Keep catalog, graph and indexes consistent on failure.
             self._evict(source.name)
             raise
-        record = RegistrationRecord(
-            source_name=source.name, strategy=aligner.strategy_name, alignment=alignment
+        self.history.append(
+            RegistrationRecord(source_name=source.name, strategy=aligner.strategy_name)
         )
-        self.history.append(record)
         for listener in self._listeners:
             listener(source, alignment)
         return alignment
@@ -190,11 +188,7 @@ class SourceRegistrar:
 
         for source, aligner, alignment in zip(sources, resolved, results):
             self.history.append(
-                RegistrationRecord(
-                    source_name=source.name,
-                    strategy=aligner.strategy_name,
-                    alignment=alignment,
-                )
+                RegistrationRecord(source_name=source.name, strategy=aligner.strategy_name)
             )
             for listener in self._listeners:
                 listener(source, alignment)

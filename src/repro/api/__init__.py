@@ -41,7 +41,6 @@ from .strategies import (
     AlignmentStrategy,
     available_strategies,
     build_aligner,
-    register_aligner,
 )
 from .streaming import drain, paginate
 from .types import (
@@ -84,5 +83,4 @@ __all__ = [
     "build_aligner",
     "drain",
     "paginate",
-    "register_aligner",
 ]

@@ -251,9 +251,8 @@ class QService:
         self._tenant_views: Dict[Tuple[str, str], Tuple[QueryGraph, RankedView]] = {}
         self._refreshes = 0
         self._refreshes_skipped = 0
-        #: Registration-scaling counters (surfaced through :meth:`stats`).
+        #: Registration-scaling counter (surfaced through :meth:`stats`).
         self._pairs_scored = 0
-        self._pool_workers = 1
         #: At-most-once bookkeeping for the serving layer's retrying writer
         #: lane: idempotency keys of applied mutations (insertion-ordered,
         #: bounded) plus the key of the mutation currently being applied.
@@ -372,11 +371,6 @@ class QService:
             "q_pairs_scored_total",
             "Relation pairs the base matcher scored",
             fn=lambda: self._pairs_scored,
-        )
-        gauge(
-            "q_pool_workers",
-            "Largest registration scoring pool used",
-            fn=lambda: self._pool_workers,
         )
         gauge(
             "q_profile_shards",
@@ -835,8 +829,6 @@ class QService:
                 max_relations=request.max_relations,
                 view=driving_view,
                 profile_index=self.profile_index,
-                workers=self.config.registration_workers,
-                pool=self.config.registration_pool,
             ),
         )
         return strategy, aligner
@@ -935,7 +927,6 @@ class QService:
         # itself is deferred to each view's next read.
         del source
         self._pairs_scored += result.pairs_scored
-        self._pool_workers = max(self._pool_workers, result.pool_workers)
         self.engine_context.invalidate()
         for record in self.views.records():
             record.view.invalidate_cache()
@@ -1218,7 +1209,7 @@ class QService:
             self.feedback_log.add(restore_event(event_spec))
         for name, strategy in overlay.get("registrations", ()):
             self.registrar.history.append(
-                RegistrationRecord(source_name=name, strategy=strategy, alignment=None)
+                RegistrationRecord(source_name=name, strategy=strategy)
             )
         self._refreshes = overlay.get("refreshes", 0)
         self._refreshes_skipped = overlay.get("refreshes_skipped", 0)
@@ -1336,7 +1327,6 @@ class QService:
             sketch_candidates=int(value("q_sketch_candidates_total")),
             exact_candidates=int(value("q_exact_candidates_total")),
             pairs_scored=int(value("q_pairs_scored_total")),
-            pool_workers=int(value("q_pool_workers")),
             pair_memo_entries=int(value("q_pair_memo_entries")),
             tenants=int(value("q_tenants")),
             pushdown_scans=int(value("q_pushdown_scans_total")),

@@ -1,17 +1,15 @@
-"""Typed alignment-strategy dispatch: enum + aligner factory registry.
+"""Typed alignment-strategy dispatch: enum + aligner factory table.
 
 The seed :class:`~repro.core.qsystem.QSystem` dispatched aligner strategies
 on raw strings (``strategy="view_based"``), failing with an untyped message
 on typos.  The service API replaces that with :class:`AlignmentStrategy`
 — an enum whose values coincide with the historical strings, so persisted
-configuration keeps working — and a registry mapping each strategy to a
+configuration keeps working — and a table mapping each strategy to a
 factory that builds the concrete :class:`~repro.alignment.base.BaseAligner`
 from an :class:`AlignerSpec`.  Unknown names raise
 :class:`~repro.exceptions.UnknownStrategyError`, which lists the valid
-options.
-
-Third-party strategies can join the dispatch by calling
-:func:`register_aligner` with their own factory.
+options.  The enum is closed: a new strategy is a new member plus its row
+in the table at the bottom of this module.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 from ..alignment.base import BaseAligner
 from ..alignment.exhaustive import ExhaustiveAligner
-from ..alignment.parallel import POOL_THREAD, resolve_workers
 from ..alignment.preferential import PreferentialAligner
 from ..alignment.profile_blocked import ProfileBlockedAligner
 from ..alignment.view_based import ViewBasedAligner
@@ -90,11 +87,6 @@ class AlignerSpec:
         :class:`~repro.profiling.index.CatalogProfileIndex`; injected into
         the aligner (and from there into the matcher) so candidate
         generation reads the incrementally maintained profiles.
-    workers, pool:
-        Matcher-scoring pool size and kind for the built aligner (see
-        :func:`repro.alignment.parallel.score_pairs`); applied centrally by
-        :func:`build_aligner`, so every strategy — including third-party
-        ones — gets deterministic parallel scoring for free.
     min_shared_values:
         Exact-tier acceptance floor for the profile-blocked strategy.
     """
@@ -105,19 +97,10 @@ class AlignerSpec:
     max_relations: Optional[int] = 5
     view: Optional["RankedView"] = None
     profile_index: Optional[object] = None
-    workers: int = 1
-    pool: str = POOL_THREAD
     min_shared_values: int = 1
 
 
 AlignerFactory = Callable[[AlignerSpec], BaseAligner]
-
-_STRATEGY_REGISTRY: Dict[AlignmentStrategy, AlignerFactory] = {}
-
-
-def register_aligner(strategy: AlignmentStrategy, factory: AlignerFactory) -> None:
-    """Register (or replace) the factory building ``strategy``'s aligner."""
-    _STRATEGY_REGISTRY[strategy] = factory
 
 
 def available_strategies() -> Tuple[str, ...]:
@@ -128,23 +111,16 @@ def available_strategies() -> Tuple[str, ...]:
 def build_aligner(
     strategy: Union[str, AlignmentStrategy], spec: AlignerSpec
 ) -> BaseAligner:
-    """Build the aligner for ``strategy`` from ``spec`` via the registry.
+    """Build the aligner for ``strategy`` from ``spec``.
 
     Raises
     ------
     UnknownStrategyError
-        If the strategy is unknown or has no registered factory.
+        If the strategy is unknown.
     RegistrationError
         From the view-based factory when the spec carries no usable view.
     """
-    member = AlignmentStrategy.coerce(strategy)
-    factory = _STRATEGY_REGISTRY.get(member)
-    if factory is None:
-        raise UnknownStrategyError(member.value, tuple(sorted(s.value for s in _STRATEGY_REGISTRY)))
-    aligner = factory(spec)
-    aligner.workers = resolve_workers(spec.workers)
-    aligner.pool = spec.pool
-    return aligner
+    return _FACTORIES[AlignmentStrategy.coerce(strategy)](spec)
 
 
 def _build_exhaustive(spec: AlignerSpec) -> BaseAligner:
@@ -203,7 +179,9 @@ def _build_profile_blocked(spec: AlignerSpec) -> BaseAligner:
     )
 
 
-register_aligner(AlignmentStrategy.EXHAUSTIVE, _build_exhaustive)
-register_aligner(AlignmentStrategy.PREFERENTIAL, _build_preferential)
-register_aligner(AlignmentStrategy.VIEW_BASED, _build_view_based)
-register_aligner(AlignmentStrategy.PROFILE_BLOCKED, _build_profile_blocked)
+_FACTORIES: Dict[AlignmentStrategy, AlignerFactory] = {
+    AlignmentStrategy.EXHAUSTIVE: _build_exhaustive,
+    AlignmentStrategy.PREFERENTIAL: _build_preferential,
+    AlignmentStrategy.VIEW_BASED: _build_view_based,
+    AlignmentStrategy.PROFILE_BLOCKED: _build_profile_blocked,
+}

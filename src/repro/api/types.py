@@ -64,13 +64,6 @@ class ServiceConfig:
     #: Document-frequency ceiling for the exact rare-token tier that backs
     #: the sketch tier's losslessness at low Jaccard.
     sketch_rare_token_df: int = 16
-    #: Matcher-scoring pool size for registration; 1 = serial, 0 = one
-    #: worker per CPU.  Accepted correspondences are byte-identical to
-    #: serial runs at any setting.
-    registration_workers: int = 1
-    #: Pool kind: ``"thread"`` or ``"process"`` (process falls back to
-    #: threads when the matcher/tables do not pickle).
-    registration_pool: str = "thread"
     #: LRU cap on the profile index's schema-fingerprint pair memo.
     pair_memo_limit: int = 4096
     #: Serving-layer knobs (see :mod:`repro.service`): size of the
@@ -292,12 +285,11 @@ class SystemStats:
     compaction.  ``journal_entries`` is the number of incremental delta
     entries currently pending on top of that snapshot.
 
-    The registration-scaling block describes the candidate tiers and the
-    scoring pool: ``sketch_candidates`` counts attribute pairs proposed by
-    the approximate MinHash/LSH + rare-token tier, ``exact_candidates``
-    those surviving exact re-verification, ``pairs_scored`` the relation
-    pairs the base matcher actually ran on, and ``pool_workers`` the
-    largest scoring pool any registration used (1 = all serial).
+    The registration-scaling block describes the candidate tiers:
+    ``sketch_candidates`` counts attribute pairs proposed by the
+    approximate MinHash/LSH + rare-token tier, ``exact_candidates`` those
+    surviving exact re-verification, and ``pairs_scored`` the relation
+    pairs the base matcher actually ran on.
     """
 
     sources: int
@@ -319,7 +311,6 @@ class SystemStats:
     sketch_candidates: int = 0
     exact_candidates: int = 0
     pairs_scored: int = 0
-    pool_workers: int = 1
     pair_memo_entries: int = 0
     #: Tenants with a weight overlay in this session (0 = single-tenant).
     tenants: int = 0

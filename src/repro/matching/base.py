@@ -14,7 +14,7 @@ import abc
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..datastore.table import Table
 from ..exceptions import UnknownMatcherError
@@ -92,22 +92,14 @@ class ComparisonCounter:
 class BaseMatcher(abc.ABC):
     """Abstract pairwise schema matcher.
 
-    Concrete matchers must implement :meth:`match_relations`; the default
-    :meth:`match_source_against` fans a new source's relations out against a
-    set of existing relations, which is exactly what ``BASEMATCHER(G', v)``
-    does in Algorithms 2 and 3.
+    Concrete matchers must implement :meth:`match_relations`, the black box
+    over one relation pair.  ``BASEMATCHER(G', v)`` of Algorithms 2 and 3 is
+    that call repeated over the pairs an aligner selects
+    (:func:`repro.alignment.base.score_pairs`).
     """
 
     #: Matcher name used for feature names and reporting.
     name: str = "matcher"
-
-    #: Whether scores *change* without the shared profile index attached.
-    #: For most matchers the index is a pure cache (profiles and memos
-    #: rebuild to identical values from the tables), so process-pool workers
-    #: may drop it instead of pickling the whole catalog's postings.  A
-    #: matcher whose evidence depends on the index's corpus (e.g. tf-idf
-    #: document frequencies) must set this to ``True``.
-    index_result_dependent: bool = False
 
     def __init__(self) -> None:
         self.counter = ComparisonCounter()
@@ -115,16 +107,6 @@ class BaseMatcher(abc.ABC):
     @abc.abstractmethod
     def match_relations(self, table_a: Table, table_b: Table) -> List[Correspondence]:
         """Align the attributes of two relations and return scored correspondences."""
-
-    def match_source_against(
-        self, new_tables: Sequence[Table], existing_tables: Sequence[Table]
-    ) -> List[Correspondence]:
-        """Align every new relation against every existing relation."""
-        correspondences: List[Correspondence] = []
-        for new_table in new_tables:
-            for existing_table in existing_tables:
-                correspondences.extend(self.match_relations(new_table, existing_table))
-        return correspondences
 
     def reset_counters(self) -> None:
         """Reset the comparison instrumentation."""

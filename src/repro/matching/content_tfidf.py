@@ -42,11 +42,6 @@ class ContentTfIdfMatcher(BaseMatcher):
 
     name = "content_tfidf"
 
-    #: Document frequencies come from the attached index's whole corpus; a
-    #: two-table fallback index yields different (still valid) scores, so
-    #: parallel process workers must not silently drop the index.
-    index_result_dependent = True
-
     def __init__(
         self,
         min_confidence: float = 0.25,

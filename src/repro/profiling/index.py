@@ -247,18 +247,6 @@ class CatalogProfileIndex:
         """All attribute profiles in installation order (posting-store sync)."""
         return iter(self._attribute_profiles.values())
 
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        # Neither the lock nor the backend-bound store survives pickling.
-        state["_postings_lock"] = None
-        state["_posting_store"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._postings_lock = threading.Lock()
-        self._posting_store = None
-
     def remove_source(self, name: str) -> None:
         """Retract every relation ``name`` contributed (no full rebuild)."""
         for relation in self._source_relations.pop(name, []):

@@ -10,8 +10,8 @@ incrementally alongside the posting lists, so a candidate probe is a
 handful of bucket lookups instead of a scan over the catalog.
 
 Determinism is a hard requirement: signatures must be identical across
-processes (parallel registration workers) and across save/restore cycles
-(the persistence round-trip re-derives sketches from the profiles).  All
+processes and across save/restore cycles (the persistence round-trip
+re-derives sketches from the profiles).  All
 hashing therefore goes through ``zlib.crc32``-seeded 61-bit universal
 hash permutations with constants drawn from a fixed-seed PRNG — nothing
 touches Python's per-process-salted builtin ``hash``.

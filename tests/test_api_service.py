@@ -14,7 +14,9 @@ Covers the satellite contract of the service API:
 
 from __future__ import annotations
 
+import gc
 import warnings
+import weakref
 
 import pytest
 
@@ -66,6 +68,14 @@ def _mini_service() -> QService:
         "go.term", "acc", "interpro.interpro2go", "go_id", {"mad": 0.9}
     )
     return service
+
+
+def _extra_source() -> DataSource:
+    return DataSource.build(
+        "extra",
+        {"facts": ["go_acc", "note"]},
+        data={"facts": [{"go_acc": "GO:0001", "note": "liver"}]},
+    )
 
 
 def _drain(pages) -> list:
@@ -136,11 +146,7 @@ class TestLazyConsistency:
         refreshes_before = (view_a.refresh_count, view_b.refresh_count)
         generation = service.engine_context.generation
 
-        new_source = DataSource.build(
-            "extra",
-            {"facts": ["go_acc", "note"]},
-            data={"facts": [{"go_acc": "GO:0001", "note": "liver"}]},
-        )
+        new_source = _extra_source()
         service.register_source(
             RegisterSourceRequest(source=new_source, strategy=AlignmentStrategy.EXHAUSTIVE)
         )
@@ -156,6 +162,22 @@ class TestLazyConsistency:
         assert view_a.refresh_count == refreshes_before[0] + 1
         assert view_b.refresh_count == refreshes_before[1]
         assert view_a.last_refresh.queries_executed == len(view_a.state.queries)
+
+    def test_registration_result_is_not_retained_by_the_session(self):
+        # The registrar's history outlives every response; holding each
+        # AlignmentResult there grows a serving session without bound.
+        service = _mini_service()
+        new_source = _extra_source()
+        response = service.register_source(
+            RegisterSourceRequest(source=new_source, strategy=AlignmentStrategy.EXHAUSTIVE)
+        )
+        assert response.alignment.correspondences
+        alignment_ref = weakref.ref(response.alignment)
+        del response
+        gc.collect()
+        assert alignment_ref() is None
+        record = service.registrar.history[-1]
+        assert (record.source_name, record.strategy) == ("extra", "exhaustive")
 
     def test_multiple_mutations_cost_one_refresh_at_read(self):
         service = _mini_service()

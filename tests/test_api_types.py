@@ -10,6 +10,7 @@ from repro.api import (
     AnswerPage,
     InvalidRequestError,
     QueryRequest,
+    ServiceConfig,
     UnknownMatcherError,
     UnknownStrategyError,
     UnknownViewError,
@@ -55,6 +56,15 @@ class TestAlignmentStrategy:
         spec = AlignerSpec(matcher=MetadataMatcher())
         with pytest.raises(RegistrationError):
             build_aligner(AlignmentStrategy.VIEW_BASED, spec)
+
+
+class TestRetiredConfigKnobs:
+    @pytest.mark.parametrize(
+        "knob", [{"registration_workers": 2}, {"registration_pool": "process"}]
+    )
+    def test_scoring_pool_knobs_are_rejected_not_ignored(self, knob):
+        with pytest.raises(TypeError):
+            ServiceConfig(**knob)
 
 
 class TestMatcherRegistry:

@@ -25,6 +25,7 @@ from repro.api import (
 from repro.datastore import DataSource
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.matching import MetadataMatcher, ValueOverlapMatcher
+from repro.persist import unwrap_document, wrap_document
 
 BACKEND_SPECS = ("memory", "sqlite")
 
@@ -567,6 +568,31 @@ class TestErrors:
         assert reopened.config.default_page_size == 4
         assert reopened.config.graph.foreign_key_cost == 0.25
         assert reopened.graph.config.foreign_key_cost == 0.25
+
+    def test_retired_config_keys_in_a_saved_session_are_ignored(self, tmp_path):
+        """Sessions saved before the scoring pool was removed still open."""
+        sources = mini_sources()
+        service, save_path, _ = build_session("memory", tmp_path, sources=[sources[0]])
+        service.bootstrap_alignments()
+        info = service.create_view(QueryRequest(keywords=("plasma", "IPR001")))
+        service.register_source(
+            RegisterSourceRequest(source=sources[1], strategy="exhaustive")
+        )
+        live = read(service, info.view_id)
+        assert live, "workload produced no answers — parity would be vacuous"
+        service.save(save_path)
+        service.close()
+
+        body = unwrap_document(save_path.read_text())
+        body["config"].update(registration_workers=4, registration_pool="process")
+        save_path.write_text(wrap_document(body) + "\n")
+
+        reopened = QService.open(save_path)
+        assert read(reopened, info.view_id) == live
+        assert reopened.config.top_k == 5 and reopened.config.top_y == 1
+        assert not hasattr(reopened.config, "registration_workers")
+        assert not hasattr(reopened.config, "registration_pool")
+        reopened.close()
 
     def test_sidecar_contains_catalog_rows(self, tmp_path):
         """The sidecar file is self-contained: schema + rows + session."""

@@ -21,6 +21,13 @@ class _ExplodingAligner(BaseAligner):
         raise RuntimeError("boom")
 
 
+class _GhostCandidateAligner(ExhaustiveAligner):
+    """Proposes a relation the catalog does not hold beside the real ones."""
+
+    def candidate_relations(self, graph, catalog, new_source):
+        return ["ghost.rel", *super().candidate_relations(graph, catalog, new_source)]
+
+
 @pytest.fixture()
 def new_source() -> DataSource:
     return DataSource.build(
@@ -144,6 +151,46 @@ class TestRegistrarRollback:
         assert not profile_index.has_relation("newdb.xref")
         assert value_index.distinct_value_count == values_before
         assert token_index.document_count == docs_before
+        assert registrar.epoch == 0
+
+    def test_unknown_candidate_relation_is_skipped(
+        self, mini_catalog, mini_graph, new_source
+    ):
+        registrar, *_ = self._registrar(mini_catalog, mini_graph)
+        result = registrar.register(new_source, _GhostCandidateAligner(MetadataMatcher()))
+        assert result.candidate_relations[0] == "ghost.rel"
+        real = len(result.candidate_relations) - 1
+        assert real > 0
+        assert result.relation_pairs_considered == real
+        assert result.pairs_scored == real
+        assert result.correspondences
+        assert {c.target.relation for c in result.correspondences} <= set(
+            result.candidate_relations[1:]
+        )
+        assert result.edges_added
+        assert registrar.registered_sources() == ["newdb"]
+
+    def test_other_catalog_errors_fail_the_registration(
+        self, mini_catalog, mini_graph, new_source, monkeypatch
+    ):
+        # Only "no such relation" means "fewer candidates"; anything else a
+        # catalog lookup raises must fail the registration, not thin it out.
+        registrar, profile_index, *_ = self._registrar(mini_catalog, mini_graph)
+
+        def broken_relation(qualified):
+            raise RuntimeError("backend went away")
+
+        monkeypatch.setattr(mini_catalog, "relation", broken_relation)
+        sources_before = mini_catalog.source_names()
+        nodes_before = mini_graph.node_count
+        edges_before = mini_graph.edge_count
+        relations_before = profile_index.relation_count
+        with pytest.raises(RuntimeError, match="backend went away"):
+            registrar.register(new_source, ExhaustiveAligner(MetadataMatcher()))
+        assert mini_catalog.source_names() == sources_before
+        assert mini_graph.node_count == nodes_before
+        assert mini_graph.edge_count == edges_before
+        assert profile_index.relation_count == relations_before
         assert registrar.epoch == 0
 
     def test_registration_succeeds_after_a_failed_attempt(

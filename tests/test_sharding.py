@@ -1,10 +1,10 @@
-"""Registration-scaling invariants: sharding, sketches, parallel scoring.
+"""Registration-scaling invariants: sharding, sketches, pair scoring.
 
 The scaling layers must be *invisible* to results: a sharded posting index
-(any shard count), the MinHash/LSH sketch tier, and the parallel matcher
-pool all have to reproduce the flat serial outputs exactly.  These tests pin
-that contract — mostly as hypothesis properties over randomly generated
-catalogs — plus the persistence of the scaling configuration itself.
+(any shard count) and the MinHash/LSH sketch tier have to reproduce the flat
+outputs exactly.  These tests pin that contract — mostly as hypothesis
+properties over randomly generated catalogs — plus the persistence of the
+scaling configuration itself.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.alignment import ProfileBlockedAligner, chunk_evenly, score_pairs
+from repro.alignment import ProfileBlockedAligner, score_pairs
 from repro.api import QService
 from repro.api.types import RegisterSourceRequest, ServiceConfig
 from repro.datasets.synthetic import make_community_source
@@ -150,16 +150,8 @@ class TestPairMemoCap:
         assert service.profile_index.pair_memo_limit == 7
 
 
-class TestParallelScoring:
-    def test_chunk_evenly_partitions_in_order(self):
-        items = list(range(10))
-        chunks = chunk_evenly(items, 3)
-        assert [x for chunk in chunks for x in chunk] == items
-        assert max(len(c) for c in chunks) - min(len(c) for c in chunks) <= 1
-        assert chunk_evenly([], 4) == []
-        assert chunk_evenly(items, 100) == [[x] for x in items]
-
-    def test_parallel_scoring_matches_serial(self):
+class TestPairScoring:
+    def test_score_pairs_is_match_relations_in_pair_order(self):
         catalog = Catalog(_community_catalog(size=6, communities=2))
         tables = catalog.all_tables()
         pairs = [
@@ -167,53 +159,19 @@ class TestParallelScoring:
             for i in range(len(tables))
             for j in range(i + 1, len(tables))
         ]
-        serial_matcher = ValueOverlapMatcher()
-        serial, workers = score_pairs(serial_matcher, pairs, workers=1)
-        assert workers == 1
-        parallel_matcher = ValueOverlapMatcher()
-        parallel, workers = score_pairs(parallel_matcher, pairs, workers=4)
-        assert workers == 4
-        assert parallel == serial
-        assert (
-            parallel_matcher.counter.attribute_comparisons
-            == serial_matcher.counter.attribute_comparisons
-        )
-        assert (
-            parallel_matcher.counter.relation_pairs
-            == serial_matcher.counter.relation_pairs
-        )
+        reference = ValueOverlapMatcher()
+        expected = []
+        for table_a, table_b in pairs:
+            expected.extend(reference.match_relations(table_a, table_b))
+        assert expected  # the community workload must actually align
 
-    def test_process_pool_scoring_matches_serial(self):
-        catalog = Catalog(_community_catalog(size=4, communities=1))
-        tables = catalog.all_tables()
-        pairs = [
-            (tables[i], tables[j])
-            for i in range(len(tables))
-            for j in range(i + 1, len(tables))
-        ]
-        serial, _ = score_pairs(ValueOverlapMatcher(), pairs, workers=1)
-        parallel, workers = score_pairs(
-            ValueOverlapMatcher(), pairs, workers=2, pool="process"
+        matcher = ValueOverlapMatcher()
+        assert score_pairs(matcher, pairs) == expected
+        assert matcher.counter.relation_pairs == len(pairs)
+        assert matcher.counter.attribute_comparisons == sum(
+            len(a.schema.attribute_names) * len(b.schema.attribute_names) for a, b in pairs
         )
-        assert workers == 2
-        assert parallel == serial
-
-    def test_process_clones_drop_pure_cache_index_only(self):
-        from repro.alignment.parallel import _index_free_parity, detach_profile_index
-        from repro.matching import ContentTfIdfMatcher, MetadataMatcher
-
-        tables = []
-        for source in _community_catalog(size=3):
-            tables.extend(source.tables())
-        index = CatalogProfileIndex.from_tables(tables)
-        metadata = MetadataMatcher(profile_index=index)
-        # The index is a pure cache for metadata evidence: droppable.
-        assert _index_free_parity(metadata)
-        clone = detach_profile_index(metadata)
-        assert clone.profile_index is None
-        assert metadata.profile_index is index  # caller untouched
-        # tf-idf document frequencies depend on the index corpus: kept.
-        assert not _index_free_parity(ContentTfIdfMatcher(profile_index=index))
+        assert score_pairs(matcher, []) == []
 
 
 class TestServiceIntegration:
@@ -236,9 +194,7 @@ class TestServiceIntegration:
             ServiceConfig(),
             ServiceConfig(profile_shards=4),
             ServiceConfig(sketch_num_perm=16),
-            ServiceConfig(
-                profile_shards=4, sketch_num_perm=16, registration_workers=4
-            ),
+            ServiceConfig(profile_shards=4, sketch_num_perm=16),
         ):
             _, log = self._register(config)
             if baseline is None:
@@ -259,16 +215,11 @@ class TestServiceIntegration:
             ProfileBlockedAligner(ValueOverlapMatcher(), profile_index=None)
 
     def test_stats_surface_scaling_counters(self):
-        service, _ = self._register(
-            ServiceConfig(
-                profile_shards=4, sketch_num_perm=16, registration_workers=2
-            )
-        )
+        service, _ = self._register(ServiceConfig(profile_shards=4, sketch_num_perm=16))
         stats = service.stats()
         assert stats.profile_shards == 4
         assert stats.sketch_candidates > 0
         assert stats.exact_candidates > 0
         assert stats.exact_candidates <= stats.sketch_candidates
         assert stats.pairs_scored > 0
-        assert stats.pool_workers == 2
         assert stats.pair_memo_entries >= 0
