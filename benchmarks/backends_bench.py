@@ -27,21 +27,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import os
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
-
-# The workload's answer totals depend on tie-breaks that follow set/dict
-# iteration order, which Python randomizes per process via the string hash
-# seed.  Pin it (re-exec once) so the deterministic-count gate is comparing
-# like with like across runs and machines.
-if os.environ.get("PYTHONHASHSEED") != "0":
-    os.environ["PYTHONHASHSEED"] = "0"
-    os.execv(sys.executable, [sys.executable] + sys.argv)
 
 _HERE = Path(__file__).resolve().parent
 _SRC = _HERE.parent / "src"
@@ -78,18 +68,6 @@ CONFIGS = {
 REGRESSION_TOLERANCE = 0.20
 
 
-def _reset_edge_ids() -> None:
-    """Restart the process-global edge-id counter (see the parity tests).
-
-    Independent sessions in one process otherwise number their graphs
-    differently, which shifts equal-cost tie-breaks — resetting makes the
-    per-backend runs byte-comparable.
-    """
-    import repro.graph.edges as edges
-
-    edges._edge_counter = itertools.count()
-
-
 def _clone(source):
     return source_from_dict(source_to_dict(source))
 
@@ -109,7 +87,6 @@ def _answer_fingerprint(answers) -> List:
 
 def _run_backend(kind: str, rows: int, trials) -> Dict[str, object]:
     """One full workload on one backend; returns timings + parity artifacts."""
-    _reset_edge_ids()
     gbco = build_gbco(rows_per_relation=rows)
     new_source_names = sorted(
         {

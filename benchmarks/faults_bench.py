@@ -8,7 +8,8 @@ proves the fault-tolerance invariants held:
 
 * **retry probe** — a registration whose first two ``create_relation``
   calls fail transiently must apply exactly once (backoff + idempotency
-  keys, edge-id counter restored so retries are invisible to signatures).
+  keys; the registrar's rollback returns the failed attempts' edge ids, so
+  retries are invisible to signatures).
 * **concurrent chaos** — the mixed query/feedback/registration workload of
   ``service_bench`` runs while every third autosave ``append_entry`` fails
   transiently and reads absorb injected scan latency.  Every submitted
@@ -45,7 +46,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
@@ -56,13 +56,6 @@ import time
 from concurrent.futures import wait as wait_futures
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
-
-# Deterministic counts depend on tie-breaks that follow set/dict iteration
-# order; pin the string hash seed (re-exec once) so the gate compares like
-# with like across runs and machines — the bench-suite convention.
-if os.environ.get("PYTHONHASHSEED") != "0":
-    os.environ["PYTHONHASHSEED"] = "0"
-    os.execv(sys.executable, [sys.executable] + sys.argv)
 
 _HERE = Path(__file__).resolve().parent
 _SRC = _HERE.parent / "src"
@@ -139,14 +132,6 @@ DEADLINE_OVERRUN_FACTOR = 2.0
 #: that to truncate on any machine.
 PROBE_TOP_K = 80
 PROBE_ANSWER_LIMIT = 1000
-
-
-def _reset_edge_ids() -> None:
-    """Restart the process-global edge-id counter between legs so the
-    sessions are byte-comparable (the parity-test convention)."""
-    import repro.graph.edges as edges
-
-    edges._edge_counter = itertools.count()
 
 
 def _clone(source):
@@ -268,7 +253,6 @@ def build_session(gbco, spec, held_out, backend=None, autosave=False):
     """Bootstrap-aligned session minus held-out sources, workload views
     created (unmaterialized) in a fixed order.  Shared by the chaos leg
     (faulty backend + sidecar autosave) and the oracle leg (plain)."""
-    _reset_edge_ids()
     service = QService(
         sources=[
             _clone(source) for source in gbco.catalog if source.name not in held_out
@@ -332,9 +316,9 @@ def run_chaos(gbco, spec, held_out, schedules, workdir: Path) -> Dict[str, objec
 
         # -- Phase 1: serial retry probe (pre-apply transient faults) -----
         # The first two create_relation calls die transiently; attempt 3
-        # lands.  Catalog.add_source rolls back each failed attempt, and
-        # the writer lane restores the edge-id counter, so the applied
-        # registration is byte-identical to a clean one.
+        # lands.  Catalog.add_source rolls back each failed attempt before
+        # the graph numbered any edge for it, so the applied registration
+        # is byte-identical to a clean one.
         plan.rules[:] = [FaultRule(op="create_relation", error="transient", times=2)]
         plan.enable()
         server.register(
@@ -652,7 +636,6 @@ def run_oracle(gbco, spec, held_out, chaos: Dict[str, object]) -> Dict[str, obje
 # Leg 3: deadline probe against the largest Figure-8 configuration
 # ----------------------------------------------------------------------
 def run_deadline_probe(gbco, spec) -> Dict[str, object]:
-    _reset_edge_ids()
     service = QService(
         sources=[_clone(source) for source in gbco.catalog],
         config=ServiceConfig(

@@ -34,18 +34,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
-
-# Deterministic counts depend on tie-breaks that follow set/dict iteration
-# order; pin the string hash seed (re-exec once) so the gate compares like
-# with like across runs and machines — same convention as backends_bench.
-if os.environ.get("PYTHONHASHSEED") != "0":
-    os.environ["PYTHONHASHSEED"] = "0"
-    os.execv(sys.executable, [sys.executable] + sys.argv)
 
 _HERE = Path(__file__).resolve().parent
 _SRC = _HERE.parent / "src"

@@ -30,22 +30,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import os
 import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
-
-# Deterministic counts depend on tie-breaks that follow set/dict iteration
-# order; pin the string hash seed (re-exec once) so the gate compares like
-# with like across runs and machines — same convention as backends_bench.
-if os.environ.get("PYTHONHASHSEED") != "0":
-    os.environ["PYTHONHASHSEED"] = "0"
-    os.execv(sys.executable, [sys.executable] + sys.argv)
 
 _HERE = Path(__file__).resolve().parent
 _SRC = _HERE.parent / "src"
@@ -81,14 +72,6 @@ REGRESSION_TOLERANCE = 0.20
 LARGE_CONFIG_MIN_SPEEDUP = 5.0
 
 
-def _reset_edge_ids() -> None:
-    """Restart the process-global edge-id counter between backend runs so
-    per-backend sessions are byte-comparable (the parity-test convention)."""
-    import repro.graph.edges as edges
-
-    edges._edge_counter = itertools.count()
-
-
 def _clone(source):
     return source_from_dict(source_to_dict(source))
 
@@ -114,7 +97,6 @@ def _read(service, view_ref):
 
 def _run_backend(kind: str, rows: int, fig8_size: int, workdir: Path) -> Dict[str, object]:
     """One cold build + save + warm reopen on one backend."""
-    _reset_edge_ids()
     gbco = build_gbco(rows_per_relation=rows)
     keywords = tuple(list(gbco.query_log)[0].keywords)
     if kind == "sqlite":

@@ -54,7 +54,6 @@ for path in (str(_HERE), str(_SRC)):
 from repro.api.service import QService  # noqa: E402
 from repro.api.types import RegisterSourceRequest, ServiceConfig  # noqa: E402
 from repro.datasets.synthetic import make_community_source  # noqa: E402
-from repro.graph.edges import set_edge_id_counter  # noqa: E402
 
 #: Named configurations.  ``large`` is the 10k-relation acceptance run;
 #: ``small`` is the CI smoke configuration.
@@ -110,7 +109,6 @@ def _run_registrations(
     strategy: str = "profile_blocked",
 ) -> Dict[str, object]:
     """Build a size-N catalog service and register ``new_count`` sources."""
-    set_edge_id_counter(0)
     existing = _existing_sources(size, communities)
     setup_start = time.perf_counter()
     service = QService(existing, config=config)

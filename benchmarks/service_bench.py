@@ -49,13 +49,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-# Deterministic counts depend on tie-breaks that follow set/dict iteration
-# order; pin the string hash seed (re-exec once) so the gate compares like
-# with like across runs and machines — same convention as persist_bench.
-if os.environ.get("PYTHONHASHSEED") != "0":
-    os.environ["PYTHONHASHSEED"] = "0"
-    os.execv(sys.executable, [sys.executable] + sys.argv)
-
 _HERE = Path(__file__).resolve().parent
 _SRC = _HERE.parent / "src"
 for path in (str(_HERE), str(_SRC)):
@@ -103,14 +96,6 @@ LATENCY_NOISE_FLOOR_SECONDS = 0.02
 
 #: The acceptance bar on multi-core hosts at the large configuration.
 MIN_CONCURRENT_READ_SPEEDUP = 2.0
-
-
-def _reset_edge_ids() -> None:
-    """Restart the process-global edge-id counter between legs so the three
-    sessions are byte-comparable (the parity-test convention)."""
-    import repro.graph.edges as edges
-
-    edges._edge_counter = itertools.count()
 
 
 def _clone(source):
@@ -179,7 +164,6 @@ def merge_round_robin(schedules: List[List[Dict]]) -> List[Dict]:
 def build_session(gbco, spec, held_out: List[str]):
     """Fresh bootstrap-aligned session minus held-out sources, with the
     workload's views created (unmaterialized) in a fixed order."""
-    _reset_edge_ids()
     service = QService(
         sources=[
             _clone(source) for source in gbco.catalog if source.name not in held_out

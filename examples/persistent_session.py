@@ -21,20 +21,10 @@ Run with::
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-# Byte-identical replay across *processes* needs one string hash seed: some
-# ranking tie-breaks follow set/dict iteration order, which Python
-# randomizes per process (see README "Durability & sessions").  Restoring a
-# snapshot is exact either way; the pin makes the cross-process comparison
-# below meaningful.  Re-exec once, and the reopen subprocess inherits it.
-if os.environ.get("PYTHONHASHSEED") != "0":
-    os.environ["PYTHONHASHSEED"] = "0"
-    os.execv(sys.executable, [sys.executable] + sys.argv)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 

@@ -9,8 +9,10 @@ edges against the existing graph, and any registered callbacks (e.g. view
 refresh) are invoked with the alignment result.
 
 Failure atomicity: if the aligner (or index maintenance) raises, the
-catalog, the search graph *and* every maintained index are rolled back to
-their pre-registration state, so a failed registration is a no-op.
+catalog, the search graph — its edge-id sequence included — *and* every
+maintained index are rolled back to their pre-registration state, so a
+failed registration is a no-op and its retry allocates the ids a first
+attempt would have.
 """
 
 from __future__ import annotations
@@ -97,19 +99,26 @@ class SourceRegistrar:
     def _admit(self, source: DataSource) -> None:
         """Add ``source`` to catalog, graph and maintained indexes."""
         self.catalog.add_source(source)
+        edge_number = self.graph.next_edge_number
         try:
             self.graph.add_source(source)
             for index in self.indexes:
                 index.index_source(source)  # type: ignore[attr-defined]
         except Exception:
-            self._evict(source.name)
+            self._evict(source.name, edge_number)
             raise
 
-    def _evict(self, source_name: str) -> None:
-        """Best-effort inverse of :meth:`_admit` (used on failure paths)."""
+    def _evict(self, source_name: str, edge_number: int) -> None:
+        """Best-effort inverse of :meth:`_admit` (used on failure paths).
+
+        ``edge_number`` is the graph's ``next_edge_number`` from before the
+        failed attempt: every edge numbered since is removed with the source,
+        so the sequence goes back and the retry reuses those ids.
+        """
         for index in self.indexes:
             index.remove_source(source_name)  # type: ignore[attr-defined]
         self.graph.remove_source(source_name)
+        self.graph.next_edge_number = edge_number
         if self.catalog.has_source(source_name):
             self.catalog.remove_source(source_name)
 
@@ -123,12 +132,13 @@ class SourceRegistrar:
         """
         if self.catalog.has_source(source.name):
             raise RegistrationError(f"source {source.name!r} is already registered")
+        edge_number = self.graph.next_edge_number
         self._admit(source)
         try:
             alignment = aligner.align(self.graph, self.catalog, source)
         except Exception:
             # Keep catalog, graph and indexes consistent on failure.
-            self._evict(source.name)
+            self._evict(source.name, edge_number)
             raise
         self.history.append(
             RegistrationRecord(source_name=source.name, strategy=aligner.strategy_name)
@@ -170,6 +180,7 @@ class SourceRegistrar:
         admitted: List[str] = []
         resolved: List[BaseAligner] = []
         results: List[AlignmentResult] = []
+        edge_number = self.graph.next_edge_number
         try:
             # Phase 1: one profiling pass over the whole batch.
             for source in sources:
@@ -183,7 +194,7 @@ class SourceRegistrar:
                 results.append(aligner.align(self.graph, self.catalog, source))
         except Exception:
             for name in reversed(admitted):
-                self._evict(name)
+                self._evict(name, edge_number)
             raise
 
         for source, aligner, alignment in zip(sources, resolved, results):

@@ -590,7 +590,7 @@ class QService:
         With ``structural_only`` (the default) only views whose query-graph
         *structure* is stale re-expand — the serving layer runs this in its
         single writer lane after each mutation so that all query-graph
-        expansion (which consumes process-global edge ids) happens there,
+        expansion (which consumes the session graph's edge ids) happens there,
         never on a concurrent read.  Weight-only staleness needs no eager
         work: rankings re-solve lazily under whatever weight vector prices
         the next read.  ``structural_only=False`` also re-solves
@@ -1032,7 +1032,7 @@ class QService:
         alignment edges with features and original edge ids), weight
         vector, learner state, profile index, view registry with each
         synced view's query-graph expansion, feedback log, and the
-        process-global edge-id counter.  Later calls are *incremental*:
+        graph's next edge number.  Later calls are *incremental*:
         one journal delta entry capturing the mutations since the previous
         save.  Once the journal reaches
         ``config.journal_compact_after`` entries (or ``compact=True``, or a
@@ -1098,10 +1098,10 @@ class QService:
 
         No profiling, matching or alignment runs: graph, weights, profiles
         and views come straight from the snapshot, the journal replays any
-        post-snapshot mutations, and the edge-id counter is restored so the
-        reopened session allocates the same ids a continuing live session
-        would.  Restored sessions answer queries byte-identically to the
-        session that saved them.
+        post-snapshot mutations, and the graph's next edge number is set so
+        the reopened session allocates the same ids a continuing live
+        session would.  Restored sessions answer queries byte-identically to
+        the session that saved them.
 
         ``config`` / ``matchers`` override the persisted session knobs and
         the (non-serializable) matcher stack; by default the saved config
@@ -1173,7 +1173,6 @@ class QService:
     def _restore_overlay(self, overlay) -> None:
         """Install the snapshot's tail state: views, log, counters, ids."""
         from ..alignment.registration import RegistrationRecord
-        from ..graph.edges import set_edge_id_counter
 
         views_spec = overlay.get("views") or {}
         records = views_spec.get("records", ())
@@ -1226,7 +1225,7 @@ class QService:
         # edge-id allocation agree exactly with the session that saved.
         self.graph.weights.version = overlay["weights_version"]
         self.graph.structure_version = overlay["structure_version"]
-        set_edge_id_counter(overlay["edge_id_counter"])
+        self.graph.next_edge_number = overlay["edge_id_counter"]
 
     def _after_mutation(self) -> None:
         """Autosave hook, called at the end of every mutating service call.

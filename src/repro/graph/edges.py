@@ -18,8 +18,6 @@ either direction and is stored once.
 from __future__ import annotations
 
 import enum
-import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -40,50 +38,6 @@ class EdgeKind(enum.Enum):
         return self in (EdgeKind.MEMBERSHIP, EdgeKind.VALUE_MEMBERSHIP)
 
 
-_edge_counter = itertools.count()
-_edge_counter_lock = threading.Lock()
-
-
-def _next_edge_id(kind: EdgeKind, u: str, v: str) -> str:
-    with _edge_counter_lock:
-        sequence = next(_edge_counter)
-    return f"{kind.value}:{u}|{v}#{sequence}"
-
-
-def edge_id_counter() -> int:
-    """The next sequence number the process-global edge-id counter will emit.
-
-    Edge ids embed this counter, so equal-cost tie-breaks (which sort on
-    edge ids) depend on it.  The session snapshot records it and
-    :func:`set_edge_id_counter` restores it on reopen, which is what makes a
-    restored session allocate the *same* ids a continuing live session
-    would.  Peeking is implemented as consume-and-rebind so it also works
-    when a test has installed a plain ``itertools.count`` by hand (the
-    historical replay-parity hook, which keeps working unchanged).
-
-    The counter is process-global mutable state, so every touch point —
-    allocation, peek, restore — serializes on one lock; the concurrent
-    serving layer funnels all graph mutation through a single writer, but
-    independent :class:`~repro.api.service.QService` instances in one
-    process may still allocate ids from different threads.
-    """
-    with _edge_counter_lock:
-        value = next(_edge_counter)
-        _rebind_edge_counter(value)
-    return value
-
-
-def set_edge_id_counter(value: int) -> None:
-    """Restart the process-global edge-id counter at ``value``."""
-    with _edge_counter_lock:
-        _rebind_edge_counter(value)
-
-
-def _rebind_edge_counter(value: int) -> None:
-    global _edge_counter
-    _edge_counter = itertools.count(value)
-
-
 @dataclass
 class Edge:
     """An undirected, weighted-feature edge of the graph.
@@ -91,7 +45,9 @@ class Edge:
     Attributes
     ----------
     edge_id:
-        Unique identifier of the edge (also used as a per-edge feature name).
+        Unique identifier of the edge (also used as a per-edge feature name):
+        ``kind:u|v#n``, with ``n`` from the sequence of the graph that made
+        the edge (:meth:`~repro.graph.search_graph.SearchGraph.new_edge`).
     u, v:
         Node ids of the two endpoints (order is not semantically relevant).
     kind:
@@ -114,32 +70,6 @@ class Edge:
     features: FeatureVector = field(default_factory=FeatureVector)
     fixed_cost: Optional[float] = None
     metadata: Dict[str, object] = field(default_factory=dict)
-
-    @classmethod
-    def create(
-        cls,
-        u: str,
-        v: str,
-        kind: EdgeKind,
-        features: Optional[FeatureVector] = None,
-        fixed_cost: Optional[float] = None,
-        metadata: Optional[Dict[str, object]] = None,
-        edge_id: Optional[str] = None,
-    ) -> "Edge":
-        """Create an edge with a fresh id (or the id supplied by the caller)."""
-        if edge_id is None:
-            edge_id = _next_edge_id(kind, u, v)
-        if kind.is_zero_cost() and fixed_cost is None:
-            fixed_cost = 0.0
-        return cls(
-            edge_id=edge_id,
-            u=u,
-            v=v,
-            kind=kind,
-            features=features or FeatureVector(),
-            fixed_cost=fixed_cost,
-            metadata=dict(metadata or {}),
-        )
 
     # ------------------------------------------------------------------
     # Cost

@@ -24,6 +24,7 @@ mixing real-valued and Boolean features in MIRA.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, Mapping, MutableMapping, Optional, Tuple
 
 DEFAULT_FEATURE = "default"
@@ -194,7 +195,8 @@ class WeightVector:
     def distance_to(self, other: "WeightVector") -> float:
         """Euclidean distance between two weight vectors."""
         names = set(self._weights) | set(other._weights)
-        return sum((self.get(n) - other.get(n)) ** 2 for n in names) ** 0.5
+        # fsum is exactly rounded, hence independent of the set's iteration order.
+        return math.fsum((self.get(n) - other.get(n)) ** 2 for n in names) ** 0.5
 
     def __len__(self) -> int:
         return len(self._weights)

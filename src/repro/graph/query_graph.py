@@ -260,7 +260,7 @@ class QueryGraphBuilder:
                 value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP
             ):
                 graph.add_edge(
-                    Edge.create(value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP)
+                    graph.new_edge(value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP)
                 )
             self._add_match_edge(graph, keyword_node.node_id, value_node.node_id, mismatch)
             result.matches.append(
@@ -280,7 +280,7 @@ class QueryGraphBuilder:
     def _add_match_edge(
         self, graph: SearchGraph, keyword_node_id: str, target_node_id: str, mismatch: float
     ) -> Edge:
-        edge = Edge.create(
+        edge = graph.new_edge(
             keyword_node_id,
             target_node_id,
             EdgeKind.KEYWORD_MATCH,

@@ -5,6 +5,11 @@ attribute nodes connected by zero-cost membership edges, foreign-key edges
 with a default cost, and association (alignment) edges whose cost is a
 weighted sum of features.  Data-value nodes are materialized lazily at query
 time (see :mod:`repro.graph.query_graph`).
+
+The graph numbers its own edges (:meth:`SearchGraph.new_edge`): a fresh graph
+starts at 0 and every :meth:`SearchGraph.copy` continues the sequence, so edge
+ids — which name per-edge features and break cost ties — depend on how the
+session was built and on nothing else in the process.
 """
 
 from __future__ import annotations
@@ -86,6 +91,11 @@ class SearchGraph:
         #: between them, or a tuple of ids in insertion order for parallel
         #: edges.  Values are immutable, so :meth:`copy` can share them.
         self._pairs: Dict[Tuple[str, str], Union[str, Tuple[str, ...]]] = {}
+        #: The number the next new edge's id ends in, in a one-slot list that
+        #: :meth:`copy` shares the way it shares ``weights``: no id — and no
+        #: ``edge::<id>`` feature of the shared weight vector — repeats within
+        #: a session.  Mutated only by the single writer, like the containers.
+        self._edge_sequence: List[int] = [0]
         #: Bumped on every node/edge addition or removal; used together with
         #: ``weights.version`` to detect that Steiner-tree computations over
         #: this graph are still valid.
@@ -174,6 +184,43 @@ class SearchGraph:
             self._pairs[pair] = held + (edge.edge_id,)
         self.structure_version += 1
         return edge
+
+    def new_edge(
+        self,
+        u: str,
+        v: str,
+        kind: EdgeKind,
+        features: Optional[FeatureVector] = None,
+        fixed_cost: Optional[float] = None,
+        metadata: Optional[Mapping[str, object]] = None,
+    ) -> Edge:
+        """Create (without adding) an edge whose id takes the graph's next number."""
+        number = self._edge_sequence[0]
+        self._edge_sequence[0] = number + 1
+        if kind.is_zero_cost() and fixed_cost is None:
+            fixed_cost = 0.0
+        return Edge(
+            edge_id=f"{kind.value}:{u}|{v}#{number}",
+            u=u,
+            v=v,
+            kind=kind,
+            features=features or FeatureVector(),
+            fixed_cost=fixed_cost,
+            metadata=dict(metadata or {}),
+        )
+
+    @property
+    def next_edge_number(self) -> int:
+        """The number :meth:`new_edge` hands out next, on this graph or any copy.
+
+        Settable for persistence (a reopened session goes on where the saved
+        one stopped) and registration rollback (a failed attempt consumes none).
+        """
+        return self._edge_sequence[0]
+
+    @next_edge_number.setter
+    def next_edge_number(self, value: int) -> None:
+        self._edge_sequence[0] = value
 
     def remove_edge(self, edge_id: str) -> Edge:
         """Remove and return the edge with id ``edge_id``."""
@@ -273,7 +320,7 @@ class SearchGraph:
                 if not self.has_node(attr_node.node_id):
                     created.append(self.add_node(attr_node))
                     self.add_edge(
-                        Edge.create(
+                        self.new_edge(
                             rel_node.node_id,
                             attr_node.node_id,
                             EdgeKind.MEMBERSHIP,
@@ -324,7 +371,7 @@ class SearchGraph:
         existing = self.find_edges(u, v, EdgeKind.FOREIGN_KEY)
         if existing:
             return existing[0]
-        edge = Edge.create(u, v, EdgeKind.FOREIGN_KEY, metadata={"foreign_key": fk.as_tuple()})
+        edge = self.new_edge(u, v, EdgeKind.FOREIGN_KEY, metadata={"foreign_key": fk.as_tuple()})
         edge.features = FeatureVector({edge_feature(edge.edge_id): 1.0})
         if edge_feature(edge.edge_id) not in self.weights:
             self.weights.set(edge_feature(edge.edge_id), self.config.foreign_key_cost)
@@ -393,7 +440,7 @@ class SearchGraph:
             self.structure_version += 1
             return merged
 
-        edge = Edge.create(u, v, EdgeKind.ASSOCIATION, metadata=metadata)
+        edge = self.new_edge(u, v, EdgeKind.ASSOCIATION, metadata=metadata)
         edge.metadata["matchers"] = confidences
         edge.features = default_association_features(
             edge.edge_id,
@@ -471,7 +518,8 @@ class SearchGraph:
         """A structural copy of the graph.
 
         Node and edge objects are shared (they are treated as immutable once
-        added); the node/edge/adjacency containers are new.  If
+        added); the node/edge/adjacency containers are new, and new edges of
+        either graph are numbered from the one shared sequence.  If
         ``share_weights`` is ``True``, the copy uses the *same*
         :class:`WeightVector` object so that learning updates affect both
         graphs — this is what the query-graph expansion wants.
@@ -484,6 +532,7 @@ class SearchGraph:
         clone._edges = dict(self._edges)
         clone._adjacency = {node: list(edges) for node, edges in self._adjacency.items()}
         clone._pairs = dict(self._pairs)
+        clone._edge_sequence = self._edge_sequence
         clone.structure_version = self.structure_version
         return clone
 

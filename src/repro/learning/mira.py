@@ -93,8 +93,7 @@ def tree_feature_vector(graph: SearchGraph, tree: SteinerTree) -> Tuple[Dict[str
     """
     phi: Dict[str, float] = {}
     fixed = 0.0
-    for edge_id in tree.edge_ids:
-        edge = graph.edge(edge_id)
+    for edge in tree.edges(graph):
         if not edge.is_learnable():
             fixed += edge.fixed_cost or 0.0
             continue
@@ -209,7 +208,7 @@ class OnlineLearner:
             margin = self.loss(target, tree)
             phi, fixed = tree_feature_vector(graph, tree)
             coefficients: Dict[str, float] = {}
-            for name in set(phi) | set(target_phi):
+            for name in sorted(set(phi) | set(target_phi)):
                 coefficients[name] = phi.get(name, 0.0) - target_phi.get(name, 0.0)
             if not coefficients:
                 continue

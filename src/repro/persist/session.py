@@ -10,7 +10,7 @@ diff journal (:mod:`repro.persist.journal`) and the stores
   movement since the previous save) plus the current **overlay** — the
   small, always-rewritten tail state: view registry (with per-view
   query-graph deltas), feedback log, learner/registration counters, version
-  counters and the process-global edge-id counter;
+  counters and the graph's next edge number;
 * once the journal reaches ``compact_after`` entries — or a change lands
   that a delta cannot express, such as rows appended to an existing
   relation of a sidecar-persisted session — the next save *compacts*:
@@ -30,7 +30,6 @@ from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Optional, Tuple
 
 from ..datastore.csvio import source_to_dict
-from ..graph.edges import edge_id_counter
 from ..profiling.index import CatalogProfileIndex
 from .journal import StateShadow, apply_delta, build_delta, is_empty_delta
 from .snapshot import (
@@ -68,9 +67,9 @@ def view_record_payload(record, base_graph) -> Dict[str, object]:
 
     The expansion delta is serialized only for views synced to the current
     graph structure — a structurally stale view rebuilds its query graph on
-    the next read anyway (live and restored sessions alike, consuming the
-    same edge-id sequence), so persisting its stale expansion would be
-    wasted bytes.
+    the next read anyway (live and restored sessions alike, drawing the
+    same numbers from the graph's edge-id sequence), so persisting its stale
+    expansion would be wasted bytes.
     """
     view = record.view
     payload: Dict[str, object] = {
@@ -97,7 +96,7 @@ def overlay_payload(service) -> Dict[str, object]:
     tenants = getattr(service, "tenants", None)
     return {
         "tenants": tenants.export_state() if tenants is not None else {},
-        "edge_id_counter": edge_id_counter(),
+        "edge_id_counter": service.graph.next_edge_number,
         "weights_version": service.graph.weights.version,
         "structure_version": service.graph.structure_version,
         "views": {

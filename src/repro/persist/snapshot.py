@@ -7,7 +7,7 @@ ids**), the learned :class:`~repro.graph.features.WeightVector`, the
 :class:`~repro.profiling.index.CatalogProfileIndex`, the view registry
 (definitions plus lazy-sync state plus each synced view's expanded
 query-graph delta), the learner/feedback/registration counters, and the
-process-global edge-id counter.  Restoring a snapshot therefore skips every
+graph's next edge number.  Restoring a snapshot therefore skips every
 expensive cold-start step — profiling, matching, alignment — *and* restores
 the exact tie-break-relevant identifiers, which is what makes a reopened
 session answer queries byte-identically to the session that saved it.

@@ -30,9 +30,9 @@ The writer lane is *supervised*: no exception escapes it silently.
   and retried with exponential backoff + jitter under the session config's
   ``write_retry_*`` knobs.  Each write carries an idempotency key recorded
   by the service *before* its autosave, so a retry after a partially
-  applied attempt never double-applies; the process-global edge-id counter
-  is rewound before a retry whose previous attempt did not land, keeping
-  retries invisible to tree signatures and the isolation oracle.
+  applied attempt never double-applies; a registration that did not land
+  was rolled back by the registrar with its edge ids, keeping its retry
+  invisible to tree signatures and the isolation oracle.
 * **Non-transient storage faults** flip the server into read-only
   *degraded* mode: reads keep serving the last published snapshot, pending
   and new writes fail fast with
@@ -79,7 +79,6 @@ from ..api.types import (
 )
 from ..faults.budget import Budget
 from ..faults.retry import RetryPolicy, classify_storage_error, is_transient
-from ..graph.edges import edge_id_counter, set_edge_id_counter
 from ..obs import Observability
 from ..obs.tracing import ReadTrace, active_trace
 from .snapshots import ReadSnapshot, SnapshotCounters
@@ -796,10 +795,9 @@ class QServer:
         service records the key the moment the mutation lands in memory
         (before its autosave), so an attempt that fails *after* that point
         — e.g. a journal append hitting a locked database — is not
-        re-applied; the retry just returns.  For attempts that failed
-        *before* landing, the process-global edge-id counter is rewound so
-        the retry allocates identical edge ids: retries stay invisible to
-        tree signatures, snapshots, and the isolation oracle's replay.
+        re-applied; the retry just returns.  A registration that failed
+        *before* landing was rolled back by the registrar, edge ids
+        included, so its retry is indistinguishable from a first attempt.
         """
         service = self._service
         policy = self._retry_policy
@@ -808,7 +806,6 @@ class QServer:
         while True:
             if idempotent and service.op_applied(op.op_key):
                 return service.op_result(op.op_key)
-            saved_edge_counter = edge_id_counter()
             if idempotent:
                 service.begin_op(op.op_key)
             try:
@@ -828,8 +825,6 @@ class QServer:
                     if classified is exc:
                         raise exc
                     raise classified from exc
-                if not (idempotent and service.op_applied(op.op_key)):
-                    set_edge_id_counter(saved_edge_counter)
                 with self._stats_lock:
                     self._writes_retried += 1
                 active_trace().tally("retry_attempts")
@@ -846,8 +841,8 @@ class QServer:
     def _publish(self) -> None:
         trace = active_trace()
         # All structurally stale views re-expand here, in the single writer
-        # thread — query-graph expansion consumes process-global edge ids,
-        # so it must never run on a concurrent reader.
+        # thread — query-graph expansion consumes the session graph's
+        # sequence of edge ids, so it must never run on a concurrent reader.
         with trace.span("prepare_views"):
             self._service.prepare_views(structural_only=True)
         with self._stats_lock:

@@ -42,18 +42,23 @@ class SteinerTree:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def nodes(self, graph: SearchGraph) -> Set[str]:
-        """All node ids covered by the tree's edges (plus isolated terminals)."""
+    def nodes(self, graph: SearchGraph) -> List[str]:
+        """All node ids covered by the tree's edges (plus isolated terminals), sorted."""
         nodes: Set[str] = set(self.terminals)
         for edge_id in self.edge_ids:
             edge = graph.edge(edge_id)
             nodes.add(edge.u)
             nodes.add(edge.v)
-        return nodes
+        return sorted(nodes)
 
     def edges(self, graph: SearchGraph):
-        """The tree's :class:`~repro.graph.edges.Edge` objects."""
-        return [graph.edge(edge_id) for edge_id in self.edge_ids]
+        """The tree's :class:`~repro.graph.edges.Edge` objects, in edge-id order.
+
+        This and :meth:`nodes` are the walks query generation and the learner
+        build on: ordering them here is what makes a tree's joins, output
+        columns, labels and feature sums independent of set iteration order.
+        """
+        return [graph.edge(edge_id) for edge_id in sorted(self.edge_ids)]
 
     def recost(self, graph: SearchGraph) -> "SteinerTree":
         """Return the same tree re-costed under the graph's current weights."""
@@ -74,7 +79,7 @@ class SteinerTree:
         """Check the edge set forms a connected acyclic subgraph spanning the terminals."""
         if not self.edge_ids:
             return len(self.terminals) <= 1
-        nodes = self.nodes(graph)
+        nodes = set(self.nodes(graph))
         # |E| == |V| - 1 is the acyclicity condition for a connected graph.
         if len(self.edge_ids) != len(nodes) - 1:
             return False

@@ -235,9 +235,21 @@ class TestInstallAssociations:
         assert c200 - c100 == 2 * (c100 - c50)
 
 
-#: The registration lane end to end, in a process of its own (fresh edge-id
-#: counter, its own hash seed): correspondences and edge ids of 24 blocked
-#: registrations with 6 removals in between, over 240 community relations.
+def run_in_fresh_process(script, hash_seed, *args):
+    """Run ``script`` in a process of its own under ``PYTHONHASHSEED=hash_seed``; its stdout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+    env.pop("REPRO_BACKEND", None)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+#: The registration lane end to end, in a process with a hash seed of its own:
+#: correspondences and edge ids of 24 blocked registrations with 6 removals in
+#: between, over 240 community relations.
 _GOLDEN_LANE = """
 import hashlib, random
 from repro.api import QService, RegisterSourceRequest, ServiceConfig
@@ -270,14 +282,7 @@ print(len(log), hashlib.sha256(repr(log).encode()).hexdigest()[:16])
 @pytest.mark.parametrize("hash_seed", ["0", "1", "random"])
 def test_registration_lane_golden_digest(hash_seed):
     """Pinned at the commit before the endpoint-pair index (PR 13)."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
-    env.pop("REPRO_BACKEND", None)
-    done = subprocess.run(
-        [sys.executable, "-c", _GOLDEN_LANE],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert done.stdout.split() == ["5904", "647c797ac082fdb5"]
+    assert run_in_fresh_process(_GOLDEN_LANE, hash_seed).split() == ["5904", "647c797ac082fdb5"]
 
 
 class TestSourceRegistrar:

@@ -341,26 +341,14 @@ class TestStreaming:
 class TestEagerLazyParity:
     """Fig11-style feedback replay: eager seed path vs lazy pull path.
 
-    Edge ids embed a process-global counter, and the id strings end up in
-    feature names whose set-iteration order affects floating-point summation
-    order.  To compare two *instances* bit-for-bit, the counter is reset
-    before each build so both systems allocate identical ids.
+    Two instances built from equal sources number their edges alike, so they
+    are compared bit-for-bit as they stand.
     """
 
-    @staticmethod
-    def _reset_edge_ids(monkeypatch):
-        import itertools
-
-        from repro.graph import edges as edges_module
-
-        monkeypatch.setattr(edges_module, "_edge_counter", itertools.count())
-
     @pytest.mark.parametrize("repetitions", [1, 2])
-    def test_identical_topk_with_strictly_fewer_refreshes(self, repetitions, monkeypatch):
+    def test_identical_topk_with_strictly_fewer_refreshes(self, repetitions):
         num_queries = 4
         dataset_eager = build_interpro_go()
-        dataset_lazy = build_interpro_go()
-        self._reset_edge_ids(monkeypatch)
 
         # --- eager: the deprecated QSystem refreshes every view per event.
         with warnings.catch_warnings():
@@ -387,7 +375,7 @@ class TestEagerLazyParity:
         eager_refreshes = sum(view.refresh_count for view in eager.views.values())
 
         # --- lazy: the service invalidates on mutation, refreshes on read.
-        self._reset_edge_ids(monkeypatch)
+        dataset_lazy = build_interpro_go()
         lazy = QService(
             sources=dataset_lazy.catalog.sources(),
             config=ServiceConfig(top_k=5, top_y=2),

@@ -292,14 +292,14 @@ class TestTypedSteinerErrors:
         assert issubclass(DisconnectedTerminalsError, SteinerError)
 
     def test_both_solvers_raise_typed_error(self):
-        from repro.graph import Edge, EdgeKind, FeatureVector, Node, NodeKind, SearchGraph, edge_feature
+        from repro.graph import EdgeKind, FeatureVector, Node, NodeKind, SearchGraph, edge_feature
         from repro.steiner import approximate_steiner_tree, exact_steiner_tree
 
         graph = SearchGraph()
         for name in ("a", "b", "c", "d"):
             graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
         for u, v in (("a", "b"), ("c", "d")):
-            edge = Edge.create(u, v, EdgeKind.ASSOCIATION)
+            edge = graph.new_edge(u, v, EdgeKind.ASSOCIATION)
             edge.features = FeatureVector({edge_feature(edge.edge_id): 1.0})
             graph.weights.set(edge_feature(edge.edge_id), 1.0)
             graph.add_edge(edge)

@@ -13,7 +13,8 @@ import threading
 
 import pytest
 
-from repro.api import QService, QueryRequest, ServiceConfig
+from repro.api import QService, QueryRequest, RegisterSourceRequest, ServiceConfig
+from repro.datastore import DataSource
 from repro.exceptions import (
     DeadlineExceededError,
     InvalidRequestError,
@@ -487,25 +488,40 @@ def test_autosave_fault_after_apply_does_not_double_apply(mini_catalog, tmp_path
 
 
 def test_retry_of_unapplied_attempt_reuses_edge_ids(mini_catalog):
-    """A failed-before-apply attempt must not burn edge ids (oracle replay)."""
-    from repro.graph.edges import edge_id_counter
+    """A registration that failed before landing burns no edge ids: after two
+    transient faults its third attempt numbers its edges like a clean twin's."""
+    def incoming():
+        return DataSource.build(
+            "newdb",
+            {"xref": ["entry_ac", "go_ref"]},
+            data={"xref": [{"entry_ac": "IPR001", "go_ref": "GO:0001"}]},
+        )
 
+    def edge_ids(response):
+        return [edge.edge_id for edge in response.alignment.edges_added]
+
+    # Each attempt scans the one new relation once, to profile it — after
+    # the graph numbered its membership edges — and the rollback scans it
+    # once more to detach it: faults on scans 1 and 3 fail two attempts.
     plan = FaultPlan(
-        rules=[FaultRule(op="scan", error="transient", times=2)], active=False
+        rules=[FaultRule(op="scan", error="transient", every=2, times=2)], active=False
     )
+    sources = [source_from_dict(source_to_dict(source)) for source in mini_catalog]
     service, server = _server(mini_catalog, plan=plan)
-    backend = service.catalog.backend
-    key = backend.relation_keys()[0]
     with service, server:
-        before = edge_id_counter()
         plan.enable()
-        server.submit_mutation(lambda: backend.scan(key), kind="probe").result(30)
+        retried = server.register(RegisterSourceRequest(source=incoming(), strategy="exhaustive"))
         plan.disable()
-        # Two failed attempts allocated nothing (scan burns no edge ids),
-        # and the rewind kept the counter exactly where the one successful
-        # application left it.
-        assert edge_id_counter() == before
+        assert plan.faults_fired() == 2
         assert server.stats().writes_retried == 2
+    with QService(sources=sources, config=ServiceConfig(write_queue_limit=8)) as twin:
+        clean = twin.register_source(RegisterSourceRequest(source=incoming(), strategy="exhaustive"))
+        assert edge_ids(clean)
+        assert edge_ids(retried) == edge_ids(clean)
+        assert [e.edge_id for e in service.graph.edges()] == [
+            e.edge_id for e in twin.graph.edges()
+        ]
+        assert service.graph.next_edge_number == twin.graph.next_edge_number
 
 
 # ----------------------------------------------------------------------

@@ -94,18 +94,20 @@ class TestEdge:
     def test_zero_cost_kinds(self):
         node_a = make_relation_node("go.term")
         node_b = make_attribute_node("go.term", "acc")
-        edge = Edge.create(node_a.node_id, node_b.node_id, EdgeKind.MEMBERSHIP)
+        edge = SearchGraph().new_edge(node_a.node_id, node_b.node_id, EdgeKind.MEMBERSHIP)
         assert edge.fixed_cost == 0.0
         assert not edge.is_learnable()
         assert edge.cost(WeightVector({DEFAULT_FEATURE: 5.0})) == 0.0
 
     def test_learnable_cost_clamped(self):
-        edge = Edge.create("a", "b", EdgeKind.ASSOCIATION, features=FeatureVector({"x": 1.0}))
+        edge = SearchGraph().new_edge(
+            "a", "b", EdgeKind.ASSOCIATION, features=FeatureVector({"x": 1.0})
+        )
         weights = WeightVector({"x": -5.0})
         assert edge.cost(weights, minimum=1e-3) == pytest.approx(1e-3)
 
     def test_other_and_connects(self):
-        edge = Edge.create("a", "b", EdgeKind.ASSOCIATION)
+        edge = SearchGraph().new_edge("a", "b", EdgeKind.ASSOCIATION)
         assert edge.other("a") == "b"
         assert edge.connects("b", "a")
         with pytest.raises(ValueError):
@@ -137,15 +139,36 @@ class TestSearchGraphConstruction:
         with pytest.raises(UnknownNodeError):
             mini_graph.edges_of("missing")
         with pytest.raises(UnknownNodeError):
-            mini_graph.add_edge(Edge.create("missing", "also_missing", EdgeKind.ASSOCIATION))
+            mini_graph.add_edge(mini_graph.new_edge("missing", "also_missing", EdgeKind.ASSOCIATION))
 
     def test_duplicate_edge_id_rejected(self, mini_graph):
         rel = relation_node_id("go.term")
         attr = attribute_node_id("go.term", "acc")
-        edge = Edge.create(rel, attr, EdgeKind.MEMBERSHIP, edge_id="fixed-id")
+        edge = Edge("fixed-id", rel, attr, EdgeKind.MEMBERSHIP)
         mini_graph.add_edge(edge)
         with pytest.raises(GraphError):
-            mini_graph.add_edge(Edge.create(rel, attr, EdgeKind.MEMBERSHIP, edge_id="fixed-id"))
+            mini_graph.add_edge(Edge("fixed-id", rel, attr, EdgeKind.MEMBERSHIP))
+
+    def test_edge_ids_are_numbered_by_the_graph(self):
+        def number(edge):
+            return int(edge.edge_id.rsplit("#", 1)[1])
+
+        graph = SearchGraph()
+        first = graph.new_edge("a", "b", EdgeKind.ASSOCIATION)
+        assert first.edge_id == "association:a|b#0"
+        assert number(graph.new_edge("a", "b", EdgeKind.FOREIGN_KEY)) == 1
+        # A copy continues the sequence and the original sees it.
+        clone = graph.copy()
+        assert number(clone.new_edge("a", "c", EdgeKind.KEYWORD_MATCH)) == 2
+        assert graph.next_edge_number == clone.next_edge_number == 3
+        assert number(graph.new_edge("a", "d", EdgeKind.ASSOCIATION)) == 3
+        assert number(clone.copy(share_weights=False).new_edge("a", "e", EdgeKind.ASSOCIATION)) == 4
+        # What persistence and registration rollback use: set the next number.
+        graph.next_edge_number = 40
+        assert number(clone.new_edge("a", "f", EdgeKind.ASSOCIATION)) == 40
+        # Two fresh graphs are independent.
+        assert number(SearchGraph().new_edge("a", "b", EdgeKind.ASSOCIATION)) == 0
+        assert graph.next_edge_number == 41
 
     def test_remove_edge(self, mini_graph):
         edge = mini_graph.association_edges()[0]
@@ -290,7 +313,7 @@ class SearchGraphMachine(RuleBasedStateMachine):
         # a == b gives a self-loop; repeats give parallel edges of any kind.
         for ref in (a, b):
             self.graph.add_node(make_attribute_node(*ref))
-        self.graph.add_edge(Edge.create(attribute_node_id(*a), attribute_node_id(*b), kind))
+        self.graph.add_edge(self.graph.new_edge(attribute_node_id(*a), attribute_node_id(*b), kind))
 
     @rule(a=_refs, b=_refs, matcher=st.sampled_from(["m1", "m2"]), confidence=st.floats(0, 1))
     def add_association(self, a, b, matcher, confidence):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.datastore.provenance import AnswerTuple, TupleProvenance
 from repro.exceptions import FeedbackError, LearningError
 from repro.graph import (
-    Edge,
     EdgeKind,
     FeatureVector,
     Node,
@@ -44,7 +43,7 @@ def build_parallel_edge_graph():
         graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
     edges = []
     for index, cost in enumerate((1.0, 2.0, 3.0)):
-        edge = Edge.create("s", "t", EdgeKind.ASSOCIATION)
+        edge = graph.new_edge("s", "t", EdgeKind.ASSOCIATION)
         edge.features = FeatureVector({edge_feature(edge.edge_id): 1.0})
         graph.weights.set(edge_feature(edge.edge_id), cost)
         graph.add_edge(edge)

@@ -3,9 +3,8 @@
 The acceptance gate of :mod:`repro.persist`: a session saved after the
 fig6-style replay (registration + feedback + views) must reopen from disk
 with **byte-identical** answers, provenance and correspondence edges on both
-storage backends — and reopening must be deterministic *without* the
-hand-reset of the process-global edge-id counter the storage parity tests
-need for independently built sessions.
+storage backends — and the reopened graph must go on numbering its edges
+where the saved one stopped.
 """
 
 from __future__ import annotations
@@ -161,9 +160,8 @@ class TestRoundTripParity:
     def test_reopen_is_deterministic_without_counter_reset(self, kind, tmp_path):
         """Two opens of one file answer a *new* query identically.
 
-        The snapshot carries the process-global edge-id counter, so each
-        open restarts id allocation at the saved position — no by-hand
-        ``edges._edge_counter`` reset required for replay parity.
+        The snapshot carries the graph's next edge number, so each open
+        restarts id allocation at the saved position.
         """
         service, save_path, location = build_session(kind, tmp_path)
         service.bootstrap_alignments()
@@ -193,6 +191,28 @@ class TestRoundTripParity:
         assert first_trees == second_trees
         assert first_trees, "new query solved no trees — determinism check vacuous"
 
+    def test_saved_edge_number_is_where_the_reopened_graph_continues(self, tmp_path):
+        """The overlay key ``edge_id_counter`` keeps its name and meaning, so
+        sessions saved before the graph owned the sequence open unchanged."""
+        service, save_path, _ = build_session("memory", tmp_path)
+        service.bootstrap_alignments()
+        service.create_view(QueryRequest(keywords=("plasma", "IPR001")))
+        service.save(save_path)
+        saved = unwrap_document(save_path.read_text())["overlay"]["edge_id_counter"]
+        assert saved == service.graph.next_edge_number > service.graph.edge_count
+        service.close()
+
+        with QService.open(save_path) as reopened:
+            assert reopened.graph.next_edge_number == saved
+            info = reopened.create_view(QueryRequest(keywords=("membrane", "IPR003")))
+            new_edges = [
+                edge
+                for edge in reopened.view(info.view_id).query_graph.graph.edges()
+                if not reopened.graph.has_edge(edge.edge_id)
+            ]
+            assert new_edges[0].edge_id.endswith(f"#{saved}")
+            assert reopened.graph.next_edge_number == saved + len(new_edges)
+
     def test_restored_view_ids_continue_sequence(self, tmp_path):
         service, save_path, _ = build_session("memory", tmp_path)
         service.bootstrap_alignments()
@@ -221,8 +241,8 @@ class TestRoundTripParity:
         service.save(save_path)
 
         live = read(service, info.view_id)  # live rebuilds, consuming edge ids
-        # Opening restores the edge-id counter to the saved position, so the
-        # restored rebuild allocates exactly the ids the live rebuild did.
+        # Opening sets the graph's next edge number to the saved position, so
+        # the restored rebuild allocates exactly the ids the live rebuild did.
         reopened = QService.open(save_path)
         restored = read(reopened, info.view_id)
         assert restored == live

@@ -15,17 +15,15 @@ Three properties anchor the snapshot format:
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.graph.edges as edges_module
 from repro.api import FeedbackRequest, QService, QueryRequest, SnapshotError
 from repro.datastore import DataSource
-from repro.graph.edges import Edge, EdgeKind, edge_id_counter, set_edge_id_counter
+from repro.graph.edges import EdgeKind
 from repro.graph.nodes import make_attribute_node, make_relation_node
 from repro.graph.search_graph import SearchGraph
 from repro.matching import ValueOverlapMatcher
@@ -61,7 +59,7 @@ def random_graphs(draw):
             node = make_attribute_node(relation, f"attr{a}")
             graph.add_node(node)
             graph.add_edge(
-                Edge.create(
+                graph.new_edge(
                     f"rel:{relation}", node.node_id, EdgeKind.MEMBERSHIP
                 )
             )
@@ -75,7 +73,7 @@ def random_graphs(draw):
         if u == v:
             continue
         confidence = draw(_finite)
-        edge = Edge.create(
+        edge = graph.new_edge(
             u,
             v,
             EdgeKind.ASSOCIATION,
@@ -230,11 +228,9 @@ class TestJournalEquivalence:
             )
             service.save()  # appends one journal entry per iteration
 
-        counter_before = edge_id_counter()
         journaled = QService.open(tmp_path / "journaled.json")
         assert journaled.stats().journal_entries == len(replays)
 
-        set_edge_id_counter(counter_before)
         service.save(compact=True)  # folds everything into a fresh snapshot
         direct = QService.open(tmp_path / "journaled.json")
         assert direct.stats().journal_entries == 0
@@ -308,19 +304,3 @@ class TestCorruption:
     def test_unserializable_state_is_typed(self):
         with pytest.raises(SnapshotError, match="not serializable"):
             wrap_document({"bad": object()})
-
-    def test_edge_counter_peek_does_not_consume(self):
-        set_edge_id_counter(1234)
-        assert edge_id_counter() == 1234
-        assert edge_id_counter() == 1234
-        edge = Edge.create("a", "b", EdgeKind.ASSOCIATION)
-        assert edge.edge_id.endswith("#1234")
-        assert edge_id_counter() == 1235
-
-    def test_counter_peek_with_hand_installed_count(self):
-        """The historical test hook — assigning a bare ``itertools.count`` —
-        keeps working with the peek/restore helpers."""
-        edges_module._edge_counter = itertools.count(7)
-        assert edge_id_counter() == 7
-        edge = Edge.create("a", "b", EdgeKind.ASSOCIATION)
-        assert edge.edge_id.endswith("#7")

@@ -6,6 +6,8 @@ import pytest
 
 from repro.alignment import ExhaustiveAligner, SourceRegistrar
 from repro.alignment.base import BaseAligner
+from repro.api import QService, RegisterSourceRequest
+from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.datastore.database import Catalog, DataSource
 from repro.datastore.indexes import TokenIndex, ValueIndex
 from repro.exceptions import RegistrationError
@@ -141,6 +143,7 @@ class TestRegistrarRollback:
         )
         nodes_before = mini_graph.node_count
         edges_before = mini_graph.edge_count
+        edge_number_before = mini_graph.next_edge_number
         docs_before = token_index.document_count
         values_before = value_index.distinct_value_count
         with pytest.raises(RuntimeError):
@@ -148,6 +151,7 @@ class TestRegistrarRollback:
         assert not mini_catalog.has_source("newdb")
         assert mini_graph.node_count == nodes_before
         assert mini_graph.edge_count == edges_before
+        assert mini_graph.next_edge_number == edge_number_before
         assert not profile_index.has_relation("newdb.xref")
         assert value_index.distinct_value_count == values_before
         assert token_index.document_count == docs_before
@@ -204,6 +208,33 @@ class TestRegistrarRollback:
         assert profile_index.has_relation("newdb.xref")
         assert registrar.registered_sources() == ["newdb"]
 
+    def test_failed_direct_registration_burns_no_edge_ids(self, mini_catalog, new_source):
+        """``QService.register_source`` with an aligner that raises, then the
+        retry: its edges are numbered like a twin session's that never failed."""
+        class ExplodingMatcher(MetadataMatcher):
+            def match_relations(self, *args, **kwargs):
+                raise RuntimeError("boom")
+
+        def session():
+            return QService(sources=[source_from_dict(source_to_dict(s)) for s in mini_catalog])
+
+        def register(service, matcher):
+            request = RegisterSourceRequest(
+                source=source_from_dict(source_to_dict(new_source)),
+                strategy="exhaustive",
+                matcher=matcher,
+            )
+            return [e.edge_id for e in service.register_source(request).alignment.edges_added]
+
+        with session() as failed_once, session() as twin:
+            edges_before = failed_once.graph.edge_count
+            with pytest.raises(RuntimeError, match="boom"):
+                register(failed_once, ExplodingMatcher())
+            assert failed_once.graph.edge_count == edges_before
+            retried = register(failed_once, MetadataMatcher())
+            assert retried and retried == register(twin, MetadataMatcher())
+            assert failed_once.graph.next_edge_number == twin.graph.next_edge_number
+
     def test_duplicate_registration_is_rejected_before_mutation(
         self, mini_catalog, mini_graph, new_source
     ):
@@ -245,6 +276,7 @@ class TestRegisterBatch:
             mini_catalog, mini_graph
         )
         nodes_before = mini_graph.node_count
+        edge_number_before = mini_graph.next_edge_number
         other = self._second_source()
         with pytest.raises(RuntimeError):
             registrar.register_batch(
@@ -254,6 +286,7 @@ class TestRegisterBatch:
         assert not mini_catalog.has_source("newdb")
         assert not mini_catalog.has_source("otherdb")
         assert mini_graph.node_count == nodes_before
+        assert mini_graph.next_edge_number == edge_number_before
         assert not profile_index.has_relation("newdb.xref")
         assert not profile_index.has_relation("otherdb.links")
         assert registrar.registered_sources() == []

@@ -8,9 +8,9 @@ Covers the serving contracts the module README promises:
 * the bounded single-writer queue: FIFO application, publish-before-
   complete, and fail-fast :class:`~repro.exceptions.ServiceOverloadedError`
   backpressure;
-* the process-global edge-id counter staying duplicate-free under
-  concurrent allocation (the writer lane owns expansion, but the counter
-  itself must be thread-safe);
+* edge-id allocation staying duplicate-free under threads (each graph
+  numbers its own edges, so sessions on different threads share nothing;
+  within one session the writer lane owns expansion);
 * ``QService`` as a context manager with idempotent close;
 * the Steiner-network topology rescore that makes per-tenant solving cheap.
 """
@@ -35,7 +35,7 @@ from repro.exceptions import (
     ServiceOverloadedError,
     UnknownViewError,
 )
-from repro.graph.edges import Edge, EdgeKind
+from repro.graph import EdgeKind, SearchGraph
 from repro.learning import AnnotationKind
 from repro.matching import MetadataMatcher
 from repro.service import QServer
@@ -75,18 +75,21 @@ def _gbco_service(gbco_dataset, hold_out=(), backend=None):
 
 
 # ----------------------------------------------------------------------
-# Edge-id counter thread safety (regression)
+# Edge-id allocation under threads (regression)
 # ----------------------------------------------------------------------
 def test_edge_id_allocation_is_duplicate_free_under_threads():
-    """Concurrent Edge.create calls must never hand out the same edge id."""
+    """Each graph numbers its own edges, so sessions building on different
+    threads never share — or skip — an id: every thread's graph hands out
+    exactly ``#0 .. #n-1``."""
     per_thread = 200
     threads = 8
     collected = [[] for _ in range(threads)]
 
     def allocate(bucket):
+        graph = SearchGraph()
         for _ in range(per_thread):
             bucket.append(
-                Edge.create("u", "v", EdgeKind.ASSOCIATION, features={"f": 1.0}).edge_id
+                graph.new_edge("u", "v", EdgeKind.ASSOCIATION, features={"f": 1.0}).edge_id
             )
 
     workers = [
@@ -95,10 +98,10 @@ def test_edge_id_allocation_is_duplicate_free_under_threads():
     for worker in workers:
         worker.start()
     for worker in workers:
-        worker.join()
-    ids = [edge_id for bucket in collected for edge_id in bucket]
-    assert len(ids) == per_thread * threads
-    assert len(set(ids)) == len(ids)
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+    expected = [f"association:u|v#{n}" for n in range(per_thread)]
+    assert all(bucket == expected for bucket in collected)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.api import QService
 from repro.api.types import RegisterSourceRequest, ServiceConfig
 from repro.datasets.synthetic import make_community_source
 from repro.datastore.database import Catalog, DataSource
-from repro.graph.edges import set_edge_id_counter
 from repro.matching import ValueOverlapMatcher
 from repro.profiling import CatalogProfileIndex, SketchConfig, stable_shard
 
@@ -176,7 +175,6 @@ class TestPairScoring:
 
 class TestServiceIntegration:
     def _register(self, config: ServiceConfig, strategy: str = "profile_blocked"):
-        set_edge_id_counter(0)
         service = QService(_community_catalog(size=6, communities=2), config=config)
         incoming = make_community_source("incoming", community=0, seed=99)
         response = service.register_source(

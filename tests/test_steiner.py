@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.engine.context import SteinerNetworkCache
 from repro.exceptions import SteinerError
-from repro.graph import Edge, EdgeKind, FeatureVector, Node, NodeKind, SearchGraph, edge_feature
+from repro.graph import EdgeKind, FeatureVector, Node, NodeKind, SearchGraph, edge_feature
 from reference_steiner import reference_solver
 from repro.steiner import (
     KBestSteiner,
@@ -32,7 +32,7 @@ def build_weighted_graph(edges):
     for name in nodes:
         graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
     for u, v, cost in edges:
-        edge = Edge.create(u, v, EdgeKind.ASSOCIATION)
+        edge = graph.new_edge(u, v, EdgeKind.ASSOCIATION)
         edge.features = FeatureVector({edge_feature(edge.edge_id): 1.0})
         graph.weights.set(edge_feature(edge.edge_id), cost)
         graph.add_edge(edge)
@@ -47,7 +47,7 @@ def build_fixed_cost_graph(edges):
         graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
     edge_ids = []
     for u, v, cost in edges:
-        edge = Edge.create(u, v, EdgeKind.ASSOCIATION, fixed_cost=cost)
+        edge = graph.new_edge(u, v, EdgeKind.ASSOCIATION, fixed_cost=cost)
         graph.add_edge(edge)
         edge_ids.append(edge.edge_id)
     return graph, edge_ids
@@ -122,7 +122,7 @@ class TestTwoTerminalTieBreak:
             graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
         by_pair = {}
         for u, v, cost in edges:
-            edge = Edge.create(u, v, EdgeKind.ASSOCIATION)
+            edge = graph.new_edge(u, v, EdgeKind.ASSOCIATION)
             edge.features = FeatureVector({edge_feature(edge.edge_id): 1.0})
             graph.weights.set(edge_feature(edge.edge_id), cost)
             graph.add_edge(edge)
@@ -322,9 +322,9 @@ class TestSteinerTreeObject:
 # ----------------------------------------------------------------------
 #: Ordered ``(cost.hex(), sha256("|".join(sorted(edge_ids)))[:12])`` per tree,
 #: as the reference oracle (tests/reference_steiner.py, fsum costs) produced
-#: them on GBCO (seed 11, 10 rows) grown to 60 sources with growth seed 3 and
-#: the edge-id counter restarted first.  Equal costs sit next to each other in
-#: every list, so a moved tie-break fails the comparison.
+#: them on GBCO (seed 11, 10 rows) grown to 60 sources with growth seed 3.
+#: Equal costs sit next to each other in every list, so a moved tie-break
+#: fails the comparison.
 GOLDEN_GRID = {
  "t2_k20": [
   ["0x1.925299967eed0p-2", "f2cf6fb8b7df"],
@@ -377,9 +377,7 @@ def grown_gbco_service():
     from repro.api import QService
     from repro.datasets import build_gbco
     from repro.datasets.synthetic import grow_catalog_and_graph
-    from repro.graph.edges import set_edge_id_counter
 
-    set_edge_id_counter(0)
     service = QService(sources=list(build_gbco(seed=11, rows_per_relation=10).catalog))
     service.bootstrap_alignments()
     grow_catalog_and_graph(service.catalog, service.graph, target_source_count=60, seed=3)

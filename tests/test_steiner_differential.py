@@ -24,7 +24,7 @@ from reference_steiner import ReferenceSteinerNetwork, reference_solver
 
 from repro.engine.context import SteinerNetworkCache
 from repro.exceptions import BoundExceededError, DisconnectedTerminalsError
-from repro.graph import Edge, EdgeKind, Node, NodeKind, SearchGraph
+from repro.graph import EdgeKind, Node, NodeKind, SearchGraph
 from repro.steiner import KBestSteiner, SteinerNetwork
 
 #: Few distinct values, so equal-cost alternatives are the rule; 0.1 + 0.2 vs
@@ -47,7 +47,7 @@ def random_case(seed: int, nodes=(4, 16), terminal_counts=(2, 5)):
     pairs += [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 2 * len(names)))]
     for u, v in pairs:
         cost = rng.choice(COSTS) if rng.random() < 0.85 else rng.uniform(0.0, 3.0)
-        graph.add_edge(Edge.create(u, v, EdgeKind.ASSOCIATION, fixed_cost=cost))
+        graph.add_edge(graph.new_edge(u, v, EdgeKind.ASSOCIATION, fixed_cost=cost))
     low, high = terminal_counts
     terminals = rng.sample(names, rng.randint(low, min(high, len(names))))
     return rng, graph, terminals
@@ -140,7 +140,7 @@ def test_bound_equal_to_the_cost_survives_rounding():
     for name in "abcd":
         graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
     for u, v, cost in (("a", "b", 0.1), ("b", "c", 0.2), ("c", "d", 0.3), ("a", "d", 0.1 + 0.2 + 0.3)):
-        graph.add_edge(Edge.create(u, v, EdgeKind.ASSOCIATION, fixed_cost=cost))
+        graph.add_edge(graph.new_edge(u, v, EdgeKind.ASSOCIATION, fixed_cost=cost))
     network = SteinerNetwork(graph)
     direct = frozenset({network.edge_index[network.edge_ids[-1]]})
     for terminals in (["a", "d"], ["d", "a"], ["a", "c", "d"]):
@@ -161,7 +161,7 @@ def test_disconnected_by_exclusion_on_both_sides():
         graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
     bridge = None
     for u, v in (("a", "b"), ("b", "c"), ("c", "d")):
-        edge = Edge.create(u, v, EdgeKind.ASSOCIATION, fixed_cost=1.0)
+        edge = graph.new_edge(u, v, EdgeKind.ASSOCIATION, fixed_cost=1.0)
         graph.add_edge(edge)
         if (u, v) == ("b", "c"):
             bridge = edge.edge_id

@@ -79,23 +79,6 @@ def clone_source(source: DataSource) -> DataSource:
     return source_from_dict(source_to_dict(source))
 
 
-def reset_edge_ids():
-    """Restart the process-global edge-id counter.
-
-    Edge ids embed a global sequence number, so two sessions built in one
-    process number their (structurally identical) graphs differently —
-    which shifts tree signatures and equal-cost tie-breaks.  Resetting the
-    counter before each replay makes independent runs byte-comparable,
-    so the parity assertions below can demand *identical* ranked answers
-    rather than merely equal answer sets.
-    """
-    import itertools
-
-    import repro.graph.edges as edges
-
-    edges._edge_counter = itertools.count()
-
-
 def answer_fingerprint(answers):
     """Everything observable about a ranked answer list, order included."""
     result = []
@@ -119,7 +102,6 @@ def answer_fingerprint(answers):
 
 def interpro_view(backend, keywords=("kinase", "title"), k=5, answer_limit=200):
     """A multi-query ranked view over the InterPro source, plus its service."""
-    reset_edge_ids()
     dataset = build_interpro_go(include_foreign_keys=True)
     service = QService(
         sources=[dataset.interpro],
@@ -540,9 +522,6 @@ class TestGoldenPushdownSql:
         backend.close()
 
     def test_gbco_view(self, gbco_dataset):
-        # ("author", "publication") is one of the GBCO query-log views whose
-        # generated queries do not depend on the process's hash seed.
-        reset_edge_ids()
         service = QService(
             sources=[clone_source(source) for source in gbco_dataset.catalog],
             config=ServiceConfig(top_k=5, top_y=1),
@@ -574,7 +553,6 @@ class TestGoldenPushdownSql:
 # ----------------------------------------------------------------------
 def _gbco_replay(kind, dataset, trial):
     """One fig6-style replay: view answers, then a registration, per backend."""
-    reset_edge_ids()
     excluded = {relation.split(".")[0] for relation in trial.new_relations}
     sources = [
         clone_source(source)
@@ -635,7 +613,6 @@ def _fig8_replay(kind, size=40):
     from repro.alignment.base import install_associations
     from repro.matching.base import top_y_per_attribute
 
-    reset_edge_ids()
     gbco = build_gbco(rows_per_relation=10)
     trial = list(gbco.query_log)[0]
     excluded = {relation.split(".")[0] for relation in trial.new_relations}
@@ -673,7 +650,6 @@ class TestSqlitePersistence:
         db_path = tmp_path / "session.db"
         keywords = ("plasma", "IPR001")
 
-        reset_edge_ids()
         first = QService(
             sources=[clone_source(s) for s in _mini_sources()],
             backend=f"sqlite:{db_path}",
@@ -684,7 +660,6 @@ class TestSqlitePersistence:
         first.close()
 
         # Reference run on plain memory: the reopened catalog must agree.
-        reset_edge_ids()
         reference_service = QService(sources=[clone_source(s) for s in _mini_sources()])
         reference_service.bootstrap_alignments()
         ref_info = reference_service.create_view(QueryRequest(keywords=keywords))
@@ -692,7 +667,6 @@ class TestSqlitePersistence:
             reference_service.view(ref_info.view_id).answers()
         )
 
-        reset_edge_ids()
         reopened = QService(backend=f"sqlite:{db_path}")
         assert set(reopened.catalog.source_names()) == {"go", "interpro"}
         assert reopened.catalog.relation("go.term").version == 0
@@ -1017,7 +991,6 @@ class TestPostingStore:
         service.save()  # session store lives inside the catalog database
         service.close()
 
-        reset_edge_ids()
         reopened = QService.open(db)
         stats = reopened.stats()
         # The acceptance counter: a warm open performs NO full in-memory
@@ -1037,7 +1010,6 @@ class TestPostingStore:
         service.save()
         service.close()
 
-        reset_edge_ids()
         reopened = QService.open(db)
         # A new source overlapping interpro's entry accessions, so the
         # value-filtered alignment exercises the candidate lookup.
