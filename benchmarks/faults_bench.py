@@ -26,7 +26,9 @@ proves the fault-tolerance invariants held:
   (zero corrupted sessions), every acknowledged registration must be
   present, and the fatally-failed one absent (zero lost or phantom writes).
 * **deadline probe** — the largest Figure-8 configuration (the GBCO graph
-  grown with synthetic sources) is queried under a tight ``deadline_ms``;
+  grown with synthetic sources) is queried under a tight ``deadline_ms``
+  after one edge cost moved (an unmoved view's ranking is recalled, not
+  enumerated, and no deadline bites on a recall);
   the read must return a typed ``DeadlineExceededError`` or a degraded
   partial ranking within 2x the deadline, and a follow-up unbudgeted read
   must still be complete (partial results never contaminate later reads).
@@ -78,6 +80,7 @@ from repro.exceptions import (  # noqa: E402
     ServiceUnavailableError,
     StorageError,
 )
+from repro.graph.features import edge_feature  # noqa: E402
 from repro.faults import (  # noqa: E402
     FaultPlan,
     FaultRule,
@@ -660,6 +663,15 @@ def run_deadline_probe(gbco, spec) -> Dict[str, object]:
     # Expand structurally up front: the probe then times the *budgeted*
     # solve/execute path, not the one-off unbudgeted graph expansion.
     service.prepare_views(structural_only=True)
+    # Move one cost the ranking reads (a per-edge correction on the best
+    # tree's first learnable edge, the kind feedback makes), so the budgeted
+    # read faces a real enumeration.  Unmoved, the server snapshot's copy of
+    # the view asks for the k best trees of the very network create_view just
+    # ranked, and the session recalls that list in ~20 ms whatever the deadline.
+    view = service.view(info.view_id)
+    edge = next(e for e in view.trees()[0].edges(view.query_graph.graph) if e.is_learnable())
+    feature, weights = edge_feature(edge.edge_id), service.graph.weights
+    weights.set(feature, weights.get(feature) + 1e-6)
 
     deadline_ms = float(spec["deadline_ms"])
     with QServer(service, read_workers=2) as server:

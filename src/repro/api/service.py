@@ -1177,6 +1177,7 @@ class QService:
         views_spec = overlay.get("views") or {}
         records = views_spec.get("records", ())
         builder = self._query_builder() if records else None
+        carried = []  # (view, its saved ranking), adopted once the counters are final
         for spec in records:
             qg_payload = spec.get("query_graph")
             query_graph = (
@@ -1194,6 +1195,8 @@ class QService:
                 engine_context=self.engine_context,
                 query_graph=query_graph,
             )
+            if qg_payload is not None and "trees" in spec:
+                carried.append((view, spec["trees"]))
             self.views.restore(
                 view,
                 spec["name"],
@@ -1226,6 +1229,10 @@ class QService:
         self.graph.weights.version = overlay["weights_version"]
         self.graph.structure_version = overlay["structure_version"]
         self.graph.next_edge_number = overlay["edge_id_counter"]
+        # A view saved with a current ranking resumes it (its first read
+        # solves nothing), recorded against the restored graphs' own versions.
+        for view, edge_sets in carried:
+            view.adopt_ranking(edge_sets)
 
     def _after_mutation(self) -> None:
         """Autosave hook, called at the end of every mutating service call.

@@ -182,16 +182,34 @@ class RankedView:
         self._solve_state = None
         self.cache_invalidations += 1
 
-    def on_weights_updated(self) -> None:
-        """Learning hook: edge costs changed, so the next refresh must re-solve.
+    def _solve_key(self) -> Tuple[int, int, Tuple[str, ...], int]:
+        """What a recorded solve must equal for the view to skip the solver."""
+        graph = self.query_graph.graph
+        return (graph.weights.version, graph.structure_version, self.query_graph.terminals, self.k)
 
-        Cached query answers stay valid — join results do not depend on edge
-        weights; they are merely re-priced on reuse.  (The weight-version
-        fast path would catch this anyway; the explicit hook keeps the
-        learner → view dependency visible and guards against weight vectors
-        swapped wholesale.)
+    def current_ranking(self) -> Optional[List[SteinerTree]]:
+        """The retained trees if the last complete solve is of the current key, else ``None``.
+
+        What a saved session may carry for :meth:`adopt_ranking` on reopening.
         """
-        self._solve_state = None
+        return list(self.state.trees) if self._solve_state == self._solve_key() else None
+
+    def adopt_ranking(self, edge_sets: Sequence[Sequence[str]]) -> None:
+        """Install the ranking a saved session carried, as if this view had just solved it.
+
+        ``edge_sets`` are the trees' edge ids in rank order, the complete
+        solve of this very query graph under the current weights.  Terminals
+        are the view's own and each cost is re-derived from the graph (the
+        solver's ``fsum`` bit for bit).  Must run after the session's version
+        counters are final: the solve is recorded against them.
+        """
+        graph = self.query_graph.graph
+        trees = [SteinerTree.from_edges(graph, edges, self.terminals) for edges in edge_sets]
+        queries = QueryGenerator(graph).generate_all(trees)
+        self.state = ViewState(trees=trees, queries=queries, answers=[])
+        self._answers_materialized = False
+        self._trees_by_signature = {g.signature: g.tree for g in queries}
+        self._solve_state = self._solve_key()
 
     def _ensure_solved(
         self, rebuild_graph: bool = False, budget: Optional[Budget] = None
@@ -213,13 +231,8 @@ class RankedView:
             self.rebuild_query_graph()
         stats = RefreshStats()
         graph = self.query_graph.graph
+        solve_state = self._solve_key()
         terminals = list(self.query_graph.terminals)
-        solve_state = (
-            graph.weights.version,
-            graph.structure_version,
-            tuple(terminals),
-            self.k,
-        )
         if self._solve_state == solve_state:
             trees = self.state.trees
             queries = self.state.queries

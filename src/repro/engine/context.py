@@ -32,6 +32,7 @@ from ..datastore.types import canonicalize
 from ..graph.search_graph import SearchGraph
 from ..obs.tracing import active_trace
 from ..steiner.network import SolverCounters, SteinerNetwork
+from ..steiner.tree import SteinerTree
 from ..storage.pushdown import SqlPushdown, off_backend_relations
 from .predicates import CompiledPredicate
 
@@ -74,12 +75,19 @@ class ContextStatistics:
         }
 
 
-class SteinerNetworkCache:
-    """Per-graph cache of :class:`~repro.steiner.network.SteinerNetwork` snapshots.
+#: Complete top-k enumerations a :class:`SteinerNetworkCache` keeps (LRU).  An
+#: entry is two byte strings (a digest, 8 bytes per edge) and k small trees:
+#: 128 of them stay under 1 MB on the serving benchmark's graphs.
+RANKING_MEMO_SIZE = 128
 
-    A snapshot reflects a graph's structure and edge costs at build time, so
-    it is valid exactly while ``(weights.version, structure_version)`` is
-    unchanged — the same staleness key the lazy view layer uses.  The cache
+
+class SteinerNetworkCache:
+    """What a session's Steiner solves share: snapshots, rankings, totals.
+
+    *Snapshots.*  A :class:`~repro.steiner.network.SteinerNetwork` reflects a
+    graph's structure and edge costs at build time, so it is valid exactly
+    while ``(weights.version, structure_version)`` is unchanged — the same
+    staleness key the lazy view layer uses.  The cache
     holds at most one snapshot per graph, LRU-bounded to ``maxsize`` graphs.
     (A weak-keyed mapping would not work here: the snapshot itself holds a
     strong reference to its graph, so entries could never be collected —
@@ -88,6 +96,17 @@ class SteinerNetworkCache:
     :class:`~repro.steiner.topk.KBestSteiner` and
     :meth:`~repro.core.view.RankedView.refresh` stop rebuilding the network
     on every solve when nothing moved.
+
+    *Rankings.*  The k best trees are a function of the priced network, the
+    terminals, ``k`` and the expansion cap alone, while the version key moves
+    for reasons that leave a graph's costs bit-identical (a sibling view's new
+    keyword-edge feature on the shared vector, a tenant shadow on a feature
+    this graph does not carry) and a republished snapshot's copy, a tenant
+    twin or the learner's clone is a new object altogether.  So complete
+    enumerations are remembered under exactly what they read (the key is
+    built by :meth:`~repro.steiner.topk.KBestSteiner.solve`), and every
+    solver sharing this cache — views, tenant views, snapshot views, the
+    learner — finds them.
     """
 
     def __init__(self, maxsize: int = 16) -> None:
@@ -105,6 +124,12 @@ class SteinerNetworkCache:
         # builds of the same (graph, versions) snapshot would waste far more
         # time than the brief exclusion costs.
         self._lock = threading.Lock()
+        # Memo key -> the trees of one complete enumeration, in its order.
+        # Nothing in an entry references a graph, a network or an id list.
+        self._rankings: "OrderedDict[tuple, Tuple[SteinerTree, ...]]" = OrderedDict()
+        # Guards the memo and the solver totals; apart from ``_lock`` so that
+        # a recall never waits behind another thread's network build.
+        self._solve_lock = threading.Lock()
         self.hits = 0
         self.builds = 0
         #: Networks derived from a cached snapshot's topology instead of built
@@ -117,10 +142,28 @@ class SteinerNetworkCache:
     def record_solve(self, counters: SolverCounters) -> None:
         """Total one finished solve's counters; annotate the active trace with them."""
         trace = active_trace()
-        with self._lock:
+        with self._solve_lock:
             for name, value in vars(counters).items():
                 setattr(self.solver, name, getattr(self.solver, name) + value)
                 trace.tally(f"steiner_{name}", value)
+
+    def recall(self, key: tuple) -> Optional[Tuple[SteinerTree, ...]]:
+        """The trees remembered under ``key``, in their enumeration's order, if any."""
+        with self._solve_lock:
+            trees = self._rankings.get(key)
+            if trees is not None:
+                self._rankings.move_to_end(key)
+            return trees
+
+    def remember(self, key: tuple, trees: Sequence[SteinerTree]) -> None:
+        """Keep one *complete* enumeration's result, evicting the least recently used.
+
+        Two threads that missed the same key store equal lists: harmless.
+        """
+        with self._solve_lock:
+            self._rankings[key] = tuple(trees)  # a new key lands at the recent end
+            while len(self._rankings) > RANKING_MEMO_SIZE:
+                self._rankings.popitem(last=False)
 
     def network(self, graph: SearchGraph) -> SteinerNetwork:
         """The cached snapshot of ``graph``, re-priced or rebuilt iff its versions moved."""
@@ -232,8 +275,8 @@ class ExecutionContext:
         #: that a structural invalidation happened.
         self.generation = 0
         self._relations: Dict[str, _RelationCaches] = {}
-        #: Shared Steiner-network snapshot cache (version-keyed, so it needs
-        #: no explicit invalidation — see :class:`SteinerNetworkCache`).
+        #: Shared Steiner cache (snapshots version-keyed, rankings content-keyed,
+        #: so it needs no explicit invalidation — see :class:`SteinerNetworkCache`).
         self.steiner_cache = (
             steiner_cache if steiner_cache is not None else SteinerNetworkCache()
         )

@@ -131,11 +131,6 @@ class OnlineLearner:
     solver:
         Top-k Steiner solver; a default :class:`KBestSteiner` is used when
         omitted.
-    listeners:
-        Optional callbacks invoked with the :class:`FeedbackStepResult` after
-        every processed event.  The Q system uses this to notify its ranked
-        views that edge costs moved (cache-invalidation hook for the
-        incremental refresh).
     """
 
     def __init__(
@@ -146,7 +141,6 @@ class OnlineLearner:
         positive_margin: float = 0.01,
         solver: Optional[KBestSteiner] = None,
         max_qp_iterations: int = 200,
-        listeners: Optional[Sequence[Callable[["FeedbackStepResult"], None]]] = None,
     ) -> None:
         self.graph = graph
         self.k = k
@@ -155,7 +149,6 @@ class OnlineLearner:
         self.solver = solver or KBestSteiner()
         self.max_qp_iterations = max_qp_iterations
         self.steps_processed = 0
-        self.listeners: List[Callable[["FeedbackStepResult"], None]] = list(listeners or [])
 
     # ------------------------------------------------------------------
     # Single feedback step
@@ -230,15 +223,12 @@ class OnlineLearner:
         for name, value in updated.as_dict().items():
             graph.weights.set(name, value)
         self.steps_processed += 1
-        result = FeedbackStepResult(
+        return FeedbackStepResult(
             candidate_trees=candidates,
             target_tree=target,
             constraints=len(constraints),
             weight_change=before.distance_to(graph.weights),
         )
-        for listener in self.listeners:
-            listener(result)
-        return result
 
     # ------------------------------------------------------------------
     # Streams of feedback

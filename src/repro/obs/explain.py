@@ -41,10 +41,23 @@ class DecisionRecord:
     #: counters of a read that had to solve).
     tallies: Dict[str, int] = field(default_factory=dict)
 
+    @property
+    def ranking(self) -> str:
+        """Where the read's k best trees came from.
+
+        ``"solved"``: an enumeration ran; ``"recalled"``: the session had
+        already ranked this priced network (``steiner_recalls`` is 1, every
+        other solver tally 0); ``"current"``: the solver was never asked (the
+        view's own ranking was current, or the answers were pinned).
+        """
+        if self.tallies.get("steiner_base_solves"):
+            return "solved"
+        return "recalled" if self.tallies.get("steiner_recalls") else "current"
+
     def render(self) -> str:
         line = (
             f"view={self.view_name!r} tenant={self.tenant} path={self.path} "
-            f"duration={self.duration_s:.6f}s"
+            f"ranking={self.ranking} duration={self.duration_s:.6f}s"
         )
         if self.fallback_reason:
             line += f" fallback_reason={self.fallback_reason!r}"

@@ -69,7 +69,10 @@ def view_record_payload(record, base_graph) -> Dict[str, object]:
     graph structure — a structurally stale view rebuilds its query graph on
     the next read anyway (live and restored sessions alike, drawing the
     same numbers from the graph's edge-id sequence), so persisting its stale
-    expansion would be wasted bytes.
+    expansion would be wasted bytes.  Beside the delta goes the view's
+    ranking (``"trees"``: per tree, in rank order, its sorted edge ids) when
+    its last complete solve is current, so the reopened view's first read
+    solves nothing; without the key (a stale view, an older save) it solves.
     """
     view = record.view
     payload: Dict[str, object] = {
@@ -83,6 +86,9 @@ def view_record_payload(record, base_graph) -> Dict[str, object]:
     }
     if record.synced_structure_version == base_graph.structure_version:
         payload["query_graph"] = query_graph_delta_payload(view.query_graph, base_graph)
+        ranking = view.current_ranking()
+        if ranking is not None:
+            payload["trees"] = [sorted(tree.edge_ids) for tree in ranking]
     else:
         payload["query_graph"] = None
     return payload

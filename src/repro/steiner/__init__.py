@@ -12,9 +12,7 @@ Public API
   solvers (and the top-k enumerator) run on.
 """
 
-from .approx import approximate_steiner_tree
-from .exact import exact_steiner_tree
-from .network import SteinerNetwork
+from .network import SteinerNetwork, approximate_steiner_tree, exact_steiner_tree
 from .topk import KBestSteiner, default_solver, k_best_steiner_trees
 from .tree import SteinerTree, validate_terminals
 

@@ -30,8 +30,10 @@ string)`` order and every equal-cost tie-break is bit-identical to it
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -84,6 +86,23 @@ class SolverCounters:
     settled_labels: int = 0
     #: enumerations that stopped branching at ``max_expansions``
     expansion_cap_hits: int = 0
+    #: enumerations that ran nothing: the complete ranking of the same priced
+    #: network, terminals, ``k`` and cap was recalled (every other count is 0)
+    recalls: int = 0
+
+
+def _digest(parts: Sequence[bytes]) -> bytes:
+    """SHA-256 of ``parts``, fed in pieces below hashlib's 2 KiB threshold for releasing the GIL.
+
+    A network is built beside the read pool's threads and waits to get the
+    interpreter back after every release (serving benchmark: 1.9 ms per
+    build fed whole, 1.2 ms fed like this).
+    """
+    digest = hashlib.sha256()
+    for part in parts:
+        for start in range(0, len(part), 2047):
+            digest.update(part[start : start + 2047])
+    return digest.digest()
 
 
 class _Labels:
@@ -131,7 +150,10 @@ class SteinerNetwork:
     vector changes (the k-best enumerator builds one per ``solve`` call).
     """
 
-    __slots__ = ("graph", "node_ids", "node_index", "edge_ids", "edge_index", "edge_costs", "adjacency")
+    __slots__ = (
+        "graph", "node_ids", "node_index", "edge_ids", "edge_index", "edge_costs", "adjacency",
+        "topology_key",
+    )
 
     def __init__(self, graph: SearchGraph) -> None:
         self.graph = graph
@@ -144,12 +166,25 @@ class SteinerNetwork:
         self.edge_costs: List[float] = [graph.edge_cost(edge) for edge in edges]
         # node index -> [(neighbor index, edge index, cost)]
         self.adjacency: List[List[Tuple[int, int, float]]] = [[] for _ in self.node_ids]
+        endpoints: List[int] = []
         for idx, edge in enumerate(edges):
             u = self.node_index[edge.u]
             v = self.node_index[edge.v]
             cost = self.edge_costs[idx]
             self.adjacency[u].append((v, idx, cost))
             self.adjacency[v].append((u, idx, cost))
+            endpoints += (u, v)
+        #: Digest of everything above but the costs — node ids in index order
+        #: and, per edge in snapshot order, its id and endpoints: two snapshots
+        #: with equal keys index, order and tie-break identically, whatever
+        #: graph objects they were built from.  Endpoints count: ``new_edge``
+        #: ids embed them, hand-built ids need not.  The counts and lengths
+        #: make the separator-free concatenations unambiguous.
+        parts = [array("q", (len(self.node_ids), len(self.edge_ids), *endpoints)).tobytes()]
+        for ids in (self.node_ids, self.edge_ids):
+            parts.append(array("q", list(map(len, ids))).tobytes())
+            parts.append("".join(ids).encode("utf-8", "surrogatepass"))
+        self.topology_key: bytes = _digest(parts)
 
     # ------------------------------------------------------------------
     # Topology-sharing rescore
@@ -182,6 +217,7 @@ class SteinerNetwork:
         clone.node_index = self.node_index
         clone.edge_ids = self.edge_ids
         clone.edge_index = self.edge_index
+        clone.topology_key = self.topology_key
         if changed_features is None:
             costs = [graph.edge_cost_by_id(eid) for eid in self.edge_ids]
         else:
@@ -197,6 +233,15 @@ class SteinerNetwork:
             for entries in self.adjacency
         ]
         return clone
+
+    def priced_key(self) -> Tuple[bytes, bytes]:
+        """What every solve on this snapshot reads: its topology and its exact cost vector.
+
+        Packed doubles: two keys are equal only when every edge costs the same
+        to the bit, the condition a version counter merely approximates.
+        References neither the graph nor the snapshot's id lists.
+        """
+        return self.topology_key, array("d", self.edge_costs).tobytes()
 
     # ------------------------------------------------------------------
     # Conversions
@@ -528,6 +573,27 @@ class SteinerNetwork:
                 terminals, excluded, exact_terminal_limit, budget, counters, lower_bounds, upper_bound
             )
         return self.approximate_tree(terminals, excluded, budget=budget)
+
+
+def exact_steiner_tree(
+    graph: SearchGraph, terminals: Sequence[str], max_terminals: int = 8
+) -> SteinerTree:
+    """One-shot :meth:`SteinerNetwork.exact_tree`: the Dreyfus–Wagner optimum over ``terminals``.
+
+    Raises :class:`~repro.exceptions.DisconnectedTerminalsError` if they cannot
+    be connected and :class:`~repro.exceptions.SteinerError` above
+    ``max_terminals`` (the DP is exponential in them; use the approximation).
+    """
+    return SteinerNetwork(graph).exact_tree(terminals, max_terminals=max_terminals)
+
+
+def approximate_steiner_tree(graph: SearchGraph, terminals: Sequence[str]) -> SteinerTree:
+    """One-shot :meth:`SteinerNetwork.approximate_tree` (Kou–Markowsky–Berman, 2-approximate).
+
+    Raises :class:`~repro.exceptions.DisconnectedTerminalsError` if the
+    terminals are not all connected to each other in ``graph``.
+    """
+    return SteinerNetwork(graph).approximate_tree(terminals)
 
 
 def prune_to_tree(graph: SearchGraph, edge_ids: Set[str], terminals: Sequence[str]) -> Set[str]:

@@ -71,13 +71,16 @@ class KBestSteiner:
         Upper bound on branching expansions, guarding against blow-up on
         dense graphs.
     network_cache:
-        Optional snapshot cache (duck-typed: anything exposing
-        ``network(graph) -> SteinerNetwork`` and ``record_solve(counters)``,
-        e.g. the engine's :class:`~repro.engine.context.SteinerNetworkCache`).
-        With a cache, repeated solves over an unchanged graph reuse one
-        snapshot instead of rebuilding it per call; staleness rides on the
-        graph's ``(weights.version, structure_version)`` key inside the
-        cache, which also totals every solve's :class:`SolverCounters`.
+        Optional session cache (duck-typed: ``network(graph)``, ``recall(key)``
+        / ``remember(key, trees)`` and ``record_solve(counters)``, i.e. the
+        engine's :class:`~repro.engine.context.SteinerNetworkCache`).  With a
+        cache and no custom ``solver``, solves over an unchanged graph reuse
+        one snapshot, and an enumeration whose priced network, terminals,
+        ``k`` and cap equal an earlier complete one's — under whatever graph
+        object or version counter — returns that one's trees in its order
+        instead of running.  The cache also totals every solve's
+        :class:`SolverCounters`.  There is no switch: code that needs an
+        enumeration to run builds a cache-less ``KBestSteiner()``.
     """
 
     solver: Optional[SolverFn] = None
@@ -104,23 +107,36 @@ class KBestSteiner:
         if k < 1:
             raise ValueError("k must be >= 1")
         terminals = validate_terminals(graph, terminals)
+        cache = self.network_cache
         counters = SolverCounters()
         try:
-            return self._enumerate(graph, terminals, k, budget, counters)
+            if self.solver is not None:
+                return self._enumerate(graph, None, terminals, k, budget, counters)
+            if cache is None:
+                return self._enumerate(graph, SteinerNetwork(graph), terminals, k, budget, counters)
+            network = cache.network(graph)  # type: ignore[attr-defined]
+            # The cap is part of the key because it changes the list.
+            key = (*network.priced_key(), terminals, k, self.max_expansions)
+            recalled = cache.recall(key)  # type: ignore[attr-defined]
+            if recalled is not None:
+                # The full list, whatever the budget: nothing ran to tick it.
+                counters.recalls = 1
+                return list(recalled)
+            trees = self._enumerate(graph, network, terminals, k, budget, counters)
+            # Only an enumeration that ran to its own end is worth recalling:
+            # a deadline must never shorten a later reader's ranking.
+            if budget is None or not budget.truncated:
+                cache.remember(key, trees)  # type: ignore[attr-defined]
+            return trees
         finally:
-            if self.network_cache is not None:
-                self.network_cache.record_solve(counters)  # type: ignore[attr-defined]
+            if cache is not None:
+                cache.record_solve(counters)  # type: ignore[attr-defined]
 
     def _enumerate(
-        self, graph: SearchGraph, terminals: Sequence[str], k: int,
-        budget: "Optional[Budget]", counters: SolverCounters,
+        self, graph: SearchGraph, network: Optional[SteinerNetwork], terminals: Sequence[str],
+        k: int, budget: "Optional[Budget]", counters: SolverCounters,
     ) -> List[SteinerTree]:
-        network: Optional[SteinerNetwork] = None
-        if self.solver is None:
-            if self.network_cache is not None:
-                network = self.network_cache.network(graph)  # type: ignore[attr-defined]
-            else:
-                network = SteinerNetwork(graph)
+        """The enumeration itself, on ``network`` (``None``: the ``solver=`` protocol)."""
         # An exclusion set holds edge *indexes* of the shared snapshot on the
         # network path, edge ids under the legacy graph-copy protocol.
         exclusion_key = network.edge_index.__getitem__ if network is not None else str

@@ -35,6 +35,7 @@ from repro.core import gold_vs_nongold_costs
 from repro.core.simulated_feedback import simulated_feedback_for_view
 from repro.datasets import build_interpro_go
 from repro.datastore import DataSource
+from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.learning import AnnotationKind
 
 
@@ -67,6 +68,19 @@ def _mini_service() -> QService:
     service.graph.add_association(
         "go.term", "acc", "interpro.interpro2go", "go_id", {"mad": 0.9}
     )
+    return service
+
+
+def _gbco_service(gbco_dataset, held_out=()) -> QService:
+    """A bootstrap-aligned session over a clone of the GBCO catalog."""
+    service = QService(
+        sources=[
+            source_from_dict(source_to_dict(source))
+            for source in gbco_dataset.catalog
+            if source.name not in held_out
+        ]
+    )
+    service.bootstrap_alignments()
     return service
 
 
@@ -108,20 +122,64 @@ class TestLazyConsistency:
         stats = service.stats()
         assert stats.view_refreshes == 3  # two creations + one stale read
 
-    def test_feedback_solves_through_the_context_cache(self):
-        """The session learner shares the views' Steiner cache: its solves
-        find the view's snapshot (a hit, then a re-price once the first
-        replayed step moved the weights), never index the graph again, and
-        their solver counters reach the totals the metrics export."""
-        service = _mini_service()
+    def test_feedback_solves_through_the_context_cache(self, gbco_dataset):
+        """The session learner shares the views' Steiner cache.  Its first
+        replayed step asks for the k best trees of the network the view's read
+        just ranked: it finds that read's snapshot (a hit) and recalls the
+        ranking.  The second faces the costs the first step moved: a re-price
+        and an enumeration.  Neither indexes the graph again, and what they
+        did reaches the totals the metrics export."""
+        service = _gbco_service(gbco_dataset)
         cache = service.engine_context.steiner_cache
+        did = cache.solver
         assert service.learner.solver.network_cache is cache
-        info = service.create_view(QueryRequest(keywords=("membrane", "IPR001")))
-        answer = service.view(info.view_id).state.answers[0]
-        before = (cache.hits + cache.rescores, cache.builds, cache.solver.base_solves)
+        info = service.create_view(QueryRequest(keywords=gbco_dataset.query_log[0].keywords))
+        # An answer of a tree other than the best: favouring it has to move costs.
+        answer = service.view(info.view_id).state.answers[-1]
+        before = (cache.hits, cache.rescores, cache.builds, did.recalls)
+        one_enumeration = did.base_solves
         service.feedback(FeedbackRequest(view=info.view_id, answer=answer, replay=2))
-        assert (cache.hits + cache.rescores, cache.builds) == (before[0] + 2, before[1])
-        assert cache.solver.base_solves > before[2]
+        assert (cache.hits, cache.rescores, cache.builds, did.recalls) == (
+            before[0] + 1, before[1] + 1, before[2], before[3] + 1
+        )
+        assert did.base_solves > one_enumeration
+        assert service.obs.registry.value("q_steiner_recalls_total") == did.recalls
+        assert service.obs.registry.value("q_steiner_base_solves_total") == did.base_solves
+
+    def test_rereading_unchanged_views_solves_nothing(self, gbco_dataset):
+        """Each view's expansion prices its new keyword edges on the vector all
+        graphs share, so every earlier view's version key goes stale while its
+        costs stay bit-identical: re-reading them recalls their rankings — zero
+        base solves where each used to be enumerated again — before and after a
+        registration has rebuilt every query graph."""
+        held_out = "publication"
+        service = _gbco_service(gbco_dataset, held_out=(held_out,))
+        did = service.engine_context.steiner_cache.solver
+
+        def read(view_id):
+            return [
+                (answer.values, answer.cost)
+                for answer in service.stream_answers(QueryRequest(view=view_id))
+            ]
+
+        views, first = [], []
+        for entry in gbco_dataset.query_log[:4]:
+            info = service.create_view(QueryRequest(keywords=entry.keywords), materialize=False)
+            views.append(info.view_id)
+            first.append(read(info.view_id))
+        stale = [record for record in service.views.records() if service._is_stale(record)]
+        assert len(stale) == 3  # all but the view created last
+        solved, recalls = did.base_solves, did.recalls
+        assert [read(view_id) for view_id in views] == first
+        assert (did.base_solves, did.recalls) == (solved, recalls + 3)
+
+        source = source_from_dict(source_to_dict(gbco_dataset.catalog.source(held_out)))
+        service.register_source(RegisterSourceRequest(source=source, strategy="exhaustive"))
+        after = [read(view_id) for view_id in views]  # rebuilt and enumerated, one by one
+        assert did.base_solves > solved
+        solved, recalls = did.base_solves, did.recalls
+        assert [read(view_id) for view_id in views] == after
+        assert (did.base_solves, did.recalls) == (solved, recalls + 3)
 
     def test_fresh_read_skips_the_refresh(self):
         service = _mini_service()

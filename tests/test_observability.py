@@ -392,18 +392,33 @@ def test_solver_counters_reach_registry_trace_and_decision_log(gbco_dataset):
         cache = service.engine_context.steiner_cache
         value = service.obs.registry.value
         with QServer(service) as server:
+            # The writer lane creates and ranks the view; the read that follows
+            # prices the snapshot's copy of it, an equal network: a recall,
+            # and the decision record says so.
             result = server.query(QueryRequest(keywords=_keywords(gbco_dataset)))
+            created = dict(vars(cache.solver))
+            assert created["base_solves"] > 1 and created["recalls"] == 1
+            decision = service.obs.decisions.last()
+            assert decision.ranking == "recalled" and "ranking=recalled" in decision.render()
+            assert decision.tallies["steiner_recalls"] == 1
+            assert decision.tallies["steiner_base_solves"] == 0
+            # Feedback moves the costs: the next read has to enumerate, and its
+            # decision record carries its own solve's share of the totals.
+            server.feedback(FeedbackRequest(view=result.view_id, answer=result.answers[-1]))
+            learned = cache.solver.base_solves
+            server.query(QueryRequest(view=result.view_id))
             solved = dict(vars(cache.solver))
-            assert solved["base_solves"] > 1
             for name, total in solved.items():
                 assert value(f"q_steiner_{name}_total") == total
-            # The solving read's decision record carries its own solve's share.
-            tallies = service.obs.decisions.last().tallies
-            assert 1 < tallies["steiner_base_solves"] <= solved["base_solves"]
+            decision = service.obs.decisions.last()
+            assert decision.ranking == "solved" and "ranking=solved" in decision.render()
+            assert decision.tallies["steiner_recalls"] == 0
+            assert 1 < decision.tallies["steiner_base_solves"] == solved["base_solves"] - learned
             # A cached re-read solves nothing and says nothing.
             server.query(QueryRequest(view=result.view_id))
             assert vars(cache.solver) == solved
-            assert "steiner_base_solves" not in service.obs.decisions.last().tallies
+            decision = service.obs.decisions.last()
+            assert decision.ranking == "current" and "steiner_base_solves" not in decision.tallies
 
         # One solve under a trace: the annotations are exactly what it added
         # to the totals, and the enumeration's books balance (every base
@@ -417,6 +432,7 @@ def test_solver_counters_reach_registry_trace_and_decision_log(gbco_dataset):
             f"steiner_{name}": total - solved[name] for name, total in vars(cache.solver).items()
         }
         assert trace.annotations == added
+        assert added["steiner_recalls"] == 0  # its own cap: nobody ranked that before
         assert added["steiner_base_solves"] == 4
         assert added["steiner_expansion_cap_hits"] == 1
         assert len(trees) <= 4 - sum(

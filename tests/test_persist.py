@@ -250,6 +250,83 @@ class TestRoundTripParity:
 
 
 # ----------------------------------------------------------------------
+# A current view's ranking travels with it
+# ----------------------------------------------------------------------
+def gbco_session(gbco_dataset, kind, tmp_path, views=3):
+    """A GBCO session with ``views`` views, each created and read in turn."""
+    backend, save_path, location = session_location(kind, tmp_path)
+    service = QService(
+        sources=[clone_source(source) for source in gbco_dataset.catalog],
+        config=ServiceConfig(top_k=5, top_y=1),
+        backend=backend,
+    )
+    service.bootstrap_alignments()
+    view_ids = []
+    for entry in list(gbco_dataset.query_log)[:views]:
+        info = service.create_view(QueryRequest(keywords=tuple(entry.keywords)), materialize=False)
+        view_ids.append(info.view_id)
+        assert read(service, info.view_id), "a view without answers proves nothing"
+    return service, view_ids, save_path, location
+
+
+def saved_view_records(save_path):
+    body = unwrap_document(save_path.read_text())
+    return body, {record["view_id"]: record for record in body["overlay"]["views"]["records"]}
+
+
+class TestCarriedRankings:
+    @pytest.mark.parametrize("kind", BACKEND_SPECS)
+    def test_current_views_reopen_and_read_without_solving(self, gbco_dataset, kind, tmp_path):
+        service, view_ids, save_path, location = gbco_session(gbco_dataset, kind, tmp_path)
+        # Later expansions moved the shared version under the earlier views;
+        # one more pass makes every view's last solve the current one.
+        live = [read(service, view_id) for view_id in view_ids]
+        service.save(save_path)
+        service.close()
+
+        reopened = QService.open(location)
+        did = reopened.engine_context.steiner_cache.solver
+        for view_id, expected in zip(view_ids, live):
+            assert reopened.view_info(view_id).tree_count > 0  # before any read
+            assert read(reopened, view_id) == expected
+            assert reopened.view(view_id).last_refresh.queries_executed > 0
+        # Nothing was enumerated and nothing was even asked of the solver.
+        assert vars(did) == {name: 0 for name in vars(did)}
+        reopened.close()
+
+    def test_view_whose_costs_moved_is_saved_without_trees(self, gbco_dataset, tmp_path):
+        service, (first, second), save_path, _ = gbco_session(gbco_dataset, "memory", tmp_path, views=2)
+        answers = list(service.stream_answers(QueryRequest(view=first)))
+        service.feedback(FeedbackRequest(view=first, answer=answers[-1]))
+        read(service, first)  # re-ranked under the learned costs; `second` is not
+        service.save(save_path)
+        _, records = saved_view_records(save_path)
+        assert len(records[first]["trees"]) == len(service.view(first).state.trees) > 1
+        assert records[second]["query_graph"] is not None and "trees" not in records[second]
+
+        live = [read(service, first), read(service, second)]
+        reopened = QService.open(save_path)
+        did = reopened.engine_context.steiner_cache.solver
+        assert read(reopened, first) == live[0] and did.base_solves == 0
+        assert read(reopened, second) == live[1] and did.base_solves > 0
+
+    def test_sidecar_stripped_of_its_trees_opens_like_one_saved_before_them(
+        self, gbco_dataset, tmp_path
+    ):
+        service, view_ids, save_path, _ = gbco_session(gbco_dataset, "memory", tmp_path, views=2)
+        live = [read(service, view_id) for view_id in view_ids]
+        service.save(save_path)
+        body, records = saved_view_records(save_path)
+        assert all(record.pop("trees") for record in records.values())
+        save_path.write_text(wrap_document(body) + "\n")
+
+        reopened = QService.open(save_path)
+        did = reopened.engine_context.steiner_cache.solver
+        assert [read(reopened, view_id) for view_id in view_ids] == live
+        assert did.base_solves > 0 and did.recalls == 0
+
+
+# ----------------------------------------------------------------------
 # fig6 / fig8 replay acceptance: the full workloads survive a round trip
 # ----------------------------------------------------------------------
 class TestReplayAcceptance:

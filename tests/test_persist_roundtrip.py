@@ -164,6 +164,8 @@ class TestFixedPoints:
         service = _mini_session()
         service.save(tmp_path / "first.json")
         first = json.loads((tmp_path / "first.json").read_text())["body"]
+        # The view is current: its ranking is part of what has to come back.
+        assert all(record["trees"] for record in first["overlay"]["views"]["records"])
 
         reopened = QService.open(tmp_path / "first.json")
         SessionPersistence(FileSessionStore(tmp_path / "second.json")).save(reopened)

@@ -14,6 +14,7 @@ from repro.engine.context import SteinerNetworkCache
 from repro.exceptions import SteinerError
 from repro.graph import EdgeKind, FeatureVector, Node, NodeKind, SearchGraph, edge_feature
 from reference_steiner import reference_solver
+from repro.steiner.network import SolverCounters
 from repro.steiner import (
     KBestSteiner,
     SteinerTree,
@@ -231,39 +232,23 @@ class TestTopK:
         assert tree.is_connected_tree(diamond_graph)
 
 
-def test_concurrent_solves_share_one_network_and_one_set_of_totals():
-    """The read pool solves on one cached network from several threads: the
-    DP tables are per call (same trees as a serial solve) and the counter
-    totals are added under the cache's lock (no lost update)."""
-    import sys
-    import threading
-
+def _concurrent_case():
     rng = random.Random(5)
     names = [f"n{i:02d}" for i in range(40)]
     edges = [(names[rng.randrange(i)], names[i], rng.choice([0.5, 1.0, 1.0, 2.0])) for i in range(1, 40)]
     edges += [(*rng.sample(names, 2), rng.choice([0.5, 1.0, 1.0, 2.0])) for _ in range(60)]
-    graph = build_weighted_graph(edges)
-    terminals = [names[3], names[17], names[31], names[38]]
-    cache = SteinerNetworkCache()
-    solver = KBestSteiner(network_cache=cache)
-    serial = solver.solve(graph, terminals, 8)
-    one_solve = dict(vars(cache.solver))
-    assert len(serial) == 8 and one_solve["base_solves"] > 8
-    # Bounds are on: the known-tree list and the distance tables are state of
-    # one enumeration, nothing of theirs is written to the shared network.
-    assert one_solve["bounded_branches"] > 0 and one_solve["bounded_out_branches"] > 0
+    return build_weighted_graph(edges), [names[3], names[17], names[31], names[38]]
 
-    workers, rounds = 6, 2
-    results = []
 
-    def work():
-        for _ in range(rounds):
-            results.append(solver.solve(graph, terminals, 8))
+def _run_threads(workers, work):
+    """``work(worker index)`` on ``workers`` threads under a 10 us switch interval."""
+    import sys
+    import threading
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=work) for _ in range(workers)]
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(workers)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -271,11 +256,70 @@ def test_concurrent_solves_share_one_network_and_one_set_of_totals():
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert len(results) == workers * rounds
-    assert all(trees == serial for trees in results)
-    assert vars(cache.solver) == {
-        name: count * (1 + workers * rounds) for name, count in one_solve.items()
-    }
+
+
+def test_concurrent_solves_share_one_network_and_one_set_of_totals():
+    """The read pool solves on one cached network from several threads: the
+    DP tables are per call (same trees as a serial solve) and the counter
+    totals are added under the cache's lock (no lost update).  Every
+    thread-round asks for its own ``k``, so each is an enumeration that runs —
+    twelve of them at once on the one shared snapshot — and none a recall."""
+    graph, terminals = _concurrent_case()
+    workers, rounds = 6, 2
+    ks = {(worker, turn): 3 + worker * rounds + turn for worker in range(workers) for turn in range(rounds)}
+    serial = {}
+    expected = {name: 0 for name in vars(SolverCounters())}
+    for k in ks.values():
+        alone = SteinerNetworkCache()
+        serial[k] = KBestSteiner(network_cache=alone).solve(graph, terminals, k)
+        assert len(serial[k]) == k
+        for name, count in vars(alone.solver).items():
+            expected[name] += count
+    # Bounds are on: the known-tree list and the distance tables are state of
+    # one enumeration, nothing of theirs is written to the shared network.
+    assert expected["bounded_branches"] > 0 and expected["bounded_out_branches"] > 0
+
+    cache = SteinerNetworkCache()
+    solver = KBestSteiner(network_cache=cache)
+    results = {}
+
+    def work(worker):
+        for turn in range(rounds):
+            k = ks[worker, turn]
+            results[k] = solver.solve(graph, terminals, k)
+
+    _run_threads(workers, work)
+    assert results == serial
+    assert vars(cache.solver) == expected and expected["recalls"] == 0
+    assert cache.builds == 1
+
+
+def test_concurrent_solves_of_one_key_recall_or_enumerate_the_same_list():
+    """All threads ask the same question.  Whoever misses enumerates and
+    stores (two may, that is fine); everyone else recalls; each call is one
+    or the other, and all of them return the serial list."""
+    graph, terminals = _concurrent_case()
+    serial = KBestSteiner().solve(graph, terminals, 8)
+    alone = SteinerNetworkCache()
+    KBestSteiner(network_cache=alone).solve(graph, terminals, 8)
+    per_enumeration = alone.solver.base_solves
+
+    cache = SteinerNetworkCache()
+    solver = KBestSteiner(network_cache=cache)
+    workers, rounds = 6, 3
+    results = []
+
+    def work(worker):
+        for _ in range(rounds):
+            results.append(solver.solve(graph, terminals, 8))
+
+    _run_threads(workers, work)
+    assert len(results) == workers * rounds and all(trees == serial for trees in results)
+    did = cache.solver
+    enumerations, remainder = divmod(did.base_solves, per_enumeration)
+    assert remainder == 0 and enumerations >= 1
+    assert did.recalls + enumerations == workers * rounds
+    assert did.recalls >= workers * (rounds - 1)  # a thread's later rounds follow its own store
     assert cache.builds == 1
 
 
