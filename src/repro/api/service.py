@@ -30,6 +30,7 @@ deferred until the stream reaches each query's answers.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import OrderedDict
 from dataclasses import fields as dataclass_fields
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -232,7 +233,11 @@ class QService:
         # One execution context for the whole session: all views share its
         # scan and join-index caches; registration events invalidate it.
         self.engine_context = ExecutionContext(self.catalog)
-        self.registrar.add_listener(self._on_registration)
+        # Non-owning, like the gauges below: held strongly by the session's
+        # own registrar, the bound method would make the session a reference
+        # cycle, freed by a collector pass instead of its last reference going.
+        hook = weakref.WeakMethod(self._on_registration)
+        self.registrar.add_listener(lambda *event: (notify := hook()) and notify(*event))
         #: The session's single persistent learner.  Feedback calls pass the
         #: originating view's query graph per event; the shared weight
         #: vector makes every update visible to all views.
@@ -274,45 +279,46 @@ class QService:
         re-homed counters back *through* the registry, making
         :class:`~repro.api.types.SystemStats` a view over it.
         """
-        reg = self.obs.registry
-        gauge = reg.gauge
-        gauge("q_sources", "Registered data sources", fn=lambda: self.catalog.source_count)
-        gauge("q_relations", "Relations in the catalog", fn=lambda: self.catalog.relation_count)
-        gauge("q_attributes", "Attributes in the catalog", fn=lambda: self.catalog.attribute_count)
-        gauge("q_views", "Registered ranked views", fn=lambda: len(self.views))
-        gauge("q_tenants", "Tenants holding a weight overlay", fn=lambda: len(self.tenants))
+        gauge = self.obs.registry.gauge
+        # The callbacks must not own the session (see ``_assemble``'s listener).
+        session = weakref.proxy(self)
+        gauge("q_sources", "Registered data sources", fn=lambda: session.catalog.source_count)
+        gauge("q_relations", "Relations in the catalog", fn=lambda: session.catalog.relation_count)
+        gauge("q_attributes", "Attributes in the catalog", fn=lambda: session.catalog.attribute_count)
+        gauge("q_views", "Registered ranked views", fn=lambda: len(session.views))
+        gauge("q_tenants", "Tenants holding a weight overlay", fn=lambda: len(session.tenants))
         gauge(
             "q_feedback_events_total",
             "Feedback events in the session log",
-            fn=lambda: len(self.feedback_log),
+            fn=lambda: len(session.feedback_log),
         )
         gauge(
             "q_learner_steps_total",
             "MIRA learner steps processed",
-            fn=lambda: self.learner.steps_processed,
+            fn=lambda: session.learner.steps_processed,
         )
         gauge(
             "q_registrations_total",
             "Source registrations performed",
-            fn=lambda: self.registrar.epoch,
+            fn=lambda: session.registrar.epoch,
         )
         gauge(
-            "q_weights_version", "Shared weight-vector version", fn=lambda: self.graph.weights.version
+            "q_weights_version", "Shared weight-vector version", fn=lambda: session.graph.weights.version
         )
         gauge(
             "q_structure_version",
             "Search-graph structure version",
-            fn=lambda: self.graph.structure_version,
+            fn=lambda: session.graph.structure_version,
         )
         gauge(
             "q_view_refreshes_total",
             "Materializing view refreshes/solves",
-            fn=lambda: self._refreshes,
+            fn=lambda: session._refreshes,
         )
         gauge(
             "q_view_refreshes_skipped_total",
             "Reads whose view snapshot was already current",
-            fn=lambda: self._refreshes_skipped,
+            fn=lambda: session._refreshes_skipped,
         )
         stats = self.engine_context.statistics
         gauge(
@@ -350,37 +356,37 @@ class QService:
         gauge(
             "q_posting_builds_total",
             "Full in-memory posting rebuilds of the profile index",
-            fn=lambda: self.profile_index.posting_builds,
+            fn=lambda: session.profile_index.posting_builds,
         )
         gauge(
             "q_posting_syncs_total",
             "Posting-table rewrites pushed to the backend",
-            fn=lambda: self._posting_store.syncs if self._posting_store is not None else 0,
+            fn=lambda: session._posting_store.syncs if session._posting_store is not None else 0,
         )
         gauge(
             "q_sketch_candidates_total",
             "Attribute pairs proposed by the MinHash/rare-token tier",
-            fn=lambda: self.profile_index.sketch_candidates_generated,
+            fn=lambda: session.profile_index.sketch_candidates_generated,
         )
         gauge(
             "q_exact_candidates_total",
             "Candidate pairs surviving exact re-verification",
-            fn=lambda: self.profile_index.exact_candidates_kept,
+            fn=lambda: session.profile_index.exact_candidates_kept,
         )
         gauge(
             "q_pairs_scored_total",
             "Relation pairs the base matcher scored",
-            fn=lambda: self._pairs_scored,
+            fn=lambda: session._pairs_scored,
         )
         gauge(
             "q_profile_shards",
             "Hash shards of the profile index",
-            fn=lambda: self.profile_index.shard_count,
+            fn=lambda: session.profile_index.shard_count,
         )
         gauge(
             "q_pair_memo_entries",
             "Entries in the schema-fingerprint pair memo",
-            fn=lambda: self.profile_index.pair_memo_size,
+            fn=lambda: session.profile_index.pair_memo_size,
         )
 
     def _init_persistence(self, autosave) -> None:
@@ -1197,7 +1203,7 @@ class QService:
             )
             if qg_payload is not None and "trees" in spec:
                 carried.append((view, spec["trees"]))
-            self.views.restore(
+            record = self.views.restore(
                 view,
                 spec["name"],
                 spec["view_id"],
@@ -1205,6 +1211,8 @@ class QService:
                 synced_weights_version=spec.get("synced_weights_version"),
                 synced_structure_version=spec.get("synced_structure_version"),
             )
+            if qg_payload is not None:
+                record.saved_expansion = (query_graph, overlay["structure_version"], qg_payload)
         self.views.set_created(views_spec.get("created", len(self.views)))
         self.learner.steps_processed = overlay.get("learner_steps", 0)
         for event_spec in overlay.get("feedback_events", ()):

@@ -35,6 +35,11 @@ class ViewRecord:
     graph versions the view last synchronized with (``None`` before the
     first sync).  A mutation never touches them — only a read does, after
     refreshing — so staleness is always detectable by comparison.
+
+    ``saved_expansion`` is ``(query graph, base structure_version, payload)``
+    from the view's last save or open: persistence re-uses the payload while
+    the view holds that same query-graph object (a rebuild installs a new
+    one) and the base graph's structure has not moved.
     """
 
     view_id: str
@@ -43,6 +48,7 @@ class ViewRecord:
     created_index: int
     synced_weights_version: Optional[int] = None
     synced_structure_version: Optional[int] = None
+    saved_expansion: Optional[Tuple[object, int, Dict[str, object]]] = None
 
 
 class ViewRegistry:

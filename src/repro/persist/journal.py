@@ -6,7 +6,10 @@ since the previous save: feedback steps (as weight movements plus the new
 feedback-log events), source registrations/removals (graph nodes and edges,
 catalog membership, profile-index growth), and association-confidence merges
 (in-place edge feature updates).  On reopen the entries replay in order on
-top of the snapshot, reproducing the live state exactly.
+top of the snapshot, reproducing the live state exactly.  An entry's tail
+state — views, feedback log, counters — rides along as a delta of its own
+(``"overlay_delta"``, see :mod:`repro.persist.session`), so an entry costs
+what changed since the previous save, not what the session holds.
 
 The delta is computed by *shadow diffing* rather than by instrumenting every
 mutation site: :class:`StateShadow` captures cheap references (node/edge/
@@ -42,10 +45,6 @@ class StateShadow:
     """Cheap reference copy of the persisted session state at the last save."""
 
     def __init__(self, service) -> None:
-        self.capture(service)
-
-    def capture(self, service) -> None:
-        """Record the current state references of ``service``."""
         graph = service.graph
         self.nodes = {node.node_id: node for node in graph.nodes()}
         self.edge_features = {edge.edge_id: edge.features for edge in graph.edges()}
@@ -59,7 +58,6 @@ class StateShadow:
             table.schema.qualified_name: (table, table.version)
             for table in service.catalog.all_tables()
         }
-        self.event_count = len(service.feedback_log)
 
 
 def build_delta(service, shadow: StateShadow, holds_rows: bool) -> Tuple[Dict[str, object], bool]:
@@ -178,20 +176,8 @@ def _source_relations(catalog, shadow: StateShadow, source_name: str) -> List[st
 
 
 def is_empty_delta(delta: Dict[str, object]) -> bool:
-    """Whether the delta records no graph/weight/catalog movement at all."""
-    return not any(
-        delta[key]
-        for key in (
-            "nodes_removed",
-            "nodes_added",
-            "edges_removed",
-            "edges_changed",
-            "edges_added",
-            "weights_set",
-            "sources_removed",
-            "sources_added",
-        )
-    )
+    """Whether the entry records no movement at all (its two constants aside)."""
+    return not any(value for key, value in delta.items() if key not in ("kind", "profile_epoch"))
 
 
 def apply_delta(delta: Dict[str, object], catalog, graph, profile_index, holds_rows: bool) -> None:
@@ -200,10 +186,11 @@ def apply_delta(delta: Dict[str, object], catalog, graph, profile_index, holds_r
     Order matters and mirrors how the live mutations layered: retractions
     first (removed sources, edges, then nodes), then catalog growth, then
     graph growth (nodes before the edges that reference them), then
-    confidence merges and weight movements.
+    confidence merges and weight movements.  The catalog of a row-holding
+    store is left alone: the database already is what every entry led to.
     """
     for name in delta.get("sources_removed", ()):
-        if catalog.has_source(name):
+        if not holds_rows and catalog.has_source(name):
             catalog.remove_source(name)
         profile_index.remove_source(name)
     for edge_id in delta.get("edges_removed", ()):
@@ -215,14 +202,10 @@ def apply_delta(delta: Dict[str, object], catalog, graph, profile_index, holds_r
 
     for spec in delta.get("sources_added", ()):
         name = spec["name"]
-        if not catalog.has_source(name):
-            payload = spec.get("source")
-            if payload is None:
-                raise SnapshotError(
-                    f"journal adds source {name!r} but neither the catalog "
-                    "backend nor the entry carries its rows"
-                )
-            catalog.add_source(source_from_dict(payload))
+        if not holds_rows and not catalog.has_source(name):
+            if spec.get("source") is None:
+                raise SnapshotError(f"journal adds source {name!r} without its rows")
+            catalog.add_source(source_from_dict(spec["source"]))
         profile_index.absorb_state(spec["profiles"])
 
     for node_spec in delta.get("nodes_added", ()):

@@ -6,11 +6,12 @@ diff journal (:mod:`repro.persist.journal`) and the stores
 :class:`~repro.api.service.QService` exposes as ``save()`` / ``open()``:
 
 * the **first** save writes a full snapshot;
-* every later save appends one journal *delta entry* (graph/weight/catalog
-  movement since the previous save) plus the current **overlay** — the
-  small, always-rewritten tail state: view registry (with per-view
+* every later save appends one journal *delta entry*: graph/weight/catalog
+  movement since the previous save plus what moved in the **overlay** — the
+  tail state a snapshot holds whole: view registry (with per-view
   query-graph deltas), feedback log, learner/registration counters, version
-  counters and the graph's next edge number;
+  counters and the graph's next edge number.  Folding a journal's overlay
+  deltas over its snapshot's overlay yields (``==``) what the last save saw;
 * once the journal reaches ``compact_after`` entries — or a change lands
   that a delta cannot express, such as rows appended to an existing
   relation of a sidecar-persisted session — the next save *compacts*:
@@ -30,6 +31,7 @@ from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Optional, Tuple
 
 from ..datastore.csvio import source_to_dict
+from ..exceptions import SnapshotError
 from ..profiling.index import CatalogProfileIndex
 from .journal import StateShadow, apply_delta, build_delta, is_empty_delta
 from .snapshot import (
@@ -73,6 +75,7 @@ def view_record_payload(record, base_graph) -> Dict[str, object]:
     ranking (``"trees"``: per tree, in rank order, its sorted edge ids) when
     its last complete solve is current, so the reopened view's first read
     solves nothing; without the key (a stale view, an older save) it solves.
+    The delta is built once per expansion (``ViewRecord.saved_expansion``).
     """
     view = record.view
     payload: Dict[str, object] = {
@@ -83,25 +86,24 @@ def view_record_payload(record, base_graph) -> Dict[str, object]:
         "created_index": record.created_index,
         "synced_weights_version": record.synced_weights_version,
         "synced_structure_version": record.synced_structure_version,
+        "query_graph": None,
     }
     if record.synced_structure_version == base_graph.structure_version:
-        payload["query_graph"] = query_graph_delta_payload(view.query_graph, base_graph)
+        saved = record.saved_expansion
+        if saved is None or saved[0] is not view.query_graph or saved[1] != base_graph.structure_version:
+            delta = query_graph_delta_payload(view.query_graph, base_graph)
+            saved = record.saved_expansion = (view.query_graph, base_graph.structure_version, delta)
+        payload["query_graph"] = saved[2]
         ranking = view.current_ranking()
         if ranking is not None:
             payload["trees"] = [sorted(tree.edge_ids) for tree in ranking]
-    else:
-        payload["query_graph"] = None
     return payload
 
 
 def overlay_payload(service) -> Dict[str, object]:
-    """The always-rewritten small tail state of one session."""
-    # Duck-typed like everything else here: the tenant registry exists on
-    # multi-tenant-capable services; older/simpler session objects without
-    # one persist an empty mapping.
-    tenants = getattr(service, "tenants", None)
+    """The tail state of one session: whole in a snapshot, a delta in an entry."""
     return {
-        "tenants": tenants.export_state() if tenants is not None else {},
+        "tenants": service.tenants.export_state(),
         "edge_id_counter": service.graph.next_edge_number,
         "weights_version": service.graph.weights.version,
         "structure_version": service.graph.structure_version,
@@ -121,10 +123,50 @@ def overlay_payload(service) -> Dict[str, object]:
         "refreshes": service._refreshes,
         "refreshes_skipped": service._refreshes_skipped,
         # Idempotency keys of applied mutations (serving-layer writer lane):
-        # keys only — results are in-memory conveniences.  Duck-typed so
-        # session objects predating the fault-tolerant server persist [].
-        "applied_ops": list(getattr(service, "_applied_ops", None) or ()),
+        # keys only — results are in-memory conveniences.
+        "applied_ops": list(service._applied_ops),
     }
+
+
+def overlay_delta(last: Dict[str, object], overlay: Dict[str, object]) -> Dict[str, object]:
+    """What moved from ``last`` to ``overlay``; empty when nothing did.
+
+    Top-level keys appear only when their value moved.  ``"views"`` then lists
+    every registered view by id in registry order (absence is removal), each
+    record holding only the fields that differ from that view's record in
+    ``last``; a ranking that stopped being current is the tombstone
+    ``"trees": None``.  A re-used payload is the same object on both sides,
+    which container ``==`` settles by identity.
+    """
+    delta = {key: value for key, value in overlay.items() if last.get(key) != value}
+    if "views" in delta:
+        previous = {record["view_id"]: record for record in last["views"]["records"]}
+        records = []
+        for record in overlay["views"]["records"]:
+            old = previous.get(record["view_id"], {})
+            moved = {
+                field: value
+                for field, value in record.items()
+                if field == "view_id" or field not in old or old[field] != value
+            }
+            if "trees" in old and "trees" not in record:
+                moved["trees"] = None
+            records.append(moved)
+        delta["views"] = {"created": overlay["views"]["created"], "records": records}
+    return delta
+
+
+def fold_overlay(overlay: Dict[str, object], delta: Dict[str, object]) -> Dict[str, object]:
+    """Re-apply an :func:`overlay_delta` to the overlay it was taken against."""
+    folded = {**overlay, **delta}
+    if "views" in delta:
+        previous = {record["view_id"]: record for record in overlay["views"]["records"]}
+        records = [{**previous.get(moved["view_id"], {}), **moved} for moved in delta["views"]["records"]]
+        for record in records:
+            if record.get("trees", ()) is None:  # the tombstone: no ranking any more
+                del record["trees"]
+        folded["views"] = {"created": delta["views"]["created"], "records": records}
+    return folded
 
 
 def snapshot_body(service, holds_rows: bool, snapshot_version: int) -> Dict[str, object]:
@@ -160,8 +202,8 @@ def restore_core(
     """Rebuild graph + profile index from a snapshot and replay the journal.
 
     Returns ``(graph, profile_index, overlay)`` where ``overlay`` is the
-    most recent tail state (from the last journal entry, falling back to
-    the snapshot's own).  The caller assembles the service around these and
+    most recent tail state: the snapshot's own with every entry's overlay
+    delta folded over it.  The caller assembles the service around these and
     then installs the overlay's counters — replay bumps version counters as
     a side effect, so the overlay values are authoritative.
     """
@@ -177,9 +219,16 @@ def restore_core(
     weights = restore_weights(body.get("weights") or {})
     graph = restore_graph(body.get("graph") or {}, config=graph_config, weights=weights)
     profile_index = CatalogProfileIndex.from_state(body.get("profiles") or {})
+    overlay = body["overlay"]
     for entry in entries:
         apply_delta(entry, catalog, graph, profile_index, holds_rows)
-    overlay = entries[-1]["overlay"] if entries else body["overlay"]
+        # An entry written before format 2 carries the complete overlay instead
+        # (where a record without "trees" means *no ranking*, not *unchanged*).
+        overlay = entry.get("overlay") or fold_overlay(overlay, entry["overlay_delta"])
+    lost = {node.relation for node in graph.relation_nodes()}
+    lost.difference_update(table.schema.qualified_name for table in catalog.all_tables())
+    if lost:  # rows deleted behind the session's back, or a removal that was never saved
+        raise SnapshotError(f"the catalog no longer holds the rows of {sorted(lost)}")
     return graph, profile_index, overlay
 
 
@@ -213,8 +262,7 @@ class SessionPersistence:
     ) -> None:
         """Adopt a freshly restored session as the new shadow baseline."""
         self.snapshot_version = snapshot_version
-        self._shadow = StateShadow(service)
-        self._last_overlay = overlay
+        self._rebase(service, overlay)
 
     def save(self, service, compact: bool = False) -> SaveReport:
         """Checkpoint ``service``: full snapshot, delta append, or no-op."""
@@ -232,13 +280,13 @@ class SessionPersistence:
         if needs_snapshot:
             return self._write_snapshot(service, compacted=True)
         overlay = overlay_payload(service)
-        if is_empty_delta(delta) and overlay == self._last_overlay:
+        delta["overlay_delta"] = overlay_delta(self._last_overlay, overlay)
+        if is_empty_delta(delta):
             return SaveReport(
                 action="noop",
                 snapshot_version=self.snapshot_version,
                 journal_entries=entry_count,
             )
-        delta["overlay"] = overlay
         delta["after_snapshot_version"] = self.snapshot_version
         self.store.append_entry(delta)
         self._rebase(service, overlay)
@@ -263,8 +311,5 @@ class SessionPersistence:
         )
 
     def _rebase(self, service, overlay: Dict[str, object]) -> None:
-        if self._shadow is None:
-            self._shadow = StateShadow(service)
-        else:
-            self._shadow.capture(service)
+        self._shadow = StateShadow(service)
         self._last_overlay = overlay

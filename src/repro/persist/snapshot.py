@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Dict, Optional
 
 from ..exceptions import SnapshotError
@@ -43,32 +44,46 @@ from ..learning.feedback import FeedbackEvent
 from ..steiner.tree import SteinerTree
 
 #: Version of the on-disk snapshot/journal format.  Bumped on any change
-#: that an older reader could misinterpret; readers reject other versions
-#: with a typed :class:`SnapshotError`.
-FORMAT_VERSION = 1
+#: that an older reader could misinterpret; readers reject unknown versions
+#: with a typed :class:`SnapshotError`.  Version 2 checksums the body's bytes
+#: as stored; version 1 (checksum of a canonical re-serialisation of the
+#: parsed body) is still read, never written.
+FORMAT_VERSION = 2
+
+#: The wrapper :func:`wrap_document` writes, up to where the body starts.
+_FRAME = re.compile(r'\{"format_version": %d, "checksum": "([0-9a-f]{64})", "body": ' % FORMAT_VERSION)
 
 
 # ----------------------------------------------------------------------
 # Document framing (wrapping, checksums, corruption detection)
 # ----------------------------------------------------------------------
 def _checksum(body: object) -> str:
+    """The version-1 checksum (read side only)."""
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def wrap_document(body: Dict[str, object]) -> str:
-    """Serialize ``body`` with format version and integrity checksum."""
+    """Serialize ``body`` once, framed by format version and integrity checksum.
+
+    The checksum is SHA-256 of exactly the body's serialized bytes: compact
+    separators, insertion order kept (order is data, so no ``sort_keys``).
+    """
     try:
-        checksum = _checksum(body)
-        return json.dumps(
-            {"format_version": FORMAT_VERSION, "checksum": checksum, "body": body}
-        )
+        payload = json.dumps(body, separators=(",", ":"))
     except (TypeError, ValueError) as exc:
         raise SnapshotError(f"session state is not serializable: {exc}") from exc
+    checksum = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return f'{{"format_version": {FORMAT_VERSION}, "checksum": "{checksum}", "body": {payload}}}'
 
 
 def unwrap_document(text: str, what: str = "snapshot") -> Dict[str, object]:
-    """Parse and verify one wrapped document; returns its body.
+    """Verify one wrapped document; returns its parsed body.
+
+    A version-2 document is verified from the text as handed in: the body's
+    slice is hashed, then parsed in place, so nothing is re-serialized and
+    what comes back is the verified bytes.  Anything else — version 1, or a
+    document failing that check — is parsed whole, which names what is wrong.
 
     Raises
     ------
@@ -76,6 +91,13 @@ def unwrap_document(text: str, what: str = "snapshot") -> Dict[str, object]:
         On malformed JSON, a missing wrapper field, a format version this
         reader does not understand, or a checksum mismatch (corruption).
     """
+    frame = _FRAME.match(text)
+    end = text.rfind("}")
+    # ``json.dumps`` escapes non-ASCII, so string offsets are byte offsets.
+    if frame and text.isascii() and not text[end + 1 :].strip():
+        stored = memoryview(text.encode("ascii"))[frame.end() : end]
+        if hashlib.sha256(stored).hexdigest() == frame[1]:
+            return json.JSONDecoder().raw_decode(text, frame.end())[0]
     try:
         document = json.loads(text)
     except (TypeError, ValueError) as exc:
@@ -83,13 +105,14 @@ def unwrap_document(text: str, what: str = "snapshot") -> Dict[str, object]:
     if not isinstance(document, dict) or "body" not in document:
         raise SnapshotError(f"corrupt session {what}: missing document wrapper")
     version = document.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise SnapshotError(
             f"unsupported session {what} format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"(this build reads versions 1 and {FORMAT_VERSION})"
         )
     body = document["body"]
-    if document.get("checksum") != _checksum(body):
+    # A version-2 document that parses this far has already failed its check.
+    if version != 1 or document.get("checksum") != _checksum(body):
         raise SnapshotError(
             f"corrupt session {what}: checksum mismatch (file was truncated or modified)"
         )

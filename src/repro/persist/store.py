@@ -182,12 +182,13 @@ class FileSessionStore(SessionStore):
         except OSError as exc:
             raise SnapshotError(f"cannot read {self.description}: {exc}") from exc
         snapshot = unwrap_document(text, "snapshot")
-        entries: List[Dict[str, object]] = []
-        if self.journal_path.exists():
-            for line in self.journal_path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    entries.append(unwrap_document(line, "journal entry"))
-        return snapshot, entries
+        return snapshot, [unwrap_document(line, "journal entry") for line in self._journal_lines()]
+
+    def _journal_lines(self) -> List[str]:
+        if not self.journal_path.exists():
+            return []
+        text = self.journal_path.read_text(encoding="utf-8")
+        return [line for line in text.splitlines() if line.strip()]
 
     def write_snapshot(self, body) -> None:
         document = wrap_document(body)
@@ -206,10 +207,4 @@ class FileSessionStore(SessionStore):
             handle.write(wrap_document(body) + "\n")
 
     def entry_count(self) -> int:
-        if not self.journal_path.exists():
-            return 0
-        return sum(
-            1
-            for line in self.journal_path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        )
+        return len(self._journal_lines())

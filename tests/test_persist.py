@@ -9,7 +9,9 @@ where the saved one stopped.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -24,7 +26,8 @@ from repro.api import (
 from repro.datastore import DataSource
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.matching import MetadataMatcher, ValueOverlapMatcher
-from repro.persist import unwrap_document, wrap_document
+from repro.persist import overlay_payload, unwrap_document, wrap_document
+from repro.persist.snapshot import query_graph_delta_payload
 
 BACKEND_SPECS = ("memory", "sqlite")
 
@@ -252,11 +255,14 @@ class TestRoundTripParity:
 # ----------------------------------------------------------------------
 # A current view's ranking travels with it
 # ----------------------------------------------------------------------
-def gbco_session(gbco_dataset, kind, tmp_path, views=3):
+def gbco_session(gbco_dataset, kind, tmp_path, views=3, held_out=(), backend=None):
     """A GBCO session with ``views`` views, each created and read in turn."""
-    backend, save_path, location = session_location(kind, tmp_path)
+    default_backend, save_path, location = session_location(kind, tmp_path)
+    backend = backend or default_backend
     service = QService(
-        sources=[clone_source(source) for source in gbco_dataset.catalog],
+        sources=[
+            clone_source(source) for source in gbco_dataset.catalog if source.name not in held_out
+        ],
         config=ServiceConfig(top_k=5, top_y=1),
         backend=backend,
     )
@@ -324,6 +330,240 @@ class TestCarriedRankings:
         did = reopened.engine_context.steiner_cache.solver
         assert [read(reopened, view_id) for view_id in view_ids] == live
         assert did.base_solves > 0 and did.recalls == 0
+
+
+# ----------------------------------------------------------------------
+# A journal entry holds what changed, and a save builds only what moved
+# ----------------------------------------------------------------------
+def journal_entries(save_path):
+    journal = save_path.parent / (save_path.name + ".journal")
+    return [unwrap_document(line, "journal entry") for line in journal.read_text().splitlines()]
+
+
+def holds_key(document, key):
+    """Whether ``key`` appears as a dict key anywhere inside ``document``."""
+    if isinstance(document, dict):
+        return key in document or any(holds_key(value, key) for value in document.values())
+    return isinstance(document, list) and any(holds_key(item, key) for item in document)
+
+
+def rankings(service, view_ids):
+    return {v: [sorted(tree.edge_ids) for tree in service.view(v).state.trees] for v in view_ids}
+
+
+class TestEntriesHoldWhatChanged:
+    def test_entry_is_small_and_grows_by_what_moved(self, gbco_dataset, tmp_path):
+        service, view_ids, save_path, _ = gbco_session(
+            gbco_dataset, "memory", tmp_path, views=4, held_out=("variant",)
+        )
+        for view_id in view_ids:
+            read(service, view_id)
+        service.save(save_path)
+        service.close()
+        snapshot_size = save_path.stat().st_size
+
+        # Reopen, read everything, save: counters moved, nothing else did.
+        service = QService.open(save_path)
+        for view_id in view_ids:
+            read(service, view_id)
+        assert service.save().action == "append"
+        (entry,) = journal_entries(save_path)
+        assert not holds_key(entry, "query_graph") and not holds_key(entry, "feedback_events")
+        assert "overlay" not in entry and entry["overlay_delta"]
+        journal = save_path.parent / (save_path.name + ".journal")
+        assert journal.stat().st_size < snapshot_size / 20
+
+        # One feedback: the rankings that moved are written, no expansion is.
+        before = rankings(service, view_ids)
+        answers = list(service.stream_answers(QueryRequest(view=view_ids[0])))
+        service.feedback(FeedbackRequest(view=view_ids[0], answer=answers[-1]))
+        for view_id in view_ids:
+            read(service, view_id)
+        after = rankings(service, view_ids)
+        service.save()
+        entry = journal_entries(save_path)[-1]
+        assert not holds_key(entry, "query_graph") and "feedback_events" in entry["overlay_delta"]
+        records = {r["view_id"]: r for r in entry["overlay_delta"]["views"]["records"]}
+        assert list(records) == view_ids
+        assert after[view_ids[0]] != before[view_ids[0]]
+        for view_id in view_ids:
+            assert ("trees" in records[view_id]) == (after[view_id] != before[view_id])
+            assert records[view_id].get("trees", after[view_id]) == after[view_id]
+
+        # A registration re-expands every view: the new expansions are written.
+        service.register_source(
+            RegisterSourceRequest(
+                source=clone_source(gbco_dataset.catalog.source("variant")), strategy="exhaustive"
+            )
+        )
+        live = [read(service, view_id) for view_id in view_ids]
+        service.save()
+        entry = journal_entries(save_path)[-1]
+        for record in entry["overlay_delta"]["views"]["records"]:
+            fresh = query_graph_delta_payload(service.view(record["view_id"]).query_graph, service.graph)
+            assert record["query_graph"] == json.loads(json.dumps(fresh))
+        service.close()
+        reopened = QService.open(save_path)
+        assert [read(reopened, view_id) for view_id in view_ids] == live
+
+    @pytest.mark.parametrize("kind", BACKEND_SPECS)
+    def test_ranking_that_stopped_being_current_is_tombstoned_in_an_entry(
+        self, gbco_dataset, kind, tmp_path
+    ):
+        service, (first, second), save_path, location = gbco_session(
+            gbco_dataset, kind, tmp_path, views=2
+        )
+        (tmp_path / "twin").mkdir()
+        twin, _, _, _ = gbco_session(gbco_dataset, kind, tmp_path / "twin", views=2)
+        for session in (service, twin):
+            for view_id in (first, second):
+                read(session, view_id)
+        service.save(save_path)  # the snapshot carries both rankings
+        for session in (service, twin):
+            answers = list(session.stream_answers(QueryRequest(view=first)))
+            session.feedback(FeedbackRequest(view=first, answer=answers[-1]))
+            read(session, first)  # re-ranked under the learned costs; `second` is not
+        assert service.save().action == "append"
+        _, entries = service._persistence.store.load()
+        records = {r["view_id"]: r for r in entries[-1]["overlay_delta"]["views"]["records"]}
+        assert records[second]["trees"] is None and "query_graph" not in records[second]
+        assert records[first]["trees"]
+
+        service.close()
+        reopened = QService.open(location)
+        saved = {r["view_id"]: r for r in overlay_payload(reopened)["views"]["records"]}
+        assert "trees" not in saved[second] and saved[second]["query_graph"] is not None
+        did = reopened.engine_context.steiner_cache.solver
+        assert read(reopened, first) == read(twin, first) and did.base_solves == 0
+        assert read(reopened, second) == read(twin, second) and did.base_solves > 0
+        reopened.close()
+        twin.close()
+
+    def test_saved_expansion_is_rebuilt_exactly_when_it_moved(
+        self, gbco_dataset, tmp_path, monkeypatch
+    ):
+        from repro.datasets import grow_catalog_and_graph
+        from repro.persist import session as session_module
+
+        built = []
+
+        def counting(query_graph, base_graph):
+            built.append(query_graph)
+            return query_graph_delta_payload(query_graph, base_graph)
+
+        monkeypatch.setattr(session_module, "query_graph_delta_payload", counting)
+        service, view_ids, save_path, _ = gbco_session(
+            gbco_dataset, "memory", tmp_path, views=3, held_out=("variant",)
+        )
+
+        def saved_records_match_fresh_payloads():
+            for record in overlay_payload(service)["views"]["records"]:
+                view = service.view(record["view_id"])
+                stale = service._needs_rebuild(service.views.get(record["view_id"]))
+                assert (record["query_graph"] is None) == stale
+                if not stale:
+                    assert record["query_graph"] == query_graph_delta_payload(
+                        view.query_graph, service.graph
+                    )
+
+        def reread_and_save():
+            for view_id in view_ids:
+                read(service, view_id)
+            service.save(save_path)
+            saved_records_match_fresh_payloads()
+
+        reread_and_save()
+        assert len(built) == len(view_ids)
+        del built[:]
+        assert service.save().action == "noop" and not built
+
+        edge = next(e for e in service.graph.edges() if e.kind.value == "association")
+
+        def merge_confidence():
+            edges = service.graph.edge_count
+            service.graph.add_association(*_attribute(edge.u), *_attribute(edge.v), {"merge-test": 0.4})
+            assert service.graph.edge_count == edges  # merged into the existing edge
+
+        rebuilds = (
+            lambda: service.register_source(
+                RegisterSourceRequest(
+                    source=clone_source(gbco_dataset.catalog.source("variant")),
+                    strategy="exhaustive",
+                )
+            ),
+            lambda: grow_catalog_and_graph(
+                service.catalog, service.graph, target_source_count=22, seed=5
+            ),
+            merge_confidence,
+        )
+        for rebuild in rebuilds:
+            rebuild()
+            service.save(save_path)  # every view is stale: no expansion is saved or built
+            saved_records_match_fresh_payloads()
+            assert not built
+            reread_and_save()
+            assert len(built) == len(view_ids) and len({id(q) for q in built}) == len(view_ids)
+            del built[:]
+            assert service.save().action == "noop" and not built
+
+        live = [read(service, view_id) for view_id in view_ids]
+        service.close()
+        reopened = QService.open(save_path)
+        assert [read(reopened, view_id) for view_id in view_ids] == live
+        reopened.save()
+        assert not built  # the payloads it was opened from are the ones it saves
+
+
+def _attribute(node_id):
+    """``attr:<source>.<relation>.<attribute>`` -> (qualified relation, attribute)."""
+    relation, _, attribute = node_id[len("attr:"):].rpartition(".")
+    return relation, attribute
+
+
+# ----------------------------------------------------------------------
+# A dropped session is freed by its last reference, not by the collector
+# ----------------------------------------------------------------------
+class TestDroppedSession:
+    def test_session_is_not_a_reference_cycle(self, gbco_dataset, tmp_path):
+        service, view_ids, save_path, _ = gbco_session(gbco_dataset, "memory", tmp_path, views=2)
+        service.save(save_path)
+        service.close()
+        watched = [
+            weakref.ref(service),
+            weakref.ref(service.graph),
+            weakref.ref(service.view(view_ids[0])),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            del service
+            assert [ref() for ref in watched] == [None, None, None]
+        finally:
+            gc.enable()
+
+    def test_hooks_of_a_live_session_work_closed_or_not(self, gbco_dataset, tmp_path):
+        service, view_ids, _, _ = gbco_session(  # a closed sqlite catalog cannot be sized
+            gbco_dataset, "memory", tmp_path, views=2, held_out=("variant",), backend="memory"
+        )
+
+        def observed():
+            stats = service.stats()
+            scraped = service.metrics("json")
+            assert f"q_sources {float(stats.sources)}" in service.metrics().splitlines()
+            assert scraped["q_views"] == stats.views and scraped["q_pairs_scored_total"] == stats.pairs_scored
+            return stats.views, stats.sources, stats.registrations, stats.pairs_scored
+
+        assert observed() == (2, 17, 0, 0)
+        service.register_source(
+            RegisterSourceRequest(
+                source=clone_source(gbco_dataset.catalog.source("variant")), strategy="exhaustive"
+            )
+        )
+        views, sources, registrations, pairs_scored = observed()
+        assert (views, sources, registrations) == (2, 18, 1) and pairs_scored > 0
+        assert read(service, view_ids[0])
+        service.close()
+        assert observed() == (views, sources, registrations, pairs_scored)
 
 
 # ----------------------------------------------------------------------

@@ -8,26 +8,39 @@ Three properties anchor the snapshot format:
 * **Journal replay equals direct state** — a session persisted as
   snapshot + journal entries restores to the same graph/weights/profiles a
   compacted full snapshot of the same live session describes.
+* **The fold is exact** — over generated mutation sequences, folding a
+  journal's overlay deltas over its snapshot's overlay yields exactly the
+  overlay the saving session wrote, and the reopened session answers, ranks
+  and numbers like a twin that never touched a disk.
 * **Corruption is typed** — truncated, bit-flipped, version-skewed or
   missing documents raise :class:`~repro.exceptions.SnapshotError`, never
-  a silent partial restore.
+  a silent partial restore; version-1 documents still open.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import FeedbackRequest, QService, QueryRequest, SnapshotError
+from repro.api import (
+    FeedbackRequest,
+    QService,
+    QueryRequest,
+    RegisterSourceRequest,
+    SnapshotError,
+)
 from repro.datastore import DataSource
 from repro.graph.edges import EdgeKind
 from repro.graph.nodes import make_attribute_node, make_relation_node
 from repro.graph.search_graph import SearchGraph
 from repro.matching import ValueOverlapMatcher
-from repro.persist import unwrap_document, wrap_document
+from repro.persist import overlay_payload, unwrap_document, wrap_document
+from repro.persist.session import fold_overlay
 from repro.persist.snapshot import (
     FORMAT_VERSION,
     graph_payload,
@@ -176,7 +189,20 @@ class TestFixedPoints:
 # ----------------------------------------------------------------------
 # Journal replay equals direct state
 # ----------------------------------------------------------------------
-def _mini_session():
+_FOLD_OPS = (
+    st.tuples(st.just("view"), st.integers(0, 2)),
+    st.tuples(st.sampled_from(["read", "feedback"]), st.integers(0, 5)),
+    st.tuples(st.sampled_from(["register", "remove"]), st.none()),
+    st.tuples(st.just("save"), st.booleans()),
+)
+
+
+def _mini_matchers():
+    """The matcher stack is not persisted: a reopened session is handed it again."""
+    return [ValueOverlapMatcher(min_confidence=0.3, min_shared_values=2)]
+
+
+def _mini_session(backend=None):
     go = DataSource.build(
         "go",
         {"term": ["acc", "name"]},
@@ -201,7 +227,8 @@ def _mini_session():
     )
     service = QService(
         sources=[go, interpro],
-        matchers=[ValueOverlapMatcher(min_confidence=0.3, min_shared_values=2)],
+        matchers=_mini_matchers(),
+        backend=backend,
     )
     service.bootstrap_alignments()
     service.create_view(QueryRequest(keywords=("plasma", "IPR001")))
@@ -249,9 +276,117 @@ class TestJournalEquivalence:
         assert len(journaled.feedback_log) == len(direct.feedback_log)
 
 
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    @given(ops=st.lists(st.one_of(*_FOLD_OPS), min_size=1, max_size=12))
+    # A ranking that moved between two saves goes into the entry ...
+    @example(ops=[("register", None), ("read", 0), ("save", False), ("feedback", 0), ("read", 0), ("save", False)])
+    # ... one that merely stopped being current leaves a tombstone ...
+    @example(ops=[("view", 1), ("save", False), ("feedback", 0), ("read", 0), ("save", True), ("read", 1)])
+    # ... a name created again retires its id, in an entry and after a reopen ...
+    @example(ops=[("save", False), ("view", 0), ("save", True), ("view", 0)])
+    # ... and a source journaled in, out and in again still has its rows.
+    @example(
+        ops=[("save", False), ("register", None), ("save", False), ("remove", None)]
+        + [("save", True), ("register", None), ("read", 0)]
+    )
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_overlay_fold_equals_the_saved_overlay(self, tmp_path_factory, kind, ops):
+        """After every save, snapshot overlay + folded entry deltas == what the
+        saver wrote; the reopened session equals a twin that never saved."""
+        tmp_path = tmp_path_factory.mktemp("fold")
+        location = tmp_path / ("session.db" if kind == "sqlite" else "session.json")
+        backend, save_path = (f"sqlite:{location}", None) if kind == "sqlite" else (None, location)
+        session = _mini_session(backend=backend)
+        twin = _mini_session(backend=f"sqlite:{tmp_path / 'twin.db'}" if kind == "sqlite" else None)
+        saves = 0
+        # A closing save always runs, so every example checks at least one fold.
+        for op, arg in [*ops, ("save", True)]:
+            if op == "save":
+                session.save(save_path)
+                saves += 1
+                written = overlay_payload(session)
+                assert _folded_overlay(session._persistence.store) == written
+                if arg:  # go on with the reopened session, as a restart would
+                    session.close()
+                    session = QService.open(location, matchers=_mini_matchers())
+                    assert overlay_payload(session) == written
+                    assert session.save().action == "noop"
+                continue
+            for service in (session, twin):
+                _apply_fold_op(service, op, arg)
+        assert saves and _observable(session) == _observable(twin)
+        session.close()
+        twin.close()
+
+
+_FOLD_KEYWORDS = (("plasma", "IPR001"), ("nucleus", "IPR002"), ("membrane", "IPR003"))
+
+
+def _extra_source():
+    return DataSource.build(
+        "pfam",
+        {"pfam2go": ["go_id", "pfam_ac"]},
+        data={"pfam2go": [("GO:0001", "PF001"), ("GO:0002", "PF002"), ("GO:0003", "PF003")]},
+    )
+
+
+def _apply_fold_op(service, op, arg):
+    """One generated mutation or read; ``arg`` picks among what exists."""
+    records = service.views.records()
+    if op == "view":  # a repeated keyword pair re-creates a view under a used name
+        service.create_view(QueryRequest(keywords=_FOLD_KEYWORDS[arg]), materialize=False)
+    elif op == "register":
+        if not service.catalog.has_source("pfam"):
+            service.register_source(
+                RegisterSourceRequest(source=_extra_source(), strategy="exhaustive")
+            )
+    elif op == "remove":
+        if service.catalog.has_source("pfam"):
+            service.remove_source("pfam")
+    elif records:
+        view_id = records[arg % len(records)].view_id
+        answers = list(service.stream_answers(QueryRequest(view=view_id)))
+        if op == "feedback" and answers:
+            service.feedback(FeedbackRequest(view=view_id, answer=answers[-1]))
+
+
+def _folded_overlay(store):
+    """What ``restore_core`` hands back as the overlay, from the stored bytes."""
+    body, entries = store.load()
+    overlay = body["overlay"]
+    for entry in entries:
+        overlay = fold_overlay(overlay, entry["overlay_delta"])
+    return overlay
+
+
+def _observable(service):
+    """Ids, answers (order, cost, provenance) and trees of every view, read in order."""
+    seen = []
+    for record in service.views.records():
+        answers = list(service.stream_answers(QueryRequest(view=record.view_id)))
+        seen.append(
+            (
+                record.view_id,
+                record.name,
+                [(tuple(a.values.items()), a.cost, a.provenance.query_id) for a in answers],
+                [(tree.cost, sorted(tree.edge_ids)) for tree in record.view.state.trees],
+            )
+        )
+    return seen, service.graph.next_edge_number, service.graph.weights.as_dict()
+
+
 # ----------------------------------------------------------------------
 # Corruption / version mismatch
 # ----------------------------------------------------------------------
+def _wrap_v1(body):
+    """The framing of format 1: the checksum is of a canonical re-dump of the body."""
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json.dumps({"format_version": 1, "checksum": checksum, "body": body})
+
+
 class TestCorruption:
     def _saved_session(self, tmp_path):
         service = _mini_session()
@@ -302,6 +437,74 @@ class TestCorruption:
     def test_wrap_unwrap_round_trip(self):
         body = {"alpha": [1, 2.5, None, True], "beta": {"nested": "x"}}
         assert unwrap_document(wrap_document(body)) == body
+
+    def test_unwrap_keeps_key_order(self):
+        """Order is data: the body comes back in insertion, not sorted, order."""
+        body = {"zeta": 1, "alpha": {"b": [2.5, None], "a": "x"}, "mid": {}}
+        restored = unwrap_document(wrap_document(body) + "\n")
+        assert json.dumps(restored) == json.dumps(body)
+
+    @pytest.mark.parametrize("victim", ["snapshot", "journal"])
+    @pytest.mark.parametrize(
+        "damage, stem", [("body", "checksum"), ("checksum", "checksum"), ("truncated", "JSON")]
+    )
+    def test_one_damaged_byte_is_typed(self, tmp_path, victim, damage, stem):
+        path = self._saved_session(tmp_path)
+        service = QService.open(path)
+        service.create_view(QueryRequest(keywords=("nucleus", "IPR002")))
+        service.save()
+        file = path if victim == "snapshot" else path.parent / (path.name + ".journal")
+        text = file.read_text()
+        start = text.index('"body": ') + len('"body": ')
+        if damage == "body":  # a digit for a digit: still JSON, no longer what was hashed
+            at = start + re.search(r"[1-8]", text[start:]).start()
+            text = text[:at] + "9" + text[at + 1 :]
+        elif damage == "checksum":
+            at = text.index('"checksum": "') + len('"checksum": "')
+            text = text[:at] + ("0" if text[at] != "0" else "1") + text[at + 1 :]
+        else:
+            text = text[: start + (len(text) - start) // 2]
+        file.write_text(text)
+        with pytest.raises(SnapshotError, match=stem):
+            QService.open(path)
+
+    def test_version_1_document_still_unwraps(self):
+        body = {"zeta": [1, 2.5, None, True], "alpha": {"nested": "x"}}
+        text = _wrap_v1(body)
+        assert unwrap_document(text) == body
+        with pytest.raises(SnapshotError, match="checksum"):
+            unwrap_document(text.replace('"nested": "x"', '"nested": "y"'))
+
+    def test_session_saved_in_format_1_opens_and_takes_new_entries(self, tmp_path):
+        """What the build before format 2 wrote: version-1 framing, and an
+        entry carrying the complete overlay (no ``"trees"`` = no ranking)."""
+        service = _mini_session()
+        path = tmp_path / "old.json"
+        journal = tmp_path / "old.json.journal"
+        service.save(path)
+        view = service.views.latest()
+        answers = list(service.stream_answers(QueryRequest(view=view.view_id)))
+        service.feedback(FeedbackRequest(view=view.view_id, answer=answers[0]))
+        service.save()  # the view's costs moved and it was not re-read: no ranking
+        (entry,) = [unwrap_document(line) for line in journal.read_text().splitlines()]
+        del entry["overlay_delta"]
+        entry["overlay"] = overlay_payload(service)
+        assert "trees" not in entry["overlay"]["views"]["records"][0]
+        journal.write_text(_wrap_v1(entry) + "\n")
+        path.write_text(_wrap_v1(unwrap_document(path.read_text())) + "\n")
+
+        reopened = QService.open(path, matchers=_mini_matchers())
+        assert reopened.view(view.view_id).current_ranking() is None
+        assert _observable(reopened) == _observable(service)
+        for session in (reopened, service):
+            session.create_view(QueryRequest(keywords=("nucleus", "IPR002")))
+        report = reopened.save()
+        assert report.action == "append" and report.journal_entries == 2
+        old, new = journal.read_text().splitlines()
+        assert old.startswith('{"format_version": 1,') and new.startswith('{"format_version": 2,')
+        assert "overlay" not in unwrap_document(new) and unwrap_document(new)["overlay_delta"]
+        again = QService.open(path, matchers=_mini_matchers())
+        assert _observable(again) == _observable(service)
 
     def test_unserializable_state_is_typed(self):
         with pytest.raises(SnapshotError, match="not serializable"):
