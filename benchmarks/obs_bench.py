@@ -168,10 +168,8 @@ def run_benchmark(config: str) -> Dict[str, object]:
         ),
         "parity": "identical ranked answers across all three legs",
     }
-    # The decision log is bounded; it retains min(decision_log_size, reads).
-    expected_decisions = min(
-        enabled_service.config.decision_log_size, total_reads
-    )
+    # The decision log is bounded; it retains min(its bound, reads).
+    expected_decisions = min(enabled_service.obs.decisions.maxlen, total_reads)
     if counts["enabled_decisions"] != expected_decisions:
         raise AssertionError(
             f"decision log held {counts['enabled_decisions']} records, "

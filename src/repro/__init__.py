@@ -29,9 +29,7 @@ The package implements the Q system end to end:
 * :mod:`repro.api` — **the supported public surface**: the
   :class:`~repro.api.service.QService` session with typed request/response
   objects, lazy pull-based views and streaming k-best answers.
-* :mod:`repro.core` — ranked views, query generation, evaluation metrics and
-  the deprecated :class:`~repro.core.qsystem.QSystem` facade (a shim over
-  :class:`~repro.api.service.QService`).
+* :mod:`repro.core` — ranked views, query generation and evaluation metrics.
 * :mod:`repro.datasets` — the InterPro–GO-like, GBCO-like and synthetic
   datasets used by the experiment harnesses in ``benchmarks/``.
 
@@ -49,7 +47,6 @@ Quickstart
 from . import api
 from .api.service import QService
 from .api.types import ServiceConfig
-from .core.qsystem import QSystem, QSystemConfig
 from .core.view import RankedView
 from .datastore.database import Catalog, DataSource
 from .exceptions import SnapshotError
@@ -67,8 +64,6 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "QService",
-    "QSystem",
-    "QSystemConfig",
     "RankedView",
     "ReadTrace",
     "SearchGraph",

@@ -21,9 +21,6 @@ Quickstart
 >>> service.bootstrap_alignments(top_y=2)             # doctest: +SKIP
 >>> for page in service.answers(QueryRequest(keywords=("membrane", "title"))):
 ...     print(page.index, len(page.answers))          # doctest: +SKIP
-
-The legacy :class:`repro.QSystem` facade remains importable but delegates
-here and emits a :class:`DeprecationWarning`.
 """
 
 from ..persist import SaveReport, SnapshotError

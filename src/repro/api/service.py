@@ -1,24 +1,22 @@
 """The Q service session: typed, pull-based facade over the whole pipeline.
 
-:class:`QService` is the supported public surface of the reproduction (the
-deprecated :class:`~repro.core.qsystem.QSystem` delegates here).  It differs
-from the seed facade in three structural ways:
+:class:`QService` is the public surface of the reproduction.  Three
+structural properties:
 
 **Lazy pull-based view consistency.**  Mutations — feedback, source
-registration, bootstrap alignment — no longer refresh any view.  They only
+registration, bootstrap alignment — refresh no view.  They only
 move version counters (the shared :class:`~repro.graph.features.WeightVector`
 version, the search graph's ``structure_version``) and perform cheap
 invalidations (answer-cache drops on registration).  A view is refreshed *at
 most once, on read*, when its recorded ``(weights.version,
 structure_version)`` snapshot is stale.  Replaying ``n`` feedback events
 against ``v`` views therefore costs ``O(n + reads)`` refreshes instead of
-the eager model's ``O(n · v)``.
+the ``O(n · v)`` of refreshing every view after every mutation.
 
 **One persistent learner.**  The session owns a single
 :class:`~repro.learning.mira.OnlineLearner`; each feedback call hands it the
 originating view's query graph (where the keyword terminals live) while the
-weight vector — shared across all graphs — accumulates every update.  The
-seed rebuilt a learner per feedback call.
+weight vector — shared across all graphs — accumulates every update.
 
 **Streaming reads.**  :meth:`QService.answers` returns an iterator of
 :class:`~repro.api.types.AnswerPage`\\ s backed by
@@ -168,13 +166,14 @@ class QService:
         if config.sketch_num_perm > 0:
             from ..profiling.sketches import SketchConfig
 
-            bands = config.sketch_bands or max(config.sketch_num_perm // 2, 1)
-            sketch = SketchConfig(num_perm=config.sketch_num_perm, bands=bands)
+            sketch = SketchConfig(
+                num_perm=config.sketch_num_perm,
+                bands=max(config.sketch_num_perm // 2, 1),
+            )
         return {
             "shard_count": max(int(config.profile_shards), 1),
             "sketch": sketch,
             "pair_memo_limit": config.pair_memo_limit,
-            "rare_token_df": config.sketch_rare_token_df,
         }
 
     def _assemble(
@@ -206,21 +205,6 @@ class QService:
         self.matchers: List[BaseMatcher] = (
             list(matchers) if matchers else [MetadataMatcher(), MadMatcher()]
         )
-        #: Backend-persisted posting tables (``_repro_postings_*``): on a
-        #: posting-capable backend the profile index's value/token posting
-        #: lists and tf-idf vectors live inside the catalog database, so a
-        #: warm open serves candidate generation by indexed SQL instead of
-        #: rebuilding postings in memory.  ``sync`` here is a no-op when
-        #: the saved tables already describe the current index epoch — the
-        #: warm-open fast path.
-        self._posting_store = None
-        backend = catalog.backend
-        if backend is not None and getattr(backend, "supports_posting_tables", False):
-            from ..storage.postings import PostingStore
-
-            self._posting_store = PostingStore(backend)
-            self.profile_index.attach_posting_store(self._posting_store)
-            self._posting_store.sync(self.profile_index)
         self.ensemble = MatcherEnsemble(
             self.matchers, top_y=self.config.top_y, profile_index=self.profile_index
         )
@@ -228,7 +212,7 @@ class QService:
             self.catalog, self.graph, indexes=(self.profile_index,)
         )
         self.views = ViewRegistry()
-        self.feedback_log = FeedbackLog(window_size=self.config.feedback_window)
+        self.feedback_log = FeedbackLog()
         self._builder: Optional[QueryGraphBuilder] = None
         # One execution context for the whole session: all views share its
         # scan and join-index caches; registration events invalidate it.
@@ -357,11 +341,6 @@ class QService:
             "q_posting_builds_total",
             "Full in-memory posting rebuilds of the profile index",
             fn=lambda: session.profile_index.posting_builds,
-        )
-        gauge(
-            "q_posting_syncs_total",
-            "Posting-table rewrites pushed to the backend",
-            fn=lambda: session._posting_store.syncs if session._posting_store is not None else 0,
         )
         gauge(
             "q_sketch_candidates_total",
@@ -554,17 +533,13 @@ class QService:
     def _needs_rebuild(self, record: ViewRecord) -> bool:
         return record.synced_structure_version != self.graph.structure_version
 
-    def _sync_view(self, record: ViewRecord, force: bool = False) -> bool:
+    def _sync_view(self, record: ViewRecord) -> bool:
         """Refresh ``record``'s view iff its version snapshot is stale.
 
         This is the *only* place a materializing refresh happens; mutations
-        never call it.  Returns whether a refresh ran.  ``force`` refreshes
-        even on a current snapshot (the eager-compat path used by the
-        deprecated ``QSystem`` shim — still cheap, since the view's own
-        incremental machinery skips the solver when nothing moved).
+        never call it.  Returns whether a refresh ran.
         """
-        stale = self._is_stale(record)
-        if not stale and not force:
+        if not self._is_stale(record):
             self._refreshes_skipped += 1
             return False
         record.view.refresh(rebuild_graph=self._needs_rebuild(record))
@@ -612,15 +587,15 @@ class QService:
                 prepared += 1
         return prepared
 
-    def refresh_all_views(self, force: bool = False) -> int:
+    def refresh_all_views(self) -> int:
         """Pull every view up to date; returns how many actually refreshed.
 
-        Exists for the eager-compat shim and for administrative warm-up;
-        ordinary clients never need it — reads pull on demand.
+        Administrative warm-up; ordinary clients never need it — reads pull
+        on demand.
         """
         refreshed = 0
         for record in self.views.records():
-            if self._sync_view(record, force=force):
+            if self._sync_view(record):
                 refreshed += 1
         return refreshed
 
@@ -1254,13 +1229,6 @@ class QService:
         if key is not None:
             self._pending_op_key = None
             self._record_applied_op(key, None)
-        if self._posting_store is not None:
-            # Keep the backend posting tables in lockstep with the index
-            # (no-op while the saved epoch is current), and do it before
-            # the autosave so a checkpointed database is always internally
-            # consistent: snapshot epoch == posting-table epoch.
-            with active_trace().span("posting_sync"):
-                self._posting_store.sync(self.profile_index)
         if self._autosave and not getattr(self, "_in_autosave", False):
             self._in_autosave = True
             try:
@@ -1346,7 +1314,6 @@ class QService:
             pushdown_scans=int(value("q_pushdown_scans_total")),
             pushdown_queries=int(value("q_pushdown_queries_total")),
             posting_builds=int(value("q_posting_builds_total")),
-            posting_syncs=int(value("q_posting_syncs_total")),
             steiner_cache_hits=int(value("q_steiner_cache_hits_total")),
             steiner_cache_builds=int(value("q_steiner_cache_builds_total")),
             steiner_rescores=int(value("q_steiner_rescores_total")),

@@ -1,15 +1,13 @@
 """Typed alignment-strategy dispatch: enum + aligner factory table.
 
-The seed :class:`~repro.core.qsystem.QSystem` dispatched aligner strategies
-on raw strings (``strategy="view_based"``), failing with an untyped message
-on typos.  The service API replaces that with :class:`AlignmentStrategy`
-— an enum whose values coincide with the historical strings, so persisted
-configuration keeps working — and a table mapping each strategy to a
-factory that builds the concrete :class:`~repro.alignment.base.BaseAligner`
-from an :class:`AlignerSpec`.  Unknown names raise
-:class:`~repro.exceptions.UnknownStrategyError`, which lists the valid
-options.  The enum is closed: a new strategy is a new member plus its row
-in the table at the bottom of this module.
+A registration names its aligner strategy with :class:`AlignmentStrategy`
+— an enum whose values are the plain strings requests and persisted
+configuration carry (``strategy="view_based"``) — and a table maps each
+strategy to a factory that builds the concrete
+:class:`~repro.alignment.base.BaseAligner` from an :class:`AlignerSpec`.
+Unknown names raise :class:`~repro.exceptions.UnknownStrategyError`, which
+lists the valid options.  The enum is closed: a new strategy is a new
+member plus its row in the table at the bottom of this module.
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class AlignmentStrategy(enum.Enum):
     """The aligner strategies of paper Section 3.3.
 
-    Values equal the historical string names so that ``"view_based"`` (and
-    friends) from the deprecated ``QSystem`` API coerce losslessly.
+    Values are the string names requests may carry instead of a member:
+    ``"view_based"`` (and friends) coerce losslessly.
     """
 
     EXHAUSTIVE = "exhaustive"

@@ -7,7 +7,7 @@ caller wants, the service decides *when* the work happens (mutations are
 priced lazily at read time).
 
 The one mutable dataclass here is :class:`ServiceConfig` — the session
-knobs, shared with the deprecated ``QSystemConfig`` alias.
+knobs.
 """
 
 from __future__ import annotations
@@ -27,22 +27,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..matching.base import BaseMatcher
 
 #: A view reference accepted by the service: stable view id, view name, or
-#: (for in-process callers such as the deprecated ``QSystem`` shim) the
-#: live :class:`~repro.core.view.RankedView` object itself.
+#: (for in-process callers) the live :class:`~repro.core.view.RankedView`
+#: object itself.
 ViewRef = Union[str, "RankedView"]
 
 
 @dataclass
 class ServiceConfig:
-    """Top-level knobs of a Q service session.
-
-    The historical name ``QSystemConfig`` remains importable as an alias
-    from :mod:`repro.core.qsystem` and :mod:`repro`.
-    """
+    """Top-level knobs of a Q service session."""
 
     top_k: int = 5
     top_y: int = 2
-    feedback_window: int = 50
     graph: GraphConfig = field(default_factory=GraphConfig)
     answer_limit: Optional[int] = 200
     #: Answers per :class:`AnswerPage` when a request does not override it.
@@ -56,14 +51,9 @@ class ServiceConfig:
     #: across; 1 keeps the flat layout.  Results are identical for any N.
     profile_shards: int = 1
     #: MinHash signature length for the approximate blocking tier; 0 (the
-    #: default) disables sketch maintenance entirely.
+    #: default) disables sketch maintenance entirely.  The signature is cut
+    #: into ``sketch_num_perm // 2`` LSH bands (2 rows per band).
     sketch_num_perm: int = 0
-    #: LSH bands the signature is cut into (must divide ``sketch_num_perm``);
-    #: 0 defaults to ``sketch_num_perm // 2`` (2 rows per band).
-    sketch_bands: int = 0
-    #: Document-frequency ceiling for the exact rare-token tier that backs
-    #: the sketch tier's losslessness at low Jaccard.
-    sketch_rare_token_df: int = 16
     #: LRU cap on the profile index's schema-fingerprint pair memo.
     pair_memo_limit: int = 4096
     #: Serving-layer knobs (see :mod:`repro.service`): size of the
@@ -74,13 +64,6 @@ class ServiceConfig:
     #: beyond it fail fast with
     #: :class:`~repro.exceptions.ServiceOverloadedError`.
     write_queue_limit: int = 64
-    #: Writer-lane retry policy for transient storage faults (SQLite
-    #: locked/busy, injected I/O errors): total attempts including the
-    #: first (1 = never retry), base backoff delay, and the backoff cap.
-    #: See :mod:`repro.faults.retry` and the README "Failure model".
-    write_retry_attempts: int = 3
-    write_retry_base_delay_s: float = 0.005
-    write_retry_max_delay_s: float = 0.1
     #: Observability (see :mod:`repro.obs` and the README "Observability"):
     #: ``False`` disables request tracing and the explain/slow-query logs —
     #: reads return ``trace=None`` and the hot path pays only plain counter
@@ -90,10 +73,6 @@ class ServiceConfig:
     #: Reads slower than this land in the bounded slow-query log with
     #: their full span tree and pushdown decision.
     slow_query_ms: float = 250.0
-    #: Bound on the slow-query log (oldest entries fall off).
-    slow_query_log_size: int = 64
-    #: Bound on the per-read explain/decision log.
-    decision_log_size: int = 256
 
 
 @dataclass(frozen=True)
@@ -321,11 +300,10 @@ class SystemStats:
     pushdown_queries: int = 0
     #: Always 0: bench/workloads.py reads it by name; a later `benchmark` issue removes both together.
     pushdown_union_queries: int = 0
-    #: Posting persistence: full in-memory posting rebuilds the profile
-    #: index performed (0 across a warm open served by current posting
-    #: tables) and posting-table rewrites pushed to the backend.
+    #: Full from-profile posting rebuilds the profile index performed: 0
+    #: on a live session and across a warm open that only reads saved
+    #: views, 1 after the first posting read of a reopened session.
     posting_builds: int = 0
-    posting_syncs: int = 0
     #: Steiner-network snapshot cache (shared across a session's reads):
     #: cache hits, from-scratch builds, and overlay rescores (a tenant
     #: network derived from its base twin instead of rebuilt).

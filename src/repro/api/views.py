@@ -1,9 +1,7 @@
 """View registry: stable ids, explicit creation order, lazy-sync bookkeeping.
 
-The seed ``QSystem`` kept views in a plain name-keyed dict and recovered the
-"latest view" with ``next(reversed(dict.values()))`` — an insertion-order
-hack that silently changed meaning when a view name was reused.  The
-registry replaces that with:
+A plain name-keyed dict cannot say which view is the "latest" once a view
+name is reused.  The registry keeps:
 
 * a **stable id** per view (``view-0001``, ``view-0002``, ...): ids are
   never reused and never change for as long as their view is registered —
@@ -187,10 +185,6 @@ class ViewRegistry:
     def records(self) -> Tuple[ViewRecord, ...]:
         """All records in creation order."""
         return tuple(self._records)
-
-    def by_name(self) -> Dict[str, RankedView]:
-        """Name → view mapping (the deprecated ``QSystem.views`` shape)."""
-        return {name: record.view for name, record in self._by_name.items()}
 
     def __len__(self) -> int:
         return len(self._records)

@@ -1,8 +1,7 @@
-"""The Q system core: views, query generation, evaluation and the system facade.
+"""The Q system core: views, query generation and evaluation.
 
 Public API
 ----------
-* :class:`QSystem`, :class:`QSystemConfig` — the end-to-end system (Figure 1).
 * :class:`RankedView`, :class:`ViewState` — persistent keyword views.
 * :class:`QueryGenerator`, :class:`GeneratedQuery`, :func:`tree_signature` —
   Steiner tree → conjunctive query translation.
@@ -24,12 +23,10 @@ from .evaluation import (
     max_precision_at_recall,
     precision_recall_curve,
 )
-from .qsystem import QSystem, QSystemConfig
 from .query_generation import GeneratedQuery, QueryGenerator, tree_signature
 from .simulated_feedback import (
     gold_restricted_graph,
     gold_target_tree,
-    simulated_feedback_for_queries,
     simulated_feedback_for_view,
 )
 from .view import RankedView, ViewState
@@ -40,8 +37,6 @@ __all__ = [
     "GoldStandard",
     "PrCurvePoint",
     "PrecisionRecall",
-    "QSystem",
-    "QSystemConfig",
     "QueryGenerator",
     "RankedView",
     "ViewState",
@@ -55,7 +50,6 @@ __all__ = [
     "make_pair",
     "max_precision_at_recall",
     "precision_recall_curve",
-    "simulated_feedback_for_queries",
     "simulated_feedback_for_view",
     "tree_signature",
 ]

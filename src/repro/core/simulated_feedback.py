@@ -14,7 +14,7 @@ as if the user had marked one of its answers as valid.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..exceptions import SteinerError
 from ..graph.edges import EdgeKind
@@ -70,34 +70,3 @@ def simulated_feedback_for_view(view: RankedView, gold: GoldStandard) -> Optiona
         return None
     return FeedbackEvent(terminals=view.terminals, target_tree=tree)
 
-
-def simulated_feedback_for_queries(
-    system,
-    keyword_queries: Sequence[Sequence[str]],
-    gold: GoldStandard,
-    k: Optional[int] = None,
-) -> List[FeedbackEvent]:
-    """Create one view + simulated feedback event per keyword query.
-
-    Views that cannot be connected through gold edges are skipped, mirroring
-    the paper's protocol of providing feedback only where a gold-consistent
-    answer exists.
-
-    Parameters
-    ----------
-    system:
-        A :class:`~repro.core.qsystem.QSystem`.
-    keyword_queries:
-        The keyword queries to create views for.
-    gold:
-        The gold standard alignments.
-    k:
-        Optional per-view ``k`` override.
-    """
-    events: List[FeedbackEvent] = []
-    for keywords in keyword_queries:
-        view = system.create_view(list(keywords), k=k)
-        event = simulated_feedback_for_view(view, gold)
-        if event is not None:
-            events.append(event)
-    return events

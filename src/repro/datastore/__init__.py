@@ -7,8 +7,8 @@ This subpackage provides everything the Q system needs from a database layer:
 * :class:`Table`, :class:`Row` — relation facade over pluggable tuple
   storage (:mod:`repro.storage`: in-memory or SQLite backends).
 * :class:`DataSource`, :class:`Catalog` — registered sources.
-* :class:`ValueIndex`, :class:`TokenIndex` — inverted indexes for keyword
-  matching and the value-overlap filter.
+* :class:`ValueIndex` — the inverted index for keyword matching and the
+  value-overlap filter.
 * :class:`ConjunctiveQuery` and friends, :class:`AnswerTuple`,
   :class:`TupleProvenance` — the query model and provenance-carrying answers
   (paper Section 2.2); execution lives in :mod:`repro.engine`.
@@ -17,7 +17,7 @@ This subpackage provides everything the Q system needs from a database layer:
 """
 
 from .database import Catalog, DataSource
-from .indexes import TokenIndex, ValueIndex, ValueOccurrence
+from .indexes import ValueIndex, ValueOccurrence
 from .provenance import AnswerTuple, TupleProvenance
 from .query import (
     ConjunctiveQuery,
@@ -45,7 +45,6 @@ __all__ = [
     "SelectionPredicate",
     "SourceSchema",
     "Table",
-    "TokenIndex",
     "TupleProvenance",
     "ValueIndex",
     "ValueOccurrence",

@@ -1,23 +1,17 @@
-"""Inverted indexes over data values.
+"""The inverted index over data values.
 
-Two indexes support the Q pipeline:
-
-* :class:`ValueIndex` — maps canonical data values to the ``(table,
-  attribute, row)`` occurrences.  Used for lazy keyword-to-value matching in
-  the query graph (paper Section 2.2) and for the "Value Overlap Filter"
-  variant in the Figure 7 experiment.
-* :class:`TokenIndex` — maps text tokens to the attribute values containing
-  them, with document frequencies.  This backs the tf-idf keyword similarity
-  metric.
+:class:`ValueIndex` maps canonical data values to their ``(table,
+attribute, row)`` occurrences.  Used for lazy keyword-to-value matching in
+the query graph (paper Section 2.2) and for the "Value Overlap Filter"
+variant in the Figure 7 experiment.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..similarity.tokenize import tokenize
 from .database import Catalog, DataSource
 from .table import Table
 from .types import canonicalize
@@ -164,105 +158,3 @@ class ValueIndex:
         """All ``(relation, attribute)`` pairs that have at least one value."""
         return tuple(self._attribute_values.keys())
 
-
-class TokenIndex:
-    """Token-level inverted index with document frequencies.
-
-    Every attribute value and every schema label (relation and attribute
-    name) is treated as a "document".  The index exposes document
-    frequencies used by the tf-idf keyword similarity metric.
-
-    Like :class:`ValueIndex`, the index supports exact incremental
-    maintenance: :meth:`index_table` / :meth:`index_source` add a
-    relation's documents (tracking their ids per relation), and
-    :meth:`remove_table` / :meth:`remove_source` retract them without a
-    full rebuild.
-    """
-
-    def __init__(self) -> None:
-        self.document_count = 0
-        self._document_frequency: Dict[str, int] = defaultdict(int)
-        self._documents: Dict[str, Set[str]] = {}
-        #: relation -> ids of the documents it contributed.
-        self._relation_documents: Dict[str, Set[str]] = defaultdict(set)
-
-    def add_document(self, doc_id: str, text: str) -> None:
-        """Add (or replace) a document's token set."""
-        tokens = set(tokenize(text))
-        previous = self._documents.get(doc_id)
-        if previous is not None:
-            for token in previous:
-                self._document_frequency[token] -= 1
-            self.document_count -= 1
-        self._documents[doc_id] = tokens
-        self.document_count += 1
-        for token in tokens:
-            self._document_frequency[token] += 1
-
-    def remove_document(self, doc_id: str) -> None:
-        """Drop one document (no-op when unknown)."""
-        tokens = self._documents.pop(doc_id, None)
-        if tokens is None:
-            return
-        self.document_count -= 1
-        for token in tokens:
-            remaining = self._document_frequency[token] - 1
-            if remaining > 0:
-                self._document_frequency[token] = remaining
-            else:
-                del self._document_frequency[token]
-
-    def document_frequency(self, token: str) -> int:
-        """Number of documents containing ``token``."""
-        return self._document_frequency.get(token.lower(), 0)
-
-    def tokens(self, doc_id: str) -> Set[str]:
-        """The token set of document ``doc_id`` (empty if unknown)."""
-        return set(self._documents.get(doc_id, set()))
-
-    # ------------------------------------------------------------------
-    # Relation-level maintenance
-    # ------------------------------------------------------------------
-    def index_table(self, table: Table, include_values: bool = True) -> None:
-        """Add one relation's schema labels (and optionally values)."""
-        relation = table.schema.qualified_name
-        tracked = self._relation_documents[relation]
-
-        def add(doc_id: str, text: str) -> None:
-            self.add_document(doc_id, text)
-            tracked.add(doc_id)
-
-        add(f"relation:{relation}", table.schema.name)
-        for attr in table.schema:
-            add(f"attribute:{relation}.{attr.name}", attr.name)
-        if include_values:
-            for row in table.scan():
-                for attr_name, value in zip(table.schema.attribute_names, row.values):
-                    canon = canonicalize(value)
-                    if canon is None:
-                        continue
-                    add(f"value:{relation}.{attr_name}:{row.row_id}", canon)
-
-    def index_source(self, source: DataSource, include_values: bool = True) -> None:
-        """Add every relation of ``source``."""
-        for table in source:
-            self.index_table(table, include_values=include_values)
-
-    def remove_table(self, relation: str) -> None:
-        """Drop every document contributed by ``relation``."""
-        for doc_id in self._relation_documents.pop(relation, set()):
-            self.remove_document(doc_id)
-
-    def remove_source(self, source_name: str) -> None:
-        """Drop every document contributed by any relation of ``source_name``."""
-        prefix = f"{source_name}."
-        for relation in [r for r in self._relation_documents if r.startswith(prefix)]:
-            self.remove_table(relation)
-
-    @classmethod
-    def from_catalog(cls, catalog: Catalog, include_values: bool = True) -> "TokenIndex":
-        """Index all schema labels (and optionally values) in ``catalog``."""
-        index = cls()
-        for source in catalog:
-            index.index_source(source, include_values=include_values)
-        return index

@@ -2,10 +2,10 @@
 
 An :class:`ExecutionContext` is the engine's memory between queries.  The k
 conjunctive queries of one view refresh (and, when the context is shared by
-the :class:`~repro.core.qsystem.QSystem`, all views over one catalog) hit the
-same relations with the same selections and join attributes over and over;
-the context builds each filtered scan and each per-attribute hash join index
-**once** and replays it from cache afterwards.
+a :class:`~repro.api.service.QService` session, all views over one catalog)
+hit the same relations with the same selections and join attributes over and
+over; the context builds each filtered scan and each per-attribute hash join
+index **once** and replays it from cache afterwards.
 
 Staleness is handled structurally rather than by callbacks: cached artifacts
 are grouped per relation and tagged with the owning

@@ -73,10 +73,6 @@ class Budget:
     def elapsed_ms(self) -> float:
         return (self.clock() - self._start) * 1000.0
 
-    def remaining_s(self) -> float:
-        """Seconds left before expiry (never negative)."""
-        return max(0.0, self.deadline_s - (self.clock() - self._start))
-
     def expired(self) -> bool:
         """Read the clock now; ``True`` once the deadline has passed."""
         return (self.clock() - self._start) >= self.deadline_s

@@ -158,10 +158,10 @@ class FaultyBackend(StorageBackend):
     Every protocol method consults the plan *before* delegating, so an
     injected error leaves the underlying backend untouched — exactly the
     semantics of an I/O error surfacing before the backend's own work.
-    Capability flags and SQLite extras (``execute_sql`` / ``execute_write``
-    / ``execute_write_batch`` / ``path``) proxy through, so a wrapped
-    backend is a drop-in for ``QService(backend=...)`` and the in-database
-    session store alike.
+    Both capability flags and the SQLite extras (``execute_sql`` /
+    ``execute_write`` / ``execute_write_batch`` / ``path``) proxy through,
+    so a wrapped backend is a drop-in for ``QService(backend=...)`` and the
+    in-database session store alike.
     """
 
     def __init__(self, delegate: StorageBackend, plan: FaultPlan) -> None:

@@ -110,10 +110,6 @@ class Edge:
         """Whether this edge connects nodes ``a`` and ``b`` (in either order)."""
         return (self.u, self.v) in ((a, b), (b, a))
 
-    def identity_feature(self) -> str:
-        """The per-edge feature name for this edge."""
-        return edge_feature(self.edge_id)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Edge({self.kind.value}, {self.u!r} -- {self.v!r})"
 

@@ -49,22 +49,6 @@ class Node:
     relation: Optional[str] = None
     attribute: Optional[str] = None
 
-    def is_relation(self) -> bool:
-        """Whether this is a relation node."""
-        return self.kind is NodeKind.RELATION
-
-    def is_attribute(self) -> bool:
-        """Whether this is an attribute node."""
-        return self.kind is NodeKind.ATTRIBUTE
-
-    def is_value(self) -> bool:
-        """Whether this is a (lazily materialized) data-value node."""
-        return self.kind is NodeKind.VALUE
-
-    def is_keyword(self) -> bool:
-        """Whether this is a keyword node added by a query."""
-        return self.kind is NodeKind.KEYWORD
-
 
 def relation_node_id(qualified_relation: str) -> str:
     """Canonical node id for a relation node."""

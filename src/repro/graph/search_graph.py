@@ -546,11 +546,6 @@ class SearchGraph:
         """Number of edges."""
         return len(self._edges)
 
-    def relation_of_node(self, node_id: str) -> Optional[str]:
-        """The qualified relation a node belongs to (or is), if any."""
-        node = self.node(node_id)
-        return node.relation
-
     def relation_node_of(self, node_id: str) -> Optional[Node]:
         """The relation node that owns ``node_id`` (itself, if already a relation)."""
         node = self.node(node_id)

@@ -79,10 +79,6 @@ class ComparisonCounter:
         self.relation_pairs += 1
         self.attribute_comparisons += attributes_a * attributes_b
 
-    def record_comparisons(self, count: int) -> None:
-        """Record ``count`` explicit attribute comparisons."""
-        self.attribute_comparisons += count
-
     def reset(self) -> None:
         """Zero all counters."""
         self.attribute_comparisons = 0

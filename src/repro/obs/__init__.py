@@ -7,7 +7,7 @@ README "Observability" section documents:
   latency histograms with Prometheus-text and JSON exposition
   (``QServer.metrics()`` / ``QService.metrics()``).  The scattered
   pre-registry counters (``ExecutionContext`` pushdown statistics, Steiner
-  cache totals, posting builds/syncs, retry/degraded counts) are re-homed
+  cache totals, posting builds, retry/degraded counts) are re-homed
   here as callback gauges, and ``SystemStats`` is assembled as a view over
   the registry.
 * :class:`~repro.obs.tracing.Tracer` — the span API threaded through the
@@ -108,8 +108,6 @@ class Observability:
         return cls(
             enabled=bool(getattr(config, "observability", True)),
             slow_query_s=float(getattr(config, "slow_query_ms", 250.0)) / 1000.0,
-            slow_query_log_size=int(getattr(config, "slow_query_log_size", 64)),
-            decision_log_size=int(getattr(config, "decision_log_size", 256)),
         )
 
     @classmethod

@@ -84,6 +84,11 @@ class DecisionLog:
         self._lock = threading.Lock()
         self._records: Deque[DecisionRecord] = deque(maxlen=max(int(maxlen), 1))
 
+    @property
+    def maxlen(self) -> int:
+        """How many records the ring retains (oldest fall off)."""
+        return self._records.maxlen
+
     def append(self, record: DecisionRecord) -> None:
         with self._lock:
             self._records.append(record)

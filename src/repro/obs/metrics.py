@@ -21,7 +21,7 @@ Three instrument shapes:
   by a zero-argument callback evaluated at scrape time.  Callbacks are how
   live state (queue depth, pending writes, snapshot age) and the scattered
   pre-registry counters (pushdown statistics, Steiner cache totals,
-  posting syncs) surface without any hot-path bookkeeping: the owning
+  posting builds) surface without any hot-path bookkeeping: the owning
   object keeps its plain attribute, the registry reads it when asked.
 * :class:`Histogram` — fixed exponential buckets (doubling widths), for
   request/stage latencies.  Observation is O(#buckets) worst case with no

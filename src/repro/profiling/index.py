@@ -20,7 +20,10 @@ All posting-list state lives in hash-partitioned shards behind a
 :class:`~repro.profiling.shards.ShardRouter` (``shard_count=1`` by
 default); the router preserves the flat-dictionary semantics exactly, so
 every existing caller — matchers, persistence, aligner strategies — is
-unaffected by the shard count.
+unaffected by the shard count.  Postings have this one home: they are
+installed eagerly on a live index, never persisted (only the profiles are),
+and rebuilt once from the restored profiles on the first posting read
+after a session is reopened.
 
 The index is updated once per registered (or removed) source; the ``epoch``
 counter lets dependent caches (candidate maps, tf-idf vectors) validate
@@ -127,16 +130,12 @@ class CatalogProfileIndex:
         #: eagerly (``_postings_ready`` stays ``True``); a state restore
         #: (:meth:`absorb_state`) installs profiles only and defers the
         #: posting materialization, so a warm open pays for it only when —
-        #: and if — an in-memory posting read actually happens.  While
-        #: deferred, posting reads are served by an attached
-        #: :class:`~repro.storage.postings.PostingStore` whenever its saved
-        #: ``(epoch, attribute_count)`` is current.  ``posting_builds``
-        #: counts full from-profile rebuilds (0 across a warm open whose
-        #: store stayed current — the bench asserts exactly this).
+        #: and if — a posting read actually happens.  ``posting_builds``
+        #: counts full from-profile rebuilds (0 across a warm open that
+        #: only reads saved views — the bench asserts exactly this).
         self.posting_builds = 0
         self._postings_ready = True
         self._postings_lock = threading.Lock()
-        self._posting_store = None
 
     # ------------------------------------------------------------------
     # Construction / maintenance
@@ -200,28 +199,8 @@ class CatalogProfileIndex:
                 shards.add_bucket(key, attr_id)
 
     # ------------------------------------------------------------------
-    # Posting laziness + backend posting store
+    # Posting laziness
     # ------------------------------------------------------------------
-    def attach_posting_store(self, store) -> None:
-        """Attach a backend :class:`~repro.storage.postings.PostingStore`.
-
-        While the in-memory postings are deferred (after a state restore)
-        and the store's saved meta matches this index's current
-        ``(epoch, attribute_count)``, posting reads are answered by
-        indexed SQL against the store's tables instead of rebuilding the
-        shard router.  The store never *replaces* the in-memory path — any
-        read it cannot serve (sketch tiers, shard diagnostics, a stale
-        store) falls back to :meth:`_ensure_postings`.
-        """
-        self._posting_store = store
-
-    def _current_store(self):
-        """The attached posting store iff it reflects this exact index state."""
-        store = self._posting_store
-        if store is not None and store.is_current(self.epoch, self.attribute_count):
-            return store
-        return None
-
     def _ensure_postings(self) -> None:
         """Materialize the in-memory posting lists from the profiles.
 
@@ -242,10 +221,6 @@ class CatalogProfileIndex:
                 self._install_postings(profile)
             self.posting_builds += 1
             self._postings_ready = True
-
-    def iter_attribute_profiles(self) -> Iterable[AttributeProfile]:
-        """All attribute profiles in installation order (posting-store sync)."""
-        return iter(self._attribute_profiles.values())
 
     def remove_source(self, name: str) -> None:
         """Retract every relation ``name`` contributed (no full rebuild)."""
@@ -325,11 +300,7 @@ class CatalogProfileIndex:
     @property
     def distinct_value_count(self) -> int:
         """Number of distinct canonical values across all posting lists."""
-        if not self._postings_ready:
-            store = self._current_store()
-            if store is not None:
-                return store.distinct_value_count()
-            self._ensure_postings()
+        self._ensure_postings()
         return self._shards.distinct_value_count
 
     @property
@@ -372,10 +343,7 @@ class CatalogProfileIndex:
         Computed by walking the posting list of each of the attribute's
         distinct values — cost proportional to the number of actual
         co-occurrences instead of the number of attribute pairs.  Memoized
-        per attribute and validated against the index epoch.  While the
-        in-memory postings are deferred and a current posting store is
-        attached, the walk runs as one indexed self-join inside the
-        backend instead (identical counts, no rebuild).
+        per attribute and validated against the index epoch.
         """
         attr_id = (relation, attribute)
         cached = self._candidate_cache.get(attr_id)
@@ -384,19 +352,15 @@ class CatalogProfileIndex:
         profile = self._attribute_profiles.get(attr_id)
         candidates: Dict[AttrId, int] = {}
         if profile is not None:
-            store = None if self._postings_ready else self._current_store()
-            if store is not None:
-                candidates = store.value_candidates(relation, attribute)
-            else:
-                self._ensure_postings()
-                shards = self._shards
-                for value in profile.distinct_values:
-                    postings = shards.value_postings(value)
-                    if postings is None:
-                        continue
-                    for other in postings:
-                        if other != attr_id:
-                            candidates[other] = candidates.get(other, 0) + 1
+            self._ensure_postings()
+            shards = self._shards
+            for value in profile.distinct_values:
+                postings = shards.value_postings(value)
+                if postings is None:
+                    continue
+                for other in postings:
+                    if other != attr_id:
+                        candidates[other] = candidates.get(other, 0) + 1
         self._candidate_cache[attr_id] = (self.epoch, candidates)
         return candidates
 
@@ -565,24 +529,14 @@ class CatalogProfileIndex:
     # ------------------------------------------------------------------
     def token_postings(self, token: str) -> Tuple[AttrId, ...]:
         """The attributes whose values contain ``token`` (a posting list)."""
-        needle = token.lower()
-        if not self._postings_ready:
-            store = self._current_store()
-            if store is not None:
-                return store.token_postings(needle)
-            self._ensure_postings()
-        postings = self._shards.token_postings(needle)
+        self._ensure_postings()
+        postings = self._shards.token_postings(token.lower())
         return tuple(postings) if postings is not None else ()
 
     def token_document_frequency(self, token: str) -> int:
         """Number of attributes whose values contain ``token``."""
-        needle = token.lower()
-        if not self._postings_ready:
-            store = self._current_store()
-            if store is not None:
-                return store.token_document_frequency(needle)
-            self._ensure_postings()
-        postings = self._shards.token_postings(needle)
+        self._ensure_postings()
+        postings = self._shards.token_postings(token.lower())
         return len(postings) if postings is not None else 0
 
     def inverse_token_frequency(self, token: str, smoothing: float = 1.0) -> float:
@@ -597,11 +551,7 @@ class CatalogProfileIndex:
 
         Each attribute is one "document" whose terms are its distinct value
         tokens; document frequencies come from the token posting lists.
-        Memoized per attribute, validated against the index epoch.  A
-        current posting store serves as a second-level cache: previously
-        computed vectors load back byte-identically (IEEE doubles through
-        ``REAL``, token order preserved), and freshly computed ones are
-        written through for the next session.
+        Memoized per attribute, validated against the index epoch.
         """
         attr_id = (relation, attribute)
         cached = self._tfidf_cache.get(attr_id)
@@ -610,34 +560,14 @@ class CatalogProfileIndex:
         profile = self._attribute_profiles.get(attr_id)
         vector: Dict[str, float] = {}
         if profile is not None and profile.value_tokens:
-            store = self._current_store()
-            stored = (
-                store.tfidf_vector(relation, attribute) if store is not None else None
-            )
-            if stored is not None:
-                vector = stored
-            else:
-                # Sorted iteration fixes the float-summation order of the
-                # norm, so the vector is identical however the token set
-                # was built — scanned live, restored from a snapshot, or
-                # (below) priced off the store's batched frequencies.
-                tokens = sorted(profile.value_tokens)
-                if store is not None and not self._postings_ready:
-                    frequencies = store.token_document_frequencies(tokens)
-                    count = self.attribute_count
-                    for token in tokens:
-                        vector[token] = (
-                            math.log((count + 1.0) / (frequencies.get(token, 0) + 1.0))
-                            + 1.0
-                        )
-                else:
-                    for token in tokens:
-                        vector[token] = self.inverse_token_frequency(token)
-                norm = math.sqrt(sum(w * w for w in vector.values()))
-                if norm > 0.0:
-                    vector = {token: w / norm for token, w in vector.items()}
-                if store is not None:
-                    store.store_tfidf(relation, attribute, vector)
+            # Sorted iteration fixes the float-summation order of the norm,
+            # so the vector is identical however the token set was built —
+            # scanned live or restored from a session snapshot.
+            for token in sorted(profile.value_tokens):
+                vector[token] = self.inverse_token_frequency(token)
+            norm = math.sqrt(sum(w * w for w in vector.values()))
+            if norm > 0.0:
+                vector = {token: w / norm for token, w in vector.items()}
         self._tfidf_cache[attr_id] = (self.epoch, vector)
         return vector
 
@@ -742,13 +672,12 @@ class CatalogProfileIndex:
         Profiles are installed verbatim (no table scan — the warm-start
         fast path); posting lists and sketches are **deferred**, rebuilt
         from the profiles only when an in-memory posting read first needs
-        them (:meth:`_ensure_postings`) — or served without any rebuild by
-        an attached, current posting store.  The epoch is taken from the
-        payload so dependent caches (and the posting store's currency
-        check) re-validate exactly as they would against the original
-        index.  Structural configuration keys (``shard_count``,
-        ``sketch``) are ignored here — they are fixed at construction;
-        :meth:`from_state` applies them when rebuilding from scratch.
+        them (:meth:`_ensure_postings`).  The epoch is taken from the
+        payload so dependent caches re-validate exactly as they would
+        against the original index.  Structural configuration keys
+        (``shard_count``, ``sketch``) are ignored here — they are fixed at
+        construction; :meth:`from_state` applies them when rebuilding from
+        scratch.
         """
         self._postings_ready = False
         for spec in payload.get("relations", ()):

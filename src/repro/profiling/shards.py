@@ -28,7 +28,7 @@ routing overhead beyond one modulo, and is the default everywhere.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .profiles import AttrId
 
@@ -160,8 +160,3 @@ class ShardRouter:
     def shard_sizes(self) -> Tuple[int, ...]:
         """Posting keys per shard (balance diagnostic for benches/stats)."""
         return tuple(shard.entry_count() for shard in self.shards)
-
-    def iter_values(self) -> Iterator[Tuple[str, Set[AttrId]]]:
-        """All distinct-value posting lists, shard by shard."""
-        for shard in self.shards:
-            yield from shard.value_postings.items()

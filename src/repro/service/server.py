@@ -27,12 +27,12 @@ The writer lane is *supervised*: no exception escapes it silently.
 
 * **Transient storage faults** (SQLite ``locked``/``busy``, injected I/O
   errors) are classified by :func:`repro.faults.retry.classify_storage_error`
-  and retried with exponential backoff + jitter under the session config's
-  ``write_retry_*`` knobs.  Each write carries an idempotency key recorded
-  by the service *before* its autosave, so a retry after a partially
-  applied attempt never double-applies; a registration that did not land
-  was rolled back by the registrar with its edge ids, keeping its retry
-  invisible to tree signatures and the isolation oracle.
+  and retried with exponential backoff + jitter under the server's
+  :class:`~repro.faults.retry.RetryPolicy`.  Each write carries an
+  idempotency key recorded by the service *before* its autosave, so a retry
+  after a partially applied attempt never double-applies; a registration
+  that did not land was rolled back by the registrar with its edge ids,
+  keeping its retry invisible to tree signatures and the isolation oracle.
 * **Non-transient storage faults** flip the server into read-only
   *degraded* mode: reads keep serving the last published snapshot, pending
   and new writes fail fast with
@@ -202,8 +202,8 @@ class QServer:
         ``service.config.write_queue_limit``.
     retry_policy:
         Writer-lane retry policy for transient storage faults.  Defaults to
-        a policy built from the session config's ``write_retry_*`` knobs;
-        tests inject one with a fake ``sleep``/``rng`` for determinism.
+        ``RetryPolicy()`` (3 attempts, 5 ms base delay, 100 ms cap); tests
+        inject one with a fake ``sleep``/``rng`` for determinism.
 
     Every read/write has a ``submit_*`` form returning a
     :class:`concurrent.futures.Future` (asyncio-friendly via
@@ -237,11 +237,7 @@ class QServer:
         self.read_workers = workers
         self.write_queue_limit = limit
         if retry_policy is None:
-            retry_policy = RetryPolicy(
-                max_attempts=getattr(service.config, "write_retry_attempts", 3),
-                base_delay_s=getattr(service.config, "write_retry_base_delay_s", 0.005),
-                max_delay_s=getattr(service.config, "write_retry_max_delay_s", 0.1),
-            )
+            retry_policy = RetryPolicy()
         self._retry_policy = retry_policy
         #: Shared observability bundle (see :mod:`repro.obs`): the server
         #: traces its lanes into the session's registry/logs, so one scrape

@@ -5,10 +5,10 @@ into a query graph (paper Section 2.2): each keyword is matched against
 schema labels and indexed data values; closer matches get lower *mismatch
 cost*.
 
-The corpus statistics (document frequencies) come from a
-:class:`~repro.datastore.indexes.TokenIndex` built over the catalog, but the
-scorer also works standalone with a corpus supplied as an iterable of
-strings.
+The corpus statistics (document frequencies) are the scorer's own, built
+from a corpus supplied as an iterable of strings and maintained one
+document at a time (:class:`~repro.graph.query_graph.QueryGraphBuilder`
+feeds it the catalog's schema labels and values).
 """
 
 from __future__ import annotations

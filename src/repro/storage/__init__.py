@@ -12,14 +12,11 @@ Backend selection guide
   survive a restart (``Catalog``/``QService`` reconstruct themselves from
   the file), or ``":memory:"`` for an ephemeral database that still gets
   SQL pushdown and bulk ``executemany`` ingest.
-* :class:`PostgresBackend` (``"postgres:<dsn>"``) — the same row model on
-  a PostgreSQL server through psycopg2 (a soft dependency: construction
-  fails with a clear :class:`StorageError` when the driver is absent).
-  No SQL pushdown — the library's canon/match functions are not installed
-  server-side — so reads fall back to the Python engine by construction;
-  posting tables still persist.  :class:`DbApiBackend` is the generic
-  DB-API 2.0 core it is built on, usable directly with any conforming
-  driver connection.
+* :class:`DbApiBackend` — the generic DB-API 2.0 core ``SqliteBackend`` is
+  built on, usable directly with a connection whose driver takes ``?``
+  placeholders.  No SQL pushdown — the library's canon/match functions are
+  not installed on a foreign connection — so reads fall back to the Python
+  engine by construction.
 
 The ``REPRO_BACKEND`` environment variable switches the *default* backend
 of every :class:`~repro.datastore.database.Catalog` created without an
@@ -34,7 +31,7 @@ from typing import Optional, Union
 
 from ..exceptions import StorageError
 from .base import PredicateSpec, StorageBackend
-from .dbapi import DbApiBackend, PostgresBackend
+from .dbapi import DbApiBackend
 from .memory import MemoryBackend
 from .sqlite import SqliteBackend
 
@@ -45,31 +42,20 @@ _ENV_VAR = "REPRO_BACKEND"
 
 
 def create_backend(kind: str, path: Optional[str] = None) -> StorageBackend:
-    """Instantiate a backend by name (``"memory"``, ``"sqlite"``, ``"postgres"``).
+    """Instantiate a backend by name (``"memory"`` or ``"sqlite"``).
 
     ``"sqlite"`` accepts an optional database ``path`` (default
     ``":memory:"``); a spec of the form ``"sqlite:<path>"`` is also
     understood so the choice can live in a single string (CLI flags, env).
-    ``"postgres:<dsn>"`` connects through psycopg2 (which must be
-    installed) with the DSN everything after the first colon.
     """
     if kind.startswith("sqlite:"):
         kind, path = "sqlite", kind.split(":", 1)[1]
-    if kind.startswith("postgres:"):
-        kind, path = "postgres", kind.split(":", 1)[1]
     if kind == "memory":
         return MemoryBackend()
     if kind == "sqlite":
         return SqliteBackend(path or ":memory:")
-    if kind == "postgres":
-        if not path:
-            raise StorageError(
-                'the postgres backend needs a DSN: use "postgres:<dsn>"'
-            )
-        return PostgresBackend(path)
     raise StorageError(
-        f"unknown storage backend {kind!r}; "
-        "valid backends: memory, sqlite, postgres:<dsn>"
+        f"unknown storage backend {kind!r}; valid backends: memory, sqlite"
     )
 
 
@@ -98,7 +84,6 @@ __all__ = [
     "BackendSpec",
     "DbApiBackend",
     "MemoryBackend",
-    "PostgresBackend",
     "PredicateSpec",
     "SqliteBackend",
     "StorageBackend",

@@ -8,7 +8,7 @@ implementations ship with the library:
 
 * :class:`~repro.storage.memory.MemoryBackend` — Python-list row storage,
   the refactored form of the original in-memory ``Table`` internals;
-* :class:`~repro.storage.dbapi.DbApiBackend` — the SQL row model over any
+* :class:`~repro.storage.dbapi.DbApiBackend` — the SQL row model over a
   DB-API 2.0 connection (``executemany`` bulk ingest, cached scans, catalog
   persistence), with :class:`~repro.storage.sqlite.SqliteBackend` — one
   SQLite database per catalog, on disk or ``:memory:`` — as the subclass
@@ -84,14 +84,6 @@ class StorageBackend(ABC):
     #: session store can manage its ``_repro_session_*`` tables; sessions on
     #: backends without this capability persist to a sidecar file instead.
     supports_session_store: bool = False
-
-    #: Whether the backend can host the persisted profile posting tables
-    #: (``_repro_postings_*`` — see :mod:`repro.storage.postings`).  When
-    #: ``True`` the backend must expose ``execute_sql``, ``execute_write``,
-    #: ``execute_write_batch`` and ``execute_write_many``; registration's
-    #: candidate intersection then runs as an indexed join and reopened
-    #: sessions skip the in-memory posting rebuild.
-    supports_posting_tables: bool = False
 
     # ------------------------------------------------------------------
     # Relation lifecycle

@@ -3,13 +3,13 @@
 :class:`DbApiBackend` owns the SQL row model — ``"_row_id"`` insertion
 positions, ``"_tags"``-encoded booleans, ``c_`` prefixed data columns, a
 ``_repro_relations`` key registry and a ``_repro_catalog`` source-schema
-store — on top of any DB-API 2.0 connection, so a server-backed database is
-a *config choice* rather than a port.  Relation lifecycle, the value codec,
-ingest, scans (with their version-keyed LRU) and catalog-metadata
-persistence live here once; :class:`~repro.storage.sqlite.SqliteBackend`
-subclasses it and adds only what is SQLite's (the registered canon/match
-functions and the pushdown surface built on them).  The capability flags
-tell the rest of the stack exactly what falls back on the generic class:
+store — on top of a DB-API 2.0 connection whose driver takes ``?``
+placeholders.  Relation lifecycle, the value codec, ingest, scans (with
+their version-keyed LRU) and catalog-metadata persistence live here once;
+:class:`~repro.storage.sqlite.SqliteBackend` subclasses it and adds only
+what is SQLite's (the registered canon/match functions and the pushdown
+surface built on them).  The capability flags tell the rest of the stack
+exactly what falls back on the generic class:
 
 ==========================  =========  ======================================
 capability                  value      consequence
@@ -18,8 +18,6 @@ capability                  value      consequence
                                        Python engine (the backend cannot
                                        register the library's canon/match
                                        functions the exact dialect needs)
-``supports_posting_tables``  ``True``  profile posting lists persist; the
-                                       candidate self-join runs server-side
 ``supports_session_store``  ``False``  sessions persist to a JSON sidecar
 ==========================  =========  ======================================
 
@@ -39,10 +37,7 @@ the hidden ``_tags`` column, from which reads reconstruct the original
 for exotic values.
 
 The generic class is exercised in the test suite through the standard
-library's own ``sqlite3`` DB-API driver (qmark paramstyle);
-:class:`PostgresBackend` merely binds it to a psycopg2 connection (format
-paramstyle, ``TEXT`` cells) and fails at construction — with a clear
-:class:`~repro.exceptions.StorageError` — when psycopg2 is not installed.
+library's own ``sqlite3`` DB-API driver.
 """
 
 from __future__ import annotations
@@ -91,31 +86,14 @@ class DbApiBackend(StorageBackend):
         An open DB-API 2.0 connection.  The backend owns it from here on
         (:meth:`close` closes it) and serializes all access behind one
         lock.
-    paramstyle:
-        ``"qmark"`` (``?`` placeholders — sqlite3 and most embedded
-        drivers) or ``"format"`` (``%s`` — psycopg2, MySQLdb).  SQL built
-        by this module and by the posting store is written qmark-style;
-        under ``"format"`` every statement is translated before execution.
     """
 
     kind = "dbapi"
     supports_sql_pushdown = False
     supports_session_store = False
-    supports_posting_tables = True
 
-    #: Column type of the ``c_*`` data cells — ``""`` leaves typing to the
-    #: engine (SQLite affinity); strongly-typed engines override (see
-    #: :class:`PostgresBackend`).
-    _cell_type = ""
-
-    def __init__(self, connection, paramstyle: str = "qmark") -> None:
-        if paramstyle not in ("qmark", "format"):
-            raise StorageError(
-                f"unsupported DB-API paramstyle {paramstyle!r}; "
-                "supported: qmark, format"
-            )
+    def __init__(self, connection) -> None:
         self._conn = connection
-        self._paramstyle = paramstyle
         self._lock = threading.RLock()
         self._relations: Dict[str, _Relation] = {}
         self._scan_cache: "OrderedDict[str, Tuple[int, List]]" = OrderedDict()
@@ -133,19 +111,9 @@ class DbApiBackend(StorageBackend):
     # ------------------------------------------------------------------
     # Connection plumbing
     # ------------------------------------------------------------------
-    def _sql(self, statement: str) -> str:
-        """Translate qmark placeholders to the connection's paramstyle.
-
-        Safe textually: no SQL this backend (or the posting store) builds
-        ever embeds a literal ``?`` — every value travels as a parameter.
-        """
-        if self._paramstyle == "format":
-            return statement.replace("?", "%s")
-        return statement
-
     def _execute(self, statement: str, params: Sequence[object] = ()):
         cursor = self._conn.cursor()
-        cursor.execute(self._sql(statement), list(params))
+        cursor.execute(statement, list(params))
         return cursor
 
     @contextmanager
@@ -195,9 +163,8 @@ class DbApiBackend(StorageBackend):
         with self._lock:
             if key in self._relations:
                 raise StorageError(f"relation {key!r} already exists on this backend")
-            cell = f" {self._cell_type}" if self._cell_type else ""
             columns = ", ".join(
-                f"{self.column_sql_name(name)}{cell}" for name in schema.attribute_names
+                self.column_sql_name(name) for name in schema.attribute_names
             )
             with self._transaction():
                 self._execute(
@@ -340,7 +307,7 @@ class DbApiBackend(StorageBackend):
             # version/row-id counters below are never moved.
             with self._transaction():
                 self._conn.cursor().executemany(
-                    self._sql(self._insert_sql(key, schema)), encoded_stream()
+                    self._insert_sql(key, schema), encoded_stream()
                 )
             if inserted:
                 relation.next_row_id += inserted
@@ -447,13 +414,13 @@ class DbApiBackend(StorageBackend):
         return [json.loads(payload) for (payload,) in rows]
 
     # ------------------------------------------------------------------
-    # Raw statement hooks (qmark statements translated by :meth:`_sql`)
+    # Raw statement hooks
     # ------------------------------------------------------------------
     def execute_sql(self, sql: str, params: Sequence[object] = ()) -> List[Tuple]:
         """Run one parameterized read-only statement.
 
-        The hook the SQL lowering (:mod:`repro.storage.pushdown`), the
-        posting store and the in-database session store all read through.
+        The hook the SQL lowering (:mod:`repro.storage.pushdown`) and the
+        in-database session store read through.
         """
         with self._lock:
             return self._execute(sql, params).fetchall()
@@ -481,16 +448,6 @@ class DbApiBackend(StorageBackend):
             for sql, params in statements:
                 self._execute(sql, params)
 
-    def execute_write_many(self, sql: str, rows: Iterable[Sequence[object]]) -> None:
-        """Run one parameterized write against many parameter rows.
-
-        ``executemany`` in one transaction — the bulk-ingest hook of the
-        posting store (:mod:`repro.storage.postings`), which rewrites whole
-        posting lists per attribute.
-        """
-        with self._transaction():
-            self._conn.cursor().executemany(self._sql(sql), rows)
-
     def storage_size_bytes(self) -> int:
         """Row-count × average-arity estimate (no portable page accounting)."""
         total = 0
@@ -500,30 +457,3 @@ class DbApiBackend(StorageBackend):
             total += self.row_count(key) * arity * 8
         return total
 
-
-class PostgresBackend(DbApiBackend):
-    """The DB-API backend bound to a PostgreSQL connection via psycopg2.
-
-    Selected with a ``"postgres:<dsn>"`` backend spec.  Construction fails
-    with a :class:`~repro.exceptions.StorageError` naming the missing
-    driver when psycopg2 is not installed — the library never grows a hard
-    dependency on it.
-
-    Caveat (documented, not hidden): Postgres types the ``c_*`` cells as
-    ``TEXT``, so non-string cells round-trip as their textual form.  Every
-    engine comparison goes through canonical forms and is unaffected;
-    only raw cell display differs from the memory/SQLite backends.
-    """
-
-    kind = "postgres"
-    _cell_type = "TEXT"
-
-    def __init__(self, dsn: str) -> None:
-        try:
-            import psycopg2  # type: ignore[import-untyped]
-        except ImportError as exc:  # pragma: no cover - driver present in some envs
-            raise StorageError(
-                "the postgres storage backend requires the psycopg2 driver "
-                "(pip install psycopg2-binary); it is not installed"
-            ) from exc
-        super().__init__(psycopg2.connect(dsn), paramstyle="format")

@@ -109,7 +109,7 @@ class SqliteBackend(DbApiBackend):
             connection.create_function("repro_match", 3, _sql_match)
         #: Attributes per relation key that already have a canon index.
         self._indexed_columns: Dict[str, Set[str]] = {}
-        super().__init__(connection, paramstyle="qmark")
+        super().__init__(connection)
 
     def drop_relation(self, key: str) -> None:
         with self._lock:

@@ -6,8 +6,9 @@ Covers the satellite contract of the service API:
 * a registration invalidates every view's answer cache exactly once and
   refreshes nothing until a read;
 * the lazy pull path returns top-k answers identical (values, costs,
-  order) to the eager seed path on a fig11-style feedback replay while
-  performing strictly fewer view refreshes;
+  order) to a twin session whose every view is refreshed after each
+  mutation, on a fig11-style feedback replay, while performing strictly
+  fewer view refreshes;
 * streaming answers equal the materialized refresh and execute queries
   lazily, page by page.
 """
@@ -15,12 +16,10 @@ Covers the satellite contract of the service API:
 from __future__ import annotations
 
 import gc
-import warnings
 import weakref
 
 import pytest
 
-from repro import QSystem
 from repro.api import (
     AlignmentStrategy,
     FeedbackRequest,
@@ -242,8 +241,11 @@ class TestLazyConsistency:
         info = service.create_view(QueryRequest(keywords=("membrane", "IPR001")))
         view = service.view(info.view_id)
         answer = view.state.answers[0]
+        learner = service.learner
         for _ in range(5):
             service.feedback(FeedbackRequest(view=info.view_id, answer=answer))
+        # One persistent learner took every step.
+        assert service.learner is learner and learner.steps_processed == 5
         assert view.refresh_count == 1
         _drain(service.answers(QueryRequest(view=info.view_id)))
         assert view.refresh_count == 2  # five mutations, one refresh
@@ -397,7 +399,7 @@ class TestStreaming:
 
 
 class TestEagerLazyParity:
-    """Fig11-style feedback replay: eager seed path vs lazy pull path.
+    """Fig11-style feedback replay: refresh-everything-eagerly vs lazy pull.
 
     Two instances built from equal sources number their edges alike, so they
     are compared bit-for-bit as they stand.
@@ -408,17 +410,16 @@ class TestEagerLazyParity:
         num_queries = 4
         dataset_eager = build_interpro_go()
 
-        # --- eager: the deprecated QSystem refreshes every view per event.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            eager = QSystem(
-                sources=dataset_eager.catalog.sources(),
-                config=ServiceConfig(top_k=5, top_y=2),
-            )
+        # --- eager: refresh every view after each mutation.
+        eager = QService(
+            sources=dataset_eager.catalog.sources(),
+            config=ServiceConfig(top_k=5, top_y=2),
+        )
         eager.bootstrap_alignments(top_y=2)
         eager_views, eager_events = [], []
         for keywords in dataset_eager.keyword_queries[:num_queries]:
-            view = eager.create_view(list(keywords), k=5)
+            info = eager.create_view(QueryRequest(keywords=tuple(keywords), k=5))
+            view = eager.view(info.view_id)
             event = simulated_feedback_for_view(view, dataset_eager.gold)
             if event is not None:
                 eager_views.append(view)
@@ -426,11 +427,13 @@ class TestEagerLazyParity:
         for _ in range(repetitions):
             for view, event in zip(eager_views, eager_events):
                 eager.apply_feedback_events(view, [event], repetitions=1)
+                for record in eager.views:
+                    record.view.refresh()
         eager_answers = {
             " ".join(view.keywords): [(a.values, a.cost) for a in view.answers()]
             for view in eager_views
         }
-        eager_refreshes = sum(view.refresh_count for view in eager.views.values())
+        eager_refreshes = sum(record.view.refresh_count for record in eager.views)
 
         # --- lazy: the service invalidates on mutation, refreshes on read.
         dataset_lazy = build_interpro_go()

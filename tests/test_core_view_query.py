@@ -1,10 +1,10 @@
-"""Unit tests for query generation from trees, ranked views, and the QSystem facade."""
+"""Unit tests for query generation from trees, ranked views, and the service session."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import QSystem, QSystemConfig
+from repro.api import QService, RegisterSourceRequest, ServiceConfig
 from repro.core import (
     GoldStandard,
     QueryGenerator,
@@ -129,10 +129,20 @@ class TestSimulatedFeedback:
 class TestQSystem:
     @pytest.fixture()
     def system(self, interpro_go_dataset):
-        return QSystem(
+        return QService(
             sources=interpro_go_dataset.catalog.sources(),
-            config=QSystemConfig(top_k=3, top_y=2),
+            config=ServiceConfig(top_k=3, top_y=2),
         )
+
+    @staticmethod
+    def _create_view(system, keywords):
+        return system.view(system.create_view(keywords).view_id)
+
+    @staticmethod
+    def _register(system, source, **request):
+        return system.register_source(
+            RegisterSourceRequest(source=source, **request)
+        ).alignment
 
     def test_bootstrap_installs_associations(self, system):
         correspondences = system.bootstrap_alignments(top_y=2)
@@ -141,7 +151,7 @@ class TestQSystem:
 
     def test_create_view_and_alpha(self, system):
         system.bootstrap_alignments(top_y=2)
-        view = system.create_view(["membrane", "title"])
+        view = self._create_view(system, ["membrane", "title"])
         assert view.alpha is not None
         assert "membrane title" in system.views
 
@@ -152,7 +162,7 @@ class TestQSystem:
             {"target": ["entry_ac", "mirna_id"]},
             data={"target": [{"entry_ac": "IPR000001", "mirna_id": "MIR1"}]},
         )
-        result = system.register_source(new_source, strategy="exhaustive")
+        result = self._register(system, new_source, strategy="exhaustive")
         assert result.strategy == "exhaustive"
         assert system.catalog.has_source("mirna")
         assert result.attribute_comparisons > 0
@@ -160,17 +170,17 @@ class TestQSystem:
     def test_register_source_view_based_requires_view(self, system):
         new_source = DataSource.build("x", {"r": ["a"]})
         with pytest.raises(RegistrationError):
-            system.register_source(new_source, strategy="view_based")
+            self._register(system, new_source, strategy="view_based")
 
     def test_register_source_view_based(self, system):
         system.bootstrap_alignments(top_y=2)
-        view = system.create_view(["membrane", "title"])
+        view = self._create_view(system, ["membrane", "title"])
         new_source = DataSource.build(
             "mirna2",
             {"target": ["entry_ac", "mirna_id"]},
             data={"target": [{"entry_ac": "IPR000001", "mirna_id": "MIR1"}]},
         )
-        result = system.register_source(new_source, strategy="view_based", view=view)
+        result = self._register(system, new_source, strategy="view_based", view=view)
         assert result.strategy == "view_based"
         exhaustive_candidates = system.catalog.relation_count - 1
         assert len(result.candidate_relations) <= exhaustive_candidates
@@ -180,19 +190,19 @@ class TestQSystem:
         new_source = DataSource.build(
             "mirna3", {"target": ["entry_ac"]}, data={"target": [{"entry_ac": "IPR000001"}]}
         )
-        result = system.register_source(
-            new_source, strategy="preferential", max_relations=2
+        result = self._register(
+            system, new_source, strategy="preferential", max_relations=2
         )
         assert len(result.candidate_relations) == 2
 
     def test_unknown_strategy(self, system):
         new_source = DataSource.build("y", {"r": ["a"]})
         with pytest.raises(QError):
-            system.register_source(new_source, strategy="nope")
+            self._register(system, new_source, strategy="nope")
 
     def test_feedback_changes_costs(self, system, interpro_go_dataset):
         system.bootstrap_alignments(top_y=2)
-        view = system.create_view(["membrane", "title"])
+        view = self._create_view(system, ["membrane", "title"])
         event = simulated_feedback_for_view(view, interpro_go_dataset.gold)
         assert event is not None
         weights_before = system.graph.weights.as_dict()

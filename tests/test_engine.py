@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import QSystem, QSystemConfig
+from repro.api import QService, ServiceConfig
 from repro.datastore.query import ConjunctiveQuery
 from repro.engine import ExecutionContext, PlanExecutor, QueryPlanner, compile_predicates
 from repro.exceptions import DisconnectedTerminalsError, SteinerError
@@ -255,14 +255,14 @@ class TestEngineParitySynthetic:
 
     @pytest.fixture(scope="class")
     def system_and_queries(self, interpro_go_dataset):
-        system = QSystem(
+        system = QService(
             sources=interpro_go_dataset.catalog.sources(),
-            config=QSystemConfig(top_k=5, top_y=2),
+            config=ServiceConfig(top_k=5, top_y=2),
         )
         system.bootstrap_alignments()
         queries = []
         for keywords in interpro_go_dataset.keyword_queries[:6]:
-            view = system.create_view(list(keywords))
+            view = system.view(system.create_view(list(keywords)).view_id)
             queries.extend(generated.query for generated in view.state.queries)
         return system, queries
 

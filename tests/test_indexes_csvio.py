@@ -1,4 +1,4 @@
-"""Unit tests for the value/token indexes and the CSV / JSON IO helpers."""
+"""Unit tests for the value index and the CSV / JSON IO helpers."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from repro.datastore.csvio import (
     source_to_dict,
 )
 from repro.datastore.database import Catalog, DataSource
-from repro.datastore.indexes import TokenIndex, ValueIndex
+from repro.datastore.indexes import ValueIndex
 from repro.exceptions import DataError
 from repro.storage import SqliteBackend
 
@@ -59,22 +59,6 @@ class TestValueIndex:
     def test_distinct_count_positive(self, index):
         assert index.distinct_value_count > 5
         assert ("go.term", "acc") in index.indexed_attributes()
-
-
-class TestTokenIndex:
-    def test_from_catalog_counts(self, mini_catalog):
-        index = TokenIndex.from_catalog(mini_catalog, include_values=False)
-        assert index.document_frequency("entry") >= 2  # relation + attribute labels
-        assert index.document_frequency("unseen") == 0
-
-    def test_replacing_document(self):
-        index = TokenIndex()
-        index.add_document("d1", "alpha beta")
-        index.add_document("d1", "gamma")
-        assert index.document_count == 1
-        assert index.document_frequency("alpha") == 0
-        assert index.tokens("d1") == {"gamma"}
-        assert index.tokens("missing") == set()
 
 
 class TestCsvIO:

@@ -907,7 +907,23 @@ class TestErrors:
         assert reopened.graph.config.foreign_key_cost == 0.25
 
     def test_retired_config_keys_in_a_saved_session_are_ignored(self, tmp_path):
-        """Sessions saved before the scoring pool was removed still open."""
+        """Sessions saved with since-retired knobs in their 21-key config open.
+
+        The scoring pool's two, and the eight whose one value in use became
+        a constant at its consumer.
+        """
+        retired = dict(
+            registration_workers=4,
+            registration_pool="process",
+            feedback_window=7,
+            sketch_bands=3,
+            sketch_rare_token_df=2,
+            write_retry_attempts=9,
+            write_retry_base_delay_s=1.0,
+            write_retry_max_delay_s=2.0,
+            slow_query_log_size=1,
+            decision_log_size=1,
+        )
         sources = mini_sources()
         service, save_path, _ = build_session("memory", tmp_path, sources=[sources[0]])
         service.bootstrap_alignments()
@@ -921,14 +937,18 @@ class TestErrors:
         service.close()
 
         body = unwrap_document(save_path.read_text())
-        body["config"].update(registration_workers=4, registration_pool="process")
+        assert not set(retired) & set(body["config"])
+        body["config"].update(retired)
         save_path.write_text(wrap_document(body) + "\n")
 
         reopened = QService.open(save_path)
         assert read(reopened, info.view_id) == live
         assert reopened.config.top_k == 5 and reopened.config.top_y == 1
-        assert not hasattr(reopened.config, "registration_workers")
-        assert not hasattr(reopened.config, "registration_pool")
+        for name in retired:
+            assert not hasattr(reopened.config, name), name
+        # The consumers run on their own constants, not the payload's values.
+        assert reopened.feedback_log.window_size == 50
+        assert reopened.profile_index.rare_token_df == 16
         reopened.close()
 
     def test_sidecar_contains_catalog_rows(self, tmp_path):

@@ -9,7 +9,7 @@ from repro.alignment.base import BaseAligner
 from repro.api import QService, RegisterSourceRequest
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.datastore.database import Catalog, DataSource
-from repro.datastore.indexes import TokenIndex, ValueIndex
+from repro.datastore.indexes import ValueIndex
 from repro.exceptions import RegistrationError
 from repro.graph import QueryGraphBuilder, SearchGraph
 from repro.matching import MetadataMatcher
@@ -87,17 +87,6 @@ class TestIncrementalIndexes:
             o.relation for o in fresh.lookup("GO:0001")
         ]
 
-    def test_token_index_remove_source_equals_fresh_build(self, mini_catalog, new_source):
-        grown = TokenIndex.from_catalog(mini_catalog)
-        count_before = grown.document_count
-        grown.index_source(new_source)
-        assert grown.document_count > count_before
-        grown.remove_source("newdb")
-        fresh = TokenIndex.from_catalog(mini_catalog)
-        assert grown.document_count == fresh.document_count
-        for token in ("kinase", "membrane", "entry", "ac", "go"):
-            assert grown.document_frequency(token) == fresh.document_frequency(token)
-
     def test_builder_add_then_remove_source_restores_state(self, mini_catalog, new_source):
         builder = QueryGraphBuilder(mini_catalog)
         docs_before = builder.scorer.document_count
@@ -117,34 +106,31 @@ class TestRegistrarRollback:
     def _registrar(self, mini_catalog, mini_graph):
         profile_index = CatalogProfileIndex.from_catalog(mini_catalog)
         value_index = ValueIndex.from_catalog(mini_catalog)
-        token_index = TokenIndex.from_catalog(mini_catalog)
         registrar = SourceRegistrar(
-            mini_catalog, mini_graph, indexes=(profile_index, value_index, token_index)
+            mini_catalog, mini_graph, indexes=(profile_index, value_index)
         )
-        return registrar, profile_index, value_index, token_index
+        return registrar, profile_index, value_index
 
     def test_successful_registration_updates_all_indexes(
         self, mini_catalog, mini_graph, new_source
     ):
-        registrar, profile_index, value_index, token_index = self._registrar(
+        registrar, profile_index, value_index = self._registrar(
             mini_catalog, mini_graph
         )
         registrar.register(new_source, ExhaustiveAligner(MetadataMatcher()))
         assert mini_catalog.has_source("newdb")
         assert profile_index.has_relation("newdb.xref")
         assert value_index.attribute_values("newdb.xref", "go_ref")
-        assert token_index.tokens("attribute:newdb.xref.entry_ac")
 
     def test_failure_rolls_back_catalog_graph_and_indexes(
         self, mini_catalog, mini_graph, new_source
     ):
-        registrar, profile_index, value_index, token_index = self._registrar(
+        registrar, profile_index, value_index = self._registrar(
             mini_catalog, mini_graph
         )
         nodes_before = mini_graph.node_count
         edges_before = mini_graph.edge_count
         edge_number_before = mini_graph.next_edge_number
-        docs_before = token_index.document_count
         values_before = value_index.distinct_value_count
         with pytest.raises(RuntimeError):
             registrar.register(new_source, _ExplodingAligner(MetadataMatcher()))
@@ -154,7 +140,6 @@ class TestRegistrarRollback:
         assert mini_graph.next_edge_number == edge_number_before
         assert not profile_index.has_relation("newdb.xref")
         assert value_index.distinct_value_count == values_before
-        assert token_index.document_count == docs_before
         assert registrar.epoch == 0
 
     def test_unknown_candidate_relation_is_skipped(
@@ -200,7 +185,7 @@ class TestRegistrarRollback:
     def test_registration_succeeds_after_a_failed_attempt(
         self, mini_catalog, mini_graph, new_source
     ):
-        registrar, profile_index, _, _ = self._registrar(mini_catalog, mini_graph)
+        registrar, profile_index, _ = self._registrar(mini_catalog, mini_graph)
         with pytest.raises(RuntimeError):
             registrar.register(new_source, _ExplodingAligner(MetadataMatcher()))
         result = registrar.register(new_source, ExhaustiveAligner(MetadataMatcher()))
@@ -272,7 +257,7 @@ class TestRegisterBatch:
     def test_batch_failure_rolls_back_every_member(
         self, mini_catalog, mini_graph, new_source
     ):
-        registrar, profile_index, value_index, token_index = TestRegistrarRollback()._registrar(
+        registrar, profile_index, value_index = TestRegistrarRollback()._registrar(
             mini_catalog, mini_graph
         )
         nodes_before = mini_graph.node_count

@@ -5,11 +5,10 @@ storage layer: the memory and SQLite backends must produce byte-identical
 ranked answers, provenance and registration correspondences on the
 fig6/fig8 fixture replays, and a SQLite catalog must survive a close /
 reopen round trip.  Also here: the per-query SQL/Python target choice and
-its reasons, ``EXPLAIN QUERY PLAN`` assertions that pushed-down joins and
-the posting self-join are served by indexes, posting-table persistence
-(a warm :meth:`~repro.api.service.QService.open` skips the in-memory
-posting rebuild), and the generic DB-API backend's contract (the Postgres
-flavor degrades into a clear error without psycopg2).
+its reasons, ``EXPLAIN QUERY PLAN`` assertions that pushed-down joins are
+served by indexes, posting laziness across a save / open (a warm
+:meth:`~repro.api.service.QService.open` rebuilds no posting until one is
+read, and then once), and the generic DB-API backend's contract.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import pytest
 from repro.api import QService, QueryRequest, RegisterSourceRequest, ServiceConfig
 from repro.core import RankedView
 from repro.datasets import build_gbco, build_interpro_go, grow_catalog_and_graph
+from repro.datasets.synthetic import make_community_source
 from repro.datastore import Catalog, ConjunctiveQuery, DataSource
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.datastore.sqlgen import (
@@ -39,7 +39,6 @@ from repro.exceptions import QueryError, StorageError
 from repro.faults.budget import Budget
 from repro.graph import SearchGraph
 from repro.matching import MetadataMatcher, ValueOverlapMatcher
-from repro.profiling.index import CatalogProfileIndex
 from repro.storage import (
     DbApiBackend,
     MemoryBackend,
@@ -48,7 +47,6 @@ from repro.storage import (
     create_backend,
     resolve_backend,
 )
-from repro.storage.postings import PostingStore
 from repro.storage.pushdown import CompiledQuery, SqlPushdown
 
 #: ``dbapi`` is the generic base class SqliteBackend inherits, driven through
@@ -858,7 +856,7 @@ class TestParameterizedSqlgen:
 
 
 # ----------------------------------------------------------------------
-# Pushed-down joins and the posting self-join run on indexes
+# Pushed-down joins run on indexes
 # ----------------------------------------------------------------------
 class TestExplainQueryPlan:
     def _explain(self, backend, sql, params):
@@ -911,144 +909,238 @@ class TestExplainQueryPlan:
         assert "USING INDEX ix_" in plan and "(<expr>=?)" in plan, plan
         backend.close()
 
-    def test_posting_self_join_probes_the_value_index(self):
-        backend = SqliteBackend(":memory:")
-        catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
-        index = CatalogProfileIndex.from_catalog(catalog)
-        store = PostingStore(backend)
-        assert store.sync(index)
-        sql = (
-            "SELECT other.relation, other.attribute, COUNT(*) "
-            "FROM _repro_postings_values AS mine "
-            "JOIN _repro_postings_values AS other ON other.value = mine.value "
-            "WHERE mine.relation = ? AND mine.attribute = ? "
-            "AND NOT (other.relation = mine.relation "
-            "AND other.attribute = mine.attribute) "
-            "GROUP BY other.relation, other.attribute"
-        )
-        plan = self._explain(backend, sql, ("go", "acc"))
-        assert "ix_repro_postings_values_value" in plan, plan
-        assert "ix_repro_postings_values_attr" in plan, plan
-        backend.close()
-
 
 # ----------------------------------------------------------------------
-# Posting persistence: parity and the warm-open rebuild skip
+# Postings have one home: the in-memory shards, rebuilt once after an open
 # ----------------------------------------------------------------------
+#: The two durable-session flavours: a memory catalog saved to a JSON
+#: sidecar, and a SQLite catalog whose database hosts the session tables.
+SESSION_KINDS = ("memory", "sqlite")
+
+
 class TestPostingStore:
-    def _indexed_catalog(self):
-        backend = SqliteBackend(":memory:")
-        catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
-        index = CatalogProfileIndex.from_catalog(catalog)
-        return backend, catalog, index
+    """Where postings are stored: in memory only, on either backend.
 
-    def test_store_candidates_equal_in_memory_walk(self):
-        backend, catalog, index = self._indexed_catalog()
-        store = PostingStore(backend)
-        assert store.sync(index)
-        assert not store.sync(index), "second sync must be a no-op"
-        for profile in index.iter_attribute_profiles():
-            relation, attribute = profile.relation, profile.attribute
-            assert store.value_candidates(relation, attribute) == dict(
-                index.value_candidates(relation, attribute)
-            ), (relation, attribute)
-        backend.close()
+    A live index installs them eagerly; a reopened session restores the
+    profiles and rebuilds every posting once, on the first posting read.
+    Nothing about them is written to the catalog database.
+    """
 
-    def test_store_tfidf_round_trips_byte_identical(self):
-        backend, catalog, index = self._indexed_catalog()
-        store = PostingStore(backend)
-        store.sync(index)
-        index.attach_posting_store(store)
-        for profile in index.iter_attribute_profiles():
-            computed = index.content_tfidf(profile.relation, profile.attribute)
-            stored = store.tfidf_vector(profile.relation, profile.attribute)
-            assert stored == computed, (profile.relation, profile.attribute)
-            assert list(stored) == list(computed), "iteration order differs"
-        backend.close()
-
-    def test_token_reads_match_through_the_store(self):
-        backend, catalog, index = self._indexed_catalog()
-        store = PostingStore(backend)
-        store.sync(index)
-        fresh = CatalogProfileIndex.from_catalog(catalog)
-        for token in ("plasma", "membrane", "ipr001"):
-            assert store.token_postings(token) == tuple(
-                sorted(fresh.token_postings(token))
-            )
-            assert store.token_document_frequency(
-                token
-            ) == fresh.token_document_frequency(token)
-        assert store.distinct_value_count() == fresh.distinct_value_count
-        backend.close()
-
-    def test_warm_open_skips_the_posting_rebuild(self, tmp_path):
-        db = tmp_path / "catalog.db"
-        service, view, info = interpro_view(SqliteBackend(db))
+    @staticmethod
+    def _saved_session(kind, home):
+        """Build, save and close one InterPro session; returns where it reopens from."""
+        if kind == "memory":
+            save_path = home / "session.json"
+            service, view, info = interpro_view(MemoryBackend())
+            where = {"path": save_path, "backend": MemoryBackend()}
+        else:
+            save_path = None  # the session tables live in the catalog database
+            where = {"path": home / "catalog.db"}
+            service, view, info = interpro_view(SqliteBackend(where["path"]))
         cold = answer_fingerprint(view.answers())
-        cold_stats = service.stats()
-        assert cold_stats.posting_syncs >= 1
-        assert cold_stats.posting_builds == 0
-        service.save()  # session store lives inside the catalog database
+        assert service.stats().posting_builds == 0, "a live index installs eagerly"
+        service.save(save_path)
         service.close()
+        return where, info, cold
 
-        reopened = QService.open(db)
-        stats = reopened.stats()
-        # The acceptance counter: a warm open performs NO full in-memory
-        # posting rebuild and NO posting-table rewrite.
-        assert stats.posting_builds == 0
-        assert stats.posting_syncs == 0
-        warm = answer_fingerprint(reopened.view(info.view_id).answers())
-        assert warm == cold and warm
-        assert reopened.stats().posting_builds == 0
-        reopened.close()
+    @staticmethod
+    def _overlapping_request(service):
+        """A new source sharing interpro's entry accessions, value-filtered.
 
-    def test_registration_after_warm_open_stays_correct(self, tmp_path):
-        # A post-open registration moves the epoch: the store goes stale,
-        # candidate reads rebuild/fall back, and the tables re-sync.
-        db = tmp_path / "catalog.db"
-        service, view, info = interpro_view(SqliteBackend(db))
-        service.save()
-        service.close()
-
-        reopened = QService.open(db)
-        # A new source overlapping interpro's entry accessions, so the
-        # value-filtered alignment exercises the candidate lookup.
-        donor = reopened.catalog.relation("interpro.entry")
+        The overlap makes the value-filtered alignment read the candidate
+        postings of the new attributes.
+        """
+        donor = service.catalog.relation("interpro.entry")
         accs = [row.values[0] for row in donor.scan()][:8]
         source = DataSource.build(
             "extra",
             {"entry_notes": ["entry_ac", "note"]},
             data={"entry_notes": [(acc, f"note-{i}") for i, acc in enumerate(accs)]},
         )
-        response = reopened.register_source(
-            RegisterSourceRequest(
-                source=source,
-                strategy="exhaustive",
-                matcher=ValueOverlapMatcher(min_confidence=0.5, min_shared_values=2),
-                value_filter=True,
+        return RegisterSourceRequest(
+            source=source,
+            strategy="exhaustive",
+            matcher=ValueOverlapMatcher(min_confidence=0.5, min_shared_values=2),
+            value_filter=True,
+        )
+
+    @staticmethod
+    def _registration_outcome(service, response):
+        """What a registration decided, plus the postings it decided it from."""
+        alignment = response.alignment
+        touched = {("extra.entry_notes", "entry_ac"), ("extra.entry_notes", "note")}
+        touched.update(
+            (c.target.relation, c.target.attribute) for c in alignment.correspondences
+        )
+        return (
+            correspondence_fingerprint(alignment.correspondences),
+            [edge.edge_id for edge in alignment.edges_added],
+            {
+                attr: sorted(service.profile_index.value_candidates(*attr).items())
+                for attr in sorted(touched)
+            },
+        )
+
+    def test_warm_open_skips_the_posting_rebuild(self, tmp_path):
+        for kind in SESSION_KINDS:
+            home = tmp_path / kind
+            home.mkdir()
+            where, info, cold = self._saved_session(kind, home)
+            reopened = QService.open(**where)
+            assert reopened.stats().backend == kind
+            # Opening restores profiles only...
+            assert reopened.stats().posting_builds == 0, kind
+            warm = answer_fingerprint(reopened.view(info.view_id).answers())
+            assert warm == cold and warm, kind
+            streamed = answer_fingerprint(
+                reopened.stream_answers(QueryRequest(view=info.view_id))
             )
-        )
-        assert response.attribute_comparisons > 0
-        stats = reopened.stats()
-        assert stats.posting_syncs >= 1, "mutation must re-sync the tables"
-        # The store is current again: its join equals the live walk.
-        store = reopened._posting_store
-        assert store.is_current(
-            reopened.profile_index.epoch, reopened.profile_index.attribute_count
-        )
-        for profile in list(reopened.profile_index.iter_attribute_profiles())[:4]:
-            assert store.value_candidates(
-                profile.relation, profile.attribute
-            ) == dict(
-                reopened.profile_index.value_candidates(
-                    profile.relation, profile.attribute
+            assert streamed == cold, kind
+            # ...and a full read of a saved view needs no posting at all.
+            assert reopened.stats().posting_builds == 0, kind
+            reopened.close()
+
+    def test_registration_after_warm_open_stays_correct(self, tmp_path):
+        # The first posting read after an open rebuilds every posting from
+        # the restored profiles, exactly once; what registration then
+        # decides equals a twin session that never closed, on both backends.
+        outcomes = {}
+        for kind in SESSION_KINDS:
+            home = tmp_path / kind
+            home.mkdir()
+            where, _, _ = self._saved_session(kind, home)
+            reopened = QService.open(**where)
+            twin, _, _ = interpro_view(make_backend(kind))
+            by_session = {}
+            for label, service in (("reopened", reopened), ("twin", twin)):
+                assert service.stats().posting_builds == 0, (kind, label)
+                response = service.register_source(self._overlapping_request(service))
+                assert response.attribute_comparisons > 0, (kind, label)
+                assert response.alignment.correspondences, (kind, label)
+                by_session[label] = self._registration_outcome(service, response)
+            assert reopened.stats().posting_builds == 1, kind
+            assert twin.stats().posting_builds == 0, kind
+            assert by_session["reopened"] == by_session["twin"], kind
+            # A second registration finds the postings installed.
+            again = make_community_source("late", community=0, seed=5)
+            reopened.register_source(
+                RegisterSourceRequest(
+                    source=again, strategy="profile_blocked", value_filter=True
                 )
             )
+            assert reopened.stats().posting_builds == 1, kind
+            outcomes[kind] = by_session["reopened"]
+            reopened.close()
+            twin.close()
+        assert outcomes["memory"] == outcomes["sqlite"]
+
+    def test_a_registration_writes_what_it_ingests(self):
+        # Rows changed in the database by one registration — counted by
+        # SQLite itself — do not depend on how large the catalog already is.
+        def rows_written(catalog_sources):
+            backend = SqliteBackend(":memory:")
+            service = QService(
+                sources=[
+                    make_community_source(f"src{i:03d}", community=i % 4, seed=i)
+                    for i in range(catalog_sources)
+                ],
+                backend=backend,
+            )
+            before = backend.execute_sql("SELECT total_changes()")[0][0]
+            response = service.register_source(
+                RegisterSourceRequest(
+                    source=make_community_source("newcomer", community=1, seed=999),
+                    strategy="profile_blocked",
+                    value_filter=True,
+                )
+            )
+            assert response.edges_added > 0
+            written = backend.execute_sql("SELECT total_changes()")[0][0] - before
+            service.close()
+            return written
+
+        small, large = rows_written(20), rows_written(200)
+        assert small == large
+        # 20 ingested rows, its relation key, its source schema.
+        assert small == 22
+
+    def test_database_with_leftover_posting_tables_opens(self, tmp_path):
+        # A database written before the posting tables were dropped still
+        # carries them; they were never catalog relations, so they are
+        # invisible and left alone.
+        db = tmp_path / "catalog.db"
+        service, view, info = interpro_view(SqliteBackend(db))
+        cold = answer_fingerprint(view.answers())
+        relations = [t.schema.qualified_name for t in service.catalog.all_tables()]
+        service.save()
+        service.close()
+
+        leftovers = (
+            "_repro_postings_meta",
+            "_repro_postings_values",
+            "_repro_postings_tokens",
+            "_repro_postings_tfidf",
+        )
+        connection = sqlite3.connect(db)
+        with connection:
+            connection.execute(
+                "CREATE TABLE _repro_postings_meta "
+                "(key TEXT PRIMARY KEY, value INTEGER NOT NULL)"
+            )
+            connection.execute(
+                "CREATE TABLE _repro_postings_values "
+                "(value TEXT NOT NULL, relation TEXT NOT NULL, attribute TEXT NOT NULL)"
+            )
+            connection.execute(
+                "CREATE TABLE _repro_postings_tokens "
+                "(token TEXT NOT NULL, relation TEXT NOT NULL, attribute TEXT NOT NULL)"
+            )
+            connection.execute(
+                "CREATE TABLE _repro_postings_tfidf "
+                "(relation TEXT NOT NULL, attribute TEXT NOT NULL, token TEXT NOT NULL, "
+                "weight REAL NOT NULL, PRIMARY KEY (relation, attribute, token))"
+            )
+            connection.execute(
+                "CREATE INDEX ix_repro_postings_values_value "
+                "ON _repro_postings_values (value)"
+            )
+            connection.execute(
+                "INSERT INTO _repro_postings_meta VALUES ('epoch', 3), ('attribute_count', 9)"
+            )
+            connection.execute(
+                "INSERT INTO _repro_postings_values VALUES ('IPR000001', 'interpro.entry', 'entry_ac')"
+            )
+        connection.close()
+
+        reopened = QService.open(db)
+        assert [
+            t.schema.qualified_name for t in reopened.catalog.all_tables()
+        ] == relations
+        assert not set(leftovers) & set(reopened.catalog.backend.relation_keys())
+        warm = answer_fingerprint(reopened.view(info.view_id).answers())
+        assert warm == cold and warm
+        response = reopened.register_source(self._overlapping_request(reopened))
+        assert response.alignment.correspondences
+        assert reopened.catalog.has_source("extra")
+        reopened.save()
         reopened.close()
+        # The leftovers are exactly as they were found.
+        connection = sqlite3.connect(db)
+        tables = {
+            name
+            for (name,) in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        assert set(leftovers) <= tables
+        assert connection.execute(
+            "SELECT COUNT(*) FROM _repro_postings_values"
+        ).fetchone() == (1,)
+        connection.close()
 
 
 # ----------------------------------------------------------------------
-# The generic DB-API backend and the gated Postgres flavor
+# The generic DB-API backend
 # ----------------------------------------------------------------------
 class TestDbApiBackend:
     def _backend(self):
@@ -1101,18 +1193,6 @@ class TestDbApiBackend:
         assert memory_answers
         assert dbapi_context.statistics.pushdown_queries == 0
 
-    def test_posting_store_works_on_dbapi_backend(self):
-        backend = self._backend()
-        catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
-        index = CatalogProfileIndex.from_catalog(catalog)
-        store = PostingStore(backend)
-        assert store.sync(index)
-        for profile in index.iter_attribute_profiles():
-            assert store.value_candidates(
-                profile.relation, profile.attribute
-            ) == dict(index.value_candidates(profile.relation, profile.attribute))
-        backend.close()
-
     def test_source_schema_persistence(self):
         backend = self._backend()
         backend.save_source_schema("one", {"name": "one"})
@@ -1126,26 +1206,10 @@ class TestDbApiBackend:
         assert backend.persisted_source_schemas() == [{"name": "two"}]
         backend.close()
 
-    def test_invalid_paramstyle_rejected(self):
-        with pytest.raises(StorageError, match="paramstyle"):
-            DbApiBackend(sqlite3.connect(":memory:"), paramstyle="pyformat")
-
-    def test_postgres_without_driver_is_a_clear_error(self):
-        pytest.importorskip  # (not used: the point is psycopg2's absence)
-        try:
-            import psycopg2  # noqa: F401
-
-            pytest.skip("psycopg2 installed — the gate cannot be observed")
-        except ImportError:
-            pass
-        with pytest.raises(StorageError, match="psycopg2"):
-            create_backend("postgres:dbname=repro")
-
     def test_registry_spellings(self):
-        with pytest.raises(StorageError, match="DSN"):
-            create_backend("postgres")
-        with pytest.raises(StorageError, match="postgres"):
-            create_backend("bogus")
+        for spelling in ("postgres", "postgres:dbname=repro", "bogus"):
+            with pytest.raises(StorageError, match="valid backends: memory, sqlite$"):
+                create_backend(spelling)
 
 
 # ----------------------------------------------------------------------
@@ -1159,5 +1223,5 @@ class TestStatsCounters:
         stats = service.stats()
         assert stats.pushdown_queries == 0
         assert stats.pushdown_scans == 0
-        assert stats.posting_syncs == 0
+        assert stats.posting_builds == 0
         service.close()

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import FeedbackRequest, QueryRequest
-from repro.core import QSystem, QSystemConfig, RankedView
+from repro.api import FeedbackRequest, QService, QueryRequest, RegisterSourceRequest
+from repro.core import RankedView
 from repro.datastore import Catalog, DataSource
 from repro.datastore.query import ConjunctiveQuery
 from repro.engine.executor import PlanExecutor, ranked_union
@@ -130,14 +130,18 @@ def _mini_system():
             ]
         },
     )
-    return QSystem(sources=[go, interpro])
+    return QService(sources=[go, interpro])
+
+
+def _create_view(system: QService, keywords) -> RankedView:
+    return system.view(system.create_view(keywords).view_id)
 
 
 class TestIncrementalRefresh:
     def _view(self) -> RankedView:
         system = _mini_system()
         system.graph.add_association("go.term", "acc", "interpro.interpro2go", "go_id", {"mad": 0.9})
-        view = system.create_view(["membrane", "IPR001"])
+        view = _create_view(system, ["membrane", "IPR001"])
         return view
 
     def test_refresh_reuses_unchanged_trees(self):
@@ -189,25 +193,27 @@ class TestIncrementalRefresh:
     def test_learning_hook_notifies_views(self):
         system = _mini_system()
         system.graph.add_association("go.term", "acc", "interpro.interpro2go", "go_id", {"mad": 0.9})
-        view = system.create_view(["membrane", "IPR001"])
+        view = _create_view(system, ["membrane", "IPR001"])
         assert view.state.answers, "view should produce answers"
         answer = view.state.answers[0]
-        system.give_feedback(view, answer)
-        # The learner ran and the views were refreshed through the hook path.
+        system.feedback(FeedbackRequest(view=view, answer=answer))
+        system.refresh_all_views()
+        # The learner ran and the pulled view re-solved under the new costs.
         assert system.feedback_log.events
         assert view.last_refresh.solver_runs == 1
 
     def test_registration_invalidates_view_caches(self):
         system = _mini_system()
         system.graph.add_association("go.term", "acc", "interpro.interpro2go", "go_id", {"mad": 0.9})
-        view = system.create_view(["membrane", "IPR001"])
+        view = _create_view(system, ["membrane", "IPR001"])
         generation = system.engine_context.generation
         new_source = DataSource.build(
             "extra",
             {"facts": ["go_acc", "note"]},
             data={"facts": [{"go_acc": "GO:0001", "note": "liver"}]},
         )
-        system.register_source(new_source, strategy="exhaustive")
+        system.register_source(RegisterSourceRequest(source=new_source, strategy="exhaustive"))
+        system.refresh_all_views()
         assert system.engine_context.generation > generation
         # The refresh after registration re-executed (caches were dropped).
         assert view.last_refresh.queries_executed == len(view.state.queries)
