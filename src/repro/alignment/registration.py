@@ -125,27 +125,14 @@ class SourceRegistrar:
     def register(self, source: DataSource, aligner: BaseAligner) -> AlignmentResult:
         """Register ``source``: add it to catalog/graph/indexes, then align it.
 
+        A :meth:`register_batch` of one ready aligner.
+
         Raises
         ------
         RegistrationError
             If a source with the same name is already registered.
         """
-        if self.catalog.has_source(source.name):
-            raise RegistrationError(f"source {source.name!r} is already registered")
-        edge_number = self.graph.next_edge_number
-        self._admit(source)
-        try:
-            alignment = aligner.align(self.graph, self.catalog, source)
-        except Exception:
-            # Keep catalog, graph and indexes consistent on failure.
-            self._evict(source.name, edge_number)
-            raise
-        self.history.append(
-            RegistrationRecord(source_name=source.name, strategy=aligner.strategy_name)
-        )
-        for listener in self._listeners:
-            listener(source, alignment)
-        return alignment
+        return self.register_batch([source], [aligner])[0]
 
     def register_batch(
         self,

@@ -4,12 +4,12 @@
 structural properties:
 
 **Lazy pull-based view consistency.**  Mutations — feedback, source
-registration, bootstrap alignment — refresh no view.  They only
+registration, bootstrap alignment — touch no view.  They only
 move version counters (the shared :class:`~repro.graph.features.WeightVector`
-version, the search graph's ``structure_version``) and perform cheap
-invalidations (answer-cache drops on registration).  A view is refreshed *at
-most once, on read*, when its recorded ``(weights.version,
-structure_version)`` snapshot is stale.  Replaying ``n`` feedback events
+version, the search graph's ``structure_version``).  A view is brought up
+to date *at most once, on read*, by the one pull every consumer goes through
+(:meth:`QService._pull`): the view itself compares those counters with what
+it expanded and solved at.  Replaying ``n`` feedback events
 against ``v`` views therefore costs ``O(n + reads)`` refreshes instead of
 the ``O(n · v)`` of refreshing every view after every mutation.
 
@@ -31,7 +31,7 @@ import itertools
 import weakref
 from collections import OrderedDict
 from dataclasses import fields as dataclass_fields
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..alignment.base import AlignmentResult, install_associations
 from ..alignment.registration import SourceRegistrar
@@ -40,7 +40,7 @@ from ..datastore.database import Catalog, DataSource
 from ..datastore.provenance import AnswerTuple
 from ..engine.context import ExecutionContext
 from ..exceptions import InvalidRequestError, RegistrationError
-from ..graph.query_graph import QueryGraph, QueryGraphBuilder
+from ..graph.query_graph import QueryGraphBuilder
 from ..graph.search_graph import SearchGraph
 from ..learning.feedback import (
     AnswerAnnotation,
@@ -49,7 +49,7 @@ from ..learning.feedback import (
     FeedbackLog,
 )
 from ..learning.mira import OnlineLearner
-from ..learning.overlays import TenantRegistry, graph_with_weights
+from ..learning.overlays import TenantRegistry
 from ..matching.base import BaseMatcher, Correspondence, resolve_matcher
 from ..matching.ensemble import MatcherEnsemble
 from ..matching.mad import MadMatcher
@@ -64,14 +64,10 @@ from ..persist import (
     SnapshotError,
     SqliteSessionStore,
     restore_core,
+    restore_overlay,
     sniff_sqlite_file,
 )
-from ..persist.snapshot import (
-    empty_query_graph,
-    restore_event,
-    restore_graph_config,
-    restore_query_graph,
-)
+from ..persist.snapshot import restore_graph_config
 from ..profiling.index import CatalogProfileIndex
 from ..steiner.topk import KBestSteiner
 from .strategies import AlignerSpec, AlignmentStrategy, build_aligner
@@ -105,6 +101,56 @@ def _restore_config(payload) -> ServiceConfig:
     if payload.get("graph"):
         config.graph = restore_graph_config(payload["graph"])
     return config
+
+
+#: Every session counter, declared once: ``(SystemStats field, metric name,
+#: help, reader over the session)``.  :meth:`QService._register_metrics` binds
+#: each reader as a callback gauge and :meth:`QService.stats` reads each field
+#: back through the registry under the same name.
+_SESSION_COUNTERS = (
+    ("sources", "q_sources", "Registered data sources", lambda s: s.catalog.source_count),
+    ("relations", "q_relations", "Relations in the catalog", lambda s: s.catalog.relation_count),
+    ("attributes", "q_attributes", "Attributes in the catalog",
+     lambda s: s.catalog.attribute_count),
+    ("views", "q_views", "Registered ranked views", lambda s: len(s.views)),
+    ("tenants", "q_tenants", "Tenants holding a weight overlay", lambda s: len(s.tenants)),
+    ("feedback_events", "q_feedback_events_total", "Feedback events in the session log",
+     lambda s: len(s.feedback_log)),
+    ("learner_steps", "q_learner_steps_total", "MIRA learner steps processed",
+     lambda s: s.learner.steps_processed),
+    ("registrations", "q_registrations_total", "Source registrations performed",
+     lambda s: s.registrar.epoch),
+    ("weights_version", "q_weights_version", "Shared weight-vector version",
+     lambda s: s.graph.weights.version),
+    ("structure_version", "q_structure_version", "Search-graph structure version",
+     lambda s: s.graph.structure_version),
+    ("view_refreshes", "q_view_refreshes_total", "Materializing view refreshes/solves",
+     lambda s: s._refreshes),
+    ("view_refreshes_skipped", "q_view_refreshes_skipped_total", "Reads whose view snapshot was already current",
+     lambda s: s._refreshes_skipped),
+    ("pushdown_scans", "q_pushdown_scans_total", "Per-relation filtered scans served inside the backend",
+     lambda s: s.engine_context.statistics.pushdown_scans),
+    ("pushdown_queries", "q_pushdown_queries_total", "Whole conjunctive queries served inside the backend",
+     lambda s: s.engine_context.statistics.pushdown_queries),
+    ("steiner_cache_hits", "q_steiner_cache_hits_total", "Steiner-network snapshot cache hits",
+     lambda s: s.engine_context.steiner_cache.hits),
+    ("steiner_cache_builds", "q_steiner_cache_builds_total", "Steiner networks built from scratch",
+     lambda s: s.engine_context.steiner_cache.builds),
+    ("steiner_rescores", "q_steiner_rescores_total", "Tenant networks derived from a cached base twin",
+     lambda s: s.engine_context.steiner_cache.rescores),
+    ("posting_builds", "q_posting_builds_total", "Full in-memory posting rebuilds of the profile index",
+     lambda s: s.profile_index.posting_builds),
+    ("sketch_candidates", "q_sketch_candidates_total", "Attribute pairs proposed by the MinHash/rare-token tier",
+     lambda s: s.profile_index.sketch_candidates_generated),
+    ("exact_candidates", "q_exact_candidates_total", "Candidate pairs surviving exact re-verification",
+     lambda s: s.profile_index.exact_candidates_kept),
+    ("pairs_scored", "q_pairs_scored_total", "Relation pairs the base matcher scored",
+     lambda s: s._pairs_scored),
+    ("profile_shards", "q_profile_shards", "Hash shards of the profile index",
+     lambda s: s.profile_index.shard_count),
+    ("pair_memo_entries", "q_pair_memo_entries", "Entries in the schema-fingerprint pair memo",
+     lambda s: s.profile_index.pair_memo_size),
+)
 
 
 class QService:
@@ -233,11 +279,6 @@ class QService:
         #: Per-tenant weight overlays over the shared base vector (created
         #: on first use by a tenant-scoped query or feedback request).
         self.tenants = TenantRegistry(self.graph.weights)
-        # (view_id, tenant) -> (base query-graph identity, tenant view).
-        # A tenant view shares the base view's expansion (same nodes, edge
-        # ids, signatures) but prices it under the tenant's overlay; it is
-        # rebuilt whenever the base view re-expands (object identity moves).
-        self._tenant_views: Dict[Tuple[str, str], Tuple[QueryGraph, RankedView]] = {}
         self._refreshes = 0
         self._refreshes_skipped = 0
         #: Registration-scaling counter (surfaced through :meth:`stats`).
@@ -266,107 +307,15 @@ class QService:
         gauge = self.obs.registry.gauge
         # The callbacks must not own the session (see ``_assemble``'s listener).
         session = weakref.proxy(self)
-        gauge("q_sources", "Registered data sources", fn=lambda: session.catalog.source_count)
-        gauge("q_relations", "Relations in the catalog", fn=lambda: session.catalog.relation_count)
-        gauge("q_attributes", "Attributes in the catalog", fn=lambda: session.catalog.attribute_count)
-        gauge("q_views", "Registered ranked views", fn=lambda: len(session.views))
-        gauge("q_tenants", "Tenants holding a weight overlay", fn=lambda: len(session.tenants))
-        gauge(
-            "q_feedback_events_total",
-            "Feedback events in the session log",
-            fn=lambda: len(session.feedback_log),
-        )
-        gauge(
-            "q_learner_steps_total",
-            "MIRA learner steps processed",
-            fn=lambda: session.learner.steps_processed,
-        )
-        gauge(
-            "q_registrations_total",
-            "Source registrations performed",
-            fn=lambda: session.registrar.epoch,
-        )
-        gauge(
-            "q_weights_version", "Shared weight-vector version", fn=lambda: session.graph.weights.version
-        )
-        gauge(
-            "q_structure_version",
-            "Search-graph structure version",
-            fn=lambda: session.graph.structure_version,
-        )
-        gauge(
-            "q_view_refreshes_total",
-            "Materializing view refreshes/solves",
-            fn=lambda: session._refreshes,
-        )
-        gauge(
-            "q_view_refreshes_skipped_total",
-            "Reads whose view snapshot was already current",
-            fn=lambda: session._refreshes_skipped,
-        )
-        stats = self.engine_context.statistics
-        gauge(
-            "q_pushdown_scans_total",
-            "Per-relation filtered scans served inside the backend",
-            fn=lambda: stats.pushdown_scans,
-        )
-        gauge(
-            "q_pushdown_queries_total",
-            "Whole conjunctive queries served inside the backend",
-            fn=lambda: stats.pushdown_queries,
-        )
+        for _, name, help_text, read in _SESSION_COUNTERS:
+            gauge(name, help_text, fn=lambda read=read: read(session))
         steiner = self.engine_context.steiner_cache
-        gauge(
-            "q_steiner_cache_hits_total",
-            "Steiner-network snapshot cache hits",
-            fn=lambda: steiner.hits,
-        )
-        gauge(
-            "q_steiner_cache_builds_total",
-            "Steiner networks built from scratch",
-            fn=lambda: steiner.builds,
-        )
-        gauge(
-            "q_steiner_rescores_total",
-            "Tenant networks derived from a cached base twin",
-            fn=lambda: steiner.rescores,
-        )
         for counter in vars(steiner.solver):
             gauge(
                 f"q_steiner_{counter}_total",
                 f"Top-k Steiner solver: {counter.replace('_', ' ')}",
                 fn=lambda counter=counter: getattr(steiner.solver, counter),
             )
-        gauge(
-            "q_posting_builds_total",
-            "Full in-memory posting rebuilds of the profile index",
-            fn=lambda: session.profile_index.posting_builds,
-        )
-        gauge(
-            "q_sketch_candidates_total",
-            "Attribute pairs proposed by the MinHash/rare-token tier",
-            fn=lambda: session.profile_index.sketch_candidates_generated,
-        )
-        gauge(
-            "q_exact_candidates_total",
-            "Candidate pairs surviving exact re-verification",
-            fn=lambda: session.profile_index.exact_candidates_kept,
-        )
-        gauge(
-            "q_pairs_scored_total",
-            "Relation pairs the base matcher scored",
-            fn=lambda: session._pairs_scored,
-        )
-        gauge(
-            "q_profile_shards",
-            "Hash shards of the profile index",
-            fn=lambda: session.profile_index.shard_count,
-        )
-        gauge(
-            "q_pair_memo_entries",
-            "Entries in the schema-fingerprint pair memo",
-            fn=lambda: session.profile_index.pair_memo_size,
-        )
 
     def _init_persistence(self, autosave) -> None:
         self._persistence: Optional[SessionPersistence] = None
@@ -435,8 +384,8 @@ class QService:
     ) -> ViewInfo:
         """Create a ranked view for a keyword query; returns its description.
 
-        Creation performs the view's first solve (trees, queries, α) and
-        records the version snapshot it ran against.  With ``materialize``
+        Creation performs the view's first solve (trees, queries, α); the
+        view records the versions it ran against.  With ``materialize``
         (the default) the answers are executed and cached immediately — the
         seed semantics; pass ``materialize=False`` to defer all query
         execution to the first streamed read (pure pay-per-page).
@@ -462,7 +411,6 @@ class QService:
         else:
             view.prepare()
         record = self.views.add(view, request.name or " ".join(request.keywords))
-        self._mark_synced(record)
         self._refreshes += 1
         self._after_mutation()
         return self._info(record)
@@ -474,7 +422,7 @@ class QService:
     def view_info(self, ref: Union[ViewRef, ViewRecord]) -> ViewInfo:
         """Fresh description of a view (pulls it up to date first)."""
         record = self.views.resolve(ref)
-        self._sync_view(record)
+        self._pull(record)
         return self._info(record)
 
     def latest_view(self) -> Optional[ViewInfo]:
@@ -515,37 +463,30 @@ class QService:
     # ------------------------------------------------------------------
     # Lazy consistency
     # ------------------------------------------------------------------
-    def _versions(self) -> Tuple[int, int]:
-        return self.graph.weights.version, self.graph.structure_version
+    def _pull(self, record: ViewRecord, read: str = "prepare", tenant: Optional[str] = None, **window):
+        """Bring ``record``'s view up to date and return what ``read`` yields.
 
-    def _mark_synced(self, record: ViewRecord) -> None:
-        weights_version, structure_version = self._versions()
-        record.synced_weights_version = weights_version
-        record.synced_structure_version = structure_version
-
-    def _is_stale(self, record: ViewRecord) -> bool:
-        weights_version, structure_version = self._versions()
-        return (
-            record.synced_weights_version != weights_version
-            or record.synced_structure_version != structure_version
-        )
-
-    def _needs_rebuild(self, record: ViewRecord) -> bool:
-        return record.synced_structure_version != self.graph.structure_version
-
-    def _sync_view(self, record: ViewRecord) -> bool:
-        """Refresh ``record``'s view iff its version snapshot is stale.
-
-        This is the *only* place a materializing refresh happens; mutations
-        never call it.  Returns whether a refresh ran.
+        The *only* place a registered view is expanded, solved or executed;
+        mutations never call it.  ``read`` names the pull — ``prepare`` (solve
+        only), ``stream_answers``, ``answers_page`` (with its ``window``) or
+        ``refresh`` — each of which prepares the view exactly once; whether
+        that ran the solver is what the session counts as a refresh.  With a
+        ``tenant`` the view is prepared (its expansion is what the twin
+        prices) and the read runs on the twin, whose own solve state is keyed
+        on the overlay's effective version: base-weight and overlay movement
+        both invalidate it.
         """
-        if not self._is_stale(record):
+        view = record.view
+        if tenant is None:
+            result = getattr(view, read)(**window)
+        else:
+            view.prepare()
+            result = getattr(self._tenant_view(record, tenant), read)(**window)
+        if view.last_refresh.solver_runs:
+            self._refreshes += 1
+        else:
             self._refreshes_skipped += 1
-            return False
-        record.view.refresh(rebuild_graph=self._needs_rebuild(record))
-        self._mark_synced(record)
-        self._refreshes += 1
-        return True
+        return result
 
     def prepare_view(self, ref: Union[ViewRef, ViewRecord]) -> ViewInfo:
         """Bring one view's *ranking* up to date without executing queries.
@@ -556,14 +497,7 @@ class QService:
         applying feedback, so annotation generalization always runs against
         the current retained trees.
         """
-        record = self.views.resolve(ref)
-        if self._is_stale(record):
-            record.view.prepare(rebuild_graph=self._needs_rebuild(record))
-            self._mark_synced(record)
-            self._refreshes += 1
-        else:
-            self._refreshes_skipped += 1
-        return self._info(record)
+        return self.view_info(ref)
 
     def prepare_views(self, structural_only: bool = True) -> int:
         """Re-expand every view whose staleness demands it; returns the count.
@@ -579,11 +513,10 @@ class QService:
         """
         prepared = 0
         for record in self.views.records():
-            stale = self._needs_rebuild(record) if structural_only else self._is_stale(record)
-            if stale:
-                record.view.prepare(rebuild_graph=self._needs_rebuild(record))
-                self._mark_synced(record)
-                self._refreshes += 1
+            view = record.view
+            current = view.expansion_is_current if structural_only else view.current_ranking() is not None
+            if not current:
+                self._pull(record)
                 prepared += 1
         return prepared
 
@@ -595,8 +528,8 @@ class QService:
         """
         refreshed = 0
         for record in self.views.records():
-            if self._sync_view(record):
-                refreshed += 1
+            self._pull(record, "refresh")
+            refreshed += record.view.last_refresh.solver_runs
         return refreshed
 
     # ------------------------------------------------------------------
@@ -610,7 +543,7 @@ class QService:
         ``tenant`` on the request ranks under that tenant's weight overlay.
         """
         record = self._record_for_query(request)
-        stream = self._request_stream(record, request)
+        stream = self._pull(record, "stream_answers", request.tenant)
         page_size = (
             request.page_size
             if request.page_size is not None
@@ -621,7 +554,7 @@ class QService:
     def stream_answers(self, request: QueryRequest) -> Iterator[AnswerTuple]:
         """Like :meth:`answers` but yielding raw answers without paging."""
         record = self._record_for_query(request)
-        stream = self._request_stream(record, request)
+        stream = self._pull(record, "stream_answers", request.tenant)
         if request.limit is not None:
             return itertools.islice(stream, request.limit)
         return stream
@@ -632,7 +565,7 @@ class QService:
         The ``LIMIT``/``OFFSET`` read: ``request.offset`` positions the
         window, ``request.page_size`` (default: the session's page size)
         bounds it.  The page is the corresponding slice of a full
-        :meth:`stream_answers` read, cut from the ranked union over the
+        :meth:`stream_answers` read, taken from the same stream over the
         view's per-signature answer cache — paging through a view that was
         read once executes no query.  A ``tenant`` prices the page under
         that tenant's overlay.
@@ -645,20 +578,9 @@ class QService:
         )
         trace = self.obs.tracer.trace("read")
         with trace:
-            stale = self._is_stale(record)
-            if stale:
-                record.view.prepare(rebuild_graph=self._needs_rebuild(record))
-                self._refreshes += 1
-            else:
-                self._refreshes_skipped += 1
-            self._mark_synced(record)
-            view = (
-                record.view
-                if request.tenant is None
-                else self._tenant_view(record, request.tenant)
+            page = tuple(
+                self._pull(record, "answers_page", request.tenant, limit=page_size, offset=request.offset)
             )
-            with trace.span("paginate"):
-                page = tuple(view.answers_page(limit=page_size, offset=request.offset))
         self.obs.finish_read(
             trace,
             view_id=record.view_id,
@@ -666,11 +588,6 @@ class QService:
             tenant=request.tenant,
         )
         return page
-
-    def _request_stream(self, record: ViewRecord, request: QueryRequest) -> Iterator[AnswerTuple]:
-        if request.tenant is None:
-            return self._synced_stream(record)
-        return self._tenant_stream(record, request.tenant)
 
     def _record_for_query(self, request: QueryRequest) -> ViewRecord:
         if request.view is not None:
@@ -699,72 +616,30 @@ class QService:
                 "existing ranking, or create a view under another name"
             )
 
-    def _synced_stream(self, record: ViewRecord) -> Iterator[AnswerTuple]:
-        """A ranked answer stream whose solve honors the lazy-sync contract."""
-        stale = self._is_stale(record)
-        stream = record.view.stream_answers(
-            rebuild_graph=stale and self._needs_rebuild(record)
-        )
-        if stale:
-            self._refreshes += 1
-        else:
-            self._refreshes_skipped += 1
-        self._mark_synced(record)
-        return stream
-
     # ------------------------------------------------------------------
     # Tenant overlays
     # ------------------------------------------------------------------
-    def _tenant_stream(self, record: ViewRecord, tenant: str) -> Iterator[AnswerTuple]:
-        """A ranked stream priced under ``tenant``'s weight overlay.
-
-        The base view is first brought structurally up to date (its query
-        graph is the shared expansion the tenant view re-prices), then the
-        tenant view solves under the overlay.  The tenant view's own solve
-        state is keyed on the overlay's effective version — base-weight
-        movement and overlay movement both invalidate it.
-        """
-        stale = self._is_stale(record)
-        if stale:
-            record.view.prepare(rebuild_graph=self._needs_rebuild(record))
-            self._refreshes += 1
-        else:
-            self._refreshes_skipped += 1
-        self._mark_synced(record)
-        return self._tenant_view(record, tenant).stream_answers()
-
     def _tenant_view(self, record: ViewRecord, tenant: str) -> RankedView:
-        """The cached tenant-priced twin of ``record``'s view.
+        """The tenant-priced twin of ``record``'s view, kept on the record.
 
         Shares the base view's query-graph *topology* (same nodes, edge ids
         and therefore tree signatures) through a structural graph clone
         whose weight vector is the tenant's overlay.  Rebuilt whenever the
         base view re-expands (the query-graph object identity moves).
         """
-        base_view = record.view
-        key = (record.view_id, tenant)
-        cached = self._tenant_views.get(key)
-        if cached is not None and cached[0] is base_view.query_graph:
-            return cached[1]
-        overlay = self.tenants.overlay(tenant)
-        base_qg = base_view.query_graph
-        tenant_qg = QueryGraph(
-            graph=graph_with_weights(base_qg.graph, overlay),
-            keyword_nodes=dict(base_qg.keyword_nodes),
-            matches=list(base_qg.matches),
-        )
-        view = RankedView(
-            list(base_view.keywords),
-            self.catalog,
-            self.graph,
-            k=base_view.k,
-            builder=self._query_builder(),
-            answer_limit=self.config.answer_limit,
-            engine_context=self.engine_context,
-            query_graph=tenant_qg,
-        )
-        self._tenant_views[key] = (base_qg, view)
-        return view
+        twins = record.tenant_twins()
+        if tenant not in twins:
+            base = record.view
+            twins[tenant] = RankedView.priced_twin(
+                base.query_graph,
+                self.tenants.overlay(tenant),
+                base.keywords,
+                self.catalog,
+                k=base.k,
+                answer_limit=base.answer_limit,
+                engine_context=self.engine_context,
+            )
+        return twins[tenant]
 
     # ------------------------------------------------------------------
     # Registration of new sources
@@ -798,7 +673,7 @@ class QService:
                     "view_based registration requires an existing view; create one first"
                 )
             # The driving view's α must reflect the current weights: pull it.
-            self._sync_view(record)
+            self._pull(record)
             driving_view = record.view
 
         aligner = build_aligner(
@@ -831,9 +706,9 @@ class QService:
         """Register a new source and align it against the existing graph.
 
         Lazy semantics: the registration invalidates the shared execution
-        context and every view's answer cache exactly once (they may hold
-        rows of mutated relations), and the graph's ``structure_version``
-        moves — but no view is refreshed; each rebuilds on its next read.
+        context once (it may hold rows of mutated relations) and the graph's
+        ``structure_version`` moves — no view is touched; each rebuilds, and
+        drops its own answer cache, on its next pull.
         """
         strategy, aligner = self._aligner_for(request)
         result = self.registrar.register(request.source, aligner)
@@ -886,8 +761,8 @@ class QService:
         The inverse of :meth:`add_source` / :meth:`register_source` at the
         session level (association edges incident to the source's nodes are
         dropped with them).  Like registration, the removal invalidates the
-        shared execution context and every view's answer cache once; views
-        rebuild on their next read.  Removals are journaled, so a persisted
+        shared execution context once and touches no view; each rebuilds on
+        its next pull.  Removals are journaled, so a persisted
         session reopens without the source.
         """
         source = self.catalog.remove_source(name)
@@ -896,21 +771,17 @@ class QService:
         if self._builder is not None:
             self._builder.remove_source(source)
         self.engine_context.invalidate()
-        for record in self.views.records():
-            record.view.invalidate_cache()
         self._after_mutation()
         return source
 
     def _on_registration(self, source: DataSource, result: AlignmentResult) -> None:
         # A new source changes both the data and the graph structure: drop
-        # the engine's shared scan/join-index caches and every view's
-        # per-signature answer cache — once, at mutation time.  The refresh
-        # itself is deferred to each view's next read.
+        # the engine's shared scan/join-index caches — once, at mutation
+        # time.  The moved structure version makes each view rebuild, and
+        # drop its per-signature answer cache, on its next pull.
         del source
         self._pairs_scored += result.pairs_scored
         self.engine_context.invalidate()
-        for record in self.views.records():
-            record.view.invalidate_cache()
 
     # ------------------------------------------------------------------
     # Feedback
@@ -1012,7 +883,7 @@ class QService:
         The first call writes a full snapshot — search graph (nodes and
         alignment edges with features and original edge ids), weight
         vector, learner state, profile index, view registry with each
-        synced view's query-graph expansion, feedback log, and the
+        current view's query-graph expansion, feedback log, and the
         graph's next edge number.  Later calls are *incremental*:
         one journal delta entry capturing the mutations since the previous
         save.  Once the journal reaches
@@ -1132,7 +1003,7 @@ class QService:
                 body, entries, catalog, service.config.graph, store.holds_rows
             )
             service._assemble(catalog, graph, profile_index, matchers)
-            service._restore_overlay(overlay)
+            restore_overlay(service, overlay)
             profile_index.rebind_tables(catalog)
             if autosave is True and isinstance(store, FileSessionStore):
                 autosave = store.path
@@ -1150,72 +1021,6 @@ class QService:
             if owns_backend and resolved is not None:
                 resolved.close()
             raise
-
-    def _restore_overlay(self, overlay) -> None:
-        """Install the snapshot's tail state: views, log, counters, ids."""
-        from ..alignment.registration import RegistrationRecord
-
-        views_spec = overlay.get("views") or {}
-        records = views_spec.get("records", ())
-        builder = self._query_builder() if records else None
-        carried = []  # (view, its saved ranking), adopted once the counters are final
-        for spec in records:
-            qg_payload = spec.get("query_graph")
-            query_graph = (
-                restore_query_graph(qg_payload, self.graph)
-                if qg_payload is not None
-                else empty_query_graph(self.graph)
-            )
-            view = RankedView(
-                list(spec["keywords"]),
-                self.catalog,
-                self.graph,
-                k=spec["k"],
-                builder=builder,
-                answer_limit=self.config.answer_limit,
-                engine_context=self.engine_context,
-                query_graph=query_graph,
-            )
-            if qg_payload is not None and "trees" in spec:
-                carried.append((view, spec["trees"]))
-            record = self.views.restore(
-                view,
-                spec["name"],
-                spec["view_id"],
-                spec["created_index"],
-                synced_weights_version=spec.get("synced_weights_version"),
-                synced_structure_version=spec.get("synced_structure_version"),
-            )
-            if qg_payload is not None:
-                record.saved_expansion = (query_graph, overlay["structure_version"], qg_payload)
-        self.views.set_created(views_spec.get("created", len(self.views)))
-        self.learner.steps_processed = overlay.get("learner_steps", 0)
-        for event_spec in overlay.get("feedback_events", ()):
-            self.feedback_log.add(restore_event(event_spec))
-        for name, strategy in overlay.get("registrations", ()):
-            self.registrar.history.append(
-                RegistrationRecord(source_name=name, strategy=strategy)
-            )
-        self._refreshes = overlay.get("refreshes", 0)
-        self._refreshes_skipped = overlay.get("refreshes_skipped", 0)
-        # Tenant overlays: sparse per-tenant weight deltas over the shared
-        # base vector, restored wholesale (no replay needed — the learned
-        # shadows are the durable artifact).
-        self.tenants.restore(overlay.get("tenants") or {})
-        # Applied idempotency keys: results are not durable, the keys are —
-        # a writer-lane retry resubmitted after a reopen still no-ops.
-        for key in overlay.get("applied_ops", ()):
-            self._record_applied_op(key, None)
-        # Authoritative counters last: the replay above moved versions as a
-        # side effect; the saved values make staleness checks and future
-        # edge-id allocation agree exactly with the session that saved.
-        self.graph.weights.version = overlay["weights_version"]
-        self.graph.structure_version = overlay["structure_version"]
-        self.graph.next_edge_number = overlay["edge_id_counter"]
-        # A view saved with a current ranking resumes it (its first read
-        # solves nothing), recorded against the restored graphs' own versions.
-        for view, edge_sets in carried:
-            view.adopt_ranking(edge_sets)
 
     def _after_mutation(self) -> None:
         """Autosave hook, called at the end of every mutating service call.
@@ -1286,17 +1091,7 @@ class QService:
         """
         value = self.obs.registry.value
         return SystemStats(
-            sources=int(value("q_sources")),
-            relations=int(value("q_relations")),
-            attributes=int(value("q_attributes")),
-            views=int(value("q_views")),
-            feedback_events=int(value("q_feedback_events_total")),
-            learner_steps=int(value("q_learner_steps_total")),
-            registrations=int(value("q_registrations_total")),
-            weights_version=int(value("q_weights_version")),
-            structure_version=int(value("q_structure_version")),
-            view_refreshes=int(value("q_view_refreshes_total")),
-            view_refreshes_skipped=int(value("q_view_refreshes_skipped_total")),
+            **{field: int(value(name)) for field, name, _, _ in _SESSION_COUNTERS},
             backend=self.catalog.backend_kind,
             storage_bytes=self.catalog.storage_size_bytes(),
             snapshot_version=(
@@ -1305,18 +1100,6 @@ class QService:
             journal_entries=(
                 self._persistence.store.entry_count() if self._persistence else 0
             ),
-            profile_shards=int(value("q_profile_shards")),
-            sketch_candidates=int(value("q_sketch_candidates_total")),
-            exact_candidates=int(value("q_exact_candidates_total")),
-            pairs_scored=int(value("q_pairs_scored_total")),
-            pair_memo_entries=int(value("q_pair_memo_entries")),
-            tenants=int(value("q_tenants")),
-            pushdown_scans=int(value("q_pushdown_scans_total")),
-            pushdown_queries=int(value("q_pushdown_queries_total")),
-            posting_builds=int(value("q_posting_builds_total")),
-            steiner_cache_hits=int(value("q_steiner_cache_hits_total")),
-            steiner_cache_builds=int(value("q_steiner_cache_builds_total")),
-            steiner_rescores=int(value("q_steiner_rescores_total")),
         )
 
     def metrics(self, fmt: str = "prometheus"):

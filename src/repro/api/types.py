@@ -56,12 +56,9 @@ class ServiceConfig:
     sketch_num_perm: int = 0
     #: LRU cap on the profile index's schema-fingerprint pair memo.
     pair_memo_limit: int = 4096
-    #: Serving-layer knobs (see :mod:`repro.service`): size of the
-    #: concurrent read pool of a :class:`~repro.service.server.QServer`;
-    #: 0 = one reader per CPU.
-    read_workers: int = 4
-    #: Bound on the serving layer's single-writer mutation queue; writes
-    #: beyond it fail fast with
+    #: Serving-layer knob (see :mod:`repro.service`): bound on a
+    #: :class:`~repro.service.server.QServer`'s single-writer mutation
+    #: queue; writes beyond it fail fast with
     #: :class:`~repro.exceptions.ServiceOverloadedError`.
     write_queue_limit: int = 64
     #: Observability (see :mod:`repro.obs` and the README "Observability"):

@@ -1,4 +1,4 @@
-"""View registry: stable ids, explicit creation order, lazy-sync bookkeeping.
+"""View registry: stable ids, explicit creation order, per-view side state.
 
 A plain name-keyed dict cannot say which view is the "latest" once a view
 name is reused.  The registry keeps:
@@ -11,42 +11,52 @@ name is reused.  The registry keeps:
 * an explicit **creation-order** list, making :meth:`ViewRegistry.latest` a
   documented accessor: the most recently *created* view, regardless of any
   name reuse;
-* per-view **sync state** — the ``(weights.version, structure_version)``
-  snapshot a view last refreshed against, which is what the pull-based
-  service compares to decide whether a read must refresh.
+* what a session keeps **beside** a view and frees with it: the tenant
+  twins pricing its expansion and the persisted form of that expansion.
+  Whether a view is stale is not recorded here — the view knows
+  (:attr:`~repro.core.view.RankedView.expanded_at` and its solve state).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.view import RankedView
 from ..exceptions import UnknownViewError
+from ..graph.query_graph import QueryGraph
 
 
 @dataclass
 class ViewRecord:
-    """One registered view plus its lazy-consistency bookkeeping.
+    """One registered view plus what the session derives from its expansion.
 
-    ``synced_weights_version`` / ``synced_structure_version`` are the search
-    graph versions the view last synchronized with (``None`` before the
-    first sync).  A mutation never touches them — only a read does, after
-    refreshing — so staleness is always detectable by comparison.
+    Both derivations hold for one query-graph *object* (a rebuild installs a
+    new one) and go with the record when name reuse retires the view.
 
-    ``saved_expansion`` is ``(query graph, base structure_version, payload)``
-    from the view's last save or open: persistence re-uses the payload while
-    the view holds that same query-graph object (a rebuild installs a new
-    one) and the base graph's structure has not moved.
+    ``saved_expansion`` is ``(query graph, payload)`` from the view's last
+    save or open: persistence re-uses the payload while the view holds that
+    same query-graph object and its expansion is current.
+
+    ``twins`` maps a tenant to the view pricing that expansion under the
+    tenant's overlay (:meth:`~repro.core.view.RankedView.priced_twin`); read
+    it through :meth:`tenant_twins`, which empties it after a re-expansion.
     """
 
     view_id: str
     name: str
     view: RankedView
     created_index: int
-    synced_weights_version: Optional[int] = None
-    synced_structure_version: Optional[int] = None
-    saved_expansion: Optional[Tuple[object, int, Dict[str, object]]] = None
+    saved_expansion: Optional[Tuple[QueryGraph, Dict[str, object]]] = None
+    twins: Dict[str, RankedView] = field(default_factory=dict)
+    _twinned: Optional[QueryGraph] = None
+
+    def tenant_twins(self) -> Dict[str, RankedView]:
+        """Tenant → twin of the view's *current* expansion."""
+        if self._twinned is not self.view.query_graph:
+            self._twinned = self.view.query_graph
+            self.twins.clear()
+        return self.twins
 
 
 class ViewRegistry:
@@ -67,9 +77,9 @@ class ViewRegistry:
         The stable id comes from a monotonically increasing creation
         counter and is never reused.  Re-registering a name *replaces* the
         shadowed view (the historical dict behavior): its record is evicted
-        from the registry, so long-running sessions that recreate views
-        under one name do not accrue unbounded records — and mutations do
-        not keep paying for views nothing can reach anymore.
+        from the registry — its tenant twins and saved expansion with it —
+        so long-running sessions that recreate views under one name do not
+        accrue unbounded records.
         """
         shadowed = self._by_name.get(name)
         if shadowed is not None:
@@ -87,31 +97,16 @@ class ViewRegistry:
         self._by_name[name] = record
         return record
 
-    def restore(
-        self,
-        view: RankedView,
-        name: str,
-        view_id: str,
-        created_index: int,
-        synced_weights_version: Optional[int] = None,
-        synced_structure_version: Optional[int] = None,
-    ) -> ViewRecord:
+    def restore(self, view: RankedView, name: str, view_id: str, created_index: int) -> ViewRecord:
         """Re-register a view restored from a session snapshot.
 
-        Unlike :meth:`add`, the id, creation index and sync state are
+        Unlike :meth:`add`, the id and creation index are
         supplied by the caller (they come from the snapshot) and the
         creation counter is *not* advanced — :meth:`set_created` restores it
         separately so post-restore :meth:`add` calls continue the original
         id sequence.
         """
-        record = ViewRecord(
-            view_id=view_id,
-            name=name,
-            view=view,
-            created_index=created_index,
-            synced_weights_version=synced_weights_version,
-            synced_structure_version=synced_structure_version,
-        )
+        record = ViewRecord(view_id=view_id, name=name, view=view, created_index=created_index)
         self._records.append(record)
         self._by_id[record.view_id] = record
         self._by_name[name] = record

@@ -3,16 +3,22 @@
 A :class:`RankedView` materializes the top-k interpretation of a keyword
 query: the expanded query graph, the k lowest-cost Steiner trees, the
 conjunctive queries generated from them, and the ranked union of their
-answers.  The view is kept up to date as the underlying search graph changes
-— new association edges from source registration, or new edge costs from
-feedback — by calling :meth:`RankedView.refresh`.
+answers.  The view knows by itself when it is stale: every pull —
+:meth:`RankedView.prepare`, :meth:`RankedView.stream_answers`,
+:meth:`RankedView.refresh` — re-expands the query graph if the base search
+graph's structure moved past the version it was expanded at (new sources or
+association edges from registration) and re-solves if edge costs moved
+(feedback).  Nothing has to tell it what changed.
 
-Refreshes are *incremental*: the view diffs the newly solved trees against
-the previous generation by tree signature and only re-executes the
-conjunctive queries whose trees actually changed.  Unchanged trees reuse
+There is one read shape: :meth:`RankedView.stream_answers` is the path,
+:meth:`RankedView.refresh` is the same stream materialized and
+:meth:`RankedView.answers_page` a slice of it.
+
+Pulls are *incremental*: the view only re-executes the conjunctive queries
+whose trees actually changed.  Unchanged trees reuse
 their cached answers (re-priced to the current tree cost — feedback moves
 costs without touching the joined tuples), and when neither the edge weights
-nor the query-graph structure changed since the last refresh, the Steiner
+nor the query-graph structure changed since the last solve, the Steiner
 solve itself is skipped.  Execution goes through the planned engine
 (:mod:`repro.engine`) whose :class:`~repro.engine.context.ExecutionContext`
 shares scan and join-index caches across the view's k queries (and across
@@ -21,6 +27,7 @@ views, when the Q system supplies a shared context).
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -28,10 +35,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..datastore.database import Catalog
 from ..datastore.provenance import AnswerTuple
 from ..engine.context import ExecutionContext
-from ..engine.executor import PlanExecutor, project_answer, ranked_union, union_column_plan
+from ..engine.executor import PlanExecutor, project_answer, union_column_plan
 from ..exceptions import DeadlineExceededError, QueryError
 from ..faults.budget import Budget
 from ..graph.query_graph import QueryGraph, QueryGraphBuilder
+from ..graph.features import WeightVector
 from ..graph.search_graph import SearchGraph
 from ..obs.tracing import active_trace
 from ..learning.feedback import (
@@ -40,6 +48,7 @@ from ..learning.feedback import (
     FeedbackEvent,
     FeedbackGeneralizer,
 )
+from ..learning.overlays import graph_with_weights
 from ..steiner.topk import KBestSteiner
 from ..steiner.tree import SteinerTree
 from .query_generation import GeneratedQuery, QueryGenerator
@@ -96,7 +105,8 @@ class RankedView:
     graph:
         The current search graph.  The view keeps its own expanded *query
         graph* which shares the search graph's weight vector, so feedback
-        learning updates both.
+        learning updates both, and re-expands it on the first pull after
+        this graph's ``structure_version`` moved.
     k:
         Number of query trees retained.
     builder:
@@ -133,6 +143,11 @@ class RankedView:
         self.query_graph: QueryGraph = (
             query_graph if query_graph is not None else self.builder.expand(graph, self.keywords)
         )
+        #: The base graph's ``structure_version`` the query graph was expanded
+        #: at — the view's whole staleness ledger beside ``_solve_state``.  A
+        #: restored session sets it to the version it saved at, or to ``None``
+        #: for a view saved without its expansion (rebuilt on the first pull).
+        self.expanded_at: Optional[int] = graph.structure_version
         self.state = ViewState()
         self.engine_context = engine_context if engine_context is not None else ExecutionContext(catalog)
         # The solver shares the context's Steiner snapshot cache so repeated
@@ -162,21 +177,47 @@ class RankedView:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
+    @classmethod
+    def priced_twin(
+        cls, query_graph: QueryGraph, weights: WeightVector, keywords: Sequence[str], catalog: Catalog, **options
+    ) -> "RankedView":
+        """A view over ``query_graph``'s expansion priced under ``weights``.
+
+        How one expansion serves a tenant's overlay or a snapshot's frozen
+        vector: same nodes, edge ids and therefore tree signatures, other
+        costs.  The twin's base graph is its *own* graph, so it never
+        re-expands; whoever holds it replaces it when the view it was taken
+        from re-expands (the query-graph object moves).  ``options`` are the
+        constructor's (``k``, ``answer_limit``, ``engine_context``).
+        """
+        twin = QueryGraph(
+            graph=graph_with_weights(query_graph.graph, weights),
+            keyword_nodes=dict(query_graph.keyword_nodes),
+            matches=list(query_graph.matches),
+        )
+        return cls(keywords, catalog, twin.graph, query_graph=twin, **options)
+
+    @property
+    def expansion_is_current(self) -> bool:
+        """Whether the query graph was expanded from the base graph as it stands."""
+        return self.expanded_at == self.base_graph.structure_version
+
     def rebuild_query_graph(self) -> None:
         """Re-expand the query graph from the current base search graph.
 
-        Needed after structural changes to the search graph (new sources or
-        new association edges); plain weight changes only require
-        :meth:`refresh`.
+        Every pull does this by itself after structural changes to the
+        search graph (new sources or new association edges); plain weight
+        changes only re-solve.
         """
         self.query_graph = self.builder.expand(self.base_graph, self.keywords)
+        self.expanded_at = self.base_graph.structure_version
         self.invalidate_cache()
 
     def invalidate_cache(self) -> None:
         """Drop all cached per-query answers and force the next solve.
 
-        Called on structural events: query-graph rebuilds and new-source
-        registrations (the Q system wires the registrar's listener here).
+        Runs once per query-graph rebuild, on the pull that found the base
+        graph's structure moved; no mutation calls it.
         """
         self._answer_cache.clear()
         self._solve_state = None
@@ -188,11 +229,13 @@ class RankedView:
         return (graph.weights.version, graph.structure_version, self.query_graph.terminals, self.k)
 
     def current_ranking(self) -> Optional[List[SteinerTree]]:
-        """The retained trees if the last complete solve is of the current key, else ``None``.
+        """The retained trees if the next pull would neither re-expand nor re-solve, else ``None``.
 
         What a saved session may carry for :meth:`adopt_ranking` on reopening.
         """
-        return list(self.state.trees) if self._solve_state == self._solve_key() else None
+        if self.expansion_is_current and self._solve_state == self._solve_key():
+            return list(self.state.trees)
+        return None
 
     def adopt_ranking(self, edge_sets: Sequence[Sequence[str]]) -> None:
         """Install the ranking a saved session carried, as if this view had just solved it.
@@ -212,10 +255,12 @@ class RankedView:
         self._solve_state = self._solve_key()
 
     def _ensure_solved(
-        self, rebuild_graph: bool = False, budget: Optional[Budget] = None
+        self, budget: Optional[Budget] = None
     ) -> Tuple[List[SteinerTree], List[GeneratedQuery], RefreshStats]:
         """Bring trees and generated queries up to date without executing them.
 
+        The query graph is re-expanded first when the base graph's structure
+        moved past :attr:`expanded_at`.
         The Steiner solve is skipped when edge weights, graph structure,
         terminals and ``k`` are all unchanged since the last solve.  Also
         drops the per-signature answer cache when the shared engine context
@@ -227,7 +272,7 @@ class RankedView:
         unbudgeted read re-solves in full, so a deadline can never poison
         the ranking other readers (or the feedback generalizer) see.
         """
-        if rebuild_graph:
+        if not self.expansion_is_current:
             self.rebuild_query_graph()
         stats = RefreshStats()
         graph = self.query_graph.graph
@@ -260,28 +305,21 @@ class RankedView:
         self._trees_by_signature = {g.signature: g.tree for g in queries}
         return trees, queries, stats
 
-    def refresh(self, rebuild_graph: bool = False) -> ViewState:
+    def refresh(self) -> ViewState:
         """Recompute trees, queries and answers under the current costs.
 
-        Incrementality: the Steiner solve is skipped when edge weights and
-        graph structure are unchanged; per-query answers are reused whenever
-        a tree with the same signature was already executed against the same
-        table versions.
+        :meth:`prepare` plus the whole of :meth:`stream_answers`, kept in
+        ``state.answers``.  Incrementality: the Steiner solve is skipped when
+        edge weights and graph structure are unchanged; per-query answers
+        are reused whenever a tree with the same signature was already
+        executed against the same table versions.
         """
-        trees, queries, stats = self._ensure_solved(rebuild_graph)
-        answers = ranked_union(
-            self._query_answers(queries, stats), limit=self.answer_limit
-        )
-
-        self.state = ViewState(trees=trees, queries=queries, answers=answers)
+        answers = list(self.stream_answers())
+        self.state = ViewState(trees=self.state.trees, queries=self.state.queries, answers=answers)
         self._answers_materialized = True
-        self.last_refresh = stats
-        self.refresh_count += 1
         return self.state
 
-    def prepare(
-        self, rebuild_graph: bool = False, budget: Optional[Budget] = None
-    ) -> ViewState:
+    def prepare(self, budget: Optional[Budget] = None) -> ViewState:
         """Bring trees and queries up to date *without* executing queries.
 
         The solve-only half of :meth:`refresh`: the ranking (Steiner trees,
@@ -289,7 +327,7 @@ class RankedView:
         is left unmaterialized — the streaming read path executes queries
         lazily, and :meth:`answers` re-materializes on demand.
         """
-        trees, queries, stats = self._ensure_solved(rebuild_graph, budget=budget)
+        trees, queries, stats = self._ensure_solved(budget=budget)
         if stats.solver_runs:
             # The ranking changed; previously materialized answers are no
             # longer authoritative.
@@ -299,9 +337,7 @@ class RankedView:
         self.refresh_count += 1
         return self.state
 
-    def stream_answers(
-        self, rebuild_graph: bool = False, budget: Optional[Budget] = None
-    ) -> Iterator[AnswerTuple]:
+    def stream_answers(self, budget: Optional[Budget] = None) -> Iterator[AnswerTuple]:
         """Ranked answers as a lazy iterator (the pull-based read path).
 
         The Steiner solve (which determines the ranking) happens eagerly at
@@ -309,8 +345,8 @@ class RankedView:
         runs only when the iterator reaches its answers, so a consumer that
         stops after the first page never pays for the remaining queries.
         Yielded answers are identical — same values, costs, provenance and
-        order — to :meth:`refresh`'s :func:`~repro.engine.executor.ranked_union`
-        output: queries are streamed in ascending cost order (every answer
+        order — to the engine's eager :func:`~repro.engine.executor.ranked_union`
+        over the same queries: they are streamed in ascending cost order (every answer
         carries its query's cost, so the concatenation is globally sorted)
         and each answer goes through the shared
         :func:`~repro.engine.executor.project_answer` against the full
@@ -327,7 +363,7 @@ class RankedView:
         answer propagates as
         :class:`~repro.exceptions.DeadlineExceededError`.
         """
-        self.prepare(rebuild_graph, budget=budget)
+        self.prepare(budget=budget)
         stats = self.last_refresh
         ordered = sorted(self.state.queries, key=lambda g: g.query.cost)
         columns, mappings = union_column_plan([g.query for g in ordered])
@@ -377,7 +413,7 @@ class RankedView:
             self._answer_cache.move_to_end(generated.signature)
             stats.queries_reused += 1
             active_trace().tally("queries_cached")
-            # No copying here: ranked_union builds fresh AnswerTuples (with
+            # No copying here: project_answer builds fresh AnswerTuples (with
             # the current query cost stamped on values and provenance) and
             # never mutates its inputs.
             return cached.answers
@@ -390,24 +426,14 @@ class RankedView:
         stats.queries_executed += 1
         return answers
 
-    def _query_answers(
-        self,
-        queries: Sequence[GeneratedQuery],
-        stats: RefreshStats,
-    ) -> List[Tuple[object, List[AnswerTuple]]]:
-        """``(query, raw answers)`` per query: cached or executed."""
-        return [
-            (generated.query, self._answers_for(generated, stats))
-            for generated in queries
-        ]
-
     def answers_page(
         self, limit: Optional[int] = None, offset: int = 0
     ) -> List[AnswerTuple]:
         """One k-best page of the ranked answers (``LIMIT``/``OFFSET``).
 
-        A slice of the ranked union over the per-signature answer cache, so
-        paging through a view that was read once executes nothing.  The page
+        A slice of :meth:`stream_answers`, which replays the per-signature
+        answer cache: paging through a view that was read once executes
+        nothing, and a first page runs only the queries it reaches.  The page
         equals ``answers()[offset : offset + limit]``: the window never
         reaches past the view's ``answer_limit`` cap, an ``offset`` past the
         last answer yields ``[]``, and ``limit=0`` is rejected — a page must
@@ -417,13 +443,8 @@ class RankedView:
             raise QueryError("answers_page limit must be at least 1")
         if offset < 0:
             raise QueryError("answers_page offset must not be negative")
-        self.prepare()
-        all_answers = ranked_union(
-            self._query_answers(self.state.queries, self.last_refresh),
-            limit=self.answer_limit,
-        )
         end = None if limit is None else offset + limit
-        return all_answers[offset:end]
+        return list(itertools.islice(self.stream_answers(), offset, end))
 
     def _table_versions(self, query) -> Tuple[Tuple[str, object, int], ...]:
         entries = []

@@ -62,18 +62,6 @@ class ContextStatistics:
     #: Whole conjunctive queries answered natively by the storage backend.
     pushdown_queries: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "scans": self.scans,
-            "scan_cache_hits": self.scan_cache_hits,
-            "index_scans": self.index_scans,
-            "join_indexes_built": self.join_indexes_built,
-            "join_index_cache_hits": self.join_index_cache_hits,
-            "invalidations": self.invalidations,
-            "pushdown_scans": self.pushdown_scans,
-            "pushdown_queries": self.pushdown_queries,
-        }
-
 
 #: Complete top-k enumerations a :class:`SteinerNetworkCache` keeps (LRU).  An
 #: entry is two byte strings (a digest, 8 bytes per edge) and k small trees:

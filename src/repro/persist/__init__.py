@@ -37,6 +37,7 @@ from .session import (
     SessionPersistence,
     overlay_payload,
     restore_core,
+    restore_overlay,
     service_config_payload,
     snapshot_body,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "SqliteSessionStore",
     "overlay_payload",
     "restore_core",
+    "restore_overlay",
     "service_config_payload",
     "sniff_sqlite_file",
     "snapshot_body",

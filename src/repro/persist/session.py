@@ -35,11 +35,14 @@ from ..exceptions import SnapshotError
 from ..profiling.index import CatalogProfileIndex
 from .journal import StateShadow, apply_delta, build_delta, is_empty_delta
 from .snapshot import (
+    empty_query_graph,
     event_payload,
     graph_config_payload,
     graph_payload,
     query_graph_delta_payload,
+    restore_event,
     restore_graph,
+    restore_query_graph,
     restore_weights,
     weights_payload,
 )
@@ -67,8 +70,9 @@ def service_config_payload(config) -> Dict[str, object]:
 def view_record_payload(record, base_graph) -> Dict[str, object]:
     """One view registry record, with its query-graph delta when reusable.
 
-    The expansion delta is serialized only for views synced to the current
-    graph structure — a structurally stale view rebuilds its query graph on
+    The view says whether its expansion is current
+    (:attr:`~repro.core.view.RankedView.expansion_is_current`); the delta is
+    serialized only then — a structurally stale view rebuilds its query graph on
     the next read anyway (live and restored sessions alike, drawing the
     same numbers from the graph's edge-id sequence), so persisting its stale
     expansion would be wasted bytes.  Beside the delta goes the view's
@@ -84,16 +88,14 @@ def view_record_payload(record, base_graph) -> Dict[str, object]:
         "keywords": list(view.keywords),
         "k": view.k,
         "created_index": record.created_index,
-        "synced_weights_version": record.synced_weights_version,
-        "synced_structure_version": record.synced_structure_version,
         "query_graph": None,
     }
-    if record.synced_structure_version == base_graph.structure_version:
+    if view.expansion_is_current:
         saved = record.saved_expansion
-        if saved is None or saved[0] is not view.query_graph or saved[1] != base_graph.structure_version:
+        if saved is None or saved[0] is not view.query_graph:
             delta = query_graph_delta_payload(view.query_graph, base_graph)
-            saved = record.saved_expansion = (view.query_graph, base_graph.structure_version, delta)
-        payload["query_graph"] = saved[2]
+            saved = record.saved_expansion = (view.query_graph, delta)
+        payload["query_graph"] = saved[1]
         ranking = view.current_ranking()
         if ranking is not None:
             payload["trees"] = [sorted(tree.edge_ids) for tree in ranking]
@@ -128,6 +130,77 @@ def overlay_payload(service) -> Dict[str, object]:
     }
 
 
+def restore_overlay(service, overlay: Dict[str, object]) -> None:
+    """Install the tail state :func:`overlay_payload` wrote: views, log, counters, ids.
+
+    Keys of a view record this does not name (older saves wrote a per-record
+    sync ledger) are ignored: a restored view carries its own staleness —
+    ``expanded_at``, set here, and the solve state of the ranking it adopts.
+    """
+    from ..alignment.registration import RegistrationRecord
+    from ..core.view import RankedView
+
+    views_spec = overlay.get("views") or {}
+    records = views_spec.get("records", ())
+    builder = service._query_builder() if records else None
+    carried = []  # (view, its saved ranking), adopted once the counters are final
+    for spec in records:
+        qg_payload = spec.get("query_graph")
+        query_graph = (
+            restore_query_graph(qg_payload, service.graph)
+            if qg_payload is not None
+            else empty_query_graph(service.graph)
+        )
+        view = RankedView(
+            list(spec["keywords"]),
+            service.catalog,
+            service.graph,
+            k=spec["k"],
+            builder=builder,
+            answer_limit=service.config.answer_limit,
+            engine_context=service.engine_context,
+            query_graph=query_graph,
+        )
+        # A saved expansion is of the structure the session saved at; a
+        # record without one rebuilds on its first pull.
+        view.expanded_at = overlay["structure_version"] if qg_payload is not None else None
+        if qg_payload is not None and "trees" in spec:
+            carried.append((view, spec["trees"]))
+        record = service.views.restore(
+            view, spec["name"], spec["view_id"], spec["created_index"]
+        )
+        if qg_payload is not None:
+            record.saved_expansion = (query_graph, qg_payload)
+    service.views.set_created(views_spec.get("created", len(service.views)))
+    service.learner.steps_processed = overlay.get("learner_steps", 0)
+    for event_spec in overlay.get("feedback_events", ()):
+        service.feedback_log.add(restore_event(event_spec))
+    for name, strategy in overlay.get("registrations", ()):
+        service.registrar.history.append(
+            RegistrationRecord(source_name=name, strategy=strategy)
+        )
+    service._refreshes = overlay.get("refreshes", 0)
+    service._refreshes_skipped = overlay.get("refreshes_skipped", 0)
+    # Tenant overlays: sparse per-tenant weight deltas over the shared
+    # base vector, restored wholesale (no replay needed — the learned
+    # shadows are the durable artifact).
+    service.tenants.restore(overlay.get("tenants") or {})
+    # Applied idempotency keys: results are not durable, the keys are —
+    # a writer-lane retry resubmitted after a reopen still no-ops.
+    for key in overlay.get("applied_ops", ()):
+        service._record_applied_op(key, None)
+    # Authoritative counters last: the replay above moved versions as a
+    # side effect; the saved values make staleness checks and future
+    # edge-id allocation agree exactly with the session that saved.
+    service.graph.weights.version = overlay["weights_version"]
+    service.graph.structure_version = overlay["structure_version"]
+    service.graph.next_edge_number = overlay["edge_id_counter"]
+    # A view saved with a current ranking resumes it (its first read
+    # solves nothing), recorded against the restored graphs' own versions.
+    for view, edge_sets in carried:
+        view.adopt_ranking(edge_sets)
+
+
 def overlay_delta(last: Dict[str, object], overlay: Dict[str, object]) -> Dict[str, object]:
     """What moved from ``last`` to ``overlay``; empty when nothing did.
 
@@ -136,23 +209,32 @@ def overlay_delta(last: Dict[str, object], overlay: Dict[str, object]) -> Dict[s
     record holding only the fields that differ from that view's record in
     ``last``; a ranking that stopped being current is the tombstone
     ``"trees": None``.  A re-used payload is the same object on both sides,
-    which container ``==`` settles by identity.
+    which container ``==`` settles by identity.  Records are compared field
+    by written field, so one that ``last`` holds beyond them (an older
+    writer's) is not movement.
     """
-    delta = {key: value for key, value in overlay.items() if last.get(key) != value}
-    if "views" in delta:
-        previous = {record["view_id"]: record for record in last["views"]["records"]}
-        records = []
-        for record in overlay["views"]["records"]:
-            old = previous.get(record["view_id"], {})
-            moved = {
-                field: value
-                for field, value in record.items()
-                if field == "view_id" or field not in old or old[field] != value
-            }
-            if "trees" in old and "trees" not in record:
-                moved["trees"] = None
-            records.append(moved)
-        delta["views"] = {"created": overlay["views"]["created"], "records": records}
+    delta = {
+        key: value for key, value in overlay.items() if key != "views" and last.get(key) != value
+    }
+    views = overlay["views"]
+    previous = {record["view_id"]: record for record in last["views"]["records"]}
+    records = []
+    for record in views["records"]:
+        old = previous.get(record["view_id"], {})
+        moved = {
+            field: value
+            for field, value in record.items()
+            if field == "view_id" or field not in old or old[field] != value
+        }
+        if "trees" in old and "trees" not in record:
+            moved["trees"] = None
+        records.append(moved)
+    if (
+        views["created"] != last["views"]["created"]
+        or list(previous) != [moved["view_id"] for moved in records]
+        or any(len(moved) > 1 for moved in records)
+    ):
+        delta["views"] = {"created": views["created"], "records": records}
     return delta
 
 

@@ -5,8 +5,8 @@ A *snapshot* is a JSON document capturing everything a
 rows: the search graph (nodes, edges with features and **their original edge
 ids**), the learned :class:`~repro.graph.features.WeightVector`, the
 :class:`~repro.profiling.index.CatalogProfileIndex`, the view registry
-(definitions plus lazy-sync state plus each synced view's expanded
-query-graph delta), the learner/feedback/registration counters, and the
+(definitions plus each current view's expanded query-graph delta and
+ranking), the learner/feedback/registration counters, and the
 graph's next edge number.  Restoring a snapshot therefore skips every
 expensive cold-start step — profiling, matching, alignment — *and* restores
 the exact tie-break-relevant identifiers, which is what makes a reopened
@@ -304,8 +304,8 @@ def query_graph_delta_payload(
     """The keyword/value expansion of a view, as a delta over the base graph.
 
     Only valid for a view whose query graph was expanded against the
-    *current* base-graph structure (the service serializes a delta only for
-    views synced to the current ``structure_version``); everything the
+    *current* base-graph structure (a delta is serialized only for a view
+    whose ``expansion_is_current``); everything the
     expansion added — keyword nodes, lazily materialized value nodes,
     keyword-match and value-membership edges, with their original ids — is
     recorded so the restored view neither re-expands nor consumes fresh
@@ -365,8 +365,8 @@ def restore_query_graph(
 def empty_query_graph(base_graph: SearchGraph) -> QueryGraph:
     """Placeholder for a restored view that must rebuild on its first read.
 
-    A view whose sync state is stale against the current graph structure
-    would discard its expansion on the next read anyway; restoring it with
+    A view whose expansion is stale against the current graph structure
+    would discard it on the next read anyway; restoring it with
     an unexpanded copy reproduces exactly the rebuild a continuing live
     session would perform (consuming the same edge-id sequence).
     """

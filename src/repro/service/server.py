@@ -195,8 +195,7 @@ class QServer:
         its mutation discipline from construction on: apply writes through
         the server, not directly on the service.
     read_workers:
-        Size of the concurrent read pool; ``0`` = one per CPU.  Defaults to
-        ``service.config.read_workers``.
+        Size of the concurrent read pool; ``0`` = one per CPU.
     write_queue_limit:
         Bound of the single-writer mutation queue.  Defaults to
         ``service.config.write_queue_limit``.
@@ -213,16 +212,12 @@ class QServer:
     def __init__(
         self,
         service,
-        read_workers: Optional[int] = None,
+        read_workers: int = 4,
         write_queue_limit: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self._service = service
-        workers = (
-            read_workers
-            if read_workers is not None
-            else getattr(service.config, "read_workers", 4)
-        )
+        workers = read_workers
         if workers == 0:
             workers = os.cpu_count() or 1
         if workers < 1:

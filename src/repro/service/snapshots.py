@@ -1,6 +1,6 @@
 """Copy-on-publish read snapshots for the concurrent serving layer.
 
-The lazy service already pins every view to a ``(weights.version,
+Every lazy view already pins itself to a ``(weights.version,
 structure_version)`` staleness key; this module turns that pinning into
 real *snapshot objects*.  After each applied mutation the single writer
 captures a :class:`ReadSnapshot`: a frozen copy of the weight vector, the
@@ -41,7 +41,7 @@ from ..exceptions import UnknownViewError
 from ..faults.budget import Budget
 from ..graph.features import WeightVector
 from ..graph.query_graph import QueryGraph
-from ..learning.overlays import OverlayWeightVector, graph_with_weights
+from ..learning.overlays import OverlayWeightVector
 from ..obs.tracing import active_trace
 
 
@@ -344,20 +344,14 @@ class ReadSnapshot:
         tenant: Optional[str],
         budget: Optional[Budget] = None,
     ) -> Tuple[AnswerTuple, ...]:
-        weights = self._weights_for(tenant)
-        frozen_qg = QueryGraph(
-            graph=graph_with_weights(sv.query_graph.graph, weights),
-            keyword_nodes=dict(sv.query_graph.keyword_nodes),
-            matches=list(sv.query_graph.matches),
-        )
-        view = RankedView(
-            list(sv.keywords),
+        view = RankedView.priced_twin(
+            sv.query_graph,
+            self._weights_for(tenant),
+            sv.keywords,
             self.catalog,
-            frozen_qg.graph,
             k=sv.k,
             answer_limit=self.answer_limit,
             engine_context=self.context,
-            query_graph=frozen_qg,
         )
         return tuple(view.stream_answers(budget=budget))
 

@@ -166,7 +166,7 @@ class TestLazyConsistency:
             info = service.create_view(QueryRequest(keywords=entry.keywords), materialize=False)
             views.append(info.view_id)
             first.append(read(info.view_id))
-        stale = [record for record in service.views.records() if service._is_stale(record)]
+        stale = [record for record in service.views.records() if record.view.current_ranking() is None]
         assert len(stale) == 3  # all but the view created last
         solved, recalls = did.base_solves, did.recalls
         assert [read(view_id) for view_id in views] == first
@@ -208,17 +208,21 @@ class TestLazyConsistency:
             RegisterSourceRequest(source=new_source, strategy=AlignmentStrategy.EXHAUSTIVE)
         )
 
-        # Mutation time: exactly one invalidation per view, zero refreshes.
-        assert view_a.cache_invalidations == invalidations_before[0] + 1
-        assert view_b.cache_invalidations == invalidations_before[1] + 1
+        # Mutation time: no view is touched — zero invalidations, zero refreshes.
+        assert (view_a.cache_invalidations, view_b.cache_invalidations) == invalidations_before
         assert (view_a.refresh_count, view_b.refresh_count) == refreshes_before
         assert service.engine_context.generation > generation
 
-        # Read time: the read view rebuilds (structure moved) and re-executes.
+        # Read time: the read view rebuilds (structure moved), dropping its
+        # cache exactly once, and re-executes; the unread one is left alone.
         _drain(service.answers(QueryRequest(view=info_a.view_id)))
+        assert view_a.cache_invalidations == invalidations_before[0] + 1
+        assert view_b.cache_invalidations == invalidations_before[1]
         assert view_a.refresh_count == refreshes_before[0] + 1
         assert view_b.refresh_count == refreshes_before[1]
         assert view_a.last_refresh.queries_executed == len(view_a.state.queries)
+        _drain(service.answers(QueryRequest(view=info_a.view_id)))
+        assert view_a.cache_invalidations == invalidations_before[0] + 1
 
     def test_registration_result_is_not_retained_by_the_session(self):
         # The registrar's history outlives every response; holding each

@@ -93,8 +93,34 @@ class TestRankedView:
         mini_catalog.add_source(new_source)
         mini_graph.add_source(new_source)
         view.builder = QueryGraphBuilder(mini_catalog)
-        view.refresh(rebuild_graph=True)
+        view.refresh()
         assert view.query_graph.graph.has_node("rel:extra.info")
+
+    def test_a_moved_base_graph_is_re_expanded_by_the_next_pull(self, mini_catalog, mini_graph):
+        """The view keeps its own ledger: no caller says the structure moved."""
+        view = RankedView(["membrane", "title"], mini_catalog, mini_graph, k=3)
+        before = list(view.stream_answers())
+        assert view.expanded_at == mini_graph.structure_version and view.expansion_is_current
+        expansion, invalidations = view.query_graph, view.cache_invalidations
+        list(view.stream_answers())
+        assert view.query_graph is expansion  # nothing moved: nothing re-expanded
+
+        new_source = DataSource.build(
+            "extra", {"info": ["acc", "comment"]}, data={"info": [{"acc": "GO:0001", "comment": "x"}]}
+        )
+        mini_catalog.add_source(new_source)
+        mini_graph.add_source(new_source)
+        view.builder = QueryGraphBuilder(mini_catalog)
+        assert not view.expansion_is_current and view.current_ranking() is None
+        after = list(view.stream_answers())
+        assert view.query_graph is not expansion
+        assert view.query_graph.graph.has_node("rel:extra.info")
+        assert view.expanded_at == mini_graph.structure_version
+        assert view.cache_invalidations == invalidations + 1
+        assert view.last_refresh.solver_runs == 1
+        assert [a.values for a in after] == [a.values for a in before]  # the new source joins nothing
+        rebuilt = view.query_graph
+        assert view.answers_page(limit=2) == view.answers()[:2] and view.query_graph is rebuilt
 
 
 class TestSimulatedFeedback:

@@ -331,6 +331,52 @@ class TestCarriedRankings:
         assert [read(reopened, view_id) for view_id in view_ids] == live
         assert did.base_solves > 0 and did.recalls == 0
 
+    @pytest.mark.parametrize("kind", BACKEND_SPECS)
+    def test_save_carrying_the_retired_sync_ledger_opens_unchanged(self, gbco_dataset, kind, tmp_path):
+        """Before a view kept its own ledger a save held two sync versions per
+        view record and ``read_workers`` in its config.  Such a save opens,
+        answers identically, still resumes a current view without solving,
+        and is rewritten without the keys."""
+        service, view_ids, save_path, location = gbco_session(gbco_dataset, kind, tmp_path)
+        live = [read(service, view_id) for view_id in view_ids]  # every view current
+        service.save(save_path)
+        store = service._persistence.store
+        fresh, _ = store.load()
+        body = json.loads(json.dumps(fresh))
+        assert "read_workers" not in body["config"]
+        body["config"]["read_workers"] = 4
+        for record in body["overlay"]["views"]["records"]:
+            assert not {"synced_weights_version", "synced_structure_version"} & set(record)
+            record["synced_weights_version"] = body["overlay"]["weights_version"]
+            # One view claims a structure the graph has since left: the ledger is not read.
+            record["synced_structure_version"] = body["overlay"]["structure_version"] - (
+                record["view_id"] == view_ids[0]
+            )
+        store.write_snapshot(body)
+        service.close()  # a no-op save: nothing moved since the snapshot
+
+        reopened = QService.open(location)
+        assert not hasattr(reopened.config, "read_workers")
+        assert overlay_payload(reopened) == fresh["overlay"]
+        assert reopened.save().action == "noop"  # save -> open -> save is a fixed point
+        did = reopened.engine_context.steiner_cache.solver
+        assert [read(reopened, view_id) for view_id in view_ids] == live
+        assert vars(did) == {name: 0 for name in vars(did)}
+
+        answers = list(reopened.stream_answers(QueryRequest(view=view_ids[0])))
+        reopened.feedback(FeedbackRequest(view=view_ids[0], answer=answers[-1]))
+        learned = [read(reopened, view_id) for view_id in view_ids]
+        assert reopened.save(compact=True).action == "snapshot"
+        rewritten, entries = reopened._persistence.store.load()
+        assert not entries and "read_workers" not in rewritten["config"]
+        assert [sorted(record) for record in rewritten["overlay"]["views"]["records"]] == [
+            sorted(record) for record in fresh["overlay"]["views"]["records"]
+        ]
+        reopened.close()
+        again = QService.open(location)
+        assert [read(again, view_id) for view_id in view_ids] == learned
+        again.close()
+
 
 # ----------------------------------------------------------------------
 # A journal entry holds what changed, and a save builds only what moved
@@ -459,7 +505,7 @@ class TestEntriesHoldWhatChanged:
         def saved_records_match_fresh_payloads():
             for record in overlay_payload(service)["views"]["records"]:
                 view = service.view(record["view_id"])
-                stale = service._needs_rebuild(service.views.get(record["view_id"]))
+                stale = view.expanded_at != service.graph.structure_version
                 assert (record["query_graph"] is None) == stale
                 if not stale:
                     assert record["query_graph"] == query_graph_delta_payload(

@@ -363,7 +363,7 @@ def test_tenant_network_rescores_from_base_topology(gbco_dataset):
 
         # Parity: a from-scratch tenant network ranks identically.
         cache._entries.clear()
-        service._tenant_views.clear()
+        service.views.get(info.view_id).twins.clear()
         rebuilt = _fingerprint(
             service.stream_answers(QueryRequest(view=info.view_id, tenant="alice"))
         )

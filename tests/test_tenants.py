@@ -8,6 +8,8 @@ both storage backends, alongside the base learner state.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.api import (
@@ -16,6 +18,7 @@ from repro.api import (
     QueryRequest,
     ServiceConfig,
 )
+from repro.core.view import RankedView
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.learning import AnnotationKind
 from repro.service import QServer
@@ -89,6 +92,26 @@ def gbco_service(gbco_dataset):
     service.bootstrap_alignments()
     with service:
         yield service
+
+
+def test_a_retired_view_takes_its_tenant_twins_with_it(gbco_dataset, gbco_service):
+    """Twins live on the view's record: re-creating a view under one name
+    leaves one record, one twin and two live views, however often."""
+    service = gbco_service
+    keywords = gbco_dataset.query_log[2].keywords
+    for _ in range(5):
+        info = service.create_view(QueryRequest(keywords=keywords), materialize=False)
+        assert list(service.stream_answers(QueryRequest(view=info.view_id, tenant="alice")))
+    assert len(service.views) == 1
+    gc.collect()
+    live = [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, RankedView) and obj.catalog is service.catalog
+    ]
+    assert len(live) == 2  # 6 while the twins were keyed by view id beside the registry
+    record = service.views.get(info.view_id)
+    assert sorted(live, key=id) == sorted([record.view, record.twins["alice"]], key=id)
 
 
 def test_opposite_feedback_diverges_rankings_not_base(gbco_dataset, gbco_service):
