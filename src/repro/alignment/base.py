@@ -20,7 +20,7 @@ from typing import Iterable, List, Optional, Tuple
 from ..datastore.database import Catalog, DataSource
 from ..datastore.table import Table
 from ..exceptions import UnknownRelationError
-from ..graph.edges import Edge
+from ..graph.edges import ALIGNER_ORIGIN, Edge
 from ..graph.search_graph import SearchGraph
 from ..matching.base import BaseMatcher, Correspondence, group_correspondences, top_y_per_attribute
 from ..matching.value_overlap import ValueOverlapFilter
@@ -213,7 +213,7 @@ def install_associations(
             correspondence.target.relation,
             correspondence.target.attribute,
             matcher_confidences=confidences,
-            metadata={"origin": "aligner"},
+            metadata=ALIGNER_ORIGIN,
         )
         edges.append(edge)
     return edges

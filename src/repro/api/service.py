@@ -1135,6 +1135,7 @@ class QService:
         ):
             self.save()
         self.catalog.close()
+        self.obs.close()
 
     def __enter__(self) -> "QService":
         """Context-manager entry: the session itself."""

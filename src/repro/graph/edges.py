@@ -18,10 +18,16 @@ either direction and is stored once.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
-from .features import DEFAULT_FEATURE, FeatureVector, WeightVector, edge_feature, matcher_feature, relation_feature
+from .features import DEFAULT_FEATURE, NO_FEATURES, FeatureVector, WeightVector
+from .features import edge_feature, matcher_feature, matchers_of, relation_feature
+
+_NO_METADATA: Mapping[str, object] = MappingProxyType({})
+#: The metadata of every edge an aligner installs: one read-only record the
+#: edges share (an edge keeps the mapping it is given, not a copy).
+ALIGNER_ORIGIN: Mapping[str, object] = MappingProxyType({"origin": "aligner"})
 
 
 class EdgeKind(enum.Enum):
@@ -38,16 +44,19 @@ class EdgeKind(enum.Enum):
         return self in (EdgeKind.MEMBERSHIP, EdgeKind.VALUE_MEMBERSHIP)
 
 
-@dataclass
 class Edge:
     """An undirected, weighted-feature edge of the graph.
+
+    One slotted object, built complete and immutable once added to a graph:
+    graph copies share it, so a change swaps a new edge in under the same id
+    (:meth:`~repro.graph.search_graph.SearchGraph.replace_edge`).
 
     Attributes
     ----------
     edge_id:
         Unique identifier of the edge (also used as a per-edge feature name):
         ``kind:u|v#n``, with ``n`` from the sequence of the graph that made
-        the edge (:meth:`~repro.graph.search_graph.SearchGraph.new_edge`).
+        the edge (:meth:`~repro.graph.search_graph.SearchGraph.new_edge_id`).
     u, v:
         Node ids of the two endpoints (order is not semantically relevant).
     kind:
@@ -59,17 +68,52 @@ class Edge:
         excluded from learning (the set ``A`` of zero-cost constraints in
         Algorithm 4 — used for membership edges).
     metadata:
-        Free-form extra information: matcher name(s), raw confidences,
-        mismatch scores, provenance of the alignment.
+        Read-only extra information: ``foreign_key`` columns, a keyword
+        ``mismatch``, the ``origin`` of an alignment and its ``matchers``
+        (raw confidence per matcher).  The edge keeps the mapping its
+        constructor was given — ``None``, or a record many edges share — and
+        an association whose mapping names no ``matchers`` reads them off its
+        ``matcher::`` features, so it holds nothing twice.  Writing into the
+        returned mapping raises.
     """
 
-    edge_id: str
-    u: str
-    v: str
-    kind: EdgeKind
-    features: FeatureVector = field(default_factory=FeatureVector)
-    fixed_cost: Optional[float] = None
-    metadata: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("edge_id", "u", "v", "kind", "features", "fixed_cost", "_metadata")
+
+    def __init__(
+        self, edge_id: str, u: str, v: str, kind: EdgeKind, features: FeatureVector = NO_FEATURES,
+        fixed_cost: Optional[float] = None, metadata: Optional[Mapping[str, object]] = None,
+    ) -> None:
+        self.edge_id, self.u, self.v, self.kind = edge_id, u, v, kind
+        self.features, self.fixed_cost, self._metadata = features, fixed_cost, metadata or None
+
+    @property
+    def metadata(self) -> Mapping[str, object]:
+        stored = self._metadata or _NO_METADATA
+        if self.kind is EdgeKind.ASSOCIATION and "matchers" not in stored:
+            stored = {**stored, "matchers": matchers_of(self.features)}
+        return MappingProxyType(stored)
+
+    def changed(self, features: FeatureVector, metadata: Optional[Mapping[str, object]]) -> "Edge":
+        """A new edge with this one's id, endpoints, kind and fixed cost (see ``replace_edge``)."""
+        return Edge(self.edge_id, self.u, self.v, self.kind, features, self.fixed_cost, metadata)
+
+    def with_matchers(self, confidences: Mapping[str, float], metadata: Mapping[str, object]) -> "Edge":
+        """A new association like this one with ``confidences`` and ``metadata`` merged in.
+
+        Each matcher contributes its own ``matcher::`` feature (paper Section
+        3.2.3); a repeated matcher's newer confidence wins.
+        """
+        merged = {name: float(confidence) for name, confidence in confidences.items()}
+        values = self.features.as_dict()
+        values.update((matcher_feature(name), confidence) for name, confidence in merged.items())
+        stored = self._metadata or _NO_METADATA
+        if "matchers" in stored or not metadata.items() <= stored.items():
+            # The edge now says something of its own: spell the record out,
+            # keys in the order they arrived.
+            stored = dict(self.metadata)
+            stored["matchers"] = {**stored["matchers"], **merged}
+            stored.update(metadata)
+        return self.changed(FeatureVector.adopt(values), stored)
 
     # ------------------------------------------------------------------
     # Cost
@@ -117,7 +161,7 @@ class Edge:
 def default_association_features(
     edge_id: str,
     relations: Tuple[str, ...],
-    matcher_confidences: Optional[Dict[str, float]] = None,
+    matcher_confidences: Optional[Mapping[str, float]] = None,
 ) -> FeatureVector:
     """Build the standard feature vector of an association edge (Section 3.4).
 
@@ -136,4 +180,4 @@ def default_association_features(
     for relation in relations:
         values[relation_feature(relation)] = 1.0
     values[edge_feature(edge_id)] = 1.0
-    return FeatureVector(values)
+    return FeatureVector.adopt(values)

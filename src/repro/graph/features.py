@@ -25,6 +25,7 @@ mixing real-valued and Boolean features in MIRA.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, Iterable, Iterator, Mapping, MutableMapping, Optional, Tuple
 
 DEFAULT_FEATURE = "default"
@@ -35,13 +36,18 @@ _BIN_PREFIX = "bin::"
 
 
 def matcher_feature(matcher_name: str) -> str:
-    """Feature name carrying the confidence of matcher ``matcher_name``."""
-    return f"{_MATCHER_PREFIX}{matcher_name}"
+    """Feature name carrying the confidence of matcher ``matcher_name``.
+
+    Interned, like :func:`relation_feature`: the edges of a registration name
+    the same few matchers and relations and share one string per name, which
+    the interpreter drops with the last edge that holds it.
+    """
+    return sys.intern(f"{_MATCHER_PREFIX}{matcher_name}")
 
 
 def relation_feature(relation: str) -> str:
-    """Feature name for the authoritativeness of ``relation``."""
-    return f"{_RELATION_PREFIX}{relation}"
+    """Feature name for the authoritativeness of ``relation`` (interned)."""
+    return sys.intern(f"{_RELATION_PREFIX}{relation}")
 
 
 def edge_feature(edge_id: str) -> str:
@@ -71,17 +77,31 @@ def is_relation_feature(name: str) -> bool:
     return name.startswith(_RELATION_PREFIX)
 
 
+def matchers_of(features: "FeatureVector") -> Dict[str, float]:
+    """Matcher name -> raw confidence, read off the ``matcher::`` features in order."""
+    skip = len(_MATCHER_PREFIX)
+    return {name[skip:]: value for name, value in features.items() if name.startswith(_MATCHER_PREFIX)}
+
+
 class FeatureVector:
     """A sparse mapping from feature name to real value.
 
-    Feature vectors are immutable once attached to an edge (the learner
-    changes *weights*, never feature values).
+    Feature vectors are immutable (the learner changes *weights*, never
+    feature values).  The constructor copies the mapping it is given;
+    :meth:`adopt` wraps a dict the caller built for the vector.
     """
 
     __slots__ = ("_values",)
 
     def __init__(self, values: Optional[Mapping[str, float]] = None) -> None:
         self._values: Dict[str, float] = dict(values or {})
+
+    @classmethod
+    def adopt(cls, values: Dict[str, float]) -> "FeatureVector":
+        """A vector over ``values`` itself, not a copy — the caller gives the dict up."""
+        vector = cls.__new__(cls)
+        vector._values = values
+        return vector
 
     def get(self, feature: str, default: float = 0.0) -> float:
         """The value of ``feature`` (0.0 if absent)."""
@@ -99,19 +119,19 @@ class FeatureVector:
         """Return a copy of this vector with one feature added/overridden."""
         values = dict(self._values)
         values[feature] = value
-        return FeatureVector(values)
+        return FeatureVector.adopt(values)
 
     def without_feature(self, feature: str) -> "FeatureVector":
         """Return a copy of this vector with one feature removed."""
         values = dict(self._values)
         values.pop(feature, None)
-        return FeatureVector(values)
+        return FeatureVector.adopt(values)
 
     def merged(self, other: "FeatureVector") -> "FeatureVector":
         """Union of two vectors; on conflicts the other vector wins."""
         values = dict(self._values)
         values.update(other._values)
-        return FeatureVector(values)
+        return FeatureVector.adopt(values)
 
     def as_dict(self) -> Dict[str, float]:
         """A copy of the underlying mapping."""
@@ -133,6 +153,10 @@ class FeatureVector:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FeatureVector({self._values!r})"
+
+
+#: The one vector of every edge that carries no feature (membership edges).
+NO_FEATURES = FeatureVector()
 
 
 class WeightVector:

@@ -280,22 +280,15 @@ class QueryGraphBuilder:
     def _add_match_edge(
         self, graph: SearchGraph, keyword_node_id: str, target_node_id: str, mismatch: float
     ) -> Edge:
-        edge = graph.new_edge(
-            keyword_node_id,
-            target_node_id,
-            EdgeKind.KEYWORD_MATCH,
-            metadata={"mismatch": mismatch},
-        )
-        edge.features = FeatureVector(
-            {
-                KEYWORD_MISMATCH_FEATURE: mismatch,
-                edge_feature(edge.edge_id): 1.0,
-            }
-        )
+        edge_id = graph.new_edge_id(keyword_node_id, target_node_id, EdgeKind.KEYWORD_MATCH)
+        identity = edge_feature(edge_id)
         if KEYWORD_MISMATCH_FEATURE not in graph.weights:
             graph.weights.set(KEYWORD_MISMATCH_FEATURE, self.keyword_match_weight)
         # Ensure keyword-match edges always carry a small positive base cost
         # even for perfect matches, so that Steiner trees prefer fewer hops.
-        if edge_feature(edge.edge_id) not in graph.weights:
-            graph.weights.set(edge_feature(edge.edge_id), 0.05)
-        return graph.add_edge(edge)
+        if identity not in graph.weights:
+            graph.weights.set(identity, 0.05)
+        features = FeatureVector.adopt({KEYWORD_MISMATCH_FEATURE: mismatch, identity: 1.0})
+        return graph.add_edge(
+            Edge(edge_id, keyword_node_id, target_node_id, EdgeKind.KEYWORD_MATCH, features, metadata={"mismatch": mismatch})
+        )

@@ -6,7 +6,7 @@ with a default cost, and association (alignment) edges whose cost is a
 weighted sum of features.  Data-value nodes are materialized lazily at query
 time (see :mod:`repro.graph.query_graph`).
 
-The graph numbers its own edges (:meth:`SearchGraph.new_edge`): a fresh graph
+The graph numbers its own edges (:meth:`SearchGraph.new_edge_id`): a fresh graph
 starts at 0 and every :meth:`SearchGraph.copy` continues the sequence, so edge
 ids — which name per-edge features and break cost ties — depend on how the
 session was built and on nothing else in the process.
@@ -24,6 +24,7 @@ from ..exceptions import GraphError, UnknownNodeError
 from .edges import Edge, EdgeKind, default_association_features
 from .features import (
     DEFAULT_FEATURE,
+    NO_FEATURES,
     FeatureVector,
     WeightVector,
     edge_feature,
@@ -185,29 +186,46 @@ class SearchGraph:
         self.structure_version += 1
         return edge
 
+    def new_edge_id(self, u: str, v: str, kind: EdgeKind) -> str:
+        """Take the graph's next number; the id of the edge about to be built with it."""
+        number = self._edge_sequence[0]
+        self._edge_sequence[0] = number + 1
+        return f"{kind.value}:{u}|{v}#{number}"
+
     def new_edge(
         self,
         u: str,
         v: str,
         kind: EdgeKind,
-        features: Optional[FeatureVector] = None,
+        features: FeatureVector = NO_FEATURES,
         fixed_cost: Optional[float] = None,
         metadata: Optional[Mapping[str, object]] = None,
     ) -> Edge:
-        """Create (without adding) an edge whose id takes the graph's next number."""
-        number = self._edge_sequence[0]
-        self._edge_sequence[0] = number + 1
+        """Create (without adding) an edge whose id takes the graph's next number.
+
+        An edge whose features name its id takes :meth:`new_edge_id` first and
+        is built complete.  The edge keeps ``metadata`` itself, not a copy.
+        """
         if kind.is_zero_cost() and fixed_cost is None:
             fixed_cost = 0.0
-        return Edge(
-            edge_id=f"{kind.value}:{u}|{v}#{number}",
-            u=u,
-            v=v,
-            kind=kind,
-            features=features or FeatureVector(),
-            fixed_cost=fixed_cost,
-            metadata=dict(metadata or {}),
-        )
+        return Edge(self.new_edge_id(u, v, kind), u, v, kind, features, fixed_cost, metadata)
+
+    def replace_edge(self, edge: Edge) -> Edge:
+        """Swap ``edge`` in for the edge that has its id and endpoints now.
+
+        Copy-on-write, the one way an edge changes: graph copies made before
+        (e.g. published read-snapshots of the serving layer) keep the old Edge
+        in their own containers, so concurrent readers never see a
+        half-changed edge.  The cost may move without the weight vector
+        moving, so the structure version is bumped for version-based
+        staleness checks (incremental refresh, lazy pull-based views).
+        """
+        old = self.edge(edge.edge_id)
+        if _pair(old.u, old.v) != _pair(edge.u, edge.v):
+            raise GraphError(f"edge {edge.edge_id!r} cannot move to other endpoints")
+        self._edges[edge.edge_id] = edge
+        self.structure_version += 1
+        return edge
 
     @property
     def next_edge_number(self) -> int:
@@ -371,11 +389,13 @@ class SearchGraph:
         existing = self.find_edges(u, v, EdgeKind.FOREIGN_KEY)
         if existing:
             return existing[0]
-        edge = self.new_edge(u, v, EdgeKind.FOREIGN_KEY, metadata={"foreign_key": fk.as_tuple()})
-        edge.features = FeatureVector({edge_feature(edge.edge_id): 1.0})
-        if edge_feature(edge.edge_id) not in self.weights:
-            self.weights.set(edge_feature(edge.edge_id), self.config.foreign_key_cost)
-        return self.add_edge(edge)
+        edge_id = self.new_edge_id(u, v, EdgeKind.FOREIGN_KEY)
+        feature = edge_feature(edge_id)
+        if feature not in self.weights:
+            self.weights.set(feature, self.config.foreign_key_cost)
+        features = FeatureVector.adopt({feature: 1.0})
+        metadata = {"foreign_key": fk.as_tuple()}
+        return self.add_edge(Edge(edge_id, u, v, EdgeKind.FOREIGN_KEY, features, metadata=metadata))
 
     # ------------------------------------------------------------------
     # Associations (alignments)
@@ -395,7 +415,10 @@ class SearchGraph:
         the new matcher confidences are merged into the existing edge's
         features instead of creating a parallel edge — this is how the
         outputs of multiple matchers are combined on one edge
-        (paper Section 3.2.3).
+        (paper Section 3.2.3); the merged edge replaces the old one
+        (:meth:`replace_edge`).  The edge reads its ``matchers`` metadata off
+        its features and keeps ``metadata`` itself, not a copy: a caller that
+        installs many edges passes one shared read-only record.
         """
         u = attribute_node_id(relation_a, attribute_a)
         v = attribute_node_id(relation_b, attribute_b)
@@ -403,53 +426,16 @@ class SearchGraph:
             self.add_node(make_attribute_node(relation_a, attribute_a))
         if v not in self._nodes:
             self.add_node(make_attribute_node(relation_b, attribute_b))
-        confidences = dict(matcher_confidences or {})
+        for matcher_name in matcher_confidences or ():
+            self._ensure_matcher_weight(matcher_name)
 
         existing = self.find_edges(u, v, EdgeKind.ASSOCIATION)
         if existing:
-            # Copy-on-write merge: build a *new* Edge carrying the merged
-            # features/metadata and swap it into this graph's edge container
-            # under the same id.  Graph copies made before the merge (e.g.
-            # published read-snapshots of the serving layer) keep the old
-            # Edge object in their own containers, so concurrent readers
-            # never observe a half-merged edge.
-            edge = existing[0]
-            features = edge.features
-            merged_meta = dict(edge.metadata)
-            merged_meta["matchers"] = dict(merged_meta.get("matchers", {}))  # type: ignore[arg-type]
-            for matcher_name, confidence in confidences.items():
-                features = features.with_feature(matcher_feature(matcher_name), float(confidence))
-                self._ensure_matcher_weight(matcher_name)
-                merged_meta["matchers"][matcher_name] = float(confidence)  # type: ignore[index]
-            if metadata:
-                merged_meta.update(metadata)
-            merged = Edge(
-                edge_id=edge.edge_id,
-                u=edge.u,
-                v=edge.v,
-                kind=edge.kind,
-                features=features,
-                fixed_cost=edge.fixed_cost,
-                metadata=merged_meta,
-            )
-            self._edges[edge.edge_id] = merged
-            # Merging confidences changes the edge's cost without touching
-            # the weight vector; bump the structure version so version-based
-            # staleness checks (incremental refresh, lazy pull-based views)
-            # see that graph content moved.
-            self.structure_version += 1
-            return merged
+            return self.replace_edge(existing[0].with_matchers(matcher_confidences or {}, metadata or {}))
 
-        edge = self.new_edge(u, v, EdgeKind.ASSOCIATION, metadata=metadata)
-        edge.metadata["matchers"] = confidences
-        edge.features = default_association_features(
-            edge.edge_id,
-            relations=(relation_a, relation_b),
-            matcher_confidences=confidences,
-        )
-        for matcher_name in confidences:
-            self._ensure_matcher_weight(matcher_name)
-        return self.add_edge(edge)
+        edge_id = self.new_edge_id(u, v, EdgeKind.ASSOCIATION)
+        features = default_association_features(edge_id, (relation_a, relation_b), matcher_confidences)
+        return self.add_edge(Edge(edge_id, u, v, EdgeKind.ASSOCIATION, features, metadata=metadata))
 
     def _ensure_matcher_weight(self, matcher_name: str) -> None:
         name = matcher_feature(matcher_name)

@@ -110,6 +110,8 @@ class FeatureBinner:
                 if binned_name not in graph.weights:
                     base_weight = graph.weights.get(name, 0.0)
                     graph.weights.set(binned_name, base_weight * self.bin_center(index))
-            edge.features = self.bin_vector(edge.features, targets)
+            # Spelled-out metadata keeps the raw confidences under ``matchers``
+            # once the ``matcher::`` features they were read off are gone.
+            graph.replace_edge(edge.changed(self.bin_vector(edge.features, targets), dict(edge.metadata)))
             rewritten += 1
         return rewritten

@@ -28,7 +28,9 @@ README "Observability" section documents:
 
 from __future__ import annotations
 
+import gc
 import time
+import weakref
 from typing import Callable, Dict, Optional
 
 from .explain import DecisionLog, DecisionRecord, SlowQueryLog, SlowQueryRecord
@@ -59,6 +61,46 @@ _TALLY_KEYS = (
 )
 
 
+class GcMeter:
+    """Collector seconds and passes while a session lives: one ``gc.callbacks`` hook.
+
+    The hook holds the meter weakly and leaves ``gc.callbacks`` with it — on
+    :meth:`close`, or when a session is dropped without one.  Two live
+    sessions each count every pass; only the one whose ``tracer`` made the
+    trace open on the collecting thread adds the pass to its innermost span.
+    """
+
+    def __init__(self, registry: MetricsRegistry, tracer: Tracer) -> None:
+        self.seconds, self.passes, self._started, self._tracer = 0.0, [0, 0, 0], 0.0, tracer
+        meter = weakref.ref(self)
+
+        def hook(phase: str, info: Dict[str, int]) -> None:
+            if (live := meter()) is not None:
+                live._on_pass(phase, info["generation"])
+
+        gc.callbacks.append(hook)
+        self.close = weakref.finalize(self, lambda: hook in gc.callbacks and gc.callbacks.remove(hook))
+        registry.gauge("q_gc_seconds_total", "Collector seconds while the session lived", fn=lambda: self.seconds)
+        for generation in ("0", "1", "2"):
+            registry.gauge(
+                "q_gc_passes_total", "Collector passes while the session lived",
+                labels={"generation": generation}, fn=lambda index=int(generation): self.passes[index],
+            )
+
+    def _on_pass(self, phase: str, generation: int) -> None:
+        # The wall clock, not the session's: an injected counting clock must
+        # not tick on a pass nobody scheduled.
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        elapsed = time.perf_counter() - self._started
+        self.seconds += elapsed
+        self.passes[generation] += 1
+        trace = active_trace()
+        if trace.tracer is self._tracer:
+            trace._stack[-1].gc_s += elapsed
+
+
 class Observability:
     """The session-wide observability bundle (registry + tracer + logs)."""
 
@@ -75,6 +117,8 @@ class Observability:
         self.clock = clock if clock is not None else time.perf_counter
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = Tracer(enabled=enabled, clock=self.clock)
+        #: The collector's counter; absent from the record-nothing bundle.
+        self.gc_meter = None if isinstance(self.registry, NullRegistry) else GcMeter(self.registry, self.tracer)
         self.decisions = DecisionLog(decision_log_size)
         self.slow_log = SlowQueryLog(slow_query_log_size, threshold_s=slow_query_s)
         reg = self.registry
@@ -114,6 +158,11 @@ class Observability:
     def noop(cls) -> "Observability":
         """A bundle that records nothing — the benchmark's no-obs floor."""
         return cls(enabled=False, registry=NullRegistry())
+
+    def close(self) -> None:
+        """Take the collector hook out of ``gc.callbacks`` (idempotent)."""
+        if self.gc_meter is not None:
+            self.gc_meter.close()
 
     # ------------------------------------------------------------------
     # Lane completion hooks
@@ -221,6 +270,7 @@ __all__ = [
     "DecisionLog",
     "DecisionRecord",
     "Gauge",
+    "GcMeter",
     "Histogram",
     "MetricsRegistry",
     "NOOP_TRACE",

@@ -41,15 +41,21 @@ def active_trace() -> "Trace":
 
 
 class Span:
-    """One timed operation; children are the operations it contained."""
+    """One timed operation; children are the operations it contained.
 
-    __slots__ = ("name", "start", "end", "children")
+    ``gc_s`` tallies the collector seconds that landed while this span was
+    the innermost open one on the collecting thread: self time net of the
+    collector is ``duration`` less the children's less ``gc_s``.
+    """
+
+    __slots__ = ("name", "start", "end", "children", "gc_s")
 
     def __init__(self, name: str, start: float) -> None:
         self.name = name
         self.start = start
         self.end: float = start
         self.children: List["Span"] = []
+        self.gc_s = 0.0
 
     @property
     def duration(self) -> float:
@@ -97,13 +103,14 @@ class _ActiveSpan:
 class Trace:
     """One request's span tree + annotations.  Activates via ``with``."""
 
-    __slots__ = ("root", "clock", "annotations", "_stack", "_prev")
+    __slots__ = ("root", "clock", "annotations", "_stack", "_prev", "tracer")
 
     #: A real trace (the no-op twin overrides this).
     enabled = True
 
-    def __init__(self, name: str, clock: Callable[[], float]) -> None:
+    def __init__(self, name: str, clock: Callable[[], float], tracer: Optional["Tracer"] = None) -> None:
         self.clock = clock
+        self.tracer = tracer
         self.root = Span(name, clock())
         self.annotations: Dict[str, object] = {}
         self._stack: List[Span] = [self.root]
@@ -162,6 +169,7 @@ class _NoopTrace:
     __slots__ = ()
 
     enabled = False
+    tracer = None
     annotations: Dict[str, object] = {}
 
     def __enter__(self) -> "_NoopTrace":
@@ -203,7 +211,7 @@ class Tracer:
     def trace(self, name: str):
         if not self.enabled:
             return NOOP_TRACE
-        return Trace(name, self.clock)
+        return Trace(name, self.clock, self)
 
 
 @dataclass(frozen=True)

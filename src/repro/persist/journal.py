@@ -5,7 +5,7 @@ session — it appends one *delta entry* describing everything that changed
 since the previous save: feedback steps (as weight movements plus the new
 feedback-log events), source registrations/removals (graph nodes and edges,
 catalog membership, profile-index growth), and association-confidence merges
-(in-place edge feature updates).  On reopen the entries replay in order on
+(an edge replaced under its id).  On reopen the entries replay in order on
 top of the snapshot, reproducing the live state exactly.  An entry's tail
 state — views, feedback log, counters — rides along as a delta of its own
 (``"overlay_delta"``, see :mod:`repro.persist.session`), so an entry costs
@@ -32,13 +32,7 @@ from typing import Dict, List, Tuple
 
 from ..datastore.csvio import source_from_dict, source_to_dict
 from ..exceptions import SnapshotError, UnknownRelationError
-from .snapshot import (
-    apply_edge_change,
-    edge_payload,
-    node_payload,
-    restore_edge,
-    restore_node,
-)
+from .snapshot import edge_payload, node_payload, restore_edge, restore_node
 
 
 class StateShadow:
@@ -213,7 +207,7 @@ def apply_delta(delta: Dict[str, object], catalog, graph, profile_index, holds_r
     for edge_spec in delta.get("edges_added", ()):
         graph.add_edge(restore_edge(edge_spec))
     for edge_spec in delta.get("edges_changed", ()):
-        apply_edge_change(graph, edge_spec)
+        graph.replace_edge(restore_edge(edge_spec))
 
     for name, value in (delta.get("weights_set") or {}).items():
         graph.weights.set(name, value)

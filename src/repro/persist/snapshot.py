@@ -32,11 +32,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from ..exceptions import SnapshotError
-from ..graph.edges import Edge, EdgeKind
-from ..graph.features import FeatureVector, WeightVector
+from ..graph.edges import ALIGNER_ORIGIN, Edge, EdgeKind
+from ..graph.features import NO_FEATURES, FeatureVector, WeightVector, matchers_of
 from ..graph.nodes import Node, NodeKind
 from ..graph.query_graph import KeywordMatch, QueryGraph
 from ..graph.search_graph import GraphConfig, SearchGraph
@@ -151,18 +151,34 @@ def restore_node(payload: Dict[str, object]) -> Node:
     )
 
 
-def _encode_metadata(metadata: Dict[str, object]) -> Dict[str, object]:
+def _encode_metadata(metadata: Mapping[str, object]) -> Dict[str, object]:
     encoded = dict(metadata)
     if "foreign_key" in encoded:
         encoded["foreign_key"] = list(encoded["foreign_key"])
     return encoded
 
 
-def _decode_metadata(metadata: Dict[str, object]) -> Dict[str, object]:
-    decoded = dict(metadata)
-    if "foreign_key" in decoded:
-        decoded["foreign_key"] = tuple(decoded["foreign_key"])
-    return decoded
+def _decode_metadata(
+    metadata: Optional[Dict[str, object]], kind: EdgeKind, features: FeatureVector
+) -> Optional[Mapping[str, object]]:
+    """What a restored edge keeps of ``metadata``: nothing it derives or can share.
+
+    A trailing ``matchers`` entry that repeats the edge's ``matcher::``
+    features is the derived one (see :class:`~repro.graph.edges.Edge`), and
+    what is left of an aligner's edge is the shared origin record.
+    """
+    if not metadata:
+        return None
+    if "foreign_key" in metadata:
+        return {**metadata, "foreign_key": tuple(metadata["foreign_key"])}
+    if (
+        kind is EdgeKind.ASSOCIATION
+        and next(reversed(metadata)) == "matchers"
+        and metadata["matchers"] == matchers_of(features)
+    ):
+        rest = {key: value for key, value in metadata.items() if key != "matchers"}
+        return ALIGNER_ORIGIN if rest == ALIGNER_ORIGIN else rest
+    return metadata
 
 
 def edge_payload(edge: Edge) -> Dict[str, object]:
@@ -176,28 +192,18 @@ def edge_payload(edge: Edge) -> Dict[str, object]:
     }
     if edge.fixed_cost is not None:
         payload["fixed_cost"] = edge.fixed_cost
-    if edge.metadata:
-        payload["metadata"] = _encode_metadata(edge.metadata)
+    metadata = edge.metadata
+    if metadata:
+        payload["metadata"] = _encode_metadata(metadata)
     return payload
 
 
 def restore_edge(payload: Dict[str, object]) -> Edge:
-    return Edge(
-        edge_id=payload["id"],
-        u=payload["u"],
-        v=payload["v"],
-        kind=_EDGE_KINDS[payload["kind"]],
-        features=FeatureVector(payload.get("features") or {}),
-        fixed_cost=payload.get("fixed_cost"),
-        metadata=_decode_metadata(payload.get("metadata") or {}),
-    )
-
-
-def apply_edge_change(graph: SearchGraph, payload: Dict[str, object]) -> None:
-    """Replay a confidence-merge (in-place feature/metadata update) on an edge."""
-    edge = graph.edge(payload["id"])
-    edge.features = FeatureVector(payload.get("features") or {})
-    edge.metadata = _decode_metadata(payload.get("metadata") or {})
+    kind = _EDGE_KINDS[payload["kind"]]
+    features = payload.get("features")
+    vector = FeatureVector.adopt(features) if features else NO_FEATURES
+    metadata = _decode_metadata(payload.get("metadata"), kind, vector)
+    return Edge(payload["id"], payload["u"], payload["v"], kind, vector, payload.get("fixed_cost"), metadata)
 
 
 # ----------------------------------------------------------------------

@@ -23,17 +23,26 @@ into ``N`` independent :class:`PostingShard` buckets behind a thin
 
 ``shard_count=1`` degenerates to the old single-dictionary layout with no
 routing overhead beyond one modulo, and is the default everywhere.
+
+Most posting keys are seen in one attribute (an identifier-like value, a
+rare token, a band bucket nothing collides in), so a posting is **the
+attribute id itself while there is one and a set from the second** — the id
+again when a discard leaves one.  Only the router's methods see the
+difference: a lookup answers with a one-element tuple or the set.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Hashable, List, Optional, Set, Tuple, Union
 
 from .profiles import AttrId
 
 #: An LSH band bucket identity: ``(band index, band hash)``.
 BandKey = Tuple[int, int]
+
+#: What a posting map holds under a key: the one attribute, or a set of them.
+Posting = Union[AttrId, Set[AttrId]]
 
 
 def stable_shard(key: str, shard_count: int) -> int:
@@ -46,7 +55,8 @@ def stable_shard(key: str, shard_count: int) -> int:
 class PostingShard:
     """One shard's slice of the posting-list state.
 
-    Three independent maps, all ``key -> set of attribute ids``:
+    Three independent maps, all ``key -> attribute id, or a set of them``
+    (:data:`Posting`; read and written through :class:`ShardRouter` only):
 
     * ``value_postings`` — distinct canonical value → attributes containing
       it (the lossless blocking index);
@@ -59,15 +69,40 @@ class PostingShard:
     __slots__ = ("value_postings", "token_postings", "sketch_buckets")
 
     def __init__(self) -> None:
-        self.value_postings: Dict[str, Set[AttrId]] = {}
-        self.token_postings: Dict[str, Set[AttrId]] = {}
-        self.sketch_buckets: Dict[BandKey, Set[AttrId]] = {}
+        self.value_postings: Dict[str, Posting] = {}
+        self.token_postings: Dict[str, Posting] = {}
+        self.sketch_buckets: Dict[BandKey, Posting] = {}
 
     def entry_count(self) -> int:
         """Total posting keys held by this shard (all three maps)."""
         return (
             len(self.value_postings) + len(self.token_postings) + len(self.sketch_buckets)
         )
+
+
+def _add(postings: Dict[Hashable, Posting], key: Hashable, attr_id: AttrId) -> None:
+    held = postings.get(key)
+    if held is None:
+        postings[key] = attr_id
+    elif type(held) is set:
+        held.add(attr_id)
+    elif held != attr_id:
+        postings[key] = {held, attr_id}
+
+
+def _discard(postings: Dict[Hashable, Posting], key: Hashable, attr_id: AttrId) -> None:
+    held = postings.get(key)
+    if type(held) is set:
+        held.discard(attr_id)
+        if len(held) == 1:
+            (postings[key],) = held
+    elif held == attr_id:
+        del postings[key]
+
+
+def _lookup(postings: Dict[Hashable, Posting], key: Hashable) -> Optional[Collection[AttrId]]:
+    held = postings.get(key)
+    return held if held is None or type(held) is set else (held,)
 
 
 class ShardRouter:
@@ -91,20 +126,13 @@ class ShardRouter:
     # Distinct-value postings
     # ------------------------------------------------------------------
     def add_value(self, value: str, attr_id: AttrId) -> None:
-        shard = self.shards[stable_shard(value, self.shard_count)]
-        shard.value_postings.setdefault(value, set()).add(attr_id)
+        _add(self.shards[stable_shard(value, self.shard_count)].value_postings, value, attr_id)
 
     def discard_value(self, value: str, attr_id: AttrId) -> None:
-        shard = self.shards[stable_shard(value, self.shard_count)]
-        postings = shard.value_postings.get(value)
-        if postings is not None:
-            postings.discard(attr_id)
-            if not postings:
-                del shard.value_postings[value]
+        _discard(self.shards[stable_shard(value, self.shard_count)].value_postings, value, attr_id)
 
-    def value_postings(self, value: str) -> Optional[Set[AttrId]]:
-        shard = self.shards[stable_shard(value, self.shard_count)]
-        return shard.value_postings.get(value)
+    def value_postings(self, value: str) -> Optional[Collection[AttrId]]:
+        return _lookup(self.shards[stable_shard(value, self.shard_count)].value_postings, value)
 
     @property
     def distinct_value_count(self) -> int:
@@ -114,39 +142,25 @@ class ShardRouter:
     # Token postings
     # ------------------------------------------------------------------
     def add_token(self, token: str, attr_id: AttrId) -> None:
-        shard = self.shards[stable_shard(token, self.shard_count)]
-        shard.token_postings.setdefault(token, set()).add(attr_id)
+        _add(self.shards[stable_shard(token, self.shard_count)].token_postings, token, attr_id)
 
     def discard_token(self, token: str, attr_id: AttrId) -> None:
-        shard = self.shards[stable_shard(token, self.shard_count)]
-        postings = shard.token_postings.get(token)
-        if postings is not None:
-            postings.discard(attr_id)
-            if not postings:
-                del shard.token_postings[token]
+        _discard(self.shards[stable_shard(token, self.shard_count)].token_postings, token, attr_id)
 
-    def token_postings(self, token: str) -> Optional[Set[AttrId]]:
-        shard = self.shards[stable_shard(token, self.shard_count)]
-        return shard.token_postings.get(token)
+    def token_postings(self, token: str) -> Optional[Collection[AttrId]]:
+        return _lookup(self.shards[stable_shard(token, self.shard_count)].token_postings, token)
 
     # ------------------------------------------------------------------
     # LSH band buckets (the approximate blocking tier)
     # ------------------------------------------------------------------
     def add_bucket(self, key: BandKey, attr_id: AttrId) -> None:
-        shard = self.shards[self._bucket_shard(key)]
-        shard.sketch_buckets.setdefault(key, set()).add(attr_id)
+        _add(self.shards[self._bucket_shard(key)].sketch_buckets, key, attr_id)
 
     def discard_bucket(self, key: BandKey, attr_id: AttrId) -> None:
-        shard = self.shards[self._bucket_shard(key)]
-        bucket = shard.sketch_buckets.get(key)
-        if bucket is not None:
-            bucket.discard(attr_id)
-            if not bucket:
-                del shard.sketch_buckets[key]
+        _discard(self.shards[self._bucket_shard(key)].sketch_buckets, key, attr_id)
 
-    def bucket(self, key: BandKey) -> Optional[Set[AttrId]]:
-        shard = self.shards[self._bucket_shard(key)]
-        return shard.sketch_buckets.get(key)
+    def bucket(self, key: BandKey) -> Optional[Collection[AttrId]]:
+        return _lookup(self.shards[self._bucket_shard(key)].sketch_buckets, key)
 
     def _bucket_shard(self, key: BandKey) -> int:
         if self.shard_count <= 1:

@@ -16,6 +16,7 @@ Covers the contracts the module promises:
 
 from __future__ import annotations
 
+import gc
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -530,3 +531,72 @@ def test_system_stats_reads_through_the_registry(gbco_dataset):
         # The gauge reads live structures: creating another view moves both.
         service.create_view(QueryRequest(keywords=_keywords(gbco_dataset)[:1]))
         assert service.stats().views == int(value("q_views")) == 2
+
+
+# ----------------------------------------------------------------------
+# The collector's counter
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def only_requested_passes():
+    """Automatic collection off, so the passes a test counts are the ones it asked for."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _gc_passes(service):
+    scraped = service.metrics("json")
+    return [scraped[f'q_gc_passes_total{{generation="{generation}"}}'] for generation in range(3)]
+
+
+def test_collector_passes_are_counted_per_generation_by_every_live_session(mini_catalog, only_requested_passes):
+    hooks_before = list(gc.callbacks)
+    first = QService(sources=[_clone(source) for source in mini_catalog])
+    second = QService(sources=[_clone(source) for source in mini_catalog])
+    assert len(gc.callbacks) == len(hooks_before) + 2
+    before = [_gc_passes(first), _gc_passes(second)]
+    for generation in (0, 0, 1, 2, 2, 2):
+        gc.collect(generation)
+    for service, was in zip((first, second), before):
+        now = _gc_passes(service)
+        assert [n - w for n, w in zip(now, was)] == [2, 1, 3]
+        assert service.metrics("json")["q_gc_seconds_total"] > 0.0
+        assert 'q_gc_passes_total{generation="2"}' in service.metrics()
+    first.close()
+    first.close()  # idempotent
+    assert len(gc.callbacks) == len(hooks_before) + 1
+    frozen = _gc_passes(first)
+    gc.collect()
+    assert _gc_passes(first) == frozen and _gc_passes(second)[2] == before[1][2] + 4
+    second.close()
+    assert gc.callbacks == hooks_before
+
+
+def test_a_session_dropped_without_close_leaves_no_hook(mini_catalog):
+    hooks_before = list(gc.callbacks)
+    service = QService(sources=[_clone(source) for source in mini_catalog])
+    assert len(gc.callbacks) == len(hooks_before) + 1
+    del service  # no cycle holds it: the last reference frees it, and the hook with it
+    assert gc.callbacks == hooks_before
+    assert Observability.noop().gc_meter is None and gc.callbacks == hooks_before
+
+
+def test_a_pass_lands_in_the_span_open_on_its_thread_of_its_own_session(only_requested_passes):
+    mine, other = Observability(), Observability()
+    with mine.tracer.trace("outer") as trace:
+        with trace.span("inner") as inner:
+            gc.collect()
+        gc.collect()
+    assert inner.gc_s > 0.0 and trace.root.gc_s > 0.0
+    assert mine.gc_meter.seconds == pytest.approx(inner.gc_s + trace.root.gc_s)
+    assert other.gc_meter.passes[2] == 2  # counted there too, added to no span twice
+    clock = _CountingClock()
+    with Observability(clock=clock).tracer.trace("ticks"):
+        ticks = clock._t
+        gc.collect()
+        assert clock._t == ticks  # the hook reads the wall clock, not the injected one
+    mine.close()
+    other.close()

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import gc
 import json
+import shutil
+import sqlite3
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -564,6 +567,67 @@ def _attribute(node_id):
     """``attr:<source>.<relation>.<attribute>`` -> (qualified relation, attribute)."""
     relation, _, attribute = node_id[len("attr:"):].rpartition(".")
     return relation, attribute
+
+
+# ----------------------------------------------------------------------
+# Sessions the commit before the slotted edge saved (tests/data/)
+# ----------------------------------------------------------------------
+SAVED = Path(__file__).parent / "data"
+
+
+def saved_by_an_earlier_commit(kind, tmp_path):
+    """A private copy of the checked-in session; where to open it."""
+    if kind == "sqlite":
+        database = tmp_path / "saved_session.db"
+        connection = sqlite3.connect(database)
+        connection.executescript((SAVED / "saved_session.sql").read_text())
+        connection.close()
+        return database
+    for name in ("saved_session.json", "saved_session.json.journal"):
+        shutil.copy(SAVED / name, tmp_path / name)
+    return tmp_path / "saved_session.json"
+
+
+class TestSavedByAnEarlierCommit:
+    """Snapshot + journal written while every association edge stored its own
+    ``{"origin", "matchers"}``: a registration, a feedback step and a merge
+    onto a saved edge (``edges_changed``) sit in the journal.  See
+    ``tests/data/make_saved_session.py``."""
+
+    @pytest.mark.parametrize("kind", BACKEND_SPECS)
+    def test_opens_answers_and_holds_the_same_edges(self, kind, tmp_path):
+        expected = json.loads((SAVED / "saved_session.expected.json").read_text())
+        location = saved_by_an_earlier_commit(kind, tmp_path)
+        service = QService.open(location)
+        answers = list(service.stream_answers(QueryRequest(view=expected["view_id"])))
+        assert [[sorted(map(list, a.values.items())), a.cost] for a in answers] == expected["answers"]
+        held = [
+            [e.edge_id, dict(e.features.items()), json.loads(json.dumps(dict(e.metadata)))]
+            for e in service.graph.edges()
+        ]
+        assert held == expected["edges"]
+        assert [list(record[2]) for record in held] == [list(record[2]) for record in expected["edges"]]
+        service.close()
+
+    @pytest.mark.parametrize("kind", BACKEND_SPECS)
+    def test_save_open_save_is_a_fixed_point(self, kind, tmp_path):
+        def rewritten(service):
+            """The snapshot with every edge written again by this commit, as stored."""
+            assert service.save().action == "noop"
+            assert service.save(compact=True).action == "snapshot"
+            body, journal = service._persistence.store.load()
+            assert journal == []
+            del body["snapshot_version"]  # counts the compactions
+            return json.dumps(body)
+
+        location = saved_by_an_earlier_commit(kind, tmp_path)
+        service = QService.open(location)
+        first = rewritten(service)
+        service.close()
+        reopened = QService.open(location)
+        assert graph_fingerprint(reopened.graph) == graph_fingerprint(service.graph)
+        assert rewritten(reopened) == first
+        reopened.close()
 
 
 # ----------------------------------------------------------------------

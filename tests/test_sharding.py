@@ -14,6 +14,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.alignment import ProfileBlockedAligner, score_pairs
 from repro.api import QService
@@ -21,7 +22,7 @@ from repro.api.types import RegisterSourceRequest, ServiceConfig
 from repro.datasets.synthetic import make_community_source
 from repro.datastore.database import Catalog, DataSource
 from repro.matching import ValueOverlapMatcher
-from repro.profiling import CatalogProfileIndex, SketchConfig, stable_shard
+from repro.profiling import CatalogProfileIndex, ShardRouter, SketchConfig, stable_shard
 
 # A small shared vocabulary so random catalogs actually overlap.
 _WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta")
@@ -127,6 +128,100 @@ class TestShardRouting:
             assert restored.candidate_pairs(relation, tier="auto") == index.candidate_pairs(
                 relation, tier="auto"
             )
+
+
+# Few keys and attributes, so duplicate adds, 1 -> 2 -> 1 -> 0 runs and discards
+# of ids a key never held all come up.
+_ATTRS = st.sampled_from([("s.r", "a"), ("s.r", "b"), ("t.r", "a")])
+_POOL = {
+    "value": ["v0", "v1", "v2", "v3"],
+    "token": ["t0", "t1", "t2"],
+    "bucket": [(band, digest) for band in range(2) for digest in range(3)],
+}
+_KEYS = {kind: st.sampled_from(pool) for kind, pool in _POOL.items()}
+_KINDS = st.sampled_from(sorted(_POOL))
+
+
+class PostingMachine(RuleBasedStateMachine):
+    """A :class:`ShardRouter` against ``kind -> key -> set`` of plain Python."""
+
+    shard_count = 1
+    ADD = {"value": "add_value", "token": "add_token", "bucket": "add_bucket"}
+    DISCARD = {"value": "discard_value", "token": "discard_token", "bucket": "discard_bucket"}
+    LOOKUP = {"value": "value_postings", "token": "token_postings", "bucket": "bucket"}
+    STORED = {"value": "value_postings", "token": "token_postings", "bucket": "sketch_buckets"}
+
+    def __init__(self):
+        super().__init__()
+        self.router = ShardRouter(self.shard_count)
+        self.model = {kind: {} for kind in _KEYS}
+
+    @rule(kind=_KINDS, data=st.data(), attr=_ATTRS)
+    def add(self, kind, data, attr):
+        key = data.draw(_KEYS[kind])
+        getattr(self.router, self.ADD[kind])(key, attr)
+        self.model[kind].setdefault(key, set()).add(attr)
+
+    @rule(kind=_KINDS, data=st.data(), attr=_ATTRS)
+    def discard(self, kind, data, attr):
+        key = data.draw(_KEYS[kind])
+        getattr(self.router, self.DISCARD[kind])(key, attr)
+        held = self.model[kind].get(key, set())
+        held.discard(attr)
+        if not held:
+            self.model[kind].pop(key, None)
+
+    def shard_of(self, kind, key):
+        if kind == "bucket":
+            return self.router._bucket_shard(key)
+        return stable_shard(key, self.shard_count)
+
+    @invariant()
+    def lookups_equal_the_model(self):
+        for kind, model in self.model.items():
+            for key in _POOL[kind]:
+                found = getattr(self.router, self.LOOKUP[kind])(key)
+                assert (None if found is None else set(found)) == model.get(key)
+                assert found is None or len(found) == len(model[key])
+
+    @invariant()
+    def counts_equal_the_model(self):
+        assert self.router.distinct_value_count == len(self.model["value"])
+        sizes = [0] * self.shard_count
+        for kind, model in self.model.items():
+            for key in model:
+                sizes[self.shard_of(kind, key)] += 1
+        assert self.router.shard_sizes() == tuple(sizes)
+
+    @invariant()
+    def a_set_holds_at_least_two(self):
+        for shard in self.router.shards:
+            for kind in _KEYS:
+                for held in getattr(shard, self.STORED[kind]).values():
+                    assert type(held) is not set or len(held) >= 2
+
+    def teardown(self):
+        """What a restore does: a router rebuilt from the surviving entries is the same."""
+        rebuilt = ShardRouter(self.shard_count)
+        for kind, model in self.model.items():
+            for key, attrs in model.items():
+                for attr in sorted(attrs):
+                    getattr(rebuilt, self.ADD[kind])(key, attr)
+        assert rebuilt.shard_sizes() == self.router.shard_sizes()
+        for kind, model in self.model.items():
+            for key in model:
+                lookup = self.LOOKUP[kind]
+                assert set(getattr(rebuilt, lookup)(key)) == set(getattr(self.router, lookup)(key))
+
+
+class PostingMachineFourShards(PostingMachine):
+    shard_count = 4
+
+
+TestPostingMachine = PostingMachine.TestCase
+TestPostingMachineFourShards = PostingMachineFourShards.TestCase
+for _case in (TestPostingMachine, TestPostingMachineFourShards):
+    _case.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
 
 
 class TestPairMemoCap:
