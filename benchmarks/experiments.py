@@ -87,9 +87,10 @@ def _trial_catalog(
 ) -> Catalog:
     """The GBCO catalog minus the sources owning ``excluded_relations``.
 
-    The seed pipeline clones every source per trial; the indexed pipeline
-    shares the original (immutable) table objects so the persistent profile
-    index built over them stays valid across trials.  ``backend`` selects
+    The Figure 8 replay clones every source per trial; the Figure 6/7 replay
+    (``clone=False``) shares the original (immutable) table objects so the
+    persistent profile index built over them stays valid across trials.
+    ``backend`` selects
     the trial catalog's storage backend (a fresh instance per trial —
     ``"sqlite"`` ingests the trial's sources into one SQLite database);
     sources are always cloned when a backend is given, since admission
@@ -169,11 +170,6 @@ class StrategyMeasurement:
     total_comparisons_no_filter: int = 0
     total_comparisons_value_filter: int = 0
     introductions: int = 0
-    #: Accepted correspondences per introduction (for cross-pipeline parity
-    #: checks): list of sorted ``(source, target, confidence, matcher)``.
-    correspondence_log: List[Tuple[Tuple[str, str, float, str], ...]] = field(
-        default_factory=list
-    )
 
     @property
     def avg_time_ms(self) -> float:
@@ -197,24 +193,11 @@ class StrategyMeasurement:
         return self.total_comparisons_value_filter / self.introductions
 
 
-def _log_correspondences(measurement: StrategyMeasurement, result) -> None:
-    measurement.correspondence_log.append(
-        tuple(
-            sorted(
-                (c.source.qualified, c.target.qualified, c.confidence, c.matcher)
-                for c in result.correspondences
-            )
-        )
-    )
-
-
 def run_gbco_alignment_experiment(
     rows_per_relation: int = 30,
     trials: Optional[Sequence] = None,
     k: int = 5,
     preferential_budget: int = 5,
-    pipeline: str = "indexed",
-    timings: Optional[Dict[str, float]] = None,
 ) -> Dict[str, StrategyMeasurement]:
     """Figures 6 and 7: cost of aligning new sources under each strategy.
 
@@ -224,46 +207,20 @@ def run_gbco_alignment_experiment(
     measuring wall-clock time and pairwise attribute comparisons (with and
     without the value-overlap filter).
 
-    ``pipeline`` selects the registration machinery:
-
-    * ``"indexed"`` (default) — one **persistent**
-      :class:`~repro.profiling.CatalogProfileIndex` over the whole GBCO
-      catalog, profiled once per source for the entire replay; the matchers
-      share its profiles and pair memos across trials and strategies, and
-      the value-overlap filter answers pair counts from posting lists.
-    * ``"seed"`` — the original all-pairs machinery: per-strategy catalog
-      clones, a full value-index rebuild per introduction and strategy, and
-      matchers that re-derive every profile.
-
-    Both pipelines produce identical accepted correspondences and identical
-    comparison counts (asserted by the parity tests and the registration
-    benchmark); only the cost differs.  When ``timings`` (a dict) is given,
-    the function records ``setup_seconds`` (workload construction: graphs,
-    views, calibration — identical work in both pipelines),
-    ``registration_seconds`` (the replayed source introductions — the cost
-    the profile index attacks) and ``index_build_seconds``.
+    One **persistent** :class:`~repro.profiling.CatalogProfileIndex` over
+    the whole GBCO catalog serves the replay, every source profiled once
+    (re-introductions of a source across trials reuse its profiles, as a
+    live registration service would); the value-overlap filter answers pair
+    counts from its posting lists.  The index remembers no matcher output,
+    so each strategy scores every relation pair it selects itself.
     """
-    if pipeline not in ("indexed", "seed"):
-        raise ValueError(f"unknown pipeline {pipeline!r}; use 'indexed' or 'seed'")
     gbco = build_gbco(rows_per_relation=rows_per_relation)
     trials = list(trials) if trials is not None else list(gbco.query_log)
     measurements = {name: StrategyMeasurement(strategy=name) for name in STRATEGIES}
-    if timings is None:
-        timings = {}
-    timings.update(setup_seconds=0.0, registration_seconds=0.0, index_build_seconds=0.0)
-
-    profile_index: Optional[CatalogProfileIndex] = None
-    if pipeline == "indexed":
-        # The persistent index: every GBCO source profiled exactly once for
-        # the whole replay (re-introductions of a source across trials reuse
-        # its profiles, as a live registration service would).
-        start = time.perf_counter()
-        profile_index = CatalogProfileIndex.from_catalog(gbco.catalog)
-        timings["index_build_seconds"] += time.perf_counter() - start
+    profile_index = CatalogProfileIndex.from_catalog(gbco.catalog)
 
     for entry in trials:
-        setup_start = time.perf_counter()
-        catalog = _trial_catalog(gbco, entry.new_relations, clone=pipeline == "seed")
+        catalog = _trial_catalog(gbco, entry.new_relations, clone=False)
         graph = SearchGraph()
         graph.add_catalog(catalog)
         _wire_initial_associations(catalog, graph, profile_index=profile_index)
@@ -271,130 +228,23 @@ def run_gbco_alignment_experiment(
         view = RankedView(list(entry.keywords), catalog, graph, k=k, builder=builder)
         view.refresh()
         alpha = _calibrate_view(view)
-        timings["setup_seconds"] += time.perf_counter() - setup_start
 
-        registration_start = time.perf_counter()
         for relation in entry.new_relations:
             source_name = relation.split(".")[0]
-            if pipeline == "indexed":
-                _run_indexed_introduction(
-                    measurements,
-                    catalog,
-                    graph,
-                    profile_index,
-                    gbco.catalog.source(source_name),
-                    view,
-                    alpha,
-                    preferential_budget,
-                )
-            else:
-                _run_seed_introduction(
-                    measurements,
-                    catalog,
-                    graph,
-                    _clone_source(gbco.catalog.source(source_name)),
-                    view,
-                    alpha,
-                    preferential_budget,
-                )
-        timings["registration_seconds"] += time.perf_counter() - registration_start
-    if profile_index is not None:
-        # Registration observability: the profile index's candidate-tier and
-        # memo counters, surfaced in the benchmark reports.
-        timings["sketch_candidates"] = profile_index.sketch_candidates_generated
-        timings["exact_candidates"] = profile_index.exact_candidates_kept
-        timings["pair_cache_hits"] = profile_index.pair_cache_hits
-        timings["pair_cache_misses"] = profile_index.pair_cache_misses
-        timings["pair_memo_entries"] = profile_index.pair_memo_size
+            _run_introduction(
+                measurements,
+                catalog,
+                graph,
+                profile_index,
+                gbco.catalog.source(source_name),
+                view,
+                alpha,
+                preferential_budget,
+            )
     return measurements
 
 
-def _measure_introduction(
-    measurements: Dict[str, StrategyMeasurement],
-    new_source: DataSource,
-    view: RankedView,
-    alpha: float,
-    preferential_budget: int,
-    strategy_setup,
-) -> None:
-    """Shared per-strategy measurement protocol for one source introduction.
-
-    ``strategy_setup(strategy)`` supplies the pipeline-specific state —
-    ``(trial_graph, trial_catalog, matcher, filtered_matcher, value_filter)``
-    — and *its cost is part of the measured registration work*; everything
-    after it (timed unfiltered align, count-only filtered align, bookkeeping)
-    is identical by construction across pipelines, which is what the
-    cross-pipeline parity assertion in ``registration_bench.py`` relies on.
-    """
-    for strategy in STRATEGIES:
-        trial_graph, trial_catalog, matcher, filtered_matcher, value_filter = (
-            strategy_setup(strategy)
-        )
-        aligner = _make_aligner(
-            strategy, matcher, view, alpha, preferential_budget, value_filter=None
-        )
-        start = time.perf_counter()
-        result = aligner.align(trial_graph, trial_catalog, new_source)
-        elapsed = time.perf_counter() - start
-
-        filtered_aligner = _make_aligner(
-            strategy,
-            filtered_matcher,
-            view,
-            alpha,
-            preferential_budget,
-            value_filter=value_filter,
-            count_only=True,
-        )
-        filtered = filtered_aligner.align(trial_graph, trial_catalog, new_source)
-
-        measurement = measurements[strategy]
-        measurement.total_time_seconds += elapsed
-        measurement.total_comparisons_no_filter += result.attribute_comparisons
-        measurement.total_comparisons_value_filter += filtered.attribute_comparisons
-        measurement.introductions += 1
-        _log_correspondences(measurement, result)
-
-
-def _run_seed_introduction(
-    measurements: Dict[str, StrategyMeasurement],
-    catalog: Catalog,
-    graph: SearchGraph,
-    new_source: DataSource,
-    view: RankedView,
-    alpha: float,
-    preferential_budget: int,
-) -> None:
-    """One introduction under the seed pipeline (pre-profile-index machinery):
-    a fresh catalog clone, graph copy and full value-index rebuild per strategy.
-    """
-
-    def setup(strategy):
-        trial_catalog = Catalog([_clone_source(s) for s in catalog.sources()])
-        trial_graph = graph.copy(share_weights=False)
-        trial_catalog.add_source(new_source)
-        trial_graph.add_source(new_source)
-        value_filter = ValueOverlapFilter(
-            index=_seed_value_index(trial_catalog), min_shared_values=1
-        )
-        return trial_graph, trial_catalog, MetadataMatcher(), MetadataMatcher(), value_filter
-
-    _measure_introduction(
-        measurements, new_source, view, alpha, preferential_budget, setup
-    )
-
-
-def _seed_value_index(catalog: Catalog):
-    """The seed pipeline's per-introduction full index rebuild."""
-    from repro.datastore.indexes import ValueIndex
-
-    index = ValueIndex()
-    for table in catalog.all_tables():
-        index.index_table(table)
-    return index
-
-
-def _run_indexed_introduction(
+def _run_introduction(
     measurements: Dict[str, StrategyMeasurement],
     catalog: Catalog,
     graph: SearchGraph,
@@ -404,30 +254,47 @@ def _run_indexed_introduction(
     alpha: float,
     preferential_budget: int,
 ) -> None:
-    """One introduction under the profile-indexed pipeline.
+    """Introduce one source under every strategy and record what each cost.
 
-    The persistent index already holds the source's profiles (profiled once
-    for the whole replay); every strategy shares the index, the pair memos
-    and one value filter.
+    The persistent index already holds the source's profiles; every strategy
+    gets its own copy of the graph and a fresh matcher, and shares the index
+    and one value filter.  Timed: the unfiltered ``align``.  Counted beside
+    it: the same alignment behind the value-overlap filter (count-only).
     """
     catalog.add_source(new_source)
     value_filter = ValueOverlapFilter.from_index(profile_index)
-
-    def setup(strategy):
-        trial_graph = graph.copy(share_weights=False)
-        trial_graph.add_source(new_source)
-        return (
-            trial_graph,
-            catalog,
-            MetadataMatcher(profile_index=profile_index),
-            MetadataMatcher(profile_index=profile_index),
-            value_filter,
-        )
-
     try:
-        _measure_introduction(
-            measurements, new_source, view, alpha, preferential_budget, setup
-        )
+        for strategy in STRATEGIES:
+            trial_graph = graph.copy(share_weights=False)
+            trial_graph.add_source(new_source)
+            aligner = _make_aligner(
+                strategy,
+                MetadataMatcher(profile_index=profile_index),
+                view,
+                alpha,
+                preferential_budget,
+                value_filter=None,
+            )
+            start = time.perf_counter()
+            result = aligner.align(trial_graph, catalog, new_source)
+            elapsed = time.perf_counter() - start
+
+            filtered_aligner = _make_aligner(
+                strategy,
+                MetadataMatcher(profile_index=profile_index),
+                view,
+                alpha,
+                preferential_budget,
+                value_filter=value_filter,
+                count_only=True,
+            )
+            filtered = filtered_aligner.align(trial_graph, catalog, new_source)
+
+            measurement = measurements[strategy]
+            measurement.total_time_seconds += elapsed
+            measurement.total_comparisons_no_filter += result.attribute_comparisons
+            measurement.total_comparisons_value_filter += filtered.attribute_comparisons
+            measurement.introductions += 1
     finally:
         catalog.remove_source(new_source.name)
 

@@ -88,10 +88,11 @@ class BaseAligner(abc.ABC):
         synthetic relations have no realistic labels to match on.
     profile_index:
         Optional shared :class:`~repro.profiling.index.CatalogProfileIndex`
-        (the one the registration service maintains).  It is injected into
-        the matcher when the matcher supports one and has none attached, so
-        every strategy pulls candidate pairs and table profiles from the
-        same incrementally maintained index.
+        (the one the registration service maintains).  The aligner hands it
+        to its matcher (:meth:`~repro.matching.base.BaseMatcher.attach_index`),
+        replacing whatever index a reused matcher carried, so every strategy
+        pulls candidate pairs and table profiles from the same incrementally
+        maintained index.  Without one the matcher is left as it was given.
     """
 
     #: Strategy name, overridden by subclasses.
@@ -110,8 +111,8 @@ class BaseAligner(abc.ABC):
         self.value_filter = value_filter
         self.count_only = count_only
         self.profile_index = profile_index
-        if profile_index is not None and getattr(matcher, "profile_index", "unsupported") is None:
-            matcher.profile_index = profile_index
+        if profile_index is not None:
+            matcher.attach_index(profile_index)
 
     # ------------------------------------------------------------------
     # Strategy-specific candidate selection

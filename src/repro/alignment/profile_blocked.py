@@ -9,14 +9,14 @@ base matcher is only invoked on relations the index proposes — the
 candidate probe is a handful of posting-list (and, when a sketch tier is
 configured, LSH bucket) lookups instead of a catalog scan.
 
-With ``tier="auto"`` candidate generation goes through
+Candidate generation goes through
 :meth:`~repro.profiling.index.CatalogProfileIndex.tiered_candidates` when
 the index maintains MinHash/LSH sketches, and through the lossless
-posting-list walk otherwise.  The tiered pipeline re-verifies every sketch
-survivor against the true distinct-value sets, so at the value-overlap
-accept threshold the surviving relation set — and hence the accepted
-correspondences — is determined by exact shared-value counts, never by a
-sketch estimate.
+posting-list walk otherwise — the index works that out from what it holds.
+The tiered pipeline re-verifies every sketch survivor against the true
+distinct-value sets, so at the value-overlap accept threshold the surviving
+relation set — and hence the accepted correspondences — is determined by
+exact shared-value counts, never by a sketch estimate.
 
 This is the strategy that keeps registration sub-linear at the 10k+
 relation scale benchmarked by ``benchmarks/scale_bench.py``.
@@ -90,7 +90,7 @@ class ProfileBlockedAligner(BaseAligner):
             if not index.has_relation(relation):
                 continue
             for _, other, _ in index.candidate_pairs(
-                relation, min_shared_values=self.min_shared_values, tier="auto"
+                relation, min_shared_values=self.min_shared_values
             ):
                 hits.add(other[0])
         return catalog.in_catalog_order(hits - new_relations)

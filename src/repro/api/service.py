@@ -148,8 +148,6 @@ _SESSION_COUNTERS = (
      lambda s: s._pairs_scored),
     ("profile_shards", "q_profile_shards", "Hash shards of the profile index",
      lambda s: s.profile_index.shard_count),
-    ("pair_memo_entries", "q_pair_memo_entries", "Entries in the schema-fingerprint pair memo",
-     lambda s: s.profile_index.pair_memo_size),
 )
 
 
@@ -219,7 +217,6 @@ class QService:
         return {
             "shard_count": max(int(config.profile_shards), 1),
             "sketch": sketch,
-            "pair_memo_limit": config.pair_memo_limit,
         }
 
     def _assemble(
@@ -250,9 +247,6 @@ class QService:
         self.profile_index = profile_index
         self.matchers: List[BaseMatcher] = (
             list(matchers) if matchers else [MetadataMatcher(), MadMatcher()]
-        )
-        self.ensemble = MatcherEnsemble(
-            self.matchers, top_y=self.config.top_y, profile_index=self.profile_index
         )
         self.registrar = SourceRegistrar(
             self.catalog, self.graph, indexes=(self.profile_index,)
@@ -359,6 +353,8 @@ class QService:
         is refreshed here — each one rebuilds on its next read.
         """
         y = top_y if top_y is not None else self.config.top_y
+        for matcher in self.matchers:
+            matcher.attach_index(self.profile_index)
         ensemble = MatcherEnsemble(self.matchers, top_y=y)
         alignments = ensemble.match_tables(self.catalog.all_tables())
         correspondences: List[Correspondence] = []

@@ -54,8 +54,6 @@ class ServiceConfig:
     #: default) disables sketch maintenance entirely.  The signature is cut
     #: into ``sketch_num_perm // 2`` LSH bands (2 rows per band).
     sketch_num_perm: int = 0
-    #: LRU cap on the profile index's schema-fingerprint pair memo.
-    pair_memo_limit: int = 4096
     #: Serving-layer knob (see :mod:`repro.service`): bound on a
     #: :class:`~repro.service.server.QServer`'s single-writer mutation
     #: queue; writes beyond it fail fast with
@@ -287,7 +285,6 @@ class SystemStats:
     sketch_candidates: int = 0
     exact_candidates: int = 0
     pairs_scored: int = 0
-    pair_memo_entries: int = 0
     #: Tenants with a weight overlay in this session (0 = single-tenant).
     tenants: int = 0
     #: Storage-pushdown counters (0 on backends without the capability):

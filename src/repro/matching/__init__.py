@@ -10,8 +10,6 @@ Public API
   the Modified Adsorption instance-based matcher (Algorithm 1).
 * :class:`ValueOverlapMatcher`, :class:`ValueOverlapFilter` — instance
   overlap scoring and the Figure 7 comparison filter.
-* :class:`ContentTfIdfMatcher` — instance evidence from the profile index's
-  precomputed content tf-idf vectors (token-posting-list blocking).
 * :class:`MatcherEnsemble`, :class:`EnsembleAlignment` — combining matchers
   (Section 3.2.3).
 """
@@ -27,7 +25,6 @@ from .base import (
     resolve_matcher,
     top_y_per_attribute,
 )
-from .content_tfidf import ContentTfIdfMatcher
 from .ensemble import EnsembleAlignment, MatcherEnsemble
 from .mad import (
     DUMMY_LABEL,
@@ -52,13 +49,11 @@ from .value_overlap import ValueOverlapFilter, ValueOverlapMatcher
 register_matcher(MetadataMatcher.name, MetadataMatcher)
 register_matcher(MadMatcher.name, MadMatcher)
 register_matcher(ValueOverlapMatcher.name, ValueOverlapMatcher)
-register_matcher(ContentTfIdfMatcher.name, ContentTfIdfMatcher)
 
 __all__ = [
     "AttributeRef",
     "BaseMatcher",
     "ComparisonCounter",
-    "ContentTfIdfMatcher",
     "Correspondence",
     "DUMMY_LABEL",
     "EnsembleAlignment",

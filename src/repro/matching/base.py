@@ -92,13 +92,28 @@ class BaseMatcher(abc.ABC):
     over one relation pair.  ``BASEMATCHER(G', v)`` of Algorithms 2 and 3 is
     that call repeated over the pairs an aligner selects
     (:func:`repro.alignment.base.score_pairs`).
+
+    ``profile_index`` is the :class:`~repro.profiling.index.CatalogProfileIndex`
+    the matcher reads its evidence from.  Whoever runs a matcher for a
+    session hands it that session's index (:meth:`attach_index`); ``None``
+    is a bare matcher that derives what it needs from the two tables — the
+    reference the blocked paths are compared against.
     """
 
     #: Matcher name used for feature names and reporting.
     name: str = "matcher"
 
-    def __init__(self) -> None:
+    def __init__(self, profile_index=None) -> None:
         self.counter = ComparisonCounter()
+        self.profile_index = profile_index
+
+    def attach_index(self, profile_index) -> None:
+        """Read evidence from ``profile_index`` from now on.
+
+        It replaces whatever index the instance carried: a matcher reused by
+        a second session reads that session's catalog, not the first's.
+        """
+        self.profile_index = profile_index
 
     @abc.abstractmethod
     def match_relations(self, table_a: Table, table_b: Table) -> List[Correspondence]:

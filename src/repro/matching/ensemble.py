@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..datastore.table import Table
 from .base import (
@@ -63,28 +63,16 @@ class MatcherEnsemble:
         Member matchers.
     top_y:
         How many candidate pairs to keep per attribute after merging.
-    profile_index:
-        Optional shared :class:`~repro.profiling.index.CatalogProfileIndex`.
-        It is injected into every member matcher that supports one (and has
-        none attached yet), so the whole ensemble reads one set of table
-        profiles and posting lists instead of re-deriving per-matcher state.
+
+    The ensemble wires nothing: each member reads the profile index it was
+    handed (:meth:`~repro.matching.base.BaseMatcher.attach_index`), or none.
     """
 
-    def __init__(
-        self,
-        matchers: Sequence[BaseMatcher],
-        top_y: int = 2,
-        profile_index=None,
-    ) -> None:
+    def __init__(self, matchers: Sequence[BaseMatcher], top_y: int = 2) -> None:
         if not matchers:
             raise ValueError("the ensemble needs at least one matcher")
         self.matchers = list(matchers)
         self.top_y = top_y
-        self.profile_index = profile_index
-        if profile_index is not None:
-            for matcher in self.matchers:
-                if getattr(matcher, "profile_index", "unsupported") is None:
-                    matcher.profile_index = profile_index
 
     # ------------------------------------------------------------------
     # Pairwise interface

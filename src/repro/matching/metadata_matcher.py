@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..datastore.table import Table
 from ..profiling.index import CatalogProfileIndex
-from ..profiling.profiles import schema_fingerprint
 from ..similarity.edit_distance import jaro_winkler_similarity
 from ..similarity.jaccard import token_jaccard
 from ..similarity.ngram import ngram_similarity
@@ -63,17 +62,6 @@ class MetadataMatcherConfig:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights must sum to 1.0, got {total}")
 
-    def key(self) -> Tuple[float, ...]:
-        """Hashable identity of the configuration (for shared pair memos)."""
-        return (
-            self.token_weight,
-            self.jaro_winkler_weight,
-            self.trigram_weight,
-            self.substring_weight,
-            self.structural_bonus,
-            self.min_confidence,
-        )
-
 
 class MetadataMatcher(BaseMatcher):
     """Pairwise schema matcher over attribute names and light structure.
@@ -84,13 +72,9 @@ class MetadataMatcher(BaseMatcher):
         Component weights and thresholds.
     profile_index:
         Optional shared :class:`CatalogProfileIndex`.  Metadata evidence is
-        schema-only, so the matcher's output for a relation pair depends
-        solely on the two schemas (and the config): with an index attached,
-        each pair's correspondences are memoized under the schema
-        fingerprints and replayed — across aligner strategies, registration
-        replays and catalog clones — instead of being re-scored.  The
-        precomputed sibling-name token unions also replace the per-call
-        structural-similarity scan.
+        schema-only; with an index attached the precomputed sibling-name
+        token unions replace the per-call structural-similarity scan (same
+        unions, same value).
     """
 
     name = "metadata"
@@ -100,10 +84,9 @@ class MetadataMatcher(BaseMatcher):
         config: Optional[MetadataMatcherConfig] = None,
         profile_index: Optional[CatalogProfileIndex] = None,
     ) -> None:
-        super().__init__()
+        super().__init__(profile_index)
         self.config = config or MetadataMatcherConfig()
         self.config.validate()
-        self.profile_index = profile_index
 
     # ------------------------------------------------------------------
     # Scoring
@@ -165,12 +148,7 @@ class MetadataMatcher(BaseMatcher):
         """Align all attribute pairs of two relations.
 
         Every attribute pair is compared (and counted); pairs whose combined
-        confidence clears ``min_confidence`` are returned.  Metadata
-        evidence is a pure function of the two schemas, so with a profile
-        index attached the pair's output is memoized under the schema
-        fingerprints; the comparison counter still records the full arity
-        product either way (the Figure 7/8 instrumentation measures the
-        *logical* comparisons a strategy requests).
+        confidence clears ``min_confidence`` are returned.
         """
         relation_a = table_a.schema.qualified_name
         relation_b = table_b.schema.qualified_name
@@ -179,18 +157,6 @@ class MetadataMatcher(BaseMatcher):
         self.counter.record_relation_pair(
             len(table_a.schema.attribute_names), len(table_b.schema.attribute_names)
         )
-        index = self.profile_index
-        memo_key = None
-        if index is not None:
-            memo_key = (
-                self.name,
-                self.config.key(),
-                schema_fingerprint(table_a),
-                schema_fingerprint(table_b),
-            )
-            cached = index.pair_memo_get(memo_key)
-            if cached is not None:
-                return list(cached)
         structural = self._structural_similarity(table_a, table_b)
         correspondences: List[Correspondence] = []
         for attr_a in table_a.schema.attribute_names:
@@ -207,8 +173,6 @@ class MetadataMatcher(BaseMatcher):
                         matcher=self.name,
                     )
                 )
-        if index is not None and memo_key is not None:
-            index.pair_memo_put(memo_key, tuple(correspondences))
         return correspondences
 
 

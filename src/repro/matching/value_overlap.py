@@ -3,8 +3,9 @@
 Two roles:
 
 * :class:`ValueOverlapMatcher` — a simple instance-based matcher scoring
-  attribute pairs by the containment of their distinct value sets.  Used as
-  an extra ensemble component and in tests as a sanity baseline.
+  attribute pairs by the containment of their distinct value sets.
+  Dispatchable as ``"value_overlap"``; wires the experiments' initial search
+  graphs and serves the tests as a sanity baseline.
 * :class:`ValueOverlapFilter` — the "Value Overlap Filter" of the Figure 7
   experiment: given a content index, only attribute pairs that share at
   least one value (and hence could join) are compared at all.
@@ -54,10 +55,9 @@ class ValueOverlapMatcher(BaseMatcher):
         min_shared_values: int = 1,
         profile_index: Optional[CatalogProfileIndex] = None,
     ) -> None:
-        super().__init__()
+        super().__init__(profile_index)
         self.min_confidence = min_confidence
         self.min_shared_values = min_shared_values
-        self.profile_index = profile_index
 
     def match_relations(self, table_a: Table, table_b: Table) -> List[Correspondence]:
         """Align attributes of two relations by distinct-value containment."""

@@ -19,42 +19,34 @@ This package makes registration *index-centric* instead:
     attribute (canonical distinct values, value tokens, tokenized and
     normalized attribute names, cardinality statistics) and a
     :class:`~repro.profiling.profiles.RelationProfile` per relation
-    (sibling-name token union, schema fingerprint).
+    (sibling-name token union).
 
 ``index``
     :class:`~repro.profiling.index.CatalogProfileIndex` stores those
     profiles persistently and maintains two inverted posting lists —
-    distinct value → attributes, value token → attributes (with document
-    frequencies feeding precomputed tf-idf content vectors).  The index is
-    updated **once per registered source** (``index_source``), supports
-    exact retraction (``remove_source``, used by the registration rollback
-    path), and exposes:
-
-    * posting-list **candidate generation**
-      (:meth:`~repro.profiling.index.CatalogProfileIndex.value_candidates`,
-      :meth:`~repro.profiling.index.CatalogProfileIndex.candidate_pairs`):
-      the attribute pairs that share at least one value, found by
-      intersecting posting lists — cost proportional to actual
-      co-occurrences, not to the number of attribute pairs.  This is the
-      *blocking* step that replaces the matcher layer's nested loops; the
-      exhaustive all-pairs scan survives only as the Figure 7 "no filter"
-      baseline (and as the fallback for schema-only evidence, which value
-      postings cannot prune losslessly).
-    * a shared **pair-correspondence memo** keyed by schema fingerprint,
-      which lets schema-only matchers (metadata) replay a relation pair's
-      correspondences instead of re-scoring identical schemas across
-      strategies and replay trials.
+    distinct value → attributes, value token → attributes.  It holds
+    evidence and remembers no matcher's answers.  The index is updated
+    **once per registered source** (``index_source``), supports exact
+    retraction (``remove_source``, used by the registration rollback path),
+    and exposes posting-list **candidate generation**
+    (:meth:`~repro.profiling.index.CatalogProfileIndex.value_candidates`,
+    :meth:`~repro.profiling.index.CatalogProfileIndex.candidate_pairs`):
+    the attribute pairs that share at least one value, found by
+    intersecting posting lists — cost proportional to actual
+    co-occurrences, not to the number of attribute pairs.  This is the
+    *blocking* step that replaces the matcher layer's nested loops; the
+    exhaustive all-pairs scan survives only as the Figure 7 "no filter"
+    baseline (and as the fallback for schema-only evidence, which value
+    postings cannot prune losslessly).
 
 Consumers: :class:`~repro.matching.value_overlap.ValueOverlapFilter` and
 :class:`~repro.matching.value_overlap.ValueOverlapMatcher` (blocking),
 :class:`~repro.matching.metadata_matcher.MetadataMatcher` (structural
-profiles + pair memo), :class:`~repro.matching.ensemble.MatcherEnsemble`
-(wires one index into every member),
-:class:`~repro.alignment.registration.SourceRegistrar` (incremental
-maintenance + rollback) and :meth:`repro.api.service.QService.register_sources`
-(batch ingest: profile N sources in one pass, then align).  The
-``benchmarks/registration_bench.py`` runner measures the seed pipeline
-against this one and emits ``BENCH_registration.json``.
+profiles), :class:`~repro.alignment.base.BaseAligner` (hands its index to
+the matcher it runs), :class:`~repro.alignment.registration.SourceRegistrar`
+(incremental maintenance + rollback) and
+:meth:`repro.api.service.QService.register_sources` (batch ingest: profile
+N sources in one pass, then align).
 """
 
 from .index import CatalogProfileIndex
@@ -62,9 +54,7 @@ from .profiles import (
     AttrId,
     AttributeProfile,
     RelationProfile,
-    SchemaFingerprint,
     profile_table,
-    schema_fingerprint,
 )
 from .shards import BandKey, PostingShard, ShardRouter, stable_shard
 from .sketches import (
@@ -83,14 +73,12 @@ __all__ = [
     "CatalogProfileIndex",
     "PostingShard",
     "RelationProfile",
-    "SchemaFingerprint",
     "ShardRouter",
     "SketchConfig",
     "attribute_sketch",
     "band_keys",
     "minhash_signature",
     "profile_table",
-    "schema_fingerprint",
     "sketch_jaccard",
     "stable_shard",
     "token_hash",

@@ -9,12 +9,14 @@ of re-deriving per-table state inside nested loops.  It holds
   (distinct values, value tokens, normalized names, cardinality stats),
 * a **distinct-value posting list** (value → attributes containing it) used
   for posting-list-intersection candidate generation (blocking),
-* a **token posting list** with document frequencies (token → attributes
-  whose values contain it), backing precomputed tf-idf name/content vectors,
+* a **token posting list** (token → attributes whose values contain it),
+  read by the rare-token tier of :meth:`tiered_candidates`,
 * optional **MinHash/LSH sketch buckets** over the per-attribute value-token
-  sets — the approximate tier of :meth:`tiered_candidates`,
-* a bounded **pair-correspondence memo** where schema-only matchers park
-  their per-relation-pair outputs keyed by schema fingerprint.
+  sets — the approximate tier of :meth:`tiered_candidates`.
+
+It holds evidence, never answers: what a matcher made of a relation pair is
+not remembered here, so a registration's correspondences are a function of
+the two relations and the catalog's profiles alone.
 
 All posting-list state lives in hash-partitioned shards behind a
 :class:`~repro.profiling.shards.ShardRouter` (``shard_count=1`` by
@@ -26,15 +28,12 @@ and rebuilt once from the restored profiles on the first posting read
 after a session is reopened.
 
 The index is updated once per registered (or removed) source; the ``epoch``
-counter lets dependent caches (candidate maps, tf-idf vectors) validate
-themselves cheaply.
+counter lets the per-attribute candidate maps validate themselves cheaply.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..datastore.database import Catalog, DataSource
@@ -42,13 +41,6 @@ from ..datastore.table import Table
 from .profiles import AttrId, AttributeProfile, RelationProfile, profile_table
 from .shards import BandKey, ShardRouter
 from .sketches import SketchConfig, attribute_sketch
-
-#: Default cap on memoized per-relation-pair matcher outputs (LRU-evicted).
-#: Override per index via the ``pair_memo_limit`` constructor knob
-#: (:class:`~repro.api.types.ServiceConfig.pair_memo_limit` at the service
-#: level) — long-lived sessions with a churning catalog trade hit rate
-#: against resident memory here.
-_PAIR_CACHE_LIMIT = 4096
 
 #: Default document-frequency ceiling under which a value token counts as
 #: *rare* for the exact rare-token tier of :meth:`tiered_candidates`.
@@ -76,8 +68,6 @@ class CatalogProfileIndex:
         sub-linear :meth:`sketch_candidates` / :meth:`tiered_candidates`
         tier.  ``None`` (the default) keeps candidate generation purely
         exact.
-    pair_memo_limit:
-        LRU cap on the shared pair-correspondence memo.
     rare_token_df:
         Document-frequency ceiling for the rare-token tier of
         :meth:`tiered_candidates`.
@@ -87,7 +77,6 @@ class CatalogProfileIndex:
         self,
         shard_count: int = 1,
         sketch: Optional[SketchConfig] = None,
-        pair_memo_limit: int = _PAIR_CACHE_LIMIT,
         rare_token_df: int = _RARE_TOKEN_DF,
     ) -> None:
         #: Bumped on every structural change (source/table added or removed);
@@ -95,7 +84,6 @@ class CatalogProfileIndex:
         self.epoch = 0
         self.sketch_config = sketch
         self.rare_token_df = rare_token_df
-        self.pair_memo_limit = max(int(pair_memo_limit), 1)
         self._attribute_profiles: Dict[AttrId, AttributeProfile] = {}
         self._relation_profiles: Dict[str, RelationProfile] = {}
         #: Table identity + data version at profiling time, so consumers can
@@ -116,12 +104,6 @@ class CatalogProfileIndex:
         self._pair_counts_epoch = 0
         #: per-attribute tiered candidate memo (sketch + exact verify).
         self._tiered_cache: Dict[AttrId, Tuple[int, Dict[AttrId, int]]] = {}
-        #: per-attribute tf-idf content vectors memo, keyed on epoch.
-        self._tfidf_cache: Dict[AttrId, Tuple[int, Dict[str, float]]] = {}
-        #: schema-fingerprint-keyed matcher output memo (see pair_memo_*).
-        self._pair_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-        self.pair_cache_hits = 0
-        self.pair_cache_misses = 0
         #: Tier observability: attribute pairs proposed by the sketch tier
         #: and pairs surviving exact re-verification, cumulative.
         self.sketch_candidates_generated = 0
@@ -251,7 +233,6 @@ class CatalogProfileIndex:
             self._signatures.pop(attr_id, None)
             self._candidate_cache.pop(attr_id, None)
             self._tiered_cache.pop(attr_id, None)
-            self._tfidf_cache.pop(attr_id, None)
         self.epoch += 1
 
     # ------------------------------------------------------------------
@@ -457,35 +438,26 @@ class CatalogProfileIndex:
         relation: str,
         other_relation: Optional[str] = None,
         min_shared_values: int = 1,
-        tier: str = "exact",
     ) -> List[Tuple[AttrId, AttrId, int]]:
-        """Attribute pairs of ``relation`` that could join, by posting lists.
+        """Attribute pairs of ``relation`` that could join, with exact shared counts.
 
         Returns ``(attr_of_relation, candidate_attr, shared_count)`` triples
         with ``shared_count >= min_shared_values``, restricted to
         ``other_relation`` when given.  Deterministic order: schema order on
         the left side, ``(relation, attribute)`` order on the right.
 
-        ``tier`` selects the candidate source: ``"exact"`` (default — the
-        lossless posting-list walk, unchanged semantics), ``"sketch"`` (the
-        tiered sketch + rare-token pipeline; requires a sketch config), or
-        ``"auto"`` (sketch when configured, exact otherwise).
+        The candidate source follows from what the index holds: one that
+        keeps sketches answers through :meth:`tiered_candidates`, one that
+        does not through the posting-list walk of :meth:`value_candidates`.
         """
-        if tier not in ("exact", "sketch", "auto"):
-            raise ValueError(f"unknown candidate tier {tier!r}")
-        use_sketch = tier == "sketch" or (tier == "auto" and self.sketch_enabled)
         rel_profile = self._relation_profiles.get(relation)
         if rel_profile is None:
             return []
+        candidates_of = self.tiered_candidates if self.sketch_enabled else self.value_candidates
         pairs: List[Tuple[AttrId, AttrId, int]] = []
         for name in rel_profile.attribute_names:
             attr_id = (relation, name)
-            candidates = (
-                self.tiered_candidates(relation, name)
-                if use_sketch
-                else self.value_candidates(relation, name)
-            )
-            for other, shared in sorted(candidates.items()):
+            for other, shared in sorted(candidates_of(relation, name).items()):
                 if shared < min_shared_values:
                     continue
                 if other_relation is not None and other[0] != other_relation:
@@ -525,88 +497,13 @@ class CatalogProfileIndex:
         return self.comparable_pair_counts(relation_a, min_shared_values).get(relation_b, 0)
 
     # ------------------------------------------------------------------
-    # Token statistics and tf-idf vectors
+    # Token postings
     # ------------------------------------------------------------------
     def token_postings(self, token: str) -> Tuple[AttrId, ...]:
         """The attributes whose values contain ``token`` (a posting list)."""
         self._ensure_postings()
         postings = self._shards.token_postings(token.lower())
         return tuple(postings) if postings is not None else ()
-
-    def token_document_frequency(self, token: str) -> int:
-        """Number of attributes whose values contain ``token``."""
-        self._ensure_postings()
-        postings = self._shards.token_postings(token.lower())
-        return len(postings) if postings is not None else 0
-
-    def inverse_token_frequency(self, token: str, smoothing: float = 1.0) -> float:
-        """Smoothed idf of ``token`` over attribute "documents" (always > 0)."""
-        df = self.token_document_frequency(token)
-        return math.log(
-            (self.attribute_count + smoothing) / (df + smoothing)
-        ) + 1.0
-
-    def content_tfidf(self, relation: str, attribute: str) -> Dict[str, float]:
-        """Precomputed, L2-normalized tf-idf vector of the attribute's value tokens.
-
-        Each attribute is one "document" whose terms are its distinct value
-        tokens; document frequencies come from the token posting lists.
-        Memoized per attribute, validated against the index epoch.
-        """
-        attr_id = (relation, attribute)
-        cached = self._tfidf_cache.get(attr_id)
-        if cached is not None and cached[0] == self.epoch:
-            return cached[1]
-        profile = self._attribute_profiles.get(attr_id)
-        vector: Dict[str, float] = {}
-        if profile is not None and profile.value_tokens:
-            # Sorted iteration fixes the float-summation order of the norm,
-            # so the vector is identical however the token set was built —
-            # scanned live or restored from a session snapshot.
-            for token in sorted(profile.value_tokens):
-                vector[token] = self.inverse_token_frequency(token)
-            norm = math.sqrt(sum(w * w for w in vector.values()))
-            if norm > 0.0:
-                vector = {token: w / norm for token, w in vector.items()}
-        self._tfidf_cache[attr_id] = (self.epoch, vector)
-        return vector
-
-    def content_similarity(
-        self, relation_a: str, attribute_a: str, relation_b: str, attribute_b: str
-    ) -> float:
-        """Cosine similarity of the two attributes' content tf-idf vectors."""
-        vec_a = self.content_tfidf(relation_a, attribute_a)
-        vec_b = self.content_tfidf(relation_b, attribute_b)
-        if not vec_a or not vec_b:
-            return 0.0
-        if len(vec_b) < len(vec_a):
-            vec_a, vec_b = vec_b, vec_a
-        return sum(weight * vec_b.get(token, 0.0) for token, weight in vec_a.items())
-
-    # ------------------------------------------------------------------
-    # Shared pair-correspondence memo (schema-only matchers)
-    # ------------------------------------------------------------------
-    def pair_memo_get(self, key: Tuple) -> Optional[Tuple]:
-        """Look up a memoized per-relation-pair matcher output."""
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            self._pair_cache.move_to_end(key)
-            self.pair_cache_hits += 1
-        else:
-            self.pair_cache_misses += 1
-        return cached
-
-    def pair_memo_put(self, key: Tuple, value: Tuple) -> None:
-        """Store a memoized per-relation-pair matcher output (LRU-bounded)."""
-        self._pair_cache[key] = value
-        self._pair_cache.move_to_end(key)
-        while len(self._pair_cache) > self.pair_memo_limit:
-            self._pair_cache.popitem(last=False)
-
-    @property
-    def pair_memo_size(self) -> int:
-        """Current number of memoized relation-pair outputs."""
-        return len(self._pair_cache)
 
     # ------------------------------------------------------------------
     # Session persistence (see :mod:`repro.persist`)
@@ -617,7 +514,7 @@ class CatalogProfileIndex:
         Set-valued profile fields are emitted sorted so the payload is
         canonical: exporting, restoring and exporting again yields an
         identical document (the round-trip fixed point the persistence
-        property tests assert).  Posting lists, sketches and memo caches
+        property tests assert).  Posting lists, sketches and candidate maps
         are *not* serialized — they are derived state, rebuilt from the
         profiles on :meth:`absorb_state`.  The structural configuration
         (shard count, sketch shape) *is* serialized so a restored index
@@ -687,7 +584,6 @@ class CatalogProfileIndex:
                 relation=relation,
                 attribute_names=names,
                 name_token_union=frozenset(spec["name_token_union"]),
-                fingerprint=(relation, names),
                 row_count=spec["row_count"],
             )
         for spec in payload.get("attributes", ()):

@@ -20,18 +20,6 @@ from ..similarity.tokenize import normalize_label, token_set, tokenize
 #: Identity of one attribute: ``(qualified relation name, attribute name)``.
 AttrId = Tuple[str, str]
 
-#: Hashable fingerprint of a relation schema: the qualified relation name
-#: plus the ordered attribute names.  Two tables with equal fingerprints are
-#: indistinguishable to any schema-only (metadata) matcher, which is what
-#: makes the shared pair-correspondence memo sound across catalog clones.
-SchemaFingerprint = Tuple[str, Tuple[str, ...]]
-
-
-def schema_fingerprint(table: Table) -> SchemaFingerprint:
-    """Fingerprint of ``table``'s schema (name + ordered attribute names)."""
-    return (table.schema.qualified_name, tuple(table.schema.attribute_names))
-
-
 @dataclass(frozen=True)
 class AttributeProfile:
     """Everything the matchers need to know about one attribute.
@@ -86,14 +74,12 @@ class RelationProfile:
     """Schema-level profile of one relation.
 
     Carries the precomputed union of sibling attribute-name tokens that the
-    metadata matcher's structural similarity reads, and the schema
-    fingerprint used to key shared pair-correspondence memos.
+    metadata matcher's structural similarity reads.
     """
 
     relation: str
     attribute_names: Tuple[str, ...]
     name_token_union: FrozenSet[str]
-    fingerprint: SchemaFingerprint
     row_count: int
 
     @property
@@ -148,7 +134,6 @@ def profile_table(table: Table) -> Tuple[RelationProfile, Dict[str, AttributePro
         relation=relation,
         attribute_names=tuple(names),
         name_token_union=frozenset(token_union),
-        fingerprint=schema_fingerprint(table),
         row_count=row_count,
     )
     return relation_profile, profiles

@@ -16,7 +16,9 @@ Covers the satellite contract of the service API:
 from __future__ import annotations
 
 import gc
+import json
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +98,23 @@ def _drain(pages) -> list:
     for page in pages:
         answers.extend(page.answers)
     return answers
+
+
+def test_bootstrap_hands_the_matchers_the_index_and_installs_the_golden_edges(gbco_dataset):
+    """``tests/data/bootstrap_gbco.expected.json`` is what commit 44557bc held
+    after this call: edge id -> features in installation order, and the
+    correspondence count."""
+    expected = json.loads(
+        (Path(__file__).parent / "data" / "bootstrap_gbco.expected.json").read_text()
+    )
+    service = QService(sources=[source_from_dict(source_to_dict(s)) for s in gbco_dataset.catalog])
+    assert all(matcher.profile_index is None for matcher in service.matchers)
+    correspondences = service.bootstrap_alignments()
+    assert all(matcher.profile_index is service.profile_index for matcher in service.matchers)
+    assert len(correspondences) == expected["correspondences"]
+    held = {edge.edge_id: edge.features.as_dict() for edge in service.graph.association_edges()}
+    assert list(held) == list(expected["edges"])
+    assert held == expected["edges"]
 
 
 class TestLazyConsistency:

@@ -14,14 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import QService, RegisterSourceRequest
+from repro.datasets import build_gbco
 from repro.datastore.database import Catalog, DataSource
 from repro.datastore.indexes import ValueIndex
+from repro.exceptions import UnknownMatcherError
 from repro.matching import (
-    ContentTfIdfMatcher,
     MatcherEnsemble,
     MetadataMatcher,
     ValueOverlapFilter,
     ValueOverlapMatcher,
+    available_matchers,
+    resolve_matcher,
 )
 from repro.matching.metadata_matcher import _name_similarity_cached
 from repro.profiling import CatalogProfileIndex
@@ -76,14 +80,15 @@ class TestGbcoParity:
                 ) == _correspondence_tuples(plain.match_relations(table_a, table_b))
 
     def test_metadata_memo_replay_is_identical(self, gbco_tables, gbco_index):
-        # Second pass over the same pairs must replay memoized output untouched.
+        # Nothing is remembered between calls: a second pass over the same
+        # pair scores it again and returns equal correspondences.
         indexed = MetadataMatcher(profile_index=gbco_index)
         table_a, table_b = gbco_tables[0], gbco_tables[1]
         first = indexed.match_relations(table_a, table_b)
-        hits_before = gbco_index.pair_cache_hits
         second = indexed.match_relations(table_a, table_b)
-        assert gbco_index.pair_cache_hits > hits_before
+        assert first and first is not second
         assert _correspondence_tuples(first) == _correspondence_tuples(second)
+        assert indexed.counter.relation_pairs == 2
 
     def test_filter_counts_match_value_index_filter(self, gbco_dataset, gbco_tables, gbco_index):
         profile_filter = ValueOverlapFilter.from_index(gbco_index)
@@ -110,56 +115,12 @@ class TestGbcoParity:
         assert blocked.counter.relation_pairs == exhaustive.counter.relation_pairs
 
 
-class TestContentTfIdfMatcher:
-    def test_blocking_is_lossless(self, mini_catalog):
-        # Brute force: score every attribute pair by cosine; the blocked
-        # matcher must return exactly the pairs clearing the threshold.
-        index = CatalogProfileIndex.from_catalog(mini_catalog)
-        matcher = ContentTfIdfMatcher(min_confidence=0.05, profile_index=index)
-        tables = mini_catalog.all_tables()
-        for i, table_a in enumerate(tables):
-            for table_b in tables[i + 1 :]:
-                rel_a = table_a.schema.qualified_name
-                rel_b = table_b.schema.qualified_name
-                expected = []
-                for attr_a in table_a.schema.attribute_names:
-                    for attr_b in table_b.schema.attribute_names:
-                        confidence = index.content_similarity(
-                            rel_a, attr_a, rel_b, attr_b
-                        )
-                        if confidence >= 0.05:
-                            expected.append(
-                                (
-                                    f"{rel_a}.{attr_a}",
-                                    f"{rel_b}.{attr_b}",
-                                    round(min(confidence, 1.0), 6),
-                                )
-                            )
-                got = [
-                    (c.source.qualified, c.target.qualified, c.confidence)
-                    for c in matcher.match_relations(table_a, table_b)
-                ]
-                assert got == expected
-
-    def test_works_without_a_shared_index(self, mini_catalog):
-        table_a = mini_catalog.relation("go.term")
-        table_b = mini_catalog.relation("interpro.interpro2go")
-        standalone = ContentTfIdfMatcher(min_confidence=0.05)
-        result = standalone.match_relations(table_a, table_b)
-        assert any(
-            (c.source.attribute, c.target.attribute) == ("acc", "go_id")
-            for c in result
-        )
-
-    def test_dispatchable_by_name(self):
-        from repro.matching import resolve_matcher
-
-        matcher = resolve_matcher("content_tfidf")
-        assert isinstance(matcher, ContentTfIdfMatcher)
-
-    def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ValueError):
-            ContentTfIdfMatcher(min_confidence=0.0)
+class TestMatcherRegistry:
+    def test_content_tfidf_is_no_longer_dispatchable(self):
+        assert available_matchers() == ("mad", "metadata", "value_overlap")
+        with pytest.raises(UnknownMatcherError) as raised:
+            resolve_matcher("content_tfidf")
+        assert raised.value.valid == ("mad", "metadata", "value_overlap")
 
 
 class TestEnsembleParity:
@@ -167,7 +128,8 @@ class TestEnsembleParity:
         index = CatalogProfileIndex.from_catalog(mini_catalog)
         tables = mini_catalog.all_tables()
         with_index = MatcherEnsemble(
-            [MetadataMatcher(), ValueOverlapMatcher()], top_y=2, profile_index=index
+            [MetadataMatcher(profile_index=index), ValueOverlapMatcher(profile_index=index)],
+            top_y=2,
         ).match_tables(tables)
         plain = MatcherEnsemble(
             [MetadataMatcher(), ValueOverlapMatcher()], top_y=2
@@ -175,6 +137,58 @@ class TestEnsembleParity:
         assert [
             (a.key(), sorted(a.confidences.items())) for a in with_index
         ] == [(a.key(), sorted(a.confidences.items())) for a in plain]
+
+
+class TestMatchersSharedAcrossSessions:
+    """One matcher instance, two sessions: each registration reads its own
+    session's index — the aligner hands it over, replacing the other's."""
+
+    HELD_OUT = {15: ("variant", "ortholog"), 30: ("probe", "phenotype")}
+
+    @classmethod
+    def _session(cls, rows, matchers):
+        sources = {s.name: s for s in build_gbco(rows_per_relation=rows).catalog.sources()}
+        incoming = [sources.pop(name) for name in cls.HELD_OUT[rows]]
+        return QService(sources=sources.values(), matchers=matchers), incoming
+
+    @staticmethod
+    def _register(service, source, matcher):
+        response = service.register_source(
+            RegisterSourceRequest(source=source, strategy="exhaustive", matcher=matcher)
+        )
+        return _correspondence_tuples(response.alignment.correspondences)
+
+    def test_each_session_reads_its_own_index(self, monkeypatch):
+        scans = []
+        exhaustive = ValueOverlapMatcher._match_exhaustive
+        monkeypatch.setattr(
+            ValueOverlapMatcher,
+            "_match_exhaustive",
+            lambda self, a, b: scans.append((a, b)) or exhaustive(self, a, b),
+        )
+        expected = {}
+        for rows in (15, 30):
+            metadata, overlap = MetadataMatcher(), ValueOverlapMatcher()
+            fresh, incoming = self._session(rows, [metadata, overlap])
+            expected[rows] = [
+                self._register(fresh, incoming[0], None),  # the session's first matcher
+                self._register(fresh, incoming[1], overlap),
+            ]
+            assert any(expected[rows])
+        assert not scans
+
+        metadata, overlap = MetadataMatcher(), ValueOverlapMatcher()
+        first, first_incoming = self._session(15, [metadata, overlap])
+        second, second_incoming = self._session(30, [metadata, overlap])
+        got = {15: [], 30: []}
+        for position, matcher in enumerate((None, overlap)):
+            used = matcher or metadata
+            got[15].append(self._register(first, first_incoming[position], matcher))
+            assert used.profile_index is first.profile_index
+            got[30].append(self._register(second, second_incoming[position], matcher))
+            assert used.profile_index is second.profile_index
+        assert got == expected
+        assert not scans  # ``_match_blocked`` served both sessions
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ where the saved one stopped.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import shutil
@@ -628,6 +629,22 @@ class TestSavedByAnEarlierCommit:
         assert graph_fingerprint(reopened.graph) == graph_fingerprint(service.graph)
         assert rewritten(reopened) == first
         reopened.close()
+
+
+    @pytest.mark.parametrize("kind", BACKEND_SPECS)
+    def test_a_retired_config_key_is_dropped_on_open(self, kind, tmp_path):
+        # The session was saved while ``ServiceConfig`` had ``pair_memo_limit``.
+        location = saved_by_an_earlier_commit(kind, tmp_path)
+        service = QService.open(location)
+        saved_config, _ = service._persistence.store.load()
+        assert "pair_memo_limit" in saved_config["config"]
+        assert len(dataclasses.fields(ServiceConfig)) == 11
+        assert not hasattr(service.config, "pair_memo_limit")
+        assert service.config.top_k == saved_config["config"]["top_k"]
+        assert service.save(compact=True).action == "snapshot"
+        rewritten, _ = service._persistence.store.load()
+        assert set(saved_config["config"]) - set(rewritten["config"]) == {"pair_memo_limit"}
+        service.close()
 
 
 # ----------------------------------------------------------------------

@@ -73,9 +73,10 @@ class TestShardRouting:
             relation = table.schema.qualified_name
             assert sharded.candidate_pairs(relation) == flat.candidate_pairs(relation)
             for attribute in table.schema.attribute_names:
-                assert sharded.content_tfidf(relation, attribute) == flat.content_tfidf(
-                    relation, attribute
-                )
+                for token in flat.profile(relation, attribute).value_tokens:
+                    assert sorted(sharded.token_postings(token)) == sorted(
+                        flat.token_postings(token)
+                    )
         attrs = [
             (t.schema.qualified_name, a)
             for t in tables
@@ -100,9 +101,7 @@ class TestShardRouting:
         flat = CatalogProfileIndex.from_tables(tables)
         for table in tables:
             relation = table.schema.qualified_name
-            assert sketched.candidate_pairs(relation, tier="sketch") == flat.candidate_pairs(
-                relation, tier="exact"
-            )
+            assert sketched.candidate_pairs(relation) == flat.candidate_pairs(relation)
 
     @given(
         shards=st.integers(min_value=1, max_value=6),
@@ -125,9 +124,7 @@ class TestShardRouting:
         assert restored.shard_sizes() == index.shard_sizes()
         for table in tables:
             relation = table.schema.qualified_name
-            assert restored.candidate_pairs(relation, tier="auto") == index.candidate_pairs(
-                relation, tier="auto"
-            )
+            assert restored.candidate_pairs(relation) == index.candidate_pairs(relation)
 
 
 # Few keys and attributes, so duplicate adds, 1 -> 2 -> 1 -> 0 runs and discards
@@ -224,26 +221,6 @@ for _case in (TestPostingMachine, TestPostingMachineFourShards):
     _case.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
 
 
-class TestPairMemoCap:
-    def test_pair_memo_respects_limit(self):
-        tables = []
-        for source in _community_catalog(size=8, communities=1):
-            tables.extend(source.tables())
-        index = CatalogProfileIndex.from_tables(tables, pair_memo_limit=3)
-        relations = [t.schema.qualified_name for t in tables]
-        for rel_a in relations:
-            for rel_b in relations:
-                if rel_a != rel_b:
-                    index.comparable_pair_count(rel_a, rel_b)
-        assert index.pair_memo_size <= 3
-
-    def test_pair_memo_limit_flows_from_service_config(self):
-        service = QService(
-            _community_catalog(size=4), config=ServiceConfig(pair_memo_limit=7)
-        )
-        assert service.profile_index.pair_memo_limit == 7
-
-
 class TestPairScoring:
     def test_score_pairs_is_match_relations_in_pair_order(self):
         catalog = Catalog(_community_catalog(size=6, communities=2))
@@ -315,4 +292,3 @@ class TestServiceIntegration:
         assert stats.exact_candidates > 0
         assert stats.exact_candidates <= stats.sketch_candidates
         assert stats.pairs_scored > 0
-        assert stats.pair_memo_entries >= 0
