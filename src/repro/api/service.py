@@ -49,7 +49,7 @@ from ..learning.feedback import (
     FeedbackLog,
 )
 from ..learning.mira import OnlineLearner
-from ..learning.overlays import TenantRegistry
+from ..learning.overlays import TenantProfile, TenantRegistry
 from ..matching.base import BaseMatcher, Correspondence, resolve_matcher
 from ..matching.ensemble import MatcherEnsemble
 from ..matching.mad import MadMatcher
@@ -799,18 +799,7 @@ class QService:
         if request.tenant is not None:
             return self._tenant_feedback(record, request)
         event = record.view.annotate(request.answer, request.kind, other=request.other)
-        self.feedback_log.add(event)
-        results = self.learner.replay(
-            [event], request.replay, graph=record.view.query_graph.graph
-        )
-        self._after_mutation()
-        return FeedbackResponse(
-            view_id=record.view_id,
-            events=(event,),
-            steps_processed=len(results),
-            weight_change=sum(step.weight_change for step in results),
-            weights_version=self.graph.weights.version,
-        )
+        return self._learn(record, [event], request.replay)
 
     def _tenant_feedback(self, record: ViewRecord, request: FeedbackRequest) -> FeedbackResponse:
         """Apply feedback into one tenant's overlay.
@@ -831,22 +820,7 @@ class QService:
         event = generalizer.generalize(
             AnswerAnnotation(answer=request.answer, kind=request.kind, other=request.other)
         )
-        self.feedback_log.add(event)
-        results = self.learner.replay(
-            [event],
-            request.replay,
-            graph=record.view.query_graph.graph,
-            weights=profile.overlay,
-        )
-        profile.events_applied += len(results)
-        self._after_mutation()
-        return FeedbackResponse(
-            view_id=record.view_id,
-            events=(event,),
-            steps_processed=len(results),
-            weight_change=sum(step.weight_change for step in results),
-            weights_version=profile.overlay.version,
-        )
+        return self._learn(record, [event], request.replay, profile)
 
     def apply_feedback_events(
         self,
@@ -855,19 +829,35 @@ class QService:
         repetitions: int = 1,
     ) -> FeedbackResponse:
         """Apply pre-built feedback events (used by the experiment harnesses)."""
-        record = self.views.resolve(view)
+        return self._learn(self.views.resolve(view), list(events), repetitions)
+
+    def _learn(
+        self,
+        record: ViewRecord,
+        events: List[FeedbackEvent],
+        repetitions: int,
+        profile: Optional[TenantProfile] = None,
+    ) -> FeedbackResponse:
+        """The one feedback step: log, replay on the view's query graph, autosave.
+
+        The shared base weights learn unless a tenant ``profile`` is given;
+        then its overlay learns and counts the steps applied to it.
+        """
         for event in events:
             self.feedback_log.add(event)
+        overlay = profile.overlay if profile is not None else None
         results = self.learner.replay(
-            list(events), repetitions, graph=record.view.query_graph.graph
+            events, repetitions, graph=record.view.query_graph.graph, weights=overlay
         )
+        if profile is not None:
+            profile.events_applied += len(results)
         self._after_mutation()
         return FeedbackResponse(
             view_id=record.view_id,
             events=tuple(events),
             steps_processed=len(results),
             weight_change=sum(step.weight_change for step in results),
-            weights_version=self.graph.weights.version,
+            weights_version=(self.graph.weights if overlay is None else overlay).version,
         )
 
     # ------------------------------------------------------------------

@@ -56,6 +56,7 @@ import queue
 import threading
 import time
 import uuid
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional, Tuple
@@ -287,49 +288,54 @@ class QServer:
 
         All callback gauges over the server's plain counters: the lanes
         keep their lock-guarded int arithmetic, scrapes read live values.
+        The registry is the session's and outlives the server, so the
+        callbacks reach the server through a weak proxy: a closed server
+        (and its last snapshot) is freed by its last reference, and a
+        scrape after that reads 0.
         """
         gauge = self.obs.registry.gauge
-        gauge("q_snapshot_id", "Currently published snapshot id", fn=lambda: self._snapshot.snapshot_id)
+        server = weakref.proxy(self)
+        gauge("q_snapshot_id", "Currently published snapshot id", fn=lambda: server._snapshot.snapshot_id)
         gauge(
             "q_snapshot_age_seconds",
             "Seconds since the last snapshot publish",
-            fn=lambda: max(time.monotonic() - self._last_publish_monotonic, 0.0),
+            fn=lambda: max(time.monotonic() - server._last_publish_monotonic, 0.0),
         )
-        gauge("q_write_queue_depth", "Writes waiting in the mutation queue", fn=self._queue.qsize)
+        gauge("q_write_queue_depth", "Writes waiting in the mutation queue", fn=lambda: server._queue.qsize())
         gauge(
             "q_pending_writes",
             "Writes admitted but not yet applied, failed or cancelled",
             fn=lambda: max(
-                self._writes_admitted
-                - self._writes_applied
-                - self._writes_failed
-                - self._writes_cancelled,
+                server._writes_admitted
+                - server._writes_applied
+                - server._writes_failed
+                - server._writes_cancelled,
                 0,
             ),
         )
         gauge(
             "q_health_state",
             "Server health: 0 healthy, 1 degraded, 2 closed",
-            fn=lambda: 2.0 if self._closed else (0.0 if self._health == HEALTHY else 1.0),
+            fn=lambda: 2.0 if server._closed else (0.0 if server._health == HEALTHY else 1.0),
         )
-        gauge("q_writes_applied_total", "Writes applied by the writer lane", fn=lambda: self._writes_applied)
-        gauge("q_writes_failed_total", "Writes whose future carries an exception", fn=lambda: self._writes_failed)
-        gauge("q_writes_rejected_total", "Writes refused at admission", fn=lambda: self._writes_rejected)
-        gauge("q_writes_retried_total", "Transient-fault retries in the writer lane", fn=lambda: self._writes_retried)
-        gauge("q_writes_cancelled_total", "Writes cancelled while queued", fn=lambda: self._writes_cancelled)
-        gauge("q_snapshots_published_total", "Read snapshots published", fn=lambda: self._snapshots_published)
+        gauge("q_writes_applied_total", "Writes applied by the writer lane", fn=lambda: server._writes_applied)
+        gauge("q_writes_failed_total", "Writes whose future carries an exception", fn=lambda: server._writes_failed)
+        gauge("q_writes_rejected_total", "Writes refused at admission", fn=lambda: server._writes_rejected)
+        gauge("q_writes_retried_total", "Transient-fault retries in the writer lane", fn=lambda: server._writes_retried)
+        gauge("q_writes_cancelled_total", "Writes cancelled while queued", fn=lambda: server._writes_cancelled)
+        gauge("q_snapshots_published_total", "Read snapshots published", fn=lambda: server._snapshots_published)
         gauge(
             "q_pinned_materializations_total",
             "Pinned (view, tenant) materializations computed",
-            fn=lambda: self._counters.materializations,
+            fn=lambda: server._counters.materializations,
         )
         gauge(
             "q_pinned_carryovers_total",
             "Pinned answer sets carried over across snapshots",
-            fn=lambda: self._counters.carryovers,
+            fn=lambda: server._counters.carryovers,
         )
-        gauge("q_read_pool_workers", "Size of the concurrent read pool", fn=lambda: self.read_workers)
-        gauge("q_write_queue_limit", "Bound of the mutation queue", fn=lambda: self.write_queue_limit)
+        gauge("q_read_pool_workers", "Size of the concurrent read pool", fn=lambda: server.read_workers)
+        gauge("q_write_queue_limit", "Bound of the mutation queue", fn=lambda: server.write_queue_limit)
 
     def metrics(self, fmt: str = "prometheus"):
         """The shared metrics registry in exposition form.

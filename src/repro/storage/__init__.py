@@ -11,12 +11,9 @@ Backend selection guide
   Pass a file path for datasets larger than RAM or sessions that must
   survive a restart (``Catalog``/``QService`` reconstruct themselves from
   the file), or ``":memory:"`` for an ephemeral database that still gets
-  SQL pushdown and bulk ``executemany`` ingest.
-* :class:`DbApiBackend` — the generic DB-API 2.0 core ``SqliteBackend`` is
-  built on, usable directly with a connection whose driver takes ``?``
-  placeholders.  No SQL pushdown — the library's canon/match functions are
-  not installed on a foreign connection — so reads fall back to the Python
-  engine by construction.
+  SQL pushdown and bulk ``executemany`` ingest.  It is the one SQL backend:
+  the row model, the library's registered canon/match functions and the
+  SQL that calls them live in :mod:`repro.storage.sqlite`.
 
 The ``REPRO_BACKEND`` environment variable switches the *default* backend
 of every :class:`~repro.datastore.database.Catalog` created without an
@@ -31,7 +28,6 @@ from typing import Optional, Union
 
 from ..exceptions import StorageError
 from .base import PredicateSpec, StorageBackend
-from .dbapi import DbApiBackend
 from .memory import MemoryBackend
 from .sqlite import SqliteBackend
 
@@ -82,7 +78,6 @@ def backend_from_env() -> Optional[StorageBackend]:
 
 __all__ = [
     "BackendSpec",
-    "DbApiBackend",
     "MemoryBackend",
     "PredicateSpec",
     "SqliteBackend",

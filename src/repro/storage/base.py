@@ -8,12 +8,11 @@ implementations ship with the library:
 
 * :class:`~repro.storage.memory.MemoryBackend` — Python-list row storage,
   the refactored form of the original in-memory ``Table`` internals;
-* :class:`~repro.storage.dbapi.DbApiBackend` — the SQL row model over a
-  DB-API 2.0 connection (``executemany`` bulk ingest, cached scans, catalog
-  persistence), with :class:`~repro.storage.sqlite.SqliteBackend` — one
-  SQLite database per catalog, on disk or ``:memory:`` — as the subclass
-  that adds real indexes on join/selection columns and SQL pushdown of
-  scans, selections and whole conjunctive queries.
+* :class:`~repro.storage.sqlite.SqliteBackend` — one SQLite database per
+  catalog, on disk or ``:memory:``: the SQL row model (``executemany`` bulk
+  ingest, cached scans, catalog persistence), real indexes on
+  join/selection columns and SQL pushdown of scans, selections and whole
+  conjunctive queries.
 
 Protocol contract
 -----------------

@@ -16,9 +16,10 @@ Parity is guaranteed by construction rather than by approximation:
   library's canonicalize function registered with the database — so exactly
   the tuples the Python hash join matches are matched (nulls never join:
   ``NULL = NULL`` is not true in SQL);
-* selections go through :func:`repro.datastore.sqlgen.selection_condition`
-  in its *exact* dialect (``repro_match(?, ?, column) = 1``), the same
-  semantics as :meth:`~repro.engine.predicates.CompiledPredicate.matches`;
+* selections render through :func:`repro.storage.sqlite.exact_condition`
+  (``repro_canon(column) = ?`` for equals, ``repro_match(?, ?, column) = 1``
+  otherwise), the same semantics as
+  :meth:`~repro.engine.predicates.CompiledPredicate.matches`;
 * rows are ordered by the base tuples' row ids along the query's atom
   list — precisely the deterministic emission order of
   :meth:`~repro.engine.executor.PlanExecutor.execute`;
@@ -33,31 +34,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from ..datastore.provenance import AnswerTuple, TupleProvenance
-from ..datastore.sqlgen import (
-    SQLITE_DIALECT,
-    PushdownDialect,
-    quote_identifier,
-    selection_condition,
-)
+from ..datastore.sqlgen import quote_identifier
 from ..exceptions import UnknownRelationError
-from .dbapi import DbApiBackend
+from .sqlite import SqliteBackend, canon_sql, exact_condition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datastore.database import Catalog
     from ..datastore.query import ConjunctiveQuery
-
-
-def backend_dialect(backend) -> PushdownDialect:
-    """The backend's :class:`PushdownDialect` (SQLite spelling by default)."""
-    return getattr(backend, "sql_dialect", SQLITE_DIALECT)
-
-
-def relation_of(query: "ConjunctiveQuery", alias: str) -> str:
-    """The relation an atom alias is bound to."""
-    for atom in query.atoms:
-        if atom.alias == alias:
-            return atom.relation
-    raise KeyError(alias)  # pragma: no cover - validate() guarantees binding
 
 
 def off_backend_relations(
@@ -78,58 +61,6 @@ def off_backend_relations(
         if table.storage_backend is not backend or table.storage_key != atom.relation:
             missing.append(atom.relation)
     return missing
-
-
-def compile_query_body(
-    backend, query: "ConjunctiveQuery", params: List[object]
-) -> Tuple[List[str], List[str]]:
-    """FROM items and WHERE conditions of one conjunctive query.
-
-    Join conditions compare canonical forms via the backend dialect's canon
-    function; selections render in the *exact* dialect; selection needles
-    are appended to ``params``.  As a side effect the backend's canonical
-    expression indexes are ensured on every join column and every
-    equals-selection column.
-    """
-    dialect = backend_dialect(backend)
-    from_items = [
-        f"{backend.table_sql_name(atom.relation)} AS {quote_identifier(atom.alias)}"
-        for atom in query.atoms
-    ]
-    conditions: List[str] = []
-    for join in query.joins:
-        if join.left_alias == join.right_alias:
-            continue  # planner semantics: self-joins on one alias are dropped
-        left = (
-            f"{quote_identifier(join.left_alias)}."
-            f"{backend.column_sql_name(join.left_attribute)}"
-        )
-        right = (
-            f"{quote_identifier(join.right_alias)}."
-            f"{backend.column_sql_name(join.right_attribute)}"
-        )
-        conditions.append(f"{dialect.canon(left)} = {dialect.canon(right)}")
-        backend.ensure_canon_index(
-            relation_of(query, join.right_alias), join.right_attribute
-        )
-        backend.ensure_canon_index(
-            relation_of(query, join.left_alias), join.left_attribute
-        )
-    for selection in query.selections:
-        column = (
-            f"{quote_identifier(selection.alias)}."
-            f"{backend.column_sql_name(selection.attribute)}"
-        )
-        conditions.append(
-            selection_condition(
-                selection, column, params, dialect="exact", functions=dialect
-            )
-        )
-        if selection.mode == "equals":
-            backend.ensure_canon_index(
-                relation_of(query, selection.alias), selection.attribute
-            )
-    return from_items, conditions
 
 
 class CompiledQuery:
@@ -169,17 +100,44 @@ class CompiledQuery:
             (label, position[alias], schemas[alias].attribute_index(attribute))
             for label, alias, attribute in projected
         ]
+
+        def column_sql(alias: str, attribute: str) -> str:
+            return f"{quote_identifier(alias)}.{backend.column_sql_name(attribute)}"
+
         row_ids = [f'{quote_identifier(atom.alias)}."_row_id"' for atom in atoms]
         select_items: List[str] = []
         for slot, atom in enumerate(atoms):
             select_items.append(f'{row_ids[slot]} AS "_rid_{slot}"')
             select_items.append(f'{quote_identifier(atom.alias)}."_tags" AS "_tag_{slot}"')
         select_items.extend(
-            f'{quote_identifier(alias)}.{backend.column_sql_name(attribute)} AS "_val_{slot}"'
+            f'{column_sql(alias, attribute)} AS "_val_{slot}"'
             for slot, (_, alias, attribute) in enumerate(projected)
         )
+        from_items = [
+            f"{backend.table_sql_name(atom.relation)} AS {quote_identifier(atom.alias)}"
+            for atom in atoms
+        ]
+        # Joins compare canonical forms and selections render exactly;
+        # compiling ensures the canon index on every join column and every
+        # equals-selection column.
+        relation = query.alias_map()
+        conditions: List[str] = []
         self.params: List[object] = []
-        from_items, conditions = compile_query_body(backend, query, self.params)
+        for join in query.joins:
+            if join.left_alias == join.right_alias:
+                continue  # planner semantics: self-joins on one alias are dropped
+            left = column_sql(join.left_alias, join.left_attribute)
+            right = column_sql(join.right_alias, join.right_attribute)
+            conditions.append(f"{canon_sql(left)} = {canon_sql(right)}")
+            backend.ensure_canon_index(relation[join.right_alias], join.right_attribute)
+            backend.ensure_canon_index(relation[join.left_alias], join.left_attribute)
+        for selection in query.selections:
+            column = column_sql(selection.alias, selection.attribute)
+            conditions.append(
+                exact_condition(selection.mode, selection.value, column, self.params)
+            )
+            if selection.mode == "equals":
+                backend.ensure_canon_index(relation[selection.alias], selection.attribute)
         sql = "SELECT " + ", ".join(select_items) + "\nFROM " + ", ".join(from_items)
         if conditions:
             sql += "\nWHERE " + " AND ".join(conditions)
@@ -192,7 +150,7 @@ class CompiledQuery:
         Mirrors ``PlanExecutor._to_answer``: a repeated key keeps its first
         position and its last value.
         """
-        decode = DbApiBackend._decode_cell
+        decode = SqliteBackend._decode_cell
         cell_base = 2 * len(self.relations)
         values = {}
         for slot, (key, atom_pos, attr_index) in enumerate(self.cells):

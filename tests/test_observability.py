@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -498,6 +499,27 @@ def test_writer_lane_histograms_and_gauges(gbco_dataset):
             assert "q_snapshot_id" in text
             assert "q_write_queue_depth 0" in text
             assert server.metrics("json")["q_writes_applied_total"] == 1
+
+
+def test_a_closed_server_is_freed_and_a_second_takes_the_gauges_over(gbco_dataset):
+    # The gauges live on the session's registry, which outlives the server:
+    # they must not keep the server, or its last snapshot, alive.
+    with _gbco_service(gbco_dataset) as service:
+        server = QServer(service)
+        server.create_view(QueryRequest(keywords=_keywords(gbco_dataset)))
+        assert service.metrics("json")["q_writes_applied_total"] == 1
+        server.close()
+        refs = [weakref.ref(server), weakref.ref(server._snapshot)]
+        del server
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        scraped = service.metrics("json")
+        assert scraped["q_writes_applied_total"] == 0 and scraped["q_snapshot_id"] == 0
+        with QServer(service, read_workers=2) as second:
+            second.create_view(QueryRequest(keywords=_keywords(gbco_dataset)[:1]))
+            scraped = service.metrics("json")
+            assert scraped["q_writes_applied_total"] == 1
+            assert scraped["q_read_pool_workers"] == 2
 
 
 # ----------------------------------------------------------------------

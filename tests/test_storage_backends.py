@@ -6,14 +6,18 @@ ranked answers, provenance and registration correspondences on the
 fig6/fig8 fixture replays, and a SQLite catalog must survive a close /
 reopen round trip.  Also here: the per-query SQL/Python target choice and
 its reasons, ``EXPLAIN QUERY PLAN`` assertions that pushed-down joins are
-served by indexes, posting laziness across a save / open (a warm
+served by indexes, the compiled statements of fixture queries against a
+golden file written before the SQLite backend absorbed its DB-API base
+class, posting laziness across a save / open (a warm
 :meth:`~repro.api.service.QService.open` rebuilds no posting until one is
-read, and then once), and the generic DB-API backend's contract.
+read, and then once), and the SQLite row model's round trip on its own.
 """
 
 from __future__ import annotations
 
+import json
 import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -23,24 +27,17 @@ from repro.datasets import build_gbco, build_interpro_go, grow_catalog_and_graph
 from repro.datasets.synthetic import make_community_source
 from repro.datastore import Catalog, ConjunctiveQuery, DataSource
 from repro.datastore.csvio import source_from_dict, source_to_dict
-from repro.datastore.sqlgen import (
-    query_to_parameterized_sql,
-    query_to_sql,
-    selection_condition,
-    union_to_parameterized_sql,
-    union_to_sql,
-)
 from repro.datastore.query import SelectionPredicate
 from repro.datastore.schema import RelationSchema
 from repro.engine.context import PYTHON, SQL, ExecutionContext
 from repro.engine.executor import PlanExecutor
 from repro.engine.predicates import compile_predicates
-from repro.exceptions import QueryError, StorageError
+from repro.exceptions import StorageError
 from repro.faults.budget import Budget
+from repro.faults.injector import FaultPlan, FaultyBackend
 from repro.graph import SearchGraph
 from repro.matching import MetadataMatcher, ValueOverlapMatcher
 from repro.storage import (
-    DbApiBackend,
     MemoryBackend,
     SqliteBackend,
     backend_from_env,
@@ -48,18 +45,14 @@ from repro.storage import (
     resolve_backend,
 )
 from repro.storage.pushdown import CompiledQuery, SqlPushdown
+from repro.storage.sqlite import exact_condition
 
-#: ``dbapi`` is the generic base class SqliteBackend inherits, driven through
-#: the standard library's sqlite3 driver: it must hold the whole protocol
-#: contract on its own, not just the slice its subclass happens to exercise.
-BACKENDS = ("memory", "sqlite", "dbapi")
+BACKENDS = ("memory", "sqlite")
 
 
 def make_backend(kind, tmp_path=None):
     if kind == "memory":
         return MemoryBackend()
-    if kind == "dbapi":
-        return DbApiBackend(sqlite3.connect(":memory:", check_same_thread=False))
     if tmp_path is not None:
         return SqliteBackend(tmp_path / "catalog.db")
     return SqliteBackend(":memory:")
@@ -545,6 +538,37 @@ class TestGoldenPushdownSql:
         ]
         service.close()
 
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["sqlite", "faulty-sqlite"])
+    def test_fixture_queries_match_the_golden(self, wrapped):
+        # tests/data/compiled_sql.expected.json holds each fixture query and
+        # the statement and parameters commit 4ae10ca compiled it to
+        # (tests/data/make_compiled_sql.py run against that commit's src/).
+        # A fault-injecting wrapper proxies the backend's SQL surface and
+        # must compile the same bytes.
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "compiled_sql.expected.json").read_text()
+        )
+        backend = SqliteBackend(":memory:")
+        if wrapped:
+            backend = FaultyBackend(backend, FaultPlan(rules=[]))
+        catalog = Catalog(
+            [DataSource.build(name, relations) for name, relations in golden["sources"].items()],
+            backend=backend,
+        )
+        for spec in golden["queries"]:
+            query = ConjunctiveQuery(provenance=f"fixture-{spec['name']}", cost=1.5)
+            for relation, alias in spec["atoms"]:
+                query.add_atom(relation, alias)
+            for join in spec["joins"]:
+                query.add_join(*join)
+            for alias, attribute, value, mode in spec["selections"]:
+                query.add_selection(alias, attribute, value, mode=mode)
+            for alias, attribute, label in spec["outputs"]:
+                query.add_output(alias, attribute, label)
+            compiled = CompiledQuery(backend, catalog, query)
+            assert (compiled.sql, compiled.params) == (spec["sql"], spec["params"]), spec["name"]
+        catalog.close()
+
 
 # ----------------------------------------------------------------------
 # Cross-backend parity on the fig6 / fig8 fixture replays
@@ -765,6 +789,11 @@ class TestBackendRegistry:
         with pytest.raises(StorageError):
             create_backend("parquet")
 
+    def test_registry_spellings(self):
+        for spelling in ("postgres", "postgres:dbname=repro", "bogus"):
+            with pytest.raises(StorageError, match="valid backends: memory, sqlite$"):
+                create_backend(spelling)
+
     def test_resolve_backend_passthrough(self):
         backend = MemoryBackend()
         assert resolve_backend(backend) is backend
@@ -782,55 +811,15 @@ class TestBackendRegistry:
 
 
 # ----------------------------------------------------------------------
-# Hardened sqlgen: parameterized rendering
+# The exact selection form: parameterized, index-servable
 # ----------------------------------------------------------------------
 class TestParameterizedSqlgen:
-    def test_placeholders_replace_literals(self):
-        query = _make_query()
-        query.add_selection("t", "acc", "GO:0001", mode="equals")
-        literal = query_to_sql(query)
-        parameterized = query_to_parameterized_sql(query)
-        assert parameterized.sql.count("?") == len(parameterized.params)
-        assert parameterized.params == (
-            "%plasma%",
-            "%membrane%",
-            "GO:0001",
-        )
-        assert "GO:0001" not in parameterized.sql
-        assert "'GO:0001'" in literal
-        # Statement shape is identical: substituting the params back in
-        # (quoted) yields the literal rendering.
-        rebuilt = parameterized.sql
-        for param in parameterized.params:
-            rebuilt = rebuilt.replace("?", "'" + str(param) + "'", 1)
-        assert rebuilt == literal
-
-    def test_union_parameterized(self):
-        q1 = _make_query()
-        q2 = _make_query(with_selection=False)
-        q2.cost = 0.5
-        literal = union_to_sql([q1, q2])
-        parameterized = union_to_parameterized_sql([q1, q2])
-        assert parameterized.sql.count("?") == len(parameterized.params) == 2
-        assert "UNION ALL" in parameterized.sql
-        assert "'%plasma%'" in literal
-
-    def test_exact_dialect_requires_params(self):
-        predicate = SelectionPredicate("t", "name", "x", mode="keyword")
-        with pytest.raises(QueryError):
-            selection_condition(predicate, '"t"."name"', None, dialect="exact")
-        params = []
-        condition = selection_condition(predicate, '"t"."name"', params, dialect="exact")
-        assert condition == 'repro_match(?, ?, "t"."name") = 1'
-        assert params == ["keyword", "x"]
-
     def test_exact_dialect_equals_is_index_servable(self):
         # equals must render as repro_canon(col) = ? — the shape SQLite can
         # serve from the backend's repro_canon(col) expression indexes —
         # with the needle pre-canonicalized, not as an opaque function call.
-        predicate = SelectionPredicate("t", "acc", " GO:0003 ", mode="equals")
         params = []
-        condition = selection_condition(predicate, '"t"."acc"', params, dialect="exact")
+        condition = exact_condition("equals", " GO:0003 ", '"t"."acc"', params)
         assert condition == 'repro_canon("t"."acc") = ?'
         assert params == ["GO:0003"]
 
@@ -848,11 +837,6 @@ class TestParameterizedSqlgen:
         )
         assert any("USING INDEX" in str(row) for row in plan), plan
         backend.close()
-
-    def test_unknown_dialect_rejected(self):
-        predicate = SelectionPredicate("t", "name", "x")
-        with pytest.raises(QueryError):
-            selection_condition(predicate, "c", [], dialect="oracle")
 
 
 # ----------------------------------------------------------------------
@@ -1140,14 +1124,14 @@ class TestPostingStore:
 
 
 # ----------------------------------------------------------------------
-# The generic DB-API backend
+# The SQLite row model on its own
 # ----------------------------------------------------------------------
-class TestDbApiBackend:
-    def _backend(self):
-        return DbApiBackend(sqlite3.connect(":memory:"))
+class TestSqliteRowModel:
+    """What the ``_tags`` codec, ingest and catalog metadata promise,
+    driven on the backend directly rather than through a catalog."""
 
     def test_contract_smoke(self):
-        backend = self._backend()
+        backend = SqliteBackend(":memory:")
         schema = RelationSchema("r", ["a", "b"], source="s")
         backend.create_relation("s.r", schema)
         with pytest.raises(StorageError):
@@ -1173,28 +1157,8 @@ class TestDbApiBackend:
         backend.close()
         assert backend.closed
 
-    def test_catalog_on_dbapi_backend_falls_back_to_python_engine(self):
-        # Fallback by construction: no pushdown capability, every read goes
-        # through the Python engine — and matches the memory backend.
-        query = _make_query()
-        memory_catalog = Catalog([clone_source(s) for s in _mini_sources()])
-        memory_context = ExecutionContext(memory_catalog)
-        dbapi_catalog = Catalog(
-            [clone_source(s) for s in _mini_sources()], backend=self._backend()
-        )
-        dbapi_context = ExecutionContext(dbapi_catalog)
-        assert dbapi_context.choose_target(query) == (
-            PYTHON,
-            "backend has no SQL pushdown (Python join engine)",
-        )
-        memory_answers = PlanExecutor(memory_catalog, memory_context).execute(query)
-        dbapi_answers = PlanExecutor(dbapi_catalog, dbapi_context).execute(query)
-        assert answer_fingerprint(dbapi_answers) == answer_fingerprint(memory_answers)
-        assert memory_answers
-        assert dbapi_context.statistics.pushdown_queries == 0
-
     def test_source_schema_persistence(self):
-        backend = self._backend()
+        backend = SqliteBackend(":memory:")
         backend.save_source_schema("one", {"name": "one"})
         backend.save_source_schema("two", {"name": "two"})
         backend.save_source_schema("one", {"name": "one", "v": 2})
@@ -1205,11 +1169,6 @@ class TestDbApiBackend:
         backend.delete_source_schema("one")
         assert backend.persisted_source_schemas() == [{"name": "two"}]
         backend.close()
-
-    def test_registry_spellings(self):
-        for spelling in ("postgres", "postgres:dbname=repro", "bogus"):
-            with pytest.raises(StorageError, match="valid backends: memory, sqlite$"):
-                create_backend(spelling)
 
 
 # ----------------------------------------------------------------------
