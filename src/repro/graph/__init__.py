@@ -6,8 +6,8 @@ Public API
   attributes and associations (paper Section 2.1).
 * :class:`Node`, :class:`NodeKind`, :class:`Edge`, :class:`EdgeKind` — graph
   elements.
-* :class:`FeatureVector`, :class:`WeightVector` and the feature-name helpers
-  — the weighted-feature edge cost model (paper Section 3.4).
+* :class:`WeightVector` and the feature-name helpers — the weighted-feature
+  edge cost model (paper Section 3.4); an edge's features are a plain dict.
 * :class:`QueryGraphBuilder`, :class:`QueryGraph` — keyword-query expansion
   (paper Section 2.2).
 * :func:`cost_neighborhood`, :func:`neighborhood_relations` — α-cost
@@ -17,7 +17,6 @@ Public API
 from .edges import Edge, EdgeKind, default_association_features
 from .features import (
     DEFAULT_FEATURE,
-    FeatureVector,
     WeightVector,
     bin_feature,
     edge_feature,
@@ -47,7 +46,6 @@ __all__ = [
     "DEFAULT_FEATURE",
     "Edge",
     "EdgeKind",
-    "FeatureVector",
     "GraphConfig",
     "KEYWORD_MISMATCH_FEATURE",
     "KeywordMatch",

@@ -21,7 +21,7 @@ import enum
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
-from .features import DEFAULT_FEATURE, NO_FEATURES, FeatureVector, WeightVector
+from .features import DEFAULT_FEATURE, NO_FEATURES, WeightVector
 from .features import edge_feature, matcher_feature, matchers_of, relation_feature
 
 _NO_METADATA: Mapping[str, object] = MappingProxyType({})
@@ -49,7 +49,10 @@ class Edge:
 
     One slotted object, built complete and immutable once added to a graph:
     graph copies share it, so a change swaps a new edge in under the same id
-    (:meth:`~repro.graph.search_graph.SearchGraph.replace_edge`).
+    (:meth:`~repro.graph.search_graph.SearchGraph.replace_edge`).  Its
+    endpoint strings are the graph's own node ids and its features a dict of
+    atoms, which the collector does not track: a stored association is one
+    tracked object.
 
     Attributes
     ----------
@@ -62,7 +65,10 @@ class Edge:
     kind:
         The :class:`EdgeKind`.
     features:
-        The feature vector whose weighted sum is the edge cost.
+        The feature vector whose weighted sum is the edge cost: a plain
+        ``{feature name: value}`` dict, read-only by contract — no code
+        writes into an edge's features; a change builds a new dict and a new
+        edge (:meth:`changed`).
     fixed_cost:
         If not ``None``, the edge cost is this constant and the edge is
         excluded from learning (the set ``A`` of zero-cost constraints in
@@ -80,7 +86,7 @@ class Edge:
     __slots__ = ("edge_id", "u", "v", "kind", "features", "fixed_cost", "_metadata")
 
     def __init__(
-        self, edge_id: str, u: str, v: str, kind: EdgeKind, features: FeatureVector = NO_FEATURES,
+        self, edge_id: str, u: str, v: str, kind: EdgeKind, features: Mapping[str, float] = NO_FEATURES,
         fixed_cost: Optional[float] = None, metadata: Optional[Mapping[str, object]] = None,
     ) -> None:
         self.edge_id, self.u, self.v, self.kind = edge_id, u, v, kind
@@ -93,7 +99,7 @@ class Edge:
             stored = {**stored, "matchers": matchers_of(self.features)}
         return MappingProxyType(stored)
 
-    def changed(self, features: FeatureVector, metadata: Optional[Mapping[str, object]]) -> "Edge":
+    def changed(self, features: Mapping[str, float], metadata: Optional[Mapping[str, object]]) -> "Edge":
         """A new edge with this one's id, endpoints, kind and fixed cost (see ``replace_edge``)."""
         return Edge(self.edge_id, self.u, self.v, self.kind, features, self.fixed_cost, metadata)
 
@@ -104,7 +110,7 @@ class Edge:
         3.2.3); a repeated matcher's newer confidence wins.
         """
         merged = {name: float(confidence) for name, confidence in confidences.items()}
-        values = self.features.as_dict()
+        values = dict(self.features)
         values.update((matcher_feature(name), confidence) for name, confidence in merged.items())
         stored = self._metadata or _NO_METADATA
         if "matchers" in stored or not metadata.items() <= stored.items():
@@ -113,7 +119,7 @@ class Edge:
             stored = dict(self.metadata)
             stored["matchers"] = {**stored["matchers"], **merged}
             stored.update(metadata)
-        return self.changed(FeatureVector.adopt(values), stored)
+        return self.changed(values, stored)
 
     # ------------------------------------------------------------------
     # Cost
@@ -162,7 +168,7 @@ def default_association_features(
     edge_id: str,
     relations: Tuple[str, ...],
     matcher_confidences: Optional[Mapping[str, float]] = None,
-) -> FeatureVector:
+) -> Dict[str, float]:
     """Build the standard feature vector of an association edge (Section 3.4).
 
     Parameters
@@ -180,4 +186,4 @@ def default_association_features(
     for relation in relations:
         values[relation_feature(relation)] = 1.0
     values[edge_feature(edge_id)] = 1.0
-    return FeatureVector.adopt(values)
+    return values

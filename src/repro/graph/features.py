@@ -1,8 +1,9 @@
 """Feature-based edge costs (paper Section 3.4, Equation 1).
 
-Every edge of the search graph carries a *feature vector* ``f(i, j)``; the
-system maintains a single global *weight vector* ``w``; and the edge cost is
-the dot product ``C((i, j), w) = w · f(i, j)``.
+Every edge of the search graph carries a *feature vector* ``f(i, j)`` — a
+plain ``{feature name: value}`` dict the edge holds as ``Edge.features`` and
+never writes into; the system maintains a single global *weight vector*
+``w``; and the edge cost is the dot product ``C((i, j), w) = w · f(i, j)``.
 
 The standard features attached to an association edge are:
 
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Dict, Iterable, Iterator, Mapping, MutableMapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 DEFAULT_FEATURE = "default"
 _MATCHER_PREFIX = "matcher::"
@@ -77,86 +79,15 @@ def is_relation_feature(name: str) -> bool:
     return name.startswith(_RELATION_PREFIX)
 
 
-def matchers_of(features: "FeatureVector") -> Dict[str, float]:
+def matchers_of(features: Mapping[str, float]) -> Dict[str, float]:
     """Matcher name -> raw confidence, read off the ``matcher::`` features in order."""
     skip = len(_MATCHER_PREFIX)
     return {name[skip:]: value for name, value in features.items() if name.startswith(_MATCHER_PREFIX)}
 
 
-class FeatureVector:
-    """A sparse mapping from feature name to real value.
-
-    Feature vectors are immutable (the learner changes *weights*, never
-    feature values).  The constructor copies the mapping it is given;
-    :meth:`adopt` wraps a dict the caller built for the vector.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Optional[Mapping[str, float]] = None) -> None:
-        self._values: Dict[str, float] = dict(values or {})
-
-    @classmethod
-    def adopt(cls, values: Dict[str, float]) -> "FeatureVector":
-        """A vector over ``values`` itself, not a copy — the caller gives the dict up."""
-        vector = cls.__new__(cls)
-        vector._values = values
-        return vector
-
-    def get(self, feature: str, default: float = 0.0) -> float:
-        """The value of ``feature`` (0.0 if absent)."""
-        return self._values.get(feature, default)
-
-    def items(self) -> Iterable[Tuple[str, float]]:
-        """Iterate over (feature, value) pairs."""
-        return self._values.items()
-
-    def features(self) -> Tuple[str, ...]:
-        """The feature names present in this vector."""
-        return tuple(self._values.keys())
-
-    def with_feature(self, feature: str, value: float) -> "FeatureVector":
-        """Return a copy of this vector with one feature added/overridden."""
-        values = dict(self._values)
-        values[feature] = value
-        return FeatureVector.adopt(values)
-
-    def without_feature(self, feature: str) -> "FeatureVector":
-        """Return a copy of this vector with one feature removed."""
-        values = dict(self._values)
-        values.pop(feature, None)
-        return FeatureVector.adopt(values)
-
-    def merged(self, other: "FeatureVector") -> "FeatureVector":
-        """Union of two vectors; on conflicts the other vector wins."""
-        values = dict(self._values)
-        values.update(other._values)
-        return FeatureVector.adopt(values)
-
-    def as_dict(self) -> Dict[str, float]:
-        """A copy of the underlying mapping."""
-        return dict(self._values)
-
-    def __contains__(self, feature: object) -> bool:
-        return feature in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._values)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FeatureVector):
-            return self._values == other._values
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FeatureVector({self._values!r})"
-
-
-#: The one vector of every edge that carries no feature (membership edges).
-NO_FEATURES = FeatureVector()
+#: The features of every edge that carries none (membership edges): one
+#: shared read-only mapping.
+NO_FEATURES: Mapping[str, float] = MappingProxyType({})
 
 
 class WeightVector:
@@ -208,11 +139,11 @@ class WeightVector:
     # ------------------------------------------------------------------
     # Algebra
     # ------------------------------------------------------------------
-    def dot(self, features: FeatureVector) -> float:
+    def dot(self, features: Mapping[str, float]) -> float:
         """Dot product ``w · f`` over the features present in ``features``."""
         return sum(self.get(name) * value for name, value in features.items())
 
-    def cost(self, features: FeatureVector) -> float:
+    def cost(self, features: Mapping[str, float]) -> float:
         """Alias of :meth:`dot`: the cost of an edge with feature vector ``features``."""
         return self.dot(features)
 

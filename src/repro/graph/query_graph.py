@@ -26,7 +26,7 @@ from ..datastore.database import Catalog
 from ..datastore.indexes import ValueIndex
 from ..similarity.tfidf import TfIdfScorer
 from .edges import Edge, EdgeKind
-from .features import DEFAULT_FEATURE, FeatureVector, edge_feature
+from .features import DEFAULT_FEATURE, edge_feature
 from .nodes import (
     Node,
     NodeKind,
@@ -288,7 +288,7 @@ class QueryGraphBuilder:
         # even for perfect matches, so that Steiner trees prefer fewer hops.
         if identity not in graph.weights:
             graph.weights.set(identity, 0.05)
-        features = FeatureVector.adopt({KEYWORD_MISMATCH_FEATURE: mismatch, identity: 1.0})
+        features = {KEYWORD_MISMATCH_FEATURE: mismatch, identity: 1.0}
         return graph.add_edge(
             Edge(edge_id, keyword_node_id, target_node_id, EdgeKind.KEYWORD_MATCH, features, metadata={"mismatch": mismatch})
         )

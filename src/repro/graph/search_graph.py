@@ -25,7 +25,6 @@ from .edges import Edge, EdgeKind, default_association_features
 from .features import (
     DEFAULT_FEATURE,
     NO_FEATURES,
-    FeatureVector,
     WeightVector,
     edge_feature,
     matcher_feature,
@@ -165,12 +164,18 @@ class SearchGraph:
     # Edge management
     # ------------------------------------------------------------------
     def add_edge(self, edge: Edge) -> Edge:
-        """Add ``edge``; both endpoints must already be nodes."""
-        for endpoint in edge.endpoints():
-            if endpoint not in self._nodes:
-                raise UnknownNodeError(endpoint)
+        """Add ``edge``; both endpoints must already be nodes.
+
+        The edge's ``u`` / ``v`` become the stored nodes' own id strings (equal
+        to what it held), so an edge keeps no copy of either.
+        """
+        try:
+            u, v = self._nodes[edge.u].node_id, self._nodes[edge.v].node_id
+        except KeyError as missing:
+            raise UnknownNodeError(missing.args[0]) from None
         if edge.edge_id in self._edges:
             raise GraphError(f"duplicate edge id {edge.edge_id!r}")
+        edge.u, edge.v = u, v
         self._edges[edge.edge_id] = edge
         self._adjacency[edge.u].append(edge.edge_id)
         if edge.v != edge.u:
@@ -197,7 +202,7 @@ class SearchGraph:
         u: str,
         v: str,
         kind: EdgeKind,
-        features: FeatureVector = NO_FEATURES,
+        features: Mapping[str, float] = NO_FEATURES,
         fixed_cost: Optional[float] = None,
         metadata: Optional[Mapping[str, object]] = None,
     ) -> Edge:
@@ -393,7 +398,7 @@ class SearchGraph:
         feature = edge_feature(edge_id)
         if feature not in self.weights:
             self.weights.set(feature, self.config.foreign_key_cost)
-        features = FeatureVector.adopt({feature: 1.0})
+        features = {feature: 1.0}
         metadata = {"foreign_key": fk.as_tuple()}
         return self.add_edge(Edge(edge_id, u, v, EdgeKind.FOREIGN_KEY, features, metadata=metadata))
 

@@ -16,10 +16,10 @@ unchanged by the rewrite (weight of bin ``i`` = old weight × bin center).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..graph.edges import Edge
-from ..graph.features import FeatureVector, bin_feature, is_matcher_feature
+from ..graph.features import bin_feature, is_matcher_feature
 from ..graph.search_graph import SearchGraph
 
 
@@ -67,8 +67,8 @@ class FeatureBinner:
     # Rewriting
     # ------------------------------------------------------------------
     def bin_vector(
-        self, features: FeatureVector, features_to_bin: Iterable[str]
-    ) -> FeatureVector:
+        self, features: Mapping[str, float], features_to_bin: Iterable[str]
+    ) -> Dict[str, float]:
         """Return ``features`` with the selected features replaced by bin indicators."""
         to_bin = set(features_to_bin)
         values: Dict[str, float] = {}
@@ -77,7 +77,7 @@ class FeatureBinner:
                 values[bin_feature(name, self.bin_index(value))] = 1.0
             else:
                 values[name] = value
-        return FeatureVector(values)
+        return values
 
     def apply_to_graph(
         self,
@@ -97,7 +97,7 @@ class FeatureBinner:
         rewritten = 0
         for edge in graph.learnable_edges():
             if feature_names is None:
-                targets = [n for n in edge.features.features() if is_matcher_feature(n)]
+                targets = [n for n in edge.features if is_matcher_feature(n)]
             else:
                 targets = [n for n in feature_names if n in edge.features]
             if not targets:

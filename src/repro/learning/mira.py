@@ -19,10 +19,10 @@ Hildreth's cyclic projection method, which needs no external QP solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..exceptions import LearningError
-from ..graph.features import FeatureVector, WeightVector
+from ..graph.features import WeightVector
 from ..graph.search_graph import SearchGraph
 from ..steiner.topk import KBestSteiner
 from ..steiner.tree import SteinerTree
@@ -49,28 +49,42 @@ class LinearConstraint:
         return sum(coeff * coeff for coeff in self.coefficients.values())
 
 
+class QPSolution(NamedTuple):
+    """What :func:`hildreth_solve` returns: the weights and how the solve ended."""
+
+    weights: WeightVector
+    #: ``False`` when the solve stopped at ``max_iterations`` passes.
+    converged: bool
+    #: The largest constraint violation seen in the final pass (0.0 if none).
+    max_violation: float
+
+
 def hildreth_solve(
     weights: WeightVector,
     constraints: Sequence[LinearConstraint],
     max_iterations: int = 100,
     tolerance: float = 1e-8,
-) -> WeightVector:
+) -> QPSolution:
     """Solve ``min ||w - w0||^2  s.t.  a_i · w >= b_i`` with Hildreth's method.
 
-    The starting point ``weights`` is ``w0``; the returned vector is the
+    The starting point ``weights`` is ``w0``; the returned weights are the
     (approximate) projection of ``w0`` onto the feasible polyhedron.  The
     method maintains one non-negative multiplier per constraint and cycles
-    through the constraints applying coordinate-wise dual ascent.
+    through the constraints applying coordinate-wise dual ascent; it has
+    converged when a pass moves no multiplier by ``tolerance`` or more.
     """
     if not constraints:
-        return weights.copy()
+        return QPSolution(weights.copy(), True, 0.0)
     result = weights.copy()
     multipliers = [0.0] * len(constraints)
     norms = [max(c.squared_norm(), 1e-12) for c in constraints]
+    converged, max_violation = False, 0.0
     for _ in range(max_iterations):
-        max_update = 0.0
+        max_update = max_violation = 0.0
         for index, constraint in enumerate(constraints):
             violation = constraint.violation(result)
+            if violation > max_violation:
+                max_violation = violation
             step = violation / norms[index]
             # Multipliers must stay non-negative.
             step = max(step, -multipliers[index])
@@ -80,8 +94,9 @@ def hildreth_solve(
             result.update({name: step * coeff for name, coeff in constraint.coefficients.items()})
             max_update = max(max_update, abs(step))
         if max_update < tolerance:
+            converged = True
             break
-    return result
+    return QPSolution(result, converged, max_violation)
 
 
 def tree_feature_vector(graph: SearchGraph, tree: SteinerTree) -> Tuple[Dict[str, float], float]:
@@ -110,6 +125,10 @@ class FeedbackStepResult:
     target_tree: SteinerTree
     constraints: int
     weight_change: float
+    #: Whether the QP solve ended before its pass cap (``max_qp_iterations``).
+    converged: bool
+    #: The largest constraint violation of the solve's final pass.
+    max_violation: float
 
 
 class OnlineLearner:
@@ -216,11 +235,11 @@ class OnlineLearner:
             constraints.append(LinearConstraint(coefficients, self.positive_margin))
 
         before = graph.weights.copy()
-        updated = hildreth_solve(
+        solution = hildreth_solve(
             graph.weights, constraints, max_iterations=self.max_qp_iterations
         )
         # Install the new weights in place so all sharers observe them.
-        for name, value in updated.as_dict().items():
+        for name, value in solution.weights.as_dict().items():
             graph.weights.set(name, value)
         self.steps_processed += 1
         return FeedbackStepResult(
@@ -228,6 +247,8 @@ class OnlineLearner:
             target_tree=target,
             constraints=len(constraints),
             weight_change=before.distance_to(graph.weights),
+            converged=solution.converged,
+            max_violation=solution.max_violation,
         )
 
     # ------------------------------------------------------------------

@@ -41,7 +41,7 @@ class StateShadow:
     def __init__(self, service) -> None:
         graph = service.graph
         self.nodes = {node.node_id: node for node in graph.nodes()}
-        self.edge_features = {edge.edge_id: edge.features for edge in graph.edges()}
+        self.edges = {edge.edge_id: edge for edge in graph.edges()}
         self.weights = graph.weights.as_dict()
         self.source_names = list(service.catalog.source_names())
         self.profile_refs = {
@@ -82,18 +82,17 @@ def build_delta(service, shadow: StateShadow, holds_rows: bool) -> Tuple[Dict[st
         if shadow.nodes.get(node_id) is not node
     ]
     edges_removed = [
-        edge_id for edge_id in shadow.edge_features if edge_id not in current_edges
+        edge_id for edge_id in shadow.edges if edge_id not in current_edges
     ]
     edges_added = [
         edge_payload(edge)
         for edge_id, edge in current_edges.items()
-        if edge_id not in shadow.edge_features
+        if edge_id not in shadow.edges
     ]
     edges_changed = [
         edge_payload(edge)
         for edge_id, edge in current_edges.items()
-        if edge_id in shadow.edge_features
-        and shadow.edge_features[edge_id] is not edge.features
+        if edge_id in shadow.edges and shadow.edges[edge_id] is not edge
     ]
     weights_set = {
         name: value

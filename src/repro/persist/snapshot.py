@@ -36,7 +36,7 @@ from typing import Dict, Mapping, Optional
 
 from ..exceptions import SnapshotError
 from ..graph.edges import ALIGNER_ORIGIN, Edge, EdgeKind
-from ..graph.features import NO_FEATURES, FeatureVector, WeightVector, matchers_of
+from ..graph.features import NO_FEATURES, WeightVector, matchers_of
 from ..graph.nodes import Node, NodeKind
 from ..graph.query_graph import KeywordMatch, QueryGraph
 from ..graph.search_graph import GraphConfig, SearchGraph
@@ -159,7 +159,7 @@ def _encode_metadata(metadata: Mapping[str, object]) -> Dict[str, object]:
 
 
 def _decode_metadata(
-    metadata: Optional[Dict[str, object]], kind: EdgeKind, features: FeatureVector
+    metadata: Optional[Dict[str, object]], kind: EdgeKind, features: Mapping[str, float]
 ) -> Optional[Mapping[str, object]]:
     """What a restored edge keeps of ``metadata``: nothing it derives or can share.
 
@@ -188,7 +188,7 @@ def edge_payload(edge: Edge) -> Dict[str, object]:
         "u": edge.u,
         "v": edge.v,
         "kind": edge.kind.value,
-        "features": dict(edge.features.items()),
+        "features": dict(edge.features),
     }
     if edge.fixed_cost is not None:
         payload["fixed_cost"] = edge.fixed_cost
@@ -200,10 +200,9 @@ def edge_payload(edge: Edge) -> Dict[str, object]:
 
 def restore_edge(payload: Dict[str, object]) -> Edge:
     kind = _EDGE_KINDS[payload["kind"]]
-    features = payload.get("features")
-    vector = FeatureVector.adopt(features) if features else NO_FEATURES
-    metadata = _decode_metadata(payload.get("metadata"), kind, vector)
-    return Edge(payload["id"], payload["u"], payload["v"], kind, vector, payload.get("fixed_cost"), metadata)
+    features = payload.get("features") or NO_FEATURES
+    metadata = _decode_metadata(payload.get("metadata"), kind, features)
+    return Edge(payload["id"], payload["u"], payload["v"], kind, features, payload.get("fixed_cost"), metadata)
 
 
 # ----------------------------------------------------------------------

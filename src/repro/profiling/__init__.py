@@ -62,7 +62,6 @@ from .sketches import (
     attribute_sketch,
     band_keys,
     minhash_signature,
-    sketch_jaccard,
     token_hash,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "band_keys",
     "minhash_signature",
     "profile_table",
-    "sketch_jaccard",
     "stable_shard",
     "token_hash",
 ]

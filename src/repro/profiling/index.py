@@ -63,8 +63,9 @@ class CatalogProfileIndex:
         ``1`` keeps the seed layout.
     sketch:
         Optional :class:`~repro.profiling.sketches.SketchConfig`.  When
-        given, every attribute additionally maintains a MinHash signature
-        over its value tokens plus LSH band-bucket membership, enabling the
+        given, every attribute additionally keeps the LSH band keys of a
+        MinHash signature over its value tokens (not the signature itself)
+        and the buckets they name, enabling the
         sub-linear :meth:`sketch_candidates` / :meth:`tiered_candidates`
         tier.  ``None`` (the default) keeps candidate generation purely
         exact.
@@ -93,9 +94,7 @@ class CatalogProfileIndex:
         self._source_relations: Dict[str, List[str]] = {}
         #: All posting lists (values, tokens, sketch buckets), hash-sharded.
         self._shards = ShardRouter(shard_count)
-        #: per-attribute MinHash signatures and their LSH band keys
-        #: (present only when ``sketch`` is configured).
-        self._signatures: Dict[AttrId, Tuple[int, ...]] = {}
+        #: per-attribute LSH band keys (present only when ``sketch`` is configured).
         self._band_keys: Dict[AttrId, Tuple[BandKey, ...]] = {}
         #: per-attribute candidate maps memo: attr -> (epoch, candidates).
         self._candidate_cache: Dict[AttrId, Tuple[int, Dict[AttrId, int]]] = {}
@@ -174,9 +173,7 @@ class CatalogProfileIndex:
         for token in profile.value_tokens:
             shards.add_token(token, attr_id)
         if self.sketch_config is not None:
-            signature, keys = attribute_sketch(profile.value_tokens, self.sketch_config)
-            self._signatures[attr_id] = signature
-            self._band_keys[attr_id] = keys
+            keys = self._band_keys[attr_id] = attribute_sketch(profile.value_tokens, self.sketch_config)
             for key in keys:
                 shards.add_bucket(key, attr_id)
 
@@ -197,7 +194,6 @@ class CatalogProfileIndex:
             if self._postings_ready:
                 return
             self._shards = ShardRouter(self._shards.shard_count)
-            self._signatures = {}
             self._band_keys = {}
             for profile in self._attribute_profiles.values():
                 self._install_postings(profile)
@@ -230,7 +226,6 @@ class CatalogProfileIndex:
                     shards.discard_token(token, attr_id)
             for key in self._band_keys.pop(attr_id, ()):
                 shards.discard_bucket(key, attr_id)
-            self._signatures.pop(attr_id, None)
             self._candidate_cache.pop(attr_id, None)
             self._tiered_cache.pop(attr_id, None)
         self.epoch += 1

@@ -9,7 +9,8 @@ into ``N`` independent :class:`PostingShard` buckets behind a thin
 :class:`ShardRouter`:
 
 * routing is by a **stable** hash (``zlib.crc32``) of the posting key —
-  the distinct value, the value token, or the LSH band bucket — so shard
+  the distinct value or the value token; an LSH band bucket's int key
+  already carries a crc32 and routes by ``key % shard_count`` — so shard
   assignment is identical across processes, sessions and restores
   (Python's builtin ``hash`` is salted per process and therefore unusable
   here);
@@ -38,8 +39,9 @@ from typing import Collection, Dict, Hashable, List, Optional, Set, Tuple, Union
 
 from .profiles import AttrId
 
-#: An LSH band bucket identity: ``(band index, band hash)``.
-BandKey = Tuple[int, int]
+#: An LSH band bucket identity: ``band index << 32 | crc32 of the band's rows``
+#: (see :func:`~repro.profiling.sketches.band_keys`).
+BandKey = int
 
 #: What a posting map holds under a key: the one attribute, or a set of them.
 Posting = Union[AttrId, Set[AttrId]]
@@ -163,10 +165,7 @@ class ShardRouter:
         return _lookup(self.shards[self._bucket_shard(key)].sketch_buckets, key)
 
     def _bucket_shard(self, key: BandKey) -> int:
-        if self.shard_count <= 1:
-            return 0
-        band, digest = key
-        return (band * 1000003 + digest) % self.shard_count
+        return key % self.shard_count
 
     # ------------------------------------------------------------------
     # Introspection

@@ -3,11 +3,13 @@
 The approximate tier of the profile index's tiered blocking (see
 :meth:`~repro.profiling.index.CatalogProfileIndex.tiered_candidates`).
 Each attribute's distinct **value tokens** — already computed once at
-profiling time — are summarized into a MinHash signature; signatures are
+profiling time — are summarized into a MinHash signature; the signature is
 cut into LSH bands, and two attributes become *sketch candidates* when any
-band hashes into the same bucket.  Bucket membership is maintained
-incrementally alongside the posting lists, so a candidate probe is a
-handful of bucket lookups instead of a scan over the catalog.
+band hashes into the same bucket.  A sketch *is* its bucket keys: one int
+per band, ``band << 32 | crc32(band rows)``; the signature is dropped once
+cut, since only bucket identity decides a candidate.  Bucket membership is
+maintained incrementally alongside the posting lists, so a candidate probe
+is a handful of bucket lookups instead of a scan over the catalog.
 
 Determinism is a hard requirement: signatures must be identical across
 processes and across save/restore cycles (the persistence round-trip
@@ -125,10 +127,11 @@ def minhash_signature(
     return tuple(signature)
 
 
-def band_keys(
-    signature: Tuple[int, ...], config: SketchConfig
-) -> Tuple[Tuple[int, int], ...]:
-    """LSH bucket keys of a signature: one ``(band, digest)`` pair per band.
+def band_keys(signature: Tuple[int, ...], config: SketchConfig) -> Tuple[int, ...]:
+    """LSH bucket keys of a signature: one int ``band << 32 | digest`` per band.
+
+    ``digest`` is the crc32 of the band's rows, so it fits the low 32 bits
+    and the key names the ``(band, digest)`` bucket exactly.
 
     Empty-set sentinel signatures produce no keys at all — an attribute
     with no tokens can never be a sketch candidate (it has no tokens to
@@ -137,25 +140,14 @@ def band_keys(
     if signature and signature[0] == _MERSENNE and len(set(signature)) == 1:
         return ()
     rows = config.rows_per_band
-    keys: List[Tuple[int, int]] = []
+    keys: List[int] = []
     for band in range(config.bands):
         chunk = signature[band * rows : (band + 1) * rows]
         digest = zlib.crc32(b"|".join(str(v).encode("ascii") for v in chunk))
-        keys.append((band, digest))
+        keys.append(band << 32 | digest)
     return tuple(keys)
 
 
-def sketch_jaccard(sig_a: Tuple[int, ...], sig_b: Tuple[int, ...]) -> float:
-    """Jaccard estimate from two equal-length signatures (diagnostics only)."""
-    if not sig_a or len(sig_a) != len(sig_b):
-        return 0.0
-    matches = sum(1 for a, b in zip(sig_a, sig_b) if a == b)
-    return matches / len(sig_a)
-
-
-def attribute_sketch(
-    value_tokens: FrozenSet[str], config: SketchConfig
-) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
-    """Signature + band keys of one attribute's value-token set."""
-    signature = minhash_signature(value_tokens, config)
-    return signature, band_keys(signature, config)
+def attribute_sketch(value_tokens: FrozenSet[str], config: SketchConfig) -> Tuple[int, ...]:
+    """The band keys of one attribute's value-token set (its signature is not kept)."""
+    return band_keys(minhash_signature(value_tokens, config), config)

@@ -145,10 +145,10 @@ class KBestSteiner:
         # Every distinct tree found so far, cheapest first, as (cost, exclusion
         # keys of its edges): what bounds the branches still to solve.
         known: List[Tuple[float, FrozenSet]] = []
-        candidate_signatures: Set[FrozenSet[str]] = set()
+        candidate_edge_sets: Set[FrozenSet[str]] = set()
 
         def remember(tree: SteinerTree) -> None:
-            candidate_signatures.add(tree.edge_ids)
+            candidate_edge_sets.add(tree.edge_ids)
             bisect.insort(known, (tree.cost, frozenset(map(exclusion_key, tree.edge_ids))))
 
         def base_solve(excluded: FrozenSet) -> SteinerTree:
@@ -226,7 +226,7 @@ class KBestSteiner:
                     continue
                 except SteinerError:  # BoundExceededError: the solver counted it
                     continue
-                if candidate.edge_ids in seen_trees or candidate.edge_ids in candidate_signatures:
+                if candidate.edge_ids in seen_trees or candidate.edge_ids in candidate_edge_sets:
                     counters.duplicate_candidates += 1
                     continue
                 remember(candidate)

@@ -112,7 +112,7 @@ def test_bootstrap_hands_the_matchers_the_index_and_installs_the_golden_edges(gb
     correspondences = service.bootstrap_alignments()
     assert all(matcher.profile_index is service.profile_index for matcher in service.matchers)
     assert len(correspondences) == expected["correspondences"]
-    held = {edge.edge_id: edge.features.as_dict() for edge in service.graph.association_edges()}
+    held = {edge.edge_id: dict(edge.features) for edge in service.graph.association_edges()}
     assert list(held) == list(expected["edges"])
     assert held == expected["edges"]
 

@@ -1,16 +1,18 @@
 """What a stored edge holds: counts of heap objects, never seconds.
 
-An association edge is one slotted object plus its feature vector; its
-``metadata`` is read off what it already holds (``matchers``) or shares
-(the aligner's ``origin``), and still reads — and saves — exactly as when
-every edge carried its own two dicts.  A posting seen in one attribute is
-that attribute id, not a one-element set.
+An association edge is one slotted object: its features are a plain dict of
+atoms the collector does not track, and its endpoints are the graph's own
+node-id strings.  Its ``metadata`` is read off what it already holds
+(``matchers``) or shares (the aligner's ``origin``), and still reads — and
+saves — exactly as when every edge carried its own two dicts.  A posting
+seen in one attribute is that attribute id, not a one-element set.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -34,7 +36,7 @@ def tracked(kind=None):
 
 
 class TestHeapCensus:
-    def test_an_installed_association_is_two_tracked_objects(self):
+    def test_an_installed_association_is_one_tracked_object(self):
         count = 2000
         graph = SearchGraph()
         correspondences = [
@@ -45,10 +47,22 @@ class TestHeapCensus:
             graph.add_node(make_attribute_node(c.source.relation, c.source.attribute))
             graph.add_node(make_attribute_node(c.target.relation, c.target.attribute))
         objects_before, dicts_before = tracked(), tracked(dict)
-        edges = install_associations(graph, correspondences)
+        tracemalloc.start()
+        try:
+            bytes_before = tracemalloc.get_traced_memory()[0]
+            edges = install_associations(graph, correspondences)
+            gc.collect()
+            installed_bytes = tracemalloc.get_traced_memory()[0] - bytes_before
+        finally:
+            tracemalloc.stop()
         assert len(edges) == count == len(graph.association_edges())
-        # The Edge and its FeatureVector; the features dict holds only atoms.
-        assert (tracked() - objects_before) / count <= 2.1
+        # The Edge alone; its features dict holds only atoms.
+        assert (tracked() - objects_before) / count <= 1.1
+        # Everything the graph keeps per association (edge, features, edge id,
+        # adjacency and pair entries): 697 bytes on CPython 3.11, plus 10%.
+        assert installed_bytes / count <= 770
+        for edge in edges:
+            assert edge.u is graph.node(edge.u).node_id and edge.v is graph.node(edge.v).node_id
         # No edge has a metadata dict of its own (one that holds `matchers` is tracked).
         assert tracked(dict) - dicts_before <= 5
         assert edges[0].metadata == {"origin": "aligner", "matchers": {"m": 0.5}}

@@ -292,7 +292,7 @@ class TestTypedSteinerErrors:
         assert issubclass(DisconnectedTerminalsError, SteinerError)
 
     def test_both_solvers_raise_typed_error(self):
-        from repro.graph import EdgeKind, FeatureVector, Node, NodeKind, SearchGraph, edge_feature
+        from repro.graph import EdgeKind, Node, NodeKind, SearchGraph, edge_feature
         from repro.steiner import approximate_steiner_tree, exact_steiner_tree
 
         graph = SearchGraph()
@@ -300,7 +300,7 @@ class TestTypedSteinerErrors:
             graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
         for u, v in (("a", "b"), ("c", "d")):
             edge = graph.new_edge(u, v, EdgeKind.ASSOCIATION)
-            edge.features = FeatureVector({edge_feature(edge.edge_id): 1.0})
+            edge.features = {edge_feature(edge.edge_id): 1.0}
             graph.weights.set(edge_feature(edge.edge_id), 1.0)
             graph.add_edge(edge)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,6 @@ from repro.graph import (
     DEFAULT_FEATURE,
     Edge,
     EdgeKind,
-    FeatureVector,
     GraphConfig,
     NodeKind,
     SearchGraph,
@@ -32,35 +33,46 @@ from repro.graph import (
 
 
 class TestFeatureVector:
+    """An edge's feature vector is a plain dict the edge never writes into."""
+
     def test_get_default(self):
-        fv = FeatureVector({"a": 1.0})
-        assert fv.get("a") == 1.0
-        assert fv.get("missing") == 0.0
+        weights = WeightVector({"a": 2.0, "unused": 7.0})
+        assert weights.dot({"a": 1.0}) == 2.0  # a weight whose feature is absent adds nothing
+        assert weights.dot({"missing": 3.0}) == 0.0  # a feature without a weight weighs 0
 
     def test_immutability_via_copies(self):
-        fv = FeatureVector({"a": 1.0})
-        fv2 = fv.with_feature("b", 2.0)
-        assert "b" not in fv
-        assert fv2.get("b") == 2.0
-        fv3 = fv2.without_feature("a")
-        assert "a" in fv2 and "a" not in fv3
+        graph = SearchGraph()
+        first = graph.add_association("a.r", "x", "b.s", "y", {"m": 0.5})
+        held = dict(first.features)
+        second = graph.add_association("a.r", "x", "b.s", "y", {"n": 0.25})
+        assert second is not first and second.features is not first.features
+        assert first.features == held and matcher_feature("n") not in first.features
+        assert second.features[matcher_feature("n")] == 0.25
 
     def test_merged(self):
-        merged = FeatureVector({"a": 1.0}).merged(FeatureVector({"a": 2.0, "b": 3.0}))
-        assert merged.get("a") == 2.0
-        assert merged.get("b") == 3.0
+        graph = SearchGraph()
+        graph.add_association("a.r", "x", "b.s", "y", {"m": 0.5, "n": 0.1})
+        merged = graph.add_association("a.r", "x", "b.s", "y", {"m": 0.75})
+        assert merged.features[matcher_feature("m")] == 0.75  # the newer confidence wins
+        assert merged.features[matcher_feature("n")] == 0.1
 
     def test_container_protocols(self):
-        fv = FeatureVector({"a": 1.0, "b": 2.0})
-        assert len(fv) == 2
-        assert set(iter(fv)) == {"a", "b"}
-        assert fv == FeatureVector({"b": 2.0, "a": 1.0})
+        edge = SearchGraph().add_association("a.r", "x", "b.s", "y", {"m": 0.5})
+        assert type(edge.features) is dict and not gc.is_tracked(edge.features)
+        assert set(edge.features) == {
+            DEFAULT_FEATURE, matcher_feature("m"), relation_feature("a.r"),
+            relation_feature("b.s"), edge_feature(edge.edge_id),
+        }
+        membership = SearchGraph().new_edge("r", "a", EdgeKind.MEMBERSHIP)
+        assert len(membership.features) == 0
+        with pytest.raises(TypeError):
+            membership.features["x"] = 1.0  # the shared empty vector is read-only
 
 
 class TestWeightVector:
     def test_dot_product(self):
         weights = WeightVector({"a": 2.0, "b": -1.0})
-        features = FeatureVector({"a": 1.0, "b": 0.5, "c": 10.0})
+        features = {"a": 1.0, "b": 0.5, "c": 10.0}
         assert weights.dot(features) == pytest.approx(1.5)
 
     def test_update_and_copy(self):
@@ -101,7 +113,7 @@ class TestEdge:
 
     def test_learnable_cost_clamped(self):
         edge = SearchGraph().new_edge(
-            "a", "b", EdgeKind.ASSOCIATION, features=FeatureVector({"x": 1.0})
+            "a", "b", EdgeKind.ASSOCIATION, features={"x": 1.0}
         )
         weights = WeightVector({"x": -5.0})
         assert edge.cost(weights, minimum=1e-3) == pytest.approx(1e-3)
@@ -281,7 +293,7 @@ def _state(graph):
     return (
         tuple(node.node_id for node in graph.nodes()),
         tuple(
-            (edge.edge_id, edge.u, edge.v, edge.kind, edge.features.as_dict(), repr(edge.metadata))
+            (edge.edge_id, edge.u, edge.v, edge.kind, dict(edge.features), repr(edge.metadata))
             for edge in graph.edges()
         ),
         tuple(

@@ -10,7 +10,6 @@ from repro.datastore.provenance import AnswerTuple, TupleProvenance
 from repro.exceptions import FeedbackError, LearningError
 from repro.graph import (
     EdgeKind,
-    FeatureVector,
     Node,
     NodeKind,
     SearchGraph,
@@ -44,7 +43,7 @@ def build_parallel_edge_graph():
     edges = []
     for index, cost in enumerate((1.0, 2.0, 3.0)):
         edge = graph.new_edge("s", "t", EdgeKind.ASSOCIATION)
-        edge.features = FeatureVector({edge_feature(edge.edge_id): 1.0})
+        edge.features = {edge_feature(edge.edge_id): 1.0}
         graph.weights.set(edge_feature(edge.edge_id), cost)
         graph.add_edge(edge)
         edges.append(edge)
@@ -73,20 +72,20 @@ class TestLossFunctions:
 class TestHildrethSolver:
     def test_no_constraints_returns_copy(self):
         weights = WeightVector({"a": 1.0})
-        result = hildreth_solve(weights, [])
+        result = hildreth_solve(weights, []).weights
         assert result.as_dict() == {"a": 1.0}
         assert result is not weights
 
     def test_single_constraint_projection(self):
         weights = WeightVector({"a": 0.0})
         constraint = LinearConstraint({"a": 1.0}, 2.0)
-        result = hildreth_solve(weights, [constraint])
+        result = hildreth_solve(weights, [constraint]).weights
         assert result.get("a") == pytest.approx(2.0, abs=1e-6)
 
     def test_satisfied_constraint_leaves_weights(self):
         weights = WeightVector({"a": 5.0})
         constraint = LinearConstraint({"a": 1.0}, 2.0)
-        result = hildreth_solve(weights, [constraint])
+        result = hildreth_solve(weights, [constraint]).weights
         assert result.get("a") == pytest.approx(5.0)
 
     def test_multiple_constraints(self):
@@ -96,9 +95,16 @@ class TestHildrethSolver:
             LinearConstraint({"b": 1.0}, 2.0),
             LinearConstraint({"a": 1.0, "b": 1.0}, 2.0),
         ]
-        result = hildreth_solve(weights, constraints)
+        result = hildreth_solve(weights, constraints).weights
         assert result.get("a") >= 1.0 - 1e-6
         assert result.get("b") >= 2.0 - 1e-6
+
+    def test_a_solve_stopped_at_the_pass_cap_says_so(self):
+        constraints = [LinearConstraint({"a": 1.0}, 1.0), LinearConstraint({"a": 1.0, "b": 1.0}, 3.0)]
+        capped = hildreth_solve(WeightVector({}), constraints, max_iterations=1)
+        assert not capped.converged and capped.max_violation > 0
+        solved = hildreth_solve(WeightVector({}), constraints)
+        assert solved.converged and solved.max_violation < 1e-8
 
     def test_violation_and_norm(self):
         constraint = LinearConstraint({"a": 2.0}, 4.0)
@@ -115,7 +121,7 @@ class TestHildrethSolver:
         # Single-variable constraints coeff * w >= bound are always feasible
         # when all coefficients are positive.
         constraints = [LinearConstraint({"w": coeff}, bound) for coeff, bound in specs]
-        result = hildreth_solve(WeightVector({}), constraints, max_iterations=500)
+        result = hildreth_solve(WeightVector({}), constraints, max_iterations=500).weights
         for constraint in constraints:
             assert constraint.violation(result) <= 1e-5
 
@@ -179,6 +185,37 @@ class TestOnlineLearner:
             FeedbackEvent(terminals=tuple(terminals), target_tree=target, demoted_tree=demoted)
         )
         assert demoted.recost(graph).cost > target.recost(graph).cost
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        costs=st.lists(st.floats(0.1, 5.0), min_size=2, max_size=5),
+        picks=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+        passes=st.sampled_from([1, 2, 200]),
+    )
+    def test_each_step_satisfies_its_constraints_or_says_it_did_not_converge(self, costs, picks, passes):
+        graph = SearchGraph()
+        for name in ("s", "t"):
+            graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
+        edges = []
+        for cost in costs:
+            edge = graph.new_edge("s", "t", EdgeKind.ASSOCIATION)
+            edge.features = {edge_feature(edge.edge_id): 1.0}
+            graph.weights.set(edge_feature(edge.edge_id), cost)
+            edges.append(graph.add_edge(edge))
+        learner = OnlineLearner(graph, k=3, max_qp_iterations=passes)
+        for pick in picks:
+            target = SteinerTree.from_edges(graph, [edges[pick % len(edges)].edge_id], ("s", "t"))
+            step = learner.process(FeedbackEvent(terminals=("s", "t"), target_tree=target))
+            if not step.converged:
+                continue
+            assert step.max_violation <= 1e-6
+            price = {edge.edge_id: graph.weights.dot(edge.features) for edge in edges}
+            assert all(cost >= learner.positive_margin - 1e-6 for cost in price.values())
+            (chosen,) = target.edge_ids
+            for tree in step.candidate_trees:
+                if tree.edge_ids != target.edge_ids:
+                    (other,) = tree.edge_ids
+                    assert price[other] - price[chosen] >= learner.loss(target, tree) - 1e-6
 
     def test_missing_terminals_raise(self):
         graph, edges = build_parallel_edge_graph()
@@ -295,11 +332,11 @@ class TestFeatureBinner:
 
     def test_bin_vector_replaces_selected_features(self):
         binner = FeatureBinner(num_bins=2)
-        features = FeatureVector({matcher_feature("mad"): 0.9, "default": 1.0})
+        features = {matcher_feature("mad"): 0.9, "default": 1.0}
         binned = binner.bin_vector(features, [matcher_feature("mad")])
         assert matcher_feature("mad") not in binned
         assert binned.get("default") == 1.0
-        assert any(name.startswith("bin::") for name in binned.features())
+        assert any(name.startswith("bin::") for name in binned)
 
     def test_apply_to_graph_preserves_costs(self, mini_graph):
         edge = mini_graph.association_edges()[0]

@@ -95,9 +95,7 @@ def random_graphs(draw):
         features = draw(
             st.dictionaries(_names, _finite, min_size=1, max_size=4)
         )
-        from repro.graph.features import FeatureVector
-
-        edge.features = FeatureVector(features)
+        edge.features = features
         graph.add_edge(edge)
     for name, weight in draw(
         st.dictionaries(_names, _finite, min_size=0, max_size=6)

@@ -10,6 +10,7 @@ scaling configuration itself.
 from __future__ import annotations
 
 import json
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from repro.api.types import RegisterSourceRequest, ServiceConfig
 from repro.datasets.synthetic import make_community_source
 from repro.datastore.database import Catalog, DataSource
 from repro.matching import ValueOverlapMatcher
-from repro.profiling import CatalogProfileIndex, ShardRouter, SketchConfig, stable_shard
+from repro.profiling import CatalogProfileIndex, ShardRouter, SketchConfig, minhash_signature, stable_shard
 
 # A small shared vocabulary so random catalogs actually overlap.
 _WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta")
@@ -45,6 +46,17 @@ def _build_tables(datasets):
         )
         tables.extend(source.tables())
     return tables
+
+
+def _tuple_band_keys(signature, config):
+    """The ``(band, digest)`` bucket keys the int keys replaced (no keys for an empty set)."""
+    if set(signature) == {(1 << 61) - 1}:
+        return []
+    rows = config.rows_per_band
+    return [
+        (band, zlib.crc32(b"|".join(str(v).encode("ascii") for v in signature[band * rows : (band + 1) * rows])))
+        for band in range(config.bands)
+    ]
 
 
 def _community_catalog(size: int = 6, communities: int = 2):
@@ -103,6 +115,34 @@ class TestShardRouting:
             relation = table.schema.qualified_name
             assert sketched.candidate_pairs(relation) == flat.candidate_pairs(relation)
 
+    @given(datasets=_catalog_data, shards=st.sampled_from([1, 4]))
+    @settings(max_examples=30, deadline=None)
+    def test_int_bucket_keys_name_the_tuple_buckets(self, datasets, shards):
+        # A sketch is its band keys: ``band << 32 | digest`` has to collide
+        # exactly where the ``(band, digest)`` pair it replaced did.
+        config = SketchConfig(num_perm=8, bands=4)
+        sources = [
+            DataSource.build(f"s{i}", {f"r{i}": ["a", "b"]}, data={f"r{i}": list(rows)})
+            for i, rows in enumerate(datasets)
+        ]
+        index = CatalogProfileIndex.from_catalog(Catalog(sources), shard_count=shards, sketch=config)
+        assert not hasattr(index, "_signatures")
+        attrs = [
+            (table.schema.qualified_name, attribute)
+            for source in sources for table in source for attribute in ("a", "b")
+        ]
+        buckets, keys_of = {}, {}
+        for attr in attrs:
+            keys = keys_of[attr] = _tuple_band_keys(
+                minhash_signature(index.profile(*attr).value_tokens, config), config
+            )
+            for key in keys:
+                buckets.setdefault(key, set()).add(attr)
+            assert index._band_keys[attr] == tuple(band << 32 | digest for band, digest in keys)
+        for attr in attrs:
+            reference = set().union(*(buckets[key] for key in keys_of[attr])) - {attr}
+            assert index.sketch_candidates(*attr) == reference
+
     @given(
         shards=st.integers(min_value=1, max_value=6),
         num_perm=st.sampled_from([0, 8, 16]),
@@ -133,7 +173,7 @@ _ATTRS = st.sampled_from([("s.r", "a"), ("s.r", "b"), ("t.r", "a")])
 _POOL = {
     "value": ["v0", "v1", "v2", "v3"],
     "token": ["t0", "t1", "t2"],
-    "bucket": [(band, digest) for band in range(2) for digest in range(3)],
+    "bucket": [band << 32 | digest for band in range(2) for digest in range(3)],
 }
 _KEYS = {kind: st.sampled_from(pool) for kind, pool in _POOL.items()}
 _KINDS = st.sampled_from(sorted(_POOL))

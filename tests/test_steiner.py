@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.engine.context import SteinerNetworkCache
 from repro.exceptions import SteinerError
-from repro.graph import EdgeKind, FeatureVector, Node, NodeKind, SearchGraph, edge_feature
+from repro.graph import EdgeKind, Node, NodeKind, SearchGraph, edge_feature
 from reference_steiner import reference_solver
 from repro.steiner.network import SolverCounters
 from repro.steiner import (
@@ -34,7 +34,7 @@ def build_weighted_graph(edges):
         graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
     for u, v, cost in edges:
         edge = graph.new_edge(u, v, EdgeKind.ASSOCIATION)
-        edge.features = FeatureVector({edge_feature(edge.edge_id): 1.0})
+        edge.features = {edge_feature(edge.edge_id): 1.0}
         graph.weights.set(edge_feature(edge.edge_id), cost)
         graph.add_edge(edge)
     return graph
@@ -124,7 +124,7 @@ class TestTwoTerminalTieBreak:
         by_pair = {}
         for u, v, cost in edges:
             edge = graph.new_edge(u, v, EdgeKind.ASSOCIATION)
-            edge.features = FeatureVector({edge_feature(edge.edge_id): 1.0})
+            edge.features = {edge_feature(edge.edge_id): 1.0}
             graph.weights.set(edge_feature(edge.edge_id), cost)
             graph.add_edge(edge)
             by_pair[(u, v)] = edge.edge_id

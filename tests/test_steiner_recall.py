@@ -20,7 +20,7 @@ from test_steiner_differential import random_case
 from repro.engine import context
 from repro.engine.context import SteinerNetworkCache
 from repro.faults.budget import Budget
-from repro.graph import Edge, EdgeKind, FeatureVector, Node, NodeKind, SearchGraph
+from repro.graph import Edge, EdgeKind, Node, NodeKind, SearchGraph
 from repro.learning.overlays import OverlayWeightVector, graph_with_weights
 from repro.steiner import KBestSteiner
 
@@ -41,7 +41,7 @@ def learnable_case(seed: int):
             continue
         feature = f"cost::{number}"
         graph.weights.set(feature, edge.fixed_cost)
-        made = graph.new_edge(edge.u, edge.v, edge.kind, features=FeatureVector({feature: 1.0}))
+        made = graph.new_edge(edge.u, edge.v, edge.kind, features={feature: 1.0})
         graph.add_edge(made)
         features[made.edge_id] = feature
     return rng, graph, terminals, features
