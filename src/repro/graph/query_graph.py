@@ -194,20 +194,24 @@ class QueryGraphBuilder:
             keyword_node = make_keyword_node(keyword)
             graph.add_node(keyword_node)
             result.keyword_nodes[keyword] = keyword_node.node_id
-            self._match_schema_elements(graph, keyword, keyword_node, result)
-            self._match_data_values(graph, keyword, keyword_node, result)
+            # Vectorised once: both passes score it against many strings.
+            vector = self.scorer.vector(keyword)
+            self._match_schema_elements(graph, keyword, vector, keyword_node, result)
+            self._match_data_values(graph, keyword, vector, keyword_node, result)
         return result
 
     # ------------------------------------------------------------------
     # Schema-element matching
     # ------------------------------------------------------------------
     def _match_schema_elements(
-        self, graph: SearchGraph, keyword: str, keyword_node: Node, result: QueryGraph
+        self, graph: SearchGraph, keyword: str, vector: Dict[str, float], keyword_node: Node,
+        result: QueryGraph,
     ) -> None:
+        cosine = self.scorer.cosine
         for node in graph.nodes():
             if node.kind not in (NodeKind.RELATION, NodeKind.ATTRIBUTE):
                 continue
-            similarity = self.scorer.similarity(keyword, node.label)
+            similarity = cosine(vector, node.label)
             if similarity < self.similarity_threshold:
                 continue
             mismatch = 1.0 - similarity
@@ -226,7 +230,8 @@ class QueryGraphBuilder:
     # Lazy value matching
     # ------------------------------------------------------------------
     def _match_data_values(
-        self, graph: SearchGraph, keyword: str, keyword_node: Node, result: QueryGraph
+        self, graph: SearchGraph, keyword: str, vector: Dict[str, float], keyword_node: Node,
+        result: QueryGraph,
     ) -> None:
         occurrences = self.value_index.lookup(keyword)
         if not occurrences:
@@ -242,7 +247,7 @@ class QueryGraphBuilder:
             if cell in seen_cells:
                 continue
             seen_cells.add(cell)
-            similarity = self.scorer.similarity(keyword, occurrence.value)
+            similarity = self.scorer.cosine(vector, occurrence.value)
             if similarity < self.similarity_threshold:
                 # Exact-substring matches of very short keywords can still
                 # score low under tf-idf; fall back to a containment bonus.

@@ -72,17 +72,26 @@ def hildreth_solve(
     method maintains one non-negative multiplier per constraint and cycles
     through the constraints applying coordinate-wise dual ascent; it has
     converged when a pass moves no multiplier by ``tolerance`` or more.
+
+    The passes run on the flattened copy's own dict, with each constraint's
+    coefficients read once per solve: the same products summed in the same
+    order as :meth:`LinearConstraint.violation` and the same per-feature
+    additions as :meth:`WeightVector.update`, so the weights, ``converged``
+    and ``max_violation`` are those of the loop over those methods, to the bit.
     """
     if not constraints:
         return QPSolution(weights.copy(), True, 0.0)
     result = weights.copy()
+    values = result._weights
+    get = values.get
+    rows = [(c.bound, tuple(c.coefficients.items())) for c in constraints]
     multipliers = [0.0] * len(constraints)
     norms = [max(c.squared_norm(), 1e-12) for c in constraints]
     converged, max_violation = False, 0.0
     for _ in range(max_iterations):
         max_update = max_violation = 0.0
-        for index, constraint in enumerate(constraints):
-            violation = constraint.violation(result)
+        for index, (bound, coefficients) in enumerate(rows):
+            violation = bound - sum([get(name, 0.0) * coeff for name, coeff in coefficients])
             if violation > max_violation:
                 max_violation = violation
             step = violation / norms[index]
@@ -91,7 +100,8 @@ def hildreth_solve(
             if step == 0.0:
                 continue
             multipliers[index] += step
-            result.update({name: step * coeff for name, coeff in constraint.coefficients.items()})
+            for name, coeff in coefficients:
+                values[name] = get(name, 0.0) + step * coeff
             max_update = max(max_update, abs(step))
         if max_update < tolerance:
             converged = True

@@ -9,6 +9,10 @@ The corpus statistics (document frequencies) are the scorer's own, built
 from a corpus supplied as an iterable of strings and maintained one
 document at a time (:class:`~repro.graph.query_graph.QueryGraphBuilder`
 feeds it the catalog's schema labels and values).
+
+An expansion vectorises a keyword once and scores every label with
+:meth:`TfIdfScorer.cosine`: the float :meth:`TfIdfScorer.similarity` returns,
+without vectorising a label that shares no token with it (almost all do not).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 from collections import Counter
 from typing import Dict, Iterable, Optional
 
-from .tokenize import tokenize
+from .tokenize import token_set, tokenize
 
 
 class TfIdfScorer:
@@ -93,10 +97,17 @@ class TfIdfScorer:
 
     def similarity(self, a: str, b: str) -> float:
         """Cosine similarity of the tf-idf vectors of ``a`` and ``b``, in [0, 1]."""
-        vec_a = self.vector(a)
-        vec_b = self.vector(b)
-        if not vec_a or not vec_b:
+        return self.cosine(self.vector(a), b)
+
+    def cosine(self, vec_a: Dict[str, float], b: str) -> float:
+        """:meth:`similarity` with ``a`` already vectorised: ``vec_a`` is ``vector(a)``.
+
+        A ``b`` sharing no token with ``vec_a`` is not vectorised: its score is
+        ``0.0``, as the full computation's all-zero dot product makes it.
+        """
+        if not vec_a or vec_a.keys().isdisjoint(token_set(b)):
             return 0.0
+        vec_b = self.vector(b)
         dot = sum(weight * vec_b.get(token, 0.0) for token, weight in vec_a.items())
         norm_a = math.sqrt(sum(w * w for w in vec_a.values()))
         norm_b = math.sqrt(sum(w * w for w in vec_b.values()))

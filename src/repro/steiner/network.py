@@ -20,7 +20,10 @@ when its cost plus a lower bound on the distance its tree still has to cover
 exclusions) exceeds that; and the last grow pass stops when the root
 terminal settles.  Neither changes an answer — a dropped label cannot be
 part of a tree within the bound, and every label that can settles at the
-same cost, in the same order, with the same back-pointer.
+same cost, in the same order, with the same back-pointer.  A search is
+handed its limit as the bound and one per-node distance table, and
+subtracts only at the nodes it pops or relaxes: a solve costs the labels it
+touches, not a pass over every node per terminal subset.
 
 Parity note: nodes are indexed in sorted node-id order, so a heap entry
 ``(dist, node index)`` pops in the seed implementation's ``(dist, node-id
@@ -42,6 +45,7 @@ from typing import (
     Dict,
     FrozenSet,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -64,6 +68,18 @@ _ROOT = -1
 #: The upper bound and the DP total the same tree in different orders; the
 #: slack keeps rounding from pruning a label that ties with the bound.
 _BOUND_SLACK = 1.0 + 1e-9
+#: A search's limit at node ``v`` is ``bound - far[v]``: ``(bound, far)``.
+Limit = Tuple[float, List[float]]
+
+
+class DistanceBounds(NamedTuple):
+    """Exclusion-free distance tables: what :meth:`SteinerNetwork.terminal_distances` returns."""
+
+    #: per terminal (in validated order), its distance to every node
+    tables: List[List[float]]
+    #: per terminal, the elementwise max of the *other* terminals' tables —
+    #: what a singleton's tree still has to cover (empty for two terminals)
+    farthest: List[List[float]]
 
 
 @dataclass
@@ -124,8 +140,9 @@ class _Labels:
         self.via_edge: Dict[int, List[int]] = {}
         #: per mask, the nodes whose label is final, in settling order
         self.settled: Dict[int, List[int]] = {}
-        #: the per-node ``limit`` of a search that keeps every label
-        self.no_limit = [_INF] * size
+        #: the ``limit`` of a search that keeps every label; its table is
+        #: also the zero lower bound of a solve handed none
+        self.no_limit: Limit = (_INF, [0.0] * size)
         #: where the search counts the labels it drops for exceeding their limit
         self.counters = counters if counters is not None else SolverCounters()
 
@@ -265,7 +282,7 @@ class SteinerNetwork:
         mask: int,
         heap: List[Tuple[float, int]],
         excluded: AbstractSet[int],
-        limit: List[float],
+        limit: Limit,
         targets: Collection[int],
         budget: "Optional[Budget]",
         where: str,
@@ -273,11 +290,14 @@ class SteinerNetwork:
         """Settle ``mask``'s labels in ``(cost, node)`` order from the seeded ``heap``.
 
         Relaxes along non-``excluded`` edges, never keeps a label at node
-        ``v`` above ``limit[v]``, and returns ``True`` as soon as every node
-        of ``targets`` has settled — leaving ``heap`` and the tables
-        consistent, so a later call resumes the same search — or ``False``
-        once the heap runs dry.  The budget is ticked per pop.
+        ``v`` above ``bound - far[v]`` (``limit`` is ``(bound, far)``: the
+        subtraction is made per node popped or relaxed, never for the whole
+        table), and returns ``True`` as soon as every node of ``targets``
+        has settled — leaving ``heap`` and the tables consistent, so a later
+        call resumes the same search — or ``False`` once the heap runs dry.
+        The budget is ticked per pop.
         """
+        bound, far = limit
         cost = labels.cost[mask]
         via_node = labels.via_node[mask]
         via_edge = labels.via_edge[mask]
@@ -286,11 +306,12 @@ class SteinerNetwork:
         adjacency = self.adjacency
         pop, push = heapq.heappop, heapq.heappush
         remaining = len(targets)
+        pruned = 0
         while heap:
             if budget is not None:
                 budget.tick(where)
             dist, node = pop(heap)
-            if dist > cost[node] or dist > limit[node]:
+            if dist > cost[node] or dist > bound - far[node]:
                 continue
             settled.append(node)
             for neighbor, edge_idx, edge_cost in adjacency[node]:
@@ -298,8 +319,8 @@ class SteinerNetwork:
                     continue
                 candidate = dist + edge_cost
                 if candidate < cost[neighbor]:
-                    if candidate > limit[neighbor]:
-                        labels.counters.pruned_labels += 1
+                    if candidate > bound - far[neighbor]:
+                        pruned += 1
                         continue
                     cost[neighbor] = candidate
                     via_node[neighbor] = node
@@ -309,6 +330,7 @@ class SteinerNetwork:
                 remaining -= 1
                 if not remaining:
                     break
+        labels.counters.pruned_labels += pruned
         labels.counters.settled_labels += len(settled) - already
         return not remaining
 
@@ -392,7 +414,7 @@ class SteinerNetwork:
         terminals: Sequence[str],
         budget: "Optional[Budget]" = None,
         counters: Optional[SolverCounters] = None,
-    ) -> List[List[float]]:
+    ) -> DistanceBounds:
         """Per terminal, its shortest-path distance to every node with no edge excluded.
 
         Excluding edges only lengthens paths, so a table bounds its terminal's
@@ -400,13 +422,21 @@ class SteinerNetwork:
         enumerator computes the tables once and hands them to each branch's
         :meth:`exact_tree` as ``lower_bounds``.  Of two terminals only the
         first gets one: a path search looks towards its root and nowhere else.
+        With three or more, each terminal's ``farthest`` table — the
+        elementwise max of the others' — is taken here too, once per
+        enumeration, for every branch's singleton passes to read.
         """
         labels = _Labels(len(self.node_ids), counters)
         wanted = terminals[:1] if len(terminals) == 2 else terminals
         for position, terminal in enumerate(wanted):
             heap = labels.seed(1 << position, self.node_index[terminal])
             self._search(labels, 1 << position, heap, _EMPTY, labels.no_limit, (), budget, "dijkstra")
-        return [labels.cost[1 << position] for position in range(len(wanted))]
+        tables = [labels.cost[1 << position] for position in range(len(wanted))]
+        farthest = [
+            list(map(max, *(table for other, table in enumerate(tables) if other != position)))
+            for position in range(len(tables))
+        ] if len(tables) > 1 else []
+        return DistanceBounds(tables, farthest)
 
     def exact_tree(
         self,
@@ -415,7 +445,7 @@ class SteinerNetwork:
         max_terminals: int = 8,
         budget: "Optional[Budget]" = None,
         counters: Optional[SolverCounters] = None,
-        lower_bounds: Optional[Sequence[List[float]]] = None,
+        lower_bounds: Optional[DistanceBounds] = None,
         upper_bound: float = _INF,
     ) -> SteinerTree:
         """Minimum-cost Steiner tree over ``terminals``, skipping ``excluded`` edges.
@@ -434,6 +464,11 @@ class SteinerNetwork:
         They only remove work: the tree returned is the unbounded solve's
         whenever that costs no more than ``upper_bound``, and otherwise
         :class:`~repro.exceptions.BoundExceededError` is raised.
+
+        A singleton pass reads its terminal's per-enumeration ``farthest``
+        table, not the other terminals' distances as this branch settled them:
+        a lower bound as well, weaker or equal, so it keeps every label the
+        tighter one kept — the same answer, at most more labels settled.
         """
         terminals = validate_terminals(self.graph, terminals)
         if len(terminals) > max_terminals:
@@ -448,18 +483,21 @@ class SteinerNetwork:
         if bounded:
             labels.counters.bounded_branches += 1
         bound = upper_bound * _BOUND_SLACK
+        if lower_bounds is None:
+            zeros = [labels.no_limit[1]] * len(roots)
+            lower_bounds = DistanceBounds(zeros, zeros)
         # Per terminal, a lower bound on its distance to each node: the table
-        # handed in (an absent one is the zero bound), overwritten with the
-        # distances under ``excluded`` as that terminal's own pass settles them.
-        distances = list(lower_bounds) if lower_bounds else [[0.0] * labels.size] * len(roots)
+        # handed in, overwritten with the distances under ``excluded`` as that
+        # terminal's own pass settles them.
+        distances = list(lower_bounds.tables)
 
-        def limit_for(subset: int) -> List[float]:
+        def far_for(subset: int) -> List[float]:
             # Completing a tree at ``v`` costs at least the distance from ``v``
             # to the farthest terminal still outside it (to the root, once
-            # all are inside): the one pruning rule, singletons included.
+            # all are inside): the one pruning rule.  ``v``'s limit is
+            # ``bound - far[v]``.
             outside = [d for p, d in enumerate(distances) if not subset >> p & 1] or distances[:1]
-            farthest = outside[0] if len(outside) == 1 else map(max, *outside)
-            return [bound - distance for distance in farthest]
+            return outside[0] if len(outside) == 1 else list(map(max, *outside))
 
         def tree_at_root(mask: int, rooted: bool) -> SteinerTree:
             if rooted:
@@ -473,7 +511,7 @@ class SteinerNetwork:
             # A minimum-cost path, searched from the *second* terminal to the
             # first: that is the equal-cost witness the DP reads off the
             # second terminal's singleton table, so tie-breaks stay the seed's.
-            limit = limit_for(2) if bounded else labels.no_limit
+            limit = (bound, far_for(2)) if bounded else labels.no_limit
             return tree_at_root(2, self._search(
                 labels, 2, labels.seed(2, roots[1]), excluded, limit, roots[:1], budget, "shortest-path"
             ))
@@ -491,7 +529,8 @@ class SteinerNetwork:
             )
         for position, heap in enumerate(heaps):
             mask = 1 << position
-            self._search(labels, mask, heap, excluded, limit_for(mask), (), budget, "dijkstra")
+            limit = (bound, lower_bounds.farthest[position])
+            self._search(labels, mask, heap, excluded, limit, (), budget, "dijkstra")
             table, cost = list(distances[position]), labels.cost[mask]
             for v in labels.settled[mask]:
                 table[v] = cost[v]
@@ -504,7 +543,7 @@ class SteinerNetwork:
             if budget is not None:
                 budget.check("dreyfus-wagner")
             cost, via_edge = labels.open(subset)
-            limit = limit_for(subset)
+            far = far_for(subset)
             # Merge step: combine two disjoint terminal subsets at a node.
             merged: List[int] = []
             sub = (subset - 1) & subset
@@ -514,7 +553,7 @@ class SteinerNetwork:
                     cost_a, cost_b = labels.cost[sub], labels.cost[other]
                     for v in min(labels.settled[sub], labels.settled[other], key=len):
                         total = cost_a[v] + cost_b[v]
-                        if total <= limit[v] and total < cost[v]:
+                        if total <= bound - far[v] and total < cost[v]:
                             if cost[v] == _INF:
                                 merged.append(v)
                             cost[v] = total
@@ -527,7 +566,7 @@ class SteinerNetwork:
             heapq.heapify(heap)
             targets = roots[:1] if subset == full_mask else ()
             rooted = self._search(
-                labels, subset, heap, excluded, limit, targets, budget, "dreyfus-wagner-grow"
+                labels, subset, heap, excluded, (bound, far), targets, budget, "dreyfus-wagner-grow"
             )
         return tree_at_root(full_mask, rooted)
 
@@ -564,7 +603,7 @@ class SteinerNetwork:
         exact_terminal_limit: int = 5,
         budget: "Optional[Budget]" = None,
         counters: Optional[SolverCounters] = None,
-        lower_bounds: Optional[Sequence[List[float]]] = None,
+        lower_bounds: Optional[DistanceBounds] = None,
         upper_bound: float = _INF,
     ) -> SteinerTree:
         """Exact DP (the only taker of the bounds) for few terminals, else the approximation."""

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 from ..exceptions import DeadlineExceededError, DisconnectedTerminalsError, SteinerError
 from ..graph.search_graph import SearchGraph
-from .network import SolverCounters, SteinerNetwork
+from .network import DistanceBounds, SolverCounters, SteinerNetwork
 from .tree import SteinerTree, validate_terminals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -141,7 +141,7 @@ class KBestSteiner:
         # network path, edge ids under the legacy graph-copy protocol.
         exclusion_key = network.edge_index.__getitem__ if network is not None else str
 
-        tables: Optional[List[List[float]]] = None
+        tables: Optional[DistanceBounds] = None
         # Every distinct tree found so far, cheapest first, as (cost, exclusion
         # keys of its edges): what bounds the branches still to solve.
         known: List[Tuple[float, FrozenSet]] = []

@@ -1,0 +1,96 @@
+"""The seed keyword scoring and query-graph expansion, kept as an oracle.
+
+``seed_similarity`` is ``TfIdfScorer.similarity`` as it was before the
+scorer learned to take a keyword's vector once: both strings are vectorised
+on every call.  ``reference_expand`` is ``QueryGraphBuilder.expand`` as it was
+then, scoring every relation, attribute and value with ``seed_similarity``.
+The live code must reproduce both bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Set, Tuple
+
+from repro.graph import EdgeKind, KeywordMatch, NodeKind, QueryGraph, QueryGraphBuilder, SearchGraph
+from repro.graph.nodes import attribute_node_id, make_keyword_node, make_value_node
+from repro.similarity import TfIdfScorer
+
+
+def seed_similarity(scorer: TfIdfScorer, a: str, b: str) -> float:
+    """Cosine similarity of the tf-idf vectors of ``a`` and ``b``, in [0, 1]."""
+    vec_a = scorer.vector(a)
+    vec_b = scorer.vector(b)
+    if not vec_a or not vec_b:
+        return 0.0
+    dot = sum(weight * vec_b.get(token, 0.0) for token, weight in vec_a.items())
+    norm_a = math.sqrt(sum(w * w for w in vec_a.values()))
+    norm_b = math.sqrt(sum(w * w for w in vec_b.values()))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
+
+
+def reference_expand(builder: QueryGraphBuilder, base_graph: SearchGraph, keywords) -> QueryGraph:
+    """``builder.expand(base_graph, keywords)`` with every string scored per call."""
+    graph = base_graph.copy(share_weights=True)
+    result = QueryGraph(graph=graph)
+    for keyword in keywords:
+        keyword_node = make_keyword_node(keyword)
+        graph.add_node(keyword_node)
+        result.keyword_nodes[keyword] = keyword_node.node_id
+        _match_schema_elements(builder, graph, keyword, keyword_node, result)
+        _match_data_values(builder, graph, keyword, keyword_node, result)
+    return result
+
+
+def _match_schema_elements(builder, graph, keyword, keyword_node, result) -> None:
+    for node in graph.nodes():
+        if node.kind not in (NodeKind.RELATION, NodeKind.ATTRIBUTE):
+            continue
+        similarity = seed_similarity(builder.scorer, keyword, node.label)
+        if similarity < builder.similarity_threshold:
+            continue
+        mismatch = 1.0 - similarity
+        builder._add_match_edge(graph, keyword_node.node_id, node.node_id, mismatch)
+        result.matches.append(
+            KeywordMatch(keyword, node.node_id, similarity, mismatch, node.kind)
+        )
+
+
+def _match_data_values(builder, graph, keyword, keyword_node, result) -> None:
+    occurrences = builder.value_index.lookup(keyword)
+    if not occurrences:
+        occurrences = builder.value_index.lookup_substring(
+            keyword, limit=builder.max_value_matches
+        )
+    seen_cells: Set[Tuple[str, str, int]] = set()
+    added = 0
+    for occurrence in occurrences:
+        if added >= builder.max_value_matches:
+            break
+        cell = (occurrence.relation, occurrence.attribute, occurrence.row_id)
+        if cell in seen_cells:
+            continue
+        seen_cells.add(cell)
+        similarity = seed_similarity(builder.scorer, keyword, occurrence.value)
+        if similarity < builder.similarity_threshold:
+            if keyword.lower() in occurrence.value.lower():
+                similarity = max(similarity, 0.5)
+            else:
+                continue
+        mismatch = 1.0 - similarity
+        value_node = make_value_node(
+            occurrence.relation, occurrence.attribute, occurrence.row_id, occurrence.value
+        )
+        graph.add_node(value_node)
+        attr_id = attribute_node_id(occurrence.relation, occurrence.attribute)
+        if graph.has_node(attr_id) and not graph.find_edges(
+            value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP
+        ):
+            graph.add_edge(graph.new_edge(value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP))
+        builder._add_match_edge(graph, keyword_node.node_id, value_node.node_id, mismatch)
+        result.matches.append(
+            KeywordMatch(keyword, value_node.node_id, similarity, mismatch, NodeKind.VALUE)
+        )
+        added += 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_hildreth import reference_hildreth_solve, seed_violation
 
 from repro.datastore.provenance import AnswerTuple, TupleProvenance
 from repro.exceptions import FeedbackError, LearningError
@@ -32,7 +33,21 @@ from repro.learning import (
     tree_feature_vector,
     zero_one_loss,
 )
+from repro.learning.overlays import OverlayWeightVector
 from repro.steiner import SteinerTree, k_best_steiner_trees
+
+#: Few feature names, so constraints share them the way tree constraints share
+#: ``default`` and the matcher features.
+QP_FEATURES = st.sampled_from(["default", "matcher::mad", "relation::r", "edge::a", "edge::b", "kw"])
+QP_CONSTRAINT = st.builds(
+    LinearConstraint,
+    st.dictionaries(
+        QP_FEATURES,
+        st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.25, 2.0]), st.floats(0.1, 3.0)),
+        max_size=4,
+    ),
+    st.floats(-2.0, 2.0),
+)
 
 
 def build_parallel_edge_graph():
@@ -124,6 +139,29 @@ class TestHildrethSolver:
         result = hildreth_solve(WeightVector({}), constraints, max_iterations=500).weights
         for constraint in constraints:
             assert constraint.violation(result) <= 1e-5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(QP_FEATURES, st.floats(-2.0, 2.0), max_size=6),
+        st.dictionaries(QP_FEATURES, st.floats(-2.0, 2.0), max_size=3),
+        st.lists(QP_CONSTRAINT, max_size=14),
+        st.integers(1, 60),
+    )
+    def test_solve_is_the_seed_loop_to_the_bit(self, start, shadow, constraints, max_iterations):
+        """Sparse constraints sharing few features (so usually more constraints
+        than features), zero coefficients, starts that violate them, plain and
+        overlay starting vectors: the same weights per feature, in the same
+        order, ``converged`` and ``max_violation`` as the seed loop."""
+        base = WeightVector(start)
+        for weights in (base, OverlayWeightVector(base, shadow)):
+            solved = hildreth_solve(weights, constraints, max_iterations=max_iterations)
+            seed = reference_hildreth_solve(weights, constraints, max_iterations=max_iterations)
+            assert repr(solved.weights.as_dict()) == repr(seed.weights.as_dict())
+            assert solved.weights.as_dict() == seed.weights.as_dict()
+            assert solved.converged == seed.converged
+            assert repr(solved.max_violation) == repr(seed.max_violation)
+        for constraint in constraints:
+            assert repr(constraint.violation(base)) == repr(seed_violation(constraint, base))
 
 
 class TestTreeFeatureVector:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from reference_expansion import reference_expand
 
+from repro.datasets import build_gbco
+from repro.datasets.synthetic import grow_catalog_and_graph
 from repro.graph import (
     EdgeKind,
     NodeKind,
@@ -77,3 +80,50 @@ class TestQueryGraphExpansion:
     def test_shared_weight_vector(self, mini_graph, builder):
         expanded = builder.expand(mini_graph, ["membrane"])
         assert expanded.graph.weights is mini_graph.weights
+
+
+def _expansion_shape(query_graph):
+    """Everything an expansion produced, in insertion order."""
+    graph = query_graph.graph
+    edges = [
+        (e.edge_id, e.u, e.v, e.kind, dict(e.features), e.fixed_cost, dict(e.metadata))
+        for e in graph.edges()
+    ]
+    return (
+        [node.node_id for node in graph.nodes()], edges, query_graph.keyword_nodes,
+        query_graph.matches, graph.weights.as_dict(),
+    )
+
+
+#: Query-log keywords, schema labels, a camelCase and a digit-boundary
+#: keyword, one that only a value substring matches and one nothing matches.
+PARITY_KEYWORDS = (
+    "insulin", "pathway", "pancreas", "sample", "gene_id", "geneSymbol", "GO2gene", "the",
+    "ins", "zzz_unmatchable",
+)
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["gbco", "grown"])
+@pytest.mark.parametrize("threshold", [0.0, 0.3])
+def test_expansion_equals_per_node_seed_scoring(grown, threshold):
+    """One keyword vector per expansion gives the seed's graph to the bit:
+    the same node and edge ids in the same order, the same features,
+    metadata, weights and matches (``repr`` tells ``0.0`` from ``-0.0``)."""
+    shapes = []
+    for expand in (reference_expand, QueryGraphBuilder.expand):
+        catalog = build_gbco(rows_per_relation=10).catalog
+        graph = SearchGraph()
+        graph.add_catalog(catalog)
+        if grown:
+            grow_catalog_and_graph(catalog, graph, target_source_count=60, seed=3)
+        builder = QueryGraphBuilder(catalog, similarity_threshold=threshold)
+        shapes.append(_expansion_shape(expand(builder, graph, PARITY_KEYWORDS)))
+    assert shapes[0] == shapes[1]
+    assert repr(shapes[0]) == repr(shapes[1])
+    if threshold == 0.0:
+        # A zero threshold links every schema node to every keyword.
+        schema_nodes = sum(
+            node.kind in (NodeKind.RELATION, NodeKind.ATTRIBUTE) for node in graph.nodes()
+        )
+        schema_matches = [m for m in shapes[1][3] if m.target_kind is not NodeKind.VALUE]
+        assert len(schema_matches) == schema_nodes * len(PARITY_KEYWORDS)

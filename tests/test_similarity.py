@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_expansion import seed_similarity
 
 from repro.similarity import (
     TfIdfScorer,
@@ -25,6 +26,18 @@ from repro.similarity import (
 )
 
 short_text = st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")), max_size=12)
+#: Labels and keywords as expansion meets them: snake_case, camelCase, digit
+#: boundaries, stopwords, empty pieces and tokens no other string shares.
+label_text = st.one_of(
+    st.lists(
+        st.sampled_from(
+            ["go", "Go", "term", "TERM", "the", "of", "id", "ID", "2", "42", "gene", "geneSymbol",
+             "InterPro2GO", "membrane", "xyzzy", "", "__", "a1b2"]
+        ),
+        max_size=5,
+    ).flatmap(lambda pieces: st.sampled_from(["_", " ", "", "-"]).map(lambda sep: sep.join(pieces))),
+    short_text,
+)
 
 
 class TestTokenize:
@@ -166,3 +179,16 @@ class TestTfIdf:
     def test_document_frequency(self, scorer):
         assert scorer.document_frequency("go") == 2
         assert scorer.document_frequency("unseen") == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(label_text, max_size=8), label_text, label_text)
+    def test_cosine_of_a_vector_is_the_seed_similarity_to_the_bit(self, corpus, a, b):
+        """``cosine(vector(a), b)`` — and ``similarity``, which is that — returns
+        the seed body's float, compared by ``repr`` so ``-0.0`` cannot pass for
+        ``0.0``; a ``b`` with no token in common scores exactly ``0.0``."""
+        scorer = TfIdfScorer(corpus=corpus)
+        expected = repr(seed_similarity(scorer, a, b))
+        assert repr(scorer.cosine(scorer.vector(a), b)) == expected
+        assert repr(scorer.similarity(a, b)) == expected
+        if token_set(a).isdisjoint(token_set(b)):
+            assert expected == "0.0"

@@ -131,6 +131,42 @@ def test_bounded_single_solve_is_the_unbounded_tree_or_bounded_out(seed):
                 )
 
 
+@pytest.mark.parametrize("count", [3, 4, 5])
+def test_bounded_solve_under_lengthened_singleton_distances(count):
+    """A branch's singleton passes are limited by per-enumeration tables
+    (``terminal_distances``), which its exclusions can make far looser than the
+    branch's own distances.  Excluding the optimum's edges at its terminals
+    lengthens those distances; the bounded solve is still the unbounded tree."""
+    lengthened = 0
+    for seed in range(40):
+        rng, graph, terminals = random_case(seed, nodes=(count + 4, 30), terminal_counts=(count, count))
+        network = SteinerNetwork(graph)
+        bounds = network.terminal_distances(terminals)
+        assert len(bounds.tables) == len(bounds.farthest) == count
+        best = network.exact_tree(terminals)
+        at_terminals = frozenset(
+            network.edge_index[edge_id] for edge_id in best.edge_ids
+            if {graph.edge(edge_id).u, graph.edge(edge_id).v} & set(terminals)
+        )
+        for excluded in (at_terminals, at_terminals | {rng.randrange(len(network.edge_ids))}):
+            excluded_ids = [network.edge_ids[i] for i in excluded]
+            reduced = graph.copy(share_weights=True)
+            for edge_id in excluded_ids:
+                reduced.remove_edge(edge_id)
+            if SteinerNetwork(reduced).terminal_distances(terminals).tables != bounds.tables:
+                lengthened += 1
+            unbounded = solve(network, terminals, excluded_ids)
+            if unbounded == "disconnected":
+                with pytest.raises(BoundExceededError):
+                    network.exact_tree(terminals, excluded, lower_bounds=bounds, upper_bound=rng.uniform(0, 9))
+                continue
+            for upper_bound in (unbounded.cost, unbounded.cost * rng.uniform(1.0, 3.0), unbounded.cost + 1e-3):
+                assert unbounded == network.exact_tree(
+                    terminals, excluded, lower_bounds=bounds, upper_bound=upper_bound
+                )
+    assert lengthened >= 60  # of 80 (all 80 today)
+
+
 def test_bound_equal_to_the_cost_survives_rounding():
     """The bound is a tree cost (``fsum``: 0.6); the search totals the same
     edges one by one (0.1 + 0.2 + 0.3 = 0.6000000000000001).  A tie with the
