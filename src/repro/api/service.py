@@ -254,8 +254,8 @@ class QService:
         self.views = ViewRegistry()
         self.feedback_log = FeedbackLog()
         self._builder: Optional[QueryGraphBuilder] = None
-        # One execution context for the whole session: all views share its
-        # scan and join-index caches; registration events invalidate it.
+        # One execution context for the whole session: every reader shares its
+        # answers, scans and join indexes; nothing invalidates it.
         self.engine_context = ExecutionContext(self.catalog)
         # Non-owning, like the gauges below: held strongly by the session's
         # own registrar, the bound method would make the session a reference
@@ -562,8 +562,8 @@ class QService:
         window, ``request.page_size`` (default: the session's page size)
         bounds it.  The page is the corresponding slice of a full
         :meth:`stream_answers` read, taken from the same stream over the
-        view's per-signature answer cache — paging through a view that was
-        read once executes no query.  A ``tenant`` prices the page under
+        session's answer cache — paging through a view that was read once
+        executes no query.  A ``tenant`` prices the page under
         that tenant's overlay.
         """
         record = self._record_for_query(request)
@@ -701,10 +701,9 @@ class QService:
     def register_source(self, request: RegisterSourceRequest) -> RegistrationResponse:
         """Register a new source and align it against the existing graph.
 
-        Lazy semantics: the registration invalidates the shared execution
-        context once (it may hold rows of mutated relations) and the graph's
-        ``structure_version`` moves — no view is touched; each rebuilds, and
-        drops its own answer cache, on its next pull.
+        Lazy semantics: the graph's ``structure_version`` moves and no view
+        is touched; each rebuilds on its next pull, and a query it generates
+        again over unchanged tables replays from the engine context.
         """
         strategy, aligner = self._aligner_for(request)
         result = self.registrar.register(request.source, aligner)
@@ -756,28 +755,23 @@ class QService:
 
         The inverse of :meth:`add_source` / :meth:`register_source` at the
         session level (association edges incident to the source's nodes are
-        dropped with them).  Like registration, the removal invalidates the
-        shared execution context once and touches no view; each rebuilds on
-        its next pull.  Removals are journaled, so a persisted
-        session reopens without the source.
+        dropped with them).  Like registration, it touches no view, and the
+        engine context, which holds tables weakly, needs no telling.
+        Removals are journaled, so a persisted session reopens without it.
         """
         source = self.catalog.remove_source(name)
         self.graph.remove_source(name)
         self.profile_index.remove_source(name)
         if self._builder is not None:
             self._builder.remove_source(source)
-        self.engine_context.invalidate()
         self._after_mutation()
         return source
 
     def _on_registration(self, source: DataSource, result: AlignmentResult) -> None:
-        # A new source changes both the data and the graph structure: drop
-        # the engine's shared scan/join-index caches — once, at mutation
-        # time.  The moved structure version makes each view rebuild, and
-        # drop its per-signature answer cache, on its next pull.
+        # Only counts: views see the moved structure version on their next
+        # pull, and the engine context's staleness is table identity + version.
         del source
         self._pairs_scored += result.pairs_scored
-        self.engine_context.invalidate()
 
     # ------------------------------------------------------------------
     # Feedback

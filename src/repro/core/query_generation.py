@@ -35,11 +35,17 @@ def tree_signature(tree: SteinerTree) -> str:
 
 @dataclass
 class GeneratedQuery:
-    """A conjunctive query generated from a Steiner tree."""
+    """A conjunctive query generated from a Steiner tree.
+
+    ``key`` is the engine's answer-cache key: the query's atoms, joins,
+    selections and outputs, not its cost or provenance, as one ``str`` (which
+    caches its hash, so a lookup does not re-hash the parts).
+    """
 
     query: ConjunctiveQuery
     tree: SteinerTree
     signature: str
+    key: str
 
 
 class QueryGenerator:
@@ -77,7 +83,8 @@ class QueryGenerator:
         self._add_joins(tree, query, aliases)
         selected_attributes = self._add_selections(tree, query, aliases)
         self._add_outputs(tree, query, aliases, selected_attributes)
-        return GeneratedQuery(query=query, tree=tree, signature=signature)
+        key = repr((query.atoms, query.joins, query.selections, query.outputs))
+        return GeneratedQuery(query=query, tree=tree, signature=signature, key=key)
 
     def generate_all(self, trees: Sequence[SteinerTree]) -> List[GeneratedQuery]:
         """Generate queries for several trees, skipping any that fail."""

@@ -14,21 +14,20 @@ There is one read shape: :meth:`RankedView.stream_answers` is the path,
 :meth:`RankedView.refresh` is the same stream materialized and
 :meth:`RankedView.answers_page` a slice of it.
 
-Pulls are *incremental*: the view only re-executes the conjunctive queries
-whose trees actually changed.  Unchanged trees reuse
-their cached answers (re-priced to the current tree cost — feedback moves
-costs without touching the joined tuples), and when neither the edge weights
-nor the query-graph structure changed since the last solve, the Steiner
-solve itself is skipped.  Execution goes through the planned engine
-(:mod:`repro.engine`) whose :class:`~repro.engine.context.ExecutionContext`
-shares scan and join-index caches across the view's k queries (and across
-views, when the Q system supplies a shared context).
+Pulls are *incremental*: a query executes only if no reader of the shared
+:class:`~repro.engine.context.ExecutionContext` has executed the same query
+content over the same tables at the same versions.  Every other query
+replays the context's answers, re-stamped with this query's cost and id —
+feedback moves costs, and a re-expansion renames trees, without touching
+the joined tuples.  When neither the edge weights nor the query-graph
+structure changed since the last solve, the Steiner solve itself is
+skipped.  The view keeps no answers of its own, so nothing has to tell it
+that a table changed.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -79,20 +78,6 @@ class RefreshStats:
     queries_reused: int = 0
 
 
-@dataclass
-class _CachedAnswers:
-    """Raw (un-unioned) answers of one query, tagged with data versions.
-
-    ``table_versions`` entries carry the :class:`Table` *object* alongside
-    its version counter: a source re-registered under the same name yields
-    a different table whose version may coincide with the old one's, and
-    identity is what distinguishes them.
-    """
-
-    table_versions: Tuple[Tuple[str, object, int], ...]
-    answers: List[AnswerTuple]
-
-
 class RankedView:
     """A keyword query saved as a continuously maintained top-k view.
 
@@ -113,9 +98,8 @@ class RankedView:
         Optional query-graph builder (shared across views to reuse indexes).
     engine_context:
         Optional shared :class:`~repro.engine.context.ExecutionContext`; the
-        Q system passes one so all views share scan/join-index caches.
-    max_cached_queries:
-        Bound on the per-signature answer cache (LRU eviction).
+        Q system passes its session's, so all readers share answers, scans
+        and join indexes.
     """
 
     def __init__(
@@ -127,7 +111,6 @@ class RankedView:
         builder: Optional[QueryGraphBuilder] = None,
         answer_limit: Optional[int] = 200,
         engine_context: Optional[ExecutionContext] = None,
-        max_cached_queries: int = 64,
         query_graph: Optional[QueryGraph] = None,
     ) -> None:
         self.keywords = list(keywords)
@@ -154,22 +137,17 @@ class RankedView:
         # solves over an unchanged query graph reuse one network.
         self.solver = KBestSteiner(network_cache=self.engine_context.steiner_cache)
         self.executor = PlanExecutor(catalog, self.engine_context)
-        self.max_cached_queries = max_cached_queries
         self.last_refresh = RefreshStats()
         #: How many times this view synchronized with the graph (full
         #: refreshes plus streaming solves).  The lazy service layer uses
         #: this to demonstrate that pull-based consistency performs strictly
         #: fewer refreshes than the eager push model.
         self.refresh_count = 0
-        #: How many times :meth:`invalidate_cache` ran (structural events).
-        self.cache_invalidations = 0
         self._trees_by_signature: Dict[str, SteinerTree] = {}
         # Whether state.answers reflects the current solve.  A streaming
         # read that re-solved leaves answers unmaterialized; the answers()
         # accessor re-materializes on demand.
         self._answers_materialized = False
-        self._answer_cache: "OrderedDict[str, _CachedAnswers]" = OrderedDict()
-        self._cache_generation = self.engine_context.generation
         # (weights version, structure version, terminals, k) of the last
         # solve; refresh skips the solver when nothing it depends on moved.
         self._solve_state: Optional[Tuple[int, int, Tuple[str, ...], int]] = None
@@ -207,21 +185,12 @@ class RankedView:
 
         Every pull does this by itself after structural changes to the
         search graph (new sources or new association edges); plain weight
-        changes only re-solve.
+        changes only re-solve.  Answers need nothing: a query the new
+        expansion generates again replays from the engine context.
         """
         self.query_graph = self.builder.expand(self.base_graph, self.keywords)
         self.expanded_at = self.base_graph.structure_version
-        self.invalidate_cache()
-
-    def invalidate_cache(self) -> None:
-        """Drop all cached per-query answers and force the next solve.
-
-        Runs once per query-graph rebuild, on the pull that found the base
-        graph's structure moved; no mutation calls it.
-        """
-        self._answer_cache.clear()
         self._solve_state = None
-        self.cache_invalidations += 1
 
     def _solve_key(self) -> Tuple[int, int, Tuple[str, ...], int]:
         """What a recorded solve must equal for the view to skip the solver."""
@@ -262,9 +231,7 @@ class RankedView:
         The query graph is re-expanded first when the base graph's structure
         moved past :attr:`expanded_at`.
         The Steiner solve is skipped when edge weights, graph structure,
-        terminals and ``k`` are all unchanged since the last solve.  Also
-        drops the per-signature answer cache when the shared engine context
-        was structurally invalidated (e.g. source registration).
+        terminals and ``k`` are all unchanged since the last solve.
 
         A ``budget`` makes the solve deadline-aware.  If it expires
         mid-enumeration the partial tree list is *used* for this read but
@@ -296,12 +263,6 @@ class RankedView:
                 self._solve_state = solve_state
             stats.solver_runs = 1
 
-        if self.engine_context.generation != self._cache_generation:
-            # The shared context was structurally invalidated (e.g. source
-            # registration); our cached answers may reference stale tables.
-            self._answer_cache.clear()
-            self._cache_generation = self.engine_context.generation
-
         self._trees_by_signature = {g.signature: g.tree for g in queries}
         return trees, queries, stats
 
@@ -310,9 +271,9 @@ class RankedView:
 
         :meth:`prepare` plus the whole of :meth:`stream_answers`, kept in
         ``state.answers``.  Incrementality: the Steiner solve is skipped when
-        edge weights and graph structure are unchanged; per-query answers
-        are reused whenever a tree with the same signature was already
-        executed against the same table versions.
+        edge weights and graph structure are unchanged; a query's answers
+        are replayed whenever the same query content was already executed
+        against the same tables at the same versions.
         """
         answers = list(self.stream_answers())
         self.state = ViewState(trees=self.state.trees, queries=self.state.queries, answers=answers)
@@ -398,31 +359,26 @@ class RankedView:
         stats: RefreshStats,
         budget: Optional[Budget] = None,
     ) -> List[AnswerTuple]:
-        """Execute one generated query, or replay its cached answers.
+        """Execute one generated query, or replay the engine context's answers.
 
-        Cache entries are keyed by tree signature and validated against the
-        data versions of every table the query touches, so table mutations
-        invalidate naturally.  On reuse the answers are re-priced to the
-        query's current cost (feedback moves tree costs without changing
-        which tuples join).  An execution aborted by a deadline raises
-        before the cache write, so partial results are never cached.
+        The context keys answers by query content and replays them only
+        while every table the query reads is the same object at the same
+        version.  The replayed answers may come from another tree or another
+        view; the stream's :func:`~repro.engine.executor.project_answer`
+        stamps this query's cost and id on them, and never mutates them.
+        An execution aborted by a deadline raises before anything is
+        remembered, so partial results are never replayed.
         """
-        versions = self._table_versions(generated.query)
-        cached = self._answer_cache.get(generated.signature)
-        if cached is not None and cached.table_versions == versions:
-            self._answer_cache.move_to_end(generated.signature)
+        context = self.engine_context
+        reads = context.table_reads(generated.query)
+        answers = context.recall_answers(generated.key, reads)
+        if answers is not None:
             stats.queries_reused += 1
             active_trace().tally("queries_cached")
-            # No copying here: project_answer builds fresh AnswerTuples (with
-            # the current query cost stamped on values and provenance) and
-            # never mutates its inputs.
-            return cached.answers
+            return answers
         with active_trace().span("execute"):
             answers = self.executor.execute(generated.query, budget=budget)
-        self._answer_cache[generated.signature] = _CachedAnswers(versions, answers)
-        self._answer_cache.move_to_end(generated.signature)
-        while len(self._answer_cache) > self.max_cached_queries:
-            self._answer_cache.popitem(last=False)
+        context.remember_answers(generated.key, reads, answers)
         stats.queries_executed += 1
         return answers
 
@@ -431,8 +387,8 @@ class RankedView:
     ) -> List[AnswerTuple]:
         """One k-best page of the ranked answers (``LIMIT``/``OFFSET``).
 
-        A slice of :meth:`stream_answers`, which replays the per-signature
-        answer cache: paging through a view that was read once executes
+        A slice of :meth:`stream_answers`, which replays the engine
+        context's answers: paging through a view that was read once executes
         nothing, and a first page runs only the queries it reaches.  The page
         equals ``answers()[offset : offset + limit]``: the window never
         reaches past the view's ``answer_limit`` cap, an ``offset`` past the
@@ -445,13 +401,6 @@ class RankedView:
             raise QueryError("answers_page offset must not be negative")
         end = None if limit is None else offset + limit
         return list(itertools.islice(self.stream_answers(), offset, end))
-
-    def _table_versions(self, query) -> Tuple[Tuple[str, object, int], ...]:
-        entries = []
-        for relation in set(query.relations()):
-            table = self.catalog.relation(relation)
-            entries.append((relation, table, table.version))
-        return tuple(sorted(entries, key=lambda entry: entry[0]))
 
     # ------------------------------------------------------------------
     # Introspection

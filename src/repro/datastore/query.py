@@ -96,10 +96,6 @@ class OutputColumn:
     attribute: str
     label: str
 
-    def renamed(self, label: str) -> "OutputColumn":
-        """Return this column with a different output label."""
-        return OutputColumn(self.alias, self.attribute, label)
-
 
 @dataclass
 class ConjunctiveQuery:
@@ -185,10 +181,6 @@ class ConjunctiveQuery:
     def output_labels(self) -> Tuple[str, ...]:
         """Labels of the select-list columns, in order."""
         return tuple(column.label for column in self.outputs)
-
-    def rename_output(self, index: int, label: str) -> None:
-        """Rename the ``index``-th output column (used by the disjoint union)."""
-        self.outputs[index] = self.outputs[index].renamed(label)
 
     def validate(self) -> None:
         """Check internal consistency; raises :class:`QueryError` on problems."""

@@ -9,16 +9,17 @@ the ranked union over the queries' answers is Python on every backend:
   query (canonical value, lowered needle, token set precomputed);
 * :mod:`repro.engine.plan` — :class:`QueryPlanner` chooses a join order
   greedily by filtered cardinality, with selections pushed into the scans;
-* :mod:`repro.engine.context` — :class:`ExecutionContext` caches filtered
-  scans and per-attribute hash join indexes across queries, keyed on table
-  data versions so mutations invalidate naturally, and holds the one
-  capability check (:meth:`ExecutionContext.choose_target`) that picks
-  each query's target;
+* :mod:`repro.engine.context` — :class:`ExecutionContext` is a session's
+  one cache of query answers (keyed by query content), filtered scans and
+  per-attribute hash join indexes.  Staleness is each table's identity and
+  version; nothing invalidates it.  It also holds the one capability check
+  (:meth:`ExecutionContext.choose_target`) that picks each query's target;
 * :mod:`repro.engine.executor` — :class:`PlanExecutor` runs plans with
   composite-key hash joins and reproduces the seed executor's output
   exactly (values, costs, provenance and order); :func:`ranked_union`
-  aligns pre-executed per-query answers, which is what lets the incremental
-  view refresh reuse cached results.
+  aligns pre-executed per-query answers, and :func:`project_answer` stamps
+  each with its reader's cost and query id, which is what lets a view
+  replay answers another reader executed.
 
 The seed's left-to-right nested-loop executor survives as the reference
 oracle of the parity tests (``tests/reference_executor.py``).

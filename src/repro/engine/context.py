@@ -1,32 +1,34 @@
-"""Shared execution state: cached scans, join indexes and statistics.
+"""Shared execution state: cached answers, scans, join indexes and statistics.
 
-An :class:`ExecutionContext` is the engine's memory between queries.  The k
-conjunctive queries of one view refresh (and, when the context is shared by
-a :class:`~repro.api.service.QService` session, all views over one catalog)
-hit the same relations with the same selections and join attributes over and
-over; the context builds each filtered scan and each per-attribute hash join
-index **once** and replays it from cache afterwards.
+An :class:`ExecutionContext` is the engine's memory between queries.  A
+:class:`~repro.api.service.QService` session has one, and every reader of
+the session shares it: views, tenant twins, snapshot views and the learner.
+Their queries hit the same relations with the same selections and join
+attributes over and over; the context builds each filtered scan and each
+per-attribute hash join index **once** and replays it afterwards.  A whole
+query's answers are kept too, under a key made of the query's content
+(atoms, joins, selections, outputs), so two views — or two re-expansions of
+one view — that generate the same query execute it once.
 
-Staleness is handled structurally rather than by callbacks: cached artifacts
-are grouped per relation and tagged with the owning
-:class:`~repro.datastore.table.Table`'s ``version`` counter; when a table
-mutates, its next access discards that relation's stale group wholesale and
-rebuilds (so mutations neither return stale rows nor strand dead entries).
-The explicit :meth:`ExecutionContext.invalidate` hook exists for
-*structural* events — source registration, graph rebuilds — where callers
-want to drop the whole working set at once (and is what the
-:class:`~repro.alignment.registration.SourceRegistrar` listener installed by
-the Q system calls).
+There is no invalidation.  Staleness is a table's identity and version: scan
+and join-index groups are held per :class:`~repro.datastore.table.Table`
+object (weakly, so a removed source's tables are freed) and rebuilt when its
+``version`` moves, and a cached answer list is replayed only while every
+table it read is still the catalog's table under that name at the version it
+was read at.  A mutation, a registration or a source re-registered under the
+same name therefore never returns stale rows, and nothing has to be told.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..datastore.database import Catalog
+from ..datastore.provenance import AnswerTuple
 from ..datastore.table import Row, Table
 from ..datastore.types import canonicalize
 from ..graph.search_graph import SearchGraph
@@ -56,7 +58,6 @@ class ContextStatistics:
     index_scans: int = 0
     join_indexes_built: int = 0
     join_index_cache_hits: int = 0
-    invalidations: int = 0
     #: Filtered scans answered natively by the storage backend (SQL).
     pushdown_scans: int = 0
     #: Whole conjunctive queries answered natively by the storage backend.
@@ -67,6 +68,12 @@ class ContextStatistics:
 #: entry is two byte strings (a digest, 8 bytes per edge) and k small trees:
 #: 128 of them stay under 1 MB on the serving benchmark's graphs.
 RANKING_MEMO_SIZE = 128
+
+#: Answer lists of distinct query contents an :class:`ExecutionContext` keeps (LRU).
+ANSWER_CACHE_SIZE = 256
+
+#: The tables one query read, with the version each was read at.
+TableReads = Tuple[Tuple[Table, int], ...]
 
 
 class SteinerNetworkCache:
@@ -221,16 +228,13 @@ class SteinerNetworkCache:
 
 
 class _RelationCaches:
-    """Everything cached for one relation at one table (object + version)."""
+    """Everything cached for one table at one version; keyed weakly by the
+    table, so it must not reference it (a value pinning its key is never freed)."""
 
-    __slots__ = ("table", "version", "scans", "join_indexes", "attribute_indexes")
+    __slots__ = ("version", "scans", "join_indexes", "attribute_indexes")
 
-    def __init__(self, table: Table) -> None:
-        # Both the identity and the version are part of validity: a source
-        # re-registered under the same name yields a *different* Table whose
-        # version counter may coincide with the old one's.
-        self.table = table
-        self.version = table.version
+    def __init__(self, version: int) -> None:
+        self.version = version
         self.scans: Dict[PredicatesKey, List[Row]] = {}
         self.join_indexes: Dict[Tuple[PredicatesKey, Tuple[str, ...]], Dict[Tuple, List[Row]]] = {}
         self.attribute_indexes: Dict[str, Dict[str, List[int]]] = {}
@@ -246,28 +250,19 @@ class ExecutionContext:
     the table's data version moves so it can never serve stale rows.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        statistics: Optional[ContextStatistics] = None,
-        steiner_cache: Optional[SteinerNetworkCache] = None,
-    ) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        #: ``statistics`` / ``steiner_cache`` may be handed in to share one
-        #: counter sheet (and one network cache) across several contexts —
-        #: the serving layer's snapshot contexts accumulate into the live
-        #: session's, so the metrics registry sees every lane's pushdowns.
-        self.statistics = statistics if statistics is not None else ContextStatistics()
-        #: Generation counter; bumped by :meth:`invalidate` so borrowers
-        #: (e.g. a view's per-signature answer cache) can cheaply detect
-        #: that a structural invalidation happened.
-        self.generation = 0
-        self._relations: Dict[str, _RelationCaches] = {}
+        self.statistics = ContextStatistics()
+        self._relations: "weakref.WeakKeyDictionary[Table, _RelationCaches]" = (
+            weakref.WeakKeyDictionary()
+        )
+        # Query content key -> (a weak reference and version per table read,
+        # the answers); locked like the ranking memo, for the read pool.
+        self._answers: "OrderedDict[str, tuple]" = OrderedDict()
+        self._answers_lock = threading.Lock()
         #: Shared Steiner cache (snapshots version-keyed, rankings content-keyed,
         #: so it needs no explicit invalidation — see :class:`SteinerNetworkCache`).
-        self.steiner_cache = (
-            steiner_cache if steiner_cache is not None else SteinerNetworkCache()
-        )
+        self.steiner_cache = SteinerNetworkCache()
         #: Whole-query SQL handle, present iff the catalog's storage
         #: backend supports pushdown (see :mod:`repro.storage.pushdown`).
         self.pushdown = None
@@ -314,25 +309,41 @@ class ExecutionContext:
         return SQL, None
 
     # ------------------------------------------------------------------
-    # Invalidation
+    # Answers
     # ------------------------------------------------------------------
-    def invalidate(self) -> None:
-        """Drop every cached scan and join index and bump the generation.
+    def table_reads(self, query) -> TableReads:
+        """Each table ``query`` reads, with its version.  Taken *before* executing,
+        so answers computed while a table moved are remembered as stale."""
+        tables = map(self.catalog.relation, dict.fromkeys(query.relations()))
+        return tuple((table, table.version) for table in tables)
 
-        Wired to structural events: new-source registration and query-graph
-        rebuilds.  Plain table mutations do *not* need this — each
-        relation's cache group is tagged with the table version and is
-        replaced wholesale on the first access after a mutation.
+    def recall_answers(self, key: str, reads: TableReads) -> Optional[List[AnswerTuple]]:
+        """The answers remembered under ``key`` if read from exactly ``reads``.
+
+        Same table *objects* at the same versions: a source re-registered
+        under the same name is a new table whose version may coincide with
+        the old one's.  The list is shared; callers must not mutate it.
         """
-        self._relations.clear()
-        self.generation += 1
-        self.statistics.invalidations += 1
+        with self._answers_lock:
+            entry = self._answers.get(key)
+            if entry is None or tuple((ref(), version) for ref, version in entry[0]) != reads:
+                return None
+            self._answers.move_to_end(key)
+            return entry[1]
 
-    def _relation_caches(self, relation: str, table: Table) -> _RelationCaches:
-        caches = self._relations.get(relation)
-        if caches is None or caches.table is not table or caches.version != table.version:
-            caches = _RelationCaches(table)
-            self._relations[relation] = caches
+    def remember_answers(self, key: str, reads: TableReads, answers: List[AnswerTuple]) -> None:
+        """Keep one complete execution's answers, evicting the least recently used."""
+        weak = tuple((weakref.ref(table), version) for table, version in reads)
+        with self._answers_lock:
+            self._answers[key] = (weak, answers)
+            self._answers.move_to_end(key)
+            while len(self._answers) > ANSWER_CACHE_SIZE:
+                self._answers.popitem(last=False)
+
+    def _relation_caches(self, table: Table) -> _RelationCaches:
+        caches = self._relations.get(table)
+        if caches is None or caches.version != table.version:
+            caches = self._relations[table] = _RelationCaches(table.version)
         return caches
 
     # ------------------------------------------------------------------
@@ -348,7 +359,7 @@ class ExecutionContext:
         The returned list is owned by the cache — callers must not mutate it.
         """
         table = self.catalog.relation(relation)
-        caches = self._relation_caches(relation, table)
+        caches = self._relation_caches(table)
         key = self._predicates_key(predicates)
         cached = caches.scans.get(key)
         if cached is not None:
@@ -458,7 +469,7 @@ class ExecutionContext:
         The returned dict is owned by the cache — callers must not mutate it.
         """
         table = self.catalog.relation(relation)
-        caches = self._relation_caches(relation, table)
+        caches = self._relation_caches(table)
         cache_key = (self._predicates_key(predicates), key_attributes)
         cached = caches.join_indexes.get(cache_key)
         if cached is not None:

@@ -26,7 +26,6 @@ truncations of a cross-product blow-up.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..datastore.database import Catalog
@@ -226,13 +225,15 @@ def project_answer(
     column_mapping: Dict[str, str],
     unified_columns: Sequence[str],
 ) -> AnswerTuple:
-    """One answer remapped onto the unified schema, padded and re-priced.
+    """One answer remapped onto the unified schema, padded and stamped by its reader.
 
     The single implementation of the union's per-answer projection, shared
     by :func:`ranked_union` and the streaming read path
     (:meth:`~repro.core.view.RankedView.stream_answers`) — their answer
-    parity depends on the remap / pad / re-price semantics staying
-    identical.  The input answer is never mutated.
+    parity depends on the remap / pad / stamp semantics staying identical.
+    A replayed answer may come from another tree cost or another query of
+    the same content, so the provenance takes ``query``'s cost and id.  The
+    input answer is never mutated.
     """
     values: Dict[str, Optional[object]] = {}
     for label, value in answer.values.items():
@@ -240,8 +241,9 @@ def project_answer(
     for column in unified_columns:
         values.setdefault(column, None)
     provenance = answer.provenance
-    if provenance is not None and provenance.query_cost != query.cost:
-        provenance = replace(provenance, query_cost=query.cost)
+    query_id = query.provenance or "query"
+    if provenance is not None and (provenance.query_cost != query.cost or provenance.query_id != query_id):
+        provenance = TupleProvenance(query_id, query.cost, provenance.base_tuples, provenance.tree_edges)
     return AnswerTuple(values=values, cost=query.cost, provenance=provenance)
 
 

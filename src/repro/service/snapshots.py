@@ -27,6 +27,11 @@ the same key wait for it instead of re-solving.  When a mutation could not
 have changed a (view, tenant) ranking — e.g. tenant feedback for a
 *different* tenant — the next snapshot carries the materialized answers
 over instead of recomputing them.
+
+A snapshot reads through the session's own
+:class:`~repro.engine.context.ExecutionContext`, whatever moved: its
+staleness is each table's identity and version, so the transient view
+executes only the queries no reader has run over the tables as they stand.
 """
 
 from __future__ import annotations
@@ -108,7 +113,6 @@ class ReadSnapshot:
         catalog,
         weights: WeightVector,
         weights_version: int,
-        structure_version: int,
         views: Dict[str, SnapshotView],
         names: Dict[str, str],
         tenants: Dict[str, Tuple[Dict[str, float], int]],
@@ -120,7 +124,6 @@ class ReadSnapshot:
         self.catalog = catalog
         self.weights = weights
         self.weights_version = weights_version
-        self.structure_version = structure_version
         self.views = views
         self.names = names
         self.tenants = tenants
@@ -152,7 +155,6 @@ class ReadSnapshot:
         captured query graph reflects the current graph structure.
         """
         weights_version = service.graph.weights.version
-        structure_version = service.graph.structure_version
         frozen = service.graph.weights.copy()
         # WeightVector.copy() resets the mutation counter; restore it so
         # version-keyed caches (Steiner networks, view solve states) treat
@@ -181,32 +183,15 @@ class ReadSnapshot:
             for name in service.tenants.names()
         }
 
-        # Scan/join caches survive weight-only mutations (they cache joined
-        # rows, not costs); a structural change starts from a fresh context
-        # exactly like the live service's registration invalidation.  The
-        # fresh context shares the live session's statistics sheet and
-        # Steiner-network cache, so snapshot-lane pushdowns and solves land
-        # on the same registry gauges as direct service reads.
-        if previous is not None and previous.structure_version == structure_version:
-            context = previous.context
-        else:
-            live = getattr(service, "engine_context", None)
-            context = ExecutionContext(
-                service.catalog,
-                statistics=getattr(live, "statistics", None),
-                steiner_cache=getattr(live, "steiner_cache", None),
-            )
-
         snapshot = cls(
             snapshot_id=snapshot_id,
             catalog=service.catalog,
             weights=frozen,
             weights_version=weights_version,
-            structure_version=structure_version,
             views=views,
             names=names,
             tenants=tenants,
-            context=context,
+            context=service.engine_context,
             answer_limit=service.config.answer_limit,
             counters=counters,
         )
@@ -371,5 +356,5 @@ class ReadSnapshot:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ReadSnapshot(id={self.snapshot_id}, views={len(self.views)}, "
-            f"w={self.weights_version}, s={self.structure_version})"
+            f"w={self.weights_version})"
         )

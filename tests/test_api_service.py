@@ -3,8 +3,9 @@
 Covers the satellite contract of the service API:
 
 * feedback followed by a read refreshes only the *read* view;
-* a registration invalidates every view's answer cache exactly once and
-  refreshes nothing until a read;
+* a registration makes every view stale and refreshes nothing until a
+  read, which rebuilds the read view once and executes only the query
+  contents the session never executed;
 * the lazy pull path returns top-k answers identical (values, costs,
   order) to a twin session whose every view is refreshed after each
   mutation, on a fig11-style feedback replay, while performing strictly
@@ -39,6 +40,13 @@ from repro.datastore import DataSource
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.learning import AnnotationKind
 
+from test_storage_backends import (
+    answer_fingerprint,
+    distinct_contents,
+    fresh_context,
+    make_backend,
+)
+
 
 def _mini_sources():
     go = DataSource.build(
@@ -72,14 +80,15 @@ def _mini_service() -> QService:
     return service
 
 
-def _gbco_service(gbco_dataset, held_out=()) -> QService:
+def _gbco_service(gbco_dataset, held_out=(), backend=None) -> QService:
     """A bootstrap-aligned session over a clone of the GBCO catalog."""
     service = QService(
         sources=[
             source_from_dict(source_to_dict(source))
             for source in gbco_dataset.catalog
             if source.name not in held_out
-        ]
+        ],
+        backend=backend,
     )
     service.bootstrap_alignments()
     return service
@@ -218,30 +227,34 @@ class TestLazyConsistency:
         info_b = service.create_view(QueryRequest(keywords=("nucleus", "IPR002")))
         view_a = service.view(info_a.view_id)
         view_b = service.view(info_b.view_id)
-        invalidations_before = (view_a.cache_invalidations, view_b.cache_invalidations)
+        expansions = (view_a.query_graph, view_b.query_graph)
         refreshes_before = (view_a.refresh_count, view_b.refresh_count)
-        generation = service.engine_context.generation
+        keys_before = {g.key for g in view_a.state.queries}
 
         new_source = _extra_source()
         service.register_source(
             RegisterSourceRequest(source=new_source, strategy=AlignmentStrategy.EXHAUSTIVE)
         )
 
-        # Mutation time: no view is touched — zero invalidations, zero refreshes.
-        assert (view_a.cache_invalidations, view_b.cache_invalidations) == invalidations_before
+        # Mutation time: every view is stale, and none is touched.
+        assert not view_a.expansion_is_current and not view_b.expansion_is_current
+        assert view_a.query_graph is expansions[0] and view_b.query_graph is expansions[1]
         assert (view_a.refresh_count, view_b.refresh_count) == refreshes_before
-        assert service.engine_context.generation > generation
 
-        # Read time: the read view rebuilds (structure moved), dropping its
-        # cache exactly once, and re-executes; the unread one is left alone.
+        # Read time: the read view rebuilds exactly once; the unread one is
+        # left alone.  Only query contents the session never executed run:
+        # the rest replay from the engine context.
         _drain(service.answers(QueryRequest(view=info_a.view_id)))
-        assert view_a.cache_invalidations == invalidations_before[0] + 1
-        assert view_b.cache_invalidations == invalidations_before[1]
+        assert view_a.query_graph is not expansions[0] and view_b.query_graph is expansions[1]
         assert view_a.refresh_count == refreshes_before[0] + 1
         assert view_b.refresh_count == refreshes_before[1]
-        assert view_a.last_refresh.queries_executed == len(view_a.state.queries)
+        keys_after = [g.key for g in view_a.state.queries]
+        new = set(keys_after) - keys_before
+        assert view_a.last_refresh.queries_executed == len(new)
+        assert view_a.last_refresh.queries_reused == len(keys_after) - len(new)
+        rebuilt = view_a.query_graph
         _drain(service.answers(QueryRequest(view=info_a.view_id)))
-        assert view_a.cache_invalidations == invalidations_before[0] + 1
+        assert view_a.query_graph is rebuilt
 
     def test_registration_result_is_not_retained_by_the_session(self):
         # The registrar's history outlives every response; holding each
@@ -327,6 +340,87 @@ class TestLazyConsistency:
             service.answers(QueryRequest(view=info.view_id, k=5))
 
 
+class TestSessionAnswerCache:
+    """One answer cache per session, keyed by query content, valid while the
+    tables each answer list read are the same objects at the same versions."""
+
+    @staticmethod
+    def _read_all(service, view_ids) -> list:
+        return [
+            answer_fingerprint(service.stream_answers(QueryRequest(view=view_id)))
+            for view_id in view_ids
+        ]
+
+    def _views(self, service, entries) -> list:
+        return [
+            service.create_view(QueryRequest(keywords=entry.keywords), materialize=False).view_id
+            for entry in entries
+        ]
+
+    def test_unread_source_registration_executes_nothing(self, gbco_dataset):
+        service = _gbco_service(gbco_dataset)
+        view_ids = self._views(service, gbco_dataset.query_log[:6])
+        self._read_all(service, view_ids)
+        structure = service.graph.structure_version
+        unread = DataSource.build(
+            "zeta", {"zeta": ["qqx", "wwy"]}, data={"zeta": [{"qqx": "zq-1", "wwy": "xylophone"}]}
+        )
+        service.register_source(RegisterSourceRequest(source=unread, strategy="exhaustive"))
+        assert service.graph.structure_version > structure
+
+        replayed = []
+        for view_id in view_ids:
+            replayed.extend(self._read_all(service, [view_id]))
+            stats = service.view(view_id).last_refresh
+            assert stats.solver_runs == 1  # re-expanded and re-solved
+            assert stats.queries_executed == 0
+        assert any(replayed)
+        fresh_context(service)
+        assert self._read_all(service, view_ids) == replayed
+
+    @pytest.mark.parametrize("kind", ("memory", "sqlite"))
+    def test_shared_equals_fresh_after_mutations(
+        self, gbco_dataset, kind
+    ):
+        held_out = "publication"
+        service = _gbco_service(gbco_dataset, held_out=(held_out,), backend=make_backend(kind))
+        with service:
+            view_ids = self._views(service, gbco_dataset.query_log[:5])
+            first = service.view(view_ids[0])
+            answers = list(service.stream_answers(QueryRequest(view=view_ids[0])))
+            self._read_all(service, view_ids)
+
+            def check():
+                shared = self._read_all(service, view_ids)
+                fresh_context(service)
+                assert self._read_all(service, view_ids) == shared
+                assert any(shared)
+
+            service.feedback(FeedbackRequest(view=view_ids[0], answer=answers[-1], replay=2))
+            assert first.current_ranking() is None
+            check()
+            source = source_from_dict(source_to_dict(gbco_dataset.catalog.source(held_out)))
+            service.register_source(RegisterSourceRequest(source=source, strategy="exhaustive"))
+            check()
+            service.remove_source("pathway")
+            check()
+
+    def test_removed_source_tables_are_freed(self, gbco_dataset):
+        service = _gbco_service(gbco_dataset)
+        view_ids = self._views(service, gbco_dataset.query_log)
+        self._read_all(service, view_ids)
+        tables = [weakref.ref(table) for table in service.catalog.source("pathway").tables()]
+        assert tables and any(
+            "pathway.pathway" in g.query.relations()
+            for view_id in view_ids
+            for g in service.view(view_id).state.queries
+        )
+        service.remove_source("pathway")
+        self._read_all(service, view_ids)
+        gc.collect()
+        assert [ref() for ref in tables] == [None] * len(tables)
+
+
 def _rich_service(answer_limit=200) -> QService:
     """An InterPro-only session whose k=5 view spans several queries."""
     dataset = build_interpro_go(include_foreign_keys=True)
@@ -358,16 +452,16 @@ class TestStreaming:
         total_queries = len(view.state.queries)
         assert total_queries > 1, "test needs a multi-query view"
 
-        # Invalidate so the streamed read must re-execute from scratch.
-        view.invalidate_cache()
+        # A fresh context, so the streamed read must execute from scratch.
+        fresh_context(service)
         pages = service.answers(QueryRequest(view=info.view_id, page_size=1))
         next(pages)
         executed_after_first_page = view.last_refresh.queries_executed
         assert executed_after_first_page < total_queries
-        # Draining the rest executes the remaining queries.
+        # Draining the rest executes the remaining distinct queries.
         for _ in pages:
             pass
-        assert view.last_refresh.queries_executed == total_queries
+        assert view.last_refresh.queries_executed == distinct_contents(view)
 
     def test_unmaterialized_creation_executes_nothing_until_streamed(self):
         service = _rich_service()

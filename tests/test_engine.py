@@ -158,11 +158,85 @@ class TestExecutionContext:
         assert len(answers) == 1
         assert context.statistics.index_scans > 0
 
-    def test_invalidate_bumps_generation(self, mini_catalog):
+    def test_answers_replay_only_from_same_table_versions(self):
+        # The context's one staleness rule: an entry replays while each table
+        # it read is the same object at the same version.  A mutated table
+        # misses, and so does a source re-registered under the same name,
+        # whose fresh table's version counter coincides with the old one's.
+        from repro.datastore import Catalog, DataSource
+
+        def source(rows):
+            return DataSource.build("s", {"r": ["a"]}, data={"r": rows})
+
+        catalog = Catalog([source([{"a": "old1"}, {"a": "old2"}])])
+        context = ExecutionContext(catalog)
+        query = ConjunctiveQuery(provenance="q")
+        query.add_atom("s.r", "r")
+        query.add_output("r", "a", "a")
+        answers = PlanExecutor(catalog, context).execute(query)
+        reads = context.table_reads(query)
+        context.remember_answers("key", reads, answers)
+        assert context.recall_answers("key", context.table_reads(query)) is answers
+        assert context.recall_answers("other key", reads) is None
+
+        old_table = catalog.relation("s.r")  # alive, so only identity can tell
+        old_table.append({"a": "old3"})
+        assert context.recall_answers("key", context.table_reads(query)) is None
+
+        catalog.remove_source("s")
+        catalog.add_source(source([{"a": "new1"}, {"a": "new2"}]))
+        replaced = context.table_reads(query)
+        assert replaced[0][1] == reads[0][1]  # only the table object differs
+        assert context.recall_answers("key", replaced) is None
+        context.remember_answers("key", replaced, answers)
+        assert context.recall_answers("key", replaced) is answers
+
+    def test_answer_cache_holds_under_concurrent_readers(self, mini_catalog, monkeypatch):
+        # The read pool shares one context: recalls, remembers and evictions
+        # from more threads than cores, switching as often as the interpreter
+        # allows, lose no entry, return no other key's list and keep the bound.
+        import random
+        import sys
+        import threading
+
+        from repro.engine import context as context_module
+
+        # One key more than the cache holds: most recalls hit, and the entry
+        # a recall just found is often the one another thread evicts next.
+        monkeypatch.setattr(context_module, "ANSWER_CACHE_SIZE", 2)
         context = ExecutionContext(mini_catalog)
-        generation = context.generation
-        context.invalidate()
-        assert context.generation == generation + 1
+        query = make_join_query()
+        reads = context.table_reads(query)
+        lists = {f"k{i}": [i] for i in range(3)}
+        keys = list(lists)
+        errors = []
+
+        def reader(offset):
+            pick = random.Random(offset).choice
+            try:
+                for _ in range(10000):
+                    key = pick(keys)
+                    got = context.recall_answers(key, reads)
+                    assert got is None or got is lists[key]
+                    context.remember_answers(key, reads, lists[key])
+                    context.join_index("go.term", (), ("acc",))
+            except BaseException as exc:  # handed to the main thread's assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        held = [key for key in keys if context.recall_answers(key, reads) is not None]
+        assert len(held) == 2
 
     def test_context_bound_to_other_catalog_rejected(self, mini_catalog, interpro_go_dataset):
         context = ExecutionContext(interpro_go_dataset.catalog)

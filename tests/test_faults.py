@@ -39,7 +39,7 @@ from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.service import QServer
 from repro.storage import MemoryBackend, SqliteBackend
 
-from test_storage_backends import answer_fingerprint, interpro_view, make_backend
+from test_storage_backends import answer_fingerprint, fresh_context, interpro_view, make_backend
 
 pytestmark = pytest.mark.fault_injection
 
@@ -328,8 +328,7 @@ def test_transient_fault_on_a_read_surfaces_typed_and_server_stays_healthy(kind,
     plan = FaultPlan(rules=[FaultRule(op=op, error="transient", times=1)], active=False)
     service, view, info = interpro_view(FaultyBackend(make_backend(kind), plan))
     expected = answer_fingerprint(view.answers())
-    view.invalidate_cache()
-    service.engine_context.invalidate()
+    fresh_context(service)  # the snapshot read must execute, not replay
     request = QueryRequest(view=info.view_id)
     with service, QServer(service, retry_policy=_fast_policy()) as server:
         plan.enable()
@@ -350,7 +349,7 @@ def test_writer_lane_retries_a_transient_fault_on_a_sql_read():
     expected = answer_fingerprint(view.answers())
 
     def reread():
-        view.invalidate_cache()
+        fresh_context(service)
         return answer_fingerprint(view.refresh().answers)
 
     with service, QServer(service, retry_policy=_fast_policy()) as server:

@@ -242,11 +242,11 @@ def test_foreign_backend_relation_fallback_is_explained(gbco_dataset, tmp_path):
         info = service.create_view(QueryRequest(keywords=_keywords(gbco_dataset)))
         request = QueryRequest(view=info.view_id)
         pushed = service.answers_page(request)
-        queries = [g.query for g in service.view(info.view_id).state.queries]
-        relation = queries[0].atoms[0].relation
-        touching = sum(relation in query.relations() for query in queries)
-        # Detaching bumps the table's version: exactly the queries touching
-        # it miss the answer cache, and the executor explains each one.
+        generated = service.view(info.view_id).state.queries
+        relation = generated[0].query.atoms[0].relation
+        touching = len({g.key for g in generated if relation in g.query.relations()})
+        # Detaching bumps the table's version: exactly the distinct queries
+        # touching it miss the answer cache, and the executor explains each.
         service.catalog.relation(relation).detach()
         assert _fingerprint(service.answers_page(request)) == _fingerprint(pushed)
         decision = service.obs.decisions.last()

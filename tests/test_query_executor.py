@@ -50,8 +50,9 @@ class TestConjunctiveQuery:
         assert query.relations() == ("go.term", "interpro.interpro2go")
         assert query.alias_map()["t"] == "go.term"
         assert query.output_labels() == ("term_name", "entry_ac")
-        query.rename_output(0, "name")
-        assert query.output_labels()[0] == "name"
+        query.add_output("t", "acc")
+        query.add_output("t", "name", label="name")
+        assert query.output_labels()[2:] == ("t.acc", "name")
 
 
 class TestQueryExecutor:
