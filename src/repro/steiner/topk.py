@@ -1,30 +1,40 @@
 """Top-k Steiner tree enumeration (``KBESTSTEINER`` in Algorithm 4).
 
 The learner and the view maintenance logic both need the ``k`` lowest-cost
-Steiner trees for a set of keyword terminals.  We enumerate candidates with
-a Lawler-style branching scheme over *edge exclusions*: starting from the
-optimal tree, each expansion step forbids one tree edge and re-solves,
-yielding alternative trees; candidates are emitted in nondecreasing cost
-order and deduplicated by edge set.
-
-The base solver is chosen automatically: the exact Dreyfus–Wagner DP for
-small terminal sets, the distance-network approximation otherwise — matching
-the paper's "exact algorithm at small scales, approximation at larger
-scales".  All re-solves run over one shared
+Steiner trees for a set of keyword terminals.  Every solve runs on one shared
 :class:`~repro.steiner.network.SteinerNetwork` snapshot of the graph, so the
-branching loop never copies the graph or re-derives edge costs.  Every
-branch is solved under what the enumeration already knows: nothing above the
-k-th best candidate cost found so far can be emitted (the paper's α), a known
-tree the branch's exclusions leave intact is still feasible there, and one
-exclusion-free distance table per terminal bounds every branch from below.
-The bounds only remove work — trees and tie order are the unbounded
-enumeration's (``tests/test_steiner_differential.py``).
+enumeration never copies the graph or re-derives edge costs, and the base
+solver is chosen automatically: the exact Dreyfus–Wagner DP for small
+terminal sets, the distance-network approximation otherwise — matching the
+paper's "exact algorithm at small scales, approximation at larger scales".
+The returned list ascends in :attr:`SteinerTree.cost`, equal costs in the
+order they were found.
 
-Note: with exclusion-only branching the enumeration is exact for ``k = 1``
-and a high-quality heuristic for ``k > 1`` (it can, in adversarial graphs,
-miss an alternative tree).  This matches the role the top-k list plays in
-the paper: a pool of good alternative interpretations for learning and
-re-ranking, not an exhaustively verified enumeration.
+**Two terminals: exact.**  A two-terminal Steiner tree is a simple path, and
+the enumeration is Yen's k shortest simple paths with Lawler's deviation
+rule.  A candidate path walks from the second terminal to the first; the
+partition it is the cheapest path of fixes its first ``d`` edges and
+forbids some edges at node ``d``.  Emitting it splits the rest of that
+partition into one child per node ``i >= d`` of the path: the first ``i``
+edges fixed, edge ``i`` (and at ``i = d`` the parent's forbidden edges)
+forbidden, the fixed prefix's nodes blocked.  The partitions are disjoint, so
+no path is found twice, and each child is one shortest-path search from its
+spur node through :meth:`SteinerNetwork.default_tree`.
+
+**Three or more terminals: a heuristic.**  Each popped tree branches by
+forbidding one of its edges at a time and re-solving; candidates are
+deduplicated by edge set.  This is exact for ``k = 1`` and a high-quality
+heuristic for ``k > 1``: a duplicate is dropped together with its branch, so
+in adversarial graphs an alternative tree can be missed.  That matches the
+role the top-k list plays in the paper, a pool of good alternative
+interpretations for learning and re-ranking.
+
+Both solve every child under what they already know: nothing above the k-th
+cheapest candidate cost held so far can be emitted (the paper's α; a spur
+search gets α minus its prefix), and exclusion-free distance tables bound
+every child from below.  With three or more terminals, a known tree a
+branch's exclusions leave intact is also still feasible there.  The bounds
+only remove work (``tests/test_steiner_differential.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -45,8 +55,6 @@ from .tree import SteinerTree, validate_terminals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.budget import Budget
-
-SolverFn = Callable[[SearchGraph, Sequence[str]], SteinerTree]
 
 
 def default_solver(graph: SearchGraph, terminals: Sequence[str], exact_terminal_limit: int = 5) -> SteinerTree:
@@ -62,28 +70,24 @@ class KBestSteiner:
 
     Parameters
     ----------
-    solver:
-        Base single-tree solver; when omitted, the default exact/approximate
-        dispatch runs directly on a shared graph snapshot (fast path).  A
-        custom solver is honoured through the legacy graph-copy protocol,
-        unbounded: it is how the tests plug in the reference oracle.
     max_expansions:
-        Upper bound on branching expansions, guarding against blow-up on
-        dense graphs.
+        Upper bound on child solves, guarding against blow-up on dense
+        graphs.  Past it the candidates already held are drained, so with
+        two terminals a capped list's tail is complete paths, cheapest
+        first, but not provably the next ones.
     network_cache:
         Optional session cache (duck-typed: ``network(graph)``, ``recall(key)``
         / ``remember(key, trees)`` and ``record_solve(counters)``, i.e. the
         engine's :class:`~repro.engine.context.SteinerNetworkCache`).  With a
-        cache and no custom ``solver``, solves over an unchanged graph reuse
-        one snapshot, and an enumeration whose priced network, terminals,
-        ``k`` and cap equal an earlier complete one's — under whatever graph
-        object or version counter — returns that one's trees in its order
-        instead of running.  The cache also totals every solve's
-        :class:`SolverCounters`.  There is no switch: code that needs an
-        enumeration to run builds a cache-less ``KBestSteiner()``.
+        cache, solves over an unchanged graph reuse one snapshot, and an
+        enumeration whose priced network, terminals, ``k`` and cap equal an
+        earlier complete one's — under whatever graph object or version
+        counter — returns that one's trees in its order instead of running.
+        The cache also totals every solve's :class:`SolverCounters`.  There is
+        no switch: code that needs an enumeration to run builds a cache-less
+        ``KBestSteiner()``.
     """
 
-    solver: Optional[SolverFn] = None
     max_expansions: int = 200
     network_cache: Optional[object] = None
 
@@ -97,12 +101,14 @@ class KBestSteiner:
         """Return up to ``k`` distinct Steiner trees in nondecreasing cost order.
 
         With a ``budget``, the enumeration is deadline-aware: the budget is
-        polled before/inside every base solve and at each branching
-        expansion.  Expiry before the *first* tree exists raises
+        polled before/inside every base solve and before every child solve.
+        Expiry before the *first* tree exists raises
         :class:`~repro.exceptions.DeadlineExceededError`; expiry after that
-        stops branching, drains already-solved candidates off the heap (they
-        are complete, valid trees), marks the budget truncated, and returns
-        the partial list — possibly fewer than ``k`` trees.
+        stops branching, marks the budget truncated, and returns a partial
+        list — possibly fewer than ``k`` trees.  With two terminals it is the
+        paths emitted so far, a prefix of the full list; with more, the
+        already-solved candidates are drained off the heap as well (they are
+        complete, valid trees).
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -110,10 +116,8 @@ class KBestSteiner:
         cache = self.network_cache
         counters = SolverCounters()
         try:
-            if self.solver is not None:
-                return self._enumerate(graph, None, terminals, k, budget, counters)
             if cache is None:
-                return self._enumerate(graph, SteinerNetwork(graph), terminals, k, budget, counters)
+                return self._enumerate(SteinerNetwork(graph), terminals, k, budget, counters)
             network = cache.network(graph)  # type: ignore[attr-defined]
             # The cap is part of the key because it changes the list.
             key = (*network.priced_key(), terminals, k, self.max_expansions)
@@ -122,7 +126,7 @@ class KBestSteiner:
                 # The full list, whatever the budget: nothing ran to tick it.
                 counters.recalls = 1
                 return list(recalled)
-            trees = self._enumerate(graph, network, terminals, k, budget, counters)
+            trees = self._enumerate(network, terminals, k, budget, counters)
             # Only an enumeration that ran to its own end is worth recalling:
             # a deadline must never shorten a later reader's ranking.
             if budget is None or not budget.truncated:
@@ -133,33 +137,136 @@ class KBestSteiner:
                 cache.record_solve(counters)  # type: ignore[attr-defined]
 
     def _enumerate(
-        self, graph: SearchGraph, network: Optional[SteinerNetwork], terminals: Sequence[str],
-        k: int, budget: "Optional[Budget]", counters: SolverCounters,
+        self, network: SteinerNetwork, terminals: Sequence[str], k: int,
+        budget: "Optional[Budget]", counters: SolverCounters,
     ) -> List[SteinerTree]:
-        """The enumeration itself, on ``network`` (``None``: the ``solver=`` protocol)."""
-        # An exclusion set holds edge *indexes* of the shared snapshot on the
-        # network path, edge ids under the legacy graph-copy protocol.
-        exclusion_key = network.edge_index.__getitem__ if network is not None else str
+        """The first solve, then the enumeration for the terminal count, sorted by cost."""
+        if budget is not None:
+            budget.check("k-best-steiner")
+        counters.base_solves += 1
+        try:
+            best = network.default_tree(terminals, budget=budget, counters=counters)
+        except SteinerError:  # including DisconnectedTerminalsError
+            return []
+        branch = self._paths if len(terminals) == 2 else self._trees
+        trees = branch(network, terminals, k, budget, counters, best)
+        # A child totals its edges with fsum, its parent was chosen by a search
+        # that sums them in order: the child can undercut the parent by a
+        # rounding.  The sort is stable, so ties keep the order they were found.
+        trees.sort(key=lambda tree: tree.cost)
+        return trees
 
+    def _child_allowed(self, expansions: int, budget: "Optional[Budget]", counters: SolverCounters) -> bool:
+        """Whether the cap allows one more child; past the deadline, raises
+        :class:`~repro.exceptions.DeadlineExceededError` as a search would."""
+        if expansions >= self.max_expansions:
+            counters.expansion_cap_hits = 1  # per solve, however many loops it cuts
+            return False
+        if budget is not None:
+            budget.check("k-best-steiner")
+        return True
+
+    def _paths(
+        self, network: SteinerNetwork, terminals: Sequence[str], k: int,
+        budget: "Optional[Budget]", counters: SolverCounters, best: SteinerTree,
+    ) -> List[SteinerTree]:
+        """Lawler–Yen k shortest simple paths from ``terminals[1]`` to ``terminals[0]``."""
+        edge_costs, node_ids, adjacency = network.edge_costs, network.node_ids, network.adjacency
         tables: Optional[DistanceBounds] = None
-        # Every distinct tree found so far, cheapest first, as (cost, exclusion
-        # keys of its edges): what bounds the branches still to solve.
-        known: List[Tuple[float, FrozenSet]] = []
+        # The costs of every path held (emitted or on the heap), cheapest
+        # first and at most k of them: the k-th is the paper's alpha.
+        held: List[float] = [best.cost]
+        counter = itertools.count()
+        # Heap entries: (cost, tiebreak, tree, nodes, edges, deviation index,
+        # edges forbidden at the deviation node)
+        heap = [(best.cost, next(counter), best, *self._walk(network, terminals[1], best), 0, frozenset())]
+        results: List[SteinerTree] = []
+        expansions = 0
+
+        while heap and len(results) < k:
+            _, _, tree, nodes, edges, deviation, forbidden = heapq.heappop(heap)
+            results.append(tree)
+            if len(results) >= k:
+                break
+            # Child i fixes the first i edges and blocks their nodes but the
+            # last (the spur node): every edge at a blocked node is excluded.
+            blocked: Set[int] = set()
+            for node in nodes[:deviation]:
+                blocked.update(edge_idx for _, edge_idx, _ in adjacency[node])
+            prefix_cost = sum(edge_costs[edge_idx] for edge_idx in edges[:deviation])
+            for i in range(deviation, len(edges)):
+                if i > deviation:
+                    blocked.update(edge_idx for _, edge_idx, _ in adjacency[nodes[i - 1]])
+                    prefix_cost += edge_costs[edges[i - 1]]
+                spur_forbidden = forbidden | {edges[i]} if i == deviation else frozenset((edges[i],))
+                alpha = held[k - 1] if len(held) >= k else math.inf
+                spur_node = node_ids[nodes[i]]
+                try:
+                    if not self._child_allowed(expansions, budget, counters):
+                        break  # the heap is drained: see max_expansions
+                    expansions += 1
+                    counters.base_solves += 1
+                    if alpha < math.inf and tables is None:
+                        # Distances from terminals[0], the end every spur search heads for.
+                        tables = network.terminal_distances(terminals, budget, counters)
+                    spur = network.default_tree(
+                        (terminals[0], spur_node), excluded=blocked | spur_forbidden,
+                        budget=budget, counters=counters, lower_bounds=tables,
+                        upper_bound=alpha - prefix_cost,
+                    )
+                except DeadlineExceededError:
+                    # A partial result, no drain: an unsolved sibling partition
+                    # may hold a path cheaper than any on the heap, so only
+                    # what was emitted is a prefix of the ranking.
+                    budget.mark_truncated("k-best-steiner")  # type: ignore[union-attr]
+                    return results
+                except DisconnectedTerminalsError:
+                    counters.disconnected_branches += 1
+                    continue
+                except SteinerError:  # BoundExceededError: the solver counted it
+                    continue
+                spur_nodes, spur_edges = self._walk(network, spur_node, spur)
+                path_nodes, path_edges = nodes[:i] + spur_nodes, edges[:i] + spur_edges
+                candidate = network._tree_from_indexes(path_edges, terminals)
+                bisect.insort(held, candidate.cost)
+                del held[k:]
+                heapq.heappush(heap, (
+                    candidate.cost, next(counter), candidate, path_nodes, path_edges, i, spur_forbidden
+                ))
+        return results
+
+    @staticmethod
+    def _walk(network: SteinerNetwork, start: str, path: SteinerTree) -> Tuple[List[int], List[int]]:
+        """The node and edge indexes of the simple path ``path``, in order from ``start``."""
+        remaining = {network.edge_index[edge_id] for edge_id in path.edge_ids}
+        nodes, edges = [network.node_index[start]], []
+        while remaining:
+            # A simple path leaves each node by exactly one edge not yet walked.
+            node, edge_idx = next((v, e) for v, e, _ in network.adjacency[nodes[-1]] if e in remaining)
+            remaining.discard(edge_idx)
+            nodes.append(node)
+            edges.append(edge_idx)
+        return nodes, edges
+
+    def _trees(
+        self, network: SteinerNetwork, terminals: Sequence[str], k: int,
+        budget: "Optional[Budget]", counters: SolverCounters, best: SteinerTree,
+    ) -> List[SteinerTree]:
+        """Exclusion-only branching: each popped tree forbids its edges one at a time."""
+        tables: Optional[DistanceBounds] = None
+        # Every distinct tree found so far, cheapest first, as (cost, edge
+        # indexes): what bounds the branches still to solve.
+        known: List[Tuple[float, FrozenSet[int]]] = []
         candidate_edge_sets: Set[FrozenSet[str]] = set()
 
         def remember(tree: SteinerTree) -> None:
             candidate_edge_sets.add(tree.edge_ids)
-            bisect.insort(known, (tree.cost, frozenset(map(exclusion_key, tree.edge_ids))))
+            bisect.insort(known, (tree.cost, frozenset(map(network.edge_index.__getitem__, tree.edge_ids))))
 
-        def base_solve(excluded: FrozenSet) -> SteinerTree:
+        def branch_solve(excluded: FrozenSet[int]) -> SteinerTree:
             nonlocal tables
             counters.base_solves += 1
-            if network is None:
-                tree = self.solver(self._graph_without(graph, excluded), terminals)  # type: ignore[misc]
-                # Re-cost against the original graph (costs are identical, but
-                # the tree object should reference original edge ids).
-                return SteinerTree.from_edges(graph, tree.edge_ids, terminals)
-            if excluded and tables is None:
+            if tables is None:
                 tables = network.terminal_distances(terminals, budget, counters)
             # A branch's optimum is of no use above the k-th best candidate
             # cost (the paper's alpha: k cheaper trees pop first), and it
@@ -176,49 +283,33 @@ class KBestSteiner:
                 lower_bounds=tables, upper_bound=upper_bound,
             )
 
-        if budget is not None:
-            budget.check("k-best-steiner")
-        try:
-            best = base_solve(frozenset())
-        except SteinerError:  # including DisconnectedTerminalsError
-            return []
-
         results: List[SteinerTree] = []
-        seen_trees: Set[FrozenSet[str]] = set()
         counter = itertools.count()
-        # Heap entries: (cost, tiebreak, tree, exclusion set)
-        heap: List[Tuple[float, int, SteinerTree, FrozenSet]] = [
+        # Heap entries: (cost, tiebreak, tree, exclusion set); an edge set is
+        # pushed at most once, so every pop is a new tree.
+        heap: List[Tuple[float, int, SteinerTree, FrozenSet[int]]] = [
             (best.cost, next(counter), best, frozenset())
         ]
         remember(best)
         expansions = 0
 
         while heap and len(results) < k:
-            cost, _, tree, excluded = heapq.heappop(heap)
-            if tree.edge_ids in seen_trees:
-                continue
-            seen_trees.add(tree.edge_ids)
+            _, _, tree, excluded = heapq.heappop(heap)
             results.append(tree)
             if len(results) >= k:
                 break
 
             # Branch: forbid each edge of the newly accepted tree in turn.
             for edge_id in sorted(tree.edge_ids):
-                if expansions >= self.max_expansions:
-                    counters.expansion_cap_hits = 1  # per solve, however many loops it cuts
-                    break
-                if budget is not None and budget.expired():
-                    # Stop branching; the outer loop keeps draining fully
-                    # solved candidates already on the heap.
-                    budget.mark_truncated("k-best-steiner")
-                    break
-                expansions += 1
-                new_excluded = excluded | {exclusion_key(edge_id)}
+                new_excluded = excluded | {network.edge_index[edge_id]}
                 try:
-                    candidate = base_solve(new_excluded)
+                    if not self._child_allowed(expansions, budget, counters):
+                        break
+                    expansions += 1
+                    candidate = branch_solve(new_excluded)
                 except DeadlineExceededError:
-                    # Expired mid-re-solve: at least one tree exists, so the
-                    # enumeration degrades to a partial result.
+                    # Stop branching; the outer loop drains the candidates
+                    # already on the heap (complete, valid trees).
                     budget.mark_truncated("k-best-steiner")  # type: ignore[union-attr]
                     break
                 except DisconnectedTerminalsError:
@@ -226,7 +317,7 @@ class KBestSteiner:
                     continue
                 except SteinerError:  # BoundExceededError: the solver counted it
                     continue
-                if candidate.edge_ids in seen_trees or candidate.edge_ids in candidate_edge_sets:
+                if candidate.edge_ids in candidate_edge_sets:
                     counters.duplicate_candidates += 1
                     continue
                 remember(candidate)
@@ -235,17 +326,7 @@ class KBestSteiner:
                 )
         return results
 
-    @staticmethod
-    def _graph_without(graph: SearchGraph, excluded_edges: FrozenSet[str]) -> SearchGraph:
-        reduced = graph.copy(share_weights=True)
-        for edge_id in excluded_edges:
-            if reduced.has_edge(edge_id):
-                reduced.remove_edge(edge_id)
-        return reduced
 
-
-def k_best_steiner_trees(
-    graph: SearchGraph, terminals: Sequence[str], k: int, solver: Optional[SolverFn] = None
-) -> List[SteinerTree]:
+def k_best_steiner_trees(graph: SearchGraph, terminals: Sequence[str], k: int) -> List[SteinerTree]:
     """Convenience wrapper around :class:`KBestSteiner`."""
-    return KBestSteiner(solver=solver).solve(graph, terminals, k)
+    return KBestSteiner().solve(graph, terminals, k)

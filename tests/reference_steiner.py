@@ -6,9 +6,10 @@ Dijkstra loops over ``dict`` labels with the node-id *string* as heap
 tie-breaker, and a ``frozenset`` of path edges materialised per node per
 terminal subset.  It is slow and obviously faithful to the seed, which is
 what an oracle is for: the kernel must return the same edge set and the same
-(``math.fsum``) cost for every solve, and ``KBestSteiner(solver=
-reference_solver)`` must equal the network path tree for tree, in order.  It
-lives in ``tests/`` because nothing in ``src/`` runs it.
+(``math.fsum``) cost for every solve, and with three or more terminals
+``reference_k_best(..., reference_solver)`` (``reference_kbest.py``) must
+equal ``KBestSteiner`` tree for tree, in order.  It lives in ``tests/``
+because nothing in ``src/`` runs it.
 """
 
 from __future__ import annotations
@@ -288,5 +289,5 @@ class ReferenceSteinerNetwork:
 
 
 def reference_solver(graph: SearchGraph, terminals: Sequence[str]) -> SteinerTree:
-    """The oracle as a ``KBestSteiner(solver=...)`` base solver (graph-copy protocol)."""
+    """The oracle as a ``reference_k_best`` base solver (graph-copy protocol)."""
     return ReferenceSteinerNetwork(graph).exact_tree(terminals)

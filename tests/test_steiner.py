@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from repro.engine.context import SteinerNetworkCache
 from repro.exceptions import SteinerError
 from repro.graph import EdgeKind, Node, NodeKind, SearchGraph, edge_feature
+from reference_kbest import reference_k_best
+from reference_paths import simple_paths
 from reference_steiner import reference_solver
 from repro.steiner.network import SolverCounters
 from repro.steiner import (
@@ -364,11 +366,13 @@ class TestSteinerTreeObject:
 # ----------------------------------------------------------------------
 # Golden grid: tie order and costs on a grown GBCO graph
 # ----------------------------------------------------------------------
-#: Ordered ``(cost.hex(), sha256("|".join(sorted(edge_ids)))[:12])`` per tree,
-#: as the reference oracle (tests/reference_steiner.py, fsum costs) produced
-#: them on GBCO (seed 11, 10 rows) grown to 60 sources with growth seed 3.
-#: Equal costs sit next to each other in every list, so a moved tie-break
-#: fails the comparison.
+#: Ordered ``(cost.hex(), sha256("|".join(sorted(edge_ids)))[:12])`` per tree
+#: on GBCO (seed 11, 10 rows) grown to 60 sources with growth seed 3.  The
+#: three- and four-terminal lists are what the branching over the reference
+#: oracle (tests/reference_steiner.py, fsum costs) produced.  The two-terminal
+#: list is the k shortest simple paths; brute force (tests/reference_paths.py)
+#: witnesses its costs in the test.  Equal costs sit next to each other in
+#: every list, so a moved tie-break fails the comparison.
 GOLDEN_GRID = {
  "t2_k20": [
   ["0x1.925299967eed0p-2", "f2cf6fb8b7df"],
@@ -385,12 +389,12 @@ GOLDEN_GRID = {
   ["0x1.e66992ebd99d6p-1", "b2082bf4a000"],
   ["0x1.ead5266f99bfap-1", "debc60b70fa0"],
   ["0x1.eb1379f4ba3a2p-1", "afb48ed9faee"],
-  ["0x1.f09f04bdae10fp-1", "f28cb5c709c9"],
   ["0x1.f09f04bdae10fp-1", "c29b87337484"],
+  ["0x1.f09f04bdae10fp-1", "f28cb5c709c9"],
   ["0x1.f677bb33d6b96p-1", "aeac71319330"],
   ["0x1.f677bb33d6b96p-1", "ef0437dc02d6"],
-  ["0x1.0f0917c66cf59p+0", "55d766e5239f"],
-  ["0x1.0f0917c66cf59p+0", "c88cae933bd2"]
+  ["0x1.003480951a6eep+0", "bcdddf57188e"],
+  ["0x1.030240646ba05p+0", "46de04025c7f"]
  ],
  "t3_k10": [
   ["0x1.1f1c686660ab6p+0", "e5fe673fcf0b"],
@@ -431,9 +435,11 @@ def grown_gbco_service():
 
 #: ``settled_labels`` of one enumeration per golden cell, at about 60 % of what
 #: the commit before the branch bounds settled (33 819 and 107 738; with them
-#: 13 166 and 37 840).  Branches that run unbounded again fail here by count,
-#: on any host, where a timing gate would need a quiet one.
-SETTLED_LABEL_CEILING = {"t2_k20": 20_300, "t3_k10": 64_600}
+#: 13 166 and 37 840).  The two-terminal cell settles 4 991 since it
+#: enumerates simple paths, and its ceiling is that plus 5 %.  Branches that
+#: run unbounded again fail here by count, on any host, where a timing gate
+#: would need a quiet one.
+SETTLED_LABEL_CEILING = {"t2_k20": 5_240, "t3_k10": 64_600}
 
 
 def golden_cell(service, terminal_count, k):
@@ -462,6 +468,12 @@ def test_golden_grid_trees_costs_and_tie_order(grown_gbco_service, terminal_coun
     did = cache.solver
     assert 0 < did.bounded_out_branches < did.bounded_branches < did.base_solves
     assert did.settled_labels <= SETTLED_LABEL_CEILING.get(cell, did.settled_labels)
+    if terminal_count == 2:
+        # Brute force witnesses the costs; disjoint partitions find no path twice.
+        paths = simple_paths(graph, terminals[1], terminals[0], max_cost=trees[-1].cost)
+        assert len(paths) >= k
+        assert all(math.isclose(tree.cost, cost, rel_tol=1e-9) for tree, (cost, _) in zip(trees, paths))
+        assert did.duplicate_candidates == 0
 
 
 def test_expansion_cap_counts_bounded_out_branches_too(grown_gbco_service):
@@ -472,7 +484,7 @@ def test_expansion_cap_counts_bounded_out_branches_too(grown_gbco_service):
     graph, terminals = golden_cell(grown_gbco_service, 3, 10)
     cache = SteinerNetworkCache()
     capped = KBestSteiner(max_expansions=40, network_cache=cache).solve(graph, terminals, 10)
-    assert capped == KBestSteiner(solver=reference_solver, max_expansions=40).solve(graph, terminals, 10)
+    assert capped == reference_k_best(graph, terminals, 10, reference_solver, max_expansions=40)
     did = cache.solver
     assert (did.base_solves, did.expansion_cap_hits) == (41, 1)
     assert did.bounded_out_branches > 0

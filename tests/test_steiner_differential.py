@@ -1,25 +1,34 @@
-"""Differential test: the array-indexed Steiner kernel against the reference oracle.
+"""Differential tests: the Steiner kernel and the top-k enumeration against oracles.
 
 ``tests/reference_steiner.py`` is the dict/frozenset Dreyfus–Wagner solver
 the kernel replaced, kept verbatim.  On random connected graphs that
 deliberately contain zero-cost edges and equal-cost alternatives the two must
 agree *exactly* — same edge set, ``==`` on cost, same error — for single
-solves under random exclusion sets, and the top-k enumeration over the
-kernel must equal the enumeration over the oracle tree for tree, in order.
-The enumeration bounds its branches (k-th candidate cost, known feasible
-trees, per-terminal distance tables) and the oracle does not, so the same
-comparison on larger graphs, plus a single-solve property over random
-``upper_bound``s, is what says the bounds only remove work.
-Nothing here compares costs approximately: tie order is part of the answer.
+solves under random exclusion sets.  With three or more terminals the top-k
+enumeration over the kernel must equal the same branching over the oracle
+tree (``tests/reference_kbest.py``) tree for tree, in order.  The enumeration
+bounds its branches (k-th candidate cost, known feasible trees, per-terminal
+distance tables) and the oracle does not, so the same comparison on larger
+graphs, plus a single-solve property over random ``upper_bound``s, is what
+says the bounds only remove work.  Nothing there compares costs
+approximately: tie order is part of the answer.
+
+With two terminals the enumeration is exact, and ``tests/reference_paths.py``
+— every simple path, by depth-first search — is its witness: the costs are
+the k cheapest paths' (up to the rounding of two summation orders), each tree
+is a simple path between the terminals, and no tree repeats.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference_kbest import reference_k_best
+from reference_paths import simple_paths
 from reference_steiner import ReferenceSteinerNetwork, reference_solver
 
 from repro.engine.context import SteinerNetworkCache
@@ -82,23 +91,24 @@ def test_single_solves_match_reference_under_exclusions(seed):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=1_000_000))
 def test_top_k_matches_reference_tree_for_tree(seed):
-    rng, graph, terminals = random_case(seed)
+    """Three or more terminals: the branching is the oracle's, tree for tree."""
+    rng, graph, terminals = random_case(seed, terminal_counts=(3, 5))
     k = rng.randint(1, 20)
     over_kernel = KBestSteiner().solve(graph, terminals, k)
-    over_reference = KBestSteiner(solver=reference_solver).solve(graph, terminals, k)
+    over_reference = reference_k_best(graph, terminals, k, reference_solver)
     assert over_kernel == over_reference
     assert [tree.cost for tree in over_kernel] == sorted(tree.cost for tree in over_kernel)
 
 
 def test_bounded_top_k_matches_reference_on_larger_tie_heavy_graphs():
-    """15–60 nodes, t in {2, 3, 4}, k <= 12: enough alternatives that most
+    """15–60 nodes, t in {3, 4}, k <= 12: enough alternatives that most
     branches run under a bound and some are abandoned under it."""
     cache = SteinerNetworkCache()
     for seed in range(40):
-        rng, graph, terminals = random_case(seed, nodes=(15, 60), terminal_counts=(2, 4))
+        rng, graph, terminals = random_case(seed, nodes=(15, 60), terminal_counts=(3, 4))
         k = rng.randint(2, 12)
         over_kernel = KBestSteiner(network_cache=cache).solve(graph, terminals, k)
-        assert over_kernel == KBestSteiner(solver=reference_solver).solve(graph, terminals, k)
+        assert over_kernel == reference_k_best(graph, terminals, k, reference_solver)
     did = cache.solver
     assert did.bounded_out_branches > 0 and did.bounded_branches > did.base_solves // 2
     assert did.bounded_out_branches + did.disconnected_branches + did.duplicate_candidates < did.base_solves
@@ -205,3 +215,51 @@ def test_disconnected_by_exclusion_on_both_sides():
         for terminals in (["a", "d"], ["a", "b", "d"]):
             assert solve(network, terminals, [bridge]) == "disconnected"
             assert solve(network, terminals, []).cost == 3.0
+
+
+def is_simple_path(graph, tree, source, target):
+    """Whether ``tree``'s edges walk from ``source`` to ``target`` visiting no node twice."""
+    ends = {}
+    for edge_id in tree.edge_ids:
+        edge = graph.edge(edge_id)
+        ends.setdefault(edge.u, []).append((edge_id, edge.v))
+        ends.setdefault(edge.v, []).append((edge_id, edge.u))
+    node, used, visited = source, set(), {source}
+    while node != target:
+        step = [(edge_id, other) for edge_id, other in ends.get(node, ()) if edge_id not in used]
+        if len(step) != 1 or step[0][1] in visited:
+            return False
+        used.add(step[0][0])
+        node = step[0][1]
+        visited.add(node)
+    return used == tree.edge_ids
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example(1648)  # 4 nodes, 5 edges: exclusion-only branching missed the 3.5 path
+@example(2074)  # a child's fsum undercut its parent: 0.6000000000000001 came before 0.6
+@given(st.integers(min_value=400, max_value=4399))
+def test_two_terminal_top_k_is_the_k_cheapest_simple_paths(seed):
+    _, graph, terminals = random_case(seed, nodes=(4, 12), terminal_counts=(2, 2))
+    assume(len(graph.edges()) <= 18)
+    paths = simple_paths(graph, terminals[1], terminals[0])
+    for k in (1, 5, 20):
+        trees = KBestSteiner().solve(graph, terminals, k)
+        costs = [tree.cost for tree in trees]
+        # The search picks among near-ties by its left-to-right sum, a tree
+        # totals with fsum: equal costs up to that rounding.
+        expected = [cost for cost, _ in paths[:k]]
+        assert len(costs) == len(expected)
+        assert all(math.isclose(got, want, rel_tol=1e-9) for got, want in zip(costs, expected))
+        assert all(is_simple_path(graph, tree, terminals[1], terminals[0]) for tree in trees)
+        assert len({tree.edge_ids for tree in trees}) == len(trees)
+        assert costs == sorted(costs)
+
+
+def test_returned_list_ascends_in_cost():
+    """A child is totalled with fsum; its parent was picked by a DP that sums
+    in order, so the child can undercut the parent by a rounding.  With three
+    or more terminals the list still ascends (seed 715 did not at k = 20)."""
+    _, graph, terminals = random_case(715, terminal_counts=(3, 5))
+    costs = [tree.cost for tree in KBestSteiner().solve(graph, terminals, 20)]
+    assert len(costs) > 1 and costs == sorted(costs)
