@@ -499,19 +499,19 @@ class QService:
         """Re-expand every view whose staleness demands it; returns the count.
 
         With ``structural_only`` (the default) only views whose query-graph
-        *structure* is stale re-expand — the serving layer runs this in its
-        single writer lane after each mutation so that all query-graph
-        expansion (which consumes the session graph's edge ids) happens there,
-        never on a concurrent read.  Weight-only staleness needs no eager
-        work: rankings re-solve lazily under whatever weight vector prices
-        the next read.  ``structural_only=False`` also re-solves
-        weight-stale views (administrative warm-up).
+        *structure* is stale (or that never expanded) re-expand — the serving
+        layer runs this in its single writer lane after each mutation so that
+        all query-graph expansion (which seeds new keyword edges' weights on
+        the shared vector) happens there, never on a concurrent read.
+        Weight-only staleness needs no eager work: rankings re-solve lazily
+        under whatever weight vector prices the next read.
+        ``structural_only=False`` also re-solves weight-stale views
+        (administrative warm-up).
         """
         prepared = 0
         for record in self.views.records():
             view = record.view
-            current = view.expansion_is_current if structural_only else view.current_ranking() is not None
-            if not current:
+            if not view.expansion_is_current or (not structural_only and view.current_ranking() is None):
                 self._pull(record)
                 prepared += 1
         return prepared
@@ -862,9 +862,9 @@ class QService:
 
         The first call writes a full snapshot — search graph (nodes and
         alignment edges with features and original edge ids), weight
-        vector, learner state, profile index, view registry with each
-        current view's query-graph expansion, feedback log, and the
-        graph's next edge number.  Later calls are *incremental*:
+        vector, learner state, profile index, view registry (each view's
+        keywords and ``k``, and its ranking while current), feedback log,
+        and the graph's next edge number.  Later calls are *incremental*:
         one journal delta entry capturing the mutations since the previous
         save.  Once the journal reaches
         ``config.journal_compact_after`` entries (or ``compact=True``, or a
@@ -929,11 +929,15 @@ class QService:
         database explicitly.
 
         No profiling, matching or alignment runs: graph, weights, profiles
-        and views come straight from the snapshot, the journal replays any
-        post-snapshot mutations, and the graph's next edge number is set so
-        the reopened session allocates the same ids a continuing live
-        session would.  Restored sessions answer queries byte-identically to
-        the session that saved them.
+        and view definitions come straight from the snapshot, the journal
+        replays any post-snapshot mutations, and the graph's next edge
+        number is set so the reopened session allocates the same ids a
+        continuing live session would.  No view expands here: each expands
+        on its first pull, to the ids it had, and resumes its saved ranking
+        if nothing moved before then.  Restored sessions answer queries
+        byte-identically to the session that saved them.  A session saved in
+        an older format opens re-keyed, and its next save that writes
+        anything rewrites it in this one.
 
         ``config`` / ``matchers`` override the persisted session knobs and
         the (non-serializable) matcher stack; by default the saved config
@@ -979,7 +983,7 @@ class QService:
                     ],
                     backend=resolved,
                 )
-            graph, profile_index, overlay = restore_core(
+            graph, profile_index, overlay, upgraded = restore_core(
                 body, entries, catalog, service.config.graph, store.holds_rows
             )
             service._assemble(catalog, graph, profile_index, matchers)
@@ -994,7 +998,7 @@ class QService:
                 store, compact_after=service.config.journal_compact_after
             )
             service._persistence.attach_restored(
-                service, body.get("snapshot_version", 1), overlay
+                service, body.get("snapshot_version", 1), overlay, upgraded
             )
             return service
         except BaseException:

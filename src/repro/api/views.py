@@ -12,9 +12,9 @@ name is reused.  The registry keeps:
   documented accessor: the most recently *created* view, regardless of any
   name reuse;
 * what a session keeps **beside** a view and frees with it: the tenant
-  twins pricing its expansion and the persisted form of that expansion.
-  Whether a view is stale is not recorded here — the view knows
-  (:attr:`~repro.core.view.RankedView.expanded_at` and its solve state).
+  twins pricing its expansion.  Whether a view is stale is not recorded
+  here — the view knows (:attr:`~repro.core.view.RankedView.expanded_at`
+  and its solve state).
 """
 
 from __future__ import annotations
@@ -29,25 +29,20 @@ from ..graph.query_graph import QueryGraph
 
 @dataclass
 class ViewRecord:
-    """One registered view plus what the session derives from its expansion.
+    """One registered view plus the tenant twins pricing its expansion.
 
-    Both derivations hold for one query-graph *object* (a rebuild installs a
-    new one) and go with the record when name reuse retires the view.
-
-    ``saved_expansion`` is ``(query graph, payload)`` from the view's last
-    save or open: persistence re-uses the payload while the view holds that
-    same query-graph object and its expansion is current.
-
-    ``twins`` maps a tenant to the view pricing that expansion under the
-    tenant's overlay (:meth:`~repro.core.view.RankedView.priced_twin`); read
-    it through :meth:`tenant_twins`, which empties it after a re-expansion.
+    ``twins`` maps a tenant to the view pricing the view's query-graph
+    *object* under the tenant's overlay
+    (:meth:`~repro.core.view.RankedView.priced_twin`); read it through
+    :meth:`tenant_twins`, which empties it after a re-expansion.  The twins
+    go with the record when name reuse retires the view.  What a session
+    saves of a view is its definition and ranking, read off the view itself.
     """
 
     view_id: str
     name: str
     view: RankedView
     created_index: int
-    saved_expansion: Optional[Tuple[QueryGraph, Dict[str, object]]] = None
     twins: Dict[str, RankedView] = field(default_factory=dict)
     _twinned: Optional[QueryGraph] = None
 
@@ -77,7 +72,7 @@ class ViewRegistry:
         The stable id comes from a monotonically increasing creation
         counter and is never reused.  Re-registering a name *replaces* the
         shadowed view (the historical dict behavior): its record is evicted
-        from the registry — its tenant twins and saved expansion with it —
+        from the registry — its tenant twins with it —
         so long-running sessions that recreate views under one name do not
         accrue unbounded records.
         """
@@ -86,25 +81,15 @@ class ViewRegistry:
             self._records.remove(shadowed)
             del self._by_id[shadowed.view_id]
         self._created += 1
-        record = ViewRecord(
-            view_id=f"view-{self._created:04d}",
-            name=name,
-            view=view,
-            created_index=self._created - 1,
-        )
-        self._records.append(record)
-        self._by_id[record.view_id] = record
-        self._by_name[name] = record
-        return record
+        return self.restore(view, name, f"view-{self._created:04d}", self._created - 1)
 
     def restore(self, view: RankedView, name: str, view_id: str, created_index: int) -> ViewRecord:
-        """Re-register a view restored from a session snapshot.
+        """Register a view under an id and creation index the caller supplies.
 
-        Unlike :meth:`add`, the id and creation index are
-        supplied by the caller (they come from the snapshot) and the
-        creation counter is *not* advanced — :meth:`set_created` restores it
-        separately so post-restore :meth:`add` calls continue the original
-        id sequence.
+        What :meth:`add` ends in, and how a session snapshot's views come
+        back.  The creation counter is *not* advanced — :meth:`set_created`
+        restores it separately so post-restore :meth:`add` calls continue the
+        original id sequence.
         """
         record = ViewRecord(view_id=view_id, name=name, view=view, created_index=created_index)
         self._records.append(record)

@@ -18,10 +18,10 @@ Pulls are *incremental*: a query executes only if no reader of the shared
 :class:`~repro.engine.context.ExecutionContext` has executed the same query
 content over the same tables at the same versions.  Every other query
 replays the context's answers, re-stamped with this query's cost and id —
-feedback moves costs, and a re-expansion renames trees, without touching
-the joined tuples.  When neither the edge weights nor the query-graph
-structure changed since the last solve, the Steiner solve itself is
-skipped.  The view keeps no answers of its own, so nothing has to tell it
+feedback moves costs, and another view's tree may generate the same query,
+without touching the joined tuples.  When neither the edge weights nor the
+query-graph structure changed since the last solve, the Steiner solve
+itself is skipped.  The view keeps no answers of its own, so nothing has to tell it
 that a table changed.
 """
 
@@ -111,7 +111,6 @@ class RankedView:
         builder: Optional[QueryGraphBuilder] = None,
         answer_limit: Optional[int] = 200,
         engine_context: Optional[ExecutionContext] = None,
-        query_graph: Optional[QueryGraph] = None,
     ) -> None:
         self.keywords = list(keywords)
         self.catalog = catalog
@@ -119,18 +118,17 @@ class RankedView:
         self.k = k
         self.answer_limit = answer_limit
         self.builder = builder or QueryGraphBuilder(catalog)
-        # A restored session injects the view's previously expanded query
-        # graph (same keyword/value nodes, same edge ids) instead of
-        # re-expanding — re-expansion would consume fresh edge ids and drop
-        # any per-edge weight corrections feedback learned for this view.
-        self.query_graph: QueryGraph = (
-            query_graph if query_graph is not None else self.builder.expand(graph, self.keywords)
-        )
+        # A view is its definition: it expands on its first pull.  An
+        # expansion names its edges by their endpoints, so expanding again
+        # reproduces the ids, and the per-edge weights learned under them.
+        self._query_graph: Optional[QueryGraph] = None
         #: The base graph's ``structure_version`` the query graph was expanded
-        #: at — the view's whole staleness ledger beside ``_solve_state``.  A
-        #: restored session sets it to the version it saved at, or to ``None``
-        #: for a view saved without its expansion (rebuilt on the first pull).
-        self.expanded_at: Optional[int] = graph.structure_version
+        #: at — the view's whole staleness ledger beside ``_solve_state``;
+        #: ``None`` until the view first expands.
+        self.expanded_at: Optional[int] = None
+        #: A ranking a saved session carried (:meth:`carry_ranking`): its
+        #: edge ids, and the base weight and structure versions it is valid at.
+        self._carried: Optional[Tuple[List[List[str]], int, int]] = None
         self.state = ViewState()
         self.engine_context = engine_context if engine_context is not None else ExecutionContext(catalog)
         # The solver shares the context's Steiner snapshot cache so repeated
@@ -168,12 +166,21 @@ class RankedView:
         from re-expands (the query-graph object moves).  ``options`` are the
         constructor's (``k``, ``answer_limit``, ``engine_context``).
         """
-        twin = QueryGraph(
-            graph=graph_with_weights(query_graph.graph, weights),
+        twin = cls(keywords, catalog, graph_with_weights(query_graph.graph, weights), **options)
+        twin._query_graph = QueryGraph(
+            graph=twin.base_graph,
             keyword_nodes=dict(query_graph.keyword_nodes),
             matches=list(query_graph.matches),
         )
-        return cls(keywords, catalog, twin.graph, query_graph=twin, **options)
+        twin.expanded_at = twin.base_graph.structure_version
+        return twin
+
+    @property
+    def query_graph(self) -> QueryGraph:
+        """The view's expansion; a view that never expanded expands now."""
+        if self._query_graph is None:
+            self.rebuild_query_graph()
+        return self._query_graph
 
     @property
     def expansion_is_current(self) -> bool:
@@ -187,41 +194,51 @@ class RankedView:
         search graph (new sources or new association edges); plain weight
         changes only re-solve.  Answers need nothing: a query the new
         expansion generates again replays from the engine context.
+
+        A carried ranking (:meth:`carry_ranking`) is installed by the first
+        expansion, as if this view had just solved it, if neither version
+        moved since it was carried; it is dropped either way.  Each cost is
+        re-derived from the graph (the solver's ``fsum`` bit for bit).
         """
-        self.query_graph = self.builder.expand(self.base_graph, self.keywords)
+        self._query_graph = graph = self.builder.expand(self.base_graph, self.keywords)
         self.expanded_at = self.base_graph.structure_version
         self._solve_state = None
+        carried, self._carried = self._carried, None
+        if carried is not None and carried[1:] == self._base_versions():
+            trees = [SteinerTree.from_edges(graph.graph, edges, graph.terminals) for edges in carried[0]]
+            self.state = ViewState(trees=trees, queries=QueryGenerator(graph.graph).generate_all(trees))
+            self._trees_by_signature = {g.signature: g.tree for g in self.state.queries}
+            self._solve_state = self._solve_key()
+
+    def _base_versions(self) -> Tuple[int, int]:
+        return (self.base_graph.weights.version, self.base_graph.structure_version)
 
     def _solve_key(self) -> Tuple[int, int, Tuple[str, ...], int]:
         """What a recorded solve must equal for the view to skip the solver."""
         graph = self.query_graph.graph
         return (graph.weights.version, graph.structure_version, self.query_graph.terminals, self.k)
 
-    def current_ranking(self) -> Optional[List[SteinerTree]]:
-        """The retained trees if the next pull would neither re-expand nor re-solve, else ``None``.
+    def current_ranking(self) -> Optional[List[List[str]]]:
+        """Each retained tree's sorted edge ids, if the next pull would not re-solve; else ``None``.
 
-        What a saved session may carry for :meth:`adopt_ranking` on reopening.
+        What a saved session carries for :meth:`carry_ranking` on reopening:
+        the last complete solve of a current expansion, or the carried
+        ranking itself while it would still be adopted.
         """
+        if self._carried is not None:
+            edge_sets, *versions = self._carried
+            return edge_sets if tuple(versions) == self._base_versions() else None
         if self.expansion_is_current and self._solve_state == self._solve_key():
-            return list(self.state.trees)
+            return [sorted(tree.edge_ids) for tree in self.state.trees]
         return None
 
-    def adopt_ranking(self, edge_sets: Sequence[Sequence[str]]) -> None:
-        """Install the ranking a saved session carried, as if this view had just solved it.
+    def carry_ranking(self, edge_sets: List[List[str]]) -> None:
+        """Hold the ranking a saved session carried until the view first expands.
 
-        ``edge_sets`` are the trees' edge ids in rank order, the complete
-        solve of this very query graph under the current weights.  Terminals
-        are the view's own and each cost is re-derived from the graph (the
-        solver's ``fsum`` bit for bit).  Must run after the session's version
-        counters are final: the solve is recorded against them.
+        It is valid at the base graph's versions as they stand now, so this
+        runs once a reopened session's version counters are final.
         """
-        graph = self.query_graph.graph
-        trees = [SteinerTree.from_edges(graph, edges, self.terminals) for edges in edge_sets]
-        queries = QueryGenerator(graph).generate_all(trees)
-        self.state = ViewState(trees=trees, queries=queries, answers=[])
-        self._answers_materialized = False
-        self._trees_by_signature = {g.signature: g.tree for g in queries}
-        self._solve_state = self._solve_key()
+        self._carried = (edge_sets, *self._base_versions())
 
     def _ensure_solved(
         self, budget: Optional[Budget] = None

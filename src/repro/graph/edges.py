@@ -57,9 +57,11 @@ class Edge:
     Attributes
     ----------
     edge_id:
-        Unique identifier of the edge (also used as a per-edge feature name):
-        ``kind:u|v#n``, with ``n`` from the sequence of the graph that made
-        the edge (:meth:`~repro.graph.search_graph.SearchGraph.new_edge_id`).
+        Unique identifier of the edge (also used as a per-edge feature name).
+        A search-graph edge's is ``kind:u|v#n``, ``n`` from the sequence of
+        the graph that made it (:meth:`~repro.graph.search_graph.SearchGraph.new_edge_id`).
+        A query-graph edge's is ``kind:u|v`` (:func:`derived_edge_id`), so
+        every expansion reproduces it, and the weight learned under it.
     u, v:
         Node ids of the two endpoints (order is not semantically relevant).
     kind:
@@ -162,6 +164,11 @@ class Edge:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Edge({self.kind.value}, {self.u!r} -- {self.v!r})"
+
+
+def derived_edge_id(kind: EdgeKind, u: str, v: str) -> str:
+    """The id of a query-graph edge: its kind and endpoints, unique per expansion."""
+    return f"{kind.value}:{u}|{v}"
 
 
 def default_association_features(

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..datastore.database import Catalog
 from ..datastore.indexes import ValueIndex
 from ..similarity.tfidf import TfIdfScorer
-from .edges import Edge, EdgeKind
+from .edges import Edge, EdgeKind, derived_edge_id
 from .features import DEFAULT_FEATURE, edge_feature
 from .nodes import (
     Node,
@@ -114,10 +114,9 @@ class QueryGraphBuilder:
         keyword_match_weight: float = 1.0,
     ) -> None:
         self.catalog = catalog
-        # Both corpus structures build lazily on first use: a builder handed
-        # to restored views (which carry their expanded query graphs in the
-        # session snapshot) never pays the full catalog scan unless a view
-        # actually rebuilds or a new keyword query is expanded.
+        # Both corpus structures build lazily on first use: a reopened
+        # session's views are saved as their definitions, so its builder pays
+        # the full catalog scan only when the first of them is pulled.
         self._value_index = value_index
         self._scorer = scorer
         self.similarity_threshold = similarity_threshold
@@ -168,15 +167,15 @@ class QueryGraphBuilder:
                     self._scorer.add_document(attr.name)
 
     def remove_source(self, source) -> None:
-        """Retract a source admitted via :meth:`add_source` (rollback path).
+        """Retract a source admitted via :meth:`add_source`.
 
-        The value index retracts exactly; the tf-idf scorer's document
-        frequencies are decremented per label so corpus statistics return to
-        their pre-registration values.  Unbuilt structures need no retraction
-        — their eventual build reads the already-shrunk catalog.
+        The tf-idf scorer's document frequencies are decremented per label so
+        corpus statistics return to their pre-registration values.  The value
+        index is dropped and rebuilt on demand: retraction would leave a value
+        where the removed source first put it, ahead of where a rebuild puts
+        it, and a capped substring lookup reads that order.
         """
-        if self._value_index is not None:
-            self._value_index.remove_source(source.name)
+        self._value_index = None
         if self._scorer is not None:
             for table in source:
                 self._scorer.remove_document(table.schema.name)
@@ -187,11 +186,19 @@ class QueryGraphBuilder:
     # Expansion
     # ------------------------------------------------------------------
     def expand(self, base_graph: SearchGraph, keywords: Sequence[str]) -> QueryGraph:
-        """Expand ``base_graph`` for ``keywords`` and return the query graph."""
+        """Expand ``base_graph`` for ``keywords`` and return the query graph.
+
+        Every edge added is named by its endpoints (:func:`derived_edge_id`),
+        so expanding the same keywords over the same graph and corpus gives
+        the same ids, and finds the weights learned under them in place.  A
+        keyword repeated up to case is one keyword node, expanded once.
+        """
         graph = base_graph.copy(share_weights=True)
         result = QueryGraph(graph=graph)
         for keyword in keywords:
             keyword_node = make_keyword_node(keyword)
+            if graph.has_node(keyword_node.node_id):
+                continue
             graph.add_node(keyword_node)
             result.keyword_nodes[keyword] = keyword_node.node_id
             # Vectorised once: both passes score it against many strings.
@@ -264,8 +271,9 @@ class QueryGraphBuilder:
             if graph.has_node(attr_id) and not graph.find_edges(
                 value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP
             ):
+                edge_id = derived_edge_id(EdgeKind.VALUE_MEMBERSHIP, value_node.node_id, attr_id)
                 graph.add_edge(
-                    graph.new_edge(value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP)
+                    Edge(edge_id, value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP, fixed_cost=0.0)
                 )
             self._add_match_edge(graph, keyword_node.node_id, value_node.node_id, mismatch)
             result.matches.append(
@@ -285,7 +293,7 @@ class QueryGraphBuilder:
     def _add_match_edge(
         self, graph: SearchGraph, keyword_node_id: str, target_node_id: str, mismatch: float
     ) -> Edge:
-        edge_id = graph.new_edge_id(keyword_node_id, target_node_id, EdgeKind.KEYWORD_MATCH)
+        edge_id = derived_edge_id(EdgeKind.KEYWORD_MATCH, keyword_node_id, target_node_id)
         identity = edge_feature(edge_id)
         if KEYWORD_MISMATCH_FEATURE not in graph.weights:
             graph.weights.set(KEYWORD_MISMATCH_FEATURE, self.keyword_match_weight)

@@ -6,10 +6,12 @@ with a default cost, and association (alignment) edges whose cost is a
 weighted sum of features.  Data-value nodes are materialized lazily at query
 time (see :mod:`repro.graph.query_graph`).
 
-The graph numbers its own edges (:meth:`SearchGraph.new_edge_id`): a fresh graph
-starts at 0 and every :meth:`SearchGraph.copy` continues the sequence, so edge
-ids — which name per-edge features and break cost ties — depend on how the
-session was built and on nothing else in the process.
+The graph numbers the edges it is built from (:meth:`SearchGraph.new_edge_id`):
+a fresh graph starts at 0 and every :meth:`SearchGraph.copy` continues the
+sequence, so edge ids — which name per-edge features and break cost ties —
+depend on how the session was built and on nothing else in the process.  A
+query-graph expansion takes no number: the edges it derives are named by their
+endpoints (:func:`~repro.graph.edges.derived_edge_id`).
 """
 
 from __future__ import annotations
@@ -92,9 +94,9 @@ class SearchGraph:
         #: edges.  Values are immutable, so :meth:`copy` can share them.
         self._pairs: Dict[Tuple[str, str], Union[str, Tuple[str, ...]]] = {}
         #: The number the next new edge's id ends in, in a one-slot list that
-        #: :meth:`copy` shares the way it shares ``weights``: no id — and no
-        #: ``edge::<id>`` feature of the shared weight vector — repeats within
-        #: a session.  Mutated only by the single writer, like the containers.
+        #: :meth:`copy` shares the way it shares ``weights``: no numbered id —
+        #: and no ``edge::<id>`` feature of it — repeats within a session.  An
+        #: expansion takes no number.  Mutated only by the single writer.
         self._edge_sequence: List[int] = [0]
         #: Bumped on every node/edge addition or removal; used together with
         #: ``weights.version`` to detect that Steiner-tree computations over
@@ -509,8 +511,8 @@ class SearchGraph:
         """A structural copy of the graph.
 
         Node and edge objects are shared (they are treated as immutable once
-        added); the node/edge/adjacency containers are new, and new edges of
-        either graph are numbered from the one shared sequence.  If
+        added); the node/edge/adjacency containers are new, and numbered
+        edges of either graph draw from the one shared sequence.  If
         ``share_weights`` is ``True``, the copy uses the *same*
         :class:`WeightVector` object so that learning updates affect both
         graphs — this is what the query-graph expansion wants.

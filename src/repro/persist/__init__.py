@@ -9,8 +9,8 @@ package makes the whole session durable:
 
 * :mod:`repro.persist.snapshot` — versioned, checksummed JSON payloads for
   every serializable subsystem: search graph (with original edge ids),
-  weight vector, profile index, views (with their expanded query-graph
-  deltas), feedback events, and the graph's next edge number.
+  weight vector, profile index, views (each one's definition and current
+  ranking), feedback events, and the graph's next edge number.
 * :mod:`repro.persist.journal` — shadow-diff mutation journal, so saves
   after the first checkpoint are incremental; entries replay deterministic
   state deltas (feedback weight movements, registrations/removals,

@@ -8,15 +8,16 @@ diff journal (:mod:`repro.persist.journal`) and the stores
 * the **first** save writes a full snapshot;
 * every later save appends one journal *delta entry*: graph/weight/catalog
   movement since the previous save plus what moved in the **overlay** — the
-  tail state a snapshot holds whole: view registry (with per-view
-  query-graph deltas), feedback log, learner/registration counters, version
-  counters and the graph's next edge number.  Folding a journal's overlay
-  deltas over its snapshot's overlay yields (``==``) what the last save saw;
+  tail state a snapshot holds whole: view registry (each view's definition
+  and, while current, its ranking), feedback log, learner/registration
+  counters, version counters and the graph's next edge number.  Folding a
+  journal's overlay deltas over its snapshot's overlay yields (``==``) what
+  the last save saw;
 * once the journal reaches ``compact_after`` entries — or a change lands
   that a delta cannot express, such as rows appended to an existing
-  relation of a sidecar-persisted session — the next save *compacts*:
-  journal and snapshot fold into one fresh snapshot and the journal
-  truncates.
+  relation of a sidecar-persisted session, or the first change to a session
+  opened from an older format — the next save *compacts*: journal and
+  snapshot fold into one fresh snapshot and the journal truncates.
 
 Everything here is duck-typed over the service object (``service.graph``,
 ``service.catalog``, ``service.profile_index``, ...) so this package never
@@ -32,17 +33,16 @@ from typing import Dict, List, Optional, Tuple
 
 from ..datastore.csvio import source_to_dict
 from ..exceptions import SnapshotError
+from ..graph.edges import EdgeKind, derived_edge_id
+from ..graph.features import WeightVector, edge_feature
 from ..profiling.index import CatalogProfileIndex
 from .journal import StateShadow, apply_delta, build_delta, is_empty_delta
 from .snapshot import (
-    empty_query_graph,
     event_payload,
     graph_config_payload,
     graph_payload,
-    query_graph_delta_payload,
     restore_event,
     restore_graph,
-    restore_query_graph,
     restore_weights,
     weights_payload,
 )
@@ -67,19 +67,15 @@ def service_config_payload(config) -> Dict[str, object]:
     return payload
 
 
-def view_record_payload(record, base_graph) -> Dict[str, object]:
-    """One view registry record, with its query-graph delta when reusable.
+def view_record_payload(record) -> Dict[str, object]:
+    """One view registry record: the view's definition, and its ranking while current.
 
-    The view says whether its expansion is current
-    (:attr:`~repro.core.view.RankedView.expansion_is_current`); the delta is
-    serialized only then — a structurally stale view rebuilds its query graph on
-    the next read anyway (live and restored sessions alike, drawing the
-    same numbers from the graph's edge-id sequence), so persisting its stale
-    expansion would be wasted bytes.  Beside the delta goes the view's
-    ranking (``"trees"``: per tree, in rank order, its sorted edge ids) when
-    its last complete solve is current, so the reopened view's first read
-    solves nothing; without the key (a stale view, an older save) it solves.
-    The delta is built once per expansion (``ViewRecord.saved_expansion``).
+    A view is saved as what it was created from — keywords and ``k`` — and
+    expands again on its first pull after an open, to the same edge ids.
+    Beside the definition goes the view's ranking (``"trees"``: per tree, in
+    rank order, its sorted edge ids) when its next pull would not re-solve
+    (:meth:`~repro.core.view.RankedView.current_ranking`), so the reopened
+    view's first read solves nothing; without the key it solves.
     """
     view = record.view
     payload: Dict[str, object] = {
@@ -88,17 +84,10 @@ def view_record_payload(record, base_graph) -> Dict[str, object]:
         "keywords": list(view.keywords),
         "k": view.k,
         "created_index": record.created_index,
-        "query_graph": None,
     }
-    if view.expansion_is_current:
-        saved = record.saved_expansion
-        if saved is None or saved[0] is not view.query_graph:
-            delta = query_graph_delta_payload(view.query_graph, base_graph)
-            saved = record.saved_expansion = (view.query_graph, delta)
-        payload["query_graph"] = saved[1]
-        ranking = view.current_ranking()
-        if ranking is not None:
-            payload["trees"] = [sorted(tree.edge_ids) for tree in ranking]
+    ranking = view.current_ranking()
+    if ranking is not None:
+        payload["trees"] = ranking
     return payload
 
 
@@ -111,10 +100,7 @@ def overlay_payload(service) -> Dict[str, object]:
         "structure_version": service.graph.structure_version,
         "views": {
             "created": service.views.created_count,
-            "records": [
-                view_record_payload(record, service.graph)
-                for record in service.views.records()
-            ],
+            "records": [view_record_payload(record) for record in service.views.records()],
         },
         "learner_steps": service.learner.steps_processed,
         "feedback_events": [event_payload(event) for event in service.feedback_log],
@@ -133,24 +119,24 @@ def overlay_payload(service) -> Dict[str, object]:
 def restore_overlay(service, overlay: Dict[str, object]) -> None:
     """Install the tail state :func:`overlay_payload` wrote: views, log, counters, ids.
 
-    Keys of a view record this does not name (older saves wrote a per-record
-    sync ledger) are ignored: a restored view carries its own staleness —
-    ``expanded_at``, set here, and the solve state of the ranking it adopts.
+    A view is restored as its definition and expands on its first pull; a
+    ranking its record carries is adopted then, if neither the weights nor
+    the graph moved in between.  Keys of a view record this does not name
+    (older saves wrote a per-record sync ledger) are ignored.
     """
     from ..alignment.registration import RegistrationRecord
     from ..core.view import RankedView
 
+    # Authoritative counters first: the journal replay moved versions as a
+    # side effect; the saved values make staleness checks, carried rankings
+    # and future edge-id allocation agree exactly with the session that saved.
+    service.graph.weights.version = overlay["weights_version"]
+    service.graph.structure_version = overlay["structure_version"]
+    service.graph.next_edge_number = overlay["edge_id_counter"]
     views_spec = overlay.get("views") or {}
     records = views_spec.get("records", ())
     builder = service._query_builder() if records else None
-    carried = []  # (view, its saved ranking), adopted once the counters are final
     for spec in records:
-        qg_payload = spec.get("query_graph")
-        query_graph = (
-            restore_query_graph(qg_payload, service.graph)
-            if qg_payload is not None
-            else empty_query_graph(service.graph)
-        )
         view = RankedView(
             list(spec["keywords"]),
             service.catalog,
@@ -159,18 +145,10 @@ def restore_overlay(service, overlay: Dict[str, object]) -> None:
             builder=builder,
             answer_limit=service.config.answer_limit,
             engine_context=service.engine_context,
-            query_graph=query_graph,
         )
-        # A saved expansion is of the structure the session saved at; a
-        # record without one rebuilds on its first pull.
-        view.expanded_at = overlay["structure_version"] if qg_payload is not None else None
-        if qg_payload is not None and "trees" in spec:
-            carried.append((view, spec["trees"]))
-        record = service.views.restore(
-            view, spec["name"], spec["view_id"], spec["created_index"]
-        )
-        if qg_payload is not None:
-            record.saved_expansion = (query_graph, qg_payload)
+        if "trees" in spec:  # resumed by the first read if nothing moved before it
+            view.carry_ranking(spec["trees"])
+        service.views.restore(view, spec["name"], spec["view_id"], spec["created_index"])
     service.views.set_created(views_spec.get("created", len(service.views)))
     service.learner.steps_processed = overlay.get("learner_steps", 0)
     for event_spec in overlay.get("feedback_events", ()):
@@ -189,16 +167,6 @@ def restore_overlay(service, overlay: Dict[str, object]) -> None:
     # a writer-lane retry resubmitted after a reopen still no-ops.
     for key in overlay.get("applied_ops", ()):
         service._record_applied_op(key, None)
-    # Authoritative counters last: the replay above moved versions as a
-    # side effect; the saved values make staleness checks and future
-    # edge-id allocation agree exactly with the session that saved.
-    service.graph.weights.version = overlay["weights_version"]
-    service.graph.structure_version = overlay["structure_version"]
-    service.graph.next_edge_number = overlay["edge_id_counter"]
-    # A view saved with a current ranking resumes it (its first read
-    # solves nothing), recorded against the restored graphs' own versions.
-    for view, edge_sets in carried:
-        view.adopt_ranking(edge_sets)
 
 
 def overlay_delta(last: Dict[str, object], overlay: Dict[str, object]) -> Dict[str, object]:
@@ -208,8 +176,8 @@ def overlay_delta(last: Dict[str, object], overlay: Dict[str, object]) -> Dict[s
     every registered view by id in registry order (absence is removal), each
     record holding only the fields that differ from that view's record in
     ``last``; a ranking that stopped being current is the tombstone
-    ``"trees": None``.  A re-used payload is the same object on both sides,
-    which container ``==`` settles by identity.  Records are compared field
+    ``"trees": None``.  A carried ranking nobody pulled is the same list
+    object on both sides, which container ``==`` settles by identity.  Records are compared field
     by written field, so one that ``last`` holds beyond them (an older
     writer's) is not movement.
     """
@@ -274,20 +242,77 @@ def snapshot_body(service, holds_rows: bool, snapshot_version: int) -> Dict[str,
 # ----------------------------------------------------------------------
 # Restore side
 # ----------------------------------------------------------------------
+#: Where the name of a keyword-match edge's identity feature starts.
+_KEYWORD_FEATURE = edge_feature(f"{EdgeKind.KEYWORD_MATCH.value}:")
+
+
+def _name_derived_edges_by_endpoints(graph, overlay: Dict[str, object]) -> Dict[str, object]:
+    """Re-key a session saved in format 1 or 2 the way format 3 names its edges.
+
+    Those formats numbered a view's keyword-match and value-membership edges
+    from the graph's sequence, and saved each current view's expansion.  The
+    expansions are read once, here: their edges' ids lose the ``#n`` in the
+    weight vector (``graph.weights`` is replaced), in every tenant shadow and
+    in each carried ranking, and the records drop them.  A keyword-edge
+    feature no saved expansion holds belonged to an expansion since replaced,
+    and is dropped.  Where two views held one edge under different learned
+    weights the vector's first is kept, and the other view's ranking, priced
+    under its own, is not carried.
+    """
+    records = overlay["views"]["records"]
+    renamed = {
+        edge["id"]: derived_edge_id(EdgeKind(edge["kind"]), edge["u"], edge["v"])
+        for spec in records
+        for edge in (spec.get("query_graph") or {}).get("edges", ())
+    }
+
+    def rekeyed(weights: Dict[str, float]) -> Dict[str, float]:
+        kept: Dict[str, float] = {}
+        for name, value in weights.items():
+            if name.startswith(_KEYWORD_FEATURE):
+                edge_id = renamed.get(name.partition("::")[2])
+                if edge_id is None:
+                    continue
+                name = edge_feature(edge_id)
+            kept.setdefault(name, value)
+        return kept
+
+    saved = graph.weights.as_dict()
+    graph.weights = WeightVector(rekeyed(saved))
+    upgraded = []
+    for spec in records:
+        record = {key: value for key, value in spec.items() if key not in ("query_graph", "trees")}
+        priced_alike = all(
+            saved.get(edge_feature(edge["id"])) == graph.weights.get(edge_feature(renamed[edge["id"]]), None)
+            for edge in (spec.get("query_graph") or {}).get("edges", ())
+        )
+        if "trees" in spec and priced_alike:
+            record["trees"] = [sorted(renamed.get(edge, edge) for edge in tree) for tree in spec["trees"]]
+        upgraded.append(record)
+    tenants = {
+        name: {**state, "shadow": rekeyed(state.get("shadow", {}))}
+        for name, state in (overlay.get("tenants") or {}).items()
+    }
+    return {**overlay, "tenants": tenants, "views": {**overlay["views"], "records": upgraded}}
+
+
 def restore_core(
     body: Dict[str, object],
     entries: List[Dict[str, object]],
     catalog,
     graph_config,
     holds_rows: bool,
-) -> Tuple[object, CatalogProfileIndex, Dict[str, object]]:
+) -> Tuple[object, CatalogProfileIndex, Dict[str, object], bool]:
     """Rebuild graph + profile index from a snapshot and replay the journal.
 
-    Returns ``(graph, profile_index, overlay)`` where ``overlay`` is the
-    most recent tail state: the snapshot's own with every entry's overlay
-    delta folded over it.  The caller assembles the service around these and
-    then installs the overlay's counters — replay bumps version counters as
-    a side effect, so the overlay values are authoritative.
+    Returns ``(graph, profile_index, overlay, upgraded)`` where ``overlay``
+    is the most recent tail state: the snapshot's own with every entry's
+    overlay delta folded over it.  The caller assembles the service around
+    these and then installs the overlay's counters — replay bumps version
+    counters as a side effect, so the overlay values are authoritative.
+    ``upgraded`` says the session was saved in an older format, whose view
+    records hold expansions: graph weights and overlay come back re-keyed
+    (:func:`_name_derived_edges_by_endpoints`).
     """
     # Discard journal entries that belong to an older snapshot — possible
     # only if a crash separated a sidecar snapshot replace from its journal
@@ -311,7 +336,10 @@ def restore_core(
     lost.difference_update(table.schema.qualified_name for table in catalog.all_tables())
     if lost:  # rows deleted behind the session's back, or a removal that was never saved
         raise SnapshotError(f"the catalog no longer holds the rows of {sorted(lost)}")
-    return graph, profile_index, overlay
+    upgraded = any("query_graph" in spec for spec in (overlay.get("views") or {}).get("records", ()))
+    if upgraded:
+        overlay = _name_derived_edges_by_endpoints(graph, overlay)
+    return graph, profile_index, overlay, upgraded
 
 
 # ----------------------------------------------------------------------
@@ -338,13 +366,21 @@ class SessionPersistence:
         self.snapshot_version = 0
         self._shadow: Optional[StateShadow] = None
         self._last_overlay: Optional[Dict[str, object]] = None
+        #: The store holds an older format than this build writes: the next
+        #: save that changes anything rewrites it whole, since no journal
+        #: entry can drop the features its upgrade dropped.
+        self._rewrite = False
 
     def attach_restored(
-        self, service, snapshot_version: int, overlay: Dict[str, object]
+        self, service, snapshot_version: int, overlay: Dict[str, object], upgraded: bool
     ) -> None:
-        """Adopt a freshly restored session as the new shadow baseline."""
+        """Adopt a freshly restored session as the new shadow baseline.
+
+        ``upgraded`` is :func:`restore_core`'s: the store is of an older format.
+        """
         self.snapshot_version = snapshot_version
         self._rebase(service, overlay)
+        self._rewrite = upgraded
 
     def save(self, service, compact: bool = False) -> SaveReport:
         """Checkpoint ``service``: full snapshot, delta append, or no-op."""
@@ -369,6 +405,8 @@ class SessionPersistence:
                 snapshot_version=self.snapshot_version,
                 journal_entries=entry_count,
             )
+        if self._rewrite:
+            return self._write_snapshot(service, compacted=True)
         delta["after_snapshot_version"] = self.snapshot_version
         self.store.append_entry(delta)
         self._rebase(service, overlay)
@@ -395,3 +433,4 @@ class SessionPersistence:
     def _rebase(self, service, overlay: Dict[str, object]) -> None:
         self._shadow = StateShadow(service)
         self._last_overlay = overlay
+        self._rewrite = False

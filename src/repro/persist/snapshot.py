@@ -4,13 +4,15 @@ A *snapshot* is a JSON document capturing everything a
 :class:`~repro.api.service.QService` session accumulates beyond its stored
 rows: the search graph (nodes, edges with features and **their original edge
 ids**), the learned :class:`~repro.graph.features.WeightVector`, the
-:class:`~repro.profiling.index.CatalogProfileIndex`, the view registry
-(definitions plus each current view's expanded query-graph delta and
-ranking), the learner/feedback/registration counters, and the
-graph's next edge number.  Restoring a snapshot therefore skips every
-expensive cold-start step — profiling, matching, alignment — *and* restores
-the exact tie-break-relevant identifiers, which is what makes a reopened
-session answer queries byte-identically to the session that saved it.
+:class:`~repro.profiling.index.CatalogProfileIndex`, the view registry (each
+view's definition — keywords and ``k`` — and, while current, its ranking as
+edge ids), the learner/feedback/registration counters, and the graph's next
+edge number.  A view's expansion is not saved: it names its edges by their
+endpoints, so the reopened view expands to the same ids on its first pull.
+Restoring a snapshot therefore skips every expensive cold-start step —
+profiling, matching, alignment — *and* restores the exact tie-break-relevant
+identifiers, which is what makes a reopened session answer queries
+byte-identically to the session that saved it.
 
 Serialization rules
 -------------------
@@ -38,20 +40,23 @@ from ..exceptions import SnapshotError
 from ..graph.edges import ALIGNER_ORIGIN, Edge, EdgeKind
 from ..graph.features import NO_FEATURES, WeightVector, matchers_of
 from ..graph.nodes import Node, NodeKind
-from ..graph.query_graph import KeywordMatch, QueryGraph
 from ..graph.search_graph import GraphConfig, SearchGraph
 from ..learning.feedback import FeedbackEvent
 from ..steiner.tree import SteinerTree
 
 #: Version of the on-disk snapshot/journal format.  Bumped on any change
 #: that an older reader could misinterpret; readers reject unknown versions
-#: with a typed :class:`SnapshotError`.  Version 2 checksums the body's bytes
-#: as stored; version 1 (checksum of a canonical re-serialisation of the
-#: parsed body) is still read, never written.
-FORMAT_VERSION = 2
+#: with a typed :class:`SnapshotError`.  Version 3 saves a view as its
+#: definition and ranking, with query-graph edges named by their endpoints.
+#: Version 2 (each current view's expansion saved, its edges numbered from
+#: the graph's sequence) checksums the body's bytes as stored, like 3;
+#: version 1 checksums a canonical re-serialisation of the parsed body.  Both
+#: are still read (:func:`repro.persist.session.restore_core` re-keys them),
+#: never written.
+FORMAT_VERSION = 3
 
-#: The wrapper :func:`wrap_document` writes, up to where the body starts.
-_FRAME = re.compile(r'\{"format_version": %d, "checksum": "([0-9a-f]{64})", "body": ' % FORMAT_VERSION)
+#: The wrapper :func:`wrap_document` writes (or format 2 wrote), up to where the body starts.
+_FRAME = re.compile(r'\{"format_version": [23], "checksum": "([0-9a-f]{64})", "body": ')
 
 
 # ----------------------------------------------------------------------
@@ -80,10 +85,10 @@ def wrap_document(body: Dict[str, object]) -> str:
 def unwrap_document(text: str, what: str = "snapshot") -> Dict[str, object]:
     """Verify one wrapped document; returns its parsed body.
 
-    A version-2 document is verified from the text as handed in: the body's
-    slice is hashed, then parsed in place, so nothing is re-serialized and
-    what comes back is the verified bytes.  Anything else — version 1, or a
-    document failing that check — is parsed whole, which names what is wrong.
+    A version-2 or -3 document is verified from the text as handed in: the
+    body's slice is hashed, then parsed in place, so nothing is re-serialized
+    and what comes back is the verified bytes.  Anything else — version 1, or
+    a document failing that check — is parsed whole, which names what is wrong.
 
     Raises
     ------
@@ -105,13 +110,13 @@ def unwrap_document(text: str, what: str = "snapshot") -> Dict[str, object]:
     if not isinstance(document, dict) or "body" not in document:
         raise SnapshotError(f"corrupt session {what}: missing document wrapper")
     version = document.get("format_version")
-    if version not in (1, FORMAT_VERSION):
+    if version not in (1, 2, FORMAT_VERSION):
         raise SnapshotError(
             f"unsupported session {what} format version {version!r} "
-            f"(this build reads versions 1 and {FORMAT_VERSION})"
+            f"(this build reads versions 1 to {FORMAT_VERSION})"
         )
     body = document["body"]
-    # A version-2 document that parses this far has already failed its check.
+    # A version-2 or -3 document that parses this far has already failed its check.
     if version != 1 or document.get("checksum") != _checksum(body):
         raise SnapshotError(
             f"corrupt session {what}: checksum mismatch (file was truncated or modified)"
@@ -298,81 +303,3 @@ def restore_event(payload: Dict[str, object]) -> FeedbackEvent:
         target_tree=restore_tree(payload["target_tree"]),
         demoted_tree=restore_tree(demoted) if demoted is not None else None,
     )
-
-
-# ----------------------------------------------------------------------
-# View query graphs (delta against the base search graph)
-# ----------------------------------------------------------------------
-def query_graph_delta_payload(
-    query_graph: QueryGraph, base_graph: SearchGraph
-) -> Dict[str, object]:
-    """The keyword/value expansion of a view, as a delta over the base graph.
-
-    Only valid for a view whose query graph was expanded against the
-    *current* base-graph structure (a delta is serialized only for a view
-    whose ``expansion_is_current``); everything the
-    expansion added — keyword nodes, lazily materialized value nodes,
-    keyword-match and value-membership edges, with their original ids — is
-    recorded so the restored view neither re-expands nor consumes fresh
-    edge ids.
-    """
-    expanded = query_graph.graph
-    return {
-        "keyword_nodes": dict(query_graph.keyword_nodes),
-        "nodes": [
-            node_payload(node)
-            for node in expanded.nodes()
-            if not base_graph.has_node(node.node_id)
-        ],
-        "edges": [
-            edge_payload(edge)
-            for edge in expanded.edges()
-            if not base_graph.has_edge(edge.edge_id)
-        ],
-        "matches": [
-            {
-                "keyword": match.keyword,
-                "node_id": match.node_id,
-                "similarity": match.similarity,
-                "mismatch_cost": match.mismatch_cost,
-                "target_kind": match.target_kind.value,
-            }
-            for match in query_graph.matches
-        ],
-    }
-
-
-def restore_query_graph(
-    payload: Dict[str, object], base_graph: SearchGraph
-) -> QueryGraph:
-    """Rebuild a view's expanded query graph from its delta payload."""
-    expanded = base_graph.copy(share_weights=True)
-    for node_spec in payload.get("nodes", ()):
-        expanded.add_node(restore_node(node_spec))
-    for edge_spec in payload.get("edges", ()):
-        expanded.add_edge(restore_edge(edge_spec))
-    return QueryGraph(
-        graph=expanded,
-        keyword_nodes=dict(payload.get("keyword_nodes") or {}),
-        matches=[
-            KeywordMatch(
-                keyword=spec["keyword"],
-                node_id=spec["node_id"],
-                similarity=spec["similarity"],
-                mismatch_cost=spec["mismatch_cost"],
-                target_kind=NodeKind(spec["target_kind"]),
-            )
-            for spec in payload.get("matches", ())
-        ],
-    )
-
-
-def empty_query_graph(base_graph: SearchGraph) -> QueryGraph:
-    """Placeholder for a restored view that must rebuild on its first read.
-
-    A view whose expansion is stale against the current graph structure
-    would discard it on the next read anyway; restoring it with
-    an unexpanded copy reproduces exactly the rebuild a continuing live
-    session would perform (consuming the same edge-id sequence).
-    """
-    return QueryGraph(graph=base_graph.copy(share_weights=True))

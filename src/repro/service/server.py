@@ -10,7 +10,7 @@
 * **Writes** — feedback, source registration/removal, view creation — are
   serialized through one bounded queue drained by a single writer thread.
   After each *successful* write the writer re-expands structurally stale
-  views (so all edge-id-consuming expansion happens in the writer lane) and
+  views (so all weight-seeding expansion happens in the writer lane) and
   publishes a fresh snapshot **before** completing the write's future: by
   the time a caller observes its write finished, every new read sees it.
 
@@ -838,8 +838,8 @@ class QServer:
     def _publish(self) -> None:
         trace = active_trace()
         # All structurally stale views re-expand here, in the single writer
-        # thread — query-graph expansion consumes the session graph's
-        # sequence of edge ids, so it must never run on a concurrent reader.
+        # thread — query-graph expansion seeds new keyword edges' weights on
+        # the shared vector, so it must never run on a concurrent reader.
         with trace.span("prepare_views"):
             self._service.prepare_views(structural_only=True)
         with self._stats_lock:

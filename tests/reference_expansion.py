@@ -3,8 +3,10 @@
 ``seed_similarity`` is ``TfIdfScorer.similarity`` as it was before the
 scorer learned to take a keyword's vector once: both strings are vectorised
 on every call.  ``reference_expand`` is ``QueryGraphBuilder.expand`` as it was
-then, scoring every relation, attribute and value with ``seed_similarity``.
-The live code must reproduce both bit for bit.
+then, scoring every relation, attribute and value with ``seed_similarity``,
+building each edge itself and naming it by its kind and endpoints
+(``kind:u|v``), with a keyword repeated up to case expanded once.  The live
+code must reproduce both bit for bit.
 """
 
 from __future__ import annotations
@@ -12,8 +14,18 @@ from __future__ import annotations
 import math
 from typing import Set, Tuple
 
-from repro.graph import EdgeKind, KeywordMatch, NodeKind, QueryGraph, QueryGraphBuilder, SearchGraph
+from repro.graph import (
+    Edge,
+    EdgeKind,
+    KeywordMatch,
+    NodeKind,
+    QueryGraph,
+    QueryGraphBuilder,
+    SearchGraph,
+    edge_feature,
+)
 from repro.graph.nodes import attribute_node_id, make_keyword_node, make_value_node
+from repro.graph.query_graph import KEYWORD_MISMATCH_FEATURE
 from repro.similarity import TfIdfScorer
 
 
@@ -37,6 +49,8 @@ def reference_expand(builder: QueryGraphBuilder, base_graph: SearchGraph, keywor
     result = QueryGraph(graph=graph)
     for keyword in keywords:
         keyword_node = make_keyword_node(keyword)
+        if keyword_node.node_id in result.keyword_nodes.values():
+            continue
         graph.add_node(keyword_node)
         result.keyword_nodes[keyword] = keyword_node.node_id
         _match_schema_elements(builder, graph, keyword, keyword_node, result)
@@ -52,7 +66,7 @@ def _match_schema_elements(builder, graph, keyword, keyword_node, result) -> Non
         if similarity < builder.similarity_threshold:
             continue
         mismatch = 1.0 - similarity
-        builder._add_match_edge(graph, keyword_node.node_id, node.node_id, mismatch)
+        _add_match_edge(builder, graph, keyword_node.node_id, node.node_id, mismatch)
         result.matches.append(
             KeywordMatch(keyword, node.node_id, similarity, mismatch, node.kind)
         )
@@ -88,9 +102,23 @@ def _match_data_values(builder, graph, keyword, keyword_node, result) -> None:
         if graph.has_node(attr_id) and not graph.find_edges(
             value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP
         ):
-            graph.add_edge(graph.new_edge(value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP))
-        builder._add_match_edge(graph, keyword_node.node_id, value_node.node_id, mismatch)
+            edge_id = f"{EdgeKind.VALUE_MEMBERSHIP.value}:{value_node.node_id}|{attr_id}"
+            graph.add_edge(Edge(edge_id, value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP, fixed_cost=0.0))
+        _add_match_edge(builder, graph, keyword_node.node_id, value_node.node_id, mismatch)
         result.matches.append(
             KeywordMatch(keyword, value_node.node_id, similarity, mismatch, NodeKind.VALUE)
         )
         added += 1
+
+
+def _add_match_edge(builder, graph, keyword_node_id, target_node_id, mismatch) -> None:
+    edge_id = f"{EdgeKind.KEYWORD_MATCH.value}:{keyword_node_id}|{target_node_id}"
+    identity = edge_feature(edge_id)
+    if KEYWORD_MISMATCH_FEATURE not in graph.weights:
+        graph.weights.set(KEYWORD_MISMATCH_FEATURE, builder.keyword_match_weight)
+    if identity not in graph.weights:
+        graph.weights.set(identity, 0.05)
+    features = {KEYWORD_MISMATCH_FEATURE: mismatch, identity: 1.0}
+    graph.add_edge(
+        Edge(edge_id, keyword_node_id, target_node_id, EdgeKind.KEYWORD_MATCH, features, metadata={"mismatch": mismatch})
+    )

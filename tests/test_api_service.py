@@ -38,6 +38,7 @@ from repro.core.simulated_feedback import simulated_feedback_for_view
 from repro.datasets import build_interpro_go
 from repro.datastore import DataSource
 from repro.datastore.csvio import source_from_dict, source_to_dict
+from repro.graph import EdgeKind, edge_feature
 from repro.learning import AnnotationKind
 
 from test_storage_backends import (
@@ -419,6 +420,54 @@ class TestSessionAnswerCache:
         self._read_all(service, view_ids)
         gc.collect()
         assert [ref() for ref in tables] == [None] * len(tables)
+
+
+def _edge_weights(view) -> dict:
+    """(kind, u, v) -> the weight of the own feature of each edge of ``view``'s expansion."""
+    graph = view.query_graph.graph
+    return {
+        (edge.kind, edge.u, edge.v): graph.weights.get(edge_feature(edge.edge_id))
+        for edge in graph.edges()
+        if edge_feature(edge.edge_id) in edge.features
+    }
+
+
+class TestLearningSurvivesMutation:
+    """Feedback accumulates while sources arrive (paper Section 2.3): a view
+    re-expanded after a registration names its edges as before, so every
+    weight MIRA learned on them is found in place and none is written."""
+
+    def test_registration_keeps_every_learned_edge_weight(self, gbco_dataset):
+        service = _gbco_service(gbco_dataset)
+        info = service.create_view(QueryRequest(keywords=gbco_dataset.query_log[0].keywords))
+        view = service.view(info.view_id)
+        answers = list(service.stream_answers(QueryRequest(view=info.view_id)))
+        service.feedback(FeedbackRequest(view=info.view_id, answer=answers[-1], replay=2))
+        learned = _edge_weights(view)
+        assert any(kind is EdgeKind.KEYWORD_MATCH and weight != 0.05 for (kind, _, _), weight in learned.items())
+
+        unrelated = DataSource.build(
+            "zeta", {"zeta": ["qqx", "wwy"]}, data={"zeta": [{"qqx": "zq-1", "wwy": "xylophone"}]}
+        )
+        service.register_source(RegisterSourceRequest(source=unrelated, strategy="exhaustive"))
+        weights = service.graph.weights
+        version, features = weights.version, len(weights)
+        expansion = view.query_graph
+        assert list(service.stream_answers(QueryRequest(view=info.view_id)))
+        assert view.query_graph is not expansion  # re-expanded ...
+        assert (weights.version, len(weights)) == (version, features)  # ... writing no weight
+        kept = _edge_weights(view)
+        assert {edge: kept[edge] for edge in learned} == learned  # the source is unrelated: every edge stays
+
+    def test_a_repeated_keyword_ranks_and_answers_like_one(self, gbco_dataset):
+        service = _gbco_service(gbco_dataset)
+        read = []
+        for keywords in (("insulin", "pathway"), ("insulin", "Insulin", "pathway")):
+            info = service.create_view(QueryRequest(keywords=keywords))
+            view = service.view(info.view_id)
+            trees = [(tree.cost, sorted(tree.edge_ids)) for tree in view.state.trees]
+            read.append((view.terminals, trees, answer_fingerprint(view.answers())))
+        assert read[0] == read[1] and read[0][1] and read[0][2]
 
 
 def _rich_service(answer_limit=200) -> QService:

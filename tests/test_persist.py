@@ -4,7 +4,7 @@ The acceptance gate of :mod:`repro.persist`: a session saved after the
 fig6-style replay (registration + feedback + views) must reopen from disk
 with **byte-identical** answers, provenance and correspondence edges on both
 storage backends — and the reopened graph must go on numbering its edges
-where the saved one stopped.
+where the saved one stopped, while a view's expansion numbers none.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.datastore import DataSource
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.matching import MetadataMatcher, ValueOverlapMatcher
 from repro.persist import overlay_payload, unwrap_document, wrap_document
-from repro.persist.snapshot import query_graph_delta_payload
+from repro.persist.journal import is_empty_delta
 
 BACKEND_SPECS = ("memory", "sqlite")
 
@@ -198,27 +198,33 @@ class TestRoundTripParity:
         assert first_trees == second_trees
         assert first_trees, "new query solved no trees — determinism check vacuous"
 
-    def test_saved_edge_number_is_where_the_reopened_graph_continues(self, tmp_path):
-        """The overlay key ``edge_id_counter`` keeps its name and meaning, so
-        sessions saved before the graph owned the sequence open unchanged."""
-        service, save_path, _ = build_session("memory", tmp_path)
+    def test_an_expansion_consumes_no_edge_number(self, tmp_path):
+        """The overlay key ``edge_id_counter`` keeps its name and meaning — where
+        the reopened graph numbers its next search-graph edge — and a view's
+        expansion takes no number: its edges are named by their endpoints."""
+        sources = mini_sources()
+        service, save_path, _ = build_session("memory", tmp_path, sources=[sources[0]])
         service.bootstrap_alignments()
+        before = service.graph.next_edge_number
         service.create_view(QueryRequest(keywords=("plasma", "IPR001")))
         service.save(save_path)
         saved = unwrap_document(save_path.read_text())["overlay"]["edge_id_counter"]
-        assert saved == service.graph.next_edge_number > service.graph.edge_count
+        assert saved == service.graph.next_edge_number == before
         service.close()
 
         with QService.open(save_path) as reopened:
             assert reopened.graph.next_edge_number == saved
             info = reopened.create_view(QueryRequest(keywords=("membrane", "IPR003")))
-            new_edges = [
+            derived = [
                 edge
                 for edge in reopened.view(info.view_id).query_graph.graph.edges()
                 if not reopened.graph.has_edge(edge.edge_id)
             ]
-            assert new_edges[0].edge_id.endswith(f"#{saved}")
-            assert reopened.graph.next_edge_number == saved + len(new_edges)
+            assert derived and all(edge.edge_id == f"{edge.kind.value}:{edge.u}|{edge.v}" for edge in derived)
+            assert reopened.graph.next_edge_number == saved
+            reopened.register_source(RegisterSourceRequest(source=sources[1], strategy="exhaustive"))
+            numbered = [edge for edge in reopened.graph.edges() if edge.edge_id.endswith(f"#{saved}")]
+            assert len(numbered) == 1 and reopened.graph.next_edge_number > saved
 
     def test_restored_view_ids_continue_sequence(self, tmp_path):
         service, save_path, _ = build_session("memory", tmp_path)
@@ -247,9 +253,9 @@ class TestRoundTripParity:
         )
         service.save(save_path)
 
-        live = read(service, info.view_id)  # live rebuilds, consuming edge ids
-        # Opening sets the graph's next edge number to the saved position, so
-        # the restored rebuild allocates exactly the ids the live rebuild did.
+        live = read(service, info.view_id)  # live rebuilds
+        # The restored view expands on its first read too, to the same
+        # endpoint-named edges the live rebuild made.
         reopened = QService.open(save_path)
         restored = read(reopened, info.view_id)
         assert restored == live
@@ -312,7 +318,7 @@ class TestCarriedRankings:
         service.save(save_path)
         _, records = saved_view_records(save_path)
         assert len(records[first]["trees"]) == len(service.view(first).state.trees) > 1
-        assert records[second]["query_graph"] is not None and "trees" not in records[second]
+        assert "query_graph" not in records[second] and "trees" not in records[second]
 
         live = [read(service, first), read(service, second)]
         reopened = QService.open(save_path)
@@ -440,7 +446,9 @@ class TestEntriesHoldWhatChanged:
             assert ("trees" in records[view_id]) == (after[view_id] != before[view_id])
             assert records[view_id].get("trees", after[view_id]) == after[view_id]
 
-        # A registration re-expands every view: the new expansions are written.
+        # A registration re-expands every view: no expansion is written, and
+        # the only weights set are new ones — no learned weight is re-seeded.
+        learned = service.graph.weights.as_dict()
         service.register_source(
             RegisterSourceRequest(
                 source=clone_source(gbco_dataset.catalog.source("variant")), strategy="exhaustive"
@@ -449,9 +457,8 @@ class TestEntriesHoldWhatChanged:
         live = [read(service, view_id) for view_id in view_ids]
         service.save()
         entry = journal_entries(save_path)[-1]
-        for record in entry["overlay_delta"]["views"]["records"]:
-            fresh = query_graph_delta_payload(service.view(record["view_id"]).query_graph, service.graph)
-            assert record["query_graph"] == json.loads(json.dumps(fresh))
+        assert not holds_key(entry, "query_graph")
+        assert not set(entry["weights_set"]) & set(learned)
         service.close()
         reopened = QService.open(save_path)
         assert [read(reopened, view_id) for view_id in view_ids] == live
@@ -482,86 +489,64 @@ class TestEntriesHoldWhatChanged:
         service.close()
         reopened = QService.open(location)
         saved = {r["view_id"]: r for r in overlay_payload(reopened)["views"]["records"]}
-        assert "trees" not in saved[second] and saved[second]["query_graph"] is not None
+        assert "trees" not in saved[second] and "query_graph" not in saved[second]
         did = reopened.engine_context.steiner_cache.solver
         assert read(reopened, first) == read(twin, first) and did.base_solves == 0
         assert read(reopened, second) == read(twin, second) and did.base_solves > 0
         reopened.close()
         twin.close()
 
-    def test_saved_expansion_is_rebuilt_exactly_when_it_moved(
+    def test_untouched_restored_view_resaves_its_ranking_verbatim(
         self, gbco_dataset, tmp_path, monkeypatch
     ):
-        from repro.datasets import grow_catalog_and_graph
-        from repro.persist import session as session_module
+        """A reopened view is its definition plus the ranking its record carried:
+        ``open`` expands nothing, a view nobody pulled re-saves that ranking as
+        it was read, and one pulled over an unchanged session expands to the
+        same ids and adopts it.  A save that moved only counters then journals
+        no view, edge or weight."""
+        from repro.graph import QueryGraphBuilder
 
-        built = []
-
-        def counting(query_graph, base_graph):
-            built.append(query_graph)
-            return query_graph_delta_payload(query_graph, base_graph)
-
-        monkeypatch.setattr(session_module, "query_graph_delta_payload", counting)
         service, view_ids, save_path, _ = gbco_session(
             gbco_dataset, "memory", tmp_path, views=3, held_out=("variant",)
         )
-
-        def saved_records_match_fresh_payloads():
-            for record in overlay_payload(service)["views"]["records"]:
-                view = service.view(record["view_id"])
-                stale = view.expanded_at != service.graph.structure_version
-                assert (record["query_graph"] is None) == stale
-                if not stale:
-                    assert record["query_graph"] == query_graph_delta_payload(
-                        view.query_graph, service.graph
-                    )
-
-        def reread_and_save():
-            for view_id in view_ids:
-                read(service, view_id)
-            service.save(save_path)
-            saved_records_match_fresh_payloads()
-
-        reread_and_save()
-        assert len(built) == len(view_ids)
-        del built[:]
-        assert service.save().action == "noop" and not built
-
         edge = next(e for e in service.graph.edges() if e.kind.value == "association")
-
-        def merge_confidence():
-            edges = service.graph.edge_count
-            service.graph.add_association(*_attribute(edge.u), *_attribute(edge.v), {"merge-test": 0.4})
-            assert service.graph.edge_count == edges  # merged into the existing edge
-
-        rebuilds = (
-            lambda: service.register_source(
-                RegisterSourceRequest(
-                    source=clone_source(gbco_dataset.catalog.source("variant")),
-                    strategy="exhaustive",
-                )
-            ),
-            lambda: grow_catalog_and_graph(
-                service.catalog, service.graph, target_source_count=22, seed=5
-            ),
-            merge_confidence,
+        service.graph.add_association(*_attribute(edge.u), *_attribute(edge.v), {"merge-test": 0.4})
+        service.register_source(
+            RegisterSourceRequest(
+                source=clone_source(gbco_dataset.catalog.source("variant")), strategy="exhaustive"
+            )
         )
-        for rebuild in rebuilds:
-            rebuild()
-            service.save(save_path)  # every view is stale: no expansion is saved or built
-            saved_records_match_fresh_payloads()
-            assert not built
-            reread_and_save()
-            assert len(built) == len(view_ids) and len({id(q) for q in built}) == len(view_ids)
-            del built[:]
-            assert service.save().action == "noop" and not built
-
-        live = [read(service, view_id) for view_id in view_ids]
+        service.save(save_path)  # every view is stale: none carries a ranking
+        assert not any("trees" in record for record in overlay_payload(service)["views"]["records"])
+        for _ in range(2):  # the second pass finds every ranking current
+            live = [read(service, view_id) for view_id in view_ids]
+        saved = overlay_payload(service)
+        assert all("trees" in record for record in saved["views"]["records"])
         service.close()
+
+        expansions = []
+        expand = QueryGraphBuilder.expand
+        monkeypatch.setattr(
+            QueryGraphBuilder, "expand", lambda *args: expansions.append(args[2]) or expand(*args)
+        )
         reopened = QService.open(save_path)
-        assert [read(reopened, view_id) for view_id in view_ids] == live
-        reopened.save()
-        assert not built  # the payloads it was opened from are the ones it saves
+        assert not expansions
+        assert overlay_payload(reopened) == saved and reopened.save().action == "noop"
+        did = reopened.engine_context.steiner_cache.solver
+        assert read(reopened, view_ids[0]) == live[0]
+        assert len(expansions) == 1 and vars(did) == {name: 0 for name in vars(did)}
+        assert reopened.save().action == "append"
+        entry = journal_entries(save_path)[-1]
+        assert set(entry.pop("overlay_delta")) == {"refreshes_skipped"}  # the read solved nothing
+        del entry["after_snapshot_version"]
+        assert is_empty_delta(entry)  # and no node, edge or weight moved
+        reopened.close()
+
+        again = QService.open(save_path)
+        assert [read(again, view_id) for view_id in view_ids] == live
+        did = again.engine_context.steiner_cache.solver
+        assert vars(did) == {name: 0 for name in vars(did)}
+        again.close()
 
 
 def _attribute(node_id):

@@ -500,7 +500,7 @@ class TestCorruption:
         report = reopened.save()
         assert report.action == "append" and report.journal_entries == 2
         old, new = journal.read_text().splitlines()
-        assert old.startswith('{"format_version": 1,') and new.startswith('{"format_version": 2,')
+        assert old.startswith('{"format_version": 1,') and new.startswith(f'{{"format_version": {FORMAT_VERSION},')
         assert "overlay" not in unwrap_document(new) and unwrap_document(new)["overlay_delta"]
         again = QService.open(path, matchers=_mini_matchers())
         assert _observable(again) == _observable(service)

@@ -127,3 +127,51 @@ def test_expansion_equals_per_node_seed_scoring(grown, threshold):
         )
         schema_matches = [m for m in shapes[1][3] if m.target_kind is not NodeKind.VALUE]
         assert len(schema_matches) == schema_nodes * len(PARITY_KEYWORDS)
+
+
+#: Keywords whose values span several sources: ``mouse`` matches eleven exactly,
+#: ``ins`` only as a substring of values in five, where a cap of one keeps
+#: whichever the value index orders first.
+GROWN_KEYWORDS = ("ins", "mouse", "insulin", "pathway", "zzz_unmatchable")
+
+
+@pytest.mark.parametrize("max_value_matches", [1, 25])
+def test_a_builder_kept_in_step_expands_like_a_fresh_one(max_value_matches):
+    """Registration folds a source into the session's builder and removal
+    takes it out again.  After either, an expansion equals a fresh builder's
+    over the same catalog: the same ids in the same order, the same features,
+    matches and weights — the fresh one writes no weight, since it names its
+    edges as the kept one did.  Removing the first source puts values that it
+    shared with later sources where a rebuild puts them."""
+    catalog = build_gbco(rows_per_relation=10).catalog
+    held_out = [catalog.remove_source(name) for name in ("protein", "phenotype")]
+    graph = SearchGraph()
+    graph.add_catalog(catalog)
+    kept = QueryGraphBuilder(catalog, max_value_matches=max_value_matches)
+    kept.expand(graph, GROWN_KEYWORDS)  # builds the corpus structures it then maintains
+
+    def assert_expands_like_a_fresh_builder():
+        fresh = QueryGraphBuilder(catalog, max_value_matches=max_value_matches)
+        shapes = [_expansion_shape(builder.expand(graph, GROWN_KEYWORDS)) for builder in (kept, fresh)]
+        assert shapes[0] == shapes[1]
+        assert repr(shapes[0]) == repr(shapes[1])
+
+    for source in held_out:
+        catalog.add_source(source)
+        graph.add_source(source)
+        kept.add_source(source)
+    assert_expands_like_a_fresh_builder()
+    first = catalog.remove_source("gene")
+    graph.remove_source("gene")
+    kept.remove_source(first)
+    assert_expands_like_a_fresh_builder()
+    catalog.add_source(first)
+    graph.add_source(first)
+    kept.add_source(first)
+    assert_expands_like_a_fresh_builder()
+
+
+def test_a_repeated_keyword_is_one_terminal(mini_graph, builder):
+    expanded = builder.expand(mini_graph, ["membrane", "Membrane", "title"])
+    assert list(expanded.keyword_nodes) == ["membrane", "title"]
+    assert expanded.terminals == (keyword_node_id("membrane"), keyword_node_id("title"))

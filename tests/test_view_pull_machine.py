@@ -8,13 +8,15 @@ its views after every mutation (the eager leg ``TestEagerLazyParity`` writes
 by hand, through the service so that it is counted).
 
 Every read must agree bit for bit — values, costs, order and provenance,
-whose query ids hash the trees' edge ids.  Expansion draws those ids from
-the session graph's one sequence, so the twin leaves *re-expansion* where
-the lazy session has it (the pull of the same step) and is eager about the
-ranking only: it re-solves, after each mutation, every view whose expansion
-is current.  Pulling more often can only split a staleness interval, never
-join two, so the lazy session's ``view_refreshes`` may never exceed the
-twin's.
+whose query ids hash the trees' edge ids.  An expansion names its edges by
+their endpoints, but it seeds the weights of edges it matches for the first
+time on the shared vector, so the twin leaves *re-expansion* where the lazy
+session has it (the pull of the same step) and is eager about the ranking
+only: it re-solves, after each mutation, every view whose expansion is
+current.  Pulling more often can only split a staleness interval, never join
+two, so the lazy session's ``view_refreshes`` may never exceed the twin's.
+Across a registration, a removal or a restart, a keyword match that is still
+there keeps the weight feedback taught it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.api import (
     ServiceConfig,
 )
 from repro.datasets import build_interpro_go
+from repro.graph import EdgeKind, edge_feature
 
 #: Views of 8–11 answers over five queries each on the InterPro source.
 KEYWORDS = (("kinase", "title"), ("protein", "method"), ("receptor", "journal"))
@@ -98,6 +101,31 @@ class LazyPullMachine(RuleBasedStateMachine):
         )
         assert lazy == eager
         return lazy
+
+    def _keyword_weights(self):
+        """Per view whose expansion is current: (keyword, target) -> its match edge's own weight."""
+        held = {}
+        for record in self.lazy.views.records():
+            if record.view.expansion_is_current:
+                graph = record.view.query_graph.graph
+                held[record.view_id] = {
+                    (edge.u, edge.v): graph.weights.get(edge_feature(edge.edge_id))
+                    for edge in graph.edges()
+                    if edge.kind is EdgeKind.KEYWORD_MATCH
+                }
+        return held
+
+    def _learning_holds(self, step):
+        """Run ``step``, then read each view it found current: every keyword
+        match still in that view's expansion weighs what it did before."""
+        before = self._keyword_weights()
+        step()
+        for view_id in before:
+            self._read(view_id, None)
+        after = self._keyword_weights()
+        for view_id, weights in before.items():
+            kept = {edge: weight for edge, weight in after[view_id].items() if edge in weights}
+            assert kept == {edge: weights[edge] for edge in kept}
 
     has_views = precondition(lambda self: len(self.lazy.views))
 
@@ -175,14 +203,18 @@ class LazyPullMachine(RuleBasedStateMachine):
             else:
                 service.register_source(RegisterSourceRequest(source=_go(), strategy="exhaustive"))
 
-        self._both(step)
+        self._learning_holds(lambda: self._both(step))
 
     @rule()
     def save_and_reopen(self):
         """Only the lazy session restarts; the twin never saves."""
-        self.lazy.save(self.location)
-        self.lazy.close()
-        self.lazy = QService.open(self.location)
+
+        def restart():
+            self.lazy.save(self.location)
+            self.lazy.close()
+            self.lazy = QService.open(self.location)
+
+        self._learning_holds(restart)
 
     # ------------------------------------------------------------------
     @invariant()
