@@ -28,8 +28,8 @@ that a table changed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..datastore.database import Catalog
 from ..datastore.provenance import AnswerTuple
@@ -149,6 +149,8 @@ class RankedView:
         # (weights version, structure version, terminals, k) of the last
         # solve; refresh skips the solver when nothing it depends on moved.
         self._solve_state: Optional[Tuple[int, int, Tuple[str, ...], int]] = None
+        # ((graph, structure version), edge set -> query) of the last generation.
+        self._generated: Optional[Tuple[tuple, Dict[FrozenSet[str], GeneratedQuery]]] = None
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -206,7 +208,7 @@ class RankedView:
         carried, self._carried = self._carried, None
         if carried is not None and carried[1:] == self._base_versions():
             trees = [SteinerTree.from_edges(graph.graph, edges, graph.terminals) for edges in carried[0]]
-            self.state = ViewState(trees=trees, queries=QueryGenerator(graph.graph).generate_all(trees))
+            self.state = ViewState(trees=trees, queries=self._queries_of(graph.graph, trees))
             self._trees_by_signature = {g.signature: g.tree for g in self.state.queries}
             self._solve_state = self._solve_key()
 
@@ -272,8 +274,7 @@ class RankedView:
                     if terminals
                     else []
                 )
-                generator = QueryGenerator(graph)
-                queries = generator.generate_all(trees)
+                queries = self._queries_of(graph, trees)
             if budget is not None and budget.truncated:
                 self._solve_state = None
             else:
@@ -282,6 +283,29 @@ class RankedView:
 
         self._trees_by_signature = {g.signature: g.tree for g in queries}
         return trees, queries, stats
+
+    def _queries_of(self, graph: SearchGraph, trees: List[SteinerTree]) -> List[GeneratedQuery]:
+        """The conjunctive queries of ``trees``, in their order.
+
+        A query follows the graph's structure and the tree's edge set; only
+        its cost follows the weights.  So over the graph object and structure
+        version the last generation ran on, a tree it had is re-stamped with
+        its new cost (same key and signature, the parts shared: nothing
+        mutates a generated query), and only new trees are generated.
+        """
+        stamp = (graph, graph.structure_version)
+        known = self._generated[1] if self._generated is not None and self._generated[0] == stamp else {}
+        new = [tree for tree in trees if tree.edge_ids not in known]
+        generated = {g.tree.edge_ids: g for g in QueryGenerator(graph).generate_all(new)}
+        queries = []
+        for tree in trees:
+            old = known.get(tree.edge_ids)
+            if old is not None:
+                queries.append(replace(old, query=replace(old.query, cost=tree.cost), tree=tree))
+            elif tree.edge_ids in generated:  # else the generator skipped it
+                queries.append(generated[tree.edge_ids])
+        self._generated = (stamp, {g.tree.edge_ids: g for g in queries})
+        return queries
 
     def refresh(self) -> ViewState:
         """Recompute trees, queries and answers under the current costs.

@@ -25,7 +25,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..datastore.database import Catalog
 from ..datastore.provenance import AnswerTuple
@@ -101,7 +101,11 @@ class SteinerNetworkCache:
     enumerations are remembered under exactly what they read (the key is
     built by :meth:`~repro.steiner.topk.KBestSteiner.solve`), and every
     solver sharing this cache — views, tenant views, snapshot views, the
-    learner — finds them.
+    learner — finds them.  Beside the memo, the latest complete list per
+    terminal set is kept (:meth:`latest`), under the same LRU bound: a
+    two-terminal enumeration the memo cannot answer — the costs moved after
+    feedback, the expansion after a registration — re-prices it on its own
+    network and starts from its k-th cost as α instead of infinity.
     """
 
     def __init__(self, maxsize: int = 16) -> None:
@@ -122,6 +126,8 @@ class SteinerNetworkCache:
         # Memo key -> the trees of one complete enumeration, in its order.
         # Nothing in an entry references a graph, a network or an id list.
         self._rankings: "OrderedDict[tuple, Tuple[SteinerTree, ...]]" = OrderedDict()
+        # Terminal set -> the trees last remembered for it (a warm start).
+        self._latest: "OrderedDict[FrozenSet[str], Tuple[SteinerTree, ...]]" = OrderedDict()
         # Guards the memo and the solver totals; apart from ``_lock`` so that
         # a recall never waits behind another thread's network build.
         self._solve_lock = threading.Lock()
@@ -155,10 +161,22 @@ class SteinerNetworkCache:
 
         Two threads that missed the same key store equal lists: harmless.
         """
+        trees = tuple(trees)
         with self._solve_lock:
-            self._rankings[key] = tuple(trees)  # a new key lands at the recent end
+            self._rankings[key] = trees  # a new key lands at the recent end
             while len(self._rankings) > RANKING_MEMO_SIZE:
                 self._rankings.popitem(last=False)
+            if trees:
+                self._latest[trees[0].terminals] = trees
+                self._latest.move_to_end(trees[0].terminals)
+                while len(self._latest) > RANKING_MEMO_SIZE:
+                    self._latest.popitem(last=False)
+
+    def latest(self, terminals: FrozenSet[str]) -> Tuple[SteinerTree, ...]:
+        """The trees last remembered for ``terminals`` (empty if none): valid
+        trees of *some* earlier network, for the caller to re-check and re-price."""
+        with self._solve_lock:
+            return self._latest.get(terminals, ())
 
     def network(self, graph: SearchGraph) -> SteinerNetwork:
         """The cached snapshot of ``graph``, re-priced or rebuilt iff its versions moved."""

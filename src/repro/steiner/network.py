@@ -86,16 +86,21 @@ class DistanceBounds(NamedTuple):
 class SolverCounters:
     """What top-k enumerations did (one solve's worth, or a running total)."""
 
-    #: single-tree solves run (one per Lawler branch, plus the first)
+    #: single-tree searches that ran (the first, and one per Lawler branch not screened)
     base_solves: int = 0
     #: candidate trees discarded because an earlier branch already found them
     duplicate_candidates: int = 0
-    #: branches, searched without a known upper bound, that found no tree
+    #: branches, searched or screened without a known upper bound, that found no tree
     disconnected_branches: int = 0
-    #: base solves searched under an upper bound the enumeration already held
+    #: branches searched or screened under an upper bound the enumeration already held
     bounded_branches: int = 0
     #: of those, the ones abandoned: no tree within the bound (or none at all)
     bounded_out_branches: int = 0
+    #: two-terminal branches not searched because the search would fail at its
+    #: first pop (each is also a disconnected or bounded-out branch)
+    screened_children: int = 0
+    #: two-terminal enumerations that began with a finite α: a re-priced earlier list
+    warm_starts: int = 0
     #: DP labels dropped because they cannot be completed within the upper bound
     pruned_labels: int = 0
     #: labels settled, over every search of every base solve and distance table

@@ -33,8 +33,15 @@ Both solve every child under what they already know: nothing above the k-th
 cheapest candidate cost held so far can be emitted (the paper's α; a spur
 search gets α minus its prefix), and exclusion-free distance tables bound
 every child from below.  With three or more terminals, a known tree a
-branch's exclusions leave intact is also still feasible there.  The bounds
-only remove work (``tests/test_steiner_differential.py``).
+branch's exclusions leave intact is also still feasible there.  With two, a
+re-solve starts warm: the session cache's latest list for the same terminals,
+re-priced on this network, is k distinct simple paths wherever its paths
+still walk between the terminals, so its k-th cost is an α before anything
+is emitted.  And a child whose spur node has no edge its search could relax
+(each one forbidden, a self-loop, or past the bound by the distance tables)
+is screened: it fails as its search would at the first pop, so the search
+does not run.  The bounds only remove work
+(``tests/test_steiner_differential.py``).
 """
 
 from __future__ import annotations
@@ -44,13 +51,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Collection, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from typing import TYPE_CHECKING
 
 from ..exceptions import DeadlineExceededError, DisconnectedTerminalsError, SteinerError
 from ..graph.search_graph import SearchGraph
-from .network import DistanceBounds, SolverCounters, SteinerNetwork
+from .network import _BOUND_SLACK, DistanceBounds, SolverCounters, SteinerNetwork
 from .tree import SteinerTree, validate_terminals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,21 +78,26 @@ class KBestSteiner:
     Parameters
     ----------
     max_expansions:
-        Upper bound on child solves, guarding against blow-up on dense
-        graphs.  Past it the candidates already held are drained, so with
-        two terminals a capped list's tail is complete paths, cheapest
-        first, but not provably the next ones.
+        Upper bound on children tried (searched or screened), guarding
+        against blow-up on dense graphs.  Past it the candidates already held
+        are drained, so with two terminals a capped list's tail is complete
+        paths, cheapest first, but not provably the next ones.  A warm start
+        may have cut some of those, so a warm enumeration that reaches the cap
+        starts over cold: a capped list is the same whatever the cache held.
     network_cache:
-        Optional session cache (duck-typed: ``network(graph)``, ``recall(key)``
-        / ``remember(key, trees)`` and ``record_solve(counters)``, i.e. the
-        engine's :class:`~repro.engine.context.SteinerNetworkCache`).  With a
-        cache, solves over an unchanged graph reuse one snapshot, and an
+        Optional session cache, duck-typed: ``network(graph)`` (the snapshot
+        to solve on), ``recall(key)`` / ``remember(key, trees)`` (the ranking
+        memo), ``latest(terminal_set)`` (the trees last remembered for that
+        frozenset of terminals) and ``record_solve(counters)`` (the totals) —
+        the engine's :class:`~repro.engine.context.SteinerNetworkCache`.  With
+        a cache, solves over an unchanged graph reuse one snapshot, and an
         enumeration whose priced network, terminals, ``k`` and cap equal an
         earlier complete one's — under whatever graph object or version
         counter — returns that one's trees in its order instead of running.
-        The cache also totals every solve's :class:`SolverCounters`.  There is
-        no switch: code that needs an enumeration to run builds a cache-less
-        ``KBestSteiner()``.
+        Any other two-terminal enumeration starts warm from ``latest``.  The
+        cache also totals every solve's :class:`SolverCounters`.  There is no
+        switch: code that needs an enumeration to run cold builds a
+        cache-less ``KBestSteiner()``, and gets the same list.
     """
 
     max_expansions: int = 200
@@ -126,7 +138,9 @@ class KBestSteiner:
                 # The full list, whatever the budget: nothing ran to tick it.
                 counters.recalls = 1
                 return list(recalled)
-            trees = self._enumerate(network, terminals, k, budget, counters)
+            previous = cache.latest(frozenset(terminals)) if len(terminals) == 2 else ()  # type: ignore[attr-defined]
+            warm = self._warm_alpha(network, terminals, k, previous)
+            trees = self._enumerate(network, terminals, k, budget, counters, warm)
             # Only an enumeration that ran to its own end is worth recalling:
             # a deadline must never shorten a later reader's ranking.
             if budget is None or not budget.truncated:
@@ -138,9 +152,10 @@ class KBestSteiner:
 
     def _enumerate(
         self, network: SteinerNetwork, terminals: Sequence[str], k: int,
-        budget: "Optional[Budget]", counters: SolverCounters,
+        budget: "Optional[Budget]", counters: SolverCounters, warm: float = math.inf,
     ) -> List[SteinerTree]:
-        """The first solve, then the enumeration for the terminal count, sorted by cost."""
+        """The first solve, then the enumeration for the terminal count, sorted by
+        cost; ``warm`` bounds the k-th path's cost from above (two terminals)."""
         if budget is not None:
             budget.check("k-best-steiner")
         counters.base_solves += 1
@@ -148,8 +163,10 @@ class KBestSteiner:
             best = network.default_tree(terminals, budget=budget, counters=counters)
         except SteinerError:  # including DisconnectedTerminalsError
             return []
-        branch = self._paths if len(terminals) == 2 else self._trees
-        trees = branch(network, terminals, k, budget, counters, best)
+        if len(terminals) == 2:
+            trees = self._paths(network, terminals, k, budget, counters, best, warm)
+        else:
+            trees = self._trees(network, terminals, k, budget, counters, best)
         # A child totals its edges with fsum, its parent was chosen by a search
         # that sums them in order: the child can undercut the parent by a
         # rounding.  The sort is stable, so ties keep the order they were found.
@@ -169,17 +186,21 @@ class KBestSteiner:
     def _paths(
         self, network: SteinerNetwork, terminals: Sequence[str], k: int,
         budget: "Optional[Budget]", counters: SolverCounters, best: SteinerTree,
+        warm: float = math.inf,
     ) -> List[SteinerTree]:
-        """Lawler–Yen k shortest simple paths from ``terminals[1]`` to ``terminals[0]``."""
+        """Lawler–Yen k shortest simple paths from ``terminals[1]`` to ``terminals[0]``;
+        reaching the cap, a ``warm`` one starts over cold (see ``max_expansions``)."""
         edge_costs, node_ids, adjacency = network.edge_costs, network.node_ids, network.adjacency
         tables: Optional[DistanceBounds] = None
+        if warm < math.inf:
+            counters.warm_starts += 1
         # The costs of every path held (emitted or on the heap), cheapest
         # first and at most k of them: the k-th is the paper's alpha.
         held: List[float] = [best.cost]
         counter = itertools.count()
         # Heap entries: (cost, tiebreak, tree, nodes, edges, deviation index,
         # edges forbidden at the deviation node)
-        heap = [(best.cost, next(counter), best, *self._walk(network, terminals[1], best), 0, frozenset())]
+        heap = [(best.cost, next(counter), best, *self._walk(network, terminals[1], best.edge_ids), 0, frozenset())]
         results: List[SteinerTree] = []
         expansions = 0
 
@@ -199,18 +220,35 @@ class KBestSteiner:
                     blocked.update(edge_idx for _, edge_idx, _ in adjacency[nodes[i - 1]])
                     prefix_cost += edge_costs[edges[i - 1]]
                 spur_forbidden = forbidden | {edges[i]} if i == deviation else frozenset((edges[i],))
-                alpha = held[k - 1] if len(held) >= k else math.inf
-                spur_node = node_ids[nodes[i]]
+                excluded = blocked | spur_forbidden
+                alpha = min(warm, held[k - 1] if len(held) >= k else math.inf)
+                spur = nodes[i]
                 try:
                     if not self._child_allowed(expansions, budget, counters):
+                        if warm < math.inf:
+                            return self._paths(network, terminals, k, budget, counters, best)
                         break  # the heap is drained: see max_expansions
                     expansions += 1
-                    counters.base_solves += 1
                     if alpha < math.inf and tables is None:
                         # Distances from terminals[0], the end every spur search heads for.
                         tables = network.terminal_distances(terminals, budget, counters)
-                    spur = network.default_tree(
-                        (terminals[0], spur_node), excluded=blocked | spur_forbidden,
+                    # Screen out a search whose first pop would relax nothing: each
+                    # edge excluded, a self-loop, or past the search's own limit test.
+                    bound, far = (alpha - prefix_cost) * _BOUND_SLACK, tables.tables[0] if tables else None
+                    if all(
+                        edge_idx in excluded or neighbor == spur or (far is not None and cost > bound - far[neighbor])
+                        for neighbor, edge_idx, cost in adjacency[spur]
+                    ):
+                        counters.screened_children += 1
+                        if far is None:
+                            counters.disconnected_branches += 1
+                        else:
+                            counters.bounded_branches += 1
+                            counters.bounded_out_branches += 1
+                        continue
+                    counters.base_solves += 1
+                    found = network.default_tree(
+                        (terminals[0], node_ids[spur]), excluded=excluded,
                         budget=budget, counters=counters, lower_bounds=tables,
                         upper_bound=alpha - prefix_cost,
                     )
@@ -225,7 +263,7 @@ class KBestSteiner:
                     continue
                 except SteinerError:  # BoundExceededError: the solver counted it
                     continue
-                spur_nodes, spur_edges = self._walk(network, spur_node, spur)
+                spur_nodes, spur_edges = self._walk(network, node_ids[spur], found.edge_ids)
                 path_nodes, path_edges = nodes[:i] + spur_nodes, edges[:i] + spur_edges
                 candidate = network._tree_from_indexes(path_edges, terminals)
                 bisect.insort(held, candidate.cost)
@@ -236,17 +274,38 @@ class KBestSteiner:
         return results
 
     @staticmethod
-    def _walk(network: SteinerNetwork, start: str, path: SteinerTree) -> Tuple[List[int], List[int]]:
-        """The node and edge indexes of the simple path ``path``, in order from ``start``."""
-        remaining = {network.edge_index[edge_id] for edge_id in path.edge_ids}
+    def _walk(network: SteinerNetwork, start: str, edge_ids: Collection[str]) -> Optional[Tuple[List[int], List[int]]]:
+        """The node and edge indexes of the simple path ``edge_ids``, in order from ``start``;
+        ``None`` unless the ids are edges of ``network`` that form one."""
+        remaining = {network.edge_index.get(edge_id) for edge_id in edge_ids}
         nodes, edges = [network.node_index[start]], []
         while remaining:
-            # A simple path leaves each node by exactly one edge not yet walked.
-            node, edge_idx = next((v, e) for v, e, _ in network.adjacency[nodes[-1]] if e in remaining)
-            remaining.discard(edge_idx)
-            nodes.append(node)
-            edges.append(edge_idx)
+            # A simple path leaves each node by the one edge not yet walked, to a new node.
+            step = next(((v, e) for v, e, _ in network.adjacency[nodes[-1]] if e in remaining), None)
+            if step is None or step[0] in nodes:
+                return None
+            remaining.discard(step[1])
+            nodes.append(step[0])
+            edges.append(step[1])
         return nodes, edges
+
+    @classmethod
+    def _warm_alpha(
+        cls, network: SteinerNetwork, terminals: Sequence[str], k: int, previous: Sequence[SteinerTree]
+    ) -> float:
+        """The k-th cheapest of the ``previous`` paths that still walk from
+        ``terminals[1]`` to ``terminals[0]`` on ``network`` (an edge may be
+        gone, a hand-built id may join other nodes), priced as a candidate is;
+        infinity if fewer than k do.  They are distinct simple paths, so the
+        k-th shortest costs no more."""
+        target = network.node_index[terminals[0]]
+        walks = (cls._walk(network, terminals[1], tree.edge_ids) for tree in previous)
+        costs = sorted(
+            math.fsum(network.edge_costs[edge_idx] for edge_idx in walk[1])
+            for walk in walks
+            if walk is not None and walk[0][-1] == target
+        )
+        return costs[k - 1] if len(costs) >= k else math.inf
 
     def _trees(
         self, network: SteinerNetwork, terminals: Sequence[str], k: int,

@@ -33,7 +33,7 @@ from repro.api import (
     ServiceConfig,
     UnknownViewError,
 )
-from repro.core import gold_vs_nongold_costs
+from repro.core import QueryGenerator, RankedView, gold_vs_nongold_costs
 from repro.core.simulated_feedback import simulated_feedback_for_view
 from repro.datasets import build_interpro_go
 from repro.datastore import DataSource
@@ -173,6 +173,44 @@ class TestLazyConsistency:
         assert did.base_solves > one_enumeration
         assert service.obs.registry.value("q_steiner_recalls_total") == did.recalls
         assert service.obs.registry.value("q_steiner_base_solves_total") == did.base_solves
+
+    def test_re_read_after_feedback_generates_only_the_new_trees(self, gbco_dataset, monkeypatch):
+        """A re-solve over the same expansion re-stamps the last solve's
+        query of every tree it keeps with that tree's new cost; only trees
+        the view had not generated go through the generator.  The stream is
+        a fresh view's, to the bit."""
+
+        def fingerprint(answers):
+            return [
+                (tuple(a.values.items()), a.cost, a.provenance.query_id, tuple(sorted(a.provenance.base_tuples)))
+                for a in answers
+            ]
+
+        service = _gbco_service(gbco_dataset)
+        info = service.create_view(QueryRequest(keywords=gbco_dataset.query_log[0].keywords))
+        view = service.view(info.view_id)
+        before = {tree.edge_ids: tree.cost for tree in view.trees()}
+        service.feedback(FeedbackRequest(view=info.view_id, answer=view.state.answers[-1]))
+        generated = []
+        generate = QueryGenerator.generate
+
+        def counting(generator, tree):
+            generated.append(tree.edge_ids)
+            return generate(generator, tree)
+
+        monkeypatch.setattr(QueryGenerator, "generate", counting)
+        reread = fingerprint(view.stream_answers())
+        assert view.last_refresh.solver_runs == 1
+        after = view.trees()
+        assert generated == [tree.edge_ids for tree in after if tree.edge_ids not in before]
+        kept = [tree for tree in after if tree.edge_ids in before]
+        assert kept and any(tree.cost != before[tree.edge_ids] for tree in kept)
+        monkeypatch.undo()
+        fresh = RankedView(
+            view.keywords, service.catalog, service.graph, k=view.k,
+            answer_limit=view.answer_limit, engine_context=service.engine_context,
+        )
+        assert reread == fingerprint(fresh.stream_answers()) and reread
 
     def test_rereading_unchanged_views_solves_nothing(self, gbco_dataset):
         """Each view's expansion prices its new keyword edges on the vector all

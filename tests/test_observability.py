@@ -388,6 +388,7 @@ def test_decision_log_records_every_ranked_read(gbco_dataset):
 
 
 def test_solver_counters_reach_registry_trace_and_decision_log(gbco_dataset):
+    from repro.engine.context import SteinerNetworkCache
     from repro.steiner import KBestSteiner
 
     with _gbco_service(gbco_dataset) as service:
@@ -423,9 +424,10 @@ def test_solver_counters_reach_registry_trace_and_decision_log(gbco_dataset):
             assert decision.ranking == "current" and "steiner_base_solves" not in decision.tallies
 
         # One solve under a trace: the annotations are exactly what it added
-        # to the totals, and the enumeration's books balance (every base
-        # solve after the first put a tree on the heap, re-found one, or
-        # failed).  max_expansions=3 makes the cap hit visible, not silent.
+        # to the totals.  max_expansions=3 makes the cap hit visible, not
+        # silent.  The view ranked these terminals, so the enumeration starts
+        # warm; the cap stops it, and it starts over cold from the same first
+        # tree: one first solve, then three children (searched or screened) per run.
         view = service.views.resolve(result.view_id).view
         graph, terminals = view.query_graph.graph, list(view.query_graph.terminals)
         with Tracer().trace("solve") as trace:
@@ -435,13 +437,17 @@ def test_solver_counters_reach_registry_trace_and_decision_log(gbco_dataset):
         }
         assert trace.annotations == added
         assert added["steiner_recalls"] == 0  # its own cap: nobody ranked that before
-        assert added["steiner_base_solves"] == 4
+        assert added["steiner_warm_starts"] == 1
+        assert added["steiner_base_solves"] + added["steiner_screened_children"] == 1 + 2 * 3
         assert added["steiner_expansion_cap_hits"] == 1
-        assert len(trees) <= 4 - sum(
-            added[f"steiner_{outcome}"]
-            for outcome in ("duplicate_candidates", "disconnected_branches", "bounded_out_branches")
-        )
         assert value("q_steiner_expansion_cap_hits_total") == solved["expansion_cap_hits"] + 1
+        # Cold, the same list, and the books balance: every child put a tree
+        # on the heap, re-found one, or failed (searched or screened).
+        alone = SteinerNetworkCache()
+        assert KBestSteiner(max_expansions=3, network_cache=alone).solve(graph, terminals, 5) == trees
+        did = alone.solver
+        assert (did.warm_starts, did.base_solves + did.screened_children, did.expansion_cap_hits) == (0, 4, 1)
+        assert len(trees) <= 4 - (did.duplicate_candidates + did.disconnected_branches + did.bounded_out_branches)
 
 
 def test_slow_query_log_captures_above_threshold(gbco_dataset):

@@ -325,6 +325,33 @@ def test_concurrent_solves_of_one_key_recall_or_enumerate_the_same_list():
     assert cache.builds == 1
 
 
+def test_concurrent_two_terminal_solves_start_warm_from_one_shared_list():
+    """Two terminals: the latest list per terminal set is read and replaced
+    under the cache's lock.  Ranked at k = 20, then re-priced as feedback
+    would, every enumeration the threads run starts warm (every list stored
+    meanwhile has k paths too), and every answer is the cold one."""
+    graph, terminals = _concurrent_case()
+    terminals = [terminals[0], terminals[-1]]
+    cache = SteinerNetworkCache()
+    solver = KBestSteiner(network_cache=cache)
+    assert len(solver.solve(graph, terminals, 20)) == 20
+    rng = random.Random(11)
+    for edge in graph.edges():
+        graph.weights.set(edge_feature(edge.edge_id), rng.choice([0.5, 1.0, 1.0, 2.0]))
+    cold = KBestSteiner().solve(graph, terminals, 8)
+    workers, rounds = 6, 3
+    results = []
+
+    def work(worker):
+        for _ in range(rounds):
+            results.append(solver.solve(graph, terminals, 8))
+
+    _run_threads(workers, work)
+    assert len(results) == workers * rounds and all(trees == cold for trees in results)
+    did = cache.solver
+    assert did.warm_starts >= 1 and did.warm_starts + did.recalls == workers * rounds
+
+
 class TestSteinerTreeObject:
     def test_symmetric_difference(self, diamond_graph):
         trees = k_best_steiner_trees(diamond_graph, ["a", "d"], 2)
@@ -466,7 +493,8 @@ def test_golden_grid_trees_costs_and_tie_order(grown_gbco_service, terminal_coun
     ]
     assert produced == GOLDEN_GRID[cell]
     did = cache.solver
-    assert 0 < did.bounded_out_branches < did.bounded_branches < did.base_solves
+    # A screened child is a branch bounded out without a search.
+    assert 0 < did.bounded_out_branches < did.bounded_branches < did.base_solves + did.screened_children
     assert did.settled_labels <= SETTLED_LABEL_CEILING.get(cell, did.settled_labels)
     if terminal_count == 2:
         # Brute force witnesses the costs; disjoint partitions find no path twice.

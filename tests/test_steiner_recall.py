@@ -13,9 +13,10 @@ on too little, fails here rather than in a benchmark.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_steiner_differential import random_case
+from test_steiner_differential import COSTS, random_case
 
 from repro.engine import context
 from repro.engine.context import SteinerNetworkCache
@@ -139,6 +140,77 @@ def test_equal_edge_ids_and_costs_over_other_endpoints_do_not_recall():
     assert direct[0].edge_ids == {"e3"}
     ask(False, crossed, ["a", "d"], 3)
     ask(True, hand_built([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]), ["a", "d"], 3)
+
+
+def perturb(rng, graph):
+    """Every cost re-drawn, one edge removed, one parallel edge added: the
+    moves a feedback step and a registration make to a query graph."""
+    edges = graph.edges()
+    for edge in edges:
+        graph.replace_edge(Edge(edge.edge_id, edge.u, edge.v, edge.kind, fixed_cost=rng.choice(COSTS)))
+    graph.remove_edge(rng.choice(edges).edge_id)
+    twin = rng.choice(graph.edges())
+    graph.add_edge(graph.new_edge(twin.u, twin.v, EdgeKind.ASSOCIATION, fixed_cost=rng.choice(COSTS)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=1_000_000))
+def test_warm_re_solve_equals_a_cold_one(seed):
+    """Two terminals: a re-solve the memo cannot answer starts from the
+    session's last list re-priced, and returns what a cache-less enumeration
+    does — same trees, costs to the bit, same order.  ``k - 1`` after ``k``
+    on one network makes the warm α exactly the last path's cost.  With a
+    small cap some runs stop early: a warm one starts over cold, so those
+    agree too (a capped list is not the k shortest paths, but it is the same
+    list whatever the cache held)."""
+    rng, graph, terminals = random_case(seed, terminal_counts=(2, 2))
+    cache = SteinerNetworkCache()
+    k, cap = rng.randint(2, 12), rng.choice((2, 6, 200))
+
+    def check(k):
+        warm = KBestSteiner(max_expansions=cap, network_cache=cache).solve(graph, terminals, k)
+        assert warm == KBestSteiner(max_expansions=cap).solve(graph, terminals, k)
+        return warm
+
+    first = check(k)
+    check(k - 1)
+    assert cache.solver.warm_starts == (len(first) >= k - 1)
+    for _ in range(2):
+        perturb(rng, graph)
+        check(k)
+
+
+@pytest.mark.parametrize("edges,costs,warm", [
+    # e0 is gone: e1-e2 and e3-e4 are left, at 2 each.
+    ([None, ("a", "b", 1.0), ("b", "d", 1.0), ("a", "c", 1.0), ("c", "d", 1.0)], [2.0, 2.0], True),
+    # e0 now joins b and c: trusted at 0.1, it would put α at 2 (e3-e4) and cut 6.1.
+    ([("b", "c", 0.1), ("a", "b", 5.0), ("b", "d", 5.0), ("a", "c", 1.0), ("c", "d", 1.0)], [2.0, 6.1], True),
+    # e1-e2 now walks from d to c: trusted at 0.2, it would put α at 1.1 (e3-e4) and cut 1.2.
+    ([("a", "b", 5.0), ("b", "c", 0.1), ("b", "d", 0.1), ("a", "c", 1.0), ("c", "d", 0.1)], [1.1, 1.2], False),
+])
+def test_stale_paths_are_not_trusted(edges, costs, warm):
+    """The stored list's paths (a-d, a-b-d, a-c-d as e0, e1-e2, e3-e4) are
+    re-checked on the new network: one whose edge is gone, or whose
+    hand-built ids now join other nodes, is no path between the terminals."""
+
+    def square(edges):
+        graph = SearchGraph()
+        for name in "abcd":
+            graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
+        for number, edge in enumerate(edges):
+            if edge is not None:
+                u, v, cost = edge
+                graph.add_edge(Edge(edge_id=f"e{number}", u=u, v=v, kind=EdgeKind.ASSOCIATION, fixed_cost=cost))
+        return graph
+
+    cache = SteinerNetworkCache()
+    solver = KBestSteiner(network_cache=cache)
+    before = square([("a", "d", 1.0), ("a", "b", 1.0), ("b", "d", 1.0), ("a", "c", 1.0), ("c", "d", 1.0)])
+    assert [tree.cost for tree in solver.solve(before, ["a", "d"], 3)] == [1.0, 2.0, 2.0]
+    after = square(edges)
+    trees = solver.solve(after, ["a", "d"], 2)
+    assert [tree.cost for tree in trees] == costs and trees == KBestSteiner().solve(after, ["a", "d"], 2)
+    assert cache.solver.warm_starts == int(warm)
 
 
 def expiring_clock(reads_allowed: int):
