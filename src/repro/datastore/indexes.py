@@ -8,7 +8,7 @@ variant in the Figure 7 experiment.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -27,6 +27,10 @@ class ValueOccurrence:
     value: str  # canonical value
 
 
+#: Needles whose substring postings a :class:`ValueIndex` remembers (LRU).
+SUBSTRING_POSTINGS_SIZE = 256
+
+
 class ValueIndex:
     """Inverted index from canonical values to their occurrences.
 
@@ -37,6 +41,13 @@ class ValueIndex:
     proportional to the removed relation's footprint, not the index size).
     The registration service relies on this to roll back a failed
     registration without a full rebuild.
+
+    A substring lookup remembers its needle's *posting*: the distinct values
+    containing it, in index order.  Indexing a new distinct value appends it
+    to every remembered posting it matches, which is where a scan would find
+    it (new values go last), so a keyword looked up again after a
+    registration reads its posting instead of scanning every value.  A
+    retraction forgets them all.
     """
 
     def __init__(self) -> None:
@@ -44,6 +55,8 @@ class ValueIndex:
         self._attribute_values: Dict[Tuple[str, str], Set[str]] = defaultdict(set)
         #: relation -> canonical values it contributed (for exact retraction).
         self._relation_values: Dict[str, Set[str]] = defaultdict(set)
+        #: lowered needle -> the distinct values containing it, in index order.
+        self._postings: "OrderedDict[str, List[str]]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Construction
@@ -58,6 +71,11 @@ class ValueIndex:
                 if canon is None:
                     continue
                 occurrence = ValueOccurrence(relation, attr_name, row.row_id, canon)
+                if canon not in self._occurrences:
+                    lowered = canon.lower()
+                    for needle, values in self._postings.items():
+                        if needle in lowered:
+                            values.append(canon)
                 self._occurrences[canon].append(occurrence)
                 self._attribute_values[(relation, attr_name)].add(canon)
                 relation_values.add(canon)
@@ -73,6 +91,7 @@ class ValueIndex:
     def remove_table(self, relation: str) -> None:
         """Drop every entry contributed by ``relation``."""
         values = self._relation_values.pop(relation, set())
+        self._postings.clear()
         for value in values:
             occurrences = self._occurrences.get(value)
             if occurrences is None:
@@ -114,14 +133,22 @@ class ValueIndex:
 
         Used when a keyword only partially matches stored values (e.g. the
         keyword ``membrane`` matching the GO term ``plasma membrane``).
+        Occurrences come in index order, value by value, as a scan finds them.
         """
         needle_lower = needle.lower()
+        values = self._postings.get(needle_lower)
+        if values is None:
+            values = [value for value in self._occurrences if needle_lower in value.lower()]
+            self._postings[needle_lower] = values
+            if len(self._postings) > SUBSTRING_POSTINGS_SIZE:
+                self._postings.popitem(last=False)
+        else:
+            self._postings.move_to_end(needle_lower)
         matches: List[ValueOccurrence] = []
-        for value, occurrences in self._occurrences.items():
-            if needle_lower in value.lower():
-                matches.extend(occurrences)
-                if limit is not None and len(matches) >= limit:
-                    return tuple(matches[:limit])
+        for value in values:
+            matches.extend(self._occurrences[value])
+            if limit is not None and len(matches) >= limit:
+                return tuple(matches[:limit])
         return tuple(matches)
 
     def attribute_values(self, relation: str, attribute: str) -> Set[str]:

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..datastore.database import Catalog
 from ..datastore.indexes import ValueIndex
 from ..similarity.tfidf import TfIdfScorer
+from ..similarity.tokenize import token_set
 from .edges import Edge, EdgeKind, derived_edge_id
 from .features import DEFAULT_FEATURE, edge_feature
 from .nodes import (
@@ -119,6 +120,8 @@ class QueryGraphBuilder:
         # the full catalog scan only when the first of them is pulled.
         self._value_index = value_index
         self._scorer = scorer
+        #: (base graph, its structure version, label token postings): see _label_postings.
+        self._labels: Optional[Tuple[SearchGraph, int, Dict[str, List[Tuple[int, Node]]]]] = None
         self.similarity_threshold = similarity_threshold
         self.max_value_matches = max_value_matches
         self.keyword_match_weight = keyword_match_weight
@@ -195,6 +198,7 @@ class QueryGraphBuilder:
         """
         graph = base_graph.copy(share_weights=True)
         result = QueryGraph(graph=graph)
+        labels = self._label_postings(base_graph)
         for keyword in keywords:
             keyword_node = make_keyword_node(keyword)
             if graph.has_node(keyword_node.node_id):
@@ -203,21 +207,42 @@ class QueryGraphBuilder:
             result.keyword_nodes[keyword] = keyword_node.node_id
             # Vectorised once: both passes score it against many strings.
             vector = self.scorer.vector(keyword)
-            self._match_schema_elements(graph, keyword, vector, keyword_node, result)
+            self._match_schema_elements(graph, keyword, vector, keyword_node, result, labels)
             self._match_data_values(graph, keyword, vector, keyword_node, result)
         return result
 
     # ------------------------------------------------------------------
     # Schema-element matching
     # ------------------------------------------------------------------
+    def _label_postings(self, base_graph: SearchGraph) -> Dict[str, List[Tuple[int, Node]]]:
+        """Label token -> ``(position, node)`` of each relation and attribute node
+        of ``base_graph`` whose label has it, in graph order.
+
+        One pass per structure version of the graph, shared by every view's
+        expansion: a keyword is scored only against the labels sharing a token
+        with it, since the others score ``0.0``.
+        """
+        held = self._labels
+        if held is None or held[0] is not base_graph or held[1] != base_graph.structure_version:
+            postings: Dict[str, List[Tuple[int, Node]]] = {}
+            for position, node in enumerate(base_graph.nodes()):
+                if node.kind in (NodeKind.RELATION, NodeKind.ATTRIBUTE):
+                    for token in token_set(node.label):
+                        postings.setdefault(token, []).append((position, node))
+            held = self._labels = (base_graph, base_graph.structure_version, postings)
+        return held[2]
+
     def _match_schema_elements(
         self, graph: SearchGraph, keyword: str, vector: Dict[str, float], keyword_node: Node,
-        result: QueryGraph,
+        result: QueryGraph, labels: Dict[str, List[Tuple[int, Node]]],
     ) -> None:
         cosine = self.scorer.cosine
-        for node in graph.nodes():
-            if node.kind not in (NodeKind.RELATION, NodeKind.ATTRIBUTE):
-                continue
+        if self.similarity_threshold > 0:
+            found = {position: node for token in vector for position, node in labels.get(token, ())}
+            nodes = [found[position] for position in sorted(found)]
+        else:  # a zero score matches too: every label
+            nodes = [node for node in graph.nodes() if node.kind in (NodeKind.RELATION, NodeKind.ATTRIBUTE)]
+        for node in nodes:
             similarity = cosine(vector, node.label)
             if similarity < self.similarity_threshold:
                 continue
@@ -246,6 +271,8 @@ class QueryGraphBuilder:
                 keyword, limit=self.max_value_matches
             )
         seen_cells: Set[Tuple[str, str, int]] = set()
+        # A value repeated across cells is scored once.
+        scores: Dict[str, float] = {}
         added = 0
         for occurrence in occurrences:
             if added >= self.max_value_matches:
@@ -254,7 +281,9 @@ class QueryGraphBuilder:
             if cell in seen_cells:
                 continue
             seen_cells.add(cell)
-            similarity = self.scorer.cosine(vector, occurrence.value)
+            similarity = scores.get(occurrence.value)
+            if similarity is None:
+                similarity = scores[occurrence.value] = self.scorer.cosine(vector, occurrence.value)
             if similarity < self.similarity_threshold:
                 # Exact-substring matches of very short keywords can still
                 # score low under tf-idf; fall back to a containment bonus.

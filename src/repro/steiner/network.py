@@ -174,7 +174,7 @@ class SteinerNetwork:
 
     __slots__ = (
         "graph", "node_ids", "node_index", "edge_ids", "edge_index", "edge_costs", "adjacency",
-        "topology_key",
+        "topology_key", "__weakref__",
     )
 
     def __init__(self, graph: SearchGraph) -> None:
@@ -419,6 +419,7 @@ class SteinerNetwork:
         terminals: Sequence[str],
         budget: "Optional[Budget]" = None,
         counters: Optional[SolverCounters] = None,
+        radius: float = _INF,
     ) -> DistanceBounds:
         """Per terminal, its shortest-path distance to every node with no edge excluded.
 
@@ -430,12 +431,19 @@ class SteinerNetwork:
         With three or more, each terminal's ``farthest`` table — the
         elementwise max of the others' — is taken here too, once per
         enumeration, for every branch's singleton passes to read.
+
+        A ``radius`` stops each search past it: a node farther away keeps
+        infinity.  Under any bound up to ``radius`` that prunes exactly what
+        its true distance prunes (both leave a negative limit), so a caller
+        whose bounds only fall — the paper's α — takes the table at its first
+        α and settles only the α-ball around the terminal.
         """
         labels = _Labels(len(self.node_ids), counters)
         wanted = terminals[:1] if len(terminals) == 2 else terminals
+        limit = (radius, labels.no_limit[1])
         for position, terminal in enumerate(wanted):
             heap = labels.seed(1 << position, self.node_index[terminal])
-            self._search(labels, 1 << position, heap, _EMPTY, labels.no_limit, (), budget, "dijkstra")
+            self._search(labels, 1 << position, heap, _EMPTY, limit, (), budget, "dijkstra")
         tables = [labels.cost[1 << position] for position in range(len(wanted))]
         farthest = [
             list(map(max, *(table for other, table in enumerate(tables) if other != position)))

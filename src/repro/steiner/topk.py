@@ -37,7 +37,8 @@ branch's exclusions leave intact is also still feasible there.  With two, a
 re-solve starts warm: the session cache's latest list for the same terminals,
 re-priced on this network, is k distinct simple paths wherever its paths
 still walk between the terminals, so its k-th cost is an α before anything
-is emitted.  And a child whose spur node has no edge its search could relax
+is emitted; its distance table from the first terminal stops at that α.  And
+a child whose spur node has no edge its search could relax
 (each one forbidden, a self-loop, or past the bound by the distance tables)
 is screened: it fails as its search would at the first pop, so the search
 does not run.  The bounds only remove work
@@ -230,8 +231,9 @@ class KBestSteiner:
                         break  # the heap is drained: see max_expansions
                     expansions += 1
                     if alpha < math.inf and tables is None:
-                        # Distances from terminals[0], the end every spur search heads for.
-                        tables = network.terminal_distances(terminals, budget, counters)
+                        # Distances from terminals[0], the end every spur search heads
+                        # for, out to the first α: no later bound reaches past it.
+                        tables = network.terminal_distances(terminals, budget, counters, alpha * _BOUND_SLACK)
                     # Screen out a search whose first pop would relax nothing: each
                     # edge excluded, a self-loop, or past the search's own limit test.
                     bound, far = (alpha - prefix_cost) * _BOUND_SLACK, tables.tables[0] if tables else None

@@ -3,7 +3,9 @@
 ``seed_similarity`` is ``TfIdfScorer.similarity`` as it was before the
 scorer learned to take a keyword's vector once: both strings are vectorised
 on every call.  ``reference_expand`` is ``QueryGraphBuilder.expand`` as it was
-then, scoring every relation, attribute and value with ``seed_similarity``,
+then, scoring every relation, attribute and value with ``seed_similarity``
+(each keyword against every label, each cell's value on its own), scanning
+the value index for a substring match,
 building each edge itself and naming it by its kind and endpoints
 (``kind:u|v``), with a keyword repeated up to case expanded once.  The live
 code must reproduce both bit for bit.
@@ -75,9 +77,7 @@ def _match_schema_elements(builder, graph, keyword, keyword_node, result) -> Non
 def _match_data_values(builder, graph, keyword, keyword_node, result) -> None:
     occurrences = builder.value_index.lookup(keyword)
     if not occurrences:
-        occurrences = builder.value_index.lookup_substring(
-            keyword, limit=builder.max_value_matches
-        )
+        occurrences = seed_lookup_substring(builder.value_index, keyword, builder.max_value_matches)
     seen_cells: Set[Tuple[str, str, int]] = set()
     added = 0
     for occurrence in occurrences:
@@ -109,6 +109,18 @@ def _match_data_values(builder, graph, keyword, keyword_node, result) -> None:
             KeywordMatch(keyword, value_node.node_id, similarity, mismatch, NodeKind.VALUE)
         )
         added += 1
+
+
+def seed_lookup_substring(index, needle: str, limit: int):
+    """``ValueIndex.lookup_substring`` as it was before it remembered postings:
+    a scan of every distinct value, in index order, stopping at ``limit``."""
+    matches = []
+    for value, occurrences in index._occurrences.items():
+        if needle.lower() in value.lower():
+            matches.extend(occurrences)
+            if len(matches) >= limit:
+                return tuple(matches[:limit])
+    return tuple(matches)
 
 
 def _add_match_edge(builder, graph, keyword_node_id, target_node_id, mismatch) -> None:

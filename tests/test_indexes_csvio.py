@@ -60,6 +60,42 @@ class TestValueIndex:
         assert index.distinct_value_count > 5
         assert ("go.term", "acc") in index.indexed_attributes()
 
+    def test_remembered_substring_postings_read_as_a_scan(self, mini_catalog):
+        """A needle's posting is kept across indexing and forgotten on removal:
+        every lookup equals a scan of the index as it stands, limit included.
+        The new source repeats an old value (its posting must not move) and
+        adds new ones (they go last)."""
+
+        def scanned(index, needle, limit=None):
+            found = [o for value, held in index._occurrences.items() if needle in value.lower() for o in held]
+            return tuple(found if limit is None else found[:limit])
+
+        kept = ValueIndex.from_catalog(mini_catalog)
+        needles = ("go:", "membrane", "ipr", "zzz")
+        extra = DataSource.build(
+            "extra",
+            {"notes": ["acc", "text"]},
+            data={"notes": [
+                {"acc": "GO:0003", "text": "membrane transport"},
+                {"acc": "GO:0009", "text": "outer membrane"},
+                {"acc": "IPR777", "text": "zzz"},
+            ]},
+        )
+
+        def check():
+            for needle in needles:
+                for limit in (None, 1, 3):
+                    assert kept.lookup_substring(needle.upper(), limit=limit) == scanned(kept, needle, limit)
+
+        check()
+        assert set(kept._postings) == set(needles)
+        kept.index_source(extra)
+        assert kept._postings["membrane"][-2:] == ["membrane transport", "outer membrane"]
+        check()
+        kept.remove_source("go")
+        assert not kept._postings
+        check()
+
 
 class TestCsvIO:
     def test_relation_roundtrip(self, tmp_path):

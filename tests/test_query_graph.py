@@ -131,8 +131,9 @@ def test_expansion_equals_per_node_seed_scoring(grown, threshold):
 
 #: Keywords whose values span several sources: ``mouse`` matches eleven exactly,
 #: ``ins`` only as a substring of values in five, where a cap of one keeps
-#: whichever the value index orders first.
-GROWN_KEYWORDS = ("ins", "mouse", "insulin", "pathway", "zzz_unmatchable")
+#: whichever the value index orders first.  ``phenotype`` names a held-out
+#: source's relation: the label postings must see it arrive and leave.
+GROWN_KEYWORDS = ("ins", "mouse", "insulin", "pathway", "phenotype", "zzz_unmatchable")
 
 
 @pytest.mark.parametrize("max_value_matches", [1, 25])

@@ -262,3 +262,77 @@ def test_memo_is_bounded_and_evicts_least_recently_used(monkeypatch):
     ask(False, graph, terminals, 2)  # evicts 4
     ask(False, graph, terminals, 4)
     assert len(ask.cache._rankings) == 3
+
+
+def grown(rng, graph):
+    """A new expansion of ``graph``: a copy after one to three of a registration's
+    moves — a new node on two old ones, an edge between old nodes, an edge
+    re-priced, an edge removed — each cheap or dear, so that some land within
+    α of both terminals and some do not."""
+    graph = graph.copy()
+    names = [node.node_id for node in graph.nodes()]
+    for _ in range(rng.randint(1, 3)):
+        move = rng.randrange(4)
+        cost = rng.choice(COSTS) if rng.random() < 0.5 else rng.uniform(3.0, 9.0)
+        if move == 0:
+            name = f"new_{len(names)}"
+            graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
+            for old in rng.sample(names, 2):
+                graph.add_edge(graph.new_edge(name, old, EdgeKind.ASSOCIATION, fixed_cost=cost))
+            names.append(name)
+        elif move == 1:
+            u, v = rng.sample(names, 2)
+            graph.add_edge(graph.new_edge(u, v, EdgeKind.ASSOCIATION, fixed_cost=cost))
+        elif move == 2:
+            edge = rng.choice(graph.edges())
+            graph.replace_edge(Edge(edge.edge_id, edge.u, edge.v, edge.kind, fixed_cost=cost))
+        else:
+            graph.remove_edge(rng.choice(graph.edges()).edge_id)
+    return graph
+
+
+def test_a_re_solve_after_a_registration_move_equals_a_cold_one():
+    """Two terminals: after the moves a registration makes, a re-solve starts
+    warm from the last list wherever k of its paths still walk, and returns
+    what a cache-less enumeration does — same trees, costs to the bit, same
+    order."""
+    warm_starts = 0
+    for seed in range(300):
+        rng, graph, terminals = random_case(seed, nodes=(8, 30), terminal_counts=(2, 2))
+        cache = SteinerNetworkCache()
+        solver = KBestSteiner(network_cache=cache)
+        k = rng.randint(2, 8)
+        solver.solve(graph, terminals, k)
+        for _ in range(2):
+            graph = grown(rng, graph)
+            assert solver.solve(graph, terminals, k) == KBestSteiner().solve(graph, terminals, k)
+        warm_starts += cache.solver.warm_starts
+    assert warm_starts >= 400  # 455 of the 600 re-solves
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_each_terminal_order_gets_its_own_tie_order(k):
+    """A view's keyword order is its terminal order, and a two-terminal search
+    runs from the second terminal to the first, so which of two equal-cost
+    paths comes first depends on the order: a-c-d for ("a", "d"), a-b-d for
+    ("d", "a").  The cache's latest list is per terminal *set*: ranking both
+    orders on one cache starts the second warm from the first's paths, and it
+    must still return its own cold list."""
+    square = hand_built_costed([("a", "b", 0.5), ("b", "d", 1.5), ("a", "c", 1.5), ("c", "d", 0.5)])
+    cache = SteinerNetworkCache()
+    solver = KBestSteiner(network_cache=cache)
+    forward = solver.solve(square, ["a", "d"], k)
+    backward = solver.solve(square, ["d", "a"], k)
+    assert forward == KBestSteiner().solve(square, ["a", "d"], k)
+    assert backward == KBestSteiner().solve(square, ["d", "a"], k)
+    assert sorted(forward[0].edge_ids) == ["e2", "e3"] and sorted(backward[0].edge_ids) == ["e0", "e1"]
+    assert cache.solver.warm_starts == 1
+
+
+def hand_built_costed(edges):
+    graph = SearchGraph()
+    for name in "abcd":
+        graph.add_node(Node(node_id=name, kind=NodeKind.RELATION, label=name, relation=name))
+    for number, (u, v, cost) in enumerate(edges):
+        graph.add_edge(Edge(edge_id=f"e{number}", u=u, v=v, kind=EdgeKind.ASSOCIATION, fixed_cost=cost))
+    return graph
