@@ -136,7 +136,7 @@ _SESSION_COUNTERS = (
      lambda s: s.engine_context.steiner_cache.hits),
     ("steiner_cache_builds", "q_steiner_cache_builds_total", "Steiner networks built from scratch",
      lambda s: s.engine_context.steiner_cache.builds),
-    ("steiner_rescores", "q_steiner_rescores_total", "Tenant networks derived from a cached base twin",
+    ("steiner_rescores", "q_steiner_rescores_total", "Steiner networks derived from a twin of the same topology",
      lambda s: s.engine_context.steiner_cache.rescores),
     ("posting_builds", "q_posting_builds_total", "Full in-memory posting rebuilds of the profile index",
      lambda s: s.profile_index.posting_builds),

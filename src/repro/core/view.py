@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..datastore.database import Catalog
 from ..datastore.provenance import AnswerTuple
@@ -149,8 +149,6 @@ class RankedView:
         # (weights version, structure version, terminals, k) of the last
         # solve; refresh skips the solver when nothing it depends on moved.
         self._solve_state: Optional[Tuple[int, int, Tuple[str, ...], int]] = None
-        # ((graph, structure version), edge set -> query) of the last generation.
-        self._generated: Optional[Tuple[tuple, Dict[FrozenSet[str], GeneratedQuery]]] = None
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -288,23 +286,27 @@ class RankedView:
         """The conjunctive queries of ``trees``, in their order.
 
         A query follows the graph's structure and the tree's edge set; only
-        its cost follows the weights.  So over the graph object and structure
-        version the last generation ran on, a tree it had is re-stamped with
-        its new cost (same key and signature, the parts shared: nothing
-        mutates a generated query), and only new trees are generated.
+        its cost follows the weights.  So a tree any reader of the engine
+        context generated on this graph's topology (its structure stamp, which
+        tenant twins, snapshot copies and the view itself share) is re-stamped
+        with its new cost (same key and signature, the parts shared: nothing
+        mutates a generated query), and only trees new to it are generated.
         """
-        stamp = (graph, graph.structure_version)
-        known = self._generated[1] if self._generated is not None and self._generated[0] == stamp else {}
+        context, stamp = self.engine_context, graph.structure_stamp
+        known = context.recall_queries(stamp, [tree.edge_ids for tree in trees])
         new = [tree for tree in trees if tree.edge_ids not in known]
-        generated = {g.tree.edge_ids: g for g in QueryGenerator(graph).generate_all(new)}
+        if new:
+            generated = {g.tree.edge_ids: g for g in QueryGenerator(graph).generate_all(new)}
+            fresh = {tree.edge_ids: generated.get(tree.edge_ids) for tree in new}
+            context.remember_queries(stamp, fresh)
+            known.update(fresh)
         queries = []
         for tree in trees:
-            old = known.get(tree.edge_ids)
-            if old is not None:
-                queries.append(replace(old, query=replace(old.query, cost=tree.cost), tree=tree))
-            elif tree.edge_ids in generated:  # else the generator skipped it
-                queries.append(generated[tree.edge_ids])
-        self._generated = (stamp, {g.tree.edge_ids: g for g in queries})
+            old = known[tree.edge_ids]
+            if old is not None and old.tree is not tree:
+                old = replace(old, query=replace(old.query, cost=tree.cost), tree=tree)
+            if old is not None:  # else the generator skipped it
+                queries.append(old)
         return queries
 
     def refresh(self) -> ViewState:

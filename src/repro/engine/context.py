@@ -21,16 +21,19 @@ same name therefore never returns stale rows, and nothing has to be told.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import threading
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..datastore.database import Catalog
 from ..datastore.provenance import AnswerTuple
 from ..datastore.table import Row, Table
 from ..datastore.types import canonicalize
+from ..graph.features import WeightVector
 from ..graph.search_graph import SearchGraph
 from ..obs.tracing import active_trace
 from ..steiner.network import SolverCounters, SteinerNetwork
@@ -72,25 +75,96 @@ RANKING_MEMO_SIZE = 128
 #: Answer lists of distinct query contents an :class:`ExecutionContext` keeps (LRU).
 ANSWER_CACHE_SIZE = 256
 
+#: Generated queries of distinct (structure stamp, tree edge set) pairs an
+#: :class:`ExecutionContext` keeps (LRU).
+QUERY_MEMO_SIZE = 256
+
 #: The tables one query read, with the version each was read at.
 TableReads = Tuple[Tuple[Table, int], ...]
 
 
-class SteinerNetworkCache:
-    """What a session's Steiner solves share: snapshots, rankings, totals.
+class _Topology:
+    """One structure stamp's indexed network, and what re-prices it.
 
-    *Snapshots.*  A :class:`~repro.steiner.network.SteinerNetwork` reflects a
-    graph's structure and edge costs at build time, so it is valid exactly
-    while ``(weights.version, structure_version)`` is unchanged — the same
-    staleness key the lazy view layer uses.  The cache
-    holds at most one snapshot per graph, LRU-bounded to ``maxsize`` graphs.
-    (A weak-keyed mapping would not work here: the snapshot itself holds a
-    strong reference to its graph, so entries could never be collected —
-    the explicit bound is what keeps a long-lived session from pinning one
-    graph + snapshot per view ever created.)  It lets
-    :class:`~repro.steiner.topk.KBestSteiner` and
-    :meth:`~repro.core.view.RankedView.refresh` stop rebuilding the network
-    on every solve when nothing moved.
+    ``network`` holds no graph and is never handed out: the index maps, plus
+    the costs and adjacency of the snapshot last derived here, which
+    ``weights`` priced (the weight of each feature of ``positions``).
+    ``postings`` lists, per feature position, the learnable edges that carry
+    the feature.  Many topologies are never derived from (a view read once
+    between registrations), so the first derivation indexes the features;
+    until then ``priced`` holds the effective weights the build read.
+    ``handed`` refers weakly to the snapshot last handed out and ``version``
+    is its graph's weight version: while a caller still holds it, the same
+    graph at the same version gets it back, and nothing here keeps a graph
+    alive.
+    """
+
+    __slots__ = ("network", "handed", "version", "priced", "positions", "postings", "weights")
+
+    def __init__(self, network: SteinerNetwork) -> None:
+        graph = network.graph
+        self.priced: Optional[Dict[str, float]] = graph.weights.as_dict()
+        self.positions: Dict[str, int] = {}
+        self.postings: List[List[int]] = []
+        self.weights: List[float] = []
+        self.network = network.rescored(None, (), graph.weights)
+        self.handed, self.version = weakref.ref(network), graph.weights.version
+
+    def _index(self, graph: SearchGraph) -> None:
+        postings: Dict[str, List[int]] = defaultdict(list)
+        for idx, edge in enumerate(graph.edges()):
+            if edge.fixed_cost is None:  # learnable
+                for feature in edge.features:
+                    postings[feature].append(idx)
+        self.positions = {feature: position for position, feature in enumerate(postings)}
+        self.postings = list(postings.values())
+        self.weights = list(map(self.priced.get, self.positions, itertools.repeat(0.0)))
+        self.priced = None
+
+    def current(self, graph: SearchGraph) -> Optional[SteinerNetwork]:
+        """The snapshot last handed out, if it is ``graph``'s at its weight version and still held."""
+        network = self.handed()
+        if network is not None and network.graph is graph and self.version == graph.weights.version:
+            return network
+        return None
+
+    def derive(self, graph: SearchGraph) -> Tuple[SteinerNetwork, bool]:
+        """``graph``'s snapshot, and whether it re-priced an edge: every edge
+        that carries a feature whose weight moved since the last snapshot is
+        re-priced, every other one is kept."""
+        if self.priced is not None:
+            self._index(graph)
+        weights = graph.weights.gather(self.positions)
+        moved: Set[int] = set()
+        for position in itertools.compress(itertools.count(), map(operator.ne, weights, self.weights)):
+            moved.update(self.postings[position])
+        flat = WeightVector(dict(zip(self.positions, weights))) if moved else graph.weights
+        network = self.network.rescored(graph, moved, flat)
+        self.network.edge_costs, self.network.adjacency = network.edge_costs, network.adjacency
+        self.weights, self.handed, self.version = weights, weakref.ref(network), graph.weights.version
+        return network, bool(moved)
+
+
+class SteinerNetworkCache:
+    """What a session's Steiner solves share: networks, rankings, totals.
+
+    *Networks.*  A :class:`~repro.steiner.network.SteinerNetwork` is indexed
+    once per topology, the graph's
+    :attr:`~repro.graph.search_graph.SearchGraph.structure_stamp`: an
+    expansion, its tenant twins, its snapshot copies and the learner's clones
+    share one stamp, and any structural move takes a new one.  Per stamp
+    (LRU, ``maxsize``) the cache keeps the indexed network without a graph
+    reference, a posting of the learnable edges per feature, and the last
+    cost vector with the weights it was priced under.  :meth:`network` then
+    answers three ways.  A hit serves the last prices as they are: the
+    snapshot handed out last, to the same graph at the same weight version
+    while the caller still holds it, or else one sharing its cost vector and
+    adjacency when this graph's vector weighs every carried feature the same.
+    A rescore derives a snapshot from the last prices with only the edges
+    whose features weigh differently re-priced (a feedback step, a tenant
+    overlay, a frozen copy).  A build indexes a new stamp from scratch.  The
+    derived costs are a from-scratch build's bit for bit, so the ranking memo
+    cannot tell them apart.
 
     *Rankings.*  The k best trees are a function of the priced network, the
     terminals, ``k`` and the expansion cap alone, while the version key moves
@@ -110,18 +184,13 @@ class SteinerNetworkCache:
 
     def __init__(self, maxsize: int = 16) -> None:
         self.maxsize = maxsize
-        # id(graph) -> (graph, (weights version, structure version), network).
-        # The graph object is stored in the entry and compared by identity,
-        # so a recycled id() can never alias a dead graph's snapshot.
-        self._entries: "OrderedDict[int, Tuple[SearchGraph, Tuple[int, int], SteinerNetwork]]" = (
-            OrderedDict()
-        )
+        # Structure stamp -> that topology's index and last prices.
+        self._topologies: "OrderedDict[int, _Topology]" = OrderedDict()
         # The LRU bookkeeping (move_to_end + popitem) is not safe under the
         # GIL alone; the serving layer shares one cache across its whole
-        # read pool, so all lookups serialize on this lock.  Network builds
-        # happen inside the critical section too: duplicate concurrent
-        # builds of the same (graph, versions) snapshot would waste far more
-        # time than the brief exclusion costs.
+        # read pool, so all lookups serialize on this lock.  Builds and
+        # derivations happen inside the critical section too: a topology's
+        # last prices are read and replaced by each derivation.
         self._lock = threading.Lock()
         # Memo key -> the trees of one complete enumeration, in its order.
         # Nothing in an entry references a graph, a network or an id list.
@@ -133,9 +202,8 @@ class SteinerNetworkCache:
         self._solve_lock = threading.Lock()
         self.hits = 0
         self.builds = 0
-        #: Networks derived from a cached snapshot's topology instead of built
-        #: from scratch: the graph's own stale one after a weight-only version
-        #: bump, or a donor twin's (the per-tenant overlay fast path).
+        #: Networks derived from the last prices of their topology with some
+        #: edge re-priced, instead of built from scratch.
         self.rescores = 0
         #: What the top-k solves run through this cache did, in total.
         self.solver = SolverCounters()
@@ -179,70 +247,29 @@ class SteinerNetworkCache:
             return self._latest.get(terminals, ())
 
     def network(self, graph: SearchGraph) -> SteinerNetwork:
-        """The cached snapshot of ``graph``, re-priced or rebuilt iff its versions moved."""
-        versions = (graph.weights.version, graph.structure_version)
-        key = id(graph)
+        """``graph``'s snapshot: cached, derived from its topology's, or built."""
+        stamp = graph.structure_stamp
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] is not graph:
-                entry = None  # a recycled id(): some dead graph's snapshot
-            if entry is not None and entry[1] == versions:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry[2]
-            if entry is not None and entry[1][1] == versions[1]:
-                # Only the weights moved: same nodes and edges in the same
-                # order, so the stale snapshot's indexing is re-priced, not redone.
-                network = entry[2].rescored(graph)
-            else:
-                network = self._rescore_from_donor(graph)
-            if network is None:
+            topology = self._topologies.get(stamp)
+            if topology is None:
                 network = SteinerNetwork(graph)
+                self._topologies[stamp] = _Topology(network)
+                while len(self._topologies) > self.maxsize:
+                    self._topologies.popitem(last=False)
                 self.builds += 1
-            else:
+                return network
+            self._topologies.move_to_end(stamp)
+            network, repriced = topology.current(graph), False
+            if network is None:
+                network, repriced = topology.derive(graph)
+            if repriced:
                 self.rescores += 1
-            self._entries[key] = (graph, versions, network)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            else:
+                self.hits += 1
             return network
 
-    def _rescore_from_donor(self, graph: SearchGraph) -> Optional[SteinerNetwork]:
-        """A snapshot derived from a topology twin already in the cache.
-
-        Applies to graphs priced under an
-        :class:`~repro.learning.overlays.OverlayWeightVector` (duck-typed
-        via its ``base`` / ``shadow_dict`` surface): when the cache holds a
-        current network for a structural twin priced under the overlay's
-        *base* vector, the tenant network shares that donor's topology and
-        re-prices only the overlay's shadowed features, instead of
-        re-indexing every node and re-deriving every edge cost.  Twinhood is
-        verified by edge-object identity — the exact sharing
-        :func:`~repro.learning.overlays.graph_with_weights` guarantees — so
-        a false positive is impossible, merely a missed fast path.
-        """
-        weights = graph.weights
-        base = getattr(weights, "base", None)
-        shadow_of = getattr(weights, "shadow_dict", None)
-        if base is None or shadow_of is None:
-            return None
-        target = (base.version, graph.structure_version)
-        edges = graph.edges()
-        for donor_graph, donor_versions, donor_network in self._entries.values():
-            if donor_graph.weights is not base or donor_versions != target:
-                continue
-            donor_edges = donor_graph.edges()
-            if len(donor_edges) != len(edges):
-                continue
-            if any(a is not b for a, b in zip(edges, donor_edges)):
-                continue
-            return donor_network.rescored(
-                graph, changed_features=frozenset(shadow_of())
-            )
-        return None
-
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._topologies)
 
 
 class _RelationCaches:
@@ -278,7 +305,11 @@ class ExecutionContext:
         # the answers); locked like the ranking memo, for the read pool.
         self._answers: "OrderedDict[str, tuple]" = OrderedDict()
         self._answers_lock = threading.Lock()
-        #: Shared Steiner cache (snapshots version-keyed, rankings content-keyed,
+        # (structure stamp, tree edge set) -> the tree's generated query, or
+        # None for a tree the generator skipped; locked like the answers.
+        self._queries: "OrderedDict[Tuple[int, FrozenSet[str]], object]" = OrderedDict()
+        self._queries_lock = threading.Lock()
+        #: Shared Steiner cache (networks keyed by topology, rankings by content,
         #: so it needs no explicit invalidation — see :class:`SteinerNetworkCache`).
         self.steiner_cache = SteinerNetworkCache()
         #: Whole-query SQL handle, present iff the catalog's storage
@@ -357,6 +388,35 @@ class ExecutionContext:
             self._answers.move_to_end(key)
             while len(self._answers) > ANSWER_CACHE_SIZE:
                 self._answers.popitem(last=False)
+
+    # ------------------------------------------------------------------
+    # Generated queries
+    # ------------------------------------------------------------------
+    def recall_queries(self, stamp: int, edge_sets: Sequence[FrozenSet[str]]) -> Dict[FrozenSet[str], object]:
+        """Of the trees ``edge_sets``, those already generated on topology
+        ``stamp``: edge set -> its generated query (``None`` if skipped).
+
+        A query reads the graph's structure and the tree's edges alone, and
+        graphs of one :attr:`~repro.graph.search_graph.SearchGraph.structure_stamp`
+        share every node and edge object: any twin or copy can re-stamp it.
+        """
+        with self._queries_lock:
+            known = {}
+            for edge_ids in edge_sets:
+                key = (stamp, edge_ids)
+                if key in self._queries:
+                    self._queries.move_to_end(key)
+                    known[edge_ids] = self._queries[key]
+            return known
+
+    def remember_queries(self, stamp: int, generated: Dict[FrozenSet[str], object]) -> None:
+        """Keep the queries generated on topology ``stamp``, evicting the least recently used."""
+        with self._queries_lock:
+            for edge_ids, query in generated.items():
+                self._queries[(stamp, edge_ids)] = query
+                self._queries.move_to_end((stamp, edge_ids))
+            while len(self._queries) > QUERY_MEMO_SIZE:
+                self._queries.popitem(last=False)
 
     def _relation_caches(self, table: Table) -> _RelationCaches:
         caches = self._relations.get(table)

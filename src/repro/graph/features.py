@@ -25,10 +25,12 @@ mixing real-valued and Boolean features in MIRA.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import sys
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 DEFAULT_FEATURE = "default"
 _MATCHER_PREFIX = "matcher::"
@@ -124,6 +126,11 @@ class WeightVector:
             self._weights[feature] = self._weights.get(feature, 0.0) + delta
         self.version += 1
 
+    def gather(self, positions: Mapping[str, int]) -> List[float]:
+        """The weight of each feature of ``positions``, in its order: what
+        :meth:`get` returns for it, one dict read each."""
+        return list(map(self._weights.get, positions, itertools.repeat(0.0)))
+
     def items(self) -> Iterable[Tuple[str, float]]:
         """Iterate over (feature, weight) pairs that have been set."""
         return self._weights.items()
@@ -140,8 +147,14 @@ class WeightVector:
     # Algebra
     # ------------------------------------------------------------------
     def dot(self, features: Mapping[str, float]) -> float:
-        """Dot product ``w · f`` over the features present in ``features``."""
-        return sum(self.get(name) * value for name, value in features.items())
+        """Dot product ``w · f`` over the features present in ``features``.
+
+        ``get(name) * value`` summed in ``features``' order, with the weights
+        read straight off the dict (a subclass whose :meth:`get` reads
+        elsewhere overrides this).
+        """
+        weights = map(self._weights.get, features, itertools.repeat(0.0))
+        return sum(map(operator.mul, weights, features.values()))
 
     def cost(self, features: Mapping[str, float]) -> float:
         """Alias of :meth:`dot`: the cost of an edge with feature vector ``features``."""

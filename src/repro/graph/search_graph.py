@@ -17,6 +17,7 @@ endpoints (:func:`~repro.graph.edges.derived_edge_id`).
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -73,6 +74,10 @@ class GraphConfig:
     minimum_edge_cost: float = 1e-6
 
 
+#: Structure stamps: unique in the process, handed out at every structural move.
+_STAMPS = itertools.count(1)
+
+
 def _pair(a: str, b: str) -> Tuple[str, str]:
     """Order-independent key of the node pair ``{a, b}``."""
     return (a, b) if a <= b else (b, a)
@@ -102,6 +107,13 @@ class SearchGraph:
         #: ``weights.version`` to detect that Steiner-tree computations over
         #: this graph are still valid.
         self.structure_version = 0
+        #: Names this graph's topology: a number no other structure in the
+        #: process has, taken afresh at every ``structure_version`` bump and
+        #: shared by :meth:`copy`.  Graphs with equal stamps hold the same node
+        #: and edge objects, whatever their weight vectors, so the Steiner
+        #: network cache indexes a topology once for all of them.  Taken here,
+        #: not on first read, so concurrent readers of one graph see one stamp.
+        self.structure_stamp = next(_STAMPS)
 
     # ------------------------------------------------------------------
     # Node management
@@ -114,6 +126,7 @@ class SearchGraph:
         self._nodes[node.node_id] = node
         self._adjacency[node.node_id] = []
         self.structure_version += 1
+        self.structure_stamp = next(_STAMPS)
         return node
 
     def node(self, node_id: str) -> Node:
@@ -134,6 +147,7 @@ class SearchGraph:
         for edge_id in self._adjacency.pop(node_id):
             self._remove_edge(edge_id, gone=node_id)
         self.structure_version += 1
+        self.structure_stamp = next(_STAMPS)
         return node
 
     def has_node(self, node_id: str) -> bool:
@@ -191,6 +205,7 @@ class SearchGraph:
         else:
             self._pairs[pair] = held + (edge.edge_id,)
         self.structure_version += 1
+        self.structure_stamp = next(_STAMPS)
         return edge
 
     def new_edge_id(self, u: str, v: str, kind: EdgeKind) -> str:
@@ -232,6 +247,7 @@ class SearchGraph:
             raise GraphError(f"edge {edge.edge_id!r} cannot move to other endpoints")
         self._edges[edge.edge_id] = edge
         self.structure_version += 1
+        self.structure_stamp = next(_STAMPS)
         return edge
 
     @property
@@ -268,6 +284,7 @@ class SearchGraph:
             rest = tuple(e for e in held if e != edge_id)
             self._pairs[pair] = rest[0] if len(rest) == 1 else rest
         self.structure_version += 1
+        self.structure_stamp = next(_STAMPS)
         return edge
 
     def edge(self, edge_id: str) -> Edge:
@@ -527,6 +544,7 @@ class SearchGraph:
         clone._pairs = dict(self._pairs)
         clone._edge_sequence = self._edge_sequence
         clone.structure_version = self.structure_version
+        clone.structure_stamp = self.structure_stamp
         return clone
 
     @property

@@ -19,7 +19,7 @@ the session overlay.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..graph.features import WeightVector
 from ..graph.search_graph import SearchGraph
@@ -98,6 +98,19 @@ class OverlayWeightVector(WeightVector):
         for feature, delta in deltas.items():
             self._store(feature, self.get(feature) + delta)
         self._local_version += 1
+
+    def dot(self, features: Mapping[str, float]) -> float:
+        """``w · f`` under the effective weights, summed in ``features``' order."""
+        return sum(self.get(name) * value for name, value in features.items())
+
+    def gather(self, positions: Mapping[str, int]) -> List[float]:
+        """The base's weights of ``positions`` with the shadow patched in."""
+        values = self.base.gather(positions)
+        for feature, weight in self._weights.items():
+            position = positions.get(feature)
+            if position is not None:
+                values[position] = weight
+        return values
 
     def _store(self, feature: str, weight: float) -> None:
         if feature in self.base and self.base.get(feature) == weight:

@@ -53,6 +53,7 @@ from typing import (
 )
 
 from ..exceptions import BoundExceededError, DisconnectedTerminalsError, SteinerError
+from ..graph.features import WeightVector
 from ..graph.search_graph import SearchGraph
 from .tree import SteinerTree, validate_terminals
 
@@ -168,13 +169,16 @@ class SteinerNetwork:
     """Immutable solving substrate built once from a :class:`SearchGraph`.
 
     The snapshot reflects the graph's structure and edge costs at
-    construction time; callers must rebuild after the graph or its weight
-    vector changes (the k-best enumerator builds one per ``solve`` call).
+    construction time, and nothing of it changes afterwards: a graph whose
+    weights or structure moved needs another snapshot.  A cache-less solve
+    builds one per call; the session's
+    :class:`~repro.engine.context.SteinerNetworkCache` builds one per
+    topology and derives the rest (:meth:`rescored`).
     """
 
     __slots__ = (
         "graph", "node_ids", "node_index", "edge_ids", "edge_index", "edge_costs", "adjacency",
-        "topology_key", "__weakref__",
+        "endpoints", "topology_key", "__weakref__",
     )
 
     def __init__(self, graph: SearchGraph) -> None:
@@ -196,42 +200,40 @@ class SteinerNetwork:
             self.adjacency[u].append((v, idx, cost))
             self.adjacency[v].append((u, idx, cost))
             endpoints += (u, v)
+        #: Edge ``i`` joins node indexes ``endpoints[2i]`` and ``endpoints[2i + 1]``.
+        self.endpoints = array("q", endpoints)
         #: Digest of everything above but the costs — node ids in index order
         #: and, per edge in snapshot order, its id and endpoints: two snapshots
         #: with equal keys index, order and tie-break identically, whatever
         #: graph objects they were built from.  Endpoints count: ``new_edge``
         #: ids embed them, hand-built ids need not.  The counts and lengths
         #: make the separator-free concatenations unambiguous.
-        parts = [array("q", (len(self.node_ids), len(self.edge_ids), *endpoints)).tobytes()]
+        parts = [array("q", (len(self.node_ids), len(self.edge_ids))).tobytes(), self.endpoints.tobytes()]
         for ids in (self.node_ids, self.edge_ids):
             parts.append(array("q", list(map(len, ids))).tobytes())
             parts.append("".join(ids).encode("utf-8", "surrogatepass"))
         self.topology_key: bytes = _digest(parts)
 
     # ------------------------------------------------------------------
-    # Topology-sharing rescore
+    # Topology-sharing derivation
     # ------------------------------------------------------------------
     def rescored(
-        self,
-        graph: SearchGraph,
-        changed_features: "Optional[AbstractSet[str]]" = None,
+        self, graph: Optional[SearchGraph], moved: Collection[int], weights: WeightVector
     ) -> "SteinerNetwork":
-        """A snapshot of ``graph`` that reuses this network's topology.
+        """A snapshot of ``graph`` sharing this one's topology, the edges ``moved`` re-priced.
 
-        ``graph`` must be a structural twin of this snapshot's graph — same
-        nodes and the *same edge objects* in the same order (the shape
-        :func:`~repro.learning.overlays.graph_with_weights` produces for
-        per-tenant pricing) — differing only in its weight vector.  The
-        caller is responsible for that guarantee; the engine's network cache
-        verifies it by edge-object identity before calling here.
-
-        The integer index maps are shared outright (they depend only on
-        topology).  Costs are re-derived under ``graph``'s weights; with
-        ``changed_features`` given — e.g. a tenant overlay's sparse shadow —
-        only edges carrying at least one changed feature are re-priced, and
-        every other edge keeps this snapshot's cost verbatim.  For a sparse
-        overlay that turns an O(edges) pass of feature dot products into a
-        handful, which is what makes per-tenant solving cheap at scale.
+        ``graph`` must hold this snapshot's nodes and edge objects (the session
+        cache derives only between graphs of one
+        :attr:`~repro.graph.search_graph.SearchGraph.structure_stamp`), and
+        every edge not in ``moved`` must cost under ``graph``'s weights what it
+        costs here.  A moved edge is priced by :meth:`Edge.cost` under
+        ``weights``, which must weigh each of its features as ``graph``'s
+        vector does (``graph.weights`` itself, or a flat copy of the features
+        that matter), so every cost is the one a from-scratch build derives,
+        bit for bit.  Only the cost vector and the moved edges' endpoints'
+        adjacency lists are new; with nothing moved, those are shared too.
+        With ``graph`` ``None`` and nothing moved, the copy is a template for
+        the session cache: this snapshot's index and prices, holding no graph.
         """
         clone = object.__new__(SteinerNetwork)
         clone.graph = graph
@@ -239,21 +241,19 @@ class SteinerNetwork:
         clone.node_index = self.node_index
         clone.edge_ids = self.edge_ids
         clone.edge_index = self.edge_index
+        clone.endpoints = self.endpoints
         clone.topology_key = self.topology_key
-        if changed_features is None:
-            costs = [graph.edge_cost_by_id(eid) for eid in self.edge_ids]
-        else:
-            costs = list(self.edge_costs)
-            if changed_features:
-                for idx, eid in enumerate(self.edge_ids):
-                    edge = graph.edge(eid)
-                    if not changed_features.isdisjoint(edge.features):
-                        costs[idx] = graph.edge_cost(edge)
-        clone.edge_costs = costs
-        clone.adjacency = [
-            [(neighbor, edge_idx, costs[edge_idx]) for neighbor, edge_idx, _ in entries]
-            for entries in self.adjacency
-        ]
+        clone.edge_costs, clone.adjacency = self.edge_costs, self.adjacency
+        if moved:
+            clone.edge_costs = costs = list(self.edge_costs)
+            clone.adjacency = adjacency = list(self.adjacency)
+            touched: Set[int] = set()
+            minimum = graph.config.minimum_edge_cost
+            for idx in moved:
+                costs[idx] = graph.edge(self.edge_ids[idx]).cost(weights, minimum)
+                touched.update(self.endpoints[2 * idx : 2 * idx + 2])
+            for node in touched:
+                adjacency[node] = [(neighbor, idx, costs[idx]) for neighbor, idx, _ in adjacency[node]]
         return clone
 
     def priced_key(self) -> Tuple[bytes, bytes]:

@@ -153,10 +153,10 @@ class TestLazyConsistency:
     def test_feedback_solves_through_the_context_cache(self, gbco_dataset):
         """The session learner shares the views' Steiner cache.  Its first
         replayed step asks for the k best trees of the network the view's read
-        just ranked: it finds that read's snapshot (a hit) and recalls the
-        ranking.  The second faces the costs the first step moved: a re-price
-        and an enumeration.  Neither indexes the graph again, and what they
-        did reaches the totals the metrics export."""
+        just ranked: the topology's last prices serve as they are (a hit) and
+        the ranking is recalled.  The second faces the costs the first step
+        moved: a re-price and an enumeration.  Neither indexes the graph
+        again, and what they did reaches the totals the metrics export."""
         service = _gbco_service(gbco_dataset)
         cache = service.engine_context.steiner_cache
         did = cache.solver

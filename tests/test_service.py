@@ -12,7 +12,7 @@ Covers the serving contracts the module README promises:
   numbers its own edges, so sessions on different threads share nothing;
   within one session the writer lane owns expansion);
 * ``QService`` as a context manager with idempotent close;
-* the Steiner-network topology rescore that makes per-tenant solving cheap.
+* the per-topology Steiner-network derivation that makes per-tenant solving cheap.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from repro.graph import EdgeKind, SearchGraph
 from repro.learning import AnnotationKind
 from repro.matching import MetadataMatcher
 from repro.service import QServer
+from repro.steiner import SteinerNetwork
 
 
 def _clone(source):
@@ -332,9 +333,13 @@ def test_concurrent_reads_match_some_published_snapshot(gbco_dataset):
 
 
 # ----------------------------------------------------------------------
-# Steiner network topology rescore (per-tenant fast path)
+# Steiner networks derived per topology (per-tenant fast path)
 # ----------------------------------------------------------------------
-def test_tenant_network_rescores_from_base_topology(gbco_dataset):
+def test_tenant_network_derives_from_its_topology(gbco_dataset):
+    """A tenant twin shares its view's structure stamp, so its network is
+    derived from the one the view's read indexed: only the edges the overlay
+    prices differently are re-priced, and the result is a from-scratch
+    build's to the bit, ranking included."""
     entry = gbco_dataset.query_log[2]
     with _gbco_service(gbco_dataset) as service:
         info = service.create_view(QueryRequest(keywords=entry.keywords), materialize=False)
@@ -355,17 +360,24 @@ def test_tenant_network_rescores_from_base_topology(gbco_dataset):
         )
         cache = service.engine_context.steiner_cache
         builds_before, rescores_before = cache.builds, cache.rescores
-        rescored = _fingerprint(
+        derived = _fingerprint(
             service.stream_answers(QueryRequest(view=info.view_id, tenant="alice"))
         )
         assert cache.rescores == rescores_before + 1
         assert cache.builds == builds_before
+        twin_graph = service.views.get(info.view_id).twins["alice"].query_graph.graph
+        network, scratch = cache.network(twin_graph), SteinerNetwork(twin_graph)
+        assert network.priced_key() == scratch.priced_key()
+        assert network.adjacency == scratch.adjacency
 
-        # Parity: a from-scratch tenant network ranks identically.
-        cache._entries.clear()
+        # Parity: with the whole cache emptied, the tenant network is built
+        # from scratch and enumerated afresh, and ranks identically.
+        for store in (cache._topologies, cache._rankings, cache._latest):
+            store.clear()
         service.views.get(info.view_id).twins.clear()
         rebuilt = _fingerprint(
             service.stream_answers(QueryRequest(view=info.view_id, tenant="alice"))
         )
-        assert cache.rescores == rescores_before + 1  # no donor -> full build
-        assert rebuilt == rescored
+        assert cache.builds == builds_before + 1
+        assert cache.rescores == rescores_before + 1
+        assert rebuilt == derived
