@@ -92,14 +92,14 @@ def _restore_config(payload) -> ServiceConfig:
 
     Field names come from the dataclass itself — the same source
     :func:`repro.persist.session.service_config_payload` serializes from —
-    so a future config knob round-trips without touching either side.
+    so a future config knob round-trips without touching either side.  A
+    key no field names (a retired knob) is not read.
     """
     config = ServiceConfig()
     for field in dataclass_fields(ServiceConfig):
-        if field.name != "graph" and field.name in payload:
+        if field.name != "graph":
             setattr(config, field.name, payload[field.name])
-    if payload.get("graph"):
-        config.graph = restore_graph_config(payload["graph"])
+    config.graph = restore_graph_config(payload["graph"])
     return config
 
 
@@ -935,9 +935,11 @@ class QService:
         continuing live session would.  No view expands here: each expands
         on its first pull, to the ids it had, and resumes its saved ranking
         if nothing moved before then.  Restored sessions answer queries
-        byte-identically to the session that saved them.  A session saved in
-        an older format opens re-keyed, and its next save that writes
-        anything rewrites it in this one.
+        byte-identically to the session that saved them.  Only the current
+        format opens: a session saved in an older one raises
+        :class:`~repro.exceptions.SnapshotError` and is converted once with
+        ``scripts/upgrade_session.py``.  So does a stored body that lacks a
+        key the current writers write; the error names the key.
 
         ``config`` / ``matchers`` override the persisted session knobs and
         the (non-serializable) matcher stack; by default the saved config
@@ -968,22 +970,17 @@ class QService:
             body, entries = loaded
 
             service = cls.__new__(cls)
-            service.config = config if config is not None else _restore_config(
-                body.get("config") or {}
-            )
+            service.config = config if config is not None else _restore_config(body["config"])
             if store.holds_rows:
                 catalog = Catalog(backend=resolved)
             else:
                 from ..datastore.csvio import source_from_dict
 
                 catalog = Catalog(
-                    [
-                        source_from_dict(payload)
-                        for payload in (body.get("catalog") or {}).get("sources", ())
-                    ],
+                    [source_from_dict(payload) for payload in body["catalog"]["sources"]],
                     backend=resolved,
                 )
-            graph, profile_index, overlay, upgraded = restore_core(
+            graph, profile_index, overlay = restore_core(
                 body, entries, catalog, service.config.graph, store.holds_rows
             )
             service._assemble(catalog, graph, profile_index, matchers)
@@ -997,13 +994,13 @@ class QService:
             service._persistence = SessionPersistence(
                 store, compact_after=service.config.journal_compact_after
             )
-            service._persistence.attach_restored(
-                service, body.get("snapshot_version", 1), overlay, upgraded
-            )
+            service._persistence.attach_restored(service, body["snapshot_version"], overlay)
             return service
-        except BaseException:
+        except BaseException as exc:
             if owns_backend and resolved is not None:
                 resolved.close()
+            if isinstance(exc, KeyError):
+                raise SnapshotError(f"corrupt session in {store.description}: missing key {exc}") from exc
             raise
 
     def _after_mutation(self) -> None:

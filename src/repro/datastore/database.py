@@ -96,10 +96,11 @@ class DataSource:
     def __init__(self, schema: SourceSchema, backend=None) -> None:
         self.schema = schema
         self._backend = backend
-        #: Set by a backend-bound catalog on admission: called after
-        #: post-admission schema evolution so persisted catalog metadata
-        #: stays in sync with the live schema.
-        self._on_schema_change = None
+        #: True while a backend-bound catalog holds this source: a relation
+        #: added then re-saves the schema through ``_backend``, so persisted
+        #: catalog metadata stays in sync with the live schema.  The source
+        #: holds no reference to the catalog, so the two form no cycle.
+        self._persists_schema = False
         self._tables: Dict[str, Table] = {
             name: Table(relation, backend=backend)
             for name, relation in schema.relations.items()
@@ -115,7 +116,7 @@ class DataSource:
         source = cls.__new__(cls)
         source.schema = schema
         source._backend = backend
-        source._on_schema_change = None
+        source._persists_schema = False
         source._tables = {
             name: Table(relation, backend=backend, adopt=True)
             for name, relation in schema.relations.items()
@@ -192,8 +193,8 @@ class DataSource:
         if rows is not None:
             table.extend(rows)
         self._tables[relation.name] = table
-        if self._on_schema_change is not None:
-            self._on_schema_change(self)
+        if self._persists_schema:
+            self._backend.save_source_schema(self.name, source_schema_payload(self.schema))
         return table
 
     @property
@@ -277,7 +278,7 @@ class Catalog:
             if schema.name in self._sources:
                 continue
             source = DataSource.adopt(schema, self._backend)
-            source._on_schema_change = self._persist_source_schema
+            source._persists_schema = True
             self._admit(source)
             loaded.append(schema.name)
         return tuple(loaded)
@@ -324,21 +325,13 @@ class Catalog:
                     table.detach()
                 raise
             source._backend = self._backend
-            source._on_schema_change = self._persist_source_schema
+            source._persists_schema = True
         self._admit(source)
         return source
 
     def _admit(self, source: DataSource) -> None:
         self._sources[source.name] = source
         self._admitted[source.name] = next(self._admissions)
-
-    def _persist_source_schema(self, source: DataSource) -> None:
-        """Re-save a registered source's schema metadata (post-admission
-        schema evolution, e.g. :meth:`DataSource.add_relation`)."""
-        if self._backend is not None and source.name in self._sources:
-            self._backend.save_source_schema(
-                source.name, source_schema_payload(source.schema)
-            )
 
     def remove_source(self, name: str) -> DataSource:
         """Remove and return the source called ``name``.
@@ -358,7 +351,7 @@ class Catalog:
                     table.detach()
             self._backend.delete_source_schema(name)
             source._backend = None
-            source._on_schema_change = None
+            source._persists_schema = False
         return source
 
     # ------------------------------------------------------------------

@@ -101,6 +101,11 @@ class Edge:
             stored = {**stored, "matchers": matchers_of(self.features)}
         return MappingProxyType(stored)
 
+    @property
+    def stored_metadata(self) -> Optional[Mapping[str, object]]:
+        """The mapping the edge was given, without what :attr:`metadata` derives."""
+        return self._metadata
+
     def changed(self, features: Mapping[str, float], metadata: Optional[Mapping[str, object]]) -> "Edge":
         """A new edge with this one's id, endpoints, kind and fixed cost (see ``replace_edge``)."""
         return Edge(self.edge_id, self.u, self.v, self.kind, features, self.fixed_cost, metadata)

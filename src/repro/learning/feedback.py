@@ -133,14 +133,17 @@ class FeedbackLog:
 
     The paper replays "a log of the most recent feedback steps, recorded as
     a sliding window with a size bound" to make weight updates consistent
-    across queries (Section 5.2.2).
+    across queries (Section 5.2.2).  :meth:`add` is its only writer, and
+    ``added`` counts every event it took in, evicted or not.
     """
 
     window_size: int = 50
     events: List[FeedbackEvent] = field(default_factory=list)
+    added: int = 0
 
     def add(self, event: FeedbackEvent) -> None:
         """Append an event, evicting the oldest if the window is full."""
+        self.added += 1
         self.events.append(event)
         if len(self.events) > self.window_size:
             self.events.pop(0)

@@ -248,12 +248,12 @@ class TenantRegistry:
                     self.base_weights,
                     shadow={
                         str(k): float(v)
-                        for k, v in dict(payload.get("shadow", {})).items()  # type: ignore[arg-type]
+                        for k, v in dict(payload["shadow"]).items()  # type: ignore[arg-type]
                     },
-                    local_version=int(payload.get("local_version", 0)),  # type: ignore[arg-type]
+                    local_version=int(payload["local_version"]),  # type: ignore[arg-type]
                 )
                 self._profiles[str(name)] = TenantProfile(
                     str(name),
                     overlay,
-                    events_applied=int(payload.get("events_applied", 0)),  # type: ignore[arg-type]
+                    events_applied=int(payload["events_applied"]),  # type: ignore[arg-type]
                 )

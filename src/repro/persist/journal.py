@@ -9,7 +9,8 @@ catalog membership, profile-index growth), and association-confidence merges
 top of the snapshot, reproducing the live state exactly.  An entry's tail
 state — views, feedback log, counters — rides along as a delta of its own
 (``"overlay_delta"``, see :mod:`repro.persist.session`), so an entry costs
-what changed since the previous save, not what the session holds.
+what changed since the previous save, not what the session holds: the
+feedback log, for one, is appended to, never written again.
 
 The delta is computed by *shadow diffing* rather than by instrumenting every
 mutation site: :class:`StateShadow` captures cheap references (node/edge/
@@ -182,33 +183,32 @@ def apply_delta(delta: Dict[str, object], catalog, graph, profile_index, holds_r
     confidence merges and weight movements.  The catalog of a row-holding
     store is left alone: the database already is what every entry led to.
     """
-    for name in delta.get("sources_removed", ()):
+    for name in delta["sources_removed"]:
         if not holds_rows and catalog.has_source(name):
             catalog.remove_source(name)
         profile_index.remove_source(name)
-    for edge_id in delta.get("edges_removed", ()):
+    for edge_id in delta["edges_removed"]:
         if graph.has_edge(edge_id):
             graph.remove_edge(edge_id)
-    for node_id in delta.get("nodes_removed", ()):
+    for node_id in delta["nodes_removed"]:
         if graph.has_node(node_id):
             graph.remove_node(node_id)
 
-    for spec in delta.get("sources_added", ()):
+    for spec in delta["sources_added"]:
         name = spec["name"]
         if not holds_rows and not catalog.has_source(name):
-            if spec.get("source") is None:
+            if spec["source"] is None:
                 raise SnapshotError(f"journal adds source {name!r} without its rows")
             catalog.add_source(source_from_dict(spec["source"]))
         profile_index.absorb_state(spec["profiles"])
 
-    for node_spec in delta.get("nodes_added", ()):
+    for node_spec in delta["nodes_added"]:
         graph.add_node(restore_node(node_spec))
-    for edge_spec in delta.get("edges_added", ()):
+    for edge_spec in delta["edges_added"]:
         graph.add_edge(restore_edge(edge_spec))
-    for edge_spec in delta.get("edges_changed", ()):
+    for edge_spec in delta["edges_changed"]:
         graph.replace_edge(restore_edge(edge_spec))
 
-    for name, value in (delta.get("weights_set") or {}).items():
+    for name, value in delta["weights_set"].items():
         graph.weights.set(name, value)
-    if "profile_epoch" in delta:
-        profile_index.epoch = delta["profile_epoch"]
+    profile_index.epoch = delta["profile_epoch"]

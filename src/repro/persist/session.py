@@ -10,14 +10,20 @@ diff journal (:mod:`repro.persist.journal`) and the stores
   movement since the previous save plus what moved in the **overlay** — the
   tail state a snapshot holds whole: view registry (each view's definition
   and, while current, its ranking), feedback log, learner/registration
-  counters, version counters and the graph's next edge number.  Folding a
-  journal's overlay deltas over its snapshot's overlay yields (``==``) what
-  the last save saw;
+  counters, version counters and the graph's next edge number.  The
+  feedback log is appended to: an entry holds the events added since the
+  previous save.  Folding a journal's overlay deltas over its snapshot's
+  overlay yields (``==``) what the last save saw;
 * once the journal reaches ``compact_after`` entries — or a change lands
   that a delta cannot express, such as rows appended to an existing
-  relation of a sidecar-persisted session, or the first change to a session
-  opened from an older format — the next save *compacts*: journal and
-  snapshot fold into one fresh snapshot and the journal truncates.
+  relation of a sidecar-persisted session — the next save *compacts*:
+  journal and snapshot fold into one fresh snapshot and the journal
+  truncates.
+
+One format is read and written (:data:`~repro.persist.snapshot.FORMAT_VERSION`),
+and every key its writers write is read as required: a body without one
+raises ``KeyError``, which :meth:`QService.open` reports as a
+:class:`~repro.exceptions.SnapshotError` naming the key.
 
 Everything here is duck-typed over the service object (``service.graph``,
 ``service.catalog``, ``service.profile_index``, ...) so this package never
@@ -33,8 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..datastore.csvio import source_to_dict
 from ..exceptions import SnapshotError
-from ..graph.edges import EdgeKind, derived_edge_id
-from ..graph.features import WeightVector, edge_feature
+from ..learning.feedback import FeedbackLog
 from ..profiling.index import CatalogProfileIndex
 from .journal import StateShadow, apply_delta, build_delta, is_empty_delta
 from .snapshot import (
@@ -121,8 +126,7 @@ def restore_overlay(service, overlay: Dict[str, object]) -> None:
 
     A view is restored as its definition and expands on its first pull; a
     ranking its record carries is adopted then, if neither the weights nor
-    the graph moved in between.  Keys of a view record this does not name
-    (older saves wrote a per-record sync ledger) are ignored.
+    the graph moved in between.
     """
     from ..alignment.registration import RegistrationRecord
     from ..core.view import RankedView
@@ -133,8 +137,8 @@ def restore_overlay(service, overlay: Dict[str, object]) -> None:
     service.graph.weights.version = overlay["weights_version"]
     service.graph.structure_version = overlay["structure_version"]
     service.graph.next_edge_number = overlay["edge_id_counter"]
-    views_spec = overlay.get("views") or {}
-    records = views_spec.get("records", ())
+    views_spec = overlay["views"]
+    records = views_spec["records"]
     builder = service._query_builder() if records else None
     for spec in records:
         view = RankedView(
@@ -149,41 +153,44 @@ def restore_overlay(service, overlay: Dict[str, object]) -> None:
         if "trees" in spec:  # resumed by the first read if nothing moved before it
             view.carry_ranking(spec["trees"])
         service.views.restore(view, spec["name"], spec["view_id"], spec["created_index"])
-    service.views.set_created(views_spec.get("created", len(service.views)))
-    service.learner.steps_processed = overlay.get("learner_steps", 0)
-    for event_spec in overlay.get("feedback_events", ()):
+    service.views.set_created(views_spec["created"])
+    service.learner.steps_processed = overlay["learner_steps"]
+    for event_spec in overlay["feedback_events"]:
         service.feedback_log.add(restore_event(event_spec))
-    for name, strategy in overlay.get("registrations", ()):
+    for name, strategy in overlay["registrations"]:
         service.registrar.history.append(
             RegistrationRecord(source_name=name, strategy=strategy)
         )
-    service._refreshes = overlay.get("refreshes", 0)
-    service._refreshes_skipped = overlay.get("refreshes_skipped", 0)
+    service._refreshes = overlay["refreshes"]
+    service._refreshes_skipped = overlay["refreshes_skipped"]
     # Tenant overlays: sparse per-tenant weight deltas over the shared
     # base vector, restored wholesale (no replay needed — the learned
     # shadows are the durable artifact).
-    service.tenants.restore(overlay.get("tenants") or {})
+    service.tenants.restore(overlay["tenants"])
     # Applied idempotency keys: results are not durable, the keys are —
     # a writer-lane retry resubmitted after a reopen still no-ops.
-    for key in overlay.get("applied_ops", ()):
+    for key in overlay["applied_ops"]:
         service._record_applied_op(key, None)
 
 
-def overlay_delta(last: Dict[str, object], overlay: Dict[str, object]) -> Dict[str, object]:
+def overlay_delta(last: Dict[str, object], overlay: Dict[str, object], appended: int) -> Dict[str, object]:
     """What moved from ``last`` to ``overlay``; empty when nothing did.
 
-    Top-level keys appear only when their value moved.  ``"views"`` then lists
-    every registered view by id in registry order (absence is removal), each
-    record holding only the fields that differ from that view's record in
-    ``last``; a ranking that stopped being current is the tombstone
-    ``"trees": None``.  A carried ranking nobody pulled is the same list
-    object on both sides, which container ``==`` settles by identity.  Records are compared field
-    by written field, so one that ``last`` holds beyond them (an older
-    writer's) is not movement.
+    Top-level keys appear only when their value moved.  ``"feedback_events"``
+    holds the ``appended`` events the log gained since ``last``, not the log.
+    ``"views"`` lists every registered view by id in registry order (absence
+    is removal), each record holding only the fields that differ from that
+    view's record in ``last``; a ranking that stopped being current is the
+    tombstone ``"trees": None``.  A carried ranking nobody pulled is the same
+    list object on both sides, which container ``==`` settles by identity.
     """
     delta = {
-        key: value for key, value in overlay.items() if key != "views" and last.get(key) != value
+        key: value
+        for key, value in overlay.items()
+        if key not in ("views", "feedback_events") and last[key] != value
     }
+    if appended:
+        delta["feedback_events"] = overlay["feedback_events"][-appended:]
     views = overlay["views"]
     previous = {record["view_id"]: record for record in last["views"]["records"]}
     records = []
@@ -209,6 +216,9 @@ def overlay_delta(last: Dict[str, object], overlay: Dict[str, object]) -> Dict[s
 def fold_overlay(overlay: Dict[str, object], delta: Dict[str, object]) -> Dict[str, object]:
     """Re-apply an :func:`overlay_delta` to the overlay it was taken against."""
     folded = {**overlay, **delta}
+    if "feedback_events" in delta:  # appended, and held to the log's window
+        events = overlay["feedback_events"] + delta["feedback_events"]
+        folded["feedback_events"] = events[-FeedbackLog.window_size :]
     if "views" in delta:
         previous = {record["view_id"]: record for record in overlay["views"]["records"]}
         records = [{**previous.get(moved["view_id"], {}), **moved} for moved in delta["views"]["records"]]
@@ -242,104 +252,38 @@ def snapshot_body(service, holds_rows: bool, snapshot_version: int) -> Dict[str,
 # ----------------------------------------------------------------------
 # Restore side
 # ----------------------------------------------------------------------
-#: Where the name of a keyword-match edge's identity feature starts.
-_KEYWORD_FEATURE = edge_feature(f"{EdgeKind.KEYWORD_MATCH.value}:")
-
-
-def _name_derived_edges_by_endpoints(graph, overlay: Dict[str, object]) -> Dict[str, object]:
-    """Re-key a session saved in format 1 or 2 the way format 3 names its edges.
-
-    Those formats numbered a view's keyword-match and value-membership edges
-    from the graph's sequence, and saved each current view's expansion.  The
-    expansions are read once, here: their edges' ids lose the ``#n`` in the
-    weight vector (``graph.weights`` is replaced), in every tenant shadow and
-    in each carried ranking, and the records drop them.  A keyword-edge
-    feature no saved expansion holds belonged to an expansion since replaced,
-    and is dropped.  Where two views held one edge under different learned
-    weights the vector's first is kept, and the other view's ranking, priced
-    under its own, is not carried.
-    """
-    records = overlay["views"]["records"]
-    renamed = {
-        edge["id"]: derived_edge_id(EdgeKind(edge["kind"]), edge["u"], edge["v"])
-        for spec in records
-        for edge in (spec.get("query_graph") or {}).get("edges", ())
-    }
-
-    def rekeyed(weights: Dict[str, float]) -> Dict[str, float]:
-        kept: Dict[str, float] = {}
-        for name, value in weights.items():
-            if name.startswith(_KEYWORD_FEATURE):
-                edge_id = renamed.get(name.partition("::")[2])
-                if edge_id is None:
-                    continue
-                name = edge_feature(edge_id)
-            kept.setdefault(name, value)
-        return kept
-
-    saved = graph.weights.as_dict()
-    graph.weights = WeightVector(rekeyed(saved))
-    upgraded = []
-    for spec in records:
-        record = {key: value for key, value in spec.items() if key not in ("query_graph", "trees")}
-        priced_alike = all(
-            saved.get(edge_feature(edge["id"])) == graph.weights.get(edge_feature(renamed[edge["id"]]), None)
-            for edge in (spec.get("query_graph") or {}).get("edges", ())
-        )
-        if "trees" in spec and priced_alike:
-            record["trees"] = [sorted(renamed.get(edge, edge) for edge in tree) for tree in spec["trees"]]
-        upgraded.append(record)
-    tenants = {
-        name: {**state, "shadow": rekeyed(state.get("shadow", {}))}
-        for name, state in (overlay.get("tenants") or {}).items()
-    }
-    return {**overlay, "tenants": tenants, "views": {**overlay["views"], "records": upgraded}}
-
-
 def restore_core(
     body: Dict[str, object],
     entries: List[Dict[str, object]],
     catalog,
     graph_config,
     holds_rows: bool,
-) -> Tuple[object, CatalogProfileIndex, Dict[str, object], bool]:
+) -> Tuple[object, CatalogProfileIndex, Dict[str, object]]:
     """Rebuild graph + profile index from a snapshot and replay the journal.
 
-    Returns ``(graph, profile_index, overlay, upgraded)`` where ``overlay``
-    is the most recent tail state: the snapshot's own with every entry's
-    overlay delta folded over it.  The caller assembles the service around
-    these and then installs the overlay's counters — replay bumps version
-    counters as a side effect, so the overlay values are authoritative.
-    ``upgraded`` says the session was saved in an older format, whose view
-    records hold expansions: graph weights and overlay come back re-keyed
-    (:func:`_name_derived_edges_by_endpoints`).
+    Returns ``(graph, profile_index, overlay)`` where ``overlay`` is the most
+    recent tail state: the snapshot's own with every entry's overlay delta
+    folded over it.  The caller assembles the service around these and then
+    installs the overlay's counters — replay bumps version counters as a
+    side effect, so the overlay values are authoritative.
     """
     # Discard journal entries that belong to an older snapshot — possible
     # only if a crash separated a sidecar snapshot replace from its journal
     # truncation (the SQLite store commits both in one transaction).
-    snapshot_version = body.get("snapshot_version", 1)
-    entries = [
-        entry
-        for entry in entries
-        if entry.get("after_snapshot_version", snapshot_version) == snapshot_version
-    ]
-    weights = restore_weights(body.get("weights") or {})
-    graph = restore_graph(body.get("graph") or {}, config=graph_config, weights=weights)
-    profile_index = CatalogProfileIndex.from_state(body.get("profiles") or {})
+    snapshot_version = body["snapshot_version"]
+    entries = [entry for entry in entries if entry["after_snapshot_version"] == snapshot_version]
+    weights = restore_weights(body["weights"])
+    graph = restore_graph(body["graph"], config=graph_config, weights=weights)
+    profile_index = CatalogProfileIndex.from_state(body["profiles"])
     overlay = body["overlay"]
     for entry in entries:
         apply_delta(entry, catalog, graph, profile_index, holds_rows)
-        # An entry written before format 2 carries the complete overlay instead
-        # (where a record without "trees" means *no ranking*, not *unchanged*).
-        overlay = entry.get("overlay") or fold_overlay(overlay, entry["overlay_delta"])
+        overlay = fold_overlay(overlay, entry["overlay_delta"])
     lost = {node.relation for node in graph.relation_nodes()}
     lost.difference_update(table.schema.qualified_name for table in catalog.all_tables())
     if lost:  # rows deleted behind the session's back, or a removal that was never saved
         raise SnapshotError(f"the catalog no longer holds the rows of {sorted(lost)}")
-    upgraded = any("query_graph" in spec for spec in (overlay.get("views") or {}).get("records", ()))
-    if upgraded:
-        overlay = _name_derived_edges_by_endpoints(graph, overlay)
-    return graph, profile_index, overlay, upgraded
+    return graph, profile_index, overlay
 
 
 # ----------------------------------------------------------------------
@@ -366,21 +310,13 @@ class SessionPersistence:
         self.snapshot_version = 0
         self._shadow: Optional[StateShadow] = None
         self._last_overlay: Optional[Dict[str, object]] = None
-        #: The store holds an older format than this build writes: the next
-        #: save that changes anything rewrites it whole, since no journal
-        #: entry can drop the features its upgrade dropped.
-        self._rewrite = False
+        #: How many events the feedback log had taken in at the last save.
+        self._events_saved = 0
 
-    def attach_restored(
-        self, service, snapshot_version: int, overlay: Dict[str, object], upgraded: bool
-    ) -> None:
-        """Adopt a freshly restored session as the new shadow baseline.
-
-        ``upgraded`` is :func:`restore_core`'s: the store is of an older format.
-        """
+    def attach_restored(self, service, snapshot_version: int, overlay: Dict[str, object]) -> None:
+        """Adopt a freshly restored session as the new shadow baseline."""
         self.snapshot_version = snapshot_version
         self._rebase(service, overlay)
-        self._rewrite = upgraded
 
     def save(self, service, compact: bool = False) -> SaveReport:
         """Checkpoint ``service``: full snapshot, delta append, or no-op."""
@@ -398,15 +334,14 @@ class SessionPersistence:
         if needs_snapshot:
             return self._write_snapshot(service, compacted=True)
         overlay = overlay_payload(service)
-        delta["overlay_delta"] = overlay_delta(self._last_overlay, overlay)
+        appended = service.feedback_log.added - self._events_saved
+        delta["overlay_delta"] = overlay_delta(self._last_overlay, overlay, appended)
         if is_empty_delta(delta):
             return SaveReport(
                 action="noop",
                 snapshot_version=self.snapshot_version,
                 journal_entries=entry_count,
             )
-        if self._rewrite:
-            return self._write_snapshot(service, compacted=True)
         delta["after_snapshot_version"] = self.snapshot_version
         self.store.append_entry(delta)
         self._rebase(service, overlay)
@@ -433,4 +368,4 @@ class SessionPersistence:
     def _rebase(self, service, overlay: Dict[str, object]) -> None:
         self._shadow = StateShadow(service)
         self._last_overlay = overlay
-        self._rewrite = False
+        self._events_saved = service.feedback_log.added

@@ -26,7 +26,12 @@ Serialization rules
 * **Every stored document is wrapped** in ``{"format_version", "checksum",
   "body"}``; :func:`unwrap_document` raises a typed
   :class:`~repro.exceptions.SnapshotError` on parse failure, checksum
-  mismatch (corruption) or an unknown format version.
+  mismatch (corruption) or any format version but :data:`FORMAT_VERSION`.
+  A session saved in an older format is converted once, offline, by
+  ``scripts/upgrade_session.py``.
+* **What is written is what is stored.**  An edge's metadata is the mapping
+  the edge holds, not the one it reads back (an association derives its
+  ``matchers`` from its features), so a restore installs it as read.
 """
 
 from __future__ import annotations
@@ -38,36 +43,26 @@ from typing import Dict, Mapping, Optional
 
 from ..exceptions import SnapshotError
 from ..graph.edges import ALIGNER_ORIGIN, Edge, EdgeKind
-from ..graph.features import NO_FEATURES, WeightVector, matchers_of
+from ..graph.features import NO_FEATURES, WeightVector
 from ..graph.nodes import Node, NodeKind
 from ..graph.search_graph import GraphConfig, SearchGraph
 from ..learning.feedback import FeedbackEvent
 from ..steiner.tree import SteinerTree
 
-#: Version of the on-disk snapshot/journal format.  Bumped on any change
-#: that an older reader could misinterpret; readers reject unknown versions
-#: with a typed :class:`SnapshotError`.  Version 3 saves a view as its
-#: definition and ranking, with query-graph edges named by their endpoints.
-#: Version 2 (each current view's expansion saved, its edges numbered from
-#: the graph's sequence) checksums the body's bytes as stored, like 3;
-#: version 1 checksums a canonical re-serialisation of the parsed body.  Both
-#: are still read (:func:`repro.persist.session.restore_core` re-keys them),
-#: never written.
-FORMAT_VERSION = 3
+#: Version of the on-disk snapshot/journal format, the only one this build
+#: reads.  Bumped on any change that an older reader could misinterpret.
+#: Version 4 journals only the feedback events added since the last save, and
+#: writes an edge's metadata as the edge stores it.  Earlier versions go
+#: through ``scripts/upgrade_session.py``.
+FORMAT_VERSION = 4
 
-#: The wrapper :func:`wrap_document` writes (or format 2 wrote), up to where the body starts.
-_FRAME = re.compile(r'\{"format_version": [23], "checksum": "([0-9a-f]{64})", "body": ')
+#: The wrapper :func:`wrap_document` writes, up to where the body starts.
+_FRAME = re.compile(r'\{"format_version": %d, "checksum": "([0-9a-f]{64})", "body": ' % FORMAT_VERSION)
 
 
 # ----------------------------------------------------------------------
 # Document framing (wrapping, checksums, corruption detection)
 # ----------------------------------------------------------------------
-def _checksum(body: object) -> str:
-    """The version-1 checksum (read side only)."""
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def wrap_document(body: Dict[str, object]) -> str:
     """Serialize ``body`` once, framed by format version and integrity checksum.
 
@@ -85,16 +80,16 @@ def wrap_document(body: Dict[str, object]) -> str:
 def unwrap_document(text: str, what: str = "snapshot") -> Dict[str, object]:
     """Verify one wrapped document; returns its parsed body.
 
-    A version-2 or -3 document is verified from the text as handed in: the
-    body's slice is hashed, then parsed in place, so nothing is re-serialized
-    and what comes back is the verified bytes.  Anything else — version 1, or
-    a document failing that check — is parsed whole, which names what is wrong.
+    The document is verified from the text as handed in: the body's slice is
+    hashed, then parsed in place, so nothing is re-serialized and what comes
+    back is the verified bytes.  A document failing that check is parsed
+    whole, which names what is wrong.
 
     Raises
     ------
     SnapshotError
-        On malformed JSON, a missing wrapper field, a format version this
-        reader does not understand, or a checksum mismatch (corruption).
+        On malformed JSON, a missing wrapper field, a format version other
+        than :data:`FORMAT_VERSION`, or a checksum mismatch (corruption).
     """
     frame = _FRAME.match(text)
     end = text.rfind("}")
@@ -110,18 +105,15 @@ def unwrap_document(text: str, what: str = "snapshot") -> Dict[str, object]:
     if not isinstance(document, dict) or "body" not in document:
         raise SnapshotError(f"corrupt session {what}: missing document wrapper")
     version = document.get("format_version")
-    if version not in (1, 2, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise SnapshotError(
-            f"unsupported session {what} format version {version!r} "
-            f"(this build reads versions 1 to {FORMAT_VERSION})"
+            f"unsupported session {what} format version {version!r} (this build reads "
+            f"version {FORMAT_VERSION}; convert older sessions with scripts/upgrade_session.py)"
         )
-    body = document["body"]
-    # A version-2 or -3 document that parses this far has already failed its check.
-    if version != 1 or document.get("checksum") != _checksum(body):
-        raise SnapshotError(
-            f"corrupt session {what}: checksum mismatch (file was truncated or modified)"
-        )
-    return body
+    # A document of this version that parses this far has already failed its check.
+    raise SnapshotError(
+        f"corrupt session {what}: checksum mismatch (file was truncated or modified)"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -163,27 +155,13 @@ def _encode_metadata(metadata: Mapping[str, object]) -> Dict[str, object]:
     return encoded
 
 
-def _decode_metadata(
-    metadata: Optional[Dict[str, object]], kind: EdgeKind, features: Mapping[str, float]
-) -> Optional[Mapping[str, object]]:
-    """What a restored edge keeps of ``metadata``: nothing it derives or can share.
-
-    A trailing ``matchers`` entry that repeats the edge's ``matcher::``
-    features is the derived one (see :class:`~repro.graph.edges.Edge`), and
-    what is left of an aligner's edge is the shared origin record.
-    """
+def _decode_metadata(metadata: Optional[Dict[str, object]]) -> Optional[Mapping[str, object]]:
+    """What a restored edge keeps of ``metadata``: an aligner's is the shared origin record."""
     if not metadata:
         return None
     if "foreign_key" in metadata:
         return {**metadata, "foreign_key": tuple(metadata["foreign_key"])}
-    if (
-        kind is EdgeKind.ASSOCIATION
-        and next(reversed(metadata)) == "matchers"
-        and metadata["matchers"] == matchers_of(features)
-    ):
-        rest = {key: value for key, value in metadata.items() if key != "matchers"}
-        return ALIGNER_ORIGIN if rest == ALIGNER_ORIGIN else rest
-    return metadata
+    return ALIGNER_ORIGIN if metadata == ALIGNER_ORIGIN else metadata
 
 
 def edge_payload(edge: Edge) -> Dict[str, object]:
@@ -197,17 +175,16 @@ def edge_payload(edge: Edge) -> Dict[str, object]:
     }
     if edge.fixed_cost is not None:
         payload["fixed_cost"] = edge.fixed_cost
-    metadata = edge.metadata
-    if metadata:
-        payload["metadata"] = _encode_metadata(metadata)
+    if edge.stored_metadata:
+        payload["metadata"] = _encode_metadata(edge.stored_metadata)
     return payload
 
 
 def restore_edge(payload: Dict[str, object]) -> Edge:
-    kind = _EDGE_KINDS[payload["kind"]]
-    features = payload.get("features") or NO_FEATURES
-    metadata = _decode_metadata(payload.get("metadata"), kind, features)
-    return Edge(payload["id"], payload["u"], payload["v"], kind, features, payload.get("fixed_cost"), metadata)
+    return Edge(
+        payload["id"], payload["u"], payload["v"], _EDGE_KINDS[payload["kind"]],
+        payload["features"] or NO_FEATURES, payload.get("fixed_cost"), _decode_metadata(payload.get("metadata")),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -235,11 +212,11 @@ def restore_graph(
     version afterwards — replay bumps both as a side effect.
     """
     graph = SearchGraph(config=config, weights=weights)
-    for node_spec in payload.get("nodes", ()):
+    for node_spec in payload["nodes"]:
         graph.add_node(restore_node(node_spec))
-    for edge_spec in payload.get("edges", ()):
+    for edge_spec in payload["edges"]:
         graph.add_edge(restore_edge(edge_spec))
-    graph.structure_version = payload.get("structure_version", graph.structure_version)
+    graph.structure_version = payload["structure_version"]
     return graph
 
 
@@ -248,8 +225,8 @@ def weights_payload(weights: WeightVector) -> Dict[str, object]:
 
 
 def restore_weights(payload: Dict[str, object]) -> WeightVector:
-    weights = WeightVector(payload.get("values") or {})
-    weights.version = payload.get("version", 0)
+    weights = WeightVector(payload["values"])
+    weights.version = payload["version"]
     return weights
 
 

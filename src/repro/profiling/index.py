@@ -572,7 +572,7 @@ class CatalogProfileIndex:
         scratch.
         """
         self._postings_ready = False
-        for spec in payload.get("relations", ()):
+        for spec in payload["relations"]:
             relation = spec["relation"]
             names = tuple(spec["attribute_names"])
             self._relation_profiles[relation] = RelationProfile(
@@ -581,7 +581,7 @@ class CatalogProfileIndex:
                 name_token_union=frozenset(spec["name_token_union"]),
                 row_count=spec["row_count"],
             )
-        for spec in payload.get("attributes", ()):
+        for spec in payload["attributes"]:
             profile = AttributeProfile(
                 relation=spec["relation"],
                 attribute=spec["attribute"],
@@ -593,13 +593,12 @@ class CatalogProfileIndex:
                 non_null_count=spec["non_null_count"],
             )
             self._install_attribute(profile)
-        for name, rels in payload.get("source_relations", ()):
+        for name, rels in payload["source_relations"]:
             relations = self._source_relations.setdefault(name, [])
             for relation in rels:
                 if relation not in relations:
                     relations.append(relation)
-        if "epoch" in payload:
-            self.epoch = payload["epoch"]
+        self.epoch = payload["epoch"]
 
     @classmethod
     def from_state(cls, payload: Dict[str, object]) -> "CatalogProfileIndex":
@@ -609,15 +608,15 @@ class CatalogProfileIndex:
         rare-token ceiling — is applied first, so the restored index routes
         postings and generates candidates exactly like the saved one.
         """
-        sketch_payload = payload.get("sketch")
+        sketch_payload = payload["sketch"]
         index = cls(
-            shard_count=payload.get("shard_count", 1),
+            shard_count=payload["shard_count"],
             sketch=(
                 SketchConfig.from_payload(sketch_payload)
                 if sketch_payload is not None
                 else None
             ),
-            rare_token_df=payload.get("rare_token_df", _RARE_TOKEN_DF),
+            rare_token_df=payload["rare_token_df"],
         )
         index.absorb_state(payload)
         return index

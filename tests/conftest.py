@@ -7,6 +7,7 @@ is pure Python, so importing straight from the source tree is equivalent).
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -20,6 +21,17 @@ if str(_SRC) not in sys.path:
 from repro.datastore import Catalog, DataSource  # noqa: E402
 from repro.datasets import build_gbco, build_interpro_go  # noqa: E402
 from repro.graph import SearchGraph  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def upgrade_session():
+    """``scripts/upgrade_session.py``, the offline converter of older session formats."""
+    spec = importlib.util.spec_from_file_location(
+        "upgrade_session", _SRC.parent / "scripts" / "upgrade_session.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pytest_configure(config):

@@ -1,8 +1,10 @@
-"""Writes the saved sessions ``tests/test_persist.py::TestSavedByAnEarlierCommit`` opens.
+"""Writes the saved sessions ``tests/test_persist.py::TestSavedByAnEarlierCommit`` converts.
 
-Run once with ``src/`` of the commit whose files are to be kept readable
-(last: e7ba70a, the commit before association edges stopped storing
-``matchers``)::
+The files are format 2, which ``src/`` no longer reads: they are the input of
+``scripts/upgrade_session.py``, whose format-4 output must open to what the
+commit that wrote them answered and held.  Run once with ``src/`` of the
+commit whose files are to be kept convertible (last: e7ba70a, the commit
+before association edges stopped storing ``matchers``)::
 
     PYTHONPATH=<that checkout>/src python tests/data/make_saved_session.py tests/data
 

@@ -21,6 +21,7 @@ from repro.api import QService, ServiceConfig
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.datastore.database import DataSource
 from repro.graph import EdgeKind, QueryGraphBuilder, SearchGraph, make_attribute_node
+from repro.graph.edges import ALIGNER_ORIGIN
 from repro.matching.base import AttributeRef, Correspondence
 from repro.persist.journal import apply_delta
 from repro.persist.snapshot import edge_payload, restore_edge
@@ -79,8 +80,8 @@ class TestHeapCensus:
         assert sum(index.shard_sizes()) >= 5000  # and each of them is held
 
 
-def parent_payload(edge, metadata):
-    """The document the commit before this representation wrote for ``edge``."""
+def stored_payload(edge, metadata):
+    """The document ``edge`` is saved as when ``metadata`` is what it stores."""
     payload = {
         "id": edge.edge_id, "u": edge.u, "v": edge.v, "kind": edge.kind.value,
         "features": dict(edge.features.items()),
@@ -116,8 +117,10 @@ class TestMetadataReadsAsStored:
             assert edge.metadata == golden
             assert list(edge.metadata) == ["origin", "matchers"]
             assert list(edge.metadata["matchers"]) == list(golden["matchers"])
-            assert saved_bytes(edge_payload(edge)) == saved_bytes(parent_payload(edge, golden))
+            # Saved as stored: the shared origin record, not the matchers it derives.
+            assert saved_bytes(edge_payload(edge)) == saved_bytes(stored_payload(edge, {"origin": "aligner"}))
             again = restore_edge(json.loads(saved_bytes(edge_payload(edge))))
+            assert again.stored_metadata is ALIGNER_ORIGIN and again.metadata == golden
             assert saved_bytes(edge_payload(again)) == saved_bytes(edge_payload(edge))
         service.close()
 
@@ -127,7 +130,8 @@ class TestMetadataReadsAsStored:
         merged = graph.add_association("a.r", "x", "b.s", "y", {"m1": 0.4, "m2": 0.6}, {"origin": "aligner"})
         golden = {"origin": "aligner", "matchers": {"m2": 0.6, "m1": 0.4}}
         assert merged.metadata == golden and list(merged.metadata["matchers"]) == ["m2", "m1"]
-        assert saved_bytes(edge_payload(merged)) == saved_bytes(parent_payload(merged, golden))
+        assert saved_bytes(edge_payload(merged)) == saved_bytes(stored_payload(merged, {"origin": "aligner"}))
+        assert restore_edge(json.loads(saved_bytes(edge_payload(merged)))).metadata == golden
         assert first.metadata == {"origin": "aligner", "matchers": {"m2": 0.7}}  # the old edge is untouched
 
     def test_metadata_a_merge_adds_is_spelled_out_in_arrival_order(self):
@@ -143,7 +147,8 @@ class TestMetadataReadsAsStored:
         # the feature's 1.0.  No matcher and no bench workload produces one.
         edge = SearchGraph().add_association("a.r", "x", "b.s", "y", {"m": 1})
         assert edge.metadata == {"matchers": {"m": 1.0}}
-        assert '"matchers":{"m":1.0}' in saved_bytes(edge_payload(edge))
+        assert '"matcher::m":1.0' in saved_bytes(edge_payload(edge))
+        assert restore_edge(json.loads(saved_bytes(edge_payload(edge)))).metadata == {"matchers": {"m": 1.0}}
 
     def test_foreign_key_and_keyword_edges_keep_what_they_were_given(self, mini_catalog, mini_graph):
         foreign_keys = mini_graph.edges(EdgeKind.FOREIGN_KEY)
@@ -171,8 +176,10 @@ class TestReplayReplacesTheEdge:
         published = mini_graph.copy()
         version = mini_graph.structure_version
         changed = json.loads(saved_bytes(edge_payload(old)))  # as a journal entry records a merge
-        changed["features"]["matcher::metadata"] = changed["metadata"]["matchers"]["metadata"] = 0.8
-        apply_delta({"kind": "delta", "edges_changed": [changed]}, None, mini_graph, None, True)
+        changed["features"]["matcher::metadata"] = 0.8
+        entry = dict.fromkeys(("sources_removed", "edges_removed", "nodes_removed", "sources_added", "nodes_added"), [])
+        entry.update(edges_added=[], edges_changed=[changed], weights_set={}, profile_epoch=0)
+        apply_delta(entry, None, mini_graph, CatalogProfileIndex(), True)
         replayed = mini_graph.edge(old.edge_id)
         assert replayed.metadata["matchers"] == {"mad": 0.9, "metadata": 0.8}
         assert replayed is not old and mini_graph.structure_version > version

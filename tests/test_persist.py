@@ -32,6 +32,7 @@ from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.matching import MetadataMatcher, ValueOverlapMatcher
 from repro.persist import overlay_payload, unwrap_document, wrap_document
 from repro.persist.journal import is_empty_delta
+from repro.persist.snapshot import event_payload
 
 BACKEND_SPECS = ("memory", "sqlite")
 
@@ -429,7 +430,8 @@ class TestEntriesHoldWhatChanged:
         journal = save_path.parent / (save_path.name + ".journal")
         assert journal.stat().st_size < snapshot_size / 20
 
-        # One feedback: the rankings that moved are written, no expansion is.
+        # One feedback: the rankings that moved are written, no expansion is,
+        # and the feedback log gains the one event, not a copy of itself.
         before = rankings(service, view_ids)
         answers = list(service.stream_answers(QueryRequest(view=view_ids[0])))
         service.feedback(FeedbackRequest(view=view_ids[0], answer=answers[-1]))
@@ -438,7 +440,8 @@ class TestEntriesHoldWhatChanged:
         after = rankings(service, view_ids)
         service.save()
         entry = journal_entries(save_path)[-1]
-        assert not holds_key(entry, "query_graph") and "feedback_events" in entry["overlay_delta"]
+        assert not holds_key(entry, "query_graph")
+        assert entry["overlay_delta"]["feedback_events"] == [event_payload(service.feedback_log.events[-1])]
         records = {r["view_id"]: r for r in entry["overlay_delta"]["views"]["records"]}
         assert list(records) == view_ids
         assert after[view_ids[0]] != before[view_ids[0]]
@@ -549,6 +552,105 @@ class TestEntriesHoldWhatChanged:
         again.close()
 
 
+class TestFeedbackLogAppends:
+    @pytest.mark.parametrize("kind", BACKEND_SPECS)
+    def test_an_entry_carries_the_events_added_since_the_last_save(self, gbco_dataset, kind, tmp_path):
+        service, view_ids, save_path, location = gbco_session(gbco_dataset, kind, tmp_path, views=2)
+        for view_id in view_ids:  # N events: one in the snapshot, one in an entry
+            answers = list(service.stream_answers(QueryRequest(view=view_id)))
+            service.feedback(FeedbackRequest(view=view_id, answer=answers[-1]))
+            service.save(save_path)
+        saved = len(service.feedback_log)
+        answers = list(service.stream_answers(QueryRequest(view=view_ids[0])))
+        service.feedback(FeedbackRequest(view=view_ids[0], answer=answers[0]))
+        assert len(service.feedback_log) == saved + 1
+        assert service.save().action == "append"
+        _, entries = service._persistence.store.load()
+        assert [entry["overlay_delta"]["feedback_events"] for entry in entries] == [
+            [event_payload(event)] for event in service.feedback_log.events[1:]
+        ]
+        live = [read(service, view_id) for view_id in view_ids]
+        logged = [event_payload(event) for event in service.feedback_log]
+        service.close()
+
+        reopened = QService.open(location)
+        assert [event_payload(event) for event in reopened.feedback_log] == logged
+        assert reopened.save().action == "noop"
+        assert [read(reopened, view_id) for view_id in view_ids] == live
+        reopened.close()
+
+    def test_a_log_past_its_window_folds_to_the_window(self, tmp_path):
+        service, save_path, _ = build_session("memory", tmp_path)
+        service.bootstrap_alignments()
+        info = service.create_view(QueryRequest(keywords=("plasma", "IPR001")))
+        answers = read(service, info.view_id) and list(service.stream_answers(QueryRequest(view=info.view_id)))
+        event = service.view(info.view_id).annotate(answers[0], "correct")
+        service.apply_feedback_events(info.view_id, [event] * 30)
+        service.save(save_path)
+        service.apply_feedback_events(info.view_id, [event] * 30)  # 60 taken in, 50 kept
+        assert len(service.feedback_log) == service.feedback_log.window_size == 50
+        assert service.save().action == "append"
+        (entry,) = journal_entries(save_path)
+        assert len(entry["overlay_delta"]["feedback_events"]) == 30
+        logged = [event_payload(event) for event in service.feedback_log]
+        service.close()
+        reopened = QService.open(save_path)
+        assert [event_payload(event) for event in reopened.feedback_log] == logged
+        assert reopened.save().action == "noop"
+
+
+class TestStrictReads:
+    def test_a_body_without_a_key_its_writers_write_is_refused_naming_it(self, tmp_path):
+        service, save_path, _ = build_session("memory", tmp_path)
+        service.bootstrap_alignments()
+        info = service.create_view(QueryRequest(keywords=("plasma", "IPR001")))
+        read(service, info.view_id)
+        service.tenants.profile("acme")
+        service.save(save_path)
+        body = unwrap_document(save_path.read_text())
+        paths = [("overlay", key) for key in body["overlay"]] + [
+            ("overlay", "views", "created"),
+            ("overlay", "views", "records"),
+            ("overlay", "tenants", "acme", "shadow"),
+            ("overlay", "tenants", "acme", "local_version"),
+            ("overlay", "tenants", "acme", "events_applied"),
+            ("snapshot_version",),
+            ("config",),
+            ("config", "top_k"),
+            ("graph", "structure_version"),
+            ("graph", "edges"),
+            ("weights", "version"),
+            ("weights", "values"),
+            ("profiles", "shard_count"),
+            ("profiles", "rare_token_df"),
+            ("profiles", "epoch"),
+            ("catalog",),
+        ]
+        assert len(paths) == len(body["overlay"]) + 16 > 25
+        for path in paths:
+            damaged = json.loads(json.dumps(body))
+            holder = damaged
+            for key in path[:-1]:
+                holder = holder[key]
+            del holder[path[-1]]
+            save_path.write_text(wrap_document(damaged) + "\n")
+            with pytest.raises(SnapshotError, match=f"missing key '{path[-1]}'"):
+                QService.open(save_path)
+
+        # A journal entry is read as strictly as the snapshot it follows.
+        save_path.write_text(wrap_document(body) + "\n")
+        reopened = QService.open(save_path)
+        reopened.create_view(QueryRequest(keywords=("nucleus", "IPR002")))
+        assert reopened.save().action == "append"
+        reopened.close()
+        (entry,) = journal_entries(save_path)
+        for key in ("after_snapshot_version", "weights_set", "overlay_delta", "profile_epoch"):
+            journal = save_path.parent / (save_path.name + ".journal")
+            journal.write_text(wrap_document({k: v for k, v in entry.items() if k != key}) + "\n")
+            with pytest.raises(SnapshotError, match=f"missing key '{key}'"):
+                QService.open(save_path)
+
+
 def _attribute(node_id):
     """``attr:<source>.<relation>.<attribute>`` -> (qualified relation, attribute)."""
     relation, _, attribute = node_id[len("attr:"):].rpartition(".")
@@ -556,35 +658,49 @@ def _attribute(node_id):
 
 
 # ----------------------------------------------------------------------
-# Sessions the commit before the slotted edge saved (tests/data/)
+# Sessions the commit before the slotted edge saved (tests/data/), converted
 # ----------------------------------------------------------------------
 SAVED = Path(__file__).parent / "data"
 
 
-def saved_by_an_earlier_commit(kind, tmp_path):
-    """A private copy of the checked-in session; where to open it."""
+def saved_by_an_earlier_commit(kind, tmp_path, upgrade_session):
+    """The checked-in format-2 session, converted to format 4; where to open it.
+
+    The converter reads a private copy of the fixture (a SQLite one is
+    rebuilt from its dump) and must leave that copy byte for byte as it was.
+    """
+    (tmp_path / "saved").mkdir()
     if kind == "sqlite":
-        database = tmp_path / "saved_session.db"
-        connection = sqlite3.connect(database)
+        old = tmp_path / "saved" / "saved_session.db"
+        connection = sqlite3.connect(old)
         connection.executescript((SAVED / "saved_session.sql").read_text())
         connection.close()
-        return database
-    for name in ("saved_session.json", "saved_session.json.journal"):
-        shutil.copy(SAVED / name, tmp_path / name)
-    return tmp_path / "saved_session.json"
+        inputs = [old]
+    else:
+        names = ("saved_session.json", "saved_session.json.journal")
+        inputs = [shutil.copy(SAVED / name, tmp_path / "saved" / name) for name in names]
+        old = Path(inputs[0])
+    before = [Path(path).read_bytes() for path in inputs]
+    location = tmp_path / old.name
+    assert upgrade_session.main([str(old), str(location)]) == 0
+    assert [Path(path).read_bytes() for path in inputs] == before
+    return location
 
 
 class TestSavedByAnEarlierCommit:
-    """Snapshot + journal written while every association edge stored its own
-    ``{"origin", "matchers"}``: a registration, a feedback step and a merge
-    onto a saved edge (``edges_changed``) sit in the journal.  See
-    ``tests/data/make_saved_session.py``."""
+    """Snapshot + journal written in format 2, while every association edge
+    stored its own ``{"origin", "matchers"}``: a registration, a feedback step
+    and a merge onto a saved edge (``edges_changed``) sit in the journal.  See
+    ``tests/data/make_saved_session.py``.  ``src/`` does not read format 2:
+    ``scripts/upgrade_session.py`` converts it once, and the converted session
+    answers and holds what the commit that saved it did."""
 
     @pytest.mark.parametrize("kind", BACKEND_SPECS)
-    def test_opens_answers_and_holds_the_same_edges(self, kind, tmp_path):
+    def test_opens_answers_and_holds_the_same_edges(self, kind, tmp_path, upgrade_session):
         expected = json.loads((SAVED / "saved_session.expected.json").read_text())
-        location = saved_by_an_earlier_commit(kind, tmp_path)
+        location = saved_by_an_earlier_commit(kind, tmp_path, upgrade_session)
         service = QService.open(location)
+        assert service._persistence.store.entry_count() == 0  # converted is compacted
         answers = list(service.stream_answers(QueryRequest(view=expected["view_id"])))
         assert [[sorted(map(list, a.values.items())), a.cost] for a in answers] == expected["answers"]
         held = [
@@ -596,7 +712,7 @@ class TestSavedByAnEarlierCommit:
         service.close()
 
     @pytest.mark.parametrize("kind", BACKEND_SPECS)
-    def test_save_open_save_is_a_fixed_point(self, kind, tmp_path):
+    def test_save_open_save_is_a_fixed_point(self, kind, tmp_path, upgrade_session):
         def rewritten(service):
             """The snapshot with every edge written again by this commit, as stored."""
             assert service.save().action == "noop"
@@ -606,20 +722,25 @@ class TestSavedByAnEarlierCommit:
             del body["snapshot_version"]  # counts the compactions
             return json.dumps(body)
 
-        location = saved_by_an_earlier_commit(kind, tmp_path)
+        location = saved_by_an_earlier_commit(kind, tmp_path, upgrade_session)
         service = QService.open(location)
+        converted, _ = service._persistence.store.load()
         first = rewritten(service)
         service.close()
         reopened = QService.open(location)
         assert graph_fingerprint(reopened.graph) == graph_fingerprint(service.graph)
         assert rewritten(reopened) == first
         reopened.close()
-
+        # The converter wrote what this commit writes, but for the retired config key.
+        del converted["snapshot_version"]
+        del converted["config"]["pair_memo_limit"]
+        assert json.dumps(converted) == first
 
     @pytest.mark.parametrize("kind", BACKEND_SPECS)
-    def test_a_retired_config_key_is_dropped_on_open(self, kind, tmp_path):
-        # The session was saved while ``ServiceConfig`` had ``pair_memo_limit``.
-        location = saved_by_an_earlier_commit(kind, tmp_path)
+    def test_a_retired_config_key_is_dropped_on_open(self, kind, tmp_path, upgrade_session):
+        # The session was saved while ``ServiceConfig`` had ``pair_memo_limit``;
+        # the converter keeps the config as saved, the first compaction drops it.
+        location = saved_by_an_earlier_commit(kind, tmp_path, upgrade_session)
         service = QService.open(location)
         saved_config, _ = service._persistence.store.load()
         assert "pair_memo_limit" in saved_config["config"]
@@ -631,27 +752,45 @@ class TestSavedByAnEarlierCommit:
         assert set(saved_config["config"]) - set(rewritten["config"]) == {"pair_memo_limit"}
         service.close()
 
+    def test_the_converter_refuses_what_it_cannot_convert_and_leaves_no_output(
+        self, gbco_dataset, tmp_path, upgrade_session
+    ):
+        service, _, save_path, _ = gbco_session(gbco_dataset, "memory", tmp_path, views=1)
+        service.save(save_path)  # already format 4
+        service.close()
+        database = tmp_path / "catalog.db"
+        QService(sources=mini_sources(), backend=f"sqlite:{database}").close()  # rows, no session
+        for old in (save_path, database):
+            new = tmp_path / f"new-{old.name}"
+            assert upgrade_session.main([str(old), str(new)]) == 1
+            assert not new.exists()
+
+    def test_open_refuses_the_unconverted_session_naming_the_converter(self, tmp_path):
+        shutil.copy(SAVED / "saved_session.json", tmp_path / "saved_session.json")
+        with pytest.raises(SnapshotError, match="version 2 .*scripts/upgrade_session.py"):
+            QService.open(tmp_path / "saved_session.json")
+
 
 # ----------------------------------------------------------------------
 # A dropped session is freed by its last reference, not by the collector
 # ----------------------------------------------------------------------
 class TestDroppedSession:
     def test_session_is_not_a_reference_cycle(self, gbco_dataset, tmp_path):
-        service, view_ids, save_path, _ = gbco_session(gbco_dataset, "memory", tmp_path, views=2)
-        service.save(save_path)
-        service.close()
-        watched = [
-            weakref.ref(service),
-            weakref.ref(service.graph),
-            weakref.ref(service.view(view_ids[0])),
-        ]
-        gc.collect()
-        gc.disable()
-        try:
-            del service
-            assert [ref() for ref in watched] == [None, None, None]
-        finally:
-            gc.enable()
+        for kind in BACKEND_SPECS:  # a SQLite catalog and its sources included
+            (tmp_path / kind).mkdir()
+            service, view_ids, save_path, _ = gbco_session(gbco_dataset, kind, tmp_path / kind, views=2)
+            service.save(save_path)
+            service.close()
+            held = (service, service.graph, service.view(view_ids[0]), service.catalog, service.catalog.backend)
+            watched = [weakref.ref(obj) for obj in held if obj is not None]
+            del held
+            gc.collect()
+            gc.disable()
+            try:
+                del service
+                assert [ref() for ref in watched] == [None] * len(watched), kind
+            finally:
+                gc.enable()
 
     def test_hooks_of_a_live_session_work_closed_or_not(self, gbco_dataset, tmp_path):
         service, view_ids, _, _ = gbco_session(  # a closed sqlite catalog cannot be sized

@@ -14,7 +14,8 @@ Three properties anchor the snapshot format:
   and numbers like a twin that never touched a disk.
 * **Corruption is typed** — truncated, bit-flipped, version-skewed or
   missing documents raise :class:`~repro.exceptions.SnapshotError`, never
-  a silent partial restore; version-1 documents still open.
+  a silent partial restore; an older format is refused with the name of
+  its converter, and converts.
 """
 
 from __future__ import annotations
@@ -467,16 +468,32 @@ class TestCorruption:
         with pytest.raises(SnapshotError, match=stem):
             QService.open(path)
 
-    def test_version_1_document_still_unwraps(self):
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_open_refuses_an_older_format_naming_the_converter(self, tmp_path, version):
+        path = self._saved_session(tmp_path)
+        body = unwrap_document(path.read_text())
+        if version == 1:
+            text = _wrap_v1(body)
+        else:  # formats 2 and 3 framed a body the way format 4 does
+            text = wrap_document(body).replace(f'"format_version": {FORMAT_VERSION},', f'"format_version": {version},')
+        path.write_text(text + "\n")
+        with pytest.raises(SnapshotError, match=f"format version {version} .*scripts/upgrade_session.py"):
+            QService.open(path)
+
+    def test_version_1_document_still_unwraps(self, upgrade_session):
+        """The converter reads format 1's framing: the checksum of a canonical body."""
         body = {"zeta": [1, 2.5, None, True], "alpha": {"nested": "x"}}
         text = _wrap_v1(body)
-        assert unwrap_document(text) == body
-        with pytest.raises(SnapshotError, match="checksum"):
-            unwrap_document(text.replace('"nested": "x"', '"nested": "y"'))
+        assert upgrade_session.unwrap(text, "snapshot") == body
+        with pytest.raises(upgrade_session.UpgradeError, match="checksum"):
+            upgrade_session.unwrap(text.replace('"nested": "x"', '"nested": "y"'), "snapshot")
+        with pytest.raises(upgrade_session.UpgradeError, match="format version 4"):
+            upgrade_session.unwrap(wrap_document(body), "snapshot")
 
-    def test_session_saved_in_format_1_opens_and_takes_new_entries(self, tmp_path):
+    def test_session_saved_in_format_1_opens_and_takes_new_entries(self, tmp_path, upgrade_session):
         """What the build before format 2 wrote: version-1 framing, and an
-        entry carrying the complete overlay (no ``"trees"`` = no ranking)."""
+        entry carrying the complete overlay (no ``"trees"`` = no ranking).
+        Converted, it opens and takes format-4 entries."""
         service = _mini_session()
         path = tmp_path / "old.json"
         journal = tmp_path / "old.json.journal"
@@ -492,17 +509,20 @@ class TestCorruption:
         journal.write_text(_wrap_v1(entry) + "\n")
         path.write_text(_wrap_v1(unwrap_document(path.read_text())) + "\n")
 
-        reopened = QService.open(path, matchers=_mini_matchers())
+        converted = tmp_path / "new.json"
+        assert upgrade_session.main([str(path), str(converted)]) == 0
+        reopened = QService.open(converted, matchers=_mini_matchers())
         assert reopened.view(view.view_id).current_ranking() is None
         assert _observable(reopened) == _observable(service)
+        assert len(reopened.feedback_log) == len(service.feedback_log) == 1
         for session in (reopened, service):
             session.create_view(QueryRequest(keywords=("nucleus", "IPR002")))
         report = reopened.save()
-        assert report.action == "append" and report.journal_entries == 2
-        old, new = journal.read_text().splitlines()
-        assert old.startswith('{"format_version": 1,') and new.startswith(f'{{"format_version": {FORMAT_VERSION},')
+        assert report.action == "append" and report.journal_entries == 1
+        (new,) = (tmp_path / "new.json.journal").read_text().splitlines()
+        assert new.startswith(f'{{"format_version": {FORMAT_VERSION},')
         assert "overlay" not in unwrap_document(new) and unwrap_document(new)["overlay_delta"]
-        again = QService.open(path, matchers=_mini_matchers())
+        again = QService.open(converted, matchers=_mini_matchers())
         assert _observable(again) == _observable(service)
 
     def test_unserializable_state_is_typed(self):
