@@ -200,21 +200,12 @@ def score_pairs(
 def install_associations(
     graph: SearchGraph, correspondences: Iterable[Correspondence]
 ) -> List[Edge]:
-    """Install association edges for ``correspondences`` into ``graph``.
+    """Install association edges for ``correspondences`` into ``graph``, as one batch.
 
     Correspondences for the same attribute pair coming from different
     matchers are merged onto one edge, each contributing its own
-    matcher-confidence feature (paper Section 3.2.3 / 3.4).
+    matcher-confidence feature (paper Section 3.2.3 / 3.4).  The grouped
+    rows go to :meth:`~repro.graph.search_graph.SearchGraph.add_associations`
+    in one call, every edge sharing the one ``ALIGNER_ORIGIN`` record.
     """
-    edges: List[Edge] = []
-    for correspondence, confidences in group_correspondences(correspondences).values():
-        edge = graph.add_association(
-            correspondence.source.relation,
-            correspondence.source.attribute,
-            correspondence.target.relation,
-            correspondence.target.attribute,
-            matcher_confidences=confidences,
-            metadata=ALIGNER_ORIGIN,
-        )
-        edges.append(edge)
-    return edges
+    return graph.add_associations(group_correspondences(correspondences), ALIGNER_ORIGIN)

@@ -33,6 +33,27 @@ def split_qualified(name: str) -> Tuple[str, ...]:
 
 
 @dataclass(frozen=True)
+class AttributeRef:
+    """A fully qualified reference to one attribute of one relation.
+
+    ``qualified`` (``"<source>.<relation>.<attribute>"``) is formatted once,
+    here; it takes no part in equality, hashing or repr.  A relation's refs
+    are its schema's (:attr:`RelationSchema.attribute_refs`), so the
+    correspondences a matcher scores share them.
+    """
+
+    relation: str  # qualified relation name, "<source>.<relation>"
+    attribute: str
+    qualified: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "qualified", f"{self.relation}.{self.attribute}")
+
+    def __str__(self) -> str:  # pragma: no cover - debugging aid
+        return self.qualified
+
+
+@dataclass(frozen=True)
 class Attribute:
     """A single attribute (column) of a relation.
 
@@ -150,6 +171,7 @@ class RelationSchema:
         self._by_name[attr.name] = attr
         self._names_cache: Optional[Tuple[str, ...]] = None
         self._index_cache: Optional[Dict[str, int]] = None
+        self._refs_cache: Optional[Tuple[AttributeRef, ...]] = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -210,6 +232,8 @@ class RelationSchema:
     # ------------------------------------------------------------------
     def bind_source(self, source: str) -> None:
         """Associate this relation with a data source name."""
+        if source != self.source:
+            self._refs_cache = None
         self.source = source
 
     @property
@@ -218,6 +242,13 @@ class RelationSchema:
         if self.source:
             return qualified_name(self.source, self.name)
         return self.name
+
+    @property
+    def attribute_refs(self) -> Tuple[AttributeRef, ...]:
+        """One :class:`AttributeRef` per attribute, in order (cached per binding)."""
+        if self._refs_cache is None:
+            self._refs_cache = tuple(AttributeRef(self.qualified_name, a.name) for a in self._attributes)
+        return self._refs_cache
 
     def qualified_attribute(self, name: str) -> str:
         """Return ``"<source>.<relation>.<attribute>"`` for attribute ``name``."""

@@ -14,7 +14,7 @@ Public API
   neighborhoods used by the view-based aligner (paper Section 3.3).
 """
 
-from .edges import Edge, EdgeKind, default_association_features
+from .edges import Edge, EdgeKind
 from .features import (
     DEFAULT_FEATURE,
     WeightVector,
@@ -58,7 +58,6 @@ __all__ = [
     "attribute_node_id",
     "bin_feature",
     "cost_neighborhood",
-    "default_association_features",
     "edge_feature",
     "is_edge_feature",
     "is_matcher_feature",

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import enum
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
-from .features import DEFAULT_FEATURE, NO_FEATURES, WeightVector
-from .features import edge_feature, matcher_feature, matchers_of, relation_feature
+from .features import NO_FEATURES, WeightVector, matcher_feature, matchers_of
 
 _NO_METADATA: Mapping[str, object] = MappingProxyType({})
 #: The metadata of every edge an aligner installs: one read-only record the
@@ -174,28 +173,3 @@ class Edge:
 def derived_edge_id(kind: EdgeKind, u: str, v: str) -> str:
     """The id of a query-graph edge: its kind and endpoints, unique per expansion."""
     return f"{kind.value}:{u}|{v}"
-
-
-def default_association_features(
-    edge_id: str,
-    relations: Tuple[str, ...],
-    matcher_confidences: Optional[Mapping[str, float]] = None,
-) -> Dict[str, float]:
-    """Build the standard feature vector of an association edge (Section 3.4).
-
-    Parameters
-    ----------
-    edge_id:
-        The id of the edge being created (for the per-edge feature).
-    relations:
-        The qualified names of the relations the association connects.
-    matcher_confidences:
-        Mapping from matcher name to its confidence in ``[0, 1]``.
-    """
-    values: Dict[str, float] = {DEFAULT_FEATURE: 1.0}
-    for matcher_name, confidence in (matcher_confidences or {}).items():
-        values[matcher_feature(matcher_name)] = float(confidence)
-    for relation in relations:
-        values[relation_feature(relation)] = 1.0
-    values[edge_feature(edge_id)] = 1.0
-    return values

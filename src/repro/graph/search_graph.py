@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..datastore.database import Catalog, DataSource
-from ..datastore.schema import ForeignKey
+from ..datastore.schema import AttributeRef, ForeignKey
 from ..exceptions import GraphError, UnknownNodeError
-from .edges import Edge, EdgeKind, default_association_features
+from .edges import Edge, EdgeKind
 from .features import (
     DEFAULT_FEATURE,
     NO_FEATURES,
@@ -81,6 +81,16 @@ _STAMPS = itertools.count(1)
 def _pair(a: str, b: str) -> Tuple[str, str]:
     """Order-independent key of the node pair ``{a, b}``."""
     return (a, b) if a <= b else (b, a)
+
+
+def _ids(held: Union[None, str, Tuple[str, ...]]) -> Tuple[str, ...]:
+    """The edge ids an endpoint-pair index entry holds, in insertion order."""
+    return () if held is None else (held,) if isinstance(held, str) else held
+
+
+def _joined(held: Union[None, str, Tuple[str, ...]], edge_id: str) -> Union[str, Tuple[str, ...]]:
+    """The endpoint-pair index entry ``held`` with ``edge_id`` added last."""
+    return edge_id if held is None else (held, edge_id) if isinstance(held, str) else held + (edge_id,)
 
 
 class SearchGraph:
@@ -197,13 +207,7 @@ class SearchGraph:
         if edge.v != edge.u:
             self._adjacency[edge.v].append(edge.edge_id)
         pair = _pair(edge.u, edge.v)
-        held = self._pairs.get(pair)
-        if held is None:
-            self._pairs[pair] = edge.edge_id
-        elif isinstance(held, str):
-            self._pairs[pair] = (held, edge.edge_id)
-        else:
-            self._pairs[pair] = held + (edge.edge_id,)
+        self._pairs[pair] = _joined(self._pairs.get(pair), edge.edge_id)
         self.structure_version += 1
         self.structure_stamp = next(_STAMPS)
         return edge
@@ -324,10 +328,7 @@ class SearchGraph:
 
     def find_edges(self, a: str, b: str, kind: Optional[EdgeKind] = None) -> Tuple[Edge, ...]:
         """All edges between ``a`` and ``b`` (optionally of one kind), in the order added."""
-        held = self._pairs.get(_pair(a, b))
-        if held is None:
-            return ()
-        found = map(self._edges.__getitem__, (held,) if isinstance(held, str) else held)
+        found = map(self._edges.__getitem__, _ids(self._pairs.get(_pair(a, b))))
         return tuple(edge for edge in found if kind is None or edge.kind is kind)
 
     # ------------------------------------------------------------------
@@ -435,36 +436,90 @@ class SearchGraph:
     ) -> Edge:
         """Add (or update) an association edge between two attributes.
 
-        If an association between the same attribute pair already exists,
-        the new matcher confidences are merged into the existing edge's
-        features instead of creating a parallel edge — this is how the
-        outputs of multiple matchers are combined on one edge
-        (paper Section 3.2.3); the merged edge replaces the old one
-        (:meth:`replace_edge`).  The edge reads its ``matchers`` metadata off
-        its features and keeps ``metadata`` itself, not a copy: a caller that
-        installs many edges passes one shared read-only record.
+        A one-row :meth:`add_associations`: a new edge, or the merge of
+        ``matcher_confidences`` into the edge the pair already has.
         """
-        u = attribute_node_id(relation_a, attribute_a)
-        v = attribute_node_id(relation_b, attribute_b)
-        if u not in self._nodes:
-            self.add_node(make_attribute_node(relation_a, attribute_a))
-        if v not in self._nodes:
-            self.add_node(make_attribute_node(relation_b, attribute_b))
-        for matcher_name in matcher_confidences or ():
-            self._ensure_matcher_weight(matcher_name)
+        row = (AttributeRef(relation_a, attribute_a), AttributeRef(relation_b, attribute_b), matcher_confidences or {})
+        return self.add_associations((row,), metadata)[0]
 
-        existing = self.find_edges(u, v, EdgeKind.ASSOCIATION)
-        if existing:
-            return self.replace_edge(existing[0].with_matchers(matcher_confidences or {}, metadata or {}))
+    def add_associations(
+        self,
+        grouped: Iterable[Tuple[AttributeRef, AttributeRef, Mapping[str, float]]],
+        metadata: Optional[Mapping[str, object]] = None,
+    ) -> List[Edge]:
+        """Install one batch of ``(source, target, {matcher: confidence})`` rows.
 
-        edge_id = self.new_edge_id(u, v, EdgeKind.ASSOCIATION)
-        features = default_association_features(edge_id, (relation_a, relation_b), matcher_confidences)
-        return self.add_edge(Edge(edge_id, u, v, EdgeKind.ASSOCIATION, features, metadata=metadata))
+        A row adds an association edge from ``source`` to ``target``, adding
+        either attribute node if missing, with the features of paper Section
+        3.4 in this order: default, one ``matcher::`` confidence per matcher,
+        the touched ``relation::`` features, the edge's own ``edge::``.  If the
+        pair has an association already, the confidences merge into it and the
+        merged edge replaces it (Section 3.2.3, :meth:`replace_edge`).  Every
+        edge keeps ``metadata`` itself, not a copy: pass one shared record.
+        Names are resolved once per batch; ``structure_version`` advances per
+        node and edge, and the batch takes one structure stamp, on the way out
+        even if a row raises.  Returns each row's edge.
+        """
+        nodes, edges, adjacency, pairs = self._nodes, self._edges, self._adjacency, self._pairs
+        node_ids: Dict[str, str] = {}
+        matcher_names: Dict[str, str] = {}
+        relation_names: Dict[str, str] = {}
 
-    def _ensure_matcher_weight(self, matcher_name: str) -> None:
-        name = matcher_feature(matcher_name)
-        if name not in self.weights:
-            self.weights.set(name, self.config.initial_matcher_weight)
+        def node_id_of(ref: AttributeRef) -> str:
+            node = nodes.get(attribute_node_id(ref.relation, ref.attribute))
+            if node is None:
+                node = make_attribute_node(ref.relation, ref.attribute)
+                nodes[node.node_id], adjacency[node.node_id] = node, []
+                self.structure_version += 1
+            node_ids[ref.qualified] = node.node_id
+            return node.node_id
+
+        installed: List[Edge] = []
+        version = self.structure_version
+        try:
+            for source, target, confidences in grouped:
+                u = node_ids.get(source.qualified) or node_id_of(source)
+                v = node_ids.get(target.qualified) or node_id_of(target)
+                for name in confidences:
+                    if name not in matcher_names:
+                        feature = matcher_names[name] = matcher_feature(name)
+                        if feature not in self.weights:
+                            self.weights.set(feature, self.config.initial_matcher_weight)
+                pair = _pair(u, v)
+                held = pairs.get(pair)
+                existing = None
+                for held_id in _ids(held):
+                    if edges[held_id].kind is EdgeKind.ASSOCIATION:
+                        existing = edges[held_id]
+                        break
+                if existing is not None:
+                    edge = edges[existing.edge_id] = existing.with_matchers(confidences, metadata or {})
+                    self.structure_version += 1
+                    installed.append(edge)
+                    continue
+                edge_id = self.new_edge_id(u, v, EdgeKind.ASSOCIATION)
+                if edge_id in edges:
+                    raise GraphError(f"duplicate edge id {edge_id!r}")
+                features = {DEFAULT_FEATURE: 1.0}
+                for name, confidence in confidences.items():
+                    features[matcher_names[name]] = float(confidence)
+                for relation in (source.relation, target.relation):
+                    feature = relation_names.get(relation)
+                    if feature is None:
+                        feature = relation_names[relation] = relation_feature(relation)
+                    features[feature] = 1.0
+                features[edge_feature(edge_id)] = 1.0
+                edge = edges[edge_id] = Edge(edge_id, u, v, EdgeKind.ASSOCIATION, features, metadata=metadata)
+                adjacency[u].append(edge_id)
+                if v != u:
+                    adjacency[v].append(edge_id)
+                pairs[pair] = _joined(held, edge_id)
+                self.structure_version += 1
+                installed.append(edge)
+        finally:
+            if self.structure_version != version:
+                self.structure_stamp = next(_STAMPS)
+        return installed
 
     def association_between(
         self, relation_a: str, attribute_a: str, relation_b: str, attribute_b: str

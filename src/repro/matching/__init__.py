@@ -3,7 +3,7 @@
 Public API
 ----------
 * :class:`BaseMatcher`, :class:`Correspondence`, :class:`AttributeRef`,
-  :func:`top_y_per_attribute`, :func:`merge_correspondences` — the black-box
+  :func:`top_y_per_attribute`, :func:`group_correspondences` — the black-box
   matcher interface (paper Section 3.2).
 * :class:`MetadataMatcher` — metadata-only matcher standing in for COMA++.
 * :class:`MadMatcher`, :func:`run_mad`, :func:`build_column_value_graph` —
@@ -20,7 +20,7 @@ from .base import (
     ComparisonCounter,
     Correspondence,
     available_matchers,
-    merge_correspondences,
+    group_correspondences,
     register_matcher,
     resolve_matcher,
     top_y_per_attribute,
@@ -72,7 +72,7 @@ __all__ = [
     "resolve_matcher",
     "build_column_value_graph",
     "compute_walk_probabilities",
-    "merge_correspondences",
+    "group_correspondences",
     "normalize_distribution",
     "run_mad",
     "top_y_per_attribute",

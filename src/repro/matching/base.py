@@ -12,33 +12,26 @@ from __future__ import annotations
 
 import abc
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
-from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
+from ..datastore.schema import AttributeRef
 from ..datastore.table import Table
 from ..exceptions import UnknownMatcherError
 
 
-@dataclass(frozen=True)
-class AttributeRef:
-    """A fully qualified reference to one attribute of one relation."""
-
-    relation: str  # qualified relation name, "<source>.<relation>"
-    attribute: str
-
-    @property
-    def qualified(self) -> str:
-        """``"<source>.<relation>.<attribute>"``."""
-        return f"{self.relation}.{self.attribute}"
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return self.qualified
+def pair_key(source: AttributeRef, target: AttributeRef) -> Tuple[str, str]:
+    """Order-independent identity of an attribute pair: its qualified names, sorted."""
+    a, b = source.qualified, target.qualified
+    return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Correspondence:
     """One proposed alignment between two attributes.
+
+    Slotted, so it is one tracked object; its refs are the schemas' own
+    (:attr:`~repro.datastore.schema.RelationSchema.attribute_refs`).
 
     Attributes
     ----------
@@ -59,8 +52,7 @@ class Correspondence:
 
     def key(self) -> Tuple[str, str]:
         """Order-independent identity of the aligned attribute pair."""
-        a, b = self.source.qualified, self.target.qualified
-        return (a, b) if a <= b else (b, a)
+        return pair_key(self.source, self.target)
 
     def reversed(self) -> "Correspondence":
         """The same correspondence with source and target swapped."""
@@ -168,10 +160,6 @@ def resolve_matcher(matcher: Union[str, "BaseMatcher"]) -> "BaseMatcher":
     return factory()
 
 
-#: Sort key of a ``((-confidence, pair key), correspondence)`` entry.
-_rank = itemgetter(0)
-
-
 def top_y_per_attribute(
     correspondences: Iterable[Correspondence],
     y: int,
@@ -186,61 +174,59 @@ def top_y_per_attribute(
     """
     if y < 1:
         raise ValueError("y must be >= 1")
-    # The sort key is built once per correspondence, here, and rides along
-    # with it through every per-attribute sort and the final one.
+    # One ranked entry per correspondence, ``(-confidence, attr_a, attr_b,
+    # arrival, correspondence)`` with the pair in key order: plain tuple order
+    # ranks it, and the arrival number settles a tie the way a stable sort
+    # would, before a comparison could reach the correspondence.
     by_attribute: Dict[str, List[tuple]] = defaultdict(list)
-    for correspondence in correspondences:
-        if correspondence.confidence < min_confidence:
+    for arrival, correspondence in enumerate(correspondences):
+        confidence = correspondence.confidence
+        if confidence < min_confidence:
             continue
-        key = correspondence.key()
-        ranked = ((-correspondence.confidence, key), correspondence)
-        for attribute in key:
-            by_attribute[attribute].append(ranked)
+        a, b = correspondence.source.qualified, correspondence.target.qualified
+        if b < a:
+            a, b = b, a
+        ranked = (-confidence, a, b, arrival, correspondence)
+        by_attribute[a].append(ranked)
+        by_attribute[b].append(ranked)
 
-    kept: Dict[Tuple[Tuple[str, str], str], tuple] = {}
+    # Per (pair, matcher), the first entry in ranked order that some
+    # attribute keeps: its best confidence, earliest on a tie.
+    kept: Dict[Tuple[str, str, str], tuple] = {}
     for candidates in by_attribute.values():
-        candidates.sort(key=_rank)
+        candidates.sort()
         for ranked in candidates[:y]:
-            (_, pair), correspondence = ranked
-            existing = kept.get((pair, correspondence.matcher))
-            if existing is None or correspondence.confidence > existing[1].confidence:
-                kept[(pair, correspondence.matcher)] = ranked
-    return [correspondence for _, correspondence in sorted(kept.values(), key=_rank)]
+            slot = (ranked[1], ranked[2], ranked[4].matcher)
+            existing = kept.get(slot)
+            if existing is None or ranked < existing:
+                kept[slot] = ranked
+    return [ranked[4] for ranked in sorted(kept.values())]
 
 
 def group_correspondences(
     correspondences: Iterable[Correspondence],
-) -> Dict[Tuple[str, str], Tuple[Correspondence, Dict[str, float]]]:
-    """Group correspondences by attribute pair in one pass over the input.
+) -> Iterator[Tuple[AttributeRef, AttributeRef, Dict[str, float]]]:
+    """Group correspondences by attribute pair: one row per pair, in first-seen order.
 
-    Returns ``(attr_a, attr_b) -> (first correspondence seen for the pair,
-    {matcher_name: best confidence})`` in first-seen order; the pair key is
-    order-independent.  The first correspondence says which side is the
-    source, which is what edge installation orients the edge by.
+    A row is ``(source, target, {matcher_name: best confidence})``, what
+    :meth:`~repro.graph.search_graph.SearchGraph.add_associations` installs;
+    the first correspondence seen for a pair says which side is the source,
+    which is what edge installation orients the edge by.  The input is read
+    in full first; a pair keeps a confidence map only once a second
+    correspondence arrives, and each row builds the rest as it is taken.
     """
-    grouped: Dict[Tuple[str, str], Tuple[Correspondence, Dict[str, float]]] = {}
+    first: Dict[Tuple[str, str], Correspondence] = {}
+    merged: Dict[Tuple[str, str], Dict[str, float]] = {}
     for correspondence in correspondences:
         key = correspondence.key()
-        entry = grouped.get(key)
-        if entry is None:
-            entry = grouped[key] = (correspondence, {})
-        confidences = entry[1]
+        seen = first.setdefault(key, correspondence)
+        if seen is correspondence:
+            continue
+        confidences = merged.get(key)
+        if confidences is None:
+            confidences = merged[key] = {seen.matcher: seen.confidence}
         existing = confidences.get(correspondence.matcher)
         if existing is None or correspondence.confidence > existing:
             confidences[correspondence.matcher] = correspondence.confidence
-    return grouped
-
-
-def merge_correspondences(
-    correspondences: Iterable[Correspondence],
-) -> Dict[Tuple[str, str], Dict[str, float]]:
-    """Group correspondences by attribute pair, keeping per-matcher confidences.
-
-    Returns a mapping ``(attr_a, attr_b) -> {matcher_name: confidence}``
-    where the pair key is order-independent.  This is the form consumed by
-    :meth:`repro.graph.search_graph.SearchGraph.add_association`.
-    """
-    return {
-        key: confidences
-        for key, (_, confidences) in group_correspondences(correspondences).items()
-    }
+    for key, seen in first.items():
+        yield seen.source, seen.target, merged.get(key) or {seen.matcher: seen.confidence}

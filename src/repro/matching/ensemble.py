@@ -5,8 +5,9 @@ set of tables), merges the per-matcher confidences for each attribute pair,
 and exposes:
 
 * the merged per-matcher confidence map — what
-  :meth:`repro.graph.search_graph.SearchGraph.add_association` consumes so
-  that each matcher's confidence becomes its own weighted feature;
+  :meth:`repro.graph.search_graph.SearchGraph.add_associations` installs,
+  one batch per registration, so that each matcher's confidence becomes its
+  own weighted feature;
 * a simple *averaged* score — the no-feedback baseline of Figure 11
   ("the matchers' scores are simply averaged for every edge").
 """
@@ -22,7 +23,8 @@ from .base import (
     AttributeRef,
     BaseMatcher,
     Correspondence,
-    merge_correspondences,
+    group_correspondences,
+    pair_key,
     top_y_per_attribute,
 )
 from .mad import MadMatcher
@@ -50,8 +52,7 @@ class EnsembleAlignment:
 
     def key(self) -> Tuple[str, str]:
         """Order-independent identity of the attribute pair."""
-        a, b = self.source.qualified, self.target.qualified
-        return (a, b) if a <= b else (b, a)
+        return pair_key(self.source, self.target)
 
 
 class MatcherEnsemble:
@@ -108,34 +109,19 @@ class MatcherEnsemble:
     # Post-processing
     # ------------------------------------------------------------------
     def _merge(self, correspondences: Iterable[Correspondence]) -> List[EnsembleAlignment]:
-        correspondences = list(correspondences)
         # Merge per attribute pair first so that top-Y selection is over
         # *pairs* (ranked by their best confidence across matchers), not
         # over individual matcher outputs — otherwise a strong matcher's
         # proposals could crowd a weaker matcher's evidence for the same
-        # pair out of the selection.
-        merged = merge_correspondences(correspondences)
-        refs: Dict[Tuple[str, str], Tuple[AttributeRef, AttributeRef]] = {}
-        for correspondence in correspondences:
-            refs.setdefault(correspondence.key(), (correspondence.source, correspondence.target))
-        best_per_pair = [
-            Correspondence(
-                source=refs[key][0],
-                target=refs[key][1],
-                confidence=max(confidences.values()),
-                matcher="ensemble",
-            )
-            for key, confidences in merged.items()
+        # pair out of the selection.  Top-Y returns the kept pairs ranked.
+        best_per_pair = {
+            Correspondence(source, target, max(confidences.values()), "ensemble"): confidences
+            for source, target, confidences in group_correspondences(correspondences)
+        }
+        return [
+            EnsembleAlignment(kept.source, kept.target, best_per_pair[kept])
+            for kept in top_y_per_attribute(best_per_pair, self.top_y)
         ]
-        selected_keys = {c.key() for c in top_y_per_attribute(best_per_pair, self.top_y)}
-        alignments: List[EnsembleAlignment] = []
-        for key in selected_keys:
-            source, target = refs[key]
-            alignments.append(
-                EnsembleAlignment(source=source, target=target, confidences=dict(merged[key]))
-            )
-        alignments.sort(key=lambda a: (-a.max_confidence, a.key()))
-        return alignments
 
     def reset_counters(self) -> None:
         """Reset the comparison instrumentation of every member matcher."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datastore.table import Table
-from .base import AttributeRef, BaseMatcher, Correspondence
+from .base import BaseMatcher, Correspondence
 from .mad_graph import (
     MadGraphConfig,
     PropagationGraph,
@@ -244,11 +244,9 @@ class MadMatcher(BaseMatcher):
         """Produce correspondences between all attribute pairs of ``tables``."""
         distributions = self.propagate(tables)
         node_refs = {
-            attribute_graph_node(t.schema.qualified_name, attr): AttributeRef(
-                t.schema.qualified_name, attr
-            )
+            attribute_graph_node(ref.relation, ref.attribute): ref
             for t in tables
-            for attr in t.schema.attribute_names
+            for ref in t.schema.attribute_refs
         }
         correspondences: List[Correspondence] = []
         for attr_node, distribution in distributions.items():
@@ -267,16 +265,8 @@ class MadMatcher(BaseMatcher):
                 if score < self.min_confidence:
                     continue
                 target_ref = node_refs[label]
-                if target_ref.relation == source_ref.relation and target_ref.attribute == source_ref.attribute:
-                    continue
-                correspondences.append(
-                    Correspondence(
-                        source=source_ref,
-                        target=target_ref,
-                        confidence=round(min(score, 1.0), 6),
-                        matcher=self.name,
-                    )
-                )
+                if target_ref != source_ref:
+                    correspondences.append(Correspondence(source_ref, target_ref, round(min(score, 1.0), 6), self.name))
         return correspondences
 
     # ------------------------------------------------------------------

@@ -32,7 +32,7 @@ from ..similarity.edit_distance import jaro_winkler_similarity
 from ..similarity.jaccard import token_jaccard
 from ..similarity.ngram import ngram_similarity
 from ..similarity.tokenize import normalize_label, token_set
-from .base import AttributeRef, BaseMatcher, Correspondence
+from .base import BaseMatcher, Correspondence
 
 
 @dataclass
@@ -150,29 +150,29 @@ class MetadataMatcher(BaseMatcher):
         Every attribute pair is compared (and counted); pairs whose combined
         confidence clears ``min_confidence`` are returned.
         """
-        relation_a = table_a.schema.qualified_name
-        relation_b = table_b.schema.qualified_name
-        if relation_a == relation_b:
+        schema_a, schema_b = table_a.schema, table_b.schema
+        if schema_a.qualified_name == schema_b.qualified_name:
             return []
-        self.counter.record_relation_pair(
-            len(table_a.schema.attribute_names), len(table_b.schema.attribute_names)
-        )
-        structural = self._structural_similarity(table_a, table_b)
+        refs_a, refs_b = schema_a.attribute_refs, schema_b.attribute_refs
+        self.counter.record_relation_pair(len(refs_a), len(refs_b))
+        config = self.config
+        bonus = config.structural_bonus * self._structural_similarity(table_a, table_b)
+        floor = config.min_confidence
+        weights = (config.token_weight, config.jaro_winkler_weight, config.trigram_weight, config.substring_weight)
+        name = self.name
         correspondences: List[Correspondence] = []
-        for attr_a in table_a.schema.attribute_names:
-            for attr_b in table_b.schema.attribute_names:
-                score = self.name_similarity(attr_a, attr_b)
-                score = min(1.0, score + self.config.structural_bonus * structural)
-                if score < self.config.min_confidence:
-                    continue
-                correspondences.append(
-                    Correspondence(
-                        source=AttributeRef(relation_a, attr_a),
-                        target=AttributeRef(relation_b, attr_b),
-                        confidence=round(score, 6),
-                        matcher=self.name,
-                    )
-                )
+        for ref_a in refs_a:
+            label_a = ref_a.attribute
+            for ref_b in refs_b:
+                label_b = ref_b.attribute
+                # Canonical pair order, as in :meth:`name_similarity`.
+                if label_b < label_a:
+                    similarity = _name_similarity_cached(label_b, label_a, *weights)
+                else:
+                    similarity = _name_similarity_cached(label_a, label_b, *weights)
+                score = min(1.0, similarity + bonus)
+                if score >= floor:
+                    correspondences.append(Correspondence(ref_a, ref_b, round(score, 6), name))
         return correspondences
 
 

@@ -29,7 +29,7 @@ from ..datastore.indexes import ValueIndex
 from ..datastore.table import Table
 from ..profiling.index import CatalogProfileIndex
 from ..similarity.jaccard import max_containment
-from .base import AttributeRef, BaseMatcher, Correspondence
+from .base import BaseMatcher, Correspondence
 
 
 class ValueOverlapMatcher(BaseMatcher):
@@ -87,65 +87,46 @@ class ValueOverlapMatcher(BaseMatcher):
     def _match_blocked(self, table_a: Table, table_b: Table) -> List[Correspondence]:
         index = self.profile_index
         assert index is not None
-        relation_a = table_a.schema.qualified_name
         relation_b = table_b.schema.qualified_name
+        refs_b = table_b.schema.attribute_refs
+        floor, min_shared, name = self.min_confidence, self.min_shared_values, self.name
         correspondences: List[Correspondence] = []
-        for attr_a in table_a.schema.attribute_names:
-            candidates = index.value_candidates(relation_a, attr_a)
+        for ref_a in table_a.schema.attribute_refs:
+            candidates = index.value_candidates(ref_a.relation, ref_a.attribute)
             if not candidates:
                 continue
-            profile_a = index.profile(relation_a, attr_a)
+            profile_a = index.profile(ref_a.relation, ref_a.attribute)
             values_a = profile_a.distinct_values if profile_a is not None else frozenset()
             # Iterate the candidate attributes in schema order so the output
             # order matches the exhaustive loop exactly.
-            for attr_b in table_b.schema.attribute_names:
-                shared = candidates.get((relation_b, attr_b), 0)
-                if shared < self.min_shared_values:
+            for ref_b in refs_b:
+                if candidates.get((relation_b, ref_b.attribute), 0) < min_shared:
                     continue
-                profile_b = index.profile(relation_b, attr_b)
+                profile_b = index.profile(relation_b, ref_b.attribute)
                 values_b = profile_b.distinct_values if profile_b is not None else frozenset()
                 confidence = max_containment(values_a, values_b)
-                if confidence < self.min_confidence:
-                    continue
-                correspondences.append(
-                    Correspondence(
-                        source=AttributeRef(relation_a, attr_a),
-                        target=AttributeRef(relation_b, attr_b),
-                        confidence=round(confidence, 6),
-                        matcher=self.name,
-                    )
-                )
+                if confidence >= floor:
+                    correspondences.append(Correspondence(ref_a, ref_b, round(confidence, 6), name))
         return correspondences
 
     # ------------------------------------------------------------------
     # Exhaustive fallback (the Figure 7 "no filter" baseline semantics)
     # ------------------------------------------------------------------
     def _match_exhaustive(self, table_a: Table, table_b: Table) -> List[Correspondence]:
-        relation_a = table_a.schema.qualified_name
-        relation_b = table_b.schema.qualified_name
+        refs_b = table_b.schema.attribute_refs
+        floor, min_shared, name = self.min_confidence, self.min_shared_values, self.name
         correspondences: List[Correspondence] = []
-        for attr_a in table_a.schema.attribute_names:
-            values_a = table_a.distinct_values(attr_a)
+        for ref_a in table_a.schema.attribute_refs:
+            values_a = table_a.distinct_values(ref_a.attribute)
             if not values_a:
                 continue
-            for attr_b in table_b.schema.attribute_names:
-                values_b = table_b.distinct_values(attr_b)
-                if not values_b:
-                    continue
-                shared = len(values_a & values_b)
-                if shared < self.min_shared_values:
+            for ref_b in refs_b:
+                values_b = table_b.distinct_values(ref_b.attribute)
+                if not values_b or len(values_a & values_b) < min_shared:
                     continue
                 confidence = max_containment(values_a, values_b)
-                if confidence < self.min_confidence:
-                    continue
-                correspondences.append(
-                    Correspondence(
-                        source=AttributeRef(relation_a, attr_a),
-                        target=AttributeRef(relation_b, attr_b),
-                        confidence=round(confidence, 6),
-                        matcher=self.name,
-                    )
-                )
+                if confidence >= floor:
+                    correspondences.append(Correspondence(ref_a, ref_b, round(confidence, 6), name))
         return correspondences
 
     def match_tables(self, tables: Sequence[Table]) -> List[Correspondence]:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datastore.database import DataSource
+from repro.datastore.schema import RelationSchema
 from repro.matching import (
     AttributeRef,
     Correspondence,
@@ -22,7 +23,7 @@ from repro.matching import (
     attribute_graph_node,
     build_column_value_graph,
     compute_walk_probabilities,
-    merge_correspondences,
+    group_correspondences,
     normalize_distribution,
     run_mad,
     top_y_per_attribute,
@@ -61,10 +62,46 @@ class TestCorrespondence:
             Correspondence(AttributeRef("r2", "a"), AttributeRef("r1", "x"), 0.6, "m2"),
             Correspondence(AttributeRef("r1", "x"), AttributeRef("r2", "a"), 0.5, "m1"),
         ]
-        merged = merge_correspondences(corrs)
-        assert len(merged) == 1
-        confidences = next(iter(merged.values()))
+        rows = list(group_correspondences(corrs))
+        assert len(rows) == 1
+        source, target, confidences = rows[0]
+        assert (source, target) == (AttributeRef("r1", "x"), AttributeRef("r2", "a"))  # the first one seen
         assert confidences == {"m1": 0.9, "m2": 0.6}
+
+
+class TestSharedRefs:
+    def test_a_ref_reads_as_it_always_did(self):
+        ref = AttributeRef("s.r", "a")
+        assert ref == AttributeRef("s.r", "a") and ref != AttributeRef("s.r", "b")
+        assert hash(ref) == hash(("s.r", "a"))
+        assert repr(ref) == "AttributeRef(relation='s.r', attribute='a')"
+        assert ref.qualified == "s.r.a" and str(ref) == "s.r.a"
+        assert {ref: 1}[AttributeRef("s.r", "a")] == 1
+
+    def test_a_schema_hands_out_its_refs_and_new_ones_once_rebound(self):
+        schema = RelationSchema("r", ["a", "b"], source="s")
+        refs = schema.attribute_refs
+        assert refs == (AttributeRef("s.r", "a"), AttributeRef("s.r", "b"))
+        assert schema.attribute_refs is refs
+        schema.bind_source("s")
+        assert schema.attribute_refs is refs  # the same binding keeps them
+        schema.bind_source("t")
+        rebound = schema.attribute_refs
+        assert rebound == (AttributeRef("t.r", "a"), AttributeRef("t.r", "b"))
+        assert [ref.qualified for ref in rebound] == ["t.r.a", "t.r.b"]
+
+    def test_correspondences_carry_the_schemas_refs(self, mini_catalog):
+        term = mini_catalog.relation("go.term")
+        link = mini_catalog.relation("interpro.interpro2go")
+        refs = {ref.qualified: ref for table in (term, link) for ref in table.schema.attribute_refs}
+        matched = (
+            MetadataMatcher(MetadataMatcherConfig(min_confidence=0.0)).match_relations(term, link)
+            + ValueOverlapMatcher().match_relations(term, link)
+            + MadMatcher().match_relations(term, link)
+        )
+        assert {c.matcher for c in matched} == {"metadata", "value_overlap", "mad"}
+        for c in matched:
+            assert c.source is refs[c.source.qualified] and c.target is refs[c.target.qualified]
 
 
 class TestMetadataMatcher:
