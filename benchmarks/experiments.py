@@ -224,7 +224,8 @@ def run_gbco_alignment_experiment(
         graph = SearchGraph()
         graph.add_catalog(catalog)
         _wire_initial_associations(catalog, graph, profile_index=profile_index)
-        builder = QueryGraphBuilder(catalog)
+        # The dataset-wide index profiles every relation of the trial catalog.
+        builder = QueryGraphBuilder(catalog, profile_index)
         view = RankedView(list(entry.keywords), catalog, graph, k=k, builder=builder)
         view.refresh()
         alpha = _calibrate_view(view)
@@ -375,7 +376,7 @@ def run_scaling_experiment(
             _wire_initial_associations(catalog, graph)
             if size > catalog.source_count:
                 grow_catalog_and_graph(catalog, graph, target_source_count=size, seed=size)
-            builder = QueryGraphBuilder(catalog)
+            builder = QueryGraphBuilder(catalog, CatalogProfileIndex.from_catalog(catalog))
             view = RankedView(list(entry.keywords), catalog, graph, k=5, builder=builder)
             view.refresh()
             alpha = _calibrate_view(view)

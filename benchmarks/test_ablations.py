@@ -21,6 +21,7 @@ from repro.graph import QueryGraphBuilder, SearchGraph
 from repro.matching import MadConfig, MadMatcher, MetadataMatcher, MatcherEnsemble
 from repro.alignment.base import install_associations
 from repro.matching.base import Correspondence
+from repro.profiling import CatalogProfileIndex
 from repro.steiner import approximate_steiner_tree, exact_steiner_tree
 
 
@@ -57,7 +58,7 @@ def test_ablation_exact_vs_approximate_steiner(benchmark):
         for matcher, confidence in a.confidences.items()
     ]
     install_associations(system_graph, correspondences)
-    builder = QueryGraphBuilder(dataset.catalog)
+    builder = QueryGraphBuilder(dataset.catalog, CatalogProfileIndex.from_catalog(dataset.catalog))
 
     def run():
         ratios = []

@@ -3,8 +3,8 @@
 The registration service is the entry point triggered when a user (or a
 crawler) registers a new database: the source's relations and attributes are
 added to the catalog and the search graph, the maintained indexes (the
-shared :class:`~repro.profiling.index.CatalogProfileIndex`, value/token
-indexes) are updated incrementally, an aligner strategy proposes association
+shared :class:`~repro.profiling.index.CatalogProfileIndex`) are updated
+incrementally, an aligner strategy proposes association
 edges against the existing graph, and any registered callbacks (e.g. view
 refresh) are invoked with the alignment result.
 
@@ -59,12 +59,11 @@ class SourceRegistrar:
         association edges are added to it.
     indexes:
         Maintained index objects — anything exposing ``index_source`` and
-        ``remove_source`` (e.g. a
-        :class:`~repro.profiling.index.CatalogProfileIndex`, a
-        :class:`~repro.datastore.indexes.ValueIndex`).  They are updated
-        incrementally on every registration, *before* the aligner runs (so
-        value filters and blocking see the new source), and retracted on
-        failure.
+        ``remove_source``; a session passes its one
+        :class:`~repro.profiling.index.CatalogProfileIndex`, which keyword
+        matching reads too.  They are updated incrementally on every
+        registration, *before* the aligner runs (so value filters and
+        blocking see the new source), and retracted on failure.
     """
 
     def __init__(

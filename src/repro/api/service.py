@@ -440,15 +440,15 @@ class QService:
 
     def _query_builder(self) -> QueryGraphBuilder:
         if self._builder is None:
-            self._builder = QueryGraphBuilder(self.catalog)
+            self._builder = QueryGraphBuilder(self.catalog, self.profile_index)
         return self._builder
 
     def _sync_builder(self, source: DataSource) -> None:
         """Fold a newly admitted source into the shared query-graph builder.
 
         Incremental replacement for the seed's builder invalidation: the
-        builder's value index and tf-idf corpus gain exactly the new
-        source's entries (ending in the same state a from-scratch rebuild
+        builder's remembered value cells and tf-idf corpus gain exactly the
+        new source's entries (ending in the same state a from-scratch rebuild
         over the grown catalog would produce), and every existing view —
         which holds this builder — sees the new source's values on its next
         rebuild instead of expanding against a stale index.
@@ -893,6 +893,8 @@ class QService:
                     f"this session already persists to {store.description}; "
                     "save() cannot be re-targeted to a different location"
                 )
+        # A table appended to since it was profiled is saved with its new values.
+        self.profile_index.refresh(self.catalog)
         return self._persistence.save(self, compact=compact)
 
     def _resolve_store(self, path) -> SessionStore:

@@ -41,6 +41,7 @@ from ..graph.query_graph import QueryGraph, QueryGraphBuilder
 from ..graph.features import WeightVector
 from ..graph.search_graph import SearchGraph
 from ..obs.tracing import active_trace
+from ..profiling.index import CatalogProfileIndex
 from ..learning.feedback import (
     AnnotationKind,
     AnswerAnnotation,
@@ -95,7 +96,8 @@ class RankedView:
     k:
         Number of query trees retained.
     builder:
-        Optional query-graph builder (shared across views to reuse indexes).
+        Optional query-graph builder (shared across views to reuse indexes);
+        without one, the view profiles ``catalog`` on its first expansion.
     engine_context:
         Optional shared :class:`~repro.engine.context.ExecutionContext`; the
         Q system passes its session's, so all readers share answers, scans
@@ -117,7 +119,7 @@ class RankedView:
         self.base_graph = graph
         self.k = k
         self.answer_limit = answer_limit
-        self.builder = builder or QueryGraphBuilder(catalog)
+        self.builder = builder
         # A view is its definition: it expands on its first pull.  An
         # expansion names its edges by their endpoints, so expanding again
         # reproduces the ids, and the per-edge weights learned under them.
@@ -200,6 +202,8 @@ class RankedView:
         moved since it was carried; it is dropped either way.  Each cost is
         re-derived from the graph (the solver's ``fsum`` bit for bit).
         """
+        if self.builder is None:
+            self.builder = QueryGraphBuilder(self.catalog, CatalogProfileIndex.from_catalog(self.catalog))
         self._query_graph = graph = self.builder.expand(self.base_graph, self.keywords)
         self.expanded_at = self.base_graph.structure_version
         self._solve_state = None

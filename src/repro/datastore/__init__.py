@@ -1,4 +1,4 @@
-"""Relational substrate: schemas, tables, catalogs, indexes and query execution.
+"""Relational substrate: schemas, tables, catalogs and the query model.
 
 This subpackage provides everything the Q system needs from a database layer:
 
@@ -7,8 +7,6 @@ This subpackage provides everything the Q system needs from a database layer:
 * :class:`Table`, :class:`Row` — relation facade over pluggable tuple
   storage (:mod:`repro.storage`: in-memory or SQLite backends).
 * :class:`DataSource`, :class:`Catalog` — registered sources.
-* :class:`ValueIndex` — the inverted index for keyword matching and the
-  value-overlap filter.
 * :class:`ConjunctiveQuery` and friends, :class:`AnswerTuple`,
   :class:`TupleProvenance` — the query model and provenance-carrying answers
   (paper Section 2.2); execution lives in :mod:`repro.engine`.
@@ -17,7 +15,6 @@ This subpackage provides everything the Q system needs from a database layer:
 """
 
 from .database import Catalog, DataSource
-from .indexes import ValueIndex, ValueOccurrence
 from .provenance import AnswerTuple, TupleProvenance
 from .query import (
     ConjunctiveQuery,
@@ -46,8 +43,6 @@ __all__ = [
     "SourceSchema",
     "Table",
     "TupleProvenance",
-    "ValueIndex",
-    "ValueOccurrence",
     "ValueType",
     "canonicalize",
     "infer_column_type",

@@ -290,9 +290,8 @@ class ExecutionContext:
 
     Selection pushdown: ``equals``-mode predicates are answered from
     per-attribute inverted value indexes (value → row ids) built lazily per
-    relation — the engine-local analogue of the system-wide
-    :class:`~repro.datastore.indexes.ValueIndex`, rebuilt automatically when
-    the table's data version moves so it can never serve stale rows.
+    relation, rebuilt automatically when the table's data version moves so
+    they can never serve stale rows.
     """
 
     def __init__(self, catalog: Catalog) -> None:

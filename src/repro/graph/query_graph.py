@@ -19,11 +19,15 @@ exactly what the Steiner-tree machinery needs as terminals.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ..datastore.database import Catalog
-from ..datastore.indexes import ValueIndex
+from ..datastore.database import Catalog, DataSource
+from ..datastore.table import Table
+from ..datastore.types import canonicalize
+from ..profiling.index import CatalogProfileIndex
+from ..profiling.profiles import AttributeProfile, RelationProfile
 from ..similarity.tfidf import TfIdfScorer
 from ..similarity.tokenize import token_set
 from .edges import Edge, EdgeKind, derived_edge_id
@@ -39,6 +43,25 @@ from .search_graph import SearchGraph
 
 # Feature carrying the keyword mismatch cost ``s`` on keyword-match edges.
 KEYWORD_MISMATCH_FEATURE = "keyword_mismatch"
+
+#: Needles whose cells a builder remembers (the least recently read goes first).
+_REMEMBERED_NEEDLES = 256
+
+
+class _Cell(NamedTuple):
+    """One catalog cell holding a value that a keyword matched."""
+
+    relation: str  # qualified relation name
+    attribute: str
+    row_id: int
+    value: str  # canonical value
+
+
+#: A needle's cells by value: values as a catalog scan first meets them, cells in scan order.
+_Groups = Dict[str, List[_Cell]]
+
+#: Tables in scan order, each with its relation's profile and attribute profiles.
+_Tables = List[Tuple[Table, RelationProfile, Tuple[AttributeProfile, ...]]]
 
 
 @dataclass
@@ -88,11 +111,14 @@ class QueryGraphBuilder:
     Parameters
     ----------
     catalog:
-        The catalog backing the search graph (used to find matching data
-        values).
-    value_index:
-        Optional pre-built :class:`ValueIndex`; built lazily from the
-        catalog when omitted.
+        The catalog backing the search graph (its cells are the data values
+        a keyword can match).
+    profile_index:
+        The :class:`~repro.profiling.index.CatalogProfileIndex` over
+        ``catalog``.  It names the attributes holding a keyword's values, so
+        a lookup reads only their columns.  Its owner keeps it in step with
+        registrations and removals; the builder re-profiles a table appended
+        to since (:meth:`CatalogProfileIndex.refresh`).
     scorer:
         Optional :class:`TfIdfScorer`; built from the catalog's schema
         labels and values when omitted.
@@ -108,30 +134,27 @@ class QueryGraphBuilder:
     def __init__(
         self,
         catalog: Catalog,
-        value_index: Optional[ValueIndex] = None,
+        profile_index: CatalogProfileIndex,
         scorer: Optional[TfIdfScorer] = None,
         similarity_threshold: float = 0.3,
         max_value_matches: int = 25,
         keyword_match_weight: float = 1.0,
     ) -> None:
         self.catalog = catalog
-        # Both corpus structures build lazily on first use: a reopened
-        # session's views are saved as their definitions, so its builder pays
-        # the full catalog scan only when the first of them is pulled.
-        self._value_index = value_index
+        self.profile_index = profile_index
+        # The scorer builds lazily on first use: a reopened session's views
+        # are saved as their definitions, so its builder pays the catalog
+        # scan only when the first of them is pulled.
         self._scorer = scorer
+        #: (needle, cap) -> (names of the sources read, the needle's cells): see _groups.
+        self._postings: "OrderedDict[Tuple[str, Optional[int]], Tuple[Set[str], _Groups]]" = OrderedDict()
+        #: (profile index epoch, the catalog's tables as it profiles them): see _tables.
+        self._layout: Optional[Tuple[int, _Tables]] = None
         #: (base graph, its structure version, label token postings): see _label_postings.
         self._labels: Optional[Tuple[SearchGraph, int, Dict[str, List[Tuple[int, Node]]]]] = None
         self.similarity_threshold = similarity_threshold
         self.max_value_matches = max_value_matches
         self.keyword_match_weight = keyword_match_weight
-
-    @property
-    def value_index(self) -> ValueIndex:
-        """The keyword→cell occurrence index (built from the catalog on demand)."""
-        if self._value_index is None:
-            self._value_index = ValueIndex.from_catalog(self.catalog)
-        return self._value_index
 
     @property
     def scorer(self) -> TfIdfScorer:
@@ -150,35 +173,38 @@ class QueryGraphBuilder:
                     scorer.add_document(attr.name)
         return scorer
 
-    def add_source(self, source) -> None:
-        """Fold a newly registered source into the builder's shared state.
+    def add_source(self, source: DataSource) -> None:
+        """Fold a newly registered source into the builder's shared state,
+        once the catalog and the profile index hold it.
 
-        Incremental counterpart of rebuilding the builder from the grown
-        catalog: the value index gains the source's cells and the tf-idf
-        scorer gains its schema-label documents, ending in exactly the state
-        a from-scratch build over the grown catalog would produce.  Views
-        holding this builder see the new source on their next rebuild.
-        Structures that have not been built yet are left alone — their
-        eventual lazy build over the grown catalog includes the source.
+        Each remembered needle's cells gain the source's, read from its
+        matching columns: it is last in catalog order, so they go last, where
+        a fresh read puts them (a needle first read since the catalog gained
+        it, as inside a batch registration, holds them already).  The tf-idf
+        scorer gains its schema-label documents unless it is still unbuilt.
         """
-        if self._value_index is not None:
-            self._value_index.index_source(source)
+        self._tables()  # takes the source in: the cells read next come from it
+        tables = self._profiled(source)
+        for (needle, cap), (read, groups) in self._postings.items():
+            if source.name not in read:
+                read.add(source.name)
+                self._read_cells(tables, needle, cap, groups)
         if self._scorer is not None:
             for table in source:
                 self._scorer.add_document(table.schema.name)
                 for attr in table.schema:
                     self._scorer.add_document(attr.name)
 
-    def remove_source(self, source) -> None:
+    def remove_source(self, source: DataSource) -> None:
         """Retract a source admitted via :meth:`add_source`.
 
         The tf-idf scorer's document frequencies are decremented per label so
-        corpus statistics return to their pre-registration values.  The value
-        index is dropped and rebuilt on demand: retraction would leave a value
-        where the removed source first put it, ahead of where a rebuild puts
-        it, and a capped substring lookup reads that order.
+        corpus statistics return to their pre-registration values.  The
+        remembered cells are forgotten: a value the source held first moves
+        to where the rest of the catalog first holds it, so each needle's
+        next lookup reads its matching columns again.
         """
-        self._value_index = None
+        self._postings.clear()
         if self._scorer is not None:
             for table in source:
                 self._scorer.remove_document(table.schema.name)
@@ -196,6 +222,8 @@ class QueryGraphBuilder:
         the same ids, and finds the weights learned under them in place.  A
         keyword repeated up to case is one keyword node, expanded once.
         """
+        self.profile_index.refresh(self.catalog)
+        self._tables()  # forgets the remembered cells if a profile moved
         graph = base_graph.copy(share_weights=True)
         result = QueryGraph(graph=graph)
         labels = self._label_postings(base_graph)
@@ -265,38 +293,26 @@ class QueryGraphBuilder:
         self, graph: SearchGraph, keyword: str, vector: Dict[str, float], keyword_node: Node,
         result: QueryGraph,
     ) -> None:
-        occurrences = self.value_index.lookup(keyword)
-        if not occurrences:
-            occurrences = self.value_index.lookup_substring(
-                keyword, limit=self.max_value_matches
-            )
-        seen_cells: Set[Tuple[str, str, int]] = set()
         # A value repeated across cells is scored once.
         scores: Dict[str, float] = {}
         added = 0
-        for occurrence in occurrences:
+        for relation, attribute, row_id, value in self._value_cells(keyword):
             if added >= self.max_value_matches:
                 break
-            cell = (occurrence.relation, occurrence.attribute, occurrence.row_id)
-            if cell in seen_cells:
-                continue
-            seen_cells.add(cell)
-            similarity = scores.get(occurrence.value)
+            similarity = scores.get(value)
             if similarity is None:
-                similarity = scores[occurrence.value] = self.scorer.cosine(vector, occurrence.value)
+                similarity = scores[value] = self.scorer.cosine(vector, value)
             if similarity < self.similarity_threshold:
                 # Exact-substring matches of very short keywords can still
                 # score low under tf-idf; fall back to a containment bonus.
-                if keyword.lower() in occurrence.value.lower():
+                if keyword.lower() in value.lower():
                     similarity = max(similarity, 0.5)
                 else:
                     continue
             mismatch = 1.0 - similarity
-            value_node = make_value_node(
-                occurrence.relation, occurrence.attribute, occurrence.row_id, occurrence.value
-            )
+            value_node = make_value_node(relation, attribute, row_id, value)
             graph.add_node(value_node)
-            attr_id = attribute_node_id(occurrence.relation, occurrence.attribute)
+            attr_id = attribute_node_id(relation, attribute)
             if graph.has_node(attr_id) and not graph.find_edges(
                 value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP
             ):
@@ -315,6 +331,109 @@ class QueryGraphBuilder:
                 )
             )
             added += 1
+
+    def _value_cells(self, keyword: str) -> List[_Cell]:
+        """Every cell holding ``keyword``'s canonical form; failing that, the
+        first ``max_value_matches`` cells whose value contains the lowered
+        keyword, value by value."""
+        canon = canonicalize(keyword)
+        if canon is not None:
+            exact = self._groups(canon, None)
+            if exact:
+                return list(exact[canon])
+        cap = self.max_value_matches
+        cells: List[_Cell] = []
+        for group in self._groups(keyword.lower(), cap).values():
+            cells.extend(group)
+            if len(cells) >= cap:
+                return cells[:cap]
+        return cells
+
+    def _groups(self, needle: str, cap: Optional[int]) -> _Groups:
+        """The cells whose value equals ``needle`` (``cap`` is ``None``), or the
+        groups holding the first ``cap`` cells whose value contains it (and
+        perhaps more), remembered (see :meth:`add_source`, :meth:`remove_source`)."""
+        key = (needle, cap)
+        held = self._postings.get(key)
+        if held is not None:
+            self._postings.move_to_end(key)
+            return held[1]
+        groups: _Groups = {}
+        self._read_cells(self._tables(), needle, cap, groups)
+        self._postings[key] = (set(self.catalog.source_names()), groups)
+        if len(self._postings) > _REMEMBERED_NEEDLES:
+            self._postings.popitem(last=False)
+        return groups
+
+    def _read_cells(self, tables: _Tables, needle: str, cap: Optional[int], groups: _Groups) -> None:
+        """Append the cells of ``tables`` matching ``needle`` (see :meth:`_groups`)
+        to ``groups`` in scan order: tables in the given order, rows in row-id
+        order, attributes in schema order.  Only the columns whose profiled
+        values match are read, and a substring read stops once its first
+        ``cap`` cells are settled: no later table holds more of their values."""
+        plan = []
+        last: Dict[str, int] = {}  # matching value -> the last table in the plan holding it
+        for table, relation_profile, profiles in tables:
+            columns = []
+            for position, profile in enumerate(profiles):
+                if cap is None:
+                    wanted = {needle} if needle in profile.distinct_values else None
+                elif needle in profile.lowered_values:
+                    wanted = {value for value in profile.distinct_values if needle in value.lower()}
+                else:
+                    continue
+                if wanted:
+                    columns.append((position, profile.attribute, wanted))
+                    for value in wanted:
+                        last[value] = len(plan)
+            if columns:
+                plan.append((table, relation_profile.relation, columns))
+        for number, (table, relation, columns) in enumerate(plan):
+            for row in table.scan():
+                for position, attribute, wanted in columns:
+                    value = canonicalize(row.values[position])
+                    if value in wanted:
+                        groups.setdefault(value, []).append(_Cell(relation, attribute, row.row_id, value))
+            if cap is not None and self._settled(groups, last, number, cap):
+                return
+
+    @staticmethod
+    def _settled(groups: _Groups, last: Dict[str, int], number: int, cap: int) -> bool:
+        """Whether the first ``cap`` cells of ``groups`` stay as they are once
+        table ``number`` of a read is in: a later cell of a value goes after
+        its group's, and a later value after every group."""
+        count = 0
+        for value, cells in groups.items():
+            count += len(cells)
+            if count >= cap:
+                return True
+            if last.get(value, -1) > number:
+                return False
+        return False
+
+    def _tables(self) -> _Tables:
+        """The catalog's profiled tables in scan order, one pass per profile
+        index epoch.  A new pass forgets every remembered cell if a profile of
+        the last one moved: its table was appended to and re-profiled, or its
+        source left (as a failed batch registration's do)."""
+        index = self.profile_index
+        held = self._layout
+        if held is not None and held[0] == index.epoch:
+            return held[1]
+        if held is not None and any(index.relation_profile(rp.relation) is not rp for _, rp, _ in held[1]):
+            self._postings.clear()
+        tables = [entry for source in self.catalog for entry in self._profiled(source)]
+        self._layout = (index.epoch, tables)
+        return tables
+
+    def _profiled(self, source: DataSource) -> _Tables:
+        index = self.profile_index
+        tables = []
+        for table in source:
+            relation_profile = index.relation_profile(table.schema.qualified_name)
+            if relation_profile is not None:
+                tables.append((table, relation_profile, index.profiles_of(relation_profile.relation)))
+        return tables
 
     # ------------------------------------------------------------------
     # Edge construction

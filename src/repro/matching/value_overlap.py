@@ -23,9 +23,8 @@ exhaustive scan, which survives only as the fallback for unindexed tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..datastore.indexes import ValueIndex
 from ..datastore.table import Table
 from ..profiling.index import CatalogProfileIndex
 from ..similarity.jaccard import max_containment
@@ -153,12 +152,10 @@ class ValueOverlapFilter:
 
     The backing index is a shared
     :class:`~repro.profiling.index.CatalogProfileIndex` (the registration
-    service maintains one incrementally); a legacy
-    :class:`~repro.datastore.indexes.ValueIndex` is still accepted — both
-    expose the same ``overlap`` lookup.
+    service maintains one incrementally).
     """
 
-    index: Union[CatalogProfileIndex, ValueIndex]
+    index: CatalogProfileIndex
     min_shared_values: int = 1
 
     @classmethod
@@ -171,7 +168,7 @@ class ValueOverlapFilter:
 
     @classmethod
     def from_index(
-        cls, index: Union[CatalogProfileIndex, ValueIndex], min_shared_values: int = 1
+        cls, index: CatalogProfileIndex, min_shared_values: int = 1
     ) -> "ValueOverlapFilter":
         """Wrap an existing (shared, incrementally maintained) index."""
         return cls(index=index, min_shared_values=min_shared_values)
@@ -188,15 +185,14 @@ class ValueOverlapFilter:
     def comparable_pairs(self, table_a: Table, table_b: Table) -> int:
         """Number of attribute pairs of the two relations that pass the filter.
 
-        Answered from posting-list candidate maps when the backing index is
-        a profile index covering both relations (identical count, no nested
-        loop); the pairwise ``allows`` scan remains as the fallback.
+        Answered from posting-list candidate maps when the index's profiles
+        of both relations are current (identical count, no nested loop); the
+        pairwise ``allows`` scan remains as the fallback.
         """
         relation_a = table_a.schema.qualified_name
         relation_b = table_b.schema.qualified_name
         if (
-            isinstance(self.index, CatalogProfileIndex)
-            and relation_a != relation_b
+            relation_a != relation_b
             and self.min_shared_values >= 1
             and self.index.is_current(table_a)
             and self.index.is_current(table_b)

@@ -200,6 +200,14 @@ class CatalogProfileIndex:
             self.posting_builds += 1
             self._postings_ready = True
 
+    def refresh(self, catalog: Catalog) -> None:
+        """Re-profile every profiled table of ``catalog`` that is not
+        :meth:`is_current` (rows were appended since it was profiled)."""
+        for table in catalog.all_tables():
+            relation = table.schema.qualified_name
+            if relation in self._relation_profiles and not self.is_current(table):
+                self.index_table(table)
+
     def remove_source(self, name: str) -> None:
         """Retract every relation ``name`` contributed (no full rebuild)."""
         for relation in self._source_relations.pop(name, []):

@@ -11,6 +11,7 @@ metadata matcher and the aligner strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..datastore.table import Table
@@ -55,6 +56,12 @@ class AttributeProfile:
     def attr_id(self) -> AttrId:
         """``(relation, attribute)`` identity tuple."""
         return (self.relation, self.attribute)
+
+    @cached_property
+    def lowered_values(self) -> str:
+        """The distinct values lowered and newline-joined: one substring test
+        rules out an attribute none of whose values holds a keyword."""
+        return "\n".join(value.lower() for value in self.distinct_values)
 
     @property
     def distinct_count(self) -> int:

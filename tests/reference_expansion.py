@@ -4,17 +4,20 @@
 scorer learned to take a keyword's vector once: both strings are vectorised
 on every call.  ``reference_expand`` is ``QueryGraphBuilder.expand`` as it was
 then, scoring every relation, attribute and value with ``seed_similarity``
-(each keyword against every label, each cell's value on its own), scanning
-the value index for a substring match,
-building each edge itself and naming it by its kind and endpoints
-(``kind:u|v``), with a keyword repeated up to case expanded once.  The live
-code must reproduce both bit for bit.
+(each keyword against every label, each cell's value on its own), reading
+the matching cells by a brute-force scan of the catalog
+(:func:`reference_values.reference_value_cells`), building each edge itself
+and naming it by its kind and endpoints (``kind:u|v``), with a keyword
+repeated up to case expanded once.  The live code must reproduce both bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Set, Tuple
+
+from reference_values import reference_value_cells
 
 from repro.graph import (
     Edge,
@@ -75,30 +78,27 @@ def _match_schema_elements(builder, graph, keyword, keyword_node, result) -> Non
 
 
 def _match_data_values(builder, graph, keyword, keyword_node, result) -> None:
-    occurrences = builder.value_index.lookup(keyword)
-    if not occurrences:
-        occurrences = seed_lookup_substring(builder.value_index, keyword, builder.max_value_matches)
     seen_cells: Set[Tuple[str, str, int]] = set()
     added = 0
-    for occurrence in occurrences:
+    for relation, attribute, row_id, value in reference_value_cells(
+        builder.catalog, keyword, builder.max_value_matches
+    ):
         if added >= builder.max_value_matches:
             break
-        cell = (occurrence.relation, occurrence.attribute, occurrence.row_id)
+        cell = (relation, attribute, row_id)
         if cell in seen_cells:
             continue
         seen_cells.add(cell)
-        similarity = seed_similarity(builder.scorer, keyword, occurrence.value)
+        similarity = seed_similarity(builder.scorer, keyword, value)
         if similarity < builder.similarity_threshold:
-            if keyword.lower() in occurrence.value.lower():
+            if keyword.lower() in value.lower():
                 similarity = max(similarity, 0.5)
             else:
                 continue
         mismatch = 1.0 - similarity
-        value_node = make_value_node(
-            occurrence.relation, occurrence.attribute, occurrence.row_id, occurrence.value
-        )
+        value_node = make_value_node(relation, attribute, row_id, value)
         graph.add_node(value_node)
-        attr_id = attribute_node_id(occurrence.relation, occurrence.attribute)
+        attr_id = attribute_node_id(relation, attribute)
         if graph.has_node(attr_id) and not graph.find_edges(
             value_node.node_id, attr_id, EdgeKind.VALUE_MEMBERSHIP
         ):
@@ -109,18 +109,6 @@ def _match_data_values(builder, graph, keyword, keyword_node, result) -> None:
             KeywordMatch(keyword, value_node.node_id, similarity, mismatch, NodeKind.VALUE)
         )
         added += 1
-
-
-def seed_lookup_substring(index, needle: str, limit: int):
-    """``ValueIndex.lookup_substring`` as it was before it remembered postings:
-    a scan of every distinct value, in index order, stopping at ``limit``."""
-    matches = []
-    for value, occurrences in index._occurrences.items():
-        if needle.lower() in value.lower():
-            matches.extend(occurrences)
-            if len(matches) >= limit:
-                return tuple(matches[:limit])
-    return tuple(matches)
 
 
 def _add_match_edge(builder, graph, keyword_node_id, target_node_id, mismatch) -> None:

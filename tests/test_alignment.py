@@ -28,6 +28,7 @@ from repro.matching import (
     MetadataMatcher,
     ValueOverlapFilter,
 )
+from repro.profiling import CatalogProfileIndex
 
 
 @pytest.fixture()
@@ -104,7 +105,7 @@ class TestExhaustiveAligner:
 
 class TestViewBasedAligner:
     def _query_graph(self, mini_catalog, mini_graph, keywords):
-        builder = QueryGraphBuilder(mini_catalog)
+        builder = QueryGraphBuilder(mini_catalog, CatalogProfileIndex.from_catalog(mini_catalog))
         return builder.expand(mini_graph, keywords)
 
     def test_restricts_to_alpha_neighborhood(self, mini_catalog, mini_graph, new_source):

@@ -7,7 +7,8 @@ import pytest
 from repro.api import QService, QueryRequest, RegisterSourceRequest
 from repro.datastore.database import DataSource
 from repro.engine.context import SteinerNetworkCache
-from repro.exceptions import RegistrationError
+from repro.exceptions import RegistrationError, UnknownViewError
+from repro.graph.nodes import NodeKind
 from repro.steiner import KBestSteiner, SteinerNetwork
 
 
@@ -72,6 +73,31 @@ class TestRegisterSourcesBatch:
         assert not service.catalog.has_source("newdb")
         assert not service.profile_index.has_relation("newdb.xref")
         assert service.stats().registrations == 0
+
+    def test_failed_batch_leaves_no_cells_of_its_sources(self, service, tmp_path):
+        """A view-based factory pulls its view inside the batch, so a needle
+        first read there (as on a reopened session) holds cells of the batch
+        members; rolling the batch back must drop them from later expansions."""
+        info = service.create_view(QueryRequest(keywords=("nucleus",)))
+        service.save(tmp_path / "session.json")
+        reopened = QService.open(tmp_path / "session.json")
+
+        def value_relations():
+            list(reopened.stream_answers(QueryRequest(view=info.view_id)))  # a pull
+            graph = reopened.view(info.view_id).query_graph.graph
+            return {node.relation for node in graph.nodes() if node.kind is NodeKind.VALUE}
+
+        with pytest.raises(UnknownViewError):
+            reopened.register_sources(
+                [
+                    RegisterSourceRequest(source=_source_b(), strategy="view_based", view=info.view_id),
+                    RegisterSourceRequest(source=_source_a(), strategy="view_based", view="missing"),
+                ]
+            )
+        assert not reopened.catalog.has_source("otherdb")
+        assert value_relations() == {"go.term"}
+        reopened.register_source(RegisterSourceRequest(source=_source_b(), strategy="exhaustive"))
+        assert value_relations() == {"go.term", "otherdb.links"}
 
     def test_empty_batch_is_a_noop(self, service):
         assert service.register_sources([]) == ()

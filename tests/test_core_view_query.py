@@ -18,12 +18,13 @@ from repro.exceptions import QError, RegistrationError
 from repro.graph import QueryGraphBuilder, SearchGraph
 from repro.learning import AnnotationKind
 from repro.matching import MetadataMatcher
+from repro.profiling import CatalogProfileIndex
 from repro.steiner import k_best_steiner_trees
 
 
 @pytest.fixture()
 def expanded(mini_catalog, mini_graph):
-    builder = QueryGraphBuilder(mini_catalog)
+    builder = QueryGraphBuilder(mini_catalog, CatalogProfileIndex.from_catalog(mini_catalog))
     return builder.expand(mini_graph, ["membrane", "title"])
 
 
@@ -92,9 +93,19 @@ class TestRankedView:
         )
         mini_catalog.add_source(new_source)
         mini_graph.add_source(new_source)
-        view.builder = QueryGraphBuilder(mini_catalog)
+        view.builder = QueryGraphBuilder(mini_catalog, CatalogProfileIndex.from_catalog(mini_catalog))
         view.refresh()
         assert view.query_graph.graph.has_node("rel:extra.info")
+
+    def test_a_priced_twin_reads_without_profiling_the_catalog(self, mini_catalog, mini_graph):
+        """A twin never expands, so a snapshot or tenant read neither pays for
+        nor races on a profile of the whole catalog."""
+        view = RankedView(["membrane", "title"], mini_catalog, mini_graph, k=3)
+        answers = list(view.stream_answers())
+        assert view.builder is not None  # a builder-less view profiles on its first expansion
+        twin = RankedView.priced_twin(view.query_graph, mini_graph.weights, view.keywords, mini_catalog, k=3)
+        assert [a.cost for a in twin.stream_answers()] == [a.cost for a in answers]
+        assert twin.builder is None
 
     def test_a_moved_base_graph_is_re_expanded_by_the_next_pull(self, mini_catalog, mini_graph):
         """The view keeps its own ledger: no caller says the structure moved."""
@@ -110,7 +121,7 @@ class TestRankedView:
         )
         mini_catalog.add_source(new_source)
         mini_graph.add_source(new_source)
-        view.builder = QueryGraphBuilder(mini_catalog)
+        view.builder = QueryGraphBuilder(mini_catalog, CatalogProfileIndex.from_catalog(mini_catalog))
         assert not view.expansion_is_current and view.current_ranking() is None
         after = list(view.stream_answers())
         assert view.query_graph is not expansion
@@ -131,7 +142,7 @@ class TestSimulatedFeedback:
         gold = GoldStandard.from_pairs([("go.term.acc", "interpro.interpro2go.go_id")])
         # add a non-gold association that must be excluded
         mini_graph.add_association("go.term", "name", "interpro.pub", "title", {"mad": 0.9})
-        builder = QueryGraphBuilder(mini_catalog)
+        builder = QueryGraphBuilder(mini_catalog, CatalogProfileIndex.from_catalog(mini_catalog))
         expanded = builder.expand(mini_graph, ["membrane", "IPR001"])
         tree = gold_target_tree(expanded.graph, expanded.terminals, gold)
         assert tree is not None
@@ -149,7 +160,7 @@ class TestSimulatedFeedback:
         # keywords that require the association edge.
         for edge in list(mini_graph.association_edges()):
             mini_graph.remove_edge(edge.edge_id)
-        builder = QueryGraphBuilder(mini_catalog)
+        builder = QueryGraphBuilder(mini_catalog, CatalogProfileIndex.from_catalog(mini_catalog))
         expanded = builder.expand(mini_graph, ["membrane", "title"])
         tree = gold_target_tree(expanded.graph, expanded.terminals, gold)
         assert tree is None

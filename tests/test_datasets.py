@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from reference_values import attribute_values, catalog_cells
 
 from repro.datasets import (
     DEFAULT_KEYWORD_QUERIES,
@@ -15,7 +16,6 @@ from repro.datasets import (
     make_two_attribute_source,
     total_attribute_count,
 )
-from repro.datastore.indexes import ValueIndex
 from repro.graph import SearchGraph
 
 
@@ -44,11 +44,11 @@ class TestInterproGoDataset:
 
     def test_gold_edges_have_value_overlap(self, interpro_go_dataset):
         """Every gold pair must share values, otherwise MAD could never find it."""
-        index = ValueIndex.from_catalog(interpro_go_dataset.catalog)
+        values = attribute_values(interpro_go_dataset.catalog)
         for a, b in GOLD_EDGES:
             rel_a, attr_a = a.rsplit(".", 1)
             rel_b, attr_b = b.rsplit(".", 1)
-            assert index.overlap(rel_a, attr_a, rel_b, attr_b) > 0, (a, b)
+            assert values[(rel_a, attr_a)] & values[(rel_b, attr_b)], (a, b)
 
     def test_name_dissimilar_gold_edge_exists(self):
         """At least one gold edge must be undetectable by name similarity alone
@@ -96,7 +96,7 @@ class TestGbcoDataset:
         """Each trial's new sources must be joinable with its base relations
         through at least one shared value domain, otherwise registering them
         could never affect the view."""
-        index = ValueIndex.from_catalog(gbco_dataset.catalog)
+        values = attribute_values(gbco_dataset.catalog)
         for entry in QUERY_LOG:
             found_overlap = False
             for base in entry.base_relations:
@@ -105,12 +105,12 @@ class TestGbcoDataset:
                     new_table = gbco_dataset.catalog.relation(new)
                     for attr_a in base_table.schema.attribute_names:
                         for attr_b in new_table.schema.attribute_names:
-                            if index.overlap(base, attr_a, new, attr_b) > 0:
+                            if values.get((base, attr_a), set()) & values.get((new, attr_b), set()):
                                 found_overlap = True
             assert found_overlap, entry
 
     def test_keywords_match_some_data_or_schema(self, gbco_dataset):
-        index = ValueIndex.from_catalog(gbco_dataset.catalog)
+        cell_values = {value.lower() for *_, value in catalog_cells(gbco_dataset.catalog)}
         all_attribute_tokens = set()
         for name, attrs in GBCO_RELATIONS.items():
             all_attribute_tokens.add(name)
@@ -118,7 +118,7 @@ class TestGbcoDataset:
         for entry in QUERY_LOG:
             for keyword in entry.keywords:
                 in_schema = any(keyword in token for token in all_attribute_tokens)
-                in_values = bool(index.lookup_substring(keyword, limit=1))
+                in_values = any(keyword.lower() in value for value in cell_values)
                 assert in_schema or in_values, keyword
 
 

@@ -189,7 +189,7 @@ class TestMetadataReadsAsStored:
         for edge in foreign_keys:
             assert list(edge.metadata) == ["foreign_key"] and len(edge.metadata["foreign_key"]) == 4
             assert restore_edge(json.loads(saved_bytes(edge_payload(edge)))).metadata == edge.metadata
-        expanded = QueryGraphBuilder(mini_catalog).expand(mini_graph, ["kinase"]).graph
+        expanded = QueryGraphBuilder(mini_catalog, CatalogProfileIndex.from_catalog(mini_catalog)).expand(mini_graph, ["kinase"]).graph
         matches = expanded.edges(EdgeKind.KEYWORD_MATCH)
         assert matches
         for edge in matches:

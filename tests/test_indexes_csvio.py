@@ -1,8 +1,9 @@
-"""Unit tests for the value index and the CSV / JSON IO helpers."""
+"""Unit tests for keyword value lookups and the CSV / JSON IO helpers."""
 
 from __future__ import annotations
 
 import pytest
+from reference_values import reference_value_cells
 
 from repro.datastore.csvio import (
     iter_relation_rows,
@@ -16,62 +17,66 @@ from repro.datastore.csvio import (
     source_to_dict,
 )
 from repro.datastore.database import Catalog, DataSource
-from repro.datastore.indexes import ValueIndex
 from repro.exceptions import DataError
+from repro.graph import QueryGraphBuilder
+from repro.profiling import CatalogProfileIndex
 from repro.storage import SqliteBackend
 
 
-class TestValueIndex:
+class TestKeywordValueLookup:
+    """The query-graph builder's keyword lookups over the profile index:
+    exact hits, misses, substring hits and their cap, case, and the cells a
+    builder remembers per needle, against a brute-force catalog scan."""
+
     @pytest.fixture()
-    def index(self, mini_catalog) -> ValueIndex:
-        return ValueIndex.from_catalog(mini_catalog)
+    def index(self, mini_catalog) -> CatalogProfileIndex:
+        return CatalogProfileIndex.from_catalog(mini_catalog)
 
-    def test_exact_lookup(self, index):
-        occurrences = index.lookup("GO:0001")
-        relations = {o.relation for o in occurrences}
-        assert relations == {"go.term", "interpro.interpro2go"}
+    @pytest.fixture()
+    def builder(self, mini_catalog, index) -> QueryGraphBuilder:
+        return QueryGraphBuilder(mini_catalog, index)
 
-    def test_lookup_missing(self, index):
-        assert index.lookup("NOPE") == ()
-        assert index.lookup("") == ()
+    def test_exact_lookup(self, builder):
+        cells = builder._value_cells("GO:0001")
+        assert {cell.relation for cell in cells} == {"go.term", "interpro.interpro2go"}
+        assert {cell.value for cell in cells} == {"GO:0001"}
 
-    def test_substring_lookup(self, index):
-        occurrences = index.lookup_substring("membrane")
-        assert any(o.value == "plasma membrane" for o in occurrences)
+    def test_lookup_missing(self, builder):
+        assert builder._value_cells("NOPE") == []
+        # A blank keyword is no exact hit, and no value holds three spaces.
+        assert builder._value_cells("   ") == []
 
-    def test_substring_limit(self, index):
-        assert len(index.lookup_substring("GO:", limit=2)) == 2
+    def test_substring_lookup(self, builder):
+        cells = builder._value_cells("membrane")
+        assert any(cell.value == "plasma membrane" for cell in cells)
+
+    def test_substring_limit(self, mini_catalog, index):
+        capped = QueryGraphBuilder(mini_catalog, index, max_value_matches=1)
+        assert len(capped._value_cells("GO:")) == 1
+        # An exact hit is not capped.
+        assert len(capped._value_cells("GO:0001")) == 2
 
     def test_attribute_values(self, index):
-        values = index.attribute_values("go.term", "acc")
-        assert values == {"GO:0001", "GO:0002", "GO:0003"}
+        assert index.profile("go.term", "acc").distinct_values == {"GO:0001", "GO:0002", "GO:0003"}
 
-    def test_attributes_with_value(self, index):
-        pairs = index.attributes_with_value("IPR001")
+    def test_attributes_with_value(self, builder):
+        pairs = {(cell.relation, cell.attribute) for cell in builder._value_cells("IPR001")}
         assert ("interpro.entry", "entry_ac") in pairs
         assert ("interpro.interpro2go", "entry_ac") in pairs
 
     def test_overlap(self, index):
         assert index.overlap("go.term", "acc", "interpro.interpro2go", "go_id") == 2
-        assert index.has_overlap("go.term", "acc", "interpro.interpro2go", "go_id")
-        assert not index.has_overlap("go.term", "name", "interpro.pub", "pub_id")
+        assert index.overlap("go.term", "name", "interpro.pub", "pub_id") == 0
 
     def test_distinct_count_positive(self, index):
         assert index.distinct_value_count > 5
-        assert ("go.term", "acc") in index.indexed_attributes()
+        assert index.profile("go.term", "acc") is not None
 
-    def test_remembered_substring_postings_read_as_a_scan(self, mini_catalog):
-        """A needle's posting is kept across indexing and forgotten on removal:
-        every lookup equals a scan of the index as it stands, limit included.
-        The new source repeats an old value (its posting must not move) and
-        adds new ones (they go last)."""
-
-        def scanned(index, needle, limit=None):
-            found = [o for value, held in index._occurrences.items() if needle in value.lower() for o in held]
-            return tuple(found if limit is None else found[:limit])
-
-        kept = ValueIndex.from_catalog(mini_catalog)
-        needles = ("go:", "membrane", "ipr", "zzz")
+    def test_remembered_substring_postings_read_as_a_scan(self, mini_catalog, index, builder):
+        """A needle's cells are kept across registration and forgotten on
+        removal: every lookup equals a scan of the catalog as it stands, the
+        cap included, whatever the keyword's case.  The new source repeats an
+        old value (its group must not move) and adds new ones (they go last)."""
         extra = DataSource.build(
             "extra",
             {"notes": ["acc", "text"]},
@@ -81,19 +86,28 @@ class TestValueIndex:
                 {"acc": "IPR777", "text": "zzz"},
             ]},
         )
+        needles = ("go:", "membrane", "ipr", "zzz")
 
         def check():
             for needle in needles:
-                for limit in (None, 1, 3):
-                    assert kept.lookup_substring(needle.upper(), limit=limit) == scanned(kept, needle, limit)
+                for limit in (1, 3, 25):
+                    builder.max_value_matches = limit
+                    assert builder._value_cells(needle.upper()) == reference_value_cells(
+                        mini_catalog, needle.upper(), limit
+                    )
 
         check()
-        assert set(kept._postings) == set(needles)
-        kept.index_source(extra)
-        assert kept._postings["membrane"][-2:] == ["membrane transport", "outer membrane"]
+        assert {needle for needle, cap in builder._postings if cap == 25} == set(needles)
+        mini_catalog.add_source(extra)
+        index.index_source(extra)
+        builder.add_source(extra)
+        membrane = builder._postings[("membrane", 25)][1]
+        assert list(membrane)[-2:] == ["membrane transport", "outer membrane"]
         check()
-        kept.remove_source("go")
-        assert not kept._postings
+        go = mini_catalog.remove_source("go")
+        index.remove_source("go")
+        builder.remove_source(go)
+        assert not builder._postings
         check()
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_values import attribute_values
 
 from repro.api import QService, RegisterSourceRequest
 from repro.datasets import build_gbco
 from repro.datastore.database import Catalog, DataSource
-from repro.datastore.indexes import ValueIndex
 from repro.exceptions import UnknownMatcherError
 from repro.matching import (
     MatcherEnsemble,
@@ -90,16 +90,22 @@ class TestGbcoParity:
         assert _correspondence_tuples(first) == _correspondence_tuples(second)
         assert indexed.counter.relation_pairs == 2
 
-    def test_filter_counts_match_value_index_filter(self, gbco_dataset, gbco_tables, gbco_index):
+    def test_filter_counts_match_brute_force_filter(self, gbco_dataset, gbco_tables, gbco_index):
         profile_filter = ValueOverlapFilter.from_index(gbco_index)
-        legacy_filter = ValueOverlapFilter(
-            index=ValueIndex.from_catalog(gbco_dataset.catalog)
-        )
+        values = attribute_values(gbco_dataset.catalog)
+
+        def shared(relation_a, attr_a, relation_b, attr_b):
+            return values.get((relation_a, attr_a), set()) & values.get((relation_b, attr_b), set())
+
         for i, table_a in enumerate(gbco_tables):
             for table_b in gbco_tables[i + 1 :]:
-                assert profile_filter.comparable_pairs(
-                    table_a, table_b
-                ) == legacy_filter.comparable_pairs(table_a, table_b)
+                relation_a, relation_b = table_a.schema.qualified_name, table_b.schema.qualified_name
+                expected = sum(
+                    bool(shared(relation_a, attr_a, relation_b, attr_b))
+                    for attr_a in table_a.schema.attribute_names
+                    for attr_b in table_b.schema.attribute_names
+                )
+                assert profile_filter.comparable_pairs(table_a, table_b) == expected
 
     def test_comparison_counters_are_identical(self, gbco_tables, gbco_index):
         blocked = ValueOverlapMatcher(profile_index=gbco_index)

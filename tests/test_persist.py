@@ -29,6 +29,7 @@ from repro.api import (
 )
 from repro.datastore import DataSource
 from repro.datastore.csvio import source_from_dict, source_to_dict
+from repro.graph.nodes import NodeKind
 from repro.matching import MetadataMatcher, ValueOverlapMatcher
 from repro.persist import overlay_payload, unwrap_document, wrap_document
 from repro.persist.journal import is_empty_delta
@@ -128,6 +129,13 @@ def build_session(kind, tmp_path, sources=None):
         backend=backend,
     )
     return service, save_path, location
+
+
+def matched(service, keyword):
+    """The values a new one-keyword view's expansion matched, sorted."""
+    info = service.create_view(QueryRequest(keywords=(keyword,)))
+    graph = service.view(info.view_id).query_graph.graph
+    return sorted(node.label for node in graph.nodes() if node.kind is NodeKind.VALUE)
 
 
 # ----------------------------------------------------------------------
@@ -967,6 +975,35 @@ class TestJournal:
         assert report.action == "snapshot" and report.compacted
         reopened = QService.open(save_path)
         assert len(reopened.catalog.relation("go.term")) == 5
+
+    @pytest.mark.parametrize("kind", BACKEND_SPECS)
+    def test_appended_row_is_matched_live_and_after_open(self, kind, tmp_path):
+        """Keyword matching reads the profile index, so a table appended to
+        is re-profiled before a lookup and before a save: a keyword only the
+        new row holds, and a needle remembered before it came, both find it."""
+        service, save_path, location = build_session(kind, tmp_path)
+        service.save(save_path)
+        assert matched(service, "membrane") == ["plasma membrane", "plasma membrane transport"]
+        service.catalog.relation("go.term").append(("GO:0009", "golgi membrane"))
+        assert matched(service, "golgi") == ["golgi membrane"]
+        grown = ["golgi membrane", "plasma membrane", "plasma membrane transport"]
+        assert matched(service, "Membrane") == grown
+        service.save()
+        reopened = QService.open(location)
+        assert reopened.profile_index.profile("go.term", "name").distinct_values >= {"golgi membrane"}
+        assert matched(reopened, "golgi") == ["golgi membrane"]
+        assert matched(reopened, "MEMBRANE") == grown
+
+    def test_row_appended_to_a_registered_source_is_matched(self, tmp_path):
+        """A needle remembered before a registration gains the new source's
+        cells, and forgets them when that source's table is appended to, even
+        before any expansion has read the grown catalog."""
+        go, interpro = mini_sources()
+        service, _, _ = build_session("memory", tmp_path, sources=[go])
+        assert matched(service, "ipr") == []
+        service.register_source(RegisterSourceRequest(source=interpro, strategy="exhaustive"))
+        service.catalog.relation("interpro.interpro2go").append(("GO:0002", "IPR009"))
+        assert matched(service, "Ipr") == ["IPR001", "IPR002", "IPR003", "IPR004", "IPR009"]
 
     def test_remove_source_is_journaled(self, tmp_path):
         sources = mini_sources()

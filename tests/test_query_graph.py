@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_expansion import reference_expand
 
 from repro.datasets import build_gbco
 from repro.datasets.synthetic import grow_catalog_and_graph
+from repro.datastore import Catalog, DataSource
 from repro.graph import (
     EdgeKind,
     NodeKind,
@@ -14,11 +17,17 @@ from repro.graph import (
     SearchGraph,
     keyword_node_id,
 )
+from repro.profiling import CatalogProfileIndex
+
+
+def profiled_builder(catalog, **kwargs) -> QueryGraphBuilder:
+    """A builder over ``catalog`` reading a fresh profile index of it."""
+    return QueryGraphBuilder(catalog, CatalogProfileIndex.from_catalog(catalog), **kwargs)
 
 
 @pytest.fixture()
 def builder(mini_catalog) -> QueryGraphBuilder:
-    return QueryGraphBuilder(mini_catalog)
+    return profiled_builder(mini_catalog)
 
 
 class TestQueryGraphExpansion:
@@ -70,7 +79,7 @@ class TestQueryGraphExpansion:
         assert any(m.target_kind is NodeKind.VALUE for m in matches)
 
     def test_max_value_matches_cap(self, mini_catalog, mini_graph):
-        capped = QueryGraphBuilder(mini_catalog, max_value_matches=1)
+        capped = profiled_builder(mini_catalog, max_value_matches=1)
         expanded = capped.expand(mini_graph, ["GO"])
         value_matches = [
             m for m in expanded.matches_for("GO") if m.target_kind is NodeKind.VALUE
@@ -116,7 +125,7 @@ def test_expansion_equals_per_node_seed_scoring(grown, threshold):
         graph.add_catalog(catalog)
         if grown:
             grow_catalog_and_graph(catalog, graph, target_source_count=60, seed=3)
-        builder = QueryGraphBuilder(catalog, similarity_threshold=threshold)
+        builder = profiled_builder(catalog, similarity_threshold=threshold)
         shapes.append(_expansion_shape(expand(builder, graph, PARITY_KEYWORDS)))
     assert shapes[0] == shapes[1]
     assert repr(shapes[0]) == repr(shapes[1])
@@ -131,7 +140,7 @@ def test_expansion_equals_per_node_seed_scoring(grown, threshold):
 
 #: Keywords whose values span several sources: ``mouse`` matches eleven exactly,
 #: ``ins`` only as a substring of values in five, where a cap of one keeps
-#: whichever the value index orders first.  ``phenotype`` names a held-out
+#: whichever value a catalog scan meets first.  ``phenotype`` names a held-out
 #: source's relation: the label postings must see it arrive and leave.
 GROWN_KEYWORDS = ("ins", "mouse", "insulin", "pathway", "phenotype", "zzz_unmatchable")
 
@@ -148,11 +157,12 @@ def test_a_builder_kept_in_step_expands_like_a_fresh_one(max_value_matches):
     held_out = [catalog.remove_source(name) for name in ("protein", "phenotype")]
     graph = SearchGraph()
     graph.add_catalog(catalog)
-    kept = QueryGraphBuilder(catalog, max_value_matches=max_value_matches)
+    profiles = CatalogProfileIndex.from_catalog(catalog)
+    kept = QueryGraphBuilder(catalog, profiles, max_value_matches=max_value_matches)
     kept.expand(graph, GROWN_KEYWORDS)  # builds the corpus structures it then maintains
 
     def assert_expands_like_a_fresh_builder():
-        fresh = QueryGraphBuilder(catalog, max_value_matches=max_value_matches)
+        fresh = profiled_builder(catalog, max_value_matches=max_value_matches)
         shapes = [_expansion_shape(builder.expand(graph, GROWN_KEYWORDS)) for builder in (kept, fresh)]
         assert shapes[0] == shapes[1]
         assert repr(shapes[0]) == repr(shapes[1])
@@ -160,19 +170,104 @@ def test_a_builder_kept_in_step_expands_like_a_fresh_one(max_value_matches):
     for source in held_out:
         catalog.add_source(source)
         graph.add_source(source)
+        profiles.index_source(source)
         kept.add_source(source)
     assert_expands_like_a_fresh_builder()
     first = catalog.remove_source("gene")
     graph.remove_source("gene")
+    profiles.remove_source("gene")
     kept.remove_source(first)
     assert_expands_like_a_fresh_builder()
     catalog.add_source(first)
     graph.add_source(first)
+    profiles.index_source(first)
     kept.add_source(first)
     assert_expands_like_a_fresh_builder()
+
+
+#: Cell values of the differential's sources: shared between sources, in
+#: mixed case, some inside others.
+_CELL_VALUES = ("Alpha", "alpha beta", "BETA", "gamma", "Alphabet soup", "beta gamma", "delta", None)
+
+#: An exact hit, a substring-only hit, no hit, mixed case, whitespace-padded
+#: and blank (the empty keyword is in every value).
+DIFFERENTIAL_KEYWORDS = ("gamma", "alph", "zzz_unmatchable", "bETA", "  delta  ", " ", "")
+
+
+def _small_source(index, rows) -> DataSource:
+    return DataSource.build(f"s{index}", {"t": ["a", "b"]}, data={"t": [list(row) for row in rows]})
+
+
+@st.composite
+def _registrations(draw):
+    """Rows of four small sources, and a sequence of registering and removing
+    them that starts from the first two.  Every sequence removes ``s0``, which
+    holds a value first that ``s1`` holds too."""
+    cells = st.sampled_from(_CELL_VALUES)
+    rows = [draw(st.lists(st.tuples(cells, cells), min_size=1, max_size=4)) for _ in range(4)]
+    rows[0].insert(0, ("Alphabet soup", "gamma"))
+    rows[1].append(("gamma", "Alphabet soup"))
+    steps = draw(st.lists(st.tuples(st.sampled_from(("add", "remove")), st.integers(0, 3)), max_size=6))
+    steps.insert(draw(st.integers(0, len(steps))), ("remove", 0))
+    return rows, steps
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scenario=_registrations(), max_value_matches=st.sampled_from((1, 3, 25)))
+def test_kept_fresh_and_brute_force_expansions_agree(scenario, max_value_matches):
+    """After every registration or removal, a builder kept in step, a fresh
+    builder and the brute-force reference expand the same keywords alike:
+    a lookup's cells come in catalog scan order, grouped by value, whatever
+    the history that led to the catalog."""
+    rows, steps = scenario
+    catalog = Catalog([_small_source(0, rows[0]), _small_source(1, rows[1])])
+    graph = SearchGraph()
+    graph.add_catalog(catalog)
+    profiles = CatalogProfileIndex.from_catalog(catalog)
+    kept = QueryGraphBuilder(catalog, profiles, max_value_matches=max_value_matches)
+    kept.expand(graph, DIFFERENTIAL_KEYWORDS)
+    for action, index in steps:
+        name = f"s{index}"
+        if action == "add" and name not in catalog:
+            source = _small_source(index, rows[index])
+            catalog.add_source(source)
+            graph.add_source(source)
+            profiles.index_source(source)
+            kept.add_source(source)
+        elif action == "remove" and name in catalog:
+            source = catalog.remove_source(name)
+            graph.remove_source(name)
+            profiles.remove_source(name)
+            kept.remove_source(source)
+        else:
+            continue
+        fresh = profiled_builder(catalog, max_value_matches=max_value_matches)
+        shapes = [
+            _expansion_shape(kept.expand(graph, DIFFERENTIAL_KEYWORDS)),
+            _expansion_shape(fresh.expand(graph, DIFFERENTIAL_KEYWORDS)),
+            _expansion_shape(reference_expand(fresh, graph, DIFFERENTIAL_KEYWORDS)),
+        ]
+        assert shapes[0] == shapes[1] == shapes[2]
+        assert repr(shapes[0]) == repr(shapes[1]) == repr(shapes[2])
 
 
 def test_a_repeated_keyword_is_one_terminal(mini_graph, builder):
     expanded = builder.expand(mini_graph, ["membrane", "Membrane", "title"])
     assert list(expanded.keyword_nodes) == ["membrane", "title"]
     assert expanded.terminals == (keyword_node_id("membrane"), keyword_node_id("title"))
+
+
+def test_a_needle_read_after_admission_gains_the_source_once(mini_catalog):
+    """Inside a batch registration a view may pull after the catalog and the
+    profile index hold a source but before the builder is told of it: the
+    needle it reads then already holds the source's cells, and the builder's
+    ``add_source`` must not append them again."""
+    profiles = CatalogProfileIndex.from_catalog(mini_catalog)
+    builder = QueryGraphBuilder(mini_catalog, profiles)
+    extra = DataSource.build("extra", {"notes": ["acc"]}, data={"notes": [{"acc": "GO:0001"}]})
+    mini_catalog.add_source(extra)
+    profiles.index_source(extra)
+    read_early = builder._value_cells("GO:0001")
+    builder.add_source(extra)
+    assert ("extra.notes", "acc", 0, "GO:0001") in read_early
+    assert builder._value_cells("GO:0001") == read_early == profiled_builder(mini_catalog)._value_cells("GO:0001")

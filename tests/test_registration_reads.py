@@ -1,7 +1,7 @@
 """A registration costs a view what it added, and changes nothing it reads.
 
 Between registrations a session keeps what makes the next pull cheap: the
-value index's substring postings, the builder's label postings, the α-bounded
+builder's remembered value cells and label postings, the α-bounded
 distance tables, the cache's latest ranking (a warm start), re-stamped
 queries and the shared answer cache.  None of it may
 show: after every feedback step and every registration, each view must read
@@ -19,6 +19,7 @@ from repro.api import FeedbackRequest, QueryRequest, RegisterSourceRequest
 from repro.core import RankedView
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.graph import QueryGraphBuilder
+from repro.profiling import CatalogProfileIndex
 
 HELD_OUT = ("gene", "protein", "publication")
 
@@ -26,7 +27,8 @@ HELD_OUT = ("gene", "protein", "publication")
 def cold_view(service, view) -> RankedView:
     return RankedView(
         view.keywords, service.catalog, service.graph, k=view.k,
-        builder=QueryGraphBuilder(service.catalog), answer_limit=view.answer_limit,
+        builder=QueryGraphBuilder(service.catalog, CatalogProfileIndex.from_catalog(service.catalog)),
+        answer_limit=view.answer_limit,
     )
 
 

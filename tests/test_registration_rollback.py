@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from reference_values import reference_value_cells
 
 from repro.alignment import ExhaustiveAligner, SourceRegistrar
 from repro.alignment.base import BaseAligner
 from repro.api import QService, RegisterSourceRequest
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.datastore.database import Catalog, DataSource
-from repro.datastore.indexes import ValueIndex
 from repro.exceptions import RegistrationError
 from repro.graph import QueryGraphBuilder, SearchGraph
 from repro.matching import MetadataMatcher
@@ -67,71 +67,77 @@ class TestSearchGraphRemoval:
 
 class TestIncrementalIndexes:
     def test_value_index_remove_source_equals_fresh_build(self, mini_catalog, new_source):
-        grown = ValueIndex.from_catalog(mini_catalog)
+        grown = CatalogProfileIndex.from_catalog(mini_catalog)
+        mini_catalog.add_source(new_source)
         grown.index_source(new_source)
-        assert grown.attributes_with_value("GO:0001") >= {
-            ("newdb.xref", "go_ref"),
-            ("go.term", "acc"),
-        }
+        builder = QueryGraphBuilder(mini_catalog, grown)
+        assert _attributes_holding(builder, "GO:0001") >= {("newdb.xref", "go_ref"), ("go.term", "acc")}
+        mini_catalog.remove_source("newdb")
         grown.remove_source("newdb")
-        fresh = ValueIndex.from_catalog(mini_catalog)
+        builder.remove_source(new_source)
+        fresh = CatalogProfileIndex.from_catalog(mini_catalog)
         for table in mini_catalog.all_tables():
             relation = table.schema.qualified_name
             for attr in table.schema.attribute_names:
-                assert grown.attribute_values(relation, attr) == fresh.attribute_values(
-                    relation, attr
-                )
+                assert grown.profile(relation, attr) == fresh.profile(relation, attr)
         assert grown.distinct_value_count == fresh.distinct_value_count
-        assert ("newdb.xref", "go_ref") not in grown.attributes_with_value("GO:0001")
-        assert [o.relation for o in grown.lookup("GO:0001")] == [
-            o.relation for o in fresh.lookup("GO:0001")
-        ]
+        assert grown.profile("newdb.xref", "go_ref") is None
+        assert builder._value_cells("GO:0001") == reference_value_cells(mini_catalog, "GO:0001", 25)
 
     def test_builder_add_then_remove_source_restores_state(self, mini_catalog, new_source):
-        builder = QueryGraphBuilder(mini_catalog)
+        profile_index = CatalogProfileIndex.from_catalog(mini_catalog)
+        builder = QueryGraphBuilder(mini_catalog, profile_index)
         docs_before = builder.scorer.document_count
         idf_before = builder.scorer.inverse_document_frequency("entry")
+        cells_before = builder._value_cells("GO:0001")
+        mini_catalog.add_source(new_source)
+        profile_index.index_source(new_source)
         builder.add_source(new_source)
         assert builder.scorer.document_count > docs_before
-        assert builder.value_index.lookup("GO:0001")
+        assert ("newdb.xref", "go_ref") in _attributes_holding(builder, "GO:0001")
+        mini_catalog.remove_source("newdb")
+        profile_index.remove_source("newdb")
         builder.remove_source(new_source)
         assert builder.scorer.document_count == docs_before
         assert builder.scorer.inverse_document_frequency("entry") == idf_before
-        assert ("newdb.xref", "go_ref") not in builder.value_index.attributes_with_value(
-            "GO:0001"
-        )
+        assert builder._value_cells("GO:0001") == cells_before
+
+
+def _attributes_holding(builder, keyword):
+    """``(relation, attribute)`` of each cell the builder's lookup of ``keyword`` reads."""
+    return {(cell.relation, cell.attribute) for cell in builder._value_cells(keyword)}
 
 
 class TestRegistrarRollback:
     def _registrar(self, mini_catalog, mini_graph):
+        """A registrar maintaining a profile index, and a builder reading it."""
         profile_index = CatalogProfileIndex.from_catalog(mini_catalog)
-        value_index = ValueIndex.from_catalog(mini_catalog)
-        registrar = SourceRegistrar(
-            mini_catalog, mini_graph, indexes=(profile_index, value_index)
-        )
-        return registrar, profile_index, value_index
+        registrar = SourceRegistrar(mini_catalog, mini_graph, indexes=(profile_index,))
+        return registrar, profile_index, QueryGraphBuilder(mini_catalog, profile_index)
 
     def test_successful_registration_updates_all_indexes(
         self, mini_catalog, mini_graph, new_source
     ):
-        registrar, profile_index, value_index = self._registrar(
+        registrar, profile_index, builder = self._registrar(
             mini_catalog, mini_graph
         )
         registrar.register(new_source, ExhaustiveAligner(MetadataMatcher()))
         assert mini_catalog.has_source("newdb")
         assert profile_index.has_relation("newdb.xref")
-        assert value_index.attribute_values("newdb.xref", "go_ref")
+        assert profile_index.profile("newdb.xref", "go_ref").distinct_values == {"GO:0001", "GO:0002"}
+        assert ("newdb.xref", "go_ref") in _attributes_holding(builder, "GO:0001")
 
     def test_failure_rolls_back_catalog_graph_and_indexes(
         self, mini_catalog, mini_graph, new_source
     ):
-        registrar, profile_index, value_index = self._registrar(
+        registrar, profile_index, builder = self._registrar(
             mini_catalog, mini_graph
         )
         nodes_before = mini_graph.node_count
         edges_before = mini_graph.edge_count
         edge_number_before = mini_graph.next_edge_number
-        values_before = value_index.distinct_value_count
+        values_before = profile_index.distinct_value_count
+        cells_before = reference_value_cells(mini_catalog, "GO:0001", 25)
         with pytest.raises(RuntimeError):
             registrar.register(new_source, _ExplodingAligner(MetadataMatcher()))
         assert not mini_catalog.has_source("newdb")
@@ -139,7 +145,8 @@ class TestRegistrarRollback:
         assert mini_graph.edge_count == edges_before
         assert mini_graph.next_edge_number == edge_number_before
         assert not profile_index.has_relation("newdb.xref")
-        assert value_index.distinct_value_count == values_before
+        assert profile_index.distinct_value_count == values_before
+        assert builder._value_cells("GO:0001") == cells_before
         assert registrar.epoch == 0
 
     def test_unknown_candidate_relation_is_skipped(
@@ -257,7 +264,7 @@ class TestRegisterBatch:
     def test_batch_failure_rolls_back_every_member(
         self, mini_catalog, mini_graph, new_source
     ):
-        registrar, profile_index, value_index = TestRegistrarRollback()._registrar(
+        registrar, profile_index, builder = TestRegistrarRollback()._registrar(
             mini_catalog, mini_graph
         )
         nodes_before = mini_graph.node_count
@@ -274,6 +281,7 @@ class TestRegisterBatch:
         assert mini_graph.next_edge_number == edge_number_before
         assert not profile_index.has_relation("newdb.xref")
         assert not profile_index.has_relation("otherdb.links")
+        assert _attributes_holding(builder, "GO:0002") == {("go.term", "acc"), ("interpro.interpro2go", "go_id")}
         assert registrar.registered_sources() == []
 
     def test_batch_aligner_factories_resolve_after_admission(
