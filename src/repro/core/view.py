@@ -382,10 +382,9 @@ class RankedView:
             for generated, mapping in zip(ordered, mappings):
                 if limit is not None and yielded >= limit:
                     return
-                if budget is not None and budget.expired():
-                    budget.mark_truncated("stream")
-                    return
                 try:
+                    if budget is not None:
+                        budget.check("stream")
                     answers = self._answers_for(generated, stats, budget=budget)
                 except DeadlineExceededError:
                     if yielded == 0:

@@ -1,41 +1,24 @@
-"""Fault tolerance primitives: deadlines, retry, and fault injection.
+"""Fault tolerance primitives: deadlines and retry.
 
-Three small, dependency-light modules the hardened serving lane
+Two small, dependency-light modules the hardened serving lane
 (:mod:`repro.service`) builds on — see the README "Failure model" section:
 
 * :mod:`~repro.faults.budget` — cooperative deadline :class:`Budget`
   polled inside the Steiner solver and executor loops;
 * :mod:`~repro.faults.retry` — transient-fault classification
   (:func:`classify_storage_error`) and the writer lane's
-  :class:`RetryPolicy` (exponential backoff + jitter);
-* :mod:`~repro.faults.injector` — scriptable :class:`FaultPlan` applied by
-  :class:`FaultyBackend` / :class:`FaultySessionStore` wrappers, driving
-  the chaos suite (``benchmarks/faults_bench.py``) and the deterministic
-  ``fault_injection``-marked tests.
+  :class:`RetryPolicy` (exponential backoff + jitter).
+
+The scriptable fault injector that exercises them is a test harness and
+lives in ``tests/faults_harness.py``.
 """
 
 from .budget import Budget
-from .injector import (
-    FaultPlan,
-    FaultRule,
-    FaultyBackend,
-    FaultySessionStore,
-    InjectedCrashError,
-    InjectedFaultError,
-    wrap_session_store,
-)
 from .retry import RetryPolicy, classify_storage_error, is_transient
 
 __all__ = [
     "Budget",
-    "FaultPlan",
-    "FaultRule",
-    "FaultyBackend",
-    "FaultySessionStore",
-    "InjectedCrashError",
-    "InjectedFaultError",
     "RetryPolicy",
     "classify_storage_error",
     "is_transient",
-    "wrap_session_store",
 ]

@@ -6,21 +6,19 @@ features.  Therefore ... we bin the real-valued features into empirically
 determined bins; the real-valued features are then replaced by features
 indicating bin membership."
 
-The :class:`FeatureBinner` rewrites edge feature vectors in place: each
-configured real-valued feature (typically the matcher-confidence features
-and the keyword-mismatch feature) is replaced by a one-hot bin indicator,
-and the corresponding bin weights are initialized so that the edge costs are
-unchanged by the rewrite (weight of bin ``i`` = old weight × bin center).
+The :class:`FeatureBinner` maps an edge's feature vector to its binned
+form: each selected real-valued feature (typically the matcher-confidence
+features and the keyword-mismatch feature) is replaced by a one-hot bin
+indicator.  Initializing the weight of bin ``i`` to the old weight × the bin
+center keeps a rewritten edge's cost close to what it was.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Mapping
 
-from ..graph.edges import Edge
-from ..graph.features import bin_feature, is_matcher_feature
-from ..graph.search_graph import SearchGraph
+from ..graph.features import bin_feature
 
 
 @dataclass
@@ -78,40 +76,3 @@ class FeatureBinner:
             else:
                 values[name] = value
         return values
-
-    def apply_to_graph(
-        self,
-        graph: SearchGraph,
-        feature_names: Optional[Sequence[str]] = None,
-    ) -> int:
-        """Rewrite every learnable edge of ``graph``; returns the number rewritten.
-
-        Parameters
-        ----------
-        graph:
-            The search graph whose edges (and weights) are rewritten.
-        feature_names:
-            The real-valued features to bin; defaults to every
-            matcher-confidence feature found in the graph.
-        """
-        rewritten = 0
-        for edge in graph.learnable_edges():
-            if feature_names is None:
-                targets = [n for n in edge.features if is_matcher_feature(n)]
-            else:
-                targets = [n for n in feature_names if n in edge.features]
-            if not targets:
-                continue
-            # Initialize bin weights so that costs are preserved.
-            for name in targets:
-                value = edge.features.get(name)
-                index = self.bin_index(value)
-                binned_name = bin_feature(name, index)
-                if binned_name not in graph.weights:
-                    base_weight = graph.weights.get(name, 0.0)
-                    graph.weights.set(binned_name, base_weight * self.bin_center(index))
-            # Spelled-out metadata keeps the raw confidences under ``matchers``
-            # once the ``matcher::`` features they were read off are gone.
-            graph.replace_edge(edge.changed(self.bin_vector(edge.features, targets), dict(edge.metadata)))
-            rewritten += 1
-        return rewritten

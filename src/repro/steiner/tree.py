@@ -9,8 +9,8 @@ conjunctive query (paper Section 2.2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..exceptions import SteinerError
 from ..graph.search_graph import SearchGraph
@@ -71,35 +71,6 @@ class SteinerTree:
             if node.relation == qualified_relation:
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    def is_connected_tree(self, graph: SearchGraph) -> bool:
-        """Check the edge set forms a connected acyclic subgraph spanning the terminals."""
-        if not self.edge_ids:
-            return len(self.terminals) <= 1
-        nodes = set(self.nodes(graph))
-        # |E| == |V| - 1 is the acyclicity condition for a connected graph.
-        if len(self.edge_ids) != len(nodes) - 1:
-            return False
-        adjacency: Dict[str, List[str]] = {node: [] for node in nodes}
-        for edge_id in self.edge_ids:
-            edge = graph.edge(edge_id)
-            adjacency[edge.u].append(edge.v)
-            adjacency[edge.v].append(edge.u)
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            current = stack.pop()
-            for neighbor in adjacency[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        if seen != nodes:
-            return False
-        return self.terminals <= nodes
 
     def symmetric_edge_difference(self, other: "SteinerTree") -> int:
         """``|E(T) \\ E(T')| + |E(T') \\ E(T)|`` — the loss of Equation 2."""

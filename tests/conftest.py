@@ -45,8 +45,9 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "fault_injection: deterministic fault-injection tests (scripted "
-        "FaultPlan schedules, injected clocks — no timing dependence); they "
-        "run in the tier-1 matrix on every backend",
+        "tests/faults_harness.py FaultPlan schedules, injected clocks — no "
+        "timing dependence), the QServer state machine and chaos scenario "
+        "included; they run in the tier-1 matrix on every backend",
     )
 
 

@@ -1,8 +1,10 @@
 """Scriptable fault injection for storage backends and session stores.
 
-The chaos harness (``benchmarks/faults_bench.py``) and the deterministic
-fault tests drive the *real* serving stack — catalog, engine, writer lane,
-persistence — while this module makes its storage layer misbehave on cue:
+The ``fault_injection``-marked tests (``test_faults.py`` and the server
+state machine in ``test_server_machine.py``) drive the *real* serving
+stack — catalog, engine, writer lane, persistence — while this module makes
+its storage layer misbehave on cue.  It lives in ``tests/`` because nothing
+in ``src/`` runs it:
 
 * :class:`FaultyBackend` wraps any
   :class:`~repro.storage.base.StorageBackend` and applies a
@@ -33,9 +35,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..exceptions import StorageError, TransientStorageError
-from ..persist.store import SessionStore
-from ..storage.base import PredicateSpec, StorageBackend
+from repro.exceptions import StorageError, TransientStorageError
+from repro.persist.store import SessionStore
+from repro.storage.base import PredicateSpec, StorageBackend
 
 
 class InjectedFaultError(StorageError):

@@ -8,8 +8,9 @@ terminal subset.  It is slow and obviously faithful to the seed, which is
 what an oracle is for: the kernel must return the same edge set and the same
 (``math.fsum``) cost for every solve, and with three or more terminals
 ``reference_k_best(..., reference_solver)`` (``reference_kbest.py``) must
-equal ``KBestSteiner`` tree for tree, in order.  It lives in ``tests/``
-because nothing in ``src/`` runs it.
+equal ``KBestSteiner`` tree for tree, in order.  :func:`is_connected_tree`
+is the structural check the solver tests assert on every tree they get.
+Both live in ``tests/`` because nothing in ``src/`` runs them.
 """
 
 from __future__ import annotations
@@ -291,3 +292,30 @@ class ReferenceSteinerNetwork:
 def reference_solver(graph: SearchGraph, terminals: Sequence[str]) -> SteinerTree:
     """The oracle as a ``reference_k_best`` base solver (graph-copy protocol)."""
     return ReferenceSteinerNetwork(graph).exact_tree(terminals)
+
+
+def is_connected_tree(tree: SteinerTree, graph: SearchGraph) -> bool:
+    """Check the tree's edge set forms a connected acyclic subgraph spanning its terminals."""
+    if not tree.edge_ids:
+        return len(tree.terminals) <= 1
+    nodes = set(tree.nodes(graph))
+    # |E| == |V| - 1 is the acyclicity condition for a connected graph.
+    if len(tree.edge_ids) != len(nodes) - 1:
+        return False
+    adjacency: Dict[str, List[str]] = {node: [] for node in nodes}
+    for edge_id in tree.edge_ids:
+        edge = graph.edge(edge_id)
+        adjacency[edge.u].append(edge.v)
+        adjacency[edge.v].append(edge.u)
+    start = next(iter(nodes))
+    seen = {start}
+    stack = [start]
+    while stack:
+        current = stack.pop()
+        for neighbor in adjacency[current]:
+            if neighbor not in seen:
+                seen.add(neighbor)
+                stack.append(neighbor)
+    if seen != nodes:
+        return False
+    return tree.terminals <= nodes

@@ -1,13 +1,14 @@
 """Fault-tolerance tests: deadlines, retry/backoff, degraded mode, injection.
 
 Everything here is deterministic: fault schedules are scripted
-:class:`~repro.faults.FaultPlan` rules, budgets run on injected clocks, and
+:class:`faults_harness.FaultPlan` rules, budgets run on injected clocks, and
 retry policies use injected ``sleep``/``rng`` — no test depends on wall
 time racing real work.
 """
 
 from __future__ import annotations
 
+import itertools
 import sqlite3
 import threading
 
@@ -24,21 +25,13 @@ from repro.exceptions import (
     StorageError,
     TransientStorageError,
 )
-from repro.faults import (
-    Budget,
-    FaultPlan,
-    FaultRule,
-    FaultyBackend,
-    InjectedFaultError,
-    RetryPolicy,
-    classify_storage_error,
-    is_transient,
-    wrap_session_store,
-)
+from repro.faults import Budget, RetryPolicy, classify_storage_error, is_transient
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.service import QServer
 from repro.storage import MemoryBackend, SqliteBackend
 
+from faults_harness import FaultPlan, FaultRule, FaultyBackend, InjectedFaultError, wrap_session_store
+from reference_steiner import is_connected_tree
 from test_storage_backends import answer_fingerprint, fresh_context, interpro_view, make_backend
 
 pytestmark = pytest.mark.fault_injection
@@ -580,6 +573,38 @@ def test_stream_truncates_at_query_boundary_and_marks_budget(gbco_dataset):
         assert len(list(record.view.stream_answers())) == len(full)
 
 
+def test_expiry_before_the_first_answer_raises_instead_of_an_empty_read(gbco_dataset):
+    """A budget that runs out after the solve and before the first query
+    executes leaves nothing to return: the read raises the typed error, it
+    does not come back as an empty "degraded" result."""
+    keywords = gbco_dataset.query_log[2].keywords
+    service = _gbco_service(gbco_dataset)
+    with service, QServer(service) as server:
+        info = server.create_view(QueryRequest(keywords=keywords))
+        record = service.views.resolve(info.view_id)
+        full = list(record.view.stream_answers())
+        assert full
+
+        clock = _StepClock()
+        budget = Budget(deadline_s=100.0, clock=clock)
+        stream = record.view.stream_answers(budget=budget)  # solves now
+        clock.now = 1000.0  # expire before the first execution
+        with pytest.raises(DeadlineExceededError):
+            next(stream)
+        assert budget.where == "stream"
+        assert not budget.truncated
+
+        # The same on a snapshot: typed error, and no pinned slot left behind.
+        snapshot = server.snapshot()
+        sv = snapshot.resolve(info.view_id, (), None)
+        reads = itertools.count()
+        expiring = Budget(deadline_s=100.0, clock=lambda: 0.0 if next(reads) == 0 else 1000.0)
+        with pytest.raises(DeadlineExceededError):
+            snapshot.answers_for(sv, "t0", budget=expiring)
+        assert snapshot.pinned_count() == 0
+        assert len(snapshot.answers_for(sv, "t0")) == len(full)
+
+
 def test_budgeted_reads_never_pin_partial_answers(gbco_dataset):
     keywords = gbco_dataset.query_log[2].keywords
     service = _gbco_service(gbco_dataset)
@@ -747,7 +772,7 @@ def test_deadline_inside_a_bounded_branch_keeps_the_partial_list(gbco_dataset, m
         # unsolved sibling partition may hold the next path.
         assert 1 <= len(partial) < len(full)
         assert partial == full[: len(partial)]
-        assert all(tree.is_connected_tree(graph) for tree in partial)
+        assert all(is_connected_tree(tree, graph) for tree in partial)
 
 
 # ----------------------------------------------------------------------

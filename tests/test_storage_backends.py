@@ -34,7 +34,6 @@ from repro.engine.executor import PlanExecutor
 from repro.engine.predicates import compile_predicates
 from repro.exceptions import StorageError
 from repro.faults.budget import Budget
-from repro.faults.injector import FaultPlan, FaultyBackend
 from repro.graph import SearchGraph
 from repro.matching import MetadataMatcher, ValueOverlapMatcher
 from repro.storage import (
@@ -46,6 +45,8 @@ from repro.storage import (
 )
 from repro.storage.pushdown import CompiledQuery, SqlPushdown
 from repro.storage.sqlite import exact_condition
+
+from faults_harness import FaultPlan, FaultyBackend
 
 BACKENDS = ("memory", "sqlite")
 

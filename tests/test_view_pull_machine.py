@@ -37,6 +37,7 @@ from repro.api import (
 )
 from repro.datasets import build_interpro_go
 from repro.graph import EdgeKind, edge_feature
+from server_oracle import fingerprint
 
 #: Views of 8–11 answers over five queries each on the InterPro source.
 KEYWORDS = (("kinase", "title"), ("protein", "method"), ("receptor", "journal"))
@@ -54,18 +55,6 @@ def _session() -> QService:
 
 def _go():
     return build_interpro_go(include_foreign_keys=True).go
-
-
-def _fingerprint(answers):
-    return [
-        (
-            tuple(answer.values.items()),
-            answer.cost,
-            answer.provenance.query_id,
-            tuple(sorted(answer.provenance.base_tuples)),
-        )
-        for answer in answers
-    ]
 
 
 class LazyPullMachine(RuleBasedStateMachine):
@@ -97,7 +86,7 @@ class LazyPullMachine(RuleBasedStateMachine):
     def _read(self, view_id, tenant):
         request = QueryRequest(view=view_id, tenant=tenant)
         lazy, eager = (
-            _fingerprint(service.stream_answers(request)) for service in (self.lazy, self.eager)
+            fingerprint(service.stream_answers(request)) for service in (self.lazy, self.eager)
         )
         assert lazy == eager
         return lazy
@@ -146,7 +135,7 @@ class LazyPullMachine(RuleBasedStateMachine):
         for service in (self.lazy, self.eager):
             pages = list(service.answers(request))
             assert all(len(page.answers) <= page_size for page in pages)
-            paged.append(_fingerprint(answer for page in pages for answer in page.answers))
+            paged.append(fingerprint(answer for page in pages for answer in page.answers))
         assert paged[0] == paged[1] == self._read(view_id, tenant)
 
     @has_views
@@ -155,7 +144,7 @@ class LazyPullMachine(RuleBasedStateMachine):
         view_id = self._view_id(pick)
         request = QueryRequest(view=view_id, tenant=tenant, offset=offset, page_size=page_size)
         lazy, eager = (
-            _fingerprint(service.answers_page(request)) for service in (self.lazy, self.eager)
+            fingerprint(service.answers_page(request)) for service in (self.lazy, self.eager)
         )
         assert lazy == eager == self._read(view_id, tenant)[offset : offset + page_size]
 
