@@ -20,7 +20,7 @@ from ..exceptions import SteinerError
 from ..graph.edges import EdgeKind
 from ..graph.search_graph import SearchGraph
 from ..learning.feedback import FeedbackEvent
-from ..steiner.topk import default_solver
+from ..steiner.network import SteinerNetwork
 from ..steiner.tree import SteinerTree
 from .evaluation import GoldStandard, edge_attribute_pair
 from .view import RankedView
@@ -56,7 +56,7 @@ def gold_target_tree(
     if len(usable_terminals) < len(list(terminals)):
         return None
     try:
-        tree = default_solver(restricted, usable_terminals)
+        tree = SteinerNetwork(restricted).default_tree(usable_terminals)
     except SteinerError:
         return None
     return SteinerTree.from_edges(graph, tree.edge_ids, usable_terminals)

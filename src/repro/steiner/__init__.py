@@ -7,13 +7,13 @@ Public API
 * :func:`approximate_steiner_tree` — distance-network 2-approximation.
 * :class:`KBestSteiner`, :func:`k_best_steiner_trees` — top-k enumeration
   (``KBESTSTEINER`` of Algorithm 4).
-* :func:`default_solver` — exact-or-approximate dispatch used by the system.
 * :class:`SteinerNetwork` — reusable integer-indexed graph snapshot the
-  solvers (and the top-k enumerator) run on.
+  solvers (and the top-k enumerator) run on; its ``default_tree`` is the
+  exact-or-approximate dispatch used by the system.
 """
 
 from .network import SteinerNetwork, approximate_steiner_tree, exact_steiner_tree
-from .topk import KBestSteiner, default_solver, k_best_steiner_trees
+from .topk import KBestSteiner, k_best_steiner_trees
 from .tree import SteinerTree, validate_terminals
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "SteinerNetwork",
     "SteinerTree",
     "approximate_steiner_tree",
-    "default_solver",
     "exact_steiner_tree",
     "k_best_steiner_trees",
     "validate_terminals",

@@ -2,10 +2,12 @@
 
 The k-best enumerator (:mod:`repro.steiner.topk`) re-solves the Steiner
 problem dozens of times per call on graphs that differ only by a handful of
-*excluded* edges.  :class:`SteinerNetwork` lifts everything those solves
-share out of the loop: it snapshots the graph once — nodes and edges mapped
-to dense integer indexes, every edge cost evaluated once — and the solvers
-take the exclusion set as an argument instead of a mutated graph copy.
+*excluded* edges (and, with three or more terminals, a few edges priced at
+zero).  :class:`SteinerNetwork` lifts everything those solves share out of
+the loop: it snapshots the graph once — nodes and edges mapped to dense
+integer indexes, every edge cost evaluated once — and the solvers take the
+exclusion set as an argument instead of a mutated graph copy; a re-priced
+view (:meth:`SteinerNetwork.repriced`) shares all of it but the costs.
 
 Every solver is built on **one** label-setting search
 (:meth:`SteinerNetwork._search`) over per-call flat lists indexed by node: a
@@ -16,8 +18,8 @@ the catalog.  The optimum is bounded from above — by the caller's
 ``upper_bound`` (the k-best enumerator knows one for most branches), else by
 the weight of the terminals' distance-network MST — and a label is dropped
 when its cost plus a lower bound on the distance its tree still has to cover
-(the caller's exclusion-free tables, the distances settled under the
-exclusions) exceeds that; and the last grow pass stops when the root
+(the caller's exclusion-free distances to the root, the distances settled
+under the exclusions) exceeds that; and the last grow pass stops when the root
 terminal settles.  Neither changes an answer — a dropped label cannot be
 part of a tree within the bound, and every label that can settles at the
 same cost, in the same order, with the same back-pointer.  A search is
@@ -45,7 +47,6 @@ from typing import (
     Dict,
     FrozenSet,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -73,24 +74,15 @@ _BOUND_SLACK = 1.0 + 1e-9
 Limit = Tuple[float, List[float]]
 
 
-class DistanceBounds(NamedTuple):
-    """Exclusion-free distance tables: what :meth:`SteinerNetwork.terminal_distances` returns."""
-
-    #: per terminal (in validated order), its distance to every node
-    tables: List[List[float]]
-    #: per terminal, the elementwise max of the *other* terminals' tables —
-    #: what a singleton's tree still has to cover (empty for two terminals)
-    farthest: List[List[float]]
-
-
 @dataclass
 class SolverCounters:
     """What top-k enumerations did (one solve's worth, or a running total)."""
 
     #: single-tree searches that ran (the first, and one per Lawler branch not screened)
     base_solves: int = 0
-    #: candidate trees discarded because an earlier branch already found them
-    duplicate_candidates: int = 0
+    #: optima of three-or-more-terminal branches that have a non-terminal leaf:
+    #: branched when popped, never emitted
+    nonminimal_optima: int = 0
     #: branches, searched or screened without a known upper bound, that found no tree
     disconnected_branches: int = 0
     #: branches searched or screened under an upper bound the enumeration already held
@@ -230,27 +222,28 @@ class SteinerNetwork:
         ``weights``, which must weigh each of its features as ``graph``'s
         vector does (``graph.weights`` itself, or a flat copy of the features
         that matter), so every cost is the one a from-scratch build derives,
-        bit for bit.  Only the cost vector and the moved edges' endpoints'
-        adjacency lists are new; with nothing moved, those are shared too.
-        With ``graph`` ``None`` and nothing moved, the copy is a template for
-        the session cache: this snapshot's index and prices, holding no graph.
+        bit for bit.  With nothing moved the costs are shared too, and with
+        ``graph`` ``None`` as well the copy is a template for the session
+        cache: this snapshot's index and prices, holding no graph.
         """
+        return self.repriced(graph, {
+            idx: graph.edge(self.edge_ids[idx]).cost(weights, graph.config.minimum_edge_cost)
+            for idx in moved
+        })
+
+    def repriced(self, graph: Optional[SearchGraph], prices: Dict[int, float]) -> "SteinerNetwork":
+        """A snapshot of ``graph`` sharing this one's topology, edge ``i`` costing ``prices[i]``:
+        only the cost vector and the re-priced edges' endpoints' adjacency lists are new."""
         clone = object.__new__(SteinerNetwork)
-        clone.graph = graph
-        clone.node_ids = self.node_ids
-        clone.node_index = self.node_index
-        clone.edge_ids = self.edge_ids
-        clone.edge_index = self.edge_index
-        clone.endpoints = self.endpoints
-        clone.topology_key = self.topology_key
-        clone.edge_costs, clone.adjacency = self.edge_costs, self.adjacency
-        if moved:
+        clone.graph, clone.node_ids, clone.node_index = graph, self.node_ids, self.node_index
+        clone.edge_ids, clone.edge_index, clone.endpoints = self.edge_ids, self.edge_index, self.endpoints
+        clone.topology_key, clone.edge_costs, clone.adjacency = self.topology_key, self.edge_costs, self.adjacency
+        if prices:
             clone.edge_costs = costs = list(self.edge_costs)
             clone.adjacency = adjacency = list(self.adjacency)
             touched: Set[int] = set()
-            minimum = graph.config.minimum_edge_cost
-            for idx in moved:
-                costs[idx] = graph.edge(self.edge_ids[idx]).cost(weights, minimum)
+            for idx, cost in prices.items():
+                costs[idx] = cost
                 touched.update(self.endpoints[2 * idx : 2 * idx + 2])
             for node in touched:
                 adjacency[node] = [(neighbor, idx, costs[idx]) for neighbor, idx, _ in adjacency[node]]
@@ -416,40 +409,28 @@ class SteinerNetwork:
     # ------------------------------------------------------------------
     def terminal_distances(
         self,
-        terminals: Sequence[str],
+        terminal: str,
         budget: "Optional[Budget]" = None,
         counters: Optional[SolverCounters] = None,
         radius: float = _INF,
-    ) -> DistanceBounds:
-        """Per terminal, its shortest-path distance to every node with no edge excluded.
+    ) -> List[float]:
+        """``terminal``'s shortest-path distance to every node, with no edge excluded.
 
-        Excluding edges only lengthens paths, so a table bounds its terminal's
-        distances from below under *every* exclusion set: the k-best
-        enumerator computes the tables once and hands them to each branch's
-        :meth:`exact_tree` as ``lower_bounds``.  Of two terminals only the
-        first gets one: a path search looks towards its root and nowhere else.
-        With three or more, each terminal's ``farthest`` table — the
-        elementwise max of the others' — is taken here too, once per
-        enumeration, for every branch's singleton passes to read.
+        Excluding edges only lengthens paths, so the table bounds the
+        distances to ``terminal`` from below under *every* exclusion set: the
+        two-terminal enumeration takes it once, from the end every spur search
+        heads for, and hands it to each search as ``lower_bounds``.
 
-        A ``radius`` stops each search past it: a node farther away keeps
+        A ``radius`` stops the search past it: a node farther away keeps
         infinity.  Under any bound up to ``radius`` that prunes exactly what
         its true distance prunes (both leave a negative limit), so a caller
         whose bounds only fall — the paper's α — takes the table at its first
         α and settles only the α-ball around the terminal.
         """
         labels = _Labels(len(self.node_ids), counters)
-        wanted = terminals[:1] if len(terminals) == 2 else terminals
-        limit = (radius, labels.no_limit[1])
-        for position, terminal in enumerate(wanted):
-            heap = labels.seed(1 << position, self.node_index[terminal])
-            self._search(labels, 1 << position, heap, _EMPTY, limit, (), budget, "dijkstra")
-        tables = [labels.cost[1 << position] for position in range(len(wanted))]
-        farthest = [
-            list(map(max, *(table for other, table in enumerate(tables) if other != position)))
-            for position in range(len(tables))
-        ] if len(tables) > 1 else []
-        return DistanceBounds(tables, farthest)
+        heap = labels.seed(1, self.node_index[terminal])
+        self._search(labels, 1, heap, _EMPTY, (radius, labels.no_limit[1]), (), budget, "dijkstra")
+        return labels.cost[1]
 
     def exact_tree(
         self,
@@ -458,7 +439,7 @@ class SteinerNetwork:
         max_terminals: int = 8,
         budget: "Optional[Budget]" = None,
         counters: Optional[SolverCounters] = None,
-        lower_bounds: Optional[DistanceBounds] = None,
+        lower_bounds: Optional[List[float]] = None,
         upper_bound: float = _INF,
     ) -> SteinerTree:
         """Minimum-cost Steiner tree over ``terminals``, skipping ``excluded`` edges.
@@ -472,16 +453,11 @@ class SteinerNetwork:
         solve did.
 
         ``upper_bound`` is a cost above which the caller has no use for the
-        answer, ``lower_bounds`` what :meth:`terminal_distances` returns: per
-        terminal (in validated order) distances no exclusion set can undercut.
+        answer, ``lower_bounds`` what :meth:`terminal_distances` returns for
+        the first terminal: distances to it no exclusion set can undercut.
         They only remove work: the tree returned is the unbounded solve's
         whenever that costs no more than ``upper_bound``, and otherwise
         :class:`~repro.exceptions.BoundExceededError` is raised.
-
-        A singleton pass reads its terminal's per-enumeration ``farthest``
-        table, not the other terminals' distances as this branch settled them:
-        a lower bound as well, weaker or equal, so it keeps every label the
-        tighter one kept — the same answer, at most more labels settled.
         """
         terminals = validate_terminals(self.graph, terminals)
         if len(terminals) > max_terminals:
@@ -496,13 +472,11 @@ class SteinerNetwork:
         if bounded:
             labels.counters.bounded_branches += 1
         bound = upper_bound * _BOUND_SLACK
-        if lower_bounds is None:
-            zeros = [labels.no_limit[1]] * len(roots)
-            lower_bounds = DistanceBounds(zeros, zeros)
+        zeros = labels.no_limit[1]
         # Per terminal, a lower bound on its distance to each node: the table
-        # handed in, overwritten with the distances under ``excluded`` as that
-        # terminal's own pass settles them.
-        distances = list(lower_bounds.tables)
+        # handed in (or zero), overwritten with the distances under
+        # ``excluded`` as that terminal's own pass settles them.
+        distances = [lower_bounds or zeros] + [zeros] * (len(roots) - 1)
 
         def far_for(subset: int) -> List[float]:
             # Completing a tree at ``v`` costs at least the distance from ``v``
@@ -510,6 +484,7 @@ class SteinerNetwork:
             # all are inside): the one pruning rule.  ``v``'s limit is
             # ``bound - far[v]``.
             outside = [d for p, d in enumerate(distances) if not subset >> p & 1] or distances[:1]
+            outside = [d for d in outside if d is not zeros] or [zeros]
             return outside[0] if len(outside) == 1 else list(map(max, *outside))
 
         def tree_at_root(mask: int, rooted: bool) -> SteinerTree:
@@ -542,8 +517,7 @@ class SteinerNetwork:
             )
         for position, heap in enumerate(heaps):
             mask = 1 << position
-            limit = (bound, lower_bounds.farthest[position])
-            self._search(labels, mask, heap, excluded, limit, (), budget, "dijkstra")
+            self._search(labels, mask, heap, excluded, (bound, far_for(mask)), (), budget, "dijkstra")
             table, cost = list(distances[position]), labels.cost[mask]
             for v in labels.settled[mask]:
                 table[v] = cost[v]
@@ -616,7 +590,7 @@ class SteinerNetwork:
         exact_terminal_limit: int = 5,
         budget: "Optional[Budget]" = None,
         counters: Optional[SolverCounters] = None,
-        lower_bounds: Optional[DistanceBounds] = None,
+        lower_bounds: Optional[List[float]] = None,
         upper_bound: float = _INF,
     ) -> SteinerTree:
         """Exact DP (the only taker of the bounds) for few terminals, else the approximation."""

@@ -10,66 +10,63 @@ paper's "exact algorithm at small scales, approximation at larger scales".
 The returned list ascends in :attr:`SteinerTree.cost`, equal costs in the
 order they were found.
 
-**Two terminals: exact.**  A two-terminal Steiner tree is a simple path, and
-the enumeration is Yen's k shortest simple paths with Lawler's deviation
-rule.  A candidate path walks from the second terminal to the first; the
-partition it is the cheapest path of fixes its first ``d`` edges and
-forbids some edges at node ``d``.  Emitting it splits the rest of that
-partition into one child per node ``i >= d`` of the path: the first ``i``
-edges fixed, edge ``i`` (and at ``i = d`` the parent's forbidden edges)
-forbidden, the fixed prefix's nodes blocked.  The partitions are disjoint, so
-no path is found twice, and each child is one shortest-path search from its
-spur node through :meth:`SteinerNetwork.default_tree`.
+The enumeration is Lawler's: the heap holds the cheapest tree of each open
+partition (an included edge set, an excluded one), and popping a tree
+splits the rest of its partition into one child per edge past the included
+prefix: child ``i`` includes the tree's first ``i`` edges and excludes edge
+``i``.  The partitions are disjoint, so no tree is found twice, and the list
+is exact wherever the base solve is (up to five terminals).  A cap
+(``max_expansions``) or a deadline ends it alike: the list is the trees
+emitted so far, a prefix of the full one.
 
-**Three or more terminals: a heuristic.**  Each popped tree branches by
-forbidding one of its edges at a time and re-solving; candidates are
-deduplicated by edge set.  This is exact for ``k = 1`` and a high-quality
-heuristic for ``k > 1``: a duplicate is dropped together with its branch, so
-in adversarial graphs an alternative tree can be missed.  That matches the
-role the top-k list plays in the paper, a pool of good alternative
-interpretations for learning and re-ranking.
+**Two terminals.**  A Steiner tree is a simple path, and the enumeration is
+Yen's k shortest simple paths.  A path walks from the second terminal to the
+first; child ``i`` also forbids the parent's forbidden edges at ``i = d``
+(its deviation node) and blocks the included prefix's nodes, and is one
+shortest-path search from its spur node.
 
-Both solve every child under what they already know: nothing above the k-th
-cheapest candidate cost held so far can be emitted (the paper's α; a spur
-search gets α minus its prefix), and exclusion-free distance tables bound
-every child from below.  With three or more terminals, a known tree a
-branch's exclusions leave intact is also still feasible there.  With two, a
-re-solve starts warm: the session cache's latest list for the same terminals,
-re-priced on this network, is k distinct simple paths wherever its paths
-still walk between the terminals, so its k-th cost is an α before anything
-is emitted; its distance table from the first terminal stops at that α.  And
-a child whose spur node has no edge its search could relax
-(each one forbidden, a self-loop, or past the bound by the distance tables)
-is screened: it fails as its search would at the first pop, so the search
-does not run.  The bounds only remove work
-(``tests/test_steiner_differential.py``).
+**Three or more terminals.**  A tree's edges are ordered depth-first from the
+first terminal, ties by edge index, after the prefix its partition included,
+so an included set is a subtree holding that terminal.  A child is one solve
+on a view of the network with the included edges priced at zero, over the
+first terminal and the terminals the subtree misses, every other edge
+between two of its nodes excluded; the included edges are added back, and
+an edge closing a cycle (a zero-cost detour) is left out.  An optimum that
+keeps a non-terminal leaf is branched, but neither emitted nor counted
+toward α.
+
+Every child is solved under what the enumeration knows: nothing above the
+k-th cheapest candidate cost held can be emitted (the paper's α; a child
+gets α minus its included cost).  With two terminals an exclusion-free
+distance table from the first terminal bounds every search from below, and
+a re-solve starts warm: the session cache's latest list for the same
+terminals, re-priced, is k distinct simple paths wherever its paths still
+walk between the terminals, so its k-th cost is an α before anything is
+emitted, and the table stops at it.  A child whose spur node has no edge its
+search could relax (each one forbidden, a self-loop, or past the bound by
+the table) is screened: it fails as its search would at the first pop.  The
+bounds only remove work (``tests/test_steiner_differential.py``).
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Collection, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from typing import TYPE_CHECKING
 
 from ..exceptions import DeadlineExceededError, DisconnectedTerminalsError, SteinerError
 from ..graph.search_graph import SearchGraph
-from .network import _BOUND_SLACK, DistanceBounds, SolverCounters, SteinerNetwork
+from .network import _BOUND_SLACK, SolverCounters, SteinerNetwork
 from .tree import SteinerTree, validate_terminals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.budget import Budget
-
-
-def default_solver(graph: SearchGraph, terminals: Sequence[str], exact_terminal_limit: int = 5) -> SteinerTree:
-    """Pick the exact DP for few terminals, the approximation otherwise."""
-    return SteinerNetwork(graph).default_tree(
-        terminals, exact_terminal_limit=exact_terminal_limit
-    )
 
 
 @dataclass
@@ -80,10 +77,9 @@ class KBestSteiner:
     ----------
     max_expansions:
         Upper bound on children tried (searched or screened), guarding
-        against blow-up on dense graphs.  Past it the candidates already held
-        are drained, so with two terminals a capped list's tail is complete
-        paths, cheapest first, but not provably the next ones.  A warm start
-        may have cut some of those, so a warm enumeration that reaches the cap
+        against blow-up on dense graphs.  Reaching it ends the enumeration:
+        the list is the trees emitted so far, a prefix of the uncapped list,
+        possibly fewer than ``k``.  A warm enumeration that reaches the cap
         starts over cold: a capped list is the same whatever the cache held.
     network_cache:
         Optional session cache, duck-typed: ``network(graph)`` (the snapshot
@@ -118,10 +114,8 @@ class KBestSteiner:
         Expiry before the *first* tree exists raises
         :class:`~repro.exceptions.DeadlineExceededError`; expiry after that
         stops branching, marks the budget truncated, and returns a partial
-        list — possibly fewer than ``k`` trees.  With two terminals it is the
-        paths emitted so far, a prefix of the full list; with more, the
-        already-solved candidates are drained off the heap as well (they are
-        complete, valid trees).
+        list — the trees emitted so far, a prefix of the full list, possibly
+        fewer than ``k``.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -192,7 +186,7 @@ class KBestSteiner:
         """Lawler–Yen k shortest simple paths from ``terminals[1]`` to ``terminals[0]``;
         reaching the cap, a ``warm`` one starts over cold (see ``max_expansions``)."""
         edge_costs, node_ids, adjacency = network.edge_costs, network.node_ids, network.adjacency
-        tables: Optional[DistanceBounds] = None
+        tables: Optional[List[float]] = None
         if warm < math.inf:
             counters.warm_starts += 1
         # The costs of every path held (emitted or on the heap), cheapest
@@ -228,15 +222,15 @@ class KBestSteiner:
                     if not self._child_allowed(expansions, budget, counters):
                         if warm < math.inf:
                             return self._paths(network, terminals, k, budget, counters, best)
-                        break  # the heap is drained: see max_expansions
+                        return results  # a prefix: see max_expansions
                     expansions += 1
                     if alpha < math.inf and tables is None:
                         # Distances from terminals[0], the end every spur search heads
                         # for, out to the first α: no later bound reaches past it.
-                        tables = network.terminal_distances(terminals, budget, counters, alpha * _BOUND_SLACK)
+                        tables = network.terminal_distances(terminals[0], budget, counters, alpha * _BOUND_SLACK)
                     # Screen out a search whose first pop would relax nothing: each
                     # edge excluded, a self-loop, or past the search's own limit test.
-                    bound, far = (alpha - prefix_cost) * _BOUND_SLACK, tables.tables[0] if tables else None
+                    bound, far = (alpha - prefix_cost) * _BOUND_SLACK, tables
                     if all(
                         edge_idx in excluded or neighbor == spur or (far is not None and cost > bound - far[neighbor])
                         for neighbor, edge_idx, cost in adjacency[spur]
@@ -255,9 +249,6 @@ class KBestSteiner:
                         upper_bound=alpha - prefix_cost,
                     )
                 except DeadlineExceededError:
-                    # A partial result, no drain: an unsolved sibling partition
-                    # may hold a path cheaper than any on the heap, so only
-                    # what was emitted is a prefix of the ranking.
                     budget.mark_truncated("k-best-steiner")  # type: ignore[union-attr]
                     return results
                 except DisconnectedTerminalsError:
@@ -313,79 +304,106 @@ class KBestSteiner:
         self, network: SteinerNetwork, terminals: Sequence[str], k: int,
         budget: "Optional[Budget]", counters: SolverCounters, best: SteinerTree,
     ) -> List[SteinerTree]:
-        """Exclusion-only branching: each popped tree forbids its edges one at a time."""
-        tables: Optional[DistanceBounds] = None
-        # Every distinct tree found so far, cheapest first, as (cost, edge
-        # indexes): what bounds the branches still to solve.
-        known: List[Tuple[float, FrozenSet[int]]] = []
-        candidate_edge_sets: Set[FrozenSet[str]] = set()
-
-        def remember(tree: SteinerTree) -> None:
-            candidate_edge_sets.add(tree.edge_ids)
-            bisect.insort(known, (tree.cost, frozenset(map(network.edge_index.__getitem__, tree.edge_ids))))
-
-        def branch_solve(excluded: FrozenSet[int]) -> SteinerTree:
-            nonlocal tables
-            counters.base_solves += 1
-            if tables is None:
-                tables = network.terminal_distances(terminals, budget, counters)
-            # A branch's optimum is of no use above the k-th best candidate
-            # cost (the paper's alpha: k cheaper trees pop first), and it
-            # cannot exceed the cost of a known tree the exclusions leave intact.
-            upper_bound = known[k - 1][0] if len(known) >= k else math.inf
-            for cost, edges in known:
-                if cost >= upper_bound:
-                    break
-                if edges.isdisjoint(excluded):
-                    upper_bound = cost
-                    break
-            return network.default_tree(
-                terminals, excluded=excluded, budget=budget, counters=counters,
-                lower_bounds=tables, upper_bound=upper_bound,
-            )
-
-        results: List[SteinerTree] = []
+        """Lawler's partitions over trees: child i of a popped tree includes its first
+        i edges (depth-first from ``terminals[0]``) and excludes edge i."""
+        node_index, edge_index, edge_costs, adjacency = (
+            network.node_index, network.edge_index, network.edge_costs, network.adjacency
+        )
+        terminal_nodes = {node_index[terminal] for terminal in terminals}
+        # The costs of every minimal tree held (emitted or on the heap),
+        # cheapest first and at most k of them: the k-th is the paper's alpha.
+        held: List[float] = []
         counter = itertools.count()
-        # Heap entries: (cost, tiebreak, tree, exclusion set); an edge set is
-        # pushed at most once, so every pop is a new tree.
-        heap: List[Tuple[float, int, SteinerTree, FrozenSet[int]]] = [
-            (best.cost, next(counter), best, frozenset())
-        ]
-        remember(best)
+        # Heap entries: (cost, tiebreak, tree, nodes and edges in branching
+        # order, included prefix length, excluded edges, minimal)
+        heap: List[tuple] = []
+
+        def push(nodes: List[int], included: List[int], edges: Set[int], excluded: FrozenSet[int]) -> None:
+            nodes, order = self._grow(network, nodes, included, edges)
+            tree = network._tree_from_indexes(order, terminals)
+            degree = collections.Counter(network.endpoints[2 * edge + side] for edge in order for side in (0, 1))
+            minimal = all(count > 1 or node in terminal_nodes for node, count in degree.items())
+            if minimal:
+                bisect.insort(held, tree.cost)
+                del held[k:]
+            heapq.heappush(heap, (tree.cost, next(counter), tree, nodes, order, len(included), excluded, minimal))
+
+        push([node_index[terminals[0]]], [], {edge_index[edge_id] for edge_id in best.edge_ids}, frozenset())
+        results: List[SteinerTree] = []
         expansions = 0
-
-        while heap and len(results) < k:
-            _, _, tree, excluded = heapq.heappop(heap)
-            results.append(tree)
-            if len(results) >= k:
-                break
-
-            # Branch: forbid each edge of the newly accepted tree in turn.
-            for edge_id in sorted(tree.edge_ids):
-                new_excluded = excluded | {network.edge_index[edge_id]}
+        while heap:
+            _, _, tree, nodes, order, fixed, excluded, minimal = heapq.heappop(heap)
+            if not minimal:
+                # An optimum with a non-terminal leaf: its partition may still
+                # hold minimal trees, so it branches, but it is not an answer.
+                counters.nonminimal_optima += 1
+            else:
+                results.append(tree)
+                if len(results) >= k:
+                    break
+            # Child i solves for the root and the terminals order[:i] misses,
+            # those edges free, every other edge between their nodes excluded.
+            inside, internal, prefix_cost = {nodes[0]}, set(), 0.0
+            for i, edge in enumerate(order):
+                if i:  # order[i - 1] joined nodes[i] to the included subtree
+                    internal.update(e for v, e, _ in adjacency[nodes[i]] if v in inside and e != order[i - 1])
+                    inside.add(nodes[i])
+                    prefix_cost += edge_costs[order[i - 1]]
+                if i < fixed:
+                    continue
+                child_excluded = excluded | {edge}
+                alpha = held[k - 1] if len(held) >= k else math.inf
                 try:
                     if not self._child_allowed(expansions, budget, counters):
-                        break
+                        return results  # a prefix: see max_expansions
                     expansions += 1
-                    candidate = branch_solve(new_excluded)
+                    counters.base_solves += 1
+                    found = network.repriced(network.graph, dict.fromkeys(order[:i], 0.0)).default_tree(
+                        (terminals[0], *(t for t in terminals[1:] if node_index[t] not in inside)),
+                        excluded=child_excluded | internal, budget=budget, counters=counters,
+                        upper_bound=alpha - prefix_cost,
+                    )
                 except DeadlineExceededError:
-                    # Stop branching; the outer loop drains the candidates
-                    # already on the heap (complete, valid trees).
                     budget.mark_truncated("k-best-steiner")  # type: ignore[union-attr]
-                    break
+                    return results
                 except DisconnectedTerminalsError:
                     counters.disconnected_branches += 1
                     continue
                 except SteinerError:  # BoundExceededError: the solver counted it
                     continue
-                if candidate.edge_ids in candidate_edge_sets:
-                    counters.duplicate_candidates += 1
-                    continue
-                remember(candidate)
-                heapq.heappush(
-                    heap, (candidate.cost, next(counter), candidate, new_excluded)
-                )
+                push(nodes[: i + 1], order[:i], {edge_index[edge_id] for edge_id in found.edge_ids}, child_excluded)
         return results
+
+    @staticmethod
+    def _grow(
+        network: SteinerNetwork, nodes: List[int], included: List[int], edges: Set[int]
+    ) -> Tuple[List[int], List[int]]:
+        """Every node and edge of ``edges`` plus ``included`` in branching order.
+
+        ``included`` is a subtree that joins ``nodes`` in that order (the root
+        first); the rest follows depth-first from those nodes in turn, ties by
+        edge index.  An edge that would close a cycle (a zero-cost detour
+        beside a free included edge) is left out.
+        """
+        around: Dict[int, List[Tuple[int, int]]] = collections.defaultdict(list)
+        for edge in sorted(edges):
+            u, v = network.endpoints[2 * edge], network.endpoints[2 * edge + 1]
+            around[u].append((v, edge))
+            around[v].append((u, edge))
+        nodes, order, reached = list(nodes), list(included), set(nodes)
+        for start in nodes[: len(included) + 1]:
+            stack = [iter(around[start])]
+            while stack:
+                for node, edge in stack[-1]:
+                    if node not in reached:
+                        reached.add(node)
+                        nodes.append(node)
+                        order.append(edge)
+                        stack.append(iter(around[node]))
+                        break
+                else:
+                    stack.pop()
+        return nodes, order
 
 
 def k_best_steiner_trees(graph: SearchGraph, terminals: Sequence[str], k: int) -> List[SteinerTree]:

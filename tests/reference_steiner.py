@@ -6,9 +6,7 @@ Dijkstra loops over ``dict`` labels with the node-id *string* as heap
 tie-breaker, and a ``frozenset`` of path edges materialised per node per
 terminal subset.  It is slow and obviously faithful to the seed, which is
 what an oracle is for: the kernel must return the same edge set and the same
-(``math.fsum``) cost for every solve, and with three or more terminals
-``reference_k_best(..., reference_solver)`` (``reference_kbest.py``) must
-equal ``KBestSteiner`` tree for tree, in order.  :func:`is_connected_tree`
+(``math.fsum``) cost for every solve.  :func:`is_connected_tree`
 is the structural check the solver tests assert on every tree they get.
 Both live in ``tests/`` because nothing in ``src/`` runs them.
 """
@@ -290,7 +288,7 @@ class ReferenceSteinerNetwork:
 
 
 def reference_solver(graph: SearchGraph, terminals: Sequence[str]) -> SteinerTree:
-    """The oracle as a ``reference_k_best`` base solver (graph-copy protocol)."""
+    """The oracle as a one-shot solver: a graph in, its exact tree out."""
     return ReferenceSteinerNetwork(graph).exact_tree(terminals)
 
 

@@ -630,9 +630,7 @@ def test_budgeted_reads_never_pin_partial_answers(gbco_dataset):
 
 
 def test_solver_returns_partial_tree_list_on_expiry(gbco_dataset, monkeypatch):
-    """The enumeration drains complete candidates instead of raising mid-way."""
-    from reference_kbest import reference_k_best
-
+    """The enumeration returns the trees emitted so far instead of raising mid-way."""
     from repro.steiner.network import SteinerNetwork
     from repro.steiner.topk import KBestSteiner
 
@@ -644,38 +642,36 @@ def test_solver_returns_partial_tree_list_on_expiry(gbco_dataset, monkeypatch):
         view.prepare()
         graph = view.query_graph.graph
         terminals = list(view.query_graph.keyword_nodes.values())
-        # A custom solver takes the graph-copy protocol: the budget is polled
-        # only in the enumerator's own loop, so its clock reads are exactly
-        # countable — read 1 at construction, read 2 at the pre-solve
-        # check, read 3+ in the branching loop.
-        def solve(budget=None):
-            base = lambda g, t: SteinerNetwork(g).default_tree(t)  # noqa: E731
-            return reference_k_best(graph, terminals, 5, base, budget=budget)
-
-        full = solve()
+        full = KBestSteiner().solve(graph, terminals, k=5)
         assert len(full) >= 2
 
-        # Expired-before-first-solve: typed error, from both enumerations.
-        # No search tick reads the clock here, so in KBestSteiner only the
-        # pre-solve check can raise.
-        with pytest.raises(DeadlineExceededError):
-            solve(Budget(0.0, clock=_StepClock()))
+        # Searches poll by tick only, and no tick reads the clock: the budget
+        # reads it at construction, at the pre-solve check, at whatever the
+        # first base solve checks (counted here), and before every child.
         monkeypatch.setattr("repro.faults.budget.TICK_STRIDE", 10**9)
         with pytest.raises(DeadlineExceededError):
             KBestSteiner().solve(graph, terminals, k=5, budget=Budget(0.0, clock=_StepClock()))
+        first_solve = {"reads": 0}
+
+        def counting() -> float:
+            first_solve["reads"] += 1
+            return 0.0
+
+        SteinerNetwork(graph).default_tree(terminals, budget=Budget(100.0, clock=counting))
+        unexpired = 2 + first_solve["reads"] - 1  # less the counting budget's own construction
 
         # Expiry armed right after the first base solve: partial, truncated.
         reads = {"n": 0}
 
         def clock() -> float:
             reads["n"] += 1
-            return 0.0 if reads["n"] <= 2 else 1000.0
+            return 0.0 if reads["n"] <= unexpired else 1000.0
 
         budget = Budget(deadline_s=100.0, clock=clock)
-        partial = solve(budget)
+        partial = KBestSteiner().solve(graph, terminals, k=5, budget=budget)
         assert budget.truncated
         assert 1 <= len(partial) < len(full)
-        assert [t.cost for t in partial] == [t.cost for t in full[: len(partial)]]
+        assert partial == full[: len(partial)]
 
 
 def test_deadline_inside_a_three_terminal_grow_pass(gbco_dataset, monkeypatch):

@@ -388,7 +388,9 @@ def test_deadline_probe_on_the_grown_graph():
     assert result is None or (result.degraded and result.answers), "the budget never bit"
     assert elapsed_ms <= 2 * deadline_ms
     assert not full.degraded
-    assert len(full.answers) == 144
+    # The unbudgeted solve reaches max_expansions: its answers come from the
+    # exact trees emitted before the cap, a prefix of the uncapped ranking.
+    assert len(full.answers) == 48
 
 
 # ----------------------------------------------------------------------

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 from repro.engine.context import SteinerNetworkCache
 from repro.exceptions import SteinerError
 from repro.graph import EdgeKind, Node, NodeKind, SearchGraph, edge_feature
-from reference_kbest import reference_k_best
 from reference_paths import simple_paths
 from reference_steiner import is_connected_tree, reference_solver
+from reference_trees import is_minimal_steiner_tree
 from repro.steiner.network import SolverCounters
 from repro.steiner import (
     KBestSteiner,
     SteinerTree,
     approximate_steiner_tree,
-    default_solver,
+    SteinerNetwork,
     exact_steiner_tree,
     k_best_steiner_trees,
     validate_terminals,
@@ -230,7 +230,7 @@ class TestTopK:
         assert KBestSteiner().solve(graph, ["a", "c"], 3) == []
 
     def test_default_solver_dispatch(self, diamond_graph):
-        tree = default_solver(diamond_graph, ["a", "b", "c", "d"], exact_terminal_limit=3)
+        tree = SteinerNetwork(diamond_graph).default_tree(["a", "b", "c", "d"], exact_terminal_limit=3)
         assert is_connected_tree(tree, diamond_graph)
 
 
@@ -460,13 +460,14 @@ def grown_gbco_service():
     service.close()
 
 
-#: ``settled_labels`` of one enumeration per golden cell, at about 60 % of what
-#: the commit before the branch bounds settled (33 819 and 107 738; with them
-#: 13 166 and 37 840).  The two-terminal cell settles 4 991 since it
-#: enumerates simple paths, and its ceiling is that plus 5 %.  Branches that
-#: run unbounded again fail here by count, on any host, where a timing gate
+#: ``settled_labels`` of one enumeration per golden cell, plus 5 %.  The
+#: two-terminal cell settles 4 948 since it enumerates simple paths.  The
+#: three- and four-terminal cells settle 19 442 and 47 878 since they branch
+#: on Lawler partitions (38 024 and 69 789 under exclusion-only branching,
+#: 33 819 and 107 738 before the branch bounds).  Branches that run
+#: unbounded again fail here by count, on any host, where a timing gate
 #: would need a quiet one.
-SETTLED_LABEL_CEILING = {"t2_k20": 5_240, "t3_k10": 64_600}
+SETTLED_LABEL_CEILING = {"t2_k20": 5_240, "t3_k10": 20_420, "t4_k5": 50_280}
 
 
 def golden_cell(service, terminal_count, k):
@@ -496,23 +497,28 @@ def test_golden_grid_trees_costs_and_tie_order(grown_gbco_service, terminal_coun
     # A screened child is a branch bounded out without a search.
     assert 0 < did.bounded_out_branches < did.bounded_branches < did.base_solves + did.screened_children
     assert did.settled_labels <= SETTLED_LABEL_CEILING.get(cell, did.settled_labels)
+    # Disjoint partitions find no tree twice.
+    assert len({tree.edge_ids for tree in trees}) == len(trees)
     if terminal_count == 2:
-        # Brute force witnesses the costs; disjoint partitions find no path twice.
+        # Brute force witnesses the costs.
         paths = simple_paths(graph, terminals[1], terminals[0], max_cost=trees[-1].cost)
         assert len(paths) >= k
         assert all(math.isclose(tree.cost, cost, rel_tol=1e-9) for tree, (cost, _) in zip(trees, paths))
-        assert did.duplicate_candidates == 0
+        assert did.nonminimal_optima == 0
+    else:
+        assert all(is_minimal_steiner_tree(graph, tree, terminals) for tree in trees)
 
 
 def test_expansion_cap_counts_bounded_out_branches_too(grown_gbco_service):
     """``max_expansions`` is a count of branches tried, whatever became of
     them: under a cap the t3_k10 cell runs into, the enumeration solves
     exactly cap + 1 times, abandons some of those under a bound, and returns
-    what the unbounded oracle returns under the same cap."""
+    the trees emitted before the cap, a prefix of the uncapped list."""
     graph, terminals = golden_cell(grown_gbco_service, 3, 10)
+    uncapped = KBestSteiner().solve(graph, terminals, 10)
     cache = SteinerNetworkCache()
     capped = KBestSteiner(max_expansions=40, network_cache=cache).solve(graph, terminals, 10)
-    assert capped == reference_k_best(graph, terminals, 10, reference_solver, max_expansions=40)
+    assert 0 < len(capped) < len(uncapped) and capped == uncapped[: len(capped)]
     did = cache.solver
     assert (did.base_solves, did.expansion_cap_hits) == (41, 1)
     assert did.bounded_out_branches > 0
