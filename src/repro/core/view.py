@@ -17,12 +17,12 @@ There is one read shape: :meth:`RankedView.stream_answers` is the path,
 Pulls are *incremental*: a query executes only if no reader of the shared
 :class:`~repro.engine.context.ExecutionContext` has executed the same query
 content over the same tables at the same versions.  Every other query
-replays the context's answers, re-stamped with this query's cost and id —
-feedback moves costs, and another view's tree may generate the same query,
-without touching the joined tuples.  When neither the edge weights nor the
-query-graph structure changed since the last solve, the Steiner solve
-itself is skipped.  The view keeps no answers of its own, so nothing has to tell it
-that a table changed.
+replays the context's rows, whose answers the union stamps with this
+query's cost and id — feedback moves costs, and another view's tree may
+generate the same query, without touching the joined tuples.  When neither
+the edge weights nor the query-graph structure changed since the last
+solve, the Steiner solve itself is skipped.  The view keeps no answers of
+its own, so nothing has to tell it that a table changed.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..datastore.database import Catalog
-from ..datastore.provenance import AnswerTuple
+from ..datastore.provenance import AnswerRow, AnswerTuple
 from ..engine.context import ExecutionContext
-from ..engine.executor import PlanExecutor, project_answer, union_column_plan
+from ..engine.executor import PlanExecutor, ranked_union
 from ..exceptions import DeadlineExceededError, QueryError
 from ..faults.budget import Budget
 from ..graph.query_graph import QueryGraph, QueryGraphBuilder
@@ -349,18 +349,11 @@ class RankedView:
         """Ranked answers as a lazy iterator (the pull-based read path).
 
         The Steiner solve (which determines the ranking) happens eagerly at
-        call time, but query *execution* is deferred: each generated query
-        runs only when the iterator reaches its answers, so a consumer that
-        stops after the first page never pays for the remaining queries.
-        Yielded answers are identical — same values, costs, provenance and
-        order — to the engine's eager :func:`~repro.engine.executor.ranked_union`
-        over the same queries: they are streamed in ascending cost order (every answer
-        carries its query's cost, so the concatenation is globally sorted)
-        and each answer goes through the shared
-        :func:`~repro.engine.executor.project_answer` against the full
-        unified column set, which
-        :func:`~repro.engine.executor.union_column_plan` derives from the
-        queries' output labels without executing anything.
+        call time, but query *execution* is deferred: the stream is
+        :func:`~repro.engine.executor.ranked_union` over the view's queries,
+        which asks :meth:`_rows_for` for a query's rows only when it reaches
+        them, so a consumer that stops after the first page never pays for
+        the remaining queries.
 
         With a ``budget``, expiry between (or inside) query executions stops
         the stream at a query boundary and marks the budget truncated; every
@@ -373,60 +366,58 @@ class RankedView:
         """
         self.prepare(budget=budget)
         stats = self.last_refresh
-        ordered = sorted(self.state.queries, key=lambda g: g.query.cost)
-        columns, mappings = union_column_plan([g.query for g in ordered])
-        limit = self.answer_limit
+        generated = {id(g.query): g for g in self.state.queries}
 
-        def _generate() -> Iterator[AnswerTuple]:
-            yielded = 0
-            for generated, mapping in zip(ordered, mappings):
-                if limit is not None and yielded >= limit:
-                    return
-                try:
-                    if budget is not None:
-                        budget.check("stream")
-                    answers = self._answers_for(generated, stats, budget=budget)
-                except DeadlineExceededError:
-                    if yielded == 0:
-                        raise
-                    budget.mark_truncated("stream")  # type: ignore[union-attr]
-                    return
+        def rows_of(query) -> List[AnswerRow]:
+            if budget is not None:
+                budget.check("stream")
+            return self._rows_for(generated[id(query)], stats, budget=budget)
+
+        answers = ranked_union(
+            [g.query for g in self.state.queries], rows_of, self.catalog, limit=self.answer_limit
+        )
+
+        def _within_deadline() -> Iterator[AnswerTuple]:
+            yielded = False
+            try:
                 for answer in answers:
-                    yield project_answer(answer, generated.query, mapping, columns)
-                    yielded += 1
-                    if limit is not None and yielded >= limit:
-                        return
+                    yield answer
+                    yielded = True
+            except DeadlineExceededError:
+                if not yielded:
+                    raise
+                budget.mark_truncated("stream")  # type: ignore[union-attr]
 
-        return _generate()
+        return _within_deadline()
 
-    def _answers_for(
+    def _rows_for(
         self,
         generated: GeneratedQuery,
         stats: RefreshStats,
         budget: Optional[Budget] = None,
-    ) -> List[AnswerTuple]:
-        """Execute one generated query, or replay the engine context's answers.
+    ) -> List[AnswerRow]:
+        """Execute one generated query, or replay the engine context's rows.
 
-        The context keys answers by query content and replays them only
-        while every table the query reads is the same object at the same
-        version.  The replayed answers may come from another tree or another
-        view; the stream's :func:`~repro.engine.executor.project_answer`
-        stamps this query's cost and id on them, and never mutates them.
+        The context keys rows by query content and replays them only while
+        every table the query reads is the same object at the same version.
+        The replayed rows may come from another tree or another view;
+        :func:`~repro.engine.executor.ranked_union` stamps this query's cost
+        and id on the answers it builds from them, and never mutates them.
         An execution aborted by a deadline raises before anything is
         remembered, so partial results are never replayed.
         """
         context = self.engine_context
         reads = context.table_reads(generated.query)
-        answers = context.recall_answers(generated.key, reads)
-        if answers is not None:
+        rows = context.recall_answers(generated.key, reads)
+        if rows is not None:
             stats.queries_reused += 1
             active_trace().tally("queries_cached")
-            return answers
+            return rows
         with active_trace().span("execute"):
-            answers = self.executor.execute(generated.query, budget=budget)
-        context.remember_answers(generated.key, reads, answers)
+            rows = self.executor.execute(generated.query, budget=budget)
+        context.remember_answers(generated.key, reads, rows)
         stats.queries_executed += 1
-        return answers
+        return rows
 
     def answers_page(
         self, limit: Optional[int] = None, offset: int = 0

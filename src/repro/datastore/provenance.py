@@ -42,6 +42,12 @@ class TupleProvenance:
         return any(rel == relation for rel, _ in self.base_tuples)
 
 
+#: One answer as a query's execution returns it: the cell values in the
+#: order of :meth:`~repro.datastore.query.ConjunctiveQuery.answer_cells`,
+#: and the provenance stamped when it was executed.
+AnswerRow = Tuple[Tuple[object, ...], TupleProvenance]
+
+
 @dataclass
 class AnswerTuple:
     """A ranked answer in the unified output table.

@@ -3,17 +3,22 @@
 Each Steiner tree found in the query graph is translated into a conjunctive
 query (paper Section 2.2): relation nodes in (or attached to) the tree become
 query *atoms*, non-zero-cost edges between attributes become *join
-predicates*, and keyword-match edges become *selection predicates*.  The
-queries produced for one keyword query are then combined by a ranked
-*disjoint union* (see :func:`repro.engine.executor.ranked_union`).
+predicates*, and keyword-match edges become *selection predicates*.  A
+query's execution returns rows whose cells follow
+:meth:`ConjunctiveQuery.answer_cells`; every read combines the queries of
+one keyword query by a ranked *disjoint union* of those rows
+(:func:`repro.engine.executor.ranked_union`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import QueryError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .database import Catalog
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,26 @@ class ConjunctiveQuery:
     def output_labels(self) -> Tuple[str, ...]:
         """Labels of the select-list columns, in order."""
         return tuple(column.label for column in self.outputs)
+
+    def answer_cells(self, catalog: "Catalog") -> Dict[str, Tuple[int, int]]:
+        """Each answer label -> ``(atom position, attribute index)`` of its value.
+
+        The labels are the select-list's, or ``alias.attribute`` for every
+        attribute of every atom when the query has no outputs.  Both
+        execution targets read a row's cells in this order.
+        """
+        schemas = [catalog.relation(atom.relation).schema for atom in self.atoms]
+        if self.outputs:
+            position = {atom.alias: i for i, atom in enumerate(self.atoms)}
+            projected = [(c.label, position[c.alias], c.attribute) for c in self.outputs]
+        else:
+            projected = [
+                (f"{atom.alias}.{name}", i, name)
+                for i, atom in enumerate(self.atoms)
+                for name in schemas[i].attribute_names
+            ]
+        # A repeated label keeps its first position and its last value.
+        return {label: (i, schemas[i].attribute_index(name)) for label, i, name in projected}
 
     def validate(self) -> None:
         """Check internal consistency; raises :class:`QueryError` on problems."""

@@ -6,14 +6,14 @@ the session shares it: views, tenant twins, snapshot views and the learner.
 Their queries hit the same relations with the same selections and join
 attributes over and over; the context builds each filtered scan and each
 per-attribute hash join index **once** and replays it afterwards.  A whole
-query's answers are kept too, under a key made of the query's content
-(atoms, joins, selections, outputs), so two views — or two re-expansions of
-one view — that generate the same query execute it once.
+query's rows are kept too, under a key made of the query's content (atoms,
+joins, selections, outputs), so two views — or two re-expansions of one
+view — that generate the same query execute it once.
 
 There is no invalidation.  Staleness is a table's identity and version: scan
 and join-index groups are held per :class:`~repro.datastore.table.Table`
 object (weakly, so a removed source's tables are freed) and rebuilt when its
-``version`` moves, and a cached answer list is replayed only while every
+``version`` moves, and a cached row list is replayed only while every
 table it read is still the catalog's table under that name at the version it
 was read at.  A mutation, a registration or a source re-registered under the
 same name therefore never returns stale rows, and nothing has to be told.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..datastore.database import Catalog
-from ..datastore.provenance import AnswerTuple
+from ..datastore.provenance import AnswerRow
 from ..datastore.table import Row, Table
 from ..datastore.types import canonicalize
 from ..graph.features import WeightVector
@@ -301,7 +301,7 @@ class ExecutionContext:
             weakref.WeakKeyDictionary()
         )
         # Query content key -> (a weak reference and version per table read,
-        # the answers); locked like the ranking memo, for the read pool.
+        # the rows); locked like the ranking memo, for the read pool.
         self._answers: "OrderedDict[str, tuple]" = OrderedDict()
         self._answers_lock = threading.Lock()
         # (structure stamp, tree edge set) -> the tree's generated query, or
@@ -361,16 +361,18 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     def table_reads(self, query) -> TableReads:
         """Each table ``query`` reads, with its version.  Taken *before* executing,
-        so answers computed while a table moved are remembered as stale."""
+        so rows computed while a table moved are remembered as stale."""
         tables = map(self.catalog.relation, dict.fromkeys(query.relations()))
         return tuple((table, table.version) for table in tables)
 
-    def recall_answers(self, key: str, reads: TableReads) -> Optional[List[AnswerTuple]]:
-        """The answers remembered under ``key`` if read from exactly ``reads``.
+    def recall_answers(self, key: str, reads: TableReads) -> Optional[List[AnswerRow]]:
+        """The rows :meth:`remember_answers` kept under ``key``, if read from exactly ``reads``.
 
-        Same table *objects* at the same versions: a source re-registered
-        under the same name is a new table whose version may coincide with
-        the old one's.  The list is shared; callers must not mutate it.
+        The cache holds rows, not answers: each reader builds its own
+        answers from them, under its own cost and query id.  Same table
+        *objects* at the same versions: a source re-registered under the
+        same name is a new table whose version may coincide with the old
+        one's.  The list is shared; callers must not mutate it.
         """
         with self._answers_lock:
             entry = self._answers.get(key)
@@ -379,11 +381,11 @@ class ExecutionContext:
             self._answers.move_to_end(key)
             return entry[1]
 
-    def remember_answers(self, key: str, reads: TableReads, answers: List[AnswerTuple]) -> None:
-        """Keep one complete execution's answers, evicting the least recently used."""
+    def remember_answers(self, key: str, reads: TableReads, rows: List[AnswerRow]) -> None:
+        """Keep one complete execution's rows, evicting the least recently used."""
         weak = tuple((weakref.ref(table), version) for table, version in reads)
         with self._answers_lock:
-            self._answers[key] = (weak, answers)
+            self._answers[key] = (weak, rows)
             self._answers.move_to_end(key)
             while len(self._answers) > ANSWER_CACHE_SIZE:
                 self._answers.popitem(last=False)

@@ -4,15 +4,19 @@
 :class:`~repro.engine.plan.QueryPlan` produced by the planner with composite
 -key hash joins whose build sides come from the shared
 :class:`~repro.engine.context.ExecutionContext` (built once, replayed across
-the k queries of a view refresh), and combines per-query outputs with the
-same ranked disjoint-union semantics as the seed executor (the nested-loop
-reference the tests keep as ``tests/reference_executor.py``).
+the k queries of a view refresh), and returns the query's rows
+(:data:`~repro.datastore.provenance.AnswerRow`).  :func:`ranked_union` is
+the one merge of several queries' rows and the one place a row becomes the
+:class:`~repro.datastore.provenance.AnswerTuple` a reader sees, with the
+seed executor's ranked disjoint-union semantics (the nested-loop reference
+the tests keep as ``tests/reference_executor.py``).
 
 Parity guarantee
 ----------------
-For any query, :meth:`PlanExecutor.execute` returns exactly the answers the
-seed executor returns — same values (and value order within each answer),
-same costs, same provenance, and same *list order*: answers are emitted in
+For any query, the answers :func:`ranked_union` builds from
+:meth:`PlanExecutor.execute`'s rows are exactly the answers the seed
+executor returns — same values (and value order within each answer), same
+costs, same provenance, and same *list order*: rows are emitted in
 ascending base-tuple ``row_id`` order following the query's atom list, which
 is precisely the order the seed's left-to-right nested iteration produces.
 Join reordering therefore never leaks into observable output.
@@ -26,13 +30,14 @@ truncations of a cross-product blow-up.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+import itertools
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..datastore.database import Catalog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.budget import Budget
-from ..datastore.provenance import AnswerTuple, TupleProvenance
+from ..datastore.provenance import AnswerRow, AnswerTuple, TupleProvenance
 from ..datastore.query import ConjunctiveQuery
 from ..datastore.table import Row
 from ..datastore.types import canonicalize
@@ -67,15 +72,16 @@ class PlanExecutor:
         query: ConjunctiveQuery,
         limit: Optional[int] = None,
         budget: "Optional[Budget]" = None,
-    ) -> List[AnswerTuple]:
-        """Execute one conjunctive query; answers carry provenance.
+    ) -> List[AnswerRow]:
+        """Execute one conjunctive query; its rows carry provenance.
 
         When :meth:`~repro.engine.context.ExecutionContext.choose_target`
         picks the SQL target, the whole query runs inside the backend (same
-        answers, costs, provenance and order — see
-        :mod:`repro.storage.pushdown`); otherwise the planned Python join
-        engine below executes it, with per-relation scan pushdown still
-        applying where the backend offers it.
+        rows in the same order — see :mod:`repro.storage.pushdown`);
+        otherwise the planned Python join engine below executes it, with
+        per-relation scan pushdown still applying where the backend offers
+        it.  Either way a row holds the cell values in the order of the
+        query's :meth:`~repro.datastore.query.ConjunctiveQuery.answer_cells`.
 
         With a ``budget``, the plan loop checks it per step and raises
         :class:`~repro.exceptions.DeadlineExceededError` on expiry; a query
@@ -89,10 +95,10 @@ class PlanExecutor:
         context = self.context
         target, reason = context.choose_target(query, limit=limit, budget=budget)
         if target == SQL:
-            answers = context.pushdown.execute(self.catalog, query)
+            rows = context.pushdown.execute(self.catalog, query)
             context.statistics.pushdown_queries += 1
             trace.tally("queries_pushdown")
-            return answers
+            return rows
         trace.annotate_once("fallback_reason", reason)
         trace.tally("queries_python")
         plan = self.planner.plan(query)
@@ -105,10 +111,18 @@ class PlanExecutor:
         position = {step.alias: i for i, step in enumerate(plan.steps)}
         atom_positions = [position[atom.alias] for atom in query.atoms]
         partials.sort(key=lambda rows: tuple(rows[i].row_id for i in atom_positions))
-        answers = [self._to_answer(query, position, partial) for partial in partials]
         if limit is not None:
-            answers = answers[:limit]
-        return answers
+            partials = partials[:limit]
+        cells = [(atom_positions[i], index) for i, index in query.answer_cells(self.catalog).values()]
+        atoms = [(atom.relation, atom_positions[i]) for i, atom in enumerate(query.atoms)]
+        query_id = query.provenance or "query"
+        return [
+            (
+                tuple([partial[slot].values[index] for slot, index in cells]),
+                TupleProvenance(query_id, query.cost, frozenset([(r, partial[slot].row_id) for r, slot in atoms])),
+            )
+            for partial in partials
+        ]
 
     def _run_plan(
         self,
@@ -160,44 +174,6 @@ class PlanExecutor:
                 result.append(partial + (row,))
         return result
 
-    def _to_answer(
-        self, query: ConjunctiveQuery, position: Dict[str, int], partial: Tuple[Row, ...]
-    ) -> AnswerTuple:
-        outputs = query.outputs
-        if not outputs:
-            values: Dict[str, Optional[object]] = {}
-            for atom in query.atoms:
-                row = partial[position[atom.alias]]
-                for attr, value in zip(row.schema.attribute_names, row.values):
-                    values[f"{atom.alias}.{attr}"] = value
-        else:
-            values = {}
-            for column in outputs:
-                row = partial[position[column.alias]]
-                values[column.label] = row[column.attribute]
-        base_tuples = frozenset(
-            (atom.relation, partial[position[atom.alias]].row_id) for atom in query.atoms
-        )
-        provenance = TupleProvenance(
-            query_id=query.provenance or "query",
-            query_cost=query.cost,
-            base_tuples=base_tuples,
-        )
-        return AnswerTuple(values=values, cost=query.cost, provenance=provenance)
-
-    # ------------------------------------------------------------------
-    # Ranked disjoint union
-    # ------------------------------------------------------------------
-    def execute_union(
-        self,
-        queries: Sequence[ConjunctiveQuery],
-        compatible: Optional[Callable[[str, str], bool]] = None,
-        limit: Optional[int] = None,
-    ) -> List[AnswerTuple]:
-        """Execute and union several queries (seed ``execute_union`` semantics)."""
-        pairs = [(query, self.execute(query)) for query in sorted(queries, key=lambda q: q.cost)]
-        return ranked_union(pairs, compatible=compatible, limit=limit)
-
 
 def union_column_plan(
     queries: Sequence[ConjunctiveQuery],
@@ -208,9 +184,9 @@ def union_column_plan(
     ``queries`` must be in the union's ranked (ascending-cost) order.
     Returns ``(unified_columns, mappings)`` where ``mappings[i]`` remaps the
     ``i``-th query's output labels onto the unified columns.  Only the
-    queries' output labels are consulted, so streaming consumers (the lazy
-    :meth:`~repro.core.view.RankedView.stream_answers` path) can pad every
-    answer with the full column set without executing later queries first.
+    queries' output labels are consulted, so the lazy :func:`ranked_union`
+    can pad every answer with the full column set without executing later
+    queries first.
     """
     if compatible is None:
         compatible = default_column_compatibility
@@ -219,67 +195,62 @@ def union_column_plan(
     return unified_columns, mappings
 
 
-def project_answer(
-    answer: AnswerTuple,
-    query: ConjunctiveQuery,
-    column_mapping: Dict[str, str],
-    unified_columns: Sequence[str],
-) -> AnswerTuple:
-    """One answer remapped onto the unified schema, padded and stamped by its reader.
-
-    The single implementation of the union's per-answer projection, shared
-    by :func:`ranked_union` and the streaming read path
-    (:meth:`~repro.core.view.RankedView.stream_answers`) — their answer
-    parity depends on the remap / pad / stamp semantics staying identical.
-    A replayed answer may come from another tree cost or another query of
-    the same content, so the provenance takes ``query``'s cost and id.  The
-    input answer is never mutated.
-    """
-    values: Dict[str, Optional[object]] = {}
-    for label, value in answer.values.items():
-        values[column_mapping.get(label, label)] = value
-    for column in unified_columns:
-        values.setdefault(column, None)
-    provenance = answer.provenance
-    query_id = query.provenance or "query"
-    if provenance is not None and (provenance.query_cost != query.cost or provenance.query_id != query_id):
-        provenance = TupleProvenance(query_id, query.cost, provenance.base_tuples, provenance.tree_edges)
-    return AnswerTuple(values=values, cost=query.cost, provenance=provenance)
-
-
 def ranked_union(
-    pairs: Sequence[Tuple[ConjunctiveQuery, Sequence[AnswerTuple]]],
+    queries: Sequence[ConjunctiveQuery],
+    rows_of: Callable[[ConjunctiveQuery], Sequence[AnswerRow]],
+    catalog: Catalog,
     compatible: Optional[Callable[[str, str], bool]] = None,
     limit: Optional[int] = None,
-) -> List[AnswerTuple]:
-    """Align per-query answers onto a unified schema and rank by cost.
+) -> Iterator[AnswerTuple]:
+    """The ranked disjoint union of ``queries``: answers on a unified schema, by cost.
 
-    Takes pre-executed ``(query, answers)`` pairs so callers holding cached
-    answers (the incremental view refresh) can re-union without re-executing.
-    Input answers are never mutated — fresh :class:`AnswerTuple` objects are
-    returned, priced at the query's *current* cost (a cached answer may have
-    been executed under an older tree cost; feedback moves costs without
-    changing which tuples join, so only the price is re-stamped).
+    The one merge of every read.  ``rows_of(query)`` returns a query's rows
+    (an execution, or a cache's replay of one); it is called lazily, in
+    ascending cost order, when the iterator reaches that query, and never
+    for a query past ``limit``.
 
-    Ranking is a k-way merge, not a sort: ``ordered`` ascends by query cost
-    and :func:`project_answer` prices every answer of a query at exactly
-    that query's cost, so each per-query block is a cost-homogeneous sorted
-    run and the ascending-cost concatenation of the blocks *is* the merge
-    of the k runs — the global ``sort`` this replaced re-derived the same
-    order in O(n log n).  Tie order is identical to the former stable
-    sort's: equal-cost answers keep query order (stable ``sorted`` over the
-    pairs), then per-query emission order.
+    Ranking is a k-way merge, not a sort: the queries are stably sorted by
+    cost and every answer of a query is priced at exactly that query's
+    cost, so the concatenation of the per-query blocks *is* the merge of
+    the k sorted runs.  Equal-cost answers keep query order, then each
+    query's emission order.
     """
-    ordered = sorted(pairs, key=lambda pair: pair[0].cost)
-    unified_columns, mappings = union_column_plan([q for q, _ in ordered], compatible)
-    all_answers = [
-        project_answer(answer, query, column_mapping, unified_columns)
-        for (query, answers), column_mapping in zip(ordered, mappings)
-        for answer in answers
-    ]
-    if limit is not None:
-        all_answers = all_answers[:limit]
-    return all_answers
+    ordered = sorted(queries, key=lambda query: query.cost)
+    columns, mappings = union_column_plan(ordered, compatible)
+    blocks = (
+        _answers(query, rows_of(query), catalog, mapping, columns)
+        for query, mapping in zip(ordered, mappings)
+    )
+    return itertools.islice(itertools.chain.from_iterable(blocks), limit)
+
+
+def _answers(
+    query: ConjunctiveQuery,
+    rows: Sequence[AnswerRow],
+    catalog: Catalog,
+    column_mapping: Dict[str, str],
+    unified_columns: Sequence[str],
+) -> Iterator[AnswerTuple]:
+    """The one builder of the answers a reader sees, from one query's rows.
+
+    Each row's cells are keyed by the unified column its label maps to and
+    padded with ``None`` for the columns the query does not populate, and
+    the answer is stamped with ``query``'s cost and id: rows replayed from
+    the cache may come from another tree cost or another query of the same
+    content.  The labels are mapped once per query; a row's provenance is
+    rebuilt only when the cost or id differs.  Rows are never mutated.
+    """
+    if not rows:
+        return
+    keys = [column_mapping.get(label, label) for label in query.answer_cells(catalog)]
+    padding = dict.fromkeys(column for column in unified_columns if column not in keys)
+    cost, query_id = query.cost, query.provenance or "query"
+    for cells, provenance in rows:
+        if provenance.query_cost != cost or provenance.query_id != query_id:
+            provenance = TupleProvenance(query_id, cost, provenance.base_tuples, provenance.tree_edges)
+        values = dict(zip(keys, cells))
+        values.update(padding)
+        yield AnswerTuple(values=values, cost=cost, provenance=provenance)
 
 
 def _align_columns(

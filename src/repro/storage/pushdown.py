@@ -4,11 +4,14 @@ When every relation of a conjunctive query lives on the catalog's
 pushdown-capable backend (:class:`~repro.storage.sqlite.SqliteBackend`),
 the engine does not need to scan, hash and join in Python at all: the query
 *is* a conjunctive SQL statement (the paper's own formulation, Section
-2.2).  This module holds the one compiler of such a statement and the one
-decoder of its result rows (:class:`CompiledQuery`); :class:`SqlPushdown`
-runs them.  A ranked view is not a SQL shape of its own: it executes its
-queries one by one and merges them with
-:func:`~repro.engine.executor.ranked_union`, on every backend.
+2.2).  This module holds the one compiler of such a statement
+(:class:`CompiledQuery`), which also decodes each result record into the
+same row the Python target returns: the answer's cell values in the
+query's label order and its provenance.  Turning rows into answers is not
+this module's job.  :class:`SqlPushdown` runs the statement.  A ranked
+view is not a SQL shape of its own: it executes its queries one by one and
+merges their rows with :func:`~repro.engine.executor.ranked_union`, on
+every backend.
 
 Parity is guaranteed by construction rather than by approximation:
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from ..datastore.provenance import AnswerTuple, TupleProvenance
+from ..datastore.provenance import AnswerRow, TupleProvenance
 from ..datastore.sqlgen import quote_identifier
 from ..exceptions import UnknownRelationError
 from .sqlite import SqliteBackend, canon_sql, exact_condition
@@ -66,14 +69,14 @@ def off_backend_relations(
 class CompiledQuery:
     """One conjunctive query as a parameterized SELECT, and its row decoder.
 
-    A result row is a ``"_rid_i"``/``"_tag_i"`` pair per atom (the base
+    A result record is a ``"_rid_i"``/``"_tag_i"`` pair per atom (the base
     tuple's row id and its value-type tags) followed by one ``"_val_i"``
-    per projected cell.  ``cells`` lists the projected cells in answer-key
-    order as ``(label, atom position, attribute index)`` — one per output
-    column, or every attribute of every atom (labelled
-    ``alias.attribute``) for a query without outputs, the engine's
-    all-attributes projection.  ``params`` holds the selection needles in
-    the order they appear in ``sql``.
+    per answer cell.  ``cells`` lists the cells as ``(atom position,
+    attribute index)`` in the query's
+    :meth:`~repro.datastore.query.ConjunctiveQuery.answer_cells` order, so
+    :meth:`row` decodes a record into the row the Python target builds.
+    ``params`` holds the selection needles in the order they appear in
+    ``sql``.
     """
 
     __slots__ = ("query", "relations", "cells", "sql", "params")
@@ -83,23 +86,8 @@ class CompiledQuery:
         self.query = query
         atoms = query.atoms
         self.relations = [atom.relation for atom in atoms]
-        position = {atom.alias: i for i, atom in enumerate(atoms)}
-        schemas = {atom.alias: catalog.relation(atom.relation).schema for atom in atoms}
-        if query.outputs:
-            projected = [
-                (column.label, column.alias, column.attribute)
-                for column in query.outputs
-            ]
-        else:
-            projected = [
-                (f"{atom.alias}.{attribute}", atom.alias, attribute)
-                for atom in atoms
-                for attribute in schemas[atom.alias].attribute_names
-            ]
-        self.cells: List[Tuple[str, int, int]] = [
-            (label, position[alias], schemas[alias].attribute_index(attribute))
-            for label, alias, attribute in projected
-        ]
+        self.cells: List[Tuple[int, int]] = list(query.answer_cells(catalog).values())
+        names = [catalog.relation(atom.relation).schema.attribute_names for atom in atoms]
 
         def column_sql(alias: str, attribute: str) -> str:
             return f"{quote_identifier(alias)}.{backend.column_sql_name(attribute)}"
@@ -110,8 +98,8 @@ class CompiledQuery:
             select_items.append(f'{row_ids[slot]} AS "_rid_{slot}"')
             select_items.append(f'{quote_identifier(atom.alias)}."_tags" AS "_tag_{slot}"')
         select_items.extend(
-            f'{column_sql(alias, attribute)} AS "_val_{slot}"'
-            for slot, (_, alias, attribute) in enumerate(projected)
+            f'{column_sql(atoms[i].alias, names[i][index])} AS "_val_{slot}"'
+            for slot, (i, index) in enumerate(self.cells)
         )
         from_items = [
             f"{backend.table_sql_name(atom.relation)} AS {quote_identifier(atom.alias)}"
@@ -144,27 +132,22 @@ class CompiledQuery:
         # The engine's emission order: row ids along the atom list.
         self.sql = sql + "\nORDER BY " + ", ".join(row_ids)
 
-    def answer(self, record: Sequence[object]) -> AnswerTuple:
-        """Decode one result row: values, cost and base-tuple provenance.
-
-        Mirrors ``PlanExecutor._to_answer``: a repeated key keeps its first
-        position and its last value.
-        """
+    def row(self, record: Sequence[object]) -> AnswerRow:
+        """Decode one result record into the query's row."""
         decode = SqliteBackend._decode_cell
         cell_base = 2 * len(self.relations)
-        values = {}
-        for slot, (key, atom_pos, attr_index) in enumerate(self.cells):
-            tags = record[2 * atom_pos + 1]
-            values[key] = decode(record[cell_base + slot], tags, attr_index)
         query = self.query
-        provenance = TupleProvenance(
-            query_id=query.provenance or "query",
-            query_cost=query.cost,
-            base_tuples=frozenset(
-                (relation, record[2 * pos]) for pos, relation in enumerate(self.relations)
+        return (
+            tuple([
+                decode(record[cell_base + slot], record[2 * i + 1], index)
+                for slot, (i, index) in enumerate(self.cells)
+            ]),
+            TupleProvenance(
+                query.provenance or "query",
+                query.cost,
+                frozenset(zip(self.relations, record[0:cell_base:2])),
             ),
         )
-        return AnswerTuple(values=values, cost=query.cost, provenance=provenance)
 
 
 class SqlPushdown:
@@ -173,10 +156,7 @@ class SqlPushdown:
     def __init__(self, backend) -> None:
         self.backend = backend
 
-    def execute(self, catalog: "Catalog", query: "ConjunctiveQuery") -> List[AnswerTuple]:
-        """Run ``query`` as one parameterized SELECT; answers carry provenance."""
+    def execute(self, catalog: "Catalog", query: "ConjunctiveQuery") -> List[AnswerRow]:
+        """Run ``query`` as one parameterized SELECT; its rows carry provenance."""
         compiled = CompiledQuery(self.backend, catalog, query)
-        return [
-            compiled.answer(record)
-            for record in self.backend.execute_sql(compiled.sql, compiled.params)
-        ]
+        return [compiled.row(record) for record in self.backend.execute_sql(compiled.sql, compiled.params)]

@@ -12,10 +12,11 @@ import pytest
 
 from repro.api import QService, ServiceConfig
 from repro.datastore.query import ConjunctiveQuery
-from repro.engine import ExecutionContext, PlanExecutor, QueryPlanner, compile_predicates
+from repro.engine import ExecutionContext, PlanExecutor, QueryPlanner, compile_predicates, ranked_union
 from repro.exceptions import DisconnectedTerminalsError, SteinerError
 
 from reference_executor import ReferenceExecutor
+from test_storage_backends import executed_answers
 
 
 def _answer_record(answer):
@@ -254,12 +255,12 @@ class TestExecutionContext:
         query = ConjunctiveQuery(provenance="q")
         query.add_atom("s.r", "r")
         query.add_output("r", "a", "a")
-        assert [a["a"] for a in executor.execute(query)] == ["old1", "old2"]
+        assert [a["a"] for a in executed_answers(executor, query)] == ["old1", "old2"]
         # Replace the source: same relation name, same row count, so the
         # fresh Table's version counter coincides with the old one's.
         catalog.remove_source("s")
         catalog.add_source(source([{"a": "new1"}, {"a": "new2"}]))
-        assert [a["a"] for a in executor.execute(query)] == ["new1", "new2"]
+        assert [a["a"] for a in executed_answers(executor, query)] == ["new1", "new2"]
 
 
 class TestEngineParityHandcrafted:
@@ -298,7 +299,7 @@ class TestEngineParityHandcrafted:
         reference = ReferenceExecutor(mini_catalog)
         engine = PlanExecutor(mini_catalog)
         for query in self._queries(mini_catalog):
-            _assert_same_answers(engine.execute(query), reference.execute(query))
+            _assert_same_answers(executed_answers(engine, query), reference.execute(query))
 
     def test_execute_parity_with_limit(self, mini_catalog):
         reference = ReferenceExecutor(mini_catalog)
@@ -307,7 +308,7 @@ class TestEngineParityHandcrafted:
         cross.add_atom("go.term", "t")
         cross.add_atom("interpro.pub", "p")
         _assert_same_answers(
-            engine.execute(cross, limit=3), reference.execute(cross, limit=3)
+            executed_answers(engine, cross, limit=3), reference.execute(cross, limit=3)
         )
 
     def test_union_parity(self, mini_catalog):
@@ -315,7 +316,7 @@ class TestEngineParityHandcrafted:
         engine = PlanExecutor(mini_catalog)
         queries = self._queries(mini_catalog)
         _assert_same_answers(
-            engine.execute_union(queries), reference.execute_union(queries)
+            ranked_union(queries, engine.execute, mini_catalog), reference.execute_union(queries)
         )
 
 
@@ -349,14 +350,14 @@ class TestEngineParitySynthetic:
         reference = ReferenceExecutor(system.catalog)
         engine = PlanExecutor(system.catalog)
         for query in queries:
-            _assert_same_answers(engine.execute(query), reference.execute(query))
+            _assert_same_answers(executed_answers(engine, query), reference.execute(query))
 
     def test_union_parity(self, system_and_queries):
         system, queries = system_and_queries
         reference = ReferenceExecutor(system.catalog)
         engine = PlanExecutor(system.catalog)
         _assert_same_answers(
-            engine.execute_union(queries, limit=200),
+            ranked_union(queries, engine.execute, system.catalog, limit=200),
             reference.execute_union(queries, limit=200),
         )
 

@@ -9,6 +9,8 @@ from repro.datastore.sqlgen import query_to_sql, union_to_sql
 from repro.engine.executor import PlanExecutor
 from repro.exceptions import QueryError
 
+from test_storage_backends import executed_answers, union
+
 
 def make_join_query(cost: float = 1.0) -> ConjunctiveQuery:
     query = ConjunctiveQuery(cost=cost, provenance="q1")
@@ -58,7 +60,7 @@ class TestConjunctiveQuery:
 class TestQueryExecutor:
     def test_simple_join(self, mini_catalog):
         executor = PlanExecutor(mini_catalog)
-        answers = executor.execute(make_join_query())
+        answers = executed_answers(executor, make_join_query())
         assert len(answers) == 2
         values = {(a["term_name"], a["entry_ac"]) for a in answers}
         assert ("plasma membrane", "IPR001") in values
@@ -67,21 +69,21 @@ class TestQueryExecutor:
     def test_selection_keyword_mode(self, mini_catalog):
         query = make_join_query()
         query.add_selection("t", "name", "membrane")
-        answers = PlanExecutor(mini_catalog).execute(query)
+        answers = executed_answers(PlanExecutor(mini_catalog), query)
         assert len(answers) == 1
         assert answers[0]["term_name"] == "plasma membrane"
 
     def test_selection_equals_mode(self, mini_catalog):
         query = make_join_query()
         query.add_selection("t", "acc", "GO:0002", mode="equals")
-        answers = PlanExecutor(mini_catalog).execute(query)
+        answers = executed_answers(PlanExecutor(mini_catalog), query)
         assert len(answers) == 1
         assert answers[0]["entry_ac"] == "IPR002"
 
     def test_selection_contains_mode(self, mini_catalog):
         query = make_join_query()
         query.add_selection("t", "name", "MEMBRANE", mode="contains")
-        answers = PlanExecutor(mini_catalog).execute(query)
+        answers = executed_answers(PlanExecutor(mini_catalog), query)
         assert len(answers) == 1
 
     def test_three_way_join(self, mini_catalog):
@@ -93,7 +95,7 @@ class TestQueryExecutor:
         query.add_join("e2p", "pub_id", "p", "pub_id")
         query.add_output("e", "name", "entry_name")
         query.add_output("p", "title", "title")
-        answers = PlanExecutor(mini_catalog).execute(query)
+        answers = executed_answers(PlanExecutor(mini_catalog), query)
         assert {(a["entry_name"], a["title"]) for a in answers} == {
             ("Kinase domain", "Kinase domain structure"),
             ("Zinc finger", "Zinc finger review"),
@@ -109,7 +111,7 @@ class TestQueryExecutor:
     def test_no_outputs_returns_all_columns(self, mini_catalog):
         query = ConjunctiveQuery()
         query.add_atom("go.term", "t")
-        answers = PlanExecutor(mini_catalog).execute(query)
+        answers = executed_answers(PlanExecutor(mini_catalog), query)
         assert len(answers) == 3
         assert "t.acc" in answers[0].values
 
@@ -120,7 +122,7 @@ class TestQueryExecutor:
         assert len(answers) == 1
 
     def test_provenance_attached(self, mini_catalog):
-        answers = PlanExecutor(mini_catalog).execute(make_join_query(cost=3.5))
+        answers = executed_answers(PlanExecutor(mini_catalog), make_join_query(cost=3.5))
         provenance = answers[0].provenance
         assert provenance is not None
         assert provenance.query_id == "q1"
@@ -130,8 +132,8 @@ class TestQueryExecutor:
         assert answers[0].cost == 3.5
 
     def test_answer_key_stable(self, mini_catalog):
-        answers_a = PlanExecutor(mini_catalog).execute(make_join_query())
-        answers_b = PlanExecutor(mini_catalog).execute(make_join_query())
+        answers_a = executed_answers(PlanExecutor(mini_catalog), make_join_query())
+        answers_b = executed_answers(PlanExecutor(mini_catalog), make_join_query())
         assert {a.key() for a in answers_a} == {b.key() for b in answers_b}
 
 
@@ -142,7 +144,7 @@ class TestDisjointUnion:
         expensive.add_atom("interpro.entry", "e")
         expensive.add_output("e", "name", "entry_name")
         expensive.add_output("e", "entry_ac", "entry_ac")
-        answers = PlanExecutor(mini_catalog).execute_union([expensive, cheap])
+        answers = union(mini_catalog, [expensive, cheap])
         # All answers share one unified schema and are sorted by cost.
         assert [a.cost for a in answers] == sorted(a.cost for a in answers)
         columns = set(answers[0].values.keys())
@@ -152,7 +154,7 @@ class TestDisjointUnion:
         assert "entry_ac" in columns
 
     def test_union_limit(self, mini_catalog):
-        answers = PlanExecutor(mini_catalog).execute_union([make_join_query()], limit=1)
+        answers = union(mini_catalog, [make_join_query()], limit=1)
         assert len(answers) == 1
 
     def test_union_custom_compatibility(self, mini_catalog):
@@ -160,8 +162,8 @@ class TestDisjointUnion:
         q2 = ConjunctiveQuery(cost=2.0, provenance="q2")
         q2.add_atom("interpro.entry", "e")
         q2.add_output("e", "name", "entry_label")
-        answers = PlanExecutor(mini_catalog).execute_union(
-            [q1, q2], compatible=lambda a, b: {a, b} == {"entry_label", "term_name"}
+        answers = union(
+            mini_catalog, [q1, q2], compatible=lambda a, b: {a, b} == {"entry_label", "term_name"}
         )
         columns = set(answers[0].values.keys())
         assert "entry_label" not in columns  # renamed onto term_name

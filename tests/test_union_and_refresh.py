@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import FeedbackRequest, QService, QueryRequest, RegisterSourceRequest
 from repro.core import RankedView
 from repro.datastore import Catalog, DataSource
 from repro.datastore.query import ConjunctiveQuery
+from repro.engine.context import ExecutionContext
 from repro.engine.executor import PlanExecutor, ranked_union
 from repro.exceptions import QueryError
+from repro.faults.budget import Budget
 from repro.graph import QueryGraphBuilder, SearchGraph
+from repro.graph.features import edge_feature
 from repro.learning import AnnotationKind
 
 from reference_executor import ReferenceExecutor
@@ -22,6 +27,7 @@ from test_storage_backends import (
     fresh_context,
     interpro_view,
     make_backend,
+    union,
 )
 
 #: The ranked union, its pages and its cache are the same code on every
@@ -45,7 +51,7 @@ class TestUnionColumnAlignment:
         query.add_atom("interpro.entry", "e")
         query.add_output("e", "name", "name")
         query.add_output("e", "entry_ac", "e.name")  # compatible with "name"
-        answers = PlanExecutor(mini_catalog).execute_union([query])
+        answers = union(mini_catalog, [query])
         columns = set(answers[0].values.keys())
         assert columns == {"name", "e.name"}
         for answer in answers:
@@ -58,7 +64,7 @@ class TestUnionColumnAlignment:
         expensive = ConjunctiveQuery(cost=2.0, provenance="b")
         expensive.add_atom("interpro.entry", "e")
         expensive.add_output("e", "name", "e.name")  # trailing name matches
-        answers = PlanExecutor(mini_catalog).execute_union([expensive, cheap])
+        answers = union(mini_catalog, [expensive, cheap])
         columns = set(answers[0].values.keys())
         assert columns == {"name"}
         assert all(a.values["name"] is not None for a in answers)
@@ -70,7 +76,7 @@ class TestUnionColumnAlignment:
         empty.add_selection("t", "acc", "GO:9999", mode="equals")
         empty.add_output("t", "acc", "missing_acc")
         full = term_query(1.0, "full")
-        answers = PlanExecutor(mini_catalog).execute_union([empty, full])
+        answers = union(mini_catalog, [empty, full])
         assert len(answers) == 3  # only the full query produced tuples
         # The empty query's column is part of the unified schema, padded.
         assert all("missing_acc" in a.values for a in answers)
@@ -80,28 +86,28 @@ class TestUnionColumnAlignment:
         empty = ConjunctiveQuery(cost=0.5, provenance="empty")
         empty.add_atom("go.term", "t")
         empty.add_selection("t", "acc", "GO:9999", mode="equals")
-        assert PlanExecutor(mini_catalog).execute_union([empty]) == []
+        assert union(mini_catalog, [empty]) == []
 
     def test_no_queries(self, mini_catalog):
-        assert PlanExecutor(mini_catalog).execute_union([]) == []
+        assert union(mini_catalog, []) == []
 
     def test_limit_keeps_cheapest_answers(self, mini_catalog):
         cheap = term_query(1.0, "cheap")
         expensive = term_query(9.0, "expensive")
-        answers = PlanExecutor(mini_catalog).execute_union([expensive, cheap], limit=3)
+        answers = union(mini_catalog, [expensive, cheap], limit=3)
         assert len(answers) == 3
         assert all(a.cost == 1.0 for a in answers)
         assert all(a.provenance.query_id == "cheap" for a in answers)
 
     def test_limit_zero(self, mini_catalog):
-        assert PlanExecutor(mini_catalog).execute_union([term_query(1.0, "q")], limit=0) == []
+        assert union(mini_catalog, [term_query(1.0, "q")], limit=0) == []
 
     def test_disjoint_union_pads_with_none(self, mini_catalog):
         terms = term_query(1.0, "terms")
         pubs = ConjunctiveQuery(cost=2.0, provenance="pubs")
         pubs.add_atom("interpro.pub", "p")
         pubs.add_output("p", "title", "title")
-        answers = PlanExecutor(mini_catalog).execute_union([terms, pubs])
+        answers = union(mini_catalog, [terms, pubs])
         columns = {"acc", "name", "title"}
         for answer in answers:
             assert set(answer.values.keys()) == columns
@@ -263,15 +269,26 @@ class TestIncrementalRefresh:
 
     def test_refresh_answers_match_seed_union_semantics(self):
         # The incremental path (cache + ranked_union) must equal a from-
-        # scratch union of the same queries through the reference executor.
+        # scratch union of the same queries through the reference executor:
+        # cold, and when every query's rows replay under the costs a
+        # re-solve gave its tree.
         view = self._view()
         view.refresh()
-        reference = ReferenceExecutor(view.catalog)
-        expected = reference.execute_union(
-            [g.query for g in view.state.queries], limit=view.answer_limit
-        )
-        got = view.state.answers
-        assert [(a.values, a.cost) for a in got] == [(a.values, a.cost) for a in expected]
+        for replayed in (False, True):
+            if replayed:
+                graph = view.query_graph.graph
+                for edge in graph.association_edges():
+                    graph.weights.set(edge_feature(edge.edge_id), 0.25)
+                view.refresh()
+                assert view.last_refresh.solver_runs == 1
+                assert view.last_refresh.queries_executed == 0
+            reference = ReferenceExecutor(view.catalog)
+            expected = reference.execute_union(
+                [g.query for g in view.state.queries], limit=view.answer_limit
+            )
+            got = view.state.answers
+            assert [(a.values, a.cost) for a in got] == [(a.values, a.cost) for a in expected]
+            assert answer_fingerprint(got) == answer_fingerprint(expected)
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +311,7 @@ def test_python_merge_keeps_query_then_emission_order(kind):
         [clone_source(s) for s in _mini_sources()], backend=make_backend(kind)
     )
     executor = PlanExecutor(catalog)
-    merged = ranked_union([(q, executor.execute(q)) for q in (first, second, third)])
+    merged = list(ranked_union((first, second, third), executor.execute, catalog))
     costs = [a.cost for a in merged]
     assert costs == sorted(costs)
     # All cost-1.0 answers: every tree-a answer precedes every tree-b
@@ -443,3 +460,100 @@ class TestCachedUnionServesPagesAndRereads:
         assert view.last_refresh.queries_executed == len(new)
         assert view.last_refresh.queries_reused == len(after) - len(new)
         service.close()
+
+
+# ----------------------------------------------------------------------
+# Cache differential: rows replayed under another tree equal a cold execution
+# ----------------------------------------------------------------------
+#: Cell values the two targets must decode alike: canonically equal strings,
+#: a null, booleans (a tag on SQLite) and numbers.
+_CELLS = st.sampled_from(["GO:1", " GO:1 ", "GO:2", "plasma membrane", "membrane", None, True, False, 7, 2.5])
+_ROWS = st.lists(st.tuples(_CELLS, _CELLS), max_size=5)
+_COLUMNS = (("t", "acc"), ("t", "name"), ("i", "go_id"), ("i", "entry_ac"))
+
+
+@st.composite
+def _query_contents(draw):
+    """One query's content over go.term ``t`` (and interpro.interpro2go ``i``),
+    as a builder taking the cost and id of the tree that generated it."""
+    linked = draw(st.booleans())
+    joined = linked and draw(st.booleans())
+    selection = draw(
+        st.none()
+        | st.tuples(
+            st.sampled_from(["membrane", "GO:1", "plasma membrane"]),
+            st.sampled_from(["keyword", "contains", "equals"]),
+        )
+    )
+    columns = [c for c in _COLUMNS if linked or c[0] == "t"]
+    # Repeated labels keep their first position and their last value.
+    outputs = draw(
+        st.lists(st.tuples(st.sampled_from(columns), st.sampled_from([None, "x"])), max_size=4)
+    )
+
+    def build(cost: float, provenance: str) -> ConjunctiveQuery:
+        query = ConjunctiveQuery(cost=cost, provenance=provenance)
+        query.add_atom("go.term", "t")
+        if linked:
+            query.add_atom("interpro.interpro2go", "i")
+        if joined:
+            query.add_join("t", "acc", "i", "go_id")
+        if selection is not None:
+            query.add_selection("t", "name", selection[0], mode=selection[1])
+        for (alias, attribute), label in outputs:
+            query.add_output(alias, attribute, label)
+        return query
+
+    return build
+
+
+def _full_fingerprint(answers):
+    """``answer_fingerprint`` plus the whole provenance object."""
+    answers = list(answers)
+    return answer_fingerprint(answers), [a.provenance for a in answers]
+
+
+@pytest.mark.parametrize("kind", VIEW_BACKENDS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    terms=_ROWS,
+    links=_ROWS,
+    build=_query_contents(),
+    trees=st.lists(
+        st.tuples(st.sampled_from([0.5, 1.0, 2.5]), st.sampled_from(["tree-a", "tree-b", ""])),
+        min_size=2,
+        max_size=2,
+    ),
+)
+def test_replayed_rows_equal_a_cold_execution(kind, terms, links, build, trees):
+    # A query's rows, executed for one tree and replayed from the context
+    # for another tree's cost and id, build the answers a cold execution
+    # for that other tree builds: values, column order, cost, provenance and
+    # answer order, inside a union with a second query.
+    sources = [
+        DataSource.build("go", {"term": ["acc", "name"]}, data={"term": terms}),
+        DataSource.build("interpro", {"interpro2go": ["go_id", "entry_ac"]}, data={"interpro2go": links}),
+    ]
+    catalog = Catalog(sources, backend=make_backend(kind))
+    executed, reader = build(*trees[0]), build(*trees[1])
+    other = term_query(1.0, "other")
+    context = ExecutionContext(catalog)
+    rows = PlanExecutor(catalog, context).execute(executed)
+    context.remember_answers("content", context.table_reads(executed), rows)
+    replayed = context.recall_answers("content", context.table_reads(reader))
+    assert replayed is not None
+    cold = PlanExecutor(catalog, ExecutionContext(catalog))
+    other_rows = cold.execute(other)
+    got = ranked_union([reader, other], lambda q: replayed if q is reader else other_rows, catalog)
+    expected = ranked_union([reader, other], cold.execute, catalog)
+    assert _full_fingerprint(got) == _full_fingerprint(expected)
+    assert answer_fingerprint(ranked_union([reader], cold.execute, catalog)) == answer_fingerprint(
+        ReferenceExecutor(catalog).execute(reader)
+    )
+    if kind == "sqlite":
+        # The SQL target and the Python target (a budgeted read) return
+        # equal rows for the same query.
+        pushed = cold.context.statistics.pushdown_queries
+        assert cold.execute(reader) == cold.execute(reader, budget=Budget(3600.0))
+        assert cold.context.statistics.pushdown_queries == pushed + 1
+    catalog.close()
