@@ -179,24 +179,26 @@ class Table:
 
     def _coerce(self, row) -> Tuple[Any, ...]:
         names = self.schema.attribute_names
-        if isinstance(row, Row):
-            row = row.as_dict()
-        if isinstance(row, Mapping):
-            unknown = set(row) - set(names)
-            if unknown:
-                raise DataError(
-                    f"row has attributes {sorted(unknown)!r} not in relation "
-                    f"{self.schema.qualified_name!r}"
-                )
-            return tuple(row.get(name) for name in names)
-        if isinstance(row, Sequence) and not isinstance(row, (str, bytes)):
-            if len(row) != len(names):
-                raise DataError(
-                    f"row of arity {len(row)} does not match relation "
-                    f"{self.schema.qualified_name!r} of arity {len(names)}"
-                )
-            return tuple(row)
-        raise DataError(f"cannot interpret row value of type {type(row).__name__}")
+        # An exact list or tuple skips the ABC checks, which cost ~2 µs a row.
+        if type(row) is not tuple and type(row) is not list:
+            if isinstance(row, Row):
+                row = row.as_dict()
+            if isinstance(row, Mapping):
+                unknown = set(row) - set(names)
+                if unknown:
+                    raise DataError(
+                        f"row has attributes {sorted(unknown)!r} not in relation "
+                        f"{self.schema.qualified_name!r}"
+                    )
+                return tuple(row.get(name) for name in names)
+            if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
+                raise DataError(f"cannot interpret row value of type {type(row).__name__}")
+        if len(row) != len(names):
+            raise DataError(
+                f"row of arity {len(row)} does not match relation "
+                f"{self.schema.qualified_name!r} of arity {len(names)}"
+            )
+        return tuple(row)
 
     # ------------------------------------------------------------------
     # Access

@@ -187,8 +187,8 @@ class SteinerNetworkCache:
         # Structure stamp -> that topology's index and last prices.
         self._topologies: "OrderedDict[int, _Topology]" = OrderedDict()
         # The LRU bookkeeping (move_to_end + popitem) is not safe under the
-        # GIL alone; the serving layer shares one cache across its whole
-        # read pool, so all lookups serialize on this lock.  Builds and
+        # GIL alone; the serving layer shares one cache across all its
+        # reader threads, so all lookups serialize on this lock.  Builds and
         # derivations happen inside the critical section too: a topology's
         # last prices are read and replaced by each derivation.
         self._lock = threading.Lock()
@@ -301,7 +301,7 @@ class ExecutionContext:
             weakref.WeakKeyDictionary()
         )
         # Query content key -> (a weak reference and version per table read,
-        # the rows); locked like the ranking memo, for the read pool.
+        # the rows); locked like the ranking memo, for concurrent readers.
         self._answers: "OrderedDict[str, tuple]" = OrderedDict()
         self._answers_lock = threading.Lock()
         # (structure stamp, tree edge set) -> the tree's generated query, or

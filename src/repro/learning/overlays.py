@@ -190,7 +190,7 @@ class TenantRegistry:
 
     Profiles are created on first use (first query or feedback naming the
     tenant).  Creation is locked because reads naming a brand-new tenant can
-    arrive concurrently on the serving layer's read pool; everything else on
+    arrive concurrently on the serving layer's reader threads; everything else on
     a profile is either read-only from readers or funneled through the
     single writer.
     """

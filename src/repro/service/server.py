@@ -2,11 +2,13 @@
 
 :class:`QServer` splits the service's traffic into two lanes:
 
-* **Reads** — queries, answer streams, stats — run concurrently on a thread
-  pool.  Each read grabs the current :class:`~repro.service.snapshots.ReadSnapshot`
-  reference once and answers entirely against it, so reads never block on
-  writes, never observe a half-applied mutation, and two reads of the same
-  (view, tenant) on one snapshot share a single solve.
+* **Reads** — queries, answer streams, stats — run concurrently: a blocking
+  :meth:`QServer.query` on the thread that asks, :meth:`QServer.submit_query`
+  on a thread pool.  Each read grabs the current
+  :class:`~repro.service.snapshots.ReadSnapshot` reference once and answers
+  entirely against it, so reads never block on writes, never observe a
+  half-applied mutation, and two reads of the same (view, tenant) on one
+  snapshot share a single solve.
 * **Writes** — feedback, source registration/removal, view creation — are
   serialized through one bounded queue drained by a single writer thread.
   After each *successful* write the writer re-expands structurally stale
@@ -42,8 +44,9 @@ The writer lane is *supervised*: no exception escapes it silently.
   :class:`~repro.faults.budget.Budget` through solve and execution; expiry
   yields :class:`~repro.exceptions.DeadlineExceededError`, or a partial
   :class:`ReadResult` flagged ``degraded=True`` once answers exist.
-* **Shutdown** — :meth:`QServer.close` accepts a ``timeout``; writes still
-  queued when it elapses fail with
+* **Shutdown** — :meth:`QServer.close` waits for every read it admitted,
+  on either entry point, and accepts a ``timeout`` for the writer; writes
+  still queued when it elapses fail with
   :class:`~repro.exceptions.ServerClosedError` instead of blocking the
   caller forever.
 """
@@ -58,7 +61,7 @@ import time
 import uuid
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..datastore.provenance import AnswerTuple
@@ -175,19 +178,9 @@ class _WriteOp:
         #: into the op's ``queue_wait`` span.
         self.enqueued_s: float = 0.0
 
-    def cancel(self) -> bool:
-        """Cancel the op if the writer has not picked it up yet.
-
-        Thin alias for ``future.cancel()``: once the writer calls
-        ``set_running_or_notify_cancel`` the op is committed and this
-        returns ``False``.  A successfully cancelled op is skipped (and
-        counted) when the writer dequeues it.
-        """
-        return self.future.cancel()
-
 
 class QServer:
-    """Thread-pooled, snapshot-isolated serving layer over a session.
+    """Snapshot-isolated serving layer over a session.
 
     Parameters
     ----------
@@ -196,7 +189,8 @@ class QServer:
         its mutation discipline from construction on: apply writes through
         the server, not directly on the service.
     read_workers:
-        Size of the concurrent read pool; ``0`` = one per CPU.
+        Sizes the pool behind :meth:`submit_query`; ``0`` = one per CPU.
+        A blocking :meth:`query` runs on the caller's thread.
     write_queue_limit:
         Bound of the single-writer mutation queue.  Defaults to
         ``service.config.write_queue_limit``.
@@ -207,7 +201,8 @@ class QServer:
 
     Every read/write has a ``submit_*`` form returning a
     :class:`concurrent.futures.Future` (asyncio-friendly via
-    ``asyncio.wrap_future``) and a blocking convenience form.
+    ``asyncio.wrap_future``) and a blocking form.  Both read forms run one
+    ``_read`` against the published snapshot.
     """
 
     def __init__(
@@ -218,11 +213,9 @@ class QServer:
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self._service = service
-        workers = read_workers
-        if workers == 0:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise InvalidRequestError(f"read_workers must be >= 0, got {workers}")
+        if read_workers < 0:
+            raise InvalidRequestError(f"read_workers must be >= 0, got {read_workers}")
+        workers = read_workers or os.cpu_count() or 1
         limit = (
             write_queue_limit
             if write_queue_limit is not None
@@ -264,7 +257,10 @@ class QServer:
         self._op_seq = itertools.count(1)
 
         self._closed = False
-        self._close_lock = threading.Lock()
+        #: Admits work against ``_closed``; ``close()`` waits on it until no
+        #: blocking read is in flight.
+        self._close_lock = threading.Condition(threading.Lock())
+        self._blocking_reads = 0
         self._queue: "queue.Queue" = queue.Queue(maxsize=limit)
         # Initial publish happens before any reader or writer exists, so
         # snapshot 0 is the pristine service state.
@@ -334,7 +330,8 @@ class QServer:
             "Pinned answer sets carried over across snapshots",
             fn=lambda: server._counters.carryovers,
         )
-        gauge("q_read_pool_workers", "Size of the concurrent read pool", fn=lambda: server.read_workers)
+        gauge("q_read_pool_workers", "Threads behind submit_query; query runs on its caller's thread",
+              fn=lambda: server.read_workers)
         gauge("q_write_queue_limit", "Bound of the mutation queue", fn=lambda: server.write_queue_limit)
 
     def metrics(self, fmt: str = "prometheus"):
@@ -457,23 +454,35 @@ class QServer:
     def submit_query(
         self, request: QueryRequest, deadline_ms: Optional[float] = None
     ) -> "Future[ReadResult]":
-        """Schedule a snapshot-isolated read; returns its future.
+        """Schedule a snapshot-isolated read on the read pool; returns its future.
 
         ``deadline_ms`` (or ``request.deadline_ms``) arms a cooperative
         budget over the read's solve/execute work; see :class:`ReadResult`
         for the partial-answer contract.  The budget's clock starts when
         the read *runs*, not while it waits for a pool slot.
         """
-        self._check_open()
-        if deadline_ms is not None:
-            request = replace(request, deadline_ms=deadline_ms)
-        return self._read_pool.submit(self._read, request)
+        with self._close_lock:
+            self._check_open()
+            return self._read_pool.submit(self._read, request, deadline_ms)
 
     def query(
         self, request: QueryRequest, deadline_ms: Optional[float] = None
     ) -> ReadResult:
-        """Blocking form of :meth:`submit_query`."""
-        return self.submit_query(request, deadline_ms=deadline_ms).result()
+        """Run a snapshot-isolated read on the calling thread and return it.
+
+        The same read as :meth:`submit_query`, with the same deadline rule,
+        minus the pool hand-off.  :meth:`close` waits for it to finish.
+        """
+        with self._close_lock:
+            self._check_open()
+            self._blocking_reads += 1
+        try:
+            return self._read(request, deadline_ms)
+        finally:
+            with self._close_lock:
+                self._blocking_reads -= 1
+                if self._closed and not self._blocking_reads:
+                    self._close_lock.notify_all()
 
     def snapshot(self) -> ReadSnapshot:
         """The currently published snapshot (advanced by each write)."""
@@ -511,12 +520,10 @@ class QServer:
             reads_degraded=degraded_reads,
         )
 
-    def _read(self, request: QueryRequest) -> ReadResult:
-        budget = (
-            Budget.from_deadline_ms(request.deadline_ms)
-            if request.deadline_ms is not None
-            else None
-        )
+    def _read(self, request: QueryRequest, deadline_ms: Optional[float]) -> ReadResult:
+        if deadline_ms is None:
+            deadline_ms = request.deadline_ms
+        budget = Budget.from_deadline_ms(deadline_ms) if deadline_ms is not None else None
         trace = self.obs.tracer.trace("read")
         with trace:
             with trace.span("snapshot_acquire"):
@@ -695,7 +702,9 @@ class QServer:
         op = _WriteOp(fn, kind, tag, op_key=op_key)
         op.enqueued_s = self.obs.tracer.clock()
         try:
-            self._queue.put_nowait(op)
+            with self._close_lock:  # queued ahead of close()'s sentinel, or refused
+                self._check_open()
+                self._queue.put_nowait(op)
         except queue.Full:
             with self._stats_lock:
                 self._writes_rejected += 1
@@ -712,7 +721,7 @@ class QServer:
             if op is _SENTINEL:
                 break
             if not op.future.set_running_or_notify_cancel():
-                # Cancelled while queued (op.cancel()); skip silently.
+                # Its future was cancelled while queued; skip silently.
                 with self._stats_lock:
                     self._writes_cancelled += 1
                 continue
@@ -866,8 +875,9 @@ class QServer:
     def close(self, timeout: Optional[float] = None) -> bool:
         """Drain pending writes, stop both lanes.  Idempotent.
 
-        Without ``timeout`` (the default), blocks until every admitted
-        write is applied — their futures resolve — exactly like before.
+        Returns only after every admitted read has finished, blocking or
+        pooled.  Without ``timeout`` (the default), blocks until every
+        admitted write is applied — their futures resolve.
         With a ``timeout`` (seconds), waits at most that long for the
         writer to drain; writes still queued when it elapses fail with
         :class:`~repro.exceptions.ServerClosedError` so no caller blocks
@@ -906,6 +916,8 @@ class QServer:
             except queue.Full:  # pragma: no cover - refilled mid-drain
                 pass
         self._read_pool.shutdown(wait=True)
+        with self._close_lock:
+            self._close_lock.wait_for(lambda: not self._blocking_reads)
         return clean
 
     def __enter__(self) -> "QServer":

@@ -108,7 +108,7 @@ class SolverCounters:
 def _digest(parts: Sequence[bytes]) -> bytes:
     """SHA-256 of ``parts``, fed in pieces below hashlib's 2 KiB threshold for releasing the GIL.
 
-    A network is built beside the read pool's threads and waits to get the
+    A network is built beside the serving layer's reader threads and waits to get the
     interpreter back after every release (serving benchmark: 1.9 ms per
     build fed whole, 1.2 ms fed like this).
     """
@@ -125,8 +125,8 @@ class _Labels:
     ``cost[mask][v]`` is the cheapest known tree spanning the terminals in
     ``mask`` plus node ``v``; ``via_edge[mask][v]`` / ``via_node[mask][v]``
     say how it got there (an edge from a neighbour's label, or a ``_ROOT`` /
-    merge code).  Built per call and dropped on return: the read pool shares
-    one :class:`SteinerNetwork` across threads.
+    merge code).  Built per call and dropped on return: concurrent readers
+    share one :class:`SteinerNetwork`.
     """
 
     __slots__ = ("size", "cost", "via_node", "via_edge", "settled", "no_limit", "counters")

@@ -6,7 +6,8 @@ are aligned in).  Every read it serves must equal the serial replay of the
 writes its snapshot names (:func:`server_oracle.replay`).
 
 * :class:`ServerMachine` is a hypothesis state machine over one server:
-  base and tenant reads on the read pool, base and tenant feedback,
+  base and tenant reads, blocking on the caller's thread or pooled through
+  ``submit_query``, base and tenant feedback,
   registering and removing held-out GBCO sources, transient faults on the
   autosave journal or on relation creation, a fatal fault and
   ``recover()``, deadline reads on an injected clock, draining (which
@@ -409,6 +410,7 @@ def _expiring_clock(reads_before_expiry: int):
 
 VIEWS = st.integers(0, len(VIEW_ENTRIES) - 1)
 PICK = st.sampled_from(TENANTS)
+ENTRY = st.sampled_from(["query", "submit_query"])
 
 
 class ServerMachine(RuleBasedStateMachine):
@@ -500,9 +502,17 @@ class ServerMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    @rule(view=VIEWS, tenant=PICK)
-    def read(self, view, tenant):
-        self.reads.append(self.server.submit_query(QueryRequest(view=self.view_ids[view], tenant=tenant)))
+    @rule(view=VIEWS, tenant=PICK, entry=ENTRY)
+    def read(self, view, tenant, entry):
+        """A blocking read answers on this thread while queued writes land;
+        a pooled one is recorded at the next drain."""
+        request = QueryRequest(view=self.view_ids[view], tenant=tenant)
+        if entry == "submit_query":
+            self.reads.append(self.server.submit_query(request))
+            return
+        result = self.server.query(request)
+        assert not result.degraded
+        self._record(result.snapshot_id, result.view_id, result.tenant, result.answers)
 
     @rule(view=VIEWS, tenant=PICK, reads_before_expiry=st.integers(1, 40))
     def deadline_read(self, view, tenant, reads_before_expiry):
@@ -650,7 +660,7 @@ class ServerMachine(RuleBasedStateMachine):
         self._serve()
         for view in range(len(self.view_ids)):
             for tenant in TENANTS:
-                self.read(view, tenant)
+                self.read(view, tenant, "submit_query" if view % 2 else "query")
 
     @invariant()
     def health_is_what_the_model_says(self):

@@ -8,6 +8,9 @@ Covers the serving contracts the module README promises:
 * the bounded single-writer queue: FIFO application, publish-before-
   complete, and fail-fast :class:`~repro.exceptions.ServiceOverloadedError`
   backpressure;
+* the two read entry points: a blocking ``query`` runs on its caller's
+  thread and ``submit_query`` on the read pool, and ``close()`` refuses
+  later reads and waits for every admitted one;
 * edge-id allocation staying duplicate-free under threads (each graph
   numbers its own edges, so sessions on different threads share nothing;
   within one session the writer lane owns expansion);
@@ -17,6 +20,7 @@ Covers the serving contracts the module README promises:
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,7 +35,9 @@ from repro.api import (
 )
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.exceptions import (
+    DeadlineExceededError,
     InvalidRequestError,
+    ServerClosedError,
     ServiceOverloadedError,
     UnknownViewError,
 )
@@ -39,6 +45,7 @@ from repro.graph import EdgeKind, SearchGraph
 from repro.learning import AnnotationKind
 from repro.matching import MetadataMatcher
 from repro.service import QServer
+from repro.service.snapshots import ReadSnapshot
 from repro.steiner import SteinerNetwork
 
 
@@ -233,6 +240,130 @@ def test_server_close_is_idempotent_and_rejects_new_work(mini_catalog):
     with pytest.raises(InvalidRequestError, match="closed"):
         server.submit_mutation(lambda: None)
     service.close()
+
+
+# ----------------------------------------------------------------------
+# Blocking reads run on the caller's thread; close() waits for them
+# ----------------------------------------------------------------------
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("qserve-read")]
+
+
+def test_blocking_query_runs_on_the_calling_thread(gbco_dataset, monkeypatch):
+    keywords = gbco_dataset.query_log[2].keywords
+    threads = []
+    answers_for = ReadSnapshot.answers_for
+
+    def recording(self, *args, **kwargs):
+        threads.append(threading.current_thread())
+        return answers_for(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReadSnapshot, "answers_for", recording)
+    with _gbco_service(gbco_dataset) as service:
+        with QServer(service, read_workers=2) as server:
+            first = server.query(QueryRequest(keywords=keywords))
+            again = server.query(QueryRequest(view=first.view_id), deadline_ms=60_000.0)
+            assert threads == [threading.current_thread()] * 2
+            assert again.answers == first.answers and not _pool_threads()
+            pooled = server.submit_query(QueryRequest(view=first.view_id)).result(timeout=30)
+            assert pooled.answers == first.answers
+            assert threads[-1].name.startswith("qserve-read")
+            assert threads[-1] in _pool_threads()
+
+
+def test_close_waits_for_an_admitted_blocking_read(gbco_dataset, monkeypatch):
+    keywords = gbco_dataset.query_log[2].keywords
+    entered, release = threading.Event(), threading.Event()
+    order, results = [], []
+    answers_for = ReadSnapshot.answers_for
+
+    def held(self, *args, **kwargs):
+        entered.set()
+        assert release.wait(timeout=30)
+        answers = answers_for(self, *args, **kwargs)
+        order.append("answered")
+        return answers
+
+    def close():
+        server.close()
+        order.append("closed")
+
+    with _gbco_service(gbco_dataset) as service:
+        server = QServer(service)
+        view_id = server.query(QueryRequest(keywords=keywords)).view_id
+        monkeypatch.setattr(ReadSnapshot, "answers_for", held)
+        reader = threading.Thread(target=lambda: results.append(server.query(QueryRequest(view=view_id))), daemon=True)
+        closer = threading.Thread(target=close, daemon=True)  # a stuck close() fails, not hangs
+        try:
+            reader.start()
+            assert entered.wait(timeout=30)
+            closer.start()
+            while server.health() != "closed":
+                closer.join(timeout=0.01)
+            closer.join(timeout=0.2)
+            assert closer.is_alive() and order == []
+            # Refused at admission: it never reaches the held snapshot read.
+            with pytest.raises(ServerClosedError):
+                server.query(QueryRequest(view=view_id))
+        finally:
+            release.set()
+            reader.join(timeout=30)
+            closer.join(timeout=30)
+            server.close()
+    assert not reader.is_alive() and not closer.is_alive()
+    assert order == ["answered", "closed"]
+    assert len(results) == 1 and results[0].answers
+
+
+def test_close_after_racing_blocking_reads_returns(gbco_dataset):
+    """Six reader threads on two cores, switching every microsecond: a lost
+    update to the in-flight count would leave close() waiting forever."""
+    keywords = gbco_dataset.query_log[2].keywords
+    interval = sys.getswitchinterval()
+    with _gbco_service(gbco_dataset) as service:
+        server = QServer(service)
+        view_id = server.query(QueryRequest(keywords=keywords)).view_id
+        closer = threading.Thread(target=server.close, daemon=True)
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [
+                    pool.submit(server.query, QueryRequest(view=view_id, tenant=(None, "t")[i % 2]))
+                    for i in range(120)
+                ]
+                assert all(future.result(timeout=60).answers for future in futures)
+            closer.start()
+            closer.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            server.close()
+    assert not closer.is_alive()
+    assert server.stats().reads_served == 121
+
+
+def test_query_after_close_raises_server_closed(mini_catalog):
+    with QService(sources=list(mini_catalog)) as service:
+        server = QServer(service)
+        server.close()
+        with pytest.raises(ServerClosedError):
+            server.query(QueryRequest(keywords=("kinase",)))
+        with pytest.raises(ServerClosedError):
+            server.submit_query(QueryRequest(keywords=("kinase",)))
+        assert server.stats().reads_served == 0
+
+
+def test_zero_deadline_blocking_query_fails_before_its_first_answer(gbco_dataset):
+    keywords = gbco_dataset.query_log[2].keywords
+    with _gbco_service(gbco_dataset) as service:
+        with QServer(service) as server:
+            view_id = server.submit_create_view(QueryRequest(keywords=keywords)).result(timeout=30).view_id
+            with pytest.raises(DeadlineExceededError):
+                server.query(QueryRequest(view=view_id), deadline_ms=0.0)
+            with pytest.raises(DeadlineExceededError):
+                server.query(QueryRequest(view=view_id, deadline_ms=0.0))
+            full = server.query(QueryRequest(view=view_id))
+            assert full.answers and not full.degraded
+            assert server.stats().reads_served == 1
 
 
 # ----------------------------------------------------------------------

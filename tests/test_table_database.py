@@ -44,6 +44,39 @@ class TestTable:
         with pytest.raises(DataError):
             entry_table.append(42)
 
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            (("IPR9", "Kinase", "5"), ("IPR9", "Kinase", "5")),
+            (["IPR9", "Kinase", "5"], ("IPR9", "Kinase", "5")),
+            (range(3), (0, 1, 2)),
+            ({"name": "Kinase", "entry_ac": "IPR9"}, ("IPR9", "Kinase", None)),
+            ("row", ("IPR9", "Kinase", "5")),
+            ({"entry_ac": "IPR9", "nope": 1}, DataError),
+            ("abc", DataError),
+            (b"abc", DataError),
+            (["only", "two"], DataError),
+            (("one", "two", "three", "four"), DataError),
+            (42, DataError),
+            ({"IPR9", "Kinase", "5"}, DataError),
+        ],
+        ids=[
+            "tuple", "list", "other-sequence", "mapping", "row", "unknown-key",
+            "str", "bytes", "short-list", "long-tuple", "int", "set",
+        ],
+    )
+    def test_every_row_shape_coerces_or_raises(self, entry_table, row, expected):
+        """The exact list / tuple fast path leaves every other shape's outcome as it was."""
+        if row == "row":
+            row = Row(entry_table.schema, ("IPR9", "Kinase", "5"), 0)
+        if expected is DataError:
+            with pytest.raises(DataError):
+                entry_table.append(row)
+            assert len(entry_table) == 3
+        else:
+            assert entry_table.append(row).values == expected
+            assert entry_table[3].values == expected
+
     def test_column(self, entry_table):
         assert entry_table.column("name") == ["Kinase", "Zinc finger", "Kinase"]
 
