@@ -31,7 +31,7 @@ import itertools
 import weakref
 from collections import OrderedDict
 from dataclasses import fields as dataclass_fields
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..alignment.base import AlignmentResult, install_associations
 from ..alignment.registration import SourceRegistrar
@@ -102,6 +102,9 @@ def _restore_config(payload) -> ServiceConfig:
     config.graph = restore_graph_config(payload["graph"])
     return config
 
+
+#: How many idempotency keys :meth:`QService.apply_once` remembers.
+_APPLIED_OPS_LIMIT = 1024
 
 #: Every session counter, declared once: ``(SystemStats field, metric name,
 #: help, reader over the session)``.  :meth:`QService._register_metrics` binds
@@ -277,16 +280,13 @@ class QService:
         self._refreshes_skipped = 0
         #: Registration-scaling counter (surfaced through :meth:`stats`).
         self._pairs_scored = 0
-        #: At-most-once bookkeeping for the serving layer's retrying writer
-        #: lane: idempotency keys of applied mutations (insertion-ordered,
-        #: bounded) plus the key of the mutation currently being applied.
-        #: A key lands in :attr:`_applied_ops` the moment its mutation is
-        #: complete in memory — *before* the autosave — so a retry after a
-        #: failed persistence attempt never re-applies.  Keys (not results)
-        #: are persisted in the session overlay.
-        self._applied_ops: "OrderedDict[str, object]" = OrderedDict()
-        self._applied_ops_limit = 1024
-        self._pending_op_key: Optional[str] = None
+        #: Idempotency keys of the writes :meth:`apply_once` ran, each with
+        #: its result: the latest ``_APPLIED_OPS_LIMIT``, oldest first.  Keys
+        #: persist in the session overlay; results do not.
+        self.applied_ops: "OrderedDict[str, object]" = OrderedDict()
+        #: Set while :meth:`apply_once` runs a write: its save waits until
+        #: the write's key is recorded.
+        self._applying = False
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -1006,58 +1006,31 @@ class QService:
             raise
 
     def _after_mutation(self) -> None:
-        """Autosave hook, called at the end of every mutating service call.
+        """Autosave hook, called at the end of every mutating service call."""
+        if self._autosave and not self._applying:
+            with active_trace().span("autosave"):
+                self.save()
 
-        When the serving layer armed an idempotency key for this mutation
-        (:meth:`begin_op`), the key is recorded as applied *before* the
-        autosave: if persistence fails past this point, the mutation itself
-        landed, and the writer lane's retry must not re-apply it.
+    def apply_once(self, key: str, mutate: Callable[[], object]) -> object:
+        """Run the write ``mutate`` at most once under the idempotency ``key``.
+
+        The key is recorded with the write's result before the autosave, so
+        a call that repeats a key whose write already landed (the retry of a
+        write whose save failed) runs only the save and returns the recorded
+        result.  A write that raises records nothing.  After a reopen a
+        repeated key still runs nothing, and returns ``None``.
         """
-        key = self._pending_op_key
-        if key is not None:
-            self._pending_op_key = None
-            self._record_applied_op(key, None)
-        if self._autosave and not getattr(self, "_in_autosave", False):
-            self._in_autosave = True
+        if key not in self.applied_ops:
+            self._applying = True
             try:
-                with active_trace().span("autosave"):
-                    self.save()
+                result = mutate()
             finally:
-                self._in_autosave = False
-
-    # ------------------------------------------------------------------
-    # Idempotency keys (serving-layer writer lane)
-    # ------------------------------------------------------------------
-    def begin_op(self, key: Optional[str]) -> None:
-        """Arm ``key`` as the idempotency key of the next mutation."""
-        self._pending_op_key = key
-
-    def end_op(self) -> None:
-        """Disarm any pending idempotency key (attempt finished)."""
-        self._pending_op_key = None
-
-    def op_applied(self, key: Optional[str]) -> bool:
-        """Whether a mutation under ``key`` already landed in this session."""
-        return key is not None and key in self._applied_ops
-
-    def op_result(self, key: str):
-        """The recorded result of an applied op (``None`` if unknown).
-
-        Results live only in memory; after a restore the key itself is the
-        durable fact and the result degrades to ``None``.
-        """
-        return self._applied_ops.get(key)
-
-    def record_op_result(self, key: Optional[str], result) -> None:
-        """Attach ``result`` to an applied op for idempotent returns."""
-        if key is not None:
-            self._record_applied_op(key, result)
-
-    def _record_applied_op(self, key: str, result) -> None:
-        self._applied_ops[key] = result
-        self._applied_ops.move_to_end(key)
-        while len(self._applied_ops) > self._applied_ops_limit:
-            self._applied_ops.popitem(last=False)
+                self._applying = False
+            self.applied_ops[key] = result
+            if len(self.applied_ops) > _APPLIED_OPS_LIMIT:
+                self.applied_ops.popitem(last=False)
+        self._after_mutation()
+        return self.applied_ops[key]
 
     # ------------------------------------------------------------------
     # Introspection

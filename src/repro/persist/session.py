@@ -117,7 +117,7 @@ def overlay_payload(service) -> Dict[str, object]:
         "refreshes_skipped": service._refreshes_skipped,
         # Idempotency keys of applied mutations (serving-layer writer lane):
         # keys only — results are in-memory conveniences.
-        "applied_ops": list(service._applied_ops),
+        "applied_ops": list(service.applied_ops),
     }
 
 
@@ -169,8 +169,7 @@ def restore_overlay(service, overlay: Dict[str, object]) -> None:
     service.tenants.restore(overlay["tenants"])
     # Applied idempotency keys: results are not durable, the keys are —
     # a writer-lane retry resubmitted after a reopen still no-ops.
-    for key in overlay["applied_ops"]:
-        service._record_applied_op(key, None)
+    service.applied_ops.update(dict.fromkeys(overlay["applied_ops"]))
 
 
 def overlay_delta(last: Dict[str, object], overlay: Dict[str, object], appended: int) -> Dict[str, object]:

@@ -15,13 +15,12 @@ Public API
 """
 
 from .server import QServer, ReadResult, ServerStats
-from .snapshots import ReadSnapshot, SnapshotCounters, SnapshotView
+from .snapshots import ReadSnapshot, SnapshotView
 
 __all__ = [
     "QServer",
     "ReadResult",
     "ReadSnapshot",
     "ServerStats",
-    "SnapshotCounters",
     "SnapshotView",
 ]

@@ -30,16 +30,20 @@ The writer lane is *supervised*: no exception escapes it silently.
 * **Transient storage faults** (SQLite ``locked``/``busy``, injected I/O
   errors) are classified by :func:`repro.faults.retry.classify_storage_error`
   and retried with exponential backoff + jitter under the server's
-  :class:`~repro.faults.retry.RetryPolicy`.  Each write carries an
-  idempotency key recorded by the service *before* its autosave, so a retry
-  after a partially applied attempt never double-applies; a registration
-  that did not land was rolled back by the registrar with its edge ids,
-  keeping its retry invisible to tree signatures and the isolation oracle.
+  :class:`~repro.faults.retry.RetryPolicy`.  Each write runs through
+  :meth:`~repro.api.service.QService.apply_once` under an idempotency key,
+  so a retry of a write that landed re-runs only its save and returns the
+  recorded result; a registration that did not land was rolled back by the
+  registrar with its edge ids, keeping its retry invisible to tree
+  signatures and the isolation oracle.
 * **Non-transient storage faults** flip the server into read-only
   *degraded* mode: reads keep serving the last published snapshot, pending
   and new writes fail fast with
   :class:`~repro.exceptions.ServiceUnavailableError`, and
   :meth:`QServer.recover` revalidates the backend before lifting the mode.
+  A write that landed but could not be saved, past its retries, is
+  published and returns its result, and degrades the server the same way;
+  ``recover()`` lifts the mode only once a save succeeds.
 * **Deadlines** — a read carrying ``deadline_ms`` polls a cooperative
   :class:`~repro.faults.budget.Budget` through solve and execution; expiry
   yields :class:`~repro.exceptions.DeadlineExceededError`, or a partial
@@ -83,9 +87,8 @@ from ..api.types import (
 )
 from ..faults.budget import Budget
 from ..faults.retry import RetryPolicy, classify_storage_error, is_transient
-from ..obs import Observability
 from ..obs.tracing import ReadTrace, active_trace
-from .snapshots import ReadSnapshot, SnapshotCounters
+from .snapshots import ReadSnapshot
 
 _SENTINEL = object()
 
@@ -136,42 +139,56 @@ class ReadResult:
         return len(self.answers)
 
 
+#: Every count a server keeps, declared once: ``(ServerStats field, metric
+#: name, help)``.  The lanes bump ``QServer._counts`` under the stats lock;
+#: :meth:`QServer._register_server_metrics` binds one callback gauge per
+#: entry and :meth:`QServer.stats` copies them.
+_SERVER_COUNTERS = (
+    ("reads_served", "q_server_reads_total", "Reads the server answered"),
+    ("reads_degraded", "q_server_reads_degraded_total", "Reads the server answered deadline-truncated"),
+    ("writes_admitted", "q_writes_admitted_total", "Writes admitted to the mutation queue"),
+    ("writes_applied", "q_writes_applied_total", "Writes applied by the writer lane"),
+    ("writes_failed", "q_writes_failed_total", "Writes whose future carries an exception"),
+    ("writes_rejected", "q_writes_rejected_total", "Writes refused at admission"),
+    ("writes_retried", "q_writes_retried_total", "Transient-fault retries in the writer lane"),
+    ("writes_cancelled", "q_writes_cancelled_total", "Writes cancelled while queued"),
+    ("snapshots_published", "q_snapshots_published_total", "Read snapshots published"),
+    ("pinned_materializations", "q_pinned_materializations_total",
+     "Pinned (view, tenant) materializations computed"),
+    ("pinned_carryovers", "q_pinned_carryovers_total", "Pinned answer sets carried over across snapshots"),
+)
+
+
 @dataclass(frozen=True)
 class ServerStats:
-    """Aggregate counters of one serving front end."""
+    """One serving front end's state, then one count per ``_SERVER_COUNTERS`` entry."""
 
     snapshot_id: int
-    reads_served: int
-    writes_applied: int
-    writes_failed: int
-    writes_rejected: int
-    snapshots_published: int
-    pinned_materializations: int
-    pinned_carryovers: int
     queue_depth: int
     read_workers: int
     write_queue_limit: int
-    health: str = HEALTHY
-    writes_retried: int = 0
-    writes_cancelled: int = 0
-    reads_degraded: int = 0
+    health: str
+    reads_served: int
+    reads_degraded: int
+    writes_admitted: int
+    writes_applied: int
+    writes_failed: int
+    writes_rejected: int
+    writes_retried: int
+    writes_cancelled: int
+    snapshots_published: int
+    pinned_materializations: int
+    pinned_carryovers: int
 
 
 class _WriteOp:
     __slots__ = ("fn", "kind", "tag", "op_key", "future", "enqueued_s")
 
-    def __init__(
-        self,
-        fn: Callable[[], object],
-        kind: str,
-        tag: Optional[str],
-        op_key: Optional[str] = None,
-    ) -> None:
+    def __init__(self, fn: Callable[[], object], kind: str, tag: Optional[str], op_key: str) -> None:
         self.fn = fn
         self.kind = kind
         self.tag = tag
-        #: Idempotency key recorded by the service when the mutation lands
-        #: (before autosave), so a retry never double-applies.
+        #: The idempotency key :meth:`QService.apply_once` runs the write under.
         self.op_key = op_key
         self.future: Future = Future()
         #: Tracer-clock stamp taken at admission; the writer lane turns it
@@ -216,11 +233,7 @@ class QServer:
         if read_workers < 0:
             raise InvalidRequestError(f"read_workers must be >= 0, got {read_workers}")
         workers = read_workers or os.cpu_count() or 1
-        limit = (
-            write_queue_limit
-            if write_queue_limit is not None
-            else getattr(service.config, "write_queue_limit", 64)
-        )
+        limit = service.config.write_queue_limit if write_queue_limit is None else write_queue_limit
         if limit < 1:
             raise InvalidRequestError(f"write_queue_limit must be >= 1, got {limit}")
         self.read_workers = workers
@@ -228,25 +241,27 @@ class QServer:
         if retry_policy is None:
             retry_policy = RetryPolicy()
         self._retry_policy = retry_policy
-        #: Shared observability bundle (see :mod:`repro.obs`): the server
-        #: traces its lanes into the session's registry/logs, so one scrape
-        #: covers service and server alike.  A bare service (tests wiring a
-        #: stub) gets the do-nothing bundle.
-        self.obs: Observability = getattr(service, "obs", None) or Observability.noop()
+        #: The session's observability bundle (see :mod:`repro.obs`): the
+        #: server traces its lanes into the session's registry/logs, so one
+        #: scrape covers service and server alike.
+        self.obs = service.obs
 
-        self._counters = SnapshotCounters()
-        self._stats_lock = threading.Lock()
-        self._reads_served = 0
-        self._reads_degraded = 0
-        self._writes_admitted = 0
-        self._writes_applied = 0
-        self._writes_failed = 0
-        self._writes_rejected = 0
-        self._writes_retried = 0
-        self._writes_cancelled = 0
-        self._snapshots_published = 0
-        self._health = HEALTHY
-        self._last_fault: Optional[BaseException] = None
+        lock = self._stats_lock = threading.Lock()
+        counts = self._counts = dict.fromkeys((field for field, _, _ in _SERVER_COUNTERS), 0)
+
+        def count(field: str, n: int = 1) -> None:
+            with lock:
+                counts[field] += n
+
+        #: Bumps one count.  A closure, not a method: the snapshots hold it,
+        #: and must not hold the server.
+        self._count = count
+        #: The failure that put the server in read-only mode; ``None`` while
+        #: it is healthy.
+        self._fault: Optional[BaseException] = None
+        #: Whether a write landed whose save failed: :meth:`recover` saves
+        #: the session before it lifts the mode.
+        self._save_owed = False
         #: ``(kind, tag)`` of every applied write, in apply order — the
         #: exact serial schedule an isolation oracle must replay.
         self.write_log: List[Tuple[str, Optional[str]]] = []
@@ -265,10 +280,8 @@ class QServer:
         # Initial publish happens before any reader or writer exists, so
         # snapshot 0 is the pristine service state.
         service.prepare_views(structural_only=True)
-        self._snapshot = ReadSnapshot.capture(
-            service, 0, previous=None, counters=self._counters
-        )
-        self._snapshots_published = 1
+        self._snapshot = ReadSnapshot.capture(service, 0, None, count)
+        counts["snapshots_published"] = 1
         self._last_publish_monotonic = time.monotonic()
         self._register_server_metrics()
         self._read_pool = ThreadPoolExecutor(
@@ -302,34 +315,17 @@ class QServer:
             "q_pending_writes",
             "Writes admitted but not yet applied, failed or cancelled",
             fn=lambda: max(
-                server._writes_admitted
-                - server._writes_applied
-                - server._writes_failed
-                - server._writes_cancelled,
+                server._counts["writes_admitted"]
+                - server._counts["writes_applied"]
+                - server._counts["writes_failed"]
+                - server._counts["writes_cancelled"],
                 0,
             ),
         )
-        gauge(
-            "q_health_state",
-            "Server health: 0 healthy, 1 degraded, 2 closed",
-            fn=lambda: 2.0 if server._closed else (0.0 if server._health == HEALTHY else 1.0),
-        )
-        gauge("q_writes_applied_total", "Writes applied by the writer lane", fn=lambda: server._writes_applied)
-        gauge("q_writes_failed_total", "Writes whose future carries an exception", fn=lambda: server._writes_failed)
-        gauge("q_writes_rejected_total", "Writes refused at admission", fn=lambda: server._writes_rejected)
-        gauge("q_writes_retried_total", "Transient-fault retries in the writer lane", fn=lambda: server._writes_retried)
-        gauge("q_writes_cancelled_total", "Writes cancelled while queued", fn=lambda: server._writes_cancelled)
-        gauge("q_snapshots_published_total", "Read snapshots published", fn=lambda: server._snapshots_published)
-        gauge(
-            "q_pinned_materializations_total",
-            "Pinned (view, tenant) materializations computed",
-            fn=lambda: server._counters.materializations,
-        )
-        gauge(
-            "q_pinned_carryovers_total",
-            "Pinned answer sets carried over across snapshots",
-            fn=lambda: server._counters.carryovers,
-        )
+        gauge("q_health_state", "Server health: 0 healthy, 1 degraded, 2 closed",
+              fn=lambda: (HEALTHY, DEGRADED, CLOSED).index(server.health()))
+        for field, name, help_text in _SERVER_COUNTERS:
+            gauge(name, help_text, fn=lambda field=field: server._counts[field])
         gauge("q_read_pool_workers", "Threads behind submit_query; query runs on its caller's thread",
               fn=lambda: server.read_workers)
         gauge("q_write_queue_limit", "Bound of the mutation queue", fn=lambda: server.write_queue_limit)
@@ -337,14 +333,10 @@ class QServer:
     def metrics(self, fmt: str = "prometheus"):
         """The shared metrics registry in exposition form.
 
-        Same surface as :meth:`QService.metrics` — the server and its
-        session share one registry, so either scrape sees both lanes.
+        The session's :meth:`QService.metrics`: the server and its session
+        share one registry, so either scrape sees both lanes.
         """
-        if fmt in ("prometheus", "text"):
-            return self.obs.registry.prometheus_text()
-        if fmt == "json":
-            return self.obs.registry.as_dict()
-        raise InvalidRequestError(f"unknown metrics format {fmt!r}; use 'prometheus' or 'json'")
+        return self._service.metrics(fmt)
 
     # ------------------------------------------------------------------
     # Health / supervision
@@ -353,57 +345,50 @@ class QServer:
         """``"healthy"``, ``"degraded"`` (read-only) or ``"closed"``."""
         if self._closed:
             return CLOSED
-        with self._stats_lock:
-            return self._health
+        return HEALTHY if self._fault is None else DEGRADED
 
     def last_fault(self) -> Optional[BaseException]:
         """The failure that degraded the server, if it is degraded."""
-        with self._stats_lock:
-            return self._last_fault
+        return self._fault
 
     def recover(self) -> str:
         """Revalidate the backend and lift degraded mode.  Returns health.
 
         Probes the storage backend (a cheap metadata read) and, when the
-        session is persistent, its session store.  A failing probe leaves
+        session is persistent, its session store — by saving the session
+        when a write landed that could not be saved.  A failing probe leaves
         the server degraded and raises
         :class:`~repro.exceptions.ServiceUnavailableError` carrying the
         probe failure as its cause.
         """
         self._check_open()
-        with self._stats_lock:
-            if self._health == HEALTHY:
-                return HEALTHY
+        if self._fault is None:
+            return HEALTHY
         service = self._service
         try:
-            backend = getattr(service.catalog, "backend", None)
-            if backend is not None:
-                backend.relation_keys()
-            persistence = getattr(service, "_persistence", None)
-            if persistence is not None:
-                persistence.store.entry_count()
+            if service.catalog.backend is not None:
+                service.catalog.backend.relation_keys()
+            if self._save_owed:
+                service.save()
+            elif service._persistence is not None:
+                service._persistence.store.entry_count()
         except Exception as exc:
             raise ServiceUnavailableError(
                 f"recovery probe failed; server stays degraded: {exc}"
             ) from exc
-        with self._stats_lock:
-            self._health = HEALTHY
-            self._last_fault = None
+        self._save_owed = False
+        self._fault = None
         return HEALTHY
 
     def _degrade(self, exc: BaseException) -> None:
         """Flip to read-only mode and fail everything still queued."""
-        with self._stats_lock:
-            self._health = DEGRADED
-            self._last_fault = exc
+        self._fault = exc
         failed = self._drain_queue(
             lambda: ServiceUnavailableError(
                 f"server degraded to read-only after a storage failure: {exc}"
             )
         )
-        if failed:
-            with self._stats_lock:
-                self._writes_failed += failed
+        self._count("writes_failed", failed)
 
     def _drain_queue(self, make_error: Callable[[], BaseException]) -> int:
         """Fail every op still queued; returns how many were failed.
@@ -427,8 +412,7 @@ class QServer:
                 op.future.set_exception(make_error())
                 failed += 1
             else:
-                with self._stats_lock:
-                    self._writes_cancelled += 1
+                self._count("writes_cancelled")
         if sentinel_seen:
             try:
                 self._queue.put_nowait(_SENTINEL)
@@ -490,34 +474,14 @@ class QServer:
 
     def stats(self) -> ServerStats:
         with self._stats_lock:
-            reads = self._reads_served
-            degraded_reads = self._reads_degraded
-            applied = self._writes_applied
-            failed = self._writes_failed
-            rejected = self._writes_rejected
-            retried = self._writes_retried
-            cancelled = self._writes_cancelled
-            published = self._snapshots_published
-            health = CLOSED if self._closed else self._health
-        with self._counters.lock:
-            materializations = self._counters.materializations
-            carryovers = self._counters.carryovers
+            counts = dict(self._counts)
         return ServerStats(
             snapshot_id=self._snapshot.snapshot_id,
-            reads_served=reads,
-            writes_applied=applied,
-            writes_failed=failed,
-            writes_rejected=rejected,
-            snapshots_published=published,
-            pinned_materializations=materializations,
-            pinned_carryovers=carryovers,
             queue_depth=self._queue.qsize(),
             read_workers=self.read_workers,
             write_queue_limit=self.write_queue_limit,
-            health=health,
-            writes_retried=retried,
-            writes_cancelled=cancelled,
-            reads_degraded=degraded_reads,
+            health=self.health(),
+            **counts,
         )
 
     def _read(self, request: QueryRequest, deadline_ms: Optional[float]) -> ReadResult:
@@ -569,10 +533,9 @@ class QServer:
                     if request.page_size is not None
                     else self._service.config.default_page_size
                 )
-        with self._stats_lock:
-            self._reads_served += 1
-            if degraded:
-                self._reads_degraded += 1
+        self._count("reads_served")
+        if degraded:
+            self._count("reads_degraded")
         read_trace = self.obs.finish_read(
             trace,
             view_id=sv.view_id,
@@ -687,32 +650,27 @@ class QServer:
         op_key: Optional[str] = None,
     ) -> Future:
         self._check_open()
-        with self._stats_lock:
-            degraded = self._health != HEALTHY
-            fault = self._last_fault
-        if degraded:
-            with self._stats_lock:
-                self._writes_rejected += 1
+        fault = self._fault
+        if fault is not None:
+            self._count("writes_rejected")
             raise ServiceUnavailableError(
                 f"server is in degraded read-only mode (cause: {fault}); "
                 "call recover() before writing"
             )
         if op_key is None:
             op_key = f"{self._op_prefix}-{next(self._op_seq)}"
-        op = _WriteOp(fn, kind, tag, op_key=op_key)
+        op = _WriteOp(fn, kind, tag, op_key)
         op.enqueued_s = self.obs.tracer.clock()
         try:
             with self._close_lock:  # queued ahead of close()'s sentinel, or refused
                 self._check_open()
                 self._queue.put_nowait(op)
         except queue.Full:
-            with self._stats_lock:
-                self._writes_rejected += 1
+            self._count("writes_rejected")
             raise ServiceOverloadedError(
                 pending=self._queue.qsize(), limit=self.write_queue_limit
             ) from None
-        with self._stats_lock:
-            self._writes_admitted += 1
+        self._count("writes_admitted")
         return op.future
 
     def _writer_loop(self) -> None:
@@ -722,17 +680,13 @@ class QServer:
                 break
             if not op.future.set_running_or_notify_cancel():
                 # Its future was cancelled while queued; skip silently.
-                with self._stats_lock:
-                    self._writes_cancelled += 1
+                self._count("writes_cancelled")
                 continue
-            with self._stats_lock:
-                degraded = self._health != HEALTHY
-                fault = self._last_fault
-            if degraded:
+            fault = self._fault
+            if fault is not None:
                 # Ops admitted in the race window around a degrade fail
                 # fast, exactly like ops that were queued behind the fault.
-                with self._stats_lock:
-                    self._writes_failed += 1
+                self._count("writes_failed")
                 op.future.set_exception(
                     ServiceUnavailableError(
                         f"server degraded to read-only after a storage "
@@ -741,108 +695,72 @@ class QServer:
                 )
                 continue
             trace = self.obs.tracer.trace("write")
+            landed = False
             try:
                 with trace:
                     if trace.enabled:
                         trace.record_span(
                             "queue_wait", op.enqueued_s, self.obs.tracer.clock()
                         )
-                    try:
-                        with trace.span("apply"):
-                            result = self._apply_with_retry(op)
-                    except (KeyboardInterrupt, SystemExit) as exc:
-                        # Interpreter-level interrupts must not be swallowed:
-                        # fail the in-flight op, degrade (failing queued
-                        # ops), then let the interrupt kill the writer.
-                        with self._stats_lock:
-                            self._writes_failed += 1
-                        op.future.set_exception(exc)
-                        self._degrade(exc)
-                        raise
-                    except BaseException as exc:
-                        # A failed write publishes nothing: no snapshot, no
-                        # log entry — readers never see any partial effect it
-                        # may have had beyond the service's own exception
-                        # guarantees.
-                        with self._stats_lock:
-                            self._writes_failed += 1
-                        op.future.set_exception(exc)
-                        if self._is_fatal_storage_failure(exc):
-                            self._degrade(exc)
-                        continue
+                    with trace.span("apply"):
+                        result, save_fault = self._apply_with_retry(op)
+                    landed = True
                     self.write_log.append((op.kind, op.tag))
-                    try:
-                        self._publish()
-                    except (KeyboardInterrupt, SystemExit) as exc:
-                        op.future.set_exception(exc)
-                        self._degrade(exc)
-                        raise
-                    except BaseException as exc:
-                        # Supervision: a snapshot-capture failure means the
-                        # publish pipeline is suspect — fail the op and
-                        # degrade rather than silently serving a stale
-                        # snapshot as if the write landed.
-                        with self._stats_lock:
-                            self._writes_failed += 1
-                        op.future.set_exception(exc)
-                        self._degrade(exc)
-                        continue
+                    self._publish()
+                    if save_fault is not None:
+                        # Published but not durable: read-only until
+                        # recover() saves it.
+                        self._save_owed = True
+                        self._degrade(save_fault)
                     # Publish-before-complete: once the caller sees the
                     # future resolve, every subsequent read is guaranteed a
                     # snapshot that includes this write.
                     op.future.set_result(result)
+            except BaseException as exc:
+                # A write that did not land publishes nothing: no snapshot,
+                # no log entry.  A failed publish (the pipeline is suspect),
+                # a fatal storage failure and an interrupt degrade the
+                # server; an interrupt then stops the writer.
+                self._count("writes_failed")
+                op.future.set_exception(exc)
+                interrupt = not isinstance(exc, Exception)
+                if landed or interrupt or self._is_fatal_storage_failure(exc):
+                    self._degrade(exc)
+                if interrupt:
+                    raise
             finally:
                 self.obs.finish_write(trace, op.kind)
 
-    def _apply_with_retry(self, op: _WriteOp):
-        """Run one write, retrying transient storage faults with backoff.
+    def _apply_with_retry(self, op: _WriteOp) -> Tuple[object, Optional[BaseException]]:
+        """Run one write through :meth:`QService.apply_once`, retrying transient
+        storage faults with backoff; a retry after the write landed re-runs
+        only its save.
 
-        At-most-once semantics ride on the op's idempotency key: the
-        service records the key the moment the mutation lands in memory
-        (before its autosave), so an attempt that fails *after* that point
-        — e.g. a journal append hitting a locked database — is not
-        re-applied; the retry just returns.  A registration that failed
-        *before* landing was rolled back by the registrar, edge ids
-        included, so its retry is indistinguishable from a first attempt.
+        Returns ``(result, None)``, or, for a write that landed but whose save
+        failed past its retries, ``(recorded result, that failure)``.  A write
+        that did not land raises: a transient failure as its classification
+        (the original on ``__cause__``), failing this op only.
         """
-        service = self._service
-        policy = self._retry_policy
-        delays = policy.delays_s()
-        idempotent = op.op_key is not None and hasattr(service, "op_applied")
+        applied = self._service.applied_ops
+        delays = self._retry_policy.delays_s()
         while True:
-            if idempotent and service.op_applied(op.op_key):
-                return service.op_result(op.op_key)
-            if idempotent:
-                service.begin_op(op.op_key)
             try:
-                result = op.fn()
+                return self._service.apply_once(op.op_key, op.fn), None
             except Exception as exc:
                 classified = classify_storage_error(exc)
-                if not is_transient(classified):
-                    raise
-                try:
-                    delay = next(delays)
-                except StopIteration:
-                    # Retries exhausted: surface the transient classification
-                    # (original failure on __cause__) and fail this op only —
-                    # the condition is by definition expected to clear, so
-                    # the server stays healthy for later writes.  Re-raise
-                    # the *failure*, never the StopIteration.
-                    if classified is exc:
-                        raise exc
-                    raise classified from exc
-                with self._stats_lock:
-                    self._writes_retried += 1
+                transient = is_transient(classified)
+                delay = next(delays, None) if transient else None
+                if delay is None:
+                    failure = classified if transient else exc
+                    if op.op_key in applied:
+                        return applied[op.op_key], failure
+                    if failure is exc:
+                        raise
+                    raise failure from exc
+                self._count("writes_retried")
                 active_trace().tally("retry_attempts")
                 with active_trace().span("retry_backoff"):
-                    policy.sleep(delay)
-            else:
-                if idempotent:
-                    service.record_op_result(op.op_key, result)
-                return result
-            finally:
-                if idempotent:
-                    service.end_op()
+                    self._retry_policy.sleep(delay)
 
     def _publish(self) -> None:
         trace = active_trace()
@@ -851,19 +769,13 @@ class QServer:
         # the shared vector, so it must never run on a concurrent reader.
         with trace.span("prepare_views"):
             self._service.prepare_views(structural_only=True)
-        with self._stats_lock:
-            self._writes_applied += 1
-            snapshot_id = self._writes_applied
+        self._count("writes_applied")
         with trace.span("snapshot_capture"):
             self._snapshot = ReadSnapshot.capture(
-                self._service,
-                snapshot_id,
-                previous=self._snapshot,
-                counters=self._counters,
+                self._service, len(self.write_log), self._snapshot, self._count
             )
         self._last_publish_monotonic = time.monotonic()
-        with self._stats_lock:
-            self._snapshots_published += 1
+        self._count("snapshots_published")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -908,9 +820,7 @@ class QServer:
             failed = self._drain_queue(lambda: ServerClosedError(
                 "QServer closed before this write was applied"
             ))
-            if failed:
-                with self._stats_lock:
-                    self._writes_failed += failed
+            self._count("writes_failed", failed)
             try:
                 self._queue.put_nowait(_SENTINEL)
             except queue.Full:  # pragma: no cover - refilled mid-drain

@@ -37,7 +37,7 @@ executes only the queries no reader has run over the tables as they stand.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..core.view import RankedView
 from ..datastore.provenance import AnswerTuple
@@ -73,22 +73,6 @@ class SnapshotView:
         self.query_graph = query_graph
 
 
-class SnapshotCounters:
-    """Materialization/carry-over totals shared across a server's snapshots.
-
-    Per-snapshot counts die with their snapshot; the server hands every
-    capture the same counters object so totals stay exact even for reads
-    that land on an already-retired snapshot.
-    """
-
-    __slots__ = ("lock", "materializations", "carryovers")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.materializations = 0
-        self.carryovers = 0
-
-
 class _PinnedRead:
     """Materialization slot for one (view, tenant) on one snapshot."""
 
@@ -118,7 +102,7 @@ class ReadSnapshot:
         tenants: Dict[str, Tuple[Dict[str, float], int]],
         context: ExecutionContext,
         answer_limit: Optional[int],
-        counters: Optional[SnapshotCounters] = None,
+        count: Callable[[str], None],
     ) -> None:
         self.snapshot_id = snapshot_id
         self.catalog = catalog
@@ -131,11 +115,10 @@ class ReadSnapshot:
         self.answer_limit = answer_limit
         self._pinned: Dict[Tuple[str, Optional[str]], _PinnedRead] = {}
         self._lock = threading.Lock()
-        self._counters = counters
-        #: Materializations and carry-overs observed on this snapshot alone
-        #: (``counters``, when given, accumulates the cross-snapshot totals).
-        self.materializations = 0
-        self.carryovers = 0
+        #: Called with ``"pinned_materializations"`` or ``"pinned_carryovers"``
+        #: once per slot this snapshot computes or carries over: the server's
+        #: totals, which outlive any one snapshot.
+        self._count = count
 
     # ------------------------------------------------------------------
     # Capture / publish
@@ -145,8 +128,8 @@ class ReadSnapshot:
         cls,
         service,
         snapshot_id: int,
-        previous: Optional["ReadSnapshot"] = None,
-        counters: Optional[SnapshotCounters] = None,
+        previous: Optional["ReadSnapshot"],
+        count: Callable[[str], None],
     ) -> "ReadSnapshot":
         """Freeze ``service``'s current state (writer lane only).
 
@@ -193,7 +176,7 @@ class ReadSnapshot:
             tenants=tenants,
             context=service.engine_context,
             answer_limit=service.config.answer_limit,
-            counters=counters,
+            count=count,
         )
         if previous is not None:
             snapshot._carry_over(previous)
@@ -214,10 +197,7 @@ class ReadSnapshot:
                 carried.answers = entry.answers
                 carried.event.set()
                 self._pinned[(view_id, tenant)] = carried
-                self.carryovers += 1
-                if self._counters is not None:
-                    with self._counters.lock:
-                        self._counters.carryovers += 1
+                self._count("pinned_carryovers")
 
     def _carry_key(self, sv: SnapshotView, tenant: Optional[str]) -> Tuple[object, int]:
         return (sv.query_graph, self._effective_version(tenant))
@@ -293,11 +273,8 @@ class ReadSnapshot:
             if creator:
                 entry = _PinnedRead(self._carry_key(sv, tenant))
                 self._pinned[key] = entry
-                self.materializations += 1
-        if creator and self._counters is not None:
-            with self._counters.lock:
-                self._counters.materializations += 1
         if creator:
+            self._count("pinned_materializations")
             try:
                 with trace.span("materialize"):
                     entry.answers = self._materialize(sv, tenant)

@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.api import QService, QueryRequest, RegisterSourceRequest, ServiceConfig
+from repro.api import FeedbackRequest, QService, QueryRequest, RegisterSourceRequest, ServiceConfig
 from repro.datastore import DataSource
 from repro.exceptions import (
     DeadlineExceededError,
@@ -468,15 +468,78 @@ def test_autosave_fault_after_apply_does_not_double_apply(mini_catalog, tmp_path
         assert stats.writes_retried == 1
         assert stats.writes_applied == 1
         assert stats.health == "healthy"
-        assert len(service._applied_ops) == 1
-        applied_key = next(iter(service._applied_ops))
-        assert service.op_applied(applied_key)
+        assert len(service.applied_ops) == 1
+        applied_key = next(iter(service.applied_ops))
         # A later successful save persists the key; reopening restores it.
         service.save()
     reopened = QService.open(path)
     with reopened:
-        assert reopened.op_applied(applied_key)
+        assert applied_key in reopened.applied_ops
         assert [r.name for r in reopened.views.records()].count("only-once") == 1
+
+
+def test_a_retried_write_that_landed_returns_its_result(mini_catalog, tmp_path):
+    """The retry re-runs only the save, and returns what the write returned."""
+    path = tmp_path / "session.json"
+    service = QService(sources=list(mini_catalog), autosave=path)
+    service.save()
+    plan = FaultPlan(
+        rules=[FaultRule(op="append_entry", error="transient", times=1)],
+        active=False,
+    )
+    wrap_session_store(service, plan)
+    with service, QServer(service, retry_policy=_fast_policy()) as server:
+        plan.enable()
+        info = server.create_view(QueryRequest(keywords=("kinase",), name="only-once"))
+        plan.disable()
+        assert plan.faults_fired() == 1
+        assert info is not None and info.name == "only-once"
+        assert info.view_id == service.views.find_by_name("only-once").view_id
+        assert server.stats().writes_retried == 1
+        # The retry's save landed: nothing is left to write.
+        assert service.save().action == "noop"
+
+
+def test_a_landed_write_whose_save_fails_past_its_retries_is_reported_and_degrades(
+    mini_catalog, tmp_path
+):
+    path = tmp_path / "session.json"
+    service = QService(sources=list(mini_catalog), autosave=path)
+    service.graph.add_association("go.term", "acc", "interpro.interpro2go", "go_id", {"mad": 0.9})
+    service.save()
+    plan = FaultPlan(
+        rules=[FaultRule(op="append_entry", error="transient", times=5)],
+        active=False,
+    )
+    wrap_session_store(service, plan)
+    with service, QServer(service, retry_policy=_fast_policy()) as server:
+        read = server.query(QueryRequest(keywords=("membrane", "IPR001")))
+        assert read.answers
+        weights_before = server.snapshot().weights_version
+        plan.enable()
+        response = server.feedback(
+            FeedbackRequest(view=read.view_id, answer=read.answers[-1]), tag="late-save"
+        )
+        assert plan.faults_fired() == 3  # one per attempt of max_attempts=3
+        # Landed: its result, its log entry and the snapshot it published.
+        assert response.view_id == read.view_id and response.events
+        assert server.write_log[-1] == ("feedback", "late-save")
+        snapshot = server.snapshot()
+        assert snapshot.snapshot_id == len(server.write_log) == 2
+        assert snapshot.weights_version == service.graph.weights.version > weights_before
+        stats = server.stats()
+        assert (stats.writes_applied, stats.writes_failed, stats.writes_retried) == (2, 0, 2)
+        # Not durable: read-only until a save succeeds.
+        assert server.health() == "degraded"
+        assert is_transient(server.last_fault())
+        with pytest.raises(ServiceUnavailableError):
+            server.submit_mutation(lambda: None, kind="noop")
+        with pytest.raises(ServiceUnavailableError):
+            server.recover()  # its save meets the fourth fault
+        assert server.health() == "degraded"
+        plan.disable()
+        assert server.recover() == "healthy"
+        assert service.save().action == "noop"
 
 
 def test_retry_of_unapplied_attempt_reuses_edge_ids(mini_catalog):

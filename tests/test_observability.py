@@ -426,8 +426,8 @@ def test_solver_counters_reach_registry_trace_and_decision_log(gbco_dataset):
         # One solve under a trace: the annotations are exactly what it added
         # to the totals.  max_expansions=3 makes the cap hit visible, not
         # silent.  The view ranked these terminals, so the enumeration starts
-        # warm; the cap stops it, and it starts over cold from the same first
-        # tree: one first solve, then three children (searched or screened) per run.
+        # warm; the cap stops it: one first solve, then three children
+        # (searched or screened), the ones a cold run tries.
         view = service.views.resolve(result.view_id).view
         graph, terminals = view.query_graph.graph, list(view.query_graph.terminals)
         with Tracer().trace("solve") as trace:
@@ -438,7 +438,7 @@ def test_solver_counters_reach_registry_trace_and_decision_log(gbco_dataset):
         assert trace.annotations == added
         assert added["steiner_recalls"] == 0  # its own cap: nobody ranked that before
         assert added["steiner_warm_starts"] == 1
-        assert added["steiner_base_solves"] + added["steiner_screened_children"] == 1 + 2 * 3
+        assert added["steiner_base_solves"] + added["steiner_screened_children"] == 1 + 3
         assert added["steiner_expansion_cap_hits"] == 1
         assert value("q_steiner_expansion_cap_hits_total") == solved["expansion_cap_hits"] + 1
         # Cold, the same list, and the books balance: every child put a tree

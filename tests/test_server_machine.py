@@ -321,13 +321,15 @@ def test_chaos_scenario(tmp_path):
         "writes_applied": 13,
         "writes_failed": 1,
         "writes_rejected": 1,
-        "writes_retried": 6,
+        # A retry of a write that landed re-runs its save, whose journal
+        # append meets one more of the every-third faults.
+        "writes_retried": 7,
         "writes_cancelled": 0,
         "snapshots_published": 14,
         "observations": 44,
         "futures_resolved": 11,
         "futures_unresolved": 0,
-        "transient_faults_injected": 6,
+        "transient_faults_injected": 7,
         "fatal_faults_injected": 1,
     }
 
