@@ -4,9 +4,11 @@ The registration service is the entry point triggered when a user (or a
 crawler) registers a new database: the source's relations and attributes are
 added to the catalog and the search graph, the maintained indexes (the
 shared :class:`~repro.profiling.index.CatalogProfileIndex`) are updated
-incrementally, an aligner strategy proposes association
-edges against the existing graph, and any registered callbacks (e.g. view
-refresh) are invoked with the alignment result.
+incrementally, and an aligner strategy proposes association edges against
+the existing graph.  :meth:`SourceRegistrar.admit` and
+:meth:`SourceRegistrar.evict` are the one place a source joins or leaves
+catalog, graph and indexes; a session adds and removes its sources through
+them too.
 
 Failure atomicity: if the aligner (or index maintenance) raises, the
 catalog, the search graph — its edge-id sequence included — *and* every
@@ -18,15 +20,12 @@ attempt would have.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from ..datastore.database import Catalog, DataSource
 from ..exceptions import RegistrationError
 from ..graph.search_graph import SearchGraph
 from .base import AlignmentResult, BaseAligner
-
-#: Callback signature invoked after each successful registration.
-RegistrationListener = Callable[[DataSource, AlignmentResult], None]
 
 #: A batch entry: a ready aligner, or a zero-argument factory resolved only
 #: after the whole batch is admitted (so strategies that snapshot state at
@@ -76,7 +75,6 @@ class SourceRegistrar:
         self.graph = graph
         self.indexes: List[object] = list(indexes)
         self.history: List[RegistrationRecord] = []
-        self._listeners: List[RegistrationListener] = []
 
     @property
     def epoch(self) -> int:
@@ -88,15 +86,14 @@ class SourceRegistrar:
         """
         return len(self.history)
 
-    def add_listener(self, listener: RegistrationListener) -> None:
-        """Register a callback invoked after each successful registration."""
-        self._listeners.append(listener)
-
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def _admit(self, source: DataSource) -> None:
-        """Add ``source`` to catalog, graph and maintained indexes."""
+    def admit(self, source: DataSource) -> None:
+        """Add ``source`` to catalog, graph and maintained indexes, unaligned.
+
+        A failure part-way takes out what was added.
+        """
         self.catalog.add_source(source)
         edge_number = self.graph.next_edge_number
         try:
@@ -104,22 +101,24 @@ class SourceRegistrar:
             for index in self.indexes:
                 index.index_source(source)  # type: ignore[attr-defined]
         except Exception:
-            self._evict(source.name, edge_number)
+            self.evict(source.name, edge_number)
             raise
 
-    def _evict(self, source_name: str, edge_number: int) -> None:
-        """Best-effort inverse of :meth:`_admit` (used on failure paths).
+    def evict(self, source_name: str, edge_number: Optional[int] = None) -> DataSource:
+        """The inverse of :meth:`admit`; returns the removed source.
 
-        ``edge_number`` is the graph's ``next_edge_number`` from before the
-        failed attempt: every edge numbered since is removed with the source,
-        so the sequence goes back and the retry reuses those ids.
+        Association edges incident to the source's nodes go with them.  A
+        rollback passes ``edge_number``, the graph's ``next_edge_number``
+        from before the failed attempt: the sequence goes back, so the retry
+        reuses the ids of the edges removed.  An unknown name moves nothing
+        (neither indexes nor graph hold it) and the catalog raises.
         """
         for index in self.indexes:
             index.remove_source(source_name)  # type: ignore[attr-defined]
         self.graph.remove_source(source_name)
-        self.graph.next_edge_number = edge_number
-        if self.catalog.has_source(source_name):
-            self.catalog.remove_source(source_name)
+        if edge_number is not None:
+            self.graph.next_edge_number = edge_number
+        return self.catalog.remove_source(source_name)
 
     def register(self, source: DataSource, aligner: BaseAligner) -> AlignmentResult:
         """Register ``source``: add it to catalog/graph/indexes, then align it.
@@ -170,7 +169,7 @@ class SourceRegistrar:
         try:
             # Phase 1: one profiling pass over the whole batch.
             for source in sources:
-                self._admit(source)
+                self.admit(source)
                 admitted.append(source.name)
             # Phase 2: build each aligner (factories see the grown graph)
             # and align its source against it.
@@ -180,15 +179,13 @@ class SourceRegistrar:
                 results.append(aligner.align(self.graph, self.catalog, source))
         except Exception:
             for name in reversed(admitted):
-                self._evict(name, edge_number)
+                self.evict(name, edge_number)
             raise
 
-        for source, aligner, alignment in zip(sources, resolved, results):
+        for source, aligner in zip(sources, resolved):
             self.history.append(
                 RegistrationRecord(source_name=source.name, strategy=aligner.strategy_name)
             )
-            for listener in self._listeners:
-                listener(source, alignment)
         return results
 
     def registered_sources(self) -> List[str]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from ..datastore.provenance import AnswerTuple
+from ..exceptions import InvalidRequestError
 from ..graph.search_graph import GraphConfig
 from ..learning.feedback import AnnotationKind, FeedbackEvent
 from .strategies import AlignmentStrategy
@@ -77,6 +78,9 @@ class QueryRequest:
     Either ``view`` names an existing view (by stable id or name), or
     ``keywords`` are given — in which case the service reuses the view
     registered under ``name`` (default: the joined keywords) or creates one.
+    Construction rejects ``k`` or ``page_size`` below 1 and a negative
+    ``limit`` or ``offset`` with :class:`~repro.exceptions.InvalidRequestError`,
+    so every read path sees the same rule.
 
     Attributes
     ----------
@@ -121,6 +125,33 @@ class QueryRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "keywords", tuple(self.keywords))
+        for name, least in (("k", 1), ("page_size", 1), ("limit", 0), ("offset", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise InvalidRequestError(f"{name} must be >= {least}, got {value}")
+
+    @property
+    def view_name(self) -> str:
+        """The name of the view a keyword request reads: ``name``, else the joined keywords."""
+        return self.name or " ".join(self.keywords)
+
+    def page_size_under(self, config: ServiceConfig) -> int:
+        """Answers per page: the request's own, else the session's default."""
+        return self.page_size if self.page_size is not None else config.default_page_size
+
+    def require_target(self) -> None:
+        """Raise unless the request names a view or has keywords to find one by."""
+        if self.view is None and not self.keywords:
+            raise InvalidRequestError("QueryRequest needs keywords or a view reference")
+
+    def check_k(self, view_name: str, view_id: str, k: int) -> None:
+        """A request must not silently get a ranking of a different width."""
+        if self.k is not None and k != self.k:
+            raise InvalidRequestError(
+                f"view {view_name!r} ({view_id}) has k={k}; the request asked for "
+                f"k={self.k} — omit k to read the existing ranking, or create a "
+                "view under another name"
+            )
 
 
 @dataclass(frozen=True)

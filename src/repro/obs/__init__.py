@@ -150,8 +150,8 @@ class Observability:
     def from_config(cls, config) -> "Observability":
         """The bundle a :class:`~repro.api.service.QService` session owns."""
         return cls(
-            enabled=bool(getattr(config, "observability", True)),
-            slow_query_s=float(getattr(config, "slow_query_ms", 250.0)) / 1000.0,
+            enabled=config.observability,
+            slow_query_s=config.slow_query_ms / 1000.0,
         )
 
     @classmethod

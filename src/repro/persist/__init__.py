@@ -46,6 +46,7 @@ from .store import (
     FileSessionStore,
     SessionStore,
     SqliteSessionStore,
+    session_store,
     sniff_sqlite_file,
 )
 
@@ -61,6 +62,7 @@ __all__ = [
     "restore_core",
     "restore_overlay",
     "service_config_payload",
+    "session_store",
     "sniff_sqlite_file",
     "snapshot_body",
     "unwrap_document",

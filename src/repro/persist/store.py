@@ -208,3 +208,19 @@ class FileSessionStore(SessionStore):
 
     def entry_count(self) -> int:
         return len(self._journal_lines())
+
+
+def session_store(path=None, backend=None) -> Optional[SessionStore]:
+    """Where a session's bytes go: the one choice ``save``, ``open`` and autosave make.
+
+    A ``path`` is a JSON sidecar; without one, the catalog's own database
+    holds the session if its ``backend`` can; otherwise there is nowhere to
+    write (``None``) and the caller says how to name a place.  ``open``
+    asks the backend first (``session_store(backend=...) or
+    session_store(path)``), since a path it opens may be that database.
+    """
+    if path is not None:
+        return FileSessionStore(path)
+    if backend is not None and backend.supports_session_store:
+        return SqliteSessionStore(backend)
+    return None

@@ -492,33 +492,24 @@ class QServer:
         with trace:
             with trace.span("snapshot_acquire"):
                 snapshot = self._snapshot
-                ref = request.view
-                if ref is not None and not isinstance(ref, str):
+                if request.view is not None and not isinstance(request.view, str):
                     raise InvalidRequestError(
                         "QServer resolves views by id or name; pass a string reference"
                     )
-                sv = snapshot.resolve(ref, request.keywords, request.name)
+                request.require_target()
+                sv = snapshot.resolve(request)
                 if sv is None:
-                    if not request.keywords:
-                        raise InvalidRequestError(
-                            "QueryRequest needs keywords or a view reference"
-                        )
                     # Unknown keywords: view creation is a write.  Route it
                     # through the writer lane, then read against the
                     # post-create snapshot.
                     info = self._ensure_view(request)
                     snapshot = self._snapshot
-                    sv = snapshot.resolve(info.view_id, (), None)
+                    sv = snapshot.resolve(QueryRequest(view=info.view_id))
                     if sv is None:  # pragma: no cover - a concurrent remove raced us
                         raise InvalidRequestError(
                             f"view {info.view_id} vanished before its first read"
                         )
-            if request.k is not None and sv.k != request.k:
-                raise InvalidRequestError(
-                    f"view {sv.name!r} ({sv.view_id}) has k={sv.k}; the request "
-                    f"asked for k={request.k} — omit k to read the existing "
-                    "ranking, or create a view under another name"
-                )
+            request.check_k(sv.name, sv.view_id, sv.k)
             if budget is not None:
                 # Time spent waiting on the writer lane (view creation) counts
                 # against the deadline too.
@@ -528,11 +519,7 @@ class QServer:
             with trace.span("paginate"):
                 if request.limit is not None:
                     answers = answers[: request.limit]
-                page_size = (
-                    request.page_size
-                    if request.page_size is not None
-                    else self._service.config.default_page_size
-                )
+                page_size = request.page_size_under(self._service.config)
         self._count("reads_served")
         if degraded:
             self._count("reads_degraded")
@@ -556,7 +543,7 @@ class QServer:
         )
 
     def _ensure_view(self, request: QueryRequest) -> ViewInfo:
-        name = request.name or " ".join(request.keywords)
+        name = request.view_name
         create = QueryRequest(keywords=request.keywords, k=request.k, name=name)
 
         def fn() -> ViewInfo:
@@ -618,7 +605,7 @@ class QServer:
         return self._enqueue(
             lambda: self._service.create_view(request, materialize=False),
             "create_view",
-            tag if tag is not None else (request.name or " ".join(request.keywords)),
+            tag if tag is not None else request.view_name,
         )
 
     def create_view(self, request: QueryRequest, tag: Optional[str] = None) -> ViewInfo:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Optional, Tuple
 
+from ..api.types import QueryRequest
 from ..core.view import RankedView
 from ..datastore.provenance import AnswerTuple
 from ..engine.context import ExecutionContext
@@ -211,15 +212,16 @@ class ReadSnapshot:
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
-    def resolve(self, ref: Optional[str], keywords: Tuple[str, ...], name: Optional[str]) -> Optional[SnapshotView]:
+    def resolve(self, request: QueryRequest) -> Optional[SnapshotView]:
         """The snapshot view a query request addresses, or ``None``.
 
-        ``ref`` may be a view id or a view name (the same strings the live
-        registry resolves); with no ``ref``, the request's explicit name or
-        joined keywords are looked up.  Returns ``None`` when the view does
-        not exist *on this snapshot* — the server then routes view creation
-        through the writer lane.
+        ``request.view`` may be a view id or a view name (the same strings
+        the live registry resolves); an unknown one raises.  Without it the
+        request's :attr:`~repro.api.types.QueryRequest.view_name` is looked
+        up, and ``None`` means the view does not exist *on this snapshot* —
+        the server then routes view creation through the writer lane.
         """
+        ref = request.view
         if ref is not None:
             sv = self.views.get(ref)
             if sv is not None:
@@ -228,10 +230,7 @@ class ReadSnapshot:
             if view_id is not None:
                 return self.views.get(view_id)
             raise UnknownViewError(ref, tuple(self.names))
-        if not keywords:
-            return None
-        lookup = name or " ".join(keywords)
-        view_id = self.names.get(lookup)
+        view_id = self.names.get(request.view_name)
         return self.views.get(view_id) if view_id is not None else None
 
     # ------------------------------------------------------------------

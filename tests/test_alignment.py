@@ -294,14 +294,13 @@ def test_registration_lane_golden_digest(hash_seed):
 class TestSourceRegistrar:
     def test_register_adds_and_aligns(self, mini_catalog, mini_graph, new_source):
         registrar = SourceRegistrar(mini_catalog, mini_graph)
-        seen = []
-        registrar.add_listener(lambda source, result: seen.append((source.name, result.strategy)))
         result = registrar.register(new_source, ExhaustiveAligner(MetadataMatcher()))
         assert isinstance(result, AlignmentResult)
+        assert result.strategy == "exhaustive"
         assert mini_catalog.has_source("newdb")
         assert mini_graph.has_node("rel:newdb.xref")
         assert registrar.registered_sources() == ["newdb"]
-        assert seen == [("newdb", "exhaustive")]
+        assert [record.strategy for record in registrar.history] == ["exhaustive"]
 
     def test_duplicate_registration_rejected(self, mini_catalog, mini_graph, new_source):
         registrar = SourceRegistrar(mini_catalog, mini_graph)

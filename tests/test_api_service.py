@@ -40,6 +40,7 @@ from repro.datastore import DataSource
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.graph import EdgeKind, edge_feature
 from repro.learning import AnnotationKind
+from repro.service import QServer
 
 from test_storage_backends import (
     answer_fingerprint,
@@ -311,6 +312,21 @@ class TestLazyConsistency:
         record = service.registrar.history[-1]
         assert (record.source_name, record.strategy) == ("extra", "exhaustive")
 
+    def test_pairs_scored_counts_single_and_batch_registrations(self, gbco_dataset):
+        held = ("gene2pathway", "pathway_member", "gene2phenotype")
+        service = _gbco_service(gbco_dataset, held_out=held)
+
+        def request(name):
+            source = source_from_dict(source_to_dict(gbco_dataset.catalog.source(name)))
+            return RegisterSourceRequest(source=source, strategy=AlignmentStrategy.EXHAUSTIVE)
+
+        before = service.stats().pairs_scored
+        responses = [service.register_source(request(held[0]))]
+        responses += service.register_sources([request(held[1]), request(held[2])])
+        scored = [response.alignment.pairs_scored for response in responses]
+        assert all(scored)
+        assert service.stats().pairs_scored - before == sum(scored)
+
     def test_multiple_mutations_cost_one_refresh_at_read(self):
         service = _mini_service()
         info = service.create_view(QueryRequest(keywords=("membrane", "IPR001")))
@@ -377,6 +393,46 @@ class TestLazyConsistency:
             service.answers(QueryRequest(keywords=("membrane", "IPR001"), k=5))
         with pytest.raises(InvalidRequestError):
             service.answers(QueryRequest(view=info.view_id, k=5))
+
+
+class TestReadWindow:
+    """One rule for a read's window, whichever call serves it."""
+
+    def test_every_read_path_rejects_an_out_of_range_window(self, gbco_dataset):
+        # A served read sliced ``answers[:limit]`` and dropped the last
+        # answer for ``limit=-1``; the streamed read raised a bare
+        # ValueError, the page read a QueryError, and a served read with
+        # ``page_size=0`` failed only when its pages were asked for.
+        service = _gbco_service(gbco_dataset)
+        view_id = service.create_view(QueryRequest(keywords=gbco_dataset.query_log[0].keywords)).view_id
+        everything = list(service.stream_answers(QueryRequest(view=view_id)))
+        assert len(everything) > 1
+        server = QServer(service, read_workers=1)
+        try:
+            reads = (
+                lambda: server.query(QueryRequest(view=view_id, limit=-1)),
+                lambda: list(service.stream_answers(QueryRequest(view=view_id, limit=-1))),
+                lambda: _drain(service.answers(QueryRequest(view=view_id, limit=-1))),
+                lambda: service.answers_page(QueryRequest(view=view_id, page_size=0)),
+                lambda: service.answers_page(QueryRequest(view=view_id, offset=-1)),
+                lambda: list(server.query(QueryRequest(view=view_id, page_size=0)).pages()),
+            )
+            for read in reads:
+                with pytest.raises(InvalidRequestError):
+                    read()
+            # The edges of the range are reads, not errors.
+            assert server.query(QueryRequest(view=view_id, limit=0)).answers == ()
+            assert list(server.query(QueryRequest(view=view_id, limit=1)).answers) == everything[:1]
+            assert list(service.stream_answers(QueryRequest(view=view_id, limit=1))) == everything[:1]
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize(
+        "window", [{"k": 0}, {"page_size": 0}, {"limit": -1}, {"offset": -1}]
+    )
+    def test_a_request_outside_the_range_is_not_built(self, window):
+        with pytest.raises(InvalidRequestError, match=next(iter(window))):
+            QueryRequest(keywords=("membrane",), **window)
 
 
 class TestSessionAnswerCache:

@@ -659,7 +659,7 @@ def test_expiry_before_the_first_answer_raises_instead_of_an_empty_read(gbco_dat
 
         # The same on a snapshot: typed error, and no pinned slot left behind.
         snapshot = server.snapshot()
-        sv = snapshot.resolve(info.view_id, (), None)
+        sv = snapshot.resolve(QueryRequest(view=info.view_id))
         reads = itertools.count()
         expiring = Budget(deadline_s=100.0, clock=lambda: 0.0 if next(reads) == 0 else 1000.0)
         with pytest.raises(DeadlineExceededError):
@@ -676,7 +676,7 @@ def test_budgeted_reads_never_pin_partial_answers(gbco_dataset):
         # published snapshot has no pinned materialization for the view.
         info = server.create_view(QueryRequest(keywords=keywords))
         fresh = server.snapshot()
-        sv = fresh.resolve(info.view_id, (), None)
+        sv = fresh.resolve(QueryRequest(view=info.view_id))
         assert sv is not None
         assert fresh.pinned_count() == 0
 

@@ -10,7 +10,7 @@ from repro.alignment.base import BaseAligner
 from repro.api import QService, RegisterSourceRequest
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.datastore.database import Catalog, DataSource
-from repro.exceptions import RegistrationError
+from repro.exceptions import RegistrationError, SchemaError
 from repro.graph import QueryGraphBuilder, SearchGraph
 from repro.matching import MetadataMatcher
 from repro.profiling import CatalogProfileIndex
@@ -235,6 +235,26 @@ class TestRegistrarRollback:
         with pytest.raises(RegistrationError):
             registrar.register(new_source, ExhaustiveAligner(MetadataMatcher()))
         assert registrar.registered_sources() == ["newdb"]
+
+    def test_session_sources_join_and_leave_through_the_registrar(self, mini_catalog, new_source):
+        """``add_source`` admits without aligning, ``remove_source`` evicts and
+        keeps the edge-id sequence where it is, and an unknown name raises
+        before anything moves."""
+        with QService(sources=[source_from_dict(source_to_dict(s)) for s in mini_catalog]) as service:
+            graph = service.graph
+            shape = (graph.node_count, graph.edge_count)
+            service.add_source(new_source)
+            assert service.profile_index.has_relation("newdb.xref") and graph.has_node("rel:newdb.xref")
+            assert service.registrar.registered_sources() == [] and not graph.association_edges()
+            numbered = graph.next_edge_number
+            assert service.remove_source("newdb") is new_source
+            assert not service.profile_index.has_relation("newdb.xref")
+            assert (graph.node_count, graph.edge_count) == shape
+            assert graph.next_edge_number == numbered
+            version = graph.structure_version
+            with pytest.raises(SchemaError, match="nope"):
+                service.remove_source("nope")
+            assert graph.structure_version == version and (graph.node_count, graph.edge_count) == shape
 
 
 class TestRegisterBatch:

@@ -525,7 +525,7 @@ class ServerMachine(RuleBasedStateMachine):
             self.server.submit_query(QueryRequest(view=view_id, tenant=tenant), deadline_ms=0.0).result()
         self.drain()  # no other read pins on the snapshot below
         snapshot = self.server.snapshot()
-        sv = snapshot.resolve(view_id, (), None)
+        sv = snapshot.resolve(QueryRequest(view=view_id))
         pinned = snapshot.pinned_count()
         budget = Budget(deadline_s=1.0, clock=_expiring_clock(reads_before_expiry))
         try:
@@ -617,7 +617,7 @@ class ServerMachine(RuleBasedStateMachine):
         assert not not_done
         if self.retired is not None:
             for view_id in self.view_ids:
-                sv = self.retired.resolve(view_id, (), None)
+                sv = self.retired.resolve(QueryRequest(view=view_id))
                 for tenant in TENANTS:
                     answers = self.retired.answers_for(sv, tenant)
                     self._record(self.retired.snapshot_id, view_id, tenant, answers)
