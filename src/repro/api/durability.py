@@ -212,6 +212,17 @@ class DurabilityMixin:
                 raise SnapshotError(f"corrupt session in {store.description}: missing key {exc}") from exc
             raise
 
+    def probe_storage(self, save: bool = False) -> None:
+        """Check that the session's storage answers, or raise what it met:
+        the backend's metadata, then a save when ``save`` is set, else the
+        session store (when the session is persistent)."""
+        if self.catalog.backend is not None:
+            self.catalog.backend.relation_keys()
+        if save:
+            self.save()
+        elif self._persistence is not None:
+            self._persistence.store.entry_count()
+
     def _after_mutation(self) -> None:
         """Autosave hook, called at the end of every mutating service call."""
         if self._autosave and not self._applying:

@@ -55,10 +55,10 @@ class ServiceConfig:
     #: default) disables sketch maintenance entirely.  The signature is cut
     #: into ``sketch_num_perm // 2`` LSH bands (2 rows per band).
     sketch_num_perm: int = 0
-    #: Serving-layer knob (see :mod:`repro.service`): bound on a
-    #: :class:`~repro.service.server.QServer`'s single-writer mutation
-    #: queue; writes beyond it fail fast with
-    #: :class:`~repro.exceptions.ServiceOverloadedError`.
+    #: Serving-layer knob (see :mod:`repro.service`), and the one place
+    #: to set it: bound on a :class:`~repro.service.server.QServer`'s
+    #: single-writer mutation queue; writes admitted beyond it fail fast
+    #: with :class:`~repro.exceptions.ServiceOverloadedError`.
     write_queue_limit: int = 64
     #: Observability (see :mod:`repro.obs` and the README "Observability"):
     #: ``False`` disables request tracing and the explain/slow-query logs —

@@ -1,24 +1,27 @@
-"""Transient-fault classification and exponential-backoff retry.
+"""Storage-fault classification and exponential-backoff retry.
 
-The writer lane of :class:`~repro.service.server.QServer` wraps every
-mutation in a :class:`RetryPolicy`: failures classified as *transient* —
-SQLite ``locked`` / ``busy`` contention, or a
+The writer lane of :class:`~repro.service.server.QServer` runs every
+mutation through :meth:`RetryPolicy.run`: failures classified as
+*transient* — SQLite ``locked`` / ``busy`` contention, or a
 :class:`~repro.exceptions.TransientStorageError` injected by the fault
 harness — are retried with exponential backoff plus jitter; everything else
-propagates on the first attempt.  Both the sleep function and the RNG are
+propagates on the first attempt, and :func:`is_fatal_storage_failure` says
+which of those degrade the server.  Both the sleep function and the RNG are
 injectable so tests and the chaos bench run deterministically without real
 delays.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import sqlite3
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, TypeVar
 
-from ..exceptions import ReproError, TransientStorageError
+from ..exceptions import ReproError, SnapshotError, StorageError, TransientStorageError
+from ..obs.tracing import active_trace
 
 T = TypeVar("T")
 
@@ -61,6 +64,17 @@ def is_transient(exc: BaseException) -> bool:
     return isinstance(classified, ReproError) and classified.retryable
 
 
+def is_fatal_storage_failure(exc: BaseException) -> bool:
+    """Whether the failure is a non-transient storage/persistence fault.
+
+    Such a fault degrades the server.  Plain operational errors (a
+    malformed request surfacing late, a matcher bug) fail only their own
+    write: the service state is still trustworthy.
+    """
+    classified = classify_storage_error(exc)
+    return isinstance(classified, (StorageError, SnapshotError)) and not is_transient(classified)
+
+
 @dataclass
 class RetryPolicy:
     """Exponential backoff with jitter over a bounded attempt count.
@@ -98,24 +112,26 @@ class RetryPolicy:
     ) -> T:
         """Call ``fn`` until it succeeds, a non-transient error escapes, or
         attempts are exhausted (the last transient error then propagates,
-        classified)."""
+        classified).
+
+        Each retry calls ``on_retry(classified failure, attempt)``, tallies
+        ``retry_attempts`` on the active trace and sleeps under its
+        ``retry_backoff`` span.
+        """
         delays = self.delays_s()
-        attempt = 0
-        while True:
-            attempt += 1
+        for attempt in itertools.count(1):
             try:
                 return fn()
             except Exception as exc:
                 classified = classify_storage_error(exc)
-                if not is_transient(classified):
-                    raise
-                try:
-                    delay = next(delays)
-                except StopIteration:
-                    # NB: re-raise the *failure*, never the StopIteration.
+                delay = next(delays, None) if is_transient(classified) else None
+                if delay is None:
                     if classified is exc:
-                        raise exc
+                        raise
                     raise classified from exc
                 if on_retry is not None:
                     on_retry(classified, attempt)
-                self.sleep(delay)
+                trace = active_trace()
+                trace.tally("retry_attempts")
+                with trace.span("retry_backoff"):
+                    self.sleep(delay)

@@ -1,6 +1,9 @@
 """Concurrent multi-tenant serving front end over one :class:`QService`.
 
-:class:`QServer` splits the service's traffic into two lanes:
+:class:`QServer` splits the service's traffic into two lanes.  This module
+owns the read lane, the typed writes and the server's counts;
+:mod:`repro.service.writer` owns the writer lane, which ``QServer``
+inherits.
 
 * **Reads** — queries, answer streams, stats — run concurrently: a blocking
   :meth:`QServer.query` on the thread that asks, :meth:`QServer.submit_query`
@@ -10,73 +13,35 @@
   half-applied mutation, and two reads of the same (view, tenant) on one
   snapshot share a single solve.
 * **Writes** — feedback, source registration/removal, view creation — are
-  serialized through one bounded queue drained by a single writer thread.
-  After each *successful* write the writer re-expands structurally stale
-  views (so all weight-seeding expansion happens in the writer lane) and
-  publishes a fresh snapshot **before** completing the write's future: by
-  the time a caller observes its write finished, every new read sees it.
-
-The queue bound is the backpressure contract: when ``write_queue_limit``
-writes are already pending, further writes fail fast with
-:class:`~repro.exceptions.ServiceOverloadedError` instead of queuing
-unboundedly — readers are unaffected (they never enter the queue), and
-admitted writes retain FIFO fairness.  A failed write publishes nothing:
-its snapshot never exists, and its future carries the exception.
+  serialized through the writer lane's one queue, bounded by
+  ``ServiceConfig.write_queue_limit``; readers never enter it.
 
 Failure model (see README "Failure model")
 ------------------------------------------
-The writer lane is *supervised*: no exception escapes it silently.
-
-* **Transient storage faults** (SQLite ``locked``/``busy``, injected I/O
-  errors) are classified by :func:`repro.faults.retry.classify_storage_error`
-  and retried with exponential backoff + jitter under the server's
-  :class:`~repro.faults.retry.RetryPolicy`.  Each write runs through
-  :meth:`~repro.api.service.QService.apply_once` under an idempotency key,
-  so a retry of a write that landed re-runs only its save and returns the
-  recorded result; a registration that did not land was rolled back by the
-  registrar with its edge ids, keeping its retry invisible to tree
-  signatures and the isolation oracle.
-* **Non-transient storage faults** flip the server into read-only
-  *degraded* mode: reads keep serving the last published snapshot, pending
-  and new writes fail fast with
-  :class:`~repro.exceptions.ServiceUnavailableError`, and
-  :meth:`QServer.recover` revalidates the backend before lifting the mode.
-  A write that landed but could not be saved, past its retries, is
-  published and returns its result, and degrades the server the same way;
-  ``recover()`` lifts the mode only once a save succeeds.
+* **Storage faults** are the writer lane's: see :mod:`repro.service.writer`.
 * **Deadlines** — a read carrying ``deadline_ms`` polls a cooperative
   :class:`~repro.faults.budget.Budget` through solve and execution; expiry
   yields :class:`~repro.exceptions.DeadlineExceededError`, or a partial
   :class:`ReadResult` flagged ``degraded=True`` once answers exist.
 * **Shutdown** — :meth:`QServer.close` waits for every read it admitted,
-  on either entry point, and accepts a ``timeout`` for the writer; writes
-  still queued when it elapses fail with
+  on either entry point, and at most its ``timeout`` for the writer;
+  writes still queued when that elapses fail with
   :class:`~repro.exceptions.ServerClosedError` instead of blocking the
   caller forever.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-import queue
 import threading
 import time
-import uuid
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from ..datastore.provenance import AnswerTuple
-from ..exceptions import (
-    InvalidRequestError,
-    ServerClosedError,
-    ServiceOverloadedError,
-    ServiceUnavailableError,
-    SnapshotError,
-    StorageError,
-)
+from ..exceptions import InvalidRequestError
 from ..api.streaming import paginate
 from ..api.types import (
     AnswerPage,
@@ -86,18 +51,10 @@ from ..api.types import (
     ViewInfo,
 )
 from ..faults.budget import Budget
-from ..faults.retry import RetryPolicy, classify_storage_error, is_transient
-from ..obs.tracing import ReadTrace, active_trace
+from ..faults.retry import RetryPolicy
+from ..obs.tracing import ReadTrace
 from .snapshots import ReadSnapshot
-
-_SENTINEL = object()
-
-#: Server health states (:meth:`QServer.health`): ``healthy`` → writes
-#: accepted; ``degraded`` → read-only until :meth:`QServer.recover`;
-#: ``closed`` → both lanes stopped.
-HEALTHY = "healthy"
-DEGRADED = "degraded"
-CLOSED = "closed"
+from .writer import CLOSED, DEGRADED, HEALTHY, WriterMixin
 
 
 @dataclass(frozen=True)
@@ -181,22 +138,7 @@ class ServerStats:
     pinned_carryovers: int
 
 
-class _WriteOp:
-    __slots__ = ("fn", "kind", "tag", "op_key", "future", "enqueued_s")
-
-    def __init__(self, fn: Callable[[], object], kind: str, tag: Optional[str], op_key: str) -> None:
-        self.fn = fn
-        self.kind = kind
-        self.tag = tag
-        #: The idempotency key :meth:`QService.apply_once` runs the write under.
-        self.op_key = op_key
-        self.future: Future = Future()
-        #: Tracer-clock stamp taken at admission; the writer lane turns it
-        #: into the op's ``queue_wait`` span.
-        self.enqueued_s: float = 0.0
-
-
-class QServer:
+class QServer(WriterMixin):
     """Snapshot-isolated serving layer over a session.
 
     Parameters
@@ -208,9 +150,6 @@ class QServer:
     read_workers:
         Sizes the pool behind :meth:`submit_query`; ``0`` = one per CPU.
         A blocking :meth:`query` runs on the caller's thread.
-    write_queue_limit:
-        Bound of the single-writer mutation queue.  Defaults to
-        ``service.config.write_queue_limit``.
     retry_policy:
         Writer-lane retry policy for transient storage faults.  Defaults to
         ``RetryPolicy()`` (3 attempts, 5 ms base delay, 100 ms cap); tests
@@ -226,21 +165,14 @@ class QServer:
         self,
         service,
         read_workers: int = 4,
-        write_queue_limit: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self._service = service
         if read_workers < 0:
             raise InvalidRequestError(f"read_workers must be >= 0, got {read_workers}")
         workers = read_workers or os.cpu_count() or 1
-        limit = service.config.write_queue_limit if write_queue_limit is None else write_queue_limit
-        if limit < 1:
-            raise InvalidRequestError(f"write_queue_limit must be >= 1, got {limit}")
         self.read_workers = workers
-        self.write_queue_limit = limit
-        if retry_policy is None:
-            retry_policy = RetryPolicy()
-        self._retry_policy = retry_policy
+        self._init_writer(retry_policy)
         #: The session's observability bundle (see :mod:`repro.obs`): the
         #: server traces its lanes into the session's registry/logs, so one
         #: scrape covers service and server alike.
@@ -256,27 +188,11 @@ class QServer:
         #: Bumps one count.  A closure, not a method: the snapshots hold it,
         #: and must not hold the server.
         self._count = count
-        #: The failure that put the server in read-only mode; ``None`` while
-        #: it is healthy.
-        self._fault: Optional[BaseException] = None
-        #: Whether a write landed whose save failed: :meth:`recover` saves
-        #: the session before it lifts the mode.
-        self._save_owed = False
-        #: ``(kind, tag)`` of every applied write, in apply order — the
-        #: exact serial schedule an isolation oracle must replay.
-        self.write_log: List[Tuple[str, Optional[str]]] = []
-
-        # Idempotency keys are unique per server incarnation; the per-op
-        # suffix keeps them readable in journals and fault-harness dumps.
-        self._op_prefix = uuid.uuid4().hex[:8]
-        self._op_seq = itertools.count(1)
-
         self._closed = False
         #: Admits work against ``_closed``; ``close()`` waits on it until no
         #: blocking read is in flight.
         self._close_lock = threading.Condition(threading.Lock())
         self._blocking_reads = 0
-        self._queue: "queue.Queue" = queue.Queue(maxsize=limit)
         # Initial publish happens before any reader or writer exists, so
         # snapshot 0 is the pristine service state.
         service.prepare_views(structural_only=True)
@@ -286,9 +202,6 @@ class QServer:
         self._register_server_metrics()
         self._read_pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="qserve-read"
-        )
-        self._writer = threading.Thread(
-            target=self._writer_loop, name="qserve-writer", daemon=True
         )
         self._writer.start()
 
@@ -337,100 +250,6 @@ class QServer:
         share one registry, so either scrape sees both lanes.
         """
         return self._service.metrics(fmt)
-
-    # ------------------------------------------------------------------
-    # Health / supervision
-    # ------------------------------------------------------------------
-    def health(self) -> str:
-        """``"healthy"``, ``"degraded"`` (read-only) or ``"closed"``."""
-        if self._closed:
-            return CLOSED
-        return HEALTHY if self._fault is None else DEGRADED
-
-    def last_fault(self) -> Optional[BaseException]:
-        """The failure that degraded the server, if it is degraded."""
-        return self._fault
-
-    def recover(self) -> str:
-        """Revalidate the backend and lift degraded mode.  Returns health.
-
-        Probes the storage backend (a cheap metadata read) and, when the
-        session is persistent, its session store — by saving the session
-        when a write landed that could not be saved.  A failing probe leaves
-        the server degraded and raises
-        :class:`~repro.exceptions.ServiceUnavailableError` carrying the
-        probe failure as its cause.
-        """
-        self._check_open()
-        if self._fault is None:
-            return HEALTHY
-        service = self._service
-        try:
-            if service.catalog.backend is not None:
-                service.catalog.backend.relation_keys()
-            if self._save_owed:
-                service.save()
-            elif service._persistence is not None:
-                service._persistence.store.entry_count()
-        except Exception as exc:
-            raise ServiceUnavailableError(
-                f"recovery probe failed; server stays degraded: {exc}"
-            ) from exc
-        self._save_owed = False
-        self._fault = None
-        return HEALTHY
-
-    def _degrade(self, exc: BaseException) -> None:
-        """Flip to read-only mode and fail everything still queued."""
-        self._fault = exc
-        failed = self._drain_queue(
-            lambda: ServiceUnavailableError(
-                f"server degraded to read-only after a storage failure: {exc}"
-            )
-        )
-        self._count("writes_failed", failed)
-
-    def _drain_queue(self, make_error: Callable[[], BaseException]) -> int:
-        """Fail every op still queued; returns how many were failed.
-
-        Runs either on the writer thread itself (degrade path) or after the
-        writer is confirmed dead/wedged (:meth:`close` timeout path), so it
-        never races the writer's own ``get``.  A sentinel encountered while
-        draining is re-queued so a still-alive writer eventually exits.
-        """
-        failed = 0
-        sentinel_seen = False
-        while True:
-            try:
-                op = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if op is _SENTINEL:
-                sentinel_seen = True
-                continue
-            if op.future.set_running_or_notify_cancel():
-                op.future.set_exception(make_error())
-                failed += 1
-            else:
-                self._count("writes_cancelled")
-        if sentinel_seen:
-            try:
-                self._queue.put_nowait(_SENTINEL)
-            except queue.Full:  # pragma: no cover - queue refilled mid-drain
-                pass
-        return failed
-
-    def _is_fatal_storage_failure(self, exc: BaseException) -> bool:
-        """Non-transient storage/persistence failures degrade the server.
-
-        Plain operational errors (a malformed request surfacing late, a
-        matcher bug) fail only their own op — the service state is still
-        trustworthy, so the server stays healthy.
-        """
-        classified = classify_storage_error(exc)
-        return isinstance(classified, (StorageError, SnapshotError)) and not is_transient(
-            classified
-        )
 
     # ------------------------------------------------------------------
     # Reads
@@ -611,166 +430,9 @@ class QServer:
     def create_view(self, request: QueryRequest, tag: Optional[str] = None) -> ViewInfo:
         return self.submit_create_view(request, tag=tag).result()
 
-    def submit_mutation(
-        self,
-        fn: Callable[[], object],
-        kind: str = "custom",
-        tag: Optional[str] = None,
-        op_key: Optional[str] = None,
-    ) -> Future:
-        """Queue an arbitrary mutation of the underlying service.
-
-        ``fn`` runs in the writer lane with full mutation rights; a new
-        snapshot publishes after it returns.  This is the extension point
-        for administrative operations (and for tests that need to hold the
-        writer lane busy).  ``op_key`` overrides the auto-generated
-        idempotency key — resubmitting with the same key after an ambiguous
-        failure is guaranteed at-most-once application.
-        """
-        return self._enqueue(fn, kind, tag, op_key=op_key)
-
-    def _enqueue(
-        self,
-        fn: Callable[[], object],
-        kind: str,
-        tag: Optional[str],
-        op_key: Optional[str] = None,
-    ) -> Future:
-        self._check_open()
-        fault = self._fault
-        if fault is not None:
-            self._count("writes_rejected")
-            raise ServiceUnavailableError(
-                f"server is in degraded read-only mode (cause: {fault}); "
-                "call recover() before writing"
-            )
-        if op_key is None:
-            op_key = f"{self._op_prefix}-{next(self._op_seq)}"
-        op = _WriteOp(fn, kind, tag, op_key)
-        op.enqueued_s = self.obs.tracer.clock()
-        try:
-            with self._close_lock:  # queued ahead of close()'s sentinel, or refused
-                self._check_open()
-                self._queue.put_nowait(op)
-        except queue.Full:
-            self._count("writes_rejected")
-            raise ServiceOverloadedError(
-                pending=self._queue.qsize(), limit=self.write_queue_limit
-            ) from None
-        self._count("writes_admitted")
-        return op.future
-
-    def _writer_loop(self) -> None:
-        while True:
-            op = self._queue.get()
-            if op is _SENTINEL:
-                break
-            if not op.future.set_running_or_notify_cancel():
-                # Its future was cancelled while queued; skip silently.
-                self._count("writes_cancelled")
-                continue
-            fault = self._fault
-            if fault is not None:
-                # Ops admitted in the race window around a degrade fail
-                # fast, exactly like ops that were queued behind the fault.
-                self._count("writes_failed")
-                op.future.set_exception(
-                    ServiceUnavailableError(
-                        f"server degraded to read-only after a storage "
-                        f"failure: {fault}"
-                    )
-                )
-                continue
-            trace = self.obs.tracer.trace("write")
-            landed = False
-            try:
-                with trace:
-                    if trace.enabled:
-                        trace.record_span(
-                            "queue_wait", op.enqueued_s, self.obs.tracer.clock()
-                        )
-                    with trace.span("apply"):
-                        result, save_fault = self._apply_with_retry(op)
-                    landed = True
-                    self.write_log.append((op.kind, op.tag))
-                    self._publish()
-                    if save_fault is not None:
-                        # Published but not durable: read-only until
-                        # recover() saves it.
-                        self._save_owed = True
-                        self._degrade(save_fault)
-                    # Publish-before-complete: once the caller sees the
-                    # future resolve, every subsequent read is guaranteed a
-                    # snapshot that includes this write.
-                    op.future.set_result(result)
-            except BaseException as exc:
-                # A write that did not land publishes nothing: no snapshot,
-                # no log entry.  A failed publish (the pipeline is suspect),
-                # a fatal storage failure and an interrupt degrade the
-                # server; an interrupt then stops the writer.
-                self._count("writes_failed")
-                op.future.set_exception(exc)
-                interrupt = not isinstance(exc, Exception)
-                if landed or interrupt or self._is_fatal_storage_failure(exc):
-                    self._degrade(exc)
-                if interrupt:
-                    raise
-            finally:
-                self.obs.finish_write(trace, op.kind)
-
-    def _apply_with_retry(self, op: _WriteOp) -> Tuple[object, Optional[BaseException]]:
-        """Run one write through :meth:`QService.apply_once`, retrying transient
-        storage faults with backoff; a retry after the write landed re-runs
-        only its save.
-
-        Returns ``(result, None)``, or, for a write that landed but whose save
-        failed past its retries, ``(recorded result, that failure)``.  A write
-        that did not land raises: a transient failure as its classification
-        (the original on ``__cause__``), failing this op only.
-        """
-        applied = self._service.applied_ops
-        delays = self._retry_policy.delays_s()
-        while True:
-            try:
-                return self._service.apply_once(op.op_key, op.fn), None
-            except Exception as exc:
-                classified = classify_storage_error(exc)
-                transient = is_transient(classified)
-                delay = next(delays, None) if transient else None
-                if delay is None:
-                    failure = classified if transient else exc
-                    if op.op_key in applied:
-                        return applied[op.op_key], failure
-                    if failure is exc:
-                        raise
-                    raise failure from exc
-                self._count("writes_retried")
-                active_trace().tally("retry_attempts")
-                with active_trace().span("retry_backoff"):
-                    self._retry_policy.sleep(delay)
-
-    def _publish(self) -> None:
-        trace = active_trace()
-        # All structurally stale views re-expand here, in the single writer
-        # thread — query-graph expansion seeds new keyword edges' weights on
-        # the shared vector, so it must never run on a concurrent reader.
-        with trace.span("prepare_views"):
-            self._service.prepare_views(structural_only=True)
-        self._count("writes_applied")
-        with trace.span("snapshot_capture"):
-            self._snapshot = ReadSnapshot.capture(
-                self._service, len(self.write_log), self._snapshot, self._count
-            )
-        self._last_publish_monotonic = time.monotonic()
-        self._count("snapshots_published")
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServerClosedError()
-
     def close(self, timeout: Optional[float] = None) -> bool:
         """Drain pending writes, stop both lanes.  Idempotent.
 
@@ -778,7 +440,8 @@ class QServer:
         pooled.  Without ``timeout`` (the default), blocks until every
         admitted write is applied — their futures resolve.
         With a ``timeout`` (seconds), waits at most that long for the
-        writer to drain; writes still queued when it elapses fail with
+        writer (the reads it waits for are not bounded by it); writes
+        still queued when it elapses fail with
         :class:`~repro.exceptions.ServerClosedError` so no caller blocks
         forever behind a wedged writer.  Returns ``True`` when the writer
         drained cleanly, ``False`` when the timeout elapsed first.  The
@@ -790,28 +453,7 @@ class QServer:
             self._closed = True
         if already:
             return not self._writer.is_alive()
-        if timeout is None:
-            # Unbounded close: wait for queue space like the writer's
-            # callers do — the writer is draining, so this always lands.
-            self._queue.put(_SENTINEL)
-        else:
-            try:
-                self._queue.put(_SENTINEL, timeout=timeout)
-            except queue.Full:
-                # Queue saturated behind a wedged writer; the drain below
-                # fails the queued ops and re-posts the sentinel.
-                pass
-        self._writer.join(timeout)
-        clean = not self._writer.is_alive()
-        if not clean:
-            failed = self._drain_queue(lambda: ServerClosedError(
-                "QServer closed before this write was applied"
-            ))
-            self._count("writes_failed", failed)
-            try:
-                self._queue.put_nowait(_SENTINEL)
-            except queue.Full:  # pragma: no cover - refilled mid-drain
-                pass
+        clean = self._stop_writer(timeout)
         self._read_pool.shutdown(wait=True)
         with self._close_lock:
             self._close_lock.wait_for(lambda: not self._blocking_reads)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -388,6 +389,33 @@ def test_fatal_storage_fault_degrades_then_recovers(mini_catalog):
         assert server.stats().health == "healthy"
 
 
+def test_a_degrading_write_resolves_after_the_degrade(mini_catalog):
+    """Its done-callbacks see the server degraded and the writes behind it failed."""
+    plan = FaultPlan(
+        rules=[FaultRule(op="scan", error="fatal", times=1)], active=False
+    )
+    service, server = _server(mini_catalog, plan=plan)
+    backend = service.catalog.backend
+    key = backend.relation_keys()[0]
+    with service, server:
+        gate = threading.Event()
+        release = threading.Event()
+        blocked = server.submit_mutation(lambda: (gate.set(), release.wait(timeout=30)), kind="block")
+        assert gate.wait(timeout=10)
+        plan.enable()
+        future = server.submit_mutation(lambda: backend.scan(key), kind="probe")
+        behind = server.submit_mutation(lambda: "never", kind="behind")
+        seen = []
+        future.add_done_callback(lambda _f: seen.append((server.health(), behind.done())))
+        release.set()
+        blocked.result(timeout=30)
+        with pytest.raises(InjectedFaultError):
+            future.result(timeout=30)
+        assert seen == [("degraded", True)]
+        with pytest.raises(ServiceUnavailableError):
+            behind.result(timeout=30)
+
+
 def test_recover_fails_and_stays_degraded_while_fault_persists(mini_catalog):
     plan = FaultPlan(
         rules=[
@@ -498,6 +526,32 @@ def test_a_retried_write_that_landed_returns_its_result(mini_catalog, tmp_path):
         assert server.stats().writes_retried == 1
         # The retry's save landed: nothing is left to write.
         assert service.save().action == "noop"
+
+
+def test_a_retried_write_traces_one_backoff_under_its_apply(mini_catalog, tmp_path, monkeypatch):
+    path = tmp_path / "session.json"
+    service = QService(sources=list(mini_catalog), config=ServiceConfig(observability=True), autosave=path)
+    service.save()
+    plan = FaultPlan(
+        rules=[FaultRule(op="append_entry", error="transient", times=1)],
+        active=False,
+    )
+    wrap_session_store(service, plan)
+    with service, QServer(service, retry_policy=_fast_policy()) as server:
+        traces = []
+        finish_write = server.obs.finish_write
+        monkeypatch.setattr(
+            server.obs, "finish_write", lambda trace, kind: (traces.append(trace), finish_write(trace, kind))
+        )
+        plan.enable()
+        server.create_view(QueryRequest(keywords=("kinase",), name="retried"))
+        plan.disable()
+        assert plan.faults_fired() == 1
+        (trace,) = traces
+        (apply,) = [span for span in trace.root.children if span.name == "apply"]
+        assert [span.name for span in apply.children].count("retry_backoff") == 1
+        assert trace.annotations["retry_attempts"] == 1
+        assert server.stats().writes_retried == 1
 
 
 def test_a_landed_write_whose_save_fails_past_its_retries_is_reported_and_degrades(
@@ -839,8 +893,9 @@ def test_deadline_inside_a_bounded_branch_keeps_the_partial_list(gbco_dataset, m
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", [None, "sqlite"])
 def test_overload_error_carries_pending_and_limit(mini_catalog, backend):
-    with QService(sources=list(mini_catalog), backend=backend) as service:
-        with QServer(service, read_workers=2, write_queue_limit=3) as server:
+    config = ServiceConfig(write_queue_limit=3)
+    with QService(sources=list(mini_catalog), backend=backend, config=config) as service:
+        with QServer(service, read_workers=2) as server:
             gate = threading.Event()
             release = threading.Event()
 
@@ -921,6 +976,27 @@ def test_close_timeout_fails_still_queued_ops_with_typed_error(mini_catalog):
     release.set()  # unwedge: the in-flight op completes, writer exits
     assert wedged.result(timeout=30) == "unwedged"
     assert server.close() is True  # idempotent; writer has drained now
+    service.close()
+
+
+def test_close_timeout_bounds_the_wait_for_a_full_queue(mini_catalog):
+    config = ServiceConfig(write_queue_limit=2)
+    service = QService(sources=list(mini_catalog), config=config)
+    server = QServer(service, retry_policy=_fast_policy())
+    release = threading.Event()
+    gate = threading.Event()
+    wedged = server.submit_mutation(lambda: (gate.set(), release.wait(timeout=60)), kind="wedge")
+    assert gate.wait(timeout=10)
+    stuck = [server.submit_mutation(lambda: "stuck", kind="stuck") for _ in range(2)]
+    start = time.monotonic()
+    assert server.close(timeout=1.0) is False
+    assert time.monotonic() - start < 1.5  # one timeout, not one per step
+    for future in stuck:
+        with pytest.raises(ServerClosedError):
+            future.result(timeout=5)
+    release.set()
+    wedged.result(timeout=30)
+    assert server.close() is True
     service.close()
 
 

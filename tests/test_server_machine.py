@@ -399,9 +399,13 @@ def test_deadline_probe_on_the_grown_graph():
 # ----------------------------------------------------------------------
 # The state machine
 # ----------------------------------------------------------------------
+#: Attempts the machine's retry policy gives each write.
+ATTEMPTS = 3
+
+
 def _no_sleep_policy() -> RetryPolicy:
-    """Three attempts, no real sleeping: retries still count."""
-    return RetryPolicy(max_attempts=3, jitter=0.0, sleep=lambda _s: None)
+    """``ATTEMPTS`` attempts, no real sleeping: retries still count."""
+    return RetryPolicy(max_attempts=ATTEMPTS, jitter=0.0, sleep=lambda _s: None)
 
 
 def _expiring_clock(reads_before_expiry: int):
@@ -425,8 +429,11 @@ class ServerMachine(RuleBasedStateMachine):
     registration armed with faults while no other one is in flight is the
     one that meets them.  A journal fault may hit any write: it is retried,
     and its idempotency key keeps the landed mutation from applying twice.
-    No write meets more transient faults than its retries absorb, unless
-    it is meant to fail before it lands.
+    A journal fault armed after a drain with as many firings as a write has
+    attempts meets every save of the next write: that write lands, returns
+    its result and is logged, the server degrades (so the writes behind it
+    are refused), and ``recover()`` saves the session before it lifts the
+    mode.
 
     The first write after a drain retires the snapshot it was submitted
     against.  A read that grabbed that snapshot may still be answering
@@ -449,18 +456,20 @@ class ServerMachine(RuleBasedStateMachine):
             backend=FaultyBackend(MemoryBackend(), self.plan), autosave=self.sidecar
         )
         self.service.save()
-        wrap_session_store(self.service, self.plan)
         self.log: List[tuple] = []  # the write logs of closed servers, in order
         self.observations: List[tuple] = []
         self.pending = list(self.workload.held_out)  # not registered, not in flight
         self.registered: List[str] = []  # acknowledged and not removed
         self.fatal_faults = 0
+        self.store = wrap_session_store(self.service, self.plan)
         self._serve()
 
     def _serve(self):
         self.server = QServer(self.service, read_workers=2, retry_policy=_no_sleep_policy())
         self.offset = len(self.log)  # this server's snapshot 0 in the whole log
         self.health = "healthy"
+        self.save_fault_armed = False  # the next write's saves all fail
+        self.journal_at_degrade = None  # set while a landed write's save is owed
         self.reads: List = []
         self.writes: List[tuple] = []  # (future, kind, source, create_relation faults)
         self.failed = self.rejected = 0
@@ -490,7 +499,15 @@ class ServerMachine(RuleBasedStateMachine):
             return False
         if self.retired is None:
             self.retired = self.server.snapshot()
-        self.writes.append((submit(), kind, source, faults))
+        future = submit()
+        self.writes.append((future, kind, source, faults))
+        if self.save_fault_armed:
+            self.journal_at_degrade = self.store.entry_count()
+            assert future.exception(timeout=120) is None  # it landed; only its save failed
+            assert self.server.write_log[-1][0] == kind
+            assert self.server.health() == "degraded"
+            self.health = "degraded"
+            self.save_fault_armed = False
         return True
 
     def _close_server(self):
@@ -558,6 +575,8 @@ class ServerMachine(RuleBasedStateMachine):
         """Register a held-out source, its first ``faults`` attempts failing transiently."""
         name = self.pending[pick % len(self.pending)]
         request = self.workload.register_request(name)
+        if self.save_fault_armed:
+            faults = 0  # the journal faults armed for the next write stay armed
         if faults and self.health == "healthy":
             if any(kind == "register" for _, kind, _, _ in self.writes):
                 self.drain()
@@ -579,12 +598,15 @@ class ServerMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     # Faults
     # ------------------------------------------------------------------
-    @rule(times=st.integers(1, 2))
+    @precondition(lambda self: self.journal_at_degrade is None)
+    @rule(times=st.integers(1, ATTEMPTS))
     def journal_fault(self, times):
-        """The next ``times`` autosave journal appends fail transiently."""
-        if any(kind == "register" and faults for _, kind, _, faults in self.writes):
+        """The next ``times`` autosave journal appends fail transiently;
+        ``ATTEMPTS`` of them fail every save of the next write."""
+        if times >= ATTEMPTS or any(kind == "register" and faults for _, kind, _, faults in self.writes):
             self.drain()
         self.plan.rules.append(FaultRule(op="append_entry", error="transient", times=times))
+        self.save_fault_armed = self.save_fault_armed or times >= ATTEMPTS
 
     @precondition(lambda self: self.health == "healthy")
     @rule()
@@ -604,6 +626,9 @@ class ServerMachine(RuleBasedStateMachine):
     def recover(self):
         assert self.server.recover() == "healthy"
         self.health = "healthy"
+        if self.journal_at_degrade is not None:
+            assert self.store.entry_count() == self.journal_at_degrade + 1  # the owed save
+            self.journal_at_degrade = None
 
     # ------------------------------------------------------------------
     # Draining, restarting
@@ -652,7 +677,7 @@ class ServerMachine(RuleBasedStateMachine):
         self.service = QService.open(
             self.sidecar, backend=FaultyBackend(MemoryBackend(), self.plan), autosave=self.sidecar
         )
-        wrap_session_store(self.service, self.plan)
+        self.store = wrap_session_store(self.service, self.plan)
         self.plan.rules.clear()
         self.plan.enable()
         for name in self.workload.held_out:

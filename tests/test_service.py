@@ -181,8 +181,8 @@ def test_server_rejects_unknown_view_and_k_mismatch(gbco_dataset):
 # Backpressure
 # ----------------------------------------------------------------------
 def test_write_queue_backpressure_fails_fast(mini_catalog):
-    with QService(sources=list(mini_catalog)) as service:
-        with QServer(service, read_workers=2, write_queue_limit=2) as server:
+    with QService(sources=list(mini_catalog), config=ServiceConfig(write_queue_limit=2)) as service:
+        with QServer(service, read_workers=2) as server:
             gate = threading.Event()
             release = threading.Event()
 
