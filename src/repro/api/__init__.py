@@ -8,8 +8,10 @@ Entry point for query / feedback / registration traffic:
 * Frozen request/response dataclasses — :class:`QueryRequest`,
   :class:`AnswerPage`, :class:`RegisterSourceRequest`,
   :class:`FeedbackRequest`, :class:`SystemStats` and friends.
-* :class:`AlignmentStrategy` — typed strategy dispatch (plus the matcher
-  registry in :mod:`repro.matching`).
+* :class:`AlignmentStrategy` — the closed enum of aligner strategies a
+  :class:`RegisterSourceRequest` names; the registration builds the
+  aligner it names (matchers are named through the closed table of
+  :func:`repro.matching.resolve_matcher`).
 * Typed errors in :mod:`repro.api.errors`, all deriving from
   :class:`~repro.exceptions.QError`.
 
@@ -33,12 +35,7 @@ from .errors import (
     UnknownViewError,
 )
 from .service import QService
-from .strategies import (
-    AlignerSpec,
-    AlignmentStrategy,
-    available_strategies,
-    build_aligner,
-)
+from .strategies import AlignmentStrategy
 from .streaming import drain, paginate
 from .types import (
     AnswerPage,
@@ -54,7 +51,6 @@ from .types import (
 from .views import ViewRecord, ViewRegistry
 
 __all__ = [
-    "AlignerSpec",
     "AlignmentStrategy",
     "AnswerPage",
     "FeedbackRequest",
@@ -76,8 +72,6 @@ __all__ = [
     "ViewInfo",
     "ViewRecord",
     "ViewRegistry",
-    "available_strategies",
-    "build_aligner",
     "drain",
     "paginate",
 ]

@@ -38,12 +38,8 @@ def _restore_config(payload) -> ServiceConfig:
     so a future config knob round-trips without touching either side.  A
     key no field names (a retired knob) is not read.
     """
-    config = ServiceConfig()
-    for field in dataclass_fields(ServiceConfig):
-        if field.name != "graph":
-            setattr(config, field.name, payload[field.name])
-    config.graph = restore_graph_config(payload["graph"])
-    return config
+    knobs = {field.name: payload[field.name] for field in dataclass_fields(ServiceConfig) if field.name != "graph"}
+    return ServiceConfig(graph=restore_graph_config(payload["graph"]), **knobs)
 
 
 class DurabilityMixin:

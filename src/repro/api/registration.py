@@ -10,14 +10,18 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..alignment.base import AlignmentResult, install_associations
-from ..core.view import RankedView
+from ..alignment.base import AlignmentResult, BaseAligner, install_associations
+from ..alignment.exhaustive import ExhaustiveAligner
+from ..alignment.preferential import PreferentialAligner
+from ..alignment.profile_blocked import ProfileBlockedAligner
+from ..alignment.view_based import ViewBasedAligner
 from ..datastore.database import DataSource
 from ..exceptions import RegistrationError
-from ..matching.base import Correspondence, resolve_matcher
+from ..matching import resolve_matcher
+from ..matching.base import Correspondence
 from ..matching.ensemble import MatcherEnsemble
 from ..matching.value_overlap import ValueOverlapFilter
-from .strategies import AlignerSpec, AlignmentStrategy, build_aligner
+from .strategies import AlignmentStrategy
 from .types import RegisterSourceRequest, RegistrationResponse
 
 
@@ -67,8 +71,8 @@ class RegistrationMixin:
         if self._builder is not None:
             self._builder.add_source(source)
 
-    def _aligner_for(self, request: RegisterSourceRequest):
-        """Build the aligner for one registration request.
+    def _aligner_for(self, request: RegisterSourceRequest) -> Tuple[AlignmentStrategy, BaseAligner]:
+        """Build the aligner of the strategy one registration request names.
 
         The value filter wraps the session's shared profile index (the
         registrar indexes the new source before aligning, so the filter sees
@@ -77,27 +81,31 @@ class RegistrationMixin:
         strategy = AlignmentStrategy.coerce(request.strategy)
         matcher = resolve_matcher(request.matcher) if request.matcher is not None else self.matchers[0]
         value_filter = ValueOverlapFilter.from_index(self.profile_index) if request.value_filter else None
-        driving_view: Optional[RankedView] = None
-        if strategy is AlignmentStrategy.VIEW_BASED:
-            record = self.views.resolve(request.view) if request.view is not None else self.views.latest()
-            if record is None:
-                raise RegistrationError(
-                    "view_based registration requires an existing view; create one first"
-                )
-            # The driving view's α must reflect the current weights: pull it.
-            self._pull(record)
-            driving_view = record.view
-
-        aligner = build_aligner(
-            strategy,
-            AlignerSpec(
-                matcher=matcher,
-                top_y=self.config.top_y,
-                value_filter=value_filter,
-                max_relations=request.max_relations,
-                view=driving_view,
-                profile_index=self.profile_index,
-            ),
+        common = dict(top_y=self.config.top_y, value_filter=value_filter, profile_index=self.profile_index)
+        if strategy is AlignmentStrategy.EXHAUSTIVE:
+            return strategy, ExhaustiveAligner(matcher, **common)
+        if strategy is AlignmentStrategy.PREFERENTIAL:
+            return strategy, PreferentialAligner(matcher, max_relations=request.max_relations, **common)
+        if strategy is AlignmentStrategy.PROFILE_BLOCKED:
+            return strategy, ProfileBlockedAligner(matcher, **common)
+        # The view-based strategy is driven by a view's information need.
+        record = self.views.resolve(request.view) if request.view is not None else self.views.latest()
+        if record is None:
+            raise RegistrationError("view_based registration requires an existing view; create one first")
+        # The driving view's α must reflect the current weights: pull it.
+        self._pull(record)
+        view = record.view
+        if view.alpha is None:
+            raise RegistrationError("the driving view has no answers; refresh it first")
+        # The aligner operates on the persistent search graph, which has no
+        # keyword nodes; the α-neighborhood is therefore computed in the
+        # view's expanded query graph.
+        aligner = ViewBasedAligner(
+            matcher,
+            keyword_nodes=view.terminals,
+            alpha=view.alpha,
+            neighborhood_graph=view.query_graph.graph,
+            **common,
         )
         return strategy, aligner
 

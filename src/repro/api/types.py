@@ -33,9 +33,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ViewRef = Union[str, "RankedView"]
 
 
+def _require_at_least(owner: object, floors: Tuple[Tuple[str, int], ...]) -> None:
+    """Raise :class:`~repro.exceptions.InvalidRequestError` for the first
+    ``(name, least)`` of ``floors`` whose value on ``owner`` is below
+    ``least``; ``None`` means "unset" and passes."""
+    for name, least in floors:
+        value = getattr(owner, name)
+        if value is not None and value < least:
+            raise InvalidRequestError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass
 class ServiceConfig:
-    """Top-level knobs of a Q service session."""
+    """Top-level knobs of a Q service session.
+
+    Construction rejects ``top_k``, ``top_y``, ``default_page_size`` or
+    ``write_queue_limit`` below 1 and a negative ``answer_limit`` with
+    :class:`~repro.exceptions.InvalidRequestError`: no read could serve them.
+    """
 
     top_k: int = 5
     top_y: int = 2
@@ -69,6 +84,12 @@ class ServiceConfig:
     #: Reads slower than this land in the bounded slow-query log with
     #: their full span tree and pushdown decision.
     slow_query_ms: float = 250.0
+
+    def __post_init__(self) -> None:
+        _require_at_least(
+            self,
+            (("top_k", 1), ("top_y", 1), ("default_page_size", 1), ("write_queue_limit", 1), ("answer_limit", 0)),
+        )
 
 
 @dataclass(frozen=True)
@@ -125,10 +146,7 @@ class QueryRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "keywords", tuple(self.keywords))
-        for name, least in (("k", 1), ("page_size", 1), ("limit", 0), ("offset", 0)):
-            value = getattr(self, name)
-            if value is not None and value < least:
-                raise InvalidRequestError(f"{name} must be >= {least}, got {value}")
+        _require_at_least(self, (("k", 1), ("page_size", 1), ("limit", 0), ("offset", 0)))
 
     @property
     def view_name(self) -> str:
@@ -194,8 +212,8 @@ class RegisterSourceRequest:
         For the view-based strategy, the view whose information need drives
         the alignment; defaults to the most recently created view.
     matcher:
-        Base matcher — an instance, or a registered matcher name resolved
-        through :func:`repro.matching.base.resolve_matcher`; defaults to the
+        Base matcher — an instance, or a built-in matcher name resolved
+        through :func:`repro.matching.resolve_matcher`; defaults to the
         session's first configured matcher.
     value_filter:
         If ``True``, restrict comparisons to attribute pairs with value

@@ -27,25 +27,19 @@ class TupleProvenance:
     base_tuples:
         The set of ``(qualified_relation, row_id)`` pairs joined to form the
         answer.
-    tree_edges:
-        The identifiers of search-graph edges used by the producing query's
-        Steiner tree.  This is what the MIRA learner constrains.
     """
 
     query_id: str
     query_cost: float
     base_tuples: FrozenSet[Tuple[str, int]] = frozenset()
-    tree_edges: FrozenSet[str] = frozenset()
-
-    def involves_relation(self, relation: str) -> bool:
-        """Whether any base tuple comes from ``relation``."""
-        return any(rel == relation for rel, _ in self.base_tuples)
 
 
 #: One answer as a query's execution returns it: the cell values in the
 #: order of :meth:`~repro.datastore.query.ConjunctiveQuery.answer_cells`,
-#: and the provenance stamped when it was executed.
-AnswerRow = Tuple[Tuple[object, ...], TupleProvenance]
+#: and the ``(qualified_relation, row_id)`` base tuples joined to form it.
+#: A row does not know which tree asked for it: the answer built from it
+#: is stamped with that tree's query id and cost.
+AnswerRow = Tuple[Tuple[object, ...], FrozenSet[Tuple[str, int]]]
 
 
 @dataclass

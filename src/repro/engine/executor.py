@@ -73,7 +73,7 @@ class PlanExecutor:
         limit: Optional[int] = None,
         budget: "Optional[Budget]" = None,
     ) -> List[AnswerRow]:
-        """Execute one conjunctive query; its rows carry provenance.
+        """Execute one conjunctive query into its rows: cells and base tuples.
 
         When :meth:`~repro.engine.context.ExecutionContext.choose_target`
         picks the SQL target, the whole query runs inside the backend (same
@@ -115,11 +115,10 @@ class PlanExecutor:
             partials = partials[:limit]
         cells = [(atom_positions[i], index) for i, index in query.answer_cells(self.catalog).values()]
         atoms = [(atom.relation, atom_positions[i]) for i, atom in enumerate(query.atoms)]
-        query_id = query.provenance or "query"
         return [
             (
                 tuple([partial[slot].values[index] for slot, index in cells]),
-                TupleProvenance(query_id, query.cost, frozenset([(r, partial[slot].row_id) for r, slot in atoms])),
+                frozenset([(r, partial[slot].row_id) for r, slot in atoms]),
             )
             for partial in partials
         ]
@@ -235,22 +234,19 @@ def _answers(
 
     Each row's cells are keyed by the unified column its label maps to and
     padded with ``None`` for the columns the query does not populate, and
-    the answer is stamped with ``query``'s cost and id: rows replayed from
-    the cache may come from another tree cost or another query of the same
-    content.  The labels are mapped once per query; a row's provenance is
-    rebuilt only when the cost or id differs.  Rows are never mutated.
+    the answer's provenance is stamped here, and only here, with ``query``'s
+    id and cost: a row replayed from the cache may have been executed for
+    another tree of the same content.  The labels are mapped once per query.
     """
     if not rows:
         return
     keys = [column_mapping.get(label, label) for label in query.answer_cells(catalog)]
     padding = dict.fromkeys(column for column in unified_columns if column not in keys)
     cost, query_id = query.cost, query.provenance or "query"
-    for cells, provenance in rows:
-        if provenance.query_cost != cost or provenance.query_id != query_id:
-            provenance = TupleProvenance(query_id, cost, provenance.base_tuples, provenance.tree_edges)
+    for cells, base_tuples in rows:
         values = dict(zip(keys, cells))
         values.update(padding)
-        yield AnswerTuple(values=values, cost=cost, provenance=provenance)
+        yield AnswerTuple(values=values, cost=cost, provenance=TupleProvenance(query_id, cost, base_tuples))
 
 
 def _align_columns(

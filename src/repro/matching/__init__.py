@@ -12,17 +12,20 @@ Public API
   overlap scoring and the Figure 7 comparison filter.
 * :class:`MatcherEnsemble`, :class:`EnsembleAlignment` — combining matchers
   (Section 3.2.3).
+* :func:`resolve_matcher`, :func:`available_matchers` — the built-in
+  matchers by name, as requests reference them.
 """
 
+from types import MappingProxyType
+from typing import Tuple, Union
+
+from ..exceptions import UnknownMatcherError
 from .base import (
     AttributeRef,
     BaseMatcher,
     ComparisonCounter,
     Correspondence,
-    available_matchers,
     group_correspondences,
-    register_matcher,
-    resolve_matcher,
     top_y_per_attribute,
 )
 from .ensemble import EnsembleAlignment, MatcherEnsemble
@@ -44,11 +47,35 @@ from .mad_graph import (
 from .metadata_matcher import MetadataMatcher, MetadataMatcherConfig
 from .value_overlap import ValueOverlapFilter, ValueOverlapMatcher
 
-# The built-in matchers, dispatchable by their canonical names (the same
-# names that appear in Correspondence.matcher / edge feature names).
-register_matcher(MetadataMatcher.name, MetadataMatcher)
-register_matcher(MadMatcher.name, MadMatcher)
-register_matcher(ValueOverlapMatcher.name, ValueOverlapMatcher)
+#: The matchers a request may name, by their canonical names (the same
+#: names that appear in Correspondence.matcher / edge feature names).  The
+#: table is closed: a new matcher is a new row here.
+_MATCHERS = MappingProxyType({cls.name: cls for cls in (MetadataMatcher, MadMatcher, ValueOverlapMatcher)})
+
+
+def available_matchers() -> Tuple[str, ...]:
+    """Sorted names of every matcher a request may name."""
+    return tuple(sorted(_MATCHERS))
+
+
+def resolve_matcher(matcher: Union[str, BaseMatcher]) -> BaseMatcher:
+    """Resolve a matcher reference: instances pass through, names build a fresh one.
+
+    A fresh instance per name, because matchers carry mutable comparison
+    counters that shared singletons would corrupt (Figures 7 and 8).
+
+    Raises
+    ------
+    UnknownMatcherError
+        If ``matcher`` is a string naming no matcher; the error lists the
+        valid options.
+    """
+    if isinstance(matcher, BaseMatcher):
+        return matcher
+    cls = _MATCHERS.get(matcher)
+    if cls is None:
+        raise UnknownMatcherError(matcher, available_matchers())
+    return cls()
 
 __all__ = [
     "AttributeRef",
@@ -68,7 +95,6 @@ __all__ = [
     "ValueOverlapMatcher",
     "attribute_graph_node",
     "available_matchers",
-    "register_matcher",
     "resolve_matcher",
     "build_column_value_graph",
     "compute_walk_probabilities",

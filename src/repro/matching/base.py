@@ -13,11 +13,10 @@ from __future__ import annotations
 import abc
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..datastore.schema import AttributeRef
 from ..datastore.table import Table
-from ..exceptions import UnknownMatcherError
 
 
 def pair_key(source: AttributeRef, target: AttributeRef) -> Tuple[str, str]:
@@ -114,50 +113,6 @@ class BaseMatcher(abc.ABC):
     def reset_counters(self) -> None:
         """Reset the comparison instrumentation."""
         self.counter.reset()
-
-
-# ----------------------------------------------------------------------
-# Matcher registry
-# ----------------------------------------------------------------------
-#: Factory producing a fresh matcher instance (matchers carry mutable
-#: comparison counters, so shared singletons would corrupt the Figure 7/8
-#: instrumentation).
-MatcherFactory = Callable[[], "BaseMatcher"]
-
-_MATCHER_REGISTRY: Dict[str, MatcherFactory] = {}
-
-
-def register_matcher(name: str, factory: MatcherFactory) -> None:
-    """Register a matcher factory under its canonical name.
-
-    The name is the dispatch key for requests that reference a matcher by
-    string (e.g. ``RegisterSourceRequest(matcher="metadata")``); it should
-    equal the matcher class's :attr:`BaseMatcher.name` so that feature names
-    in :class:`Correspondence` objects round-trip through the registry.
-    """
-    _MATCHER_REGISTRY[name] = factory
-
-
-def available_matchers() -> Tuple[str, ...]:
-    """Sorted names of every registered matcher."""
-    return tuple(sorted(_MATCHER_REGISTRY))
-
-
-def resolve_matcher(matcher: Union[str, "BaseMatcher"]) -> "BaseMatcher":
-    """Resolve a matcher reference: instances pass through, names dispatch.
-
-    Raises
-    ------
-    UnknownMatcherError
-        If ``matcher`` is a string not present in the registry; the error
-        lists the valid options.
-    """
-    if isinstance(matcher, BaseMatcher):
-        return matcher
-    factory = _MATCHER_REGISTRY.get(matcher)
-    if factory is None:
-        raise UnknownMatcherError(matcher, available_matchers())
-    return factory()
 
 
 def top_y_per_attribute(

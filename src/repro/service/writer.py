@@ -33,12 +33,7 @@ import uuid
 from concurrent.futures import Future
 from typing import Callable, List, Optional, Tuple
 
-from ..exceptions import (
-    InvalidRequestError,
-    ServerClosedError,
-    ServiceOverloadedError,
-    ServiceUnavailableError,
-)
+from ..exceptions import ServerClosedError, ServiceOverloadedError, ServiceUnavailableError
 from ..faults.retry import RetryPolicy, is_fatal_storage_failure
 from ..obs.tracing import active_trace
 from .snapshots import ReadSnapshot
@@ -78,10 +73,7 @@ class WriterMixin:
 
     def _init_writer(self, retry_policy: Optional[RetryPolicy]) -> None:
         """Set the lane's state; ``self._writer.start()`` starts it."""
-        limit = self._service.config.write_queue_limit
-        if limit < 1:
-            raise InvalidRequestError(f"write_queue_limit must be >= 1, got {limit}")
-        self.write_queue_limit = limit
+        self.write_queue_limit = self._service.config.write_queue_limit
         self._retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         #: The failure that put the server in read-only mode; ``None`` while
         #: it is healthy.

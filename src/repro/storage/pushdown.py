@@ -7,11 +7,11 @@ the engine does not need to scan, hash and join in Python at all: the query
 2.2).  This module holds the one compiler of such a statement
 (:class:`CompiledQuery`), which also decodes each result record into the
 same row the Python target returns: the answer's cell values in the
-query's label order and its provenance.  Turning rows into answers is not
-this module's job.  :class:`SqlPushdown` runs the statement.  A ranked
-view is not a SQL shape of its own: it executes its queries one by one and
-merges their rows with :func:`~repro.engine.executor.ranked_union`, on
-every backend.
+query's label order and the base tuples joined to form it.  Turning rows
+into answers is not this module's job.  :class:`SqlPushdown` runs the
+statement.  A ranked view is not a SQL shape of its own: it executes its
+queries one by one and merges their rows with
+:func:`~repro.engine.executor.ranked_union`, on every backend.
 
 Parity is guaranteed by construction rather than by approximation:
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from ..datastore.provenance import AnswerRow, TupleProvenance
+from ..datastore.provenance import AnswerRow
 from ..datastore.sqlgen import quote_identifier
 from ..exceptions import UnknownRelationError
 from .sqlite import SqliteBackend, canon_sql, exact_condition
@@ -79,11 +79,10 @@ class CompiledQuery:
     ``sql``.
     """
 
-    __slots__ = ("query", "relations", "cells", "sql", "params")
+    __slots__ = ("relations", "cells", "sql", "params")
 
     def __init__(self, backend, catalog: "Catalog", query: "ConjunctiveQuery") -> None:
         query.validate()
-        self.query = query
         atoms = query.atoms
         self.relations = [atom.relation for atom in atoms]
         self.cells: List[Tuple[int, int]] = list(query.answer_cells(catalog).values())
@@ -136,17 +135,12 @@ class CompiledQuery:
         """Decode one result record into the query's row."""
         decode = SqliteBackend._decode_cell
         cell_base = 2 * len(self.relations)
-        query = self.query
         return (
             tuple([
                 decode(record[cell_base + slot], record[2 * i + 1], index)
                 for slot, (i, index) in enumerate(self.cells)
             ]),
-            TupleProvenance(
-                query.provenance or "query",
-                query.cost,
-                frozenset(zip(self.relations, record[0:cell_base:2])),
-            ),
+            frozenset(zip(self.relations, record[0:cell_base:2])),
         )
 
 
@@ -157,6 +151,6 @@ class SqlPushdown:
         self.backend = backend
 
     def execute(self, catalog: "Catalog", query: "ConjunctiveQuery") -> List[AnswerRow]:
-        """Run ``query`` as one parameterized SELECT; its rows carry provenance."""
+        """Run ``query`` as one parameterized SELECT into its rows."""
         compiled = CompiledQuery(self.backend, catalog, query)
         return [compiled.row(record) for record in self.backend.execute_sql(compiled.sql, compiled.params)]

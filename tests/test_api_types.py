@@ -5,23 +5,23 @@ from __future__ import annotations
 import pytest
 
 from repro.api import (
-    AlignerSpec,
     AlignmentStrategy,
     AnswerPage,
     InvalidRequestError,
     QueryRequest,
+    RegisterSourceRequest,
     ServiceConfig,
     UnknownMatcherError,
     UnknownStrategyError,
     UnknownViewError,
-    available_strategies,
-    build_aligner,
     paginate,
 )
 from repro.api.views import ViewRegistry
 from repro.datastore.provenance import AnswerTuple
 from repro.exceptions import QError, RegistrationError
 from repro.matching import MetadataMatcher, available_matchers, resolve_matcher
+
+from test_api_service import _extra_source, _mini_service
 
 
 class TestAlignmentStrategy:
@@ -42,20 +42,41 @@ class TestAlignmentStrategy:
         with pytest.raises(UnknownStrategyError) as excinfo:
             AlignmentStrategy.coerce("nope")
         message = str(excinfo.value)
-        for valid in available_strategies():
+        assert excinfo.value.valid == ("exhaustive", "preferential", "profile_blocked", "view_based")
+        for valid in excinfo.value.valid:
             assert valid in message
         # Typed errors stay catchable through the library-wide base class.
         assert isinstance(excinfo.value, QError)
 
-    def test_build_aligner_dispatches(self):
-        spec = AlignerSpec(matcher=MetadataMatcher(), top_y=2)
-        aligner = build_aligner("exhaustive", spec)
-        assert aligner.strategy_name == "exhaustive"
+    @pytest.mark.parametrize("strategy", list(AlignmentStrategy), ids=lambda strategy: strategy.value)
+    def test_registration_builds_the_aligner_it_names(self, strategy):
+        service = _mini_service()
+        service.create_view(QueryRequest(keywords=("membrane", "IPR001")))
+        response = service.register_source(RegisterSourceRequest(source=_extra_source(), strategy=strategy.value))
+        assert response.strategy is strategy
+        assert response.alignment.strategy == strategy.value  # the aligner's strategy_name
 
     def test_view_based_without_view_raises_registration_error(self):
-        spec = AlignerSpec(matcher=MetadataMatcher())
-        with pytest.raises(RegistrationError):
-            build_aligner(AlignmentStrategy.VIEW_BASED, spec)
+        service = _mini_service()
+        request = RegisterSourceRequest(source=_extra_source(), strategy=AlignmentStrategy.VIEW_BASED)
+        with pytest.raises(RegistrationError, match="requires an existing view"):
+            service.register_source(request)
+        assert service.stats().sources == 2  # refused before anything was admitted
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("top_k", 0), ("top_y", 0), ("default_page_size", 0), ("write_queue_limit", 0), ("answer_limit", -1)],
+    )
+    def test_values_no_read_can_serve_are_rejected_at_construction(self, name, value):
+        with pytest.raises(InvalidRequestError, match=f"{name} must be >= {value + 1}, got {value}"):
+            ServiceConfig(**{name: value})
+
+    def test_the_least_servable_values_construct(self):
+        config = ServiceConfig(top_k=1, top_y=1, default_page_size=1, write_queue_limit=1, answer_limit=0)
+        assert (config.top_k, config.answer_limit) == (1, 0)
+        assert ServiceConfig(answer_limit=None).answer_limit is None
 
 
 class TestRetiredConfigKnobs:

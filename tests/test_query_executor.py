@@ -128,7 +128,6 @@ class TestQueryExecutor:
         assert provenance.query_id == "q1"
         assert provenance.query_cost == 3.5
         assert any(rel == "go.term" for rel, _ in provenance.base_tuples)
-        assert provenance.involves_relation("go.term")
         assert answers[0].cost == 3.5
 
     def test_answer_key_stable(self, mini_catalog):

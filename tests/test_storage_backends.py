@@ -405,6 +405,25 @@ class TestPushdownParity:
         assert len(alone[0][0]) == (2 if with_outputs else 4)
         backend.close()
 
+    def test_rows_do_not_know_the_tree_that_asked(self):
+        # One query content executed for two trees of different cost and id
+        # returns equal rows on either target; the answer builder stamps each
+        # answer with its own query's id and cost.
+        first, second = _make_query(), _make_query()
+        second.provenance, second.cost = "tree-2", 0.75
+        backend = SqliteBackend(":memory:")
+        catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
+        memory = PlanExecutor(Catalog([clone_source(s) for s in _mini_sources()]))
+        pushdown = SqlPushdown(backend)
+        rows = memory.execute(first)
+        assert rows and memory.execute(second) == rows
+        assert pushdown.execute(catalog, first) == rows == pushdown.execute(catalog, second)
+        answers = list(ranked_union([first, second], lambda query: rows, memory.catalog))
+        stamps = [(a.cost, a.provenance.query_id, a.provenance.query_cost) for a in answers]
+        assert stamps == [(0.75, "tree-2", 0.75)] * len(rows) + [(1.5, "tree-1", 1.5)] * len(rows)
+        assert [a.provenance.base_tuples for a in answers] == [base for _, base in rows] * 2
+        backend.close()
+
     def test_scan_pushdown_matches_python_filter(self):
         sources = [clone_source(s) for s in _mini_sources()]
         catalog_mem = Catalog([clone_source(s) for s in sources])
