@@ -16,7 +16,7 @@ from ..alignment.preferential import PreferentialAligner
 from ..alignment.profile_blocked import ProfileBlockedAligner
 from ..alignment.view_based import ViewBasedAligner
 from ..datastore.database import DataSource
-from ..exceptions import RegistrationError
+from ..exceptions import InvalidRequestError, RegistrationError
 from ..matching import resolve_matcher
 from ..matching.base import Correspondence
 from ..matching.ensemble import MatcherEnsemble
@@ -43,9 +43,12 @@ class RegistrationMixin:
 
         Reproduces the Section 5.2 setup.  Lazy semantics: installing the
         association edges bumps the graph's ``structure_version``; no view
-        is refreshed here — each one rebuilds on its next read.
+        is refreshed here — each one rebuilds on its next read.  A
+        ``top_y`` below 1 raises :class:`~repro.exceptions.InvalidRequestError`.
         """
         y = top_y if top_y is not None else self.config.top_y
+        if y < 1:
+            raise InvalidRequestError(f"top_y must be >= 1, got {y}")
         for matcher in self.matchers:
             matcher.attach_index(self.profile_index)
         alignments = MatcherEnsemble(self.matchers, top_y=y).match_tables(self.catalog.all_tables())

@@ -89,8 +89,6 @@ _SESSION_COUNTERS = (
      lambda s: s._refreshes),
     ("view_refreshes_skipped", "q_view_refreshes_skipped_total", "Reads whose view snapshot was already current",
      lambda s: s._refreshes_skipped),
-    ("pushdown_scans", "q_pushdown_scans_total", "Per-relation filtered scans served inside the backend",
-     lambda s: s.engine_context.statistics.pushdown_scans),
     ("pushdown_queries", "q_pushdown_queries_total", "Whole conjunctive queries served inside the backend",
      lambda s: s.engine_context.statistics.pushdown_queries),
     ("steiner_cache_hits", "q_steiner_cache_hits_total", "Steiner-network snapshot cache hits",

@@ -219,7 +219,8 @@ class RegisterSourceRequest:
         If ``True``, restrict comparisons to attribute pairs with value
         overlap (requires indexing all current tables plus the new one).
     max_relations:
-        Budget for the preferential strategy.
+        Budget for the preferential strategy; construction rejects a budget
+        below 1 with :class:`~repro.exceptions.InvalidRequestError`.
     """
 
     source: "DataSource"
@@ -228,6 +229,9 @@ class RegisterSourceRequest:
     matcher: Optional[Union[str, "BaseMatcher"]] = None
     value_filter: bool = False
     max_relations: Optional[int] = 5
+
+    def __post_init__(self) -> None:
+        _require_at_least(self, (("max_relations", 1),))
 
 
 @dataclass(frozen=True)
@@ -336,12 +340,11 @@ class SystemStats:
     pairs_scored: int = 0
     #: Tenants with a weight overlay in this session (0 = single-tenant).
     tenants: int = 0
-    #: Storage-pushdown counters (0 on backends without the capability):
-    #: per-relation filtered scans and whole-query SELECTs served inside
-    #: the backend instead of the Python engine.
-    pushdown_scans: int = 0
+    #: Whole-query SELECTs served inside the storage backend instead of the
+    #: Python engine (0 on backends without SQL pushdown).
     pushdown_queries: int = 0
-    #: Always 0: bench/workloads.py reads it by name; a later `benchmark` issue removes both together.
+    #: Always 0: bench/workloads.py reads both by name; a later `benchmark` issue removes them together.
+    pushdown_scans: int = 0
     pushdown_union_queries: int = 0
     #: Full from-profile posting rebuilds the profile index performed: 0
     #: on a live session and across a warm open that only reads saved

@@ -7,7 +7,7 @@ to answer the keyword query:
   zero-cost membership edge — becomes a query atom;
 * every non-zero-cost edge between attribute nodes (association edge) and
   every foreign-key edge becomes an equi-join predicate;
-* every keyword match on a data value becomes a selection predicate on the
+* every keyword match on a data value becomes an equality selection on the
   value's attribute;
 * the select-list contains the attributes the tree touches, so that answers
   surface the values that made the tree relevant.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..datastore.query import ConjunctiveQuery
 from ..exceptions import QueryError
@@ -177,7 +177,6 @@ class QueryGenerator:
                         aliases[target_node.relation],
                         target_node.attribute,
                         target_node.label,
-                        mode="equals",
                     )
                     touched.add((target_node.relation, target_node.attribute))
             elif (

@@ -13,7 +13,7 @@ one keyword query by a ranked *disjoint union* of those rows
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..exceptions import QueryError
 
@@ -66,26 +66,17 @@ class JoinPredicate:
 
 @dataclass(frozen=True)
 class SelectionPredicate:
-    """A keyword selection condition on one attribute.
+    """A keyword's match on one data value: ``alias.attribute`` equals ``value``.
 
-    ``mode`` controls the match semantics:
-
-    * ``"equals"`` — canonical value equality,
-    * ``"contains"`` — case-insensitive substring containment,
-    * ``"keyword"`` — token containment (every query token appears in the
-      value's token set); this is the default used for keyword queries.
+    The one selection the query generator emits.  Equality is on canonical
+    forms (:func:`~repro.datastore.types.canonicalize`): surrounding
+    whitespace is ignored, case is not, and a null cell or needle matches
+    nothing.
     """
 
     alias: str
     attribute: str
     value: str
-    mode: str = "keyword"
-
-    VALID_MODES = ("equals", "contains", "keyword")
-
-    def __post_init__(self) -> None:
-        if self.mode not in self.VALID_MODES:
-            raise QueryError(f"invalid selection mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -152,12 +143,10 @@ class ConjunctiveQuery:
         self.joins.append(predicate)
         return predicate
 
-    def add_selection(
-        self, alias: str, attribute: str, value: str, mode: str = "keyword"
-    ) -> SelectionPredicate:
-        """Add a keyword selection predicate on ``alias.attribute``."""
+    def add_selection(self, alias: str, attribute: str, value: str) -> SelectionPredicate:
+        """Add the selection ``alias.attribute = value``."""
         self._require_alias(alias)
-        predicate = SelectionPredicate(alias, attribute, value, mode)
+        predicate = SelectionPredicate(alias, attribute, value)
         self.selections.append(predicate)
         return predicate
 

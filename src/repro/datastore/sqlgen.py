@@ -36,20 +36,13 @@ def _column(alias: str, attribute: str) -> str:
 
 
 def selection_condition(predicate: SelectionPredicate, column_sql: str) -> str:
-    """Render one selection predicate as a portable SQL condition.
+    """Render one selection predicate as the portable SQL ``column = 'value'``.
 
     ``column_sql`` is the (already quoted) SQL expression for the selected
-    column.  ``equals`` renders as ``=``, ``contains`` as a ``LIKE``
-    pattern; the keyword rendering is a documented approximation: token
-    containment becomes conjoined substring LIKEs.
+    column.  Plain ``=`` compares raw text; the library compares canonical
+    forms (:func:`repro.storage.sqlite.exact_condition`).
     """
-    if predicate.mode == "equals":
-        return f"{column_sql} = {_quote_literal(predicate.value)}"
-    if predicate.mode == "contains":
-        return f"{column_sql} LIKE {_quote_literal('%' + predicate.value + '%')}"
-    tokens = predicate.value.split()
-    clauses = [f"{column_sql} LIKE {_quote_literal('%' + token + '%')}" for token in tokens]
-    return "(" + " AND ".join(clauses) + ")" if clauses else "1 = 1"
+    return f"{column_sql} = {_quote_literal(predicate.value)}"
 
 
 def _from_where(query: ConjunctiveQuery) -> str:

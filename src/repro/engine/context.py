@@ -41,8 +41,9 @@ from ..steiner.tree import SteinerTree
 from ..storage.pushdown import SqlPushdown, off_backend_relations
 from .predicates import CompiledPredicate
 
-#: Identity of a filtered scan within one relation: sorted predicate keys.
-PredicatesKey = Tuple[object, ...]
+#: Identity of a filtered scan within one relation: its predicates' keys (a
+#: conjunction is a set, and a set never orders a null needle against a value).
+PredicatesKey = FrozenSet[Tuple[str, Optional[str]]]
 
 
 #: The two targets a read can be lowered onto (see
@@ -61,8 +62,6 @@ class ContextStatistics:
     index_scans: int = 0
     join_indexes_built: int = 0
     join_index_cache_hits: int = 0
-    #: Filtered scans answered natively by the storage backend (SQL).
-    pushdown_scans: int = 0
     #: Whole conjunctive queries answered natively by the storage backend.
     pushdown_queries: int = 0
 
@@ -288,10 +287,11 @@ class _RelationCaches:
 class ExecutionContext:
     """Caches shared across the queries executed against one catalog.
 
-    Selection pushdown: ``equals``-mode predicates are answered from
-    per-attribute inverted value indexes (value → row ids) built lazily per
-    relation, rebuilt automatically when the table's data version moves so
-    they can never serve stale rows.
+    Selection pushdown: a filtered scan is seeded from a per-attribute
+    inverted value index (canonical value → row ids) built lazily per
+    relation, on every backend, and rebuilt when the table's data version
+    moves, so it can never serve stale rows.  An unfiltered scan reads the
+    table.
     """
 
     def __init__(self, catalog: Catalog) -> None:
@@ -321,12 +321,7 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     # Target selection
     # ------------------------------------------------------------------
-    def choose_target(
-        self,
-        query,
-        limit: Optional[int] = None,
-        budget=None,
-    ) -> Tuple[str, Optional[str]]:
+    def choose_target(self, query, budget=None) -> Tuple[str, Optional[str]]:
         """The one capability check: where ``query`` runs.
 
         Returns ``(SQL, None)`` when the query can be rendered as one
@@ -335,11 +330,8 @@ class ExecutionContext:
         log records, so the reason a dashboard shows is the reason the
         engine acted on.  Conditions are tested most fundamental first.
 
-        ``limit`` and ``budget`` are what the caller can observe about the
-        read: a per-query limit (the engine's cross-product valve may
-        truncate mid-join, which SQL does not replicate) and a deadline
-        (the Python plan loop checks it per step; a SQL statement runs to
-        completion).
+        ``budget`` is the read's deadline: the Python plan loop checks it
+        per step; a SQL statement runs to completion.
         """
         if self.pushdown is None:
             return PYTHON, "backend has no SQL pushdown (Python join engine)"
@@ -348,8 +340,6 @@ class ExecutionContext:
                 "deadline-budgeted read: one SQL statement cannot be "
                 "interrupted at the deadline"
             )
-        if limit is not None:
-            return PYTHON, "per-query limit: served by the engine's partial-result valve"
         missing = off_backend_relations(self.pushdown.backend, self.catalog, query)
         if missing:
             names = ", ".join(sorted(set(missing)))
@@ -430,7 +420,7 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     @staticmethod
     def _predicates_key(predicates: Sequence[CompiledPredicate]) -> PredicatesKey:
-        return tuple(sorted(p.key for p in predicates))
+        return frozenset(p.key for p in predicates)
 
     def scan(self, relation: str, predicates: Sequence[CompiledPredicate]) -> List[Row]:
         """Rows of ``relation`` passing all ``predicates`` (cached).
@@ -454,55 +444,17 @@ class ExecutionContext:
         if not predicates:
             self.statistics.scans += 1
             return list(table.scan())
-        # Backend pushdown: a SQL-capable backend evaluates the selections
-        # natively (same semantics — the backend runs the library's own
-        # matcher, see repro.storage.sqlite).
-        pushed = self._backend_scan_where(table, predicates)
-        if pushed is not None:
-            self.statistics.pushdown_scans += 1
-            return pushed
-        # Selection pushdown: seed the scan from a value index when an
-        # equals-mode predicate can enumerate candidate rows directly.
-        seed_rows = self._index_seed_rows(caches, table, predicates)
-        if seed_rows is not None:
-            self.statistics.index_scans += 1
-            candidates = seed_rows
-        else:
-            self.statistics.scans += 1
-            candidates = table.scan()
-        return [
-            row
-            for row in candidates
-            if all(p.matches(row[p.attribute]) for p in predicates)
-        ]
-
-    @staticmethod
-    def _backend_scan_where(
-        table: Table, predicates: Sequence[CompiledPredicate]
-    ) -> Optional[List[Row]]:
-        backend = table.storage_backend
-        if not backend.supports_sql_pushdown:
-            return None
-        return backend.scan_where(
-            table.storage_key, [(p.attribute, p.mode, p.value) for p in predicates]
+        # Selection pushdown: seed the scan from the value index of the
+        # predicate with the fewest candidate rows.
+        self.statistics.index_scans += 1
+        seed = min(
+            (self._attribute_index(caches, table, p.attribute).get(p.canonical_value, [])
+             for p in predicates),
+            key=len,
         )
-
-    def _index_seed_rows(
-        self, caches: _RelationCaches, table: Table, predicates: Sequence[CompiledPredicate]
-    ) -> Optional[Sequence[Row]]:
-        """Candidate rows from an index lookup, or ``None`` for a full scan."""
-        best: Optional[List[int]] = None
-        for predicate in predicates:
-            if predicate.mode != "equals" or predicate.canonical_value is None:
-                continue
-            index = self._attribute_index(caches, table, predicate.attribute)
-            row_ids = index.get(predicate.canonical_value, [])
-            if best is None or len(row_ids) < len(best):
-                best = row_ids
-        if best is None:
-            return None
         rows = table.scan()
-        return [rows[row_id] for row_id in best]
+        candidates = (rows[row_id] for row_id in seed)
+        return [row for row in candidates if all(p.matches(row[p.attribute]) for p in predicates)]
 
     def _attribute_index(
         self, caches: _RelationCaches, table: Table, attribute: str

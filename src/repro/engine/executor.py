@@ -20,12 +20,6 @@ costs, same provenance, and same *list order*: rows are emitted in
 ascending base-tuple ``row_id`` order following the query's atom list, which
 is precisely the order the seed's left-to-right nested iteration produces.
 Join reordering therefore never leaks into observable output.
-
-One carve-out: the 100 000-partial safety valve (active only when a
-``limit`` is given *and* an intermediate join explodes past the cap)
-truncates in the engine's join order, so in that pathological regime the
-surviving subset may differ from the seed's — both are arbitrary
-truncations of a cross-product blow-up.
 """
 
 from __future__ import annotations
@@ -44,9 +38,6 @@ from ..datastore.types import canonicalize
 from ..obs.tracing import active_trace
 from .context import SQL, ExecutionContext
 from .plan import PlanStep, QueryPlan, QueryPlanner
-
-#: Same pathological-cross-product valve as the seed executor.
-PARTIAL_RESULT_CAP = 100000
 
 
 def default_column_compatibility(label_a: str, label_b: str) -> bool:
@@ -68,19 +59,15 @@ class PlanExecutor:
     # Single-query execution
     # ------------------------------------------------------------------
     def execute(
-        self,
-        query: ConjunctiveQuery,
-        limit: Optional[int] = None,
-        budget: "Optional[Budget]" = None,
+        self, query: ConjunctiveQuery, budget: "Optional[Budget]" = None
     ) -> List[AnswerRow]:
         """Execute one conjunctive query into its rows: cells and base tuples.
 
         When :meth:`~repro.engine.context.ExecutionContext.choose_target`
         picks the SQL target, the whole query runs inside the backend (same
         rows in the same order — see :mod:`repro.storage.pushdown`);
-        otherwise the planned Python join engine below executes it, with
-        per-relation scan pushdown still applying where the backend offers
-        it.  Either way a row holds the cell values in the order of the
+        otherwise the planned Python join engine below executes it.  Either
+        way a row holds the cell values in the order of the
         query's :meth:`~repro.datastore.query.ConjunctiveQuery.answer_cells`.
 
         With a ``budget``, the plan loop checks it per step and raises
@@ -93,7 +80,7 @@ class PlanExecutor:
             budget.check("executor")
         trace = active_trace()
         context = self.context
-        target, reason = context.choose_target(query, limit=limit, budget=budget)
+        target, reason = context.choose_target(query, budget=budget)
         if target == SQL:
             rows = context.pushdown.execute(self.catalog, query)
             context.statistics.pushdown_queries += 1
@@ -102,7 +89,7 @@ class PlanExecutor:
         trace.annotate_once("fallback_reason", reason)
         trace.tally("queries_python")
         plan = self.planner.plan(query)
-        partials = self._run_plan(plan, limit, budget=budget)
+        partials = self._run_plan(plan, budget=budget)
         if not partials:
             return []
         # Canonical output order: ascending row ids along the query's atom
@@ -111,8 +98,6 @@ class PlanExecutor:
         position = {step.alias: i for i, step in enumerate(plan.steps)}
         atom_positions = [position[atom.alias] for atom in query.atoms]
         partials.sort(key=lambda rows: tuple(rows[i].row_id for i in atom_positions))
-        if limit is not None:
-            partials = partials[:limit]
         cells = [(atom_positions[i], index) for i, index in query.answer_cells(self.catalog).values()]
         atoms = [(atom.relation, atom_positions[i]) for i, atom in enumerate(query.atoms)]
         return [
@@ -124,10 +109,7 @@ class PlanExecutor:
         ]
 
     def _run_plan(
-        self,
-        plan: QueryPlan,
-        limit: Optional[int],
-        budget: "Optional[Budget]" = None,
+        self, plan: QueryPlan, budget: "Optional[Budget]" = None
     ) -> List[Tuple[Row, ...]]:
         """Run the plan's steps; partials are row tuples in step order."""
         context = self.context
@@ -143,8 +125,6 @@ class PlanExecutor:
                 partials = [partial + (row,) for partial in partials for row in rows]
             else:
                 partials = self._hash_join(step, position, partials)
-            if limit is not None and len(partials) > PARTIAL_RESULT_CAP:
-                partials = partials[:PARTIAL_RESULT_CAP]
         return partials
 
     def _hash_join(

@@ -6,8 +6,8 @@ The planner turns a :class:`~repro.datastore.query.ConjunctiveQuery` into an
 explicit :class:`QueryPlan` instead:
 
 * selections are compiled once (:mod:`repro.engine.predicates`) and pushed
-  down into the scan of their atom, where ``equals`` predicates can be
-  answered straight from a value index;
+  down into the scan of their atom, where they are answered straight from
+  a value index;
 * the join order is chosen greedily by estimated cardinality — start from
   the smallest filtered atom, then repeatedly attach the smallest atom
   reachable through a join predicate (falling back to a cross product only
@@ -79,7 +79,7 @@ class QueryPlan:
                 f"{j.left_alias}.{j.left_attribute}={step.alias}.{j.right_attribute}"
                 for j in step.joins
             )
-            sels = ", ".join(f"{p.attribute} {p.mode} {p.value!r}" for p in step.predicates)
+            sels = ", ".join(f"{p.attribute} = {p.value!r}" for p in step.predicates)
             parts = [part for part in (conds, f"select[{sels}]" if sels else "") if part]
             detail = "; ".join(parts)
             lines.append(f"{op} {step.relation} AS {step.alias} (~{step.estimated_rows} rows)"

@@ -1,11 +1,9 @@
 """Precompiled selection predicates.
 
-The seed executor's ``_selection_matches`` re-canonicalized and re-tokenized
-the predicate *needle* for every row it looked at.  The engine compiles each
+The seed executor's ``_selection_matches`` re-canonicalized the predicate
+*needle* for every row it looked at.  The engine compiles each
 :class:`~repro.datastore.query.SelectionPredicate` once per query into a
-:class:`CompiledPredicate` that precomputes everything derivable from the
-needle alone — the canonical value (``equals`` mode), the lowered substring
-(``contains`` mode) and the needle token set (``keyword`` mode) — so that
+:class:`CompiledPredicate` that holds the needle's canonical value, so that
 per-row evaluation touches only the row's cell value.
 
 Compiled predicates are value objects: their :attr:`CompiledPredicate.key`
@@ -17,86 +15,45 @@ one cached scan even if their aliases differ).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..datastore.query import SelectionPredicate
 from ..datastore.types import canonicalize
-from ..similarity.tokenize import tokenize
 
 
 class CompiledPredicate:
-    """One selection predicate with its needle-side work done up front."""
+    """One selection predicate with its needle canonicalized up front."""
 
-    __slots__ = (
-        "alias",
-        "attribute",
-        "mode",
-        "value",
-        "canonical_value",
-        "needle_lower",
-        "needle_tokens",
-    )
+    __slots__ = ("alias", "attribute", "value", "canonical_value")
 
     def __init__(self, predicate: SelectionPredicate) -> None:
         self.alias = predicate.alias
         self.attribute = predicate.attribute
-        self.mode = predicate.mode
         self.value = predicate.value
-        self.canonical_value: Optional[str] = None
-        self.needle_lower: str = ""
-        self.needle_tokens: FrozenSet[str] = frozenset()
-        if predicate.mode == "equals":
-            self.canonical_value = canonicalize(predicate.value)
-        elif predicate.mode == "contains":
-            self.needle_lower = str(predicate.value).lower()
-        else:  # keyword
-            self.needle_tokens = frozenset(tokenize(predicate.value))
+        self.canonical_value: Optional[str] = canonicalize(predicate.value)
 
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
     def matches(self, value: object) -> bool:
-        """Evaluate the predicate against one cell value.
+        """Whether one cell value equals the needle, on canonical forms.
 
         Semantics are identical to the seed executor's
-        ``_selection_matches``: null-like cells never match, ``equals``
-        compares canonical forms, ``contains`` is a case-insensitive
-        substring test, ``keyword`` requires every needle token to appear in
-        the cell's token set (an empty needle never matches).
+        ``_selection_matches``: null-like cells never match.
         """
         canon = canonicalize(value)
-        if canon is None:
-            return False
-        if self.mode == "equals":
-            return canon == self.canonical_value
-        if self.mode == "contains":
-            return self.needle_lower in canon.lower()
-        if not self.needle_tokens:
-            return False
-        value_tokens = set(tokenize(canon))
-        return self.needle_tokens <= value_tokens
+        return canon is not None and canon == self.canonical_value
 
-    # ------------------------------------------------------------------
-    # Identity
-    # ------------------------------------------------------------------
     @property
-    def key(self) -> Tuple[str, str, object]:
+    def key(self) -> Tuple[str, Optional[str]]:
         """Alias-independent identity used by scan / join-index caches.
 
-        Built from the *precompiled* needle — the only state
-        :meth:`matches` consults per mode — so two predicates share a key
-        exactly when they accept the same rows.  (Keying on the raw value
-        would collide e.g. ``1.0`` and ``"1.0"`` in equals mode, whose
-        canonical forms differ.)
+        Built from the canonical needle — the only state :meth:`matches`
+        consults — so two predicates share a key exactly when they accept
+        the same rows.  (Keying on the raw value would collide ``1`` and
+        ``True``, equal in Python but canonically ``"1"`` and ``"true"``.)
         """
-        if self.mode == "equals":
-            return (self.attribute, self.mode, self.canonical_value)
-        if self.mode == "contains":
-            return (self.attribute, self.mode, self.needle_lower)
-        return (self.attribute, self.mode, tuple(sorted(self.needle_tokens)))
+        return (self.attribute, self.canonical_value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompiledPredicate({self.alias}.{self.attribute} {self.mode} {self.value!r})"
+        return f"CompiledPredicate({self.alias}.{self.attribute} = {self.value!r})"
 
 
 def compile_predicates(predicates: Sequence[SelectionPredicate]) -> List[CompiledPredicate]:

@@ -12,8 +12,8 @@ Backend selection guide
   survive a restart (``Catalog``/``QService`` reconstruct themselves from
   the file), or ``":memory:"`` for an ephemeral database that still gets
   SQL pushdown and bulk ``executemany`` ingest.  It is the one SQL backend:
-  the row model, the library's registered canon/match functions and the
-  SQL that calls them live in :mod:`repro.storage.sqlite`.
+  the row model, the library's registered canon function and the SQL
+  that calls it live in :mod:`repro.storage.sqlite`.
 
 The ``REPRO_BACKEND`` environment variable switches the *default* backend
 of every :class:`~repro.datastore.database.Catalog` created without an
@@ -27,7 +27,7 @@ import os
 from typing import Optional, Union
 
 from ..exceptions import StorageError
-from .base import PredicateSpec, StorageBackend
+from .base import StorageBackend
 from .memory import MemoryBackend
 from .sqlite import SqliteBackend
 
@@ -79,7 +79,6 @@ def backend_from_env() -> Optional[StorageBackend]:
 __all__ = [
     "BackendSpec",
     "MemoryBackend",
-    "PredicateSpec",
     "SqliteBackend",
     "StorageBackend",
     "StorageError",

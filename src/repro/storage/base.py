@@ -11,8 +11,7 @@ implementations ship with the library:
 * :class:`~repro.storage.sqlite.SqliteBackend` — one SQLite database per
   catalog, on disk or ``:memory:``: the SQL row model (``executemany`` bulk
   ingest, cached scans, catalog persistence), real indexes on
-  join/selection columns and SQL pushdown of scans, selections and whole
-  conjunctive queries.
+  join/selection columns and SQL pushdown of whole conjunctive queries.
 
 Protocol contract
 -----------------
@@ -31,8 +30,8 @@ form of a value (:func:`repro.datastore.types.canonicalize`) — stripped,
 null-like values mapped to ``None``, booleans to ``"true"``/``"false"``,
 integral floats to their integer rendering.  A backend that evaluates
 predicates natively (SQL pushdown) must reproduce these semantics exactly;
-the SQLite backend does so by registering the library's own canonicalize /
-match functions with the database rather than approximating them in SQL.
+the SQLite backend does so by registering the library's own canonicalize
+function with the database rather than approximating it in SQL.
 
 **Ingest atomicity.**  One :meth:`StorageBackend.insert_rows` call is
 all-or-nothing: if any row of the batch fails (arity mismatch, uncodable
@@ -47,17 +46,11 @@ on ``(table identity, version)`` to detect staleness without callbacks.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datastore.schema import RelationSchema
     from ..datastore.table import Row
-
-#: One selection predicate in backend-neutral form:
-#: ``(attribute, mode, needle)`` with the same modes as
-#: :class:`~repro.datastore.query.SelectionPredicate`.
-PredicateSpec = Tuple[str, str, str]
-
 
 class StorageBackend(ABC):
     """Abstract base of all storage backends.
@@ -73,8 +66,8 @@ class StorageBackend(ABC):
     #: :class:`~repro.api.types.SystemStats` and the backend registry.
     kind: str = "abstract"
 
-    #: Whether the engine may push scans/selections (and whole conjunctive
-    #: queries) down to the backend as SQL.
+    #: Whether the engine may push whole conjunctive queries down to the
+    #: backend as SQL.
     supports_sql_pushdown: bool = False
 
     #: Whether the backend can host the durable session snapshot/journal
@@ -145,19 +138,6 @@ class StorageBackend(ABC):
         The returned sequence is owned by the backend — callers must not
         mutate it.
         """
-
-    def scan_where(
-        self, key: str, predicates: Sequence[PredicateSpec]
-    ) -> Optional[List["Row"]]:
-        """Rows passing all ``predicates``, or ``None`` if not supported.
-
-        Backends with native filtering (SQL pushdown) override this; the
-        engine falls back to a full :meth:`scan` plus Python-side predicate
-        evaluation when it returns ``None``.  Semantics must match
-        :meth:`repro.engine.predicates.CompiledPredicate.matches` exactly.
-        """
-        del key, predicates
-        return None
 
     @abstractmethod
     def row_count(self, key: str) -> int:

@@ -20,8 +20,7 @@ Parity is guaranteed by construction rather than by approximation:
   the tuples the Python hash join matches are matched (nulls never join:
   ``NULL = NULL`` is not true in SQL);
 * selections render through :func:`repro.storage.sqlite.exact_condition`
-  (``repro_canon(column) = ?`` for equals, ``repro_match(?, ?, column) = 1``
-  otherwise), the same semantics as
+  as ``repro_canon(column) = ?``, the same semantics as
   :meth:`~repro.engine.predicates.CompiledPredicate.matches`;
 * rows are ordered by the base tuples' row ids along the query's atom
   list — precisely the deterministic emission order of
@@ -105,8 +104,8 @@ class CompiledQuery:
             for atom in atoms
         ]
         # Joins compare canonical forms and selections render exactly;
-        # compiling ensures the canon index on every join column and every
-        # equals-selection column.
+        # compiling ensures the canon index on every join and selection
+        # column.
         relation = query.alias_map()
         conditions: List[str] = []
         self.params: List[object] = []
@@ -120,11 +119,8 @@ class CompiledQuery:
             backend.ensure_canon_index(relation[join.left_alias], join.left_attribute)
         for selection in query.selections:
             column = column_sql(selection.alias, selection.attribute)
-            conditions.append(
-                exact_condition(selection.mode, selection.value, column, self.params)
-            )
-            if selection.mode == "equals":
-                backend.ensure_canon_index(relation[selection.alias], selection.attribute)
+            conditions.append(exact_condition(selection.value, column, self.params))
+            backend.ensure_canon_index(relation[selection.alias], selection.attribute)
         sql = "SELECT " + ", ".join(select_items) + "\nFROM " + ", ".join(from_items)
         if conditions:
             sql += "\nWHERE " + " AND ".join(conditions)

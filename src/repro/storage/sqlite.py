@@ -8,13 +8,12 @@ model — ``"_row_id"`` insertion positions, ``"_tags"``-encoded booleans,
 reads onto:
 
 * **Exact predicate semantics.**  The library's own
-  :func:`~repro.datastore.types.canonicalize` and selection-matching logic
-  are registered as deterministic SQL functions (``repro_canon``,
-  ``repro_match``), so pushed-down scans, selections and joins accept
-  *precisely* the rows the Python engine accepts — parity is by construction,
-  not by approximating canonicalization in SQL.  This module is the one
-  place those names are spelled: :func:`canon_sql` and
-  :func:`exact_condition` render calls to them for
+  :func:`~repro.datastore.types.canonicalize` is registered as the
+  deterministic SQL function ``repro_canon``, so pushed-down selections and
+  joins accept *precisely* the rows the Python engine accepts — parity is by
+  construction, not by approximating canonicalization in SQL.  This module
+  is the one place that name is spelled: :func:`canon_sql` and
+  :func:`exact_condition` render calls to it for
   :mod:`repro.storage.pushdown`.
 * **Real indexes** on join/selection columns: expression indexes over
   ``repro_canon(column)``, created on demand the first time a column is used
@@ -47,18 +46,15 @@ import sqlite3
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from ..datastore.sqlgen import quote_identifier
 from ..datastore.types import canonicalize
 from ..exceptions import StorageError
-from .base import PredicateSpec, StorageBackend
+from .base import StorageBackend
 
-#: Names the library's canonicalizer (one text argument) and selection
-#: matcher (``mode, needle, value`` → 0/1) are registered under.
+#: The name the library's canonicalizer (one argument) is registered under.
 _CANON_FUNCTION = "repro_canon"
-_MATCH_FUNCTION = "repro_match"
 
 #: Relations whose materialized scans are memoized (LRU).  Scans re-run on
 #: version change; the bound keeps a huge catalog from pinning every
@@ -73,69 +69,24 @@ _META_TABLE = "_repro_catalog"
 _RELATIONS_TABLE = "_repro_relations"
 
 
-@lru_cache(maxsize=4096)
-def _prepared_needle(mode: str, needle: str):
-    """Needle-side derivations of one predicate, computed once per needle.
-
-    The SQL function below runs once *per row*; without this memo it would
-    re-canonicalize / re-lower / re-tokenize the (constant) needle every
-    time — the per-row rework :class:`~repro.engine.predicates
-    .CompiledPredicate` exists to avoid.
-    """
-    from ..similarity.tokenize import tokenize
-
-    if mode == "equals":
-        return canonicalize(needle)
-    if mode == "contains":
-        return str(needle).lower()
-    return frozenset(tokenize(needle))
-
-
-def _sql_match(mode: str, needle: str, value: object) -> int:
-    """SQL-registered selection matcher; mirrors ``CompiledPredicate.matches``.
-
-    Must stay semantically identical to
-    :meth:`repro.engine.predicates.CompiledPredicate.matches` — the
-    cross-backend parity suite depends on it.
-    """
-    from ..similarity.tokenize import tokenize
-
-    canon = canonicalize(value)
-    if canon is None:
-        return 0
-    prepared = _prepared_needle(mode, needle)
-    if mode == "equals":
-        return 1 if canon == prepared else 0
-    if mode == "contains":
-        return 1 if prepared in canon.lower() else 0
-    if not prepared:
-        return 0
-    value_tokens = set(tokenize(canon))
-    return 1 if prepared <= value_tokens else 0
-
-
 def canon_sql(column_sql: str) -> str:
     """The canonical form of a column expression, as SQL."""
     return f"{_CANON_FUNCTION}({column_sql})"
 
 
-def exact_condition(mode: str, value: str, column_sql: str, params: List[object]) -> str:
-    """One selection condition with the Python engine's exact semantics.
+def exact_condition(value: str, column_sql: str, params: List[object]) -> str:
+    """The selection ``column = value`` with the Python engine's exact semantics.
 
-    ``equals`` renders as ``repro_canon(column) = ?`` with the needle's
-    canonical form as the parameter — semantically identical to
+    Renders ``repro_canon(column) = ?`` with the needle's canonical form as
+    the parameter — semantically identical to
     :meth:`~repro.engine.predicates.CompiledPredicate.matches` (a null
     canonical needle matches nothing: ``x = NULL`` is never true), and
     shaped so SQLite can serve it from the ``repro_canon(column)``
-    expression indexes the backend builds.  The other modes call the
-    registered matcher function ``repro_match``.  The needle is appended to
+    expression indexes the backend builds.  The needle is appended to
     ``params``.
     """
-    if mode == "equals":
-        params.append(canonicalize(value))
-        return f"{canon_sql(column_sql)} = ?"
-    params.extend([mode, value])
-    return f"{_MATCH_FUNCTION}(?, ?, {column_sql}) = 1"
+    params.append(canonicalize(value))
+    return f"{canon_sql(column_sql)} = ?"
 
 
 class _Relation:
@@ -169,7 +120,6 @@ class SqliteBackend(StorageBackend):
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.create_function(_CANON_FUNCTION, 1, canonicalize, deterministic=True)
-        self._conn.create_function(_MATCH_FUNCTION, 3, _sql_match, deterministic=True)
         self._lock = threading.RLock()
         self._relations: Dict[str, _Relation] = {}
         self._scan_cache: "OrderedDict[str, Tuple[int, List]]" = OrderedDict()
@@ -406,15 +356,14 @@ class SqliteBackend(StorageBackend):
             + [self.column_sql_name(name) for name in schema.attribute_names]
         )
 
-    def _fetch_rows(self, key: str, where: str = "", params: Sequence[object] = ()) -> List:
-        """Rows of ``key`` (optionally filtered) in row-id order."""
+    def _fetch_rows(self, key: str) -> List:
+        """Rows of ``key`` in row-id order."""
         from ..datastore.table import Row
 
         schema = self._schema(key)
         fetched = self._execute(
             f"SELECT {self._select_columns(schema)} FROM {quote_identifier(key)}"
-            f'{where} ORDER BY "_row_id"',
-            params,
+            ' ORDER BY "_row_id"'
         ).fetchall()
         decode = self._decode_values
         return [Row(schema, decode(record[2:], record[1]), record[0]) for record in fetched]
@@ -432,19 +381,6 @@ class SqliteBackend(StorageBackend):
             while len(self._scan_cache) > _SCAN_CACHE_SIZE:
                 self._scan_cache.popitem(last=False)
             return rows
-
-    def scan_where(self, key: str, predicates: Sequence[PredicateSpec]) -> List:
-        """Filtered scan pushed down as one parameterized SELECT."""
-        with self._lock:
-            conditions: List[str] = []
-            params: List[object] = []
-            for attribute, mode, needle in predicates:
-                column = self.column_sql_name(attribute)
-                conditions.append(exact_condition(mode, needle, column, params))
-                if mode == "equals":
-                    self.ensure_canon_index(key, attribute)
-            where = f" WHERE {' AND '.join(conditions)}" if conditions else ""
-            return self._fetch_rows(key, where, params)
 
     def row_count(self, key: str) -> int:
         with self._lock:

@@ -5,7 +5,9 @@ fixture query of the file, compiles it with
 :class:`repro.storage.pushdown.CompiledQuery` and asserts the statement text
 and parameter list byte for byte.  Run once with ``src/`` of the commit whose
 statements are to be kept (last: 4ae10ca, the commit before the SQLite
-backend absorbed its DB-API base class)::
+backend absorbed its DB-API base class; the ``contains`` and ``keyword``
+selection rows and the mode column were dropped since, when equality became
+the only selection, and the four remaining statements are unchanged)::
 
     PYTHONPATH=<that checkout>/src python tests/data/make_compiled_sql.py tests/data
 """
@@ -31,7 +33,7 @@ JOIN = ["t", "acc", "i2g", "go_id"]
 
 #: One query per shape the compiler distinguishes: a two-atom join, a
 #: self-join on one alias (dropped), no outputs (every attribute projected)
-#: and one selection per mode.
+#: and a selection.
 QUERIES = [
     {"name": "two_atom_join", "atoms": [TERM, I2G], "joins": [JOIN], "selections": [],
      "outputs": [["t", "name", "term"], ["i2g", "entry_ac", None]]},
@@ -39,12 +41,7 @@ QUERIES = [
      "selections": [], "outputs": [["i2g", "entry_ac", None]]},
     {"name": "no_outputs", "atoms": [TERM, I2G], "joins": [JOIN], "selections": [], "outputs": []},
     {"name": "equals", "atoms": [TERM], "joins": [],
-     "selections": [["t", "acc", " GO:0003 ", "equals"]], "outputs": [["t", "name", None]]},
-    {"name": "contains", "atoms": [TERM], "joins": [],
-     "selections": [["t", "name", "Membrane", "contains"]], "outputs": [["t", "acc", None]]},
-    {"name": "keyword", "atoms": [TERM, I2G], "joins": [JOIN],
-     "selections": [["t", "name", "plasma membrane", "keyword"]],
-     "outputs": [["t", "name", "term"], ["i2g", "entry_ac", None]]},
+     "selections": [["t", "acc", " GO:0003 "]], "outputs": [["t", "name", None]]},
 ]
 
 
@@ -61,8 +58,8 @@ def build_query(spec) -> ConjunctiveQuery:
         query.add_atom(relation, alias)
     for join in spec["joins"]:
         query.add_join(*join)
-    for alias, attribute, value, mode in spec["selections"]:
-        query.add_selection(alias, attribute, value, mode=mode)
+    for alias, attribute, value in spec["selections"]:
+        query.add_selection(alias, attribute, value)
     for alias, attribute, label in spec["outputs"]:
         query.add_output(alias, attribute, label)
     return query

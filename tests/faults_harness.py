@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import StorageError, TransientStorageError
 from repro.persist.store import SessionStore
-from repro.storage.base import PredicateSpec, StorageBackend
+from repro.storage.base import StorageBackend
 
 
 class InjectedFaultError(StorageError):
@@ -207,10 +207,6 @@ class FaultyBackend(StorageBackend):
     def scan(self, key: str):
         self.plan.on_call("scan")
         return self.delegate.scan(key)
-
-    def scan_where(self, key: str, predicates: Sequence[PredicateSpec]):
-        self.plan.on_call("scan")
-        return self.delegate.scan_where(key, predicates)
 
     def row_count(self, key: str) -> int:
         return self.delegate.row_count(key)

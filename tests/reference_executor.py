@@ -20,7 +20,6 @@ from repro.datastore.provenance import AnswerTuple, TupleProvenance
 from repro.datastore.query import ConjunctiveQuery, SelectionPredicate
 from repro.datastore.table import Row, Table
 from repro.datastore.types import canonicalize
-from repro.similarity.tokenize import tokenize
 
 
 class _PartialResult:
@@ -39,21 +38,9 @@ class _PartialResult:
 
 
 def _selection_matches(predicate: SelectionPredicate, value) -> bool:
-    """Evaluate a selection predicate against one cell value."""
+    """Evaluate a selection predicate against one cell value: canonical equality."""
     canon = canonicalize(value)
-    if canon is None:
-        return False
-    needle = predicate.value
-    if predicate.mode == "equals":
-        return canon == canonicalize(needle)
-    if predicate.mode == "contains":
-        return str(needle).lower() in canon.lower()
-    # keyword mode: all needle tokens appear among the value tokens
-    value_tokens = set(tokenize(canon))
-    needle_tokens = tokenize(needle)
-    if not needle_tokens:
-        return False
-    return all(token in value_tokens for token in needle_tokens)
+    return canon is not None and canon == canonicalize(predicate.value)
 
 
 class ReferenceExecutor:
@@ -65,7 +52,7 @@ class ReferenceExecutor:
     # ------------------------------------------------------------------
     # Single-query execution
     # ------------------------------------------------------------------
-    def execute(self, query: ConjunctiveQuery, limit: Optional[int] = None) -> List[AnswerTuple]:
+    def execute(self, query: ConjunctiveQuery) -> List[AnswerTuple]:
         """Execute one conjunctive query; returns answers with provenance.
 
         Joins are evaluated left-to-right over the atom list with hash joins
@@ -83,16 +70,10 @@ class ReferenceExecutor:
             table = alias_tables[atom.alias]
             candidate_rows = self._filter_rows(table, selections_by_alias.get(atom.alias, []))
             partials = self._join_step(partials, atom.alias, candidate_rows, query)
-            if limit is not None and len(partials) > 100000:
-                # Safety valve against pathological cross products.
-                partials = partials[:100000]
             if not partials:
                 return []
 
-        answers = [self._to_answer(query, partial) for partial in partials]
-        if limit is not None:
-            answers = answers[:limit]
-        return answers
+        return [self._to_answer(query, partial) for partial in partials]
 
     def _resolve_tables(self, query: ConjunctiveQuery) -> Dict[str, Table]:
         tables: Dict[str, Table] = {}

@@ -79,6 +79,23 @@ class TestServiceConfig:
         assert ServiceConfig(answer_limit=None).answer_limit is None
 
 
+class TestRegisterSourceRequest:
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_a_budget_below_one_is_rejected_at_construction(self, budget):
+        with pytest.raises(InvalidRequestError, match=f"max_relations must be >= 1, got {budget}"):
+            RegisterSourceRequest(source=_extra_source(), max_relations=budget)
+
+    def test_an_unset_budget_constructs(self):
+        assert RegisterSourceRequest(source=_extra_source(), max_relations=None).max_relations is None
+
+    def test_bootstrap_rejects_top_y_below_one_before_installing(self):
+        service = _mini_service()
+        structure = service.graph.structure_version
+        with pytest.raises(InvalidRequestError, match="top_y must be >= 1, got 0"):
+            service.bootstrap_alignments(top_y=0)
+        assert service.graph.structure_version == structure
+
+
 class TestRetiredConfigKnobs:
     @pytest.mark.parametrize(
         "knob", [{"registration_workers": 2}, {"registration_pool": "process"}]

@@ -20,6 +20,8 @@ import sqlite3
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import QService, QueryRequest, RegisterSourceRequest, ServiceConfig
 from repro.core import RankedView
@@ -47,6 +49,7 @@ from repro.storage.pushdown import CompiledQuery, SqlPushdown
 from repro.storage.sqlite import exact_condition
 
 from faults_harness import FaultPlan, FaultyBackend
+from reference_executor import ReferenceExecutor
 
 BACKENDS = ("memory", "sqlite")
 
@@ -310,7 +313,7 @@ def _make_query(with_selection=True):
     query.add_atom("interpro.interpro2go", "i2g")
     query.add_join("t", "acc", "i2g", "go_id")
     if with_selection:
-        query.add_selection("t", "name", "plasma membrane", mode="keyword")
+        query.add_selection("t", "name", "plasma membrane")
     query.add_output("t", "name", "term")
     query.add_output("i2g", "entry_ac")
     return query
@@ -345,12 +348,12 @@ def _mini_sources():
 
 
 class TestPushdownParity:
-    def _answers(self, kind, query, limit=None):
+    def _answers(self, kind, query):
         catalog = Catalog(
             [clone_source(s) for s in _mini_sources()], backend=make_backend(kind)
         )
         context = ExecutionContext(catalog)
-        answers = executed_answers(PlanExecutor(catalog, context), query, limit=limit)
+        answers = executed_answers(PlanExecutor(catalog, context), query)
         return answers, context
 
     @pytest.mark.parametrize("with_selection", [True, False])
@@ -365,29 +368,22 @@ class TestPushdownParity:
     def test_no_output_query_matches_memory(self):
         query = ConjunctiveQuery(provenance="tree-2", cost=0.25)
         query.add_atom("go.term", "t")
-        query.add_selection("t", "name", "membrane", mode="contains")
-        memory_answers, _ = self._answers("memory", query)
-        sqlite_answers, _ = self._answers("sqlite", query)
-        assert answer_fingerprint(sqlite_answers) == answer_fingerprint(memory_answers)
-        assert len(memory_answers) == 2
-
-    def test_equals_canonicalization_in_pushdown(self):
-        # " GO:0003 " canonicalizes to "GO:0003"; the pushdown must match it.
-        query = ConjunctiveQuery(cost=0.5)
-        query.add_atom("go.term", "t")
-        query.add_selection("t", "acc", "GO:0003", mode="equals")
-        query.add_output("t", "name")
+        query.add_selection("t", "name", "plasma membrane")
         memory_answers, _ = self._answers("memory", query)
         sqlite_answers, _ = self._answers("sqlite", query)
         assert answer_fingerprint(sqlite_answers) == answer_fingerprint(memory_answers)
         assert len(memory_answers) == 1
 
-    def test_limit_falls_back_to_python_engine(self):
-        query = _make_query()
-        sqlite_answers, context = self._answers("sqlite", query, limit=2)
-        memory_answers, _ = self._answers("memory", query, limit=2)
-        assert context.statistics.pushdown_queries == 0
+    def test_equals_canonicalization_in_pushdown(self):
+        # " GO:0003 " canonicalizes to "GO:0003"; the pushdown must match it.
+        query = ConjunctiveQuery(cost=0.5)
+        query.add_atom("go.term", "t")
+        query.add_selection("t", "acc", "GO:0003")
+        query.add_output("t", "name")
+        memory_answers, _ = self._answers("memory", query)
+        sqlite_answers, _ = self._answers("sqlite", query)
         assert answer_fingerprint(sqlite_answers) == answer_fingerprint(memory_answers)
+        assert len(memory_answers) == 1
 
     @pytest.mark.parametrize("with_outputs", [True, False])
     def test_join_pushdown_projection_matches_memory(self, with_outputs):
@@ -401,7 +397,7 @@ class TestPushdownParity:
         alone = SqlPushdown(backend).execute(catalog, query)
         memory_catalog = Catalog([clone_source(s) for s in _mini_sources()])
         assert alone == PlanExecutor(memory_catalog).execute(query)
-        assert len(alone) == 3
+        assert len(alone) == 2
         assert len(alone[0][0]) == (2 if with_outputs else 4)
         backend.close()
 
@@ -424,20 +420,63 @@ class TestPushdownParity:
         assert [a.provenance.base_tuples for a in answers] == [base for _, base in rows] * 2
         backend.close()
 
-    def test_scan_pushdown_matches_python_filter(self):
-        sources = [clone_source(s) for s in _mini_sources()]
-        catalog_mem = Catalog([clone_source(s) for s in sources])
-        catalog_sql = Catalog(sources, backend=SqliteBackend(":memory:"))
-        predicates = compile_predicates(
-            [SelectionPredicate("t", "name", "plasma membrane", mode="keyword")]
-        )
-        mem_rows = ExecutionContext(catalog_mem).scan("go.term", predicates)
-        sql_context = ExecutionContext(catalog_sql)
-        sql_rows = sql_context.scan("go.term", predicates)
-        assert sql_context.statistics.pushdown_scans == 1
-        assert [(r.row_id, tuple(r.values)) for r in sql_rows] == [
-            (r.row_id, tuple(r.values)) for r in mem_rows
-        ]
+
+# ----------------------------------------------------------------------
+# One equality: every evaluator of a selection accepts the same rows
+# ----------------------------------------------------------------------
+#: Cells and needles on the edges of canonicalization: case, surrounding
+#: whitespace, numeric spellings, booleans, nulls and needles that miss.
+_EQUALITY_VALUES = st.sampled_from(
+    ["GO:1", " GO:1 ", "go:1", 1, 1.0, "1", "1.0", " 1 ", 2.5, True, False, "true", "True", None, "", "absent"]
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(st.tuples(_EQUALITY_VALUES, _EQUALITY_VALUES), max_size=6),
+    needle=_EQUALITY_VALUES,
+    second=st.none() | st.tuples(_EQUALITY_VALUES),
+)
+def test_equality_selection_accepts_the_same_rows_everywhere(rows, needle, second):
+    # The compiled predicate over a scan, the reference executor, the Python
+    # target (on both backends) and the SQL target accept the same rows, for
+    # a selection on ``a`` alone or conjoined with one on ``b``.
+    def catalog(backend=None):
+        return Catalog([DataSource.build("s", {"r": ["a", "b"]}, data={"r": rows})], backend=backend)
+
+    query = ConjunctiveQuery(provenance="q")
+    query.add_atom("s.r", "r")
+    query.add_selection("r", "a", needle)
+    if second is not None:
+        query.add_selection("r", "b", second[0])
+    memory, sqlite = catalog(), catalog(SqliteBackend(":memory:"))
+    predicates = compile_predicates(query.selections)
+    accepted = [
+        row.row_id
+        for row in memory.relation("s.r").scan()
+        if all(p.matches(row[p.attribute]) for p in predicates)
+    ]
+    reference = [
+        row_id
+        for answer in ReferenceExecutor(memory).execute(query)
+        for _, row_id in answer.provenance.base_tuples
+    ]
+    python = PlanExecutor(memory).execute(query)
+    assert [row_id for _, base in python for _, row_id in base] == accepted == reference
+    assert SqlPushdown(sqlite.backend).execute(sqlite, query) == python
+    assert PlanExecutor(sqlite).execute(query, budget=Budget(3600.0)) == python
+    sqlite.close()
+
+
+def test_two_selections_on_one_attribute_share_a_scan_with_a_null_needle():
+    # A null needle matches nothing; beside a second selection on the same
+    # attribute the scan cache must still key the conjunction, in either
+    # order (a sorted key would order None against a string).
+    context = ExecutionContext(Catalog([clone_source(s) for s in _mini_sources()]))
+    pair = [SelectionPredicate("t", "acc", "GO:0001"), SelectionPredicate("t", "acc", None)]
+    assert context.scan("go.term", compile_predicates(pair)) == []
+    assert context.scan("go.term", compile_predicates(pair[::-1])) == []
+    assert context.statistics.scan_cache_hits == 1
 
 
 # ----------------------------------------------------------------------
@@ -493,9 +532,9 @@ class TestTargetChoice:
             service.close()
 
     def test_every_other_reason_is_reachable(self):
-        # The remaining conditions of the one capability check, each driven
-        # by something observable: a backend without pushdown, a per-query
-        # limit.  A query without output columns is no obstacle.
+        # The remaining condition of the one capability check, driven by
+        # something observable: a backend without pushdown.  A query without
+        # output columns is no obstacle.
         query = _make_query()
         plain = Catalog(
             [clone_source(s) for s in _mini_sources()], backend=MemoryBackend()
@@ -510,8 +549,6 @@ class TestTargetChoice:
         )
         context = ExecutionContext(capable)
         assert context.choose_target(query) == (SQL, None)
-        target, reason = context.choose_target(query, limit=2)
-        assert target == PYTHON and reason.startswith("per-query limit")
         outputless = ConjunctiveQuery(provenance="tree-2", cost=0.25)
         outputless.add_atom("go.term", "t")
         assert context.choose_target(outputless) == (SQL, None)
@@ -524,7 +561,7 @@ class TestTargetChoice:
 GOLDEN_JOIN_SQL = """\
 SELECT "t"."_row_id" AS "_rid_0", "t"."_tags" AS "_tag_0", "i2g"."_row_id" AS "_rid_1", "i2g"."_tags" AS "_tag_1", "t"."c_name" AS "_val_0", "i2g"."c_entry_ac" AS "_val_1"
 FROM "go.term" AS "t", "interpro.interpro2go" AS "i2g"
-WHERE repro_canon("t"."c_acc") = repro_canon("i2g"."c_go_id") AND repro_match(?, ?, "t"."c_name") = 1
+WHERE repro_canon("t"."c_acc") = repro_canon("i2g"."c_go_id") AND repro_canon("t"."c_name") = ?
 ORDER BY "t"."_row_id", "i2g"."_row_id\""""
 
 GOLDEN_SELECTION_SQL = """\
@@ -547,18 +584,18 @@ class TestGoldenPushdownSql:
     the row-id ``ORDER BY``."""
 
     def test_hand_built_queries(self):
-        # A two-atom join and a one-atom equals selection: pins join and
-        # selection rendering, and that needles enter the parameter list in
-        # statement order (the equals needle pre-canonicalized).
+        # A two-atom join with a selection and a one-atom selection: pins
+        # join and selection rendering, and that needles enter the parameter
+        # list in statement order, pre-canonicalized.
         backend = SqliteBackend(":memory:")
         catalog = Catalog([clone_source(s) for s in _mini_sources()], backend=backend)
         single = ConjunctiveQuery(provenance="tree-2", cost=0.5)
         single.add_atom("go.term", "t")
-        single.add_selection("t", "acc", " GO:0003 ", mode="equals")
+        single.add_selection("t", "acc", " GO:0003 ")
         single.add_output("t", "name")
         join = CompiledQuery(backend, catalog, _make_query())
         assert join.sql == GOLDEN_JOIN_SQL
-        assert join.params == ["keyword", "plasma membrane"]
+        assert join.params == ["plasma membrane"]
         selection = CompiledQuery(backend, catalog, single)
         assert selection.sql == GOLDEN_SELECTION_SQL
         assert selection.params == ["GO:0003"]
@@ -613,8 +650,8 @@ class TestGoldenPushdownSql:
                 query.add_atom(relation, alias)
             for join in spec["joins"]:
                 query.add_join(*join)
-            for alias, attribute, value, mode in spec["selections"]:
-                query.add_selection(alias, attribute, value, mode=mode)
+            for alias, attribute, value in spec["selections"]:
+                query.add_selection(alias, attribute, value)
             for alias, attribute, label in spec["outputs"]:
                 query.add_output(alias, attribute, label)
             compiled = CompiledQuery(backend, catalog, query)
@@ -871,17 +908,17 @@ class TestParameterizedSqlgen:
         # serve from the backend's repro_canon(col) expression indexes —
         # with the needle pre-canonicalized, not as an opaque function call.
         params = []
-        condition = exact_condition("equals", " GO:0003 ", '"t"."acc"', params)
+        condition = exact_condition(" GO:0003 ", '"t"."acc"', params)
         assert condition == 'repro_canon("t"."acc") = ?'
         assert params == ["GO:0003"]
 
     def test_equals_pushdown_uses_expression_index(self):
         catalog = Catalog(_mini_sources(), backend=SqliteBackend(":memory:"))
         backend = catalog.backend
-        predicates = compile_predicates(
-            [SelectionPredicate("t", "acc", "GO:0001", mode="equals")]
-        )
-        ExecutionContext(catalog).scan("go.term", predicates)
+        query = ConjunctiveQuery(cost=0.5)
+        query.add_atom("go.term", "t")
+        query.add_selection("t", "acc", "GO:0001")
+        assert len(SqlPushdown(backend).execute(catalog, query)) == 1
         plan = backend.execute_sql(
             'EXPLAIN QUERY PLAN SELECT * FROM "go.term" '
             'WHERE repro_canon("c_acc") = ?',

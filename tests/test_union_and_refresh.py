@@ -73,7 +73,7 @@ class TestUnionColumnAlignment:
         # A query with no matching rows must not derail the unified schema.
         empty = ConjunctiveQuery(cost=0.5, provenance="empty")
         empty.add_atom("go.term", "t")
-        empty.add_selection("t", "acc", "GO:9999", mode="equals")
+        empty.add_selection("t", "acc", "GO:9999")
         empty.add_output("t", "acc", "missing_acc")
         full = term_query(1.0, "full")
         answers = union(mini_catalog, [empty, full])
@@ -85,7 +85,7 @@ class TestUnionColumnAlignment:
     def test_all_sub_results_empty(self, mini_catalog):
         empty = ConjunctiveQuery(cost=0.5, provenance="empty")
         empty.add_atom("go.term", "t")
-        empty.add_selection("t", "acc", "GO:9999", mode="equals")
+        empty.add_selection("t", "acc", "GO:9999")
         assert union(mini_catalog, [empty]) == []
 
     def test_no_queries(self, mini_catalog):
@@ -478,13 +478,7 @@ def _query_contents(draw):
     as a builder taking the cost and id of the tree that generated it."""
     linked = draw(st.booleans())
     joined = linked and draw(st.booleans())
-    selection = draw(
-        st.none()
-        | st.tuples(
-            st.sampled_from(["membrane", "GO:1", "plasma membrane"]),
-            st.sampled_from(["keyword", "contains", "equals"]),
-        )
-    )
+    selection = draw(st.none() | st.sampled_from(["membrane", "GO:1", " plasma membrane ", 7]))
     columns = [c for c in _COLUMNS if linked or c[0] == "t"]
     # Repeated labels keep their first position and their last value.
     outputs = draw(
@@ -499,7 +493,7 @@ def _query_contents(draw):
         if joined:
             query.add_join("t", "acc", "i", "go_id")
         if selection is not None:
-            query.add_selection("t", "name", selection[0], mode=selection[1])
+            query.add_selection("t", "name", selection)
         for (alias, attribute), label in outputs:
             query.add_output(alias, attribute, label)
         return query
