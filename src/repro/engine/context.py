@@ -90,8 +90,9 @@ class _Topology:
     ``weights`` priced (the weight of each feature of ``positions``).
     ``postings`` lists, per feature position, the learnable edges that carry
     the feature.  Many topologies are never derived from (a view read once
-    between registrations), so the first derivation indexes the features;
-    until then ``priced`` holds the effective weights the build read.
+    between registrations), so the first derivation or :meth:`features` call
+    indexes the features; until then ``priced`` holds the effective weights
+    the build read.
     ``handed`` refers weakly to the snapshot last handed out and ``version``
     is its graph's weight version: while a caller still holds it, the same
     graph at the same version gets it back, and nothing here keeps a graph
@@ -109,16 +110,20 @@ class _Topology:
         self.network = network.rescored(None, (), graph.weights)
         self.handed, self.version = weakref.ref(network), graph.weights.version
 
-    def _index(self, graph: SearchGraph) -> None:
-        postings: Dict[str, List[int]] = defaultdict(list)
-        for idx, edge in enumerate(graph.edges()):
-            if edge.fixed_cost is None:  # learnable
-                for feature in edge.features:
-                    postings[feature].append(idx)
-        self.positions = {feature: position for position, feature in enumerate(postings)}
-        self.postings = list(postings.values())
-        self.weights = list(map(self.priced.get, self.positions, itertools.repeat(0.0)))
-        self.priced = None
+    def features(self, graph: SearchGraph) -> Dict[str, int]:
+        """Each feature a learnable edge of ``graph`` carries, at its position:
+        the only weights a price of this topology reads.  Indexed on first use."""
+        if self.priced is not None:
+            postings: Dict[str, List[int]] = defaultdict(list)
+            for idx, edge in enumerate(graph.edges()):
+                if edge.fixed_cost is None:  # learnable
+                    for feature in edge.features:
+                        postings[feature].append(idx)
+            self.positions = {feature: position for position, feature in enumerate(postings)}
+            self.postings = list(postings.values())
+            self.weights = list(map(self.priced.get, self.positions, itertools.repeat(0.0)))
+            self.priced = None
+        return self.positions
 
     def current(self, graph: SearchGraph) -> Optional[SteinerNetwork]:
         """The snapshot last handed out, if it is ``graph``'s at its weight version and still held."""
@@ -131,9 +136,7 @@ class _Topology:
         """``graph``'s snapshot, and whether it re-priced an edge: every edge
         that carries a feature whose weight moved since the last snapshot is
         re-priced, every other one is kept."""
-        if self.priced is not None:
-            self._index(graph)
-        weights = graph.weights.gather(self.positions)
+        weights = graph.weights.gather(self.features(graph))
         moved: Set[int] = set()
         for position in itertools.compress(itertools.count(), map(operator.ne, weights, self.weights)):
             moved.update(self.postings[position])
@@ -245,19 +248,26 @@ class SteinerNetworkCache:
         with self._solve_lock:
             return self._latest.get(terminals, ())
 
+    def _topology(self, graph: SearchGraph) -> Tuple[_Topology, Optional[SteinerNetwork]]:
+        """``graph``'s topology (caller holds ``_lock``), and the network if this built it."""
+        stamp = graph.structure_stamp
+        topology = self._topologies.get(stamp)
+        if topology is not None:
+            self._topologies.move_to_end(stamp)
+            return topology, None
+        network = SteinerNetwork(graph)
+        topology = self._topologies[stamp] = _Topology(network)
+        while len(self._topologies) > self.maxsize:
+            self._topologies.popitem(last=False)
+        self.builds += 1
+        return topology, network
+
     def network(self, graph: SearchGraph) -> SteinerNetwork:
         """``graph``'s snapshot: cached, derived from its topology's, or built."""
-        stamp = graph.structure_stamp
         with self._lock:
-            topology = self._topologies.get(stamp)
-            if topology is None:
-                network = SteinerNetwork(graph)
-                self._topologies[stamp] = _Topology(network)
-                while len(self._topologies) > self.maxsize:
-                    self._topologies.popitem(last=False)
-                self.builds += 1
+            topology, network = self._topology(graph)
+            if network is not None:
                 return network
-            self._topologies.move_to_end(stamp)
             network, repriced = topology.current(graph), False
             if network is None:
                 network, repriced = topology.derive(graph)
@@ -266,6 +276,17 @@ class SteinerNetworkCache:
             else:
                 self.hits += 1
             return network
+
+    def features(self, graph: SearchGraph) -> Dict[str, int]:
+        """The features ``graph``'s learnable edges carry, each at its position.
+
+        Two weight vectors that :meth:`~repro.graph.features.WeightVector.gather`
+        the same values here price ``graph`` bit for bit alike.  The mapping
+        is the topology's own index, shared by every graph of its stamp; it is
+        replaced, never mutated, so a caller may keep it.
+        """
+        with self._lock:
+            return self._topology(graph)[0].features(graph)
 
     def __len__(self) -> int:
         return len(self._topologies)

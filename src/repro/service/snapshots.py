@@ -23,10 +23,16 @@ Reads *materialize at most once* per (view, tenant) per snapshot: the first
 reader builds a transient :class:`~repro.core.view.RankedView` priced under
 the frozen weights (or the tenant's frozen overlay) and publishes the
 materialized answer tuple under a per-entry event; concurrent readers of
-the same key wait for it instead of re-solving.  When a mutation could not
-have changed a (view, tenant) ranking — e.g. tenant feedback for a
-*different* tenant — the next snapshot carries the materialized answers
-over instead of recomputing them.
+the same key wait for it instead of re-solving.  A slot's answers are a
+function of its view's query graph and the weights of the features that
+graph's learnable edges carry (an edge costs its fixed cost or
+``max(minimum, w·f)`` over its own features): equal weights price the graph
+bit for bit alike, so they give the same ranking, the same queries and the
+same answers.  So the next snapshot carries a slot over when its view kept
+its query-graph object and no weight that graph carries moved under the
+slot's vector — the frozen base, or the tenant's overlay of it.  Feedback
+for a *different* tenant, or a base step on features only other views
+carry, recomputes nothing.
 
 A snapshot reads through the session's own
 :class:`~repro.engine.context.ExecutionContext`, whatever moved: its
@@ -37,6 +43,7 @@ executes only the queries no reader has run over the tables as they stand.
 from __future__ import annotations
 
 import threading
+from array import array
 from typing import Callable, Dict, Optional, Tuple
 
 from ..api.types import QueryRequest
@@ -77,16 +84,20 @@ class SnapshotView:
 class _PinnedRead:
     """Materialization slot for one (view, tenant) on one snapshot."""
 
-    __slots__ = ("event", "answers", "error", "carry_key")
+    __slots__ = ("event", "answers", "error", "features", "carry_key")
 
-    def __init__(self, carry_key: Tuple[object, int]) -> None:
+    def __init__(self) -> None:
         self.event = threading.Event()
         self.answers: Optional[Tuple[AnswerTuple, ...]] = None
         self.error: Optional[BaseException] = None
-        #: (query-graph object, effective weights version) the answers are
-        #: valid for; the next snapshot carries the entry over iff its own
-        #: key for the same (view, tenant) is identical.
-        self.carry_key = carry_key
+        #: Set with the answers.  ``features`` is the query graph's feature
+        #: index (:meth:`~repro.engine.context.SteinerNetworkCache.features`);
+        #: ``carry_key`` is (query-graph object, the weight of each of those
+        #: features under the slot's vector, packed as doubles).  The next
+        #: snapshot carries the entry over iff its own key for the same
+        #: (view, tenant) is identical: no weight the graph carries moved.
+        self.features: Dict[str, int] = {}
+        self.carry_key: Optional[Tuple[QueryGraph, bytes]] = None
 
 
 class ReadSnapshot:
@@ -97,7 +108,6 @@ class ReadSnapshot:
         snapshot_id: int,
         catalog,
         weights: WeightVector,
-        weights_version: int,
         views: Dict[str, SnapshotView],
         names: Dict[str, str],
         tenants: Dict[str, Tuple[Dict[str, float], int]],
@@ -108,7 +118,6 @@ class ReadSnapshot:
         self.snapshot_id = snapshot_id
         self.catalog = catalog
         self.weights = weights
-        self.weights_version = weights_version
         self.views = views
         self.names = names
         self.tenants = tenants
@@ -138,12 +147,11 @@ class ReadSnapshot:
         (:meth:`~repro.api.service.QService.prepare_views`) first, so every
         captured query graph reflects the current graph structure.
         """
-        weights_version = service.graph.weights.version
         frozen = service.graph.weights.copy()
         # WeightVector.copy() resets the mutation counter; restore it so
         # version-keyed caches (Steiner networks, view solve states) treat
         # the frozen vector exactly like the live one it mirrors.
-        frozen.version = weights_version
+        frozen.version = service.graph.weights.version
 
         views: Dict[str, SnapshotView] = {}
         names: Dict[str, str] = {}
@@ -171,7 +179,6 @@ class ReadSnapshot:
             snapshot_id=snapshot_id,
             catalog=service.catalog,
             weights=frozen,
-            weights_version=weights_version,
             views=views,
             names=names,
             tenants=tenants,
@@ -193,21 +200,17 @@ class ReadSnapshot:
             sv = self.views.get(view_id)
             if sv is None:
                 continue
-            if entry.carry_key == self._carry_key(sv, tenant):
-                carried = _PinnedRead(entry.carry_key)
-                carried.answers = entry.answers
-                carried.event.set()
-                self._pinned[(view_id, tenant)] = carried
+            if entry.carry_key == self._carry_key(sv, tenant, entry.features):
+                # A finished slot never changes again: both snapshots hold it.
+                self._pinned[(view_id, tenant)] = entry
                 self._count("pinned_carryovers")
 
-    def _carry_key(self, sv: SnapshotView, tenant: Optional[str]) -> Tuple[object, int]:
-        return (sv.query_graph, self._effective_version(tenant))
-
-    def _effective_version(self, tenant: Optional[str]) -> int:
-        if tenant is None:
-            return self.weights_version
-        _, local_version = self.tenants.get(tenant, ({}, 0))
-        return self.weights_version + local_version
+    def _carry_key(
+        self, sv: SnapshotView, tenant: Optional[str], features: Dict[str, int]
+    ) -> Tuple[QueryGraph, bytes]:
+        """What the (``sv``, ``tenant``) slot's answers are a function of."""
+        prices = self._weights_for(tenant).gather(features)
+        return (sv.query_graph, array("d", prices).tobytes())
 
     # ------------------------------------------------------------------
     # Resolution
@@ -270,13 +273,16 @@ class ReadSnapshot:
             entry = self._pinned.get(key)
             creator = entry is None
             if creator:
-                entry = _PinnedRead(self._carry_key(sv, tenant))
+                entry = _PinnedRead()
                 self._pinned[key] = entry
         if creator:
             self._count("pinned_materializations")
             try:
                 with trace.span("materialize"):
-                    entry.answers = self._materialize(sv, tenant)
+                    view = self._twin(sv, tenant)
+                    entry.answers = tuple(view.stream_answers())
+                entry.features = self.context.steiner_cache.features(view.base_graph)
+                entry.carry_key = self._carry_key(sv, tenant, entry.features)
             except BaseException as exc:  # propagate to every waiter
                 entry.error = exc
                 raise
@@ -305,7 +311,11 @@ class ReadSnapshot:
         tenant: Optional[str],
         budget: Optional[Budget] = None,
     ) -> Tuple[AnswerTuple, ...]:
-        view = RankedView.priced_twin(
+        return tuple(self._twin(sv, tenant).stream_answers(budget=budget))
+
+    def _twin(self, sv: SnapshotView, tenant: Optional[str]) -> RankedView:
+        """A transient view of ``sv``'s expansion priced under ``tenant``'s frozen weights."""
+        return RankedView.priced_twin(
             sv.query_graph,
             self._weights_for(tenant),
             sv.keywords,
@@ -314,7 +324,6 @@ class ReadSnapshot:
             answer_limit=self.answer_limit,
             engine_context=self.context,
         )
-        return tuple(view.stream_answers(budget=budget))
 
     def _weights_for(self, tenant: Optional[str]) -> WeightVector:
         if tenant is None:
@@ -332,5 +341,5 @@ class ReadSnapshot:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ReadSnapshot(id={self.snapshot_id}, views={len(self.views)}, "
-            f"w={self.weights_version})"
+            f"w={self.weights.version})"
         )

@@ -569,7 +569,7 @@ def test_a_landed_write_whose_save_fails_past_its_retries_is_reported_and_degrad
     with service, QServer(service, retry_policy=_fast_policy()) as server:
         read = server.query(QueryRequest(keywords=("membrane", "IPR001")))
         assert read.answers
-        weights_before = server.snapshot().weights_version
+        weights_before = server.snapshot().weights.version
         plan.enable()
         response = server.feedback(
             FeedbackRequest(view=read.view_id, answer=read.answers[-1]), tag="late-save"
@@ -580,7 +580,7 @@ def test_a_landed_write_whose_save_fails_past_its_retries_is_reported_and_degrad
         assert server.write_log[-1] == ("feedback", "late-save")
         snapshot = server.snapshot()
         assert snapshot.snapshot_id == len(server.write_log) == 2
-        assert snapshot.weights_version == service.graph.weights.version > weights_before
+        assert snapshot.weights.version == service.graph.weights.version > weights_before
         stats = server.stats()
         assert (stats.writes_applied, stats.writes_failed, stats.writes_retried) == (2, 0, 2)
         # Not durable: read-only until a save succeeds.
