@@ -18,6 +18,7 @@ Hildreth's cyclic projection method, which needs no external QP solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -57,6 +58,16 @@ class QPSolution(NamedTuple):
     converged: bool
     #: The largest constraint violation seen in the final pass (0.0 if none).
     max_violation: float
+    #: How many times a pass evaluated a constraint (a screened row is not).
+    rows_evaluated: int
+    #: The features whose weight differs, bit for bit, from the start's
+    #: (a new feature counts), in the order of ``weights``.
+    moved: Tuple[str, ...]
+
+
+#: Relative rounding allowance of the row screen: far above the error of a
+#: dot product over a row, or of the drift sum, at any QP size a solve meets.
+_SCREEN_SLACK = 1e-9
 
 
 def hildreth_solve(
@@ -78,35 +89,69 @@ def hildreth_solve(
     order as :meth:`LinearConstraint.violation` and the same per-feature
     additions as :meth:`WeightVector.update`, so the weights, ``converged``
     and ``max_violation`` are those of the loop over those methods, to the bit.
+
+    A pass skips a row that provably cannot step.  ``drift`` sums
+    ``|step| * max|a_s|`` over the steps taken, so a row's ``a · w`` moved by
+    at most ``||a||_1`` times the drift since its last evaluation.  A row
+    whose multiplier is exactly 0.0, and whose last violation ``v`` stays
+    negative with that bound and a rounding allowance added
+    (``_SCREEN_SLACK`` of ``|b| + Σ|a_j w_j|`` and of ``||a||_1 * drift``),
+    evaluates to ``v <= 0`` again: its step is ``max(v / ||a||^2, -0.0) == 0``,
+    it writes nothing and leaves ``max_violation`` alone.  So the skip changes
+    no weight, no key order, no ``converged`` and no ``max_violation``.
     """
     if not constraints:
-        return QPSolution(weights.copy(), True, 0.0)
-    result = weights.copy()
+        return QPSolution(weights.copy(), True, 0.0, 0, ())
+    start = weights.copy()._weights
+    result = WeightVector(start)
     values = result._weights
     get = values.get
-    rows = [(c.bound, tuple(c.coefficients.items())) for c in constraints]
-    multipliers = [0.0] * len(constraints)
-    norms = [max(c.squared_norm(), 1e-12) for c in constraints]
+    rows = []
+    for c in constraints:
+        sizes = [abs(coeff) for coeff in c.coefficients.values()]
+        norm = max(c.squared_norm(), 1e-12)
+        rows.append((c.bound, tuple(c.coefficients.items()), norm, sum(sizes), max(sizes, default=0.0)))
+    multipliers = [0.0] * len(rows)
+    # Per row: the drift at its last evaluation, and how far ``||a||_1``
+    # times the drift since may grow before it must be evaluated again.
+    seen = [0.0] * len(rows)
+    room = [0.0] * len(rows)
+    drift = reach = 0.0
+    evaluated = 0
     converged, max_violation = False, 0.0
     for _ in range(max_iterations):
         max_update = max_violation = 0.0
-        for index, (bound, coefficients) in enumerate(rows):
-            violation = bound - sum([get(name, 0.0) * coeff for name, coeff in coefficients])
+        for index, (bound, coefficients, norm, length, peak) in enumerate(rows):
+            if length * (reach - seen[index]) < room[index]:
+                continue
+            evaluated += 1
+            products = [get(name, 0.0) * coeff for name, coeff in coefficients]
+            violation = bound - sum(products)
             if violation > max_violation:
                 max_violation = violation
-            step = violation / norms[index]
+            seen[index] = drift
             # Multipliers must stay non-negative.
-            step = max(step, -multipliers[index])
-            if step == 0.0:
-                continue
-            multipliers[index] += step
-            for name, coeff in coefficients:
-                values[name] = get(name, 0.0) + step * coeff
-            max_update = max(max_update, abs(step))
+            step = max(violation / norm, -multipliers[index])
+            if step != 0.0:
+                multipliers[index] += step
+                for name, coeff in coefficients:
+                    values[name] = get(name, 0.0) + step * coeff
+                max_update = max(max_update, abs(step))
+                drift += abs(step) * peak
+                reach = drift + _SCREEN_SLACK * drift
+            room[index] = 0.0
+            if violation < 0.0 and multipliers[index] == 0.0:
+                room[index] = -violation - _SCREEN_SLACK * (abs(bound) + sum(map(abs, products)))
         if max_update < tolerance:
             converged = True
             break
-    return QPSolution(result, converged, max_violation)
+    # A weight no step wrote is the start's own float; a written one moved
+    # unless its repr, which round-trips, is the start's.
+    moved = tuple(
+        name for name, value in values.items()
+        if value is not start.get(name) and repr(value) != repr(start.get(name))
+    )
+    return QPSolution(result, converged, max_violation, evaluated, moved)
 
 
 def tree_feature_vector(graph: SearchGraph, tree: SteinerTree) -> Tuple[Dict[str, float], float]:
@@ -139,6 +184,8 @@ class FeedbackStepResult:
     converged: bool
     #: The largest constraint violation of the solve's final pass.
     max_violation: float
+    #: The QP rows the solve evaluated (:attr:`QPSolution.rows_evaluated`).
+    rows_evaluated: int
 
 
 class OnlineLearner:
@@ -204,6 +251,13 @@ class OnlineLearner:
         :class:`~repro.learning.overlays.OverlayWeightVector`), so a
         tenant's feedback personalizes that vector without ever touching
         the graph's shared base weights.
+
+        Only the weights the solve moved are installed (:attr:`QPSolution.moved`,
+        ``-0.0`` against ``0.0`` included), so a step that moves nothing bumps
+        no version and re-solves no view.  A plain vector ends as a full
+        install would leave it; an overlay keeps its shadow entries for the
+        features the step did not move.  ``weight_change`` is ``distance_to``
+        the old vector: an unmoved feature adds an exact zero to its ``fsum``.
         """
         graph = graph if graph is not None else self.graph
         if weights is not None and weights is not graph.weights:
@@ -244,21 +298,23 @@ class OnlineLearner:
                 continue
             constraints.append(LinearConstraint(coefficients, self.positive_margin))
 
-        before = graph.weights.copy()
-        solution = hildreth_solve(
-            graph.weights, constraints, max_iterations=self.max_qp_iterations
-        )
-        # Install the new weights in place so all sharers observe them.
-        for name, value in solution.weights.as_dict().items():
-            graph.weights.set(name, value)
+        weights = graph.weights
+        solution = hildreth_solve(weights, constraints, max_iterations=self.max_qp_iterations)
+        # Install the moved weights in place so all sharers observe them.
+        squares = []
+        for name in solution.moved:
+            value = solution.weights.get(name)
+            squares.append((weights.get(name) - value) ** 2)
+            weights.set(name, value)
         self.steps_processed += 1
         return FeedbackStepResult(
             candidate_trees=candidates,
             target_tree=target,
             constraints=len(constraints),
-            weight_change=before.distance_to(graph.weights),
+            weight_change=math.fsum(squares) ** 0.5,
             converged=solution.converged,
             max_violation=solution.max_violation,
+            rows_evaluated=solution.rows_evaluated,
         )
 
     # ------------------------------------------------------------------

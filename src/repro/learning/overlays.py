@@ -31,9 +31,8 @@ class OverlayWeightVector(WeightVector):
     Reads fall through to ``base`` for any feature the overlay has not
     changed; writes land in the overlay's *shadow* mapping only, never in
     the base.  A shadow entry that is set back to the base's exact value is
-    dropped, so the shadow stays a sparse diff — after a tenant's MIRA step
-    re-installs hundreds of unchanged flattened weights, only the features
-    the step actually moved remain shadowed.
+    dropped, so the shadow stays a sparse diff of the features tenant
+    feedback moved.
 
     The effective ``version`` is ``base.version + local_version``: it moves
     when *either* the shared base learns (registration seeding, base-session

@@ -24,15 +24,17 @@ reader builds a transient :class:`~repro.core.view.RankedView` priced under
 the frozen weights (or the tenant's frozen overlay) and publishes the
 materialized answer tuple under a per-entry event; concurrent readers of
 the same key wait for it instead of re-solving.  A slot's answers are a
-function of its view's query graph and the weights of the features that
+function of its view's query graph, the weights of the features that
 graph's learnable edges carry (an edge costs its fixed cost or
-``max(minimum, w·f)`` over its own features): equal weights price the graph
-bit for bit alike, so they give the same ranking, the same queries and the
-same answers.  So the next snapshot carries a slot over when its view kept
-its query-graph object and no weight that graph carries moved under the
-slot's vector — the frozen base, or the tenant's overlay of it.  Feedback
+``max(minimum, w·f)`` over its own features) and the tables its queries
+read: equal weights price the graph bit for bit alike, so they give the
+same ranking and the same queries, and the same tables give those queries
+the same rows.  So the next snapshot carries a slot over when its view kept
+its query-graph object, no weight that graph carries moved under the slot's
+vector — the frozen base, or the tenant's overlay of it — and every table
+the slot's queries read is the same object at the same version.  Feedback
 for a *different* tenant, or a base step on features only other views
-carry, recomputes nothing.
+carry, recomputes nothing; a row written to a table a view reads does.
 
 A snapshot reads through the session's own
 :class:`~repro.engine.context.ExecutionContext`, whatever moved: its
@@ -49,8 +51,9 @@ from typing import Callable, Dict, Optional, Tuple
 from ..api.types import QueryRequest
 from ..core.view import RankedView
 from ..datastore.provenance import AnswerTuple
-from ..engine.context import ExecutionContext
-from ..exceptions import UnknownViewError
+from ..datastore.table import Table
+from ..engine.context import ExecutionContext, TableReads
+from ..exceptions import UnknownRelationError, UnknownViewError
 from ..faults.budget import Budget
 from ..graph.features import WeightVector
 from ..graph.query_graph import QueryGraph
@@ -84,7 +87,7 @@ class SnapshotView:
 class _PinnedRead:
     """Materialization slot for one (view, tenant) on one snapshot."""
 
-    __slots__ = ("event", "answers", "error", "features", "carry_key")
+    __slots__ = ("event", "answers", "error", "features", "carry_key", "reads")
 
     def __init__(self) -> None:
         self.event = threading.Event()
@@ -95,9 +98,13 @@ class _PinnedRead:
         #: ``carry_key`` is (query-graph object, the weight of each of those
         #: features under the slot's vector, packed as doubles).  The next
         #: snapshot carries the entry over iff its own key for the same
-        #: (view, tenant) is identical: no weight the graph carries moved.
+        #: (view, tenant) is identical (no weight the graph carries moved)
+        #: and no table of ``reads`` moved.
         self.features: Dict[str, int] = {}
         self.carry_key: Optional[Tuple[QueryGraph, bytes]] = None
+        #: Each table the slot's queries read, with its version, taken before
+        #: they ran (:meth:`~repro.engine.context.ExecutionContext.table_reads`).
+        self.reads: TableReads = ()
 
 
 class ReadSnapshot:
@@ -200,7 +207,7 @@ class ReadSnapshot:
             sv = self.views.get(view_id)
             if sv is None:
                 continue
-            if entry.carry_key == self._carry_key(sv, tenant, entry.features):
+            if entry.carry_key == self._carry_key(sv, tenant, entry.features) and self._unmoved(entry.reads):
                 # A finished slot never changes again: both snapshots hold it.
                 self._pinned[(view_id, tenant)] = entry
                 self._count("pinned_carryovers")
@@ -211,6 +218,16 @@ class ReadSnapshot:
         """What the (``sv``, ``tenant``) slot's answers are a function of."""
         prices = self._weights_for(tenant).gather(features)
         return (sv.query_graph, array("d", prices).tobytes())
+
+    def _unmoved(self, reads: TableReads) -> bool:
+        """Whether each table of ``reads`` is still the catalog's, at the same version."""
+        try:
+            return all(
+                self.catalog.relation(table.schema.qualified_name) is table and table.version == version
+                for table, version in reads
+            )
+        except UnknownRelationError:
+            return False
 
     # ------------------------------------------------------------------
     # Resolution
@@ -280,7 +297,12 @@ class ReadSnapshot:
             try:
                 with trace.span("materialize"):
                     view = self._twin(sv, tenant)
-                    entry.answers = tuple(view.stream_answers())
+                    answers = view.stream_answers()  # solves now, executes lazily
+                    reads: Dict[Table, int] = {}
+                    for generated in view.state.queries:
+                        reads.update(self.context.table_reads(generated.query))
+                    entry.reads = tuple(reads.items())
+                    entry.answers = tuple(answers)
                 entry.features = self.context.steiner_cache.features(view.base_graph)
                 entry.carry_key = self._carry_key(sv, tenant, entry.features)
             except BaseException as exc:  # propagate to every waiter

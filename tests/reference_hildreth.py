@@ -4,12 +4,14 @@
 was when every constraint was evaluated through ``WeightVector.get`` and
 every step applied through ``WeightVector.update``; ``seed_violation`` is the
 ``LinearConstraint.violation`` it called.  The live solver must return the
-same weights to the bit, the same ``converged`` and the same
-``max_violation``.
+same weights to the bit, the same ``converged``, the same ``max_violation``
+and the same ``moved``; its ``rows_evaluated`` is at most this loop's, which
+evaluates every row in every pass.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Sequence
 
 from repro.graph import WeightVector
@@ -31,15 +33,17 @@ def reference_hildreth_solve(
 ) -> QPSolution:
     """Solve ``min ||w - w0||^2  s.t.  a_i · w >= b_i`` with Hildreth's method."""
     if not constraints:
-        return QPSolution(weights.copy(), True, 0.0)
+        return QPSolution(weights.copy(), True, 0.0, 0, ())
+    start = weights.copy()
     result = weights.copy()
     multipliers = [0.0] * len(constraints)
     norms = [max(c.squared_norm(), 1e-12) for c in constraints]
-    converged, max_violation = False, 0.0
+    converged, max_violation, evaluated = False, 0.0, 0
     for _ in range(max_iterations):
         max_update = max_violation = 0.0
         for index, constraint in enumerate(constraints):
             violation = seed_violation(constraint, result)
+            evaluated += 1
             if violation > max_violation:
                 max_violation = violation
             step = violation / norms[index]
@@ -52,4 +56,8 @@ def reference_hildreth_solve(
         if max_update < tolerance:
             converged = True
             break
-    return QPSolution(result, converged, max_violation)
+    moved = tuple(
+        name for name, value in result.items()
+        if name not in start or struct.pack("<d", value) != struct.pack("<d", start.get(name))
+    )
+    return QPSolution(result, converged, max_violation, evaluated, moved)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_hildreth import reference_hildreth_solve, seed_violation
 
+import repro.learning.mira as mira
+from repro.api import FeedbackRequest, QService, QueryRequest, ServiceConfig
+from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.datastore.provenance import AnswerTuple, TupleProvenance
 from repro.exceptions import FeedbackError, LearningError
 from repro.graph import (
@@ -49,6 +54,70 @@ QP_CONSTRAINT = st.builds(
     ),
     st.floats(-2.0, 2.0),
 )
+
+
+@st.composite
+def learner_qps(draw):
+    """A start, a tenant shadow and a QP shaped like the learner's.
+
+    Tree rows first, each the difference of two trees' summed edge features
+    (shared features cancel to 0.0 coefficients), then one positivity row per
+    edge over that edge's own features, which all carry ``default``.  Some rows
+    are tight at the start: slack exactly 0.0, or one ulp either side of it.
+    """
+    edges = draw(st.integers(1, 10))
+    features = []
+    for index in range(edges):
+        own = {"default": 1.0, f"edge::{index}": 1.0}
+        for relation in draw(st.lists(st.sampled_from(["r", "s", "t"]), min_size=1, max_size=2, unique=True)):
+            own[f"relation::{relation}"] = 1.0
+        confidence = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.5, 0.9]), st.floats(0.0, 1.0)))
+        if confidence is not None:
+            own["matcher::mad"] = confidence
+        features.append(own)
+    names = sorted({name for own in features for name in own})
+    values = st.one_of(st.sampled_from([0.0, -0.0, 0.01, 1.0]), st.floats(-1.0, 2.0))
+    start = draw(st.dictionaries(st.sampled_from(names), values, max_size=len(names)))
+    shadow = draw(st.dictionaries(st.sampled_from(names), values, max_size=3))
+
+    def summed(tree):
+        phi = {}
+        for index in sorted(tree):
+            for name, value in features[index].items():
+                phi[name] = phi.get(name, 0.0) + value
+        return phi
+
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        trees = st.sets(st.integers(0, edges - 1), min_size=1)
+        target, other = draw(trees), draw(trees)
+        phi_target, phi_other = summed(target), summed(other)
+        coefficients = {
+            name: phi_other.get(name, 0.0) - phi_target.get(name, 0.0)
+            for name in sorted(set(phi_target) | set(phi_other))
+        }
+        rows.append((coefficients, len(target ^ other) - draw(st.sampled_from([0.0, 0.5, -0.5]))))
+    rows.extend((dict(own), 0.01) for own in features)
+    constraints = []
+    for coefficients, bound in rows:
+        at_start = seed_violation(LinearConstraint(coefficients, 0.0), WeightVector(start))
+        tight = [-at_start, math.nextafter(-at_start, 9.0), math.nextafter(-at_start, -9.0)]
+        bound = draw(st.sampled_from([bound, *tight]))
+        constraints.append(LinearConstraint(coefficients, bound))
+    return start, shadow, constraints
+
+
+def assert_seed_solve(weights, constraints, max_iterations):
+    """``hildreth_solve`` returns what the seed loop returns, to the bit, and
+    evaluates no more rows than it."""
+    solved = hildreth_solve(weights, constraints, max_iterations=max_iterations)
+    seed = reference_hildreth_solve(weights, constraints, max_iterations=max_iterations)
+    assert repr(solved.weights.as_dict()) == repr(seed.weights.as_dict())
+    assert solved.weights.as_dict() == seed.weights.as_dict()
+    assert solved.converged == seed.converged
+    assert repr(solved.max_violation) == repr(seed.max_violation)
+    assert solved.moved == seed.moved
+    assert solved.rows_evaluated <= seed.rows_evaluated
 
 
 def apply_to_graph(binner, graph, feature_names=None):
@@ -179,17 +248,23 @@ class TestHildrethSolver:
         """Sparse constraints sharing few features (so usually more constraints
         than features), zero coefficients, starts that violate them, plain and
         overlay starting vectors: the same weights per feature, in the same
-        order, ``converged`` and ``max_violation`` as the seed loop."""
+        order, ``converged``, ``max_violation`` and ``moved`` as the seed loop."""
         base = WeightVector(start)
         for weights in (base, OverlayWeightVector(base, shadow)):
-            solved = hildreth_solve(weights, constraints, max_iterations=max_iterations)
-            seed = reference_hildreth_solve(weights, constraints, max_iterations=max_iterations)
-            assert repr(solved.weights.as_dict()) == repr(seed.weights.as_dict())
-            assert solved.weights.as_dict() == seed.weights.as_dict()
-            assert solved.converged == seed.converged
-            assert repr(solved.max_violation) == repr(seed.max_violation)
+            assert_seed_solve(weights, constraints, max_iterations)
         for constraint in constraints:
             assert repr(constraint.violation(base)) == repr(seed_violation(constraint, base))
+
+    @settings(max_examples=200, deadline=None)
+    @given(learner_qps(), st.sampled_from([1, 2, 3, 5, 200]))
+    def test_a_learner_shaped_solve_is_the_seed_loop_to_the_bit(self, qp, max_iterations):
+        """The rows the screen skips most: positivity rows sharing ``default``,
+        dense tree rows, rows tight at the start, and pass caps that stop an
+        oscillation mid-pass."""
+        start, shadow, constraints = qp
+        base = WeightVector(start)
+        for weights in (base, OverlayWeightVector(base, shadow)):
+            assert_seed_solve(weights, constraints, max_iterations)
 
 
 class TestTreeFeatureVector:
@@ -413,3 +488,102 @@ class TestFeatureBinner:
         # Bin centers approximate the original confidence, so the cost moves
         # by at most half a bin width times the matcher weight.
         assert cost_after == pytest.approx(cost_before, abs=0.06)
+
+
+#: Feedback on a GBCO session, each replayed twice: (query-log entry of the
+#: view, tenant, the answer's rank).  A repeat of a feedback the learner
+#: already took moves no weight, for the base vector and for an overlay.
+GBCO_FEEDBACK = (
+    (7, None, 0), (7, "alice", 0), (7, None, 0), (7, "alice", 0), (11, None, 1),
+    (11, None, 1), (11, "alice", 1), (11, "alice", 1), (6, "bob", 2), (6, "bob", 2),
+)
+
+
+def _gbco_session(dataset):
+    service = QService(
+        sources=[source_from_dict(source_to_dict(s)) for s in dataset.catalog],
+        config=ServiceConfig(top_k=5),
+    )
+    service.bootstrap_alignments()
+    views = {
+        entry: service.create_view(QueryRequest(keywords=tuple(dataset.query_log[entry].keywords))).view_id
+        for entry in sorted({entry for entry, _, _ in GBCO_FEEDBACK})
+    }
+    return service, views
+
+
+def _give_feedback(service, views, step):
+    entry, tenant, rank = step
+    answers = list(service.stream_answers(QueryRequest(view=views[entry], tenant=tenant)))
+    service.feedback(
+        FeedbackRequest(view=views[entry], answer=answers[rank % len(answers)], tenant=tenant, replay=2)
+    )
+
+
+def _vector_copy(vector):
+    """An independent copy of ``vector`` that keeps its kind and version."""
+    if isinstance(vector, OverlayWeightVector):
+        return OverlayWeightVector(vector.base, vector.shadow_dict(), vector.local_version)
+    copy = vector.copy()
+    copy.version = vector.version
+    return copy
+
+
+def test_the_learner_installs_what_the_full_install_would(gbco_dataset, monkeypatch):
+    """Each step of a GBCO session, base and tenant overlay, against the seed
+    step: the seed loop's solve installed weight by weight over the whole
+    vector, ``weight_change`` its ``distance_to``.  The same final weights to
+    the bit, the same ``repr(weight_change)``, and the version moves exactly
+    when the full install changed a weight."""
+    service, views = _gbco_session(gbco_dataset)
+    solves = []
+
+    def spy(weights, constraints, max_iterations=100, tolerance=1e-8):
+        solves.append((constraints, max_iterations))
+        return hildreth_solve(weights, constraints, max_iterations, tolerance)
+
+    live = service.learner.process
+    seen = []
+
+    def checked(event, graph=None, weights=None):
+        vector = weights if weights is not None else graph.weights
+        before, version = _vector_copy(vector), vector.version
+        result = live(event, graph=graph, weights=weights)
+        constraints, cap = solves.pop()
+        expected = _vector_copy(before)
+        for name, value in reference_hildreth_solve(before, constraints, max_iterations=cap).weights.as_dict().items():
+            expected.set(name, value)
+        assert repr(vector.as_dict()) == repr(expected.as_dict())
+        assert repr(result.weight_change) == repr(before.distance_to(expected))
+        moved = repr(expected.as_dict()) != repr(before.as_dict())
+        assert (vector.version != version) == moved
+        seen.append((isinstance(vector, OverlayWeightVector), moved))
+        return result
+
+    monkeypatch.setattr(mira, "hildreth_solve", spy)
+    monkeypatch.setattr(service.learner, "process", checked)
+    with service:
+        for step in GBCO_FEEDBACK:
+            _give_feedback(service, views, step)
+    # Both vectors, and on each both a step that moved and one that did not.
+    assert set(seen) == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_the_gbco_feedback_scenario_evaluates_a_fixed_number_of_rows(gbco_dataset, monkeypatch):
+    """The QP rows the learner evaluates over ``GBCO_FEEDBACK``'s 20 steps.
+    The seed loop, which evaluates every row in every pass, evaluates 70 289
+    rows on the same steps."""
+    service, views = _gbco_session(gbco_dataset)
+    live = service.learner.process
+    steps = []
+
+    def counted(event, graph=None, weights=None):
+        steps.append(live(event, graph=graph, weights=weights))
+        return steps[-1]
+
+    monkeypatch.setattr(service.learner, "process", counted)
+    with service:
+        for step in GBCO_FEEDBACK:
+            _give_feedback(service, views, step)
+    assert len(steps) == 2 * len(GBCO_FEEDBACK)
+    assert sum(step.rows_evaluated for step in steps) == 11869

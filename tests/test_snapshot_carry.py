@@ -1,11 +1,13 @@
-"""Snapshot carry-over is keyed on prices: a slot survives every write that
-moves no weight its view's query graph carries, and only those.
+"""Snapshot carry-over is keyed on prices and tables: a slot survives every
+write that moves no weight its view's query graph carries and no table its
+queries read, and only those.
 
 A (view, tenant) slot's answers are a function of the view's query-graph
-object and the weight, under the slot's vector, of each feature the graph's
-learnable edges carry.  :class:`~repro.service.snapshots.ReadSnapshot`
-carries a slot over to the next snapshot exactly when both are unchanged.
-These tests pin both directions of that rule with hand-placed weight moves,
+object, the weight, under the slot's vector, of each feature the graph's
+learnable edges carry, and the tables its queries read.
+:class:`~repro.service.snapshots.ReadSnapshot` carries a slot over to the
+next snapshot exactly when all three are unchanged.  These tests pin both
+directions of that rule with hand-placed weight moves and a row write,
 check every carried slot against a fresh materialization over random moves,
 and hold the count of materializations of one serial serving scenario.
 """
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import FeedbackRequest, QService, QueryRequest, ServiceConfig
+from repro.datasets import build_gbco
 from repro.datastore.csvio import source_from_dict, source_to_dict
 from repro.service import QServer
 from server_oracle import fingerprint
@@ -110,6 +113,25 @@ class TestCarryRule:
                 _read(server, b, tenant)
             assert _counts(server) == (materialized + 1, carried + 1)
             assert set(server.snapshot()._pinned) == {(b, None), (b, "alice")}
+
+
+def test_a_row_written_to_a_table_the_view_reads_rebuilds_its_slot():
+    """A write that appends a row and moves no weight: the view's slot must
+    not come over, or the server serves the answers of the old table.  The
+    query-log entry 7 view of a seed-7 GBCO reads ``pathway.pathway``; a copy
+    of one of its rows takes the view from 15 answers to 18."""
+    dataset = build_gbco(seed=7, rows_per_relation=30)
+    service, (view_id,) = _session(dataset, (7,))
+    with service, QServer(service, read_workers=1) as server:
+        assert len(server.query(QueryRequest(view=view_id)).answers) == 15
+        table = service.catalog.relation("pathway.pathway")
+        row = table.scan()[0]
+        server.submit_mutation(lambda: table.append(row), kind="rows").result(timeout=30)
+        served = server.query(QueryRequest(view=view_id)).answers
+        live = list(service.stream_answers(QueryRequest(view=view_id)))
+        assert len(served) == 18
+        assert fingerprint(served) == fingerprint(live)
+        assert _counts(server) == (2, 0)
 
 
 _WEIGHTS = st.sampled_from((None, -0.5, 0.0, 0.4, 1.0, 2.5))

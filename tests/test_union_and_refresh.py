@@ -208,17 +208,31 @@ class TestIncrementalRefresh:
         assert view.last_refresh.solver_runs == 0
         assert view.last_refresh.queries_executed == distinct_contents(view)
 
-    def test_learning_hook_notifies_views(self):
-        system = _mini_system()
-        system.graph.add_association("go.term", "acc", "interpro.interpro2go", "go_id", {"mad": 0.9})
-        view = _create_view(system, ["membrane", "IPR001"])
-        assert view.state.answers, "view should produce answers"
-        answer = view.state.answers[0]
-        system.feedback(FeedbackRequest(view=view, answer=answer))
+    def test_feedback_that_moves_a_weight_re_solves_the_pulled_view(self):
+        system, view = self._system_and_view()
+        # The association priced below the positivity margin: the learner's
+        # QP lifts it, so the step moves a weight.
+        edge = next(iter(view.query_graph.graph.association_edges()))
+        system.graph.weights.set(edge_feature(edge.edge_id), -3.0)
+        view.refresh()
+        version = system.graph.weights.version
+        response = system.feedback(FeedbackRequest(view=view, answer=view.state.answers[0]))
         system.refresh_all_views()
         # The learner ran and the pulled view re-solved under the new costs.
         assert system.feedback_log.events
+        assert response.weight_change > 0 and system.graph.weights.version > version
         assert view.last_refresh.solver_runs == 1
+
+    def test_feedback_that_moves_no_weight_leaves_the_view_solved(self):
+        system, view = self._system_and_view()
+        assert view.state.answers, "view should produce answers"
+        version, key = system.graph.weights.version, view._solve_key()
+        # The one tree already beats every candidate: its QP moves nothing.
+        response = system.feedback(FeedbackRequest(view=view, answer=view.state.answers[0]))
+        system.refresh_all_views()
+        assert system.feedback_log.events and response.weight_change == 0.0
+        assert (system.graph.weights.version, view._solve_key()) == (version, key)
+        assert view.last_refresh.solver_runs == 0
 
     def test_registration_executes_only_new_contents(self):
         system, view = self._system_and_view()
