@@ -303,11 +303,6 @@ class QService(RegistrationMixin, FeedbackMixin, DurabilityMixin):
         self._pull(record)
         return self._info(record)
 
-    def latest_view(self) -> Optional[ViewInfo]:
-        """The most recently created view, by explicit creation order."""
-        record = self.views.latest()
-        return self._info(record) if record is not None else None
-
     def _info(self, record: ViewRecord) -> ViewInfo:
         view = record.view
         return ViewInfo(
@@ -333,9 +328,9 @@ class QService(RegistrationMixin, FeedbackMixin, DurabilityMixin):
 
         The *only* place a registered view is expanded, solved or executed;
         mutations never call it.  ``read`` names the pull — ``prepare`` (solve
-        only), ``stream_answers``, ``answers_page`` (with its ``window``) or
-        ``refresh`` — each of which prepares the view exactly once; whether
-        that ran the solver is what the session counts as a refresh.  With a
+        only), ``stream_answers`` or ``answers_page`` (with its ``window``) —
+        each of which prepares the view exactly once; whether that ran the
+        solver is what the session counts as a refresh.  With a
         ``tenant`` the view is prepared (its expansion is what the twin
         prices) and the read runs on the twin, whose own solve state is keyed
         on the overlay's effective version: base-weight and overlay movement
@@ -384,18 +379,6 @@ class QService(RegistrationMixin, FeedbackMixin, DurabilityMixin):
                 self._pull(record)
                 prepared += 1
         return prepared
-
-    def refresh_all_views(self) -> int:
-        """Pull every view up to date; returns how many actually refreshed.
-
-        Administrative warm-up; ordinary clients never need it — reads pull
-        on demand.
-        """
-        refreshed = 0
-        for record in self.views.records():
-            self._pull(record, "refresh")
-            refreshed += record.view.last_refresh.solver_runs
-        return refreshed
 
     # ------------------------------------------------------------------
     # Answers (streaming reads)

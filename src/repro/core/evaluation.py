@@ -82,11 +82,6 @@ class GoldStandard:
         recall = true_positives / len(self.pairs) if self.pairs else 1.0
         return PrecisionRecall(precision=precision, recall=recall)
 
-    def is_gold_edge(self, graph: SearchGraph, edge: Edge) -> bool:
-        """Whether an association edge corresponds to a gold attribute pair."""
-        pair = edge_attribute_pair(graph, edge)
-        return pair is not None and pair in self.pairs
-
 
 def edge_attribute_pair(graph: SearchGraph, edge: Edge) -> Optional[AttributePair]:
     """The attribute pair an association edge connects, if both ends are attributes."""

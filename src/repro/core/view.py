@@ -468,13 +468,6 @@ class RankedView:
         """The retained Steiner trees of the last refresh."""
         return list(self.state.trees)
 
-    def uses_relation(self, qualified_relation: str) -> bool:
-        """Whether any retained tree touches ``qualified_relation``."""
-        return any(
-            tree.contains_relation(self.query_graph.graph, qualified_relation)
-            for tree in self.state.trees
-        )
-
     # ------------------------------------------------------------------
     # Feedback
     # ------------------------------------------------------------------

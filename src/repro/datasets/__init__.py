@@ -8,8 +8,8 @@ Public API
 * :func:`build_gbco`, :data:`GBCO_RELATIONS`, :data:`QUERY_LOG`,
   :class:`QueryLogEntry` — the 18-relation / 187-attribute dataset and its
   query-log trials (Section 5.1 experiments).
-* :func:`grow_catalog_and_graph`, :func:`make_two_attribute_source` — the
-  synthetic graph-growth construction of Figure 8.
+* :func:`grow_catalog_and_graph` — the synthetic graph-growth construction
+  of Figure 8.
 """
 
 from .gbco import (
@@ -30,7 +30,6 @@ from .synthetic import (
     GrowthResult,
     average_learnable_edge_cost,
     grow_catalog_and_graph,
-    make_two_attribute_source,
 )
 
 __all__ = [
@@ -46,6 +45,5 @@ __all__ = [
     "build_gbco",
     "build_interpro_go",
     "grow_catalog_and_graph",
-    "make_two_attribute_source",
     "total_attribute_count",
 ]

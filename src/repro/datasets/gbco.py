@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..datastore.database import Catalog, DataSource
 from ..datastore.schema import RelationSchema, SourceSchema
@@ -181,11 +181,6 @@ class GbcoDataset:
 
     catalog: Catalog
     query_log: List[QueryLogEntry] = field(default_factory=list)
-
-    def sources_for(self, relations: Sequence[str]) -> List[DataSource]:
-        """The data sources owning the given qualified relation names."""
-        names = {relation.split(".")[0] for relation in relations}
-        return [self.catalog.source(name) for name in names]
 
     @property
     def total_new_source_introductions(self) -> int:

@@ -199,16 +199,3 @@ def grow_catalog_and_graph(
         average_edge_cost=average_cost,
     )
 
-
-def make_two_attribute_source(name: str, rows: int = 5, seed: int = 0) -> DataSource:
-    """A standalone synthetic two-attribute source (used by tests and benches)."""
-    rng = random.Random(seed)
-    schema = SourceSchema(name, description="synthetic two-attribute source")
-    schema.add_relation(RelationSchema(name, ["attr_1", "attr_2"]))
-    source = DataSource(schema)
-    table = source.table(name)
-    for row in range(rows):
-        table.append(
-            {"attr_1": f"{name}_a{row}_{rng.randint(0, 9)}", "attr_2": f"{name}_b{row}"}
-        )
-    return source

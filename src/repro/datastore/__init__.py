@@ -10,8 +10,8 @@ This subpackage provides everything the Q system needs from a database layer:
 * :class:`ConjunctiveQuery` and friends, :class:`AnswerTuple`,
   :class:`TupleProvenance` — the query model and provenance-carrying answers
   (paper Section 2.2); execution lives in :mod:`repro.engine`.
-* CSV / JSON loading via :mod:`repro.datastore.csvio` and SQL rendering via
-  :mod:`repro.datastore.sqlgen`.
+* CSV / JSON loading via :mod:`repro.datastore.csvio`, and display SQL for
+  one query via :func:`repro.datastore.sqlgen.query_to_sql`.
 """
 
 from .database import Catalog, DataSource
@@ -25,7 +25,7 @@ from .query import (
 )
 from .schema import Attribute, ForeignKey, RelationSchema, SourceSchema, qualified_name, split_qualified
 from .table import Row, Table
-from .types import ValueType, canonicalize, infer_column_type, infer_value_type, is_null
+from .types import ValueType, canonicalize, infer_value_type, is_null
 
 __all__ = [
     "AnswerTuple",
@@ -45,7 +45,6 @@ __all__ = [
     "TupleProvenance",
     "ValueType",
     "canonicalize",
-    "infer_column_type",
     "infer_value_type",
     "is_null",
     "qualified_name",

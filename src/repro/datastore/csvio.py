@@ -35,7 +35,7 @@ def read_relation_header(
     """Read only the header row of a CSV file into a relation schema."""
     path = Path(path)
     relation_name = relation_name or path.stem
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:
             header = next(reader)
@@ -51,12 +51,11 @@ def iter_relation_rows(
     """Lazily yield one ``{attribute: value}`` dict per CSV record.
 
     The header row is consumed for attribute names; records are validated
-    against it as they stream.  All values are kept as strings; type
-    inference happens lazily via the table's
-    :meth:`~repro.datastore.table.Table.inferred_column_type`.
+    against it as they stream.  All values are kept as strings, as the CSV
+    holds them; no column type is inferred.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:
             header = next(reader)

@@ -405,14 +405,6 @@ class Catalog:
             tables.extend(source.tables())
         return tables
 
-    def all_foreign_keys(self) -> List[Tuple[str, ForeignKey]]:
-        """Every foreign key, paired with its owning source name."""
-        result: List[Tuple[str, ForeignKey]] = []
-        for source in self._sources.values():
-            for fk in source.schema.foreign_keys:
-                result.append((source.name, fk))
-        return result
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------

@@ -69,10 +69,6 @@ class AnswerTuple:
         """Mapping-style access with a default."""
         return self.values.get(column, default)
 
-    def columns(self) -> Tuple[str, ...]:
-        """Output column labels present in this answer."""
-        return tuple(self.values.keys())
-
     def key(self) -> Tuple:
         """A hashable identity for the answer (used when applying feedback)."""
         prov_key: Tuple = ()

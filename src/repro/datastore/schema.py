@@ -222,11 +222,6 @@ class RelationSchema:
         except KeyError:
             raise UnknownAttributeError(self.name, name) from None
 
-    @property
-    def arity(self) -> int:
-        """Number of attributes."""
-        return len(self._attributes)
-
     # ------------------------------------------------------------------
     # Qualified naming
     # ------------------------------------------------------------------
@@ -249,15 +244,6 @@ class RelationSchema:
         if self._refs_cache is None:
             self._refs_cache = tuple(AttributeRef(self.qualified_name, a.name) for a in self._attributes)
         return self._refs_cache
-
-    def qualified_attribute(self, name: str) -> str:
-        """Return ``"<source>.<relation>.<attribute>"`` for attribute ``name``."""
-        self.attribute(name)  # validates existence
-        return qualified_name(self.qualified_name, name)
-
-    def qualified_attribute_names(self) -> Tuple[str, ...]:
-        """Fully qualified names for all attributes, in order."""
-        return tuple(self.qualified_attribute(a.name) for a in self._attributes)
 
     # ------------------------------------------------------------------
     # Dunder methods
@@ -355,14 +341,6 @@ class SourceSchema:
     def relation_names(self) -> Tuple[str, ...]:
         """Local names of all relations, in insertion order."""
         return tuple(self.relations.keys())
-
-    def all_attributes(self) -> List[Tuple[RelationSchema, Attribute]]:
-        """Return every (relation, attribute) pair in the source."""
-        pairs: List[Tuple[RelationSchema, Attribute]] = []
-        for relation in self.relations.values():
-            for attr in relation:
-                pairs.append((relation, attr))
-        return pairs
 
     @property
     def attribute_count(self) -> int:

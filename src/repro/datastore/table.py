@@ -23,7 +23,6 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 
 from ..exceptions import DataError
 from .schema import RelationSchema
-from .types import ValueType, infer_column_type
 
 
 class Row:
@@ -249,33 +248,9 @@ class Table:
         self.schema.attribute_index(attribute)  # validates existence
         return self._backend.distinct_values(self._key, attribute)
 
-    def inferred_column_type(self, attribute: str) -> ValueType:
-        """Infer the dominant value type of ``attribute`` from stored data."""
-        return infer_column_type(self.column(attribute))
-
     def value_overlap(self, attribute: str, other: "Table", other_attribute: str) -> int:
         """Number of distinct canonical values shared with another column."""
         return len(self.distinct_values(attribute) & other.distinct_values(other_attribute))
-
-    # ------------------------------------------------------------------
-    # Simple relational operations (used by the executor and tests)
-    # ------------------------------------------------------------------
-    def select(self, predicate) -> "Table":
-        """Return a new table containing rows for which ``predicate(row)`` holds."""
-        result = Table(self.schema)
-        result.extend(row.as_dict() for row in self if predicate(row))
-        return result
-
-    def project(self, attributes: Sequence[str]) -> "Table":
-        """Return a new table with only the given attributes (duplicates kept)."""
-        new_schema = RelationSchema(
-            self.schema.name,
-            [self.schema.attribute(a) for a in attributes],
-            source=self.schema.source,
-        )
-        result = Table(new_schema)
-        result.extend({a: row[a] for a in attributes} for row in self)
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.schema.qualified_name!r}, rows={len(self)})"

@@ -13,7 +13,7 @@ import enum
 import math
 import re
 from functools import lru_cache
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 
 class ValueType(enum.Enum):
@@ -29,10 +29,6 @@ class ValueType(enum.Enum):
     def is_numeric(self) -> bool:
         """Return ``True`` for the numeric types (integer / float)."""
         return self in (ValueType.INTEGER, ValueType.FLOAT)
-
-    def is_textual(self) -> bool:
-        """Return ``True`` for string-like types (string / identifier)."""
-        return self in (ValueType.STRING, ValueType.IDENTIFIER)
 
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -72,43 +68,6 @@ def infer_value_type(value: Any) -> ValueType:
     if _IDENTIFIER_RE.match(text):
         return ValueType.IDENTIFIER
     return ValueType.STRING
-
-
-def infer_column_type(values: Iterable[Any], sample_limit: Optional[int] = 1000) -> ValueType:
-    """Infer the dominant :class:`ValueType` of a column of values.
-
-    The most frequent non-null type wins.  Ties are broken in favour of the
-    more general type (``STRING`` > ``IDENTIFIER`` > ``FLOAT`` > ``INTEGER``
-    > ``BOOLEAN``).  If every value is null, :data:`ValueType.NULL` is
-    returned.
-
-    Parameters
-    ----------
-    values:
-        Any iterable of cell values.
-    sample_limit:
-        Only the first ``sample_limit`` values are inspected (``None`` means
-        inspect everything).  Keeps inference cheap on very large columns.
-    """
-    generality = {
-        ValueType.STRING: 5,
-        ValueType.IDENTIFIER: 4,
-        ValueType.FLOAT: 3,
-        ValueType.INTEGER: 2,
-        ValueType.BOOLEAN: 1,
-        ValueType.NULL: 0,
-    }
-    counts: dict[ValueType, int] = {}
-    for i, value in enumerate(values):
-        if sample_limit is not None and i >= sample_limit:
-            break
-        vtype = infer_value_type(value)
-        if vtype is ValueType.NULL:
-            continue
-        counts[vtype] = counts.get(vtype, 0) + 1
-    if not counts:
-        return ValueType.NULL
-    return max(counts, key=lambda t: (counts[t], generality[t]))
 
 
 def is_null(value: Any) -> bool:

@@ -18,15 +18,11 @@ from .edges import Edge, EdgeKind
 from .features import (
     DEFAULT_FEATURE,
     WeightVector,
-    bin_feature,
     edge_feature,
-    is_edge_feature,
-    is_matcher_feature,
-    is_relation_feature,
     matcher_feature,
     relation_feature,
 )
-from .neighborhood import cost_neighborhood, neighborhood_attributes, neighborhood_relations
+from .neighborhood import cost_neighborhood, neighborhood_relations
 from .nodes import (
     Node,
     NodeKind,
@@ -56,19 +52,14 @@ __all__ = [
     "SearchGraph",
     "WeightVector",
     "attribute_node_id",
-    "bin_feature",
     "cost_neighborhood",
     "edge_feature",
-    "is_edge_feature",
-    "is_matcher_feature",
-    "is_relation_feature",
     "keyword_node_id",
     "make_attribute_node",
     "make_keyword_node",
     "make_relation_node",
     "make_value_node",
     "matcher_feature",
-    "neighborhood_attributes",
     "neighborhood_relations",
     "relation_feature",
     "relation_node_id",

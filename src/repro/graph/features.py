@@ -9,7 +9,7 @@ The standard features attached to an association edge are:
 
 * ``DEFAULT_FEATURE`` — value 1 on every edge; its weight is the uniform
   cost offset that keeps all edge costs positive.
-* ``matcher_feature(name)`` — the (possibly binned) confidence score of each
+* ``matcher_feature(name)`` — the confidence score of each
   schema matcher that proposed the edge; its weight encodes how much that
   matcher is trusted.
 * ``relation_feature(relation)`` — value 1 for each relation an edge
@@ -17,10 +17,6 @@ The standard features attached to an association edge are:
 * ``edge_feature(edge_id)`` — value 1 only on that edge; its weight is a
   per-edge cost correction, which is what lets feedback suppress one
   specific bad alignment.
-
-Real-valued matcher confidences can optionally be *binned* into indicator
-features (see :mod:`repro.learning.binning`), as the paper does to avoid
-mixing real-valued and Boolean features in MIRA.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ DEFAULT_FEATURE = "default"
 _MATCHER_PREFIX = "matcher::"
 _RELATION_PREFIX = "relation::"
 _EDGE_PREFIX = "edge::"
-_BIN_PREFIX = "bin::"
 
 
 def matcher_feature(matcher_name: str) -> str:
@@ -57,28 +52,6 @@ def relation_feature(relation: str) -> str:
 def edge_feature(edge_id: str) -> str:
     """Feature name identifying a single edge."""
     return f"{_EDGE_PREFIX}{edge_id}"
-
-
-def bin_feature(base_feature: str, bin_index: int) -> str:
-    """Indicator feature for ``base_feature`` falling in bin ``bin_index``."""
-    return f"{_BIN_PREFIX}{base_feature}::{bin_index}"
-
-
-def is_matcher_feature(name: str) -> bool:
-    """Whether ``name`` is a matcher-confidence feature (possibly binned)."""
-    return name.startswith(_MATCHER_PREFIX) or (
-        name.startswith(_BIN_PREFIX) and _MATCHER_PREFIX in name
-    )
-
-
-def is_edge_feature(name: str) -> bool:
-    """Whether ``name`` is a per-edge identity feature."""
-    return name.startswith(_EDGE_PREFIX)
-
-
-def is_relation_feature(name: str) -> bool:
-    """Whether ``name`` is a per-relation authoritativeness feature."""
-    return name.startswith(_RELATION_PREFIX)
 
 
 def matchers_of(features: Mapping[str, float]) -> Dict[str, float]:

@@ -11,9 +11,9 @@ neighborhood of some keyword node.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
-from .nodes import Node, NodeKind
+from .nodes import NodeKind
 from .search_graph import SearchGraph
 
 #: Per-graph memo of computed relation neighborhoods.  The view-based
@@ -83,16 +83,3 @@ def neighborhood_relations(
     memo[key] = frozenset(relations)
     return relations
 
-
-def neighborhood_attributes(
-    graph: SearchGraph,
-    start_nodes: Iterable[str],
-    alpha: float,
-) -> Set[str]:
-    """Attribute node ids inside the α neighborhood of the start nodes."""
-    distances = cost_neighborhood(graph, start_nodes, alpha)
-    return {
-        node_id
-        for node_id in distances
-        if graph.node(node_id).kind is NodeKind.ATTRIBUTE
-    }

@@ -612,16 +612,6 @@ class SearchGraph:
         """Number of edges."""
         return len(self._edges)
 
-    def relation_node_of(self, node_id: str) -> Optional[Node]:
-        """The relation node that owns ``node_id`` (itself, if already a relation)."""
-        node = self.node(node_id)
-        if node.kind is NodeKind.RELATION:
-            return node
-        if node.relation is None:
-            return None
-        rel_id = relation_node_id(node.relation)
-        return self._nodes.get(rel_id)
-
     def __contains__(self, node_id: object) -> bool:
         return isinstance(node_id, str) and node_id in self._nodes
 

@@ -1,4 +1,4 @@
-"""Learning from user feedback: MIRA weight updates, feedback generalization, binning.
+"""Learning from user feedback: MIRA weight updates and feedback generalization.
 
 Public API
 ----------
@@ -7,12 +7,9 @@ Public API
 * :class:`FeedbackEvent`, :class:`AnswerAnnotation`, :class:`AnnotationKind`,
   :class:`FeedbackGeneralizer`, :class:`FeedbackLog` — feedback over answers
   and its generalization to query trees (Section 4).
-* :func:`symmetric_edge_loss`, :func:`normalized_edge_loss`,
-  :func:`zero_one_loss` — tree loss functions (Equation 2).
-* :class:`FeatureBinner` — binning of real-valued features into indicators.
+* :func:`symmetric_edge_loss` — the tree loss the margin uses (Equation 2).
 """
 
-from .binning import FeatureBinner
 from .feedback import (
     AnnotationKind,
     AnswerAnnotation,
@@ -20,7 +17,7 @@ from .feedback import (
     FeedbackGeneralizer,
     FeedbackLog,
 )
-from .loss import normalized_edge_loss, symmetric_edge_loss, zero_one_loss
+from .loss import symmetric_edge_loss
 from .overlays import (
     OverlayWeightVector,
     TenantProfile,
@@ -38,7 +35,6 @@ from .mira import (
 __all__ = [
     "AnnotationKind",
     "AnswerAnnotation",
-    "FeatureBinner",
     "FeedbackEvent",
     "FeedbackGeneralizer",
     "FeedbackLog",
@@ -50,8 +46,6 @@ __all__ = [
     "TenantRegistry",
     "graph_with_weights",
     "hildreth_solve",
-    "normalized_edge_loss",
     "symmetric_edge_loss",
     "tree_feature_vector",
-    "zero_one_loss",
 ]

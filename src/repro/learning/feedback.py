@@ -148,12 +148,6 @@ class FeedbackLog:
         if len(self.events) > self.window_size:
             self.events.pop(0)
 
-    def replay_sequence(self, repetitions: int) -> List[FeedbackEvent]:
-        """The stored events repeated ``repetitions`` times, in order."""
-        if repetitions < 1:
-            return []
-        return list(self.events) * repetitions
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -1,4 +1,4 @@
-"""Loss functions between query trees (paper Section 4, Equation 2).
+"""The loss between query trees (paper Section 4, Equation 2).
 
 The MIRA update requires every alternative tree ``T`` to be separated from
 the user-preferred target tree ``Tr`` by a margin equal to the loss
@@ -14,19 +14,3 @@ def symmetric_edge_loss(target: SteinerTree, other: SteinerTree) -> float:
     """``|E(T) \\ E(T')| + |E(T') \\ E(T)|`` — Equation 2 of the paper."""
     return float(len(target.edge_ids ^ other.edge_ids))
 
-
-def normalized_edge_loss(target: SteinerTree, other: SteinerTree) -> float:
-    """Symmetric edge loss scaled to ``[0, 1]`` by the total number of edges.
-
-    Useful as an ablation: margins no longer grow with tree size, which
-    makes the learner less aggressive on large trees.
-    """
-    union = len(target.edge_ids | other.edge_ids)
-    if union == 0:
-        return 0.0
-    return len(target.edge_ids ^ other.edge_ids) / union
-
-
-def zero_one_loss(target: SteinerTree, other: SteinerTree) -> float:
-    """1.0 if the trees differ at all, else 0.0 (perceptron-style margin)."""
-    return 0.0 if target.edge_ids == other.edge_ids else 1.0

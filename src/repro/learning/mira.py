@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..exceptions import LearningError
 from ..graph.features import WeightVector
@@ -29,8 +29,6 @@ from ..steiner.topk import KBestSteiner
 from ..steiner.tree import SteinerTree
 from .feedback import FeedbackEvent
 from .loss import symmetric_edge_loss
-
-LossFn = Callable[[SteinerTree, SteinerTree], float]
 
 
 @dataclass(frozen=True)
@@ -199,8 +197,6 @@ class OnlineLearner:
         that views sharing the weight vector see the new costs immediately.
     k:
         Number of candidate trees retrieved per feedback step.
-    loss:
-        Loss function between trees; defaults to the symmetric edge loss.
     positive_margin:
         Minimum cost enforced for every learnable edge (the strict
         positivity constraint of Algorithm 4, made numerical).
@@ -213,14 +209,12 @@ class OnlineLearner:
         self,
         graph: SearchGraph,
         k: int = 5,
-        loss: LossFn = symmetric_edge_loss,
         positive_margin: float = 0.01,
         solver: Optional[KBestSteiner] = None,
         max_qp_iterations: int = 200,
     ) -> None:
         self.graph = graph
         self.k = k
-        self.loss = loss
         self.positive_margin = positive_margin
         self.solver = solver or KBestSteiner()
         self.max_qp_iterations = max_qp_iterations
@@ -281,7 +275,7 @@ class OnlineLearner:
         for tree in comparison_trees:
             if tree.edge_ids == target.edge_ids:
                 continue  # L(Tr, Tr) = 0: trivially satisfied.
-            margin = self.loss(target, tree)
+            margin = symmetric_edge_loss(target, tree)
             phi, fixed = tree_feature_vector(graph, tree)
             coefficients: Dict[str, float] = {}
             for name in sorted(set(phi) | set(target_phi)):

@@ -89,11 +89,6 @@ class RelationProfile:
     name_token_union: FrozenSet[str]
     row_count: int
 
-    @property
-    def arity(self) -> int:
-        """Number of attributes."""
-        return len(self.attribute_names)
-
 
 def profile_table(table: Table) -> Tuple[RelationProfile, Dict[str, AttributeProfile]]:
     """Build the relation profile and all attribute profiles of ``table``.

@@ -6,21 +6,16 @@ Public API
   :func:`character_ngrams` — tokenization helpers.
 * :class:`TfIdfScorer` — tf-idf cosine similarity (the default keyword
   similarity metric of the paper).
-* :func:`levenshtein_distance`, :func:`levenshtein_similarity`,
-  :func:`jaro_winkler_similarity` — edit-distance family.
-* :func:`ngram_similarity`, :func:`ngram_jaccard` — character n-gram family.
-* :func:`jaccard`, :func:`containment`, :func:`max_containment`,
-  :func:`token_jaccard`, :func:`overlap_count` — set-based measures.
+* :func:`jaro_similarity`, :func:`jaro_winkler_similarity` — attribute-name
+  similarity for the metadata matcher.
+* :func:`ngram_similarity` — character n-gram (Dice) similarity.
+* :func:`jaccard`, :func:`max_containment`, :func:`token_jaccard` —
+  set-based measures.
 """
 
-from .edit_distance import (
-    jaro_similarity,
-    jaro_winkler_similarity,
-    levenshtein_distance,
-    levenshtein_similarity,
-)
-from .jaccard import containment, jaccard, max_containment, overlap_count, token_jaccard
-from .ngram import ngram_jaccard, ngram_similarity
+from .edit_distance import jaro_similarity, jaro_winkler_similarity
+from .jaccard import jaccard, max_containment, token_jaccard
+from .ngram import ngram_similarity
 from .tfidf import TfIdfScorer
 from .tokenize import STOPWORDS, character_ngrams, normalize_label, token_set, tokenize
 
@@ -28,17 +23,12 @@ __all__ = [
     "STOPWORDS",
     "TfIdfScorer",
     "character_ngrams",
-    "containment",
     "jaccard",
     "jaro_similarity",
     "jaro_winkler_similarity",
-    "levenshtein_distance",
-    "levenshtein_similarity",
     "max_containment",
-    "ngram_jaccard",
     "ngram_similarity",
     "normalize_label",
-    "overlap_count",
     "token_jaccard",
     "token_set",
     "tokenize",

@@ -1,48 +1,13 @@
-"""Edit-distance based string similarity.
+"""Jaro and Jaro–Winkler string similarity.
 
-The paper mentions edit distance as one of the alternative keyword
-similarity metrics (Section 2.2).  We provide classic Levenshtein distance,
-a normalized similarity in ``[0, 1]``, and the Jaro–Winkler similarity which
-is widely used by metadata schema matchers for attribute-name comparison.
+The metadata matcher compares attribute names with Jaro–Winkler, the
+edit-distance family measure schema matchers commonly use.  Keyword
+matching does not use it: keywords are scored by tf-idf only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-
-def levenshtein_distance(a: str, b: str) -> int:
-    """Return the Levenshtein (edit) distance between ``a`` and ``b``.
-
-    Uses the standard two-row dynamic program: ``O(len(a) * len(b))`` time,
-    ``O(min(len(a), len(b)))`` space.
-    """
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            substitute_cost = previous[j - 1] + (0 if char_a == char_b else 1)
-            current.append(min(insert_cost, delete_cost, substitute_cost))
-        previous = current
-    return previous[-1]
-
-
-def levenshtein_similarity(a: str, b: str) -> float:
-    """Normalized edit similarity ``1 - distance / max(len)`` in ``[0, 1]``."""
-    if not a and not b:
-        return 1.0
-    longest = max(len(a), len(b))
-    return 1.0 - levenshtein_distance(a, b) / longest
 
 
 @lru_cache(maxsize=65536)

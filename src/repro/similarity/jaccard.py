@@ -7,7 +7,7 @@ the value-overlap filter and a feature of the ensemble matcher).
 
 from __future__ import annotations
 
-from typing import Iterable, Set
+from typing import Iterable
 
 from .tokenize import token_set
 
@@ -23,21 +23,8 @@ def jaccard(a: Iterable, b: Iterable) -> float:
     return len(set_a & set_b) / len(union)
 
 
-def containment(a: Iterable, b: Iterable) -> float:
-    """Containment of A in B: ``|A ∩ B| / |A|`` (1.0 if A is empty and B is not).
-
-    Containment is more appropriate than Jaccard when one attribute's value
-    set is a small subset of another (a common pattern with cross-reference
-    tables), because Jaccard punishes the size asymmetry.
-    """
-    set_a, set_b = set(a), set(b)
-    if not set_a:
-        return 1.0 if set_b else 0.0
-    return len(set_a & set_b) / len(set_a)
-
-
 def max_containment(a: Iterable, b: Iterable) -> float:
-    """Symmetric containment: ``max(containment(A, B), containment(B, A))``."""
+    """Symmetric containment ``|A ∩ B| / min(|A|, |B|)``: unlike Jaccard, a subset scores 1."""
     set_a, set_b = set(a), set(b)
     if not set_a and not set_b:
         return 1.0
@@ -55,9 +42,3 @@ def token_jaccard(label_a: str, label_b: str) -> float:
     """
     return jaccard(token_set(label_a), token_set(label_b))
 
-
-def overlap_count(a: Iterable, b: Iterable) -> int:
-    """Number of shared distinct elements between two collections."""
-    set_a: Set = set(a)
-    set_b: Set = set(b)
-    return len(set_a & set_b)

@@ -45,14 +45,3 @@ def ngram_similarity(a: str, b: str, n: int = 3) -> float:
     )
     return 2.0 * shared / (total_a + total_b)
 
-
-def ngram_jaccard(a: str, b: str, n: int = 3) -> float:
-    """Jaccard similarity over character n-gram *sets*, in ``[0, 1]``."""
-    grams_a = set(character_ngrams(a, n))
-    grams_b = set(character_ngrams(b, n))
-    if not grams_a and not grams_b:
-        return 1.0
-    union = grams_a | grams_b
-    if not union:
-        return 0.0
-    return len(grams_a & grams_b) / len(union)

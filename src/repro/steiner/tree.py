@@ -64,18 +64,6 @@ class SteinerTree:
         """Return the same tree re-costed under the graph's current weights."""
         return SteinerTree.from_edges(graph, self.edge_ids, self.terminals)
 
-    def contains_relation(self, graph: SearchGraph, qualified_relation: str) -> bool:
-        """Whether the tree touches any node of ``qualified_relation``."""
-        for node_id in self.nodes(graph):
-            node = graph.node(node_id)
-            if node.relation == qualified_relation:
-                return True
-        return False
-
-    def symmetric_edge_difference(self, other: "SteinerTree") -> int:
-        """``|E(T) \\ E(T')| + |E(T') \\ E(T)|`` — the loss of Equation 2."""
-        return len(self.edge_ids ^ other.edge_ids)
-
     def __lt__(self, other: "SteinerTree") -> bool:
         return (self.cost, sorted(self.edge_ids)) < (other.cost, sorted(other.edge_ids))
 

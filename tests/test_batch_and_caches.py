@@ -172,9 +172,8 @@ class TestSteinerNetworkCache:
 
     def test_view_reads_share_the_context_cache(self, mini_catalog):
         service = QService(sources=mini_catalog.sources())
-        service.create_view(QueryRequest(keywords=("membrane", "kinase")))
+        info = service.create_view(QueryRequest(keywords=("membrane", "kinase")))
         builds_after_create = service.engine_context.steiner_cache.builds
         # A second read with no mutation must not rebuild any snapshot.
-        info = service.latest_view()
         service.view_info(info.view_id)
         assert service.engine_context.steiner_cache.builds == builds_after_create

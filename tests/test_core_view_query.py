@@ -70,12 +70,6 @@ class TestRankedView:
             assert answer.provenance is not None
             assert answer.provenance.query_id.startswith("tree:")
 
-    def test_uses_relation(self, mini_catalog, mini_graph):
-        view = RankedView(["membrane", "title"], mini_catalog, mini_graph, k=3)
-        view.refresh()
-        assert view.uses_relation("go.term")
-        assert not view.uses_relation("not.there")
-
     def test_annotation_roundtrip(self, mini_catalog, mini_graph):
         view = RankedView(["membrane", "title"], mini_catalog, mini_graph, k=3)
         view.refresh()

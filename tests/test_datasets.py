@@ -13,7 +13,6 @@ from repro.datasets import (
     build_gbco,
     build_interpro_go,
     grow_catalog_and_graph,
-    make_two_attribute_source,
     total_attribute_count,
 )
 from repro.graph import SearchGraph
@@ -87,11 +86,6 @@ class TestGbcoDataset:
                 assert relation in valid
             assert not (set(entry.base_relations) & set(entry.new_relations))
 
-    def test_sources_for_resolves(self, gbco_dataset):
-        entry = QUERY_LOG[0]
-        sources = gbco_dataset.sources_for(entry.new_relations)
-        assert {s.name for s in sources} == {r.split(".")[0] for r in entry.new_relations}
-
     def test_base_and_new_relations_share_values(self, gbco_dataset):
         """Each trial's new sources must be joinable with its base relations
         through at least one shared value domain, otherwise registering them
@@ -152,8 +146,3 @@ class TestSyntheticGrowth:
         graph.add_catalog(catalog)
         result = grow_catalog_and_graph(catalog, graph, target_source_count=10, seed=3)
         assert result.added_sources == []
-
-    def test_make_two_attribute_source(self):
-        source = make_two_attribute_source("tiny", rows=3)
-        assert source.attribute_count == 2
-        assert source.row_count == 3

@@ -120,8 +120,3 @@ class TestGraphBasedMetrics:
     def test_gold_vs_nongold_empty_graph(self, gold):
         gap = gold_vs_nongold_costs(SearchGraph(), gold)
         assert gap.gold_average == 0.0 and gap.non_gold_average == 0.0
-
-    def test_is_gold_edge(self, graph_with_edges, gold):
-        edges = graph_with_edges.association_edges()
-        assert gold.is_gold_edge(graph_with_edges, edges[0])
-        assert not gold.is_gold_edge(graph_with_edges, edges[2])

@@ -193,13 +193,6 @@ class TestSearchGraphConstruction:
         attrs = mini_graph.attribute_nodes_of("go.term")
         assert {n.attribute for n in attrs} == {"acc", "name"}
 
-    def test_relation_node_of(self, mini_graph):
-        attr_id = attribute_node_id("go.term", "acc")
-        rel_node = mini_graph.relation_node_of(attr_id)
-        assert rel_node is not None and rel_node.relation == "go.term"
-        rel_self = mini_graph.relation_node_of(relation_node_id("go.term"))
-        assert rel_self is not None and rel_self.kind is NodeKind.RELATION
-
 
 class TestAssociations:
     def test_association_edge_cost_reflects_confidence(self, mini_graph):

@@ -142,6 +142,14 @@ class TestCsvIO:
         assert loaded.relation_count == 4
         assert loaded.table("entry").distinct_values("entry_ac") == {"IPR001", "IPR002"}
 
+    def test_byte_order_mark_is_not_part_of_the_first_attribute(self, tmp_path):
+        directory = tmp_path / "bom"
+        directory.mkdir()
+        (directory / "entry.csv").write_bytes(b"\xef\xbb\xbfid,name\n1,Kinase\n")
+        source = load_source_from_csv_dir(directory)
+        assert source.table("entry").schema.attribute_names == ("id", "name")
+        assert source.table("entry").distinct_values("id") == {"1"}
+
     def test_iter_relation_rows_is_lazy(self, tmp_path):
         csv_path = tmp_path / "entry.csv"
         csv_path.write_text("entry_ac,name\nIPR001,Kinase\nIPR002,Zinc finger\n")

@@ -1,4 +1,4 @@
-"""Unit tests for feedback generalization, loss functions, binning, Hildreth QP and MIRA."""
+"""Unit tests for feedback generalization, the tree loss, Hildreth QP and MIRA."""
 
 from __future__ import annotations
 
@@ -26,19 +26,15 @@ from repro.graph import (
 from repro.learning import (
     AnnotationKind,
     AnswerAnnotation,
-    FeatureBinner,
     FeedbackEvent,
     FeedbackGeneralizer,
     FeedbackLog,
     LinearConstraint,
     OnlineLearner,
     hildreth_solve,
-    normalized_edge_loss,
     symmetric_edge_loss,
     tree_feature_vector,
-    zero_one_loss,
 )
-from repro.graph.features import bin_feature, is_matcher_feature
 from repro.learning.overlays import OverlayWeightVector
 from repro.steiner import SteinerTree, k_best_steiner_trees
 
@@ -120,33 +116,6 @@ def assert_seed_solve(weights, constraints, max_iterations):
     assert solved.rows_evaluated <= seed.rows_evaluated
 
 
-def apply_to_graph(binner, graph, feature_names=None):
-    """Rewrite every learnable edge of ``graph`` with ``binner``; returns the number rewritten.
-
-    ``feature_names`` are the real-valued features to bin; by default every
-    matcher-confidence feature found in the graph.  Bin weights start at the
-    old weight × the bin center, so costs are (approximately) preserved.
-    """
-    rewritten = 0
-    for edge in graph.learnable_edges():
-        if feature_names is None:
-            targets = [n for n in edge.features if is_matcher_feature(n)]
-        else:
-            targets = [n for n in feature_names if n in edge.features]
-        if not targets:
-            continue
-        for name in targets:
-            index = binner.bin_index(edge.features.get(name))
-            binned_name = bin_feature(name, index)
-            if binned_name not in graph.weights:
-                graph.weights.set(binned_name, graph.weights.get(name, 0.0) * binner.bin_center(index))
-        # Spelled-out metadata keeps the raw confidences under ``matchers``
-        # once the ``matcher::`` features they were read off are gone.
-        graph.replace_edge(edge.changed(binner.bin_vector(edge.features, targets), dict(edge.metadata)))
-        rewritten += 1
-    return rewritten
-
-
 def build_parallel_edge_graph():
     """Two terminals connected by three parallel association edges of different cost."""
     graph = SearchGraph()
@@ -170,15 +139,6 @@ class TestLossFunctions:
     def test_symmetric_loss(self):
         assert symmetric_edge_loss(self.tree_a, self.tree_b) == 2.0
         assert symmetric_edge_loss(self.tree_a, self.tree_a) == 0.0
-
-    def test_normalized_loss(self):
-        assert normalized_edge_loss(self.tree_a, self.tree_b) == pytest.approx(2 / 3)
-        empty = SteinerTree(frozenset(), frozenset({"t"}), 0.0)
-        assert normalized_edge_loss(empty, empty) == 0.0
-
-    def test_zero_one_loss(self):
-        assert zero_one_loss(self.tree_a, self.tree_b) == 1.0
-        assert zero_one_loss(self.tree_a, self.tree_a) == 0.0
 
 
 class TestHildrethSolver:
@@ -356,7 +316,7 @@ class TestOnlineLearner:
             for tree in step.candidate_trees:
                 if tree.edge_ids != target.edge_ids:
                     (other,) = tree.edge_ids
-                    assert price[other] - price[chosen] >= learner.loss(target, tree) - 1e-6
+                    assert price[other] - price[chosen] >= symmetric_edge_loss(target, tree) - 1e-6
 
     def test_missing_terminals_raise(self):
         graph, edges = build_parallel_edge_graph()
@@ -447,47 +407,6 @@ class TestFeedbackLog:
             log.add(FeedbackEvent(terminals=(f"k{i}",), target_tree=tree))
         assert len(log) == 2
         assert [e.terminals for e in log] == [("k2",), ("k3",)]
-
-    def test_replay_sequence(self):
-        log = FeedbackLog()
-        tree = SteinerTree(frozenset(), frozenset(), 0.0)
-        log.add(FeedbackEvent(terminals=("a",), target_tree=tree))
-        assert len(log.replay_sequence(3)) == 3
-        assert log.replay_sequence(0) == []
-
-
-class TestFeatureBinner:
-    def test_bin_index_and_center(self):
-        binner = FeatureBinner(num_bins=4)
-        assert binner.bin_index(-1.0) == 0
-        assert binner.bin_index(0.1) == 0
-        assert binner.bin_index(0.49) == 1
-        assert binner.bin_index(1.5) == 3
-        assert binner.bin_center(0) == pytest.approx(0.125)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            FeatureBinner(num_bins=0)
-        with pytest.raises(ValueError):
-            FeatureBinner(lower=1.0, upper=0.0)
-
-    def test_bin_vector_replaces_selected_features(self):
-        binner = FeatureBinner(num_bins=2)
-        features = {matcher_feature("mad"): 0.9, "default": 1.0}
-        binned = binner.bin_vector(features, [matcher_feature("mad")])
-        assert matcher_feature("mad") not in binned
-        assert binned.get("default") == 1.0
-        assert any(name.startswith("bin::") for name in binned)
-
-    def test_apply_to_graph_preserves_costs(self, mini_graph):
-        edge = mini_graph.association_edges()[0]
-        cost_before = mini_graph.edge_cost(edge)
-        rewritten = apply_to_graph(FeatureBinner(num_bins=5), mini_graph)
-        assert rewritten >= 1
-        cost_after = mini_graph.edge_cost(edge)
-        # Bin centers approximate the original confidence, so the cost moves
-        # by at most half a bin width times the matcher weight.
-        assert cost_after == pytest.approx(cost_before, abs=0.06)
 
 
 #: Feedback on a GBCO session, each replayed twice: (query-log entry of the

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datastore.query import ConjunctiveQuery, SelectionPredicate
-from repro.datastore.sqlgen import query_to_sql, union_to_sql
+from repro.datastore.sqlgen import query_to_sql
 from repro.engine.executor import PlanExecutor
 from repro.exceptions import QueryError
 
@@ -179,13 +179,3 @@ class TestSqlGeneration:
         assert "= 'O''Brien''s membrane'" in sql
         assert "= 'GO:0001'" in sql
         assert "LIKE" not in sql
-
-    def test_union_sql_pads_missing_columns(self):
-        q1 = make_join_query(cost=1.0)
-        q2 = ConjunctiveQuery(cost=2.0, provenance="q2")
-        q2.add_atom("interpro.pub", "p")
-        q2.add_output("p", "title", "title")
-        sql = union_to_sql([q2, q1])
-        assert "UNION ALL" in sql
-        assert "NULL" in sql
-        assert sql.strip().endswith('ORDER BY "_cost" ASC')

@@ -76,8 +76,6 @@ class TestRelationSchema:
     def test_qualified_names(self):
         rel = RelationSchema("entry", ["entry_ac"], source="interpro")
         assert rel.qualified_name == "interpro.entry"
-        assert rel.qualified_attribute("entry_ac") == "interpro.entry.entry_ac"
-        assert rel.qualified_attribute_names() == ("interpro.entry.entry_ac",)
 
     def test_unbound_qualified_name(self):
         rel = RelationSchema("entry", ["a"])
@@ -135,7 +133,6 @@ class TestSourceSchema:
         source.add_relation(RelationSchema("r1", ["a", "b"]))
         source.add_relation(RelationSchema("r2", ["c"]))
         assert source.attribute_count == 3
-        assert len(source.all_attributes()) == 3
         assert len(source) == 2
         assert source.relation_names() == ("r1", "r2")
 

@@ -353,22 +353,12 @@ def test_concurrent_two_terminal_solves_start_warm_from_one_shared_list():
 
 
 class TestSteinerTreeObject:
-    def test_symmetric_difference(self, diamond_graph):
-        trees = k_best_steiner_trees(diamond_graph, ["a", "d"], 2)
-        assert trees[0].symmetric_edge_difference(trees[0]) == 0
-        assert trees[0].symmetric_edge_difference(trees[1]) == 4
-
     def test_recost_after_weight_change(self, diamond_graph):
         tree = exact_steiner_tree(diamond_graph, ["a", "d"])
         edge_id = next(iter(tree.edge_ids))
         diamond_graph.weights.set(edge_feature(edge_id), 10.0)
         recosted = tree.recost(diamond_graph)
         assert recosted.cost > tree.cost
-
-    def test_contains_relation(self, diamond_graph):
-        tree = exact_steiner_tree(diamond_graph, ["a", "d"])
-        assert tree.contains_relation(diamond_graph, "a")
-        assert not tree.contains_relation(diamond_graph, "c")
 
     def test_cost_does_not_depend_on_summation_order(self):
         """Equal edge sets cost the same however they were built: a plain

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.datastore.database import Catalog, DataSource
 from repro.datastore.schema import RelationSchema, SourceSchema
 from repro.datastore.table import Row, Table
-from repro.datastore.types import ValueType
 from repro.exceptions import DataError, SchemaError, UnknownRelationError
 
 
@@ -91,16 +90,6 @@ class TestTable:
         other = Table(other_schema, rows=[{"method_ac": "PF1", "name": "Kinase"}])
         assert entry_table.value_overlap("name", other, "name") == 1
 
-    def test_inferred_column_type(self, entry_table):
-        assert entry_table.inferred_column_type("length") is ValueType.INTEGER
-
-    def test_select_and_project(self, entry_table):
-        kinases = entry_table.select(lambda row: row["name"] == "Kinase")
-        assert len(kinases) == 2
-        projected = entry_table.project(["name"])
-        assert projected.schema.attribute_names == ("name",)
-        assert len(projected) == 3
-
     def test_row_protocols(self, entry_table):
         row = entry_table[0]
         assert row[0] == "IPR001"
@@ -153,7 +142,6 @@ class TestCatalog:
         assert mini_catalog.relation_count == 5
         assert mini_catalog.attribute_count == 10
         assert len(mini_catalog.all_tables()) == 5
-        assert len(mini_catalog.all_foreign_keys()) == 3
 
     def test_remove_source(self, mini_catalog):
         removed = mini_catalog.remove_source("go")

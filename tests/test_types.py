@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.datastore.types import (
     ValueType,
     canonicalize,
-    infer_column_type,
     infer_value_type,
     is_null,
 )
@@ -51,25 +50,6 @@ class TestInferValueType:
         assert ValueType.INTEGER.is_numeric()
         assert ValueType.FLOAT.is_numeric()
         assert not ValueType.STRING.is_numeric()
-        assert ValueType.STRING.is_textual()
-        assert ValueType.IDENTIFIER.is_textual()
-
-
-class TestInferColumnType:
-    def test_majority_wins(self):
-        values = ["1", "2", "3", "abc"]
-        assert infer_column_type(values) is ValueType.INTEGER
-
-    def test_all_null_column(self):
-        assert infer_column_type([None, "", None]) is ValueType.NULL
-
-    def test_tie_prefers_more_general(self):
-        # one string and one integer: string is more general
-        assert infer_column_type(["abc def", "12"]) is ValueType.STRING
-
-    def test_sample_limit(self):
-        values = ["x y"] + ["1"] * 100
-        assert infer_column_type(values, sample_limit=1) is ValueType.STRING
 
 
 class TestCanonicalize:

@@ -217,7 +217,7 @@ class TestIncrementalRefresh:
         view.refresh()
         version = system.graph.weights.version
         response = system.feedback(FeedbackRequest(view=view, answer=view.state.answers[0]))
-        system.refresh_all_views()
+        system.view_info(view)
         # The learner ran and the pulled view re-solved under the new costs.
         assert system.feedback_log.events
         assert response.weight_change > 0 and system.graph.weights.version > version
@@ -229,7 +229,7 @@ class TestIncrementalRefresh:
         version, key = system.graph.weights.version, view._solve_key()
         # The one tree already beats every candidate: its QP moves nothing.
         response = system.feedback(FeedbackRequest(view=view, answer=view.state.answers[0]))
-        system.refresh_all_views()
+        system.view_info(view)
         assert system.feedback_log.events and response.weight_change == 0.0
         assert (system.graph.weights.version, view._solve_key()) == (version, key)
         assert view.last_refresh.solver_runs == 0
