@@ -40,12 +40,16 @@ from repro.service import QServer
 def main() -> None:
     dataset = build_gbco(rows_per_relation=30)
     keywords = tuple(list(dataset.query_log)[0].keywords)
-    backend = f"sqlite:{Path(tempfile.mkdtemp()) / 'obs-example.db'}"
 
     # slow_query_ms=0 drops every read into the slow-query log so the demo
     # has something to show; production keeps the default (250ms).
     config = ServiceConfig(top_k=5, top_y=1, slow_query_ms=0.0)
-    with QService(sources=dataset.catalog.sources(), config=config, backend=backend) as service:
+    # The database lives in a directory removed when the demo ends.
+    with tempfile.TemporaryDirectory() as scratch, QService(
+        sources=dataset.catalog.sources(),
+        config=config,
+        backend=f"sqlite:{Path(scratch) / 'obs-example.db'}",
+    ) as service:
         service.bootstrap_alignments()
         with QServer(service) as server:
 

@@ -102,17 +102,19 @@ def main() -> None:
         print("ANSWERS_JSON=" + json.dumps(lines))
         return
 
-    path = Path(tempfile.mkdtemp()) / "session.json"
-    print("=== 1. Build, train and save ===")
-    live = build_and_save(path)
+    # The session file and its journal live in a directory removed at the end.
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "session.json"
+        print("=== 1. Build, train and save ===")
+        live = build_and_save(path)
 
-    print("\n=== 2. Reopen in a fresh process and stream ===")
-    output = subprocess.run(
-        [sys.executable, __file__, "reopen", str(path)],
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
+        print("\n=== 2. Reopen in a fresh process and stream ===")
+        output = subprocess.run(
+            [sys.executable, __file__, "reopen", str(path)],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
     print("\n".join(l for l in output.splitlines() if not l.startswith("ANSWERS_JSON=")))
     restored = json.loads(output.split("ANSWERS_JSON=", 1)[1].splitlines()[0])
 

@@ -7,7 +7,8 @@ the five ``bench/workloads.py`` workloads (seed 7, 4 s, untraced),
 each module- or class-level function under ``src/repro`` that none of them
 called, as ``path.py:Class.function``.  A ledger line is a glob over those
 names followed by the reason the function stays; the exit status is 1 when a
-function is unreached and no ledger line matches it.
+function is unreached and no ledger line matches it, or when a ledger line
+matches no unreached function (it names deleted code or code now reached).
 """
 
 from __future__ import annotations
@@ -103,11 +104,12 @@ def main() -> int:
     unexplained = [name for name in unreached if not any(fnmatch.fnmatchcase(name, p) for p in ledger)]
     for name in unreached:
         print(name, "" if name not in unexplained else "   <- in no ledger line")
-    for pattern in ledger:
-        if not any(fnmatch.fnmatchcase(name, pattern) for name in unreached):
-            print(f"note: ledger line {pattern} matches no unreached function", file=sys.stderr)
-    print(f"{len(unreached)} functions ({length} lines) unreached, {len(unexplained)} in no ledger line", file=sys.stderr)
-    return 1 if unexplained else 0
+    stale = [pattern for pattern in ledger if not any(fnmatch.fnmatchcase(name, pattern) for name in unreached)]
+    for pattern in stale:
+        print(f"ledger line {pattern} matches no unreached function", file=sys.stderr)
+    print(f"{len(unreached)} functions ({length} lines) unreached, {len(unexplained)} in no ledger line, "
+          f"{len(stale)} ledger lines stale", file=sys.stderr)
+    return 1 if unexplained or stale else 0
 
 
 if __name__ == "__main__":

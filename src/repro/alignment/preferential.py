@@ -10,7 +10,7 @@ results, but it is the cheapest strategy (Figures 6–8).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from ..datastore.database import Catalog, DataSource
 from ..exceptions import AlignmentError

@@ -10,7 +10,7 @@ after alignment are identical to what EXHAUSTIVE would produce.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 from ..datastore.database import Catalog, DataSource
 from ..exceptions import AlignmentError

@@ -13,9 +13,9 @@ pairs (the 8 semantically meaningful join/alignment edges of Figure 9):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..graph.edges import Edge, EdgeKind
+from ..graph.edges import Edge
 from ..graph.nodes import NodeKind
 from ..graph.search_graph import SearchGraph
 from ..matching.base import Correspondence

@@ -21,8 +21,8 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from ..datastore.query import ConjunctiveQuery
 from ..exceptions import QueryError
-from ..graph.edges import Edge, EdgeKind
-from ..graph.nodes import Node, NodeKind
+from ..graph.edges import EdgeKind
+from ..graph.nodes import NodeKind
 from ..graph.search_graph import SearchGraph
 from ..steiner.tree import SteinerTree
 

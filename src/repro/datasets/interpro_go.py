@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..core.evaluation import GoldStandard
 from ..datastore.database import Catalog, DataSource

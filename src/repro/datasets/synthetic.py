@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..datastore.database import Catalog, DataSource
 from ..datastore.schema import RelationSchema, SourceSchema
 from ..graph.features import edge_feature
-from ..graph.nodes import NodeKind
 from ..graph.search_graph import SearchGraph
 
 

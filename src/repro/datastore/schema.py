@@ -76,10 +76,6 @@ class Attribute:
         if not self.name:
             raise SchemaError("attribute name must be non-empty")
 
-    def renamed(self, new_name: str) -> "Attribute":
-        """Return a copy of this attribute with a different name."""
-        return Attribute(new_name, self.value_type, self.description)
-
 
 @dataclass(frozen=True)
 class ForeignKey:
@@ -103,15 +99,6 @@ class ForeignKey:
             self.source_attribute,
             self.target_relation,
             self.target_attribute,
-        )
-
-    def reversed(self) -> "ForeignKey":
-        """Return the same relationship with source and target swapped."""
-        return ForeignKey(
-            self.target_relation,
-            self.target_attribute,
-            self.source_relation,
-            self.source_attribute,
         )
 
 

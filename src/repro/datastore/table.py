@@ -1,12 +1,11 @@
 """Relation facade over pluggable tuple storage.
 
 A :class:`Table` couples a :class:`~repro.datastore.schema.RelationSchema`
-with row storage owned by a :class:`~repro.storage.base.StorageBackend` and
-per-attribute value statistics.  Tables are the instance-level substrate for:
-
-* keyword-to-value matching when expanding a query graph (paper Section 2.2),
-* the MAD column-value graph (paper Section 3.2.2),
-* the value-overlap filter used in the Figure 7 experiment.
+with row storage owned by a :class:`~repro.storage.base.StorageBackend`.
+Tables are the instance-level substrate the profile index
+(:mod:`repro.profiling`) scans into per-attribute value summaries, which
+keyword-to-value matching (paper Section 2.2), the MAD column-value graph
+(Section 3.2.2) and the Figure 7 value-overlap filter read.
 
 Storage is delegated, never embedded: a table created on its own owns a
 private :class:`~repro.storage.memory.MemoryBackend` (behaviorally identical
@@ -19,7 +18,7 @@ storage directly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import DataError
 from .schema import RelationSchema
@@ -238,19 +237,6 @@ class Table:
         """Return all values of ``attribute`` in row order."""
         idx = self.schema.attribute_index(attribute)
         return [row.values[idx] for row in self._backend.scan(self._key)]
-
-    def distinct_values(self, attribute: str) -> Set[str]:
-        """Return the set of canonicalized, non-null values of ``attribute``.
-
-        Served by the backend (cached in memory; ``SELECT DISTINCT`` under
-        SQLite), invalidated naturally on mutation.
-        """
-        self.schema.attribute_index(attribute)  # validates existence
-        return self._backend.distinct_values(self._key, attribute)
-
-    def value_overlap(self, attribute: str, other: "Table", other_attribute: str) -> int:
-        """Number of distinct canonical values shared with another column."""
-        return len(self.distinct_values(attribute) & other.distinct_values(other_attribute))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.schema.qualified_name!r}, rows={len(self)})"

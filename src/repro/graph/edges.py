@@ -162,10 +162,6 @@ class Edge:
         """The two endpoint node ids."""
         return (self.u, self.v)
 
-    def connects(self, a: str, b: str) -> bool:
-        """Whether this edge connects nodes ``a`` and ``b`` (in either order)."""
-        return (self.u, self.v) in ((a, b), (b, a))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Edge({self.kind.value}, {self.u!r} -- {self.v!r})"
 

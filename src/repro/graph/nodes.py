@@ -8,7 +8,7 @@ query time; keyword queries add *keyword* nodes (Figure 3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 

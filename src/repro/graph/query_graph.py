@@ -31,7 +31,7 @@ from ..profiling.profiles import AttributeProfile, RelationProfile
 from ..similarity.tfidf import TfIdfScorer
 from ..similarity.tokenize import token_set
 from .edges import Edge, EdgeKind, derived_edge_id
-from .features import DEFAULT_FEATURE, edge_feature
+from .features import edge_feature
 from .nodes import (
     Node,
     NodeKind,

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from ..datastore.database import Catalog, DataSource
 from ..datastore.schema import AttributeRef, ForeignKey
@@ -38,9 +38,7 @@ from .nodes import (
     NodeKind,
     attribute_node_id,
     make_attribute_node,
-    make_keyword_node,
     make_relation_node,
-    make_value_node,
     relation_node_id,
 )
 

@@ -19,7 +19,7 @@ Hildreth's cyclic projection method, which needs no external QP solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..exceptions import LearningError

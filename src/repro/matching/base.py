@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import abc
 from collections import defaultdict
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..datastore.schema import AttributeRef
 from ..datastore.table import Table
+from ..profiling.index import CatalogProfileIndex
 
 
 def pair_key(source: AttributeRef, target: AttributeRef) -> Tuple[str, str]:
@@ -53,10 +54,6 @@ class Correspondence:
         """Order-independent identity of the aligned attribute pair."""
         return pair_key(self.source, self.target)
 
-    def reversed(self) -> "Correspondence":
-        """The same correspondence with source and target swapped."""
-        return replace(self, source=self.target, target=self.source)
-
 
 class ComparisonCounter:
     """Counts pairwise attribute comparisons (the metric of Figures 7 and 8)."""
@@ -85,16 +82,16 @@ class BaseMatcher(abc.ABC):
     (:func:`repro.alignment.base.score_pairs`).
 
     ``profile_index`` is the :class:`~repro.profiling.index.CatalogProfileIndex`
-    the matcher reads its evidence from.  Whoever runs a matcher for a
-    session hands it that session's index (:meth:`attach_index`); ``None``
-    is a bare matcher that derives what it needs from the two tables — the
-    reference the blocked paths are compared against.
+    the matcher reads every value and name summary from, through
+    :meth:`index_for`.  Whoever runs a matcher for a session hands it that
+    session's index (:meth:`attach_index`); a bare matcher (``None``) grows
+    an index of its own from the tables it is handed.
     """
 
     #: Matcher name used for feature names and reporting.
     name: str = "matcher"
 
-    def __init__(self, profile_index=None) -> None:
+    def __init__(self, profile_index: Optional[CatalogProfileIndex] = None) -> None:
         self.counter = ComparisonCounter()
         self.profile_index = profile_index
 
@@ -105,6 +102,21 @@ class BaseMatcher(abc.ABC):
         a second session reads that session's catalog, not the first's.
         """
         self.profile_index = profile_index
+
+    def index_for(self, tables: Iterable[Table]) -> CatalogProfileIndex:
+        """The index to read ``tables``' profiles from, current for each of them.
+
+        The attached index, or for a bare matcher a fresh one it keeps from
+        then on.  A table the index does not hold at its current identity and
+        version (never profiled, or rows appended since) is profiled first.
+        """
+        index = self.profile_index
+        if index is None:
+            index = self.profile_index = CatalogProfileIndex()
+        for table in tables:
+            if not index.is_current(table):
+                index.index_table(table)
+        return index
 
     @abc.abstractmethod
     def match_relations(self, table_a: Table, table_b: Table) -> List[Correspondence]:

@@ -14,9 +14,8 @@ and exposes:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..datastore.table import Table
 from .base import (
@@ -27,7 +26,6 @@ from .base import (
     pair_key,
     top_y_per_attribute,
 )
-from .mad import MadMatcher
 
 
 @dataclass
@@ -66,7 +64,8 @@ class MatcherEnsemble:
         How many candidate pairs to keep per attribute after merging.
 
     The ensemble wires nothing: each member reads the profile index it was
-    handed (:meth:`~repro.matching.base.BaseMatcher.attach_index`), or none.
+    handed (:meth:`~repro.matching.base.BaseMatcher.attach_index`), or one
+    of its own (:meth:`~repro.matching.base.BaseMatcher.index_for`).
     """
 
     def __init__(self, matchers: Sequence[BaseMatcher], top_y: int = 2) -> None:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from ..datastore.table import Table
 from .base import BaseMatcher, Correspondence
@@ -230,7 +230,11 @@ class MadMatcher(BaseMatcher):
         (``col::<relation>.<attribute>``); each distribution is normalized
         over attribute labels (the dummy label is dropped).
         """
-        graph = build_column_value_graph(tables, self.graph_config)
+        index = self.index_for(tables)
+        graph = build_column_value_graph(
+            (profile for table in tables for profile in index.profiles_of(table.schema.qualified_name)),
+            self.graph_config,
+        )
         seed_labels: Dict[str, LabelDistribution] = {}
         for attr_node, (relation, attribute) in graph.attribute_nodes.items():
             seed_labels[attr_node] = {attr_node: 1.0}

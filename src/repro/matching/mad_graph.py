@@ -3,8 +3,9 @@
 The label-propagation graph has one node per relation attribute (labelled
 with its canonical attribute name) and one node per *unique data value*,
 with an edge between a value node and every attribute node whose column
-contains that value.  Following the paper's experimental setup
-(Section 5.2.1):
+contains that value.  The values are read off the attributes' profiles
+(:class:`~repro.profiling.profiles.AttributeProfile`), never off the tables.
+Following the paper's experimental setup (Section 5.2.1):
 
 * nodes of degree one are pruned (they cannot contribute to propagation),
 * purely numeric values are removed (they induce spurious associations).
@@ -12,12 +13,11 @@ contains that value.  Following the paper's experimental setup
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
-from ..datastore.table import Table
-from ..datastore.types import ValueType, canonicalize, infer_value_type
+from ..datastore.types import infer_value_type
+from ..profiling.profiles import AttributeProfile
 
 
 def attribute_graph_node(relation: str, attribute: str) -> str:
@@ -96,36 +96,36 @@ class MadGraphConfig:
 
 
 def build_column_value_graph(
-    tables: Sequence[Table], config: Optional[MadGraphConfig] = None
+    profiles: Iterable[AttributeProfile], config: Optional[MadGraphConfig] = None
 ) -> PropagationGraph:
-    """Build the MAD column–value graph over ``tables``.
+    """Build the MAD column–value graph over the attributes ``profiles`` describe.
 
     Parameters
     ----------
-    tables:
-        The relations to include (typically every table in the catalog plus
-        the newly registered source's tables).
+    profiles:
+        One :class:`~repro.profiling.profiles.AttributeProfile` per attribute
+        to include (typically every attribute of the catalog plus the newly
+        registered source's), in the order their nodes are added; each
+        attribute's value nodes are its profile's distinct values.
     config:
         Construction options; see :class:`MadGraphConfig`.
     """
     config = config or MadGraphConfig()
     graph = PropagationGraph()
 
-    for table in tables:
-        relation = table.schema.qualified_name
-        for attribute in table.schema.attribute_names:
-            attr_node = attribute_graph_node(relation, attribute)
-            graph.attribute_nodes[attr_node] = (relation, attribute)
-            graph.weights.setdefault(attr_node, {})
-            values = table.distinct_values(attribute)
-            if config.max_values_per_attribute is not None:
-                values = set(sorted(values)[: config.max_values_per_attribute])
-            for value in values:
-                if config.drop_numeric_values and _is_numeric_value(value):
-                    continue
-                value_node = value_graph_node(value)
-                graph.value_nodes.add(value_node)
-                graph.add_edge(attr_node, value_node, config.edge_weight)
+    for profile in profiles:
+        attr_node = attribute_graph_node(profile.relation, profile.attribute)
+        graph.attribute_nodes[attr_node] = profile.attr_id
+        graph.weights.setdefault(attr_node, {})
+        values = profile.distinct_values
+        if config.max_values_per_attribute is not None:
+            values = set(sorted(values)[: config.max_values_per_attribute])
+        for value in values:
+            if config.drop_numeric_values and _is_numeric_value(value):
+                continue
+            value_node = value_graph_node(value)
+            graph.value_nodes.add(value_node)
+            graph.add_edge(attr_node, value_node, config.edge_weight)
 
     if config.prune_degree_one:
         _prune_degree_one_values(graph)

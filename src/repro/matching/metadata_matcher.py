@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from ..datastore.table import Table
 from ..profiling.index import CatalogProfileIndex
 from ..similarity.edit_distance import jaro_winkler_similarity
 from ..similarity.jaccard import token_jaccard
 from ..similarity.ngram import ngram_similarity
-from ..similarity.tokenize import normalize_label, token_set
+from ..similarity.tokenize import normalize_label
 from .base import BaseMatcher, Correspondence
 
 
@@ -71,10 +71,10 @@ class MetadataMatcher(BaseMatcher):
     config:
         Component weights and thresholds.
     profile_index:
-        Optional shared :class:`CatalogProfileIndex`.  Metadata evidence is
-        schema-only; with an index attached the precomputed sibling-name
-        token unions replace the per-call structural-similarity scan (same
-        unions, same value).
+        Optional shared :class:`CatalogProfileIndex` (see
+        :meth:`~repro.matching.base.BaseMatcher.index_for`).  Metadata
+        evidence is schema-only; the index supplies each relation's
+        sibling-name token union.
     """
 
     name = "metadata"
@@ -119,27 +119,14 @@ class MetadataMatcher(BaseMatcher):
         A weak structural signal in the spirit of COMA++'s structural
         matcher: two attributes embedded in relations whose remaining
         attributes look alike are slightly more likely to correspond.
-        Reads the precomputed sibling-name token unions off the shared
-        profile index when available (identical value — same unions).
+        Reads each relation's sibling-name token union off its profile.
         """
-        tokens_a = self._sibling_tokens(table_a)
-        tokens_b = self._sibling_tokens(table_b)
+        index = self.index_for((table_a, table_b))
+        tokens_a = index.relation_profile(table_a.schema.qualified_name).name_token_union
+        tokens_b = index.relation_profile(table_b.schema.qualified_name).name_token_union
         if not tokens_a or not tokens_b:
             return 0.0
         return len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
-
-    def _sibling_tokens(self, table: Table) -> frozenset:
-        index = self.profile_index
-        if index is not None:
-            profile = index.relation_profile(table.schema.qualified_name)
-            if profile is not None and profile.attribute_names == tuple(
-                table.schema.attribute_names
-            ):
-                return profile.name_token_union
-        tokens = set()
-        for attr in table.schema.attribute_names:
-            tokens |= token_set(attr)
-        return frozenset(tokens)
 
     # ------------------------------------------------------------------
     # Matching

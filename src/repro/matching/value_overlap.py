@@ -10,20 +10,19 @@ Two roles:
   experiment: given a content index, only attribute pairs that share at
   least one value (and hence could join) are compared at all.
 
-Both are backed by the shared
-:class:`~repro.profiling.index.CatalogProfileIndex` when one is supplied:
-candidate attribute pairs are generated by **posting-list intersection**
-(cost proportional to actual value co-occurrences) instead of the seed's
-nested all-pairs loops.  Because a pair with zero shared values can never
-clear ``min_shared_values >= 1``, the blocking is lossless — the returned
-correspondences (and the filter's pair counts) are identical to the
-exhaustive scan, which survives only as the fallback for unindexed tables.
+Both read a :class:`~repro.profiling.index.CatalogProfileIndex`, the only
+summary of a table's values: candidate attribute pairs come from
+**posting-list intersection** (cost proportional to actual value
+co-occurrences), never from a nested all-pairs loop over the tables.  A pair
+sharing no value cannot clear ``min_shared_values >= 1``, so the blocking is
+lossless: the correspondences and pair counts are those of comparing every
+attribute pair's distinct value sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 from ..datastore.table import Table
 from ..profiling.index import CatalogProfileIndex
@@ -37,13 +36,12 @@ class ValueOverlapMatcher(BaseMatcher):
     Parameters
     ----------
     min_confidence, min_shared_values:
-        Acceptance thresholds.
+        Acceptance thresholds.  ``min_shared_values`` must be at least 1:
+        candidate pairs come from posting-list intersection, which is exact
+        only for pairs sharing a value.
     profile_index:
-        Optional shared :class:`CatalogProfileIndex`.  When both relations
-        are indexed (and their profiles are current), candidate pairs come
-        from posting-list intersection instead of the all-pairs loop; the
-        result is identical because pairs sharing no value cannot pass
-        ``min_shared_values``.
+        Optional shared :class:`CatalogProfileIndex` (see
+        :meth:`~repro.matching.base.BaseMatcher.index_for`).
     """
 
     name = "value_overlap"
@@ -54,12 +52,18 @@ class ValueOverlapMatcher(BaseMatcher):
         min_shared_values: int = 1,
         profile_index: Optional[CatalogProfileIndex] = None,
     ) -> None:
+        if min_shared_values < 1:
+            raise ValueError(f"min_shared_values must be >= 1, got {min_shared_values}")
         super().__init__(profile_index)
         self.min_confidence = min_confidence
         self.min_shared_values = min_shared_values
 
     def match_relations(self, table_a: Table, table_b: Table) -> List[Correspondence]:
-        """Align attributes of two relations by distinct-value containment."""
+        """Align attributes of two relations by distinct-value containment.
+
+        Candidate pairs come from ``table_a``'s posting-list candidate maps;
+        they are walked in ``table_b``'s schema order.
+        """
         relation_a = table_a.schema.qualified_name
         relation_b = table_b.schema.qualified_name
         if relation_a == relation_b:
@@ -67,73 +71,29 @@ class ValueOverlapMatcher(BaseMatcher):
         self.counter.record_relation_pair(
             len(table_a.schema.attribute_names), len(table_b.schema.attribute_names)
         )
-        if self._can_block(table_a, table_b):
-            return self._match_blocked(table_a, table_b)
-        return self._match_exhaustive(table_a, table_b)
-
-    # ------------------------------------------------------------------
-    # Blocked (posting-list) candidate generation
-    # ------------------------------------------------------------------
-    def _can_block(self, table_a: Table, table_b: Table) -> bool:
-        index = self.profile_index
-        return (
-            index is not None
-            and self.min_shared_values >= 1
-            and index.is_current(table_a)
-            and index.is_current(table_b)
-        )
-
-    def _match_blocked(self, table_a: Table, table_b: Table) -> List[Correspondence]:
-        index = self.profile_index
-        assert index is not None
-        relation_b = table_b.schema.qualified_name
+        index = self.index_for((table_a, table_b))
         refs_b = table_b.schema.attribute_refs
         floor, min_shared, name = self.min_confidence, self.min_shared_values, self.name
         correspondences: List[Correspondence] = []
         for ref_a in table_a.schema.attribute_refs:
-            candidates = index.value_candidates(ref_a.relation, ref_a.attribute)
+            candidates = index.value_candidates(relation_a, ref_a.attribute)
             if not candidates:
                 continue
-            profile_a = index.profile(ref_a.relation, ref_a.attribute)
-            values_a = profile_a.distinct_values if profile_a is not None else frozenset()
-            # Iterate the candidate attributes in schema order so the output
-            # order matches the exhaustive loop exactly.
+            values_a = index.profile(relation_a, ref_a.attribute).distinct_values
             for ref_b in refs_b:
                 if candidates.get((relation_b, ref_b.attribute), 0) < min_shared:
                     continue
-                profile_b = index.profile(relation_b, ref_b.attribute)
-                values_b = profile_b.distinct_values if profile_b is not None else frozenset()
-                confidence = max_containment(values_a, values_b)
-                if confidence >= floor:
-                    correspondences.append(Correspondence(ref_a, ref_b, round(confidence, 6), name))
-        return correspondences
-
-    # ------------------------------------------------------------------
-    # Exhaustive fallback (the Figure 7 "no filter" baseline semantics)
-    # ------------------------------------------------------------------
-    def _match_exhaustive(self, table_a: Table, table_b: Table) -> List[Correspondence]:
-        refs_b = table_b.schema.attribute_refs
-        floor, min_shared, name = self.min_confidence, self.min_shared_values, self.name
-        correspondences: List[Correspondence] = []
-        for ref_a in table_a.schema.attribute_refs:
-            values_a = table_a.distinct_values(ref_a.attribute)
-            if not values_a:
-                continue
-            for ref_b in refs_b:
-                values_b = table_b.distinct_values(ref_b.attribute)
-                if not values_b or len(values_a & values_b) < min_shared:
-                    continue
+                values_b = index.profile(relation_b, ref_b.attribute).distinct_values
                 confidence = max_containment(values_a, values_b)
                 if confidence >= floor:
                     correspondences.append(Correspondence(ref_a, ref_b, round(confidence, 6), name))
         return correspondences
 
     def match_tables(self, tables: Sequence[Table]) -> List[Correspondence]:
-        """Align every relation pair of ``tables`` (blocked where possible).
+        """Align every relation pair of ``tables``.
 
-        The global interface mirrors :meth:`MadMatcher.match_tables`; with a
-        profile index the all-pairs relation loop only pays for pairs that
-        actually share values.
+        The global interface mirrors :meth:`MadMatcher.match_tables`; the
+        all-pairs relation loop only pays for pairs that actually share values.
         """
         correspondences: List[Correspondence] = []
         for i, table_a in enumerate(tables):
@@ -185,24 +145,8 @@ class ValueOverlapFilter:
     def comparable_pairs(self, table_a: Table, table_b: Table) -> int:
         """Number of attribute pairs of the two relations that pass the filter.
 
-        Answered from posting-list candidate maps when the index's profiles
-        of both relations are current (identical count, no nested loop); the
-        pairwise ``allows`` scan remains as the fallback.
+        Read off the index's posting-list candidate maps of ``table_a``.
         """
-        relation_a = table_a.schema.qualified_name
-        relation_b = table_b.schema.qualified_name
-        if (
-            relation_a != relation_b
-            and self.min_shared_values >= 1
-            and self.index.is_current(table_a)
-            and self.index.is_current(table_b)
-        ):
-            return self.index.comparable_pair_count(
-                relation_a, relation_b, self.min_shared_values
-            )
-        count = 0
-        for attr_a in table_a.schema.attribute_names:
-            for attr_b in table_b.schema.attribute_names:
-                if self.allows(relation_a, attr_a, relation_b, attr_b):
-                    count += 1
-        return count
+        return self.index.comparable_pair_count(
+            table_a.schema.qualified_name, table_b.schema.qualified_name, self.min_shared_values
+        )

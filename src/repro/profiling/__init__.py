@@ -34,15 +34,16 @@ This package makes registration *index-centric* instead:
     the attribute pairs that share at least one value, found by
     intersecting posting lists — cost proportional to actual
     co-occurrences, not to the number of attribute pairs.  This is the
-    *blocking* step that replaces the matcher layer's nested loops; the
-    exhaustive all-pairs scan survives only as the Figure 7 "no filter"
-    baseline (and as the fallback for schema-only evidence, which value
-    postings cannot prune losslessly).
+    *blocking* step that replaces the matcher layer's nested loops.
+
+The profiles are the only summary of a table's values: storage keeps none,
+and every matcher reads them through
+:meth:`~repro.matching.base.BaseMatcher.index_for`.
 
 Consumers: :class:`~repro.matching.value_overlap.ValueOverlapFilter` and
 :class:`~repro.matching.value_overlap.ValueOverlapMatcher` (blocking),
 :class:`~repro.matching.metadata_matcher.MetadataMatcher` (structural
-profiles), :class:`~repro.alignment.base.BaseAligner` (hands its index to
+profiles), :class:`~repro.matching.mad.MadMatcher` (the column–value graph), :class:`~repro.alignment.base.BaseAligner` (hands its index to
 the matcher it runs), :class:`~repro.alignment.registration.SourceRegistrar`
 (incremental maintenance + rollback) and
 :meth:`repro.api.service.QService.register_sources` (batch ingest: profile

@@ -34,7 +34,7 @@ counter lets the per-attribute candidate maps validate themselves cheaply.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..datastore.database import Catalog, DataSource
 from ..datastore.table import Table

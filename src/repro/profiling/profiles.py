@@ -5,14 +5,14 @@ from a table in the seed implementation — distinct value sets, value token
 bags, tokenized/normalized attribute names, cardinality statistics — frozen
 into one object that is computed **once** when a source is registered and
 then shared by the value-overlap filter, the value-overlap matcher, the
-metadata matcher and the aligner strategies.
+metadata matcher, the MAD matcher and the aligner strategies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from ..datastore.table import Table
 from ..datastore.types import canonicalize

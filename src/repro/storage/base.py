@@ -24,11 +24,14 @@ never reused or reassigned: answers carry ``(relation, row_id)`` provenance,
 and the ranked union's deterministic output order sorts on row-id tuples, so
 any backend that renumbered rows would change observable results.
 
-**Canonicalization.**  Join keys, selection matching and
-:meth:`StorageBackend.distinct_values` all compare the *canonical* textual
-form of a value (:func:`repro.datastore.types.canonicalize`) — stripped,
-null-like values mapped to ``None``, booleans to ``"true"``/``"false"``,
-integral floats to their integer rendering.  A backend that evaluates
+**Canonicalization.**  Join keys and selection matching compare the
+*canonical* textual form of a value
+(:func:`repro.datastore.types.canonicalize`) — stripped, null-like values
+mapped to ``None``, booleans to ``"true"``/``"false"``, integral floats to
+their integer rendering.  A backend keeps no summary of a column's values:
+the profile index (:mod:`repro.profiling`) canonicalizes the cells it scans
+into each attribute's distinct values, the only such summary, and every
+matcher reads it there.  A backend that evaluates
 predicates natively (SQL pushdown) must reproduce these semantics exactly;
 the SQLite backend does so by registering the library's own canonicalize
 function with the database rather than approximating it in SQL.
@@ -146,10 +149,6 @@ class StorageBackend(ABC):
     @abstractmethod
     def version(self, key: str) -> int:
         """The relation's monotonically increasing data version."""
-
-    @abstractmethod
-    def distinct_values(self, key: str, attribute: str) -> frozenset:
-        """Canonicalized distinct non-null values of one attribute."""
 
     # ------------------------------------------------------------------
     # Catalog metadata persistence

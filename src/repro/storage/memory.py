@@ -9,9 +9,8 @@ preserving the seed's caching behavior.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..datastore.types import canonicalize
 from ..exceptions import StorageError
 from .base import StorageBackend
 
@@ -19,13 +18,12 @@ from .base import StorageBackend
 class _MemoryRelation:
     """Storage of one relation: schema binding, row list, caches."""
 
-    __slots__ = ("schema", "rows", "version", "distinct_cache")
+    __slots__ = ("schema", "rows", "version")
 
     def __init__(self, schema, initial_version: int = 0) -> None:
         self.schema = schema
         self.rows: List = []
         self.version = initial_version
-        self.distinct_cache: Dict[str, frozenset] = {}
 
 
 class MemoryBackend(StorageBackend):
@@ -79,7 +77,6 @@ class MemoryBackend(StorageBackend):
         relation = self._relation(key)
         stored = Row(relation.schema, values, len(relation.rows))
         relation.rows.append(stored)
-        relation.distinct_cache.clear()
         relation.version += 1
         return stored
 
@@ -97,7 +94,6 @@ class MemoryBackend(StorageBackend):
         if not staged:
             return 0
         relation.rows.extend(staged)
-        relation.distinct_cache.clear()
         relation.version += 1
         return len(staged)
 
@@ -112,21 +108,6 @@ class MemoryBackend(StorageBackend):
 
     def version(self, key: str) -> int:
         return self._relation(key).version
-
-    def distinct_values(self, key: str, attribute: str) -> frozenset:
-        relation = self._relation(key)
-        cached = relation.distinct_cache.get(attribute)
-        if cached is not None:
-            return cached
-        idx = relation.schema.attribute_index(attribute)
-        values: Set[str] = set()
-        for row in relation.rows:
-            canon = canonicalize(row.values[idx])
-            if canon is not None:
-                values.add(canon)
-        result = frozenset(values)
-        relation.distinct_cache[attribute] = result
-        return result
 
     # ------------------------------------------------------------------
     # Introspection

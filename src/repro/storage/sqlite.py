@@ -392,20 +392,6 @@ class SqliteBackend(StorageBackend):
     def version(self, key: str) -> int:
         return self._require(key).version
 
-    def distinct_values(self, key: str, attribute: str) -> frozenset:
-        with self._lock:
-            self._schema(key).attribute_index(attribute)  # validates existence
-            fetched = self._execute(
-                f"SELECT DISTINCT {self.column_sql_name(attribute)} "
-                f"FROM {quote_identifier(key)}"
-            ).fetchall()
-        values: Set[str] = set()
-        for (value,) in fetched:
-            canon = canonicalize(value)
-            if canon is not None:
-                values.add(canon)
-        return frozenset(values)
-
     def ensure_canon_index(self, key: str, attribute: str) -> None:
         """Create the ``repro_canon(column)`` expression index if missing.
 

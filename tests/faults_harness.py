@@ -214,10 +214,6 @@ class FaultyBackend(StorageBackend):
     def version(self, key: str) -> int:
         return self.delegate.version(key)
 
-    def distinct_values(self, key: str, attribute: str) -> frozenset:
-        self.plan.on_call("distinct_values")
-        return self.delegate.distinct_values(key, attribute)
-
     # -- catalog metadata ---------------------------------------------
     def save_source_schema(self, name: str, payload: dict) -> None:
         self.plan.on_call("save_source_schema")

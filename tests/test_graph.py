@@ -118,10 +118,10 @@ class TestEdge:
         weights = WeightVector({"x": -5.0})
         assert edge.cost(weights, minimum=1e-3) == pytest.approx(1e-3)
 
-    def test_other_and_connects(self):
+    def test_other(self):
         edge = SearchGraph().new_edge("a", "b", EdgeKind.ASSOCIATION)
         assert edge.other("a") == "b"
-        assert edge.connects("b", "a")
+        assert edge.other("b") == "a"
         with pytest.raises(ValueError):
             edge.other("c")
 

@@ -2,10 +2,13 @@
 
 The profile-indexed matcher layer must be a pure optimization: on any input,
 the blocked paths return the *same* correspondences — same pairs, same
-confidences, same order — as the exhaustive loops, and the filter's pair
-counts are identical.  Checked on the fig7 fixtures (the GBCO catalog that
-the Figure 6/7 registration replay introduces sources into) and on random
-tables via hypothesis.
+confidences, same order — as the seed's all-pairs loops, and the filter's
+pair counts are identical.  The seed loops live here as references
+(:func:`seed_value_overlap`, :func:`seed_metadata`), reading each column's
+values off the catalog's cells (:func:`reference_values.attribute_values`)
+and sibling tokens off the schemas, never off a profile index.  Checked on
+the fig7 fixtures (the GBCO catalog that the Figure 6/7 registration replay
+introduces sources into) and on random tables via hypothesis.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from repro.matching import (
 )
 from repro.matching.metadata_matcher import _name_similarity_cached
 from repro.profiling import CatalogProfileIndex
+from repro.similarity.jaccard import max_containment
+from repro.similarity.tokenize import token_set
 
 
 def _correspondence_tuples(correspondences):
@@ -36,6 +41,45 @@ def _correspondence_tuples(correspondences):
         (c.source.qualified, c.target.qualified, c.confidence, c.matcher)
         for c in correspondences
     ]
+
+
+def seed_value_overlap(table_a, table_b, values, min_confidence=0.1, min_shared=1):
+    """The seed's all-pairs value-overlap loop, over reference value sets."""
+    relation_a, relation_b = table_a.schema.qualified_name, table_b.schema.qualified_name
+    found = []
+    for ref_a in table_a.schema.attribute_refs:
+        values_a = values.get((relation_a, ref_a.attribute), set())
+        if not values_a:
+            continue
+        for ref_b in table_b.schema.attribute_refs:
+            values_b = values.get((relation_b, ref_b.attribute), set())
+            if not values_b or len(values_a & values_b) < min_shared:
+                continue
+            confidence = max_containment(values_a, values_b)
+            if confidence >= min_confidence:
+                found.append((ref_a.qualified, ref_b.qualified, round(confidence, 6), "value_overlap"))
+    return found
+
+
+def seed_metadata(matcher, table_a, table_b):
+    """The seed's metadata loop: sibling-name tokens recomputed from the schemas."""
+
+    def siblings(table):
+        tokens = set()
+        for attribute in table.schema.attribute_names:
+            tokens |= token_set(attribute)
+        return tokens
+
+    tokens_a, tokens_b = siblings(table_a), siblings(table_b)
+    structural = len(tokens_a & tokens_b) / len(tokens_a | tokens_b) if tokens_a and tokens_b else 0.0
+    bonus = matcher.config.structural_bonus * structural
+    found = []
+    for ref_a in table_a.schema.attribute_refs:
+        for ref_b in table_b.schema.attribute_refs:
+            score = min(1.0, matcher.name_similarity(ref_a.attribute, ref_b.attribute) + bonus)
+            if score >= matcher.config.min_confidence:
+                found.append((ref_a.qualified, ref_b.qualified, round(score, 6), "metadata"))
+    return found
 
 
 # ----------------------------------------------------------------------
@@ -50,34 +94,34 @@ class TestGbcoParity:
     def gbco_index(self, gbco_dataset):
         return CatalogProfileIndex.from_catalog(gbco_dataset.catalog)
 
-    def test_value_overlap_matcher_blocked_equals_seed_loop(self, gbco_tables, gbco_index):
+    @pytest.fixture(scope="class")
+    def gbco_values(self, gbco_dataset):
+        return attribute_values(gbco_dataset.catalog)
+
+    def test_value_overlap_matcher_blocked_equals_seed_loop(self, gbco_tables, gbco_index, gbco_values):
         blocked = ValueOverlapMatcher(profile_index=gbco_index)
-        exhaustive = ValueOverlapMatcher()
         for i, table_a in enumerate(gbco_tables):
             for table_b in gbco_tables[i + 1 :]:
                 left = blocked.match_relations(table_a, table_b)
-                right = exhaustive.match_relations(table_a, table_b)
-                assert _correspondence_tuples(left) == _correspondence_tuples(right)
+                assert _correspondence_tuples(left) == seed_value_overlap(table_a, table_b, gbco_values)
 
-    def test_value_overlap_matcher_thresholds_preserved(self, gbco_tables, gbco_index):
+    def test_value_overlap_matcher_thresholds_preserved(self, gbco_tables, gbco_index, gbco_values):
         blocked = ValueOverlapMatcher(
             min_confidence=0.5, min_shared_values=3, profile_index=gbco_index
         )
-        exhaustive = ValueOverlapMatcher(min_confidence=0.5, min_shared_values=3)
         for i, table_a in enumerate(gbco_tables):
             for table_b in gbco_tables[i + 1 :]:
                 assert _correspondence_tuples(
                     blocked.match_relations(table_a, table_b)
-                ) == _correspondence_tuples(exhaustive.match_relations(table_a, table_b))
+                ) == seed_value_overlap(table_a, table_b, gbco_values, min_confidence=0.5, min_shared=3)
 
     def test_metadata_matcher_indexed_equals_plain(self, gbco_tables, gbco_index):
         indexed = MetadataMatcher(profile_index=gbco_index)
-        plain = MetadataMatcher()
         for i, table_a in enumerate(gbco_tables):
             for table_b in gbco_tables[i + 1 :]:
                 assert _correspondence_tuples(
                     indexed.match_relations(table_a, table_b)
-                ) == _correspondence_tuples(plain.match_relations(table_a, table_b))
+                ) == seed_metadata(indexed, table_a, table_b)
 
     def test_metadata_memo_replay_is_identical(self, gbco_tables, gbco_index):
         # Nothing is remembered between calls: a second pass over the same
@@ -108,17 +152,19 @@ class TestGbcoParity:
                 assert profile_filter.comparable_pairs(table_a, table_b) == expected
 
     def test_comparison_counters_are_identical(self, gbco_tables, gbco_index):
-        blocked = ValueOverlapMatcher(profile_index=gbco_index)
-        exhaustive = ValueOverlapMatcher()
-        for matcher in (blocked, exhaustive):
-            for i, table_a in enumerate(gbco_tables[:6]):
-                for table_b in gbco_tables[i + 1 : 6]:
+        # Blocking prunes the work, not the count: every attribute pair of a
+        # scored relation pair is counted, as the seed loop compared it.
+        attached = ValueOverlapMatcher(profile_index=gbco_index)
+        bare = ValueOverlapMatcher()
+        expected = 0
+        for i, table_a in enumerate(gbco_tables[:6]):
+            for table_b in gbco_tables[i + 1 : 6]:
+                expected += len(table_a.schema.attribute_names) * len(table_b.schema.attribute_names)
+                for matcher in (attached, bare):
                     matcher.match_relations(table_a, table_b)
-        assert (
-            blocked.counter.attribute_comparisons
-            == exhaustive.counter.attribute_comparisons
-        )
-        assert blocked.counter.relation_pairs == exhaustive.counter.relation_pairs
+        for matcher in (attached, bare):
+            assert matcher.counter.attribute_comparisons == expected
+            assert matcher.counter.relation_pairs == 15
 
 
 class TestMatcherRegistry:
@@ -164,14 +210,7 @@ class TestMatchersSharedAcrossSessions:
         )
         return _correspondence_tuples(response.alignment.correspondences)
 
-    def test_each_session_reads_its_own_index(self, monkeypatch):
-        scans = []
-        exhaustive = ValueOverlapMatcher._match_exhaustive
-        monkeypatch.setattr(
-            ValueOverlapMatcher,
-            "_match_exhaustive",
-            lambda self, a, b: scans.append((a, b)) or exhaustive(self, a, b),
-        )
+    def test_each_session_reads_its_own_index(self):
         expected = {}
         for rows in (15, 30):
             metadata, overlap = MetadataMatcher(), ValueOverlapMatcher()
@@ -181,7 +220,6 @@ class TestMatchersSharedAcrossSessions:
                 self._register(fresh, incoming[1], overlap),
             ]
             assert any(expected[rows])
-        assert not scans
 
         metadata, overlap = MetadataMatcher(), ValueOverlapMatcher()
         first, first_incoming = self._session(15, [metadata, overlap])
@@ -194,7 +232,6 @@ class TestMatchersSharedAcrossSessions:
             got[30].append(self._register(second, second_incoming[position], matcher))
             assert used.profile_index is second.profile_index
         assert got == expected
-        assert not scans  # ``_match_blocked`` served both sessions
 
 
 # ----------------------------------------------------------------------
@@ -229,10 +266,9 @@ class TestRandomTableParity:
         index = CatalogProfileIndex.from_catalog(catalog)
         table_a, table_b = source_a.table("rel"), source_b.table("rel")
         blocked = ValueOverlapMatcher(min_shared_values=min_shared, profile_index=index)
-        exhaustive = ValueOverlapMatcher(min_shared_values=min_shared)
         assert _correspondence_tuples(
             blocked.match_relations(table_a, table_b)
-        ) == _correspondence_tuples(exhaustive.match_relations(table_a, table_b))
+        ) == seed_value_overlap(table_a, table_b, attribute_values(catalog), min_shared=min_shared)
 
     @settings(max_examples=60, deadline=None)
     @given(data=_table_pair(), min_shared=st.integers(1, 3))
@@ -243,16 +279,12 @@ class TestRandomTableParity:
         table_a, table_b = source_a.table("rel"), source_b.table("rel")
         fast = ValueOverlapFilter.from_index(index)
         fast.min_shared_values = min_shared
+        values = attribute_values(catalog)
         expected = 0
         for attr_a in table_a.schema.attribute_names:
             for attr_b in table_b.schema.attribute_names:
-                if (
-                    len(
-                        table_a.distinct_values(attr_a)
-                        & table_b.distinct_values(attr_b)
-                    )
-                    >= min_shared
-                ):
+                shared = values.get(("alpha.rel", attr_a), set()) & values.get(("beta.rel", attr_b), set())
+                if len(shared) >= min_shared:
                     expected += 1
         assert fast.comparable_pairs(table_a, table_b) == expected
 
@@ -278,16 +310,27 @@ class TestRandomTableParity:
 
     @settings(max_examples=40, deadline=None)
     @given(data=_table_pair())
-    def test_stale_profile_falls_back_to_exhaustive(self, data):
+    def test_stale_profile_is_reprofiled_before_matching(self, data):
         # Mutating a table after indexing must not produce stale blocked
-        # results: the matcher detects the stale profile and scans.
+        # results: the matcher re-profiles the table before it reads.
         source_a, source_b = data
         catalog = Catalog([source_a, source_b])
         index = CatalogProfileIndex.from_catalog(catalog)
         table_a, table_b = source_a.table("rel"), source_b.table("rel")
         table_a.append({attr: "zz" for attr in table_a.schema.attribute_names})
         blocked = ValueOverlapMatcher(profile_index=index)
-        exhaustive = ValueOverlapMatcher()
         assert _correspondence_tuples(
             blocked.match_relations(table_a, table_b)
-        ) == _correspondence_tuples(exhaustive.match_relations(table_a, table_b))
+        ) == seed_value_overlap(table_a, table_b, attribute_values(catalog))
+        assert index.is_current(table_a)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=_table_pair())
+    def test_bare_matcher_profiles_what_it_is_handed(self, data):
+        source_a, source_b = data
+        table_a, table_b = source_a.table("rel"), source_b.table("rel")
+        bare = ValueOverlapMatcher()
+        assert _correspondence_tuples(bare.match_relations(table_a, table_b)) == seed_value_overlap(
+            table_a, table_b, attribute_values(Catalog([source_a, source_b]))
+        )
+        assert bare.profile_index.profiled_relations() == ("alpha.rel", "beta.rel")

@@ -29,6 +29,14 @@ from repro.matching import (
     top_y_per_attribute,
     value_graph_node,
 )
+from repro.profiling import CatalogProfileIndex
+
+
+def column_value_graph(tables, config=None):
+    """The MAD graph over ``tables``' attributes, read off a fresh profile index."""
+    index = CatalogProfileIndex.from_tables(tables)
+    profiles = [p for t in tables for p in index.profiles_of(t.schema.qualified_name)]
+    return build_column_value_graph(profiles, config)
 
 
 class TestCorrespondence:
@@ -36,7 +44,6 @@ class TestCorrespondence:
         a = Correspondence(AttributeRef("r1", "x"), AttributeRef("r2", "y"), 0.9, "m")
         b = Correspondence(AttributeRef("r2", "y"), AttributeRef("r1", "x"), 0.7, "m")
         assert a.key() == b.key()
-        assert a.reversed().source == a.target
 
     def test_top_y_per_attribute(self):
         # A pair is kept when it is among the top-Y candidates of *either*
@@ -151,7 +158,7 @@ class TestMetadataMatcher:
 
 class TestMadGraph:
     def test_column_value_graph_structure(self, mini_catalog):
-        graph = build_column_value_graph(mini_catalog.all_tables())
+        graph = column_value_graph(mini_catalog.all_tables())
         # acc and go_id share GO identifiers, so those value nodes survive pruning.
         shared_value = value_graph_node("GO:0001")
         assert shared_value in graph.value_nodes
@@ -160,13 +167,13 @@ class TestMadGraph:
         assert graph.edge_count > 0
 
     def test_degree_one_values_pruned(self, mini_catalog):
-        graph = build_column_value_graph(mini_catalog.all_tables())
+        graph = column_value_graph(mini_catalog.all_tables())
         # "nucleus" appears only in go.term.name, hence is pruned.
         assert value_graph_node("nucleus") not in graph.value_nodes
 
     def test_pruning_can_be_disabled(self, mini_catalog):
         config = MadGraphConfig(prune_degree_one=False)
-        graph = build_column_value_graph(mini_catalog.all_tables(), config)
+        graph = column_value_graph(mini_catalog.all_tables(), config)
         assert value_graph_node("nucleus") in graph.value_nodes
 
     def test_numeric_values_dropped(self):
@@ -175,20 +182,20 @@ class TestMadGraph:
             {"r1": ["a"], "r2": ["b"]},
             data={"r1": [{"a": "123"}, {"a": "shared"}], "r2": [{"b": "123"}, {"b": "shared"}]},
         )
-        graph = build_column_value_graph(source.tables())
+        graph = column_value_graph(source.tables())
         assert value_graph_node("123") not in graph.value_nodes
         assert value_graph_node("shared") in graph.value_nodes
 
     def test_max_values_per_attribute(self, mini_catalog):
         config = MadGraphConfig(max_values_per_attribute=1, prune_degree_one=False)
-        graph = build_column_value_graph(mini_catalog.all_tables(), config)
+        graph = column_value_graph(mini_catalog.all_tables(), config)
         acc_node = attribute_graph_node("go.term", "acc")
         assert graph.degree(acc_node) <= 1
 
 
 class TestMadAlgorithm:
     def test_walk_probabilities_sum_to_one(self, mini_catalog):
-        graph = build_column_value_graph(mini_catalog.all_tables())
+        graph = column_value_graph(mini_catalog.all_tables())
         seeds = set(graph.attribute_nodes)
         probabilities = compute_walk_probabilities(graph, seeds)
         for node, prob in probabilities.items():
@@ -205,7 +212,7 @@ class TestMadAlgorithm:
         assert probabilities["lonely"].p_inj == 1.0
 
     def test_labels_propagate_through_shared_values(self, mini_catalog):
-        graph = build_column_value_graph(mini_catalog.all_tables())
+        graph = column_value_graph(mini_catalog.all_tables())
         seeds = {node: {node: 1.0} for node in graph.attribute_nodes}
         estimates = run_mad(graph, seeds, MadConfig(max_iterations=3))
         acc_node = attribute_graph_node("go.term", "acc")
@@ -214,7 +221,7 @@ class TestMadAlgorithm:
         assert estimates[acc_node].get(go_id_node, 0.0) > 0.0
 
     def test_dummy_label_present(self, mini_catalog):
-        graph = build_column_value_graph(mini_catalog.all_tables())
+        graph = column_value_graph(mini_catalog.all_tables())
         seeds = {node: {node: 1.0} for node in graph.attribute_nodes}
         estimates = run_mad(graph, seeds, MadConfig(max_iterations=2))
         assert any(DUMMY_LABEL in dist for dist in estimates.values())
@@ -227,7 +234,7 @@ class TestMadAlgorithm:
         assert normalize_distribution({}) == {}
 
     def test_convergence_tolerance_stops_early(self, mini_catalog):
-        graph = build_column_value_graph(mini_catalog.all_tables())
+        graph = column_value_graph(mini_catalog.all_tables())
         seeds = {node: {node: 1.0} for node in graph.attribute_nodes}
         # Very loose tolerance: a single iteration should be enough to stop.
         loose = run_mad(graph, seeds, MadConfig(max_iterations=50, tolerance=1e9))
@@ -270,6 +277,11 @@ class TestValueOverlap:
         pairs = {c.key(): c.confidence for c in correspondences}
         key = ("interpro.entry.entry_ac", "interpro.interpro2go.entry_ac")
         assert pairs[key] == pytest.approx(1.0)
+
+    def test_min_shared_values_below_one_rejected(self):
+        # Posting-list candidates are exact only for pairs sharing a value.
+        with pytest.raises(ValueError):
+            ValueOverlapMatcher(min_shared_values=0)
 
     def test_filter_allows_only_overlapping_pairs(self, mini_catalog):
         tables = mini_catalog.all_tables()

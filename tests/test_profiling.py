@@ -25,7 +25,7 @@ class TestProfileTable:
         assert relation_profile.relation == "go.term"
         assert relation_profile.attribute_names == ("acc", "name")
         acc = attributes["acc"]
-        assert acc.distinct_values == table.distinct_values("acc")
+        assert acc.distinct_values == attribute_values(mini_catalog)[("go.term", "acc")]
         assert acc.row_count == len(table)
         assert acc.non_null_count == 3
         assert acc.distinct_count == 3
@@ -67,18 +67,19 @@ class TestCatalogProfileIndex:
                 assert index.overlap(rel_a, attr_a, rel_b, attr_b) == len(expected)
 
     def test_value_candidates_match_bruteforce(self, mini_catalog, index):
+        values = attribute_values(mini_catalog)
         tables = mini_catalog.all_tables()
         for table in tables:
             relation = table.schema.qualified_name
             for attribute in table.schema.attribute_names:
                 expected = {}
-                mine = table.distinct_values(attribute)
+                mine = values.get((relation, attribute), set())
                 for other in tables:
                     other_relation = other.schema.qualified_name
                     for other_attr in other.schema.attribute_names:
                         if (other_relation, other_attr) == (relation, attribute):
                             continue
-                        shared = len(mine & other.distinct_values(other_attr))
+                        shared = len(mine & values.get((other_relation, other_attr), set()))
                         if shared:
                             expected[(other_relation, other_attr)] = shared
                 assert index.value_candidates(relation, attribute) == expected

@@ -26,13 +26,6 @@ class TestAttribute:
         with pytest.raises(SchemaError):
             Attribute("")
 
-    def test_renamed(self):
-        attr = Attribute("go_id", ValueType.IDENTIFIER, "accession")
-        renamed = attr.renamed("acc")
-        assert renamed.name == "acc"
-        assert renamed.value_type is ValueType.IDENTIFIER
-        assert renamed.description == "accession"
-
 
 class TestQualifiedNames:
     def test_roundtrip(self):
@@ -142,9 +135,6 @@ class TestSourceSchema:
 
 
 class TestForeignKey:
-    def test_reversed(self):
+    def test_as_tuple(self):
         fk = ForeignKey("a", "x", "b", "y")
-        rev = fk.reversed()
-        assert rev.source_relation == "b"
-        assert rev.target_attribute == "x"
         assert fk.as_tuple() == ("a", "x", "b", "y")

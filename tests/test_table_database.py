@@ -10,6 +10,7 @@ from repro.datastore.database import Catalog, DataSource
 from repro.datastore.schema import RelationSchema, SourceSchema
 from repro.datastore.table import Row, Table
 from repro.exceptions import DataError, SchemaError, UnknownRelationError
+from repro.profiling import CatalogProfileIndex, profile_table
 
 
 @pytest.fixture()
@@ -80,15 +81,17 @@ class TestTable:
         assert entry_table.column("name") == ["Kinase", "Zinc finger", "Kinase"]
 
     def test_distinct_values_canonicalized(self, entry_table):
-        assert entry_table.distinct_values("name") == {"Kinase", "Zinc finger"}
-        # cache invalidation on mutation
+        # A table's distinct values are its profile's, read after a mutation.
+        assert profile_table(entry_table)[1]["name"].distinct_values == {"Kinase", "Zinc finger"}
         entry_table.append({"entry_ac": "IPR004", "name": "Novel", "length": "10"})
-        assert "Novel" in entry_table.distinct_values("name")
+        assert "Novel" in profile_table(entry_table)[1]["name"].distinct_values
 
     def test_value_overlap(self, entry_table):
+        # Two columns' shared values are read off the profile index.
         other_schema = RelationSchema("method", ["method_ac", "name"], source="interpro")
         other = Table(other_schema, rows=[{"method_ac": "PF1", "name": "Kinase"}])
-        assert entry_table.value_overlap("name", other, "name") == 1
+        index = CatalogProfileIndex.from_tables([entry_table, other])
+        assert index.overlap("interpro.entry", "name", "interpro.method", "name") == 1
 
     def test_row_protocols(self, entry_table):
         row = entry_table[0]
@@ -102,7 +105,7 @@ class TestTable:
     def test_distinct_never_larger_than_rows_property(self, values):
         schema = RelationSchema("t", ["v"])
         table = Table(schema, rows=[{"v": v} for v in values])
-        assert len(table.distinct_values("v")) <= len(table)
+        assert len(profile_table(table)[1]["v"].distinct_values) <= len(table)
 
 
 class TestDataSource:
