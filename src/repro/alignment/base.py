@@ -136,6 +136,10 @@ class BaseAligner(abc.ABC):
         calling the aligner); the catalog must already contain the source.
         """
         start = time.perf_counter()
+        # Candidates and comparison counts read the profiles: make them current.
+        for index in (self.profile_index, self.value_filter and self.value_filter.index):
+            if index is not None:
+                index.reprofile_stale()
         trace = active_trace()
         result = AlignmentResult(strategy=self.strategy_name, new_source=new_source.name)
         # Pairs that survive the comparison count, in the order they are scored.

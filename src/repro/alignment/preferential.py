@@ -17,7 +17,6 @@ from ..exceptions import AlignmentError
 from ..graph.features import relation_feature
 from ..graph.search_graph import SearchGraph
 from ..matching.base import BaseMatcher
-from ..matching.value_overlap import ValueOverlapFilter
 from .base import BaseAligner
 
 # A vertex prior may be given as a mapping or as a callable on relation names.
@@ -46,7 +45,7 @@ class PreferentialAligner(BaseAligner):
 
     Parameters
     ----------
-    matcher, top_y, value_filter, count_only:
+    matcher, and by keyword top_y, value_filter, count_only, profile_index:
         See :class:`~repro.alignment.base.BaseAligner`.
     prior:
         The vertex cost/preference function ``P``: mapping (or callable)
@@ -67,18 +66,9 @@ class PreferentialAligner(BaseAligner):
         matcher: BaseMatcher,
         prior: Optional[VertexPrior] = None,
         max_relations: Optional[int] = 5,
-        top_y: int = 2,
-        value_filter: Optional[ValueOverlapFilter] = None,
-        count_only: bool = False,
-        profile_index=None,
+        **common,
     ) -> None:
-        super().__init__(
-            matcher,
-            top_y=top_y,
-            value_filter=value_filter,
-            count_only=count_only,
-            profile_index=profile_index,
-        )
+        super().__init__(matcher, **common)
         if max_relations is not None and max_relations < 1:
             raise AlignmentError("max_relations must be >= 1 (or None)")
         self.prior = prior

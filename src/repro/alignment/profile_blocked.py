@@ -24,13 +24,12 @@ relation scale benchmarked by ``benchmarks/scale_bench.py``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..datastore.database import Catalog, DataSource
 from ..exceptions import AlignmentError
 from ..graph.search_graph import SearchGraph
 from ..matching.base import BaseMatcher
-from ..matching.value_overlap import ValueOverlapFilter
 from .base import BaseAligner
 
 
@@ -39,7 +38,7 @@ class ProfileBlockedAligner(BaseAligner):
 
     Parameters
     ----------
-    matcher, top_y, value_filter, count_only, profile_index:
+    matcher, and by keyword top_y, value_filter, count_only, profile_index:
         See :class:`~repro.alignment.base.BaseAligner`; ``profile_index``
         is **required** here — it is the candidate source.
     min_shared_values:
@@ -51,23 +50,9 @@ class ProfileBlockedAligner(BaseAligner):
 
     strategy_name = "profile_blocked"
 
-    def __init__(
-        self,
-        matcher: BaseMatcher,
-        top_y: int = 2,
-        value_filter: Optional[ValueOverlapFilter] = None,
-        count_only: bool = False,
-        profile_index=None,
-        min_shared_values: int = 1,
-    ) -> None:
-        super().__init__(
-            matcher,
-            top_y=top_y,
-            value_filter=value_filter,
-            count_only=count_only,
-            profile_index=profile_index,
-        )
-        if profile_index is None:
+    def __init__(self, matcher: BaseMatcher, min_shared_values: int = 1, **common) -> None:
+        super().__init__(matcher, **common)
+        if self.profile_index is None:
             raise AlignmentError(
                 "profile_blocked registration requires a catalog profile index"
             )

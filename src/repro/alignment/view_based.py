@@ -17,7 +17,6 @@ from ..exceptions import AlignmentError
 from ..graph.neighborhood import neighborhood_relations
 from ..graph.search_graph import SearchGraph
 from ..matching.base import BaseMatcher
-from ..matching.value_overlap import ValueOverlapFilter
 from .base import BaseAligner
 
 
@@ -26,7 +25,7 @@ class ViewBasedAligner(BaseAligner):
 
     Parameters
     ----------
-    matcher, top_y, value_filter, count_only:
+    matcher, and by keyword top_y, value_filter, count_only, profile_index:
         See :class:`~repro.alignment.base.BaseAligner`.
     keyword_nodes:
         Node ids of the view's keyword nodes.  They are looked up in
@@ -47,19 +46,10 @@ class ViewBasedAligner(BaseAligner):
         matcher: BaseMatcher,
         keyword_nodes: Sequence[str],
         alpha: float,
-        top_y: int = 2,
-        value_filter: Optional[ValueOverlapFilter] = None,
-        count_only: bool = False,
         neighborhood_graph: Optional[SearchGraph] = None,
-        profile_index=None,
+        **common,
     ) -> None:
-        super().__init__(
-            matcher,
-            top_y=top_y,
-            value_filter=value_filter,
-            count_only=count_only,
-            profile_index=profile_index,
-        )
+        super().__init__(matcher, **common)
         if alpha < 0:
             raise AlignmentError("alpha must be non-negative")
         self.keyword_nodes = list(keyword_nodes)

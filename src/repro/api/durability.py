@@ -118,7 +118,7 @@ class DurabilityMixin:
                     "save() cannot be re-targeted to a different location"
                 )
         # A table appended to since it was profiled is saved with its new values.
-        self.profile_index.refresh(self.catalog)
+        self.profile_index.reprofile_stale()
         return self._persistence.save(self, compact=compact)
 
     @classmethod
@@ -198,7 +198,6 @@ class DurabilityMixin:
                 SessionPersistence(store, compact_after=service.config.journal_compact_after),
             )
             restore_overlay(service, overlay)
-            profile_index.rebind_tables(catalog)
             service._persistence.attach_restored(service, body["snapshot_version"], overlay)
             return service
         except BaseException as exc:

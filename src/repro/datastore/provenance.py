@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TupleProvenance:
     """Provenance of one answer tuple.
 
@@ -42,7 +42,7 @@ class TupleProvenance:
 AnswerRow = Tuple[Tuple[object, ...], FrozenSet[Tuple[str, int]]]
 
 
-@dataclass
+@dataclass(slots=True)
 class AnswerTuple:
     """A ranked answer in the unified output table.
 

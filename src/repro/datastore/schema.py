@@ -133,6 +133,7 @@ class RelationSchema:
             raise SchemaError("relation name must be non-empty")
         self.name = name
         self.source = source
+        self._qualified_cache: Optional[str] = None
         self.description = description
         self._attributes: List[Attribute] = []
         self._by_name: Dict[str, Attribute] = {}
@@ -215,15 +216,16 @@ class RelationSchema:
     def bind_source(self, source: str) -> None:
         """Associate this relation with a data source name."""
         if source != self.source:
-            self._refs_cache = None
+            self._refs_cache = self._qualified_cache = None
         self.source = source
 
     @property
     def qualified_name(self) -> str:
-        """``"<source>.<relation>"`` or just the relation name if unbound."""
-        if self.source:
-            return qualified_name(self.source, self.name)
-        return self.name
+        """``"<source>.<relation>"`` or just the relation name if unbound (cached per binding)."""
+        cached = self._qualified_cache
+        if cached is None:
+            cached = self._qualified_cache = qualified_name(self.source, self.name) if self.source else self.name
+        return cached
 
     @property
     def attribute_refs(self) -> Tuple[AttributeRef, ...]:

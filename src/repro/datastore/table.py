@@ -18,6 +18,7 @@ storage directly.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import DataError
@@ -106,6 +107,9 @@ class Table:
         self.schema = schema
         self._backend = backend if backend is not None else _default_backend()
         self._key = schema.qualified_name
+        #: Weak references to the profile indexes holding this table's profile:
+        #: a table outlives the sessions that profiled it, not their indexes.
+        self._profile_indexes: Tuple[weakref.ref, ...] = ()
         if adopt:
             self._backend.bind_schema(self._key, schema)
         else:
@@ -163,9 +167,17 @@ class Table:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def add_profile_index(self, index) -> None:
+        """Mark this table stale in ``index`` (held weakly) on every later write."""
+        ref = weakref.ref(index)
+        if ref not in self._profile_indexes:
+            self._profile_indexes += (ref,)
+
     def append(self, row) -> Row:
         """Append a single row (mapping or sequence) and return the stored Row."""
-        return self._backend.append_row(self._key, self._coerce(row))
+        stored = self._backend.append_row(self._key, self._coerce(row))
+        self._written()
+        return stored
 
     def extend(self, rows: Iterable) -> None:
         """Bulk-append rows: one atomic backend ingest, one version bump.
@@ -174,6 +186,13 @@ class Table:
         streaming loaders (CSV batches) never materialize whole files.
         """
         self._backend.insert_rows(self._key, (self._coerce(row) for row in rows))
+        self._written()
+
+    def _written(self) -> None:
+        for ref in self._profile_indexes:
+            index = ref()
+            if index is not None:
+                index.mark_stale(self)
 
     def _coerce(self, row) -> Tuple[Any, ...]:
         names = self.schema.attribute_names

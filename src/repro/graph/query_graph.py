@@ -117,8 +117,9 @@ class QueryGraphBuilder:
         The :class:`~repro.profiling.index.CatalogProfileIndex` over
         ``catalog``.  It names the attributes holding a keyword's values, so
         a lookup reads only their columns.  Its owner keeps it in step with
-        registrations and removals; the builder re-profiles a table appended
-        to since (:meth:`CatalogProfileIndex.refresh`).
+        registrations and removals, and a table write marks the table stale
+        in it; each expansion first re-profiles what is stale
+        (:meth:`CatalogProfileIndex.reprofile_stale`).
     scorer:
         Optional :class:`TfIdfScorer`; built from the catalog's schema
         labels and values when omitted.
@@ -222,7 +223,7 @@ class QueryGraphBuilder:
         the same ids, and finds the weights learned under them in place.  A
         keyword repeated up to case is one keyword node, expanded once.
         """
-        self.profile_index.refresh(self.catalog)
+        self.profile_index.reprofile_stale()
         self._tables()  # forgets the remembered cells if a profile moved
         graph = base_graph.copy(share_weights=True)
         result = QueryGraph(graph=graph)

@@ -90,6 +90,8 @@ class BaseMatcher(abc.ABC):
 
     #: Matcher name used for feature names and reporting.
     name: str = "matcher"
+    #: The index a bare matcher grew for itself (see :meth:`index_for`).
+    _private_index: Optional[CatalogProfileIndex] = None
 
     def __init__(self, profile_index: Optional[CatalogProfileIndex] = None) -> None:
         self.counter = ComparisonCounter()
@@ -106,16 +108,17 @@ class BaseMatcher(abc.ABC):
     def index_for(self, tables: Iterable[Table]) -> CatalogProfileIndex:
         """The index to read ``tables``' profiles from, current for each of them.
 
-        The attached index, or for a bare matcher a fresh one it keeps from
-        then on.  A table the index does not hold at its current identity and
-        version (never profiled, or rows appended since) is profiled first.
+        The attached index holds its session's tables and is told of their
+        writes, so it only re-profiles what they made stale.  A bare matcher
+        grows a private index, kept from then on, that also profiles each
+        table it is handed and does not hold.
         """
         index = self.profile_index
         if index is None:
-            index = self.profile_index = CatalogProfileIndex()
-        for table in tables:
-            if not index.is_current(table):
-                index.index_table(table)
+            index = self.profile_index = self._private_index = CatalogProfileIndex()
+        if index is self._private_index:
+            index.hold(tables)
+        index.reprofile_stale()
         return index
 
     @abc.abstractmethod

@@ -260,9 +260,11 @@ def restore_core(
 ) -> Tuple[object, CatalogProfileIndex, Dict[str, object]]:
     """Rebuild graph + profile index from a snapshot and replay the journal.
 
-    Returns ``(graph, profile_index, overlay)`` where ``overlay`` is the most
-    recent tail state: the snapshot's own with every entry's overlay delta
-    folded over it.  The caller assembles the service around these and then
+    The index is bound to the catalog's tables only after the replay, so
+    their later writes mark them stale and nothing the store describes is
+    profiled again.  Returns ``(graph, profile_index, overlay)`` where
+    ``overlay`` is the most recent tail state: the snapshot's own with every
+    entry's overlay delta folded over it.  The caller assembles the service around these and then
     installs the overlay's counters — replay bumps version counters as a
     side effect, so the overlay values are authoritative.
     """
@@ -282,6 +284,7 @@ def restore_core(
     lost.difference_update(table.schema.qualified_name for table in catalog.all_tables())
     if lost:  # rows deleted behind the session's back, or a removal that was never saved
         raise SnapshotError(f"the catalog no longer holds the rows of {sorted(lost)}")
+    profile_index.bind_tables(catalog)
     return graph, profile_index, overlay
 
 

@@ -87,9 +87,10 @@ class CatalogProfileIndex:
         self.rare_token_df = rare_token_df
         self._attribute_profiles: Dict[AttrId, AttributeProfile] = {}
         self._relation_profiles: Dict[str, RelationProfile] = {}
-        #: Table identity + data version at profiling time, so consumers can
-        #: detect that a profile is stale relative to a mutated table.
-        self._table_versions: Dict[str, Tuple[object, int]] = {}
+        #: relation -> the table object profiled; that table reports its writes here.
+        self._tables: Dict[str, Table] = {}
+        #: Tables written since they were profiled, as an ordered set (see :meth:`reprofile_stale`).
+        self._stale: Dict[Table, None] = {}
         #: source name -> qualified relation names it contributed.
         self._source_relations: Dict[str, List[str]] = {}
         #: All posting lists (values, tokens, sketch buckets), hash-sharded.
@@ -153,7 +154,8 @@ class CatalogProfileIndex:
             self.remove_table(relation)
         relation_profile, attribute_profiles = profile_table(table)
         self._relation_profiles[relation] = relation_profile
-        self._table_versions[relation] = (table, table.version)
+        self._tables[relation] = table
+        table.add_profile_index(self)
         for profile in attribute_profiles.values():
             self._install_attribute(profile)
         self.epoch += 1
@@ -200,12 +202,41 @@ class CatalogProfileIndex:
             self.posting_builds += 1
             self._postings_ready = True
 
-    def refresh(self, catalog: Catalog) -> None:
-        """Re-profile every profiled table of ``catalog`` that is not
-        :meth:`is_current` (rows were appended since it was profiled)."""
+    # ------------------------------------------------------------------
+    # Currency: a table's writes mark it stale, readers re-profile it
+    # ------------------------------------------------------------------
+    def bind_tables(self, catalog: Catalog) -> None:
+        """Hold ``catalog``'s table of each relation profiled here, so its writes
+        mark it stale: a restored index holds profiles only, and its session
+        binds them once the journal has replayed."""
         for table in catalog.all_tables():
             relation = table.schema.qualified_name
-            if relation in self._relation_profiles and not self.is_current(table):
+            if relation in self._relation_profiles:
+                self._tables[relation] = table
+                table.add_profile_index(self)
+
+    def mark_stale(self, table: Table) -> None:
+        """Record that ``table`` was written (:meth:`Table.append` / :meth:`Table.extend` call this)."""
+        self._stale[table] = None
+
+    def reprofile_stale(self) -> None:
+        """Re-profile every table written since it was profiled here.
+
+        Every reader entry calls this first (alignment, expansion, a
+        matcher's index, save), so what they read is current.  A table
+        whose relation this index no longer holds, or holds for another
+        table object, is dropped unprofiled.
+        """
+        stale = self._stale
+        while stale:
+            table = stale.popitem()[0]
+            if self._tables.get(table.schema.qualified_name) is table:
+                self.index_table(table)
+
+    def hold(self, tables: Iterable[Table]) -> None:
+        """Profile each of ``tables`` this index does not hold, as that table object."""
+        for table in tables:
+            if self._tables.get(table.schema.qualified_name) is not table:
                 self.index_table(table)
 
     def remove_source(self, name: str) -> None:
@@ -218,7 +249,7 @@ class CatalogProfileIndex:
         profile = self._relation_profiles.pop(relation, None)
         if profile is None:
             return
-        self._table_versions.pop(relation, None)
+        self._stale.pop(self._tables.pop(relation, None), None)
         shards = self._shards
         for attribute in profile.attribute_names:
             attr_id = (relation, attribute)
@@ -265,11 +296,6 @@ class CatalogProfileIndex:
         return tuple(
             self._attribute_profiles[(relation, name)] for name in rel.attribute_names
         )
-
-    def is_current(self, table: Table) -> bool:
-        """Whether ``table``'s profile reflects its current identity + data version."""
-        entry = self._table_versions.get(table.schema.qualified_name)
-        return entry is not None and entry[0] is table and entry[1] == table.version
 
     @property
     def relation_count(self) -> int:
@@ -374,9 +400,7 @@ class CatalogProfileIndex:
         candidates.discard(attr_id)
         return candidates
 
-    def tiered_candidates(
-        self, relation: str, attribute: str, min_shared_values: int = 1
-    ) -> Dict[AttrId, int]:
+    def tiered_candidates(self, relation: str, attribute: str) -> Dict[AttrId, int]:
         """Candidate attributes via the tiered pipeline, with exact shared counts.
 
         Tier 0 (approximate): LSH band-bucket collisions over the MinHash
@@ -387,25 +411,20 @@ class CatalogProfileIndex:
         MinHash alone would miss.
 
         Tier 1 (exact): every tier-0 survivor is re-verified against the
-        true distinct-value sets; only pairs with ``shared >=
-        min_shared_values`` survive, with their exact shared counts — so a
-        surviving candidate carries the same count ``value_candidates``
-        would report, and no false positive ever reaches a matcher.
+        true distinct-value sets; only pairs sharing a value survive, with
+        their exact shared counts — so a surviving candidate carries the
+        same count ``value_candidates`` would report, and no false positive
+        ever reaches a matcher.
 
         Falls back to the lossless posting-list walk when no sketch tier is
-        configured.  Memoized per attribute against the index epoch (with
-        the default ``min_shared_values=1``).
+        configured.  Memoized per attribute against the index epoch.
         """
         if self.sketch_config is None:
-            exact = self.value_candidates(relation, attribute)
-            if min_shared_values <= 1:
-                return exact
-            return {k: v for k, v in exact.items() if v >= min_shared_values}
+            return self.value_candidates(relation, attribute)
         attr_id = (relation, attribute)
-        if min_shared_values <= 1:
-            cached = self._tiered_cache.get(attr_id)
-            if cached is not None and cached[0] == self.epoch:
-                return cached[1]
+        cached = self._tiered_cache.get(attr_id)
+        if cached is not None and cached[0] == self.epoch:
+            return cached[1]
         profile = self._attribute_profiles.get(attr_id)
         kept: Dict[AttrId, int] = {}
         if profile is not None and profile.distinct_values:
@@ -429,25 +448,19 @@ class CatalogProfileIndex:
                     shared = len(other_values & values)
                 else:
                     shared = len(values & other_values)
-                if shared >= min_shared_values:
+                if shared:
                     kept[other] = shared
             self.exact_candidates_kept += len(kept)
-        if min_shared_values <= 1:
-            self._tiered_cache[attr_id] = (self.epoch, kept)
+        self._tiered_cache[attr_id] = (self.epoch, kept)
         return kept
 
-    def candidate_pairs(
-        self,
-        relation: str,
-        other_relation: Optional[str] = None,
-        min_shared_values: int = 1,
-    ) -> List[Tuple[AttrId, AttrId, int]]:
+    def candidate_pairs(self, relation: str, min_shared_values: int = 1) -> List[Tuple[AttrId, AttrId, int]]:
         """Attribute pairs of ``relation`` that could join, with exact shared counts.
 
         Returns ``(attr_of_relation, candidate_attr, shared_count)`` triples
-        with ``shared_count >= min_shared_values``, restricted to
-        ``other_relation`` when given.  Deterministic order: schema order on
-        the left side, ``(relation, attribute)`` order on the right.
+        with ``shared_count >= min_shared_values``.  Deterministic order:
+        schema order on the left side, ``(relation, attribute)`` order on
+        the right.
 
         The candidate source follows from what the index holds: one that
         keeps sketches answers through :meth:`tiered_candidates`, one that
@@ -461,11 +474,8 @@ class CatalogProfileIndex:
         for name in rel_profile.attribute_names:
             attr_id = (relation, name)
             for other, shared in sorted(candidates_of(relation, name).items()):
-                if shared < min_shared_values:
-                    continue
-                if other_relation is not None and other[0] != other_relation:
-                    continue
-                pairs.append((attr_id, other, shared))
+                if shared >= min_shared_values:
+                    pairs.append((attr_id, other, shared))
         return pairs
 
     def comparable_pair_counts(self, relation: str, min_shared_values: int = 1) -> Dict[str, int]:
@@ -628,23 +638,6 @@ class CatalogProfileIndex:
         )
         index.absorb_state(payload)
         return index
-
-    def rebind_tables(self, catalog: Catalog) -> None:
-        """Point the staleness bookkeeping at ``catalog``'s live tables.
-
-        After a restore, profiles describe data that is now served by
-        freshly (re)opened :class:`Table` objects; binding their identity
-        and current version makes :meth:`is_current` checks behave exactly
-        as on the session that wrote the snapshot.
-        """
-        from ..exceptions import UnknownRelationError
-
-        for relation in self._relation_profiles:
-            try:
-                table = catalog.relation(relation)
-            except UnknownRelationError:
-                continue
-            self._table_versions[relation] = (table, table.version)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -322,7 +322,9 @@ class TestRandomTableParity:
         assert _correspondence_tuples(
             blocked.match_relations(table_a, table_b)
         ) == seed_value_overlap(table_a, table_b, attribute_values(catalog))
-        assert index.is_current(table_a)
+        fresh = CatalogProfileIndex.from_catalog(catalog)
+        for profile in fresh.profiles_of("alpha.rel") + fresh.profiles_of("beta.rel"):
+            assert index.profile(profile.relation, profile.attribute) == profile
 
     @settings(max_examples=20, deadline=None)
     @given(data=_table_pair())

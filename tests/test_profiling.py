@@ -127,15 +127,23 @@ class TestCatalogProfileIndex:
         )
 
     def test_reindexing_a_mutated_table_replaces_the_profile(self, mini_catalog, index):
+        # A write marks the table stale; the profile moves only when a reader
+        # drains the stale set, and then it is the one a fresh build gives.
         table = mini_catalog.relation("go.term")
-        assert index.is_current(table)
+        before = index.relation_profile("go.term")
+        epoch = index.epoch
         table.append({"acc": "GO:0009", "name": "ribosome"})
-        assert not index.is_current(table)
-        index.index_table(table)
-        assert index.is_current(table)
+        assert index.relation_profile("go.term") is before and index.epoch == epoch
+        index.reprofile_stale()
+        assert index.relation_profile("go.term") is not before and index.epoch > epoch
         assert "go:0009" in {
             v.lower() for v in index.profile("go.term", "acc").distinct_values
         }
+        fresh = CatalogProfileIndex.from_catalog(mini_catalog)
+        assert index.profile("go.term", "acc") == fresh.profile("go.term", "acc")
+        epoch = index.epoch
+        index.reprofile_stale()
+        assert index.epoch == epoch
 
     def test_epoch_moves_on_every_structural_change(self, index, mini_catalog):
         before = index.epoch
