@@ -125,9 +125,12 @@ class RankedView:
         # reproduces the ids, and the per-edge weights learned under them.
         self._query_graph: Optional[QueryGraph] = None
         #: The base graph's ``structure_version`` the query graph was expanded
-        #: at — the view's whole staleness ledger beside ``_solve_state``;
-        #: ``None`` until the view first expands.
+        #: at — the view's staleness ledger beside ``_solve_state`` and
+        #: ``_expanded_writes``; ``None`` until the view first expands.
         self.expanded_at: Optional[int] = None
+        #: The builder's profile index's ``writes`` before that expansion: a
+        #: row written since may hold a value a keyword matches.
+        self._expanded_writes = 0
         #: A ranking a saved session carried (:meth:`carry_ranking`): its
         #: edge ids, and the base weight and structure versions it is valid at.
         self._carried: Optional[Tuple[List[List[str]], int, int]] = None
@@ -186,8 +189,10 @@ class RankedView:
 
     @property
     def expansion_is_current(self) -> bool:
-        """Whether the query graph was expanded from the base graph as it stands."""
-        return self.expanded_at == self.base_graph.structure_version
+        """Whether the query graph was expanded from the base graph and the rows as they stand."""
+        return self.expanded_at == self.base_graph.structure_version and (
+            self.builder is None or self._expanded_writes == self.builder.profile_index.writes
+        )
 
     def rebuild_query_graph(self) -> None:
         """Re-expand the query graph from the current base search graph.
@@ -204,8 +209,9 @@ class RankedView:
         """
         if self.builder is None:
             self.builder = QueryGraphBuilder(self.catalog, CatalogProfileIndex.from_catalog(self.catalog))
+        writes = self.builder.profile_index.writes
         self._query_graph = graph = self.builder.expand(self.base_graph, self.keywords)
-        self.expanded_at = self.base_graph.structure_version
+        self.expanded_at, self._expanded_writes = self.base_graph.structure_version, writes
         self._solve_state = None
         carried, self._carried = self._carried, None
         if carried is not None and carried[1:] == self._base_versions():
@@ -250,7 +256,7 @@ class RankedView:
         """Bring trees and generated queries up to date without executing them.
 
         The query graph is re-expanded first when the base graph's structure
-        moved past :attr:`expanded_at`.
+        moved past :attr:`expanded_at`, or a row was written since.
         The Steiner solve is skipped when edge weights, graph structure,
         terminals and ``k`` are all unchanged since the last solve.
 

@@ -91,6 +91,8 @@ class CatalogProfileIndex:
         self._tables: Dict[str, Table] = {}
         #: Tables written since they were profiled, as an ordered set (see :meth:`reprofile_stale`).
         self._stale: Dict[Table, None] = {}
+        #: Row writes reported so far: an expansion taken at another count may miss rows.
+        self.writes = 0
         #: source name -> qualified relation names it contributed.
         self._source_relations: Dict[str, List[str]] = {}
         #: All posting lists (values, tokens, sketch buckets), hash-sharded.
@@ -218,6 +220,7 @@ class CatalogProfileIndex:
     def mark_stale(self, table: Table) -> None:
         """Record that ``table`` was written (:meth:`Table.append` / :meth:`Table.extend` call this)."""
         self._stale[table] = None
+        self.writes += 1
 
     def reprofile_stale(self) -> None:
         """Re-profile every table written since it was profiled here.

@@ -15,15 +15,15 @@ cost label and a back-pointer per ``(terminal subset, node)``.  A tree's edge
 set is read off the back-pointers once, at the end; nothing is materialised
 per node.  Two cuts keep the work near the terminals instead of growing with
 the catalog.  The optimum is bounded from above — by the caller's
-``upper_bound`` (the k-best enumerator knows one for most branches), else by
-the weight of the terminals' distance-network MST — and a label is dropped
-when its cost plus a lower bound on the distance its tree still has to cover
-(the caller's exclusion-free distances to the root, the distances settled
-under the exclusions) exceeds that; and the last grow pass stops when the root
-terminal settles.  Neither changes an answer — a dropped label cannot be
-part of a tree within the bound, and every label that can settles at the
-same cost, in the same order, with the same back-pointer.  A search is
-handed its limit as the bound and one per-node distance table, and
+``upper_bound`` (the k-best enumerator knows one for most branches) and by
+the tree that the first terminal's shortest paths to the others form — and a
+label is dropped when its cost plus a lower bound on the distance its tree
+still has to cover (the caller's exclusion-free distances to the root, the
+distances settled under the exclusions) exceeds that; and the last grow pass
+stops when the root terminal settles.  Neither changes an answer — a dropped
+label cannot be part of a tree within the bound, and every label that can
+settles at the same cost, in the same order, with the same back-pointer.  A
+search is handed its limit as the bound and one per-node distance table, and
 subtracts only at the nodes it pops or relaxes: a solve costs the labels it
 touches, not a pass over every node per terminal subset.
 
@@ -332,59 +332,6 @@ class SteinerNetwork:
         labels.counters.settled_labels += len(settled) - already
         return not remaining
 
-    def _singleton_passes(
-        self,
-        labels: _Labels,
-        roots: Sequence[int],
-        excluded: AbstractSet[int],
-        budget: "Optional[Budget]",
-    ) -> List[List[Tuple[float, int]]]:
-        """Shortest paths from each terminal, paused once all the others settled.
-
-        Returns the paused heaps (one per terminal) so the caller can resume
-        the passes under a bound; raises if some terminal is unreachable.
-        """
-        heaps: List[List[Tuple[float, int]]] = []
-        for position, root in enumerate(roots):
-            mask = 1 << position
-            heap = labels.seed(mask, root)
-            others = {other for other in roots if other != root}
-            if not self._search(labels, mask, heap, excluded, labels.no_limit, others, budget, "dijkstra"):
-                raise DisconnectedTerminalsError()
-            heaps.append(heap)
-        return heaps
-
-    @staticmethod
-    def _distance_network_mst(
-        labels: _Labels, terminals: Sequence[str], roots: Sequence[int]
-    ) -> List[Tuple[float, int, int]]:
-        """Kruskal MST of the terminals' distance network: ``(distance, i, j)`` per edge.
-
-        ``i < j`` are terminal positions; ties sort on the terminal id
-        strings, as the seed approximation's did.
-        """
-        count = len(roots)
-        pairs = sorted(
-            (labels.cost[1 << i][roots[j]], terminals[i], terminals[j], i, j)
-            for i in range(count)
-            for j in range(i + 1, count)
-        )
-        parent = list(range(count))
-
-        def find(position: int) -> int:
-            while parent[position] != position:
-                parent[position] = parent[parent[position]]
-                position = parent[position]
-            return position
-
-        chosen: List[Tuple[float, int, int]] = []
-        for distance, _, _, i, j in pairs:
-            root_i, root_j = find(i), find(j)
-            if root_i != root_j:
-                parent[root_i] = root_j
-                chosen.append((distance, i, j))
-        return chosen
-
     @staticmethod
     def _edges_of(labels: _Labels, mask: int, node: int) -> Set[int]:
         """The edge set the back-pointers at ``(mask, node)`` describe."""
@@ -458,6 +405,15 @@ class SteinerNetwork:
         They only remove work: the tree returned is the unbounded solve's
         whenever that costs no more than ``upper_bound``, and otherwise
         :class:`~repro.exceptions.BoundExceededError` is raised.
+
+        With three or more terminals, bounded or not, the DP starts the same
+        way.  The first terminal's singleton pass runs under the bound alone
+        and pauses once the other terminals settle.  If one does not, no tree
+        is within the bound, and the solve ends there.  Otherwise the pass's
+        paths to them are a tree, whose weight bounds the optimum when it is
+        lower; its settled distances, and its radius for every node it has
+        not settled, prune the other passes from their first pop; and it
+        resumes last, pruned by theirs.
         """
         terminals = validate_terminals(self.graph, terminals)
         if len(terminals) > max_terminals:
@@ -475,7 +431,8 @@ class SteinerNetwork:
         zeros = labels.no_limit[1]
         # Per terminal, a lower bound on its distance to each node: the table
         # handed in (or zero), overwritten with the distances under
-        # ``excluded`` as that terminal's own pass settles them.
+        # ``excluded`` as that terminal's own pass settles them (the first
+        # terminal's from where its pass pauses).
         distances = [lower_bounds or zeros] + [zeros] * (len(roots) - 1)
 
         def far_for(subset: int) -> List[float]:
@@ -504,24 +461,36 @@ class SteinerNetwork:
                 labels, 2, labels.seed(2, roots[1]), excluded, limit, roots[:1], budget, "shortest-path"
             ))
 
-        if bounded:
-            heaps = [labels.seed(1 << position, root) for position, root in enumerate(roots)]
-        else:
-            # No bound is known yet.  Shortest paths from each terminal, first
-            # only as far as the other terminals, price the distance network,
-            # whose MST weight bounds the optimum from above; the passes then
-            # resume under that bound.
-            heaps = self._singleton_passes(labels, roots, excluded, budget)
-            bound = _BOUND_SLACK * math.fsum(
-                distance for distance, _, _ in self._distance_network_mst(labels, terminals, roots)
-            )
-        for position, heap in enumerate(heaps):
+        def settle(position: int, heap: List[Tuple[float, int]]) -> None:
+            # Run a singleton pass out to its limit; what it settled is exact.
             mask = 1 << position
             self._search(labels, mask, heap, excluded, (bound, far_for(mask)), (), budget, "dijkstra")
             table, cost = list(distances[position]), labels.cost[mask]
             for v in labels.settled[mask]:
                 table[v] = cost[v]
             distances[position] = table
+
+        # The first terminal's pass, pruned by the bound alone, pauses once
+        # the others settle.  A terminal it cannot reach is farther than the
+        # bound from it: no tree, before any other pass or subset runs.  (A
+        # pass pruned by a distance table proves nothing of the kind.)
+        first = labels.seed(1, roots[0])
+        if not self._search(labels, 1, first, excluded, (bound, zeros), set(roots[1:]), budget, "dijkstra"):
+            return tree_at_root(1, False)
+        # Its paths to the other terminals form a tree: the optimum costs no more.
+        edges = set().union(*(self._edges_of(labels, 1, root) for root in roots[1:]))
+        bound = min(bound, _BOUND_SLACK * math.fsum(self.edge_costs[e] for e in edges))
+        # Exact where settled, at least the radius it paused at elsewhere: a
+        # consistent table, so it prunes the other passes from their start
+        # without moving a label they keep.
+        paused, settled = labels.cost[1], labels.settled[1]
+        table = [paused[settled[-1]]] * len(paused)
+        for v in settled:
+            table[v] = paused[v]
+        distances[0] = list(map(max, table, lower_bounds)) if lower_bounds else table
+        for position in range(1, len(roots)):
+            settle(position, labels.seed(1 << position, roots[position]))
+        settle(0, first)  # resumed last, under the pruning the other passes give
 
         full_mask = (1 << len(roots)) - 1
         for subset in sorted(range(1, full_mask + 1), key=lambda m: bin(m).count("1")):
@@ -572,11 +541,26 @@ class SteinerNetwork:
             return SteinerTree(frozenset(), frozenset(terminals), 0.0)
         roots = [self.node_index[t] for t in terminals]
         labels = _Labels(len(self.node_ids))
-        self._singleton_passes(labels, roots, excluded, budget)
-        # Expand each MST edge of the distance network into its shortest path.
+        # Shortest paths from each terminal, as far as the other terminals.
+        for position, root in enumerate(roots):
+            others = set(roots) - {root}
+            heap = labels.seed(1 << position, root)
+            if not self._search(labels, 1 << position, heap, excluded, labels.no_limit, others, budget, "dijkstra"):
+                raise DisconnectedTerminalsError()
+        # Kruskal over the distance network, ties on the terminal ids as the
+        # seed approximation's; each MST edge expands into its shortest path.
+        pairs = sorted(
+            (labels.cost[1 << i][roots[j]], terminals[i], terminals[j], i, j)
+            for i in range(len(roots))
+            for j in range(i + 1, len(roots))
+        )
+        component = list(range(len(roots)))
         expanded: Set[int] = set()
-        for _, i, j in self._distance_network_mst(labels, terminals, roots):
-            expanded |= self._edges_of(labels, 1 << i, roots[j])
+        for _, _, _, i, j in pairs:
+            if component[i] != component[j]:
+                joined = component[i]
+                component = [component[j] if c == joined else c for c in component]
+                expanded |= self._edges_of(labels, 1 << i, roots[j])
         pruned = prune_to_tree(self.graph, {self.edge_ids[e] for e in expanded}, terminals)
         return SteinerTree.from_edges(self.graph, pruned, terminals)
 

@@ -107,6 +107,43 @@ def test_a_removed_or_replaced_relation_drops_its_stale_entry():
     assert "kidney" not in index.profile("s1.gene", "organ").distinct_values
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_view_expanded_before_a_row_write_reads_the_new_rows(backend):
+    """A row write moves no graph structure, but it can add a value a keyword
+    matches: the view's expansion is not current until it re-expands, and it
+    then reads what a session opened on the written rows reads."""
+    lab = DataSource.build(
+        "lab",
+        {"gene": ["gid", "organ"], "expr": ["gid", "level"]},
+        data={"gene": [["g1", "liver"], ["g2", "heart"]], "expr": [["g1", "low"], ["g2", "medium"]]},
+        foreign_keys=[("gene", "gid", "expr", "gid")],
+    )
+    service = QService(sources=[lab], backend=backend)
+    try:
+        service.bootstrap_alignments()
+        info = service.create_view(QueryRequest(keywords=("kidney", "high")))
+        assert list(service.stream_answers(QueryRequest(view=info.view_id))) == []
+        view = service.view(info.view_id)
+        expansion = view.query_graph
+        list(service.stream_answers(QueryRequest(view=info.view_id)))
+        assert view.query_graph is expansion and view.expansion_is_current  # nothing written
+        service.catalog.relation("lab.gene").append(["g3", "kidney"])
+        service.catalog.relation("lab.expr").append(["g3", "high"])
+        assert not view.expansion_is_current and view.current_ranking() is None
+        after = [answer.values for answer in service.stream_answers(QueryRequest(view=info.view_id))]
+        assert view.query_graph is not expansion and view.expansion_is_current
+        fresh = QService(sources=list(service.catalog), backend=backend)
+        try:
+            fresh.bootstrap_alignments()
+            fresh_info = fresh.create_view(QueryRequest(keywords=("kidney", "high")))
+            expected = [answer.values for answer in fresh.stream_answers(QueryRequest(view=fresh_info.view_id))]
+        finally:
+            fresh.close()
+        assert len(after) == 2 and after == expected
+    finally:
+        service.close()
+
+
 # ----------------------------------------------------------------------
 # The differential: the session's index against a fresh build
 # ----------------------------------------------------------------------

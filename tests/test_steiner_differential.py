@@ -25,6 +25,7 @@ repeats.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
@@ -37,8 +38,9 @@ from reference_trees import is_minimal_steiner_tree, steiner_trees
 
 from repro.engine.context import SteinerNetworkCache
 from repro.exceptions import BoundExceededError, DisconnectedTerminalsError
-from repro.graph import EdgeKind, Node, NodeKind, SearchGraph
+from repro.graph import Edge, EdgeKind, Node, NodeKind, SearchGraph
 from repro.steiner import KBestSteiner, SteinerNetwork
+from repro.steiner.network import _BOUND_SLACK, SolverCounters
 
 #: Few distinct values, so equal-cost alternatives are the rule; 0.1 + 0.2 vs
 #: 0.3 adds the ties that only exist up to rounding.
@@ -321,3 +323,84 @@ def test_returned_list_ascends_in_cost():
     _, graph, terminals = random_case(715, terminal_counts=(3, 5))
     costs = [tree.cost for tree in KBestSteiner().solve(graph, terminals, 20)]
     assert len(costs) > 1 and costs == sorted(costs)
+
+
+def first_pass_reach(view, root, excluded, limit):
+    """Distances from ``root`` on ``view`` under ``excluded``, out to ``limit``."""
+    distances, heap = {root: 0.0}, [(0.0, root)]
+    while heap:
+        dist, node = heapq.heappop(heap)
+        if dist > distances[node]:
+            continue
+        for neighbor, edge_idx, cost in view.adjacency[node]:
+            candidate = dist + cost
+            if edge_idx not in excluded and candidate <= limit and candidate < distances.get(neighbor, math.inf):
+                distances[neighbor] = candidate
+                heapq.heappush(heap, (candidate, neighbor))
+    return distances
+
+
+def test_lawler_child_solves_match_reference_or_bound_out():
+    """The solve a three-or-more-terminal Lawler child runs: the root inside
+    a zero-priced included subtree, the other edges among its nodes and some
+    random ones excluded, over the root and the terminals the subtree misses,
+    under an upper bound below, at or above the optimum, or none.  Every
+    solve is the reference's on a graph with those edges costing zero, or
+    raises :class:`BoundExceededError`; a bound the first terminal's pass
+    already proves too low settles nothing beyond that pass."""
+    solved = bounded_out = proved_by_first_pass = 0
+    for seed in range(60):
+        rng, graph, terminals = random_case(seed, nodes=(8, 30), terminal_counts=(4, 6))
+        network = SteinerNetwork(graph)
+        root = network.node_index[terminals[0]]
+        # A random subtree grown from the root: the included prefix.
+        inside, included = {root}, []
+        for _ in range(rng.randint(0, 4)):
+            frontier = [
+                (neighbor, edge_idx) for node in sorted(inside)
+                for neighbor, edge_idx, _ in network.adjacency[node] if neighbor not in inside
+            ]
+            if not frontier:
+                break
+            neighbor, edge_idx = rng.choice(frontier)
+            inside.add(neighbor)
+            included.append(edge_idx)
+        child = [terminals[0], *(t for t in terminals[1:] if network.node_index[t] not in inside)]
+        if not 3 <= len(child) <= 5:
+            continue
+        internal = {
+            edge_idx for node in inside for neighbor, edge_idx, _ in network.adjacency[node]
+            if neighbor in inside and edge_idx not in included
+        }
+        view = network.repriced(graph, dict.fromkeys(included, 0.0))
+        zeroed = graph.copy(share_weights=True)
+        for edge_idx in included:
+            edge = graph.edge(network.edge_ids[edge_idx])
+            zeroed.replace_edge(Edge(edge.edge_id, edge.u, edge.v, edge.kind, edge.features, 0.0, edge.metadata))
+        reference = ReferenceSteinerNetwork(zeroed)
+        free = [i for i in range(len(network.edge_ids)) if i not in included and i not in internal]
+        for extra in (frozenset(), frozenset(rng.sample(free, min(len(free), rng.randint(1, 4))))):
+            excluded = frozenset(internal) | extra
+            excluded_ids = [network.edge_ids[i] for i in excluded]
+            unbounded = solve(view, child, excluded_ids)
+            assert unbounded == solve(reference, child, excluded_ids)
+            if unbounded == "disconnected":
+                with pytest.raises(BoundExceededError):
+                    view.exact_tree(child, excluded, upper_bound=rng.uniform(0, 9))
+                continue
+            solved += 1
+            for upper_bound in (unbounded.cost, unbounded.cost * rng.uniform(1.0, 3.0), unbounded.cost + 1e-3):
+                assert view.exact_tree(child, excluded, upper_bound=upper_bound) == unbounded
+            if unbounded.cost <= 1e-3:
+                continue
+            upper_bound = unbounded.cost * rng.uniform(0.0, 0.999)
+            counters = SolverCounters()
+            with pytest.raises(BoundExceededError):
+                view.exact_tree(child, excluded, counters=counters, upper_bound=upper_bound)
+            assert (counters.bounded_branches, counters.bounded_out_branches) == (1, 1)
+            bounded_out += 1
+            reach = first_pass_reach(view, root, excluded, upper_bound * _BOUND_SLACK)
+            if any(view.node_index[t] not in reach for t in child[1:]):
+                proved_by_first_pass += 1
+                assert counters.settled_labels == len(reach)
+    assert solved >= 70 and bounded_out >= 70 and proved_by_first_pass >= 50
