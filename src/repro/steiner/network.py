@@ -11,21 +11,23 @@ view (:meth:`SteinerNetwork.repriced`) shares all of it but the costs.
 
 Every solver is built on **one** label-setting search
 (:meth:`SteinerNetwork._search`) over per-call flat lists indexed by node: a
-cost label and a back-pointer per ``(terminal subset, node)``.  A tree's edge
-set is read off the back-pointers once, at the end; nothing is materialised
-per node.  Two cuts keep the work near the terminals instead of growing with
-the catalog.  The optimum is bounded from above — by the caller's
-``upper_bound`` (the k-best enumerator knows one for most branches) and by
-the tree that the first terminal's shortest paths to the others form — and a
-label is dropped when its cost plus a lower bound on the distance its tree
-still has to cover (the caller's exclusion-free distances to the root, the
-distances settled under the exclusions) exceeds that; and the last grow pass
-stops when the root terminal settles.  Neither changes an answer — a dropped
-label cannot be part of a tree within the bound, and every label that can
-settles at the same cost, in the same order, with the same back-pointer.  A
-search is handed its limit as the bound and one per-node distance table, and
-subtracts only at the nodes it pops or relaxes: a solve costs the labels it
-touches, not a pass over every node per terminal subset.
+cost label and a back-pointer per ``(terminal subset, node)``.  The exact DP
+is rooted at the first terminal: it solves the others' subsets and reads the
+tree at its node.  A tree's edge set is read off the back-pointers once, at
+the end; nothing is materialised per node.  Two cuts keep the work near the
+terminals instead of growing with the catalog.  The optimum is bounded from
+above — by the caller's ``upper_bound`` (the k-best enumerator knows one for
+most branches) and by the tree that the first terminal's shortest paths to
+the others form — and a label is dropped when its cost plus a lower bound on
+the distance its tree still has to cover (the caller's exclusion-free
+distances to the root, the distances settled under the exclusions) exceeds
+that; and the last grow pass stops when the root terminal settles.  Neither
+changes an answer — a dropped label cannot be part of a tree within the
+bound, and every label that can settles at the same cost, in the same order,
+with the same back-pointer.  A search is handed its limit as the bound and
+one per-node distance table, and subtracts only at the nodes it pops or
+relaxes: a solve costs the labels it touches, not a pass over every node per
+terminal subset.
 
 Parity note: nodes are indexed in sorted node-id order, so a heap entry
 ``(dist, node index)`` pops in the seed implementation's ``(dist, node-id
@@ -291,16 +293,14 @@ class SteinerNetwork:
         ``v`` above ``bound - far[v]`` (``limit`` is ``(bound, far)``: the
         subtraction is made per node popped or relaxed, never for the whole
         table), and returns ``True`` as soon as every node of ``targets``
-        has settled — leaving ``heap`` and the tables consistent, so a later
-        call resumes the same search — or ``False`` once the heap runs dry.
-        The budget is ticked per pop.
+        has settled, or ``False`` once the heap runs dry.  The budget is
+        ticked per pop.
         """
         bound, far = limit
         cost = labels.cost[mask]
         via_node = labels.via_node[mask]
         via_edge = labels.via_edge[mask]
         settled = labels.settled[mask]
-        already = len(settled)
         adjacency = self.adjacency
         pop, push = heapq.heappop, heapq.heappush
         remaining = len(targets)
@@ -329,7 +329,7 @@ class SteinerNetwork:
                 if not remaining:
                     break
         labels.counters.pruned_labels += pruned
-        labels.counters.settled_labels += len(settled) - already
+        labels.counters.settled_labels += len(settled)
         return not remaining
 
     @staticmethod
@@ -406,14 +406,16 @@ class SteinerNetwork:
         whenever that costs no more than ``upper_bound``, and otherwise
         :class:`~repro.exceptions.BoundExceededError` is raised.
 
-        With three or more terminals, bounded or not, the DP starts the same
-        way.  The first terminal's singleton pass runs under the bound alone
-        and pauses once the other terminals settle.  If one does not, no tree
+        With three or more terminals, bounded or not, the DP is rooted at
+        the first terminal.  Its singleton pass runs under the bound alone
+        and stops once the other terminals settle.  If one does not, no tree
         is within the bound, and the solve ends there.  Otherwise the pass's
         paths to them are a tree, whose weight bounds the optimum when it is
-        lower; its settled distances, and its radius for every node it has
-        not settled, prune the other passes from their first pop; and it
-        resumes last, pruned by theirs.
+        lower, and its settled distances, with its radius for every node it
+        has not settled, prune every other pass from its first pop.  Only
+        the other terminals' subsets are solved, read at the first
+        terminal's node, where its own tree is empty: the seed's cost and
+        equal-cost witness (``tests/test_steiner_differential.py`` argues it).
         """
         terminals = validate_terminals(self.graph, terminals)
         if len(terminals) > max_terminals:
@@ -431,17 +433,15 @@ class SteinerNetwork:
         zeros = labels.no_limit[1]
         # Per terminal, a lower bound on its distance to each node: the table
         # handed in (or zero), overwritten with the distances under
-        # ``excluded`` as that terminal's own pass settles them (the first
-        # terminal's from where its pass pauses).
+        # ``excluded`` as that terminal's own pass settles them.
         distances = [lower_bounds or zeros] + [zeros] * (len(roots) - 1)
 
         def far_for(subset: int) -> List[float]:
             # Completing a tree at ``v`` costs at least the distance from ``v``
-            # to the farthest terminal still outside it (to the root, once
-            # all are inside): the one pruning rule.  ``v``'s limit is
-            # ``bound - far[v]``.
-            outside = [d for p, d in enumerate(distances) if not subset >> p & 1] or distances[:1]
-            outside = [d for d in outside if d is not zeros] or [zeros]
+            # to the farthest terminal still outside it — the root always is:
+            # the one pruning rule.  ``v``'s limit is ``bound - far[v]``.
+            outside = [d for p, d in enumerate(distances) if not subset >> p & 1 and d is not zeros]
+            outside = outside or [zeros]
             return outside[0] if len(outside) == 1 else list(map(max, *outside))
 
         def tree_at_root(mask: int, rooted: bool) -> SteinerTree:
@@ -461,16 +461,7 @@ class SteinerNetwork:
                 labels, 2, labels.seed(2, roots[1]), excluded, limit, roots[:1], budget, "shortest-path"
             ))
 
-        def settle(position: int, heap: List[Tuple[float, int]]) -> None:
-            # Run a singleton pass out to its limit; what it settled is exact.
-            mask = 1 << position
-            self._search(labels, mask, heap, excluded, (bound, far_for(mask)), (), budget, "dijkstra")
-            table, cost = list(distances[position]), labels.cost[mask]
-            for v in labels.settled[mask]:
-                table[v] = cost[v]
-            distances[position] = table
-
-        # The first terminal's pass, pruned by the bound alone, pauses once
+        # The first terminal's pass, pruned by the bound alone, stops once
         # the others settle.  A terminal it cannot reach is farther than the
         # bound from it: no tree, before any other pass or subset runs.  (A
         # pass pruned by a distance table proves nothing of the kind.)
@@ -480,20 +471,27 @@ class SteinerNetwork:
         # Its paths to the other terminals form a tree: the optimum costs no more.
         edges = set().union(*(self._edges_of(labels, 1, root) for root in roots[1:]))
         bound = min(bound, _BOUND_SLACK * math.fsum(self.edge_costs[e] for e in edges))
-        # Exact where settled, at least the radius it paused at elsewhere: a
+        # Exact where settled, at least the radius it stopped at elsewhere: a
         # consistent table, so it prunes the other passes from their start
         # without moving a label they keep.
-        paused, settled = labels.cost[1], labels.settled[1]
-        table = [paused[settled[-1]]] * len(paused)
+        reached, settled = labels.cost[1], labels.settled[1]
+        table = [reached[settled[-1]]] * len(reached)
         for v in settled:
-            table[v] = paused[v]
+            table[v] = reached[v]
         distances[0] = list(map(max, table, lower_bounds)) if lower_bounds else table
         for position in range(1, len(roots)):
-            settle(position, labels.seed(1 << position, roots[position]))
-        settle(0, first)  # resumed last, under the pruning the other passes give
+            # The other singleton passes run out to their limits; what they settle is exact.
+            mask = 1 << position
+            heap = labels.seed(mask, roots[position])
+            self._search(labels, mask, heap, excluded, (bound, far_for(mask)), (), budget, "dijkstra")
+            table, cost = list(distances[position]), labels.cost[mask]
+            for v in labels.settled[mask]:
+                table[v] = cost[v]
+            distances[position] = table
 
-        full_mask = (1 << len(roots)) - 1
-        for subset in sorted(range(1, full_mask + 1), key=lambda m: bin(m).count("1")):
+        # Rooted at the first terminal: only the subsets with bit 0 clear.
+        full_mask = (1 << len(roots)) - 2
+        for subset in sorted(range(2, full_mask + 1, 2), key=lambda m: bin(m).count("1")):
             if subset & (subset - 1) == 0:
                 continue
             if budget is not None:

@@ -812,8 +812,9 @@ def test_deadline_inside_a_three_terminal_grow_pass(gbco_dataset, monkeypatch):
         assert len(full) >= 2
 
         # Read the clock on every tick, and move it past the deadline when the
-        # N-th grow pass starts: three terminals make four grow passes per
-        # base solve, so pass 2 is inside the first solve, pass 6 after it.
+        # N-th grow pass starts: the DP is rooted at the first terminal, so
+        # three terminals make one grow pass per base solve (the other two's
+        # pair) and pass 1 is inside the first solve, pass 2 after it.
         monkeypatch.setattr("repro.faults.budget.TICK_STRIDE", 1)
         clock = _StepClock()
         passes = {"seen": 0, "expire_at": 0}
@@ -828,7 +829,7 @@ def test_deadline_inside_a_three_terminal_grow_pass(gbco_dataset, monkeypatch):
 
         monkeypatch.setattr(SteinerNetwork, "_search", expiring_search)
 
-        passes.update(seen=0, expire_at=2)
+        passes.update(seen=0, expire_at=1)
         budget = Budget(deadline_s=100.0, clock=clock)
         with pytest.raises(DeadlineExceededError):
             KBestSteiner().solve(graph, terminals, k=5, budget=budget)
@@ -836,7 +837,7 @@ def test_deadline_inside_a_three_terminal_grow_pass(gbco_dataset, monkeypatch):
         assert not budget.truncated
 
         clock.now = 0.0
-        passes.update(seen=0, expire_at=6)
+        passes.update(seen=0, expire_at=2)
         budget = Budget(deadline_s=100.0, clock=clock)
         partial = KBestSteiner().solve(graph, terminals, k=5, budget=budget)
         assert budget.truncated

@@ -452,13 +452,15 @@ def grown_gbco_service():
 
 #: ``settled_labels`` of one enumeration per golden cell, plus 5 %.  The
 #: two-terminal cell settles 4 948 since it enumerates simple paths.  The
-#: three- and four-terminal cells settle 17 756 and 45 521 since a DP's first
-#: singleton pass pauses at the other terminals and prunes every later pass
-#: (19 442 and 47 878 when they branched on Lawler partitions before that,
-#: 38 024 and 69 789 under exclusion-only branching, 33 819 and 107 738
-#: before the branch bounds).  Branches that run unbounded again fail here
-#: by count, on any host, where a timing gate would need a quiet one.
-SETTLED_LABEL_CEILING = {"t2_k20": 5_240, "t3_k10": 18_650, "t4_k5": 47_800}
+#: three- and four-terminal cells settle 13 521 and 29 939 since the DP is
+#: rooted at the first terminal and solves only the other terminals' subsets
+#: (17 756 and 45 521 when it solved every subset after a first singleton pass
+#: that pauses at the other terminals and prunes every later pass, 19 442 and
+#: 47 878 before that pass, 38 024 and 69 789 under exclusion-only branching,
+#: 33 819 and 107 738 before the branch bounds).  Branches that run unbounded
+#: again fail here by count, on any host, where a timing gate would need a
+#: quiet one.
+SETTLED_LABEL_CEILING = {"t2_k20": 5_240, "t3_k10": 14_200, "t4_k5": 31_440}
 
 
 def golden_cell(service, terminal_count, k):

@@ -94,6 +94,38 @@ def test_single_solves_match_reference_under_exclusions(seed):
         assert solve(kernel, terminals, excluded_ids) == solve(reference, terminals, excluded_ids)
 
 
+def test_rooted_dp_keeps_the_seed_witness_on_tie_heavy_graphs():
+    """The kernel's DP is rooted at the first terminal's node ``r``: it solves
+    only the other terminals' subsets and reads the tree at ``r`` from all of
+    them, ``R``.  The seed solved every subset and read the full set
+    ``R ∪ {0}`` at ``r``.  The costs agree, since terminal 0's own tree at
+    ``r`` is empty.  So do the witnesses, by induction on ``X ⊆ R``: the seed's
+    label for ``X ∪ {0}`` at ``r`` is the rooted label for ``X`` there, same
+    cost and same edges.  A merge sets it (growth cannot beat the split
+    ``({0}, X)``, which costs exactly ``X``'s label at ``r``), and the seed
+    visits each split ``{X1, X2}`` of ``X`` as ``(X1 ∪ {0}, X2)`` then
+    ``(X1, X2 ∪ {0})`` just where the rooted DP visits ``(X1, X2)``, with
+    ``({0}, X)`` last.  Its first split to reach the minimum is then
+    ``(X1 ∪ {0}, X2)`` for the rooted DP's first, or ``({0}, X)`` when
+    growth set the rooted label; both read the rooted witness's edges.
+    That holds in exact arithmetic: 400 tie-heavy graphs, t = 3–5, each
+    solved bare and under three random exclusion sets, hold the kernel to the
+    seed oracle's edge set and cost through rounding too."""
+    solved = 0
+    for seed in range(400):
+        rng, graph, terminals = random_case(seed, nodes=(6, 40), terminal_counts=(3, 5))
+        kernel, reference = SteinerNetwork(graph), ReferenceSteinerNetwork(graph)
+        edge_ids = kernel.edge_ids
+        exclusions = [frozenset()] + [
+            frozenset(rng.sample(edge_ids, rng.randint(1, max(1, len(edge_ids) // 2)))) for _ in range(3)
+        ]
+        for excluded_ids in exclusions:
+            tree = solve(kernel, terminals, excluded_ids)
+            assert tree == solve(reference, terminals, excluded_ids), (seed, sorted(excluded_ids))
+            solved += tree != "disconnected"
+    assert solved >= 1_200
+
+
 def cost_clusters(costs):
     """Positions of ``costs`` (ascending) grouped into runs equal up to rounding."""
     clusters = []
